@@ -29,11 +29,10 @@ fn element_seq(n: usize) -> Sequence {
     }
     xml.push_str("</w>");
     let doc = Arc::new(xmldom::parse(&xml).unwrap());
-    let w = doc.children(doc.root())[0];
+    let w = doc.first_child(doc.root()).unwrap();
     Sequence::from_items(
         doc.children(w)
-            .iter()
-            .map(|&c| Item::Node(NodeHandle::new(doc.clone(), c)))
+            .map(|c| Item::Node(NodeHandle::new(doc.clone(), c)))
             .collect(),
     )
 }

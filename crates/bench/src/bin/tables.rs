@@ -715,11 +715,10 @@ fn alloc_probe() {
         std::hint::black_box(&s);
     });
     let doc2 = std::sync::Arc::new(xmldom::parse(&xml).unwrap());
-    let payload_el = doc2.children(doc2.root())[0];
+    let payload_el = doc2.first_child(doc2.root()).unwrap();
     let chunks: Vec<xdm::Item> = doc2
         .children(payload_el)
-        .iter()
-        .map(|&c| xdm::Item::Node(xmldom::NodeHandle::new(doc2.clone(), c)))
+        .map(|c| xdm::Item::Node(xmldom::NodeHandle::new(doc2.clone(), c)))
         .collect();
     let mut req = xrpc_proto::XrpcRequest::new("urn:m", "f", 1);
     req.push_call(vec![xdm::Sequence::from_items(chunks)]);

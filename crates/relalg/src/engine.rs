@@ -480,6 +480,14 @@ impl<'e> RelEngine<'e> {
             .dispatcher
             .as_ref()
             .ok_or_else(|| XdmError::xrpc("no XRPC dispatcher configured on this peer"))?;
+        let mut dest_of_iter = Vec::with_capacity(lenv.loop_iters.len());
+        for &i in &lenv.loop_iters {
+            let d = dest_t.sequence_at(i);
+            let d = d
+                .singleton()
+                .map_err(|_| XdmError::xrpc("execute at destination must be a single string"))?;
+            dest_of_iter.push(d.string_value());
+        }
 
         // Build (map_p, calls_p) per peer. For read-only functions,
         // duplicate calls (same peer, value-identical atomic arguments)
@@ -488,54 +496,44 @@ impl<'e> RelEngine<'e> {
         struct PeerWork {
             peer: String,
             map: IterMap,
+            /// moved into the dispatcher, `n_calls` of them
             calls: Vec<Vec<Sequence>>,
+            n_calls: usize,
             /// per outer iteration: index into `calls`
             call_of_iter: Vec<usize>,
         }
+        let dedup_ok = !func.updating && self.tree.env.rpc_optimize;
         let mut work = Vec::new();
-        for peer in &peers {
+        for peer in peers {
             self.tree.env.check_cancel()?;
-            let mut outer = Vec::new();
-            for &i in &lenv.loop_iters {
-                let d = dest_t.sequence_at(i);
-                let d = d
-                    .singleton()
-                    .map_err(|_| XdmError::xrpc("execute at destination must be a single string"))?
-                    .string_value();
-                if &d == peer {
-                    outer.push(i);
-                }
-            }
-            let map = IterMap::rank(outer.clone());
+            let outer: Vec<u32> = (lenv.loop_iters.iter().zip(&dest_of_iter))
+                .filter(|(_, d)| **d == peer)
+                .map(|(&i, _)| i)
+                .collect();
             let mut calls: Vec<Vec<Sequence>> = Vec::new();
             let mut call_of_iter: Vec<usize> = Vec::with_capacity(outer.len());
             let mut seen: std::collections::HashMap<String, usize> =
                 std::collections::HashMap::new();
             for &o in &outer {
                 let args: Vec<Sequence> = arg_tables.iter().map(|t| t.sequence_at(o)).collect();
-                let dedup_ok = !func.updating && self.tree.env.rpc_optimize;
                 let key = if dedup_ok {
                     atomic_call_key(&args)
                 } else {
                     None
                 };
-                match key.and_then(|k| seen.get(&k).copied().map(|idx| (k, idx))) {
-                    Some((_, idx)) => call_of_iter.push(idx),
-                    None => {
-                        let idx = calls.len();
-                        if dedup_ok {
-                            if let Some(k) = atomic_call_key(&args) {
-                                seen.insert(k, idx);
-                            }
-                        }
-                        calls.push(args);
-                        call_of_iter.push(idx);
-                    }
+                let idx = match key {
+                    Some(k) => *seen.entry(k).or_insert(calls.len()),
+                    None => calls.len(),
+                };
+                if idx == calls.len() {
+                    calls.push(args);
                 }
+                call_of_iter.push(idx);
             }
             work.push(PeerWork {
-                peer: peer.clone(),
-                map,
+                peer,
+                map: IterMap::rank(outer),
+                n_calls: calls.len(),
                 calls,
                 call_of_iter,
             });
@@ -544,23 +542,22 @@ impl<'e> RelEngine<'e> {
         {
             let mut stats = self.tree.env.stats.lock();
             stats.rpc_dispatches += work.len() as u64;
-            stats.rpc_calls += work.iter().map(|w| w.calls.len() as u64).sum::<u64>();
+            stats.rpc_calls += work.iter().map(|w| w.n_calls as u64).sum::<u64>();
         }
 
         // Dispatch all Bulk RPC requests in parallel, one thread per
-        // destination (§3.2 "Parallel & Out-Of-Order").
-        let results: Vec<XdmResult<Vec<Sequence>>> = if work.len() <= 1 {
-            work.iter()
-                .map(|w| dispatcher.dispatch(&w.peer, &func, w.calls.clone()))
-                .collect()
+        // destination (§3.2 "Parallel & Out-Of-Order"). The parameter
+        // sequences move into the dispatcher; nothing reads them afterwards.
+        let results: Vec<XdmResult<Vec<Sequence>>> = if let [w] = work.as_mut_slice() {
+            vec![dispatcher.dispatch(&w.peer, &func, std::mem::take(&mut w.calls))]
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = work
-                    .iter()
+                    .iter_mut()
                     .map(|w| {
-                        let dispatcher = dispatcher.clone();
-                        let func = func.clone();
-                        scope.spawn(move || dispatcher.dispatch(&w.peer, &func, w.calls.clone()))
+                        let calls = std::mem::take(&mut w.calls);
+                        let (peer, dispatcher, func) = (&w.peer, dispatcher.clone(), func.clone());
+                        scope.spawn(move || dispatcher.dispatch(peer, &func, calls))
                     })
                     .collect();
                 handles
@@ -575,20 +572,22 @@ impl<'e> RelEngine<'e> {
         let mut mapped = Vec::new();
         for (w, res) in work.into_iter().zip(results) {
             let res = res?;
-            if res.len() != w.calls.len() {
+            if res.len() != w.n_calls {
                 return Err(XdmError::xrpc(format!(
                     "peer `{}` answered {} results for {} calls",
                     w.peer,
                     res.len(),
-                    w.calls.len()
+                    w.n_calls
                 )));
             }
-            let msg = SeqTable::from_sequences(
-                w.call_of_iter
-                    .iter()
-                    .enumerate()
-                    .map(|(inner0, &call_idx)| (inner0 as u32 + 1, res[call_idx].clone())),
-            );
+            let msg = if w.n_calls == w.call_of_iter.len() {
+                // one call per iteration, in order: the results move
+                SeqTable::from_sequences((1u32..).zip(res))
+            } else {
+                SeqTable::from_sequences(
+                    (1u32..).zip(w.call_of_iter.iter().map(|&call| res[call].clone())),
+                )
+            };
             mapped.push(w.map.map_back(&msg));
         }
         Ok(SeqTable::merge_union(mapped))

@@ -117,7 +117,10 @@ impl SeqTable {
 
     /// Merge-union of disjoint-iter tables, keeping the (iter, pos) sort —
     /// the final step of Figure 1 (`⋃(res_p1, res_p2)`).
-    pub fn merge_union(tables: Vec<SeqTable>) -> SeqTable {
+    pub fn merge_union(mut tables: Vec<SeqTable>) -> SeqTable {
+        if tables.len() == 1 {
+            return tables.pop().expect("one operand");
+        }
         let mut groups: BTreeMap<u32, Vec<(u32, Item)>> = BTreeMap::new();
         for t in tables {
             for r in 0..t.len() {

@@ -63,7 +63,7 @@ impl Item {
         match self {
             Item::Atomic(a) => a.clone(),
             Item::Node(n) => {
-                if let Some(ann) = &n.data().type_annotation {
+                if let Some(ann) = n.type_annotation() {
                     if let Some(ty) = AtomicType::from_xs_name(ann) {
                         if let Ok(v) = AtomicValue::parse_as(&n.string_value(), ty) {
                             return v;
@@ -285,7 +285,7 @@ mod tests {
     #[test]
     fn atomize_node_is_untyped() {
         let d = Arc::new(parse("<a>42</a>").unwrap());
-        let a = d.children(d.root())[0];
+        let a = d.first_child(d.root()).unwrap();
         let it = Item::Node(NodeHandle::new(d, a));
         match it.atomize() {
             AtomicValue::UntypedAtomic(s) => assert_eq!(s, "42"),
@@ -301,7 +301,7 @@ mod tests {
             )
             .unwrap(),
         );
-        let v = d.children(d.root())[0];
+        let v = d.first_child(d.root()).unwrap();
         let it = Item::Node(NodeHandle::new(d, v));
         match it.atomize() {
             AtomicValue::Integer(7) => {}
@@ -342,12 +342,12 @@ mod tests {
     fn node_kind_matching() {
         use crate::types::*;
         let d = Arc::new(parse(r#"<person id="1"><name>x</name></person>"#).unwrap());
-        let p = d.children(d.root())[0];
+        let p = d.first_child(d.root()).unwrap();
         let ph = Item::Node(NodeHandle::new(d.clone(), p));
         assert!(ph.matches_kind(&ItemKind::Element(None)));
         assert!(ph.matches_kind(&ItemKind::Element(Some("person".into()))));
         assert!(!ph.matches_kind(&ItemKind::Element(Some("film".into()))));
-        let attr = d.attributes(p)[0];
+        let attr = d.attributes(p).next().unwrap();
         let ah = Item::Node(NodeHandle::new(d.clone(), attr));
         assert!(ah.matches_kind(&ItemKind::Attribute(Some("id".into()))));
         assert!(!ah.matches_kind(&ItemKind::Element(None)));

@@ -54,14 +54,10 @@ pub fn step(ctx: &NodeHandle, axis: Axis) -> Vec<NodeHandle> {
     let mk = |id: NodeId| NodeHandle::new(doc.clone(), id);
     match axis {
         Axis::SelfAxis => vec![ctx.clone()],
-        Axis::Child => doc.children(ctx.id).iter().map(|&c| mk(c)).collect(),
-        Axis::Attribute => doc.attributes(ctx.id).iter().map(|&a| mk(a)).collect(),
+        Axis::Child => doc.children(ctx.id).map(mk).collect(),
+        Axis::Attribute => doc.attributes(ctx.id).map(mk).collect(),
         Axis::Parent => ctx.parent().into_iter().collect(),
-        Axis::Descendant => {
-            let mut out = Vec::new();
-            descend(ctx, &mut out);
-            out
-        }
+        Axis::Descendant => doc.descendants(ctx.id).map(mk).collect(),
         Axis::DescendantOrSelf => {
             let mut out = vec![ctx.clone()];
             descend(ctx, &mut out);
@@ -86,11 +82,7 @@ pub fn step(ctx: &NodeHandle, axis: Axis) -> Vec<NodeHandle> {
             out
         }
         Axis::FollowingSibling => siblings(ctx, true),
-        Axis::PrecedingSibling => {
-            let mut v = siblings(ctx, false);
-            v.reverse();
-            v
-        }
+        Axis::PrecedingSibling => siblings(ctx, false),
         Axis::Following => {
             // Descendants of following siblings of ancestors-or-self,
             // in document order.
@@ -126,34 +118,25 @@ pub fn step(ctx: &NodeHandle, axis: Axis) -> Vec<NodeHandle> {
 }
 
 fn descend(ctx: &NodeHandle, out: &mut Vec<NodeHandle>) {
-    for &c in ctx.doc.children(ctx.id) {
-        let h = NodeHandle::new(ctx.doc.clone(), c);
-        out.push(h.clone());
-        if matches!(h.kind(), NodeKind::Element) {
-            descend(&h, out);
-        }
-    }
+    let handles = ctx.doc.descendants(ctx.id);
+    out.extend(handles.map(|d| NodeHandle::new(ctx.doc.clone(), d)));
 }
 
+/// The siblings after (or before) `ctx`, nearest first.
 fn siblings(ctx: &NodeHandle, following: bool) -> Vec<NodeHandle> {
     if ctx.kind() == NodeKind::Attribute {
         return Vec::new();
     }
-    let Some(parent) = ctx.data().parent else {
-        return Vec::new();
+    let doc = &ctx.doc;
+    let step = |id: NodeId| {
+        if following {
+            doc.next_sibling(id)
+        } else {
+            doc.prev_sibling(id)
+        }
     };
-    let kids = ctx.doc.children(parent);
-    let Some(pos) = kids.iter().position(|&k| k == ctx.id) else {
-        return Vec::new();
-    };
-    let range: Vec<NodeId> = if following {
-        kids[pos + 1..].to_vec()
-    } else {
-        kids[..pos].to_vec()
-    };
-    range
-        .into_iter()
-        .map(|id| NodeHandle::new(ctx.doc.clone(), id))
+    std::iter::successors(step(ctx.id), |&id| step(id))
+        .map(|id| NodeHandle::new(doc.clone(), id))
         .collect()
 }
 
@@ -165,7 +148,7 @@ mod tests {
 
     fn setup() -> (Arc<crate::Document>, NodeHandle) {
         let d = Arc::new(parse(r#"<a k="v"><b><c/><d/></b><e/><f><g/></f></a>"#).unwrap());
-        let a = d.children(d.root())[0];
+        let a = d.first_child(d.root()).unwrap();
         (d.clone(), NodeHandle::new(d, a))
     }
 
@@ -201,8 +184,8 @@ mod tests {
     #[test]
     fn ancestor_and_parent() {
         let (d, a) = setup();
-        let b = NodeHandle::new(d.clone(), d.children(a.id)[0]);
-        let c = NodeHandle::new(d.clone(), d.children(b.id)[0]);
+        let b = NodeHandle::new(d.clone(), d.first_child(a.id).unwrap());
+        let c = NodeHandle::new(d.clone(), d.first_child(b.id).unwrap());
         assert_eq!(names(&step(&c, Axis::Parent)), ["b"]);
         let anc = step(&c, Axis::Ancestor);
         assert_eq!(anc.len(), 3); // b, a, document
@@ -212,7 +195,7 @@ mod tests {
     #[test]
     fn sibling_axes() {
         let (d, a) = setup();
-        let e = NodeHandle::new(d.clone(), d.children(a.id)[1]);
+        let e = NodeHandle::new(d.clone(), d.children(a.id).nth(1).unwrap());
         assert_eq!(names(&step(&e, Axis::FollowingSibling)), ["f"]);
         assert_eq!(names(&step(&e, Axis::PrecedingSibling)), ["b"]);
     }
@@ -220,10 +203,10 @@ mod tests {
     #[test]
     fn following_and_preceding() {
         let (d, a) = setup();
-        let b = NodeHandle::new(d.clone(), d.children(a.id)[0]);
-        let cnode = NodeHandle::new(d.clone(), d.children(b.id)[0]);
+        let b = NodeHandle::new(d.clone(), d.first_child(a.id).unwrap());
+        let cnode = NodeHandle::new(d.clone(), d.first_child(b.id).unwrap());
         assert_eq!(names(&step(&cnode, Axis::Following)), ["d", "e", "f", "g"]);
-        let f = NodeHandle::new(d.clone(), d.children(a.id)[2]);
+        let f = NodeHandle::new(d.clone(), d.children(a.id).nth(2).unwrap());
         // preceding of f: b, c, d, e (reverse doc order), excluding ancestors
         assert_eq!(names(&step(&f, Axis::Preceding)), ["e", "d", "c", "b"]);
     }
@@ -231,7 +214,7 @@ mod tests {
     #[test]
     fn attribute_has_no_siblings() {
         let (d, a) = setup();
-        let attr = NodeHandle::new(d.clone(), d.attributes(a.id)[0]);
+        let attr = NodeHandle::new(d.clone(), d.attributes(a.id).next().unwrap());
         assert!(step(&attr, Axis::FollowingSibling).is_empty());
         assert_eq!(names(&step(&attr, Axis::Parent)), ["a"]);
     }
@@ -242,7 +225,7 @@ mod tests {
         // following axes: the XRPC call-by-value guarantee.
         let (d, a) = setup();
         let mut fresh = crate::Document::new();
-        let copy = fresh.import_subtree(&d, d.children(a.id)[0]);
+        let copy = fresh.import_subtree(&d, d.first_child(a.id).unwrap());
         let h = NodeHandle::new(Arc::new(fresh), copy);
         assert!(step(&h, Axis::Parent).is_empty());
         assert!(step(&h, Axis::FollowingSibling).is_empty());

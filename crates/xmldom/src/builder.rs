@@ -43,10 +43,7 @@ impl DocBuilder {
     /// Declare a namespace on the current element.
     pub fn ns_decl(mut self, prefix: &str, uri: &str) -> Self {
         let top = self.top();
-        self.doc
-            .node_mut(top)
-            .ns_decls
-            .push((prefix.to_string(), uri.to_string()));
+        self.doc.add_ns_decl(top, prefix, uri);
         self
     }
 

@@ -3,10 +3,11 @@
 //!
 //! Design notes
 //! ------------
-//! * A [`Document`] owns a flat arena of nodes ([`NodeId`] indexes into it).
-//!   Elements and the document root keep explicit `children`/`attributes`
-//!   vectors, so XQUF mutations (insert/delete/replace/rename) are simple
-//!   vector edits.
+//! * A [`Document`] owns a flat arena of fixed-size nodes ([`NodeId`] indexes
+//!   into it) plus one text heap for every value. Child and attribute lists
+//!   are sibling links inside the nodes, so XQUF mutations
+//!   (insert/delete/replace/rename) are O(1) link edits and a document of
+//!   any size is a handful of heap blocks.
 //! * Evaluation always works on immutable `Arc<Document>` snapshots; updates
 //!   clone the arena, mutate the clone and swap it in. This mirrors the
 //!   shadow-paging snapshot isolation that MonetDB/XQuery uses (paper §2.2).
@@ -59,8 +60,14 @@ impl NodeHandle {
         self.doc.kind(self.id)
     }
 
-    pub fn data(&self) -> &NodeData {
-        self.doc.node(self.id)
+    /// The node's own value (see [`Document::value`]).
+    pub fn value(&self) -> &str {
+        self.doc.value(self.id)
+    }
+
+    /// The lexical `xsi:type` annotation, if any.
+    pub fn type_annotation(&self) -> Option<&str> {
+        self.doc.type_annotation(self.id)
     }
 
     /// Node identity (`is` operator): same snapshot, same arena slot.
@@ -75,14 +82,12 @@ impl NodeHandle {
     }
 
     pub fn name(&self) -> Option<&QName> {
-        self.doc.node(self.id).name.as_deref()
+        self.doc.name(self.id)
     }
 
     pub fn parent(&self) -> Option<NodeHandle> {
-        self.doc
-            .node(self.id)
-            .parent
-            .map(|p| NodeHandle::new(self.doc.clone(), p))
+        let parent = self.doc.parent(self.id)?;
+        Some(NodeHandle::new(self.doc.clone(), parent))
     }
 
     /// Serialize this node (children inline) to a string.

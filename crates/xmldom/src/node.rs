@@ -1,4 +1,13 @@
-//! Node arena and the mutation API used by XQUF `applyUpdates`.
+//! Flat node arena and the mutation API used by XQUF `applyUpdates`.
+//!
+//! A [`Document`] is three flat tables and nothing else: fixed-size
+//! [`NodeData`] slots, one text heap holding every text / attribute /
+//! comment / PI value, and a (rare) namespace-declaration table. Tree
+//! structure is intrusive — parent, first/last child, previous/next sibling
+//! and the attribute chain are slot indexes inside the node — so no node
+//! owns a heap block of its own: building, cloning and dropping a document
+//! cost a constant number of allocations whatever its node count, and every
+//! structural edit (append, insert before/after, detach) is O(1).
 
 use crate::qname::QName;
 use std::sync::Arc;
@@ -30,90 +39,165 @@ pub enum NodeKind {
     ProcessingInstruction,
 }
 
-/// One arena slot. Fields are used per kind:
-/// * `Document`: `children`
-/// * `Element`: `name`, `attributes`, `children`, `ns_decls`
-/// * `Attribute`: `name`, `value`
+/// "No node" in a link field (a real id never reaches it: `alloc` checks).
+const NONE: u32 = u32::MAX;
+
+fn link(raw: u32) -> Option<NodeId> {
+    (raw != NONE).then_some(NodeId(raw))
+}
+
+/// A byte range of the document's text heap.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
+/// One arena slot: 48 bytes, no heap block of its own besides the shared,
+/// interned name. Links are slot indexes ([`NONE`] = absent). Per kind:
+/// * `Document`: child links
+/// * `Element`: `name`, child links, attribute chain
+/// * `Attribute`: `name`, `value`; `prev`/`next` chain it to its siblings
+///   in the owner's attribute list
 /// * `Text` / `Comment`: `value`
 /// * `ProcessingInstruction`: `name` (target, no namespace), `value`
 #[derive(Clone, Debug)]
 pub struct NodeData {
-    pub kind: NodeKind,
-    pub parent: Option<NodeId>,
-    /// Shared so that the parser can intern one `QName` per distinct tag and
-    /// deep copies / marshaled fragments bump a refcount instead of cloning
-    /// three strings per node.
+    /// Shared so that the parser interns one `QName` per distinct tag and
+    /// deep copies bump a refcount instead of cloning three strings.
     pub name: Option<Arc<QName>>,
-    pub value: String,
-    pub attributes: Vec<NodeId>,
-    pub children: Vec<NodeId>,
-    /// Namespace declarations in scope *declared on this element*
-    /// (`prefix -> uri`; empty prefix = default namespace).
-    pub ns_decls: Vec<(String, String)>,
-    /// Type annotation carried by `xsi:type` (kept as a lexical QName). The
-    /// XRPC marshaler uses it to round-trip user-defined schema types.
-    pub type_annotation: Option<String>,
+    value: Span,
+    parent: u32,
+    prev: u32,
+    next: u32,
+    first_child: u32,
+    last_child: u32,
+    first_attr: u32,
+    last_attr: u32,
+    pub kind: NodeKind,
 }
 
-impl NodeData {
-    fn new(kind: NodeKind) -> Self {
-        NodeData {
-            kind,
-            parent: None,
-            name: None,
-            value: String::new(),
-            attributes: Vec::new(),
-            children: Vec::new(),
-            ns_decls: Vec::new(),
-            type_annotation: None,
-        }
-    }
+/// A namespace declaration on an element (`prefix -> uri`; empty prefix =
+/// default namespace), both strings in the text heap. The table is sorted
+/// by `node`, declaration order within one node.
+#[derive(Clone, Copy, Debug)]
+struct NsDecl {
+    node: NodeId,
+    prefix: Span,
+    uri: Span,
 }
 
 /// An XML document: a node arena whose slot 0 is always the document node.
 ///
 /// Mutation methods take `&mut self`; callers that need snapshot semantics
 /// clone the document first (see `xrpc-peer`'s store).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Document {
     nodes: Vec<NodeData>,
+    /// Every node value, appended as nodes are created.
+    text: String,
+    /// Heap bytes no node refers to any more (`replace_value` leaves the
+    /// old value behind); `clone` compacts once they outweigh the rest.
+    dead_text: usize,
+    ns_decls: Vec<NsDecl>,
     pub uri: Option<String>,
+}
+
+/// Forward/backward walk over one sibling chain (children or attributes).
+#[derive(Clone)]
+pub struct Siblings<'a> {
+    nodes: &'a [NodeData],
+    front: u32,
+    back: u32,
+}
+
+impl Iterator for Siblings<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        let id = link(self.front)?;
+        if self.front == self.back {
+            self.front = NONE;
+            self.back = NONE;
+        } else {
+            self.front = self.nodes[id.index()].next;
+        }
+        Some(id)
+    }
+}
+
+impl DoubleEndedIterator for Siblings<'_> {
+    fn next_back(&mut self) -> Option<NodeId> {
+        let id = link(self.back)?;
+        if self.front == self.back {
+            self.front = NONE;
+            self.back = NONE;
+        } else {
+            self.back = self.nodes[id.index()].prev;
+        }
+        Some(id)
+    }
+}
+
+/// Pre-order walk over the strict descendants of a node (child axis only,
+/// no attributes). Follows the links, so it needs no stack and no
+/// recursion however deep the tree.
+pub struct Descendants<'a> {
+    doc: &'a Document,
+    root: NodeId,
+    next: Option<NodeId>,
+}
+
+impl Iterator for Descendants<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        let cur = self.next?;
+        self.next = self.doc.first_child(cur).or_else(|| {
+            let mut n = cur;
+            loop {
+                if let Some(s) = self.doc.next_sibling(n) {
+                    return Some(s);
+                }
+                n = self.doc.parent(n)?;
+                if n == self.root {
+                    return None;
+                }
+            }
+        });
+        Some(cur)
+    }
 }
 
 impl Document {
     pub fn new() -> Self {
-        Document {
-            nodes: vec![NodeData::new(NodeKind::Document)],
-            uri: None,
-        }
+        Document::with_capacity(0, 0)
     }
 
-    /// A document whose arena is pre-sized for `nodes` node slots (plus the
-    /// document node itself). Parsers and builders that can estimate the node
-    /// count up front use this to avoid doubling a multi-MiB arena past the
-    /// last-level cache.
-    pub fn with_node_capacity(nodes: usize) -> Self {
-        let mut v = Vec::with_capacity(nodes.saturating_add(1));
-        v.push(NodeData::new(NodeKind::Document));
-        Document {
-            nodes: v,
+    /// An empty document with room for `nodes` slots and `text` heap bytes
+    /// (the parser sizes both from its input length).
+    pub(crate) fn with_capacity(nodes: usize, text: usize) -> Self {
+        let mut d = Document {
+            nodes: Vec::with_capacity(nodes + 1),
+            text: String::with_capacity(text),
+            dead_text: 0,
+            ns_decls: Vec::new(),
             uri: None,
-        }
+        };
+        d.alloc(NodeKind::Document, None, Span::default());
+        d
     }
 
     pub fn with_uri(uri: impl Into<String>) -> Self {
         let mut d = Document::new();
         d.uri = Some(uri.into());
         d
-    }
-
-    /// Reserve arena room for at least `additional` more nodes.
-    pub fn reserve_nodes(&mut self, additional: usize) {
-        self.nodes.reserve(additional);
-    }
-
-    pub fn node_capacity(&self) -> usize {
-        self.nodes.capacity()
     }
 
     pub fn root(&self) -> NodeId {
@@ -132,18 +216,132 @@ impl Document {
         &self.nodes[id.index()]
     }
 
-    pub fn node_mut(&mut self, id: NodeId) -> &mut NodeData {
-        &mut self.nodes[id.index()]
-    }
-
     pub fn kind(&self, id: NodeId) -> NodeKind {
         self.nodes[id.index()].kind
     }
 
-    fn alloc(&mut self, data: NodeData) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(data);
-        id
+    /// The expanded name of an element, attribute or PI (its target).
+    pub fn name(&self, id: NodeId) -> Option<&QName> {
+        self.nodes[id.index()].name.as_deref()
+    }
+
+    /// The node's own value: attribute value, text/comment content, PI
+    /// data; empty for documents and elements (see [`Self::string_value`]).
+    pub fn value(&self, id: NodeId) -> &str {
+        &self.text[self.nodes[id.index()].value.range()]
+    }
+
+    pub fn parent(&self, id: NodeId) -> Option<NodeId> {
+        link(self.nodes[id.index()].parent)
+    }
+
+    pub fn first_child(&self, id: NodeId) -> Option<NodeId> {
+        link(self.nodes[id.index()].first_child)
+    }
+
+    pub fn last_child(&self, id: NodeId) -> Option<NodeId> {
+        link(self.nodes[id.index()].last_child)
+    }
+
+    /// Next node in the same chain: the next child of the parent, or for an
+    /// attribute the owner's next attribute.
+    pub fn next_sibling(&self, id: NodeId) -> Option<NodeId> {
+        link(self.nodes[id.index()].next)
+    }
+
+    pub fn prev_sibling(&self, id: NodeId) -> Option<NodeId> {
+        link(self.nodes[id.index()].prev)
+    }
+
+    /// Bytes held by the text heap, live or not.
+    pub fn text_heap_len(&self) -> usize {
+        self.text.len()
+    }
+
+    fn push_text(&mut self, s: &str) -> Span {
+        let start = self.text.len();
+        self.text.push_str(s);
+        self.span_from(start)
+    }
+
+    /// The span from `start` to the current end of the heap.
+    pub(crate) fn span_from(&self, start: usize) -> Span {
+        let end = u32::try_from(self.text.len()).expect("text heap exceeds 4 GiB");
+        let start = start as u32; // start <= end, so it fits
+        Span {
+            start,
+            len: end - start,
+        }
+    }
+
+    pub(crate) fn text_mut(&mut self) -> &mut String {
+        &mut self.text
+    }
+
+    pub(crate) fn heap_str(&self, s: Span) -> &str {
+        &self.text[s.range()]
+    }
+
+    fn alloc(&mut self, kind: NodeKind, name: Option<Arc<QName>>, value: Span) -> NodeId {
+        let id = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&i| i != NONE)
+            .expect("arena exceeds u32::MAX nodes");
+        self.nodes.push(NodeData {
+            name,
+            value,
+            parent: NONE,
+            prev: NONE,
+            next: NONE,
+            first_child: NONE,
+            last_child: NONE,
+            first_attr: NONE,
+            last_attr: NONE,
+            kind,
+        });
+        NodeId(id)
+    }
+
+    /// Link a parentless `node` at the end of `parent`'s child chain, or
+    /// of its attribute chain when `node` is an attribute.
+    fn link_last(&mut self, parent: NodeId, node: NodeId) {
+        let is_attr = self.kind(node) == NodeKind::Attribute;
+        let p = &mut self.nodes[parent.index()];
+        let (first, last) = if is_attr {
+            (&mut p.first_attr, &mut p.last_attr)
+        } else {
+            (&mut p.first_child, &mut p.last_child)
+        };
+        let prev = *last;
+        *last = node.0;
+        if prev == NONE {
+            *first = node.0;
+        } else {
+            self.nodes[prev as usize].next = node.0;
+        }
+        let n = &mut self.nodes[node.index()];
+        n.parent = parent.0;
+        n.prev = prev;
+    }
+
+    /// Link a parentless `node` into `anchor`'s chain just before it.
+    fn link_before(&mut self, anchor: NodeId, node: NodeId) {
+        debug_assert_ne!(self.kind(node), NodeKind::Attribute);
+        let (parent, prev) = {
+            let a = &mut self.nodes[anchor.index()];
+            let links = (a.parent, a.prev);
+            a.prev = node.0;
+            links
+        };
+        if prev == NONE {
+            self.nodes[parent as usize].first_child = node.0;
+        } else {
+            self.nodes[prev as usize].next = node.0;
+        }
+        let n = &mut self.nodes[node.index()];
+        n.parent = parent;
+        n.prev = prev;
+        n.next = anchor.0;
     }
 
     // ------------------------------------------------------------------
@@ -157,51 +355,69 @@ impl Document {
     /// Like [`create_element`](Self::create_element) but reusing an interned
     /// name — no allocation beyond the arena slot.
     pub fn create_element_shared(&mut self, name: Arc<QName>) -> NodeId {
-        let mut d = NodeData::new(NodeKind::Element);
-        d.name = Some(name);
-        self.alloc(d)
+        self.alloc(NodeKind::Element, Some(name), Span::default())
     }
 
     /// Allocate a *detached* document node. The XRPC unmarshaler uses this to
     /// give `xrpc:document` values a document root inside a shared arena
     /// without deep-copying the subtree into a fresh [`Document`].
     pub fn create_document_node(&mut self) -> NodeId {
-        self.alloc(NodeData::new(NodeKind::Document))
+        self.alloc(NodeKind::Document, None, Span::default())
     }
 
-    pub fn create_text(&mut self, value: impl Into<String>) -> NodeId {
-        let mut d = NodeData::new(NodeKind::Text);
-        d.value = value.into();
-        self.alloc(d)
+    pub fn create_text(&mut self, value: impl AsRef<str>) -> NodeId {
+        let v = self.push_text(value.as_ref());
+        self.alloc(NodeKind::Text, None, v)
     }
 
-    pub fn create_comment(&mut self, value: impl Into<String>) -> NodeId {
-        let mut d = NodeData::new(NodeKind::Comment);
-        d.value = value.into();
-        self.alloc(d)
+    pub fn create_comment(&mut self, value: impl AsRef<str>) -> NodeId {
+        let v = self.push_text(value.as_ref());
+        self.alloc(NodeKind::Comment, None, v)
     }
 
-    pub fn create_pi(&mut self, target: impl Into<String>, value: impl Into<String>) -> NodeId {
-        let mut d = NodeData::new(NodeKind::ProcessingInstruction);
-        d.name = Some(Arc::new(QName::local(target)));
-        d.value = value.into();
-        self.alloc(d)
+    pub fn create_pi(&mut self, target: impl Into<String>, value: impl AsRef<str>) -> NodeId {
+        let v = self.push_text(value.as_ref());
+        let name = Arc::new(QName::local(target));
+        self.alloc(NodeKind::ProcessingInstruction, Some(name), v)
     }
 
-    pub fn create_attribute(&mut self, name: QName, value: impl Into<String>) -> NodeId {
+    pub fn create_attribute(&mut self, name: QName, value: impl AsRef<str>) -> NodeId {
         self.create_attribute_shared(Arc::new(name), value)
     }
 
     /// Like [`create_attribute`](Self::create_attribute) with an interned name.
-    pub fn create_attribute_shared(
+    pub fn create_attribute_shared(&mut self, name: Arc<QName>, value: impl AsRef<str>) -> NodeId {
+        let v = self.push_text(value.as_ref());
+        self.alloc(NodeKind::Attribute, Some(name), v)
+    }
+
+    /// Parser fast path: a new node whose value already sits in the heap,
+    /// linked as the last child (or, for an attribute, the last attribute)
+    /// of `parent`. No same-name check — the parser does its own.
+    pub(crate) fn push_node(
         &mut self,
-        name: Arc<QName>,
-        value: impl Into<String>,
+        parent: NodeId,
+        kind: NodeKind,
+        name: Option<Arc<QName>>,
+        value: Span,
     ) -> NodeId {
-        let mut d = NodeData::new(NodeKind::Attribute);
-        d.name = Some(name);
-        d.value = value.into();
-        self.alloc(d)
+        let id = self.alloc(kind, name, value);
+        self.link_last(parent, id);
+        id
+    }
+
+    /// Declare a namespace on `element` (`""` = the default namespace).
+    pub fn add_ns_decl(&mut self, element: NodeId, prefix: &str, uri: &str) {
+        let prefix = self.push_text(prefix);
+        let uri = self.push_text(uri);
+        self.push_ns_decl(element, prefix, uri);
+    }
+
+    pub(crate) fn push_ns_decl(&mut self, node: NodeId, prefix: Span, uri: Span) {
+        // after any earlier declaration of the same node; the common case
+        // (the newest element) is a plain push
+        let at = self.ns_decls.partition_point(|d| d.node <= node);
+        self.ns_decls.insert(at, NsDecl { node, prefix, uri });
     }
 
     // ------------------------------------------------------------------
@@ -214,88 +430,117 @@ impl Document {
             self.kind(parent),
             NodeKind::Document | NodeKind::Element
         ));
+        debug_assert_ne!(self.kind(child), NodeKind::Attribute);
         self.detach(child);
-        self.nodes[child.index()].parent = Some(parent);
-        self.nodes[parent.index()].children.push(child);
+        self.link_last(parent, child);
     }
 
     /// Insert `child` under `parent` at child position `pos` (clamped).
     pub fn insert_child_at(&mut self, parent: NodeId, pos: usize, child: NodeId) {
         self.detach(child);
-        self.nodes[child.index()].parent = Some(parent);
-        let kids = &mut self.nodes[parent.index()].children;
-        let pos = pos.min(kids.len());
-        kids.insert(pos, child);
+        match self.children(parent).nth(pos) {
+            Some(anchor) => self.link_before(anchor, child),
+            None => self.link_last(parent, child),
+        }
     }
 
     /// Insert `child` immediately before sibling `anchor`.
     pub fn insert_before(&mut self, anchor: NodeId, child: NodeId) {
-        let parent = self.nodes[anchor.index()]
-            .parent
-            .expect("insert_before target must have a parent");
-        let pos = self.child_position(parent, anchor);
-        self.insert_child_at(parent, pos, child);
+        assert!(
+            self.parent(anchor).is_some(),
+            "insert_before target must have a parent"
+        );
+        if anchor != child {
+            self.detach(child);
+            self.link_before(anchor, child);
+        }
     }
 
     /// Insert `child` immediately after sibling `anchor`.
     pub fn insert_after(&mut self, anchor: NodeId, child: NodeId) {
-        let parent = self.nodes[anchor.index()]
-            .parent
+        let parent = self
+            .parent(anchor)
             .expect("insert_after target must have a parent");
-        let pos = self.child_position(parent, anchor);
-        self.insert_child_at(parent, pos + 1, child);
+        if anchor == child {
+            return;
+        }
+        self.detach(child);
+        match self.next_sibling(anchor) {
+            Some(next) => self.link_before(next, child),
+            None => self.link_last(parent, child),
+        }
     }
 
     /// Attach an attribute node to an element (replacing any same-named one).
     pub fn set_attribute_node(&mut self, element: NodeId, attr: NodeId) {
         debug_assert_eq!(self.kind(element), NodeKind::Element);
         debug_assert_eq!(self.kind(attr), NodeKind::Attribute);
+        self.detach(attr);
         let name = self.nodes[attr.index()].name.clone().expect("attr name");
         if let Some(existing) = self.attribute_by_name(element, &name) {
-            self.remove_attribute(element, existing);
+            self.detach(existing);
         }
-        self.nodes[attr.index()].parent = Some(element);
-        self.nodes[element.index()].attributes.push(attr);
+        self.link_last(element, attr);
     }
 
     /// Convenience: create + attach an attribute.
-    pub fn set_attribute(&mut self, element: NodeId, name: QName, value: impl Into<String>) {
+    pub fn set_attribute(&mut self, element: NodeId, name: QName, value: impl AsRef<str>) {
         let a = self.create_attribute(name, value);
         self.set_attribute_node(element, a);
     }
 
-    /// Detach a node from its parent's child (or attribute) list.
+    /// Detach a node from its parent's child (or attribute) chain. O(1).
     pub fn detach(&mut self, node: NodeId) {
-        if let Some(p) = self.nodes[node.index()].parent.take() {
-            let pd = &mut self.nodes[p.index()];
-            pd.children.retain(|&c| c != node);
-            pd.attributes.retain(|&c| c != node);
+        let n = &mut self.nodes[node.index()];
+        let (parent, prev, next) = (n.parent, n.prev, n.next);
+        if parent == NONE {
+            return;
+        }
+        n.parent = NONE;
+        n.prev = NONE;
+        n.next = NONE;
+        let is_attr = n.kind == NodeKind::Attribute;
+        if prev != NONE {
+            self.nodes[prev as usize].next = next;
+        }
+        if next != NONE {
+            self.nodes[next as usize].prev = prev;
+        }
+        let p = &mut self.nodes[parent as usize];
+        let (first, last) = if is_attr {
+            (&mut p.first_attr, &mut p.last_attr)
+        } else {
+            (&mut p.first_child, &mut p.last_child)
+        };
+        if prev == NONE {
+            *first = next;
+        }
+        if next == NONE {
+            *last = prev;
         }
     }
 
     pub fn remove_attribute(&mut self, element: NodeId, attr: NodeId) {
-        self.nodes[element.index()]
-            .attributes
-            .retain(|&a| a != attr);
-        self.nodes[attr.index()].parent = None;
+        if self.parent(attr) == Some(element) {
+            self.detach(attr);
+        }
     }
 
     /// XQUF `replace node`: swap `target` for `replacements` in its parent.
     pub fn replace_node(&mut self, target: NodeId, replacements: &[NodeId]) {
-        let parent = self.nodes[target.index()]
-            .parent
+        let parent = self
+            .parent(target)
             .expect("replace target must have a parent");
         if self.kind(target) == NodeKind::Attribute {
-            self.remove_attribute(parent, target);
+            self.detach(target);
             for &r in replacements {
                 self.set_attribute_node(parent, r);
             }
         } else {
-            let pos = self.child_position(parent, target);
-            self.detach(target);
-            for (i, &r) in replacements.iter().enumerate() {
-                self.insert_child_at(parent, pos + i, r);
+            for &r in replacements {
+                self.insert_before(target, r);
             }
+            self.detach(target);
         }
     }
 
@@ -304,16 +549,19 @@ impl Document {
         match self.kind(target) {
             NodeKind::Element => {
                 // Replace the entire content with one text node.
-                let kids: Vec<NodeId> = self.nodes[target.index()].children.clone();
-                for k in kids {
+                while let Some(k) = self.first_child(target) {
                     self.detach(k);
                 }
                 if !value.is_empty() {
                     let t = self.create_text(value);
-                    self.append_child(target, t);
+                    self.link_last(target, t);
                 }
             }
-            _ => self.nodes[target.index()].value = value.to_string(),
+            NodeKind::Document => {}
+            _ => {
+                self.dead_text += self.nodes[target.index()].value.len as usize;
+                self.nodes[target.index()].value = self.push_text(value);
+            }
         }
     }
 
@@ -322,204 +570,184 @@ impl Document {
         self.nodes[target.index()].name = Some(Arc::new(name));
     }
 
-    fn child_position(&self, parent: NodeId, child: NodeId) -> usize {
-        self.nodes[parent.index()]
-            .children
-            .iter()
-            .position(|&c| c == child)
-            .expect("child not under parent")
-    }
-
     // ------------------------------------------------------------------
     // Queries
     // ------------------------------------------------------------------
 
-    pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.nodes[id.index()].children
+    pub fn children(&self, id: NodeId) -> Siblings<'_> {
+        let n = &self.nodes[id.index()];
+        Siblings {
+            nodes: &self.nodes,
+            front: n.first_child,
+            back: n.last_child,
+        }
     }
 
-    pub fn attributes(&self, id: NodeId) -> &[NodeId] {
-        &self.nodes[id.index()].attributes
+    pub fn attributes(&self, id: NodeId) -> Siblings<'_> {
+        let n = &self.nodes[id.index()];
+        Siblings {
+            nodes: &self.nodes,
+            front: n.first_attr,
+            back: n.last_attr,
+        }
+    }
+
+    /// Strict descendants of `id` in document order (attributes excluded).
+    pub fn descendants(&self, id: NodeId) -> Descendants<'_> {
+        Descendants {
+            doc: self,
+            root: id,
+            next: self.first_child(id),
+        }
+    }
+
+    /// Namespace declarations *declared on this element*, in order.
+    pub fn ns_decls(&self, id: NodeId) -> impl Iterator<Item = (&str, &str)> + '_ {
+        let from = self.ns_decls.partition_point(|d| d.node < id);
+        self.ns_decls[from..]
+            .iter()
+            .take_while(move |d| d.node == id)
+            .map(|d| (self.heap_str(d.prefix), self.heap_str(d.uri)))
+    }
+
+    /// The lexical `xsi:type` of an element, if it carries one. The XRPC
+    /// marshaler uses it to round-trip user-defined schema types.
+    pub fn type_annotation(&self, id: NodeId) -> Option<&str> {
+        let is_xsi_type = |n: &QName| n.is(crate::qname::NS_XSI, "type");
+        self.attributes(id)
+            .find(|&a| self.name(a).is_some_and(is_xsi_type))
+            .map(|a| self.value(a))
     }
 
     pub fn attribute_by_name(&self, element: NodeId, name: &QName) -> Option<NodeId> {
-        self.nodes[element.index()]
-            .attributes
-            .iter()
-            .copied()
-            .find(|&a| {
-                self.nodes[a.index()]
-                    .name
-                    .as_ref()
-                    .is_some_and(|n| n.matches(name))
-            })
+        self.attributes(element)
+            .find(|&a| self.name(a).is_some_and(|n| n.matches(name)))
     }
 
     /// Attribute value lookup by local name only (namespace ignored) —
     /// convenient for protocol parsing where attributes are unprefixed.
     pub fn attr_local(&self, element: NodeId, local: &str) -> Option<&str> {
-        self.nodes[element.index()]
-            .attributes
-            .iter()
-            .find_map(|&a| {
-                let d = &self.nodes[a.index()];
-                if d.name.as_ref().is_some_and(|n| n.local == local) {
-                    Some(d.value.as_str())
-                } else {
-                    None
-                }
-            })
+        self.attributes(element)
+            .find(|&a| self.name(a).is_some_and(|n| n.local == local))
+            .map(|a| self.value(a))
     }
 
-    /// First child element with a matching expanded name.
-    pub fn child_element(&self, parent: NodeId, name: &QName) -> Option<NodeId> {
-        self.children(parent).iter().copied().find(|&c| {
-            self.kind(c) == NodeKind::Element
-                && self.nodes[c.index()]
-                    .name
-                    .as_ref()
-                    .is_some_and(|n| n.matches(name))
-        })
+    /// First child element named `local` in namespace `ns_uri`.
+    pub fn child_element(&self, parent: NodeId, ns_uri: &str, local: &str) -> Option<NodeId> {
+        self.child_elements(parent)
+            .find(|&c| self.name(c).is_some_and(|n| n.is(ns_uri, local)))
     }
 
     /// All child elements (any name).
-    pub fn child_elements(&self, parent: NodeId) -> Vec<NodeId> {
+    pub fn child_elements(&self, parent: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.children(parent)
-            .iter()
-            .copied()
             .filter(|&c| self.kind(c) == NodeKind::Element)
-            .collect()
     }
 
     /// Concatenated text content (XDM string value).
     pub fn string_value(&self, id: NodeId) -> String {
         match self.kind(id) {
-            NodeKind::Document | NodeKind::Element => {
-                let mut out = String::new();
-                self.collect_text(id, &mut out);
-                out
-            }
-            _ => self.nodes[id.index()].value.clone(),
+            NodeKind::Document | NodeKind::Element => self
+                .descendants(id)
+                .filter(|&d| self.kind(d) == NodeKind::Text)
+                .map(|d| self.value(d))
+                .collect(),
+            _ => self.value(id).to_string(),
         }
     }
 
-    fn collect_text(&self, id: NodeId, out: &mut String) {
-        for &c in self.children(id) {
-            match self.kind(c) {
-                NodeKind::Text => out.push_str(&self.nodes[c.index()].value),
-                NodeKind::Element => self.collect_text(c, out),
-                _ => {}
-            }
-        }
-    }
-
-    /// Resolve a namespace prefix at `node` by walking ancestor `ns_decls`.
+    /// Resolve a namespace prefix at `node` by walking ancestor declarations.
     pub fn resolve_prefix(&self, node: NodeId, prefix: &str) -> Option<String> {
         if prefix == "xml" {
             return Some(crate::qname::NS_XML.to_string());
         }
+        if self.ns_decls.is_empty() {
+            return None;
+        }
         let mut cur = Some(node);
         while let Some(id) = cur {
-            let d = &self.nodes[id.index()];
-            for (p, u) in &d.ns_decls {
-                if p == prefix {
-                    if u.is_empty() {
-                        return None; // un-declaration
-                    }
-                    return Some(u.clone());
-                }
+            if let Some((_, u)) = self.ns_decls(id).find(|(p, _)| *p == prefix) {
+                // an empty URI un-declares the prefix
+                return (!u.is_empty()).then(|| u.to_string());
             }
-            cur = d.parent;
+            cur = self.parent(id);
         }
         None
     }
 
     /// Number of arena slots the subtree rooted at `id` occupies (the node
-    /// itself, its attributes, and all descendants) — an O(subtree) count
-    /// used to pre-reserve destination arenas before a deep copy.
+    /// itself, its attributes, and all descendants).
     pub fn subtree_size(&self, id: NodeId) -> usize {
-        let mut n = 0usize;
-        let mut stack = vec![id];
-        while let Some(cur) = stack.pop() {
-            n += 1;
-            let d = &self.nodes[cur.index()];
-            stack.extend_from_slice(&d.attributes);
-            stack.extend_from_slice(&d.children);
-        }
-        n
+        std::iter::once(id)
+            .chain(self.descendants(id))
+            .map(|n| 1 + self.attributes(n).count())
+            .sum()
     }
 
     /// Rough serialized byte size of the subtree rooted at `id`: tag pairs
     /// from the interned name lengths, attribute/text content from the
-    /// stored value lengths, plus a small slack for escaping. One O(subtree)
-    /// pointer walk; the traversal stack is reused across calls because
-    /// sizing a Bulk RPC message calls this once per sequence item.
+    /// stored value lengths, plus a small slack for escaping.
     pub fn subtree_wire_estimate(&self, id: NodeId) -> usize {
-        thread_local! {
-            static WALK_STACK: std::cell::RefCell<Vec<NodeId>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        // take (not borrow) so a re-entrant call degrades to a fresh
-        // stack instead of a RefCell panic
-        let mut stack = WALK_STACK.with(|s| std::mem::take(&mut *s.borrow_mut()));
-        stack.push(id);
-        let mut total = 0usize;
-        while let Some(cur) = stack.pop() {
-            let d = &self.nodes[cur.index()];
-            if let Some(q) = &d.name {
-                total += 2 * q.lexical_len() + 5; // <n>..</n> or n=".."
+        let one = |n: NodeId| {
+            let d = &self.nodes[n.index()];
+            let name = d.name.as_ref().map_or(0, |q| 2 * q.lexical_len() + 5);
+            let v = d.value.len as usize;
+            name + v + v / 16 + 2 // <n>..</n> or n=".."
+        };
+        std::iter::once(id)
+            .chain(self.descendants(id))
+            .map(|n| one(n) + self.attributes(n).map(one).sum::<usize>())
+            .sum()
+    }
+
+    /// Copy one node of `src` (with its attributes and namespace
+    /// declarations, without children) into a new detached slot.
+    fn import_node(&mut self, src: &Document, src_id: NodeId) -> NodeId {
+        let sd = &src.nodes[src_id.index()];
+        let value = self.push_text(src.heap_str(sd.value));
+        let id = self.alloc(sd.kind, sd.name.clone(), value);
+        if !src.ns_decls.is_empty() {
+            for (p, u) in src.ns_decls(src_id) {
+                self.add_ns_decl(id, p, u);
             }
-            total += d.value.len() + d.value.len() / 16 + 2;
-            stack.extend_from_slice(&d.attributes);
-            stack.extend_from_slice(&d.children);
         }
-        WALK_STACK.with(|s| *s.borrow_mut() = stack);
-        total
+        for a in src.attributes(src_id) {
+            let ad = &src.nodes[a.index()];
+            let v = self.push_text(src.heap_str(ad.value));
+            self.push_node(id, NodeKind::Attribute, ad.name.clone(), v);
+        }
+        id
     }
 
     /// Deep-copy the subtree rooted at `src_id` in `src` into `self`,
     /// returning the new root id. The copy is *detached* (no parent), giving
-    /// the by-value semantics XRPC marshaling requires. The destination arena
-    /// is reserved up front so large imports never re-grow it mid-copy.
+    /// the by-value semantics XRPC marshaling requires.
     pub fn import_subtree(&mut self, src: &Document, src_id: NodeId) -> NodeId {
-        self.nodes.reserve(src.subtree_size(src_id));
-        self.import_rec(src, src_id)
-    }
-
-    fn import_rec(&mut self, src: &Document, src_id: NodeId) -> NodeId {
-        let sd = src.node(src_id);
-        let new_id = match sd.kind {
-            NodeKind::Document => {
-                // Import a document node as... a fresh subtree under no parent:
-                // allocate an element-like holder is wrong; instead copy each
-                // child under a new document is handled by callers. Here we
-                // copy the document node itself only when self is empty.
-                let mut d = NodeData::new(NodeKind::Document);
-                d.ns_decls = sd.ns_decls.clone();
-                self.alloc(d)
+        let root = self.import_node(src, src_id);
+        // `s` walks the source in document order, `d` is its copy
+        let (mut s, mut d) = (src_id, root);
+        loop {
+            if let Some(c) = src.first_child(s) {
+                let copy = self.import_node(src, c);
+                self.link_last(d, copy);
+                (s, d) = (c, copy);
+                continue;
             }
-            _ => {
-                let mut d = NodeData::new(sd.kind);
-                d.name = sd.name.clone();
-                d.value = sd.value.clone();
-                d.ns_decls = sd.ns_decls.clone();
-                d.type_annotation = sd.type_annotation.clone();
-                self.alloc(d)
+            loop {
+                if s == src_id {
+                    return root;
+                }
+                let up = self.parent(d).expect("copy has a parent");
+                if let Some(n) = src.next_sibling(s) {
+                    let copy = self.import_node(src, n);
+                    self.link_last(up, copy);
+                    (s, d) = (n, copy);
+                    break;
+                }
+                s = src.parent(s).expect("source node below the copied root");
+                d = up;
             }
-        };
-        let attrs: Vec<NodeId> = sd.attributes.clone();
-        for a in attrs {
-            let na = self.import_rec(src, a);
-            self.nodes[na.index()].parent = Some(new_id);
-            self.nodes[new_id.index()].attributes.push(na);
         }
-        let kids: Vec<NodeId> = sd.children.clone();
-        for c in kids {
-            let nc = self.import_rec(src, c);
-            self.nodes[nc.index()].parent = Some(new_id);
-            self.nodes[new_id.index()].children.push(nc);
-        }
-        new_id
     }
 
     /// Iterate all node ids in arena order (includes detached nodes).
@@ -531,6 +759,38 @@ impl Document {
 impl Default for Document {
     fn default() -> Self {
         Document::new()
+    }
+}
+
+/// Three `memcpy`s and a refcount bump per named node — except that a heap
+/// more than half dead (long runs of `replace_value`, each followed by the
+/// clone `apply_updates` makes) is rebuilt from the live values, so a
+/// document's heap stays within twice its live text across versions.
+impl Clone for Document {
+    fn clone(&self) -> Self {
+        let mut copy = Document {
+            nodes: self.nodes.clone(),
+            text: String::new(),
+            dead_text: self.dead_text,
+            ns_decls: self.ns_decls.clone(),
+            uri: self.uri.clone(),
+        };
+        if self.dead_text * 2 <= self.text.len() {
+            copy.text = self.text.clone();
+            return copy;
+        }
+        copy.dead_text = 0;
+        copy.text.reserve(self.text.len() - self.dead_text);
+        for i in 0..copy.nodes.len() {
+            let live = self.heap_str(copy.nodes[i].value);
+            copy.nodes[i].value = copy.push_text(live);
+        }
+        for i in 0..copy.ns_decls.len() {
+            let NsDecl { prefix, uri, .. } = copy.ns_decls[i];
+            copy.ns_decls[i].prefix = copy.push_text(self.heap_str(prefix));
+            copy.ns_decls[i].uri = copy.push_text(self.heap_str(uri));
+        }
+        copy
     }
 }
 
@@ -551,9 +811,9 @@ mod tests {
         d.append_child(root, b);
         let t = d.create_text("hi");
         d.append_child(b, t);
-        assert_eq!(d.children(root), &[b]);
+        assert_eq!(d.children(root).collect::<Vec<_>>(), [b]);
         assert_eq!(d.string_value(root), "hi");
-        assert_eq!(d.node(b).parent, Some(root));
+        assert_eq!(d.parent(b), Some(root));
     }
 
     #[test]
@@ -569,8 +829,7 @@ mod tests {
         d.insert_after(b, c);
         let names: Vec<String> = d
             .children(root)
-            .iter()
-            .map(|&k| d.node(k).name.as_ref().unwrap().local.clone())
+            .map(|k| d.node(k).name.as_ref().unwrap().local.clone())
             .collect();
         assert_eq!(names, ["a", "b", "c"]);
     }
@@ -587,11 +846,10 @@ mod tests {
         d.replace_node(a, &[x, y]);
         let names: Vec<String> = d
             .children(root)
-            .iter()
-            .map(|&k| d.node(k).name.as_ref().unwrap().local.clone())
+            .map(|k| d.node(k).name.as_ref().unwrap().local.clone())
             .collect();
         assert_eq!(names, ["x", "y"]);
-        assert_eq!(d.node(a).parent, None);
+        assert_eq!(d.parent(a), None);
     }
 
     #[test]
@@ -612,7 +870,7 @@ mod tests {
         d.append_child(d.root(), root);
         d.set_attribute(root, QName::local("id"), "1");
         d.set_attribute(root, QName::local("id"), "2");
-        assert_eq!(d.attributes(root).len(), 1);
+        assert_eq!(d.attributes(root).count(), 1);
         assert_eq!(d.attr_local(root, "id"), Some("2"));
     }
 
@@ -636,9 +894,9 @@ mod tests {
 
         let mut dst = Document::new();
         let copy = dst.import_subtree(&src, root);
-        assert_eq!(dst.node(copy).parent, None);
+        assert_eq!(dst.parent(copy), None);
         assert_eq!(dst.attr_local(copy, "k"), Some("v"));
-        assert_eq!(dst.children(copy).len(), 1);
+        assert_eq!(dst.children(copy).count(), 1);
         // Mutating the copy leaves the source untouched.
         dst.rename(copy, QName::local("z"));
         assert_eq!(src.node(root).name.as_ref().unwrap().local, "a");
@@ -649,7 +907,7 @@ mod tests {
         let mut d = Document::new();
         let root = elem(&mut d, "r");
         d.append_child(d.root(), root);
-        d.node_mut(root).ns_decls.push(("p".into(), "urn:p".into()));
+        d.add_ns_decl(root, "p", "urn:p");
         let kid = elem(&mut d, "k");
         d.append_child(root, kid);
         assert_eq!(d.resolve_prefix(kid, "p").as_deref(), Some("urn:p"));
@@ -658,5 +916,65 @@ mod tests {
             d.resolve_prefix(kid, "xml").as_deref(),
             Some(crate::qname::NS_XML)
         );
+    }
+
+    #[test]
+    fn node_slot_is_48_bytes() {
+        assert!(std::mem::size_of::<NodeData>() <= 48);
+    }
+
+    #[test]
+    fn moving_an_earlier_sibling_lands_next_to_the_anchor() {
+        let mut d = Document::new();
+        let root = elem(&mut d, "r");
+        d.append_child(d.root(), root);
+        let (a, b, c) = (elem(&mut d, "a"), elem(&mut d, "b"), elem(&mut d, "c"));
+        for k in [a, b, c] {
+            d.append_child(root, k);
+        }
+        d.insert_before(c, a);
+        assert_eq!(d.children(root).collect::<Vec<_>>(), [b, a, c]);
+        d.insert_after(c, b);
+        assert_eq!(d.children(root).collect::<Vec<_>>(), [a, c, b]);
+        assert_eq!(d.children(root).rev().collect::<Vec<_>>(), [b, c, a]);
+        d.insert_child_at(root, 0, b);
+        assert_eq!(d.children(root).collect::<Vec<_>>(), [b, a, c]);
+    }
+
+    #[test]
+    fn clone_compacts_a_mostly_dead_heap() {
+        let mut d = Document::new();
+        let root = elem(&mut d, "r");
+        d.append_child(d.root(), root);
+        d.add_ns_decl(root, "p", "urn:p");
+        let t = d.create_text("0");
+        d.append_child(root, t);
+        for i in 1..100 {
+            d.replace_value(t, &format!("value {i}"));
+        }
+        assert!(d.text_heap_len() > 500);
+        let c = d.clone();
+        assert_eq!(c.text_heap_len(), "purn:pvalue 99".len());
+        assert_eq!(c.value(t), "value 99");
+        assert_eq!(c.resolve_prefix(t, "p").as_deref(), Some("urn:p"));
+    }
+
+    #[test]
+    fn deep_import_and_string_value_do_not_recurse() {
+        let depth = 100_000;
+        let mut src = Document::new();
+        let mut cur = src.root();
+        for _ in 0..depth {
+            let e = elem(&mut src, "d");
+            src.append_child(cur, e);
+            cur = e;
+        }
+        let t = src.create_text("x");
+        src.append_child(cur, t);
+        let top = src.first_child(src.root()).unwrap();
+        let mut dst = Document::new();
+        let copy = dst.import_subtree(&src, top);
+        assert_eq!(dst.subtree_size(copy), depth + 1);
+        assert_eq!(dst.string_value(copy), "x");
     }
 }

@@ -16,25 +16,14 @@ use std::sync::Arc;
 fn path_to(doc: &Document, id: NodeId) -> Vec<u32> {
     let mut rev = Vec::new();
     let mut cur = id;
-    while let Some(parent) = doc.node(cur).parent {
-        let pd = doc.node(parent);
+    while let Some(parent) = doc.parent(cur) {
+        // position in the sibling chain = number of predecessors
+        let pos = std::iter::successors(doc.prev_sibling(cur), |&p| doc.prev_sibling(p)).count();
+        rev.push(pos as u32);
         if doc.kind(cur) == NodeKind::Attribute {
-            let pos = pd
-                .attributes
-                .iter()
-                .position(|&a| a == cur)
-                .expect("attribute under parent") as u32;
             // Attributes sort before children but after the element itself:
             // encode as a leading half-range component.
-            rev.push(pos);
             rev.push(u32::MAX); // attribute marker level
-        } else {
-            let pos = pd
-                .children
-                .iter()
-                .position(|&c| c == cur)
-                .expect("child under parent") as u32;
-            rev.push(pos);
         }
         cur = parent;
     }
@@ -124,18 +113,16 @@ fn doc_order_ranks(doc: &Document) -> Vec<u32> {
         while let Some(id) = stack.pop() {
             ranks[id.index()] = *next;
             *next += 1;
-            for &a in doc.attributes(id) {
+            for a in doc.attributes(id) {
                 ranks[a.index()] = *next;
                 *next += 1;
             }
-            for &c in doc.children(id).iter().rev() {
-                stack.push(c);
-            }
+            stack.extend(doc.children(id).rev());
         }
     };
     rank_from(doc.root(), &mut ranks, &mut next);
     for id in doc.all_ids().skip(1) {
-        if doc.node(id).parent.is_none() && ranks[id.index()] == u32::MAX {
+        if doc.parent(id).is_none() && ranks[id.index()] == u32::MAX {
             rank_from(id, &mut ranks, &mut next);
         }
     }
@@ -144,14 +131,7 @@ fn doc_order_ranks(doc: &Document) -> Vec<u32> {
 
 /// True iff `anc` is an ancestor of `desc` (strict) within one document.
 pub fn is_ancestor(doc: &Document, anc: NodeId, desc: NodeId) -> bool {
-    let mut cur = doc.node(desc).parent;
-    while let Some(p) = cur {
-        if p == anc {
-            return true;
-        }
-        cur = doc.node(p).parent;
-    }
-    false
+    std::iter::successors(doc.parent(desc), |&p| doc.parent(p)).any(|p| p == anc)
 }
 
 #[cfg(test)]
@@ -162,10 +142,10 @@ mod tests {
     #[test]
     fn preorder_matches_document_order() {
         let d = parse("<a><b><c/></b><d/></a>").unwrap();
-        let a = d.children(d.root())[0];
-        let b = d.children(a)[0];
-        let c = d.children(b)[0];
-        let dd = d.children(a)[1];
+        let a = d.first_child(d.root()).unwrap();
+        let b = d.first_child(a).unwrap();
+        let c = d.first_child(b).unwrap();
+        let dd = d.children(a).nth(1).unwrap();
         assert_eq!(cmp_same_doc(&d, a, b), Ordering::Less);
         assert_eq!(cmp_same_doc(&d, b, c), Ordering::Less);
         assert_eq!(cmp_same_doc(&d, c, dd), Ordering::Less);
@@ -176,9 +156,9 @@ mod tests {
     #[test]
     fn attributes_before_children() {
         let d = parse(r#"<a k="v"><b/></a>"#).unwrap();
-        let a = d.children(d.root())[0];
-        let attr = d.attributes(a)[0];
-        let b = d.children(a)[0];
+        let a = d.first_child(d.root()).unwrap();
+        let attr = d.attributes(a).next().unwrap();
+        let b = d.first_child(a).unwrap();
         assert_eq!(cmp_same_doc(&d, a, attr), Ordering::Less);
         assert_eq!(cmp_same_doc(&d, attr, b), Ordering::Less);
     }
@@ -186,9 +166,9 @@ mod tests {
     #[test]
     fn order_survives_mutation() {
         let mut d = parse("<a><b/><c/></a>").unwrap();
-        let a = d.children(d.root())[0];
-        let b = d.children(a)[0];
-        let c = d.children(a)[1];
+        let a = d.first_child(d.root()).unwrap();
+        let b = d.first_child(a).unwrap();
+        let c = d.children(a).nth(1).unwrap();
         // Move c before b.
         d.insert_before(b, c);
         assert_eq!(cmp_same_doc(&d, c, b), Ordering::Less);
@@ -197,9 +177,9 @@ mod tests {
     #[test]
     fn sort_dedup_by_identity() {
         let d = Arc::new(parse("<a><b/><c/></a>").unwrap());
-        let a = d.children(d.root())[0];
-        let b = d.children(a)[0];
-        let c = d.children(a)[1];
+        let a = d.first_child(d.root()).unwrap();
+        let b = d.first_child(a).unwrap();
+        let c = d.children(a).nth(1).unwrap();
         let mut v = vec![
             NodeHandle::new(d.clone(), c),
             NodeHandle::new(d.clone(), b),
@@ -214,9 +194,9 @@ mod tests {
     #[test]
     fn ancestor_test() {
         let d = parse("<a><b><c/></b></a>").unwrap();
-        let a = d.children(d.root())[0];
-        let b = d.children(a)[0];
-        let c = d.children(b)[0];
+        let a = d.first_child(d.root()).unwrap();
+        let b = d.first_child(a).unwrap();
+        let c = d.first_child(b).unwrap();
         assert!(is_ancestor(&d, a, c));
         assert!(is_ancestor(&d, b, c));
         assert!(!is_ancestor(&d, c, a));

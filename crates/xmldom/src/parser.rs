@@ -6,10 +6,17 @@
 //! comments, processing instructions, an XML declaration and a (skipped)
 //! DOCTYPE. DTD-defined entities are not supported — the SOAP XRPC wire
 //! format never needs them.
+//!
+//! The parser writes straight into the [`Document`]'s flat tables: decoded
+//! text and attribute values are appended to the text heap as they are
+//! scanned and nodes refer to them by span, so a parse makes a constant
+//! number of heap allocations per document plus a few per *distinct* name.
+//! Decoded text is never longer than its source, so the heap is sized once
+//! from the input length; the node table starts at one slot per 32 input
+//! bytes (above the density of real messages) and doubles from there, which
+//! bounds what hostile bytes can make it reserve by construction.
 
-#[cfg(test)]
-use crate::node::NodeKind;
-use crate::node::{Document, NodeId};
+use crate::node::{Document, NodeId, NodeKind, Span};
 use crate::qname::{QName, NS_XML};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,94 +40,124 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Upper bound on the arena pre-sizing estimate (node slots). 256 Ki slots
-/// cover multi-MiB real-world messages outright while capping what a
-/// hostile byte count can pre-allocate at ~36 MiB (see `Parser::run`).
-const PRESIZE_NODE_CAP: usize = 256 * 1024;
-
 /// Parse a complete XML document.
 pub fn parse(input: &str) -> Result<Document, ParseError> {
-    Parser::new(input).run(None)
+    if u32::try_from(input.len()).is_err() {
+        return Err(ParseError {
+            offset: 0,
+            message: "document exceeds 4 GiB".into(),
+        });
+    }
+    Parser {
+        input,
+        bytes: input.as_bytes(),
+        pos: 0,
+        doc: Document::with_capacity(input.len() / 32, input.len()),
+        ns: NsScope {
+            decls: Vec::new(),
+            epoch: 0,
+        },
+        names: Names {
+            recent: std::array::from_fn(|_| None),
+            first: HashMap::new(),
+            rebound: Vec::new(),
+        },
+        attrs: Vec::new(),
+        open: Vec::new(),
+    }
+    .run()
 }
 
 /// Parse, recording `uri` as the document URI (what `fn:doc` returns).
 pub fn parse_with_uri(input: &str, uri: &str) -> Result<Document, ParseError> {
-    Parser::new(input).run(Some(uri.to_string()))
+    let mut doc = parse(input)?;
+    doc.uri = Some(uri.to_string());
+    Ok(doc)
 }
 
 struct Parser<'a> {
     input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    doc: Document,
+    ns: NsScope<'a>,
+    names: Names<'a>,
+    /// Raw attributes of the start tag being parsed (one buffer, reused):
+    /// name as written, decoded value already in the heap.
+    attrs: Vec<(&'a str, Span)>,
+    /// Elements whose end tag is still to come. Explicit, not recursion:
+    /// element depth must not be bounded by the thread stack.
+    open: Vec<Open<'a>>,
 }
 
-/// In-scope namespace bindings: a flat declaration stack with per-element
-/// frame offsets, so prefix lookup costs O(declarations in scope) rather
-/// than O(element depth) — deep documents with few declarations stay cheap.
-struct NsScope {
-    frame_starts: Vec<usize>,
-    decls: Vec<(String, String)>,
+struct Open<'a> {
+    id: NodeId,
+    raw_name: &'a str,
+    /// Length of `NsScope::decls` before this element's declarations.
+    ns_base: usize,
 }
 
-impl NsScope {
-    fn new() -> Self {
-        NsScope {
-            frame_starts: Vec::new(),
-            decls: Vec::new(),
+/// In-scope namespace bindings, innermost last: prefix as written, URI in
+/// the document's text heap (it is an attribute value like any other).
+struct NsScope<'a> {
+    decls: Vec<(&'a str, Span)>,
+    /// Bumped whenever `decls` changes; a name resolved under one epoch
+    /// resolves the same way for as long as it stands.
+    epoch: u32,
+}
+
+impl NsScope<'_> {
+    fn lookup<'d>(&self, doc: &'d Document, prefix: &str) -> Option<&'d str> {
+        let (_, uri) = self.decls.iter().rev().find(|(p, _)| *p == prefix)?;
+        // An empty URI undeclares the prefix.
+        Some(doc.heap_str(*uri)).filter(|u| !u.is_empty())
+    }
+
+    fn truncate(&mut self, len: usize) {
+        if self.decls.len() != len {
+            self.decls.truncate(len);
+            self.epoch += 1;
         }
     }
-
-    fn push_frame(&mut self) {
-        self.frame_starts.push(self.decls.len());
-    }
-
-    fn pop_frame(&mut self) {
-        let start = self.frame_starts.pop().expect("namespace frame underflow");
-        self.decls.truncate(start);
-    }
-
-    /// Declarations of the innermost (current) frame.
-    fn current_frame(&self) -> &[(String, String)] {
-        &self.decls[*self.frame_starts.last().expect("no open frame")..]
-    }
-
-    fn lookup(&self, prefix: &str) -> Option<&str> {
-        for (p, u) in self.decls.iter().rev() {
-            if p == prefix {
-                // An empty URI undeclares the prefix.
-                if u.is_empty() {
-                    return None;
-                }
-                return Some(u);
-            }
-        }
-        None
-    }
 }
 
-/// Interns one `Arc<QName>` per distinct (raw tag name, resolved namespace)
-/// pair seen during a parse, so a document with a million `<chunk>` elements
-/// allocates the name strings exactly once. Keys borrow the input text —
-/// lookups on the hot path are allocation-free.
-/// Per raw name: the (resolved namespace, interned QName) pairs seen so far.
-type NsVariants = Vec<(Option<String>, Arc<QName>)>;
-
-struct QNameInterner<'a> {
-    map: HashMap<&'a str, NsVariants>,
+/// Interns one `Arc<QName>` per distinct (raw name, resolved namespace)
+/// pair, so a document with a million `<chunk>` elements allocates the name
+/// strings once. Keys borrow the input text.
+struct Names<'a> {
+    /// Direct-mapped cache in front of the tables: a tag whose raw name was
+    /// last resolved under the current namespace epoch costs one string
+    /// compare — no prefix lookup, no hashing.
+    recent: [Option<Recent<'a>>; 64],
+    /// The first resolution seen of each raw name...
+    first: HashMap<&'a str, Arc<QName>>,
+    /// ...and the rare others: the same raw name in another namespace.
+    rebound: Vec<(&'a str, Arc<QName>)>,
 }
 
-impl<'a> QNameInterner<'a> {
-    fn new() -> Self {
-        QNameInterner {
-            map: HashMap::new(),
-        }
+struct Recent<'a> {
+    raw: &'a str,
+    is_element: bool,
+    epoch: u32,
+    name: Arc<QName>,
+}
+
+impl<'a> Names<'a> {
+    fn slot(raw: &str, is_element: bool) -> usize {
+        let b = raw.as_bytes();
+        let (first, last) = (b[0] as usize, b[b.len() - 1] as usize);
+        (b.len() + 31 * first + 7 * last + is_element as usize) % 64
     }
 
-    /// `raw` is the lexical name (possibly prefixed) as written in the input;
-    /// `ns_uri` its already-resolved namespace. Allocates only on first sight.
     fn intern(&mut self, raw: &'a str, ns_uri: Option<&str>) -> Arc<QName> {
-        let bucket = self.map.entry(raw).or_default();
-        if let Some((_, q)) = bucket.iter().find(|(u, _)| u.as_deref() == ns_uri) {
+        let same_ns = |q: &Arc<QName>| q.ns_uri.as_deref() == ns_uri;
+        let known = self.first.get(raw);
+        let others = self
+            .rebound
+            .iter()
+            .filter(|(r, _)| *r == raw)
+            .map(|(_, q)| q);
+        if let Some(q) = known.into_iter().chain(others).find(|q| same_ns(q)) {
             return q.clone();
         }
         let (prefix, local) = match raw.split_once(':') {
@@ -132,20 +169,51 @@ impl<'a> QNameInterner<'a> {
             ns_uri: ns_uri.map(str::to_string),
             local: local.to_string(),
         });
-        bucket.push((ns_uri.map(str::to_string), q.clone()));
+        if known.is_none() {
+            self.first.insert(raw, q.clone());
+        } else {
+            self.rebound.push((raw, q.clone()));
+        }
         q
     }
 }
 
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Parser {
-            input,
-            bytes: input.as_bytes(),
-            pos: 0,
-        }
-    }
+fn is_name_start(b: u8) -> bool {
+    matches!(b, b'a'..=b'z' | b'A'..=b'Z' | b'_' | b':' | 0x80..)
+}
 
+fn is_name_char(b: u8) -> bool {
+    is_name_start(b) || matches!(b, b'0'..=b'9' | b'.' | b'-')
+}
+
+/// The prefix an `xmlns` / `xmlns:p` attribute declares (`""` = default).
+fn declared_prefix(attr_name: &str) -> Option<&str> {
+    if attr_name == "xmlns" {
+        Some("")
+    } else {
+        attr_name.strip_prefix("xmlns:")
+    }
+}
+
+/// True if two of `keys` are equal. Pairwise for the usual handful, sorted
+/// beyond that: a start tag with 64 k attributes must not cost 2^31
+/// comparisons.
+fn has_duplicate<K: Ord>(keys: impl Iterator<Item = K> + Clone) -> bool {
+    if keys.clone().nth(16).is_none() {
+        let mut rest = keys;
+        while let Some(k) = rest.next() {
+            if rest.clone().any(|other| other == k) {
+                return true;
+            }
+        }
+        return false;
+    }
+    let mut sorted: Vec<K> = keys.collect();
+    sorted.sort_unstable();
+    sorted.windows(2).any(|w| w[0] == w[1])
+}
+
+impl<'a> Parser<'a> {
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError {
             offset: self.pos,
@@ -158,11 +226,7 @@ impl<'a> Parser<'a> {
     }
 
     fn starts_with(&self, s: &str) -> bool {
-        self.input[self.pos..].starts_with(s)
-    }
-
-    fn bump(&mut self, n: usize) {
-        self.pos += n;
+        self.bytes[self.pos..].starts_with(s.as_bytes())
     }
 
     fn skip_ws(&mut self) {
@@ -173,38 +237,15 @@ impl<'a> Parser<'a> {
 
     fn expect(&mut self, s: &str) -> Result<(), ParseError> {
         if self.starts_with(s) {
-            self.bump(s.len());
+            self.pos += s.len();
             Ok(())
         } else {
             self.err(format!("expected `{}`", s))
         }
     }
 
-    fn run(mut self, uri: Option<String>) -> Result<Document, ParseError> {
-        // Pre-size the arena from the input: every element start/end tag,
-        // comment, PI and CDATA section opens with `<`, and at most one text
-        // node sits between consecutive tags, so the `<` count is a tight
-        // upper-bound-ish estimate of the node count. One vectorizable scan
-        // buys freedom from doubling a multi-MiB arena past the LLC.
-        //
-        // The count is attacker-controlled: `<` is legal inside CDATA and
-        // comments (and free in malformed input), and each slot costs
-        // ~sizeof(NodeData) ≈ 140 bytes, so an unclamped estimate would let
-        // a body of pure `<` bytes force a pre-allocation ~140× its own
-        // size before parsing even starts. Clamp it: real documents keep
-        // the no-doubling win up to the cap and merely resume on-demand
-        // growth past it, while hostile input is bounded to tens of MiB.
-        let approx_nodes = self
-            .bytes
-            .iter()
-            .filter(|&&b| b == b'<')
-            .count()
-            .min(PRESIZE_NODE_CAP);
-        let mut doc = Document::with_node_capacity(approx_nodes);
-        doc.uri = uri;
-        let root = doc.root();
-        let mut ns_stack = NsScope::new();
-        let mut names = QNameInterner::new();
+    fn run(mut self) -> Result<Document, ParseError> {
+        let root = self.doc.root();
 
         // Prolog: XML decl, misc, doctype.
         self.skip_ws();
@@ -214,26 +255,21 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_ws();
             if self.starts_with("<!--") {
-                let c = self.parse_comment()?;
-                let n = doc.create_comment(c);
-                doc.append_child(root, n);
+                self.parse_comment(root)?;
             } else if self.starts_with("<!DOCTYPE") {
                 self.skip_doctype()?;
             } else if self.starts_with("<?") {
-                let (t, v) = self.parse_pi()?;
-                let n = doc.create_pi(t, v);
-                doc.append_child(root, n);
+                self.parse_pi(root)?;
             } else {
                 break;
             }
         }
 
-        self.skip_ws();
         if self.peek() != Some(b'<') {
             return self.err("expected root element");
         }
-        let elem = self.parse_element(&mut doc, &mut ns_stack, &mut names)?;
-        doc.append_child(root, elem);
+        self.parse_start_tag(root)?;
+        self.parse_content()?;
 
         // Trailing misc.
         loop {
@@ -242,24 +278,25 @@ impl<'a> Parser<'a> {
                 break;
             }
             if self.starts_with("<!--") {
-                let c = self.parse_comment()?;
-                let n = doc.create_comment(c);
-                doc.append_child(root, n);
+                self.parse_comment(root)?;
             } else if self.starts_with("<?") {
-                let (t, v) = self.parse_pi()?;
-                let n = doc.create_pi(t, v);
-                doc.append_child(root, n);
+                self.parse_pi(root)?;
             } else {
                 return self.err("unexpected content after root element");
             }
         }
-        Ok(doc)
+        Ok(self.doc)
+    }
+
+    /// Byte offset of the next `needle` at or after `pos`.
+    fn find(&self, needle: &str) -> Option<usize> {
+        self.input[self.pos..].find(needle).map(|i| self.pos + i)
     }
 
     fn skip_until(&mut self, end: &str) -> Result<(), ParseError> {
-        match self.input[self.pos..].find(end) {
+        match self.find(end) {
             Some(i) => {
-                self.pos += i + end.len();
+                self.pos = i + end.len();
                 Ok(())
             }
             None => self.err(format!("unterminated construct, expected `{}`", end)),
@@ -285,28 +322,43 @@ impl<'a> Parser<'a> {
         self.err("unterminated DOCTYPE")
     }
 
-    fn parse_comment(&mut self) -> Result<String, ParseError> {
+    /// Append `input[pos..end]` verbatim to the heap as the value of a new
+    /// `kind` node under `parent`, then continue after `skip` more bytes.
+    fn push_verbatim(
+        &mut self,
+        parent: NodeId,
+        kind: NodeKind,
+        name: Option<Arc<QName>>,
+        end: usize,
+        skip: usize,
+    ) {
+        let start = self.doc.text_heap_len();
+        self.doc.text_mut().push_str(&self.input[self.pos..end]);
+        let value = self.doc.span_from(start);
+        self.doc.push_node(parent, kind, name, value);
+        self.pos = end + skip;
+    }
+
+    fn parse_comment(&mut self, parent: NodeId) -> Result<(), ParseError> {
         self.expect("<!--")?;
-        let start = self.pos;
-        match self.input[self.pos..].find("-->") {
-            Some(i) => {
-                let text = self.input[start..start + i].to_string();
-                self.pos += i + 3;
-                Ok(text)
+        match self.find("-->") {
+            Some(end) => {
+                self.push_verbatim(parent, NodeKind::Comment, None, end, 3);
+                Ok(())
             }
             None => self.err("unterminated comment"),
         }
     }
 
-    fn parse_pi(&mut self) -> Result<(String, String), ParseError> {
+    fn parse_pi(&mut self, parent: NodeId) -> Result<(), ParseError> {
         self.expect("<?")?;
-        let target = self.parse_name()?.to_string();
-        let start = self.pos;
-        match self.input[self.pos..].find("?>") {
-            Some(i) => {
-                let data = self.input[start..start + i].trim_start().to_string();
-                self.pos += i + 2;
-                Ok((target, data))
+        let target = Arc::new(QName::local(self.parse_name()?));
+        match self.find("?>") {
+            Some(end) => {
+                self.skip_ws(); // the data starts after the white space
+                let kind = NodeKind::ProcessingInstruction;
+                self.push_verbatim(parent, kind, Some(target), end, 2);
+                Ok(())
             }
             None => self.err("unterminated processing instruction"),
         }
@@ -316,224 +368,200 @@ impl<'a> Parser<'a> {
     /// names) must not allocate a `String` per occurrence.
     fn parse_name(&mut self) -> Result<&'a str, ParseError> {
         let start = self.pos;
-        while let Some(c) = self.peek() {
-            let ch = c as char;
-            let ok = if self.pos == start {
-                ch.is_alphabetic() || ch == '_' || ch == ':' || c >= 0x80
-            } else {
-                ch.is_alphanumeric() || matches!(ch, '_' | ':' | '.' | '-') || c >= 0x80
-            };
-            if !ok {
-                break;
-            }
-            self.pos += 1;
-        }
-        if self.pos == start {
+        if !self.peek().is_some_and(is_name_start) {
             return self.err("expected name");
+        }
+        self.pos += 1;
+        while self.peek().is_some_and(is_name_char) {
+            self.pos += 1;
         }
         Ok(&self.input[start..self.pos])
     }
 
-    /// `<name attr="v" ...>content</name>` or `<name .../>`.
-    ///
-    /// Iterative (explicit open-element stack): element depth must not be
-    /// bounded by the thread stack — deeply nested wire messages are valid.
-    fn parse_element(
-        &mut self,
-        doc: &mut Document,
-        ns_stack: &mut NsScope,
-        names: &mut QNameInterner<'a>,
-    ) -> Result<NodeId, ParseError> {
-        let (root_elem, raw, self_closing) = self.parse_start_tag(doc, ns_stack, names)?;
-        if self_closing {
-            return Ok(root_elem);
-        }
-        let mut open: Vec<(NodeId, &'a str)> = vec![(root_elem, raw)];
-        loop {
-            let cur = open.last().unwrap().0;
-            if self.starts_with("</") {
-                self.expect("</")?;
-                let close = self.parse_name()?;
-                let (_, raw_name) = open.pop().unwrap();
-                if close != raw_name {
-                    return self.err(format!(
-                        "mismatched end tag: expected </{}>, found </{}>",
-                        raw_name, close
-                    ));
-                }
-                self.skip_ws();
-                self.expect(">")?;
-                ns_stack.pop_frame();
-                if open.is_empty() {
-                    return Ok(root_elem);
-                }
+    /// Everything between the root's start tag and its end tag.
+    fn parse_content(&mut self) -> Result<(), ParseError> {
+        while let Some(open) = self.open.last() {
+            let (cur, raw_name) = (open.id, open.raw_name);
+            if self.peek().is_none() {
+                return self.err(format!("unterminated element <{}>", raw_name));
+            } else if self.peek() != Some(b'<') {
+                self.parse_text(cur)?;
+            } else if self.starts_with("</") {
+                self.parse_end_tag()?;
             } else if self.starts_with("<!--") {
-                let c = self.parse_comment()?;
-                let n = doc.create_comment(c);
-                doc.append_child(cur, n);
+                self.parse_comment(cur)?;
             } else if self.starts_with("<![CDATA[") {
-                self.expect("<![CDATA[")?;
-                let start = self.pos;
-                match self.input[self.pos..].find("]]>") {
-                    Some(i) => {
-                        let text = self.input[start..start + i].to_string();
-                        self.pos += i + 3;
-                        let n = doc.create_text(text);
-                        doc.append_child(cur, n);
-                    }
+                self.pos += "<![CDATA[".len();
+                match self.find("]]>") {
+                    Some(end) if end == self.pos => self.pos += 3,
+                    Some(end) => self.push_verbatim(cur, NodeKind::Text, None, end, 3),
                     None => return self.err("unterminated CDATA section"),
                 }
             } else if self.starts_with("<?") {
-                let (t, v) = self.parse_pi()?;
-                let n = doc.create_pi(t, v);
-                doc.append_child(cur, n);
-            } else if self.peek() == Some(b'<') {
-                let (kid, kraw, kself) = self.parse_start_tag(doc, ns_stack, names)?;
-                doc.append_child(cur, kid);
-                if !kself {
-                    open.push((kid, kraw));
-                }
-            } else if self.peek().is_some() {
-                let text = self.parse_text()?;
-                if !text.is_empty() {
-                    let n = doc.create_text(text);
-                    doc.append_child(cur, n);
-                }
+                self.parse_pi(cur)?;
             } else {
-                let raw_name = open.last().unwrap().1;
-                return self.err(format!("unterminated element <{}>", raw_name));
+                self.parse_start_tag(cur)?;
             }
         }
+        Ok(())
     }
 
-    /// Parse a start tag: `<name attr="v" ...>` or `<name .../>`. Pushes a
-    /// namespace frame; for self-closing elements the frame is popped before
-    /// returning, otherwise the caller pops it at the matching end tag.
-    fn parse_start_tag(
-        &mut self,
-        doc: &mut Document,
-        ns_stack: &mut NsScope,
-        names: &mut QNameInterner<'a>,
-    ) -> Result<(NodeId, &'a str, bool), ParseError> {
-        self.expect("<")?;
+    fn parse_end_tag(&mut self) -> Result<(), ParseError> {
+        let open = self.open.pop().expect("an element is open");
+        self.pos += 2;
+        // the usual case is one compare against the name we are waiting for
+        let end = self.pos + open.raw_name.len();
+        let matches = self.bytes[self.pos..].starts_with(open.raw_name.as_bytes())
+            && !self.bytes.get(end).copied().is_some_and(is_name_char);
+        if !matches {
+            let close = self.parse_name()?;
+            return self.err(format!(
+                "mismatched end tag: expected </{}>, found </{}>",
+                open.raw_name, close
+            ));
+        }
+        self.pos = end;
+        self.skip_ws();
+        self.expect(">")?;
+        self.ns.truncate(open.ns_base);
+        Ok(())
+    }
+
+    /// Parse a start tag `<name attr="v" ...>` or `<name .../>` into a new
+    /// element under `parent`; unless self-closing, the element is left on
+    /// the open stack with its namespace declarations in scope.
+    fn parse_start_tag(&mut self, parent: NodeId) -> Result<(), ParseError> {
+        self.pos += 1; // `<`
         let raw_name = self.parse_name()?;
 
         // Raw attributes first; namespace decls must be in scope before
         // resolving prefixes (including the element's own).
-        let mut raw_attrs: Vec<(&'a str, String)> = Vec::new();
-        let self_closing;
-        loop {
+        self.attrs.clear();
+        let self_closing = loop {
             self.skip_ws();
             match self.peek() {
                 Some(b'>') => {
                     self.pos += 1;
-                    self_closing = false;
-                    break;
+                    break false;
                 }
                 Some(b'/') => {
                     self.expect("/>")?;
-                    self_closing = true;
-                    break;
+                    break true;
                 }
                 Some(_) => {
-                    let an = self.parse_name()?;
+                    let name = self.parse_name()?;
                     self.skip_ws();
                     self.expect("=")?;
                     self.skip_ws();
-                    let av = self.parse_attr_value()?;
-                    if raw_attrs.iter().any(|(n, _)| *n == an) {
-                        return self.err(format!("duplicate attribute `{}`", an));
-                    }
-                    raw_attrs.push((an, av));
+                    let value = self.parse_attr_value()?;
+                    self.attrs.push((name, value));
                 }
                 None => return self.err("unterminated start tag"),
             }
-        }
+        };
 
-        ns_stack.push_frame();
-        for (n, v) in &raw_attrs {
-            if *n == "xmlns" {
-                ns_stack.decls.push((String::new(), v.clone()));
-            } else if let Some(p) = n.strip_prefix("xmlns:") {
-                ns_stack.decls.push((p.to_string(), v.clone()));
+        let ns_base = self.ns.decls.len();
+        for &(name, uri) in &self.attrs {
+            if let Some(prefix) = declared_prefix(name) {
+                self.ns.decls.push((prefix, uri));
             }
         }
+        if self.ns.decls.len() != ns_base {
+            self.ns.epoch += 1;
+        }
 
-        let name = self.resolve_name(raw_name, ns_stack, names, true)?;
-        let elem = doc.create_element_shared(name);
+        let name = self.resolve_name(raw_name, true)?;
+        let elem = self
+            .doc
+            .push_node(parent, NodeKind::Element, Some(name), Span::default());
         // Record declarations on the element for later (re)serialization and
         // in-scope prefix resolution.
-        let frame = ns_stack.current_frame();
-        if !frame.is_empty() {
-            doc.node_mut(elem).ns_decls = frame.to_vec();
+        for &(prefix, uri) in &self.ns.decls[ns_base..] {
+            let start = self.doc.text_heap_len();
+            self.doc.text_mut().push_str(prefix);
+            let prefix = self.doc.span_from(start);
+            self.doc.push_ns_decl(elem, prefix, uri);
         }
-
-        let mut xsi_type: Option<String> = None;
-        for (n, v) in raw_attrs {
-            if n == "xmlns" || n.starts_with("xmlns:") {
-                continue;
+        for i in 0..self.attrs.len() {
+            let (raw, value) = self.attrs[i];
+            if declared_prefix(raw).is_none() {
+                let name = self.resolve_name(raw, false)?;
+                self.doc
+                    .push_node(elem, NodeKind::Attribute, Some(name), value);
             }
-            let qn = self.resolve_name(n, ns_stack, names, false)?;
-            if qn.is(crate::qname::NS_XSI, "type") {
-                xsi_type = Some(v.clone());
-            }
-            let a = doc.create_attribute_shared(qn, v);
-            doc.set_attribute_node(elem, a);
         }
-        doc.node_mut(elem).type_annotation = xsi_type;
+        if self.attrs.len() > 1 {
+            let declared = self.ns.decls[ns_base..].iter().map(|d| d.0);
+            let attributes = self.doc.attributes(elem).map(|a| {
+                let q = self.doc.name(a).expect("attribute name");
+                (q.local.as_str(), q.ns_uri.as_deref())
+            });
+            if has_duplicate(declared) || has_duplicate(attributes) {
+                return self.err(format!("duplicate attribute in <{}>", raw_name));
+            }
+        }
 
         if self_closing {
-            ns_stack.pop_frame();
+            self.ns.truncate(ns_base);
+        } else {
+            self.open.push(Open {
+                id: elem,
+                raw_name,
+                ns_base,
+            });
         }
-        Ok((elem, raw_name, self_closing))
+        Ok(())
     }
 
-    fn parse_attr_value(&mut self) -> Result<String, ParseError> {
+    /// Append `input[pos..end]` to the heap with entity and character
+    /// references decoded. Clean stretches are copied in one append each;
+    /// the delimiters are ASCII so no UTF-8 sequence is ever split.
+    fn decode_into_heap(&mut self, end: usize) -> Result<(), ParseError> {
+        let input = self.input;
+        while self.pos < end {
+            let run = &input[self.pos..end];
+            let clean = run.find('&').unwrap_or(run.len());
+            self.doc.text_mut().push_str(&run[..clean]);
+            self.pos += clean;
+            if self.pos < end {
+                let c = self.parse_entity()?;
+                self.doc.text_mut().push(c);
+            }
+        }
+        Ok(())
+    }
+
+    fn parse_attr_value(&mut self) -> Result<Span, ParseError> {
         let quote = match self.peek() {
-            Some(q @ (b'"' | b'\'')) => q,
+            Some(q @ (b'"' | b'\'')) => q as char,
             _ => return self.err("expected quoted attribute value"),
         };
         self.pos += 1;
-        let mut out = String::new();
-        loop {
-            // Copy the clean span in one append; the delimiters are all
-            // ASCII so the byte scan cannot split a UTF-8 sequence.
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == quote || b == b'&' || b == b'<' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(&self.input[start..self.pos]);
-            match self.peek() {
-                Some(c) if c == quote => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'&') => out.push(self.parse_entity()?),
-                Some(_) => return self.err("`<` not allowed in attribute value"),
-                None => return self.err("unterminated attribute value"),
-            }
+        let Some(end) = self.input[self.pos..].find(quote).map(|i| self.pos + i) else {
+            self.pos = self.bytes.len();
+            return self.err("unterminated attribute value");
+        };
+        if let Some(lt) = self.input[self.pos..end].find('<') {
+            self.pos += lt;
+            return self.err("`<` not allowed in attribute value");
         }
+        let start = self.doc.text_heap_len();
+        self.decode_into_heap(end)?;
+        self.pos = end + 1;
+        Ok(self.doc.span_from(start))
     }
 
-    fn parse_text(&mut self) -> Result<String, ParseError> {
-        let mut out = String::new();
-        loop {
-            let start = self.pos;
-            while let Some(b) = self.peek() {
-                if b == b'<' || b == b'&' {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(&self.input[start..self.pos]);
-            match self.peek() {
-                Some(b'&') => out.push(self.parse_entity()?),
-                _ => return Ok(out),
-            }
+    /// Character data up to the next `<`, as one text node (none if empty).
+    fn parse_text(&mut self, parent: NodeId) -> Result<(), ParseError> {
+        let rest = &self.input[self.pos..];
+        let end = self.pos + rest.find('<').unwrap_or(rest.len());
+        let start = self.doc.text_heap_len();
+        self.decode_into_heap(end)?;
+        if self.doc.text_heap_len() > start {
+            let value = self.doc.span_from(start);
+            self.doc.push_node(parent, NodeKind::Text, None, value);
         }
+        Ok(())
     }
 
     fn parse_entity(&mut self) -> Result<char, ParseError> {
@@ -543,35 +571,24 @@ impl<'a> Parser<'a> {
             _ => return self.err("unterminated entity reference"),
         };
         let name = &self.input[self.pos..end];
+        let code_point = |digits: &str, radix: u32| {
+            u32::from_str_radix(digits, radix)
+                .ok()
+                .and_then(char::from_u32)
+                .ok_or_else(|| ParseError {
+                    offset: self.pos,
+                    message: format!("bad character reference `&{};`", name),
+                })
+        };
         let c = match name {
             "lt" => '<',
             "gt" => '>',
             "amp" => '&',
             "quot" => '"',
             "apos" => '\'',
-            _ if name.starts_with("#x") || name.starts_with("#X") => {
-                let cp = u32::from_str_radix(&name[2..], 16).map_err(|_| ParseError {
-                    offset: self.pos,
-                    message: format!("bad hex character reference `&{};`", name),
-                })?;
-                char::from_u32(cp).ok_or_else(|| ParseError {
-                    offset: self.pos,
-                    message: format!("invalid code point in `&{};`", name),
-                })?
-            }
-            _ if name.starts_with('#') => {
-                let cp = name[1..].parse::<u32>().map_err(|_| ParseError {
-                    offset: self.pos,
-                    message: format!("bad character reference `&{};`", name),
-                })?;
-                char::from_u32(cp).ok_or_else(|| ParseError {
-                    offset: self.pos,
-                    message: format!("invalid code point in `&{};`", name),
-                })?
-            }
-            _ => {
-                return self.err(format!("unknown entity `&{};`", name));
-            }
+            _ if name.starts_with("#x") || name.starts_with("#X") => code_point(&name[2..], 16)?,
+            _ if name.starts_with('#') => code_point(&name[1..], 10)?,
+            _ => return self.err(format!("unknown entity `&{};`", name)),
         };
         self.pos = end + 1;
         Ok(c)
@@ -580,20 +597,17 @@ impl<'a> Parser<'a> {
     /// Resolve a raw (possibly prefixed) name against the in-scope namespace
     /// bindings and intern the result. Allocation-free when the (name, uri)
     /// pair has been seen before.
-    fn resolve_name(
-        &self,
-        raw: &'a str,
-        ns_stack: &NsScope,
-        names: &mut QNameInterner<'a>,
-        is_element: bool,
-    ) -> Result<Arc<QName>, ParseError> {
+    fn resolve_name(&mut self, raw: &'a str, is_element: bool) -> Result<Arc<QName>, ParseError> {
+        let slot = Names::slot(raw, is_element);
+        if let Some(r) = &self.names.recent[slot] {
+            if r.epoch == self.ns.epoch && r.is_element == is_element && r.raw == raw {
+                return Ok(r.name.clone());
+            }
+        }
         let prefix = match raw.split_once(':') {
             Some((p, l)) => {
                 if p.is_empty() || l.is_empty() || l.contains(':') {
-                    return Err(ParseError {
-                        offset: self.pos,
-                        message: format!("malformed QName `{}`", raw),
-                    });
+                    return self.err(format!("malformed QName `{}`", raw));
                 }
                 Some(p)
             }
@@ -601,21 +615,23 @@ impl<'a> Parser<'a> {
         };
         let ns_uri = match prefix {
             Some("xml") => Some(NS_XML),
-            Some(p) => match ns_stack.lookup(p) {
+            Some(p) => match self.ns.lookup(&self.doc, p) {
                 Some(u) => Some(u),
-                None => {
-                    return Err(ParseError {
-                        offset: self.pos,
-                        message: format!("undeclared namespace prefix `{}`", p),
-                    })
-                }
+                None => return self.err(format!("undeclared namespace prefix `{}`", p)),
             },
             // Unprefixed elements pick up the default namespace;
             // unprefixed attributes never do (XML Namespaces §6.2).
-            None if is_element => ns_stack.lookup(""),
+            None if is_element => self.ns.lookup(&self.doc, ""),
             None => None,
         };
-        Ok(names.intern(raw, ns_uri))
+        let name = self.names.intern(raw, ns_uri);
+        self.names.recent[slot] = Some(Recent {
+            raw,
+            is_element,
+            epoch: self.ns.epoch,
+            name: name.clone(),
+        });
+        Ok(name)
     }
 }
 
@@ -624,11 +640,7 @@ mod tests {
     use super::*;
 
     fn root_elem(doc: &Document) -> NodeId {
-        doc.children(doc.root())
-            .iter()
-            .copied()
-            .find(|&c| doc.kind(c) == NodeKind::Element)
-            .unwrap()
+        doc.child_elements(doc.root()).next().unwrap()
     }
 
     #[test]
@@ -638,29 +650,11 @@ mod tests {
         assert_eq!(d.node(r).name.as_ref().unwrap().local, "a");
     }
 
-    /// `<` inside CDATA inflates the pre-sizing estimate without producing
-    /// nodes; the clamp must keep the arena reservation bounded (an
-    /// unclamped estimate near the 64 MiB body cap would try ~9 GiB).
-    #[test]
-    fn presize_estimate_is_clamped() {
-        let hostile = format!("<a><![CDATA[{}]]></a>", "<".repeat(2 * PRESIZE_NODE_CAP));
-        let d = parse(&hostile).unwrap();
-        assert!(
-            d.node_capacity() <= PRESIZE_NODE_CAP + 1,
-            "arena reserved {} slots, cap is {}",
-            d.node_capacity(),
-            PRESIZE_NODE_CAP
-        );
-        // and the document still parsed correctly
-        let r = root_elem(&d);
-        assert_eq!(d.string_value(r).len(), 2 * PRESIZE_NODE_CAP);
-    }
-
     #[test]
     fn nested_with_text_and_attrs() {
         let d = parse(r#"<films><film year="1996"><name>The Rock</name></film></films>"#).unwrap();
         let films = root_elem(&d);
-        let film = d.children(films)[0];
+        let film = d.first_child(films).unwrap();
         assert_eq!(d.attr_local(film, "year"), Some("1996"));
         assert_eq!(d.string_value(film), "The Rock");
     }
@@ -686,13 +680,13 @@ mod tests {
             d.node(a).name.as_ref().unwrap().ns_uri.as_deref(),
             Some("urn:one")
         );
-        let b = d.children(a)[0];
+        let b = d.first_child(a).unwrap();
         assert_eq!(
             d.node(b).name.as_ref().unwrap().ns_uri.as_deref(),
             Some("urn:one")
         );
-        let c = d.children(a)[1];
-        let inner = d.children(c)[0];
+        let c = d.children(a).nth(1).unwrap();
+        let inner = d.first_child(c).unwrap();
         assert_eq!(
             d.node(inner).name.as_ref().unwrap().ns_uri.as_deref(),
             Some("urn:two")
@@ -707,9 +701,9 @@ mod tests {
             d.node(a).name.as_ref().unwrap().ns_uri.as_deref(),
             Some("urn:d")
         );
-        let attr = d.attributes(a)[0];
+        let attr = d.attributes(a).next().unwrap();
         assert_eq!(d.node(attr).name.as_ref().unwrap().ns_uri, None);
-        let b = d.children(a)[0];
+        let b = d.first_child(a).unwrap();
         assert_eq!(
             d.node(b).name.as_ref().unwrap().ns_uri.as_deref(),
             Some("urn:d")
@@ -722,7 +716,7 @@ mod tests {
             "<?xml version=\"1.0\" encoding=\"utf-8\"?>\n<!DOCTYPE a>\n<!-- hi --><?t d?><a/><!-- bye -->",
         )
         .unwrap();
-        let kinds: Vec<NodeKind> = d.children(d.root()).iter().map(|&c| d.kind(c)).collect();
+        let kinds: Vec<NodeKind> = d.children(d.root()).map(|c| d.kind(c)).collect();
         assert_eq!(
             kinds,
             [
@@ -761,7 +755,7 @@ mod tests {
         )
         .unwrap();
         let v = root_elem(&d);
-        assert_eq!(d.node(v).type_annotation.as_deref(), Some("xs:integer"));
+        assert_eq!(d.type_annotation(v), Some("xs:integer"));
     }
 
     #[test]
@@ -785,11 +779,7 @@ mod tests {
         let d = parse(&s).unwrap();
         let mut cur = root_elem(&d);
         let mut seen = 1usize;
-        while let Some(&c) = d
-            .children(cur)
-            .iter()
-            .find(|&&c| d.kind(c) == NodeKind::Element)
-        {
+        while let Some(c) = d.child_elements(cur).next() {
             cur = c;
             seen += 1;
         }

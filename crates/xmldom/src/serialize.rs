@@ -1,10 +1,10 @@
 //! XML serialization (the inverse of the parser, used for wire messages and
 //! for `fn:put` / debugging output).
 //!
-//! Serialization is iterative (explicit work stack, not recursion) so deeply
-//! nested documents cannot overflow the thread stack, and every entry point
-//! has an `_into` variant that appends to a caller-supplied buffer so the
-//! hot message path can reuse one allocation across calls.
+//! Serialization is iterative (it follows the arena's links, no recursion)
+//! so deeply nested documents cannot overflow the thread stack, and every
+//! entry point has an `_into` variant that appends to a caller-supplied
+//! buffer so the hot message path can reuse one allocation across calls.
 
 use crate::escape::{push_escaped_attr, push_escaped_text};
 use crate::node::{Document, NodeId, NodeKind};
@@ -34,12 +34,10 @@ pub fn serialize_document_into(doc: &Document, opts: &SerializeOpts, out: &mut S
             out.push('\n');
         }
     }
-    let mut first = true;
-    for &c in doc.children(doc.root()) {
-        if !first && opts.indent > 0 {
+    for (i, c) in doc.children(doc.root()).enumerate() {
+        if i > 0 && opts.indent > 0 {
             out.push('\n');
         }
-        first = false;
         write_node(doc, c, opts, 0, out);
     }
 }
@@ -56,113 +54,127 @@ pub fn serialize_node_into(doc: &Document, id: NodeId, opts: &SerializeOpts, out
     write_node(doc, id, opts, 0, out);
 }
 
-/// Work items for the iterative serializer.
-enum Work {
-    /// Serialize this node (subtree) at the given depth.
-    Node(NodeId, usize),
-    /// Emit the closing tag of an element.
-    Close(NodeId, usize),
-    /// Pretty mode: newline followed by `depth * indent` spaces.
-    Break(usize),
+/// Newline followed by `depth * indent` spaces (pretty mode).
+fn line_break(out: &mut String, opts: &SerializeOpts, depth: usize) {
+    out.push('\n');
+    out.extend(std::iter::repeat_n(' ', depth * opts.indent));
 }
 
-thread_local! {
-    /// Reused across `write_node` calls: marshaling a Bulk RPC message
-    /// serializes tens of thousands of small subtrees back-to-back, and a
-    /// fresh work stack per subtree shows up as the dominant allocation.
-    static WORK_STACK: std::cell::RefCell<Vec<Work>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+/// Pretty mode indents element-only content; text children keep a tag's
+/// content byte-exact.
+fn indents_content(doc: &Document, id: NodeId, opts: &SerializeOpts) -> bool {
+    opts.indent > 0 && doc.children(id).all(|c| doc.kind(c) != NodeKind::Text)
 }
 
-fn write_node(doc: &Document, id: NodeId, opts: &SerializeOpts, depth: usize, out: &mut String) {
-    // take (not borrow) so a hypothetical re-entrant call degrades to a
-    // fresh stack instead of a RefCell panic
-    let mut stack = WORK_STACK.with(|s| std::mem::take(&mut *s.borrow_mut()));
-    stack.push(Work::Node(id, depth));
-    write_node_with(doc, opts, out, &mut stack);
-    stack.clear();
-    WORK_STACK.with(|s| *s.borrow_mut() = stack);
-}
-
-fn write_node_with(doc: &Document, opts: &SerializeOpts, out: &mut String, stack: &mut Vec<Work>) {
-    while let Some(work) = stack.pop() {
-        match work {
-            Work::Break(depth) => {
-                out.push('\n');
-                for _ in 0..depth * opts.indent {
-                    out.push(' ');
+/// Walk the subtree along the arena's own links: down to the first child,
+/// across to the next sibling, back up through the parent. No recursion and
+/// no work stack, so depth costs nothing and marshaling tens of thousands of
+/// small subtrees back-to-back allocates nothing but output.
+fn write_node(doc: &Document, root: NodeId, opts: &SerializeOpts, depth: usize, out: &mut String) {
+    let mut cur = root;
+    let mut depth = depth;
+    // pretty mode only: whether each open ancestor indents its content
+    let mut indenting: Vec<bool> = Vec::new();
+    loop {
+        let descend = match doc.kind(cur) {
+            NodeKind::Document => doc.first_child(cur),
+            NodeKind::Element => {
+                write_open_tag(doc, cur, out);
+                let first = doc.first_child(cur);
+                out.push_str(if first.is_some() { ">" } else { "/>" });
+                first
+            }
+            _ => {
+                write_leaf(doc, cur, out);
+                None
+            }
+        };
+        if let Some(child) = descend {
+            if doc.kind(cur) == NodeKind::Element {
+                depth += 1;
+                if opts.indent > 0 {
+                    indenting.push(indents_content(doc, cur, opts));
+                    if indenting.last() == Some(&true) {
+                        line_break(out, opts, depth);
+                    }
                 }
             }
-            Work::Close(id, _depth) => {
+            cur = child;
+            continue;
+        }
+        // `cur` is complete: on to its next sibling, closing every element
+        // that it was the last child of
+        loop {
+            if cur == root {
+                return;
+            }
+            if let Some(next) = doc.next_sibling(cur) {
+                if indenting.last() == Some(&true) {
+                    line_break(out, opts, depth);
+                }
+                cur = next;
+                break;
+            }
+            cur = doc.parent(cur).expect("walk stays below the root");
+            if doc.kind(cur) == NodeKind::Element {
+                depth -= 1;
+                if indenting.pop() == Some(true) {
+                    line_break(out, opts, depth);
+                }
                 out.push_str("</");
-                doc.node(id)
-                    .name
-                    .as_ref()
-                    .expect("element name")
-                    .push_lexical(out);
+                element_name(doc, cur).push_lexical(out);
                 out.push('>');
             }
-            Work::Node(id, depth) => match doc.kind(id) {
-                NodeKind::Document => {
-                    for &c in doc.children(id).iter().rev() {
-                        stack.push(Work::Node(c, depth));
-                    }
-                }
-                NodeKind::Element => write_element_open(doc, id, opts, depth, out, stack),
-                NodeKind::Text => push_escaped_text(out, &doc.node(id).value),
-                NodeKind::Comment => {
-                    out.push_str("<!--");
-                    out.push_str(&doc.node(id).value);
-                    out.push_str("-->");
-                }
-                NodeKind::ProcessingInstruction => {
-                    out.push_str("<?");
-                    out.push_str(
-                        doc.node(id)
-                            .name
-                            .as_ref()
-                            .map(|n| n.local.as_str())
-                            .unwrap_or(""),
-                    );
-                    let v = &doc.node(id).value;
-                    if !v.is_empty() {
-                        out.push(' ');
-                        out.push_str(v);
-                    }
-                    out.push_str("?>");
-                }
-                NodeKind::Attribute => {
-                    // A standalone attribute serializes as name="value" (used
-                    // by the XRPC <attribute> wrapper).
-                    let d = doc.node(id);
-                    if let Some(n) = d.name.as_ref() {
-                        n.push_lexical(out);
-                    }
-                    out.push_str("=\"");
-                    push_escaped_attr(out, &d.value);
-                    out.push('"');
-                }
-            },
         }
     }
 }
 
-/// Emit the open tag of an element and schedule its children + close tag.
-fn write_element_open(
-    doc: &Document,
-    id: NodeId,
-    opts: &SerializeOpts,
-    depth: usize,
-    out: &mut String,
-    stack: &mut Vec<Work>,
-) {
-    let d = doc.node(id);
+fn element_name(doc: &Document, id: NodeId) -> &crate::QName {
+    doc.name(id).expect("element has a name")
+}
+
+fn write_leaf(doc: &Document, id: NodeId, out: &mut String) {
+    match doc.kind(id) {
+        NodeKind::Text => push_escaped_text(out, doc.value(id)),
+        NodeKind::Comment => {
+            out.push_str("<!--");
+            out.push_str(doc.value(id));
+            out.push_str("-->");
+        }
+        NodeKind::ProcessingInstruction => {
+            out.push_str("<?");
+            if let Some(n) = doc.name(id) {
+                out.push_str(&n.local);
+            }
+            let v = doc.value(id);
+            if !v.is_empty() {
+                out.push(' ');
+                out.push_str(v);
+            }
+            out.push_str("?>");
+        }
+        // A standalone attribute serializes as name="value" (used by the
+        // XRPC <attribute> wrapper).
+        NodeKind::Attribute => write_attribute(doc, id, out),
+        NodeKind::Document | NodeKind::Element => unreachable!("not a leaf"),
+    }
+}
+
+fn write_attribute(doc: &Document, id: NodeId, out: &mut String) {
+    if let Some(n) = doc.name(id) {
+        n.push_lexical(out);
+    }
+    out.push_str("=\"");
+    push_escaped_attr(out, doc.value(id));
+    out.push('"');
+}
+
+/// `<name`, namespace declarations and attributes — up to but excluding
+/// the closing `>` or `/>`.
+fn write_open_tag(doc: &Document, id: NodeId, out: &mut String) {
     out.push('<');
-    d.name
-        .as_ref()
-        .expect("element has a name")
-        .push_lexical(out);
-    for (p, u) in &d.ns_decls {
+    element_name(doc, id).push_lexical(out);
+    for (p, u) in doc.ns_decls(id) {
         if p.is_empty() {
             out.push_str(" xmlns=\"");
         } else {
@@ -173,32 +185,9 @@ fn write_element_open(
         push_escaped_attr(out, u);
         out.push('"');
     }
-    for &a in doc.attributes(id) {
-        let ad = doc.node(a);
+    for a in doc.attributes(id) {
         out.push(' ');
-        if let Some(n) = ad.name.as_ref() {
-            n.push_lexical(out);
-        }
-        out.push_str("=\"");
-        push_escaped_attr(out, &ad.value);
-        out.push('"');
-    }
-    if d.children.is_empty() {
-        out.push_str("/>");
-        return;
-    }
-    out.push('>');
-    let pretty = opts.indent > 0 && d.children.iter().all(|&c| doc.kind(c) != NodeKind::Text);
-    // Scheduled in reverse so the stack pops them in document order.
-    stack.push(Work::Close(id, depth));
-    if pretty {
-        stack.push(Work::Break(depth));
-    }
-    for &c in d.children.iter().rev() {
-        stack.push(Work::Node(c, depth + 1));
-        if pretty {
-            stack.push(Work::Break(depth + 1));
-        }
+        write_attribute(doc, a, out);
     }
 }
 
@@ -293,7 +282,11 @@ mod tests {
             d.append_child(cur, e);
             cur = e;
         }
-        let out = serialize_node(&d, d.children(d.root())[0], &SerializeOpts::default());
+        let out = serialize_node(
+            &d,
+            d.first_child(d.root()).unwrap(),
+            &SerializeOpts::default(),
+        );
         assert_eq!(
             out.len(),
             depth * "<d>".len() + (depth - 1) * "</d>".len() + "/".len()

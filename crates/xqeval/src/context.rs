@@ -484,7 +484,7 @@ mod tests {
         docs.insert("a.xml", parse("<changed/>").unwrap());
         // snapshot still sees the old version
         let old = snap.get("a.xml").unwrap();
-        let root = old.children(old.root())[0];
+        let root = old.first_child(old.root()).unwrap();
         assert_eq!(old.node(root).name.as_ref().unwrap().local, "a");
     }
 

@@ -549,7 +549,7 @@ impl<'e> Evaluator<'e> {
                 let arc = Arc::new(doc);
                 Ok(Sequence::one(Item::Node(NodeHandle::new(
                     arc.clone(),
-                    arc.children(arc.root())[0],
+                    arc.first_child(arc.root()).unwrap(),
                 ))))
             }
             Expr::CompElem { name, content } => {
@@ -565,7 +565,7 @@ impl<'e> Evaluator<'e> {
                 let arc = Arc::new(doc);
                 Ok(Sequence::one(Item::Node(NodeHandle::new(
                     arc.clone(),
-                    arc.children(arc.root())[0],
+                    arc.first_child(arc.root()).unwrap(),
                 ))))
             }
             Expr::CompAttr { name, content } => {
@@ -1214,14 +1214,14 @@ impl<'e> Evaluator<'e> {
                 let mut map = crate::index::ValueIndex::new();
                 let mut stack = vec![root.doc.root()];
                 for id in root.doc.all_ids().skip(1) {
-                    if root.doc.node(id).parent.is_none() {
+                    if root.doc.parent(id).is_none() {
                         stack.push(id);
                     }
                 }
                 let mut order = Vec::new();
                 while let Some(id) = stack.pop() {
                     order.push(id);
-                    for &c in root.doc.children(id).iter().rev() {
+                    for c in root.doc.children(id).rev() {
                         if root.doc.kind(c) == NodeKind::Element {
                             stack.push(c);
                         }
@@ -1263,7 +1263,7 @@ impl<'e> Evaluator<'e> {
         // The index spans the whole document; restrict hits to the base
         // node's children (child axis) or strict descendants.
         if child_only {
-            hits.retain(|h| h.doc.node(h.id).parent == Some(root.id));
+            hits.retain(|h| h.doc.parent(h.id) == Some(root.id));
         } else {
             hits.retain(|h| {
                 h.id != root.id && xmldom::order::is_ancestor(&root.doc, root.id, h.id)
@@ -1653,7 +1653,9 @@ impl<'e> Evaluator<'e> {
     ) -> XdmResult<xmldom::NodeId> {
         let qname = self.resolve_ctor_name(&d.name, &d.ns_decls, true)?;
         let elem = doc.create_element(qname);
-        doc.node_mut(elem).ns_decls = d.ns_decls.clone();
+        for (prefix, uri) in &d.ns_decls {
+            doc.add_ns_decl(elem, prefix, uri);
+        }
         for (aname, parts) in &d.attrs {
             let aq = self.resolve_ctor_name(aname, &d.ns_decls, false)?;
             let mut value = String::new();
@@ -1671,9 +1673,6 @@ impl<'e> Evaluator<'e> {
                         );
                     }
                 }
-            }
-            if aq.is(xmldom::qname::NS_XSI, "type") {
-                doc.node_mut(elem).type_annotation = Some(value.clone());
             }
             doc.set_attribute(elem, aq, value);
         }
@@ -1872,7 +1871,7 @@ pub fn attach_content(
                         doc.set_attribute_node(parent, copy);
                     }
                     NodeKind::Document => {
-                        for &c in n.doc.children(n.id) {
+                        for c in n.doc.children(n.id) {
                             let copy = doc.import_subtree(&n.doc, c);
                             doc.append_child(parent, copy);
                             seen_child = true;

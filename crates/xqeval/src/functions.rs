@@ -647,9 +647,9 @@ fn deep_equal_node(a: &NodeHandle, b: &NodeHandle) -> bool {
         return false;
     }
     match a.kind() {
-        NodeKind::Text | NodeKind::Comment => a.data().value == b.data().value,
+        NodeKind::Text | NodeKind::Comment => a.value() == b.value(),
         NodeKind::ProcessingInstruction | NodeKind::Attribute => {
-            a.name() == b.name() && a.data().value == b.data().value
+            a.name() == b.name() && a.value() == b.value()
         }
         NodeKind::Element => {
             if a.name() != b.name() {
@@ -658,12 +658,12 @@ fn deep_equal_node(a: &NodeHandle, b: &NodeHandle) -> bool {
             // attributes: set-equal
             let aa = a.doc.attributes(a.id);
             let bb = b.doc.attributes(b.id);
-            if aa.len() != bb.len() {
+            if aa.clone().count() != bb.clone().count() {
                 return false;
             }
-            for &x in aa {
+            for x in aa {
                 let xn = NodeHandle::new(a.doc.clone(), x);
-                if !bb.iter().any(|&y| {
+                if !bb.clone().any(|y| {
                     let yn = NodeHandle::new(b.doc.clone(), y);
                     deep_equal_node(&xn, &yn)
                 }) {
@@ -681,8 +681,7 @@ fn children_equal(a: &NodeHandle, b: &NodeHandle) -> bool {
     let ac: Vec<NodeHandle> = a
         .doc
         .children(a.id)
-        .iter()
-        .map(|&c| NodeHandle::new(a.doc.clone(), c))
+        .map(|c| NodeHandle::new(a.doc.clone(), c))
         .filter(|h| {
             !matches!(
                 h.kind(),
@@ -693,8 +692,7 @@ fn children_equal(a: &NodeHandle, b: &NodeHandle) -> bool {
     let bc: Vec<NodeHandle> = b
         .doc
         .children(b.id)
-        .iter()
-        .map(|&c| NodeHandle::new(b.doc.clone(), c))
+        .map(|c| NodeHandle::new(b.doc.clone(), c))
         .filter(|h| {
             !matches!(
                 h.kind(),

@@ -94,7 +94,7 @@ mod tests {
         let cache = JoinIndexCache::new();
         assert!(cache.get(&d1, "p", "@id").is_none());
         let mut m = ValueIndex::new();
-        m.insert("1".into(), vec![d1.children(d1.root())[0]]);
+        m.insert("1".into(), vec![d1.first_child(d1.root()).unwrap()]);
         cache.insert(&d1, "p", "@id", m);
         assert!(cache.get(&d1, "p", "@id").is_some());
         // different doc or fingerprint miss

@@ -161,17 +161,16 @@ impl PendingUpdateList {
     }
 }
 
-/// Re-home `h` into a fresh arena sized to its subtree when its current
-/// arena is substantially larger (i.e. the handle pins unrelated nodes).
+/// Re-home `h` into a fresh arena of its own when its current arena is
+/// larger than its subtree (i.e. the handle pins unrelated nodes).
 /// The copy stays detached, exactly like a decoded message fragment —
 /// source handles are only ever consumed via `import_subtree`.
 fn compact_handle(h: &mut NodeHandle) {
-    let subtree = h.doc.subtree_size(h.id);
     // the handle already (roughly) owns its whole arena: nothing to win
-    if subtree + 1 >= h.doc.len() {
+    if h.doc.subtree_size(h.id) + 1 >= h.doc.len() {
         return;
     }
-    let mut fresh = Document::with_node_capacity(subtree);
+    let mut fresh = Document::new();
     let id = fresh.import_subtree(&h.doc, h.id);
     *h = NodeHandle::new(Arc::new(fresh), id);
 }
@@ -320,14 +319,14 @@ mod tests {
     fn handle(doc: &Arc<Document>, path: &[usize]) -> NodeHandle {
         let mut id = doc.root();
         for &i in path {
-            id = doc.children(id)[i];
+            id = doc.children(id).nth(i).unwrap();
         }
         NodeHandle::new(doc.clone(), id)
     }
 
     fn fragment(xml: &str) -> NodeHandle {
         let d = Arc::new(parse(xml).unwrap());
-        let root = d.children(d.root())[0];
+        let root = d.first_child(d.root()).unwrap();
         NodeHandle::new(d, root)
     }
 
@@ -342,11 +341,11 @@ mod tests {
         let edits = apply_updates(&pul).unwrap();
         assert_eq!(edits.len(), 1);
         let new = &edits[0].new;
-        let a = new.children(new.root())[0];
-        assert_eq!(new.children(a).len(), 2);
+        let a = new.first_child(new.root()).unwrap();
+        assert_eq!(new.children(a).count(), 2);
         // old version untouched
-        let a_old = old.children(old.root())[0];
-        assert_eq!(old.children(a_old).len(), 1);
+        let a_old = old.first_child(old.root()).unwrap();
+        assert_eq!(old.children(a_old).count(), 1);
     }
 
     #[test]
@@ -373,11 +372,10 @@ mod tests {
         });
         let edits = apply_updates(&pul).unwrap();
         let new = &edits[0].new;
-        let a = new.children(new.root())[0];
+        let a = new.first_child(new.root()).unwrap();
         let names: Vec<String> = new
             .children(a)
-            .iter()
-            .map(|&c| new.node(c).name.as_ref().unwrap().local.clone())
+            .map(|c| new.node(c).name.as_ref().unwrap().local.clone())
             .collect();
         assert_eq!(names, ["first", "before", "m", "x1", "x2", "last"]);
     }
@@ -395,8 +393,8 @@ mod tests {
         });
         let edits = apply_updates(&pul).unwrap();
         let new = &edits[0].new;
-        let a = new.children(new.root())[0];
-        assert_eq!(new.children(a).len(), 1);
+        let a = new.first_child(new.root()).unwrap();
+        assert_eq!(new.children(a).count(), 1);
         assert_eq!(new.string_value(a), "new");
     }
 
@@ -410,10 +408,10 @@ mod tests {
         });
         let edits = apply_updates(&pul).unwrap();
         let new = &edits[0].new;
-        let a = new.children(new.root())[0];
-        let x = new.children(a)[0];
+        let a = new.first_child(new.root()).unwrap();
+        let x = new.first_child(a).unwrap();
         assert_eq!(new.node(x).name.as_ref().unwrap().local.clone(), "x");
-        assert_eq!(new.children(x).len(), 1);
+        assert_eq!(new.children(x).count(), 1);
     }
 
     #[test]
@@ -425,8 +423,8 @@ mod tests {
             name: QName::local("renamed"),
         });
         let new = &apply_updates(&pul).unwrap()[0].new;
-        let a = new.children(new.root())[0];
-        let b = new.children(a)[0];
+        let a = new.first_child(new.root()).unwrap();
+        let b = new.first_child(a).unwrap();
         assert_eq!(new.node(b).name.as_ref().unwrap().local.clone(), "renamed");
     }
 
@@ -489,8 +487,8 @@ mod tests {
             content: vec![fragment("<kid/>")],
         });
         let new = &apply_updates(&pul).unwrap()[0].new;
-        let a = new.children(new.root())[0];
-        assert!(new.children(a).is_empty());
+        let a = new.first_child(new.root()).unwrap();
+        assert!(new.children(a).next().is_none());
     }
 
     /// Compaction must re-home source fragments out of a big shared arena
@@ -559,7 +557,7 @@ mod tests {
             content: vec![attr],
         });
         let new = &apply_updates(&pul).unwrap()[0].new;
-        let a = new.children(new.root())[0];
+        let a = new.first_child(new.root()).unwrap();
         assert_eq!(new.attr_local(a, "k"), Some("v"));
     }
 }

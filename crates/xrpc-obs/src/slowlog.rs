@@ -214,23 +214,26 @@ mod tests {
         }
     }
 
-    fn drain(log: &SlowLog, want_lines: usize) -> String {
-        // The writer thread is asynchronous; wait for it to catch up.
-        for _ in 0..500 {
+    /// The writer thread is asynchronous: wait until the line of the entry
+    /// with hash `last` is in the store. The channel is FIFO and the writer
+    /// appends in order, so everything recorded before it has landed too.
+    fn drain(log: &SlowLog, last: u64) -> String {
+        let needle = format!("\"queryHash\":\"{last:016x}\"");
+        for _ in 0..5000 {
             let r = log.render();
-            if r.lines().count() >= want_lines {
+            if r.contains(&needle) {
                 return r;
             }
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        log.render()
+        panic!("the slowlog writer never wrote entry {last:#x}");
     }
 
     #[test]
     fn records_and_renders_json_lines() {
         let log = SlowLog::new(SlowLogConfig::default());
         log.record(&entry(0xdead, 300_000));
-        let r = drain(&log, 1);
+        let r = drain(&log, 0xdead);
         assert_eq!(r.lines().count(), 1);
         assert!(r.contains("\"queryHash\":\"000000000000dead\""));
         assert!(r.contains("\"totalMicros\":300000"));
@@ -263,7 +266,8 @@ mod tests {
         }
         // All 200 fit in the queue, but retention is 2 segments of ~512
         // bytes — far fewer than 200 entries (each ~250 bytes) survive.
-        let r = drain(&log, 2);
+        assert_eq!((log.entries_logged(), log.entries_dropped()), (200, 0));
+        let r = drain(&log, 199);
         let n = r.lines().count();
         assert!(n >= 2, "retained at least one sealed segment: {n}");
         assert!(n <= 10, "rotation bounded the store: {n} lines");

@@ -90,12 +90,10 @@ fn materialize_document(n: &xmldom::NodeHandle, uri: &str) -> Arc<Document> {
     if n.id == n.doc.root() {
         return n.doc.clone();
     }
-    let mut fresh = Document::with_node_capacity(n.doc.subtree_size(n.id));
-    fresh.uri = Some(uri.to_string());
+    let mut fresh = Document::with_uri(uri);
     let root = fresh.root();
     if n.kind() == xmldom::NodeKind::Document {
-        let kids = n.doc.node(n.id).children.clone();
-        for c in kids {
+        for c in n.doc.children(n.id) {
             let imported = fresh.import_subtree(&n.doc, c);
             fresh.append_child(root, imported);
         }

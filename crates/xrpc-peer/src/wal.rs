@@ -253,22 +253,13 @@ fn node_path(h: &NodeHandle) -> XdmResult<NodePath> {
         })?;
     let mut steps = Vec::new();
     let mut id = h.id;
-    loop {
-        let node = h.doc.node(id);
-        let Some(parent) = node.parent else { break };
-        let p = h.doc.node(parent);
-        let step = if node.kind == NodeKind::Attribute {
-            let i = p.attributes.iter().position(|&a| a == id).ok_or_else(|| {
-                XdmError::xrpc("update target attribute detached from its element")
-            })?;
-            PathStep::Attr(i as u32)
+    while let Some(parent) = h.doc.parent(id) {
+        let step = if h.doc.kind(id) == NodeKind::Attribute {
+            let i = h.doc.attributes(parent).position(|a| a == id);
+            PathStep::Attr(i.expect("an attribute is in its owner's list") as u32)
         } else {
-            let i = p
-                .children
-                .iter()
-                .position(|&c| c == id)
-                .ok_or_else(|| XdmError::xrpc("update target detached from its parent"))?;
-            PathStep::Child(i as u32)
+            let i = h.doc.children(parent).position(|c| c == id);
+            PathStep::Child(i.expect("a child is in its parent's list") as u32)
         };
         steps.push(step);
         id = parent;
@@ -291,21 +282,16 @@ fn resolve_path(docs: &InMemoryDocs, path: &NodePath) -> XdmResult<NodeHandle> {
     })?;
     let mut id = doc.root();
     for step in &path.steps {
-        let node = doc.node(id);
-        id = match *step {
-            PathStep::Child(i) => *node.children.get(i as usize).ok_or_else(|| {
-                XdmError::xrpc(format!(
-                    "recovered update path no longer resolves in `{}`",
-                    path.doc_uri
-                ))
-            })?,
-            PathStep::Attr(i) => *node.attributes.get(i as usize).ok_or_else(|| {
-                XdmError::xrpc(format!(
-                    "recovered update path no longer resolves in `{}`",
-                    path.doc_uri
-                ))
-            })?,
+        let next = match *step {
+            PathStep::Child(i) => doc.children(id).nth(i as usize),
+            PathStep::Attr(i) => doc.attributes(id).nth(i as usize),
         };
+        id = next.ok_or_else(|| {
+            XdmError::xrpc(format!(
+                "recovered update path no longer resolves in `{}`",
+                path.doc_uri
+            ))
+        })?;
     }
     Ok(NodeHandle::new(doc, id))
 }
@@ -317,7 +303,7 @@ fn serialize_fragment(h: &NodeHandle) -> SerializedFragment {
             prefix: name.prefix,
             ns_uri: name.ns_uri,
             local: name.local,
-            value: h.data().value.clone(),
+            value: h.value().to_string(),
         }
     } else {
         SerializedFragment::Xml(h.to_xml())
@@ -347,8 +333,8 @@ fn parse_fragment(f: &SerializedFragment) -> XdmResult<NodeHandle> {
             let d = Arc::new(xmldom::parse(&wrapped).map_err(|e| {
                 XdmError::xrpc(format!("recovered content fragment failed to parse: {e}"))
             })?);
-            let w = d.children(d.root())[0];
-            let kids = d.children(w).to_vec();
+            let w = d.first_child(d.root()).unwrap();
+            let kids: Vec<_> = d.children(w).collect();
             match kids[..] {
                 [only] => Ok(NodeHandle::new(d, only)),
                 _ => Err(XdmError::xrpc(format!(
@@ -2274,12 +2260,12 @@ mod tests {
             .unwrap(),
         );
         let doc = docs.get("db.xml").unwrap();
-        let root_el = doc.children(doc.root())[0];
-        let item0 = doc.children(root_el)[0];
-        let attr = doc.attributes(item0)[0];
+        let root_el = doc.first_child(doc.root()).unwrap();
+        let item0 = doc.first_child(root_el).unwrap();
+        let attr = doc.attributes(item0).next().unwrap();
         let frag = {
             let d = Arc::new(xmldom::parse("<new>content &amp; more</new>").unwrap());
-            let id = d.children(d.root())[0];
+            let id = d.first_child(d.root()).unwrap();
             NodeHandle::new(d, id)
         };
         let mut pul = PendingUpdateList::new();
@@ -2292,7 +2278,7 @@ mod tests {
             value: "v2".into(),
         });
         pul.push(UpdatePrimitive::Delete {
-            target: NodeHandle::new(doc.clone(), doc.children(root_el)[1]),
+            target: NodeHandle::new(doc.clone(), doc.children(root_el).nth(1).unwrap()),
         });
         pul.push(UpdatePrimitive::Rename {
             target: NodeHandle::new(doc.clone(), item0),
@@ -2327,7 +2313,7 @@ mod tests {
     #[test]
     fn pul_serialization_rejects_uriless_doc() {
         let d = Arc::new(xmldom::parse("<a/>").unwrap());
-        let target = NodeHandle::new(d.clone(), d.children(d.root())[0]);
+        let target = NodeHandle::new(d.clone(), d.first_child(d.root()).unwrap());
         let mut pul = PendingUpdateList::new();
         pul.push(UpdatePrimitive::Delete { target });
         assert!(serialize_pul(&pul).is_err());

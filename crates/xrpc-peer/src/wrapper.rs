@@ -231,17 +231,15 @@ impl DocResolver for RequestOverlay {
 /// XRPC-specific machinery (plain DOM work, as a wrapper script would).
 fn request_attrs(doc: &xmldom::Document) -> XdmResult<(String, String, usize, Option<String>)> {
     use xmldom::qname::{NS_SOAP_ENV, NS_XRPC};
-    use xmldom::QName;
     let envelope = doc
         .child_elements(doc.root())
-        .into_iter()
         .next()
         .ok_or_else(|| XdmError::xrpc("empty request"))?;
     let body = doc
-        .child_element(envelope, &QName::ns("env", NS_SOAP_ENV, "Body"))
+        .child_element(envelope, NS_SOAP_ENV, "Body")
         .ok_or_else(|| XdmError::xrpc("missing Body"))?;
     let req = doc
-        .child_element(body, &QName::ns("xrpc", NS_XRPC, "request"))
+        .child_element(body, NS_XRPC, "request")
         .ok_or_else(|| XdmError::xrpc("missing xrpc:request"))?;
     let module = doc
         .attr_local(req, "module")

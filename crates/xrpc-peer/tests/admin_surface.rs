@@ -186,8 +186,8 @@ fn metrics_and_healthz_scrape_end_to_end() {
     // SOAP dispatch still works on the same listener after the admin
     // routes (the updates above already proved it; assert the effect)
     let doc = b.docs.get("log.xml").unwrap();
-    let log = doc.children(doc.root())[0];
-    assert_eq!(doc.children(log).len(), 1);
+    let log = doc.first_child(doc.root()).unwrap();
+    assert_eq!(doc.children(log).count(), 1);
 
     drop(server);
     drop(a_server);

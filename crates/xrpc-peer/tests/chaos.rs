@@ -70,10 +70,9 @@ fn fast_policy(max_attempts: u32) -> RetryPolicy {
 /// Number of `<e>` entries in a peer's log document.
 fn log_count(p: &Peer) -> usize {
     let doc = p.docs.get("log.xml").unwrap();
-    let log = doc.children(doc.root())[0];
+    let log = doc.first_child(doc.root()).unwrap();
     doc.children(log)
-        .iter()
-        .filter(|&&n| doc.node(n).name.as_ref().is_some_and(|q| q.local == "e"))
+        .filter(|&n| doc.node(n).name.as_ref().is_some_and(|q| q.local == "e"))
         .count()
 }
 

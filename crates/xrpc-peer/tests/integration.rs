@@ -231,7 +231,7 @@ fn incompatible_distributed_updates_abort() {
     assert!(err.message.contains("aborted"), "{err}");
     // nothing was applied
     let v = b.docs.get("state.xml").unwrap();
-    let root = v.children(v.root())[0];
+    let root = v.first_child(v.root()).unwrap();
     assert_eq!(v.node(root).name.as_ref().unwrap().local, "v");
 }
 

@@ -65,7 +65,7 @@ fn random_sequence(rng: &mut StdRng) -> Sequence {
                 let mut xml = String::new();
                 random_element(rng, 2, &mut xml);
                 let doc = Arc::new(xmldom::parse(&xml).unwrap());
-                let root_el = doc.children(doc.root())[0];
+                let root_el = doc.first_child(doc.root()).unwrap();
                 Item::Node(NodeHandle::new(doc, root_el))
             }
         };

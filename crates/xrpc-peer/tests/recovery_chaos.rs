@@ -173,10 +173,9 @@ fn restart(net: &Arc<SimNetwork>, node: &mut Node, uri: &str) -> xrpc_peer::Reco
 /// Number of `<e>` entries in a peer's log document.
 fn log_count(p: &Peer) -> usize {
     let doc = p.docs.get("log.xml").unwrap();
-    let log = doc.children(doc.root())[0];
+    let log = doc.first_child(doc.root()).unwrap();
     doc.children(log)
-        .iter()
-        .filter(|&&n| doc.node(n).name.as_ref().is_some_and(|q| q.local == "e"))
+        .filter(|&n| doc.node(n).name.as_ref().is_some_and(|q| q.local == "e"))
         .count()
 }
 

@@ -64,13 +64,13 @@ fn emit_item(doc: &mut Document, seq_el: NodeId, item: &Item) -> XdmResult<()> {
                     doc.append_child(el, copy);
                 }
                 NodeKind::Document => {
-                    for &c in n.doc.children(n.id) {
+                    for c in n.doc.children(n.id) {
                         let copy = doc.import_subtree(&n.doc, c);
                         doc.append_child(el, copy);
                     }
                 }
                 NodeKind::Text | NodeKind::Comment => {
-                    let t = doc.create_text(n.data().value.clone());
+                    let t = doc.create_text(n.value());
                     doc.append_child(el, t);
                 }
                 NodeKind::ProcessingInstruction => {
@@ -130,12 +130,11 @@ fn emit_item_text(out: &mut String, item: &Item) -> XdmResult<()> {
                 out.push_str("</xrpc:element>");
             }
             NodeKind::Document => {
-                let kids = n.doc.children(n.id);
-                if kids.is_empty() {
+                if n.doc.first_child(n.id).is_none() {
                     out.push_str("<xrpc:document/>");
                 } else {
                     out.push_str("<xrpc:document>");
-                    for &c in kids {
+                    for c in n.doc.children(n.id) {
                         serialize_node_into(&n.doc, c, &opts, out);
                     }
                     out.push_str("</xrpc:document>");
@@ -143,12 +142,12 @@ fn emit_item_text(out: &mut String, item: &Item) -> XdmResult<()> {
             }
             NodeKind::Text => {
                 out.push_str("<xrpc:text>");
-                push_escaped_text(out, &n.data().value);
+                push_escaped_text(out, n.value());
                 out.push_str("</xrpc:text>");
             }
             NodeKind::Comment => {
                 out.push_str("<xrpc:comment>");
-                push_escaped_text(out, &n.data().value);
+                push_escaped_text(out, n.value());
                 out.push_str("</xrpc:comment>");
             }
             NodeKind::ProcessingInstruction => {
@@ -158,16 +157,8 @@ fn emit_item_text(out: &mut String, item: &Item) -> XdmResult<()> {
             }
             NodeKind::Attribute => {
                 out.push_str("<xrpc:attribute ");
-                out.push_str(
-                    &n.data()
-                        .name
-                        .as_ref()
-                        .map(|q| q.lexical())
-                        .unwrap_or_default(),
-                );
-                out.push_str("=\"");
-                push_escaped_attr(out, &n.data().value);
-                out.push_str("\"/>");
+                serialize_node_into(&n.doc, n.id, &opts, out);
+                out.push_str("/>");
             }
         },
     }
@@ -237,12 +228,12 @@ fn relative_path(doc: &Document, anc: NodeId, node: NodeId) -> Option<String> {
     let mut components: Vec<String> = Vec::new();
     let mut cur = node;
     while cur != anc {
-        let parent = doc.node(cur).parent?;
+        let parent = doc.parent(cur)?;
         if doc.kind(cur) == NodeKind::Attribute {
-            let k = doc.attributes(parent).iter().position(|&a| a == cur)?;
+            let k = doc.attributes(parent).position(|a| a == cur)?;
             components.push(format!("@{k}"));
         } else {
-            let k = doc.children(parent).iter().position(|&c| c == cur)?;
+            let k = doc.children(parent).position(|c| c == cur)?;
             components.push(k.to_string());
         }
         cur = parent;
@@ -251,93 +242,11 @@ fn relative_path(doc: &Document, anc: NodeId, node: NodeId) -> Option<String> {
     Some(components.join("/"))
 }
 
-/// Decode all parameter sequences of one `<xrpc:call>` element, resolving
-/// `<xrpc:nodeid>` references against the fragments decoded earlier in
-/// the same call.
-pub fn n2s_call(msg: &Document, call: NodeId) -> XdmResult<Vec<Sequence>> {
-    let mut decoded: Vec<Sequence> = Vec::new();
-    for seq_el in msg.child_elements(call) {
-        let name = msg.node(seq_el).name.clone();
-        if !name.as_ref().is_some_and(|n| n.is(NS_XRPC, "sequence")) {
-            continue;
-        }
-        let mut out = Sequence::empty();
-        for child in msg.child_elements(seq_el) {
-            let cname = msg
-                .node(child)
-                .name
-                .clone()
-                .ok_or_else(|| XdmError::xrpc("unnamed sequence member"))?;
-            if cname.is(NS_XRPC, "nodeid") {
-                out.push(resolve_nodeid(msg, child, &decoded, &out)?);
-            } else {
-                out.push(decode_value(msg, child)?);
-            }
-        }
-        decoded.push(out);
-    }
-    Ok(decoded)
-}
-
-fn resolve_nodeid(
-    msg: &Document,
-    el: NodeId,
-    decoded: &[Sequence],
-    current: &Sequence,
-) -> XdmResult<Item> {
-    let param: usize = msg
-        .attr_local(el, "param")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| XdmError::xrpc("nodeid missing @param"))?;
-    let item: usize = msg
-        .attr_local(el, "item")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| XdmError::xrpc("nodeid missing @item"))?;
-    let path = msg.attr_local(el, "path").unwrap_or("");
-    let base_seq = if param == decoded.len() + 1 {
-        current
-    } else {
-        decoded
-            .get(param - 1)
-            .ok_or_else(|| XdmError::xrpc("nodeid @param out of range"))?
-    };
-    let base = base_seq
-        .items()
-        .get(item - 1)
-        .and_then(|i| i.as_node())
-        .ok_or_else(|| XdmError::xrpc("nodeid target is not a node"))?;
-    let mut cur = base.id;
-    if !path.is_empty() {
-        for comp in path.split('/') {
-            if let Some(k) = comp.strip_prefix('@') {
-                let k: usize = k
-                    .parse()
-                    .map_err(|_| XdmError::xrpc("bad nodeid path component"))?;
-                cur = *base
-                    .doc
-                    .attributes(cur)
-                    .get(k)
-                    .ok_or_else(|| XdmError::xrpc("nodeid attribute index out of range"))?;
-            } else {
-                let k: usize = comp
-                    .parse()
-                    .map_err(|_| XdmError::xrpc("bad nodeid path component"))?;
-                cur = *base
-                    .doc
-                    .children(cur)
-                    .get(k)
-                    .ok_or_else(|| XdmError::xrpc("nodeid child index out of range"))?;
-            }
-        }
-    }
-    Ok(Item::Node(NodeHandle::new(base.doc.clone(), cur)))
-}
-
 /// Decode an `<xrpc:sequence>` element back into an XDM sequence. This is
 /// `n2s()`: every node comes back as the root of a fresh fragment.
 pub fn n2s(msg: &Document, seq_el: NodeId) -> XdmResult<Sequence> {
     let mut out = Sequence::empty();
-    for &child in msg.children(seq_el) {
+    for child in msg.children(seq_el) {
         if msg.kind(child) != NodeKind::Element {
             continue; // ignorable whitespace between values
         }
@@ -346,21 +255,26 @@ pub fn n2s(msg: &Document, seq_el: NodeId) -> XdmResult<Sequence> {
     Ok(out)
 }
 
+/// The local name of a value wrapper, which must be an `xrpc:` element.
+fn wrapper_local(msg: &Document, child: NodeId) -> XdmResult<&str> {
+    let name = msg
+        .node(child)
+        .name
+        .as_deref()
+        .ok_or_else(|| XdmError::xrpc("unnamed element in xrpc:sequence"))?;
+    if name.ns_uri.as_deref() != Some(NS_XRPC) {
+        return Err(XdmError::xrpc(format!(
+            "unexpected element `{}` in xrpc:sequence",
+            name.lexical()
+        )));
+    }
+    Ok(&name.local)
+}
+
 /// Decode one value wrapper element into an item.
 fn decode_value(msg: &Document, child: NodeId) -> XdmResult<Item> {
     {
-        let name = msg
-            .node(child)
-            .name
-            .clone()
-            .ok_or_else(|| XdmError::xrpc("unnamed element in xrpc:sequence"))?;
-        if name.ns_uri.as_deref() != Some(NS_XRPC) {
-            return Err(XdmError::xrpc(format!(
-                "unexpected element `{}` in xrpc:sequence",
-                name.lexical()
-            )));
-        }
-        match name.local.as_str() {
+        match wrapper_local(msg, child)? {
             "atomic-value" => {
                 let ty_lex = msg
                     .attr_local(child, "type")
@@ -373,15 +287,14 @@ fn decode_value(msg: &Document, child: NodeId) -> XdmResult<Item> {
             "element" => {
                 let inner = msg
                     .child_elements(child)
-                    .first()
-                    .copied()
+                    .next()
                     .ok_or_else(|| XdmError::xrpc("empty xrpc:element wrapper"))?;
                 Ok(Item::Node(fresh_fragment(msg, inner)?))
             }
             "document" => {
                 let mut d = Document::new();
                 let root = d.root();
-                for &c in msg.children(child) {
+                for c in msg.children(child) {
                     let copy = d.import_subtree(msg, c);
                     d.append_child(root, copy);
                 }
@@ -401,17 +314,15 @@ fn decode_value(msg: &Document, child: NodeId) -> XdmResult<Item> {
                 // the wrapper carries the PI node itself
                 let pi = msg
                     .children(child)
-                    .iter()
-                    .copied()
                     .find(|&c| msg.kind(c) == NodeKind::ProcessingInstruction)
                     .ok_or_else(|| XdmError::xrpc("xrpc:pi wrapper without a PI"))?;
                 Ok(Item::Node(fresh_fragment(msg, pi)?))
             }
             "attribute" => {
-                let attr =
-                    msg.attributes(child).first().copied().ok_or_else(|| {
-                        XdmError::xrpc("xrpc:attribute wrapper without an attribute")
-                    })?;
+                let attr = msg
+                    .attributes(child)
+                    .next()
+                    .ok_or_else(|| XdmError::xrpc("xrpc:attribute wrapper without an attribute"))?;
                 let mut d = Document::new();
                 let copy = d.import_subtree(msg, attr);
                 Ok(Item::Node(NodeHandle::new(std::sync::Arc::new(d), copy)))
@@ -449,14 +360,11 @@ pub struct PendingSequence(Vec<Pending>);
 impl PendingSequence {
     /// Phase 2: turn ids into handles sharing the frozen message arena.
     pub fn finish(self, arc: &std::sync::Arc<Document>) -> Sequence {
-        let mut out = Sequence::empty();
-        for p in self.0 {
-            out.push(match p {
-                Pending::Ready(item) => item,
-                Pending::Node(id) => Item::Node(NodeHandle::new(arc.clone(), id)),
-            });
-        }
-        out
+        let item = |p| match p {
+            Pending::Ready(item) => item,
+            Pending::Node(id) => Item::Node(NodeHandle::new(arc.clone(), id)),
+        };
+        Sequence::from_items(self.0.into_iter().map(item).collect())
     }
 }
 
@@ -465,64 +373,59 @@ impl PendingSequence {
 /// arena and decoding allocates nothing per item beyond the id list.
 ///
 /// The call-by-value contract survives because detaching severs the upward
-/// link: ancestor/parent/sibling axes from the fragment root see nothing —
-/// exactly what the fresh-fragment copy guaranteed, minus the copy. The
-/// price is that the envelope arena stays alive as long as any decoded
-/// fragment does (documented in DESIGN.md).
+/// and sideways links: ancestor/parent/sibling axes from the fragment root
+/// see nothing — exactly what the fresh-fragment copy guaranteed, minus the
+/// copy. The price is that the envelope arena stays alive as long as any
+/// decoded fragment does (documented in DESIGN.md).
 pub fn n2s_detach(msg: &mut Document, seq_el: NodeId) -> XdmResult<PendingSequence> {
-    let mut out = Vec::new();
-    for child in msg.child_elements(seq_el) {
-        out.push(decode_value_detach(msg, child)?);
-    }
-    Ok(PendingSequence(out))
+    decode_sequence_detach(msg, seq_el, &[])
 }
 
-/// [`n2s_call`] without the per-item deep copy (see [`n2s_detach`]).
-/// `<xrpc:nodeid>` references resolve to ids *inside* earlier detached
-/// fragments — same arena, so no cross-document bookkeeping at all.
+/// All parameter sequences of one `<xrpc:call>`, decoded like
+/// [`n2s_detach`]. `<xrpc:nodeid>` references resolve to ids *inside*
+/// fragments detached earlier in the same call — same arena, so no
+/// cross-document bookkeeping at all.
 pub fn n2s_call_detach(msg: &mut Document, call: NodeId) -> XdmResult<Vec<PendingSequence>> {
-    let mut decoded: Vec<PendingSequence> = Vec::new();
-    for seq_el in msg.child_elements(call) {
-        let is_seq = msg
-            .node(seq_el)
-            .name
-            .as_ref()
-            .is_some_and(|n| n.is(NS_XRPC, "sequence"));
-        if !is_seq {
-            continue;
-        }
-        let mut out: Vec<Pending> = Vec::new();
-        for child in msg.child_elements(seq_el) {
-            let cname = msg
-                .node(child)
-                .name
-                .clone()
-                .ok_or_else(|| XdmError::xrpc("unnamed sequence member"))?;
-            if cname.is(NS_XRPC, "nodeid") {
-                out.push(resolve_nodeid_detached(msg, child, &decoded, &out)?);
-            } else {
-                out.push(decode_value_detach(msg, child)?);
-            }
-        }
-        decoded.push(PendingSequence(out));
+    let is_seq = |n: &QName| n.is(NS_XRPC, "sequence");
+    let seq_els: Vec<NodeId> = msg
+        .child_elements(call)
+        .filter(|&s| msg.node(s).name.as_deref().is_some_and(is_seq))
+        .collect();
+    let mut decoded: Vec<PendingSequence> = Vec::with_capacity(seq_els.len());
+    for seq_el in seq_els {
+        let seq = decode_sequence_detach(msg, seq_el, &decoded)?;
+        decoded.push(seq);
     }
     Ok(decoded)
 }
 
+/// One `<xrpc:sequence>`; `decoded` are the earlier parameters of the call.
+fn decode_sequence_detach(
+    msg: &mut Document,
+    seq_el: NodeId,
+    decoded: &[PendingSequence],
+) -> XdmResult<PendingSequence> {
+    let mut out = Vec::with_capacity(msg.children(seq_el).count());
+    // a cursor, not an iterator: decoding relinks nodes below `child`
+    let mut next = msg.first_child(seq_el);
+    while let Some(child) = next {
+        next = msg.next_sibling(child);
+        if msg.kind(child) != NodeKind::Element {
+            continue; // ignorable whitespace between values
+        }
+        let name = msg.node(child).name.as_deref();
+        out.push(if name.is_some_and(|n| n.is(NS_XRPC, "nodeid")) {
+            resolve_nodeid_detached(msg, child, decoded, &out)?
+        } else {
+            decode_value_detach(msg, child)?
+        });
+    }
+    Ok(PendingSequence(out))
+}
+
 /// Decode one wrapper, detaching node values in place.
 fn decode_value_detach(msg: &mut Document, child: NodeId) -> XdmResult<Pending> {
-    let name = msg
-        .node(child)
-        .name
-        .clone()
-        .ok_or_else(|| XdmError::xrpc("unnamed element in xrpc:sequence"))?;
-    if name.ns_uri.as_deref() != Some(NS_XRPC) {
-        return Err(XdmError::xrpc(format!(
-            "unexpected element `{}` in xrpc:sequence",
-            name.lexical()
-        )));
-    }
-    match name.local.as_str() {
+    match wrapper_local(msg, child)? {
         "atomic-value" => {
             let ty_lex = msg
                 .attr_local(child, "type")
@@ -537,35 +440,33 @@ fn decode_value_detach(msg: &mut Document, child: NodeId) -> XdmResult<Pending> 
         "element" => {
             let inner = msg
                 .child_elements(child)
-                .first()
-                .copied()
+                .next()
                 .ok_or_else(|| XdmError::xrpc("empty xrpc:element wrapper"))?;
             msg.detach(inner);
             Ok(Pending::Node(inner))
         }
         "document" => {
             // Reparent the wrapper's children under a synthetic document
-            // node in the same arena (the child id vec moves, not copies).
+            // node in the same arena (a relink per child, nothing copied).
             let doc_node = msg.create_document_node();
-            let kids = std::mem::take(&mut msg.node_mut(child).children);
-            for &k in &kids {
-                msg.node_mut(k).parent = Some(doc_node);
+            while let Some(k) = msg.first_child(child) {
+                msg.append_child(doc_node, k);
             }
-            msg.node_mut(doc_node).children = kids;
             Ok(Pending::Node(doc_node))
         }
         "text" => {
             // The parser coalesces entity references, so the wrapper holds a
             // single text child in the common case — detach it as-is.
             // CDATA-split content falls back to a concatenated copy.
-            let kids = msg.children(child);
-            if kids.len() == 1 && msg.kind(kids[0]) == NodeKind::Text {
-                let t = kids[0];
-                msg.detach(t);
-                Ok(Pending::Node(t))
-            } else {
-                let v = msg.string_value(child);
-                Ok(Pending::Node(msg.create_text(v)))
+            match msg.first_child(child) {
+                Some(t) if msg.kind(t) == NodeKind::Text && msg.next_sibling(t).is_none() => {
+                    msg.detach(t);
+                    Ok(Pending::Node(t))
+                }
+                _ => {
+                    let v = msg.string_value(child);
+                    Ok(Pending::Node(msg.create_text(v)))
+                }
             }
         }
         "comment" => {
@@ -575,8 +476,6 @@ fn decode_value_detach(msg: &mut Document, child: NodeId) -> XdmResult<Pending> 
         "pi" => {
             let pi = msg
                 .children(child)
-                .iter()
-                .copied()
                 .find(|&c| msg.kind(c) == NodeKind::ProcessingInstruction)
                 .ok_or_else(|| XdmError::xrpc("xrpc:pi wrapper without a PI"))?;
             msg.detach(pi);
@@ -585,8 +484,7 @@ fn decode_value_detach(msg: &mut Document, child: NodeId) -> XdmResult<Pending> 
         "attribute" => {
             let attr = msg
                 .attributes(child)
-                .first()
-                .copied()
+                .next()
                 .ok_or_else(|| XdmError::xrpc("xrpc:attribute wrapper without an attribute"))?;
             msg.detach(attr);
             Ok(Pending::Node(attr))
@@ -633,17 +531,17 @@ fn resolve_nodeid_detached(
                 let k: usize = k
                     .parse()
                     .map_err(|_| XdmError::xrpc("bad nodeid path component"))?;
-                cur = *msg
+                cur = msg
                     .attributes(cur)
-                    .get(k)
+                    .nth(k)
                     .ok_or_else(|| XdmError::xrpc("nodeid attribute index out of range"))?;
             } else {
                 let k: usize = comp
                     .parse()
                     .map_err(|_| XdmError::xrpc("bad nodeid path component"))?;
-                cur = *msg
+                cur = msg
                     .children(cur)
-                    .get(k)
+                    .nth(k)
                     .ok_or_else(|| XdmError::xrpc("nodeid child index out of range"))?;
             }
         }
@@ -666,14 +564,18 @@ mod tests {
         let holder = doc.create_element(xrpc_name("call"));
         doc.append_child(root, holder);
         s2n_into(&mut doc, holder, seq).unwrap();
-        let seq_el = doc.child_elements(holder)[0];
+        let seq_el = doc.child_elements(holder).next().unwrap();
         (doc, seq_el)
     }
 
     fn roundtrip(seq: &Sequence) -> Sequence {
         let (doc, seq_el) = roundtrip_doc(seq);
         // serialize + reparse to prove wire-fidelity, not just tree fidelity
-        let xml = xmldom::serialize_node(&doc, doc.children(doc.root())[0], &Default::default());
+        let xml = xmldom::serialize_node(
+            &doc,
+            doc.first_child(doc.root()).unwrap(),
+            &Default::default(),
+        );
         let xml = format!(
             "<w xmlns:xrpc=\"{}\" xmlns:xsi=\"{}\" xmlns:xs=\"{}\">{}</w>",
             NS_XRPC,
@@ -682,9 +584,9 @@ mod tests {
             xml
         );
         let reparsed = parse(&xml).unwrap();
-        let w = reparsed.children(reparsed.root())[0];
-        let call = reparsed.child_elements(w)[0];
-        let seq2 = reparsed.child_elements(call)[0];
+        let w = reparsed.first_child(reparsed.root()).unwrap();
+        let call = reparsed.child_elements(w).next().unwrap();
+        let seq2 = reparsed.child_elements(call).next().unwrap();
         let _ = (doc, seq_el);
         n2s(&reparsed, seq2).unwrap()
     }
@@ -711,11 +613,10 @@ mod tests {
     fn element_nodes_roundtrip_by_value() {
         let d =
             Arc::new(parse("<films><name>The Rock</name><name>Goldfinger</name></films>").unwrap());
-        let films = d.children(d.root())[0];
+        let films = d.first_child(d.root()).unwrap();
         let names: Vec<Item> = d
             .children(films)
-            .iter()
-            .map(|&n| Item::Node(NodeHandle::new(d.clone(), n)))
+            .map(|n| Item::Node(NodeHandle::new(d.clone(), n)))
             .collect();
         let back = roundtrip(&Sequence::from_items(names));
         assert_eq!(back.len(), 2);
@@ -729,7 +630,7 @@ mod tests {
     #[test]
     fn marshaled_element_cannot_see_envelope() {
         let d = Arc::new(parse("<x><y/></x>").unwrap());
-        let x = d.children(d.root())[0];
+        let x = d.first_child(d.root()).unwrap();
         let seq = Sequence::one(Item::Node(NodeHandle::new(d, x)));
         let back = roundtrip(&seq);
         let node = back.items()[0].as_node().unwrap();
@@ -741,11 +642,11 @@ mod tests {
     #[test]
     fn text_comment_pi_attribute_roundtrip() {
         let d = Arc::new(parse(r#"<a k="v"><!--c-->text<?t data?></a>"#).unwrap());
-        let a = d.children(d.root())[0];
-        let comment = d.children(a)[0];
-        let text = d.children(a)[1];
-        let pi = d.children(a)[2];
-        let attr = d.attributes(a)[0];
+        let a = d.first_child(d.root()).unwrap();
+        let comment = d.first_child(a).unwrap();
+        let text = d.children(a).nth(1).unwrap();
+        let pi = d.children(a).nth(2).unwrap();
+        let attr = d.attributes(a).next().unwrap();
         let seq = Sequence::from_items(vec![
             Item::Node(NodeHandle::new(d.clone(), comment)),
             Item::Node(NodeHandle::new(d.clone(), text)),
@@ -787,7 +688,7 @@ mod tests {
             Item::Atomic(AtomicValue::Double(3.1)),
         ]);
         let (doc, seq_el) = roundtrip_doc(&seq);
-        let kids = doc.child_elements(seq_el);
+        let kids: Vec<NodeId> = doc.child_elements(seq_el).collect();
         assert_eq!(doc.attr_local(kids[0], "type"), Some("xs:integer"));
         assert_eq!(doc.attr_local(kids[1], "type"), Some("xs:double"));
         assert_eq!(doc.string_value(kids[0]), "2");
@@ -816,10 +717,10 @@ mod tests {
             )
             .unwrap(),
         );
-        let v = d.children(d.root())[0];
+        let v = d.first_child(d.root()).unwrap();
         let seq = Sequence::one(Item::Node(NodeHandle::new(d, v)));
         let back = roundtrip(&seq);
         let n = back.items()[0].as_node().unwrap();
-        assert_eq!(n.data().type_annotation.as_deref(), Some("my:temp"));
+        assert_eq!(n.type_annotation(), Some("my:temp"));
     }
 }

@@ -488,24 +488,23 @@ pub fn parse_message(xml: &str) -> XdmResult<XrpcMessage> {
     let doc = xmldom::parse(xml).map_err(|e| XdmError::xrpc(format!("bad SOAP XML: {e}")))?;
     let envelope = doc
         .child_elements(doc.root())
-        .into_iter()
         .find(|&e| has_name(&doc, e, NS_SOAP_ENV, "Envelope"))
         .ok_or_else(|| XdmError::xrpc("missing env:Envelope"))?;
     let body = doc
-        .child_element(envelope, &envq("Body"))
+        .child_element(envelope, NS_SOAP_ENV, "Body")
         .ok_or_else(|| XdmError::xrpc("missing env:Body"))?;
     let trace = parse_trace_header(&doc, envelope);
     let budget = parse_budget_header(&doc, envelope);
 
-    if let Some(req) = doc.child_element(body, &xrpc("request")) {
+    if let Some(req) = doc.child_element(body, NS_XRPC, "request") {
         let profile = parse_profile_request_header(&doc, envelope);
         return parse_request(doc, req, trace, budget, profile).map(XrpcMessage::Request);
     }
-    if let Some(resp) = doc.child_element(body, &xrpc("response")) {
+    if let Some(resp) = doc.child_element(body, NS_XRPC, "response") {
         let hops = parse_profile_hops_header(&doc, envelope);
         return parse_response(doc, resp, hops).map(XrpcMessage::Response);
     }
-    if let Some(fault) = doc.child_element(body, &envq("Fault")) {
+    if let Some(fault) = doc.child_element(body, NS_SOAP_ENV, "Fault") {
         return parse_fault(&doc, fault).map(XrpcMessage::Fault);
     }
     Err(XdmError::xrpc(
@@ -545,7 +544,7 @@ fn parse_request(
         profile,
         calls: Vec::new(),
     };
-    if let Some(q) = doc.child_element(req, &xrpc("queryID")) {
+    if let Some(q) = doc.child_element(req, NS_XRPC, "queryID") {
         out.query_id = Some(QueryId {
             host: req_attr(&doc, q, "host")?,
             timestamp_millis: req_attr(&doc, q, "timestamp")?
@@ -558,10 +557,11 @@ fn parse_request(
     }
     // Phase 1: decode every call with in-place detach (arena stays mutable).
     let mut pending: Vec<Vec<crate::marshal::PendingSequence>> = Vec::new();
-    for call in doc.child_elements(req) {
-        if !has_name(&doc, call, NS_XRPC, "call") {
-            continue;
-        }
+    let calls: Vec<NodeId> = doc
+        .child_elements(req)
+        .filter(|&c| has_name(&doc, c, NS_XRPC, "call"))
+        .collect();
+    for call in calls {
         // call-level decoding resolves xrpc:nodeid references transparently
         let params = crate::marshal::n2s_call_detach(&mut doc, call)?;
         if params.len() != out.arity {
@@ -592,7 +592,8 @@ fn parse_response(
     let mut out = XrpcResponse::new(module, method);
     out.profile_hops = profile_hops;
     let mut pending: Vec<crate::marshal::PendingSequence> = Vec::new();
-    for child in doc.child_elements(resp) {
+    let children: Vec<NodeId> = doc.child_elements(resp).collect();
+    for child in children {
         if has_name(&doc, child, NS_XRPC, "sequence") {
             pending.push(crate::marshal::n2s_detach(&mut doc, child)?);
         } else if has_name(&doc, child, NS_XRPC, "participatingPeers") {
@@ -610,13 +611,13 @@ fn parse_response(
 
 fn parse_fault(doc: &Document, fault: NodeId) -> XdmResult<XrpcFault> {
     let code = doc
-        .child_element(fault, &envq("Code"))
-        .and_then(|c| doc.child_element(c, &envq("Value")))
+        .child_element(fault, NS_SOAP_ENV, "Code")
+        .and_then(|c| doc.child_element(c, NS_SOAP_ENV, "Value"))
         .map(|v| doc.string_value(v))
         .unwrap_or_default();
     let reason = doc
-        .child_element(fault, &envq("Reason"))
-        .and_then(|r| doc.child_element(r, &envq("Text")))
+        .child_element(fault, NS_SOAP_ENV, "Reason")
+        .and_then(|r| doc.child_element(r, NS_SOAP_ENV, "Text"))
         .map(|t| doc.string_value(t))
         .unwrap_or_else(|| "unknown fault".to_string());
     // pull a leading `[CODE] ` error-code prefix back out
@@ -900,8 +901,8 @@ fn append_op_dom(doc: &mut Document, parent: NodeId, op: &OpNode) {
 /// malformed header is ignored rather than failing the message —
 /// tracing must never turn a valid call into an error.
 fn parse_trace_header(doc: &Document, envelope: NodeId) -> Option<TraceContext> {
-    let header = doc.child_element(envelope, &envq("Header"))?;
-    let tr = doc.child_element(header, &xrpc("trace"))?;
+    let header = doc.child_element(envelope, NS_SOAP_ENV, "Header")?;
+    let tr = doc.child_element(header, NS_XRPC, "trace")?;
     let trace_id = u128::from_str_radix(doc.attr_local(tr, "traceId")?, 16).ok()?;
     let span_id = u64::from_str_radix(doc.attr_local(tr, "spanId")?, 16).ok()?;
     let parent_id = doc
@@ -919,8 +920,8 @@ fn parse_trace_header(doc: &Document, envelope: NodeId) -> Option<TraceContext> 
 /// message — a garbled budget degrades to "no deadline", never to an
 /// error the caller did not cause.
 fn parse_budget_header(doc: &Document, envelope: NodeId) -> Option<u64> {
-    let header = doc.child_element(envelope, &envq("Header"))?;
-    let b = doc.child_element(header, &xrpc("budget"))?;
+    let header = doc.child_element(envelope, NS_SOAP_ENV, "Header")?;
+    let b = doc.child_element(header, NS_XRPC, "budget")?;
     doc.attr_local(b, "remainingMillis")?.parse().ok()
 }
 
@@ -928,8 +929,8 @@ fn parse_budget_header(doc: &Document, envelope: NodeId) -> Option<u64> {
 /// the other observability headers: malformed or unknown-mode headers
 /// degrade to "no profiling", never to an error.
 fn parse_profile_request_header(doc: &Document, envelope: NodeId) -> Option<ProfileRequest> {
-    let header = doc.child_element(envelope, &envq("Header"))?;
-    let p = doc.child_element(header, &xrpc("profile"))?;
+    let header = doc.child_element(envelope, NS_SOAP_ENV, "Header")?;
+    let p = doc.child_element(header, NS_XRPC, "profile")?;
     let mode = ProfileMode::parse(doc.attr_local(p, "mode")?);
     if !mode.is_on() {
         return None;
@@ -949,10 +950,10 @@ fn parse_profile_request_header(doc: &Document, envelope: NodeId) -> Option<Prof
 /// call whose results it annotates.
 fn parse_profile_hops_header(doc: &Document, envelope: NodeId) -> Vec<HopProfile> {
     let mut hops = Vec::new();
-    let Some(header) = doc.child_element(envelope, &envq("Header")) else {
+    let Some(header) = doc.child_element(envelope, NS_SOAP_ENV, "Header") else {
         return hops;
     };
-    let Some(p) = doc.child_element(header, &xrpc("profile")) else {
+    let Some(p) = doc.child_element(header, NS_XRPC, "profile") else {
         return hops;
     };
     for hop_el in doc.child_elements(p) {
@@ -1043,12 +1044,14 @@ fn write_envelope_close(out: &mut String) {
 /// examples carry.
 fn start_envelope(doc: &mut Document, root: NodeId) -> NodeId {
     let envelope = doc.create_element(envq("Envelope"));
-    doc.node_mut(envelope).ns_decls = vec![
-        ("xrpc".into(), NS_XRPC.into()),
-        ("env".into(), NS_SOAP_ENV.into()),
-        ("xs".into(), NS_XS.into()),
-        ("xsi".into(), NS_XSI.into()),
-    ];
+    for (prefix, uri) in [
+        ("xrpc", NS_XRPC),
+        ("env", NS_SOAP_ENV),
+        ("xs", NS_XS),
+        ("xsi", NS_XSI),
+    ] {
+        doc.add_ns_decl(envelope, prefix, uri);
+    }
     doc.set_attribute(
         envelope,
         QName::ns("xsi", NS_XSI, "schemaLocation"),
@@ -1173,11 +1176,10 @@ mod tests {
         let d = std::sync::Arc::new(
             xmldom::parse("<w><name>The Rock</name><name>Goldfinger</name></w>").unwrap(),
         );
-        let w = d.children(d.root())[0];
+        let w = d.first_child(d.root()).unwrap();
         let names: Vec<Item> = d
             .children(w)
-            .iter()
-            .map(|&n| Item::Node(xmldom::NodeHandle::new(d.clone(), n)))
+            .map(|n| Item::Node(xmldom::NodeHandle::new(d.clone(), n)))
             .collect();
         let mut resp = XrpcResponse::new("films", "filmsByActor");
         resp.results.push(Sequence::from_items(names));
@@ -1625,15 +1627,18 @@ mod tests {
             )
             .unwrap(),
         );
-        let r = d.children(d.root())[0];
-        let pe = d.children(r)[0];
+        let r = d.first_child(d.root()).unwrap();
+        let pe = d.first_child(r).unwrap();
         let mut items = vec![
             Item::Node(xmldom::NodeHandle::root(d.clone())),
             Item::Node(xmldom::NodeHandle::new(d.clone(), r)),
             Item::Node(xmldom::NodeHandle::new(d.clone(), pe)),
-            Item::Node(xmldom::NodeHandle::new(d.clone(), d.attributes(r)[0])),
+            Item::Node(xmldom::NodeHandle::new(
+                d.clone(),
+                d.attributes(r).next().unwrap(),
+            )),
         ];
-        for &c in d.children(pe) {
+        for c in d.children(pe) {
             items.push(Item::Node(xmldom::NodeHandle::new(d.clone(), c)));
         }
         let mut req = XrpcRequest::new("m", "f", 1);
@@ -1680,13 +1685,13 @@ mod tests {
             xmark::payload_xml(16 * 1024),
         ] {
             let d = std::sync::Arc::new(xmldom::parse(&xml).unwrap());
-            let root_el = d.children(d.root())[0];
+            let root_el = d.first_child(d.root()).unwrap();
             // ship the document, the root element, and each child subtree
             let mut items = vec![
                 Item::Node(xmldom::NodeHandle::root(d.clone())),
                 Item::Node(xmldom::NodeHandle::new(d.clone(), root_el)),
             ];
-            for &c in d.children(root_el).iter().take(5) {
+            for c in d.children(root_el).take(5) {
                 items.push(Item::Node(xmldom::NodeHandle::new(d.clone(), c)));
             }
             let mut req = XrpcRequest::new("m", "f", 1);

@@ -3,7 +3,7 @@
 
 use xdm::{XdmError, XdmResult};
 use xmldom::qname::{NS_SOAP_ENV, NS_XRPC};
-use xmldom::{Document, NodeId, NodeKind};
+use xmldom::{Document, NodeId};
 
 /// Validate that `xml` is a well-formed SOAP XRPC message with the exact
 /// structure the XRPC.xsd schema prescribes. Returns the kind of message.
@@ -11,7 +11,7 @@ pub fn validate_message(xml: &str) -> XdmResult<&'static str> {
     let doc = xmldom::parse(xml).map_err(|e| XdmError::xrpc(format!("not well-formed: {e}")))?;
     let envelope = single_element_child(&doc, doc.root())?;
     expect_name(&doc, envelope, NS_SOAP_ENV, "Envelope")?;
-    let elems = doc.child_elements(envelope);
+    let elems: Vec<NodeId> = doc.child_elements(envelope).collect();
     // Header is optional; Body is required and last.
     let body = match elems.as_slice() {
         [b] => {
@@ -71,8 +71,7 @@ fn validate_request(doc: &Document, req: NodeId) -> XdmResult<()> {
             ncalls += 1;
             let seqs = doc
                 .child_elements(child)
-                .iter()
-                .filter(|&&s| {
+                .filter(|&s| {
                     doc.node(s)
                         .name
                         .as_ref()
@@ -147,14 +146,9 @@ fn validate_sequence(doc: &Document, seq: NodeId) -> XdmResult<()> {
 }
 
 fn single_element_child(doc: &Document, parent: NodeId) -> XdmResult<NodeId> {
-    let elems: Vec<NodeId> = doc
-        .children(parent)
-        .iter()
-        .copied()
-        .filter(|&c| doc.kind(c) == NodeKind::Element)
-        .collect();
-    match elems.as_slice() {
-        [one] => Ok(*one),
+    let mut elems = doc.child_elements(parent);
+    match (elems.next(), elems.next()) {
+        (Some(one), None) => Ok(one),
         _ => Err(XdmError::xrpc("expected exactly one element child")),
     }
 }

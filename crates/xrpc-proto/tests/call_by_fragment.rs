@@ -16,9 +16,9 @@ fn film_tree() -> (Arc<xmldom::Document>, NodeHandle, NodeHandle, NodeHandle) {
         )
         .unwrap(),
     );
-    let films = d.children(d.root())[0];
-    let film = d.children(films)[0];
-    let name = d.children(film)[0];
+    let films = d.first_child(d.root()).unwrap();
+    let film = d.first_child(films).unwrap();
+    let name = d.first_child(film).unwrap();
     (
         d.clone(),
         NodeHandle::new(d.clone(), films),
@@ -99,8 +99,8 @@ fn plain_by_value_destroys_relationship() {
 #[test]
 fn self_reference_and_attribute_paths() {
     let d = Arc::new(parse(r#"<a k="v"><b/></a>"#).unwrap());
-    let a = d.children(d.root())[0];
-    let attr = d.attributes(a)[0];
+    let a = d.first_child(d.root()).unwrap();
+    let attr = d.attributes(a).next().unwrap();
     let mut req = XrpcRequest::new("m", "f", 3);
     req.call_by_fragment = true;
     req.push_call(vec![
@@ -134,11 +134,11 @@ fn unrelated_parameters_stay_by_value() {
     req.push_call(vec![
         Sequence::one(Item::Node(NodeHandle::new(
             d1.clone(),
-            d1.children(d1.root())[0],
+            d1.first_child(d1.root()).unwrap(),
         ))),
         Sequence::one(Item::Node(NodeHandle::new(
             d2.clone(),
-            d2.children(d2.root())[0],
+            d2.first_child(d2.root()).unwrap(),
         ))),
     ]);
     let xml = req.to_xml().unwrap();
@@ -157,8 +157,8 @@ fn message_compression_is_real() {
     }
     inner.push_str("</big>");
     let d = Arc::new(parse(&format!("<top>{inner}</top>")).unwrap());
-    let top = d.children(d.root())[0];
-    let big = d.children(top)[0];
+    let top = d.first_child(d.root()).unwrap();
+    let big = d.first_child(top).unwrap();
     let make = |fragment: bool| {
         let mut req = XrpcRequest::new("m", "f", 2);
         req.call_by_fragment = fragment;
