@@ -3,11 +3,13 @@
 //! Figure 2 prescribes.
 
 use crate::table::{IterMap, SeqTable};
+use std::borrow::Cow;
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 use xdm::{Item, Sequence, XdmError, XdmResult};
-use xqast::{Expr, FlworClause, MainModule, Name};
+use xqast::{Expr, FlworClause, FunctionDecl, MainModule, Name};
 use xqeval::context::{Environment, StaticContext};
-use xqeval::eval::{Ctx, EvalState, Evaluator};
+use xqeval::eval::{Ctx, EvalState, Evaluator, JoinPath};
 use xqeval::pul::PendingUpdateList;
 
 /// Parse + execute a main module on the loop-lifted engine.
@@ -79,6 +81,63 @@ fn execute_rel_with(
         engine.eval_lifted(&module.body, &lenv, &mut st)?
     };
     Ok((table.sequence_at(1), st.pul))
+}
+
+/// Evaluate `decl` once for a whole table of calls — how a peer serves a
+/// read-only Bulk RPC request. Each parameter becomes one `iter|pos|item`
+/// table over calls `1..=n` and the body runs through the lifted evaluator,
+/// so a selection in the body is one join over all calls instead of `n`
+/// selections; whatever the lifted translation has no operator for still
+/// runs per call on `tree`. Returns one result per call, in call order.
+///
+/// Errors: a call whose arguments do not convert fails the request, but
+/// only after the calls before it have been evaluated (one of them failing
+/// takes precedence, as it would in a loop over the calls). Among several
+/// calls that fail *during* evaluation the lifted plan reports the first
+/// one it meets, operator by operator — not necessarily the lowest-numbered.
+pub fn eval_calls(
+    tree: &Evaluator,
+    decl: &FunctionDecl,
+    calls: Vec<Vec<Sequence>>,
+) -> XdmResult<(Vec<Sequence>, PendingUpdateList)> {
+    let mut params: Vec<SeqTable> = decl.params.iter().map(|_| SeqTable::new()).collect();
+    let mut unbound = None;
+    let ncalls = calls.len();
+    for (k, args) in calls.into_iter().enumerate() {
+        match xqeval::eval::convert_arguments(decl, args) {
+            Ok(values) => {
+                for (table, value) in params.iter_mut().zip(values) {
+                    for (p, item) in value.into_items().into_iter().enumerate() {
+                        table.push(k as u32 + 1, p as u32 + 1, item);
+                    }
+                }
+            }
+            Err(e) => {
+                unbound = Some((k, e));
+                break;
+            }
+        }
+    }
+    let n = unbound.as_ref().map_or(ncalls, |(k, _)| *k);
+    let lenv = Lifted {
+        loop_iters: (1..=n as u32).collect(),
+        vars: (decl.params.iter().map(|(name, _)| name.lexical()))
+            .zip(params)
+            .collect(),
+    };
+    let engine = RelEngine {
+        tree: Evaluator {
+            env: tree.env,
+            sctx: tree.sctx.clone(),
+            local_functions: tree.local_functions.clone(),
+        },
+    };
+    let mut st = EvalState::new();
+    let results = engine.eval_lifted(&decl.body, &lenv, &mut st)?;
+    match unbound {
+        Some((_, e)) => Err(e),
+        None => Ok((results.into_sequences(n), st.pul)),
+    }
 }
 
 /// Recursively hoist loop-invariant `execute at` calls out of FLWORs into
@@ -237,6 +296,36 @@ pub struct Lifted {
     pub vars: Vec<(String, SeqTable)>,
 }
 
+impl Lifted {
+    /// The innermost lifted binding of `$name`.
+    fn lookup(&self, name: &Name) -> Option<&SeqTable> {
+        self.vars
+            .iter()
+            .rev()
+            .find(|(n, _)| name.is_lexical(n))
+            .map(|(_, t)| t)
+    }
+
+    /// Positions in `vars` of the lifted variables `e` refers to — its free
+    /// variables as far as this environment binds them, found in one walk
+    /// per expression rather than one per iteration. Every binding of a
+    /// name is kept, so shadowing resolves as it would with all of them.
+    fn used_by(&self, e: &Expr) -> Vec<usize> {
+        if self.vars.is_empty() {
+            return Vec::new();
+        }
+        let mut used = vec![false; self.vars.len()];
+        e.walk(&mut |x| {
+            if let Expr::VarRef(n) = x {
+                for (k, (name, _)) in self.vars.iter().enumerate() {
+                    used[k] |= n.is_lexical(name);
+                }
+            }
+        });
+        (0..self.vars.len()).filter(|&k| used[k]).collect()
+    }
+}
+
 /// The engine: a thin shell around a tree [`Evaluator`] (used for all
 /// XRPC-free sub-expressions) plus the lifted XRPC machinery.
 pub struct RelEngine<'e> {
@@ -271,9 +360,45 @@ impl<'e> RelEngine<'e> {
 
     /// Evaluate `e` for every iteration of `lenv.loop_iters` at once.
     pub fn eval_lifted(&self, e: &Expr, lenv: &Lifted, st: &mut EvalState) -> XdmResult<SeqTable> {
-        // XRPC-free expressions run on the tree engine per iteration; all
-        // bulk behaviour lives on the XRPC paths below.
-        if !e.contains_xrpc() {
+        self.eval_lifted_ref(e, lenv, st).map(Cow::into_owned)
+    }
+
+    /// [`eval_lifted`](Self::eval_lifted) for callers that only read the
+    /// result: a reference to a lifted variable is the variable's own
+    /// table, not a copy of it.
+    fn eval_lifted_ref<'a>(
+        &self,
+        e: &Expr,
+        lenv: &'a Lifted,
+        st: &mut EvalState,
+    ) -> XdmResult<Cow<'a, SeqTable>> {
+        if let Expr::VarRef(n) = e {
+            if let Some(t) = lenv.lookup(n) {
+                return Ok(Cow::Borrowed(t));
+            }
+        }
+        self.eval_lifted_new(e, lenv, st).map(Cow::Owned)
+    }
+
+    fn eval_lifted_new(&self, e: &Expr, lenv: &Lifted, st: &mut EvalState) -> XdmResult<SeqTable> {
+        // Leaves are table operators, not evaluations.
+        match e {
+            Expr::Literal(v) => {
+                return Ok(SeqTable::literal(
+                    &lenv.loop_iters,
+                    &Item::Atomic(v.clone()),
+                ))
+            }
+            Expr::FunctionCall { name, args } if self.is_fn_doc(name, args) => {
+                return self.profiled("rel:doc", st, |eng, st| {
+                    eng.eval_doc_lifted(name, &args[0], lenv, st)
+                })
+            }
+            _ => {}
+        }
+        // Everything with no set-at-a-time operator inside runs on the tree
+        // engine, once per iteration (or once, if nothing in it varies).
+        if !self.lifts(e) {
             return self.fallback(e, lenv, st);
         }
         match e {
@@ -310,21 +435,29 @@ impl<'e> RelEngine<'e> {
                     eng.eval_call_lifted(name, args, lenv, st2)
                 })
             }
-            Expr::PathStep(a, b) => self.profiled("rel:path-step", st, |eng, st| {
-                // XRPC can only be on the left of a `/` (steps are not
-                // XRPC-bearing); evaluate lhs lifted, apply the step
-                // per iteration through the tree engine.
-                let base = eng.eval_lifted(a, lenv, st)?;
-                let mut out = Vec::new();
-                for &i in &lenv.loop_iters {
-                    let seq = base.sequence_at(i);
-                    let stepped = eng.with_iter_vars(lenv, i, st, |tree, st2| {
-                        tree.eval_path_rhs(&seq, b, st2)
-                    })?;
-                    out.push((i, stepped));
+            Expr::PathStep(a, b) => {
+                if let Some(join) = self.join_of(e) {
+                    return self.profiled("rel:join", st, |eng, st| {
+                        eng.eval_join_lifted(e, &join, lenv, st)
+                    });
                 }
-                Ok(SeqTable::from_sequences(out))
-            }),
+                self.profiled("rel:path-step", st, |eng, st| {
+                    // What lifts is on the left of the `/` (steps are not
+                    // XRPC-bearing): evaluate lhs lifted, apply the step
+                    // per iteration through the tree engine.
+                    let base = eng.eval_lifted(a, lenv, st)?;
+                    let used = lenv.used_by(b);
+                    let mut out = Vec::new();
+                    for &i in &lenv.loop_iters {
+                        let seq = base.sequence_at(i);
+                        let stepped = eng.with_iter_vars(lenv, &used, i, st, |tree, st2| {
+                            tree.eval_path_rhs(&seq, b, st2)
+                        })?;
+                        out.push((i, stepped));
+                    }
+                    Ok(SeqTable::from_sequences(out))
+                })
+            }
             Expr::GeneralComp(op, a, b) => {
                 let ta = self.eval_lifted(a, lenv, st)?;
                 let tb = self.eval_lifted(b, lenv, st)?;
@@ -418,13 +551,15 @@ impl<'e> RelEngine<'e> {
                         .collect(),
                 };
                 let mut var_t = SeqTable::new();
-                let mut pos_t = SeqTable::new();
-                for (k, item) in s.item.iter().enumerate() {
-                    var_t.push(k as u32 + 1, 1, item.clone());
-                    pos_t.push(k as u32 + 1, 1, Item::integer(s.pos[k] as i64));
+                for (k, item) in s.item.into_iter().enumerate() {
+                    var_t.push(k as u32 + 1, 1, item);
                 }
                 inner.vars.push((var.lexical(), var_t));
                 if let Some(pv) = pos_var {
+                    let mut pos_t = SeqTable::new();
+                    for (k, &p) in s.pos.iter().enumerate() {
+                        pos_t.push(k as u32 + 1, 1, Item::integer(p as i64));
+                    }
                     inner.vars.push((pv.lexical(), pos_t));
                 }
                 let body = self.eval_flwor_lifted(&clauses[1..], ret, &inner, st)?;
@@ -466,27 +601,35 @@ impl<'e> RelEngine<'e> {
             return Err(XdmError::syntax("execute at body must be a function call"));
         };
         let func = self.tree.resolve_function_ref(name, args.len())?;
-        let dest_t = self.eval_lifted(dest, lenv, st)?;
+        let dest_t = self.eval_lifted_ref(dest, lenv, st)?;
         let mut arg_tables = Vec::with_capacity(args.len());
         for a in args {
-            arg_tables.push(self.eval_lifted(a, lenv, st)?);
+            arg_tables.push(self.eval_lifted_ref(a, lenv, st)?);
         }
 
-        // δ over destinations (first-occurrence order).
-        let peers = dest_t.distinct_strings();
+        // δ over destinations (first-occurrence order), and which of them
+        // each iteration goes to.
         let dispatcher = self
             .tree
             .env
             .dispatcher
             .as_ref()
             .ok_or_else(|| XdmError::xrpc("no XRPC dispatcher configured on this peer"))?;
-        let mut dest_of_iter = Vec::with_capacity(lenv.loop_iters.len());
+        let mut peers: Vec<String> = Vec::new();
+        let mut peer_of_iter = Vec::with_capacity(lenv.loop_iters.len());
+        let mut dest_of = dest_t.groups();
         for &i in &lenv.loop_iters {
-            let d = dest_t.sequence_at(i);
-            let d = d
-                .singleton()
-                .map_err(|_| XdmError::xrpc("execute at destination must be a single string"))?;
-            dest_of_iter.push(d.string_value());
+            let [d] = dest_of.at(i) else {
+                return Err(XdmError::xrpc(
+                    "execute at destination must be a single string",
+                ));
+            };
+            let d = item_str(d);
+            let known = peers.iter().position(|p| *p == d);
+            peer_of_iter.push(known.unwrap_or_else(|| {
+                peers.push(d.into_owned());
+                peers.len() - 1
+            }));
         }
 
         // Build (map_p, calls_p) per peer. For read-only functions,
@@ -504,18 +647,21 @@ impl<'e> RelEngine<'e> {
         }
         let dedup_ok = !func.updating && self.tree.env.rpc_optimize;
         let mut work = Vec::new();
-        for peer in peers {
+        for (at, peer) in peers.into_iter().enumerate() {
             self.tree.env.check_cancel()?;
-            let outer: Vec<u32> = (lenv.loop_iters.iter().zip(&dest_of_iter))
-                .filter(|(_, d)| **d == peer)
+            let outer: Vec<u32> = (lenv.loop_iters.iter().zip(&peer_of_iter))
+                .filter(|(_, p)| **p == at)
                 .map(|(&i, _)| i)
                 .collect();
-            let mut calls: Vec<Vec<Sequence>> = Vec::new();
+            let mut calls: Vec<Vec<Sequence>> = Vec::with_capacity(outer.len());
             let mut call_of_iter: Vec<usize> = Vec::with_capacity(outer.len());
             let mut seen: std::collections::HashMap<String, usize> =
                 std::collections::HashMap::new();
+            let mut arg_of: Vec<_> = arg_tables.iter().map(|t| t.groups()).collect();
             for &o in &outer {
-                let args: Vec<Sequence> = arg_tables.iter().map(|t| t.sequence_at(o)).collect();
+                let args: Vec<Sequence> = (arg_of.iter_mut())
+                    .map(|g| Sequence::from_items(g.at(o).to_vec()))
+                    .collect();
                 let key = if dedup_ok {
                     atomic_call_key(&args)
                 } else {
@@ -617,21 +763,34 @@ impl<'e> RelEngine<'e> {
                 return self.eval_lifted(&f.body, &inner, st);
             }
         }
-        // Otherwise: arguments may contain XRPC — lift them, then apply
-        // the function per iteration.
+        // Otherwise lift the arguments, then apply the function per
+        // iteration.
         let mut arg_tables = Vec::with_capacity(args.len());
         for a in args {
-            arg_tables.push(self.eval_lifted(a, lenv, st)?);
+            arg_tables.push(self.eval_lifted_ref(a, lenv, st)?);
         }
-        let mut out = Vec::new();
+        // The cardinality checks return their argument: when every
+        // iteration passes, that is the argument table itself. (One that
+        // does not pass goes through the function below, for its error.)
+        if let (Some(allowed), [arg]) = (self.cardinality_check(name, args), &arg_tables[..]) {
+            let mut groups = arg.groups();
+            if (lenv.loop_iters.iter()).all(|&i| allowed.contains(&groups.at(i).len())) {
+                return Ok(arg_tables.pop().expect("one argument").into_owned());
+            }
+        }
+        let mut groups: Vec<_> = arg_tables.iter().map(|t| t.groups()).collect();
+        let mut out = SeqTable::new();
         for &i in &lenv.loop_iters {
-            let actuals: Vec<Sequence> = arg_tables.iter().map(|t| t.sequence_at(i)).collect();
-            let r = self.with_iter_vars(lenv, i, st, |tree, st2| {
-                tree.apply_function(name, actuals.clone(), st2, &Ctx::none())
+            let actuals: Vec<Sequence> = (groups.iter_mut())
+                .map(|g| Sequence::from_items(g.at(i).to_vec()))
+                .collect();
+            // a function body sees its parameters, not the caller's variables
+            let r = self.with_iter_vars(lenv, &[], i, st, |tree, st2| {
+                tree.apply_function(name, actuals, st2, &Ctx::none())
             })?;
-            out.push((i, r));
+            out.push_sequence(i, r);
         }
-        Ok(SeqTable::from_sequences(out))
+        Ok(out)
     }
 
     /// Replace XRPC-bearing enclosed expressions of a direct constructor
@@ -677,21 +836,216 @@ impl<'e> RelEngine<'e> {
         Ok(out)
     }
 
-    /// Per-iteration fallback to the tree engine.
-    fn fallback(&self, e: &Expr, lenv: &Lifted, st: &mut EvalState) -> XdmResult<SeqTable> {
-        let mut out = Vec::new();
+    /// Does a call of `name` with `arity` arguments reach the built-in
+    /// function library (rather than a declared function)?
+    fn is_builtin(&self, name: &Name, arity: usize) -> bool {
+        match name.prefix.as_deref() {
+            Some("fn") => true,
+            // an unprefixed main-module function of that name shadows it
+            None => !self
+                .tree
+                .local_functions
+                .contains_key(&(name.local.clone(), arity)),
+            Some(_) => false,
+        }
+    }
+
+    /// Is `fn:doc` with one argument what this call names?
+    fn is_fn_doc(&self, name: &Name, args: &[Expr]) -> bool {
+        args.len() == 1 && name.local == "doc" && self.is_builtin(name, 1)
+    }
+
+    /// The argument lengths `fn:zero-or-one` / `fn:exactly-one` /
+    /// `fn:one-or-more` let through, if the call is one of them.
+    fn cardinality_check(&self, name: &Name, args: &[Expr]) -> Option<RangeInclusive<usize>> {
+        let allowed = match name.local.as_str() {
+            "zero-or-one" => 0..=1,
+            "exactly-one" => 1..=1,
+            "one-or-more" => 1..=usize::MAX,
+            _ => return None,
+        };
+        (args.len() == 1 && self.is_builtin(name, 1)).then_some(allowed)
+    }
+
+    /// `e` as the predicate join, when it is one with no XRPC inside (a
+    /// remote call in the base or the value keeps the XRPC translation).
+    fn join_of<'a>(&'a self, e: &'a Expr) -> Option<JoinPath<'a>> {
+        match e {
+            Expr::PathStep(a, b) if !e.contains_xrpc() => self.tree.join_path(a, b),
+            _ => None,
+        }
+    }
+
+    /// Would evaluating `e` lifted do anything set-at-a-time — a remote
+    /// call to batch, or a join to probe — somewhere the lifted translation
+    /// reaches? If not, the per-iteration fallback does the same work with
+    /// less ceremony.
+    fn lifts(&self, e: &Expr) -> bool {
+        e.contains_xrpc() || self.joins(e)
+    }
+
+    /// [`lifts`](Self::lifts) for an XRPC-free `e`.
+    fn joins(&self, e: &Expr) -> bool {
+        match e {
+            Expr::PathStep(a, b) => self.tree.join_path(a, b).is_some() || self.joins(a),
+            Expr::FunctionCall { args: es, .. } | Expr::Sequence(es) => {
+                es.iter().any(|x| self.joins(x))
+            }
+            Expr::If { cond, then, els } => self.joins(cond) || self.joins(then) || self.joins(els),
+            _ => false,
+        }
+    }
+
+    /// `fn:doc` over a column of URIs: each distinct URI is resolved once
+    /// (for a remote document that is one fetch, not one per call).
+    fn eval_doc_lifted(
+        &self,
+        name: &Name,
+        arg: &Expr,
+        lenv: &Lifted,
+        st: &mut EvalState,
+    ) -> XdmResult<SeqTable> {
+        let uris = self.eval_lifted_ref(arg, lenv, st)?;
+        let mut uri_of = uris.groups();
+        let mut resolved: Vec<(String, Sequence)> = Vec::new();
+        let mut out = SeqTable::new();
         for &i in &lenv.loop_iters {
-            let r =
-                self.with_iter_vars(lenv, i, st, |tree, st2| tree.eval(e, st2, &Ctx::none()))?;
+            self.tree.env.check_cancel()?;
+            let uri = uri_of.at(i);
+            // fn:doc reads its argument as the string value of one item
+            let known = match uri {
+                [one] => {
+                    let key = item_str(one);
+                    resolved.iter().position(|(k, _)| *k == key)
+                }
+                _ => None,
+            };
+            match known {
+                Some(at) => out.push_items(i, resolved[at].1.items()),
+                None => {
+                    let arg = Sequence::from_items(uri.to_vec());
+                    let doc = self
+                        .tree
+                        .apply_function(name, vec![arg], st, &Ctx::none())?;
+                    out.push_items(i, doc.items());
+                    if let [one] = uri {
+                        resolved.push((item_str(one).into_owned(), doc));
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// ⋈: `base//elem[keypath = value]` for every iteration at once — the
+    /// base and value columns evaluated lifted, one index fetch, one probe
+    /// per iteration, rows out in (iter, document order). An iteration the
+    /// index cannot answer for (several base nodes, a small document, a
+    /// value that does not compare as a string) runs the ordinary step.
+    fn eval_join_lifted(
+        &self,
+        e: &Expr,
+        join: &JoinPath,
+        lenv: &Lifted,
+        st: &mut EvalState,
+    ) -> XdmResult<SeqTable> {
+        let bases = self.eval_lifted_ref(join.base, lenv, st)?;
+        // a value that fails to evaluate is the scan's to report: it
+        // evaluates the value per candidate, possibly never
+        let Ok(values) = self.eval_lifted_ref(join.value, lenv, st) else {
+            return self.fallback(e, lenv, st);
+        };
+        let (mut base_of, mut value_of) = (bases.groups(), values.groups());
+        let used = lenv.used_by(join.step);
+        let mut probe = join.probe(self.tree.env);
+        let mut out = SeqTable::new();
+        let mut hits = Vec::new();
+        for &i in &lenv.loop_iters {
+            let base = base_of.at(i);
+            if probe.run(base, value_of.at(i), &mut hits) {
+                self.tree.env.check_cancel()?;
+                for (p, hit) in hits.drain(..).enumerate() {
+                    out.push(i, p as u32 + 1, hit);
+                }
+            } else {
+                let base = Sequence::from_items(base.to_vec());
+                let scanned = self
+                    .with_iter_vars(lenv, &used, i, st, |tree, st2| join.scan(tree, &base, st2))?;
+                out.push_sequence(i, scanned);
+            }
+        }
+        Ok(out)
+    }
+
+    /// The tree engine as an operator of the lifted plan: `e` evaluated
+    /// once per iteration with the variables it mentions bound — or once
+    /// altogether and broadcast, when it mentions none and evaluating it
+    /// again could not tell. Profiled as `rel:fallback{kind}`, so what is
+    /// still per-iteration shows in `explain_analyze`.
+    fn fallback(&self, e: &Expr, lenv: &Lifted, st: &mut EvalState) -> XdmResult<SeqTable> {
+        if self.tree.env.profile.is_none() {
+            return self.fallback_unprofiled(e, lenv, st);
+        }
+        let name = format!("rel:fallback{{{}}}", e.kind_name());
+        self.profiled(&name, st, |eng, st| eng.fallback_unprofiled(e, lenv, st))
+    }
+
+    fn fallback_unprofiled(
+        &self,
+        e: &Expr,
+        lenv: &Lifted,
+        st: &mut EvalState,
+    ) -> XdmResult<SeqTable> {
+        let used = lenv.used_by(e);
+        if used.is_empty() && !lenv.loop_iters.is_empty() && self.is_invariant(e) {
+            self.tree.env.check_cancel()?;
+            let once = self.tree.eval(e, st, &Ctx::none())?;
+            return Ok(SeqTable::broadcast(&lenv.loop_iters, &once));
+        }
+        let mut out = Vec::with_capacity(lenv.loop_iters.len());
+        for &i in &lenv.loop_iters {
+            let r = self.with_iter_vars(lenv, &used, i, st, |tree, st2| {
+                tree.eval(e, st2, &Ctx::none())
+            })?;
             out.push((i, r));
         }
         Ok(SeqTable::from_sequences(out))
     }
 
-    /// Run `f` with the lifted variables materialized for iteration `i`.
+    /// May `e`, which mentions no lifted variable, be evaluated once for
+    /// all iterations? Yes unless an evaluation is observable: it constructs
+    /// a node (a new identity each time), updates, calls a remote peer, or
+    /// calls a function whose body might do any of those. (The focus is no
+    /// concern: the fallback always evaluates without one.)
+    fn is_invariant(&self, e: &Expr) -> bool {
+        let mut invariant = true;
+        e.walk(&mut |x| match x {
+            Expr::ExecuteAt { .. }
+            | Expr::DirectElem(_)
+            | Expr::CompElem { .. }
+            | Expr::CompAttr { .. }
+            | Expr::CompText(_)
+            | Expr::CompComment(_)
+            | Expr::CompPi { .. }
+            | Expr::CompDoc(_) => invariant = false,
+            // fn:put is the one updating built-in
+            Expr::FunctionCall { name, args }
+                if !self.is_builtin(name, args.len()) || name.local == "put" =>
+            {
+                invariant = false
+            }
+            _ if x.is_updating_expr() => invariant = false,
+            _ => {}
+        });
+        invariant
+    }
+
+    /// Run `f` with the lifted variables at positions `used` (see
+    /// [`Lifted::used_by`]) materialized for iteration `i`.
     fn with_iter_vars<T>(
         &self,
         lenv: &Lifted,
+        used: &[usize],
         i: u32,
         st: &mut EvalState,
         f: impl FnOnce(&Evaluator, &mut EvalState) -> XdmResult<T>,
@@ -701,12 +1055,25 @@ impl<'e> RelEngine<'e> {
         // iterations instead of after the whole table.
         self.tree.env.check_cancel()?;
         let base = st.vars.len();
-        for (n, t) in &lenv.vars {
+        for &k in used {
+            let (n, t) = &lenv.vars[k];
             st.vars.push((n.clone(), t.sequence_at(i)));
         }
         let r = f(&self.tree, st);
         st.vars.truncate(base);
         r
+    }
+}
+
+/// `fn:string` of one item, borrowed when the item is a string already.
+fn item_str(item: &Item) -> Cow<'_, str> {
+    match item {
+        Item::Atomic(
+            xdm::AtomicValue::String(s)
+            | xdm::AtomicValue::UntypedAtomic(s)
+            | xdm::AtomicValue::AnyUri(s),
+        ) => Cow::Borrowed(s),
+        other => Cow::Owned(other.string_value()),
     }
 }
 

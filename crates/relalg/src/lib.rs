@@ -19,5 +19,5 @@ pub mod engine;
 pub mod table;
 
 pub use cache::{CacheStats, FunctionCache, PlanCache};
-pub use engine::{execute_rel, RelEngine};
+pub use engine::{eval_calls, execute_rel, RelEngine};
 pub use table::{IterMap, SeqTable};

@@ -34,6 +34,21 @@ impl SeqTable {
         self.item.push(item);
     }
 
+    /// Append `items` as the whole sequence of iteration `iter` (which must
+    /// be above every iteration already present).
+    pub fn push_items(&mut self, iter: u32, items: &[Item]) {
+        for (p, item) in items.iter().enumerate() {
+            self.push(iter, p as u32 + 1, item.clone());
+        }
+    }
+
+    /// [`push_items`](Self::push_items), moving the items.
+    pub fn push_sequence(&mut self, iter: u32, seq: Sequence) {
+        for (p, item) in seq.into_items().into_iter().enumerate() {
+            self.push(iter, p as u32 + 1, item);
+        }
+    }
+
     /// A literal table (Table 1's literal-table operator): the same
     /// single item in every iteration of `loop_iters`.
     pub fn literal(loop_iters: &[u32], item: &Item) -> Self {
@@ -44,14 +59,42 @@ impl SeqTable {
         t
     }
 
+    /// The same sequence in every iteration of `loop_iters`: how a value
+    /// that does not vary with the loop enters a lifted plan.
+    pub fn broadcast(loop_iters: &[u32], seq: &Sequence) -> Self {
+        let mut t = SeqTable::new();
+        for &i in loop_iters {
+            t.push_items(i, seq.items());
+        }
+        t
+    }
+
+    /// Split into the sequences of iterations `1..=n`, moving the items.
+    pub fn into_sequences(self, n: usize) -> Vec<Sequence> {
+        let mut out = Vec::with_capacity(n);
+        let mut items = self.item.into_iter();
+        let mut groups = self.iter.chunk_by(|a, b| a == b).peekable();
+        for i in 1..=n as u32 {
+            out.push(match groups.next_if(|g| g[0] == i) {
+                Some(g) => Sequence::from_items(items.by_ref().take(g.len()).collect()),
+                None => Sequence::empty(),
+            });
+        }
+        out
+    }
+
+    /// A cursor over the groups of ascending iterations: no search per
+    /// lookup, no copy of the items.
+    pub fn groups(&self) -> Groups<'_> {
+        Groups { table: self, at: 0 }
+    }
+
     /// Build from one `(iter, Sequence)` pair per iteration (pairs must be
     /// in ascending iter order).
     pub fn from_sequences(pairs: impl IntoIterator<Item = (u32, Sequence)>) -> Self {
         let mut t = SeqTable::new();
         for (iter, seq) in pairs {
-            for (p, item) in seq.into_items().into_iter().enumerate() {
-                t.push(iter, p as u32 + 1, item);
-            }
+            t.push_sequence(iter, seq);
         }
         t
     }
@@ -140,19 +183,6 @@ impl SeqTable {
         out
     }
 
-    /// δ over the item column (string identity) — used to find the set of
-    /// distinct destination peers in Figure 2. First-occurrence order.
-    pub fn distinct_strings(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for item in &self.item {
-            let s = item.string_value();
-            if !seen.contains(&s) {
-                seen.push(s);
-            }
-        }
-        seen
-    }
-
     /// All iterations present (ascending, deduplicated).
     pub fn iters(&self) -> Vec<u32> {
         let mut v: Vec<u32> = Vec::new();
@@ -162,6 +192,28 @@ impl SeqTable {
             }
         }
         v
+    }
+}
+
+/// See [`SeqTable::groups`].
+pub struct Groups<'a> {
+    table: &'a SeqTable,
+    at: usize,
+}
+
+impl<'a> Groups<'a> {
+    /// The items of iteration `iter`; iterations must be asked for in
+    /// ascending order.
+    pub fn at(&mut self, iter: u32) -> &'a [Item] {
+        let iters = &self.table.iter;
+        while self.at < iters.len() && iters[self.at] < iter {
+            self.at += 1;
+        }
+        let lo = self.at;
+        while self.at < iters.len() && iters[self.at] == iter {
+            self.at += 1;
+        }
+        &self.table.item[lo..self.at]
     }
 }
 
@@ -252,6 +304,34 @@ mod tests {
     }
 
     #[test]
+    fn broadcast_and_into_sequences() {
+        let seq = Sequence::from_items(vec![Item::integer(1), Item::integer(2)]);
+        let t = SeqTable::broadcast(&[1, 3], &seq);
+        assert_eq!(t.iter, vec![1, 1, 3, 3]);
+        assert_eq!(t.pos, vec![1, 2, 1, 2]);
+        let parts = t.into_sequences(3);
+        assert_eq!(
+            parts.iter().map(Sequence::len).collect::<Vec<_>>(),
+            [2, 0, 2]
+        );
+        assert!(SeqTable::broadcast(&[1, 2], &Sequence::empty()).is_empty());
+    }
+
+    #[test]
+    fn groups_walk_ascending_iterations() {
+        let t = SeqTable::from_sequences(vec![
+            (
+                2,
+                Sequence::from_items(vec![Item::integer(20), Item::integer(21)]),
+            ),
+            (5, Sequence::one(Item::integer(50))),
+        ]);
+        let mut g = t.groups();
+        let lens: Vec<usize> = [1, 2, 3, 5, 9].iter().map(|&i| g.at(i).len()).collect();
+        assert_eq!(lens, [0, 2, 0, 1, 0]);
+    }
+
+    #[test]
     fn from_sequences_renumbers_pos() {
         let t = SeqTable::from_sequences(vec![
             (
@@ -297,16 +377,6 @@ mod tests {
             items(&z),
             ["10", "100", "10", "200", "20", "100", "20", "200"]
         );
-    }
-
-    #[test]
-    fn distinct_strings_first_occurrence_order() {
-        let t = SeqTable::from_sequences(vec![
-            (1, Sequence::one(Item::string("y"))),
-            (2, Sequence::one(Item::string("z"))),
-            (3, Sequence::one(Item::string("y"))),
-        ]);
-        assert_eq!(t.distinct_strings(), ["y", "z"]);
     }
 
     #[test]

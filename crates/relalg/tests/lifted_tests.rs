@@ -381,3 +381,126 @@ fn rpc_optimize_off_by_default_keeps_figure2_traffic() {
     // Figure 2 literally: all 10 calls on the wire (in one bulk request)
     assert_eq!(*disp.log.lock(), vec![("xrpc://y".to_string(), 10)]);
 }
+
+// ---------------------------------------------------------------------
+// Set-at-a-time evaluation of a table of calls, and what the fallback
+// evaluates once rather than per iteration.
+// ---------------------------------------------------------------------
+
+/// A store that counts `fn:doc` resolutions.
+struct CountingDocs {
+    inner: InMemoryDocs,
+    resolved: std::sync::atomic::AtomicUsize,
+}
+
+impl xqeval::DocResolver for CountingDocs {
+    fn resolve(&self, uri: &str) -> XdmResult<Arc<xmldom::Document>> {
+        self.resolved
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.resolve(uri)
+    }
+}
+
+fn counting_docs(docs: &[(&str, String)]) -> Arc<CountingDocs> {
+    let inner = InMemoryDocs::new();
+    for (uri, xml) in docs {
+        inner.insert(*uri, xmldom::parse(xml).unwrap());
+    }
+    Arc::new(CountingDocs {
+        inner,
+        resolved: std::sync::atomic::AtomicUsize::new(0),
+    })
+}
+
+fn people(tag: &str) -> String {
+    let mut xml = String::from("<site>");
+    for i in 0..150 {
+        xml.push_str(&format!(
+            r#"<person id="p{}"><n>{tag}{i}</n></person>"#,
+            i % 100
+        ));
+    }
+    xml.push_str("</site>");
+    xml
+}
+
+#[test]
+fn a_table_of_calls_is_one_join_and_one_doc_per_uri() {
+    let docs = counting_docs(&[("a.xml", people("a")), ("b.xml", people("b"))]);
+    let env = Environment::new(docs.clone());
+    let module = xqast::parse_library_module(
+        r#"module namespace m = "m";
+           declare function m:get($doc as xs:string, $pid as xs:string) as node()*
+           { doc($doc)//person[@id = $pid]/n };"#,
+    )
+    .unwrap();
+    let decl = &module.prolog.functions[0];
+    let calls: Vec<Vec<Sequence>> = (0..60)
+        .map(|k| {
+            vec![
+                Sequence::one(Item::string(if k % 3 == 0 { "b.xml" } else { "a.xml" })),
+                Sequence::one(Item::string(format!("p{}", k * 2))),
+            ]
+        })
+        .collect();
+    let tree = xqeval::Evaluator::new(&env, xqeval::StaticContext::with_defaults());
+    let (results, pul) = relalg::eval_calls(&tree, decl, calls.clone()).unwrap();
+    assert!(pul.is_empty());
+    assert_eq!(results.len(), 60);
+    // ids repeat with period 100 over 150 persons: p0..p49 twice
+    assert_eq!(serialize(&results[0]), "<n>b0</n>|<n>b100</n>");
+    assert_eq!(serialize(&results[1]), "<n>a2</n>|<n>a102</n>");
+    assert_eq!(serialize(&results[30]), "<n>b60</n>");
+    assert!(results[55].is_empty());
+    // two URIs, two resolutions, two index builds, sixty probes
+    assert_eq!(docs.resolved.load(std::sync::atomic::Ordering::Relaxed), 2);
+    let stats = env.stats();
+    assert_eq!((stats.join_index_builds, stats.join_index_probes), (2, 60));
+
+    // a call whose arguments do not convert fails the request — after the
+    // calls before it, one of which failing takes precedence
+    let mut bad = calls;
+    bad[40][1] = Sequence::from_items(vec![Item::string("p1"), Item::string("p2")]);
+    assert_eq!(
+        relalg::eval_calls(&tree, decl, bad.clone())
+            .unwrap_err()
+            .code,
+        "XPTY0004"
+    );
+    bad[7][0] = Sequence::one(Item::string("missing.xml"));
+    assert_eq!(
+        relalg::eval_calls(&tree, decl, bad).unwrap_err().code,
+        "FODC0002"
+    );
+}
+
+#[test]
+fn what_does_not_vary_with_the_loop_is_evaluated_once() {
+    let disp = Arc::new(RecordingDispatcher::new(&["y"]));
+    let docs = counting_docs(&[("cfg.xml", "<cfg><who>Sean Connery</who></cfg>".to_string())]);
+    let mut env = Environment::new(docs.clone());
+    env.modules.register_source(FILM_MODULE).unwrap();
+    env.dispatcher = Some(disp.clone());
+    // the argument mentions no loop variable: one evaluation, broadcast
+    let q = r#"
+        import module namespace f = "films";
+        for $i in (1 to 5)
+        return execute at {"xrpc://y"} {f:filmsByActor(string(doc("cfg.xml")/cfg/who))}"#;
+    let (res, _) = execute_rel(q, &env).unwrap();
+    assert_eq!(res.len(), 10);
+    assert_eq!(*disp.log.lock(), vec![("xrpc://y".to_string(), 5)]);
+    assert_eq!(docs.resolved.load(std::sync::atomic::Ordering::Relaxed), 1);
+}
+
+#[test]
+fn constructors_are_evaluated_per_iteration() {
+    let disp = Arc::new(RecordingDispatcher::new(&["y"]));
+    let env = local_env(disp.clone());
+    // five echoes of a constructed element are five distinct nodes
+    let q = r#"
+        import module namespace f = "films";
+        let $all := for $i in (1 to 5) return execute at {"xrpc://y"} {f:echo(<a/>)}
+        return count($all | $all)"#;
+    let (res, _) = execute_rel(q, &env).unwrap();
+    assert_eq!(serialize(&res), "5");
+}

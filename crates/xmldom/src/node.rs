@@ -10,7 +10,9 @@
 //! structural edit (append, insert before/after, detach) is O(1).
 
 use crate::qname::QName;
-use std::sync::Arc;
+use std::any::Any;
+use std::borrow::Cow;
+use std::sync::{Arc, OnceLock};
 
 /// Index of a node inside a [`Document`] arena.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -107,6 +109,10 @@ pub struct Document {
     dead_text: usize,
     ns_decls: Vec<NsDecl>,
     pub uri: Option<String>,
+    /// Data derived from exactly this document value (see
+    /// [`Document::side_data`]): filled through `&self`, emptied by `clone`
+    /// and by every mutator.
+    side: OnceLock<Box<dyn Any + Send + Sync>>,
 }
 
 /// Forward/backward walk over one sibling chain (children or attributes).
@@ -189,6 +195,7 @@ impl Document {
             dead_text: 0,
             ns_decls: Vec::new(),
             uri: None,
+            side: OnceLock::new(),
         };
         d.alloc(NodeKind::Document, None, Span::default());
         d
@@ -282,6 +289,44 @@ impl Document {
         &self.text[s.range()]
     }
 
+    /// The document's side slot: one value derived from the document (the
+    /// evaluator keeps its value indexes here), created by `init` on first
+    /// use and shared by everyone holding this document. It describes this
+    /// value only — `clone` starts the copy with an empty slot and every
+    /// method that changes the tree empties it — so it can never answer
+    /// for another version, and
+    /// it is freed with the document. The slot has one tenant: asking for a
+    /// second type panics.
+    pub fn side_data<T: Any + Send + Sync>(&self, init: impl FnOnce() -> T) -> &T {
+        self.side
+            .get_or_init(|| Box::new(init()))
+            .downcast_ref()
+            .expect("the document side slot holds one type")
+    }
+
+    /// The side slot's value, if anyone has created it.
+    pub fn side_data_if_any<T: Any + Send + Sync>(&self) -> Option<&T> {
+        self.side.get()?.downcast_ref()
+    }
+
+    /// Called by every public method that adds a node or changes a link, a
+    /// value or a name: relinking goes through `detach`, values through
+    /// `replace_value`, names through `rename`, new nodes through `create`
+    /// / `import_subtree`. (Namespace declarations change none of those;
+    /// the parser fills a document nobody has seen yet through `push_node`,
+    /// which skips it.)
+    fn invalidate_side(&mut self) {
+        if self.side.get_mut().is_some() {
+            self.side = OnceLock::new();
+        }
+    }
+
+    /// A new detached node, for the public constructors.
+    fn create(&mut self, kind: NodeKind, name: Option<Arc<QName>>, value: Span) -> NodeId {
+        self.invalidate_side();
+        self.alloc(kind, name, value)
+    }
+
     fn alloc(&mut self, kind: NodeKind, name: Option<Arc<QName>>, value: Span) -> NodeId {
         let id = u32::try_from(self.nodes.len())
             .ok()
@@ -355,30 +400,30 @@ impl Document {
     /// Like [`create_element`](Self::create_element) but reusing an interned
     /// name — no allocation beyond the arena slot.
     pub fn create_element_shared(&mut self, name: Arc<QName>) -> NodeId {
-        self.alloc(NodeKind::Element, Some(name), Span::default())
+        self.create(NodeKind::Element, Some(name), Span::default())
     }
 
     /// Allocate a *detached* document node. The XRPC unmarshaler uses this to
     /// give `xrpc:document` values a document root inside a shared arena
     /// without deep-copying the subtree into a fresh [`Document`].
     pub fn create_document_node(&mut self) -> NodeId {
-        self.alloc(NodeKind::Document, None, Span::default())
+        self.create(NodeKind::Document, None, Span::default())
     }
 
     pub fn create_text(&mut self, value: impl AsRef<str>) -> NodeId {
         let v = self.push_text(value.as_ref());
-        self.alloc(NodeKind::Text, None, v)
+        self.create(NodeKind::Text, None, v)
     }
 
     pub fn create_comment(&mut self, value: impl AsRef<str>) -> NodeId {
         let v = self.push_text(value.as_ref());
-        self.alloc(NodeKind::Comment, None, v)
+        self.create(NodeKind::Comment, None, v)
     }
 
     pub fn create_pi(&mut self, target: impl Into<String>, value: impl AsRef<str>) -> NodeId {
         let v = self.push_text(value.as_ref());
         let name = Arc::new(QName::local(target));
-        self.alloc(NodeKind::ProcessingInstruction, Some(name), v)
+        self.create(NodeKind::ProcessingInstruction, Some(name), v)
     }
 
     pub fn create_attribute(&mut self, name: QName, value: impl AsRef<str>) -> NodeId {
@@ -388,7 +433,7 @@ impl Document {
     /// Like [`create_attribute`](Self::create_attribute) with an interned name.
     pub fn create_attribute_shared(&mut self, name: Arc<QName>, value: impl AsRef<str>) -> NodeId {
         let v = self.push_text(value.as_ref());
-        self.alloc(NodeKind::Attribute, Some(name), v)
+        self.create(NodeKind::Attribute, Some(name), v)
     }
 
     /// Parser fast path: a new node whose value already sits in the heap,
@@ -491,6 +536,7 @@ impl Document {
 
     /// Detach a node from its parent's child (or attribute) chain. O(1).
     pub fn detach(&mut self, node: NodeId) {
+        self.invalidate_side();
         let n = &mut self.nodes[node.index()];
         let (parent, prev, next) = (n.parent, n.prev, n.next);
         if parent == NONE {
@@ -546,6 +592,7 @@ impl Document {
 
     /// XQUF `replace value of node`.
     pub fn replace_value(&mut self, target: NodeId, value: &str) {
+        self.invalidate_side();
         match self.kind(target) {
             NodeKind::Element => {
                 // Replace the entire content with one text node.
@@ -567,6 +614,7 @@ impl Document {
 
     /// XQUF `rename node`.
     pub fn rename(&mut self, target: NodeId, name: QName) {
+        self.invalidate_side();
         self.nodes[target.index()].name = Some(Arc::new(name));
     }
 
@@ -646,13 +694,23 @@ impl Document {
 
     /// Concatenated text content (XDM string value).
     pub fn string_value(&self, id: NodeId) -> String {
-        match self.kind(id) {
-            NodeKind::Document | NodeKind::Element => self
-                .descendants(id)
-                .filter(|&d| self.kind(d) == NodeKind::Text)
-                .map(|d| self.value(d))
-                .collect(),
-            _ => self.value(id).to_string(),
+        self.string_value_cow(id).into_owned()
+    }
+
+    /// The string value, borrowed from the heap where one node holds all
+    /// of it (an attribute, a text node, an element with one text node).
+    pub fn string_value_cow(&self, id: NodeId) -> Cow<'_, str> {
+        if !matches!(self.kind(id), NodeKind::Document | NodeKind::Element) {
+            return Cow::Borrowed(self.value(id));
+        }
+        let mut texts = self
+            .descendants(id)
+            .filter(|&d| self.kind(d) == NodeKind::Text)
+            .map(|d| self.value(d));
+        match (texts.next(), texts.next()) {
+            (None, _) => Cow::Borrowed(""),
+            (Some(only), None) => Cow::Borrowed(only),
+            (Some(a), Some(b)) => Cow::Owned([a, b].into_iter().chain(texts).collect()),
         }
     }
 
@@ -723,6 +781,7 @@ impl Document {
     /// returning the new root id. The copy is *detached* (no parent), giving
     /// the by-value semantics XRPC marshaling requires.
     pub fn import_subtree(&mut self, src: &Document, src_id: NodeId) -> NodeId {
+        self.invalidate_side();
         let root = self.import_node(src, src_id);
         // `s` walks the source in document order, `d` is its copy
         let (mut s, mut d) = (src_id, root);
@@ -774,6 +833,7 @@ impl Clone for Document {
             dead_text: self.dead_text,
             ns_decls: self.ns_decls.clone(),
             uri: self.uri.clone(),
+            side: OnceLock::new(),
         };
         if self.dead_text * 2 <= self.text.len() {
             copy.text = self.text.clone();
@@ -850,6 +910,34 @@ mod tests {
             .collect();
         assert_eq!(names, ["x", "y"]);
         assert_eq!(d.parent(a), None);
+    }
+
+    #[test]
+    fn side_data_describes_one_value_of_the_document() {
+        let mut d = Document::new();
+        let root = elem(&mut d, "r");
+        d.append_child(d.root(), root);
+        assert!(d.side_data_if_any::<usize>().is_none());
+        // created once, then shared
+        assert_eq!(*d.side_data(|| d.len()), 2);
+        assert_eq!(*d.side_data(|| 99usize), 2);
+        // a copy starts without it
+        assert!(d.clone().side_data_if_any::<usize>().is_none());
+        // and so does the document after any change
+        let edits: [fn(&mut Document, NodeId); 5] = [
+            |d, _| {
+                d.create_text("t");
+            },
+            |d, r| d.set_attribute(r, QName::local("a"), "v"),
+            |d, r| d.rename(r, QName::local("s")),
+            |d, r| d.replace_value(r, "x"),
+            |d, r| d.detach(r),
+        ];
+        for edit in edits {
+            d.side_data(|| 7usize);
+            edit(&mut d, root);
+            assert!(d.side_data_if_any::<usize>().is_none());
+        }
     }
 
     #[test]

@@ -33,6 +33,18 @@ impl Name {
             None => self.local.clone(),
         }
     }
+
+    /// Is `lexical` this name's [`lexical`](Self::lexical) form? (Without
+    /// building it.)
+    pub fn is_lexical(&self, lexical: &str) -> bool {
+        match &self.prefix {
+            Some(p) => lexical
+                .strip_prefix(p.as_str())
+                .and_then(|rest| rest.strip_prefix(':'))
+                .is_some_and(|local| local == self.local),
+            None => lexical == self.local,
+        }
+    }
 }
 
 /// Comparison operators. Value comparisons (`eq`) and general comparisons
@@ -412,6 +424,46 @@ impl Expr {
                 | Expr::ReplaceValue { .. }
                 | Expr::Rename { .. }
         )
+    }
+
+    /// A short name for the kind of expression, for plan and profile
+    /// output (`rel:fallback{flwor}`).
+    pub fn kind_name(&self) -> &'static str {
+        match self {
+            Expr::Literal(_) => "literal",
+            Expr::VarRef(_) => "var-ref",
+            Expr::ContextItem => "context-item",
+            Expr::Sequence(_) => "sequence",
+            Expr::Range(..) => "range",
+            Expr::Arith(..) | Expr::Neg(_) => "arithmetic",
+            Expr::ValueComp(..) | Expr::GeneralComp(..) | Expr::NodeComp(..) => "comparison",
+            Expr::And(..) | Expr::Or(..) => "logical",
+            Expr::Union(..) | Expr::Intersect(..) | Expr::Except(..) => "set-op",
+            Expr::If { .. } => "if",
+            Expr::Flwor { .. } => "flwor",
+            Expr::Quantified { .. } => "quantified",
+            Expr::Typeswitch { .. } => "typeswitch",
+            Expr::Root(_) | Expr::PathStep(..) | Expr::AxisStep { .. } => "path",
+            Expr::Filter(..) => "filter",
+            Expr::FunctionCall { .. } => "function-call",
+            Expr::ExecuteAt { .. } => "execute-at",
+            Expr::DirectElem(_)
+            | Expr::CompElem { .. }
+            | Expr::CompAttr { .. }
+            | Expr::CompText(_)
+            | Expr::CompComment(_)
+            | Expr::CompPi { .. }
+            | Expr::CompDoc(_) => "constructor",
+            Expr::InstanceOf(..)
+            | Expr::TreatAs(..)
+            | Expr::CastAs { .. }
+            | Expr::CastableAs { .. } => "type-op",
+            Expr::Insert { .. }
+            | Expr::Delete { .. }
+            | Expr::ReplaceNode { .. }
+            | Expr::ReplaceValue { .. }
+            | Expr::Rename { .. } => "update",
+        }
     }
 
     /// Pre-order walk over all sub-expressions.

@@ -251,8 +251,12 @@ pub struct EvalStats {
     pub functions_called: u64,
     pub rpc_dispatches: u64,
     pub rpc_calls: u64,
+    /// Value indexes built, probed and evicted by this environment's
+    /// queries (see `index.rs`; the indexes themselves belong to the
+    /// documents and outlive it).
     pub join_index_builds: u64,
-    pub join_index_hits: u64,
+    pub join_index_probes: u64,
+    pub join_index_evictions: u64,
 }
 
 /// Everything that outlives a single query evaluation.
@@ -260,13 +264,14 @@ pub struct Environment {
     pub docs: Arc<dyn DocResolver>,
     pub dispatcher: Option<Arc<dyn RpcDispatcher>>,
     pub modules: Arc<ModuleRegistry>,
-    /// Enable the predicate join-index fast path (see `index.rs`).
+    /// Answer predicate joins from the documents' value indexes (see
+    /// `index.rs`). Always on in service; tests turn it off to get the
+    /// plain scan as their oracle.
     pub join_index: bool,
     /// Opt-in distributed-optimizer behaviours in the loop-lifted engine:
     /// loop-invariant `execute at` hoisting and duplicate-call collapsing.
     /// Off by default so the wire traffic matches Figure 2 literally.
     pub rpc_optimize: bool,
-    pub join_cache: crate::index::JoinIndexCache,
     pub stats: Mutex<EvalStats>,
     /// Function-call recursion limit.
     pub max_depth: usize,
@@ -288,7 +293,6 @@ impl Environment {
             modules: Arc::new(ModuleRegistry::new()),
             join_index: true,
             rpc_optimize: false,
-            join_cache: crate::index::JoinIndexCache::new(),
             stats: Mutex::new(EvalStats::default()),
             max_depth: 128,
             cancel: None,

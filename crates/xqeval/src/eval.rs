@@ -2,6 +2,7 @@
 
 use crate::context::{Environment, FunctionRef, StaticContext};
 use crate::functions;
+use crate::index;
 use crate::pul::{PendingUpdateList, UpdatePrimitive};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -65,11 +66,10 @@ impl EvalState {
     }
 
     pub fn lookup(&self, name: &Name) -> Option<&Sequence> {
-        let key = name.lexical();
         self.vars
             .iter()
             .rev()
-            .find(|(n, _)| *n == key)
+            .find(|(n, _)| name.is_lexical(n))
             .map(|(_, v)| v)
     }
 }
@@ -87,6 +87,43 @@ pub struct Evaluator<'e> {
     pub sctx: Arc<StaticContext>,
     /// Functions declared in the main module's prolog.
     pub local_functions: Arc<HashMap<(String, usize), Arc<FunctionDecl>>>,
+}
+
+/// A path recognized as the predicate join `base//elem[keypath = value]`
+/// by [`Evaluator::join_path`]: the parts an executor needs to answer it
+/// from the value index ([`probe`](Self::probe)) or, where the index does
+/// not apply, by the ordinary step ([`scan`](Self::scan)).
+pub struct JoinPath<'a> {
+    /// Evaluates to the node(s) the step starts from.
+    pub base: &'a Expr,
+    /// The compared value; independent of the candidate element.
+    pub value: &'a Expr,
+    /// The name-test step with its predicate (what [`scan`](Self::scan)
+    /// evaluates, so the variables it mentions must be bound).
+    pub step: &'a Expr,
+    /// The `descendant-or-self::node()` step of a `//`, if there was one.
+    dos: Option<&'a Expr>,
+    key: index::KeyPath<'a>,
+    child_only: bool,
+}
+
+impl<'a> JoinPath<'a> {
+    /// The probe side of the join, good for any number of probes.
+    pub fn probe(&self, env: &'a Environment) -> index::Probe<'a> {
+        index::Probe::new(env, self.key, self.child_only)
+    }
+
+    /// The step evaluated the ordinary way from an evaluated `base`, with
+    /// the variables its predicate mentions bound in `st`.
+    pub fn scan(&self, ev: &Evaluator, base: &Sequence, st: &mut EvalState) -> XdmResult<Sequence> {
+        match self.dos {
+            Some(dos) => {
+                let expanded = ev.eval_path_rhs(base, dos, st)?;
+                ev.eval_path_rhs(&expanded, self.step, st)
+            }
+            None => ev.eval_path_rhs(base, self.step, st),
+        }
+    }
 }
 
 /// Evaluate a main-module query text against an environment. Returns the
@@ -229,10 +266,13 @@ pub fn eval_prolog_vars(ev: &Evaluator, module: &MainModule, st: &mut EvalState)
     Ok(())
 }
 
-/// Function-conversion-style coercion for externally bound values:
-/// accept as-is when the declared type matches, else atomize + cast for
-/// atomic target types.
-fn coerce_to_declared(value: Sequence, ty: Option<&xdm::types::SeqType>) -> XdmResult<Sequence> {
+/// Function-conversion-style coercion for externally bound values and
+/// for the parameters of an XRPC call: accept as-is when the declared type
+/// matches, else atomize + cast for atomic target types.
+pub fn coerce_to_declared(
+    value: Sequence,
+    ty: Option<&xdm::types::SeqType>,
+) -> XdmResult<Sequence> {
     let Some(t) = ty else { return Ok(value) };
     if value.check_type(t).is_ok() {
         return Ok(value);
@@ -248,6 +288,25 @@ fn coerce_to_declared(value: Sequence, ty: Option<&xdm::types::SeqType>) -> XdmR
     }
     value.check_type(t)?;
     unreachable!()
+}
+
+/// The values a call binds `decl`'s parameters to: the actual arguments
+/// under the function conversion rules (what an XRPC callee does with the
+/// parameters of each `xrpc:call`).
+pub fn convert_arguments(decl: &FunctionDecl, args: Vec<Sequence>) -> XdmResult<Vec<Sequence>> {
+    if args.len() != decl.params.len() {
+        return Err(XdmError::type_error(format!(
+            "function {} expects {} arguments, got {}",
+            decl.name.lexical(),
+            decl.params.len(),
+            args.len()
+        )));
+    }
+    decl.params
+        .iter()
+        .zip(args)
+        .map(|((_, ty), value)| coerce_to_declared(value, ty.as_ref()))
+        .collect()
 }
 
 impl<'e> Evaluator<'e> {
@@ -464,28 +523,22 @@ impl<'e> Evaluator<'e> {
                 }
             }
             Expr::PathStep(a, b) => self.profiled("xq:path-step", |ev| {
-                // Join-index fast path for the `base//elem[@attr = v]`
-                // shape: `//` parses as an intermediate descendant-or-self
-                // step, so peel it off and probe the per-document index.
-                if ev.env.join_index {
-                    if let Expr::PathStep(inner_base, dos) = a.as_ref() {
-                        if matches!(
-                            dos.as_ref(),
-                            Expr::AxisStep {
-                                axis: Axis::DescendantOrSelf,
-                                test: NodeTest::AnyKind,
-                                predicates,
-                            } if predicates.is_empty()
-                        ) {
-                            let base = ev.eval(inner_base, st, ctx)?;
-                            if let Some(r) = ev.try_join_index(&base, b, st, true)? {
-                                return Ok(r);
+                // `base//elem[keypath = v]` is a join (see index.rs): one
+                // probe of the document's value index instead of a scan.
+                if let Some(join) = ev.join_path(a, b) {
+                    let base = ev.eval(join.base, st, ctx)?;
+                    let mut probe = join.probe(ev.env);
+                    if probe.base_node(base.items()).is_some() {
+                        // a value that fails to evaluate is left to the
+                        // scan, which only evaluates it per candidate
+                        if let Ok(value) = ev.eval(join.value, st, &Ctx::none()) {
+                            let mut hits = Vec::new();
+                            if probe.run(base.items(), value.items(), &mut hits) {
+                                return Ok(Sequence::from_items(hits));
                             }
-                            // fall back: continue with the dos expansion
-                            let expanded = ev.eval_path_rhs(&base, dos, st)?;
-                            return ev.eval_path_rhs(&expanded, b, st);
                         }
                     }
+                    return join.scan(ev, &base, st);
                 }
                 let base = ev.eval(a, st, ctx)?;
                 ev.eval_path_rhs(&base, b, st)
@@ -826,11 +879,11 @@ impl<'e> Evaluator<'e> {
     }
 
     /// Recognize `for $a in X, $b in Y where l($a) = r($b) …` and execute
-    /// it as a hash join (build on Y, probe per $a). Only string-class
-    /// keys are joined this way (the general-comparison coercion for
-    /// untyped/string operands is plain string equality); anything else
-    /// falls back to the nested-loop stream. Result order is identical to
-    /// the naive evaluation: X order, then Y order per match.
+    /// it as a hash join (build on Y, probe per $a). Only string and
+    /// untyped keys are joined this way (the general-comparison coercion
+    /// for them is plain string equality, see `index::string_key`);
+    /// anything else falls back to the nested-loop stream. Result order is
+    /// identical to the naive evaluation: X order, then Y order per match.
     fn try_flwor_hash_join(
         &self,
         clauses: &[FlworClause],
@@ -942,8 +995,8 @@ impl<'e> Evaluator<'e> {
             let keys = self.eval(b_key, st, ctx);
             st.vars.truncate(depth);
             for k in keys?.atomized() {
-                match string_class_key(&k) {
-                    Some(s) => table.entry(s).or_default().push(yi),
+                match index::string_key(&k) {
+                    Some(s) => table.entry(s.to_string()).or_default().push(yi),
                     None => return Ok(None),
                 }
             }
@@ -957,9 +1010,9 @@ impl<'e> Evaluator<'e> {
             let mut hits: Vec<usize> = Vec::new();
             let mut abort = false;
             for k in probe_keys.atomized() {
-                match string_class_key(&k) {
+                match index::string_key(&k) {
                     Some(s) => {
-                        if let Some(v) = table.get(&s) {
+                        if let Some(v) = table.get(s) {
                             hits.extend_from_slice(v);
                         }
                     }
@@ -1083,12 +1136,6 @@ impl<'e> Evaluator<'e> {
         rhs: &Expr,
         st: &mut EvalState,
     ) -> XdmResult<Sequence> {
-        // Join-index fast path (see index.rs): `base/step[@attr = value]`
-        if self.env.join_index {
-            if let Some(result) = self.try_join_index(base, rhs, st, false)? {
-                return Ok(result);
-            }
-        }
         let size = base.len();
         let mut node_results: Vec<NodeHandle> = Vec::new();
         let mut atomic_results: Vec<Item> = Vec::new();
@@ -1145,133 +1192,100 @@ impl<'e> Evaluator<'e> {
         }
     }
 
-    /// Recognize `descendant-ish::elem[@attr = $v]` applied to a document
-    /// root over a large document, and answer it from the join index.
-    fn try_join_index(
-        &self,
-        base: &Sequence,
-        rhs: &Expr,
-        st: &mut EvalState,
-        via_dos: bool,
-    ) -> XdmResult<Option<Sequence>> {
+    /// Recognize `lhs/rhs` as the predicate join `base//elem[keypath = v]`
+    /// (or `base/elem[…]`, `base/descendant::elem[…]`): a name test with one
+    /// predicate comparing a simple downward key path to a value that does
+    /// not depend on the candidate. `None` also when the join index is
+    /// switched off. Public: the loop-lifted engine runs the same join over
+    /// a table of calls.
+    pub fn join_path<'a>(&'a self, lhs: &'a Expr, rhs: &'a Expr) -> Option<JoinPath<'a>> {
+        if !self.env.join_index {
+            return None;
+        }
         let Expr::AxisStep {
-            axis: axis @ (Axis::Child | Axis::Descendant | Axis::DescendantOrSelf),
-            test: NodeTest::Name(elem_name),
+            axis: axis @ (Axis::Child | Axis::Descendant),
+            test: NodeTest::Name(elem),
             predicates,
         } = rhs
         else {
-            return Ok(None);
+            return None;
         };
-        let child_only = matches!(axis, Axis::Child) && !via_dos;
-        if predicates.len() != 1 || elem_name.prefix.is_some() {
-            return Ok(None);
-        }
-        let Expr::GeneralComp(CompOp::Eq, lhs, val) = &predicates[0] else {
-            return Ok(None);
+        let [Expr::GeneralComp(CompOp::Eq, key, value)] = predicates.as_slice() else {
+            return None;
         };
-        // The key side must be a simple downward path relative to the
-        // candidate element (e.g. `@id`, `buyer/@person`, `name`).
-        let Some(fingerprint) = simple_key_path(lhs) else {
-            return Ok(None);
-        };
-        // The comparison value must not depend on the inner focus.
-        if expr_uses_focus(val) {
-            return Ok(None);
-        }
-        // Base: a single node whose subtree is worth indexing. We only take
-        // the fast path when the base is one node (e.g. one document) —
-        // that is the bulk-call pattern the paper's §4 experiment uses.
-        let [Item::Node(root)] = base.items() else {
-            return Ok(None);
-        };
-        // Heuristic: only index reasonably large documents.
-        if root.doc.len() < 256 {
-            return Ok(None);
-        }
-        let value = self
-            .eval(val, st, &Ctx::none())?
-            .zero_or_one()?
-            .map(|i| i.string_value());
-        let Some(value) = value else {
-            return Ok(Some(Sequence::empty()));
-        };
-        let index = match self
-            .env
-            .join_cache
-            .get(&root.doc, &elem_name.local, &fingerprint)
-        {
-            Some(m) => {
-                self.env.stats.lock().join_index_hits += 1;
-                m
+        // `//` parses as an intermediate descendant-or-self::node() step
+        let (base, dos) = match lhs {
+            Expr::PathStep(inner, dos)
+                if matches!(
+                    dos.as_ref(),
+                    Expr::AxisStep {
+                        axis: Axis::DescendantOrSelf,
+                        test: NodeTest::AnyKind,
+                        predicates,
+                    } if predicates.is_empty()
+                ) =>
+            {
+                (inner.as_ref(), Some(dos.as_ref()))
             }
-            None => {
-                // Build: one pass over all elements with the wanted name,
-                // evaluating the key path per element. Seed the walk with
-                // the attached tree AND every detached fragment root —
-                // marshaled parameters share the message arena without
-                // being reachable from slot 0; the ancestor filter below
-                // scopes hits back to the base node's own fragment.
-                let mut map = crate::index::ValueIndex::new();
-                let mut stack = vec![root.doc.root()];
-                for id in root.doc.all_ids().skip(1) {
-                    if root.doc.parent(id).is_none() {
-                        stack.push(id);
-                    }
-                }
-                let mut order = Vec::new();
-                while let Some(id) = stack.pop() {
-                    order.push(id);
-                    for c in root.doc.children(id).rev() {
-                        if root.doc.kind(c) == NodeKind::Element {
-                            stack.push(c);
-                        }
-                    }
-                }
-                for id in order {
-                    if root.doc.kind(id) != NodeKind::Element {
-                        continue;
-                    }
-                    if root
-                        .doc
-                        .node(id)
-                        .name
-                        .as_ref()
-                        .is_none_or(|n| n.local != elem_name.local)
-                    {
-                        continue;
-                    }
-                    let h = NodeHandle::new(root.doc.clone(), id);
-                    let keys = self.eval(lhs, st, &Ctx::of(Item::Node(h)))?;
-                    for k in keys.atomized() {
-                        map.entry(k.lexical()).or_default().push(id);
-                    }
-                }
-                self.env.stats.lock().join_index_builds += 1;
-                self.env
-                    .join_cache
-                    .insert(&root.doc, &elem_name.local, &fingerprint, map)
-            }
+            _ => (lhs, None),
         };
-        let mut hits: Vec<NodeHandle> = index
-            .get(&value)
-            .map(|ids| {
-                ids.iter()
-                    .map(|&id| NodeHandle::new(root.doc.clone(), id))
-                    .collect()
-            })
-            .unwrap_or_default();
-        // The index spans the whole document; restrict hits to the base
-        // node's children (child axis) or strict descendants.
-        if child_only {
-            hits.retain(|h| h.doc.parent(h.id) == Some(root.id));
-        } else {
-            hits.retain(|h| {
-                h.id != root.id && xmldom::order::is_ancestor(&root.doc, root.id, h.id)
-            });
+        if expr_uses_focus(value) {
+            return None;
         }
-        Ok(Some(Sequence::from_items(
-            hits.into_iter().map(Item::Node).collect(),
-        )))
+        let mut path = index::KeyPath::new(self.name_ref(elem, false)?);
+        self.key_steps(key, &mut path)?;
+        Some(JoinPath {
+            base,
+            value,
+            dos,
+            step: rhs,
+            key: path,
+            child_only: dos.is_none() && matches!(axis, Axis::Child),
+        })
+    }
+
+    /// The expanded name a name test matches, by the rules of
+    /// [`name_matches`](Self::name_matches); `None` for an undeclared prefix.
+    fn name_ref<'a>(&'a self, name: &'a Name, is_attr: bool) -> Option<index::NameRef<'a>> {
+        let ns = match &name.prefix {
+            Some(p) => Some(self.sctx.resolve_prefix(p)?),
+            None if is_attr => None,
+            None => self.sctx.default_element_ns.as_deref(),
+        };
+        Some(index::NameRef {
+            ns: ns.filter(|u| !u.is_empty()),
+            local: &name.local,
+        })
+    }
+
+    /// Compile a simple key path — child / attribute steps with plain name
+    /// tests, `.` and `/` (`@id`, `./buyer/@person`, `name`) — onto `out`.
+    fn key_steps<'a>(&'a self, e: &'a Expr, out: &mut index::KeyPath<'a>) -> Option<()> {
+        match e {
+            Expr::AxisStep {
+                axis: Axis::Child,
+                test: NodeTest::Name(n),
+                predicates,
+            } if predicates.is_empty() => out.push(index::KeyStep::Child(self.name_ref(n, false)?)),
+            Expr::AxisStep {
+                axis: Axis::Attribute,
+                test: NodeTest::Name(n),
+                predicates,
+            } if predicates.is_empty() => {
+                out.push(index::KeyStep::Attribute(self.name_ref(n, true)?))
+            }
+            Expr::AxisStep {
+                axis: Axis::SelfAxis,
+                test: NodeTest::AnyKind,
+                predicates,
+            } if predicates.is_empty() => Some(()),
+            Expr::ContextItem => Some(()),
+            Expr::PathStep(a, b) => {
+                self.key_steps(a, out)?;
+                self.key_steps(b, out)
+            }
+            _ => None,
+        }
     }
 
     fn axis_nodes(
@@ -1441,7 +1455,7 @@ impl<'e> Evaluator<'e> {
         self.env.stats.lock().functions_called += 1;
         match name.prefix.as_deref() {
             None | Some("fn") => {
-                if name.prefix.is_none() {
+                if name.prefix.is_none() && !self.local_functions.is_empty() {
                     // user-declared main-module function shadows nothing: try
                     // local functions first only when they exist.
                     if let Some(f) = self
@@ -1931,36 +1945,6 @@ fn normalize_uri(u: &Option<String>) -> Option<&str> {
     }
 }
 
-/// A "simple key path": child/`.`/attribute steps with plain name tests
-/// and no predicates (`@id`, `buyer/@person`, `name`). Returns a stable
-/// fingerprint usable as an index cache key.
-fn simple_key_path(e: &Expr) -> Option<String> {
-    match e {
-        Expr::AxisStep {
-            axis: Axis::Child,
-            test: NodeTest::Name(n),
-            predicates,
-        } if predicates.is_empty() && n.prefix.is_none() => Some(n.local.clone()),
-        Expr::AxisStep {
-            axis: Axis::Attribute,
-            test: NodeTest::Name(n),
-            predicates,
-        } if predicates.is_empty() && n.prefix.is_none() => Some(format!("@{}", n.local)),
-        Expr::AxisStep {
-            axis: Axis::SelfAxis,
-            test: NodeTest::AnyKind,
-            predicates,
-        } if predicates.is_empty() => Some(".".to_string()),
-        Expr::ContextItem => Some(".".to_string()),
-        Expr::PathStep(a, b) => {
-            let fa = simple_key_path(a)?;
-            let fb = simple_key_path(b)?;
-            Some(format!("{fa}/{fb}"))
-        }
-        _ => None,
-    }
-}
-
 /// Collect the names of all variables referenced in `e` (conservative:
 /// shadowing is ignored, which only makes optimizations more cautious).
 fn free_var_names(e: &Expr) -> std::collections::HashSet<String> {
@@ -1971,18 +1955,6 @@ fn free_var_names(e: &Expr) -> std::collections::HashSet<String> {
         }
     });
     names
-}
-
-/// The hash-join key for a string-class atomic (general comparison over
-/// untyped/string/anyURI operands is string equality). `None` for any
-/// other type — the caller must fall back to the naive join.
-fn string_class_key(v: &AtomicValue) -> Option<String> {
-    match v {
-        AtomicValue::String(s) | AtomicValue::UntypedAtomic(s) | AtomicValue::AnyUri(s) => {
-            Some(s.clone())
-        }
-        _ => None,
-    }
 }
 
 /// Does the expression reference the focus (context item/position/size)?

@@ -10,7 +10,8 @@
 //!   applied by an explicit `apply_updates` step (paper §2.3);
 //! * `execute at` via a pluggable [`RpcDispatcher`] — the `xrpc-peer` crate
 //!   plugs the SOAP XRPC client in here;
-//! * an opt-in *join index* so that bulk predicate evaluation over a large
+//! * the predicate join `doc//e[key = $v]` over value indexes owned by the
+//!   documents ([`index`]), so that bulk predicate evaluation over a large
 //!   document behaves like the hash join Saxon builds in the paper's
 //!   `getPerson` experiment (§4, Table 3).
 

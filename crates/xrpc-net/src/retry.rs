@@ -124,45 +124,12 @@ pub struct DestStats {
     /// caller reports batch sizes via [`DestStats::note_calls`]; the
     /// transport only sees opaque bodies).
     pub calls: AtomicU64,
-    /// EWMA of per-call round-trip time at this destination, in µs ×16
-    /// fixed point (α = 1/8). This is the feedback surface the adaptive
-    /// bulk controller reads: amortized per-call cost including network,
-    /// queueing and server-side evaluation.
-    ewma_call_micros_x16: AtomicU64,
 }
 
 impl DestStats {
-    /// Report a completed bulk dispatch: `calls` individual calls were
-    /// answered in `elapsed` total. Updates the per-call EWMA.
-    pub fn note_calls(&self, calls: u64, elapsed: std::time::Duration) {
-        if calls == 0 {
-            return;
-        }
+    /// Report a completed bulk dispatch of `calls` individual calls.
+    pub fn note_calls(&self, calls: u64) {
         self.calls.fetch_add(calls, Ordering::Relaxed);
-        let per_call_x16 = ((elapsed.as_micros() as u64) / calls).saturating_mul(16);
-        // CAS loop: ewma += (sample - ewma) / 8
-        let mut cur = self.ewma_call_micros_x16.load(Ordering::Relaxed);
-        loop {
-            let next = if cur == 0 {
-                per_call_x16
-            } else {
-                cur - cur / 8 + per_call_x16 / 8
-            };
-            match self.ewma_call_micros_x16.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
-        }
-    }
-
-    /// The per-call EWMA in µs (0 until the first `note_calls`).
-    pub fn ewma_call_micros(&self) -> u64 {
-        self.ewma_call_micros_x16.load(Ordering::Relaxed) / 16
     }
 }
 
@@ -241,9 +208,8 @@ impl ResilientTransport {
             .clone()
     }
 
-    /// The stats handle for one destination (created on first use). The
-    /// adaptive bulk controller holds this to read the per-call EWMA and
-    /// to report batch sizes via [`DestStats::note_calls`].
+    /// The stats handle for one destination (created on first use), for
+    /// the XRPC client to report batch sizes via [`DestStats::note_calls`].
     pub fn dest_stats_for(&self, dest: &str) -> Arc<DestStats> {
         self.dest(dest)
     }

@@ -2,24 +2,21 @@
 //!
 //! The paper's experiments (§4, Table 3) fix the bulk evaluation strategy
 //! per run; this module replaces the static `set_bulk_threads` knob with a
-//! small controller that *measures* per-call cost and chooses, per batch:
+//! small controller that *measures* per-call cost and chooses, per batch,
+//! how many worker threads to evaluate one incoming read-only Bulk RPC
+//! request with ([`AdaptiveBulk::eval_threads`]): the request's call table
+//! is cut into that many contiguous slices, each evaluated set-at-a-time.
+//! The rule: one extra thread per [`TARGET_MICROS_PER_THREAD`] of estimated
+//! batch work (per-call EWMA × batch size), capped by the machine's
+//! parallelism and the batch size. A cold controller (no observations yet)
+//! keeps the request in one piece.
 //!
-//! * **server side** — how many worker threads to evaluate one incoming
-//!   read-only Bulk RPC request with ([`AdaptiveBulk::eval_threads`]).
-//!   The rule: one extra thread per [`TARGET_MICROS_PER_THREAD`] of
-//!   estimated batch work (per-call EWMA × batch size), capped by the
-//!   machine's parallelism and the batch size. A cold controller (no
-//!   observations yet) keeps the paper's sequential loop.
-//! * **client side** — whether to split one large read-only bulk dispatch
-//!   into a few concurrently-shipped chunks
-//!   ([`AdaptiveBulk::dispatch_chunks`]), fed by the per-destination
-//!   round-trip EWMA the transport layer collects
-//!   (`xrpc_net::DestStats::note_calls`). Splitting only pays once a
-//!   batch's estimated remote time is tens of milliseconds, so small or
-//!   cheap batches always stay a single message (the paper's Bulk RPC
-//!   sweet spot).
+//! There is no client-side counterpart: a dispatch is always one message.
+//! The callee spreads one request over its own workers, and every extra
+//! message would pay again the per-message costs — decode, index fetch,
+//! one join — that a bulk request exists to share.
 //!
-//! Convergence: both estimates are EWMAs with α = 1/8, so the controller
+//! Convergence: the estimate is an EWMA with α = 1/8, so the controller
 //! settles within a few dozen batches and tracks drift (e.g. a document
 //! growing) within a few hundred calls.
 //!
@@ -35,18 +32,6 @@ use std::time::Duration;
 /// order of tens of µs; a 500 µs share keeps the spawn overhead under a
 /// few percent.
 pub const TARGET_MICROS_PER_THREAD: u64 = 500;
-
-/// Estimated remote time (µs) one dispatched chunk should carry. Splitting
-/// a bulk message only pays when the destination will chew on it for tens
-/// of milliseconds; below this the extra round trips/headers lose.
-pub const CHUNK_TARGET_MICROS: u64 = 25_000;
-
-/// Never split a dispatch into more chunks than this: each chunk costs a
-/// sender thread blocked on I/O and a server-side handler.
-pub const MAX_DISPATCH_CHUNKS: usize = 4;
-
-/// Don't bother splitting batches smaller than this.
-pub const MIN_SPLIT_CALLS: usize = 8;
 
 /// Hard cap on server-side evaluation workers, whatever the machine says.
 const MAX_EVAL_THREADS: usize = 16;
@@ -84,8 +69,6 @@ pub struct AdaptiveSnapshot {
     /// Batches / individual calls fed back through `observe`.
     pub observed_batches: u64,
     pub observed_calls: u64,
-    /// Client dispatches that were split into chunks.
-    pub split_dispatches: u64,
 }
 
 /// The per-peer bulk-sizing controller. Cheap enough to consult on every
@@ -101,7 +84,6 @@ pub struct AdaptiveBulk {
     pub parallel_decisions: AtomicU64,
     pub observed_batches: AtomicU64,
     pub observed_calls: AtomicU64,
-    pub split_dispatches: AtomicU64,
     /// min(available cores, [`MAX_EVAL_THREADS`]) — resolved once.
     max_threads: usize,
 }
@@ -119,7 +101,6 @@ impl AdaptiveBulk {
             parallel_decisions: AtomicU64::new(0),
             observed_batches: AtomicU64::new(0),
             observed_calls: AtomicU64::new(0),
-            split_dispatches: AtomicU64::new(0),
             max_threads: cores.min(MAX_EVAL_THREADS),
         }
     }
@@ -192,24 +173,6 @@ impl AdaptiveBulk {
         ewma_update(&self.ewma_call_micros_x16, per_call_x16);
     }
 
-    /// How many concurrently-shipped chunks to split a *read-only* bulk
-    /// dispatch of `ncalls` into, given the destination's per-call
-    /// round-trip EWMA (µs, from `DestStats`; 0 = unknown). Returns 1
-    /// (one message — the paper's Bulk RPC default) unless the batch is
-    /// both large and provably slow at this destination.
-    pub fn dispatch_chunks(&self, ncalls: usize, dest_call_micros: u64) -> usize {
-        if self.pinned().is_some() || ncalls < MIN_SPLIT_CALLS || dest_call_micros == 0 {
-            return 1;
-        }
-        let remote_micros = dest_call_micros.saturating_mul(ncalls as u64);
-        let chunks = (remote_micros / CHUNK_TARGET_MICROS) as usize;
-        chunks
-            .clamp(1, MAX_DISPATCH_CHUNKS)
-            // every chunk must still be a real batch
-            .min(ncalls / (MIN_SPLIT_CALLS / 2))
-            .max(1)
-    }
-
     pub fn snapshot(&self) -> AdaptiveSnapshot {
         AdaptiveSnapshot {
             pinned: self.pinned(),
@@ -219,7 +182,6 @@ impl AdaptiveBulk {
             parallel_decisions: self.parallel_decisions.load(Ordering::Relaxed),
             observed_batches: self.observed_batches.load(Ordering::Relaxed),
             observed_calls: self.observed_calls.load(Ordering::Relaxed),
-            split_dispatches: self.split_dispatches.load(Ordering::Relaxed),
         }
     }
 }
@@ -294,18 +256,6 @@ mod tests {
         }
         let ewma = a.ewma_call_micros();
         assert!((900..=1100).contains(&ewma), "ewma = {ewma}");
-    }
-
-    #[test]
-    fn dispatch_chunks_gates_on_size_and_cost() {
-        let a = AdaptiveBulk::new();
-        assert_eq!(a.dispatch_chunks(100, 0), 1); // unknown dest
-        assert_eq!(a.dispatch_chunks(4, 10_000), 1); // too few calls
-        assert_eq!(a.dispatch_chunks(100, 100), 1); // 10ms total: one message
-        assert_eq!(a.dispatch_chunks(100, 1000), 4); // 100ms total: max split
-        assert_eq!(a.dispatch_chunks(100, 500), 2); // 50ms total: two chunks
-        a.pin(8);
-        assert_eq!(a.dispatch_chunks(100, 1000), 1); // pinned = no surprises
     }
 
     #[test]

@@ -143,7 +143,27 @@ pub fn render_metrics(peer: &Peer, server_metrics: Option<&NetMetrics>) -> Strin
     w.counter("xrpc_bulk_decisions_total", a.decisions);
     w.counter("xrpc_bulk_parallel_decisions_total", a.parallel_decisions);
     w.counter("xrpc_bulk_observed_calls_total", a.observed_calls);
-    w.counter("xrpc_bulk_split_dispatches_total", a.split_dispatches);
+
+    // Value indexes behind the predicate join (see `xqeval::index`): what
+    // this peer's queries and requests built, probed and evicted, and how
+    // many indexes the current document versions hold.
+    let st = &peer.stats;
+    w.counter(
+        "xrpc_join_index_builds_total",
+        st.join_index_builds.load(Ordering::Relaxed),
+    );
+    w.counter(
+        "xrpc_join_index_probes_total",
+        st.join_index_probes.load(Ordering::Relaxed),
+    );
+    w.counter(
+        "xrpc_join_index_evictions_total",
+        st.join_index_evictions.load(Ordering::Relaxed),
+    );
+    let live: usize = (peer.docs.snapshot().values())
+        .map(|d| xqeval::index::index_count(d))
+        .sum();
+    w.gauge("xrpc_join_indexes", live as u64);
 
     // Tracing ring overflow (spans evicted before export) and the
     // slow-query log's volume/drop counters.
@@ -223,12 +243,6 @@ pub fn render_metrics(peer: &Peer, server_metrics: Option<&NetMetrics>) -> Strin
             ] {
                 w.counter_labeled(name, "dest", &dest, v.load(Ordering::Relaxed));
             }
-            w.gauge_labeled(
-                "xrpc_dest_ewma_call_micros",
-                "dest",
-                &dest,
-                st.ewma_call_micros(),
-            );
             w.summary_labeled(
                 "xrpc_dest_latency_micros",
                 "dest",

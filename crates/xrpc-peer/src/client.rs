@@ -3,7 +3,6 @@
 //! parses responses, converts faults into local run-time errors, and
 //! collects the piggybacked participating-peer lists for 2PC.
 
-use crate::adaptive::AdaptiveBulk;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -35,16 +34,9 @@ pub struct XrpcClient {
     pub requests_sent: std::sync::atomic::AtomicU64,
     /// Individual calls sent (≥ requests when Bulk RPC batches).
     pub calls_sent: std::sync::atomic::AtomicU64,
-    /// The owning peer's bulk-sizing controller. With it attached, a
-    /// large *read-only* bulk dispatch to a measurably slow destination
-    /// may be split into a few concurrently-shipped chunks (see
-    /// [`AdaptiveBulk::dispatch_chunks`]); without it (or when the
-    /// controller is pinned) every dispatch is one message.
-    pub adaptive: Option<Arc<AdaptiveBulk>>,
-    /// The transport's resilience decorator, for per-destination
-    /// feedback: batch sizes and round-trip times are reported into its
-    /// `DestStats` after every dispatch, which is where the controller's
-    /// per-destination estimates come from.
+    /// The transport's resilience decorator: the number of calls each
+    /// dispatch carried is reported into its per-destination `DestStats`
+    /// (the transport itself only sees opaque bodies).
     pub net_feedback: Option<Arc<ResilientTransport>>,
     /// The query's deadline/cancellation token. With it attached, every
     /// dispatch checks the budget before touching the wire (an exhausted
@@ -73,7 +65,6 @@ impl XrpcClient {
             participants: Mutex::new(HashSet::new()),
             requests_sent: std::sync::atomic::AtomicU64::new(0),
             calls_sent: std::sync::atomic::AtomicU64::new(0),
-            adaptive: None,
             net_feedback: None,
             cancel: None,
             profile: None,
@@ -168,9 +159,7 @@ impl XrpcClient {
 }
 
 impl XrpcClient {
-    /// Ship one Bulk RPC message carrying `calls` and parse its reply —
-    /// the single-message path `dispatch` delegates to (once per chunk
-    /// when the controller splits).
+    /// Ship one Bulk RPC message carrying `calls` and parse its reply.
     fn dispatch_one(
         &self,
         dest: &str,
@@ -328,96 +317,22 @@ impl XrpcClient {
 }
 
 impl RpcDispatcher for XrpcClient {
+    /// One dispatch is one message, whatever its size: the callee
+    /// evaluates a bulk request set-at-a-time (one join over all its calls)
+    /// and spreads it over its own worker pool, so cutting the batch up
+    /// here would only multiply the per-message costs.
     fn dispatch(
         &self,
         dest: &str,
         func: &FunctionRef,
         calls: Vec<Vec<Sequence>>,
     ) -> XdmResult<Vec<Sequence>> {
-        use std::sync::atomic::Ordering::Relaxed;
-        let ncalls = calls.len();
-        let dest_stats = self.net_feedback.as_ref().map(|rt| rt.dest_stats_for(dest));
-        // Read-only batches may be split into concurrently-shipped chunks
-        // when the controller judges the destination slow enough that the
-        // extra messages pay for themselves. Updating dispatches never
-        // split: their retry/redelivery contract is per-message.
-        let chunks = match (&self.adaptive, &dest_stats) {
-            (Some(a), Some(ds)) if !func.updating => {
-                a.dispatch_chunks(ncalls, ds.ewma_call_micros())
-            }
-            _ => 1,
-        };
-        let started = std::time::Instant::now();
-        let result = if chunks <= 1 {
-            self.dispatch_one(dest, func, calls)
-        } else {
-            if let Some(a) = &self.adaptive {
-                a.split_dispatches.fetch_add(1, Relaxed);
-            }
-            self.dispatch_chunked(dest, func, calls, chunks)
-        };
-        if result.is_ok() {
-            if let Some(ds) = &dest_stats {
-                ds.note_calls(ncalls as u64, started.elapsed());
-            }
+        let ncalls = calls.len() as u64;
+        let results = self.dispatch_one(dest, func, calls)?;
+        if let Some(rt) = &self.net_feedback {
+            rt.dest_stats_for(dest).note_calls(ncalls);
         }
-        result
-    }
-}
-
-impl XrpcClient {
-    /// Split `calls` into `chunks` contiguous slices and ship them
-    /// concurrently (one sender thread per extra chunk). Results are
-    /// merged back in call order; the lowest-chunk error wins, exactly
-    /// as the single-message path would have surfaced it. Only reached
-    /// for read-only functions — no ∆s, so partial failure leaves no
-    /// state behind.
-    fn dispatch_chunked(
-        &self,
-        dest: &str,
-        func: &FunctionRef,
-        calls: Vec<Vec<Sequence>>,
-        chunks: usize,
-    ) -> XdmResult<Vec<Sequence>> {
-        let ncalls = calls.len();
-        let per = ncalls.div_ceil(chunks);
-        let mut parts: Vec<Vec<Vec<Sequence>>> = Vec::with_capacity(chunks);
-        let mut rest = calls;
-        while !rest.is_empty() {
-            let tail = rest.split_off(per.min(rest.len()));
-            parts.push(std::mem::replace(&mut rest, tail));
-        }
-        // Worker threads need the dispatching thread's ambient trace
-        // context/tracer — and the profiler's current-operator parent —
-        // re-established (they are thread-locals).
-        let ambient = xrpc_obs::current_context();
-        let tracer = xrpc_obs::current_tracer();
-        let op_parent = xrpc_obs::profile::current_parent();
-        let mut slots: Vec<XdmResult<Vec<Sequence>>> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = parts
-                .into_iter()
-                .map(|chunk| {
-                    let tracer = tracer.clone();
-                    s.spawn(move || {
-                        let _ctx = xrpc_obs::set_current_context(ambient);
-                        let _tr = xrpc_obs::set_current_tracer(tracer);
-                        let _op = xrpc_obs::profile::install_parent(op_parent);
-                        self.dispatch_one(dest, func, chunk)
-                    })
-                })
-                .collect();
-            for h in handles {
-                slots.push(h.join().unwrap_or_else(|_| {
-                    Err(XdmError::xrpc("bulk dispatch chunk thread panicked"))
-                }));
-            }
-        });
-        let mut out = Vec::with_capacity(ncalls);
-        for slot in slots {
-            out.extend(slot?);
-        }
-        Ok(out)
+        Ok(results)
     }
 }
 
@@ -488,6 +403,62 @@ mod tests {
             client.calls_sent.load(std::sync::atomic::Ordering::Relaxed),
             2
         );
+    }
+
+    /// Q7's semi-join strategy at one destination: a single `Q_B1()` whose
+    /// answer is slow and large, then the batch of `Q_B3($pid)` calls. The
+    /// batch is one message however slow the call before it was.
+    #[test]
+    fn a_batch_after_a_slow_single_call_is_still_one_message() {
+        let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+        net.register(
+            "xrpc://b",
+            Arc::new(|body: &[u8]| {
+                let req = match parse_message(std::str::from_utf8(body).unwrap()).unwrap() {
+                    XrpcMessage::Request(r) => r,
+                    _ => panic!(),
+                };
+                let mut resp = XrpcResponse::new(req.module, req.method.clone());
+                if req.method == "Q_B1" {
+                    std::thread::sleep(std::time::Duration::from_millis(120));
+                    resp.results.push(
+                        (0..2000)
+                            .map(|_| Item::string("a closed auction"))
+                            .collect(),
+                    );
+                } else {
+                    resp.results = vec![Sequence::empty(); req.calls.len()];
+                }
+                resp.to_xml().unwrap().into_bytes()
+            }),
+        );
+        let rt = ResilientTransport::new(net);
+        let mut client = XrpcClient::new(rt.clone());
+        client.net_feedback = Some(rt.clone());
+        let q = |name: &str, arity| FunctionRef {
+            module_ns: "functions_b".into(),
+            location_hint: None,
+            local_name: name.into(),
+            arity,
+            updating: false,
+        };
+        let sent = || {
+            client
+                .requests_sent
+                .load(std::sync::atomic::Ordering::Relaxed)
+        };
+        client
+            .dispatch("xrpc://b", &q("Q_B1", 0), vec![vec![]])
+            .unwrap();
+        assert_eq!(sent(), 1);
+        let pids = (0..120)
+            .map(|i| vec![Sequence::one(Item::string(format!("person{i}")))])
+            .collect();
+        let results = client.dispatch("xrpc://b", &q("Q_B3", 1), pids).unwrap();
+        assert_eq!(results.len(), 120);
+        assert_eq!(sent(), 2, "120 calls to a slow destination: one message");
+        let calls = &rt.dest_stats_for("xrpc://b").calls;
+        assert_eq!(calls.load(std::sync::atomic::Ordering::Relaxed), 121);
     }
 
     #[test]

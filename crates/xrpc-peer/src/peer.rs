@@ -14,7 +14,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xdm::types::ItemKind;
 use xdm::{Item, Sequence, XdmError, XdmResult};
 use xqast::FunctionDecl;
 use xqeval::context::{CancelToken, DocResolver, Environment, StaticContext};
@@ -61,6 +60,28 @@ pub struct PeerStats {
     /// Bulk requests whose calls were evaluated by the parallel worker
     /// pool (read-only bulk with `set_bulk_threads(n > 1)`).
     pub parallel_bulk_requests: AtomicU64,
+    /// Value-index activity of the queries and requests this peer ran
+    /// (`xqeval::index`): indexes built, probes answered, indexes evicted
+    /// by the per-document cap.
+    pub join_index_builds: AtomicU64,
+    pub join_index_probes: AtomicU64,
+    pub join_index_evictions: AtomicU64,
+}
+
+impl PeerStats {
+    /// Keep what an evaluation environment counted before it goes away.
+    fn absorb(&self, env: &Environment) {
+        let s = env.stats();
+        for (total, n) in [
+            (&self.join_index_builds, s.join_index_builds),
+            (&self.join_index_probes, s.join_index_probes),
+            (&self.join_index_evictions, s.join_index_evictions),
+        ] {
+            if n > 0 {
+                total.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 /// The prepared artifact the function cache stores: the function
@@ -828,7 +849,7 @@ impl Peer {
     /// Handle an XRPC function-call request (possibly Bulk).
     fn handle_call_request(
         &self,
-        req: XrpcRequest,
+        mut req: XrpcRequest,
         request_hash: u64,
         parse_micros: u64,
     ) -> XdmResult<XrpcResponse> {
@@ -932,7 +953,6 @@ impl Peer {
             c.query_id = req.query_id.clone();
             c.deferred_updates = req.deferred;
             c.obs = Some(self.obs.clone());
-            c.adaptive = Some(self.adaptive.clone());
             c.net_feedback = self.resilient_transport();
             c.cancel = Some(cancel.clone());
             c.profile = collector.clone();
@@ -962,35 +982,52 @@ impl Peer {
         let ambient = xrpc_obs::current_context();
         let ambient_tracer = xrpc_obs::current_tracer();
         let op_parent = xrpc_obs::profile::current_parent();
-        let eval_one = |args: &[Sequence]| -> XdmResult<(Sequence, PendingUpdateList)> {
-            let _trace = xrpc_obs::set_current_context(ambient);
-            let _tracer = xrpc_obs::set_current_tracer(ambient_tracer.clone());
-            let _op = xrpc_obs::profile::install_parent(op_parent);
-            let mut st = EvalState::new();
-            bind_params(&prepared.decl, args, &mut st)?;
-            let r = ev.eval(&prepared.decl.body, &mut st, &Ctx::none())?;
-            Ok((r, st.pul))
+        let in_request = || {
+            (
+                xrpc_obs::set_current_context(ambient),
+                xrpc_obs::set_current_tracer(ambient_tracer.clone()),
+                xrpc_obs::profile::install_parent(op_parent),
+            )
         };
 
-        // Read-only bulk requests may fan the per-call evaluations over a
-        // worker pool: every call shares the same immutable snapshot and
-        // prepared function, so calls are independent. Updating bulk stays
-        // sequential — ∆s must compose in call order (XQUF merge rules).
-        // The worker count comes from the adaptive controller (or its
-        // `set_bulk_threads` pin), and the batch's measured cost feeds
-        // back into it below.
-        let threads = self.adaptive.eval_threads(req.calls.len());
-        let parallel = threads > 1 && !prepared.decl.updating;
-        let eval_started = Instant::now();
-        let per_call: Vec<XdmResult<(Sequence, PendingUpdateList)>> = if parallel {
-            self.stats
-                .parallel_bulk_requests
-                .fetch_add(1, Ordering::Relaxed);
-            eval_calls_parallel(&req.calls, threads, &eval_one)
+        // A read-only bulk request is evaluated set-at-a-time: the calls
+        // become one `iter|pos|item` table per parameter and the body runs
+        // once over it (`relalg::eval_calls`), so a selection in the body
+        // is one join over the request, not one selection per call. Every
+        // call shares the same immutable snapshot and prepared function,
+        // so the table may also be cut into contiguous slices for a worker
+        // pool; the slice count comes from the adaptive controller (or its
+        // `set_bulk_threads` pin), and the batch's measured cost feeds back
+        // into it below. Updating requests stay a sequential loop — ∆s must
+        // compose in call order (XQUF merge rules) — and so does a single
+        // call, which has nothing to share.
+        let set_at_a_time = !prepared.decl.updating && req.calls.len() > 1;
+        let threads = if set_at_a_time {
+            self.adaptive.eval_threads(req.calls.len())
         } else {
+            1
+        };
+        let eval_started = Instant::now();
+        let ncalls = req.calls.len();
+        let per_slice: Vec<SliceOutcome> = if set_at_a_time {
+            let eval_slice = |calls: Vec<Vec<Sequence>>| {
+                let _ambient = in_request();
+                relalg::eval_calls(&ev, &prepared.decl, calls)
+            };
+            if threads > 1 {
+                self.stats
+                    .parallel_bulk_requests
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            eval_slices_parallel(std::mem::take(&mut req.calls), threads, &eval_slice)
+        } else {
+            let _ambient = in_request();
             let mut out = Vec::with_capacity(req.calls.len());
             for args in &req.calls {
-                let r = eval_one(args);
+                let mut st = EvalState::new();
+                let r = bind_params(&prepared.decl, args, &mut st)
+                    .and_then(|()| ev.eval(&prepared.decl.body, &mut st, &Ctx::none()))
+                    .map(|r| (vec![r], st.pul));
                 let failed = r.is_err();
                 out.push(r);
                 if failed {
@@ -999,22 +1036,20 @@ impl Peer {
             }
             out
         };
-        self.adaptive.observe(
-            per_call.len(),
-            eval_started.elapsed(),
-            if parallel { threads } else { 1 },
-        );
+        self.stats.absorb(&env);
+        self.adaptive
+            .observe(ncalls, eval_started.elapsed(), threads);
         if let Some(col) = &collector {
             col.add_phase(Phase::Execute, eval_started.elapsed().as_micros() as u64);
         }
 
         // Merge in call order: response positions match request positions
-        // exactly, and the lowest-index error wins (as it would have
-        // sequentially — evaluation is deterministic and side-effect-free
-        // up to the PUL, which is only applied after this loop).
-        let mut results = Vec::with_capacity(req.calls.len());
+        // exactly, and the lowest slice's error wins (evaluation is
+        // side-effect-free up to the PUL, which is only applied after this
+        // loop).
+        let mut results = Vec::with_capacity(ncalls);
         let mut pul_total = PendingUpdateList::new();
-        for out in per_call {
+        for out in per_slice {
             let (r, pul) = match out {
                 Ok(v) => v,
                 Err(e) => {
@@ -1027,11 +1062,11 @@ impl Peer {
             // a non-updating function must not update (XQUF); tolerate
             // fn:put which the spec treats as updating
             pul_total.merge(pul);
-            results.push(if prepared.decl.updating {
-                Sequence::empty()
+            if prepared.decl.updating {
+                results.extend(r.iter().map(|_| Sequence::empty()));
             } else {
-                r
-            });
+                results.extend(r);
+            }
         }
 
         if !pul_total.is_empty() {
@@ -1460,7 +1495,6 @@ impl Peer {
             c.query_id = qid.clone();
             c.deferred_updates = isolation == IsolationLevel::Repeatable;
             c.obs = Some(self.obs.clone());
-            c.adaptive = Some(self.adaptive.clone());
             c.net_feedback = self.resilient_transport();
             c.cancel = Some(cancel.clone());
             c.profile = collector.clone();
@@ -1492,6 +1526,7 @@ impl Peer {
             EngineKind::Rel => relalg::engine::execute_rel_compiled(&plan.compiled, &env, external),
         };
         let execute_micros = exec_started.elapsed().as_micros() as u64;
+        self.stats.absorb(&env);
         if let Some(col) = &collector {
             col.add_phase(Phase::Execute, execute_micros);
         }
@@ -1826,94 +1861,61 @@ impl DocResolver for FrozenDocs {
     }
 }
 
-/// Per-call evaluation outcome: the result sequence plus the call's PUL.
-type CallOutcome = XdmResult<(Sequence, PendingUpdateList)>;
+/// The outcome of one slice of a bulk request: its results in call order
+/// plus the slice's PUL.
+type SliceOutcome = XdmResult<(Vec<Sequence>, PendingUpdateList)>;
 
-/// Evaluate the calls of one bulk request with up to `threads` workers
-/// (the calling thread is one of them), writing each result into the
-/// slot of its call index so the response order is deterministic
-/// regardless of completion order. Indices are claimed monotonically
-/// from a shared counter; after the first error workers stop claiming
-/// new calls, so the filled slots always form a prefix and the merge
-/// loop in [`Peer::handle_call_request`] surfaces the lowest-index
-/// error before it can reach an unfilled slot.
-fn eval_calls_parallel<F>(calls: &[Vec<Sequence>], threads: usize, eval_one: &F) -> Vec<CallOutcome>
+/// Evaluate the call table of one bulk request in `threads` contiguous
+/// slices, one worker each (the calling thread takes the first). The
+/// outcomes come back in slice order, so concatenating them restores call
+/// order and the first error met is the lowest slice's.
+fn eval_slices_parallel<F>(
+    mut calls: Vec<Vec<Sequence>>,
+    threads: usize,
+    eval_slice: &F,
+) -> Vec<SliceOutcome>
 where
-    F: Fn(&[Sequence]) -> CallOutcome + Sync,
+    F: Fn(Vec<Vec<Sequence>>) -> SliceOutcome + Sync,
 {
-    use std::sync::atomic::{AtomicBool, AtomicUsize};
-    let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let slots: Vec<parking_lot::Mutex<Option<CallOutcome>>> = (0..calls.len())
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    let worker = || loop {
-        if failed.load(Ordering::Relaxed) {
-            break;
-        }
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= calls.len() {
-            break;
-        }
-        let out = eval_one(&calls[i]);
-        if out.is_err() {
-            failed.store(true, Ordering::Relaxed);
-        }
-        *slots[i].lock() = Some(out);
-    };
+    if threads <= 1 {
+        return vec![eval_slice(calls)];
+    }
+    let per = calls.len().div_ceil(threads);
+    let mut slices = Vec::with_capacity(threads);
+    while calls.len() > per {
+        let rest = calls.split_off(per);
+        slices.push(std::mem::replace(&mut calls, rest));
+    }
+    slices.push(calls);
+    let mut slices = slices.into_iter();
+    let first = slices.next().expect("a bulk request has calls");
     std::thread::scope(|s| {
-        for _ in 1..threads {
-            // function bodies may recurse deeply — same stack headroom as
-            // the HTTP server's request threads (see xqeval recursion cap)
-            let _ = std::thread::Builder::new()
-                .stack_size(32 * 1024 * 1024)
-                .spawn_scoped(s, worker);
-        }
-        worker();
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap_or_else(|| Err(XdmError::xrpc("bulk call skipped after earlier failure")))
-        })
-        .collect()
+        let workers: Vec<_> = slices
+            .map(|slice| {
+                // function bodies may recurse deeply — same stack headroom
+                // as the HTTP server's request threads (see xqeval
+                // recursion cap)
+                std::thread::Builder::new()
+                    .stack_size(32 * 1024 * 1024)
+                    .spawn_scoped(s, move || eval_slice(slice))
+            })
+            .collect();
+        std::iter::once(eval_slice(first))
+            .chain(workers.into_iter().map(|w| match w.map(|h| h.join()) {
+                Ok(Ok(outcome)) => outcome,
+                _ => Err(XdmError::xrpc("bulk evaluation worker failed")),
+            }))
+            .collect()
+    })
 }
 
 /// Bind actual parameters with the XQuery function-conversion rules:
 /// untyped atomics cast to the declared atomic type, otherwise the value
 /// must match the declared sequence type.
 fn bind_params(decl: &FunctionDecl, args: &[Sequence], st: &mut EvalState) -> XdmResult<()> {
-    if args.len() != decl.params.len() {
-        return Err(XdmError::type_error(format!(
-            "function {} expects {} arguments, got {}",
-            decl.name.lexical(),
-            decl.params.len(),
-            args.len()
-        )));
-    }
-    for ((pname, pty), value) in decl.params.iter().zip(args.iter()) {
-        let coerced = match pty {
-            None => value.clone(),
-            Some(t) => {
-                if value.check_type(t).is_ok() {
-                    value.clone()
-                } else if let ItemKind::Atomic(at) = &t.kind {
-                    // function conversion: atomize + cast untyped
-                    let items: XdmResult<Vec<Item>> = value
-                        .iter()
-                        .map(|i| i.atomize().cast_to(*at).map(Item::Atomic))
-                        .collect();
-                    let s = Sequence::from_items(items?);
-                    s.check_type(t)?;
-                    s
-                } else {
-                    value.check_type(t)?;
-                    unreachable!()
-                }
-            }
-        };
-        st.vars.push((pname.lexical(), coerced));
+    let values = xqeval::eval::convert_arguments(decl, args.to_vec())?;
+    for ((pname, _), value) in decl.params.iter().zip(values) {
+        st.vars.push((pname.lexical(), value));
     }
     Ok(())
 }

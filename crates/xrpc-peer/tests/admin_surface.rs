@@ -122,6 +122,11 @@ fn metrics_and_healthz_scrape_end_to_end() {
         "xrpc_plan_cache_hits_total",
         "xrpc_plan_cache_misses_total",
         "xrpc_function_cache_hits_total",
+        // value indexes behind the predicate join
+        "xrpc_join_index_builds_total",
+        "xrpc_join_index_probes_total",
+        "xrpc_join_index_evictions_total",
+        "xrpc_join_indexes",
         // cancellation outcomes
         "xrpc_cancellations_total",
         // span-ring overflow + slow-query log volume/drops
