@@ -935,9 +935,16 @@ fn ablation_latency(quick: bool) {
 
 /// U1: committed distributed updates per second against one durable
 /// participant under `FsyncPolicy::Always`, group commit off vs on,
-/// swept over concurrent updaters. Every transaction pays three forced
-/// WAL records at the participant; without group commit the disk
-/// serializes them, with it concurrent updaters share each fsync.
+/// swept over concurrent updaters. Every transaction pays two forced WAL
+/// records at the participant (`Prepared`, `Decision`; the `Applied`
+/// marker rides the next force); without group commit the disk serializes
+/// them, with it concurrent updaters share each fsync. `--quick` fails
+/// (exit 8) when one updater pays more than its two forces a transaction
+/// or the updated document has grown with the number of commits.
+/// Slots `<log><e>n</e></log>` may occupy however often it was updated:
+/// twice the four it parses to, plus the one an update is about to free.
+const U1_DOC_SLOT_BOUND: usize = 9;
+
 fn update_throughput(quick: bool) {
     println!("== U1: durable update throughput (fsync=always): group commit off vs on ==");
     let counts: &[usize] = if quick {
@@ -952,8 +959,9 @@ fn update_throughput(quick: bool) {
     let mut wire_per_s_by: std::collections::HashMap<(bool, usize), f64> =
         std::collections::HashMap::new();
 
-    // --- commit path: the forced-append sequence (Prepared ∆, Decision,
-    // Applied) every committed update pays at the participant's WAL —
+    // --- commit path: the append sequence (Prepared ∆ and Decision
+    // forced, Applied not) every committed update pays at the
+    // participant's WAL —
     // the layer group commit batches, measured without the engine and
     // XML codec competing for the same core ---
     println!("-- commit path (participant's forced WAL sequence per update) --");
@@ -1026,6 +1034,7 @@ fn update_throughput(quick: bool) {
         "group commit", "updaters", "committed/s", "p50 ms", "p99 ms", "fsyncs/txn", "prep p50 us"
     );
     let per_thread = if quick { 60 } else { 200 };
+    let mut gate_failures: Vec<String> = Vec::new();
     for group in [false, true] {
         for &n in counts {
             let c = update_cluster(n, group);
@@ -1074,6 +1083,19 @@ fn update_throughput(quick: bool) {
             let p99 = lat[((lat.len() as f64 * 0.99) as usize).min(lat.len() - 1)];
             wire_per_s_by.insert((group, n), per_s);
             let fsyncs_per_txn = c.b.wal().unwrap().stats().fsyncs as f64 / committed;
+            let doc_slots = c.b.docs.get("log.xml").expect("log document").len();
+            if n == 1 && fsyncs_per_txn > 2.05 {
+                gate_failures.push(format!(
+                    "{fsyncs_per_txn:.2} fsyncs/txn at one updater (group commit {group}): \
+                     a commit owes two forces, Prepared and Decision"
+                ));
+            }
+            if doc_slots > U1_DOC_SLOT_BOUND {
+                gate_failures.push(format!(
+                    "log.xml holds {doc_slots} slots after {committed} commits \
+                     (bound {U1_DOC_SLOT_BOUND}): the document grows with its history"
+                ));
+            }
             let prep = c.b.obs.histogram("xrpc_twopc_prepare_micros").snapshot();
             let commit_us = c.b.obs.histogram("xrpc_twopc_commit_micros").snapshot();
             println!(
@@ -1096,6 +1118,7 @@ fn update_throughput(quick: bool) {
                 ("wal_fsyncs_per_txn", fsyncs_per_txn),
                 ("participant_prepare_p50_micros", prep.p50 as f64),
                 ("participant_commit_p50_micros", commit_us.p50 as f64),
+                ("log_doc_slots", doc_slots as f64),
             ]);
         }
     }
@@ -1123,6 +1146,16 @@ fn update_throughput(quick: bool) {
         quick,
         &rows,
     );
+    if quick {
+        // counters, not clocks: they repeat exactly on any host
+        for failure in &gate_failures {
+            eprintln!("U1 quick FAILED: {failure}");
+        }
+        if !gate_failures.is_empty() {
+            std::process::exit(8);
+        }
+        println!("U1 quick: ≤ 2.05 fsyncs/txn at one updater, log.xml ≤ {U1_DOC_SLOT_BOUND} slots");
+    }
     println!();
 }
 

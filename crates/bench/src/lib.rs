@@ -438,11 +438,11 @@ pub fn update_cluster_fsync(
 }
 
 /// The participant's durable-commit path at the WAL API: per committed
-/// update, the exact forced-append sequence the 2PC participant performs
-/// — `Prepared` (carrying the serialized ∆), `Decision`, `Applied` —
-/// against a real log with real fsyncs. This is the layer group commit
-/// operates on; [`UpdateCluster`] measures the same protocol end to end
-/// with the engine and XML codec in the loop.
+/// update, the exact append sequence the 2PC participant performs —
+/// `Prepared` (carrying the serialized ∆) and `Decision` forced, the
+/// `Applied` marker not — against a real log with real fsyncs. This is
+/// the layer group commit operates on; [`UpdateCluster`] measures the
+/// same protocol end to end with the engine and XML codec in the loop.
 pub struct CommitPath {
     pub wal: Arc<xrpc_peer::Wal>,
     path: std::path::PathBuf,
@@ -500,7 +500,7 @@ impl CommitPath {
             })
             .unwrap();
         self.wal
-            .append(&xrpc_peer::WalRecord::Applied { qid, mark })
+            .append_nosync(&xrpc_peer::WalRecord::Applied { qid, mark })
             .unwrap();
     }
 }

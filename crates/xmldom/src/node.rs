@@ -107,6 +107,14 @@ pub struct Document {
     /// Heap bytes no node refers to any more (`replace_value` leaves the
     /// old value behind); `clone` compacts once they outweigh the rest.
     dead_text: usize,
+    /// Slots of subtrees the XQUF primitives cut out for good, as counted by
+    /// the last [`reclaim`](Self::reclaim), which rebuilds the table once
+    /// they outnumber the rest.
+    dead_nodes: usize,
+    /// Roots of the subtrees cut out since then. Their ids stay valid — a
+    /// later primitive of the same update list may still name them — until
+    /// `reclaim` counts them.
+    discarded: Vec<NodeId>,
     ns_decls: Vec<NsDecl>,
     pub uri: Option<String>,
     /// Data derived from exactly this document value (see
@@ -193,6 +201,8 @@ impl Document {
             nodes: Vec::with_capacity(nodes + 1),
             text: String::with_capacity(text),
             dead_text: 0,
+            dead_nodes: 0,
+            discarded: Vec::new(),
             ns_decls: Vec::new(),
             uri: None,
             side: OnceLock::new(),
@@ -523,7 +533,7 @@ impl Document {
         self.detach(attr);
         let name = self.nodes[attr.index()].name.clone().expect("attr name");
         if let Some(existing) = self.attribute_by_name(element, &name) {
-            self.detach(existing);
+            self.remove(existing);
         }
         self.link_last(element, attr);
     }
@@ -566,9 +576,20 @@ impl Document {
         }
     }
 
+    /// XQUF `delete node`: detach `node` for good. The subtree keeps its
+    /// slots, and its ids stay valid, until the next
+    /// [`reclaim`](Self::reclaim); use [`detach`](Self::detach) for a node
+    /// that will be linked in again.
+    pub fn remove(&mut self, node: NodeId) {
+        if self.parent(node).is_some() {
+            self.detach(node);
+            self.discarded.push(node);
+        }
+    }
+
     pub fn remove_attribute(&mut self, element: NodeId, attr: NodeId) {
         if self.parent(attr) == Some(element) {
-            self.detach(attr);
+            self.remove(attr);
         }
     }
 
@@ -578,7 +599,7 @@ impl Document {
             .parent(target)
             .expect("replace target must have a parent");
         if self.kind(target) == NodeKind::Attribute {
-            self.detach(target);
+            self.remove(target);
             for &r in replacements {
                 self.set_attribute_node(parent, r);
             }
@@ -586,7 +607,7 @@ impl Document {
             for &r in replacements {
                 self.insert_before(target, r);
             }
-            self.detach(target);
+            self.remove(target);
         }
     }
 
@@ -597,7 +618,7 @@ impl Document {
             NodeKind::Element => {
                 // Replace the entire content with one text node.
                 while let Some(k) = self.first_child(target) {
-                    self.detach(k);
+                    self.remove(k);
                 }
                 if !value.is_empty() {
                     let t = self.create_text(value);
@@ -616,6 +637,51 @@ impl Document {
     pub fn rename(&mut self, target: NodeId, name: QName) {
         self.invalidate_side();
         self.nodes[target.index()].name = Some(Arc::new(name));
+    }
+
+    /// The end of a round of edits (`apply_updates` calls it once every
+    /// primitive of an update list has run): count what [`remove`] and the
+    /// replacing primitives cut out since the last call, and once dead slots
+    /// outnumber live ones rebuild the tables from the tree in document
+    /// order. A version therefore holds at most twice its live slots, and —
+    /// with `clone`'s rule for the heap — twice its live text, however many
+    /// edits lie behind it; the work is proportional to what died. Rebuilding
+    /// renumbers every node, so call it only when nobody holds ids into this
+    /// document.
+    ///
+    /// [`remove`]: Self::remove
+    pub fn reclaim(&mut self) {
+        // the roots still cut off, then everything below them
+        let mut dead = std::mem::take(&mut self.discarded);
+        dead.sort_unstable();
+        dead.dedup();
+        dead.retain(|&root| self.parent(root).is_none());
+        let mut walked = 0;
+        while let Some(&n) = dead.get(walked) {
+            walked += 1;
+            dead.extend(self.attributes(n));
+            dead.extend(self.children(n));
+        }
+        for n in dead {
+            // nothing can reach the slot any more: give up its name and value
+            let slot = &mut self.nodes[n.index()];
+            slot.name = None;
+            self.dead_text += std::mem::take(&mut slot.value).len as usize;
+            self.dead_nodes += 1;
+        }
+        if self.dead_nodes * 2 <= self.nodes.len() {
+            return;
+        }
+        let mut live = Document::with_capacity(
+            self.nodes.len().saturating_sub(self.dead_nodes),
+            self.text.len().saturating_sub(self.dead_text),
+        );
+        live.uri = self.uri.take();
+        for child in self.children(self.root()) {
+            let copy = live.import_subtree(self, child);
+            live.link_last(live.root(), copy);
+        }
+        *self = live;
     }
 
     // ------------------------------------------------------------------
@@ -831,6 +897,8 @@ impl Clone for Document {
             nodes: self.nodes.clone(),
             text: String::new(),
             dead_text: self.dead_text,
+            dead_nodes: self.dead_nodes,
+            discarded: self.discarded.clone(),
             ns_decls: self.ns_decls.clone(),
             uri: self.uri.clone(),
             side: OnceLock::new(),
@@ -1045,6 +1113,57 @@ mod tests {
         assert_eq!(c.text_heap_len(), "purn:pvalue 99".len());
         assert_eq!(c.value(t), "value 99");
         assert_eq!(c.resolve_prefix(t, "p").as_deref(), Some("urn:p"));
+    }
+
+    #[test]
+    fn reclaim_keeps_the_arena_within_twice_its_live_nodes() {
+        let mut d = Document::new();
+        let root = elem(&mut d, "r");
+        d.append_child(d.root(), root);
+        d.add_ns_decl(root, "p", "urn:p");
+        d.set_attribute(root, QName::local("k"), "v");
+        let fresh = d.len();
+        for i in 0..1000 {
+            // the root element is wherever the last rebuild put it
+            let root = d.first_child(d.root()).unwrap();
+            d.replace_value(root, &i.to_string());
+            d.set_attribute(root, QName::local("k"), i.to_string());
+            d.reclaim();
+            d = d.clone();
+            assert!(d.len() <= 2 * (fresh + 1) + 1, "{} slots", d.len());
+            assert!(d.text_heap_len() <= 2 * "purn:p999999".len());
+        }
+        let root = d.first_child(d.root()).unwrap();
+        assert_eq!(d.string_value(root), "999");
+        assert_eq!(d.attr_local(root, "k"), Some("999"));
+        assert_eq!(d.resolve_prefix(root, "p").as_deref(), Some("urn:p"));
+    }
+
+    #[test]
+    fn removed_nodes_keep_their_ids_until_reclaim() {
+        let mut d = Document::new();
+        let root = elem(&mut d, "r");
+        d.append_child(d.root(), root);
+        let kid = elem(&mut d, "kid");
+        d.append_child(root, kid);
+        d.replace_value(root, "text");
+        // the old child is cut out but still a node one can edit
+        assert_eq!(d.parent(kid), None);
+        d.rename(kid, QName::local("renamed"));
+        for _ in 0..3 {
+            let below = d.create_text("below");
+            d.append_child(kid, below);
+        }
+        assert_eq!(d.string_value(kid), "belowbelowbelow");
+        assert_eq!(d.string_value(root), "text");
+        // a removed node that is linked back in before the boundary lives on
+        let t = d.first_child(root).unwrap();
+        d.remove(t);
+        d.append_child(root, t);
+        d.reclaim();
+        let root = d.first_child(d.root()).unwrap();
+        assert_eq!(d.string_value(root), "text");
+        assert_eq!(d.len(), 3, "document, element, text");
     }
 
     #[test]

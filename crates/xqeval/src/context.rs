@@ -5,7 +5,7 @@
 use crate::modules::ModuleRegistry;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use xdm::{Sequence, XdmError, XdmResult};
@@ -149,12 +149,16 @@ pub trait DocResolver: Send + Sync {
 /// the building block of the peer document store.
 #[derive(Default)]
 pub struct InMemoryDocs {
-    docs: RwLock<HashMap<String, Arc<Document>>>,
+    /// Shared with every pinned snapshot: writers copy the map when one is
+    /// out, so pinning costs a refcount bump whatever the store holds.
+    docs: RwLock<Arc<HashMap<String, Arc<Document>>>>,
     /// Applied-transaction marks: highest log sequence number whose ∆ has
     /// been applied, per transaction key. Lives with the documents (not
     /// the WAL) because idempotent re-apply needs the mark to travel with
     /// exactly the state it describes across a restart.
     marks: RwLock<HashMap<String, u64>>,
+    /// The bound of the last [`prune_applied_marks`](Self::prune_applied_marks).
+    marks_pruned_below: AtomicU64,
 }
 
 impl InMemoryDocs {
@@ -163,11 +167,11 @@ impl InMemoryDocs {
     }
 
     pub fn insert(&self, uri: impl Into<String>, doc: Document) {
-        self.docs.write().insert(uri.into(), Arc::new(doc));
+        self.insert_arc(uri, Arc::new(doc));
     }
 
     pub fn insert_arc(&self, uri: impl Into<String>, doc: Arc<Document>) {
-        self.docs.write().insert(uri.into(), doc);
+        Arc::make_mut(&mut self.docs.write()).insert(uri.into(), doc);
     }
 
     pub fn get(&self, uri: &str) -> Option<Arc<Document>> {
@@ -180,7 +184,7 @@ impl InMemoryDocs {
 
     /// A consistent snapshot of every document (repeatable-read isolation
     /// pins one of these per queryID; paper §2.2).
-    pub fn snapshot(&self) -> HashMap<String, Arc<Document>> {
+    pub fn snapshot(&self) -> Arc<HashMap<String, Arc<Document>>> {
         self.docs.read().clone()
     }
 
@@ -197,6 +201,20 @@ impl InMemoryDocs {
         let slot = marks.entry(key.to_string()).or_insert(0);
         *slot = (*slot).max(lsn);
     }
+
+    /// Forget every mark below `lsn`: the log can no longer replay the
+    /// update it guarded. A repeated bound returns at once, so the caller
+    /// may pass the log's current floor after every commit.
+    pub fn prune_applied_marks(&self, lsn: u64) {
+        if self.marks_pruned_below.swap(lsn, Ordering::Relaxed) != lsn {
+            self.marks.write().retain(|_, mark| *mark >= lsn);
+        }
+    }
+
+    /// How many applied marks the store holds.
+    pub fn applied_marks(&self) -> usize {
+        self.marks.read().len()
+    }
 }
 
 impl DocResolver for InMemoryDocs {
@@ -211,7 +229,7 @@ impl DocResolver for InMemoryDocs {
     }
 
     fn replace(&self, uri: &str, doc: Arc<Document>) -> XdmResult<()> {
-        self.docs.write().insert(uri.to_string(), doc);
+        self.insert_arc(uri, doc);
         Ok(())
     }
 }

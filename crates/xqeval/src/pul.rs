@@ -185,8 +185,11 @@ pub struct DocEdit {
 
 /// Materialize a PUL: for every document touched, clone it, apply the
 /// primitives in XQUF order (inserts/renames/replace-values first, then
-/// replaces, then deletes), and return the new versions. `fn:put` targets
-/// come back as extra edits with the `put` URI and no `old`-identity match.
+/// replaces, then deletes), reclaim what they cut out (so a version's size
+/// follows its content, not its history), and return the new versions. Node
+/// ids of a new version are its own: they need not match the old one's.
+/// `fn:put` targets come back as extra edits with the `put` URI and no
+/// `old`-identity match.
 pub fn apply_updates(pul: &PendingUpdateList) -> XdmResult<Vec<DocEdit>> {
     pul.check_compatibility()?;
 
@@ -218,6 +221,8 @@ pub fn apply_updates(pul: &PendingUpdateList) -> XdmResult<Vec<DocEdit>> {
         for p in ordered {
             apply_one(&mut new_doc, p)?;
         }
+        // only now: a later primitive may name a node an earlier one cut out
+        new_doc.reclaim();
         edits.push(DocEdit {
             uri: old.uri.clone(),
             old,
@@ -283,7 +288,7 @@ fn apply_one(doc: &mut Document, p: &UpdatePrimitive) -> XdmResult<()> {
             }
         }
         UpdatePrimitive::Delete { target } => {
-            doc.detach(target.id);
+            doc.remove(target.id);
         }
         UpdatePrimitive::ReplaceNode {
             target,

@@ -204,6 +204,12 @@ pub fn render_metrics(peer: &Peer, server_metrics: Option<&NetMetrics>) -> Strin
         "xrpc_active_snapshots",
         peer.snapshots.active_count() as u64,
     );
+    // per-transaction bookkeeping that must track open work, not history
+    w.gauge("xrpc_store_applied_marks", peer.docs.applied_marks() as u64);
+    w.gauge(
+        "xrpc_coord_committed_entries",
+        peer.coord_committed.lock().len() as u64,
+    );
 
     // WAL durability surface: segment/byte gauges and the rotation,
     // group-commit and recovery counters (see `wal::WalStats`).

@@ -220,9 +220,11 @@ pub struct Peer {
     /// queryIDs this peer is *currently* coordinating — `Inquire` answers
     /// `InDoubt` for these (no decision has been durably taken yet).
     pub(crate) coordinating: Mutex<HashSet<TxKey>>,
-    /// In-memory mirror of durably-logged commit decisions (fed by the
-    /// commit point and by WAL replay) — what `Inquire` answers
-    /// `Committed` from. Anything in neither map is presumed aborted.
+    /// In-memory mirror of durably-logged commit decisions that someone
+    /// may still ask about (fed by the commit point and by WAL replay,
+    /// dropped once every participant has acknowledged) — what `Inquire`
+    /// answers `Committed` from. Anything in neither map is presumed
+    /// aborted.
     pub(crate) coord_committed: Mutex<HashMap<TxKey, Vec<String>>>,
     /// Commit decisions recovered from the log that still lack a
     /// `CoordinatorEnd`: participants that must be re-told to commit.
@@ -696,10 +698,12 @@ impl Peer {
                                 let mark = *snap.prepared_lsn.lock();
                                 self.apply_pul_marked(&pul, qid, mark)?;
                                 *decided = Some(Decision::Committed);
-                                // A crash in this gap leaves a committed
-                                // decision with no Applied marker: restart
-                                // replay re-drives the apply, which the
-                                // applied-LSN mark turns into a no-op.
+                                // A crash in this gap — or any time before
+                                // the unforced marker below reaches the
+                                // disk — leaves a committed decision with no
+                                // Applied marker: restart replay re-drives
+                                // the apply, which the applied-LSN mark turns
+                                // into a no-op.
                                 if let Err(e) =
                                     self.crash_mid(crash_points::AFTER_APPLY_BEFORE_MARKER)
                                 {
@@ -710,10 +714,7 @@ impl Peer {
                                     return Err(e);
                                 }
                                 if let Some(w) = self.wal() {
-                                    w.append(&WalRecord::Applied {
-                                        qid: qid.clone(),
-                                        mark: mark.unwrap_or(0),
-                                    })?;
+                                    self.log_applied(&w, qid, mark.unwrap_or(0))?;
                                 }
                                 self.twopc_metrics.commits.fetch_add(1, Ordering::Relaxed);
                             }
@@ -1189,6 +1190,19 @@ impl Peer {
         self.apply_pul(pul)?;
         self.docs.set_applied_mark(&key, lsn);
         Ok(true)
+    }
+
+    /// Close a committed transaction in the log once its ∆ is in the store.
+    /// Unforced: no promise depends on the marker (without it replay
+    /// re-drives the apply, and the applied-LSN mark stops it). Marks the
+    /// log can no longer ask about go with it.
+    pub(crate) fn log_applied(&self, wal: &Wal, qid: &QueryId, mark: u64) -> XdmResult<()> {
+        wal.append_nosync(&WalRecord::Applied {
+            qid: qid.clone(),
+            mark,
+        })?;
+        self.docs.prune_applied_marks(wal.replay_floor());
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1800,6 +1814,9 @@ impl Peer {
             )));
         }
         self.settle_local_commit(qid, local_pul, self_logged, wal.as_deref(), profile)?;
+        // every participant has acknowledged (`CoordinatorEnd` is logged)
+        // and the local ∆ is settled: nobody is left to ask about this one
+        self.coord_committed.lock().remove(&key);
         Ok(outcome)
     }
 
@@ -1823,15 +1840,7 @@ impl Peer {
                 col.add_phase(Phase::Wal, wal_started.elapsed().as_micros() as u64);
             }
             self.apply_pul_marked(local_pul, qid, Some(lsn))?;
-            let wal_started = Instant::now();
-            w.append(&WalRecord::Applied {
-                qid: qid.clone(),
-                mark: lsn,
-            })?;
-            if let Some(col) = profile {
-                col.add_phase(Phase::Wal, wal_started.elapsed().as_micros() as u64);
-            }
-            return Ok(());
+            return self.log_applied(w, qid, lsn);
         }
         self.apply_pul(local_pul)
     }
@@ -1849,7 +1858,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// A frozen map of documents (the originator's own repeatable-read view).
 struct FrozenDocs {
-    docs: HashMap<String, Arc<xmldom::Document>>,
+    docs: crate::store::DocMap,
 }
 
 impl DocResolver for FrozenDocs {

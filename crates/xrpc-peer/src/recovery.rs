@@ -262,10 +262,7 @@ impl Peer {
                         if !self.apply_pul_marked(&pul, &qid, tx.prepared_lsn)? {
                             report.lsn_skips += 1;
                         }
-                        log.append(&WalRecord::Applied {
-                            qid: qid.clone(),
-                            mark: tx.prepared_lsn.unwrap_or(0),
-                        })?;
+                        self.log_applied(&log, &qid, tx.prepared_lsn.unwrap_or(0))?;
                         self.snapshots.finish_with(&qid, Decision::Committed);
                         report.reapplied += 1;
                         self.twopc_metrics
@@ -427,6 +424,8 @@ impl Peer {
                 if let Some(w) = self.wal() {
                     w.append(&WalRecord::CoordinatorEnd { qid: qid.clone() })?;
                 }
+                // `coord_committed` keeps the entry: a local ∆ of the same
+                // transaction may still be waiting to ask about it
                 self.coord_redeliver.lock().remove(&key);
                 report.redelivered += 1;
                 self.twopc_metrics
@@ -506,10 +505,7 @@ impl Peer {
             applied = self.apply_pul_marked(&pul, qid, mark)?;
             *decided = Some(Decision::Committed);
             if let Some(w) = self.wal() {
-                w.append(&WalRecord::Applied {
-                    qid: qid.clone(),
-                    mark: mark.unwrap_or(0),
-                })?;
+                self.log_applied(&w, qid, mark.unwrap_or(0))?;
             }
             self.twopc_metrics.commits.fetch_add(1, Ordering::Relaxed);
         }
@@ -551,6 +547,186 @@ impl Peer {
         SweeperHandle {
             stop,
             handle: Some(handle),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! The forces the commit path no longer makes: what a crash leaves on
+    //! disk without them, and that replaying it settles nothing twice.
+
+    use super::*;
+    use crate::peer::EngineKind;
+    use crate::wal::{NodePath, PathStep};
+    use std::path::{Path, PathBuf};
+    use xqeval::InMemoryDocs;
+
+    const URI: &str = "xrpc://b.example.org";
+
+    fn forced() -> WalConfig {
+        WalConfig {
+            fsync: FsyncPolicy::Always,
+            group_commit: true,
+            ..WalConfig::default()
+        }
+    }
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("xrpc-recovery-unit-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// What the disk holds right now: the segment files as they are, without
+    /// whatever the live log still keeps in memory.
+    fn crash_image(of: &Path, name: &str) -> PathBuf {
+        let image = scratch(name);
+        std::fs::create_dir_all(&image).unwrap();
+        for entry in std::fs::read_dir(of).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), image.join(entry.file_name())).unwrap();
+        }
+        image
+    }
+
+    fn store() -> Arc<InMemoryDocs> {
+        let docs = Arc::new(InMemoryDocs::new());
+        let doc = xmldom::parse_with_uri("<log><e>0</e></log>", "log.xml").unwrap();
+        docs.insert("log.xml", doc);
+        docs
+    }
+
+    fn counter(docs: &InMemoryDocs) -> String {
+        let doc = docs.get("log.xml").unwrap();
+        doc.string_value(doc.root())
+    }
+
+    fn qid(n: u64) -> QueryId {
+        QueryId::new("xrpc://origin.example.org", 7_000 + n, 30)
+    }
+
+    fn prepared(n: u64, value: &str) -> WalRecord {
+        WalRecord::Prepared {
+            qid: qid(n),
+            coordinator: "xrpc://origin.example.org".into(),
+            delta: vec![SerializedPrimitive::ReplaceValue {
+                target: NodePath {
+                    doc_uri: "log.xml".into(),
+                    steps: vec![PathStep::Child(0), PathStep::Child(0)],
+                },
+                value: value.into(),
+            }],
+        }
+    }
+
+    /// The participant's commit path for transaction `n`, up to and
+    /// including the apply; returns the mark its `Applied` record carries.
+    fn commit_up_to_apply(peer: &Peer, log: &Wal, n: u64, value: &str) -> u64 {
+        let record = prepared(n, value);
+        let lsn = log.append(&record).unwrap();
+        log.append(&WalRecord::Decision {
+            qid: qid(n),
+            decision: Decision::Committed,
+        })
+        .unwrap();
+        let WalRecord::Prepared { delta, .. } = record else {
+            unreachable!()
+        };
+        let pul = wal::deserialize_pul(&peer.docs, &delta).unwrap();
+        assert!(peer.apply_pul_marked(&pul, &qid(n), Some(lsn)).unwrap());
+        lsn
+    }
+
+    fn kinds(records: &[wal::SequencedRecord]) -> Vec<&'static str> {
+        (records.iter())
+            .map(|sr| match sr.record {
+                WalRecord::Prepared { .. } => "prepared",
+                WalRecord::Decision { .. } => "decision",
+                WalRecord::Applied { .. } => "applied",
+                _ => "coordinator",
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_applied_marker_lost_before_the_next_force_replays_to_a_no_op() {
+        let dir = scratch("staged-applied");
+        let docs = store();
+        let live = Peer::new_with_docs(URI, EngineKind::Tree, docs.clone());
+        live.attach_wal_with(&dir, forced()).unwrap();
+        let log = live.wal().unwrap();
+        // another transaction stays open, so the log cannot checkpoint
+        log.append(&prepared(0, "never decided")).unwrap();
+        let mark = commit_up_to_apply(&live, &log, 1, "1");
+        let fsyncs = log.stats().fsyncs;
+        live.log_applied(&log, &qid(1), mark).unwrap();
+        assert_eq!(log.stats().fsyncs, fsyncs, "the marker is not forced");
+        assert_eq!(counter(&docs), "1");
+
+        // crash: the marker was staged, never written
+        let (seen, image) = (crash_image(&dir, "staged-a"), crash_image(&dir, "staged-b"));
+        let (_, replay) = Wal::open_with(&seen, forced()).unwrap();
+        assert_eq!(kinds(&replay.records), ["prepared", "prepared", "decision"]);
+
+        let restarted = Peer::new_with_docs(URI, EngineKind::Tree, docs.clone());
+        let report = restarted.attach_wal_with(&image, forced()).unwrap();
+        assert_eq!(report.reapplied, 1, "{report:?}");
+        assert_eq!(report.lsn_skips, 1, "the mark stopped it: {report:?}");
+        assert_eq!(report.restored_prepared, 1, "{report:?}");
+        assert_eq!(counter(&docs), "1", "applied once");
+        drop((live, log, restarted));
+        for d in [dir, seen, image] {
+            let _ = std::fs::remove_dir_all(d);
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_that_never_reached_the_disk_replays_closed_records_to_a_no_op() {
+        let dir = scratch("checkpoint");
+        let docs = store();
+        let live = Peer::new_with_docs(URI, EngineKind::Tree, docs.clone());
+        live.attach_wal_with(&dir, forced()).unwrap();
+        let log = live.wal().unwrap();
+        let mark = commit_up_to_apply(&live, &log, 1, "1");
+        // what the disk keeps if the checkpoint's zeros are lost: the marker
+        // that triggers it is never written at all
+        let zeros_lost = crash_image(&dir, "zeros-lost");
+        let fsyncs = log.stats().fsyncs;
+        live.log_applied(&log, &qid(1), mark).unwrap();
+        assert_eq!(log.open_transactions(), 0);
+        assert_eq!(log.stats().fsyncs, fsyncs, "the checkpoint does not flush");
+        let zeros_kept = crash_image(&dir, "zeros-kept");
+        // nothing durable says the old records are gone, so their mark stays
+        let key = Peer::mark_key(&qid(1));
+        assert_eq!(log.replay_floor(), 1);
+        assert_eq!(docs.applied_mark(&key), Some(mark));
+
+        let restart = |image: &Path| {
+            let peer = Peer::new_with_docs(URI, EngineKind::Tree, docs.clone());
+            let report = peer.attach_wal_with(image, forced()).unwrap();
+            assert_eq!(counter(&docs), "1", "applied once: {report:?}");
+            report
+        };
+        assert_eq!(restart(&zeros_kept), RecoveryReport::default());
+        let report = restart(&zeros_lost);
+        assert_eq!(
+            (report.reapplied, report.lsn_skips),
+            (1, 1),
+            "re-driven and stopped by the mark: {report:?}"
+        );
+
+        // the next forced append carries the zeros to the disk; from then on
+        // no replay can ask about transaction 1, and its mark goes
+        let mark2 = commit_up_to_apply(&live, &log, 2, "2");
+        assert!(log.replay_floor() > mark);
+        live.log_applied(&log, &qid(2), mark2).unwrap();
+        assert_eq!(docs.applied_mark(&key), None);
+        assert_eq!(docs.applied_marks(), 1, "only the latest, not yet durable");
+        drop((live, log));
+        for d in [dir, zeros_lost, zeros_kept] {
+            let _ = std::fs::remove_dir_all(d);
         }
     }
 }

@@ -2,11 +2,11 @@
 //!
 //! A peer that receives a request tagged with a `queryID` pins an
 //! immutable snapshot of its document store for that query — the
-//! shadow-paging analog: documents are `Arc`s, so a snapshot is one map
-//! clone. The snapshot lives until its *relative* timeout expires; expired
-//! queryIDs are remembered (latest timestamp per origin host, exactly the
-//! bookkeeping trick the paper describes) so that late requests get an
-//! error instead of silently reading fresh state.
+//! shadow-paging analog: documents and the map of them are `Arc`s, so a
+//! snapshot is one refcount bump. The snapshot lives until its *relative*
+//! timeout expires; expired queryIDs are remembered (latest timestamp per
+//! origin host, exactly the bookkeeping trick the paper describes) so that
+//! late requests get an error instead of silently reading fresh state.
 
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -36,7 +36,7 @@ pub struct QuerySnapshot {
     /// The query this snapshot isolates. `qid.host` doubles as the
     /// coordinator address a recovering participant sends `Inquire` to.
     pub qid: QueryId,
-    pub docs: HashMap<String, Arc<Document>>,
+    pub docs: DocMap,
     pub deadline: Instant,
     /// Deferred pending update lists (rule R'Fu): ∆_q = ∪ ∆_q(i).
     pub pul: Mutex<PendingUpdateList>,
@@ -91,9 +91,19 @@ impl DocResolver for SnapshotResolver {
 
 type QidKey = (String, u64);
 
+/// The document store as one query sees it: the map
+/// `InMemoryDocs::snapshot` hands out.
+pub type DocMap = Arc<HashMap<String, Arc<Document>>>;
+
 /// All isolated query states at one peer.
 pub struct SnapshotManager {
     active: Mutex<HashMap<QidKey, Arc<QuerySnapshot>>>,
+    /// The earliest deadline among the snapshots pinned since [`gc`] last
+    /// looked (`None` = nothing can have expired): requests skip the scan
+    /// until it has passed.
+    ///
+    /// [`gc`]: Self::gc
+    next_expiry: Mutex<Option<Instant>>,
     /// host → latest *expired* origin timestamp (paper: "per host only the
     /// latest timestamp needs to be retained").
     expired: Mutex<HashMap<String, u64>>,
@@ -105,6 +115,7 @@ impl SnapshotManager {
     pub fn new() -> Self {
         SnapshotManager {
             active: Mutex::new(HashMap::new()),
+            next_expiry: Mutex::new(None),
             expired: Mutex::new(HashMap::new()),
             completed: Mutex::new((HashMap::new(), VecDeque::new())),
         }
@@ -119,9 +130,11 @@ impl SnapshotManager {
     pub fn get_or_pin(
         &self,
         qid: &QueryId,
-        current: impl FnOnce() -> HashMap<String, Arc<Document>>,
+        current: impl FnOnce() -> DocMap,
     ) -> XdmResult<Arc<QuerySnapshot>> {
-        self.gc();
+        if (*self.next_expiry.lock()).is_some_and(|t| t <= Instant::now()) {
+            self.gc();
+        }
         let key = Self::key(qid);
         // Too late? (the queryID already expired here)
         if let Some(&latest) = self.expired.lock().get(&qid.host) {
@@ -136,10 +149,11 @@ impl SnapshotManager {
         if let Some(s) = active.get(&key) {
             return Ok(s.clone());
         }
+        let deadline = Instant::now() + Duration::from_secs(qid.timeout_secs as u64);
         let snapshot = Arc::new(QuerySnapshot {
             qid: qid.clone(),
             docs: current(),
-            deadline: Instant::now() + Duration::from_secs(qid.timeout_secs as u64),
+            deadline,
             pul: Mutex::new(PendingUpdateList::new()),
             prepared: Mutex::new(false),
             prepared_lsn: Mutex::new(None),
@@ -148,6 +162,8 @@ impl SnapshotManager {
             merged_requests: Mutex::new(HashMap::new()),
         });
         active.insert(key, snapshot.clone());
+        let mut next = self.next_expiry.lock();
+        *next = Some(next.map_or(deadline, |t| t.min(deadline)));
         Ok(snapshot)
     }
 
@@ -160,7 +176,7 @@ impl SnapshotManager {
     pub fn restore_prepared(
         &self,
         qid: &QueryId,
-        docs: HashMap<String, Arc<Document>>,
+        docs: DocMap,
         pul: PendingUpdateList,
         prepared_lsn: Option<u64>,
     ) -> Arc<QuerySnapshot> {
@@ -250,13 +266,16 @@ impl SnapshotManager {
     pub fn gc(&self) {
         let now = Instant::now();
         let mut active = self.active.lock();
-        let dead: Vec<QidKey> = active
-            .iter()
-            .filter(|(_, s)| {
-                s.deadline <= now && !(*s.prepared.lock() && s.decided.lock().is_none())
-            })
-            .map(|(k, _)| k.clone())
-            .collect();
+        let mut dead: Vec<QidKey> = Vec::new();
+        let mut next: Option<Instant> = None;
+        for (k, s) in active.iter() {
+            if s.deadline > now {
+                next = Some(next.map_or(s.deadline, |t| t.min(s.deadline)));
+            } else if !(*s.prepared.lock() && s.decided.lock().is_none()) {
+                dead.push(k.clone());
+            }
+        }
+        *self.next_expiry.lock() = next;
         if dead.is_empty() {
             return;
         }
@@ -284,13 +303,13 @@ mod tests {
     use super::*;
     use xmldom::parse;
 
-    fn docs_v(label: &str) -> HashMap<String, Arc<Document>> {
+    fn docs_v(label: &str) -> DocMap {
         let mut m = HashMap::new();
         m.insert(
             "db.xml".to_string(),
             Arc::new(parse(&format!("<v>{label}</v>")).unwrap()),
         );
-        m
+        Arc::new(m)
     }
 
     fn qid(ts: u64, timeout: u32) -> QueryId {

@@ -119,7 +119,7 @@ pub struct TwoPcConfig {
     /// Wall-clock budget for the prepare phase. Overrunning it flips the
     /// decision to abort — safe, since nothing has committed yet.
     ///
-    /// The coordinator joins all prepare threads before checking this
+    /// The coordinator waits for every prepare before checking this
     /// deadline, so the *hard* bound on the phase comes from the
     /// transport's own per-call deadline / read timeout: configure the
     /// transport (e.g. `RetryPolicy::call_deadline`, `HttpConfig` read
@@ -165,7 +165,8 @@ pub fn run_two_phase_commit(
 
 /// Drive 2PC over `participants` for query `qid`.
 ///
-/// Phase 1 sends `Prepare` to every participant *concurrently*; any
+/// Phase 1 sends `Prepare` to every participant *concurrently* (the first
+/// from the calling thread, the others from scoped threads); any
 /// failure (or overrunning the phase deadline) flips the decision to
 /// abort. Phase 2 delivers the decision — `Commit` only when every
 /// participant prepared, `Abort` otherwise — to **all** participants,
@@ -201,29 +202,38 @@ pub fn run_two_phase_commit_ctx(
     // Phase 1: Prepare — participants log their ∆_q and enter prepared
     // state (or refuse). All prepares run concurrently; the phase cost is
     // the slowest participant, not the sum (and one slow peer cannot
-    // serialize the others behind it).
+    // serialize the others behind it). The calling thread takes the first
+    // participant itself, so the common single-participant transaction
+    // spawns nothing.
     let phase_start = Instant::now();
     let prepare_span = ctx.obs.map(|o| o.tracer.span_here("2pc:prepare-phase"));
     // the phase span's context is ambient on *this* thread only; hand it
     // to the scoped prepare threads so their control sends stay in-trace
     let prepare_ctx = xrpc_obs::current_context();
+    // a transport that panics is a participant that failed to prepare,
+    // whichever thread its send ran on: the decision still reaches everyone
+    let prepare = |p: &str| {
+        let send = || client.send_control(p, METHOD_PREPARE, qid);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(send))
+            .unwrap_or_else(|_| Err(XdmError::xrpc("prepare panicked")))
+    };
     let prepare_results: Vec<XdmResult<()>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = participants
-            .iter()
+        let mut rest = participants.iter();
+        let first = rest.next();
+        let handles: Vec<_> = rest
             .map(|p| {
-                scope.spawn(move || {
+                scope.spawn(|| {
                     let _trace = xrpc_obs::set_current_context(prepare_ctx);
-                    client.send_control(p, METHOD_PREPARE, qid)
+                    prepare(p)
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(r) => r,
-                Err(_) => Err(XdmError::xrpc("prepare thread panicked")),
-            })
-            .collect()
+        let inline = first.map(|p| prepare(p));
+        let joined = handles.into_iter().map(|h| {
+            h.join()
+                .unwrap_or_else(|_| Err(XdmError::xrpc("prepare thread panicked")))
+        });
+        inline.into_iter().chain(joined).collect()
     });
     if let (Some(o), Some(s)) = (ctx.obs, prepare_span.as_ref()) {
         o.histogram("xrpc_twopc_prepare_phase_micros")
@@ -513,6 +523,141 @@ mod tests {
         let client = XrpcClient::new(net);
         let out = run_two_phase_commit(&client, &qid(), &[]).unwrap();
         assert_eq!(out, CommitOutcome::Committed { participants: 0 });
+    }
+
+    /// A transport that notes which thread sent each message where.
+    struct Recording {
+        net: Arc<SimNetwork>,
+        sends: parking_lot::Mutex<Vec<(String, std::thread::ThreadId)>>,
+    }
+
+    impl xrpc_net::Transport for Recording {
+        fn roundtrip(&self, dest: &str, body: &[u8]) -> Result<Vec<u8>, xrpc_net::NetError> {
+            self.sends
+                .lock()
+                .push((dest.to_string(), std::thread::current().id()));
+            self.net.roundtrip(dest, body)
+        }
+    }
+
+    #[test]
+    fn the_first_participant_is_prepared_on_the_calling_thread() {
+        let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+        let _a = participant(&net, "xrpc://a", false);
+        let _b = participant(&net, "xrpc://b", false);
+        let recording = Arc::new(Recording {
+            net,
+            sends: Default::default(),
+        });
+        let client = XrpcClient::new(recording.clone());
+        let me = std::thread::current().id();
+
+        // the common case: one participant, every message from this thread
+        let out = run_two_phase_commit(&client, &qid(), &["xrpc://a".to_string()]).unwrap();
+        assert_eq!(out, CommitOutcome::Committed { participants: 1 });
+        let sends = std::mem::take(&mut *recording.sends.lock());
+        assert_eq!(sends.len(), 2, "Prepare and Commit");
+        assert!(sends.iter().all(|(_, thread)| *thread == me), "{sends:?}");
+
+        // two: the same code keeps the first here and spawns for the other
+        let both = ["xrpc://a".to_string(), "xrpc://b".to_string()];
+        run_two_phase_commit(&client, &qid(), &both).unwrap();
+        let sends = recording.sends.lock();
+        let prepare_thread = |dest: &str| {
+            let first = sends.iter().find(|(d, _)| d == dest).expect("a Prepare");
+            first.1
+        };
+        assert_eq!(prepare_thread("xrpc://a"), me);
+        assert_ne!(prepare_thread("xrpc://b"), me);
+    }
+
+    #[test]
+    fn three_slow_prepares_overlap() {
+        let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+        let names = ["xrpc://a", "xrpc://b", "xrpc://c"];
+        let link = Duration::from_millis(50);
+        // every Prepare, the inline one too, waits for the other two to be in
+        // flight: a coordinator that sent them one after another would hang
+        // here until the rendezvous gives up and refuses
+        let arrived = Arc::new((parking_lot::Mutex::new(0usize), parking_lot::Condvar::new()));
+        for name in names {
+            let arrived = arrived.clone();
+            net.register(
+                name,
+                Arc::new(move |body: &[u8]| {
+                    let XrpcMessage::Request(req) =
+                        parse_message(std::str::from_utf8(body).unwrap()).unwrap()
+                    else {
+                        panic!("a request")
+                    };
+                    if req.method == METHOD_PREPARE {
+                        let (count, all_here) = &*arrived;
+                        let mut n = count.lock();
+                        *n += 1;
+                        all_here.notify_all();
+                        while *n < names.len() {
+                            if all_here.wait_timeout(&mut n, Duration::from_secs(10)) {
+                                return XrpcFault::from_error(&XdmError::xrpc("alone"))
+                                    .to_xml()
+                                    .into_bytes();
+                            }
+                        }
+                    }
+                    let mut resp = XrpcResponse::new(WSAT_MODULE, req.method);
+                    resp.results.push(Sequence::empty());
+                    resp.to_xml().unwrap().into_bytes()
+                }),
+            );
+            // the link delays the Prepare only; decisions arrive at once
+            net.inject_fault(name, xrpc_net::SimFault::LatencySpike(link));
+        }
+        let client = XrpcClient::new(net);
+        let participants: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        let started = Instant::now();
+        let out = run_two_phase_commit(&client, &qid(), &participants).unwrap();
+        let took = started.elapsed();
+        assert_eq!(out, CommitOutcome::Committed { participants: 3 });
+        assert!(took >= link, "{took:?}");
+        assert!(took < 2 * link, "three 50 ms prepares took {took:?}");
+    }
+
+    #[test]
+    fn a_panicking_inline_prepare_still_aborts_everyone() {
+        let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+        // the first participant (the one the coordinator's own thread
+        // prepares) blows up inside the transport
+        net.register(
+            "xrpc://a",
+            Arc::new(|body: &[u8]| {
+                if std::str::from_utf8(body).unwrap().contains(METHOD_PREPARE) {
+                    panic!("participant a blew up in Prepare");
+                }
+                let mut resp = XrpcResponse::new(WSAT_MODULE, METHOD_ABORT);
+                resp.results.push(Sequence::empty());
+                resp.to_xml().unwrap().into_bytes()
+            }),
+        );
+        let b = participant(&net, "xrpc://b", false);
+        let c = participant(&net, "xrpc://c", false);
+        let a_handled = {
+            let net = net.clone();
+            move || net.handled_count("xrpc://a")
+        };
+        let client = XrpcClient::new(net);
+        let all = ["xrpc://a", "xrpc://b", "xrpc://c"].map(String::from);
+        let out = run_two_phase_commit(&client, &qid(), &all).unwrap();
+        match out {
+            CommitOutcome::Aborted { reason } => assert!(reason.contains("panicked"), "{reason}"),
+            other => panic!("{other:?}"),
+        }
+        // the spawned prepares were joined (both ran to completion), and
+        // the abort reached all three
+        for x in [&b, &c] {
+            assert_eq!(x[0].load(Ordering::SeqCst), 1, "prepared");
+            assert_eq!(x[2].load(Ordering::SeqCst), 1, "told to abort");
+            assert_eq!(x[1].load(Ordering::SeqCst), 0, "nobody committed");
+        }
+        assert_eq!(a_handled(), 2, "a saw its Prepare and the Abort");
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! * **participant**: a [`WalRecord::Prepared`] (serialized ∆_q with the
 //!   queryId and coordinator address) is forced *before* the `Prepare`
 //!   ack leaves, and a [`WalRecord::Decision`] is forced on receiving
-//!   the outcome before it is applied;
+//!   the outcome before it is applied. The [`WalRecord::Applied`] marker
+//!   that closes the transaction is not forced: losing it only means
+//!   replay re-drives an apply that the store's applied-LSN mark turns
+//!   into a no-op;
 //! * **coordinator**: a [`WalRecord::CoordinatorCommit`] is forced after
 //!   unanimous prepare and before any `Commit` delivery — the classic
 //!   presumed-abort commit point (aborts are never logged: no record at
@@ -34,7 +37,10 @@
 //! * **quiesce truncation** — whenever an append leaves no transaction
 //!   open, the active segment is truncated to its magic and older
 //!   segments deleted: log length tracks in-flight transactions, not
-//!   query history.
+//!   query history. The checkpoint issues no flush of its own — it hides
+//!   only records of closed transactions, whose replay settles nothing
+//!   twice — and becomes durable with the next forced append
+//!   ([`Wal::replay_floor`] says how far that has got).
 //!
 //! Replay truncates a torn or CRC-damaged tail of the *last* segment back
 //! to the final intact frame (a crash mid-append loses at most the record
@@ -1004,6 +1010,8 @@ pub struct Wal {
     sync_cond: Condvar,
     /// Highest LSN written to the active segment (advanced under `inner`).
     written_lsn: AtomicU64,
+    /// See [`Wal::replay_floor`].
+    replay_floor: AtomicU64,
     poisoned: AtomicBool,
     poison_reason: Mutex<Option<String>>,
     /// Crash-point switch for deterministic fault injection (chaos tests).
@@ -1060,6 +1068,10 @@ struct WalInner {
     /// with the batch size. Only used when staging applies (group commit
     /// under `FsyncPolicy::Always`); empty otherwise.
     staged: Vec<u8>,
+    /// Every record up to this LSN has been hidden by a quiesce checkpoint
+    /// whose zeros (or truncation) the next flush of the active segment
+    /// makes durable.
+    checkpointed_lsn: u64,
 }
 
 fn seg_name(seq: u64) -> String {
@@ -1094,12 +1106,12 @@ fn zero_fill(file: &mut File, from: u64, to: u64) -> std::io::Result<()> {
     if to <= from {
         return Ok(());
     }
+    static ZEROS: [u8; 64 * 1024] = [0; 64 * 1024];
     file.seek(SeekFrom::Start(from))?;
-    let zeros = vec![0u8; 64 * 1024];
     let mut remaining = to - from;
     while remaining > 0 {
-        let n = remaining.min(zeros.len() as u64) as usize;
-        file.write_all(&zeros[..n])?;
+        let n = remaining.min(ZEROS.len() as u64) as usize;
+        file.write_all(&ZEROS[..n])?;
         remaining -= n as u64;
     }
     Ok(())
@@ -1283,7 +1295,7 @@ impl Wal {
         let next_lsn = records.iter().map(|r| r.lsn).max().unwrap_or(0) + 1;
         let mut live: HashMap<OpenKey, Vec<SequencedRecord>> = HashMap::new();
         for sr in &records {
-            apply_live(&mut live, sr);
+            apply_live(&mut live, sr.lsn, &sr.record);
         }
 
         // ---- set up the active segment ----
@@ -1340,6 +1352,7 @@ impl Wal {
         let sync_handle = Arc::new(file.try_clone().map_err(io)?);
 
         let written = next_lsn - 1;
+        let replay_floor = records.first().map_or(next_lsn, |r| r.lsn);
         let wal = Arc::new(Wal {
             path,
             config,
@@ -1353,12 +1366,14 @@ impl Wal {
                 next_lsn,
                 live,
                 staged: Vec::new(),
+                checkpointed_lsn: 0,
             }),
             durable_lsn: AtomicU64::new(written),
             sync_inflight: AtomicU64::new(0),
             sync: Mutex::new(()),
             sync_cond: Condvar::new(),
             written_lsn: AtomicU64::new(written),
+            replay_floor: AtomicU64::new(replay_floor),
             poisoned: AtomicBool::new(false),
             poison_reason: Mutex::new(None),
             crash: Mutex::new(None),
@@ -1481,7 +1496,8 @@ impl Wal {
 
     /// Append one record *without* waiting for it to reach stable
     /// storage, even under [`FsyncPolicy::Always`]. For records whose
-    /// loss is free under presumed abort (CoordinatorBegin/End): the next
+    /// loss is free — under presumed abort (CoordinatorBegin/End), or
+    /// because replay without them repeats nothing (Applied): the next
     /// forced append still carries them to disk.
     pub fn append_nosync(&self, rec: &WalRecord) -> XdmResult<u64> {
         self.append_impl(rec, false)
@@ -1494,11 +1510,7 @@ impl Wal {
         let mut inner = self.inner.lock();
         let lsn = inner.next_lsn;
         inner.next_lsn += 1;
-        let sr = SequencedRecord {
-            lsn,
-            record: rec.clone(),
-        };
-        apply_live(&mut inner.live, &sr);
+        apply_live(&mut inner.live, lsn, rec);
 
         if inner.live.is_empty() {
             // quiesced: everything durable is also done — truncate instead
@@ -1558,16 +1570,28 @@ impl Wal {
     }
 
     /// Quiesce checkpoint: reclaim every older segment and truncate the
-    /// active one to its magic. Caller holds `inner`.
+    /// active one to its magic. Caller holds `inner`, so no flush happens
+    /// here: every record this hides belongs to a closed transaction —
+    /// should a crash bring some of them back, replaying them settles
+    /// nothing twice (an abort releases nothing, a commit is stopped by the
+    /// store's applied-LSN mark) — and the zeros reach the disk with the
+    /// next forced append's flush of the same file.
     fn quiesce_locked(&self, inner: &mut WalInner) -> XdmResult<()> {
         // anything still staged belongs to a closed transaction now
         inner.staged.clear();
         let active = inner.seg_seq;
         inner.segs.retain(|&s| s != active);
-        for seq in std::mem::take(&mut inner.segs) {
+        let older = std::mem::replace(&mut inner.segs, vec![active]);
+        for &seq in &older {
             let _ = std::fs::remove_file(self.path.join(seg_name(seq)));
         }
-        inner.segs = vec![active];
+        if !older.is_empty() {
+            // only after a crash mid-rotation; make their removal durable
+            // now, since nothing later would
+            if let Ok(dir) = File::open(&self.path) {
+                let _ = dir.sync_all();
+            }
+        }
         inner.older_bytes = 0;
         let res = if self.staging() {
             // keep the preallocation: zero the used prefix instead of
@@ -1581,10 +1605,11 @@ impl Wal {
             return Err(self.io_poison("truncate", e));
         }
         inner.seg_bytes = MAGIC.len() as u64;
-        if self.config.fsync == FsyncPolicy::Always {
-            if let Err(e) = inner.file.sync_data() {
-                return Err(self.io_poison("fsync", e));
-            }
+        inner.checkpointed_lsn = inner.next_lsn - 1;
+        if self.config.fsync == FsyncPolicy::Never {
+            // no flush will ever follow: the operating system has it
+            self.replay_floor
+                .fetch_max(inner.next_lsn, Ordering::AcqRel);
         }
         Ok(())
     }
@@ -1661,8 +1686,12 @@ impl Wal {
 
         // every live record ≤ written_lsn now sits in the synced new
         // segment; every other record ≤ written_lsn is closed — either
-        // way there is nothing left to force
+        // way there is nothing left to force, and nothing older than the
+        // oldest live record left to replay
         self.advance_durable(self.written_lsn.load(Ordering::Acquire));
+        if let Some(oldest) = inner.live.values().flatten().map(|sr| sr.lsn).min() {
+            self.replay_floor.fetch_max(oldest, Ordering::AcqRel);
+        }
         Ok(())
     }
 
@@ -1680,7 +1709,7 @@ impl Wal {
             // the same inode coalesce inside the filesystem journal —
             // which is group commit by another name, done below the
             // syscall boundary where it can't be observed or tuned.
-            let (handle, target) = self.drain_and_capture()?;
+            let (handle, target, checkpointed) = self.drain_and_capture()?;
             let _serial = self.sync.lock();
             self.crash_hit(crash_points::WAL_GROUP_FSYNC)?;
             let t0 = std::time::Instant::now();
@@ -1691,6 +1720,8 @@ impl Wal {
             self.observe_fsync(t0, 1);
             self.durable_lsn
                 .fetch_max(target.max(lsn), Ordering::AcqRel);
+            self.replay_floor
+                .fetch_max(checkpointed + 1, Ordering::AcqRel);
             return Ok(());
         }
 
@@ -1733,7 +1764,7 @@ impl Wal {
             // the file this handle refers to (drained or copied forward)
             // or closed, and appenders only stage until the fsync is done.
             let durable_before = self.durable_lsn.load(Ordering::Acquire);
-            let (handle, target) = match self
+            let (handle, target, checkpointed) = match self
                 .drain_and_capture()
                 .and_then(|ht| self.crash_hit(crash_points::WAL_GROUP_FSYNC).map(|()| ht))
             {
@@ -1751,6 +1782,8 @@ impl Wal {
                     // must see the new horizon, and followers return on
                     // the atomic alone
                     self.durable_lsn.fetch_max(target, Ordering::AcqRel);
+                    self.replay_floor
+                        .fetch_max(checkpointed + 1, Ordering::AcqRel);
                     self.sync_inflight.fetch_sub(1, Ordering::AcqRel);
                     self.wake_waiters();
                     self.fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -1775,10 +1808,12 @@ impl Wal {
     }
 
     /// Drain any staged frames into the active segment with a single
-    /// write, then snapshot (active-segment handle, written horizon)
-    /// consistently: every record ≤ the horizon is in the file this
-    /// handle refers to (appended, drained, or copied forward) or closed.
-    fn drain_and_capture(&self) -> XdmResult<(Arc<File>, u64)> {
+    /// write, then snapshot (active-segment handle, written horizon,
+    /// checkpointed horizon) consistently: every record ≤ the written
+    /// horizon is in the file this handle refers to (appended, drained, or
+    /// copied forward) or closed, and a flush through the handle makes the
+    /// checkpoints up to the last one durable.
+    fn drain_and_capture(&self) -> XdmResult<(Arc<File>, u64, u64)> {
         let mut inner = self.inner.lock();
         if !inner.staged.is_empty() {
             let mut batch = std::mem::take(&mut inner.staged);
@@ -1802,6 +1837,7 @@ impl Wal {
         Ok((
             inner.sync_handle.clone(),
             self.written_lsn.load(Ordering::Acquire),
+            inner.checkpointed_lsn,
         ))
     }
 
@@ -1815,6 +1851,15 @@ impl Wal {
         }
     }
 
+    /// Every record with an LSN below this is gone from the disk for good —
+    /// closed, then hidden by a checkpoint or left behind by a rotation
+    /// that a flush has since made durable — so no replay can bring it
+    /// back. An applied-LSN mark below it guards a `Prepared` record that
+    /// no longer exists.
+    pub fn replay_floor(&self) -> u64 {
+        self.replay_floor.load(Ordering::Acquire)
+    }
+
     /// Number of durable obligations (per transaction *and role*) still
     /// demanding future action.
     pub fn open_transactions(&self) -> usize {
@@ -1824,9 +1869,9 @@ impl Wal {
 
 impl Drop for Wal {
     fn drop(&mut self) {
-        // Best-effort drain on shutdown: unforced advisory records
-        // (CoordinatorBegin/End) may still sit in the staging buffer.
-        // Their loss is free under presumed abort, but writing them out
+        // Best-effort drain on shutdown: unforced records (Applied,
+        // CoordinatorBegin/End) may still sit in the staging buffer.
+        // Their loss is free, but writing them out
         // keeps a clean process exit equivalent to write-through — the
         // restart sweep can then re-abort eagerly instead of waiting for
         // participant inquiries.
@@ -1844,11 +1889,15 @@ impl Drop for Wal {
 
 /// Track the records of transactions with undischarged durable state —
 /// exactly the set a rotation must copy forward.
-fn apply_live(live: &mut HashMap<OpenKey, Vec<SequencedRecord>>, sr: &SequencedRecord) {
+fn apply_live(live: &mut HashMap<OpenKey, Vec<SequencedRecord>>, lsn: u64, rec: &WalRecord) {
     let key = |q: &QueryId, r: Role| (q.host.clone(), q.timestamp_millis, r);
-    match &sr.record {
+    let kept = || SequencedRecord {
+        lsn,
+        record: rec.clone(),
+    };
+    match rec {
         WalRecord::Prepared { qid, .. } => {
-            live.insert(key(qid, Role::Participant), vec![sr.clone()]);
+            live.insert(key(qid, Role::Participant), vec![kept()]);
         }
         WalRecord::Decision { qid, decision } => {
             // an aborted transaction needs nothing further; a committed
@@ -1858,18 +1907,18 @@ fn apply_live(live: &mut HashMap<OpenKey, Vec<SequencedRecord>>, sr: &SequencedR
             } else {
                 live.entry(key(qid, Role::Participant))
                     .or_default()
-                    .push(sr.clone());
+                    .push(kept());
             }
         }
         WalRecord::Applied { qid, .. } => {
             live.remove(&key(qid, Role::Participant));
         }
         WalRecord::CoordinatorBegin { qid, .. } => {
-            live.insert(key(qid, Role::Coordinator), vec![sr.clone()]);
+            live.insert(key(qid, Role::Coordinator), vec![kept()]);
         }
         WalRecord::CoordinatorCommit { qid, .. } => {
             // the commit point supersedes the begin record
-            live.insert(key(qid, Role::Coordinator), vec![sr.clone()]);
+            live.insert(key(qid, Role::Coordinator), vec![kept()]);
         }
         WalRecord::CoordinatorEnd { qid } => {
             live.remove(&key(qid, Role::Coordinator));

@@ -99,6 +99,9 @@ fn metrics_and_healthz_scrape_end_to_end() {
         // readiness gauges
         "xrpc_wal_attached",
         "xrpc_in_doubt_transactions",
+        // per-transaction maps that follow open work, not history
+        "xrpc_store_applied_marks",
+        "xrpc_coord_committed_entries",
         // reactor admission surface: shed counter, connection/queue
         // gauges, per-stage reactor histograms
         "xrpc_net_sheds_total",

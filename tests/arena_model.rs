@@ -7,7 +7,8 @@
 //!   text, and every decoded node is isolated (call-by-value: no parent,
 //!   no sibling, no envelope);
 //! * a differential run applies random sequences of every mutation the
-//!   arena offers to a `Document` and to an owned-tree model, comparing
+//!   arena offers — the commit boundary that reclaims removed subtrees
+//!   among them — to a `Document` and to an owned-tree model, comparing
 //!   serialization, links and document order after every step.
 //!
 //! A failure prints the seed and the operations applied so far;
@@ -55,6 +56,10 @@ struct M {
 struct Model {
     roots: Vec<M>,
     next_id: u32,
+    /// Roots the removing primitives cut out since the last commit boundary.
+    discarded: Vec<u32>,
+    /// Arena slots given up at a commit boundary and not yet compacted away.
+    dead: usize,
 }
 
 fn leaf(id: u32, kind: NodeKind, name: Option<&str>, value: &str) -> M {
@@ -114,6 +119,14 @@ fn parent_in(nodes: &[M], id: u32) -> Option<u32> {
 
 /// Document order below (and including) `n`: the node, its attributes,
 /// then its children's subtrees.
+/// Every slot of the subtree: each node, then its attributes, then its
+/// children's subtrees.
+fn preorder_with_attrs(n: &M, out: &mut Vec<u32>) {
+    out.push(n.id);
+    out.extend(n.attrs.iter().map(|a| a.id));
+    n.kids.iter().for_each(|k| preorder_with_attrs(k, out));
+}
+
 fn preorder(n: &M, out: &mut Vec<u32>) {
     out.push(n.id);
     out.extend(n.attrs.iter().map(|a| a.id));
@@ -184,6 +197,8 @@ impl Model {
         Model {
             roots: vec![leaf(0, NodeKind::Document, None, "")],
             next_id: 1,
+            discarded: Vec::new(),
+            dead: 0,
         }
     }
 
@@ -217,6 +232,41 @@ impl Model {
         }
     }
 
+    /// `Document::remove`: a detach the next commit boundary makes final.
+    fn remove(&mut self, id: u32) {
+        if self.parent(id).is_some() {
+            self.detach(id);
+            self.discarded.push(id);
+        }
+    }
+
+    /// `Document::reclaim`: what was removed and not linked back in is gone;
+    /// once the dead outnumber the rest, so is every other detached tree,
+    /// and the document's nodes are numbered afresh in document order.
+    fn reclaim(&mut self) {
+        for id in std::mem::take(&mut self.discarded) {
+            if let Some(at) = self.roots.iter().position(|r| r.id == id) {
+                let mut gone = Vec::new();
+                preorder_with_attrs(&self.roots.remove(at), &mut gone);
+                self.dead += gone.len();
+            }
+        }
+        let slots = self.all().len() + self.dead;
+        if self.dead * 2 <= slots {
+            return;
+        }
+        fn renumber(n: &mut M, next: &mut u32) {
+            n.id = *next;
+            *next += 1;
+            n.attrs.iter_mut().for_each(|a| renumber(a, next));
+            n.kids.iter_mut().for_each(|k| renumber(k, next));
+        }
+        self.roots.truncate(1);
+        self.next_id = 0;
+        self.dead = 0;
+        renumber(&mut self.roots[0], &mut self.next_id);
+    }
+
     fn append_child(&mut self, parent: u32, child: u32) {
         let n = take(&mut self.roots, child).expect("child");
         self.node_mut(parent).kids.push(n);
@@ -240,6 +290,7 @@ impl Model {
         let same = attrs.iter().position(|x| x.name == a.name);
         let replaced = same.map(|i| attrs.remove(i));
         attrs.push(a);
+        self.discarded.extend(replaced.iter().map(|r| r.id));
         self.roots.extend(replaced);
     }
 
@@ -248,6 +299,7 @@ impl Model {
             NodeKind::Document => {}
             NodeKind::Element => {
                 let old = std::mem::take(&mut self.node_mut(target).kids);
+                self.discarded.extend(old.iter().map(|k| k.id));
                 self.roots.extend(old);
                 if !value.is_empty() {
                     let t = self.create(NodeKind::Text, None, value);
@@ -500,7 +552,12 @@ fn check(doc: &Document, model: &Model, context: &dyn Fn() -> String) {
     let ids = |it: xmldom::node::Siblings| it.map(|n| n.0).collect::<Vec<u32>>();
     let model_ids = |ms: &[M]| ms.iter().map(|m| m.id).collect::<Vec<u32>>();
     let all = model.all();
-    assert_eq!(all.len(), doc.len(), "arena size\n{}", context());
+    assert_eq!(
+        all.len() + model.dead,
+        doc.len(),
+        "arena size\n{}",
+        context()
+    );
     for m in all {
         let id = NodeId(m.id);
         let at = || format!("node {id:?}\n{}", context());
@@ -568,6 +625,9 @@ fn check(doc: &Document, model: &Model, context: &dyn Fn() -> String) {
     );
 }
 
+/// Commit boundaries that rebuilt the arena, over all seeds of a run.
+static REBUILDS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
 /// One random mutation, applied to both sides. Returns its description,
 /// or `None` when the drawn operation has no legal operands right now.
 fn mutate(rng: &mut StdRng, doc: &mut Document, model: &mut Model) -> Option<String> {
@@ -592,7 +652,7 @@ fn mutate(rng: &mut StdRng, doc: &mut Document, model: &mut Model) -> Option<Str
         .collect();
     let name = *pick(rng, &NAMES);
     let value = text(rng, 6);
-    match rng.gen_range(0..14) {
+    match rng.gen_range(0..16) {
         0 => {
             let id = doc.create_element(qname(name));
             assert_eq!(id.0, model.create(NodeKind::Element, Some(name), ""));
@@ -650,7 +710,7 @@ fn mutate(rng: &mut StdRng, doc: &mut Document, model: &mut Model) -> Option<Str
             for &r in &fresh {
                 model.insert_beside(target, r, 0);
             }
-            model.detach(target);
+            model.remove(target);
             Some(format!("replace_node {target} with {fresh:?}"))
         }
         8 => {
@@ -688,9 +748,27 @@ fn mutate(rng: &mut StdRng, doc: &mut Document, model: &mut Model) -> Option<Str
             };
             doc.remove_attribute(NodeId(element), NodeId(attr));
             if model.parent(attr) == Some(element) {
-                model.detach(attr);
+                model.remove(attr);
             }
             Some(format!("remove_attribute {element} {attr}"))
+        }
+        13 => {
+            let target = draw(rng, placed)?;
+            doc.remove(NodeId(target));
+            model.remove(target);
+            Some(format!("remove {target}"))
+        }
+        14 => {
+            // a commit boundary, as `apply_updates` ends with one: removed
+            // subtrees give up their slots, which later operations reuse
+            // once the arena has been rebuilt
+            let before = doc.len();
+            doc.reclaim();
+            model.reclaim();
+            if doc.len() < before {
+                REBUILDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            Some(format!("reclaim ({before} -> {} slots)", doc.len()))
         }
         _ => {
             // a snapshot, as `apply_updates` takes one, and a copy out of it
@@ -723,5 +801,9 @@ fn random_mutations_agree_with_the_owned_tree_model() {
                 format!("ARENA_SEED={seed}, after:\n  {}", log.join("\n  "))
             });
         }
+    }
+    if std::env::var("ARENA_SEED").is_err() {
+        let rebuilds = REBUILDS.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(rebuilds >= 10, "only {rebuilds} commit boundaries rebuilt");
     }
 }
