@@ -7,23 +7,24 @@
 //! tables throughput    — §3.3 text: request/response payload MB/s (alias: e4)
 //! tables ablation-latency    — A1: bulk advantage across network profiles (alias: a1)
 //! tables ablation-isolation  — A2: isolation level overhead
+//! tables a3            — A3: marshaling cost by parameter shape, atomic vs element
 //! tables u1            — U1: durable update throughput, WAL group commit on/off
 //! tables c1            — C1: plan-cache warm path + adaptive bulk sizing (alias: compile-cache)
-//! tables s1            — S1: concurrent-client swarm, reactor vs threaded (alias: swarm)
+//! tables s1            — S1: concurrent-client swarm against the reactor (alias: swarm)
 //! tables r1            — R1: deadline/cancellation latency + wasted-work reduction (alias: cancellation)
 //! tables p1            — P1: query-profiler overhead, off vs sampled vs full (alias: profile-overhead)
-//! tables all           — everything above except s1 (the swarm wants the machine to itself)
+//! tables all           — everything above except r1
 //! ```
 //!
 //! Numbers are wall-clock milliseconds on this machine; compare *shapes*
 //! with the paper (EXPERIMENTS.md records both).
 //!
-//! `e4`, `a1`, `u1`, `c1`, `s1` and `r1` also write machine-readable
-//! `BENCH_E4.json` / `BENCH_A1.json` / `BENCH_U1.json` / `BENCH_C1.json`
-//! / `BENCH_S1.json` / `BENCH_R1.json` into the current directory, so the
-//! perf trajectory is tracked across PRs instead of living only in
-//! prose. `--quick` trims the sweeps to their cheap points (a
-//! seconds-scale CI smoke run); for `s1` it additionally *asserts* that
+//! `e4`, `a1`, `a3`, `u1`, `c1`, `s1` and `r1` also write machine-readable
+//! `BENCH_E4.json` / `BENCH_A1.json` / `BENCH_A3.json` / `BENCH_U1.json` /
+//! `BENCH_C1.json` / `BENCH_S1.json` / `BENCH_R1.json` into the current
+//! directory, so the perf trajectory is tracked across PRs instead of
+//! living only in prose. `--quick` trims the sweeps to their cheap points
+//! (a seconds-scale CI smoke run); for `s1` it additionally *asserts* that
 //! the reactor sheds nothing at the smoke scale (exit 4 otherwise), for
 //! `c1` that the warm plan-cache hit rate stays ≥ 95% (exit 5
 //! otherwise), for `r1` that cancellation p99 stays under 250 ms
@@ -64,6 +65,7 @@ fn main() {
         "alloc-probe" => alloc_probe(),
         "ablation-latency" | "a1" => ablation_latency(quick),
         "ablation-isolation" => ablation_isolation(),
+        "a3" => ablation_marshal(),
         "u1" => update_throughput(quick),
         "c1" | "compile-cache" => compile_cache(quick),
         "s1" | "swarm" => swarm(quick),
@@ -76,8 +78,10 @@ fn main() {
             throughput(quick, check_cliff);
             ablation_latency(quick);
             ablation_isolation();
+            ablation_marshal();
             update_throughput(quick);
             compile_cache(quick);
+            swarm(quick);
             profile_overhead(quick);
         }
         other => {
@@ -176,19 +180,13 @@ fn warn_samples(cell: &str, n: u64) {
     }
 }
 
-/// S1: the concurrent-client swarm — the reactor's headline experiment.
-/// Closed-loop keep-alive clients (one in-flight request each) against
-/// a live peer, reactor vs the thread-per-connection baseline. The
-/// baseline keeps the pre-reactor admission story: a hard 1024-
-/// connection cap that turns every client beyond it into a 503/retry
-/// loop, while the reactor admits the whole swarm on a fixed worker
-/// pool.
+/// S1: the concurrent-client swarm — the reactor's capacity experiment.
+/// Closed-loop keep-alive clients (one in-flight request each) against a
+/// live peer: the reactor admits the whole swarm on a fixed worker pool.
 fn swarm(quick: bool) {
-    use xrpc_bench::swarm::run_swarm_cell;
-    use xrpc_net::http::ServerModel;
+    use xrpc_bench::swarm::{run_swarm_cell, swarm_config};
     use xrpc_net::poll::raise_nofile_limit;
 
-    const THREADED_CAP: usize = 1024;
     let nofile = raise_nofile_limit();
     // one fd at the driver + one at the server per client, plus slack
     // for the workspace's own files/sockets
@@ -202,65 +200,50 @@ fn swarm(quick: bool) {
     .map(|n| n.min(max_clients))
     .collect();
     let duration = Duration::from_millis(if quick { 2000 } else { 10000 });
-    println!("== S1: client swarm, reactor vs thread-per-connection (cap {THREADED_CAP}) ==");
+    println!("== S1: client swarm against the reactor ==");
     println!("nofile limit {nofile} → at most {max_clients} in-process clients");
     println!(
-        "{:<10} {:>8} {:>10} {:>10} {:>10} {:>10} {:>8} {:>10}",
-        "model", "clients", "req/s", "p50 ms", "p99 ms", "shed rate", "errors", "srv sheds"
+        "{:>8} {:>10} {:>10} {:>10} {:>10} {:>8} {:>10}",
+        "clients", "req/s", "p50 ms", "p99 ms", "shed rate", "errors", "srv sheds"
     );
     let mut rows = Vec::new();
-    let mut reactor_sheds = 0u64;
-    for model in [ServerModel::Reactor, ServerModel::Threaded] {
-        for &clients in &levels {
-            let cell = run_swarm_cell(model, clients, duration, THREADED_CAP);
-            let r = &cell.report;
-            let (p50, p99) = r.quantiles_ms();
-            let label = match model {
-                ServerModel::Reactor => "reactor",
-                ServerModel::Threaded => "threaded",
-            };
-            warn_samples(
-                &format!("S1 {label} {clients}"),
-                r.latencies_ms.len() as u64,
-            );
-            println!(
-                "{:<10} {:>8} {:>10.0} {:>10.2} {:>10.2} {:>9.2}% {:>8} {:>10}",
-                label,
-                clients,
-                r.req_per_s(),
-                p50,
-                p99,
-                r.shed_rate() * 100.0,
-                r.errors,
-                cell.server.sheds
-            );
-            if model == ServerModel::Reactor {
-                reactor_sheds += r.shed + cell.server.sheds;
-            }
-            rows.push(vec![
-                ("reactor", (model == ServerModel::Reactor) as u64 as f64),
-                ("clients", clients as f64),
-                ("req_per_s", r.req_per_s()),
-                ("p50_ms", p50),
-                ("p99_ms", p99),
-                ("shed_rate", r.shed_rate()),
-                ("errors", r.errors as f64),
-                ("server_sheds", cell.server.sheds as f64),
-                ("samples", r.latencies_ms.len() as f64),
-            ]);
-        }
+    let mut sheds = 0u64;
+    for &clients in &levels {
+        let cell = run_swarm_cell(clients, duration, swarm_config(clients));
+        let r = &cell.report;
+        let (p50, p99) = r.quantiles_ms();
+        warn_samples(&format!("S1 {clients}"), r.latencies_ms.len() as u64);
+        println!(
+            "{:>8} {:>10.0} {:>10.2} {:>10.2} {:>9.2}% {:>8} {:>10}",
+            clients,
+            r.req_per_s(),
+            p50,
+            p99,
+            r.shed_rate() * 100.0,
+            r.errors,
+            cell.server.sheds
+        );
+        sheds += r.shed + cell.server.sheds;
+        rows.push(vec![
+            ("clients", clients as f64),
+            ("req_per_s", r.req_per_s()),
+            ("p50_ms", p50),
+            ("p99_ms", p99),
+            ("shed_rate", r.shed_rate()),
+            ("errors", r.errors as f64),
+            ("server_sheds", cell.server.sheds as f64),
+            ("samples", r.latencies_ms.len() as f64),
+        ]);
     }
     write_json(
         "BENCH_S1.json",
         "S1",
-        "concurrent keep-alive client swarm: reactor vs thread-per-connection",
+        "concurrent keep-alive client swarm against the reactor",
         quick,
         &rows,
     );
-    if quick && reactor_sheds > 0 {
-        eprintln!(
-            "S1 quick FAILED: reactor shed {reactor_sheds} request(s) at smoke scale (expected 0)"
-        );
+    if quick && sheds > 0 {
+        eprintln!("S1 quick FAILED: reactor shed {sheds} request(s) at smoke scale (expected 0)");
         std::process::exit(4);
     }
     println!();
@@ -1159,18 +1142,16 @@ fn update_throughput(quick: bool) {
     println!();
 }
 
-/// C1: prepared queries. Four cells: (a) `prepare()` cold compile vs
+/// C1: prepared queries. Three cells: (a) `prepare()` cold compile vs
 /// warm cache hit, (b) repeated-shape execution throughput with the
-/// plan cache on vs off (the ≥ 2x warm-path target), (c) the wrapper's
+/// plan cache on vs off (the ≥ 2x warm-path target) and (c) the wrapper's
 /// generated-query cache over the wire — the paper's Table-3 compile
-/// column collapsing to ≈ 0 on warm requests — and (d) the adaptive
-/// bulk-sizing controller against the hand-pinned `set_bulk_threads`
-/// sweep on the A1 bulk getPerson workload.
+/// column collapsing to ≈ 0 on warm requests.
 fn compile_cache(quick: bool) {
     use std::time::Instant;
     use xrpc_peer::{EngineKind, Peer};
 
-    println!("== C1: prepared queries — plan cache & adaptive bulk sizing ==");
+    println!("== C1: prepared queries — the plan cache ==");
     let mut rows: Vec<Vec<(&str, f64)>> = Vec::new();
     let clauses = 400;
 
@@ -1275,68 +1256,10 @@ fn compile_cache(quick: bool) {
         ("mean_request_ms", ms(warm_elapsed) / reqs as f64),
     ]);
 
-    // -- (d) adaptive bulk sizing vs the pinned sweep -------------------
-    println!("-- adaptive vs pinned set_bulk_threads (A1 bulk getPerson) --");
-    println!(
-        "{:<10} {:>10} {:>16}",
-        "threads", "mean ms", "chosen threads"
-    );
-    let persons_d = if quick { 100 } else { 500 };
-    let x = if quick { 100 } else { 400 };
-    let runs = if quick { 3 } else { 10 };
-    let mut best_static = f64::INFINITY;
-    let mut adaptive_ms = f64::NAN;
-    for pin in [0usize, 1, 2, 4, 8] {
-        let c = bulk_person_cluster(persons_d, NetProfile::lan());
-        if pin > 0 {
-            c.b.set_bulk_threads(pin);
-        }
-        let q = get_person_query(x, persons_d);
-        let _ = time_query(&c.a, &q); // warm modules, plans and the connection
-        let mut total = Duration::ZERO;
-        for _ in 0..runs {
-            total += time_query(&c.a, &q).0;
-        }
-        let mean = ms(total) / runs as f64;
-        let snap = c.b.adaptive.snapshot();
-        let label = if pin == 0 {
-            "adaptive".to_string()
-        } else {
-            format!("pin {pin}")
-        };
-        println!("{label:<10} {mean:>10.1} {:>16}", snap.last_threads);
-        if pin == 0 {
-            adaptive_ms = mean;
-        } else {
-            best_static = best_static.min(mean);
-        }
-        rows.push(vec![
-            ("section", 4.0),
-            ("pinned", pin as f64),
-            ("mean_ms", mean),
-            ("chosen_threads", snap.last_threads as f64),
-            ("calls_per_batch", x as f64),
-        ]);
-    }
-    println!(
-        "adaptive {adaptive_ms:.1} ms vs best static {best_static:.1} ms ({:.2}x of best)",
-        adaptive_ms / best_static.max(1e-9)
-    );
-    rows.push(vec![
-        ("section", 4.0),
-        ("pinned", -1.0),
-        ("adaptive_ms", adaptive_ms),
-        ("best_static_ms", best_static),
-        (
-            "adaptive_vs_best_static",
-            adaptive_ms / best_static.max(1e-9),
-        ),
-    ]);
-
     write_json(
         "BENCH_C1.json",
         "C1",
-        "prepared queries: plan-cache warm path + adaptive bulk sizing",
+        "prepared queries: plan-cache warm path",
         quick,
         &rows,
     );
@@ -1355,6 +1278,77 @@ fn compile_cache(quick: bool) {
             ws.hit_rate() * 100.0
         );
     }
+    println!();
+}
+
+/// Ablation A3: marshaling cost (s2n + n2s through full message text) by
+/// parameter shape — the paper's two value families (§2.1), atomic values
+/// vs element subtrees, at n ∈ {10, 100, 1000} items per parameter.
+fn ablation_marshal() {
+    use std::sync::Arc;
+    use std::time::Instant;
+    use xdm::{Item, Sequence};
+    use xrpc_proto::{parse_message, XrpcRequest};
+
+    fn atomic_seq(n: usize) -> Sequence {
+        (0..n)
+            .map(|i| match i % 2 {
+                0 => Item::integer(i as i64),
+                _ => Item::string(format!("value-{i}")),
+            })
+            .collect()
+    }
+    fn element_seq(n: usize) -> Sequence {
+        let films: String = (0..n)
+            .map(|i| format!("<film year=\"{i}\"><name>Film {i}</name></film>"))
+            .collect();
+        let doc = Arc::new(xmldom::parse(&format!("<w>{films}</w>")).unwrap());
+        let w = doc.first_child(doc.root()).unwrap();
+        doc.children(w)
+            .map(|c| Item::Node(xmldom::NodeHandle::new(doc.clone(), c)))
+            .collect()
+    }
+    /// One message out and back in; returns its size on the wire.
+    fn roundtrip(seq: &Sequence) -> usize {
+        let mut req = XrpcRequest::new("m", "f", 1);
+        req.push_call(vec![seq.clone()]);
+        let xml = req.to_xml().unwrap();
+        parse_message(&xml).unwrap();
+        xml.len()
+    }
+
+    println!("== Ablation A3: marshaling round trip by parameter shape (µs/message) ==");
+    println!(
+        "{:<8} {:>6} {:>12} {:>12}",
+        "shape", "n", "µs/message", "bytes"
+    );
+    let mut rows = Vec::new();
+    for n in [10usize, 100, 1000] {
+        for (shape, seq) in [("atomic", atomic_seq(n)), ("element", element_seq(n))] {
+            let bytes = roundtrip(&seq); // warm the buffer pool
+            let iters = (20_000 / n).max(20);
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                std::hint::black_box(roundtrip(std::hint::black_box(&seq)));
+            }
+            let micros = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
+            println!("{shape:<8} {n:>6} {micros:>12.1} {bytes:>12}");
+            rows.push(vec![
+                ("element", (shape == "element") as u64 as f64),
+                ("n", n as f64),
+                ("micros_per_message", micros),
+                ("message_bytes", bytes as f64),
+                ("samples", iters as f64),
+            ]);
+        }
+    }
+    write_json(
+        "BENCH_A3.json",
+        "A3",
+        "marshaling round trip (to_xml + parse_message): atomic vs element parameters",
+        false,
+        &rows,
+    );
     println!();
 }
 

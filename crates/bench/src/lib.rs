@@ -265,39 +265,6 @@ pub fn compile_heavy_query(clauses: usize, tag: u64) -> String {
     q
 }
 
-/// Two-peer cluster for the adaptive-bulk half of C1: A loop-lifts a
-/// getPerson batch into one Bulk RPC, B serves it out of persons.xml —
-/// the A1 workload with a data-dependent function body, so B's per-call
-/// evaluation cost is real and the bulk-sizing controller has something
-/// to observe.
-pub struct BulkPersonCluster {
-    pub net: Arc<SimNetwork>,
-    pub a: Arc<Peer>,
-    pub b: Arc<Peer>,
-}
-
-pub fn bulk_person_cluster(persons: usize, profile: NetProfile) -> BulkPersonCluster {
-    let net = Arc::new(SimNetwork::new(profile));
-    let a = Peer::new(A_URI, EngineKind::Rel);
-    let b = Peer::new(B_URI, EngineKind::Tree);
-    for p in [&a, &b] {
-        p.register_module(xmark::functions_module()).unwrap();
-        p.set_transport(net.clone());
-    }
-    let params = xmark::XmarkParams {
-        persons,
-        closed_auctions: 0,
-        matches: 0,
-        padding_words: 8,
-        seed: 7,
-    };
-    b.add_document("persons.xml", &xmark::persons_xml(&params))
-        .unwrap();
-    net.register(A_URI, a.soap_handler());
-    net.register(B_URI, b.soap_handler());
-    BulkPersonCluster { net, a, b }
-}
-
 // ---------------------------------------------------------------------
 // Experiment U1: update-heavy durability — WAL group commit under
 // FsyncPolicy::Always (committed updates/s + commit latency quantiles)
@@ -634,20 +601,6 @@ mod tests {
         let p = Peer::new("xrpc://c1.example.org", EngineKind::Tree);
         let r = p.execute(&q0).unwrap();
         assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn bulk_person_cluster_serves_bulk_get_person() {
-        let c = bulk_person_cluster(20, NetProfile::instant());
-        let (_, res) = time_query(&c.a, &get_person_query(10, 20));
-        assert_eq!(res.len(), 10);
-        // loop-lifted: one bulk request carried all ten calls
-        assert_eq!(
-            c.b.stats
-                .requests_handled
-                .load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
     }
 
     #[test]

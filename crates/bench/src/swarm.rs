@@ -6,10 +6,9 @@
 //! one connection and one in-flight request; completions, 503 sheds,
 //! errors and per-request latencies are tallied per cell.
 //!
-//! The experiment compares the event-driven reactor against the
-//! thread-per-connection baseline (kept behind
-//! [`ServerModel::Threaded`]) at 1k/5k/10k concurrent clients — the
-//! regime where a thread per socket stops being a server architecture.
+//! The experiment measures the reactor's capacity at 1k/5k/10k
+//! concurrent clients — the regime where a thread per socket stops being
+//! a server architecture.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -17,7 +16,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xrpc_net::http::{Handler, HttpConfig, HttpServer, ServerModel};
+use xrpc_net::http::{Handler, HttpConfig, HttpServer};
 use xrpc_net::metrics::MetricsSnapshot;
 use xrpc_net::poll::{connect_nonblocking, take_socket_error, Event, Poller};
 use xrpc_peer::{EngineKind, Peer};
@@ -359,7 +358,7 @@ fn parse_response(buf: &[u8]) -> Option<(u16, usize)> {
 }
 
 // ---------------------------------------------------------------------
-// Cell orchestration: a real peer served over either server model
+// Cell orchestration: a real peer behind the HTTP server
 // ---------------------------------------------------------------------
 
 /// One swarm cell's full outcome: the client-side tally plus the
@@ -384,46 +383,26 @@ pub fn swarm_request_bytes() -> Vec<u8> {
     out
 }
 
-/// Server config for a swarm cell. The reactor runs with admission
-/// sized for the swarm (dispatch queue ≥ one in-flight request per
-/// client, queue-wait shedding effectively off so the cell measures
-/// connection scalability); the threaded baseline keeps the hard
-/// `max_connections` cap that was the pre-reactor admission story.
-pub fn swarm_config(model: ServerModel, clients: usize, threaded_cap: usize) -> HttpConfig {
-    match model {
-        ServerModel::Reactor => HttpConfig {
-            model,
-            max_connections: 0,
-            dispatch_queue: clients + 1024,
-            shed_wait: Duration::from_secs(600),
-            ..HttpConfig::default()
-        },
-        ServerModel::Threaded => HttpConfig {
-            model,
-            max_connections: threaded_cap,
-            ..HttpConfig::default()
-        },
+/// Server config for a swarm cell: admission sized for the swarm
+/// (dispatch queue ≥ one in-flight request per client, queue-wait
+/// shedding effectively off) so the cell measures connection scalability.
+pub fn swarm_config(clients: usize) -> HttpConfig {
+    HttpConfig {
+        dispatch_queue: clients + 1024,
+        shed_wait: Duration::from_secs(600),
+        ..HttpConfig::default()
     }
 }
 
-/// Boot a fresh peer on `model`, run the swarm against it, shut it
-/// down. `threaded_cap` is the baseline's hard connection cap.
-pub fn run_swarm_cell(
-    model: ServerModel,
-    clients: usize,
-    duration: Duration,
-    threaded_cap: usize,
-) -> SwarmCell {
+/// Boot a fresh peer behind a server with `config`, run the swarm
+/// against it, shut it down.
+pub fn run_swarm_cell(clients: usize, duration: Duration, config: HttpConfig) -> SwarmCell {
     let b = Peer::new("xrpc://swarm.example.org", EngineKind::Tree);
     b.register_module(xmark::test_module()).unwrap();
     let h = b.soap_handler();
     let handler: Arc<Handler> = Arc::new(move |_path, body| (200, h(body)));
-    let mut server = HttpServer::bind_with(
-        "127.0.0.1:0",
-        handler,
-        swarm_config(model, clients, threaded_cap),
-    )
-    .expect("bind swarm server");
+    let mut server =
+        HttpServer::bind_with("127.0.0.1:0", handler, config).expect("bind swarm server");
     let addr: SocketAddr = server.addr().parse().expect("server addr");
     let request = swarm_request_bytes();
     let report = run_swarm(
@@ -514,38 +493,36 @@ mod tests {
     }
 
     #[test]
-    fn small_swarm_completes_requests_on_both_models() {
-        for model in [ServerModel::Reactor, ServerModel::Threaded] {
-            let cell = run_swarm_cell(model, 8, Duration::from_millis(800), 1024);
-            assert!(
-                cell.report.completed > 8,
-                "{model:?}: only {} completions ({} errors, {} shed)",
-                cell.report.completed,
-                cell.report.errors,
-                cell.report.shed
-            );
-            assert_eq!(cell.report.shed, 0, "{model:?} shed under capacity");
-            assert_eq!(cell.server.sheds, 0, "{model:?} server sheds");
-            assert_eq!(
-                cell.report.latencies_ms.len(),
-                cell.report.completed as usize
-            );
-            let (p50, p99) = cell.report.quantiles_ms();
-            assert!(p50 <= p99);
-        }
+    fn small_swarm_completes_requests() {
+        let cell = run_swarm_cell(8, Duration::from_millis(800), swarm_config(8));
+        assert!(
+            cell.report.completed > 8,
+            "only {} completions ({} errors, {} shed)",
+            cell.report.completed,
+            cell.report.errors,
+            cell.report.shed
+        );
+        assert_eq!(cell.report.shed, 0, "shed under capacity");
+        assert_eq!(cell.server.sheds, 0, "server sheds");
+        assert_eq!(
+            cell.report.latencies_ms.len(),
+            cell.report.completed as usize
+        );
+        let (p50, p99) = cell.report.quantiles_ms();
+        assert!(p50 <= p99);
     }
 
     #[test]
-    fn threaded_over_cap_sheds_and_swarm_counts_it() {
-        // 12 clients against a 4-connection hard cap: the baseline must
-        // shed, and every shed must be a clean readable 503 (errors stay
-        // at connect-refused level, not protocol garbage)
-        let cell = run_swarm_cell(ServerModel::Threaded, 12, Duration::from_millis(800), 4);
-        assert!(
-            cell.report.shed > 0,
-            "hard cap must shed: {:?}",
-            cell.report
-        );
+    fn over_cap_sheds_and_swarm_counts_it() {
+        // 12 clients against a 4-connection cap: the server must shed,
+        // and every shed must be a clean readable 503 (errors stay at
+        // connect-refused level, not protocol garbage)
+        let capped = HttpConfig {
+            max_connections: 4,
+            ..HttpConfig::default()
+        };
+        let cell = run_swarm_cell(12, Duration::from_millis(800), capped);
+        assert!(cell.report.shed > 0, "the cap must shed: {:?}", cell.report);
         assert!(cell.report.completed > 0, "capped clients still progress");
         assert_eq!(cell.server.sheds, cell.report.shed);
     }

@@ -125,22 +125,6 @@ impl SeqTable {
         t
     }
 
-    /// Per-iteration map over sequences; rebuilds pos numbering.
-    pub fn map_sequences(
-        &self,
-        loop_iters: &[u32],
-        mut f: impl FnMut(u32, Sequence) -> Sequence,
-    ) -> SeqTable {
-        let mut t = SeqTable::new();
-        for &i in loop_iters {
-            let seq = f(i, self.sequence_at(i));
-            for (p, item) in seq.into_items().into_iter().enumerate() {
-                t.push(i, p as u32 + 1, item);
-            }
-        }
-        t
-    }
-
     /// ⊎ of several operand tables *per iteration*, in operand order —
     /// this is how `(e1, e2)` sequence construction is lifted.
     pub fn concat_per_iter(loop_iters: &[u32], operands: &[SeqTable]) -> SeqTable {
@@ -181,17 +165,6 @@ impl SeqTable {
             }
         }
         out
-    }
-
-    /// All iterations present (ascending, deduplicated).
-    pub fn iters(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = Vec::new();
-        for &i in &self.iter {
-            if v.last() != Some(&i) {
-                v.push(i);
-            }
-        }
-        v
     }
 }
 

@@ -444,10 +444,13 @@ impl StaticContext {
     /// static-context half of a plan-cache key — two queries with the
     /// same text but different static contexts never share a plan.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
+        let mut h = xrpc_obs::fnv1a64(b"");
+        // a NUL after every field keeps concatenation boundaries
+        // distinguishable
         let mut feed = |tag: &str, s: &str| {
-            h = fnv1a_str(h, tag);
-            h = fnv1a_str(h, s);
+            for bytes in [tag.as_bytes(), &[0], s.as_bytes(), &[0]] {
+                h = xrpc_obs::fnv1a64_continue(h, bytes);
+            }
         };
         let mut ns: Vec<_> = self.namespaces.iter().collect();
         ns.sort();
@@ -469,18 +472,6 @@ impl StaticContext {
         feed("collation", self.default_collation.as_deref().unwrap_or(""));
         h
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// FNV-1a over a string, continuing from `h` (plus a NUL separator so
-/// concatenation boundaries stay distinguishable).
-fn fnv1a_str(mut h: u64, s: &str) -> u64 {
-    for b in s.as_bytes().iter().chain(std::iter::once(&0u8)) {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -571,5 +562,21 @@ mod tests {
         assert_eq!(sc.options["xrpc:isolation"], "repeatable");
         // defaults still present
         assert_eq!(sc.resolve_prefix("xs"), Some(xmldom::qname::NS_XS));
+    }
+
+    /// Known answers (computed outside the workspace): a plan-cache key is
+    /// FNV-1a over the NUL-terminated fields, in sorted map order.
+    #[test]
+    fn fingerprint_known_answers() {
+        assert_eq!(
+            StaticContext::default().fingerprint(),
+            0xeb5b_e9b2_6a7f_a224
+        );
+        let mut sc = StaticContext::default();
+        sc.namespaces.insert("a".into(), "urn:a".into());
+        sc.imports
+            .insert("m".into(), ("urn:m".into(), vec!["http://x/m.xq".into()]));
+        sc.base_uri = Some("http://b/".into());
+        assert_eq!(sc.fingerprint(), 0xc456_f1de_1418_5a79);
     }
 }

@@ -1,11 +1,9 @@
 //! A minimal HTTP/1.1 server and client over `std::net` TCP — the
 //! reproduction of the paper's "ultra-light HTTP daemon" (shttpd, §3).
 //! POST-only with Content-Length framing, optional keep-alive. The
-//! server runs in one of two models (see [`ServerModel`]): the default
-//! epoll reactor ([`crate::reactor`]) multiplexing every connection over
-//! a small worker pool, or the original thread-per-connection baseline.
-//! Timeouts and the maximum accepted body size are configurable via
-//! [`HttpConfig`].
+//! server is the epoll reactor ([`crate::reactor`]): every connection
+//! multiplexed on one event loop over a small worker pool. Timeouts and
+//! the maximum accepted body size are configurable via [`HttpConfig`].
 
 use crate::bufpool::BufferPool;
 use crate::metrics::NetMetrics;
@@ -13,33 +11,14 @@ use crate::pool::ConnectionPool;
 use crate::reactor::ReactorHandle;
 use crate::{NetError, NetErrorKind, Transport};
 use std::io::{BufRead, BufReader, IoSlice, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// How the server multiplexes connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerModel {
-    /// Readiness-driven epoll reactor: thousands of keep-alive
-    /// connections multiplexed on one event loop, complete requests
-    /// handed to a small fixed evaluation pool through a bounded
-    /// channel, backpressure-aware admission shedding. The default.
-    #[default]
-    Reactor,
-    /// One OS thread per connection over blocking sockets — the original
-    /// model, kept for A/B comparison (`tables s1` benches both).
-    Threaded,
-}
 
 /// Tuning knobs shared by the HTTP server and client. The defaults are
 /// the values that used to be hardcoded (30 s socket read timeout) plus
 /// a 64 MiB request-body cap.
-///
-/// Deprecation note: the `accept_poll_interval` knob is gone. It paced
-/// the threaded model's sleep-polling accept loop (1 ms busy-wait per
-/// listener at idle); accept is readiness-driven in the reactor model,
-/// and the threaded baseline now uses a fixed internal poll slice.
 #[derive(Debug, Clone, Copy)]
 pub struct HttpConfig {
     /// Socket read timeout (server: per request read; client: response
@@ -58,21 +37,18 @@ pub struct HttpConfig {
     /// Maximum concurrently served connections. Connections accepted
     /// beyond the cap are answered with `503 Service Unavailable`; the
     /// request is drained (never handled) so the response is delivered
-    /// reliably before the connection closes. `0` means unlimited.
-    /// Under [`ServerModel::Reactor`] this is one of three admission
-    /// signals (alongside dispatch-queue depth and queue wait).
+    /// reliably before the connection closes. `0` means unlimited. One
+    /// of three admission signals (alongside dispatch-queue depth and
+    /// queue wait).
     pub max_connections: usize,
-    /// Which server implementation [`HttpServer::bind_with`] starts.
-    pub model: ServerModel,
-    /// Reactor model: evaluation worker threads. `0` picks
+    /// Evaluation worker threads. `0` picks
     /// `max(4, available_parallelism)`.
     pub reactor_workers: usize,
-    /// Reactor model: dispatch-channel capacity between the reactor and
-    /// the workers. A full queue sheds new connections (and ready
-    /// requests) with `503`.
+    /// Dispatch-channel capacity between the reactor and the workers. A
+    /// full queue sheds new connections (and ready requests) with `503`.
     pub dispatch_queue: usize,
-    /// Reactor model: when the EWMA of dispatch-queue wait exceeds this,
-    /// new connections are shed — the latency-based admission signal.
+    /// When the EWMA of dispatch-queue wait exceeds this, new connections
+    /// are shed — the latency-based admission signal.
     pub shed_wait: Duration,
 }
 
@@ -84,7 +60,6 @@ impl Default for HttpConfig {
             pool_max_idle_per_host: 8,
             pool_idle_timeout: Duration::from_secs(60),
             max_connections: 0,
-            model: ServerModel::Reactor,
             reactor_workers: 0,
             dispatch_queue: 1024,
             shed_wait: Duration::from_secs(2),
@@ -92,33 +67,17 @@ impl Default for HttpConfig {
     }
 }
 
-/// Fixed poll slice for the threaded baseline's accept loop (was the
-/// `accept_poll_interval` knob).
-const THREADED_ACCEPT_POLL: Duration = Duration::from_millis(1);
-
 /// Handler for incoming requests: (path, body) → (status, response body).
 pub type Handler = dyn Fn(&str, &[u8]) -> (u16, Vec<u8>) + Send + Sync;
 
-/// A running HTTP server; dropping it shuts down gracefully (stop
-/// accepting, drain in-flight connections for a bounded period, join the
-/// worker threads) — see [`shutdown_graceful`](Self::shutdown_graceful)
-/// for an explicit, deadline-controlled shutdown. Which implementation
-/// serves is chosen by [`HttpConfig::model`]; the public surface is
-/// identical for both.
+/// A running HTTP server — a handle over the reactor; dropping it shuts
+/// down gracefully (stop accepting, drain in-flight connections for a
+/// bounded period, join the worker threads) — see
+/// [`shutdown_graceful`](Self::shutdown_graceful) for an explicit,
+/// deadline-controlled shutdown.
 pub struct HttpServer {
-    addr: std::net::SocketAddr,
-    inner: ServerImpl,
+    reactor: ReactorHandle,
     pub metrics: Arc<NetMetrics>,
-}
-
-enum ServerImpl {
-    Threaded {
-        shutdown: Arc<AtomicBool>,
-        accept_thread: Option<std::thread::JoinHandle<()>>,
-        workers: Arc<std::sync::Mutex<Vec<std::thread::JoinHandle<()>>>>,
-        active: Arc<AtomicUsize>,
-    },
-    Reactor(ReactorHandle),
 }
 
 impl HttpServer {
@@ -135,113 +94,25 @@ impl HttpServer {
         config: HttpConfig,
     ) -> Result<Self, NetError> {
         let metrics = Arc::new(NetMetrics::new());
-        match config.model {
-            ServerModel::Reactor => {
-                let handle = crate::reactor::bind(addr, handler, config, metrics.clone())
-                    .map_err(NetError::from)?;
-                Ok(HttpServer {
-                    addr: handle.addr(),
-                    inner: ServerImpl::Reactor(handle),
-                    metrics,
-                })
-            }
-            ServerModel::Threaded => Self::bind_threaded(addr, handler, config, metrics),
-        }
-    }
-
-    fn bind_threaded(
-        addr: &str,
-        handler: Arc<Handler>,
-        config: HttpConfig,
-        metrics: Arc<NetMetrics>,
-    ) -> Result<Self, NetError> {
-        let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let sd = shutdown.clone();
-        let m = metrics.clone();
-        let active = Arc::new(AtomicUsize::new(0));
-        let workers: Arc<std::sync::Mutex<Vec<std::thread::JoinHandle<()>>>> =
-            Arc::new(std::sync::Mutex::new(Vec::new()));
-        let act = active.clone();
-        let wrk = workers.clone();
-        listener.set_nonblocking(true)?;
-        let accept_thread = std::thread::Builder::new()
-            .name(format!("xrpc-http-{local}"))
-            .spawn(move || {
-                while !sd.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if config.max_connections > 0
-                                && act.load(Ordering::Relaxed) >= config.max_connections
-                            {
-                                m.record_failure();
-                                m.record_shed();
-                                // rejecting involves draining the unread
-                                // request; keep the accept loop responsive
-                                track(
-                                    &wrk,
-                                    std::thread::Builder::new()
-                                        .spawn(move || reject_over_cap(stream)),
-                                );
-                                continue;
-                            }
-                            let h = handler.clone();
-                            let m2 = m.clone();
-                            let sd2 = sd.clone();
-                            let guard = ConnGuard::enter(&act, &m);
-                            // request handlers may evaluate deep queries:
-                            // give them room (see xqeval recursion cap)
-                            track(
-                                &wrk,
-                                std::thread::Builder::new()
-                                    .stack_size(32 * 1024 * 1024)
-                                    .spawn(move || {
-                                        let _guard = guard;
-                                        let _ = serve_connection(stream, &h, &m2, &config, &sd2);
-                                    }),
-                            );
-                        }
-                        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(THREADED_ACCEPT_POLL);
-                        }
-                        Err(_) => break,
-                    }
-                }
-            })
-            .map_err(|e| NetError::new(e.to_string()))?;
-        Ok(HttpServer {
-            addr: local,
-            inner: ServerImpl::Threaded {
-                shutdown,
-                accept_thread: Some(accept_thread),
-                workers,
-                active,
-            },
-            metrics,
-        })
+        let reactor = crate::reactor::bind(addr, handler, config, metrics.clone())?;
+        Ok(HttpServer { reactor, metrics })
     }
 
     pub fn port(&self) -> u16 {
-        self.addr.port()
+        self.reactor.addr().port()
     }
 
     pub fn addr(&self) -> String {
-        format!("127.0.0.1:{}", self.addr.port())
+        format!("127.0.0.1:{}", self.port())
     }
 
     pub fn url(&self) -> String {
-        format!("http://127.0.0.1:{}/xrpc", self.addr.port())
+        format!("http://127.0.0.1:{}/xrpc", self.port())
     }
 
     /// Connections currently being served.
     pub fn active_connections(&self) -> usize {
-        match &self.inner {
-            ServerImpl::Threaded { active, .. } => active.load(Ordering::SeqCst),
-            ServerImpl::Reactor(_) => {
-                self.metrics.active_connections.load(Ordering::SeqCst) as usize
-            }
-        }
+        self.metrics.active_connections.load(Ordering::SeqCst) as usize
     }
 
     /// Graceful shutdown: stop accepting new connections, let in-flight
@@ -252,67 +123,13 @@ impl HttpServer {
     /// detached (their connections die with the process). Idempotent —
     /// later calls (including the one in `Drop`) are cheap no-ops.
     pub fn shutdown_graceful(&mut self, deadline: Duration) -> bool {
-        match &mut self.inner {
-            ServerImpl::Reactor(handle) => handle.shutdown_graceful(deadline),
-            ServerImpl::Threaded {
-                shutdown,
-                accept_thread,
-                workers,
-                active,
-            } => {
-                shutdown.store(true, Ordering::SeqCst);
-                if let Some(t) = accept_thread.take() {
-                    let _ = t.join();
-                }
-                let end = std::time::Instant::now() + deadline;
-                while active.load(Ordering::SeqCst) > 0 && std::time::Instant::now() < end {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                let drained = active.load(Ordering::SeqCst) == 0;
-                let handles: Vec<_> = match workers.lock() {
-                    Ok(mut w) => w.drain(..).collect(),
-                    Err(_) => Vec::new(),
-                };
-                let mut stragglers = Vec::new();
-                for h in handles {
-                    // a drained server's workers are past their ConnGuard
-                    // drop: joining is instantaneous. Past-deadline
-                    // stragglers stay detached rather than blocking
-                    // shutdown.
-                    if drained || h.is_finished() {
-                        let _ = h.join();
-                    } else {
-                        stragglers.push(h);
-                    }
-                }
-                if !stragglers.is_empty() {
-                    if let Ok(mut w) = workers.lock() {
-                        w.extend(stragglers);
-                    }
-                }
-                drained
-            }
-        }
+        self.reactor.shutdown_graceful(deadline)
     }
 }
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
         self.shutdown_graceful(Duration::from_secs(5));
-    }
-}
-
-/// Remember a worker's join handle so shutdown can join it; finished
-/// workers are pruned opportunistically to keep the list from growing
-/// with connection churn.
-fn track(
-    workers: &std::sync::Mutex<Vec<std::thread::JoinHandle<()>>>,
-    spawned: std::io::Result<std::thread::JoinHandle<()>>,
-) {
-    let Ok(handle) = spawned else { return };
-    if let Ok(mut w) = workers.lock() {
-        w.retain(|h| !h.is_finished());
-        w.push(handle);
     }
 }
 
@@ -325,54 +142,6 @@ fn status_reason(status: u16) -> &'static str {
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",
-    }
-}
-
-/// Refuse an over-cap connection with a `503`. The request has not been
-/// read at this point, and closing a socket with unread bytes in its
-/// receive buffer makes the kernel send RST — which can discard the
-/// in-flight 503 before the client reads it, surfacing as ECONNRESET
-/// instead of the intended status. So: respond, half-close the write
-/// side (FIN), then drain whatever the client sends until it sees the
-/// response and closes its end. The drain is deadline-bounded so a
-/// trickling client can't hold the thread hostage.
-fn reject_over_cap(mut stream: TcpStream) {
-    if write_response(&mut stream, 503, b"connection limit reached", false).is_err() {
-        return;
-    }
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let mut sink = [0u8; 8192];
-    while std::time::Instant::now() < deadline {
-        match stream.read(&mut sink) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(ref e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => break,
-        }
-    }
-}
-
-/// Decrements the server's active-connection counter (and the
-/// `net_active_connections` gauge) when the serving thread finishes,
-/// whatever the exit path.
-struct ConnGuard(Arc<AtomicUsize>, Arc<NetMetrics>);
-
-impl ConnGuard {
-    fn enter(active: &Arc<AtomicUsize>, metrics: &Arc<NetMetrics>) -> Self {
-        active.fetch_add(1, Ordering::Relaxed);
-        metrics.active_connections.fetch_add(1, Ordering::Relaxed);
-        ConnGuard(active.clone(), metrics.clone())
-    }
-}
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-        self.1.active_connections.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -399,243 +168,13 @@ fn write_all_vectored(w: &mut impl Write, mut head: &[u8], mut body: &[u8]) -> s
     Ok(())
 }
 
-/// The response head both server models emit — byte-identical between
-/// the threaded and reactor paths (a regression test depends on it).
+/// The response head the server emits.
 pub(crate) fn response_head(status: u16, body_len: usize, keep_alive: bool) -> String {
     format!(
         "HTTP/1.1 {status} {}\r\nContent-Type: application/soap+xml; charset=utf-8\r\nContent-Length: {body_len}\r\nConnection: {}\r\n\r\n",
         status_reason(status),
         if keep_alive { "keep-alive" } else { "close" }
     )
-}
-
-fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &[u8],
-    keep_alive: bool,
-) -> Result<(), NetError> {
-    let head = response_head(status, body.len(), keep_alive);
-    write_all_vectored(stream, head.as_bytes(), body)?;
-    stream.flush()?;
-    Ok(())
-}
-
-fn serve_connection(
-    stream: TcpStream,
-    handler: &Arc<Handler>,
-    metrics: &NetMetrics,
-    config: &HttpConfig,
-    shutdown: &AtomicBool,
-) -> Result<(), NetError> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(config.read_timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut stream = stream;
-    // one request-body buffer per connection, reused across keep-alive
-    // requests and recycled into the global pool when the connection ends
-    let mut body = BufferPool::global().get(0);
-    let result = serve_requests(
-        &mut reader,
-        &mut stream,
-        handler,
-        metrics,
-        config,
-        &mut body,
-        shutdown,
-    );
-    BufferPool::global().put(body);
-    result
-}
-
-/// What the between-requests wait produced.
-enum Wait {
-    /// Request bytes are buffered: serve them (even while shutting down —
-    /// in-flight work drains).
-    Ready,
-    /// The client closed the connection cleanly.
-    Closed,
-    /// The server is shutting down and the connection is idle.
-    ShuttingDown,
-}
-
-/// Wait for the next request on a (keep-alive) connection in short poll
-/// slices, so an idle worker notices a graceful shutdown immediately
-/// instead of blocking out its full read timeout. Restores the full
-/// per-request read timeout before returning `Ready`.
-fn wait_for_request(
-    reader: &mut BufReader<TcpStream>,
-    config: &HttpConfig,
-    shutdown: &AtomicBool,
-) -> Result<Wait, NetError> {
-    if !reader.buffer().is_empty() {
-        return Ok(Wait::Ready);
-    }
-    let slice = Duration::from_millis(50).min(config.read_timeout);
-    let started = std::time::Instant::now();
-    reader.get_ref().set_read_timeout(Some(slice))?;
-    loop {
-        match reader.fill_buf() {
-            Ok([]) => return Ok(Wait::Closed),
-            Ok(_) => {
-                reader
-                    .get_ref()
-                    .set_read_timeout(Some(config.read_timeout))?;
-                return Ok(Wait::Ready);
-            }
-            Err(ref e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::Relaxed) {
-                    return Ok(Wait::ShuttingDown);
-                }
-                if started.elapsed() >= config.read_timeout {
-                    return Err(NetError::with_kind(
-                        NetErrorKind::Timeout,
-                        "idle connection timed out",
-                    ));
-                }
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn serve_requests(
-    reader: &mut BufReader<TcpStream>,
-    stream: &mut TcpStream,
-    handler: &Arc<Handler>,
-    metrics: &NetMetrics,
-    config: &HttpConfig,
-    body: &mut Vec<u8>,
-    shutdown: &AtomicBool,
-) -> Result<(), NetError> {
-    loop {
-        match wait_for_request(reader, config, shutdown)? {
-            Wait::Ready => {}
-            Wait::Closed | Wait::ShuttingDown => return Ok(()),
-        }
-        let req = match read_request(reader, config, body) {
-            Ok(Some(r)) => r,
-            Ok(None) => return Ok(()), // clean close
-            // protocol violations get an HTTP error response before the
-            // connection closes; I/O failures just drop the connection
-            Err(ReadError::Proto(msg)) => {
-                let _ = write_response(stream, 400, msg.as_bytes(), false);
-                metrics.record_failure();
-                return Err(NetError::new(msg));
-            }
-            Err(ReadError::TooLarge(n)) => {
-                let msg = format!(
-                    "request body of {n} bytes exceeds limit of {} bytes",
-                    config.max_body_bytes
-                );
-                let _ = write_response(stream, 413, msg.as_bytes(), false);
-                metrics.record_failure();
-                return Err(NetError::with_kind(NetErrorKind::TooLarge, msg));
-            }
-            Err(ReadError::Io(e)) => {
-                metrics.record_failure();
-                return Err(e);
-            }
-        };
-        let keep_alive = req.keep_alive;
-        let (status, resp) = handler(&req.path, body);
-        metrics.record(body.len(), resp.len());
-        write_response(stream, status, &resp, keep_alive)?;
-        // the handler's response buffer is spent: recycle it
-        BufferPool::global().put(resp);
-        if !keep_alive {
-            return Ok(());
-        }
-    }
-}
-
-/// Request metadata; the body lands in the caller-owned buffer.
-struct Request {
-    path: String,
-    keep_alive: bool,
-}
-
-enum ReadError {
-    /// Malformed request; answer 400.
-    Proto(String),
-    /// Content-Length over the configured cap; answer 413.
-    TooLarge(usize),
-    /// Transport failure; no response possible.
-    Io(NetError),
-}
-
-impl From<std::io::Error> for ReadError {
-    fn from(e: std::io::Error) -> Self {
-        ReadError::Io(e.into())
-    }
-}
-
-fn read_request(
-    reader: &mut BufReader<TcpStream>,
-    config: &HttpConfig,
-    body: &mut Vec<u8>,
-) -> Result<Option<Request>, ReadError> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    let mut parts = line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = match parts.next() {
-        Some(p) => p.to_string(),
-        None => {
-            return Err(ReadError::Proto(format!(
-                "malformed request line `{}`",
-                line.trim_end()
-            )))
-        }
-    };
-    let version = parts.next().unwrap_or("");
-    if method != "POST" && method != "GET" {
-        return Err(ReadError::Proto(format!("unsupported method `{method}`")));
-    }
-    if !version.starts_with("HTTP/") {
-        return Err(ReadError::Proto(format!(
-            "malformed request line `{}`",
-            line.trim_end()
-        )));
-    }
-    let mut content_length = 0usize;
-    let mut keep_alive = version == "HTTP/1.1";
-    loop {
-        let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
-            return Err(ReadError::Proto(
-                "connection closed mid-headers".to_string(),
-            ));
-        }
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        if let Some((k, v)) = h.split_once(':') {
-            let k = k.trim().to_ascii_lowercase();
-            let v = v.trim();
-            if k == "content-length" {
-                content_length = v
-                    .parse()
-                    .map_err(|_| ReadError::Proto("bad Content-Length".to_string()))?;
-            } else if k == "connection" {
-                keep_alive = v.eq_ignore_ascii_case("keep-alive");
-            }
-        }
-    }
-    if content_length > config.max_body_bytes {
-        return Err(ReadError::TooLarge(content_length));
-    }
-    body.clear();
-    body.resize(content_length, 0);
-    reader.read_exact(body)?;
-    Ok(Some(Request { path, keep_alive }))
 }
 
 /// HTTP client: POST `body` to `http://host:port/path` with default
@@ -1132,7 +671,8 @@ mod tests {
                 let mut body = vec![0u8; content_length];
                 reader.read_exact(&mut body).unwrap();
                 let mut stream = stream;
-                write_response(&mut stream, 200, &body, true).unwrap();
+                let head = response_head(200, body.len(), true);
+                write_all_vectored(&mut stream, head.as_bytes(), &body).unwrap();
                 // dropping the stream closes it despite `keep-alive`
             }
         });
@@ -1150,53 +690,6 @@ mod tests {
         assert_eq!(s.pool_hits, 0, "the stale attempt must not count as a hit");
         assert_eq!(s.pool_misses, 2);
         server.join().unwrap();
-    }
-
-    #[test]
-    fn connection_cap_rejects_with_503() {
-        let server = HttpServer::bind_with(
-            "127.0.0.1:0",
-            Arc::new(|_: &str, b: &[u8]| (200, b.to_vec())),
-            HttpConfig {
-                max_connections: 1,
-                ..HttpConfig::default()
-            },
-        )
-        .unwrap();
-        let url = format!("http://{}/cap", server.addr());
-        // an idle raw connection occupies the single slot once accepted
-        let hold = TcpStream::connect(server.addr()).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let (status, _) = http_post_with(&url, b"x", &HttpConfig::default()).unwrap();
-            if status == 503 {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "over-cap connection was never rejected"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // the typed client path surfaces the 503 as a non-SOAP 5xx error
-        let e = http_post(&url, b"x").unwrap_err();
-        assert_eq!(e.kind, NetErrorKind::Other);
-        assert!(e.message.contains("HTTP 503"), "{}", e.message);
-        // releasing the held connection frees the slot again
-        drop(hold);
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let (status, body) = http_post_with(&url, b"after", &HttpConfig::default()).unwrap();
-            if status == 200 {
-                assert_eq!(body, b"after");
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "slot was never released"
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
     }
 
     /// Keep-alive reuse (with its recycled per-connection buffers) must be

@@ -26,10 +26,10 @@ pub mod sim;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use bufpool::{BufferPool, PoolStats};
 pub use cancel::{ambient_deadline, current_job, set_ambient_deadline, set_current_job, JobCancel};
-pub use http::{http_post, HttpConfig, HttpServer, HttpTransport, ServerModel};
+pub use http::{http_post, HttpConfig, HttpServer, HttpTransport};
 pub use metrics::NetMetrics;
 pub use pool::ConnectionPool;
-pub use retry::{dest_salt, full_jitter, DestStats, ResilientTransport, RetryPolicy};
+pub use retry::{full_jitter, DestStats, ResilientTransport, RetryPolicy};
 pub use sim::{crash_points, CrashSwitch, NetProfile, SimFault, SimNetwork, SoapHandler};
 
 use std::fmt;

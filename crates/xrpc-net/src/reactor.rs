@@ -2,7 +2,7 @@
 //! connection over epoll ([`crate::poll`]), a small fixed worker pool
 //! evaluating requests, and a bounded dispatch channel between them —
 //! thousands of keep-alive connections without a thread (or a 32 MiB
-//! stack) per connection, and no 1 ms accept-loop busy-wait.
+//! stack) per connection.
 //!
 //! Per connection the reactor runs three small state machines:
 //!
@@ -15,16 +15,17 @@
 //!   vectored writes on `EPOLLOUT`; bodies are recycled into the global
 //!   [`BufferPool`] once written.
 //! * **shed/drain**: an admission-refused connection gets `503`, a
-//!   write-side FIN, and a deadline-bounded read drain — PR 3's
-//!   half-close-and-drain contract, minus the helper thread.
+//!   write-side FIN, and a deadline-bounded read drain: closing a
+//!   socket with unread request bytes makes the kernel send RST, which
+//!   can discard the in-flight 503 before the client reads it.
 //!
 //! Admission control is backpressure-aware rather than a hard cap: new
 //! connections (and ready requests) are shed with `503` when the
 //! dispatch queue is full, when the worker-pool queue wait (EWMA of
 //! parse-complete → handler-start latency, the
 //! `xrpc_reactor_dispatch_micros` histogram) exceeds
-//! [`HttpConfig::shed_wait`], or when `max_connections` (kept as a
-//! compatibility bound; `0` = unlimited) is reached. Every decision is
+//! [`HttpConfig::shed_wait`], or when `max_connections` (`0` =
+//! unlimited) is reached. Every decision is
 //! visible: `sheds` counter, `active_connections` /
 //! `accept_queue_depth` gauges, and the dispatch/wakeup histograms on
 //! [`NetMetrics`].
@@ -50,11 +51,11 @@ const TICK: Duration = Duration::from_millis(50);
 /// Parsed-but-undispatched requests buffered per connection before the
 /// reactor stops reading from it (pipelining bound).
 const PIPELINE_MAX: usize = 32;
-/// Header-section size cap (the threaded model bounds headers only by
-/// the read timeout; the reactor buffers, so it bounds bytes too).
+/// Header-section size cap: the reactor buffers the head, so it bounds
+/// its bytes as well as (through the read timeout) its time.
 const MAX_HEAD_BYTES: usize = 32 * 1024;
 /// How long a shed connection's read drain may run before the socket is
-/// closed regardless (mirrors the threaded `reject_over_cap` deadline).
+/// closed regardless, so a trickling client cannot hold the slot.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
 /// A fully parsed request waiting for a worker.
@@ -222,8 +223,6 @@ struct Conn {
     /// ahead of the protocol error has been answered, so responses stay
     /// in request order.
     pending_error: Option<(u16, Vec<u8>)>,
-    /// Keep-alive decision for the response currently being written.
-    cur_keep_alive: bool,
 }
 
 pub(crate) struct ReactorHandle {
@@ -256,8 +255,7 @@ impl ReactorHandle {
         }
         // the reactor dropped the dispatch sender on exit, so workers
         // unblock from `recv`; join the ones that are done, detach any
-        // straggler stuck in a long handler (same policy as the
-        // threaded model)
+        // straggler stuck in a long handler
         for w in std::mem::take(&mut self.workers) {
             if drained || w.is_finished() {
                 let _ = w.join();
@@ -492,14 +490,10 @@ impl Reactor {
                 break;
             }
             let drained_at = Instant::now();
-            let mut woke = false;
             for &ev in &events {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => {
-                        self.waker.drain();
-                        woke = true;
-                    }
+                    TOKEN_WAKER => self.waker.drain(),
                     token => self.conn_ready(
                         token as usize,
                         ev.readable,
@@ -511,7 +505,6 @@ impl Reactor {
             // completions can arrive with or without the waker token
             // (it may coalesce); always drain the queue
             self.drain_done(drained_at);
-            let _ = woke;
             // Workers only sample the EWMA when they dequeue a job, so a
             // quiet period after an overload would leave the admission
             // signal latched above `shed_wait` forever (shed connections
@@ -601,7 +594,6 @@ impl Reactor {
             last_activity: Instant::now(),
             last_write_progress: Instant::now(),
             pending_error: None,
-            cur_keep_alive: true,
         };
         if self.poller.add(fd, idx as u64, true, false).is_err() {
             self.free.push(idx);
@@ -643,7 +635,6 @@ impl Reactor {
             last_activity: Instant::now(),
             last_write_progress: Instant::now(),
             pending_error: None,
-            cur_keep_alive: false,
         };
         let _ = flush_wbuf(&mut conn);
         if conn.wbuf.is_empty() {
@@ -827,7 +818,6 @@ impl Reactor {
         }
         let (status, msg) = conn.pending_error.take().unwrap();
         conn.close_after_flush = true;
-        conn.cur_keep_alive = false;
         let head = response_head(status, msg.len(), false).into_bytes();
         conn.wbuf.push_back(WBuf {
             head,
@@ -901,7 +891,6 @@ impl Reactor {
         conn.pending_error = None;
         conn.close_after_flush = true;
         conn.shed = true;
-        conn.cur_keep_alive = false;
         let body = b"service overloaded, request shed".to_vec();
         let head = response_head(503, body.len(), false).into_bytes();
         conn.wbuf.push_back(WBuf { head, body, off: 0 });
@@ -934,7 +923,6 @@ impl Reactor {
             conn.last_activity = Instant::now();
             let keep_alive =
                 d.keep_alive && !conn.close_after_flush && !self.shutdown.load(Ordering::SeqCst);
-            conn.cur_keep_alive = keep_alive;
             if !keep_alive {
                 conn.close_after_flush = true;
             }
@@ -1053,9 +1041,7 @@ impl Reactor {
                 continue;
             }
             // slow-loris (partial request) and idle keep-alive both get
-            // the read timeout, then a clean close — the threaded model
-            // surfaced the same as a timeout error and dropped the
-            // connection without a response
+            // the read timeout, then a clean close without a response
             let idle = !conn.in_flight && conn.pending.is_empty() && conn.wbuf.is_empty();
             if idle && now.saturating_duration_since(conn.last_activity) >= timeout {
                 self.close_conn(idx);
@@ -1150,6 +1136,11 @@ fn parse_step(conn: &mut Conn, max_body_bytes: usize) -> ParseStep {
             return ParseStep::NeedMore;
         };
         let head_len = pos + 4;
+        // the cap holds however the reads were chunked: a terminator
+        // found past it is as oversized as one never found
+        if head_len > MAX_HEAD_BYTES {
+            return ParseStep::Bad("request headers too large".to_string());
+        }
         match parse_head(&conn.rbuf[..pos]) {
             Ok(mut h) => {
                 h.head_len = head_len;
@@ -1187,9 +1178,9 @@ fn find_header_end(buf: &[u8], from: usize) -> Option<usize> {
 }
 
 /// Parse request line + headers from the header section (no trailing
-/// blank line). Mirrors the threaded `read_request` rules exactly:
-/// POST/GET only, `HTTP/` version required, `Content-Length` must be a
-/// number, `Connection` overrides the HTTP/1.1 keep-alive default.
+/// blank line): POST/GET only, `HTTP/` version required, `Content-Length`
+/// must be a number, `Connection` overrides the HTTP/1.1 keep-alive
+/// default.
 fn parse_head(head: &[u8]) -> Result<ReqHead, String> {
     let mut lines = head.split(|&b| b == b'\n').map(|l| {
         let l = if l.last() == Some(&b'\r') {
@@ -1265,7 +1256,6 @@ mod tests {
             last_activity: Instant::now(),
             last_write_progress: Instant::now(),
             pending_error: None,
-            cur_keep_alive: true,
         }
     }
 
@@ -1329,17 +1319,132 @@ mod tests {
         assert!(matches!(parse_step(&mut c, 1 << 20), ParseStep::NeedMore));
     }
 
+    fn bad_reason(buf: &[u8]) -> String {
+        match parse_step(&mut conn_for(buf), 1 << 20) {
+            ParseStep::Bad(msg) => msg,
+            _ => panic!("{:?} must be rejected", String::from_utf8_lossy(buf)),
+        }
+    }
+
     #[test]
-    fn bad_method_and_oversize_detected() {
-        let mut c = conn_for(b"DELETE /x HTTP/1.1\r\n\r\n");
-        assert!(matches!(parse_step(&mut c, 1 << 20), ParseStep::Bad(_)));
+    fn bad_requests_name_their_defect_and_oversize_is_detected() {
+        // no path at all, then a path but no `HTTP/` version
+        for line in ["THIS-IS-NOT-HTTP", "POST /x", "POST /x FTP/1.1"] {
+            let reason = bad_reason(format!("{line}\r\n\r\n").as_bytes());
+            assert!(
+                reason.contains("malformed request line"),
+                "{line}: {reason}"
+            );
+        }
+        assert!(bad_reason(b"DELETE /x HTTP/1.1\r\n\r\n").contains("unsupported method `DELETE`"));
+        for length in ["banana", "-1"] {
+            let req = format!("POST /x HTTP/1.1\r\nContent-Length: {length}\r\n\r\n");
+            assert!(bad_reason(req.as_bytes()).contains("bad Content-Length"));
+        }
         let mut c = conn_for(b"POST /x HTTP/1.1\r\nContent-Length: 999999\r\n\r\n");
         assert!(matches!(
             parse_step(&mut c, 1024),
             ParseStep::TooLarge(999999)
         ));
-        let mut c = conn_for(b"POST /x HTTP/1.1\r\nContent-Length: banana\r\n\r\n");
-        assert!(matches!(parse_step(&mut c, 1 << 20), ParseStep::Bad(_)));
+        // GET is the admin surface's method: a request without a body
+        let mut c = conn_for(b"GET /metrics HTTP/1.1\r\n\r\n");
+        let ParseStep::Request(r) = parse_step(&mut c, 1 << 20) else {
+            panic!("GET must parse");
+        };
+        assert_eq!((r.path.as_str(), r.body.len()), ("/metrics", 0));
+    }
+
+    #[test]
+    fn head_cap_holds_with_or_without_a_terminator() {
+        let filler = "X-Pad: ".to_string() + &"p".repeat(MAX_HEAD_BYTES);
+        let unterminated = format!("POST /x HTTP/1.1\r\n{filler}");
+        assert!(bad_reason(unterminated.as_bytes()).contains("headers too large"));
+        // the same head arriving whole, terminator included, in one read
+        let terminated = format!("{unterminated}\r\n\r\n");
+        assert!(bad_reason(terminated.as_bytes()).contains("headers too large"));
+    }
+
+    /// Seeded byte-level mutation of valid requests, fed to the parser in
+    /// random chunks the way the reactor's read loop does: no input may
+    /// panic it, and whatever it is waiting for, it never holds more than
+    /// one capped head plus one capped body. A failure names its seed.
+    #[test]
+    fn mutated_requests_never_panic_and_stay_bounded() {
+        use rand::prelude::*;
+        const MAX_BODY: usize = 2048;
+        let corpus: [&[u8]; 5] = [
+            b"POST /xrpc HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\nConnection: keep-alive\r\n\r\nhello",
+            b"POST /a HTTP/1.1\r\nContent-Length: 3\r\n\r\nonePOST /b HTTP/1.0\r\nContent-Length: 3\r\n\r\ntwo",
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"POST /big HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
+            b"POST /x HTTP/1.1\r\ncontent-length:  7 \r\nX-Other: a:b:c\r\n\r\npayload",
+        ];
+        let mut c = conn_for(b"");
+        let mut outcomes = [0usize; 4];
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut input = corpus[rng.gen_range(0..corpus.len())].to_vec();
+            for _ in 0..rng.gen_range(0..6usize) {
+                let at = rng.gen_range(0..=input.len());
+                match rng.gen_range(0..6u8) {
+                    0 if at < input.len() => input[at] = rng.gen_range(0..=255u8),
+                    1 if at < input.len() => drop(input.remove(at)),
+                    2 => input.insert(at, b"\r\n: 9\0\xff"[rng.gen_range(0..7usize)]),
+                    3 => input.truncate(at),
+                    // a run long enough to cross the head cap
+                    4 => {
+                        let run =
+                            vec![rng.gen_range(b' '..=b'~'); rng.gen_range(1..3 * MAX_HEAD_BYTES)];
+                        input.splice(at..at, run);
+                    }
+                    _ => {
+                        let copy = input[at..].to_vec();
+                        input.extend_from_slice(&copy);
+                    }
+                }
+            }
+            c.rbuf.clear();
+            c.head = None;
+            c.cursor = ParseCursor::default();
+            let mut fed = 0;
+            'conn: while fed < input.len() {
+                let n = rng.gen_range(1..=(input.len() - fed).min(16 * 1024));
+                c.rbuf.extend_from_slice(&input[fed..fed + n]);
+                fed += n;
+                loop {
+                    match parse_step(&mut c, MAX_BODY) {
+                        ParseStep::NeedMore => {
+                            outcomes[0] += 1;
+                            assert!(
+                                c.rbuf.len() <= MAX_HEAD_BYTES + MAX_BODY,
+                                "seed {seed}: {} bytes buffered",
+                                c.rbuf.len()
+                            );
+                            break;
+                        }
+                        ParseStep::Request(r) => {
+                            outcomes[1] += 1;
+                            assert!(r.body.len() <= MAX_BODY, "seed {seed}");
+                            BufferPool::global().put(r.body);
+                        }
+                        // the reactor answers 400/413 and stops reading
+                        ParseStep::Bad(_) => {
+                            outcomes[2] += 1;
+                            break 'conn;
+                        }
+                        ParseStep::TooLarge(n) => {
+                            outcomes[3] += 1;
+                            assert!(n > MAX_BODY, "seed {seed}");
+                            break 'conn;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "every outcome reached (NeedMore/Request/Bad/TooLarge): {outcomes:?}"
+        );
     }
 
     #[test]
@@ -1354,5 +1459,11 @@ mod tests {
             panic!("must parse");
         };
         assert!(!r.keep_alive, "HTTP/1.0 defaults to close");
+        let mut c =
+            conn_for(b"POST /x HTTP/1.0\r\nCONNECTION: Keep-Alive\r\nContent-Length: 0\r\n\r\n");
+        let ParseStep::Request(r) = parse_step(&mut c, 1 << 20) else {
+            panic!("must parse");
+        };
+        assert!(r.keep_alive, "the header overrides the version's default");
     }
 }

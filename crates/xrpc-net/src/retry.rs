@@ -97,17 +97,6 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// FNV-1a hash of a destination URI — the per-destination jitter salt.
-pub fn dest_salt(dest: &str) -> u64 {
-    // FNV-1a: stable across runs, unlike `DefaultHasher`
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in dest.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Per-destination accounting for one [`ResilientTransport`]: a latency
 /// histogram over *successful* calls (µs, including any retries and
 /// backoff sleeps the call absorbed) plus the failure-path counters that
@@ -261,7 +250,8 @@ impl Transport for ResilientTransport {
     ) -> Result<Vec<u8>, NetError> {
         let start = Instant::now();
         let deadline = start + self.policy.call_deadline;
-        let salt = dest_salt(dest);
+        // the per-destination jitter salt
+        let salt = xrpc_obs::fnv1a64(dest.as_bytes());
         let stats = self.dest(dest);
         let mut attempt = 0u32;
         loop {

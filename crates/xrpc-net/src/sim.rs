@@ -18,7 +18,7 @@ use crate::metrics::NetMetrics;
 use crate::{NetError, NetErrorKind, Transport};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -216,9 +216,6 @@ impl CrashSwitch {
 
 struct PeerEntry {
     handler: SoapHandler,
-    /// Legacy fault injection: fail the next `n` requests with an
-    /// untyped (non-retryable) error before reaching the handler.
-    fail_next: AtomicU32,
     /// Scripted faults, consumed one per round trip.
     faults: Mutex<VecDeque<SimFault>>,
     /// Crashed peers refuse connections until restarted.
@@ -253,7 +250,6 @@ impl SimNetwork {
             dest.into(),
             Arc::new(PeerEntry {
                 handler,
-                fail_next: AtomicU32::new(0),
                 faults: Mutex::new(VecDeque::new()),
                 down: AtomicBool::new(false),
                 handled: AtomicU64::new(0),
@@ -268,15 +264,6 @@ impl SimNetwork {
 
     pub fn profile(&self) -> NetProfile {
         *self.profile.read()
-    }
-
-    /// Make the next `n` requests to `dest` fail with an untyped,
-    /// *non-retryable* error (legacy link fault injection; use
-    /// [`inject_fault`](Self::inject_fault) for typed faults).
-    pub fn inject_failures(&self, dest: &str, n: u32) {
-        if let Some(p) = self.peers.read().get(dest) {
-            p.fail_next.store(n, Ordering::SeqCst);
-        }
     }
 
     /// Schedule one fault on the link to `dest` (FIFO with previously
@@ -373,11 +360,6 @@ impl Transport for SimNetwork {
                     format!("peer `{dest}` is down (crashed at a crash point)"),
                 ));
             }
-        }
-        if peer.fail_next.load(Ordering::SeqCst) > 0 {
-            peer.fail_next.fetch_sub(1, Ordering::SeqCst);
-            self.metrics.record_failure();
-            return Err(NetError::new(format!("injected fault on link to `{dest}`")));
         }
         let fault = peer.faults.lock().pop_front();
         let profile = *self.profile.read();
@@ -511,16 +493,6 @@ mod tests {
         let t0 = Instant::now();
         net.roundtrip("xrpc://y", &body).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(90));
-    }
-
-    #[test]
-    fn fault_injection_fails_then_recovers() {
-        let net = SimNetwork::new(NetProfile::instant());
-        net.register("xrpc://y", Arc::new(|_: &[u8]| b"ok".to_vec()));
-        net.inject_failures("xrpc://y", 2);
-        assert!(net.roundtrip("xrpc://y", b"x").is_err());
-        assert!(net.roundtrip("xrpc://y", b"x").is_err());
-        assert_eq!(net.roundtrip("xrpc://y", b"x").unwrap(), b"ok");
     }
 
     #[test]

@@ -2,15 +2,13 @@
 //! malformed requests, truncated bodies, timeout mapping, body-size
 //! enforcement, slow-loris timeouts, request pipelining and admission
 //! shedding — at the protocol level (raw sockets, no client helper).
-//! The default server is the epoll reactor; the tests that pin down
-//! behavior both models must share run against each explicitly.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xrpc_net::http::{http_post_with, HttpServer};
-use xrpc_net::{HttpConfig, NetErrorKind, ServerModel};
+use xrpc_net::{HttpConfig, NetErrorKind};
 
 fn echo_server() -> HttpServer {
     HttpServer::bind(
@@ -103,23 +101,29 @@ fn unsupported_method_gets_400() {
     assert!(resp.contains("unsupported method"), "{resp}");
 }
 
+/// A client that closes its side mid-body or mid-headers gets its
+/// connection closed without a response: there is no complete request to
+/// answer.
 #[test]
-fn truncated_body_closes_connection_without_response() {
+fn truncated_request_closes_connection_without_response() {
     let server = echo_server();
-    let mut stream = TcpStream::connect(server.addr()).unwrap();
-    stream
-        .write_all(b"POST /xrpc HTTP/1.1\r\nContent-Length: 100\r\n\r\nonly-this")
-        .unwrap();
-    stream.flush().unwrap();
-    // half-close: the server's read_exact hits EOF mid-body
-    stream.shutdown(std::net::Shutdown::Write).unwrap();
-    let mut resp = Vec::new();
-    stream.read_to_end(&mut resp).unwrap();
-    assert!(
-        resp.is_empty(),
-        "truncated request must not produce a response: {:?}",
-        String::from_utf8_lossy(&resp)
-    );
+    for partial in [
+        &b"POST /xrpc HTTP/1.1\r\nContent-Length: 100\r\n\r\nonly-this"[..],
+        b"POST /xrpc HTTP/1.1\r\nContent-Length: 4\r\nX-Unfini",
+    ] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(partial).unwrap();
+        stream.flush().unwrap();
+        // half-close: the server sees EOF mid-request
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut resp = Vec::new();
+        stream.read_to_end(&mut resp).unwrap();
+        assert!(
+            resp.is_empty(),
+            "truncated request must not produce a response: {:?}",
+            String::from_utf8_lossy(&resp)
+        );
+    }
     assert_eq!(server.metrics.snapshot().roundtrips, 0);
 }
 
@@ -173,103 +177,92 @@ fn oversized_content_length_rejected_before_body_arrives() {
 
 /// Slow-loris: a client trickling a partial header must get a clean
 /// close (FIN, zero response bytes) once `read_timeout` expires — not a
-/// hung worker, not a reset mid-handshake, under either server model.
+/// hung worker, not a reset mid-handshake.
 #[test]
 fn slow_loris_partial_header_cleanly_closed_after_read_timeout() {
-    for model in [ServerModel::Reactor, ServerModel::Threaded] {
-        let server = HttpServer::bind_with(
-            "127.0.0.1:0",
-            Arc::new(|_: &str, b: &[u8]| (200, b.to_vec())),
-            HttpConfig {
-                read_timeout: Duration::from_millis(200),
-                model,
-                ..HttpConfig::default()
-            },
-        )
+    let server = HttpServer::bind_with(
+        "127.0.0.1:0",
+        Arc::new(|_: &str, b: &[u8]| (200, b.to_vec())),
+        HttpConfig {
+            read_timeout: Duration::from_millis(200),
+            ..HttpConfig::default()
+        },
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    // a header fragment, then silence — never the terminating CRLFCRLF
+    stream
+        .write_all(b"POST /xrpc HTTP/1.1\r\nContent-Le")
         .unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        // a header fragment, then silence — never the terminating CRLFCRLF
-        stream
-            .write_all(b"POST /xrpc HTTP/1.1\r\nContent-Le")
-            .unwrap();
-        stream.flush().unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let started = Instant::now();
-        let mut resp = Vec::new();
-        stream.read_to_end(&mut resp).unwrap();
-        assert!(
-            resp.is_empty(),
-            "{model:?}: a partial request must not be answered: {:?}",
-            String::from_utf8_lossy(&resp)
-        );
-        assert!(
-            started.elapsed() >= Duration::from_millis(150),
-            "{model:?}: closed before the read timeout"
-        );
-        assert!(
-            started.elapsed() < Duration::from_secs(5),
-            "{model:?}: close took {:?}, worker looks hung",
-            started.elapsed()
-        );
-        assert_eq!(server.metrics.snapshot().roundtrips, 0, "{model:?}");
-    }
+    stream.flush().unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let started = Instant::now();
+    let mut resp = Vec::new();
+    stream.read_to_end(&mut resp).unwrap();
+    assert!(
+        resp.is_empty(),
+        "a partial request must not be answered: {:?}",
+        String::from_utf8_lossy(&resp)
+    );
+    assert!(
+        started.elapsed() >= Duration::from_millis(150),
+        "closed before the read timeout"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "close took {:?}, worker looks hung",
+        started.elapsed()
+    );
+    assert_eq!(server.metrics.snapshot().roundtrips, 0);
 }
 
 /// Two requests written back-to-back on one connection before reading
 /// anything: both answered, in order, each correctly framed.
 #[test]
 fn pipelined_requests_answered_in_order() {
-    for model in [ServerModel::Reactor, ServerModel::Threaded] {
-        let server = HttpServer::bind_with(
-            "127.0.0.1:0",
-            Arc::new(|path: &str, body: &[u8]| {
-                let mut out = format!("path={path};").into_bytes();
-                out.extend_from_slice(body);
-                (200, out)
-            }),
-            HttpConfig {
-                model,
-                ..HttpConfig::default()
-            },
-        )
-        .unwrap();
-        let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let mut pipelined = Vec::new();
-        for (path, body) in [("/first", "alpha"), ("/second", "bravo")] {
-            pipelined.extend_from_slice(
-                format!(
-                    "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
-                    body.len()
-                )
-                .as_bytes(),
-            );
-        }
-        stream.write_all(&pipelined).unwrap();
-        stream.flush().unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let (s1, r1) = read_response(&mut reader);
-        let (s2, r2) = read_response(&mut reader);
-        assert_eq!((s1, s2), (200, 200), "{model:?}");
-        assert_eq!(r1, b"path=/first;alpha", "{model:?}: first answer first");
-        assert_eq!(r2, b"path=/second;bravo", "{model:?}: second answer second");
-        assert_eq!(server.metrics.snapshot().roundtrips, 2, "{model:?}");
+    let server = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(|path: &str, body: &[u8]| {
+            let mut out = format!("path={path};").into_bytes();
+            out.extend_from_slice(body);
+            (200, out)
+        }),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let mut pipelined = Vec::new();
+    for (path, body) in [("/first", "alpha"), ("/second", "bravo")] {
+        pipelined.extend_from_slice(
+            format!(
+                "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        );
     }
+    stream.write_all(&pipelined).unwrap();
+    stream.flush().unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let (s1, r1) = read_response(&mut reader);
+    let (s2, r2) = read_response(&mut reader);
+    assert_eq!((s1, s2), (200, 200));
+    assert_eq!(r1, b"path=/first;alpha", "first answer first");
+    assert_eq!(r2, b"path=/second;bravo", "second answer second");
+    assert_eq!(server.metrics.snapshot().roundtrips, 2);
 }
 
-/// Over-admission on the reactor path: with `max_connections: 1` and
-/// the slot held, the excess connection reads a full `503` response —
-/// not ECONNRESET — because the shed path half-closes and drains (the
-/// PR 3 regression, ported from the threaded model).
+/// Over-admission: with `max_connections: 1` and the slot held, the
+/// excess connection reads a full `503` response — not ECONNRESET —
+/// because the shed path half-closes and drains.
 #[test]
-fn reactor_over_admission_yields_readable_503() {
+fn over_admission_yields_readable_503() {
     let server = HttpServer::bind_with(
         "127.0.0.1:0",
         Arc::new(|_: &str, b: &[u8]| (200, b.to_vec())),
         HttpConfig {
             max_connections: 1,
-            model: ServerModel::Reactor,
             ..HttpConfig::default()
         },
     )
@@ -364,7 +357,6 @@ fn unread_response_closed_after_write_stall_timeout() {
         Arc::new(|_: &str, _: &[u8]| (200, vec![0x58; 64 << 20])),
         HttpConfig {
             read_timeout: Duration::from_millis(300),
-            model: ServerModel::Reactor,
             ..HttpConfig::default()
         },
     )
@@ -404,7 +396,6 @@ fn shed_signal_recovers_after_load_subsides() {
             (200, b.to_vec())
         }),
         HttpConfig {
-            model: ServerModel::Reactor,
             reactor_workers: 1,
             dispatch_queue: 64,
             shed_wait: Duration::from_millis(5),
@@ -493,7 +484,6 @@ fn reactor_dispatch_queue_saturation_sheds_with_503() {
             (200, b.to_vec())
         }),
         HttpConfig {
-            model: ServerModel::Reactor,
             reactor_workers: 1,
             dispatch_queue: 1,
             ..HttpConfig::default()

@@ -24,12 +24,14 @@
 //! [`Observability`] bundles a tracer with a registry of named
 //! histograms so one `Arc` can be handed to every layer of a peer.
 
+mod hash;
 pub mod hist;
 pub mod profile;
 pub mod prom;
 pub mod slowlog;
 pub mod trace;
 
+pub use hash::{fnv1a64, fnv1a64_continue};
 pub use hist::{HistSnapshot, Histogram, HistogramVec};
 pub use profile::{
     HopProfile, OpGuard, OpNode, Phase, Phases, ProfileCollector, ProfileMode, QueryProfile,

@@ -18,6 +18,7 @@
 //! every signature; code that hops threads (the 2PC prepare scope)
 //! captures the context and re-installs it inside the spawned thread.
 
+use crate::hash::fnv1a64;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -49,16 +50,7 @@ impl TraceContext {
 /// lets a recovery-chaos run stitch one transaction's timeline back
 /// together from spans alone.
 pub fn trace_id_from(host: &str, timestamp_millis: u64) -> u128 {
-    ((fnv1a64(host) as u128) << 64) | timestamp_millis as u128
-}
-
-fn fnv1a64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    ((fnv1a64(host.as_bytes()) as u128) << 64) | timestamp_millis as u128
 }
 
 /// A completed span as it sits in the ring buffer.
@@ -159,7 +151,7 @@ impl Tracer {
             slots,
             // seed per-tracer so span ids from different peers don't
             // collide even though each counter is sequential
-            next_span_id: AtomicU64::new(fnv1a64(peer) | 1),
+            next_span_id: AtomicU64::new(fnv1a64(peer.as_bytes()) | 1),
             dropped: AtomicU64::new(0),
         }
     }

@@ -1,8 +1,8 @@
 //! Feedback-driven adaptive bulk sizing.
 //!
 //! The paper's experiments (§4, Table 3) fix the bulk evaluation strategy
-//! per run; this module replaces the static `set_bulk_threads` knob with a
-//! small controller that *measures* per-call cost and chooses, per batch,
+//! per run; here a small controller *measures* per-call cost and chooses,
+//! per batch,
 //! how many worker threads to evaluate one incoming read-only Bulk RPC
 //! request with ([`AdaptiveBulk::eval_threads`]): the request's call table
 //! is cut into that many contiguous slices, each evaluated set-at-a-time.
@@ -19,10 +19,6 @@
 //! Convergence: the estimate is an EWMA with α = 1/8, so the controller
 //! settles within a few dozen batches and tracks drift (e.g. a document
 //! growing) within a few hundred calls.
-//!
-//! `set_bulk_threads(n)` still exists as an explicit override: it *pins*
-//! the controller ([`AdaptiveBulk::pin`]), exactly like the reactor's
-//! `accept_poll_interval` override in `xrpc-net`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -56,8 +52,6 @@ fn ewma_update(cell: &AtomicU64, sample_x16: u64) {
 /// A point-in-time view of the controller (for `/metrics` and tests).
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveSnapshot {
-    /// `Some(n)`: pinned by `set_bulk_threads(n)`; `None`: adaptive.
-    pub pinned: Option<usize>,
     /// Per-call service-time estimate, µs (0 = cold).
     pub ewma_call_micros: u64,
     /// What `eval_threads` chose last.
@@ -74,8 +68,6 @@ pub struct AdaptiveSnapshot {
 /// The per-peer bulk-sizing controller. Cheap enough to consult on every
 /// request: a handful of relaxed atomic reads.
 pub struct AdaptiveBulk {
-    /// 0 = adaptive; n > 0 = pinned override (`set_bulk_threads(n)`).
-    pinned: AtomicUsize,
     /// Per-call *service time* EWMA (µs ×16): wall time × workers ÷ calls,
     /// fed by [`observe`](Self::observe) after each evaluated batch.
     ewma_call_micros_x16: AtomicU64,
@@ -94,7 +86,6 @@ impl AdaptiveBulk {
             .map(|n| n.get())
             .unwrap_or(1);
         AdaptiveBulk {
-            pinned: AtomicUsize::new(0),
             ewma_call_micros_x16: AtomicU64::new(0),
             last_threads: AtomicUsize::new(1),
             decisions: AtomicU64::new(0),
@@ -105,48 +96,22 @@ impl AdaptiveBulk {
         }
     }
 
-    /// Pin the worker count (the `set_bulk_threads` override). `n` is
-    /// taken as given — tests pin past the core count on purpose.
-    pub fn pin(&self, n: usize) {
-        self.pinned.store(n.max(1), Ordering::SeqCst);
-    }
-
-    /// Return to feedback-driven sizing.
-    pub fn unpin(&self) {
-        self.pinned.store(0, Ordering::SeqCst);
-    }
-
-    pub fn pinned(&self) -> Option<usize> {
-        match self.pinned.load(Ordering::SeqCst) {
-            0 => None,
-            n => Some(n),
-        }
-    }
-
     /// Per-call service-time estimate in µs (0 until the first batch).
     pub fn ewma_call_micros(&self) -> u64 {
         self.ewma_call_micros_x16.load(Ordering::Relaxed) / 16
     }
 
     /// How many worker threads to evaluate an incoming read-only bulk
-    /// batch of `ncalls` with. Sequential (1) when pinned there, when the
-    /// controller is cold, or when the estimated batch work doesn't cover
-    /// a thread's [`TARGET_MICROS_PER_THREAD`] share.
+    /// batch of `ncalls` with. Sequential (1) when the controller is cold
+    /// or when the estimated batch work doesn't cover a thread's
+    /// [`TARGET_MICROS_PER_THREAD`] share.
     pub fn eval_threads(&self, ncalls: usize) -> usize {
         self.decisions.fetch_add(1, Ordering::Relaxed);
-        let chosen = match self.pinned() {
-            Some(n) => n,
-            None => {
-                let ewma = self.ewma_call_micros();
-                if ewma == 0 || ncalls < 2 {
-                    1
-                } else {
-                    let batch_micros = ewma.saturating_mul(ncalls as u64);
-                    ((batch_micros / TARGET_MICROS_PER_THREAD) as usize).clamp(1, self.max_threads)
-                }
-            }
-        };
-        let chosen = chosen.min(ncalls).max(1);
+        let batch_micros = self.ewma_call_micros().saturating_mul(ncalls as u64);
+        let chosen = ((batch_micros / TARGET_MICROS_PER_THREAD) as usize)
+            .min(self.max_threads)
+            .min(ncalls)
+            .max(1);
         self.last_threads.store(chosen, Ordering::Relaxed);
         if chosen > 1 {
             self.parallel_decisions.fetch_add(1, Ordering::Relaxed);
@@ -175,7 +140,6 @@ impl AdaptiveBulk {
 
     pub fn snapshot(&self) -> AdaptiveSnapshot {
         AdaptiveSnapshot {
-            pinned: self.pinned(),
             ewma_call_micros: self.ewma_call_micros(),
             last_threads: self.last_threads.load(Ordering::Relaxed),
             decisions: self.decisions.load(Ordering::Relaxed),
@@ -201,17 +165,6 @@ mod tests {
         let a = AdaptiveBulk::new();
         assert_eq!(a.eval_threads(1000), 1);
         assert_eq!(a.snapshot().parallel_decisions, 0);
-    }
-
-    #[test]
-    fn pin_overrides_and_unpin_restores() {
-        let a = AdaptiveBulk::new();
-        a.pin(8);
-        assert_eq!(a.eval_threads(100), 8);
-        assert_eq!(a.eval_threads(3), 3); // still capped by the batch
-        a.unpin();
-        assert_eq!(a.pinned(), None);
-        assert_eq!(a.eval_threads(100), 1); // cold again → sequential
     }
 
     #[test]

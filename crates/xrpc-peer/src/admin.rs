@@ -137,7 +137,6 @@ pub fn render_metrics(peer: &Peer, server_metrics: Option<&NetMetrics>) -> Strin
 
     // Adaptive bulk-sizing controller (see `xrpc_peer::adaptive`).
     let a = peer.adaptive.snapshot();
-    w.gauge("xrpc_bulk_adaptive_pinned", a.pinned.unwrap_or(0) as u64);
     w.gauge("xrpc_bulk_ewma_call_micros", a.ewma_call_micros);
     w.gauge("xrpc_bulk_last_threads", a.last_threads as u64);
     w.counter("xrpc_bulk_decisions_total", a.decisions);

@@ -58,7 +58,7 @@ pub struct PeerStats {
     pub functions_prepared: AtomicU64,
     pub control_messages: AtomicU64,
     /// Bulk requests whose calls were evaluated by the parallel worker
-    /// pool (read-only bulk with `set_bulk_threads(n > 1)`).
+    /// pool (read-only bulk the adaptive controller cut into slices).
     pub parallel_bulk_requests: AtomicU64,
     /// Value-index activity of the queries and requests this peer ran
     /// (`xqeval::index`): indexes built, probes answered, indexes evicted
@@ -197,8 +197,7 @@ pub struct Peer {
     base_uri: RwLock<Option<String>>,
     default_collation: RwLock<Option<String>>,
     /// The feedback-driven bulk-sizing controller (see [`crate::adaptive`]):
-    /// chooses server-side eval parallelism per incoming bulk batch and
-    /// client-side dispatch chunking per destination.
+    /// chooses server-side eval parallelism per incoming bulk batch.
     pub adaptive: Arc<AdaptiveBulk>,
     pub stats: PeerStats,
     /// Default `xrpc:timeout` seconds when a query does not declare one.
@@ -392,29 +391,6 @@ impl Peer {
         false
     }
 
-    /// **Deprecated** in favor of the feedback-driven controller (see
-    /// [`crate::adaptive`]): bulk sizing is now adaptive by default — the
-    /// controller reads per-call latency feedback and chooses the worker
-    /// count per batch, so there is nothing to hand-tune. Calling this
-    /// *pins* the controller to exactly `n` workers for every read-only
-    /// bulk request (the explicit-override escape hatch, mirroring the
-    /// reactor's `accept_poll_interval` override). Use
-    /// [`set_bulk_adaptive`](Self::set_bulk_adaptive) to unpin.
-    ///
-    /// Responses are merged back in call order whatever the completion
-    /// order, so callers observe identical results; updating bulk
-    /// requests always stay sequential (their ∆s must compose in call
-    /// order).
-    pub fn set_bulk_threads(&self, n: usize) {
-        self.adaptive.pin(n);
-    }
-
-    /// Return bulk sizing to the feedback-driven controller (the default;
-    /// undoes a [`set_bulk_threads`](Self::set_bulk_threads) pin).
-    pub fn set_bulk_adaptive(&self) {
-        self.adaptive.unpin();
-    }
-
     /// Enable/disable the distributed-optimizer behaviours (loop-invariant
     /// `execute at` hoisting + duplicate-call collapsing).
     pub fn set_rpc_optimize(&self, on: bool) {
@@ -588,7 +564,7 @@ impl Peer {
             // byte-for-byte; only deferred updating calls consult it, so
             // spare the read-only hot path the full-message scan
             let request_hash = if req.deferred {
-                fnv1a(text.as_bytes())
+                xrpc_obs::fnv1a64(text.as_bytes())
             } else {
                 0
             };
@@ -997,11 +973,12 @@ impl Peer {
         // is one join over the request, not one selection per call. Every
         // call shares the same immutable snapshot and prepared function,
         // so the table may also be cut into contiguous slices for a worker
-        // pool; the slice count comes from the adaptive controller (or its
-        // `set_bulk_threads` pin), and the batch's measured cost feeds back
-        // into it below. Updating requests stay a sequential loop — ∆s must
-        // compose in call order (XQUF merge rules) — and so does a single
-        // call, which has nothing to share.
+        // pool; the slice count comes from the adaptive controller, and the
+        // batch's measured cost feeds back into it below. Responses merge
+        // back in call order whatever the completion order, so callers see
+        // identical results. Updating requests stay a sequential loop — ∆s
+        // must compose in call order (XQUF merge rules) — and so does a
+        // single call, which has nothing to share.
         let set_at_a_time = !prepared.decl.updating && req.calls.len() > 1;
         let threads = if set_at_a_time {
             self.adaptive.eval_threads(req.calls.len())
@@ -1301,7 +1278,7 @@ impl Peer {
             isolation,
             timeout_secs: timeout,
             profile,
-            text_hash: fnv1a(Self::normalize_query_text(query).as_bytes()),
+            text_hash: xrpc_obs::fnv1a64(Self::normalize_query_text(query).as_bytes()),
             parse_micros,
             compile_micros: compile_started.elapsed().as_micros() as u64,
         })
@@ -1846,16 +1823,6 @@ impl Peer {
     }
 }
 
-/// FNV-1a — stable across processes, unlike `DefaultHasher`.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// A frozen map of documents (the originator's own repeatable-read view).
 struct FrozenDocs {
     docs: crate::store::DocMap,
@@ -1927,4 +1894,93 @@ fn bind_params(decl: &FunctionDecl, args: &[Sequence], st: &mut EvalState) -> Xd
         st.vars.push((pname.lexical(), value));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use xdm::Item;
+
+    fn int_calls(n: i64) -> Vec<Vec<Sequence>> {
+        (0..n)
+            .map(|i| vec![Sequence::one(Item::integer(i))])
+            .collect()
+    }
+
+    fn arg(call: &[Sequence]) -> i64 {
+        call[0].items()[0].string_value().parse().unwrap()
+    }
+
+    fn empty_results(calls: &[Vec<Sequence>]) -> SliceOutcome {
+        Ok((
+            vec![Sequence::empty(); calls.len()],
+            PendingUpdateList::new(),
+        ))
+    }
+
+    #[test]
+    fn slices_come_back_in_call_order_whatever_the_completion_order() {
+        for threads in [2usize, 3, 8, 64] {
+            let n = 40usize;
+            let slices = n.div_ceil(n.div_ceil(threads));
+            let finished = AtomicUsize::new(0);
+            let eval_slice = |calls: Vec<Vec<Sequence>>| -> SliceOutcome {
+                // the slice holding the first call finishes last
+                if arg(&calls[0]) == 0 {
+                    while finished.load(Ordering::SeqCst) < slices - 1 {
+                        std::thread::yield_now();
+                    }
+                }
+                let doubled = calls
+                    .iter()
+                    .map(|c| Sequence::one(Item::integer(2 * arg(c))))
+                    .collect();
+                finished.fetch_add(1, Ordering::SeqCst);
+                Ok((doubled, PendingUpdateList::new()))
+            };
+            let out = eval_slices_parallel(int_calls(n as i64), threads, &eval_slice);
+            assert_eq!(out.len(), slices, "{threads} threads");
+            let merged: Vec<String> = out
+                .into_iter()
+                .flat_map(|o| o.unwrap().0)
+                .map(|s| s.items()[0].string_value())
+                .collect();
+            let expect: Vec<String> = (0..n).map(|i| (2 * i).to_string()).collect();
+            assert_eq!(merged, expect, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn the_first_error_in_slice_order_is_the_lowest_failing_call() {
+        // calls 11 and 29 fail; each slice reports its own first failure,
+        // as sequential evaluation of that slice would
+        let eval_slice = |calls: Vec<Vec<Sequence>>| -> SliceOutcome {
+            match calls.iter().map(|c| arg(c)).find(|i| [11, 29].contains(i)) {
+                Some(i) => Err(XdmError::xrpc(format!("call {i} failed"))),
+                None => empty_results(&calls),
+            }
+        };
+        for threads in [1usize, 2, 4, 40] {
+            let first = eval_slices_parallel(int_calls(40), threads, &eval_slice)
+                .into_iter()
+                .find_map(Result::err)
+                .expect("a failing call fails the request");
+            assert!(first.message.contains("call 11"), "{threads}: {first}");
+        }
+    }
+
+    #[test]
+    fn one_thread_is_one_slice_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let eval_slice = |calls: Vec<Vec<Sequence>>| -> SliceOutcome {
+            assert_eq!(std::thread::current().id(), caller);
+            empty_results(&calls)
+        };
+        for threads in [0usize, 1] {
+            let out = eval_slices_parallel(int_calls(7), threads, &eval_slice);
+            assert_eq!(out.len(), 1);
+            assert_eq!(out[0].as_ref().unwrap().0.len(), 7);
+        }
+    }
 }

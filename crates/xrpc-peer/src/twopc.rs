@@ -389,7 +389,7 @@ pub(crate) fn deliver_decision(
                 let cap = config
                     .decision_backoff
                     .saturating_mul(1u32 << (attempt - 1).min(16));
-                let seed = xrpc_net::dest_salt(dest)
+                let seed = xrpc_obs::fnv1a64(dest.as_bytes())
                     .wrapping_add(qid.timestamp_millis)
                     .wrapping_add(attempt as u64);
                 std::thread::sleep(xrpc_net::full_jitter(cap, seed));

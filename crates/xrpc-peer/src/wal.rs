@@ -48,10 +48,6 @@
 //! nothing after it can be trusted. A log that fails an append or fsync
 //! is **poisoned**: every later append fails fast with a typed XRPC0003
 //! durability error instead of half-logging transactions.
-//!
-//! Single-file `XRPCWAL1` logs from older builds are migrated in place:
-//! their records are lifted, stamped with LSNs, and rewritten as the
-//! first segment.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
@@ -71,8 +67,6 @@ use crate::store::Decision;
 
 /// Segment magic: identifies (and versions) the segmented log format.
 const MAGIC: &[u8; 8] = b"XRPCWAL2";
-/// Magic of the legacy single-file format (migrated on open).
-const MAGIC_V1: &[u8; 8] = b"XRPCWAL1";
 
 /// When to `fsync` after an append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -835,7 +829,7 @@ fn decode_record(payload: &[u8]) -> XdmResult<SequencedRecord> {
     let mut outcome = String::new();
     let mut prims = Vec::new();
     let mut participants = Vec::new();
-    let mut lsn: u64 = 0;
+    let mut lsn: Option<u64> = None;
     let mut mark: u64 = 0;
     for line in lines {
         let Some((key, raw)) = line.split_once('=') else {
@@ -860,11 +854,11 @@ fn decode_record(payload: &[u8]) -> XdmResult<SequencedRecord> {
             // before splitting on the `|` separators
             "prim" => prims.push(prim_from_string(&unesc(raw)?)?),
             "participant" => participants.push(unesc(raw)?),
-            // absent in legacy records: lsn 0 = "before sequencing"
             "lsn" => {
-                lsn = raw
-                    .parse()
-                    .map_err(|_| XdmError::xrpc("bad lsn in WAL record"))?
+                lsn = Some(
+                    raw.parse()
+                        .map_err(|_| XdmError::xrpc("bad lsn in WAL record"))?,
+                )
             }
             "mark" => {
                 mark = raw
@@ -899,6 +893,7 @@ fn decode_record(payload: &[u8]) -> XdmResult<SequencedRecord> {
         "coord-end" => WalRecord::CoordinatorEnd { qid },
         other => return Err(XdmError::xrpc(format!("unknown WAL record kind `{other}`"))),
     };
+    let lsn = lsn.ok_or_else(|| XdmError::xrpc("WAL record without an lsn"))?;
     Ok(SequencedRecord { lsn, record })
 }
 
@@ -1177,47 +1172,19 @@ impl Wal {
     /// every intact record segment by segment, deduplicated by LSN. A
     /// torn or CRC-damaged tail of the *last* segment ends the replay —
     /// that segment is truncated back to its last intact frame so appends
-    /// resume cleanly; damage in an earlier segment is a hard error. A
-    /// legacy single-file `XRPCWAL1` log is migrated into the segmented
-    /// layout first.
+    /// resume cleanly; damage in an earlier segment is a hard error, and so
+    /// is a `path` that exists as anything but a directory.
     pub fn open_with(path: impl AsRef<Path>, config: WalConfig) -> XdmResult<(Arc<Wal>, Replay)> {
         let path = path.as_ref().to_path_buf();
         let io = |e: std::io::Error| XdmError::xrpc(format!("WAL {}: {e}", path.display()));
 
-        // ---- legacy single-file log? lift its records for migration ----
-        let mut migrated: Vec<SequencedRecord> = Vec::new();
         let mut tail_damaged = false;
         let mut torn_recoveries = 0u64;
-        if std::fs::metadata(&path)
-            .map(|m| m.is_file())
-            .unwrap_or(false)
-        {
-            let buf = std::fs::read(&path).map_err(io)?;
-            if buf.is_empty() {
-                // a never-written placeholder: adopt it as a fresh log
-                std::fs::remove_file(&path).map_err(io)?;
-            } else if buf.len() < MAGIC_V1.len() || &buf[..MAGIC_V1.len()] != MAGIC_V1 {
-                return Err(XdmError::xrpc(format!(
-                    "{} is not an XRPC WAL (bad magic)",
-                    path.display()
-                )));
-            } else {
-                let (records, _, damaged) = scan_frames(&buf, MAGIC_V1.len());
-                // legacy records carry no LSNs; stamp them in log order
-                migrated = records
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, sr)| SequencedRecord {
-                        lsn: i as u64 + 1,
-                        record: sr.record,
-                    })
-                    .collect();
-                if damaged {
-                    tail_damaged = true;
-                    torn_recoveries += 1;
-                }
-                std::fs::remove_file(&path).map_err(io)?;
-            }
+        if std::fs::metadata(&path).is_ok_and(|m| !m.is_dir()) {
+            return Err(XdmError::xrpc(format!(
+                "{} is not a WAL directory",
+                path.display()
+            )));
         }
 
         std::fs::create_dir_all(&path).map_err(io)?;
@@ -1237,8 +1204,8 @@ impl Wal {
         segs.sort_unstable();
 
         // ---- replay, deduplicating by LSN across generations ----
-        let mut records: Vec<SequencedRecord> = migrated;
-        let mut seen: HashSet<u64> = records.iter().map(|r| r.lsn).collect();
+        let mut records: Vec<SequencedRecord> = Vec::new();
+        let mut seen: HashSet<u64> = HashSet::new();
         // logical end of the last segment: where appends resume (the
         // physical file may extend further with preallocated zeros)
         let mut active_end = MAGIC.len() as u64;
@@ -1282,13 +1249,7 @@ impl Wal {
                 tail_damaged = true;
                 torn_recoveries += 1;
             }
-            for sr in frames {
-                // lsn 0 marks a pre-sequencing record and is never
-                // emitted by this writer; don't let it collapse dedup
-                if sr.lsn == 0 || seen.insert(sr.lsn) {
-                    records.push(sr);
-                }
-            }
+            records.extend(frames.into_iter().filter(|sr| seen.insert(sr.lsn)));
         }
         records.sort_by_key(|r| r.lsn);
 
@@ -1308,8 +1269,7 @@ impl Wal {
             f.seek(SeekFrom::Start(active_end)).map_err(io)?;
             (active, f)
         } else {
-            // fresh log (or legacy migration): write segment 1 with the
-            // lifted records, if any
+            // fresh log: segment 1 holds only its magic
             let seg_path = path.join(seg_name(1));
             let mut f = OpenOptions::new()
                 .read(true)
@@ -1319,14 +1279,6 @@ impl Wal {
                 .open(&seg_path)
                 .map_err(io)?;
             f.write_all(MAGIC).map_err(io)?;
-            for sr in &records {
-                f.write_all(&frame_bytes(&encode_record(&sr.record, sr.lsn)))
-                    .map_err(io)?;
-            }
-            if config.fsync == FsyncPolicy::Always && !records.is_empty() {
-                f.sync_data().map_err(io)?;
-            }
-            active_end = f.stream_position().map_err(io)?;
             segs = vec![1];
             (1, f)
         };
@@ -1942,7 +1894,6 @@ mod tests {
 
     fn cleanup(p: &Path) {
         let _ = std::fs::remove_dir_all(p);
-        let _ = std::fs::remove_file(p);
     }
 
     /// Segment files of log directory `p`, ascending.
@@ -2213,33 +2164,27 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_log_migrates_to_segments() {
-        let p = tmp("legacy");
-        // hand-build an XRPCWAL1 single-file log
-        let mut bytes = MAGIC_V1.to_vec();
-        let recs = vec![
-            sample_prepared(1),
-            WalRecord::Decision {
-                qid: qid(1),
-                decision: Decision::Committed,
-            },
-        ];
-        for r in &recs {
-            // legacy payloads had no lsn= field; the decoder defaults it,
-            // so encoding with lsn 0 models an old record faithfully
-            bytes.extend_from_slice(&frame_bytes(&encode_record(r, 0)));
+    fn a_file_at_the_wal_path_is_a_typed_error_and_is_left_alone() {
+        let p = tmp("notadir");
+        for content in [&b""[..], b"not a log"] {
+            std::fs::write(&p, content).unwrap();
+            let Err(err) = Wal::open(&p, FsyncPolicy::Never) else {
+                panic!("a regular file is not a log");
+            };
+            assert_eq!(err.code, "XRPC0001");
+            assert!(err.message.contains("is not a WAL directory"), "{err}");
+            assert_eq!(std::fs::read(&p).unwrap(), content, "untouched");
         }
-        std::fs::write(&p, &bytes).unwrap();
-        let (w, replay) = Wal::open(&p, FsyncPolicy::Never).unwrap();
-        assert!(std::fs::metadata(&p).unwrap().is_dir(), "migrated in place");
-        assert_eq!(plain(&replay), recs);
-        assert_eq!(
-            replay.records.iter().map(|sr| sr.lsn).collect::<Vec<_>>(),
-            vec![1, 2],
-            "migration stamps LSNs in log order"
-        );
-        assert_eq!(w.open_transactions(), 1);
-        cleanup(&p);
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn a_record_without_an_lsn_does_not_decode() {
+        let text = encode_record(&sample_prepared(1), 7);
+        assert_eq!(decode_record(text.as_bytes()).unwrap().lsn, 7);
+        let stripped = text.replace("lsn=7\n", "");
+        let err = decode_record(stripped.as_bytes()).unwrap_err();
+        assert!(err.message.contains("without an lsn"), "{err}");
     }
 
     #[test]

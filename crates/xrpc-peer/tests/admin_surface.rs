@@ -53,7 +53,6 @@ fn metrics_and_healthz_scrape_end_to_end() {
     b.add_document("log.xml", "<log/>").unwrap();
     let wal_path = std::env::temp_dir().join(format!("xrpc-admin-{}.wal", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_path);
-    let _ = std::fs::remove_file(&wal_path);
     b.attach_wal(&wal_path, FsyncPolicy::Never).unwrap();
     let server = bind_admin(&b, "127.0.0.1:0").expect("bind server peer");
     b.set_name(server.url());
@@ -200,7 +199,6 @@ fn metrics_and_healthz_scrape_end_to_end() {
     drop(server);
     drop(a_server);
     let _ = std::fs::remove_dir_all(&wal_path);
-    let _ = std::fs::remove_file(&wal_path);
 }
 
 /// A poisoned WAL (first append/fsync failure) must fail readiness: the

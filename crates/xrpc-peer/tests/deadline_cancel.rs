@@ -261,7 +261,6 @@ fn cancel_before_prepare_aborts_cleanly() {
     assert!(r.contains("response"), "{r}");
 
     let _ = std::fs::remove_dir_all(&path);
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -305,7 +304,6 @@ fn cancel_after_promise_is_ignored_and_decision_settles() {
     assert_eq!(b.wal().unwrap().open_transactions(), 0, "decision logged");
 
     let _ = std::fs::remove_dir_all(&path);
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]

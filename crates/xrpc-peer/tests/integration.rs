@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use xdm::{Item, Sequence};
-use xrpc_net::{http::HttpTransport, HttpServer, NetProfile, SimNetwork};
+use xrpc_net::{http::HttpTransport, HttpServer, NetProfile, SimFault, SimNetwork};
 use xrpc_peer::{EngineKind, ModuleWeb, Peer, XrpcWrapper};
 
 const FILM_MODULE: &str = r#"
@@ -448,53 +448,14 @@ fn wrapper_peer_services_bulk_from_rel_peer() {
     assert_eq!(wrapper.phases().requests, 1);
 }
 
+/// Updating bulk requests stay one sequential loop — their ∆s must
+/// compose in call order — even when the sizing controller has seen calls
+/// expensive enough to fan a read-only batch out over every core.
 #[test]
-fn parallel_bulk_preserves_call_order() {
+fn updating_bulk_stays_sequential_under_a_warm_controller() {
     use std::sync::atomic::Ordering::Relaxed;
     let (_net, a, b) = sim_pair(EngineKind::Rel);
-    b.set_bulk_threads(8);
-    let out = a
-        .execute_detailed(
-            r#"import module namespace t = "test";
-               for $i in (1 to 40)
-               return execute at {"xrpc://b.example.org"} {t:double($i)}"#,
-        )
-        .unwrap();
-    assert_eq!(out.requests_sent, 1, "bulk: one request on the wire");
-    let expect = (1..=40)
-        .map(|i| (2 * i).to_string())
-        .collect::<Vec<_>>()
-        .join("|");
-    assert_eq!(
-        serialize(&out.result),
-        expect,
-        "responses must come back in call order whatever the completion order"
-    );
-    assert_eq!(b.stats.parallel_bulk_requests.load(Relaxed), 1);
-}
-
-#[test]
-fn parallel_bulk_surfaces_lowest_index_error() {
-    let (_net, a, b) = sim_pair(EngineKind::Rel);
-    b.set_bulk_threads(4);
-    let err = a
-        .execute(
-            r#"import module namespace t = "test";
-               for $x in ("1", "2", "3", "badLOW", "5", "6", "badHIGH", "8")
-               return execute at {"xrpc://b.example.org"} {t:toInt($x)}"#,
-        )
-        .unwrap_err();
-    // exactly the fault sequential evaluation would have raised: the
-    // first failing call, not whichever worker lost the race
-    assert!(err.message.contains("badLOW"), "{}", err.message);
-    assert!(!err.message.contains("badHIGH"), "{}", err.message);
-}
-
-#[test]
-fn parallel_bulk_bypassed_for_updating_calls() {
-    use std::sync::atomic::Ordering::Relaxed;
-    let (_net, a, b) = sim_pair(EngineKind::Rel);
-    b.set_bulk_threads(8);
+    b.adaptive.observe(1, std::time::Duration::from_secs(1), 1);
     b.add_document("nums.xml", "<r><i>0</i><i>0</i><i>0</i></r>")
         .unwrap();
     let upd_module = r#"
@@ -542,7 +503,9 @@ fn by_value_semantics_across_the_wire() {
 #[test]
 fn fault_injection_mid_bulk_query() {
     let (net, a, _b) = sim_pair(EngineKind::Rel);
-    net.inject_failures("xrpc://b.example.org", 1);
+    // unwrapped, so the one fault reaches the query instead of a retry
+    a.set_transport_raw(net.clone());
+    net.inject_fault("xrpc://b.example.org", SimFault::DropRequest);
     let q = r#"import module namespace t = "test";
                for $i in (1 to 3) return execute at {"xrpc://b.example.org"} {t:echoVoid()}"#;
     let err = a.execute(q).unwrap_err();

@@ -333,12 +333,11 @@ fn prepared_query_drives_remote_execute_at() {
     assert_eq!(local.plan_cache.misses.load(Relaxed), 1, "one compile");
 }
 
+/// The slow-query log names a query by the FNV-1a of its normalized text;
+/// the value is the one every earlier build logged.
 #[test]
-fn set_bulk_threads_pins_and_adaptive_unpins() {
+fn query_text_hash_is_the_known_fnv1a() {
     let p = peer_with_data(EngineKind::Tree);
-    assert_eq!(p.adaptive.pinned(), None, "adaptive by default");
-    p.set_bulk_threads(4);
-    assert_eq!(p.adaptive.pinned(), Some(4));
-    p.set_bulk_adaptive();
-    assert_eq!(p.adaptive.pinned(), None);
+    let plan = p.plan_for("  for $x in (1 to 3) return $x\r\n").unwrap();
+    assert_eq!(plan.text_hash, 0x2a0e_1da9_5065_585f);
 }

@@ -59,10 +59,7 @@ struct Cluster {
 impl Drop for Cluster {
     fn drop(&mut self) {
         for n in [&self.a, &self.b, &self.c] {
-            // the WAL is a segment directory (a plain file only for
-            // legacy logs); clean up either shape
             let _ = std::fs::remove_dir_all(&n.wal_path);
-            let _ = std::fs::remove_file(&n.wal_path);
         }
     }
 }
@@ -131,7 +128,6 @@ fn cluster(tag: &str) -> Cluster {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&wal_path);
-        let _ = std::fs::remove_file(&wal_path);
         Node {
             peer,
             switch: CrashSwitch::new(),
@@ -751,9 +747,8 @@ fn http_reactor_crash_restart_recovers_exactly_once() {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&wal_path);
-    let _ = std::fs::remove_file(&wal_path);
 
-    // participant b over the reactor (the default server model)
+    // participant b over real HTTP
     let b = Peer::new("placeholder-b", EngineKind::Tree);
     b.register_module(CHAOS_MODULE).unwrap();
     b.add_document("log.xml", "<log/>").unwrap();
@@ -840,7 +835,6 @@ fn http_reactor_crash_restart_recovers_exactly_once() {
 
     drop(server2);
     let _ = std::fs::remove_dir_all(&wal_path);
-    let _ = std::fs::remove_file(&wal_path);
 }
 
 // ---------------------------------------------------------------------

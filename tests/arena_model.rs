@@ -9,7 +9,9 @@
 //! * a differential run applies random sequences of every mutation the
 //!   arena offers — the commit boundary that reclaims removed subtrees
 //!   among them — to a `Document` and to an owned-tree model, comparing
-//!   serialization, links and document order after every step.
+//!   serialization, links and document order after every step;
+//! * laws of the layers above the arena: decimal arithmetic, tree engine
+//!   vs loop-lifted engine, pretty printer vs parser.
 //!
 //! A failure prints the seed and the operations applied so far;
 //! `ARENA_SEED=n` reruns one seed.
@@ -805,5 +807,71 @@ fn random_mutations_agree_with_the_owned_tree_model() {
     if std::env::var("ARENA_SEED").is_err() {
         let rebuilds = REBUILDS.load(std::sync::atomic::Ordering::Relaxed);
         assert!(rebuilds >= 10, "only {rebuilds} commit boundaries rebuilt");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Laws of the value, query and printer layers on generated inputs
+// ---------------------------------------------------------------------
+
+/// Decimal arithmetic: commutativity, identities, parse ∘ display.
+#[test]
+fn decimal_laws() {
+    for seed in seeds(300) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut decimal = || {
+            Decimal::new(
+                rng.gen_range(-1_000_000_000i64..1_000_000_000) as i128,
+                rng.gen_range(0..6u32),
+            )
+        };
+        let (a, b) = (decimal(), decimal());
+        assert_eq!(a.add(b), b.add(a), "seed={seed}");
+        assert_eq!(a.mul(b), b.mul(a), "seed={seed}");
+        assert_eq!(a.add(Decimal::zero()), a, "seed={seed}");
+        assert_eq!(a.sub(a), Decimal::zero(), "seed={seed}");
+        assert_eq!(Decimal::parse(&a.to_string()).unwrap(), a, "seed={seed}");
+    }
+}
+
+/// The tree and the loop-lifted engine agree on arithmetic FLWOR queries.
+#[test]
+fn engines_agree() {
+    use xrpc_repro::{relalg, xqeval};
+    for seed in seeds(64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (n, m, k) = (
+            rng.gen_range(1..30i64),
+            rng.gen_range(1..10i64),
+            rng.gen_range(0..5i64),
+        );
+        let q = format!("for $x in (1 to {n}) where $x mod {m} = {k} return $x * $x");
+        let env = xqeval::Environment::new(Arc::new(xqeval::InMemoryDocs::new()));
+        let (tree, _) = xqeval::evaluate_main(&q, &env).unwrap();
+        let (lifted, _) = relalg::execute_rel(&q, &env).unwrap();
+        assert_eq!(
+            tree.joined_string(),
+            lifted.joined_string(),
+            "seed={seed}: {q}"
+        );
+    }
+}
+
+/// The pretty printer's string-literal escaping survives the parser.
+#[test]
+fn pretty_print_string_literal_roundtrip() {
+    use xrpc_repro::xqast;
+    for seed in seeds(300) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let s: String = (0..rng.gen_range(0..=30))
+            .map(|_| rng.gen_range(b' '..=b'~') as char)
+            .collect();
+        let printed = xqast::pretty_print(&xqast::Expr::Literal(AtomicValue::String(s.clone())));
+        match xqast::parse_main_module(&printed).unwrap().body {
+            xqast::Expr::Literal(AtomicValue::String(back)) => {
+                assert_eq!(back, s, "seed={seed}: {printed}")
+            }
+            other => panic!("seed={seed}: {printed} parsed as {other:?}"),
+        }
     }
 }
