@@ -752,6 +752,7 @@ fn throughput(quick: bool, check_cliff: bool) {
         // trip, and allocator pressure is averaged per request — a
         // single-shot cell gave p50 == p99 by construction
         let iters = if quick { 8 } else { 20 };
+        let mib_per_trip = |bytes: u64| bytes as f64 / (1024.0 * 1024.0) / iters as f64;
         // request-heavy
         let c = throughput_cluster(bytes);
         c.net.metrics.reset();
@@ -767,11 +768,13 @@ fn throughput(quick: bool, check_cliff: bool) {
         // response-heavy
         let c2 = throughput_cluster(bytes);
         c2.net.metrics.reset();
+        let a0 = alloc_snapshot();
         let mut d_resp = Duration::ZERO;
         for _ in 0..iters {
             let (d, _) = time_query(&c2.a, &response_heavy_query());
             d_resp += d;
         }
+        let resp_mib_alloc = mib_per_trip(alloc_snapshot().since(a0).bytes);
         let recv = c2.net.metrics.snapshot().bytes_received;
         let resp_lat = c2.a.obs.histogram("xrpc_call_latency_micros").snapshot();
         warn_samples(&format!("E4 request {kb} KiB"), req_lat.count);
@@ -779,7 +782,7 @@ fn throughput(quick: bool, check_cliff: bool) {
         let req = mb_per_sec(sent, d_req);
         let resp = mb_per_sec(recv, d_resp);
         let req_allocs = da.allocs as f64 / iters as f64;
-        let req_mib_alloc = da.bytes as f64 / (1024.0 * 1024.0) / iters as f64;
+        let req_mib_alloc = mib_per_trip(da.bytes);
         println!(
             "{:<12} {:>14.1} {:>14.1} {:>12.0} {:>14.1}",
             format!("{kb} KiB"),
@@ -794,6 +797,9 @@ fn throughput(quick: bool, check_cliff: bool) {
             ("response_mb_per_s", resp),
             ("request_allocs", req_allocs),
             ("request_mib_allocated", req_mib_alloc),
+            // per round trip, like the request's: with the MiB shipped, how
+            // many times over a stage rebuilds what it was handed
+            ("response_mib_allocated", resp_mib_alloc),
             ("samples", iters as f64),
             // originator-side latency histograms (the same ones /metrics
             // exposes), so the JSON artifact carries quantiles per PR

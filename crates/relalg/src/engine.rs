@@ -59,9 +59,8 @@ fn execute_rel_with(
     };
     let engine = RelEngine { tree };
     let mut st = EvalState::new();
-    for (n, v) in external {
-        st.vars.push((n, v));
-    }
+    st.vars
+        .extend(external.into_iter().map(|(n, v)| (n.into(), v)));
     xqeval::eval::eval_prolog_vars(&engine.tree, module, &mut st)?;
     // The whole query runs in a single top-level iteration.
     let lenv = Lifted {
@@ -80,7 +79,7 @@ fn execute_rel_with(
     } else {
         engine.eval_lifted(&module.body, &lenv, &mut st)?
     };
-    Ok((table.sequence_at(1), st.pul))
+    Ok((table.into_sequence_at(1), st.pul))
 }
 
 /// Evaluate `decl` once for a whole table of calls — how a peer serves a
@@ -107,9 +106,7 @@ pub fn eval_calls(
         match xqeval::eval::convert_arguments(decl, args) {
             Ok(values) => {
                 for (table, value) in params.iter_mut().zip(values) {
-                    for (p, item) in value.into_items().into_iter().enumerate() {
-                        table.push(k as u32 + 1, p as u32 + 1, item);
-                    }
+                    table.push_sequence(k as u32 + 1, value);
                 }
             }
             Err(e) => {
@@ -121,7 +118,7 @@ pub fn eval_calls(
     let n = unbound.as_ref().map_or(ncalls, |(k, _)| *k);
     let lenv = Lifted {
         loop_iters: (1..=n as u32).collect(),
-        vars: (decl.params.iter().map(|(name, _)| name.lexical()))
+        vars: (decl.params.iter().map(|(name, _)| name.key().clone()))
             .zip(params)
             .collect(),
     };
@@ -293,7 +290,7 @@ fn extract_invariant(
 #[derive(Clone, Default)]
 pub struct Lifted {
     pub loop_iters: Vec<u32>,
-    pub vars: Vec<(String, SeqTable)>,
+    pub vars: Vec<(Arc<str>, SeqTable)>,
 }
 
 impl Lifted {
@@ -474,7 +471,7 @@ impl<'e> RelEngine<'e> {
             // enclosed expression into a synthetic variable evaluated
             // loop-lifted, then construct per iteration.
             Expr::DirectElem(d) => {
-                let mut bindings: Vec<(String, SeqTable)> = Vec::new();
+                let mut bindings: Vec<(Arc<str>, SeqTable)> = Vec::new();
                 let mut counter = 0usize;
                 let new_elem = self.lift_direlem(d, lenv, st, &mut bindings, &mut counter)?;
                 let mut inner = lenv.clone();
@@ -486,13 +483,13 @@ impl<'e> RelEngine<'e> {
                 content: Some(c),
             } if c.contains_xrpc() => {
                 let t = self.eval_lifted(c, lenv, st)?;
-                let var = "xrpc-enc-comp".to_string();
+                let var = Name::local("xrpc-enc-comp");
                 let mut inner = lenv.clone();
-                inner.vars.push((var.clone(), t));
+                inner.vars.push((var.key().clone(), t));
                 self.fallback(
                     &Expr::CompElem {
                         name: name.clone(),
-                        content: Some(Box::new(Expr::VarRef(Name::local(var)))),
+                        content: Some(Box::new(Expr::VarRef(var))),
                     },
                     &inner,
                     st,
@@ -550,25 +547,27 @@ impl<'e> RelEngine<'e> {
                         .map(|(n, t)| (n.clone(), map.map_in(t)))
                         .collect(),
                 };
-                let mut var_t = SeqTable::new();
-                for (k, item) in s.item.into_iter().enumerate() {
-                    var_t.push(k as u32 + 1, 1, item);
-                }
-                inner.vars.push((var.lexical(), var_t));
+                // one row per inner iteration: the item column moves
+                let var_t = SeqTable {
+                    iter: inner.loop_iters.clone(),
+                    pos: vec![1; s.len()],
+                    item: s.item,
+                };
+                inner.vars.push((var.key().clone(), var_t));
                 if let Some(pv) = pos_var {
                     let mut pos_t = SeqTable::new();
                     for (k, &p) in s.pos.iter().enumerate() {
                         pos_t.push(k as u32 + 1, 1, Item::integer(p as i64));
                     }
-                    inner.vars.push((pv.lexical(), pos_t));
+                    inner.vars.push((pv.key().clone(), pos_t));
                 }
                 let body = self.eval_flwor_lifted(&clauses[1..], ret, &inner, st)?;
-                Ok(map.map_back(&body))
+                Ok(map.map_back(body))
             }
             Some(FlworClause::Let { var, value }) => {
                 let v = self.eval_lifted(value, lenv, st)?;
                 let mut inner = lenv.clone();
-                inner.vars.push((var.lexical(), v));
+                inner.vars.push((var.key().clone(), v));
                 self.eval_flwor_lifted(&clauses[1..], ret, &inner, st)
             }
             Some(FlworClause::Where(cond)) => {
@@ -606,6 +605,7 @@ impl<'e> RelEngine<'e> {
         for a in args {
             arg_tables.push(self.eval_lifted_ref(a, lenv, st)?);
         }
+        let mut sole_args = sole_actuals(&mut arg_tables, &lenv.loop_iters);
 
         // δ over destinations (first-occurrence order), and which of them
         // each iteration goes to.
@@ -659,9 +659,11 @@ impl<'e> RelEngine<'e> {
                 std::collections::HashMap::new();
             let mut arg_of: Vec<_> = arg_tables.iter().map(|t| t.groups()).collect();
             for &o in &outer {
-                let args: Vec<Sequence> = (arg_of.iter_mut())
-                    .map(|g| Sequence::from_items(g.at(o).to_vec()))
-                    .collect();
+                let args: Vec<Sequence> = sole_args.take().unwrap_or_else(|| {
+                    (arg_of.iter_mut())
+                        .map(|g| Sequence::from_items(g.at(o).to_vec()))
+                        .collect()
+                });
                 let key = if dedup_ok {
                     atomic_call_key(&args)
                 } else {
@@ -734,7 +736,7 @@ impl<'e> RelEngine<'e> {
                     (1u32..).zip(w.call_of_iter.iter().map(|&call| res[call].clone())),
                 )
             };
-            mapped.push(w.map.map_back(&msg));
+            mapped.push(w.map.map_back(msg));
         }
         Ok(SeqTable::merge_union(mapped))
     }
@@ -758,7 +760,7 @@ impl<'e> RelEngine<'e> {
                 let mut inner = lenv.clone();
                 for ((pname, _), a) in f.params.iter().zip(args.iter()) {
                     let t = self.eval_lifted(a, lenv, st)?;
-                    inner.vars.push((pname.lexical(), t));
+                    inner.vars.push((pname.key().clone(), t));
                 }
                 return self.eval_lifted(&f.body, &inner, st);
             }
@@ -778,12 +780,15 @@ impl<'e> RelEngine<'e> {
                 return Ok(arg_tables.pop().expect("one argument").into_owned());
             }
         }
+        let mut sole_args = sole_actuals(&mut arg_tables, &lenv.loop_iters);
         let mut groups: Vec<_> = arg_tables.iter().map(|t| t.groups()).collect();
         let mut out = SeqTable::new();
         for &i in &lenv.loop_iters {
-            let actuals: Vec<Sequence> = (groups.iter_mut())
-                .map(|g| Sequence::from_items(g.at(i).to_vec()))
-                .collect();
+            let actuals: Vec<Sequence> = sole_args.take().unwrap_or_else(|| {
+                (groups.iter_mut())
+                    .map(|g| Sequence::from_items(g.at(i).to_vec()))
+                    .collect()
+            });
             // a function body sees its parameters, not the caller's variables
             let r = self.with_iter_vars(lenv, &[], i, st, |tree, st2| {
                 tree.apply_function(name, actuals, st2, &Ctx::none())
@@ -800,7 +805,7 @@ impl<'e> RelEngine<'e> {
         d: &xqast::DirElem,
         lenv: &Lifted,
         st: &mut EvalState,
-        bindings: &mut Vec<(String, SeqTable)>,
+        bindings: &mut Vec<(Arc<str>, SeqTable)>,
         counter: &mut usize,
     ) -> XdmResult<xqast::DirElem> {
         use xqast::{AttrContent, DirContent};
@@ -810,10 +815,10 @@ impl<'e> RelEngine<'e> {
                 if let AttrContent::Enclosed(e) = p {
                     if e.contains_xrpc() {
                         let t = self.eval_lifted(e, lenv, st)?;
-                        let var = format!("xrpc-enc-{}", *counter);
+                        let var = Name::local(format!("xrpc-enc-{}", *counter));
                         *counter += 1;
-                        bindings.push((var.clone(), t));
-                        *p = AttrContent::Enclosed(Expr::VarRef(Name::local(var)));
+                        bindings.push((var.key().clone(), t));
+                        *p = AttrContent::Enclosed(Expr::VarRef(var));
                     }
                 }
             }
@@ -822,10 +827,10 @@ impl<'e> RelEngine<'e> {
             match c {
                 DirContent::Enclosed(e) if e.contains_xrpc() => {
                     let t = self.eval_lifted(e, lenv, st)?;
-                    let var = format!("xrpc-enc-{}", *counter);
+                    let var = Name::local(format!("xrpc-enc-{}", *counter));
                     *counter += 1;
-                    bindings.push((var.clone(), t));
-                    *c = DirContent::Enclosed(Expr::VarRef(Name::local(var)));
+                    bindings.push((var.key().clone(), t));
+                    *c = DirContent::Enclosed(Expr::VarRef(var));
                 }
                 DirContent::Element(inner) => {
                     *inner = self.lift_direlem(inner, lenv, st, bindings, counter)?;
@@ -1000,7 +1005,7 @@ impl<'e> RelEngine<'e> {
         if used.is_empty() && !lenv.loop_iters.is_empty() && self.is_invariant(e) {
             self.tree.env.check_cancel()?;
             let once = self.tree.eval(e, st, &Ctx::none())?;
-            return Ok(SeqTable::broadcast(&lenv.loop_iters, &once));
+            return Ok(SeqTable::broadcast(&lenv.loop_iters, once));
         }
         let mut out = Vec::with_capacity(lenv.loop_iters.len());
         for &i in &lenv.loop_iters {
@@ -1063,6 +1068,18 @@ impl<'e> RelEngine<'e> {
         st.vars.truncate(base);
         r
     }
+}
+
+/// The arguments of a lone iteration (a call outside any loop, or in a loop
+/// of one), taken out of its argument tables: a table it owns whole gives up
+/// its item column instead of a copy. `None` in a loop of several.
+fn sole_actuals(tables: &mut Vec<Cow<'_, SeqTable>>, iters: &[u32]) -> Option<Vec<Sequence>> {
+    let [i] = *iters else { return None };
+    let of = |t: Cow<'_, SeqTable>| match t {
+        Cow::Owned(t) => t.into_sequence_at(i),
+        Cow::Borrowed(t) => t.sequence_at(i),
+    };
+    Some(tables.drain(..).map(of).collect())
 }
 
 /// `fn:string` of one item, borrowed when the item is a string already.

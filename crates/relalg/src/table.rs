@@ -37,16 +37,25 @@ impl SeqTable {
     /// Append `items` as the whole sequence of iteration `iter` (which must
     /// be above every iteration already present).
     pub fn push_items(&mut self, iter: u32, items: &[Item]) {
-        for (p, item) in items.iter().enumerate() {
-            self.push(iter, p as u32 + 1, item.clone());
+        self.number(iter, items.len());
+        self.item.extend_from_slice(items);
+    }
+
+    /// [`push_items`](Self::push_items), moving the items: into an empty
+    /// table the sequence moves whole and becomes the item column.
+    pub fn push_sequence(&mut self, iter: u32, seq: Sequence) {
+        self.number(iter, seq.len());
+        if self.item.is_empty() {
+            self.item = seq.into_items();
+        } else {
+            self.item.extend(seq);
         }
     }
 
-    /// [`push_items`](Self::push_items), moving the items.
-    pub fn push_sequence(&mut self, iter: u32, seq: Sequence) {
-        for (p, item) in seq.into_items().into_iter().enumerate() {
-            self.push(iter, p as u32 + 1, item);
-        }
+    /// The `iter` and `pos` columns of `n` more rows, all of iteration `iter`.
+    fn number(&mut self, iter: u32, n: usize) {
+        self.iter.resize(self.iter.len() + n, iter);
+        self.pos.extend(1..=n as u32);
     }
 
     /// A literal table (Table 1's literal-table operator): the same
@@ -61,11 +70,21 @@ impl SeqTable {
 
     /// The same sequence in every iteration of `loop_iters`: how a value
     /// that does not vary with the loop enters a lifted plan.
-    pub fn broadcast(loop_iters: &[u32], seq: &Sequence) -> Self {
+    pub fn broadcast(loop_iters: &[u32], seq: Sequence) -> Self {
         let mut t = SeqTable::new();
-        for &i in loop_iters {
+        let Some((&last, rest)) = loop_iters.split_last() else {
+            return t;
+        };
+        if !rest.is_empty() {
+            let rows = loop_iters.len() * seq.len();
+            t.iter.reserve(rows);
+            t.pos.reserve(rows);
+            t.item.reserve(rows);
+        }
+        for &i in rest {
             t.push_items(i, seq.items());
         }
+        t.push_sequence(last, seq);
         t
     }
 
@@ -76,11 +95,22 @@ impl SeqTable {
         let mut groups = self.iter.chunk_by(|a, b| a == b).peekable();
         for i in 1..=n as u32 {
             out.push(match groups.next_if(|g| g[0] == i) {
+                Some([_]) => Sequence::one(items.next().expect("a row per iter entry")),
                 Some(g) => Sequence::from_items(items.by_ref().take(g.len()).collect()),
                 None => Sequence::empty(),
             });
         }
         out
+    }
+
+    /// [`sequence_at`](Self::sequence_at) of a table no longer needed: an
+    /// iteration that owns every row takes the item column as it is.
+    pub(crate) fn into_sequence_at(self, iter: u32) -> Sequence {
+        if self.iter.first() == Some(&iter) && self.iter.last() == Some(&iter) {
+            Sequence::from_items(self.item)
+        } else {
+            self.sequence_at(iter)
+        }
     }
 
     /// A cursor over the groups of ascending iterations: no search per
@@ -102,7 +132,10 @@ impl SeqTable {
     /// The items of one iteration as an XDM sequence.
     pub fn sequence_at(&self, iter: u32) -> Sequence {
         let (lo, hi) = self.iter_range(iter);
-        Sequence::from_items(self.item[lo..hi].to_vec())
+        match &self.item[lo..hi] {
+            [one] => Sequence::one(one.clone()),
+            items => Sequence::from_items(items.to_vec()),
+        }
     }
 
     /// Group boundaries of an iteration (binary search on the sorted
@@ -238,24 +271,18 @@ impl IterMap {
     /// in inner order and `pos` is renumbered per outer group. Requires
     /// `outer` to be non-decreasing (it is: ranks are taken over sorted
     /// iteration columns).
-    pub fn map_back(&self, inner_table: &SeqTable) -> SeqTable {
+    pub fn map_back(&self, mut inner_table: SeqTable) -> SeqTable {
         debug_assert!(self.outer.windows(2).all(|w| w[0] <= w[1]));
-        let mut t = SeqTable::new();
-        let mut pos = 0u32;
-        let mut cur_outer: Option<u32> = None;
-        for inner in 1..=self.inner_count() as u32 {
-            let o = self.to_outer(inner);
-            if cur_outer != Some(o) {
-                cur_outer = Some(o);
-                pos = 0;
-            }
-            let (lo, hi) = inner_table.iter_range(inner);
-            for r in lo..hi {
-                pos += 1;
-                t.push(o, pos, inner_table.item[r].clone());
-            }
+        // rows keep their order, so the item column stays where it is:
+        // only the numbering changes
+        let (mut cur_outer, mut pos) = (None, 0u32);
+        for (iter, p) in inner_table.iter.iter_mut().zip(&mut inner_table.pos) {
+            *iter = self.to_outer(*iter);
+            pos = if cur_outer == Some(*iter) { pos + 1 } else { 1 };
+            cur_outer = Some(*iter);
+            *p = pos;
         }
-        t
+        inner_table
     }
 }
 
@@ -279,7 +306,7 @@ mod tests {
     #[test]
     fn broadcast_and_into_sequences() {
         let seq = Sequence::from_items(vec![Item::integer(1), Item::integer(2)]);
-        let t = SeqTable::broadcast(&[1, 3], &seq);
+        let t = SeqTable::broadcast(&[1, 3], seq);
         assert_eq!(t.iter, vec![1, 1, 3, 3]);
         assert_eq!(t.pos, vec![1, 2, 1, 2]);
         let parts = t.into_sequences(3);
@@ -287,7 +314,7 @@ mod tests {
             parts.iter().map(Sequence::len).collect::<Vec<_>>(),
             [2, 0, 2]
         );
-        assert!(SeqTable::broadcast(&[1, 2], &Sequence::empty()).is_empty());
+        assert!(SeqTable::broadcast(&[1, 2], Sequence::empty()).is_empty());
     }
 
     #[test]
@@ -374,8 +401,8 @@ mod tests {
         )]);
         let msg_p2 =
             SeqTable::from_sequences(vec![(1, Sequence::one(Item::string("Sound Of Music")))]);
-        let res_p1 = map_p1.map_back(&msg_p1);
-        let res_p2 = map_p2.map_back(&msg_p2);
+        let res_p1 = map_p1.map_back(msg_p1);
+        let res_p2 = map_p2.map_back(msg_p2);
         assert_eq!(res_p1.iter, vec![3, 3]);
         assert_eq!(res_p2.iter, vec![2]);
         let result = SeqTable::merge_union(vec![res_p1, res_p2]);

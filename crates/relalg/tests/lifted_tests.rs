@@ -86,7 +86,7 @@ impl RpcDispatcher for RecordingDispatcher {
         for args in calls {
             let mut st = xqeval::eval::EvalState::new();
             for ((pname, _), v) in f.params.iter().zip(args) {
-                st.vars.push((pname.lexical(), v));
+                st.bind(pname, v);
             }
             out.push(ev.eval(&f.body, &mut st, &xqeval::eval::Ctx::none())?);
         }

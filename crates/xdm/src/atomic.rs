@@ -66,7 +66,9 @@ pub enum AtomicValue {
     Decimal(Decimal),
     Double(f64),
     Float(f32),
-    QNameV(QName),
+    /// Boxed: a `QName` is three strings, the only member wider than a
+    /// `String`, and the rarest.
+    QNameV(Box<QName>),
     Date(DateTimeValue),
     Time(DateTimeValue),
     DateTime(DateTimeValue),
@@ -160,11 +162,11 @@ impl AtomicValue {
                     Some((p, l)) => (Some(p.to_string()), l.to_string()),
                     None => (None, s.to_string()),
                 };
-                AtomicValue::QNameV(QName {
+                AtomicValue::QNameV(Box::new(QName {
                     prefix: p,
                     ns_uri: None,
                     local: l,
-                })
+                }))
             }
             AtomicType::Date => AtomicValue::Date(parse_date(s)?),
             AtomicType::Time => AtomicValue::Time(parse_time(s)?),

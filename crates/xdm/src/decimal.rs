@@ -10,9 +10,14 @@ use std::fmt;
 const MAX_SCALE: u32 = 18;
 
 /// Arbitrary-enough precision decimal: `mantissa * 10^-scale`.
-#[derive(Clone, Copy, Debug)]
+///
+/// The `i128` mantissa is stored as its two 64-bit halves: an `i128` field
+/// would make this type, and every `AtomicValue` and `Item` around it,
+/// 16-byte aligned and a third larger.
+#[derive(Clone, Copy)]
 pub struct Decimal {
-    mantissa: i128,
+    /// Low and high half of the mantissa.
+    halves: [u64; 2],
     scale: u32,
 }
 
@@ -22,29 +27,35 @@ pub struct Decimal {
 #[allow(clippy::should_implement_trait)]
 impl Decimal {
     pub fn new(mantissa: i128, scale: u32) -> Self {
-        Decimal { mantissa, scale }.normalized()
+        Decimal::raw(mantissa, scale).normalized()
+    }
+
+    /// `mantissa * 10^-scale` as given, not normalized.
+    fn raw(mantissa: i128, scale: u32) -> Self {
+        Decimal {
+            halves: [mantissa as u64, (mantissa >> 64) as u64],
+            scale,
+        }
+    }
+
+    fn mantissa(&self) -> i128 {
+        ((self.halves[1] as i128) << 64) | self.halves[0] as i128
     }
 
     pub fn from_i64(v: i64) -> Self {
-        Decimal {
-            mantissa: v as i128,
-            scale: 0,
-        }
+        Decimal::raw(v as i128, 0)
     }
 
     pub fn zero() -> Self {
-        Decimal {
-            mantissa: 0,
-            scale: 0,
-        }
+        Decimal::raw(0, 0)
     }
 
     pub fn is_zero(&self) -> bool {
-        self.mantissa == 0
+        self.halves == [0, 0]
     }
 
     pub fn is_negative(&self) -> bool {
-        self.mantissa < 0
+        self.mantissa() < 0
     }
 
     /// Parse an `xs:decimal` lexical form: optional sign, digits, optional
@@ -85,25 +96,22 @@ impl Decimal {
                 .map_err(|_| XdmError::invalid_cast(format!("decimal overflow `{s}`")))?
         };
         let mantissa = if neg { -mantissa } else { mantissa };
-        Ok(Decimal {
-            mantissa,
-            scale: frac.len() as u32,
-        }
-        .normalized())
+        Ok(Decimal::new(mantissa, frac.len() as u32))
     }
 
-    fn normalized(mut self) -> Self {
-        while self.scale > 0 && self.mantissa % 10 == 0 {
-            self.mantissa /= 10;
-            self.scale -= 1;
+    fn normalized(self) -> Self {
+        let (mut m, mut scale) = (self.mantissa(), self.scale);
+        while scale > 0 && m % 10 == 0 {
+            m /= 10;
+            scale -= 1;
         }
-        self
+        Decimal::raw(m, scale)
     }
 
     fn rescaled_pair(a: Decimal, b: Decimal) -> (i128, i128, u32) {
         let scale = a.scale.max(b.scale);
-        let am = a.mantissa * 10i128.pow(scale - a.scale);
-        let bm = b.mantissa * 10i128.pow(scale - b.scale);
+        let am = a.mantissa() * 10i128.pow(scale - a.scale);
+        let bm = b.mantissa() * 10i128.pow(scale - b.scale);
         (am, bm, scale)
     }
 
@@ -118,7 +126,7 @@ impl Decimal {
     }
 
     pub fn mul(self, other: Decimal) -> Decimal {
-        let mut m = self.mantissa * other.mantissa;
+        let mut m = self.mantissa() * other.mantissa();
         let mut s = self.scale + other.scale;
         while s > MAX_SCALE {
             m /= 10;
@@ -158,22 +166,16 @@ impl Decimal {
     }
 
     pub fn neg(self) -> Decimal {
-        Decimal {
-            mantissa: -self.mantissa,
-            scale: self.scale,
-        }
+        Decimal::raw(-self.mantissa(), self.scale)
     }
 
     pub fn abs(self) -> Decimal {
-        Decimal {
-            mantissa: self.mantissa.abs(),
-            scale: self.scale,
-        }
+        Decimal::raw(self.mantissa().abs(), self.scale)
     }
 
     pub fn floor(self) -> i64 {
         let d = 10i128.pow(self.scale);
-        let q = self.mantissa.div_euclid(d);
+        let q = self.mantissa().div_euclid(d);
         q as i64
     }
 
@@ -186,18 +188,18 @@ impl Decimal {
         let d = 10i128.pow(self.scale);
         let half = d / 2;
         // fn:round rounds .5 toward positive infinity.
-        ((self.mantissa + half).div_euclid(d)) as i64
+        ((self.mantissa() + half).div_euclid(d)) as i64
     }
 
     pub fn to_f64(self) -> f64 {
-        self.mantissa as f64 / 10f64.powi(self.scale as i32)
+        self.mantissa() as f64 / 10f64.powi(self.scale as i32)
     }
 
     /// Exact conversion to i64 if integral and in range.
     pub fn to_i64_exact(self) -> Option<i64> {
         let n = self.normalized();
-        if n.scale == 0 && n.mantissa >= i64::MIN as i128 && n.mantissa <= i64::MAX as i128 {
-            Some(n.mantissa as i64)
+        if n.scale == 0 && n.mantissa() >= i64::MIN as i128 && n.mantissa() <= i64::MAX as i128 {
+            Some(n.mantissa() as i64)
         } else {
             None
         }
@@ -231,14 +233,20 @@ impl Ord for Decimal {
     }
 }
 
+impl fmt::Debug for Decimal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Decimal({self})")
+    }
+}
+
 impl fmt::Display for Decimal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let n = self.normalized();
         if n.scale == 0 {
-            return write!(f, "{}", n.mantissa);
+            return write!(f, "{}", n.mantissa());
         }
-        let sign = if n.mantissa < 0 { "-" } else { "" };
-        let abs = n.mantissa.unsigned_abs();
+        let sign = if n.mantissa() < 0 { "-" } else { "" };
+        let abs = n.mantissa().unsigned_abs();
         let d = 10u128.pow(n.scale);
         let int = abs / d;
         let frac = abs % d;

@@ -112,83 +112,120 @@ impl Item {
 }
 
 /// A sequence of items. The XDM identifies an item with the singleton
-/// sequence containing it; this type keeps that flattening implicit.
-#[derive(Clone, Debug, Default)]
-pub struct Sequence {
-    items: Vec<Item>,
+/// sequence containing it; this type keeps that flattening implicit — and
+/// holds the singleton in place, so the most common sequence of all costs
+/// no allocation (nor does the empty one: an empty `Vec` has none).
+#[derive(Clone, Debug)]
+pub struct Sequence(Repr);
+
+#[derive(Clone, Debug)]
+enum Repr {
+    One(Item),
+    Many(Vec<Item>),
+}
+
+impl Default for Sequence {
+    fn default() -> Self {
+        Sequence::empty()
+    }
 }
 
 impl Sequence {
     pub fn empty() -> Self {
-        Sequence { items: Vec::new() }
+        Sequence(Repr::Many(Vec::new()))
     }
 
     pub fn one(item: Item) -> Self {
-        Sequence { items: vec![item] }
+        Sequence(Repr::One(item))
     }
 
     pub fn from_items(items: Vec<Item>) -> Self {
-        Sequence { items }
+        Sequence(Repr::Many(items))
     }
 
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.items().len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.items().is_empty()
     }
 
     pub fn items(&self) -> &[Item] {
-        &self.items
+        match &self.0 {
+            Repr::One(item) => std::slice::from_ref(item),
+            Repr::Many(items) => items,
+        }
     }
 
     pub fn into_items(self) -> Vec<Item> {
-        self.items
+        match self.0 {
+            Repr::One(item) => vec![item],
+            Repr::Many(items) => items,
+        }
     }
 
     pub fn iter(&self) -> std::slice::Iter<'_, Item> {
-        self.items.iter()
+        self.items().iter()
     }
 
     pub fn push(&mut self, item: Item) {
-        self.items.push(item);
+        match &mut self.0 {
+            // a vector that owns a block (filled or reserved) keeps it
+            Repr::Many(items) if items.capacity() > 0 => items.push(item),
+            Repr::Many(_) => self.0 = Repr::One(item),
+            Repr::One(_) => {
+                let mut items = std::mem::take(self).into_items();
+                items.push(item);
+                self.0 = Repr::Many(items);
+            }
+        }
     }
 
+    /// Append `other`; into an empty sequence it moves whole.
     pub fn extend(&mut self, other: Sequence) {
-        self.items.extend(other.items);
+        if self.is_empty() {
+            *self = other;
+        } else if !other.is_empty() {
+            let mut items = std::mem::take(self).into_items();
+            match other.0 {
+                Repr::One(item) => items.push(item),
+                Repr::Many(more) => items.extend(more),
+            }
+            self.0 = Repr::Many(items);
+        }
     }
 
     pub fn first(&self) -> Option<&Item> {
-        self.items.first()
+        self.items().first()
     }
 
     /// Exactly-one-item accessor with a type error otherwise.
     pub fn singleton(&self) -> XdmResult<&Item> {
-        if self.items.len() == 1 {
-            Ok(&self.items[0])
-        } else {
-            Err(XdmError::type_error(format!(
+        match self.items() {
+            [item] => Ok(item),
+            items => Err(XdmError::type_error(format!(
                 "expected a singleton sequence, got {} items",
-                self.items.len()
-            )))
+                items.len()
+            ))),
         }
     }
 
     /// Zero-or-one accessor.
     pub fn zero_or_one(&self) -> XdmResult<Option<&Item>> {
-        match self.items.len() {
-            0 => Ok(None),
-            1 => Ok(Some(&self.items[0])),
-            n => Err(XdmError::type_error(format!(
-                "expected at most one item, got {n}"
+        match self.items() {
+            [] => Ok(None),
+            [item] => Ok(Some(item)),
+            items => Err(XdmError::type_error(format!(
+                "expected at most one item, got {}",
+                items.len()
             ))),
         }
     }
 
     /// Effective boolean value (XQuery §2.4.3).
     pub fn ebv(&self) -> XdmResult<bool> {
-        match self.items.as_slice() {
+        match self.items() {
             [] => Ok(false),
             [Item::Node(_), ..] => Ok(true),
             [Item::Atomic(a)] => a.ebv(),
@@ -200,14 +237,13 @@ impl Sequence {
 
     /// Atomize every item (`fn:data`).
     pub fn atomized(&self) -> Vec<AtomicValue> {
-        self.items.iter().map(|i| i.atomize()).collect()
+        self.iter().map(|i| i.atomize()).collect()
     }
 
     /// The string value of the whole sequence, space-joined (serialization
     /// of atomic sequences).
     pub fn joined_string(&self) -> String {
-        self.items
-            .iter()
+        self.iter()
             .map(|i| i.string_value())
             .collect::<Vec<_>>()
             .join(" ")
@@ -222,14 +258,14 @@ impl Sequence {
                 Err(XdmError::type_error("expected empty-sequence()"))
             };
         }
-        if !st.occurrence.accepts(self.items.len()) {
+        if !st.occurrence.accepts(self.len()) {
             return Err(XdmError::type_error(format!(
                 "cardinality {} does not match {}",
-                self.items.len(),
+                self.len(),
                 st
             )));
         }
-        for it in &self.items {
+        for it in self.iter() {
             if !it.matches_kind(&st.kind) {
                 return Err(XdmError::type_error(format!("item does not match {}", st)));
             }
@@ -240,23 +276,26 @@ impl Sequence {
 
 impl From<Vec<Item>> for Sequence {
     fn from(items: Vec<Item>) -> Self {
-        Sequence { items }
+        Sequence::from_items(items)
     }
 }
 
 impl IntoIterator for Sequence {
     type Item = Item;
-    type IntoIter = std::vec::IntoIter<Item>;
+    /// The singleton, then the many: one of the two halves is always empty.
+    type IntoIter = std::iter::Chain<std::option::IntoIter<Item>, std::vec::IntoIter<Item>>;
     fn into_iter(self) -> Self::IntoIter {
-        self.items.into_iter()
+        let (one, many) = match self.0 {
+            Repr::One(item) => (Some(item), Vec::new()),
+            Repr::Many(items) => (None, items),
+        };
+        one.into_iter().chain(many)
     }
 }
 
 impl FromIterator<Item> for Sequence {
     fn from_iter<T: IntoIterator<Item = Item>>(iter: T) -> Self {
-        Sequence {
-            items: iter.into_iter().collect(),
-        }
+        Sequence::from_items(iter.into_iter().collect())
     }
 }
 

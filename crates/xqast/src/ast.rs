@@ -1,5 +1,6 @@
 //! AST node definitions for the supported XQuery subset.
 
+use std::sync::Arc;
 use xdm::atomic::AtomicValue;
 use xdm::ops::ArithOp;
 use xdm::types::SeqType;
@@ -10,40 +11,42 @@ use xdm::types::SeqType;
 pub struct Name {
     pub prefix: Option<String>,
     pub local: String,
+    /// `prefix:local`, shared: what a variable is bound and looked up under,
+    /// so binding one costs a reference count, not a string.
+    lexical: Arc<str>,
 }
 
 impl Name {
     pub fn local(l: impl Into<String>) -> Self {
+        let local = l.into();
         Name {
             prefix: None,
-            local: l.into(),
+            lexical: local.as_str().into(),
+            local,
         }
     }
 
     pub fn prefixed(p: impl Into<String>, l: impl Into<String>) -> Self {
+        let (prefix, local) = (p.into(), l.into());
         Name {
-            prefix: Some(p.into()),
-            local: l.into(),
+            lexical: format!("{prefix}:{local}").into(),
+            prefix: Some(prefix),
+            local,
         }
     }
 
     pub fn lexical(&self) -> String {
-        match &self.prefix {
-            Some(p) => format!("{}:{}", p, self.local),
-            None => self.local.clone(),
-        }
+        self.lexical.to_string()
     }
 
-    /// Is `lexical` this name's [`lexical`](Self::lexical) form? (Without
-    /// building it.)
+    /// The [`lexical`](Self::lexical) form, shared with the AST.
+    pub fn key(&self) -> &Arc<str> {
+        &self.lexical
+    }
+
+    /// Is `lexical` this name's [`lexical`](Self::lexical) form?
     pub fn is_lexical(&self, lexical: &str) -> bool {
-        match &self.prefix {
-            Some(p) => lexical
-                .strip_prefix(p.as_str())
-                .and_then(|rest| rest.strip_prefix(':'))
-                .is_some_and(|local| local == self.local),
-            None => lexical == self.local,
-        }
+        *self.lexical == *lexical
     }
 }
 

@@ -18,7 +18,7 @@ use xqast::{
 };
 
 /// One FLWOR tuple's variable bindings (name → bound sequence).
-type Bindings = Vec<(String, Sequence)>;
+type Bindings = Vec<(Arc<str>, Sequence)>;
 /// Atomized `order by` keys for one tuple (one entry per spec).
 type OrderKeys = Vec<Option<AtomicValue>>;
 
@@ -47,7 +47,8 @@ impl Ctx {
 /// Mutable evaluation state threaded through the recursion: the variable
 /// stack, the accumulating pending update list and the call depth.
 pub struct EvalState {
-    pub vars: Vec<(String, Sequence)>,
+    /// Innermost binding last, keyed by [`Name::key`].
+    pub vars: Bindings,
     pub pul: PendingUpdateList,
     pub depth: usize,
 }
@@ -62,7 +63,7 @@ impl EvalState {
     }
 
     pub fn bind(&mut self, name: &Name, value: Sequence) {
-        self.vars.push((name.lexical(), value));
+        self.vars.push((name.key().clone(), value));
     }
 
     pub fn lookup(&self, name: &Name) -> Option<&Sequence> {
@@ -230,9 +231,8 @@ fn evaluate_with(
         local_functions,
     };
     let mut st = EvalState::new();
-    for (n, v) in external {
-        st.vars.push((n, v));
-    }
+    st.vars
+        .extend(external.into_iter().map(|(n, v)| (n.into(), v)));
     eval_prolog_vars(&ev, module, &mut st)?;
     let res = ev.eval(&module.body, &mut st, &Ctx::none())?;
     Ok((res, st.pul))
@@ -248,7 +248,7 @@ pub fn eval_prolog_vars(ev: &Evaluator, module: &MainModule, st: &mut EvalState)
         if decl.external {
             if let Some(bound) = st.lookup(&decl.name) {
                 let coerced = coerce_to_declared(bound.clone(), decl.ty.as_ref())?;
-                st.vars.push((decl.name.lexical(), coerced));
+                st.bind(&decl.name, coerced);
                 continue;
             }
         }
@@ -261,7 +261,7 @@ pub fn eval_prolog_vars(ev: &Evaluator, module: &MainModule, st: &mut EvalState)
                 ))
             }
         };
-        st.vars.push((decl.name.lexical(), v));
+        st.bind(&decl.name, v);
     }
     Ok(())
 }
@@ -557,31 +557,23 @@ impl<'e> Evaluator<'e> {
                         return Err(XdmError::new("XPDY0002", "axis step with no context item"))
                     }
                 };
-                let mut nodes = self.axis_nodes(&node, *axis, test)?;
-                let reverse = matches!(
+                // in axis order, which is what a positional predicate counts in
+                let mut items = self.axis_items(&node, *axis, test);
+                if !predicates.is_empty() {
+                    items = self.apply_predicates(items, predicates, st)?;
+                }
+                // steps deliver document order regardless of axis direction
+                if matches!(
                     axis,
                     Axis::Parent
                         | Axis::Ancestor
                         | Axis::AncestorOrSelf
                         | Axis::PrecedingSibling
                         | Axis::Preceding
-                );
-                let items: Vec<Item> = nodes.drain(..).map(Item::Node).collect();
-                let filtered = self.apply_predicates(items, predicates, st)?;
-                // steps deliver document order regardless of axis direction
-                let mut handles: Vec<NodeHandle> = filtered
-                    .into_iter()
-                    .map(|i| match i {
-                        Item::Node(n) => n,
-                        _ => unreachable!("axis produces nodes"),
-                    })
-                    .collect();
-                if reverse {
-                    handles.reverse();
+                ) {
+                    items.reverse();
                 }
-                Ok(Sequence::from_items(
-                    handles.into_iter().map(Item::Node).collect(),
-                ))
+                Ok(Sequence::from_items(items))
             }
             Expr::Filter(base, predicates) => {
                 let v = self.eval(base, st, ctx)?;
@@ -1052,7 +1044,7 @@ impl<'e> Evaluator<'e> {
             None => sink(self, st),
             Some(FlworClause::For { var, pos_var, seq }) => {
                 let v = self.eval(seq, st, ctx)?;
-                for (i, item) in v.into_items().into_iter().enumerate() {
+                for (i, item) in v.into_iter().enumerate() {
                     self.env.check_cancel()?;
                     let depth = st.vars.len();
                     st.bind(var, Sequence::one(item));
@@ -1104,7 +1096,7 @@ impl<'e> Evaluator<'e> {
                 None => ev.eval(satisfies, st, ctx)?.ebv(),
                 Some((var, seq)) => {
                     let v = ev.eval(seq, st, ctx)?;
-                    for item in v.into_items() {
+                    for item in v {
                         ev.env.check_cancel()?;
                         let depth = st.vars.len();
                         st.bind(var, Sequence::one(item));
@@ -1136,6 +1128,14 @@ impl<'e> Evaluator<'e> {
         rhs: &Expr,
         st: &mut EvalState,
     ) -> XdmResult<Sequence> {
+        // An axis step over a single context node is in document order with
+        // no duplicates as it comes (forward axes are emitted that way, the
+        // step reverses the reverse ones, predicates only filter): its
+        // result is the path's result.
+        if let ([item @ Item::Node(_)], Expr::AxisStep { .. }) = (base.items(), rhs) {
+            self.env.check_cancel()?;
+            return self.eval(rhs, st, &Ctx::of(item.clone()));
+        }
         let size = base.len();
         let mut node_results: Vec<NodeHandle> = Vec::new();
         let mut atomic_results: Vec<Item> = Vec::new();
@@ -1164,26 +1164,7 @@ impl<'e> Evaluator<'e> {
             ));
         }
         if atomic_results.is_empty() {
-            // A forward-axis step over a single context node is already in
-            // document order with no duplicates (axes emit forward axes in
-            // document order; predicates only filter) — skip the sort.
-            let already_ordered = size <= 1
-                && matches!(
-                    rhs,
-                    Expr::AxisStep {
-                        axis: Axis::Child
-                            | Axis::Descendant
-                            | Axis::DescendantOrSelf
-                            | Axis::Attribute
-                            | Axis::SelfAxis
-                            | Axis::FollowingSibling
-                            | Axis::Following,
-                        ..
-                    }
-                );
-            if !already_ordered {
-                sort_dedup(&mut node_results);
-            }
+            sort_dedup(&mut node_results);
             Ok(Sequence::from_items(
                 node_results.into_iter().map(Item::Node).collect(),
             ))
@@ -1288,12 +1269,8 @@ impl<'e> Evaluator<'e> {
         }
     }
 
-    fn axis_nodes(
-        &self,
-        node: &NodeHandle,
-        axis: Axis,
-        test: &NodeTest,
-    ) -> XdmResult<Vec<NodeHandle>> {
+    /// The nodes on `axis` from `node` that pass `test`, in axis order.
+    fn axis_items(&self, node: &NodeHandle, axis: Axis, test: &NodeTest) -> Vec<Item> {
         let dom_axis = match axis {
             Axis::Child => axes::Axis::Child,
             Axis::Descendant => axes::Axis::Descendant,
@@ -1309,11 +1286,11 @@ impl<'e> Evaluator<'e> {
             Axis::SelfAxis => axes::Axis::SelfAxis,
         };
         let principal_attr = matches!(axis, Axis::Attribute);
-        let nodes = axes::step(node, dom_axis);
-        Ok(nodes
-            .into_iter()
-            .filter(|n| self.test_matches(n, test, principal_attr))
-            .collect())
+        // filtered where they are, so that the items are allocated once,
+        // at their final count
+        let mut nodes = axes::step(node, dom_axis);
+        nodes.retain(|n| self.test_matches(n, test, principal_attr));
+        nodes.into_iter().map(Item::Node).collect()
     }
 
     fn test_matches(&self, n: &NodeHandle, test: &NodeTest, principal_attr: bool) -> bool {
@@ -1370,13 +1347,13 @@ impl<'e> Evaluator<'e> {
             return false;
         }
         let expected_uri = match &name.prefix {
-            Some(p) => self.sctx.resolve_prefix(p).map(|s| s.to_string()),
+            Some(p) => self.sctx.resolve_prefix(p),
             // Unprefixed name tests use the default element namespace for
             // elements, no namespace for attributes.
             None if is_attr => None,
-            None => self.sctx.default_element_ns.clone(),
+            None => self.sctx.default_element_ns.as_deref(),
         };
-        normalize_uri(&q.ns_uri) == normalize_uri(&expected_uri)
+        normalize_uri(q.ns_uri.as_deref()) == normalize_uri(expected_uri)
     }
 
     fn apply_predicates(
@@ -1555,7 +1532,7 @@ impl<'e> Evaluator<'e> {
                     ))
                 })?;
             }
-            st.vars.push((pname.lexical(), value));
+            st.bind(pname, value);
         }
         let sub = Evaluator {
             env: self.env,
@@ -1938,11 +1915,8 @@ pub fn general_compare(op: CompOp, a: &Sequence, b: &Sequence) -> XdmResult<bool
     Ok(false)
 }
 
-fn normalize_uri(u: &Option<String>) -> Option<&str> {
-    match u.as_deref() {
-        None | Some("") => None,
-        Some(s) => Some(s),
-    }
+fn normalize_uri(u: Option<&str>) -> Option<&str> {
+    u.filter(|s| !s.is_empty())
 }
 
 /// Collect the names of all variables referenced in `e` (conservative:

@@ -430,7 +430,9 @@ pub fn call_builtin(
         },
         ("node-name", 1) => match args[0].zero_or_one()? {
             Some(Item::Node(n)) => match n.name() {
-                Some(q) => Ok(Sequence::one(Item::Atomic(AtomicValue::QNameV(q.clone())))),
+                Some(q) => Ok(Sequence::one(Item::Atomic(AtomicValue::QNameV(Box::new(
+                    q.clone(),
+                ))))),
                 None => Ok(Sequence::empty()),
             },
             Some(_) => Err(XdmError::type_error("fn:node-name expects a node")),

@@ -514,7 +514,7 @@ impl RpcDispatcher for MockDispatcher {
             let mut st = xqeval::eval::EvalState::new();
             let base = st.vars.len();
             for ((pname, _), v) in f.params.iter().zip(args) {
-                st.vars.push((pname.lexical(), v));
+                st.bind(pname, v);
             }
             let r = ev.eval(&f.body, &mut st, &xqeval::eval::Ctx::none())?;
             st.vars.truncate(base);

@@ -391,11 +391,18 @@ fn exchange(
     }
     let resp_body = match content_length {
         Some(n) => {
+            // straight into the pooled buffer's spare capacity: no zero
+            // fill first, and (past what the reader already holds) no
+            // bounce through the reader's own buffer
             let mut b = BufferPool::global().get(n);
-            b.resize(n, 0);
-            reader
-                .read_exact(&mut b)
+            let got = (reader.by_ref().take(n as u64).read_to_end(&mut b))
                 .map_err(|e| ExchangeError::mid(e.into()))?;
+            if got < n {
+                return Err(ExchangeError::mid(NetError::with_kind(
+                    NetErrorKind::ConnectionReset,
+                    "connection closed mid-body",
+                )));
+            }
             b
         }
         None => {

@@ -54,6 +54,11 @@ const PIPELINE_MAX: usize = 32;
 /// Header-section size cap: the reactor buffers the head, so it bounds
 /// its bytes as well as (through the read timeout) its time.
 const MAX_HEAD_BYTES: usize = 32 * 1024;
+/// Most one read takes while a request head is being collected.
+const READ_CHUNK: usize = 16 * 1024;
+/// Most one readiness round reads from one connection, for fairness across
+/// connections (level-triggered epoll brings the rest back next round).
+const ROUND_BYTES: usize = 1 << 20;
 /// How long a shed connection's read drain may run before the socket is
 /// closed regardless, so a trickling client cannot hold the slot.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
@@ -175,11 +180,14 @@ struct ParseCursor {
     scanned: usize,
 }
 
+/// A parsed request head and as much of its body as has arrived.
 struct ReqHead {
     path: String,
     content_length: usize,
     keep_alive: bool,
-    head_len: usize,
+    /// Pooled, with room for `content_length` bytes: the socket is read
+    /// straight into it until it is full.
+    body: Vec<u8>,
 }
 
 enum ParseStep {
@@ -223,6 +231,17 @@ struct Conn {
     /// ahead of the protocol error has been answered, so responses stay
     /// in request order.
     pending_error: Option<(u16, Vec<u8>)>,
+}
+
+impl Conn {
+    /// Forget whatever partial request has been read.
+    fn reset_read(&mut self) {
+        self.rbuf.clear();
+        if let Some(head) = self.head.take() {
+            BufferPool::global().put(head.body);
+        }
+        self.cursor = ParseCursor::default();
+    }
 }
 
 pub(crate) struct ReactorHandle {
@@ -702,58 +721,50 @@ impl Reactor {
         if conn.close_after_flush || conn.read_closed || conn.pending_error.is_some() {
             return true;
         }
-        let mut progressed = false;
-        let mut eof = false;
-        let mut chunk = [0u8; 16 * 1024];
-        // bounded per round for fairness across connections
-        for _ in 0..16 {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.rbuf.extend_from_slice(&chunk[..n]);
-                    progressed = true;
-                    if conn.pending.len() >= PIPELINE_MAX {
-                        break;
+        // `dry`: the last read left the socket empty (sparing the read that
+        // would only say so)
+        let (mut eof, mut dry) = (false, false);
+        let mut budget = ROUND_BYTES;
+        'round: loop {
+            // parse every complete request sitting in the buffers
+            let conn = self.conns[idx].as_mut().unwrap();
+            while conn.pending.len() < PIPELINE_MAX {
+                match parse_step(conn, self.config.max_body_bytes) {
+                    ParseStep::NeedMore => break,
+                    ParseStep::Request(req) => {
+                        conn.pending.push_back(req);
+                    }
+                    ParseStep::Bad(msg) => {
+                        self.metrics.record_failure();
+                        self.queue_error_response(idx, 400, msg.as_bytes());
+                        break 'round;
+                    }
+                    ParseStep::TooLarge(n) => {
+                        self.metrics.record_failure();
+                        let msg = format!(
+                            "request body of {n} bytes exceeds limit of {} bytes",
+                            self.config.max_body_bytes
+                        );
+                        self.queue_error_response(idx, 413, msg.as_bytes());
+                        break 'round;
                     }
                 }
+            }
+            if eof || dry || budget == 0 || conn.pending.len() >= PIPELINE_MAX {
+                break;
+            }
+            match read_into(&mut conn.rbuf, &mut conn.head, &conn.stream, budget) {
+                Ok((0, _)) => eof = true,
+                Ok((n, ran_dry)) => {
+                    budget -= n;
+                    dry = ran_dry;
+                    conn.last_activity = Instant::now();
+                }
+                // (`read_to_end` retries an interrupted read itself)
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     self.close_conn(idx);
                     return false;
-                }
-            }
-        }
-        if progressed {
-            conn.last_activity = Instant::now();
-        }
-        // parse every complete request sitting in the buffer
-        loop {
-            let conn = self.conns[idx].as_mut().unwrap();
-            if conn.pending.len() >= PIPELINE_MAX {
-                break;
-            }
-            match parse_step(conn, self.config.max_body_bytes) {
-                ParseStep::NeedMore => break,
-                ParseStep::Request(req) => {
-                    conn.pending.push_back(req);
-                }
-                ParseStep::Bad(msg) => {
-                    self.metrics.record_failure();
-                    self.queue_error_response(idx, 400, msg.as_bytes());
-                    break;
-                }
-                ParseStep::TooLarge(n) => {
-                    self.metrics.record_failure();
-                    let msg = format!(
-                        "request body of {n} bytes exceeds limit of {} bytes",
-                        self.config.max_body_bytes
-                    );
-                    self.queue_error_response(idx, 413, msg.as_bytes());
-                    break;
                 }
             }
         }
@@ -774,9 +785,7 @@ impl Reactor {
             // possible for the partial request — drop it, but finish
             // whatever was already complete/in flight
             if conn.head.is_some() || !conn.rbuf.is_empty() {
-                conn.rbuf.clear();
-                conn.head = None;
-                conn.cursor = ParseCursor::default();
+                conn.reset_read();
                 if conn.pending.is_empty()
                     && !conn.in_flight
                     && conn.wbuf.is_empty()
@@ -800,9 +809,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else {
             return;
         };
-        conn.rbuf.clear();
-        conn.head = None;
-        conn.cursor = ParseCursor::default();
+        conn.reset_read();
         conn.pending_error = Some((status, msg.to_vec()));
         self.flush_pending_error(idx);
     }
@@ -885,9 +892,7 @@ impl Reactor {
             return;
         };
         conn.pending.clear();
-        conn.rbuf.clear();
-        conn.head = None;
-        conn.cursor = ParseCursor::default();
+        conn.reset_read();
         conn.pending_error = None;
         conn.close_after_flush = true;
         conn.shed = true;
@@ -990,7 +995,8 @@ impl Reactor {
     }
 
     fn close_conn(&mut self, idx: usize) {
-        if let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.take()) {
+        if let Some(mut conn) = self.conns.get_mut(idx).and_then(|c| c.take()) {
+            conn.reset_read();
             // cancel any in-flight evaluation for this connection right
             // away (fast time-to-cancel on client death), and mark the
             // slot dead so queued jobs are orphaned at dequeue
@@ -1121,7 +1127,37 @@ fn flush_ok(conn: &mut Conn) -> bool {
     flush_wbuf(conn).is_ok()
 }
 
-/// One incremental parse step over the connection's read buffer.
+/// One read for a connection, appended to what its parser is filling: the
+/// pooled buffer of the body in progress — never past that body's end, so a
+/// pipelined successor stays in the socket — or else `rbuf`. The source is
+/// read straight into the buffer's spare capacity. Returns the bytes
+/// appended — none at the end of the stream — and whether the source ran
+/// dry (would block) after them.
+fn read_into(
+    rbuf: &mut Vec<u8>,
+    head: &mut Option<ReqHead>,
+    src: impl Read,
+    budget: usize,
+) -> io::Result<(usize, bool)> {
+    let (buf, want) = match head {
+        Some(h) => {
+            debug_assert!(rbuf.is_empty(), "buffered bytes precede the socket's");
+            let want = h.content_length - h.body.len();
+            (&mut h.body, want)
+        }
+        None => (rbuf, READ_CHUNK),
+    };
+    let before = buf.len();
+    let end = src.take(want.min(budget) as u64).read_to_end(buf);
+    // what was read before an error is appended all the same
+    match (buf.len() - before, end) {
+        (n, Ok(_)) => Ok((n, false)),
+        (n @ 1.., Err(e)) if e.kind() == io::ErrorKind::WouldBlock => Ok((n, true)),
+        (_, Err(e)) => Err(e),
+    }
+}
+
+/// One incremental parse step over the connection's read buffers.
 fn parse_step(conn: &mut Conn, max_body_bytes: usize) -> ParseStep {
     if conn.head.is_none() {
         if conn.rbuf.is_empty() {
@@ -1143,29 +1179,31 @@ fn parse_step(conn: &mut Conn, max_body_bytes: usize) -> ParseStep {
         }
         match parse_head(&conn.rbuf[..pos]) {
             Ok(mut h) => {
-                h.head_len = head_len;
+                // refused on the header alone, before any buffer is taken
                 if h.content_length > max_body_bytes {
                     return ParseStep::TooLarge(h.content_length);
                 }
+                h.body = BufferPool::global().get(h.content_length);
+                conn.rbuf.drain(..head_len);
                 conn.head = Some(h);
                 conn.cursor = ParseCursor::default();
             }
             Err(msg) => return ParseStep::Bad(msg),
         }
     }
-    let head = conn.head.as_ref().unwrap();
-    let total = head.head_len + head.content_length;
-    if conn.rbuf.len() < total {
+    // What arrived along with the head moves over; from here on the socket
+    // is read straight into `body` (`read_into`), so this runs once a body.
+    let head = conn.head.as_mut().unwrap();
+    let have = (head.content_length - head.body.len()).min(conn.rbuf.len());
+    head.body.extend_from_slice(&conn.rbuf[..have]);
+    conn.rbuf.drain(..have);
+    if head.body.len() < head.content_length {
         return ParseStep::NeedMore;
     }
     let head = conn.head.take().unwrap();
-    let mut body = BufferPool::global().get(head.content_length);
-    body.extend_from_slice(&conn.rbuf[head.head_len..total]);
-    conn.rbuf.drain(..total);
-    conn.cursor = ParseCursor::default();
     ParseStep::Request(OwnedReq {
         path: head.path,
-        body,
+        body: head.body,
         keep_alive: head.keep_alive,
     })
 }
@@ -1225,7 +1263,7 @@ fn parse_head(head: &[u8]) -> Result<ReqHead, String> {
         path,
         content_length,
         keep_alive,
-        head_len: 0,
+        body: Vec::new(),
     })
 }
 
@@ -1364,10 +1402,10 @@ mod tests {
         assert!(bad_reason(terminated.as_bytes()).contains("headers too large"));
     }
 
-    /// Seeded byte-level mutation of valid requests, fed to the parser in
-    /// random chunks the way the reactor's read loop does: no input may
-    /// panic it, and whatever it is waiting for, it never holds more than
-    /// one capped head plus one capped body. A failure names its seed.
+    /// Seeded byte-level mutation of valid requests, fed through the
+    /// reactor's own read step in random chunks: no input may panic it, and
+    /// whatever it is waiting for, it never holds more than one capped head
+    /// plus one capped body. A failure names its seed.
     #[test]
     fn mutated_requests_never_panic_and_stay_bounded() {
         use rand::prelude::*;
@@ -1403,39 +1441,43 @@ mod tests {
                     }
                 }
             }
-            c.rbuf.clear();
-            c.head = None;
-            c.cursor = ParseCursor::default();
+            c.reset_read();
             let mut fed = 0;
             'conn: while fed < input.len() {
+                // one segment arriving: the read step takes what it wants of
+                // it, the parser runs, and so on until the segment is gone
                 let n = rng.gen_range(1..=(input.len() - fed).min(16 * 1024));
-                c.rbuf.extend_from_slice(&input[fed..fed + n]);
+                let mut segment = &input[fed..fed + n];
                 fed += n;
-                loop {
-                    match parse_step(&mut c, MAX_BODY) {
-                        ParseStep::NeedMore => {
-                            outcomes[0] += 1;
-                            assert!(
-                                c.rbuf.len() <= MAX_HEAD_BYTES + MAX_BODY,
-                                "seed {seed}: {} bytes buffered",
-                                c.rbuf.len()
-                            );
-                            break;
-                        }
-                        ParseStep::Request(r) => {
-                            outcomes[1] += 1;
-                            assert!(r.body.len() <= MAX_BODY, "seed {seed}");
-                            BufferPool::global().put(r.body);
-                        }
-                        // the reactor answers 400/413 and stops reading
-                        ParseStep::Bad(_) => {
-                            outcomes[2] += 1;
-                            break 'conn;
-                        }
-                        ParseStep::TooLarge(n) => {
-                            outcomes[3] += 1;
-                            assert!(n > MAX_BODY, "seed {seed}");
-                            break 'conn;
+                while !segment.is_empty() {
+                    read_into(&mut c.rbuf, &mut c.head, &mut segment, usize::MAX).unwrap();
+                    loop {
+                        match parse_step(&mut c, MAX_BODY) {
+                            ParseStep::NeedMore => {
+                                outcomes[0] += 1;
+                                let body = c.head.as_ref().map_or(0, |h| h.body.len());
+                                assert!(
+                                    c.rbuf.len() + body <= MAX_HEAD_BYTES + MAX_BODY,
+                                    "seed {seed}: {} + {body} bytes buffered",
+                                    c.rbuf.len()
+                                );
+                                break;
+                            }
+                            ParseStep::Request(r) => {
+                                outcomes[1] += 1;
+                                assert!(r.body.len() <= MAX_BODY, "seed {seed}");
+                                BufferPool::global().put(r.body);
+                            }
+                            // the reactor answers 400/413 and stops reading
+                            ParseStep::Bad(_) => {
+                                outcomes[2] += 1;
+                                break 'conn;
+                            }
+                            ParseStep::TooLarge(n) => {
+                                outcomes[3] += 1;
+                                assert!(n > MAX_BODY, "seed {seed}");
+                                break 'conn;
+                            }
                         }
                     }
                 }

@@ -1000,8 +1000,8 @@ impl Peer {
             eval_slices_parallel(std::mem::take(&mut req.calls), threads, &eval_slice)
         } else {
             let _ambient = in_request();
-            let mut out = Vec::with_capacity(req.calls.len());
-            for args in &req.calls {
+            let mut out = Vec::with_capacity(ncalls);
+            for args in std::mem::take(&mut req.calls) {
                 let mut st = EvalState::new();
                 let r = bind_params(&prepared.decl, args, &mut st)
                     .and_then(|()| ev.eval(&prepared.decl.body, &mut st, &Ctx::none()))
@@ -1888,10 +1888,10 @@ where
 /// Bind actual parameters with the XQuery function-conversion rules:
 /// untyped atomics cast to the declared atomic type, otherwise the value
 /// must match the declared sequence type.
-fn bind_params(decl: &FunctionDecl, args: &[Sequence], st: &mut EvalState) -> XdmResult<()> {
-    let values = xqeval::eval::convert_arguments(decl, args.to_vec())?;
+fn bind_params(decl: &FunctionDecl, args: Vec<Sequence>, st: &mut EvalState) -> XdmResult<()> {
+    let values = xqeval::eval::convert_arguments(decl, args)?;
     for ((pname, _), value) in decl.params.iter().zip(values) {
-        st.vars.push((pname.lexical(), value));
+        st.bind(pname, value);
     }
     Ok(())
 }

@@ -358,7 +358,9 @@ enum Pending {
 pub struct PendingSequence(Vec<Pending>);
 
 impl PendingSequence {
-    /// Phase 2: turn ids into handles sharing the frozen message arena.
+    /// Phase 2: turn ids into handles sharing the frozen message arena. A
+    /// pending value is as wide as an item, so the collect below rewrites
+    /// the vector in place (`pending_values_convert_in_place`).
     pub fn finish(self, arc: &std::sync::Arc<Document>) -> Sequence {
         let item = |p| match p {
             Pending::Ready(item) => item,
@@ -405,7 +407,7 @@ fn decode_sequence_detach(
     seq_el: NodeId,
     decoded: &[PendingSequence],
 ) -> XdmResult<PendingSequence> {
-    let mut out = Vec::with_capacity(msg.children(seq_el).count());
+    let mut out = Vec::with_capacity(wrapper_count_hint(msg, seq_el));
     // a cursor, not an iterator: decoding relinks nodes below `child`
     let mut next = msg.first_child(seq_el);
     while let Some(child) = next {
@@ -421,6 +423,20 @@ fn decode_sequence_detach(
         });
     }
     Ok(PendingSequence(out))
+}
+
+/// How many value wrappers `seq_el` holds, without walking them: the parser
+/// numbers nodes in document order, so wrappers of one shape (a bulk
+/// payload's) sit a constant stride apart. A capacity hint only — of mixed
+/// shapes it may be off either way — and never beyond the arena's size.
+fn wrapper_count_hint(msg: &Document, seq_el: NodeId) -> usize {
+    let (Some(first), Some(last)) = (msg.first_child(seq_el), msg.last_child(seq_el)) else {
+        return 0;
+    };
+    let stride = msg
+        .next_sibling(first)
+        .map_or(1, |second| second.index().abs_diff(first.index()).max(1));
+    (last.index().abs_diff(first.index()) / stride + 1).min(msg.len())
 }
 
 /// Decode one wrapper, detaching node values in place.
@@ -722,5 +738,23 @@ mod tests {
         let back = roundtrip(&seq);
         let n = back.items()[0].as_node().unwrap();
         assert_eq!(n.type_annotation(), Some("my:temp"));
+    }
+
+    #[test]
+    fn pending_values_convert_in_place() {
+        let mut msg = parse(&format!(
+            "<xrpc:sequence xmlns:xrpc=\"{NS_XRPC}\">{}</xrpc:sequence>",
+            "<xrpc:element><c>x</c></xrpc:element>".repeat(100)
+        ))
+        .unwrap();
+        let seq_el = msg.first_child(msg.root()).unwrap();
+        // equal wrappers: the stride guess is exact, so the vector never grows
+        assert_eq!(wrapper_count_hint(&msg, seq_el), 100);
+        let pending = n2s_detach(&mut msg, seq_el).unwrap();
+        let (at, capacity) = (pending.0.as_ptr() as usize, pending.0.capacity());
+        assert_eq!(capacity, 100);
+        let seq = pending.finish(&Arc::new(msg));
+        assert_eq!(seq.len(), 100);
+        assert_eq!(seq.items().as_ptr() as usize, at, "finish reallocated");
     }
 }

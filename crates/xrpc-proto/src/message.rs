@@ -161,13 +161,15 @@ impl XrpcRequest {
         if self.call_by_fragment {
             return self.to_xml_dom();
         }
-        let mut out = String::with_capacity(1024);
+        let mut out = String::with_capacity(self.estimated_wire_size());
         self.write_xml(&mut out)?;
         Ok(out)
     }
 
-    /// Cheap estimate of the serialized envelope size, for pre-reserving
-    /// the output buffer (e.g. one taken from a transport buffer pool).
+    /// Estimate of the serialized envelope size, for sizing the buffer
+    /// [`write_xml`](Self::write_xml) appends to (e.g. one taken from a
+    /// transport buffer pool). It walks every node parameter: compute it
+    /// once per message.
     pub fn estimated_wire_size(&self) -> usize {
         let mut n = 512;
         for params in &self.calls {
@@ -179,10 +181,10 @@ impl XrpcRequest {
         n
     }
 
-    /// Direct text serialization into a caller-supplied (reusable) buffer.
+    /// Direct text serialization, appended to a caller-supplied (reusable)
+    /// buffer that the caller has sized.
     pub fn write_xml(&self, out: &mut String) -> XdmResult<()> {
         debug_assert!(!self.call_by_fragment);
-        out.reserve(self.estimated_wire_size());
         write_envelope_open(
             out,
             self.trace.as_ref(),
@@ -331,13 +333,14 @@ impl XrpcResponse {
 
     /// Serialize to the SOAP envelope text (direct single-copy writer).
     pub fn to_xml(&self) -> XdmResult<String> {
-        let mut out = String::with_capacity(1024);
+        let mut out = String::with_capacity(self.estimated_wire_size());
         self.write_xml(&mut out)?;
         Ok(out)
     }
 
-    /// Cheap estimate of the serialized envelope size, for pre-reserving
-    /// the output buffer (e.g. one taken from a transport buffer pool).
+    /// Estimate of the serialized envelope size, for sizing the buffer
+    /// [`write_xml`](Self::write_xml) appends to; computed once per message
+    /// (it walks every result node).
     pub fn estimated_wire_size(&self) -> usize {
         let mut n = 512 + 64 * self.participating_peers.len() + 512 * self.profile_hops.len();
         for seq in &self.results {
@@ -346,9 +349,9 @@ impl XrpcResponse {
         n
     }
 
-    /// Direct text serialization into a caller-supplied (reusable) buffer.
+    /// Direct text serialization, appended to a caller-supplied (reusable)
+    /// buffer that the caller has sized.
     pub fn write_xml(&self, out: &mut String) -> XdmResult<()> {
-        out.reserve(self.estimated_wire_size());
         write_envelope_open(out, None, None, None, &self.profile_hops);
         out.push_str("<xrpc:response module=\"");
         push_escaped_attr(out, &self.module);

@@ -116,6 +116,19 @@ fn node_slots_are_at_most_48_bytes() {
     assert!(std::mem::size_of::<xmldom::NodeData>() <= 48);
 }
 
+/// The XDM side of the same economy: a sequence is a vector of these and a
+/// loop-lifted table a column of them, so what an item costs is what every
+/// row of a shipped node sequence costs at each stage it passes through. A
+/// node handle needs 16 bytes and a string 24; nothing wider is inline.
+#[test]
+fn items_are_at_most_32_bytes() {
+    use xrpc_repro::xdm::{AtomicValue, Item, Sequence};
+    assert!(std::mem::size_of::<AtomicValue>() <= 32);
+    assert!(std::mem::size_of::<Item>() <= 32);
+    // the singleton held in place costs the sequence nothing extra
+    assert!(std::mem::size_of::<Sequence>() <= 40);
+}
+
 /// Text that belongs to a node or a namespace declaration.
 fn live_text(doc: &xmldom::Document) -> usize {
     doc.all_ids()

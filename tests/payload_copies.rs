@@ -1,0 +1,314 @@
+//! Copies on the payload path, counted rather than timed (ISSUE 17): a node
+//! sequence shipped as a parameter and shipped back as a result is built
+//! once per stage, so what a query takes from the allocator stays a small
+//! multiple of the bytes its messages put on the wire, in few large blocks;
+//! a path step keeps document order and drops duplicates whichever of its
+//! shortcuts runs; and a large request body reaches the handler intact
+//! however the socket delivers it. The counting allocator is this file's own;
+//! counters are per thread because tests run on parallel threads.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use xrpc_repro::xrpc_net::http::HttpServer;
+use xrpc_repro::xrpc_net::{NetError, Transport};
+use xrpc_repro::xrpc_peer::{EngineKind, Peer};
+use xrpc_repro::{relalg, xdm, xmark, xmldom, xqeval};
+
+struct Counting;
+
+/// What "large" means below: a block of a MiB or more is a whole column or
+/// buffer of the 4 MiB payload, not an incidental allocation.
+const LARGE: usize = 1 << 20;
+
+thread_local! {
+    /// Bytes this thread asked for (a `realloc` asks for its new size) and
+    /// how many of the requests were [`LARGE`].
+    static BYTES: Cell<usize> = const { Cell::new(0) };
+    static LARGE_BLOCKS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn account(size: usize) {
+    // `try_with`: the allocator also runs while a thread is torn down
+    let _ = BYTES.try_with(|b| b.set(b.get() + size));
+    if size >= LARGE {
+        let _ = LARGE_BLOCKS.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the bookkeeping
+// touches only const-initialised thread-local `Cell`s and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        account(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        account(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Bytes and large blocks `f` asked the allocator for, on this thread.
+fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    BYTES.set(0);
+    LARGE_BLOCKS.set(0);
+    let out = f();
+    (out, BYTES.get(), LARGE_BLOCKS.get())
+}
+
+// ---------------------------------------------------------------------
+// (b) one materialization per stage
+// ---------------------------------------------------------------------
+
+/// The wire without the wire: the callee handles the message on the
+/// caller's thread (so the caller's counters see both peers), and the bytes
+/// both ways are added up.
+struct Direct {
+    callee: Arc<Peer>,
+    wire_bytes: AtomicUsize,
+}
+
+impl Transport for Direct {
+    fn roundtrip(&self, _dest: &str, body: &[u8]) -> Result<Vec<u8>, NetError> {
+        let response = self.callee.handle_soap(body);
+        self.wire_bytes
+            .fetch_add(body.len() + response.len(), Ordering::Relaxed);
+        Ok(response)
+    }
+}
+
+/// The benchmark's `payload_4m` operation: every chunk of a 4 MiB document
+/// shipped as a parameter, then shipped back as a result.
+#[test]
+fn a_shipped_node_sequence_is_built_once_per_stage() {
+    const MODULE: &str = r#"
+        module namespace tp = "throughput";
+        declare function tp:consume($x) as xs:integer { count($x) };
+        declare function tp:produce() as node()* { doc("payload.xml")/payload/chunk };
+    "#;
+    let payload = xmark::payload_xml(4 << 20);
+    let chunks = payload.matches("<chunk>").count().to_string();
+    let a = Peer::new("xrpc://a", EngineKind::Rel);
+    let b = Peer::new("xrpc://b", EngineKind::Tree);
+    for p in [&a, &b] {
+        p.register_module(MODULE).unwrap();
+        p.add_document("payload.xml", &payload).unwrap();
+    }
+    let wire = Arc::new(Direct {
+        callee: b,
+        wire_bytes: AtomicUsize::new(0),
+    });
+    a.set_transport(wire.clone());
+    let queries = [
+        r#"import module namespace tp = "throughput";
+           execute at {"xrpc://b"} {tp:consume(doc("payload.xml")/payload/chunk)}"#,
+        r#"import module namespace tp = "throughput";
+           count(execute at {"xrpc://b"} {tp:produce()})"#,
+    ];
+    let run = |q: &str| {
+        let res = a.execute(q).unwrap();
+        assert_eq!(res.len(), 1);
+        assert_eq!(res.items()[0].string_value(), chunks);
+    };
+    // plans, functions, pooled buffers and the allocator's own arenas warm
+    for _ in 0..2 {
+        queries.iter().for_each(|q| run(q));
+    }
+    wire.wire_bytes.store(0, Ordering::Relaxed);
+    let mut allocated = 0;
+    for q in queries {
+        let ((), bytes, large) = measure(|| run(q));
+        allocated += bytes;
+        assert!(
+            large <= 12,
+            "{large} allocations of a MiB or more in one query:\n{q}"
+        );
+    }
+    let on_the_wire = wire.wire_bytes.load(Ordering::Relaxed);
+    assert!(on_the_wire > 2 * (5 << 20), "{on_the_wire} bytes shipped");
+    assert!(
+        allocated <= 6 * on_the_wire,
+        "{allocated} bytes allocated to ship {on_the_wire} ({:.1}x)",
+        allocated as f64 / on_the_wire as f64
+    );
+}
+
+// ---------------------------------------------------------------------
+// (c) path steps: document order, no duplicates, on every shortcut
+// ---------------------------------------------------------------------
+
+/// Each path evaluated by the tree engine, by the loop-lifted engine and by
+/// the tree engine with the join index off, all three checked against the
+/// answer written out here: element names, or values where the step selects
+/// attributes or text.
+#[test]
+fn path_steps_keep_document_order_and_drop_duplicates() {
+    const DOC: &str = r#"<r id="r"><a id="a1"><b id="b1"><c id="c1"/><c id="c2"/></b><b id="b2"><c id="c3"/></b></a><a id="a2"><b id="b3"><c id="c4"/><x id="x1">t</x></b></a></r>"#;
+    let grid: [(&str, &str); 22] = [
+        // one context node, forward axes: the step's result as it comes
+        ("doc('d')/r/a", "a1 a2"),
+        ("doc('d')/r//c", "c1 c2 c3 c4"),
+        ("doc('d')/r/descendant::b", "b1 b2 b3"),
+        ("doc('d')/r/a[2]/b/c/following-sibling::*", "x1"),
+        ("doc('d')/r/a[1]/b[1]/following::c", "c3 c4"),
+        ("doc('d')/r/a/@id", "a1 a2"),
+        // one context node, reverse axes, bare and with predicates
+        ("doc('d')//x/ancestor::*", "r a2 b3"),
+        ("doc('d')//x/ancestor-or-self::*", "r a2 b3 x1"),
+        ("doc('d')//x/ancestor::*[1]", "b3"),
+        ("doc('d')//x/ancestor::*[last()]", "r"),
+        ("doc('d')//x/ancestor::*[b or c]", "a2 b3"),
+        ("doc('d')//x/preceding-sibling::*", "c4"),
+        ("doc('d')//x/preceding::c", "c1 c2 c3 c4"),
+        ("doc('d')//x/preceding::c[2]", "c3"),
+        ("doc('d')//x/parent::b", "b3"),
+        // positional predicates on forward axes
+        ("doc('d')/r/a[1]/b/c[1]", "c1 c3"),
+        ("doc('d')//c[last()]", "c2 c3 c4"),
+        ("doc('d')/r/descendant::c[3]", "c3"),
+        // several context nodes whose results overlap
+        ("doc('d')//c/ancestor::*", "r a1 b1 b2 a2 b3"),
+        ("doc('d')//c/parent::*", "b1 b2 b3"),
+        ("doc('d')//b/following::c", "c3 c4"),
+        // `.//x` over one node and over many (nested contexts overlap)
+        ("(doc('d')/r, doc('d')//a, doc('d')//b)//c", "c1 c2 c3 c4"),
+    ];
+    let docs = || {
+        let store = xqeval::InMemoryDocs::new();
+        store.insert("d", xmldom::parse(DOC).unwrap());
+        Arc::new(store)
+    };
+    let indexed = xqeval::Environment::new(docs());
+    let mut scanned = xqeval::Environment::new(docs());
+    scanned.join_index = false;
+    let show = |seq: xdm::Sequence| -> String {
+        let id = |i: &xdm::Item| match i.as_node() {
+            Some(n) if n.kind() == xmldom::NodeKind::Element => {
+                n.doc.attr_local(n.id, "id").unwrap().into()
+            }
+            _ => i.string_value(),
+        };
+        seq.iter().map(id).collect::<Vec<_>>().join(" ")
+    };
+    for (path, expected) in grid {
+        let tree = show(xqeval::evaluate_main(path, &indexed).unwrap().0);
+        let rel = show(relalg::execute_rel(path, &indexed).unwrap().0);
+        let oracle = show(xqeval::evaluate_main(path, &scanned).unwrap().0);
+        assert_eq!(tree, expected, "tree engine: {path}");
+        assert_eq!(rel, expected, "loop-lifted engine: {path}");
+        assert_eq!(oracle, expected, "join index off: {path}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// (d) a large body, however the socket delivers it
+// ---------------------------------------------------------------------
+
+/// Read one HTTP response: (status, body).
+fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, String) {
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let status = line.split_whitespace().nth(1).unwrap().parse().unwrap();
+    let mut content_length = 0;
+    loop {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        let Some((k, v)) = line.trim_end().split_once(':') else {
+            break;
+        };
+        if k.eq_ignore_ascii_case("content-length") {
+            content_length = v.trim().parse().unwrap();
+        }
+    }
+    let mut body = vec![0; content_length];
+    reader.read_exact(&mut body).unwrap();
+    (status, String::from_utf8(body).unwrap())
+}
+
+/// A 6 MiB body written at once, in 16 KiB pieces, and as a trickle of
+/// single bytes (through the head and the first KiBs of the body, where the
+/// reactor changes from collecting a head to filling the body's buffer; all
+/// 6 MiB a byte at a time would be six million packets) — alone and
+/// pipelined in the same write as a small request ahead of it.
+#[test]
+fn a_large_body_reaches_the_handler_intact_however_it_arrives() {
+    let big: Arc<Vec<u8>> = Arc::new(
+        (0..6usize << 20)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect(),
+    );
+    let expected = big.clone();
+    let server = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(move |_path: &str, body: &[u8]| {
+            let verdict = if body == b"small" {
+                "small".to_string()
+            } else if body == expected.as_slice() {
+                "intact".to_string()
+            } else {
+                let at = body.iter().zip(expected.iter()).position(|(a, b)| a != b);
+                format!("{} bytes, first difference at {at:?}", body.len())
+            };
+            (200, verdict.into_bytes())
+        }),
+    )
+    .unwrap();
+    let request = |body: &[u8]| {
+        let mut r = format!(
+            "POST /xrpc HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        r.extend_from_slice(body);
+        r
+    };
+    let big_request = request(&big);
+    for pipelined in [false, true] {
+        for piece in [usize::MAX, 16 * 1024, 1] {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.set_nodelay(true).unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut bytes = if pipelined {
+                request(b"small")
+            } else {
+                Vec::new()
+            };
+            let ahead = bytes.len();
+            bytes.extend_from_slice(&big_request);
+            // a small request ahead goes out in one write with what follows
+            let mut rest = &bytes[..];
+            if piece == 1 {
+                let (first, trickle) = rest.split_at(ahead.max(1));
+                stream.write_all(first).unwrap();
+                let (trickle, tail) = trickle.split_at(4096);
+                for byte in trickle.chunks(1) {
+                    stream.write_all(byte).unwrap();
+                }
+                rest = tail;
+            }
+            for part in rest.chunks(piece.max(16 * 1024)) {
+                stream.write_all(part).unwrap();
+            }
+            if pipelined {
+                assert_eq!(read_response(&mut reader), (200, "small".into()));
+            }
+            assert_eq!(
+                read_response(&mut reader),
+                (200, "intact".into()),
+                "pipelined {pipelined}, written {piece} bytes at a time"
+            );
+        }
+    }
+}
