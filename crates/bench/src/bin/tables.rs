@@ -9,7 +9,7 @@
 //! tables ablation-isolation  — A2: isolation level overhead
 //! tables a3            — A3: marshaling cost by parameter shape, atomic vs element
 //! tables u1            — U1: durable update throughput, WAL group commit on/off
-//! tables c1            — C1: plan-cache warm path + adaptive bulk sizing (alias: compile-cache)
+//! tables c1            — C1: plan-cache warm path (alias: compile-cache)
 //! tables s1            — S1: concurrent-client swarm against the reactor (alias: swarm)
 //! tables r1            — R1: deadline/cancellation latency + wasted-work reduction (alias: cancellation)
 //! tables p1            — P1: query-profiler overhead, off vs sampled vs full (alias: profile-overhead)
@@ -29,10 +29,12 @@
 //! `c1` that the warm plan-cache hit rate stays ≥ 95% (exit 5
 //! otherwise), for `r1` that cancellation p99 stays under 250 ms
 //! with zero leaked worker threads (exit 6 otherwise), and for `p1` that
-//! explicit `xrpc:profile "off"` costs ≤ 1%, sampled profiling ≤ 5%, and
-//! that one slow query lands in the slow-query log exactly once (exit 7
-//! otherwise), so CI guards the admission, compile-once, cancellation
-//! and profiling paths, not just the numbers.
+//! a query with explicit `xrpc:profile "off"` allocates exactly what one
+//! without the option does, and that one slow query lands in the
+//! slow-query log exactly once (exit 7 otherwise; the overhead
+//! percentages are printed, not gated — counts repeat, clocks do not), so
+//! CI guards the admission, compile-once, cancellation and profiling
+//! paths, not just the numbers.
 //!
 //! Every JSON artifact shares one envelope (`schema_version` 2): the
 //! experiment id/title, quick flag, ISO-8601 UTC generation time, the
@@ -422,8 +424,10 @@ fn cancellation(quick: bool) {
 /// "off", sampled at the default stride, and "full" (every guard reads
 /// the clock). Interleaved rounds with min-of-rounds per mode, because
 /// a percent-level comparison needs the noise floor, not the mean.
-/// `--quick` gates: "off" ≤ 1% over baseline, sampled ≤ 5%, and a slow
-/// query must land in the slow-query log exactly once (exit 7).
+/// `--quick` gates on what repeats exactly (exit 7): a warm query with
+/// the option "off" allocates as often as one without it — profiling
+/// that is off costs no allocation — and a slow query lands in the
+/// slow-query log exactly once. The percentages are printed only.
 fn profile_overhead(quick: bool) {
     use std::time::Instant;
     use xrpc_peer::{EngineKind, Peer};
@@ -475,15 +479,33 @@ fn profile_overhead(quick: bool) {
             }
         }
     }
+    // Allocations of one warm execution per mode: single-threaded and
+    // clock-free, so the count is the same on every run and every host.
+    let allocs_per_query = modes.map(|(_, mode)| {
+        let q = mk_query(mode);
+        let _ = peer.execute(&q).unwrap();
+        let a0 = alloc_snapshot();
+        let _ = peer.execute(&q).unwrap();
+        alloc_snapshot().since(a0).allocs
+    });
     let overhead = |slot: usize| (best[slot] / best[0].max(1e-9) - 1.0) * 100.0;
-    println!("{:<10} {:>12} {:>10}", "mode", "ms/query", "overhead");
+    println!(
+        "{:<10} {:>12} {:>10} {:>14}",
+        "mode", "ms/query", "overhead", "allocs/query"
+    );
     let mut rows = Vec::new();
     for (slot, (label, _)) in modes.iter().enumerate() {
-        println!("{label:<10} {:>12.4} {:>9.1}%", best[slot], overhead(slot));
+        println!(
+            "{label:<10} {:>12.4} {:>9.1}% {:>14}",
+            best[slot],
+            overhead(slot),
+            allocs_per_query[slot]
+        );
         rows.push(vec![
             ("mode", slot as f64),
             ("ms_per_query", best[slot]),
             ("overhead_pct", overhead(slot)),
+            ("allocs_per_query", allocs_per_query[slot] as f64),
             ("iters_per_round", iters as f64),
             ("rounds", rounds as f64),
         ]);
@@ -520,17 +542,10 @@ fn profile_overhead(quick: bool) {
     );
     if quick {
         let mut failed = false;
-        if overhead(1) > 1.0 {
+        if allocs_per_query[1] != allocs_per_query[0] {
             eprintln!(
-                "P1 quick FAILED: explicit `xrpc:profile \"off\"` costs {:.2}% > 1%",
-                overhead(1)
-            );
-            failed = true;
-        }
-        if overhead(2) > 5.0 {
-            eprintln!(
-                "P1 quick FAILED: sampled profiling costs {:.2}% > 5%",
-                overhead(2)
+                "P1 quick FAILED: explicit `xrpc:profile \"off\"` allocates {} times per query, no option {}",
+                allocs_per_query[1], allocs_per_query[0]
             );
             failed = true;
         }
@@ -544,10 +559,11 @@ fn profile_overhead(quick: bool) {
             std::process::exit(7);
         }
         println!(
-            "P1 quick: off {:+.2}%, sampled {:+.2}%, full {:+.2}% (gates: off ≤ 1%, sampled ≤ 5%)",
+            "P1 quick: off {:+.2}%, sampled {:+.2}%, full {:+.2}% (not gated); off allocates as the baseline does ({}/query), slowlog exactly once",
             overhead(1),
             overhead(2),
-            overhead(3)
+            overhead(3),
+            allocs_per_query[0]
         );
     }
     println!();

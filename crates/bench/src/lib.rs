@@ -246,8 +246,7 @@ pub fn mb_per_sec(bytes: u64, elapsed: Duration) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// Experiment C1: prepared queries — plan-cache warm path and
-// feedback-driven adaptive bulk sizing
+// Experiment C1: prepared queries — the plan-cache warm path
 // ---------------------------------------------------------------------
 
 /// A compile-dominant query: a long chain of `let` clauses (the shape a

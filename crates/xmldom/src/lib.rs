@@ -15,7 +15,6 @@
 //!   which stays correct after arbitrary mutation.
 
 pub mod axes;
-pub mod builder;
 pub mod escape;
 pub mod node;
 pub mod order;
@@ -23,7 +22,6 @@ pub mod parser;
 pub mod qname;
 pub mod serialize;
 
-pub use builder::DocBuilder;
 pub use node::{Document, NodeData, NodeId, NodeKind};
 pub use parser::{parse, parse_with_uri, ParseError};
 pub use qname::QName;

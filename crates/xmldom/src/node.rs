@@ -724,6 +724,33 @@ impl Document {
             .map(|d| (self.heap_str(d.prefix), self.heap_str(d.uri)))
     }
 
+    /// The bindings `id` inherits: every prefix (`""` = the default
+    /// namespace) an ancestor declares that neither `id` nor a nearer
+    /// ancestor rebinds, nearest first. What a fragment cut out at `id` must
+    /// declare on its own start tag to keep its names. Undeclarations
+    /// (`xmlns=""`) shadow but are not reported. O(depth), and free for a
+    /// document that declares nothing.
+    pub fn inherited_ns_decls(&self, id: NodeId) -> Vec<(&str, &str)> {
+        let mut out: Vec<(&str, &str)> = Vec::new();
+        if self.ns_decls.is_empty() {
+            return out;
+        }
+        let mut shadowed: Vec<&str> = self.ns_decls(id).map(|(p, _)| p).collect();
+        let mut cur = self.parent(id);
+        while let Some(anc) = cur {
+            for (p, u) in self.ns_decls(anc) {
+                if !shadowed.contains(&p) {
+                    shadowed.push(p);
+                    if !u.is_empty() {
+                        out.push((p, u));
+                    }
+                }
+            }
+            cur = self.parent(anc);
+        }
+        out
+    }
+
     /// The lexical `xsi:type` of an element, if it carries one. The XRPC
     /// marshaler uses it to round-trip user-defined schema types.
     pub fn type_annotation(&self, id: NodeId) -> Option<&str> {

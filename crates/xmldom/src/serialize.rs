@@ -79,7 +79,7 @@ fn write_node(doc: &Document, root: NodeId, opts: &SerializeOpts, depth: usize, 
         let descend = match doc.kind(cur) {
             NodeKind::Document => doc.first_child(cur),
             NodeKind::Element => {
-                write_open_tag(doc, cur, out);
+                write_open_tag(doc, cur, cur == root, out);
                 let first = doc.first_child(cur);
                 out.push_str(if first.is_some() { ">" } else { "/>" });
                 first
@@ -170,11 +170,23 @@ fn write_attribute(doc: &Document, id: NodeId, out: &mut String) {
 }
 
 /// `<name`, namespace declarations and attributes — up to but excluding
-/// the closing `>` or `/>`.
-fn write_open_tag(doc: &Document, id: NodeId, out: &mut String) {
+/// the closing `>` or `/>`. The element a fragment starts at also declares
+/// what it inherits, so it keeps the names its ancestors gave it.
+fn write_open_tag(doc: &Document, id: NodeId, fragment_root: bool, out: &mut String) {
     out.push('<');
     element_name(doc, id).push_lexical(out);
-    for (p, u) in doc.ns_decls(id) {
+    write_ns_decls(doc.ns_decls(id), out);
+    if fragment_root {
+        write_ns_decls(doc.inherited_ns_decls(id), out);
+    }
+    for a in doc.attributes(id) {
+        out.push(' ');
+        write_attribute(doc, a, out);
+    }
+}
+
+fn write_ns_decls<'a>(decls: impl IntoIterator<Item = (&'a str, &'a str)>, out: &mut String) {
+    for (p, u) in decls {
         if p.is_empty() {
             out.push_str(" xmlns=\"");
         } else {
@@ -184,10 +196,6 @@ fn write_open_tag(doc: &Document, id: NodeId, out: &mut String) {
         }
         push_escaped_attr(out, u);
         out.push('"');
-    }
-    for a in doc.attributes(id) {
-        out.push(' ');
-        write_attribute(doc, a, out);
     }
 }
 
@@ -255,6 +263,49 @@ mod tests {
         let once = roundtrip(s);
         let twice = roundtrip(&once);
         assert_eq!(once, twice);
+    }
+
+    #[test]
+    fn a_fragment_declares_what_its_ancestors_bound() {
+        let d = parse(
+            r#"<r xmlns="urn:d" xmlns:p="urn:outer" xmlns:q="urn:q"><m xmlns:p="urn:inner"><p:a q:k="1"><b/></p:a><c xmlns="" xmlns:q="urn:q2"><e/></c></m></r>"#,
+        )
+        .unwrap();
+        let r = d.first_child(d.root()).unwrap();
+        let m = d.first_child(r).unwrap();
+        let (a, c) = (d.first_child(m).unwrap(), d.last_child(m).unwrap());
+        let xml = |id| serialize_node(&d, id, &SerializeOpts::default());
+        // nearest binding wins, nearest ancestor first; descendants are as they were
+        assert_eq!(
+            xml(a),
+            r#"<p:a xmlns:p="urn:inner" xmlns="urn:d" xmlns:q="urn:q" q:k="1"><b/></p:a>"#
+        );
+        // the element's own declarations shadow: nothing inherited twice
+        assert_eq!(
+            xml(c),
+            r#"<c xmlns="" xmlns:q="urn:q2" xmlns:p="urn:inner"><e/></c>"#
+        );
+        // an undeclared default namespace is inherited as "none", silently
+        assert_eq!(
+            xml(d.first_child(c).unwrap()),
+            r#"<e xmlns:q="urn:q2" xmlns:p="urn:inner"/>"#
+        );
+        // the fragment re-parses to the names it had in place
+        let back = parse(&xml(a)).unwrap();
+        let a2 = back.first_child(back.root()).unwrap();
+        assert!(back.name(a2).unwrap().is("urn:inner", "a"));
+        assert!(back
+            .name(back.first_child(a2).unwrap())
+            .unwrap()
+            .is("urn:d", "b"));
+        // the document element inherits nothing, and neither does anything
+        // in a document that declares nothing
+        assert!(d.inherited_ns_decls(r).is_empty());
+        let plain = parse("<a><b/></a>").unwrap();
+        let b = plain
+            .first_child(plain.first_child(plain.root()).unwrap())
+            .unwrap();
+        assert!(plain.inherited_ns_decls(b).is_empty());
     }
 
     #[test]

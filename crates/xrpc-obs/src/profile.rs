@@ -89,15 +89,45 @@ pub struct Phases {
 }
 
 impl Phases {
+    pub fn get(&self, phase: Phase) -> u64 {
+        match phase {
+            Phase::Parse => self.parse_micros,
+            Phase::Compile => self.compile_micros,
+            Phase::Marshal => self.marshal_micros,
+            Phase::Network => self.network_micros,
+            Phase::Execute => self.execute_micros,
+            Phase::Serialize => self.serialize_micros,
+            Phase::TwoPc => self.twopc_micros,
+            Phase::Wal => self.wal_micros,
+        }
+    }
+
+    pub fn get_mut(&mut self, phase: Phase) -> &mut u64 {
+        match phase {
+            Phase::Parse => &mut self.parse_micros,
+            Phase::Compile => &mut self.compile_micros,
+            Phase::Marshal => &mut self.marshal_micros,
+            Phase::Network => &mut self.network_micros,
+            Phase::Execute => &mut self.execute_micros,
+            Phase::Serialize => &mut self.serialize_micros,
+            Phase::TwoPc => &mut self.twopc_micros,
+            Phase::Wal => &mut self.wal_micros,
+        }
+    }
+
     pub fn total_micros(&self) -> u64 {
-        self.parse_micros
-            + self.compile_micros
-            + self.marshal_micros
-            + self.network_micros
-            + self.execute_micros
-            + self.serialize_micros
-            + self.twopc_micros
-            + self.wal_micros
+        Phase::ALL.iter().map(|&(p, _)| self.get(p)).sum()
+    }
+
+    /// The members of the `"phases"` JSON object the profile and the
+    /// slow-query log both render, one `"<wire name>":<micros>` per phase.
+    pub(crate) fn write_json_members(&self, out: &mut String) {
+        for (i, &(phase, name)) in Phase::ALL.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!("\"{name}\":{}", self.get(phase)));
+        }
     }
 }
 
@@ -112,6 +142,22 @@ pub enum Phase {
     Serialize,
     TwoPc,
     Wal,
+}
+
+impl Phase {
+    /// Every phase with its name on the wire (`<xrpc:phases>` attributes,
+    /// profile and slow-log JSON keys), in wire order. The codecs and
+    /// renderers loop over this table; nothing else spells the names.
+    pub const ALL: [(Phase, &'static str); 8] = [
+        (Phase::Parse, "parseMicros"),
+        (Phase::Compile, "compileMicros"),
+        (Phase::Marshal, "marshalMicros"),
+        (Phase::Network, "networkMicros"),
+        (Phase::Execute, "executeMicros"),
+        (Phase::Serialize, "serializeMicros"),
+        (Phase::TwoPc, "twopcMicros"),
+        (Phase::Wal, "walMicros"),
+    ];
 }
 
 /// One node of the aggregated operator tree.
@@ -177,22 +223,18 @@ pub struct HopProfile {
 impl HopProfile {
     pub fn to_json(&self, out: &mut String) {
         out.push_str(&format!(
-            "{{\"peer\":\"{}\",\"via\":\"{}\",\"depth\":{},\"traceId\":\"{:032x}\",\"spanId\":\"{:016x}\",\"totalMicros\":{},\"phases\":{{\"parseMicros\":{},\"compileMicros\":{},\"marshalMicros\":{},\"networkMicros\":{},\"executeMicros\":{},\"serializeMicros\":{},\"twopcMicros\":{},\"walMicros\":{},\"cache\":\"{}\"}},\"ops\":[",
+            "{{\"peer\":\"{}\",\"via\":\"{}\",\"depth\":{},\"traceId\":\"{:032x}\",\"spanId\":\"{:016x}\",\"totalMicros\":{},\"phases\":{{",
             json_escape(&self.peer),
             json_escape(&self.via),
             self.depth,
             self.trace_id,
             self.span_id,
             self.total_micros,
-            self.phases.parse_micros,
-            self.phases.compile_micros,
-            self.phases.marshal_micros,
-            self.phases.network_micros,
-            self.phases.execute_micros,
-            self.phases.serialize_micros,
-            self.phases.twopc_micros,
-            self.phases.wal_micros,
-            json_escape(self.phases.cache),
+        ));
+        self.phases.write_json_members(out);
+        out.push_str(&format!(
+            ",\"cache\":\"{}\"}},\"ops\":[",
+            json_escape(self.phases.cache)
         ));
         for (i, op) in self.ops.iter().enumerate() {
             if i > 0 {
@@ -359,35 +401,6 @@ thread_local! {
 /// A global sequence so every collector owns a distinct identity.
 static COLLECTOR_SEQ: AtomicU64 = AtomicU64::new(1);
 
-/// Opaque handle to the operator currently open on this thread — capture
-/// this before handing work to another thread and reinstall it there with
-/// [`install_parent`].
-#[derive(Copy, Clone, Debug, Default)]
-pub struct OpParent(Option<(u64, usize)>);
-
-/// Read the current parent operator handle.
-pub fn current_parent() -> OpParent {
-    OpParent(CURRENT_OP.with(|c| c.get()))
-}
-
-/// Install a parent operator on this thread; restores the previous one
-/// when the returned guard drops. Used when worker threads continue a
-/// profiled evaluation (parallel bulk calls, chunked dispatch).
-pub fn install_parent(parent: OpParent) -> ParentGuard {
-    let prev = CURRENT_OP.with(|c| c.replace(parent.0));
-    ParentGuard { prev }
-}
-
-pub struct ParentGuard {
-    prev: Option<(u64, usize)>,
-}
-
-impl Drop for ParentGuard {
-    fn drop(&mut self) {
-        CURRENT_OP.with(|c| c.set(self.prev));
-    }
-}
-
 /// Collects one hop's profile. Created per query when profiling is on;
 /// shared (`Arc`) between the evaluator, the XRPC client, and any worker
 /// threads.
@@ -471,17 +484,7 @@ impl ProfileCollector {
     }
 
     pub fn add_phase(&self, phase: Phase, micros: u64) {
-        let mut p = self.phases.lock().unwrap();
-        match phase {
-            Phase::Parse => p.parse_micros += micros,
-            Phase::Compile => p.compile_micros += micros,
-            Phase::Marshal => p.marshal_micros += micros,
-            Phase::Network => p.network_micros += micros,
-            Phase::Execute => p.execute_micros += micros,
-            Phase::Serialize => p.serialize_micros += micros,
-            Phase::TwoPc => p.twopc_micros += micros,
-            Phase::Wal => p.wal_micros += micros,
-        }
+        *self.phases.lock().unwrap().get_mut(phase) += micros;
     }
 
     pub fn set_cache(&self, disposition: &'static str) {
@@ -644,25 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn parent_handoff_across_threads() {
-        let col = ProfileCollector::new(ProfileMode::Full, "p1", "", 0);
-        let outer = col.op("outer");
-        let parent = current_parent();
-        let col2 = col.clone();
-        std::thread::spawn(move || {
-            let _pg = install_parent(parent);
-            let _g = col2.op("inner");
-        })
-        .join()
-        .unwrap();
-        drop(outer);
-        let ops = col.snapshot_ops();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].children.len(), 1);
-        assert_eq!(ops[0].children[0].name, "inner");
-    }
-
-    #[test]
     fn folded_output_has_hop_prefixes() {
         let prof = QueryProfile {
             trace_id: 1,
@@ -725,16 +709,26 @@ mod tests {
                 span_id: 7,
                 total_micros: 10,
                 phases: Phases {
+                    parse_micros: 1,
+                    compile_micros: 2,
+                    marshal_micros: 3,
+                    network_micros: 4,
+                    execute_micros: 5,
+                    serialize_micros: 6,
+                    twopc_micros: 7,
+                    wal_micros: 8,
                     cache: "hit",
-                    execute_micros: 9,
-                    ..Phases::default()
                 },
                 ops: Vec::new(),
             }],
         };
+        assert_eq!(prof.hops[0].phases.total_micros(), 36);
         let j = prof.to_json();
         assert!(j.contains("\\\"x\\\""));
-        assert!(j.contains("\"cache\":\"hit\""));
+        // every phase once, under its wire name, in wire order
+        assert!(j.contains(
+            "\"totalMicros\":10,\"phases\":{\"parseMicros\":1,\"compileMicros\":2,\"marshalMicros\":3,\"networkMicros\":4,\"executeMicros\":5,\"serializeMicros\":6,\"twopcMicros\":7,\"walMicros\":8,\"cache\":\"hit\"},\"ops\":[]}"
+        ));
         assert!(j.starts_with('{') && j.ends_with('}'));
     }
 }

@@ -60,8 +60,8 @@ pub struct SlowLogEntry {
 
 impl SlowLogEntry {
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"tsMillis\":{},\"peer\":\"{}\",\"queryHash\":\"{:016x}\",\"traceId\":\"{:032x}\",\"totalMicros\":{},\"cache\":\"{}\",\"engine\":\"{}\",\"hops\":{},\"phases\":{{\"parseMicros\":{},\"compileMicros\":{},\"marshalMicros\":{},\"networkMicros\":{},\"executeMicros\":{},\"serializeMicros\":{},\"twopcMicros\":{},\"walMicros\":{}}}}}",
+        let mut out = format!(
+            "{{\"tsMillis\":{},\"peer\":\"{}\",\"queryHash\":\"{:016x}\",\"traceId\":\"{:032x}\",\"totalMicros\":{},\"cache\":\"{}\",\"engine\":\"{}\",\"hops\":{},\"phases\":{{",
             self.ts_millis,
             json_escape(&self.peer),
             self.query_hash,
@@ -70,15 +70,10 @@ impl SlowLogEntry {
             json_escape(self.cache),
             json_escape(self.engine),
             self.hops,
-            self.phases.parse_micros,
-            self.phases.compile_micros,
-            self.phases.marshal_micros,
-            self.phases.network_micros,
-            self.phases.execute_micros,
-            self.phases.serialize_micros,
-            self.phases.twopc_micros,
-            self.phases.wal_micros,
-        )
+        );
+        self.phases.write_json_members(&mut out);
+        out.push_str("}}");
+        out
     }
 }
 
@@ -209,7 +204,10 @@ mod tests {
             total_micros: micros,
             cache: "hit",
             engine: "tree",
-            phases: Phases::default(),
+            phases: Phases {
+                execute_micros: micros,
+                ..Phases::default()
+            },
             hops: 1,
         }
     }
@@ -237,6 +235,9 @@ mod tests {
         assert_eq!(r.lines().count(), 1);
         assert!(r.contains("\"queryHash\":\"000000000000dead\""));
         assert!(r.contains("\"totalMicros\":300000"));
+        assert!(r.ends_with(
+            "\"hops\":1,\"phases\":{\"parseMicros\":0,\"compileMicros\":0,\"marshalMicros\":0,\"networkMicros\":0,\"executeMicros\":300000,\"serializeMicros\":0,\"twopcMicros\":0,\"walMicros\":0}}\n"
+        ));
         assert_eq!(log.entries_logged(), 1);
         assert_eq!(log.entries_dropped(), 0);
     }

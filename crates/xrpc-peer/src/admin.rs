@@ -135,14 +135,6 @@ pub fn render_metrics(peer: &Peer, server_metrics: Option<&NetMetrics>) -> Strin
     w.counter("xrpc_function_cache_evictions_total", fc.evictions);
     w.gauge("xrpc_function_cache_size", fc.len as u64);
 
-    // Adaptive bulk-sizing controller (see `xrpc_peer::adaptive`).
-    let a = peer.adaptive.snapshot();
-    w.gauge("xrpc_bulk_ewma_call_micros", a.ewma_call_micros);
-    w.gauge("xrpc_bulk_last_threads", a.last_threads as u64);
-    w.counter("xrpc_bulk_decisions_total", a.decisions);
-    w.counter("xrpc_bulk_parallel_decisions_total", a.parallel_decisions);
-    w.counter("xrpc_bulk_observed_calls_total", a.observed_calls);
-
     // Value indexes behind the predicate join (see `xqeval::index`): what
     // this peer's queries and requests built, probed and evicted, and how
     // many indexes the current document versions hold.

@@ -212,17 +212,10 @@ impl XrpcClient {
                 depth: col.depth + 1,
             });
         }
-        // serialize into a recycled buffer sized from the cheap estimate;
-        // the call-by-fragment path needs the message-DOM pipeline and
-        // keeps its own allocation
+        // serialize into a recycled buffer sized from the cheap estimate
         let marshal_started = self.profile.as_ref().map(|_| std::time::Instant::now());
-        let xml = if req.call_by_fragment {
-            req.to_xml()?
-        } else {
-            let mut out = xrpc_net::BufferPool::global().get_string(req.estimated_wire_size());
-            req.write_xml(&mut out)?;
-            out
-        };
+        let mut xml = xrpc_net::BufferPool::global().get_string(req.estimated_wire_size());
+        req.write_xml(&mut xml)?;
         if let (Some(col), Some(m)) = (&self.profile, marshal_started) {
             col.add_phase(xrpc_obs::Phase::Marshal, m.elapsed().as_micros() as u64);
         }
@@ -318,9 +311,9 @@ impl XrpcClient {
 
 impl RpcDispatcher for XrpcClient {
     /// One dispatch is one message, whatever its size: the callee
-    /// evaluates a bulk request set-at-a-time (one join over all its calls)
-    /// and spreads it over its own worker pool, so cutting the batch up
-    /// here would only multiply the per-message costs.
+    /// evaluates a bulk request set-at-a-time (one join over all its
+    /// calls), so cutting the batch up here would only multiply the
+    /// per-message costs.
     fn dispatch(
         &self,
         dest: &str,

@@ -15,7 +15,6 @@
 //!   engine service Bulk XRPC by *generating an XQuery query* per request
 //!   (Figure 3), with per-phase timings for Table 3.
 
-pub mod adaptive;
 pub mod admin;
 pub mod client;
 pub mod modweb;
@@ -27,7 +26,6 @@ pub mod twopc;
 pub mod wal;
 pub mod wrapper;
 
-pub use adaptive::{AdaptiveBulk, AdaptiveSnapshot};
 pub use admin::{admin_handler, bind_admin, render_healthz, render_metrics, ServerMetricsSlot};
 pub use client::XrpcClient;
 pub use modweb::ModuleWeb;

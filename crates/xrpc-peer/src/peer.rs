@@ -1,6 +1,5 @@
 //! The peer: one XQuery database node speaking XRPC on both sides.
 
-use crate::adaptive::AdaptiveBulk;
 use crate::client::XrpcClient;
 use crate::store::{Decision, QuerySnapshot, SnapshotManager};
 use crate::twopc::{
@@ -57,8 +56,9 @@ pub struct PeerStats {
     pub calls_handled: AtomicU64,
     pub functions_prepared: AtomicU64,
     pub control_messages: AtomicU64,
-    /// Bulk requests whose calls were evaluated by the parallel worker
-    /// pool (read-only bulk the adaptive controller cut into slices).
+    /// Never incremented: a request is evaluated in one piece, on the
+    /// worker that took it. `benchmark/` reads the field by name, so it
+    /// stays until the benchmark's owner drops the counter.
     pub parallel_bulk_requests: AtomicU64,
     /// Value-index activity of the queries and requests this peer ran
     /// (`xqeval::index`): indexes built, probes answered, indexes evicted
@@ -196,9 +196,6 @@ pub struct Peer {
     /// plan-cache fingerprint.
     base_uri: RwLock<Option<String>>,
     default_collation: RwLock<Option<String>>,
-    /// The feedback-driven bulk-sizing controller (see [`crate::adaptive`]):
-    /// chooses server-side eval parallelism per incoming bulk batch.
-    pub adaptive: Arc<AdaptiveBulk>,
     pub stats: PeerStats,
     /// Default `xrpc:timeout` seconds when a query does not declare one.
     pub default_timeout_secs: u32,
@@ -315,7 +312,6 @@ impl Peer {
             plan_cache: PlanCache::new(true),
             base_uri: RwLock::new(None),
             default_collation: RwLock::new(None),
-            adaptive: Arc::new(AdaptiveBulk::new()),
             stats: PeerStats::default(),
             default_timeout_secs: 30,
             rpc_optimize: std::sync::atomic::AtomicBool::new(false),
@@ -863,13 +859,7 @@ impl Peer {
             Some(ms) => Some(Instant::now() + Duration::from_millis(ms)),
             None => None,
         };
-        let cancel = match xrpc_net::current_job() {
-            Some(job) => {
-                job.set_deadline(deadline);
-                CancelToken::with_external(deadline, job.flag())
-            }
-            None => CancelToken::new(deadline),
-        };
+        let cancel = budget_token(deadline);
         // Make the token reachable by a `Cancel` control message for the
         // same transaction; the guard deregisters on every exit path.
         let _eval_reg = req.query_id.as_ref().map(|qid| {
@@ -924,128 +914,65 @@ impl Peer {
             }
         }
 
-        // Dispatcher for nested XRPC calls made by the function body.
-        let nested_client = self.transport().map(|t| {
-            let mut c = XrpcClient::new(t);
-            c.query_id = req.query_id.clone();
-            c.deferred_updates = req.deferred;
-            c.obs = Some(self.obs.clone());
-            c.net_feedback = self.resilient_transport();
-            c.cancel = Some(cancel.clone());
-            c.profile = collector.clone();
-            Arc::new(c)
-        });
-
-        let resolver: Arc<dyn DocResolver> = match &nested_client {
-            Some(c) => crate::remote_docs::RemoteDocResolver::new(resolver, c.clone()),
-            None => resolver,
-        };
-        let mut env = Environment::new(resolver).with_modules(self.modules.clone());
-        env.cancel = Some(cancel.clone());
-        env.profile = collector.clone();
-        if let Some(c) = &nested_client {
-            env.dispatcher = Some(c.clone() as Arc<dyn xqeval::context::RpcDispatcher>);
-        }
-
+        let (nested_client, env) = self.eval_session(
+            cancel,
+            req.query_id.clone(),
+            req.deferred,
+            resolver,
+            collector.clone(),
+        );
         let ev = Evaluator {
             env: &env,
             sctx: Arc::new(prepared.sctx.clone()),
             local_functions: Arc::new(HashMap::new()),
         };
 
-        // The server span's context is ambient on *this* thread; capture
-        // it so worker-pool threads (parallel read-only bulk) keep the
-        // trace across their nested dispatches too.
-        let ambient = xrpc_obs::current_context();
-        let ambient_tracer = xrpc_obs::current_tracer();
-        let op_parent = xrpc_obs::profile::current_parent();
-        let in_request = || {
-            (
-                xrpc_obs::set_current_context(ambient),
-                xrpc_obs::set_current_tracer(ambient_tracer.clone()),
-                xrpc_obs::profile::install_parent(op_parent),
-            )
-        };
-
         // A read-only bulk request is evaluated set-at-a-time: the calls
         // become one `iter|pos|item` table per parameter and the body runs
         // once over it (`relalg::eval_calls`), so a selection in the body
-        // is one join over the request, not one selection per call. Every
-        // call shares the same immutable snapshot and prepared function,
-        // so the table may also be cut into contiguous slices for a worker
-        // pool; the slice count comes from the adaptive controller, and the
-        // batch's measured cost feeds back into it below. Responses merge
-        // back in call order whatever the completion order, so callers see
-        // identical results. Updating requests stay a sequential loop — ∆s
-        // must compose in call order (XQUF merge rules) — and so does a
-        // single call, which has nothing to share.
-        let set_at_a_time = !prepared.decl.updating && req.calls.len() > 1;
-        let threads = if set_at_a_time {
-            self.adaptive.eval_threads(req.calls.len())
-        } else {
-            1
-        };
+        // is one join over the request, not one selection per call — in one
+        // piece, on the worker that took the request. Updating requests
+        // stay a sequential loop — ∆s must compose in call order (XQUF
+        // merge rules) — and so does a single call, which has nothing to
+        // share.
         let eval_started = Instant::now();
-        let ncalls = req.calls.len();
-        let per_slice: Vec<SliceOutcome> = if set_at_a_time {
-            let eval_slice = |calls: Vec<Vec<Sequence>>| {
-                let _ambient = in_request();
-                relalg::eval_calls(&ev, &prepared.decl, calls)
-            };
-            if threads > 1 {
-                self.stats
-                    .parallel_bulk_requests
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            eval_slices_parallel(std::mem::take(&mut req.calls), threads, &eval_slice)
+        let calls = std::mem::take(&mut req.calls);
+        let ncalls = calls.len();
+        let outcome = if !prepared.decl.updating && ncalls > 1 {
+            relalg::eval_calls(&ev, &prepared.decl, calls)
         } else {
-            let _ambient = in_request();
-            let mut out = Vec::with_capacity(ncalls);
-            for args in std::mem::take(&mut req.calls) {
-                let mut st = EvalState::new();
-                let r = bind_params(&prepared.decl, args, &mut st)
-                    .and_then(|()| ev.eval(&prepared.decl.body, &mut st, &Ctx::none()))
-                    .map(|r| (vec![r], st.pul));
-                let failed = r.is_err();
-                out.push(r);
-                if failed {
-                    break;
-                }
-            }
-            out
+            let mut results = Vec::with_capacity(ncalls);
+            let mut pul = PendingUpdateList::new();
+            calls
+                .into_iter()
+                .try_for_each(|args| {
+                    let mut st = EvalState::new();
+                    bind_params(&prepared.decl, args, &mut st)?;
+                    let r = ev.eval(&prepared.decl.body, &mut st, &Ctx::none())?;
+                    // an updating function's result is empty by XQUF; a
+                    // non-updating one must not update, but `fn:put` is
+                    // tolerated, so its ∆ is kept either way
+                    results.push(if prepared.decl.updating {
+                        Sequence::empty()
+                    } else {
+                        r
+                    });
+                    pul.merge(st.pul);
+                    Ok(())
+                })
+                .map(|()| (results, pul))
         };
         self.stats.absorb(&env);
-        self.adaptive
-            .observe(ncalls, eval_started.elapsed(), threads);
         if let Some(col) = &collector {
             col.add_phase(Phase::Execute, eval_started.elapsed().as_micros() as u64);
         }
-
-        // Merge in call order: response positions match request positions
-        // exactly, and the lowest slice's error wins (evaluation is
-        // side-effect-free up to the PUL, which is only applied after this
-        // loop).
-        let mut results = Vec::with_capacity(ncalls);
-        let mut pul_total = PendingUpdateList::new();
-        for out in per_slice {
-            let (r, pul) = match out {
-                Ok(v) => v,
-                Err(e) => {
-                    if e.code == "XRPC0004" || e.code == "XRPC0005" {
-                        self.note_cancellation(&e.code, deadline);
-                    }
-                    return Err(e);
-                }
-            };
-            // a non-updating function must not update (XQUF); tolerate
-            // fn:put which the spec treats as updating
-            pul_total.merge(pul);
-            if prepared.decl.updating {
-                results.extend(r.iter().map(|_| Sequence::empty()));
-            } else {
-                results.extend(r);
+        // Evaluation is side-effect-free up to the PUL, which is only
+        // applied below: a failing call fails the request as a whole.
+        let (results, mut pul_total) = outcome.inspect_err(|e: &XdmError| {
+            if e.code == "XRPC0004" || e.code == "XRPC0005" {
+                self.note_cancellation(&e.code, deadline);
             }
-        }
+        })?;
 
         if !pul_total.is_empty() {
             if req.deferred {
@@ -1424,20 +1351,9 @@ impl Peer {
             IsolationLevel::None => None,
         };
 
-        // The query budget: a deadline derived from xrpc:timeout, carried
-        // by a shared token that the evaluator checks cooperatively and
-        // every outgoing hop decrements (each nested `execute at` sees
-        // strictly less remaining budget). If this evaluation itself runs
-        // inside a reactor worker, bridge the job's kill flag so a client
-        // disconnect (or the sweep tick) cancels the token too.
+        // The query budget: a deadline derived from xrpc:timeout.
         let deadline = (timeout > 0).then(|| Instant::now() + Duration::from_secs(timeout as u64));
-        let cancel = match xrpc_net::current_job() {
-            Some(job) => {
-                job.set_deadline(deadline);
-                CancelToken::with_external(deadline, job.flag())
-            }
-            None => CancelToken::new(deadline),
-        };
+        let cancel = budget_token(deadline);
 
         // Root span of the whole distributed execution. With a queryId
         // the trace id *is* a function of it, so every peer the query
@@ -1481,17 +1397,6 @@ impl Peer {
             }
         }
 
-        let client = self.transport().map(|t| {
-            let mut c = XrpcClient::new(t);
-            c.query_id = qid.clone();
-            c.deferred_updates = isolation == IsolationLevel::Repeatable;
-            c.obs = Some(self.obs.clone());
-            c.net_feedback = self.resilient_transport();
-            c.cancel = Some(cancel.clone());
-            c.profile = collector.clone();
-            Arc::new(c)
-        });
-
         // Local repeatable read: evaluate against a pinned local snapshot.
         let resolver: Arc<dyn DocResolver> = match isolation {
             IsolationLevel::Repeatable => Arc::new(FrozenDocs {
@@ -1499,17 +1404,14 @@ impl Peer {
             }),
             IsolationLevel::None => self.docs.clone(),
         };
-        let resolver: Arc<dyn DocResolver> = match &client {
-            Some(c) => crate::remote_docs::RemoteDocResolver::new(resolver, c.clone()),
-            None => resolver,
-        };
-        let mut env = Environment::new(resolver).with_modules(self.modules.clone());
+        let (client, mut env) = self.eval_session(
+            cancel.clone(),
+            qid.clone(),
+            isolation == IsolationLevel::Repeatable,
+            resolver,
+            collector.clone(),
+        );
         env.rpc_optimize = self.rpc_optimize.load(Ordering::SeqCst);
-        env.cancel = Some(cancel.clone());
-        env.profile = collector.clone();
-        if let Some(c) = &client {
-            env.dispatcher = Some(c.clone() as Arc<dyn xqeval::context::RpcDispatcher>);
-        }
 
         let exec_started = Instant::now();
         let engine_out = match self.engine {
@@ -1658,6 +1560,44 @@ impl Peer {
             calls_sent,
             profile,
         })
+    }
+
+    /// What one evaluation at this peer runs in, a top-level query and a
+    /// served call alike: the client its nested `execute at` calls leave
+    /// through and the environment wired to it. The evaluator checks
+    /// `cancel` cooperatively and every outgoing hop decrements its budget
+    /// (each nested `execute at` sees strictly less of it). `resolver` is
+    /// what `fn:doc` sees locally — remote URIs are fetched through the same
+    /// client as the calls.
+    fn eval_session(
+        &self,
+        cancel: Arc<CancelToken>,
+        query_id: Option<QueryId>,
+        deferred_updates: bool,
+        resolver: Arc<dyn DocResolver>,
+        profile: Option<Arc<ProfileCollector>>,
+    ) -> (Option<Arc<XrpcClient>>, Environment) {
+        let client = self.transport().map(|t| {
+            let mut c = XrpcClient::new(t);
+            c.query_id = query_id;
+            c.deferred_updates = deferred_updates;
+            c.obs = Some(self.obs.clone());
+            c.net_feedback = self.resilient_transport();
+            c.cancel = Some(cancel.clone());
+            c.profile = profile.clone();
+            Arc::new(c)
+        });
+        let resolver: Arc<dyn DocResolver> = match &client {
+            Some(c) => crate::remote_docs::RemoteDocResolver::new(resolver, c.clone()),
+            None => resolver,
+        };
+        let mut env = Environment::new(resolver).with_modules(self.modules.clone());
+        env.cancel = Some(cancel);
+        env.profile = profile;
+        if let Some(c) = &client {
+            env.dispatcher = Some(c.clone() as Arc<dyn xqeval::context::RpcDispatcher>);
+        }
+        (client, env)
     }
 
     /// Record a deadline/cancellation abort in the peer's metrics:
@@ -1837,52 +1777,18 @@ impl DocResolver for FrozenDocs {
     }
 }
 
-/// The outcome of one slice of a bulk request: its results in call order
-/// plus the slice's PUL.
-type SliceOutcome = XdmResult<(Vec<Sequence>, PendingUpdateList)>;
-
-/// Evaluate the call table of one bulk request in `threads` contiguous
-/// slices, one worker each (the calling thread takes the first). The
-/// outcomes come back in slice order, so concatenating them restores call
-/// order and the first error met is the lowest slice's.
-fn eval_slices_parallel<F>(
-    mut calls: Vec<Vec<Sequence>>,
-    threads: usize,
-    eval_slice: &F,
-) -> Vec<SliceOutcome>
-where
-    F: Fn(Vec<Vec<Sequence>>) -> SliceOutcome + Sync,
-{
-    if threads <= 1 {
-        return vec![eval_slice(calls)];
+/// The budget of one evaluation: a deadline carried by a shared token. When
+/// the evaluation runs inside a reactor worker the job's kill flag is
+/// bridged in, so a client disconnect (or the sweep tick) cancels the token
+/// too.
+fn budget_token(deadline: Option<Instant>) -> Arc<CancelToken> {
+    match xrpc_net::current_job() {
+        Some(job) => {
+            job.set_deadline(deadline);
+            CancelToken::with_external(deadline, job.flag())
+        }
+        None => CancelToken::new(deadline),
     }
-    let per = calls.len().div_ceil(threads);
-    let mut slices = Vec::with_capacity(threads);
-    while calls.len() > per {
-        let rest = calls.split_off(per);
-        slices.push(std::mem::replace(&mut calls, rest));
-    }
-    slices.push(calls);
-    let mut slices = slices.into_iter();
-    let first = slices.next().expect("a bulk request has calls");
-    std::thread::scope(|s| {
-        let workers: Vec<_> = slices
-            .map(|slice| {
-                // function bodies may recurse deeply — same stack headroom
-                // as the HTTP server's request threads (see xqeval
-                // recursion cap)
-                std::thread::Builder::new()
-                    .stack_size(32 * 1024 * 1024)
-                    .spawn_scoped(s, move || eval_slice(slice))
-            })
-            .collect();
-        std::iter::once(eval_slice(first))
-            .chain(workers.into_iter().map(|w| match w.map(|h| h.join()) {
-                Ok(Ok(outcome)) => outcome,
-                _ => Err(XdmError::xrpc("bulk evaluation worker failed")),
-            }))
-            .collect()
-    })
 }
 
 /// Bind actual parameters with the XQuery function-conversion rules:
@@ -1894,93 +1800,4 @@ fn bind_params(decl: &FunctionDecl, args: Vec<Sequence>, st: &mut EvalState) -> 
         st.bind(pname, value);
     }
     Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::AtomicUsize;
-    use xdm::Item;
-
-    fn int_calls(n: i64) -> Vec<Vec<Sequence>> {
-        (0..n)
-            .map(|i| vec![Sequence::one(Item::integer(i))])
-            .collect()
-    }
-
-    fn arg(call: &[Sequence]) -> i64 {
-        call[0].items()[0].string_value().parse().unwrap()
-    }
-
-    fn empty_results(calls: &[Vec<Sequence>]) -> SliceOutcome {
-        Ok((
-            vec![Sequence::empty(); calls.len()],
-            PendingUpdateList::new(),
-        ))
-    }
-
-    #[test]
-    fn slices_come_back_in_call_order_whatever_the_completion_order() {
-        for threads in [2usize, 3, 8, 64] {
-            let n = 40usize;
-            let slices = n.div_ceil(n.div_ceil(threads));
-            let finished = AtomicUsize::new(0);
-            let eval_slice = |calls: Vec<Vec<Sequence>>| -> SliceOutcome {
-                // the slice holding the first call finishes last
-                if arg(&calls[0]) == 0 {
-                    while finished.load(Ordering::SeqCst) < slices - 1 {
-                        std::thread::yield_now();
-                    }
-                }
-                let doubled = calls
-                    .iter()
-                    .map(|c| Sequence::one(Item::integer(2 * arg(c))))
-                    .collect();
-                finished.fetch_add(1, Ordering::SeqCst);
-                Ok((doubled, PendingUpdateList::new()))
-            };
-            let out = eval_slices_parallel(int_calls(n as i64), threads, &eval_slice);
-            assert_eq!(out.len(), slices, "{threads} threads");
-            let merged: Vec<String> = out
-                .into_iter()
-                .flat_map(|o| o.unwrap().0)
-                .map(|s| s.items()[0].string_value())
-                .collect();
-            let expect: Vec<String> = (0..n).map(|i| (2 * i).to_string()).collect();
-            assert_eq!(merged, expect, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn the_first_error_in_slice_order_is_the_lowest_failing_call() {
-        // calls 11 and 29 fail; each slice reports its own first failure,
-        // as sequential evaluation of that slice would
-        let eval_slice = |calls: Vec<Vec<Sequence>>| -> SliceOutcome {
-            match calls.iter().map(|c| arg(c)).find(|i| [11, 29].contains(i)) {
-                Some(i) => Err(XdmError::xrpc(format!("call {i} failed"))),
-                None => empty_results(&calls),
-            }
-        };
-        for threads in [1usize, 2, 4, 40] {
-            let first = eval_slices_parallel(int_calls(40), threads, &eval_slice)
-                .into_iter()
-                .find_map(Result::err)
-                .expect("a failing call fails the request");
-            assert!(first.message.contains("call 11"), "{threads}: {first}");
-        }
-    }
-
-    #[test]
-    fn one_thread_is_one_slice_on_the_calling_thread() {
-        let caller = std::thread::current().id();
-        let eval_slice = |calls: Vec<Vec<Sequence>>| -> SliceOutcome {
-            assert_eq!(std::thread::current().id(), caller);
-            empty_results(&calls)
-        };
-        for threads in [0usize, 1] {
-            let out = eval_slices_parallel(int_calls(7), threads, &eval_slice);
-            assert_eq!(out.len(), 1);
-            assert_eq!(out[0].as_ref().unwrap().0.len(), 7);
-        }
-    }
 }

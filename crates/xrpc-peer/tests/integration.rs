@@ -448,14 +448,12 @@ fn wrapper_peer_services_bulk_from_rel_peer() {
     assert_eq!(wrapper.phases().requests, 1);
 }
 
-/// Updating bulk requests stay one sequential loop — their ∆s must
-/// compose in call order — even when the sizing controller has seen calls
-/// expensive enough to fan a read-only batch out over every core.
+/// Updating bulk requests stay one sequential loop: their ∆s must
+/// compose in call order.
 #[test]
 fn updating_bulk_stays_sequential_under_a_warm_controller() {
     use std::sync::atomic::Ordering::Relaxed;
     let (_net, a, b) = sim_pair(EngineKind::Rel);
-    b.adaptive.observe(1, std::time::Duration::from_secs(1), 1);
     b.add_document("nums.xml", "<r><i>0</i><i>0</i><i>0</i></r>")
         .unwrap();
     let upd_module = r#"

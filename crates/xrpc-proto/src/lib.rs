@@ -17,7 +17,7 @@ pub mod validate;
 pub use control::{
     TxOutcome, METHOD_ABORT, METHOD_COMMIT, METHOD_INQUIRE, METHOD_PREPARE, WSAT_MODULE,
 };
-pub use marshal::{n2s, s2n_into};
+pub use marshal::n2s;
 pub use message::{
     parse_message, FaultCode, ProfileRequest, QueryId, TraceContext, XrpcFault, XrpcMessage,
     XrpcRequest, XrpcResponse,

@@ -16,88 +16,15 @@
 use xdm::types::AtomicType;
 use xdm::{AtomicValue, Item, Sequence, XdmError, XdmResult};
 use xmldom::escape::{push_escaped_attr, push_escaped_text};
-use xmldom::qname::{NS_XRPC, NS_XSI};
+use xmldom::qname::NS_XRPC;
 use xmldom::{serialize_node_into, Document, NodeHandle, NodeId, NodeKind, QName, SerializeOpts};
 
-fn xrpc_name(local: &str) -> QName {
-    QName::ns("xrpc", NS_XRPC, local)
-}
-
-/// Append the `<xrpc:sequence>` representation of `seq` under `parent` in
-/// `doc` (the message document being built). This is `s2n()`.
-pub fn s2n_into(doc: &mut Document, parent: NodeId, seq: &Sequence) -> XdmResult<()> {
-    let seq_el = doc.create_element(xrpc_name("sequence"));
-    doc.append_child(parent, seq_el);
-    for item in seq.iter() {
-        emit_item(doc, seq_el, item)?;
-    }
-    Ok(())
-}
-
-fn emit_item(doc: &mut Document, seq_el: NodeId, item: &Item) -> XdmResult<()> {
-    match item {
-        Item::Atomic(a) => {
-            let el = doc.create_element(xrpc_name("atomic-value"));
-            doc.set_attribute(
-                el,
-                QName::ns("xsi", NS_XSI, "type"),
-                a.atomic_type().xs_name(),
-            );
-            let t = doc.create_text(a.lexical());
-            doc.append_child(el, t);
-            doc.append_child(seq_el, el);
-        }
-        Item::Node(n) => {
-            let wrapper_local = match n.kind() {
-                NodeKind::Element => "element",
-                NodeKind::Document => "document",
-                NodeKind::Text => "text",
-                NodeKind::Comment => "comment",
-                NodeKind::ProcessingInstruction => "pi",
-                NodeKind::Attribute => "attribute",
-            };
-            let el = doc.create_element(xrpc_name(wrapper_local));
-            doc.append_child(seq_el, el);
-            match n.kind() {
-                NodeKind::Element => {
-                    let copy = doc.import_subtree(&n.doc, n.id);
-                    doc.append_child(el, copy);
-                }
-                NodeKind::Document => {
-                    for c in n.doc.children(n.id) {
-                        let copy = doc.import_subtree(&n.doc, c);
-                        doc.append_child(el, copy);
-                    }
-                }
-                NodeKind::Text | NodeKind::Comment => {
-                    let t = doc.create_text(n.value());
-                    doc.append_child(el, t);
-                }
-                NodeKind::ProcessingInstruction => {
-                    let copy = doc.import_subtree(&n.doc, n.id);
-                    doc.append_child(el, copy);
-                }
-                NodeKind::Attribute => {
-                    // `<xrpc:attribute x="y"/>` — the attribute itself
-                    // is carried on the wrapper element.
-                    let copy = doc.import_subtree(&n.doc, n.id);
-                    doc.set_attribute_node(el, copy);
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Append the `<xrpc:sequence>` wire text of `seq` directly to `out`,
-/// serializing node parameters straight out of their *source* documents.
-///
-/// This is the single-copy fast path: the DOM-building [`s2n_into`] pays an
-/// `import_subtree` deep copy per node parameter before the message document
-/// is serialized (ablation A3 measures that cost); here the only copy is the
-/// serialization itself. Output is byte-identical to building the message
-/// DOM with `s2n_into` and serializing it — the equivalence suite in
-/// `message.rs` asserts this over XMark documents and adversarial strings.
+/// Append the `<xrpc:sequence>` wire text of `seq` to `out`, serializing
+/// node parameters straight out of their *source* documents: the only copy
+/// is the serialization itself. This is `s2n()`. An element cut out of a
+/// larger document declares the namespaces it inherits on its own start
+/// tag (`Document::inherited_ns_decls`), so it keeps its names wherever it
+/// is re-parsed.
 pub fn s2n_text_into(out: &mut String, seq: &Sequence) -> XdmResult<()> {
     if seq.is_empty() {
         out.push_str("<xrpc:sequence/>");
@@ -117,8 +44,7 @@ fn emit_item_text(out: &mut String, item: &Item) -> XdmResult<()> {
         Item::Atomic(a) => {
             out.push_str("<xrpc:atomic-value xsi:type=\"");
             push_escaped_attr(out, a.atomic_type().xs_name());
-            // The DOM path always appends a text child (possibly empty), so
-            // the wrapper is never self-closing.
+            // never self-closing, whatever the value
             out.push_str("\">");
             push_escaped_text(out, &a.lexical());
             out.push_str("</xrpc:atomic-value>");
@@ -156,13 +82,32 @@ fn emit_item_text(out: &mut String, item: &Item) -> XdmResult<()> {
                 out.push_str("</xrpc:pi>");
             }
             NodeKind::Attribute => {
-                out.push_str("<xrpc:attribute ");
+                out.push_str("<xrpc:attribute");
+                // a prefixed attribute brings its binding along, on the wrapper
+                if let Some((p, u)) = attribute_binding(n) {
+                    out.push_str(" xmlns:");
+                    out.push_str(p);
+                    out.push_str("=\"");
+                    push_escaped_attr(out, u);
+                    out.push('"');
+                }
+                out.push(' ');
                 serialize_node_into(&n.doc, n.id, &opts, out);
                 out.push_str("/>");
             }
         },
     }
     Ok(())
+}
+
+/// The (prefix, namespace) a standalone attribute's name needs declared;
+/// `xml:` is bound everywhere.
+pub(crate) fn attribute_binding(attr: &NodeHandle) -> Option<(&str, &str)> {
+    let name = attr.name()?;
+    match (name.prefix.as_deref(), name.ns_uri.as_deref()) {
+        (Some(p), Some(u)) if !p.is_empty() && p != "xml" => Some((p, u)),
+        _ => None,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -176,39 +121,41 @@ fn emit_item_text(out: &mut String, item: &Item) -> XdmResult<()> {
 /// The receiver resolves the reference *inside the referenced fragment*,
 /// so ancestor/descendant relationships among parameters survive the trip
 /// — unlike plain by-value marshaling.
-pub fn s2n_call_into(doc: &mut Document, call: NodeId, params: &[Sequence]) -> XdmResult<()> {
+pub(crate) fn s2n_call_text_into(out: &mut String, params: &[Sequence]) -> XdmResult<()> {
     // (param index, item index, original handle) of every fully
     // serialized element/document parameter so far
-    let mut serialized: Vec<(usize, usize, NodeHandle)> = Vec::new();
+    let mut serialized: Vec<(usize, usize, &NodeHandle)> = Vec::new();
     for (pi, seq) in params.iter().enumerate() {
-        let seq_el = doc.create_element(xrpc_name("sequence"));
-        doc.append_child(call, seq_el);
+        if seq.is_empty() {
+            out.push_str("<xrpc:sequence/>");
+            continue;
+        }
+        out.push_str("<xrpc:sequence>");
         for (ii, item) in seq.iter().enumerate() {
             if let Item::Node(n) = item {
                 if let Some((ppi, pii, rel)) = find_enclosing(&serialized, n) {
-                    let el = doc.create_element(xrpc_name("nodeid"));
-                    doc.set_attribute(el, QName::local("param"), (ppi + 1).to_string());
-                    doc.set_attribute(el, QName::local("item"), (pii + 1).to_string());
-                    doc.set_attribute(el, QName::local("path"), rel);
-                    doc.append_child(seq_el, el);
+                    out.push_str(&format!(
+                        "<xrpc:nodeid param=\"{}\" item=\"{}\" path=\"{rel}\"/>",
+                        ppi + 1,
+                        pii + 1
+                    ));
                     continue;
                 }
-            }
-            emit_item(doc, seq_el, item)?;
-            if let Item::Node(n) = item {
                 if matches!(n.kind(), NodeKind::Element | NodeKind::Document) {
-                    serialized.push((pi, ii, n.clone()));
+                    serialized.push((pi, ii, n));
                 }
             }
+            emit_item_text(out, item)?;
         }
+        out.push_str("</xrpc:sequence>");
     }
     Ok(())
 }
 
 /// If `n` lives inside one of the already-serialized fragments, return
 /// (param, item, relative child-index path).
-fn find_enclosing(
-    serialized: &[(usize, usize, NodeHandle)],
+pub(crate) fn find_enclosing(
+    serialized: &[(usize, usize, &NodeHandle)],
     n: &NodeHandle,
 ) -> Option<(usize, usize, String)> {
     for (pi, ii, anc) in serialized {
@@ -528,15 +475,15 @@ fn resolve_nodeid_detached(
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| XdmError::xrpc("nodeid missing @item"))?;
     let path = msg.attr_local(el, "path").unwrap_or("");
-    let base_seq: &[Pending] = if param == decoded.len() + 1 {
+    // 1-based on the wire, and hostile: 0 is out of range, not an underflow
+    let out_of_range = || XdmError::xrpc("nodeid @param out of range");
+    let param = param.checked_sub(1).ok_or_else(out_of_range)?;
+    let base_seq: &[Pending] = if param == decoded.len() {
         current
     } else {
-        &decoded
-            .get(param - 1)
-            .ok_or_else(|| XdmError::xrpc("nodeid @param out of range"))?
-            .0
+        &decoded.get(param).ok_or_else(out_of_range)?.0
     };
-    let base = match base_seq.get(item - 1) {
+    let base = match item.checked_sub(1).and_then(|i| base_seq.get(i)) {
         Some(Pending::Node(id)) => *id,
         _ => return Err(XdmError::xrpc("nodeid target is not a node")),
     };
@@ -571,40 +518,28 @@ mod tests {
     use std::sync::Arc;
     use xdm::Decimal;
     use xmldom::parse;
+    use xmldom::qname::NS_XSI;
 
-    /// Build a message document containing one marshaled sequence and give
-    /// back (message, sequence element id).
+    /// Marshal one sequence, wrap it the way an envelope would (the fixed
+    /// prefixes declared above it) and parse it: (message, sequence element).
     fn roundtrip_doc(seq: &Sequence) -> (Document, NodeId) {
-        let mut doc = Document::new();
-        let root = doc.root();
-        let holder = doc.create_element(xrpc_name("call"));
-        doc.append_child(root, holder);
-        s2n_into(&mut doc, holder, seq).unwrap();
-        let seq_el = doc.child_elements(holder).next().unwrap();
+        let mut xml = format!(
+            "<xrpc:call xmlns:xrpc=\"{}\" xmlns:xsi=\"{}\" xmlns:xs=\"{}\">",
+            NS_XRPC,
+            NS_XSI,
+            xmldom::qname::NS_XS
+        );
+        s2n_text_into(&mut xml, seq).unwrap();
+        xml.push_str("</xrpc:call>");
+        let doc = parse(&xml).unwrap();
+        let call = doc.first_child(doc.root()).unwrap();
+        let seq_el = doc.child_elements(call).next().unwrap();
         (doc, seq_el)
     }
 
     fn roundtrip(seq: &Sequence) -> Sequence {
         let (doc, seq_el) = roundtrip_doc(seq);
-        // serialize + reparse to prove wire-fidelity, not just tree fidelity
-        let xml = xmldom::serialize_node(
-            &doc,
-            doc.first_child(doc.root()).unwrap(),
-            &Default::default(),
-        );
-        let xml = format!(
-            "<w xmlns:xrpc=\"{}\" xmlns:xsi=\"{}\" xmlns:xs=\"{}\">{}</w>",
-            NS_XRPC,
-            NS_XSI,
-            xmldom::qname::NS_XS,
-            xml
-        );
-        let reparsed = parse(&xml).unwrap();
-        let w = reparsed.first_child(reparsed.root()).unwrap();
-        let call = reparsed.child_elements(w).next().unwrap();
-        let seq2 = reparsed.child_elements(call).next().unwrap();
-        let _ = (doc, seq_el);
-        n2s(&reparsed, seq2).unwrap()
+        n2s(&doc, seq_el).unwrap()
     }
 
     #[test]

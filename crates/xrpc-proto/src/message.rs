@@ -2,17 +2,13 @@
 //! `queryID` isolation extension (§2.2), Bulk RPC multi-call requests
 //! (§3.2) and the participating-peers piggyback (§2.3).
 
-use crate::marshal::{s2n_into, s2n_text_into};
+use crate::marshal::{s2n_call_text_into, s2n_text_into};
 use xdm::{Sequence, XdmError, XdmResult};
-use xmldom::escape::push_escaped_attr;
+use xmldom::escape::{push_escaped_attr, push_escaped_text};
 use xmldom::qname::{NS_SOAP_ENV, NS_XRPC, NS_XS, NS_XSI};
-use xmldom::{Document, NodeId, QName};
+use xmldom::{Document, NodeId};
 pub use xrpc_obs::TraceContext;
-pub use xrpc_obs::{HopProfile, OpNode, Phases, ProfileMode};
-
-fn xrpc(local: &str) -> QName {
-    QName::ns("xrpc", NS_XRPC, local)
-}
+pub use xrpc_obs::{HopProfile, OpNode, Phase, Phases, ProfileMode};
 
 /// Cheap size estimate of one serialized `<xrpc:sequence>`: wrapper tags
 /// plus per-item content sized from stored string lengths (node subtrees
@@ -36,10 +32,6 @@ fn estimate_sequence_size(seq: &Sequence) -> usize {
         };
     }
     n
-}
-
-fn envq(local: &str) -> QName {
-    QName::ns("env", NS_SOAP_ENV, local)
 }
 
 /// The repeatable-read isolation tag (paper §2.2, "SOAP XRPC Extension:
@@ -151,16 +143,9 @@ impl XrpcRequest {
         self.calls.push(params);
     }
 
-    /// Serialize to the SOAP envelope text.
-    ///
-    /// Node parameters are serialized straight from their source documents
-    /// into the message buffer (single copy); the call-by-fragment extension
-    /// still goes through the message-DOM path because `xrpc:nodeid`
-    /// compression needs the cross-parameter analysis in `s2n_call_into`.
+    /// Serialize to the SOAP envelope text: node parameters go straight
+    /// from their source documents into the message buffer (single copy).
     pub fn to_xml(&self) -> XdmResult<String> {
-        if self.call_by_fragment {
-            return self.to_xml_dom();
-        }
         let mut out = String::with_capacity(self.estimated_wire_size());
         self.write_xml(&mut out)?;
         Ok(out)
@@ -184,7 +169,6 @@ impl XrpcRequest {
     /// Direct text serialization, appended to a caller-supplied (reusable)
     /// buffer that the caller has sized.
     pub fn write_xml(&self, out: &mut String) -> XdmResult<()> {
-        debug_assert!(!self.call_by_fragment);
         write_envelope_open(
             out,
             self.trace.as_ref(),
@@ -230,8 +214,12 @@ impl XrpcRequest {
                     out.push_str("<xrpc:call/>");
                 } else {
                     out.push_str("<xrpc:call>");
-                    for p in params {
-                        s2n_text_into(out, p)?;
+                    if self.call_by_fragment {
+                        s2n_call_text_into(out, params)?;
+                    } else {
+                        for p in params {
+                            s2n_text_into(out, p)?;
+                        }
                     }
                     out.push_str("</xrpc:call>");
                 }
@@ -240,66 +228,6 @@ impl XrpcRequest {
         }
         write_envelope_close(out);
         Ok(())
-    }
-
-    /// Reference implementation: build the message as a DOM and serialize
-    /// it. Byte-identical to [`XrpcRequest::write_xml`] (asserted by the
-    /// equivalence suite); kept as the call-by-fragment path and as the
-    /// golden oracle for tests.
-    pub fn to_xml_dom(&self) -> XdmResult<String> {
-        let mut doc = Document::new();
-        let root = doc.root();
-        let envelope = start_envelope(&mut doc, root);
-        append_envelope_header(
-            &mut doc,
-            envelope,
-            self.trace.as_ref(),
-            self.budget_millis,
-            self.profile.as_ref(),
-            &[],
-        );
-        let body = doc.create_element(envq("Body"));
-        doc.append_child(envelope, body);
-
-        let req = doc.create_element(xrpc("request"));
-        doc.set_attribute(req, QName::local("module"), &self.module);
-        doc.set_attribute(req, QName::local("method"), &self.method);
-        doc.set_attribute(req, QName::local("arity"), self.arity.to_string());
-        if let Some(loc) = &self.location {
-            doc.set_attribute(req, QName::local("location"), loc);
-        }
-        if self.deferred {
-            doc.set_attribute(req, QName::local("updCall"), "deferred");
-        }
-        if let Some(seq) = self.seq {
-            doc.set_attribute(req, QName::local("seq"), seq.to_string());
-        }
-        doc.append_child(body, req);
-
-        if let Some(qid) = &self.query_id {
-            let q = doc.create_element(xrpc("queryID"));
-            doc.set_attribute(q, QName::local("host"), &qid.host);
-            doc.set_attribute(
-                q,
-                QName::local("timestamp"),
-                qid.timestamp_millis.to_string(),
-            );
-            doc.set_attribute(q, QName::local("timeout"), qid.timeout_secs.to_string());
-            doc.append_child(req, q);
-        }
-
-        for params in &self.calls {
-            let call = doc.create_element(xrpc("call"));
-            doc.append_child(req, call);
-            if self.call_by_fragment {
-                crate::marshal::s2n_call_into(&mut doc, call, params)?;
-            } else {
-                for p in params {
-                    s2n_into(&mut doc, call, p)?;
-                }
-            }
-        }
-        Ok(serialize(&doc))
     }
 }
 
@@ -379,37 +307,6 @@ impl XrpcResponse {
         write_envelope_close(out);
         Ok(())
     }
-
-    /// Reference implementation (message DOM + serializer); golden oracle
-    /// for the equivalence suite.
-    pub fn to_xml_dom(&self) -> XdmResult<String> {
-        let mut doc = Document::new();
-        let root = doc.root();
-        let envelope = start_envelope(&mut doc, root);
-        append_envelope_header(&mut doc, envelope, None, None, None, &self.profile_hops);
-        let body = doc.create_element(envq("Body"));
-        doc.append_child(envelope, body);
-
-        let resp = doc.create_element(xrpc("response"));
-        doc.set_attribute(resp, QName::local("module"), &self.module);
-        doc.set_attribute(resp, QName::local("method"), &self.method);
-        doc.append_child(body, resp);
-
-        if !self.participating_peers.is_empty() {
-            let peers = doc.create_element(xrpc("participatingPeers"));
-            doc.append_child(resp, peers);
-            for p in &self.participating_peers {
-                let pe = doc.create_element(xrpc("peer"));
-                doc.set_attribute(pe, QName::local("uri"), p);
-                doc.append_child(peers, pe);
-            }
-        }
-
-        for seq in &self.results {
-            s2n_into(&mut doc, resp, seq)?;
-        }
-        Ok(serialize(&doc))
-    }
 }
 
 /// SOAP Fault code: who is at fault.
@@ -447,34 +344,23 @@ impl XrpcFault {
     }
 
     pub fn to_xml(&self) -> String {
-        let mut doc = Document::new();
-        let root = doc.root();
-        let envelope = start_envelope(&mut doc, root);
-        let body = doc.create_element(envq("Body"));
-        doc.append_child(envelope, body);
-        let fault = doc.create_element(envq("Fault"));
-        doc.append_child(body, fault);
-        let code = doc.create_element(envq("Code"));
-        doc.append_child(fault, code);
-        let value = doc.create_element(envq("Value"));
-        let v = doc.create_text(match self.code {
+        let mut out = String::with_capacity(640 + self.reason.len());
+        write_envelope_open(&mut out, None, None, None, &[]);
+        out.push_str("<env:Fault><env:Code><env:Value>");
+        out.push_str(match self.code {
             FaultCode::Sender => "env:Sender",
             FaultCode::Receiver => "env:Receiver",
         });
-        doc.append_child(value, v);
-        doc.append_child(code, value);
-        let reason = doc.create_element(envq("Reason"));
-        doc.append_child(fault, reason);
-        let text = doc.create_element(envq("Text"));
-        doc.set_attribute(text, QName::ns("xml", xmldom::qname::NS_XML, "lang"), "en");
-        let body_text = match &self.error_code {
-            Some(c) => format!("[{c}] {}", self.reason),
-            None => self.reason.clone(),
-        };
-        let t = doc.create_text(body_text);
-        doc.append_child(text, t);
-        doc.append_child(reason, text);
-        serialize(&doc)
+        out.push_str("</env:Value></env:Code><env:Reason><env:Text xml:lang=\"en\">");
+        if let Some(c) = &self.error_code {
+            out.push('[');
+            push_escaped_text(&mut out, c);
+            out.push_str("] ");
+        }
+        push_escaped_text(&mut out, &self.reason);
+        out.push_str("</env:Text></env:Reason></env:Fault>");
+        write_envelope_close(&mut out);
+        out
     }
 }
 
@@ -652,11 +538,10 @@ fn has_name(doc: &Document, el: NodeId, uri: &str, local: &str) -> bool {
     doc.node(el).name.as_ref().is_some_and(|n| n.is(uri, local))
 }
 
-/// Text-path twin of [`start_envelope`]: XML declaration plus the open
-/// `env:Envelope` tag, the optional header (trace, then budget, inside a
-/// single `env:Header`), and the open `env:Body` tag, byte-identical to
-/// serializing the DOM the builder produces (same declaration order, same
-/// attributes).
+/// XML declaration plus the open `env:Envelope` tag with all namespace
+/// declarations the paper's examples carry, the optional header (trace,
+/// budget, profile — in that order, inside a single `env:Header`), and the
+/// open `env:Body` tag.
 fn write_envelope_open(
     out: &mut String,
     trace: Option<&TraceContext>,
@@ -732,23 +617,11 @@ fn write_hop_text(out: &mut String, h: &HopProfile) {
     out.push_str(&format!("{:016x}", h.span_id));
     out.push_str("\" totalMicros=\"");
     out.push_str(&h.total_micros.to_string());
-    out.push_str("\"><xrpc:phases parseMicros=\"");
-    out.push_str(&h.phases.parse_micros.to_string());
-    out.push_str("\" compileMicros=\"");
-    out.push_str(&h.phases.compile_micros.to_string());
-    out.push_str("\" marshalMicros=\"");
-    out.push_str(&h.phases.marshal_micros.to_string());
-    out.push_str("\" networkMicros=\"");
-    out.push_str(&h.phases.network_micros.to_string());
-    out.push_str("\" executeMicros=\"");
-    out.push_str(&h.phases.execute_micros.to_string());
-    out.push_str("\" serializeMicros=\"");
-    out.push_str(&h.phases.serialize_micros.to_string());
-    out.push_str("\" twopcMicros=\"");
-    out.push_str(&h.phases.twopc_micros.to_string());
-    out.push_str("\" walMicros=\"");
-    out.push_str(&h.phases.wal_micros.to_string());
-    out.push_str("\" cache=\"");
+    out.push_str("\"><xrpc:phases");
+    for (phase, name) in Phase::ALL {
+        out.push_str(&format!(" {name}=\"{}\"", h.phases.get(phase)));
+    }
+    out.push_str(" cache=\"");
     push_escaped_attr(out, h.phases.cache);
     out.push_str("\"/>");
     for op in &h.ops {
@@ -778,125 +651,6 @@ fn write_op_text(out: &mut String, op: &OpNode) {
             write_op_text(out, c);
         }
         out.push_str("</xrpc:op>");
-    }
-}
-
-/// DOM-path twin of the header block in [`write_envelope_open`].
-fn append_envelope_header(
-    doc: &mut Document,
-    envelope: NodeId,
-    trace: Option<&TraceContext>,
-    budget_millis: Option<u64>,
-    profile_req: Option<&ProfileRequest>,
-    profile_hops: &[HopProfile],
-) {
-    if trace.is_none()
-        && budget_millis.is_none()
-        && profile_req.is_none()
-        && profile_hops.is_empty()
-    {
-        return;
-    }
-    let header = doc.create_element(envq("Header"));
-    doc.append_child(envelope, header);
-    if let Some(t) = trace {
-        let tr = doc.create_element(xrpc("trace"));
-        doc.set_attribute(tr, QName::local("traceId"), format!("{:032x}", t.trace_id));
-        doc.set_attribute(tr, QName::local("spanId"), format!("{:016x}", t.span_id));
-        if let Some(p) = t.parent_id {
-            doc.set_attribute(tr, QName::local("parentId"), format!("{p:016x}"));
-        }
-        doc.append_child(header, tr);
-    }
-    if let Some(ms) = budget_millis {
-        let b = doc.create_element(xrpc("budget"));
-        doc.set_attribute(b, QName::local("remainingMillis"), ms.to_string());
-        doc.append_child(header, b);
-    }
-    if let Some(p) = profile_req {
-        let pr = doc.create_element(xrpc("profile"));
-        doc.set_attribute(pr, QName::local("mode"), p.mode.as_str());
-        doc.set_attribute(pr, QName::local("via"), &p.via);
-        doc.set_attribute(pr, QName::local("depth"), p.depth.to_string());
-        doc.append_child(header, pr);
-    }
-    if !profile_hops.is_empty() {
-        let pr = doc.create_element(xrpc("profile"));
-        doc.append_child(header, pr);
-        for h in profile_hops {
-            append_hop_dom(doc, pr, h);
-        }
-    }
-}
-
-fn append_hop_dom(doc: &mut Document, parent: NodeId, h: &HopProfile) {
-    let hop = doc.create_element(xrpc("hop"));
-    doc.set_attribute(hop, QName::local("peer"), &h.peer);
-    doc.set_attribute(hop, QName::local("via"), &h.via);
-    doc.set_attribute(hop, QName::local("depth"), h.depth.to_string());
-    doc.set_attribute(hop, QName::local("traceId"), format!("{:032x}", h.trace_id));
-    doc.set_attribute(hop, QName::local("spanId"), format!("{:016x}", h.span_id));
-    doc.set_attribute(hop, QName::local("totalMicros"), h.total_micros.to_string());
-    doc.append_child(parent, hop);
-    let ph = doc.create_element(xrpc("phases"));
-    doc.set_attribute(
-        ph,
-        QName::local("parseMicros"),
-        h.phases.parse_micros.to_string(),
-    );
-    doc.set_attribute(
-        ph,
-        QName::local("compileMicros"),
-        h.phases.compile_micros.to_string(),
-    );
-    doc.set_attribute(
-        ph,
-        QName::local("marshalMicros"),
-        h.phases.marshal_micros.to_string(),
-    );
-    doc.set_attribute(
-        ph,
-        QName::local("networkMicros"),
-        h.phases.network_micros.to_string(),
-    );
-    doc.set_attribute(
-        ph,
-        QName::local("executeMicros"),
-        h.phases.execute_micros.to_string(),
-    );
-    doc.set_attribute(
-        ph,
-        QName::local("serializeMicros"),
-        h.phases.serialize_micros.to_string(),
-    );
-    doc.set_attribute(
-        ph,
-        QName::local("twopcMicros"),
-        h.phases.twopc_micros.to_string(),
-    );
-    doc.set_attribute(
-        ph,
-        QName::local("walMicros"),
-        h.phases.wal_micros.to_string(),
-    );
-    doc.set_attribute(ph, QName::local("cache"), h.phases.cache);
-    doc.append_child(hop, ph);
-    for op in &h.ops {
-        append_op_dom(doc, hop, op);
-    }
-}
-
-fn append_op_dom(doc: &mut Document, parent: NodeId, op: &OpNode) {
-    let el = doc.create_element(xrpc("op"));
-    doc.set_attribute(el, QName::local("name"), &op.name);
-    doc.set_attribute(el, QName::local("calls"), op.calls.to_string());
-    doc.set_attribute(el, QName::local("timedCalls"), op.timed_calls.to_string());
-    doc.set_attribute(el, QName::local("wallMicros"), op.wall_micros.to_string());
-    doc.set_attribute(el, QName::local("items"), op.items.to_string());
-    doc.set_attribute(el, QName::local("bytes"), op.bytes.to_string());
-    doc.append_child(parent, el);
-    for c in &op.children {
-        append_op_dom(doc, el, c);
     }
 }
 
@@ -987,14 +741,9 @@ fn parse_hop(doc: &Document, el: NodeId) -> Option<HopProfile> {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(0)
             };
-            phases.parse_micros = num("parseMicros");
-            phases.compile_micros = num("compileMicros");
-            phases.marshal_micros = num("marshalMicros");
-            phases.network_micros = num("networkMicros");
-            phases.execute_micros = num("executeMicros");
-            phases.serialize_micros = num("serializeMicros");
-            phases.twopc_micros = num("twopcMicros");
-            phases.wal_micros = num("walMicros");
+            for (phase, name) in Phase::ALL {
+                *phases.get_mut(phase) = num(name);
+            }
             phases.cache = match doc.attr_local(child, "cache") {
                 Some("hit") => "hit",
                 Some("miss") => "miss",
@@ -1043,39 +792,357 @@ fn write_envelope_close(out: &mut String) {
     out.push_str("</env:Body></env:Envelope>");
 }
 
-/// Open the standard envelope with all namespace declarations the paper's
-/// examples carry.
-fn start_envelope(doc: &mut Document, root: NodeId) -> NodeId {
-    let envelope = doc.create_element(envq("Envelope"));
-    for (prefix, uri) in [
-        ("xrpc", NS_XRPC),
-        ("env", NS_SOAP_ENV),
-        ("xs", NS_XS),
-        ("xsi", NS_XSI),
-    ] {
-        doc.add_ns_decl(envelope, prefix, uri);
-    }
-    doc.set_attribute(
-        envelope,
-        QName::ns("xsi", NS_XSI, "schemaLocation"),
-        format!("{NS_XRPC} {NS_XRPC}/XRPC.xsd"),
-    );
-    doc.append_child(root, envelope);
-    envelope
-}
+/// The message DOM built node by node and handed to the serializer — how
+/// every message was first written. The text writers replaced it; it stays
+/// as the reference the equivalence suite compares them against, byte for
+/// byte, and exists in test builds only.
+#[cfg(test)]
+mod dom_oracle {
+    use super::*;
+    use crate::marshal::{attribute_binding, find_enclosing};
+    use xdm::Item;
+    use xmldom::{NodeHandle, NodeKind, QName};
 
-fn serialize(doc: &Document) -> String {
-    let opts = xmldom::SerializeOpts {
-        xml_decl: true,
-        indent: 0,
-    };
-    xmldom::serialize_document(doc, &opts)
+    fn xrpc(local: &str) -> QName {
+        QName::ns("xrpc", NS_XRPC, local)
+    }
+
+    fn envq(local: &str) -> QName {
+        QName::ns("env", NS_SOAP_ENV, local)
+    }
+
+    pub fn request_to_xml(req: &XrpcRequest) -> XdmResult<String> {
+        let mut doc = Document::new();
+        let root = doc.root();
+        let envelope = start_envelope(&mut doc, root);
+        append_envelope_header(
+            &mut doc,
+            envelope,
+            req.trace.as_ref(),
+            req.budget_millis,
+            req.profile.as_ref(),
+            &[],
+        );
+        let body = doc.create_element(envq("Body"));
+        doc.append_child(envelope, body);
+
+        let req_el = doc.create_element(xrpc("request"));
+        doc.set_attribute(req_el, QName::local("module"), &req.module);
+        doc.set_attribute(req_el, QName::local("method"), &req.method);
+        doc.set_attribute(req_el, QName::local("arity"), req.arity.to_string());
+        if let Some(loc) = &req.location {
+            doc.set_attribute(req_el, QName::local("location"), loc);
+        }
+        if req.deferred {
+            doc.set_attribute(req_el, QName::local("updCall"), "deferred");
+        }
+        if let Some(seq) = req.seq {
+            doc.set_attribute(req_el, QName::local("seq"), seq.to_string());
+        }
+        doc.append_child(body, req_el);
+
+        if let Some(qid) = &req.query_id {
+            let q = doc.create_element(xrpc("queryID"));
+            doc.set_attribute(q, QName::local("host"), &qid.host);
+            doc.set_attribute(
+                q,
+                QName::local("timestamp"),
+                qid.timestamp_millis.to_string(),
+            );
+            doc.set_attribute(q, QName::local("timeout"), qid.timeout_secs.to_string());
+            doc.append_child(req_el, q);
+        }
+
+        for params in &req.calls {
+            let call = doc.create_element(xrpc("call"));
+            doc.append_child(req_el, call);
+            if req.call_by_fragment {
+                s2n_call_into(&mut doc, call, params)?;
+            } else {
+                for p in params {
+                    s2n_into(&mut doc, call, p)?;
+                }
+            }
+        }
+        Ok(serialize(&doc))
+    }
+
+    pub fn response_to_xml(resp: &XrpcResponse) -> XdmResult<String> {
+        let mut doc = Document::new();
+        let root = doc.root();
+        let envelope = start_envelope(&mut doc, root);
+        append_envelope_header(&mut doc, envelope, None, None, None, &resp.profile_hops);
+        let body = doc.create_element(envq("Body"));
+        doc.append_child(envelope, body);
+
+        let resp_el = doc.create_element(xrpc("response"));
+        doc.set_attribute(resp_el, QName::local("module"), &resp.module);
+        doc.set_attribute(resp_el, QName::local("method"), &resp.method);
+        doc.append_child(body, resp_el);
+
+        if !resp.participating_peers.is_empty() {
+            let peers = doc.create_element(xrpc("participatingPeers"));
+            doc.append_child(resp_el, peers);
+            for p in &resp.participating_peers {
+                let pe = doc.create_element(xrpc("peer"));
+                doc.set_attribute(pe, QName::local("uri"), p);
+                doc.append_child(peers, pe);
+            }
+        }
+
+        for seq in &resp.results {
+            s2n_into(&mut doc, resp_el, seq)?;
+        }
+        Ok(serialize(&doc))
+    }
+
+    pub fn fault_to_xml(fault: &XrpcFault) -> String {
+        let mut doc = Document::new();
+        let root = doc.root();
+        let envelope = start_envelope(&mut doc, root);
+        let body = doc.create_element(envq("Body"));
+        doc.append_child(envelope, body);
+        let fault_el = doc.create_element(envq("Fault"));
+        doc.append_child(body, fault_el);
+        let code = doc.create_element(envq("Code"));
+        doc.append_child(fault_el, code);
+        let value = doc.create_element(envq("Value"));
+        let v = doc.create_text(match fault.code {
+            FaultCode::Sender => "env:Sender",
+            FaultCode::Receiver => "env:Receiver",
+        });
+        doc.append_child(value, v);
+        doc.append_child(code, value);
+        let reason = doc.create_element(envq("Reason"));
+        doc.append_child(fault_el, reason);
+        let text = doc.create_element(envq("Text"));
+        doc.set_attribute(text, QName::ns("xml", xmldom::qname::NS_XML, "lang"), "en");
+        let body_text = match &fault.error_code {
+            Some(c) => format!("[{c}] {}", fault.reason),
+            None => fault.reason.clone(),
+        };
+        let t = doc.create_text(body_text);
+        doc.append_child(text, t);
+        doc.append_child(reason, text);
+        serialize(&doc)
+    }
+
+    fn start_envelope(doc: &mut Document, root: NodeId) -> NodeId {
+        let envelope = doc.create_element(envq("Envelope"));
+        for (prefix, uri) in [
+            ("xrpc", NS_XRPC),
+            ("env", NS_SOAP_ENV),
+            ("xs", NS_XS),
+            ("xsi", NS_XSI),
+        ] {
+            doc.add_ns_decl(envelope, prefix, uri);
+        }
+        doc.set_attribute(
+            envelope,
+            QName::ns("xsi", NS_XSI, "schemaLocation"),
+            format!("{NS_XRPC} {NS_XRPC}/XRPC.xsd"),
+        );
+        doc.append_child(root, envelope);
+        envelope
+    }
+
+    fn serialize(doc: &Document) -> String {
+        let opts = xmldom::SerializeOpts {
+            xml_decl: true,
+            indent: 0,
+        };
+        xmldom::serialize_document(doc, &opts)
+    }
+
+    fn append_envelope_header(
+        doc: &mut Document,
+        envelope: NodeId,
+        trace: Option<&TraceContext>,
+        budget_millis: Option<u64>,
+        profile_req: Option<&ProfileRequest>,
+        profile_hops: &[HopProfile],
+    ) {
+        if trace.is_none()
+            && budget_millis.is_none()
+            && profile_req.is_none()
+            && profile_hops.is_empty()
+        {
+            return;
+        }
+        let header = doc.create_element(envq("Header"));
+        doc.append_child(envelope, header);
+        if let Some(t) = trace {
+            let tr = doc.create_element(xrpc("trace"));
+            doc.set_attribute(tr, QName::local("traceId"), format!("{:032x}", t.trace_id));
+            doc.set_attribute(tr, QName::local("spanId"), format!("{:016x}", t.span_id));
+            if let Some(p) = t.parent_id {
+                doc.set_attribute(tr, QName::local("parentId"), format!("{p:016x}"));
+            }
+            doc.append_child(header, tr);
+        }
+        if let Some(ms) = budget_millis {
+            let b = doc.create_element(xrpc("budget"));
+            doc.set_attribute(b, QName::local("remainingMillis"), ms.to_string());
+            doc.append_child(header, b);
+        }
+        if let Some(p) = profile_req {
+            let pr = doc.create_element(xrpc("profile"));
+            doc.set_attribute(pr, QName::local("mode"), p.mode.as_str());
+            doc.set_attribute(pr, QName::local("via"), &p.via);
+            doc.set_attribute(pr, QName::local("depth"), p.depth.to_string());
+            doc.append_child(header, pr);
+        }
+        if !profile_hops.is_empty() {
+            let pr = doc.create_element(xrpc("profile"));
+            doc.append_child(header, pr);
+            for h in profile_hops {
+                append_hop_dom(doc, pr, h);
+            }
+        }
+    }
+
+    fn append_hop_dom(doc: &mut Document, parent: NodeId, h: &HopProfile) {
+        let hop = doc.create_element(xrpc("hop"));
+        doc.set_attribute(hop, QName::local("peer"), &h.peer);
+        doc.set_attribute(hop, QName::local("via"), &h.via);
+        doc.set_attribute(hop, QName::local("depth"), h.depth.to_string());
+        doc.set_attribute(hop, QName::local("traceId"), format!("{:032x}", h.trace_id));
+        doc.set_attribute(hop, QName::local("spanId"), format!("{:016x}", h.span_id));
+        doc.set_attribute(hop, QName::local("totalMicros"), h.total_micros.to_string());
+        doc.append_child(parent, hop);
+        let ph = doc.create_element(xrpc("phases"));
+        for (phase, name) in Phase::ALL {
+            doc.set_attribute(ph, QName::local(name), h.phases.get(phase).to_string());
+        }
+        doc.set_attribute(ph, QName::local("cache"), h.phases.cache);
+        doc.append_child(hop, ph);
+        for op in &h.ops {
+            append_op_dom(doc, hop, op);
+        }
+    }
+
+    fn append_op_dom(doc: &mut Document, parent: NodeId, op: &OpNode) {
+        let el = doc.create_element(xrpc("op"));
+        doc.set_attribute(el, QName::local("name"), &op.name);
+        doc.set_attribute(el, QName::local("calls"), op.calls.to_string());
+        doc.set_attribute(el, QName::local("timedCalls"), op.timed_calls.to_string());
+        doc.set_attribute(el, QName::local("wallMicros"), op.wall_micros.to_string());
+        doc.set_attribute(el, QName::local("items"), op.items.to_string());
+        doc.set_attribute(el, QName::local("bytes"), op.bytes.to_string());
+        doc.append_child(parent, el);
+        for c in &op.children {
+            append_op_dom(doc, el, c);
+        }
+    }
+
+    /// Append the `<xrpc:sequence>` representation of `seq` under `parent` in
+    /// `doc` (the message document being built). This is `s2n()`.
+    fn s2n_into(doc: &mut Document, parent: NodeId, seq: &Sequence) -> XdmResult<()> {
+        let seq_el = doc.create_element(xrpc("sequence"));
+        doc.append_child(parent, seq_el);
+        for item in seq.iter() {
+            emit_item(doc, seq_el, item)?;
+        }
+        Ok(())
+    }
+
+    fn emit_item(doc: &mut Document, seq_el: NodeId, item: &Item) -> XdmResult<()> {
+        match item {
+            Item::Atomic(a) => {
+                let el = doc.create_element(xrpc("atomic-value"));
+                doc.set_attribute(
+                    el,
+                    QName::ns("xsi", NS_XSI, "type"),
+                    a.atomic_type().xs_name(),
+                );
+                let t = doc.create_text(a.lexical());
+                doc.append_child(el, t);
+                doc.append_child(seq_el, el);
+            }
+            Item::Node(n) => {
+                let wrapper_local = match n.kind() {
+                    NodeKind::Element => "element",
+                    NodeKind::Document => "document",
+                    NodeKind::Text => "text",
+                    NodeKind::Comment => "comment",
+                    NodeKind::ProcessingInstruction => "pi",
+                    NodeKind::Attribute => "attribute",
+                };
+                let el = doc.create_element(xrpc(wrapper_local));
+                doc.append_child(seq_el, el);
+                match n.kind() {
+                    NodeKind::Element => {
+                        let copy = doc.import_subtree(&n.doc, n.id);
+                        for (p, u) in n.doc.inherited_ns_decls(n.id) {
+                            doc.add_ns_decl(copy, p, u);
+                        }
+                        doc.append_child(el, copy);
+                    }
+                    NodeKind::Document => {
+                        for c in n.doc.children(n.id) {
+                            let copy = doc.import_subtree(&n.doc, c);
+                            doc.append_child(el, copy);
+                        }
+                    }
+                    NodeKind::Text | NodeKind::Comment => {
+                        let t = doc.create_text(n.value());
+                        doc.append_child(el, t);
+                    }
+                    NodeKind::ProcessingInstruction => {
+                        let copy = doc.import_subtree(&n.doc, n.id);
+                        doc.append_child(el, copy);
+                    }
+                    NodeKind::Attribute => {
+                        // `<xrpc:attribute x="y"/>` — the attribute itself
+                        // is carried on the wrapper element.
+                        if let Some((p, u)) = attribute_binding(n) {
+                            doc.add_ns_decl(el, p, u);
+                        }
+                        let copy = doc.import_subtree(&n.doc, n.id);
+                        doc.set_attribute_node(el, copy);
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The call-by-fragment twin of [`s2n_into`] over all parameters of one call.
+    fn s2n_call_into(doc: &mut Document, call: NodeId, params: &[Sequence]) -> XdmResult<()> {
+        // (param index, item index, original handle) of every fully
+        // serialized element/document parameter so far
+        let mut serialized: Vec<(usize, usize, &NodeHandle)> = Vec::new();
+        for (pi, seq) in params.iter().enumerate() {
+            let seq_el = doc.create_element(xrpc("sequence"));
+            doc.append_child(call, seq_el);
+            for (ii, item) in seq.iter().enumerate() {
+                if let Item::Node(n) = item {
+                    if let Some((ppi, pii, rel)) = find_enclosing(&serialized, n) {
+                        let el = doc.create_element(xrpc("nodeid"));
+                        doc.set_attribute(el, QName::local("param"), (ppi + 1).to_string());
+                        doc.set_attribute(el, QName::local("item"), (pii + 1).to_string());
+                        doc.set_attribute(el, QName::local("path"), rel);
+                        doc.append_child(seq_el, el);
+                        continue;
+                    }
+                }
+                emit_item(doc, seq_el, item)?;
+                if let Item::Node(n) = item {
+                    if matches!(n.kind(), NodeKind::Element | NodeKind::Document) {
+                        serialized.push((pi, ii, n));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use xdm::Item;
+    use xmldom::NodeKind;
 
     fn film_request() -> XrpcRequest {
         let mut req = XrpcRequest::new("films", "filmsByActor", 1)
@@ -1309,25 +1376,74 @@ mod tests {
         ]
     }
 
+    /// A decoded node is the node that was sent: kind, *expanded* name,
+    /// value, attributes and children, all the way down — so a name that
+    /// loses its namespace on the way fails here even when the text writer
+    /// and the oracle agree on the bytes.
+    fn assert_same_node(a: &Document, x: NodeId, b: &Document, y: NodeId) {
+        assert_eq!(a.kind(x), b.kind(y));
+        match (a.name(x), b.name(y)) {
+            (Some(m), Some(n)) => assert!(m.matches(n), "sent {m:?}, decoded {n:?}"),
+            (None, None) => {}
+            (m, n) => panic!("sent {m:?}, decoded {n:?}"),
+        }
+        if !matches!(a.kind(x), NodeKind::Element | NodeKind::Document) {
+            assert_eq!(a.value(x), b.value(y));
+        }
+        for (sent, got) in [
+            (a.attributes(x), b.attributes(y)),
+            (a.children(x), b.children(y)),
+        ] {
+            let (sent, got): (Vec<_>, Vec<_>) = (sent.collect(), got.collect());
+            assert_eq!(sent.len(), got.len(), "below {:?}", a.name(x));
+            for (x, y) in sent.into_iter().zip(got) {
+                assert_same_node(a, x, b, y);
+            }
+        }
+    }
+
+    fn assert_same_values(sent: &[Sequence], got: &[Sequence]) {
+        assert_eq!(sent.len(), got.len());
+        for (sent, got) in sent.iter().zip(got) {
+            assert_eq!(sent.len(), got.len());
+            for pair in sent.iter().zip(got.iter()) {
+                match pair {
+                    (Item::Atomic(a), Item::Atomic(b)) => {
+                        assert_eq!(a.atomic_type(), b.atomic_type());
+                        assert_eq!(a.lexical(), b.lexical());
+                    }
+                    (Item::Node(a), Item::Node(b)) => assert_same_node(&a.doc, a.id, &b.doc, b.id),
+                    (a, b) => panic!("sent {a:?}, decoded {b:?}"),
+                }
+            }
+        }
+    }
+
+    /// Byte for byte what the oracle writes, and what comes back from the
+    /// parser is what went in.
     fn assert_request_equivalence(req: &XrpcRequest) {
         let text = req.to_xml().unwrap();
-        let dom = req.to_xml_dom().unwrap();
+        let dom = dom_oracle::request_to_xml(req).unwrap();
         assert_eq!(text, dom, "text writer diverged from DOM serialization");
-        // and the result must still parse back
-        assert!(matches!(
-            parse_message(&text).unwrap(),
-            XrpcMessage::Request(_)
-        ));
+        match parse_message(&text).unwrap() {
+            XrpcMessage::Request(back) => {
+                assert_eq!(back.calls.len(), req.calls.len());
+                for (sent, got) in req.calls.iter().zip(&back.calls) {
+                    assert_same_values(sent, got);
+                }
+            }
+            other => panic!("expected request, got {other:?}"),
+        }
     }
 
     fn assert_response_equivalence(resp: &XrpcResponse) {
         let text = resp.to_xml().unwrap();
-        let dom = resp.to_xml_dom().unwrap();
+        let dom = dom_oracle::response_to_xml(resp).unwrap();
         assert_eq!(text, dom, "text writer diverged from DOM serialization");
-        assert!(matches!(
-            parse_message(&text).unwrap(),
-            XrpcMessage::Response(_)
-        ));
+        match parse_message(&text).unwrap() {
+            XrpcMessage::Response(back) => assert_same_values(&resp.results, &back.results),
+            other => panic!("expected response, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1578,6 +1694,10 @@ mod tests {
         assert_response_equivalence(&resp);
         let xml = resp.to_xml().unwrap();
         assert!(xml.contains("<env:Header><xrpc:profile><xrpc:hop peer="));
+        // the phase table writes what the hand-written list wrote
+        assert!(xml.contains(
+            r#"<xrpc:phases parseMicros="10" compileMicros="20" marshalMicros="5" networkMicros="300" executeMicros="1100" serializeMicros="40" twopcMicros="0" walMicros="0" cache="hit"/>"#
+        ));
         match parse_message(&xml).unwrap() {
             XrpcMessage::Response(r) => {
                 assert_eq!(r.profile_hops.len(), 2);
@@ -1703,6 +1823,134 @@ mod tests {
             let mut resp = XrpcResponse::new("m", "f");
             resp.results.push(Sequence::from_items(items));
             assert_response_equivalence(&resp);
+        }
+    }
+
+    fn node(d: &std::sync::Arc<Document>, id: NodeId) -> Item {
+        Item::Node(xmldom::NodeHandle::new(d.clone(), id))
+    }
+
+    #[test]
+    fn text_writer_equivalence_call_by_fragment() {
+        let d = std::sync::Arc::new(
+            xmldom::parse(
+                r#"<films><film year="1996"><name>The Rock</name><actor>Sean Connery</actor></film></films>"#,
+            )
+            .unwrap(),
+        );
+        let other = std::sync::Arc::new(xmldom::parse("<y><z/></y>").unwrap());
+        let films = d.first_child(d.root()).unwrap();
+        let film = d.first_child(films).unwrap();
+        let name = d.first_child(film).unwrap();
+        let year = d.attributes(film).next().unwrap();
+        let z = other
+            .first_child(other.first_child(other.root()).unwrap())
+            .unwrap();
+        let mut req = XrpcRequest::new("m", "f", 3);
+        req.call_by_fragment = true;
+        for _ in 0..2 {
+            req.push_call(vec![
+                // the tree, a child of it (path "0"), the tree itself again (path "")
+                Sequence::from_items(vec![node(&d, films), node(&d, film), node(&d, films)]),
+                Sequence::empty(),
+                // an attribute leaf ("0/@0"), a grandchild ("0/0") twice, a node
+                // of another document by value and then by reference to *that*
+                Sequence::from_items(vec![
+                    node(&d, year),
+                    node(&d, name),
+                    Item::integer(7),
+                    node(&d, name),
+                    node(&other, z),
+                    node(&other, z),
+                ]),
+            ]);
+        }
+        assert_request_equivalence(&req);
+        let xml = req.to_xml().unwrap();
+        assert_eq!(xml.matches("<xrpc:nodeid ").count(), 2 * 6);
+        for reference in [
+            r#"<xrpc:nodeid param="1" item="1" path="0"/>"#,
+            r#"<xrpc:nodeid param="1" item="1" path=""/>"#,
+            r#"<xrpc:nodeid param="1" item="1" path="0/@0"/>"#,
+            r#"<xrpc:nodeid param="1" item="1" path="0/0"/>"#,
+            r#"<xrpc:nodeid param="3" item="5" path=""/>"#,
+        ] {
+            assert!(xml.contains(reference), "{reference} not in {xml}");
+        }
+        assert_eq!(xml.matches("The Rock").count(), 2, "once per call");
+    }
+
+    /// ROADMAP correctness (a): a fragment cut out below a namespace
+    /// declaration used to travel without it.
+    #[test]
+    fn fragments_travel_with_the_namespaces_they_inherit() {
+        let d = std::sync::Arc::new(
+            xmldom::parse(
+                r#"<r xmlns="urn:d" xmlns:p="urn:u"><p:a k="1" p:j="2">t</p:a><a><b/><c xmlns=""/></a></r>"#,
+            )
+            .unwrap(),
+        );
+        let r = d.first_child(d.root()).unwrap();
+        let (pa, a) = (d.first_child(r).unwrap(), d.last_child(r).unwrap());
+        let items = vec![
+            node(&d, pa),
+            node(&d, a),
+            node(&d, d.first_child(a).unwrap()),
+            node(&d, d.last_child(a).unwrap()),
+            node(&d, d.attributes(pa).nth(1).unwrap()),
+            node(&d, r),
+        ];
+        let mut req = XrpcRequest::new("m", "f", 1);
+        req.push_call(vec![Sequence::from_items(items.clone())]);
+        assert_request_equivalence(&req);
+        req.call_by_fragment = true;
+        assert_request_equivalence(&req);
+        let mut resp = XrpcResponse::new("m", "f");
+        resp.results.push(Sequence::from_items(items));
+        assert_response_equivalence(&resp);
+
+        let xml = resp.to_xml().unwrap();
+        assert!(xml.contains(r#"<p:a xmlns="urn:d" xmlns:p="urn:u" k="1" p:j="2">t</p:a>"#));
+        assert!(xml.contains(r#"<xrpc:attribute xmlns:p="urn:u" p:j="2"/>"#));
+        let XrpcMessage::Response(back) = parse_message(&xml).unwrap() else {
+            panic!("expected response");
+        };
+        let name = |i: usize| {
+            back.results[0].items()[i]
+                .as_node()
+                .unwrap()
+                .name()
+                .unwrap()
+        };
+        assert!(name(0).is("urn:u", "a"));
+        assert!(name(1).is("urn:d", "a"), "not in no namespace");
+        assert!(name(2).is("urn:d", "b"));
+        assert_eq!(name(3).ns_uri.as_deref().unwrap_or(""), "");
+        assert!(name(4).is("urn:u", "j"));
+    }
+
+    #[test]
+    fn text_writer_equivalence_faults() {
+        for reason in adversarial_strings() {
+            for error_code in [None, Some("XPTY0004"), Some("a<&b")] {
+                for code in [FaultCode::Sender, FaultCode::Receiver] {
+                    let fault = XrpcFault {
+                        code,
+                        reason: reason.to_string(),
+                        error_code: error_code.map(str::to_string),
+                    };
+                    let text = fault.to_xml();
+                    assert_eq!(text, dom_oracle::fault_to_xml(&fault));
+                    match parse_message(&text).unwrap() {
+                        XrpcMessage::Fault(back) => {
+                            assert_eq!(back.code, code);
+                            assert_eq!(back.reason, fault.reason);
+                            assert_eq!(back.error_code, fault.error_code);
+                        }
+                        other => panic!("expected fault, got {other:?}"),
+                    }
+                }
+            }
         }
     }
 

@@ -505,7 +505,9 @@ fn atomic_sequences_round_trip_through_the_wire() {
 }
 
 /// Call-by-value (paper §2.2): a decoded node sees no parent, no sibling
-/// and nothing of the envelope or of the other items of its message.
+/// and nothing of the envelope or of the other items of its message — and
+/// it is the node that was sent, names included: what its ancestors
+/// declared travels on the fragment's own start tag.
 #[test]
 fn node_sequences_round_trip_by_value() {
     let isolated = [
@@ -516,10 +518,15 @@ fn node_sequences_round_trip_by_value() {
         Axis::Following,
         Axis::Preceding,
     ];
-    for seed in seeds(200) {
-        // no prefixed names: a fragment travels without its ancestors'
-        // namespace declarations
-        let (_, doc) = generated_document(seed, &NAMES[..5]);
+    // a default namespace, a prefix, both rebound and undeclared further down
+    let declared = parse(
+        r#"<r xmlns="urn:d" xmlns:p="urn:p"><a p:k="1" k="2"><p:b/>t<c xmlns="" xmlns:p="urn:q"><p:e p:k="3"/><e/></c></a><b/></r>"#,
+    )
+    .unwrap();
+    let generated = seeds(200)
+        .into_iter()
+        .map(|seed| (seed, generated_document(seed, &NAMES).1));
+    for (seed, doc) in generated.chain([(0, declared)]) {
         let doc = Arc::new(doc);
         // every node of the document, plus the document itself: items that
         // are each other's ancestors, siblings and attributes
@@ -537,6 +544,21 @@ fn node_sequences_round_trip_by_value() {
                 let got = got.as_node().expect("a node");
                 assert_eq!(got.kind(), sent.kind(), "seed={seed}");
                 assert_eq!(got.to_xml(), sent.to_xml(), "seed={seed}");
+                // same expanded names all the way down, not just the same text
+                let names = |n: &NodeHandle| -> Vec<Option<QName>> {
+                    std::iter::once(n.id)
+                        .chain(n.doc.descendants(n.id))
+                        .flat_map(|d| std::iter::once(d).chain(n.doc.attributes(d)))
+                        .map(|d| n.doc.name(d).cloned())
+                        .collect()
+                };
+                for (s, g) in names(sent).iter().zip(names(got)) {
+                    let same = match (s, &g) {
+                        (Some(s), Some(g)) => s.matches(g),
+                        (s, g) => s.is_none() && g.is_none(),
+                    };
+                    assert!(same, "seed={seed}: sent {s:?}, decoded {g:?}");
+                }
                 for axis in isolated {
                     let seen = step(got, axis);
                     assert!(seen.is_empty(), "seed={seed}: {axis:?} sees {seen:?}");

@@ -6,7 +6,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use xrpc_repro::{xmark, xmldom};
+use xrpc_repro::xrpc_proto::{parse_message, XrpcRequest};
+use xrpc_repro::{xdm, xmark, xmldom};
 
 struct Counting;
 
@@ -165,4 +166,48 @@ fn replaced_values_do_not_accumulate_across_versions() {
         xml,
         r#"<log xmlns:l="urn:log"><e n="4">10000</e><e>steady</e></log>"#
     );
+}
+
+/// `<xrpc:nodeid>` (call-by-fragment) carries three numbers from the network:
+/// whatever they say, decoding answers a value or a typed XRPC error.
+#[test]
+fn a_hostile_nodeid_is_an_error_never_a_panic() {
+    // one well-formed call of two parameters; the reference under test is
+    // the second item of the second: one parameter decoded before it (n = 1
+    // for `param`), one item in each place it may point at (n = 1 for `item`)
+    let d = std::sync::Arc::new(xmldom::parse(r#"<a k="v"><b/></a>"#).unwrap());
+    let a = xmldom::NodeHandle::new(d.clone(), d.first_child(d.root()).unwrap());
+    let mut req = XrpcRequest::new("m", "f", 2);
+    req.push_call(vec![
+        xdm::Sequence::one(xdm::Item::Node(a)),
+        xdm::Sequence::from_items(vec![xdm::Item::integer(1), xdm::Item::string("HERE")]),
+    ]);
+    let template = req.to_xml().unwrap();
+    let here = r#"<xrpc:atomic-value xsi:type="xs:string">HERE</xrpc:atomic-value>"#;
+    assert_eq!(template.matches(here).count(), 1);
+
+    let max = usize::MAX.to_string();
+    let indices = ["0", "1", "2", "3", max.as_str(), "-1", "x"];
+    let paths = ["", "0", "@0", "9999", "@9999", "-1", "a", "0//1"];
+    let (mut ok, mut refused) = (0, 0);
+    for param in indices {
+        for item in indices {
+            for path in paths {
+                let nodeid =
+                    format!(r#"<xrpc:nodeid param="{param}" item="{item}" path="{path}"/>"#);
+                match parse_message(&template.replace(here, &nodeid)) {
+                    Ok(_) => {
+                        assert_eq!((param, item), ("1", "1"), "{nodeid} resolved");
+                        assert!(["", "0", "@0"].contains(&path), "{nodeid} resolved");
+                        ok += 1;
+                    }
+                    Err(e) => {
+                        assert!(e.code.starts_with("XRPC"), "{nodeid}: {e}");
+                        refused += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!((ok, refused), (3, 7 * 7 * 8 - 3));
 }
