@@ -441,14 +441,16 @@ impl<'e> RelEngine<'e> {
                 self.profiled("rel:path-step", st, |eng, st| {
                     // What lifts is on the left of the `/` (steps are not
                     // XRPC-bearing): evaluate lhs lifted, apply the step
-                    // per iteration through the tree engine.
-                    let base = eng.eval_lifted(a, lenv, st)?;
+                    // per iteration through the tree engine — a `//T` as
+                    // one descendant scan, as there.
+                    let scan = xqeval::eval::descendant_scan(a, b);
+                    let base = eng.eval_lifted(scan.unwrap_or(a), lenv, st)?;
                     let used = lenv.used_by(b);
                     let mut out = Vec::new();
                     for &i in &lenv.loop_iters {
                         let seq = base.sequence_at(i);
                         let stepped = eng.with_iter_vars(lenv, &used, i, st, |tree, st2| {
-                            tree.eval_path_rhs(&seq, b, st2)
+                            tree.eval_path_rhs(&seq, b, scan.is_some(), st2)
                         })?;
                         out.push((i, stepped));
                     }
@@ -753,7 +755,7 @@ impl<'e> RelEngine<'e> {
         if let Some(f) = self
             .tree
             .local_functions
-            .get(&(name.local.clone(), args.len()))
+            .get(&name.local, args.len())
             .cloned()
         {
             if f.body.contains_xrpc() {
@@ -847,10 +849,7 @@ impl<'e> RelEngine<'e> {
         match name.prefix.as_deref() {
             Some("fn") => true,
             // an unprefixed main-module function of that name shadows it
-            None => !self
-                .tree
-                .local_functions
-                .contains_key(&(name.local.clone(), arity)),
+            None => self.tree.local_functions.get(&name.local, arity).is_none(),
             Some(_) => false,
         }
     }

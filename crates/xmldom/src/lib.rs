@@ -22,7 +22,7 @@ pub mod parser;
 pub mod qname;
 pub mod serialize;
 
-pub use node::{Document, NodeData, NodeId, NodeKind};
+pub use node::{AttributeAsChild, Document, NodeData, NodeId, NodeKind};
 pub use parser::{parse, parse_with_uri, ParseError};
 pub use qname::QName;
 pub use serialize::{

@@ -95,6 +95,11 @@ struct NsDecl {
     uri: Span,
 }
 
+/// [`Document::insert_before`] / [`Document::insert_after`] were handed an
+/// attribute node, which cannot be linked among children.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AttributeAsChild;
+
 /// An XML document: a node arena whose slot 0 is always the document node.
 ///
 /// Mutation methods take `&mut self`; callers that need snapshot semantics
@@ -379,9 +384,9 @@ impl Document {
         n.prev = prev;
     }
 
-    /// Link a parentless `node` into `anchor`'s chain just before it.
+    /// Link a parentless non-attribute `node` into `anchor`'s chain just
+    /// before it.
     fn link_before(&mut self, anchor: NodeId, node: NodeId) {
-        debug_assert_ne!(self.kind(node), NodeKind::Attribute);
         let (parent, prev) = {
             let a = &mut self.nodes[anchor.index()];
             let links = (a.parent, a.prev);
@@ -499,31 +504,42 @@ impl Document {
         }
     }
 
-    /// Insert `child` immediately before sibling `anchor`.
-    pub fn insert_before(&mut self, anchor: NodeId, child: NodeId) {
+    /// Insert `child` immediately before sibling `anchor`. An attribute is
+    /// refused: it has no place among children (XQUF makes it an attribute
+    /// of the anchor's parent — [`set_attribute_node`](Self::set_attribute_node)).
+    pub fn insert_before(&mut self, anchor: NodeId, child: NodeId) -> Result<(), AttributeAsChild> {
         assert!(
             self.parent(anchor).is_some(),
             "insert_before target must have a parent"
         );
+        if self.kind(child) == NodeKind::Attribute {
+            return Err(AttributeAsChild);
+        }
         if anchor != child {
             self.detach(child);
             self.link_before(anchor, child);
         }
+        Ok(())
     }
 
-    /// Insert `child` immediately after sibling `anchor`.
-    pub fn insert_after(&mut self, anchor: NodeId, child: NodeId) {
+    /// Insert `child` immediately after sibling `anchor`; an attribute is
+    /// refused as by [`insert_before`](Self::insert_before).
+    pub fn insert_after(&mut self, anchor: NodeId, child: NodeId) -> Result<(), AttributeAsChild> {
         let parent = self
             .parent(anchor)
             .expect("insert_after target must have a parent");
+        if self.kind(child) == NodeKind::Attribute {
+            return Err(AttributeAsChild);
+        }
         if anchor == child {
-            return;
+            return Ok(());
         }
         self.detach(child);
         match self.next_sibling(anchor) {
             Some(next) => self.link_before(next, child),
             None => self.link_last(parent, child),
         }
+        Ok(())
     }
 
     /// Attach an attribute node to an element (replacing any same-named one).
@@ -594,7 +610,12 @@ impl Document {
     }
 
     /// XQUF `replace node`: swap `target` for `replacements` in its parent.
-    pub fn replace_node(&mut self, target: NodeId, replacements: &[NodeId]) {
+    /// An attribute cannot replace a node that is not one.
+    pub fn replace_node(
+        &mut self,
+        target: NodeId,
+        replacements: &[NodeId],
+    ) -> Result<(), AttributeAsChild> {
         let parent = self
             .parent(target)
             .expect("replace target must have a parent");
@@ -605,10 +626,11 @@ impl Document {
             }
         } else {
             for &r in replacements {
-                self.insert_before(target, r);
+                self.insert_before(target, r)?;
             }
             self.remove(target);
         }
+        Ok(())
     }
 
     /// XQUF `replace value of node`.
@@ -980,8 +1002,8 @@ mod tests {
         let b = elem(&mut d, "b");
         let c = elem(&mut d, "c");
         d.append_child(root, b);
-        d.insert_before(b, a);
-        d.insert_after(b, c);
+        d.insert_before(b, a).unwrap();
+        d.insert_after(b, c).unwrap();
         let names: Vec<String> = d
             .children(root)
             .map(|k| d.node(k).name.as_ref().unwrap().local.clone())
@@ -998,7 +1020,7 @@ mod tests {
         d.append_child(root, a);
         let x = elem(&mut d, "x");
         let y = elem(&mut d, "y");
-        d.replace_node(a, &[x, y]);
+        d.replace_node(a, &[x, y]).unwrap();
         let names: Vec<String> = d
             .children(root)
             .map(|k| d.node(k).name.as_ref().unwrap().local.clone())
@@ -1115,9 +1137,9 @@ mod tests {
         for k in [a, b, c] {
             d.append_child(root, k);
         }
-        d.insert_before(c, a);
+        d.insert_before(c, a).unwrap();
         assert_eq!(d.children(root).collect::<Vec<_>>(), [b, a, c]);
-        d.insert_after(c, b);
+        d.insert_after(c, b).unwrap();
         assert_eq!(d.children(root).collect::<Vec<_>>(), [a, c, b]);
         assert_eq!(d.children(root).rev().collect::<Vec<_>>(), [b, c, a]);
         d.insert_child_at(root, 0, b);

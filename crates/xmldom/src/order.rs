@@ -170,7 +170,7 @@ mod tests {
         let b = d.first_child(a).unwrap();
         let c = d.children(a).nth(1).unwrap();
         // Move c before b.
-        d.insert_before(b, c);
+        d.insert_before(b, c).unwrap();
         assert_eq!(cmp_same_doc(&d, c, b), Ordering::Less);
     }
 

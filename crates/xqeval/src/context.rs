@@ -291,6 +291,9 @@ pub struct Environment {
     /// Off by default so the wire traffic matches Figure 2 literally.
     pub rpc_optimize: bool,
     pub stats: Mutex<EvalStats>,
+    /// [`EvalStats::functions_called`] as it is counted — once per call, so
+    /// without taking the `stats` lock; [`stats`](Self::stats) reports it.
+    pub functions_called: AtomicU64,
     /// Function-call recursion limit.
     pub max_depth: usize,
     /// Deadline/cancellation token for the query this environment serves,
@@ -312,6 +315,7 @@ impl Environment {
             join_index: true,
             rpc_optimize: false,
             stats: Mutex::new(EvalStats::default()),
+            functions_called: AtomicU64::new(0),
             max_depth: 128,
             cancel: None,
             profile: None,
@@ -345,11 +349,15 @@ impl Environment {
     }
 
     pub fn stats(&self) -> EvalStats {
-        self.stats.lock().clone()
+        EvalStats {
+            functions_called: self.functions_called.load(Ordering::Relaxed),
+            ..self.stats.lock().clone()
+        }
     }
 
     pub fn reset_stats(&self) {
         *self.stats.lock() = EvalStats::default();
+        self.functions_called.store(0, Ordering::Relaxed);
     }
 }
 

@@ -4,8 +4,8 @@ use crate::context::{Environment, FunctionRef, StaticContext};
 use crate::functions;
 use crate::index;
 use crate::pul::{PendingUpdateList, UpdatePrimitive};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::{Arc, OnceLock};
 use xdm::atomic::AtomicValue;
 use xdm::ops;
 use xdm::types::AtomicType;
@@ -87,7 +87,7 @@ pub struct Evaluator<'e> {
     pub env: &'e Environment,
     pub sctx: Arc<StaticContext>,
     /// Functions declared in the main module's prolog.
-    pub local_functions: Arc<HashMap<(String, usize), Arc<FunctionDecl>>>,
+    pub local_functions: Arc<LocalFunctions>,
 }
 
 /// A path recognized as the predicate join `base//elem[keypath = value]`
@@ -102,8 +102,8 @@ pub struct JoinPath<'a> {
     /// The name-test step with its predicate (what [`scan`](Self::scan)
     /// evaluates, so the variables it mentions must be bound).
     pub step: &'a Expr,
-    /// The `descendant-or-self::node()` step of a `//`, if there was one.
-    dos: Option<&'a Expr>,
+    /// Was there a `//` (a `descendant-or-self::node()` step) before it?
+    dos: bool,
     key: index::KeyPath<'a>,
     child_only: bool,
 }
@@ -117,13 +117,8 @@ impl<'a> JoinPath<'a> {
     /// The step evaluated the ordinary way from an evaluated `base`, with
     /// the variables its predicate mentions bound in `st`.
     pub fn scan(&self, ev: &Evaluator, base: &Sequence, st: &mut EvalState) -> XdmResult<Sequence> {
-        match self.dos {
-            Some(dos) => {
-                let expanded = ev.eval_path_rhs(base, dos, st)?;
-                ev.eval_path_rhs(&expanded, self.step, st)
-            }
-            None => ev.eval_path_rhs(base, self.step, st),
-        }
+        // the one predicate is a comparison: never positional
+        ev.eval_path_rhs(base, self.step, self.dos, st)
     }
 }
 
@@ -146,7 +141,7 @@ pub fn evaluate_main_with_vars(
 }
 
 /// Local function index of a main module: (local name, arity) → decl.
-pub type LocalFunctions = HashMap<(String, usize), Arc<FunctionDecl>>;
+pub type LocalFunctions = crate::modules::FunctionTable;
 
 /// The compile-once artifact of a main module: the parsed AST plus the
 /// static analysis the evaluator would otherwise redo on every run (the
@@ -180,11 +175,7 @@ impl CompiledMain {
 
 /// Index a main module's locally declared functions.
 pub fn local_functions_of(module: &MainModule) -> LocalFunctions {
-    let mut local_functions = HashMap::new();
-    for f in &module.prolog.functions {
-        local_functions.insert((f.name.local.clone(), f.arity()), Arc::new(f.clone()));
-    }
-    local_functions
+    LocalFunctions::of(&module.prolog.functions)
 }
 
 /// Evaluate an already-parsed main module (the function-cache path skips
@@ -310,11 +301,13 @@ pub fn convert_arguments(decl: &FunctionDecl, args: Vec<Sequence>) -> XdmResult<
 }
 
 impl<'e> Evaluator<'e> {
-    pub fn new(env: &'e Environment, sctx: StaticContext) -> Self {
+    /// An evaluator with no main-module functions: what a library module's
+    /// bodies, or a bare expression, are evaluated by.
+    pub fn new(env: &'e Environment, sctx: impl Into<Arc<StaticContext>>) -> Self {
         Evaluator {
             env,
-            sctx: Arc::new(sctx),
-            local_functions: Arc::new(HashMap::new()),
+            sctx: sctx.into(),
+            local_functions: no_local_functions(),
         }
     }
 
@@ -486,23 +479,10 @@ impl<'e> Evaluator<'e> {
                 default_var,
                 default,
             } => {
-                let v = self.eval(operand, st, ctx)?;
-                for case in cases {
-                    if v.check_type(&case.ty).is_ok() {
-                        let base = st.vars.len();
-                        if let Some(var) = &case.var {
-                            st.bind(var, v.clone());
-                        }
-                        let r = self.eval(&case.body, st, ctx);
-                        st.vars.truncate(base);
-                        return r;
-                    }
-                }
                 let base = st.vars.len();
-                if let Some(var) = default_var {
-                    st.bind(var, v);
-                }
-                let r = self.eval(default, st, ctx);
+                let branch =
+                    self.typeswitch_branch(operand, cases, default_var, default, st, ctx)?;
+                let r = self.eval(branch, st, ctx);
                 st.vars.truncate(base);
                 r
             }
@@ -540,41 +520,19 @@ impl<'e> Evaluator<'e> {
                     }
                     return join.scan(ev, &base, st);
                 }
-                let base = ev.eval(a, st, ctx)?;
-                ev.eval_path_rhs(&base, b, st)
+                let scan = descendant_scan(a, b);
+                let base = ev.eval(scan.unwrap_or(a), st, ctx)?;
+                ev.eval_path_rhs(&base, b, scan.is_some(), st)
             }),
             Expr::AxisStep {
                 axis,
                 test,
                 predicates,
-            } => {
-                let node = match &ctx.item {
-                    Some(Item::Node(n)) => n.clone(),
-                    Some(_) => {
-                        return Err(XdmError::type_error("axis step on a non-node context item"))
-                    }
-                    None => {
-                        return Err(XdmError::new("XPDY0002", "axis step with no context item"))
-                    }
-                };
-                // in axis order, which is what a positional predicate counts in
-                let mut items = self.axis_items(&node, *axis, test);
-                if !predicates.is_empty() {
-                    items = self.apply_predicates(items, predicates, st)?;
-                }
-                // steps deliver document order regardless of axis direction
-                if matches!(
-                    axis,
-                    Axis::Parent
-                        | Axis::Ancestor
-                        | Axis::AncestorOrSelf
-                        | Axis::PrecedingSibling
-                        | Axis::Preceding
-                ) {
-                    items.reverse();
-                }
-                Ok(Sequence::from_items(items))
-            }
+            } => match &ctx.item {
+                Some(Item::Node(n)) => self.axis_step(n, *axis, test, predicates, st),
+                Some(_) => Err(XdmError::type_error("axis step on a non-node context item")),
+                None => Err(XdmError::new("XPDY0002", "axis step with no context item")),
+            },
             Expr::Filter(base, predicates) => {
                 let v = self.eval(base, st, ctx)?;
                 let filtered = self.apply_predicates(v.into_items(), predicates, st)?;
@@ -586,96 +544,13 @@ impl<'e> Evaluator<'e> {
             Expr::ExecuteAt { dest, call } => self.profiled("xq:execute-at", |ev| {
                 ev.eval_execute_at(dest, call, st, ctx)
             }),
-            Expr::DirectElem(d) => {
-                let mut doc = Document::new();
-                let id = self.construct_direct(d, &mut doc, st, ctx)?;
-                let root = doc.root();
-                doc.append_child(root, id);
-                let arc = Arc::new(doc);
-                Ok(Sequence::one(Item::Node(NodeHandle::new(
-                    arc.clone(),
-                    arc.first_child(arc.root()).unwrap(),
-                ))))
-            }
-            Expr::CompElem { name, content } => {
-                let qname = self.comp_qname(name, st, ctx, true)?;
-                let mut doc = Document::new();
-                let elem = doc.create_element(qname);
-                if let Some(c) = content {
-                    let v = self.eval(c, st, ctx)?;
-                    attach_content(&mut doc, elem, &v)?;
-                }
-                let root = doc.root();
-                doc.append_child(root, elem);
-                let arc = Arc::new(doc);
-                Ok(Sequence::one(Item::Node(NodeHandle::new(
-                    arc.clone(),
-                    arc.first_child(arc.root()).unwrap(),
-                ))))
-            }
-            Expr::CompAttr { name, content } => {
-                let qname = self.comp_qname(name, st, ctx, false)?;
-                let value = match content {
-                    Some(c) => self
-                        .eval(c, st, ctx)?
-                        .atomized()
-                        .iter()
-                        .map(|v| v.lexical())
-                        .collect::<Vec<_>>()
-                        .join(" "),
-                    None => String::new(),
-                };
-                let mut doc = Document::new();
-                let a = doc.create_attribute(qname, value);
-                let arc = Arc::new(doc);
-                Ok(Sequence::one(Item::Node(NodeHandle::new(arc, a))))
-            }
-            Expr::CompText(c) => {
-                let v = self.eval(c, st, ctx)?;
-                if v.is_empty() {
-                    return Ok(Sequence::empty());
-                }
-                let text = v
-                    .atomized()
-                    .iter()
-                    .map(|a| a.lexical())
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                let mut doc = Document::new();
-                let t = doc.create_text(text);
-                let arc = Arc::new(doc);
-                Ok(Sequence::one(Item::Node(NodeHandle::new(arc, t))))
-            }
-            Expr::CompComment(c) => {
-                let v = self.eval(c, st, ctx)?;
-                let text = v.joined_string();
-                let mut doc = Document::new();
-                let t = doc.create_comment(text);
-                let arc = Arc::new(doc);
-                Ok(Sequence::one(Item::Node(NodeHandle::new(arc, t))))
-            }
-            Expr::CompPi { target, content } => {
-                let t = match target {
-                    CompName::Const(n) => n.local.clone(),
-                    CompName::Computed(e) => self.eval(e, st, ctx)?.singleton()?.string_value(),
-                };
-                let data = match content {
-                    Some(c) => self.eval(c, st, ctx)?.joined_string(),
-                    None => String::new(),
-                };
-                let mut doc = Document::new();
-                let p = doc.create_pi(t, data);
-                let arc = Arc::new(doc);
-                Ok(Sequence::one(Item::Node(NodeHandle::new(arc, p))))
-            }
-            Expr::CompDoc(c) => {
-                let v = self.eval(c, st, ctx)?;
-                let mut doc = Document::new();
-                let root = doc.root();
-                attach_content(&mut doc, root, &v)?;
-                let arc = Arc::new(doc);
-                Ok(Sequence::one(Item::Node(NodeHandle::root(arc))))
-            }
+            Expr::DirectElem(_)
+            | Expr::CompElem { .. }
+            | Expr::CompAttr { .. }
+            | Expr::CompText(_)
+            | Expr::CompComment(_)
+            | Expr::CompPi { .. }
+            | Expr::CompDoc(_) => self.construct(e, st, ctx),
             Expr::InstanceOf(a, t) => {
                 let v = self.eval(a, st, ctx)?;
                 Ok(Sequence::one(Item::boolean(v.check_type(t).is_ok())))
@@ -807,13 +682,30 @@ impl<'e> Evaluator<'e> {
                 return Ok(result);
             }
         }
+        let mut out = Sequence::empty();
+        self.flwor_tuples(clauses, st, ctx, &mut |ev, st2| {
+            out.extend(ev.eval(ret, st2, ctx)?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Run `each` once per tuple of the FLWOR's clauses, in result order
+    /// (`order by` applied), with the tuple's variables bound in the state
+    /// it is handed.
+    fn flwor_tuples(
+        &self,
+        clauses: &[FlworClause],
+        st: &mut EvalState,
+        ctx: &Ctx,
+        each: &mut dyn FnMut(&Evaluator, &mut EvalState) -> XdmResult<()>,
+    ) -> XdmResult<()> {
         // Split off a trailing OrderBy.
         let (stream_clauses, order_specs) = match clauses.last() {
             Some(FlworClause::OrderBy(specs)) => (&clauses[..clauses.len() - 1], Some(specs)),
             _ => (clauses, None),
         };
         let base = st.vars.len();
-        let mut out = Sequence::empty();
         if let Some(specs) = order_specs {
             // Materialize tuples, compute keys, sort, then evaluate return.
             let mut tuples: Vec<(Bindings, OrderKeys)> = Vec::new();
@@ -857,17 +749,13 @@ impl<'e> Evaluator<'e> {
             for (binding, _) in tuples {
                 st.vars.truncate(base);
                 st.vars.extend(binding);
-                out.extend(self.eval(ret, st, ctx)?);
+                each(self, st)?;
             }
         } else {
-            self.stream(stream_clauses, st, ctx, &mut |ev, st2| {
-                let r = ev.eval(ret, st2, ctx)?;
-                out.extend(r);
-                Ok(())
-            })?;
+            self.stream(stream_clauses, st, ctx, each)?;
         }
         st.vars.truncate(base);
-        Ok(out)
+        Ok(())
     }
 
     /// Recognize `for $a in X, $b in Y where l($a) = r($b) …` and execute
@@ -883,6 +771,7 @@ impl<'e> Evaluator<'e> {
         st: &mut EvalState,
         ctx: &Ctx,
     ) -> XdmResult<Option<Sequence>> {
+        // (the shape `hash_join_shape` tells `push` about)
         let [FlworClause::For {
             var: a_var,
             pos_var: None,
@@ -1121,36 +1010,57 @@ impl<'e> Evaluator<'e> {
     // ------------------------------------------------------------------
 
     /// Apply a path step expression to an already-evaluated base sequence
-    /// (public: the loop-lifted engine reuses this per iteration).
+    /// (public: the loop-lifted engine reuses this per iteration). With
+    /// `descendant` — for the step of a path [`descendant_scan`]
+    /// recognized — its `child::` is read as `descendant::`: one walk below
+    /// each base node.
     pub fn eval_path_rhs(
         &self,
         base: &Sequence,
         rhs: &Expr,
+        descendant: bool,
         st: &mut EvalState,
     ) -> XdmResult<Sequence> {
+        let axis_step = match rhs {
+            Expr::AxisStep {
+                axis,
+                test,
+                predicates,
+            } => {
+                let axis = if descendant { Axis::Descendant } else { *axis };
+                Some((axis, test, predicates))
+            }
+            _ => None,
+        };
         // An axis step over a single context node is in document order with
         // no duplicates as it comes (forward axes are emitted that way, the
         // step reverses the reverse ones, predicates only filter): its
         // result is the path's result.
-        if let ([item @ Item::Node(_)], Expr::AxisStep { .. }) = (base.items(), rhs) {
+        if let ([Item::Node(node)], Some((axis, test, predicates))) = (base.items(), axis_step) {
             self.env.check_cancel()?;
-            return self.eval(rhs, st, &Ctx::of(item.clone()));
+            return self.axis_step(node, axis, test, predicates, st);
         }
         let size = base.len();
         let mut node_results: Vec<NodeHandle> = Vec::new();
         let mut atomic_results: Vec<Item> = Vec::new();
         for (i, item) in base.iter().enumerate() {
             self.env.check_cancel()?;
-            match item {
-                Item::Node(_) => {}
-                _ => return Err(XdmError::type_error("path step applied to a non-node")),
-            }
-            let c = Ctx {
-                item: Some(item.clone()),
-                pos: i + 1,
-                size,
+            let Item::Node(node) = item else {
+                return Err(XdmError::type_error("path step applied to a non-node"));
             };
-            let r = self.eval(rhs, st, &c)?;
+            let r = match axis_step {
+                Some((axis, test, predicates)) => {
+                    self.axis_step(node, axis, test, predicates, st)?
+                }
+                None => {
+                    let c = Ctx {
+                        item: Some(item.clone()),
+                        pos: i + 1,
+                        size,
+                    };
+                    self.eval(rhs, st, &c)?
+                }
+            };
             for it in r.into_items() {
                 match it {
                     Item::Node(n) => node_results.push(n),
@@ -1196,19 +1106,8 @@ impl<'e> Evaluator<'e> {
         };
         // `//` parses as an intermediate descendant-or-self::node() step
         let (base, dos) = match lhs {
-            Expr::PathStep(inner, dos)
-                if matches!(
-                    dos.as_ref(),
-                    Expr::AxisStep {
-                        axis: Axis::DescendantOrSelf,
-                        test: NodeTest::AnyKind,
-                        predicates,
-                    } if predicates.is_empty()
-                ) =>
-            {
-                (inner.as_ref(), Some(dos.as_ref()))
-            }
-            _ => (lhs, None),
+            Expr::PathStep(inner, dos) if is_dos_step(dos) => (inner.as_ref(), true),
+            _ => (lhs, false),
         };
         if expr_uses_focus(value) {
             return None;
@@ -1221,7 +1120,7 @@ impl<'e> Evaluator<'e> {
             dos,
             step: rhs,
             key: path,
-            child_only: dos.is_none() && matches!(axis, Axis::Child),
+            child_only: !dos && matches!(axis, Axis::Child),
         })
     }
 
@@ -1269,12 +1168,53 @@ impl<'e> Evaluator<'e> {
         }
     }
 
-    /// The nodes on `axis` from `node` that pass `test`, in axis order.
+    /// One axis step from `node`: the nodes on `axis` that pass `test` and
+    /// the predicates, in document order.
+    fn axis_step(
+        &self,
+        node: &NodeHandle,
+        axis: Axis,
+        test: &NodeTest,
+        predicates: &[Expr],
+        st: &mut EvalState,
+    ) -> XdmResult<Sequence> {
+        // in axis order, which is what a positional predicate counts in
+        let mut items = self.axis_items(node, axis, test);
+        if !predicates.is_empty() {
+            items = self.apply_predicates(items, predicates, st)?;
+        }
+        // steps deliver document order regardless of axis direction
+        if matches!(
+            axis,
+            Axis::Parent
+                | Axis::Ancestor
+                | Axis::AncestorOrSelf
+                | Axis::PrecedingSibling
+                | Axis::Preceding
+        ) {
+            items.reverse();
+        }
+        Ok(Sequence::from_items(items))
+    }
+
+    /// The nodes on `axis` from `node` that pass `test`, in axis order. The
+    /// downward axes are tested slot by slot as the walk goes, so a node
+    /// that fails the test costs neither a handle nor a place in a vector.
     fn axis_items(&self, node: &NodeHandle, axis: Axis, test: &NodeTest) -> Vec<Item> {
+        let doc = &*node.doc;
+        let principal_attr = matches!(axis, Axis::Attribute);
+        let keep = |id: &xmldom::NodeId| self.test_matches(doc, *id, test, principal_attr);
+        let item = |id| Item::Node(NodeHandle::new(node.doc.clone(), id));
+        let this = std::iter::once(node.id);
         let dom_axis = match axis {
-            Axis::Child => axes::Axis::Child,
-            Axis::Descendant => axes::Axis::Descendant,
-            Axis::DescendantOrSelf => axes::Axis::DescendantOrSelf,
+            Axis::Child => return doc.children(node.id).filter(keep).map(item).collect(),
+            Axis::Descendant => return doc.descendants(node.id).filter(keep).map(item).collect(),
+            Axis::DescendantOrSelf => {
+                let walk = this.chain(doc.descendants(node.id));
+                return walk.filter(keep).map(item).collect();
+            }
+            Axis::Attribute => return doc.attributes(node.id).filter(keep).map(item).collect(),
+            Axis::SelfAxis => return this.filter(keep).map(item).collect(),
             Axis::Parent => axes::Axis::Parent,
             Axis::Ancestor => axes::Axis::Ancestor,
             Axis::AncestorOrSelf => axes::Axis::AncestorOrSelf,
@@ -1282,67 +1222,60 @@ impl<'e> Evaluator<'e> {
             Axis::PrecedingSibling => axes::Axis::PrecedingSibling,
             Axis::Following => axes::Axis::Following,
             Axis::Preceding => axes::Axis::Preceding,
-            Axis::Attribute => axes::Axis::Attribute,
-            Axis::SelfAxis => axes::Axis::SelfAxis,
         };
-        let principal_attr = matches!(axis, Axis::Attribute);
-        // filtered where they are, so that the items are allocated once,
-        // at their final count
         let mut nodes = axes::step(node, dom_axis);
-        nodes.retain(|n| self.test_matches(n, test, principal_attr));
+        nodes.retain(|n| keep(&n.id));
         nodes.into_iter().map(Item::Node).collect()
     }
 
-    fn test_matches(&self, n: &NodeHandle, test: &NodeTest, principal_attr: bool) -> bool {
+    fn test_matches(
+        &self,
+        doc: &Document,
+        n: xmldom::NodeId,
+        test: &NodeTest,
+        principal_attr: bool,
+    ) -> bool {
+        let kind = doc.kind(n);
         let principal_kind = if principal_attr {
             NodeKind::Attribute
         } else {
             NodeKind::Element
         };
+        let named = |name: &Option<Name>, is_attr| {
+            name.as_ref()
+                .is_none_or(|nm| self.name_matches(doc.name(n), nm, is_attr))
+        };
         match test {
             NodeTest::AnyKind => true,
-            NodeTest::Text => n.kind() == NodeKind::Text,
-            NodeTest::Comment => n.kind() == NodeKind::Comment,
+            NodeTest::Text => kind == NodeKind::Text,
+            NodeTest::Comment => kind == NodeKind::Comment,
             NodeTest::Pi(target) => {
-                n.kind() == NodeKind::ProcessingInstruction
+                kind == NodeKind::ProcessingInstruction
                     && target
                         .as_ref()
-                        .map(|t| n.name().is_some_and(|q| &q.local == t))
-                        .unwrap_or(true)
+                        .is_none_or(|t| doc.name(n).is_some_and(|q| &q.local == t))
             }
-            NodeTest::DocumentTest => n.kind() == NodeKind::Document,
-            NodeTest::AnyName => n.kind() == principal_kind,
-            NodeTest::Element(name) => {
-                n.kind() == NodeKind::Element
-                    && name
-                        .as_ref()
-                        .map(|nm| self.name_matches(n, nm, false))
-                        .unwrap_or(true)
-            }
-            NodeTest::AttributeTest(name) => {
-                n.kind() == NodeKind::Attribute
-                    && name
-                        .as_ref()
-                        .map(|nm| self.name_matches(n, nm, true))
-                        .unwrap_or(true)
-            }
+            NodeTest::DocumentTest => kind == NodeKind::Document,
+            NodeTest::AnyName => kind == principal_kind,
+            NodeTest::Element(name) => kind == NodeKind::Element && named(name, false),
+            NodeTest::AttributeTest(name) => kind == NodeKind::Attribute && named(name, true),
             NodeTest::NsWildcard(prefix) => {
-                n.kind() == principal_kind && {
+                kind == principal_kind && {
                     let uri = self.sctx.resolve_prefix(prefix);
-                    n.name().is_some_and(|q| q.ns_uri.as_deref() == uri)
+                    doc.name(n).is_some_and(|q| q.ns_uri.as_deref() == uri)
                 }
             }
             NodeTest::LocalWildcard(local) => {
-                n.kind() == principal_kind && n.name().is_some_and(|q| &q.local == local)
+                kind == principal_kind && doc.name(n).is_some_and(|q| &q.local == local)
             }
             NodeTest::Name(name) => {
-                n.kind() == principal_kind && self.name_matches(n, name, principal_attr)
+                kind == principal_kind && self.name_matches(doc.name(n), name, principal_attr)
             }
         }
     }
 
-    fn name_matches(&self, n: &NodeHandle, name: &Name, is_attr: bool) -> bool {
-        let Some(q) = n.name() else { return false };
+    fn name_matches(&self, q: Option<&QName>, name: &Name, is_attr: bool) -> bool {
+        let Some(q) = q else { return false };
         if q.local != name.local {
             return false;
         }
@@ -1413,11 +1346,21 @@ impl<'e> Evaluator<'e> {
         ctx: &Ctx,
     ) -> XdmResult<Sequence> {
         // Evaluate actual parameters first (strict semantics).
+        let actuals = self.eval_arguments(args, st, ctx)?;
+        self.apply_function(name, actuals, st, ctx)
+    }
+
+    fn eval_arguments(
+        &self,
+        args: &[Expr],
+        st: &mut EvalState,
+        ctx: &Ctx,
+    ) -> XdmResult<Vec<Sequence>> {
         let mut actuals = Vec::with_capacity(args.len());
         for a in args {
             actuals.push(self.eval(a, st, ctx)?);
         }
-        self.apply_function(name, actuals, st, ctx)
+        Ok(actuals)
     }
 
     /// Apply a function to already-evaluated arguments (shared with the
@@ -1429,56 +1372,46 @@ impl<'e> Evaluator<'e> {
         st: &mut EvalState,
         ctx: &Ctx,
     ) -> XdmResult<Sequence> {
-        self.env.stats.lock().functions_called += 1;
+        self.env.functions_called.fetch_add(1, Relaxed);
+        match self.callee(name, actuals.len())? {
+            Some(udf) => self.invoke_udf(&udf, actuals, st),
+            None => match name.prefix.as_deref() {
+                Some("xrpc") => functions::call_xrpc_builtin(&name.local, actuals),
+                _ => functions::call_builtin(self, &name.local, actuals, st, ctx),
+            },
+        }
+    }
+
+    /// The declared function a call of `name` with `arity` arguments
+    /// reaches — a main-module function or one of an imported module — or
+    /// `None` for the built-in library.
+    fn callee(&self, name: &Name, arity: usize) -> XdmResult<Option<Udf<'e>>> {
+        let local = |decl: &Arc<FunctionDecl>| Udf {
+            decl: decl.clone(),
+            body_ev: Evaluator {
+                env: self.env,
+                sctx: self.sctx.clone(),
+                local_functions: self.local_functions.clone(),
+            },
+        };
         match name.prefix.as_deref() {
-            None | Some("fn") => {
-                if name.prefix.is_none() && !self.local_functions.is_empty() {
-                    // user-declared main-module function shadows nothing: try
-                    // local functions first only when they exist.
-                    if let Some(f) = self
-                        .local_functions
-                        .get(&(name.local.clone(), actuals.len()))
-                        .cloned()
-                    {
-                        return self.invoke_udf(
-                            &f,
-                            actuals,
-                            st,
-                            self.sctx.clone(),
-                            self.local_functions.clone(),
-                        );
-                    }
-                }
-                functions::call_builtin(self, &name.local, actuals, st, ctx)
-            }
-            Some("xrpc") => functions::call_xrpc_builtin(&name.local, actuals),
-            Some("local") => {
-                let f = self
-                    .local_functions
-                    .get(&(name.local.clone(), actuals.len()))
-                    .cloned()
-                    .ok_or_else(|| {
-                        XdmError::unknown_function(format!(
-                            "unknown local function local:{}#{}",
-                            name.local,
-                            actuals.len()
-                        ))
-                    })?;
-                self.invoke_udf(
-                    &f,
-                    actuals,
-                    st,
-                    self.sctx.clone(),
-                    self.local_functions.clone(),
-                )
-            }
+            // a user-declared main-module function shadows the built-in
+            None => Ok(self.local_functions.get(&name.local, arity).map(local)),
+            Some("fn" | "xrpc") => Ok(None),
+            Some("local") => match self.local_functions.get(&name.local, arity) {
+                Some(decl) => Ok(Some(local(decl))),
+                None => Err(XdmError::unknown_function(format!(
+                    "unknown local function local:{}#{arity}",
+                    name.local
+                ))),
+            },
             Some(prefix) => {
                 // module function via imports (or an already-loaded module
                 // whose namespace this prefix maps to)
                 let (ns, hint) = match self.sctx.imports.get(prefix) {
-                    Some((ns, hints)) => (ns.clone(), hints.first().cloned()),
+                    Some((ns, hints)) => (ns.as_str(), hints.first().map(|h| h.as_str())),
                     None => match self.sctx.resolve_prefix(prefix) {
-                        Some(ns) => (ns.to_string(), None),
+                        Some(ns) => (ns, None),
                         None => {
                             return Err(XdmError::undefined(format!(
                                 "undeclared prefix `{prefix}`"
@@ -1486,30 +1419,31 @@ impl<'e> Evaluator<'e> {
                         }
                     },
                 };
-                let module = self.env.modules.get_or_load(&ns, hint.as_deref())?;
-                let f = module.function(&name.local, actuals.len()).ok_or_else(|| {
+                let module = self.env.modules.get_or_load(ns, hint)?;
+                let decl = module.function(&name.local, arity).ok_or_else(|| {
                     XdmError::unknown_function(format!(
-                        "unknown function {}:{}#{} in module `{}`",
-                        prefix,
-                        name.local,
-                        actuals.len(),
-                        ns
+                        "unknown function {prefix}:{}#{arity} in module `{ns}`",
+                        name.local
                     ))
                 })?;
-                let msctx = Arc::new(module.sctx.clone());
-                self.invoke_udf(&f, actuals, st, msctx, Arc::new(HashMap::new()))
+                Ok(Some(Udf {
+                    decl,
+                    body_ev: Evaluator::new(self.env, module.sctx.clone()),
+                }))
             }
         }
     }
 
-    fn invoke_udf(
+    /// Run `body` as the body of `udf` called with `actuals`: under the
+    /// recursion limit and the cancellation checkpoint, with the parameters
+    /// type-checked and bound, on the evaluator of the callee's module.
+    fn in_udf_frame<T>(
         &self,
-        f: &FunctionDecl,
+        udf: &Udf,
         actuals: Vec<Sequence>,
         st: &mut EvalState,
-        sctx: Arc<StaticContext>,
-        local_functions: Arc<HashMap<(String, usize), Arc<FunctionDecl>>>,
-    ) -> XdmResult<Sequence> {
+        body: impl FnOnce(&Evaluator, &mut EvalState) -> XdmResult<T>,
+    ) -> XdmResult<T> {
         if st.depth >= self.env.max_depth {
             return Err(XdmError::new(
                 "XQDY0054",
@@ -1519,7 +1453,7 @@ impl<'e> Evaluator<'e> {
         // Cooperative checkpoint: recursive UDFs are the one loop shape the
         // FLWOR/path checkpoints cannot see, so check the budget per call.
         self.env.check_cancel()?;
-        // Type-check and bind parameters.
+        let f = &udf.decl;
         let base = st.vars.len();
         for ((pname, pty), value) in f.params.iter().zip(actuals) {
             if let Some(t) = pty {
@@ -1534,24 +1468,27 @@ impl<'e> Evaluator<'e> {
             }
             st.bind(pname, value);
         }
-        let sub = Evaluator {
-            env: self.env,
-            sctx,
-            local_functions,
-        };
         st.depth += 1;
-        let result = sub.eval(&f.body, st, &Ctx::none());
+        let result = body(&udf.body_ev, st);
         st.depth -= 1;
         st.vars.truncate(base);
-        let result = result?;
+        result
+    }
+
+    fn invoke_udf(
+        &self,
+        udf: &Udf,
+        actuals: Vec<Sequence>,
+        st: &mut EvalState,
+    ) -> XdmResult<Sequence> {
+        let f = &udf.decl;
+        let result = self.in_udf_frame(udf, actuals, st, |sub, st| {
+            sub.eval(&f.body, st, &Ctx::none())
+        })?;
         if let Some(rt) = &f.ret {
-            result.check_type(rt).map_err(|e| {
-                XdmError::type_error(format!(
-                    "return value of {}: {}",
-                    f.name.lexical(),
-                    e.message
-                ))
-            })?;
+            result
+                .check_type(rt)
+                .map_err(|e| return_type_error(f, &e.message))?;
         }
         Ok(result)
     }
@@ -1574,10 +1511,7 @@ impl<'e> Evaluator<'e> {
         // Resolve the function's module from the caller's imports — the
         // request carries module URI + at-hint (paper §2.1).
         let func = self.resolve_function_ref(name, args.len())?;
-        let mut actuals = Vec::with_capacity(args.len());
-        for a in args {
-            actuals.push(self.eval(a, st, ctx)?);
-        }
+        let actuals = self.eval_arguments(args, st, ctx)?;
         let dispatcher = self
             .env
             .dispatcher
@@ -1635,6 +1569,227 @@ impl<'e> Evaluator<'e> {
     // Construction
     // ------------------------------------------------------------------
 
+    /// A constructor met outside any content (the operand of a `let`, a
+    /// function argument, the query body): the node is built in a document
+    /// of its own, an element as the child of its document node.
+    fn construct(&self, e: &Expr, st: &mut EvalState, ctx: &Ctx) -> XdmResult<Sequence> {
+        let mut doc = Document::new();
+        let root = doc.root();
+        let id = match e {
+            Expr::CompDoc(content) => {
+                let mut sink = Sink::new(&mut doc, root);
+                self.push(content, st, ctx, &mut sink)?;
+                sink.flush_text();
+                root
+            }
+            Expr::CompText(c) => {
+                let v = self.eval(c, st, ctx)?;
+                if v.is_empty() {
+                    return Ok(Sequence::empty());
+                }
+                doc.create_text(space_joined(&v))
+            }
+            _ => self.build_node(e, &mut doc, st, ctx)?,
+        };
+        if doc.kind(id) == NodeKind::Element {
+            doc.append_child(root, id);
+        }
+        Ok(Sequence::one(Item::Node(NodeHandle::new(
+            Arc::new(doc),
+            id,
+        ))))
+    }
+
+    /// Build the node of an element, attribute, comment or PI constructor
+    /// as a parentless node of `doc`.
+    fn build_node(
+        &self,
+        e: &Expr,
+        doc: &mut Document,
+        st: &mut EvalState,
+        ctx: &Ctx,
+    ) -> XdmResult<xmldom::NodeId> {
+        Ok(match e {
+            Expr::DirectElem(d) => self.construct_direct(d, doc, st, ctx)?,
+            Expr::CompElem { name, content } => {
+                let qname = self.comp_qname(name, st, ctx, true)?;
+                let elem = doc.create_element(qname);
+                if let Some(c) = content {
+                    let mut sink = Sink::new(doc, elem);
+                    self.push(c, st, ctx, &mut sink)?;
+                    sink.flush_text();
+                }
+                elem
+            }
+            Expr::CompAttr { name, content } => {
+                let qname = self.comp_qname(name, st, ctx, false)?;
+                let value = match content {
+                    Some(c) => space_joined(&self.eval(c, st, ctx)?),
+                    None => String::new(),
+                };
+                doc.create_attribute(qname, value)
+            }
+            Expr::CompComment(c) => doc.create_comment(self.eval(c, st, ctx)?.joined_string()),
+            Expr::CompPi { target, content } => {
+                let t = match target {
+                    CompName::Const(n) => n.local.clone(),
+                    CompName::Computed(e) => self.eval(e, st, ctx)?.singleton()?.string_value(),
+                };
+                let data = match content {
+                    Some(c) => self.eval(c, st, ctx)?.joined_string(),
+                    None => String::new(),
+                };
+                doc.create_pi(t, data)
+            }
+            _ => unreachable!("not a node constructor"),
+        })
+    }
+
+    /// Evaluate `e` in content position: what it yields is written into
+    /// the element under construction as it is produced. Constructors
+    /// build their node in the sink's document; `,`, `if`, `typeswitch`,
+    /// the `return` of a FLWOR and the body of a declared function hand
+    /// the sink down; everything else is evaluated as anywhere else and
+    /// its result attached — a node by the one copy construction owes it.
+    /// Operands that bind or test (`let`/`for` sequences, conditions,
+    /// predicates, arguments) are never pushed, so a node has an identity
+    /// wherever an expression could observe it.
+    fn push(&self, e: &Expr, st: &mut EvalState, ctx: &Ctx, sink: &mut Sink) -> XdmResult<()> {
+        // a built-in, or a declared function whose return type needs the
+        // value, is evaluated below like anything else
+        if let Expr::FunctionCall { name, args } = e {
+            let callee = self.callee(name, args.len())?;
+            if let Some(udf) = callee.filter(Udf::return_type_counts) {
+                return self.profiled_push("xq:function-call", sink, |ev, sink| {
+                    let actuals = ev.eval_arguments(args, st, ctx)?;
+                    ev.push_udf(&udf, actuals, st, sink)
+                });
+            }
+        }
+        match e {
+            Expr::Sequence(es) => es.iter().try_for_each(|x| self.push(x, st, ctx, sink)),
+            Expr::If { cond, then, els } => {
+                let branch = if self.eval(cond, st, ctx)?.ebv()? {
+                    then
+                } else {
+                    els
+                };
+                self.push(branch, st, ctx, sink)
+            }
+            Expr::Typeswitch {
+                operand,
+                cases,
+                default_var,
+                default,
+            } => {
+                let base = st.vars.len();
+                let branch =
+                    self.typeswitch_branch(operand, cases, default_var, default, st, ctx)?;
+                let r = self.push(branch, st, ctx, sink);
+                st.vars.truncate(base);
+                r
+            }
+            // not a FLWOR the hash join may take: it can give up after
+            // producing results, so its value is attached whole (below)
+            Expr::Flwor { clauses, ret } if !(self.env.join_index && hash_join_shape(clauses)) => {
+                self.profiled_push("xq:flwor", sink, |ev, sink| {
+                    ev.flwor_tuples(clauses, st, ctx, &mut |ev, st2| {
+                        ev.push(ret, st2, ctx, sink)
+                    })
+                })
+            }
+            Expr::CompText(c) => {
+                let v = self.eval(c, st, ctx)?;
+                if !v.is_empty() {
+                    sink.push_text(&space_joined(&v));
+                }
+                Ok(())
+            }
+            Expr::DirectElem(_)
+            | Expr::CompElem { .. }
+            | Expr::CompAttr { .. }
+            | Expr::CompComment(_)
+            | Expr::CompPi { .. } => {
+                let id = self.build_node(e, sink.doc, st, ctx)?;
+                sink.push_built(id)
+            }
+            _ => sink.attach_content(&self.eval(e, st, ctx)?),
+        }
+    }
+
+    /// [`invoke_udf`](Self::invoke_udf) with the body in content position.
+    /// The declared return type is one [`Udf::return_type_counts`] accepts:
+    /// it is checked against what the body pushed.
+    fn push_udf(
+        &self,
+        udf: &Udf,
+        actuals: Vec<Sequence>,
+        st: &mut EvalState,
+        sink: &mut Sink,
+    ) -> XdmResult<()> {
+        self.env.functions_called.fetch_add(1, Relaxed);
+        let f = &udf.decl;
+        let (items, atomics) = (sink.items, sink.atomics);
+        self.in_udf_frame(udf, actuals, st, |sub, st| {
+            sub.push(&f.body, st, &Ctx::none(), sink)
+        })?;
+        let Some(rt) = &f.ret else { return Ok(()) };
+        let (items, atomics) = (sink.items - items, sink.atomics - atomics);
+        if !rt.occurrence.accepts(items) {
+            return Err(return_type_error(
+                f,
+                &format!("cardinality {items} does not match {rt}"),
+            ));
+        }
+        if atomics > 0 && rt.kind == xdm::types::ItemKind::AnyNode {
+            return Err(return_type_error(f, &format!("item does not match {rt}")));
+        }
+        Ok(())
+    }
+
+    /// [`profiled`](Self::profiled) for an operator in content position:
+    /// its cardinality is what it pushed.
+    #[inline]
+    fn profiled_push(
+        &self,
+        name: &str,
+        sink: &mut Sink,
+        f: impl FnOnce(&Self, &mut Sink) -> XdmResult<()>,
+    ) -> XdmResult<()> {
+        let Some(mut guard) = self.env.profile_op(name) else {
+            return f(self, sink);
+        };
+        let before = sink.items;
+        let r = f(self, sink);
+        if r.is_ok() {
+            guard.set_items((sink.items - before) as u64);
+        }
+        r
+    }
+
+    /// Evaluate a `typeswitch` operand, bind the variable of the case it
+    /// selects (the caller truncates `st.vars` afterwards) and return that
+    /// case's body.
+    fn typeswitch_branch<'a>(
+        &self,
+        operand: &Expr,
+        cases: &'a [xqast::TypeswitchCase],
+        default_var: &Option<Name>,
+        default: &'a Expr,
+        st: &mut EvalState,
+        ctx: &Ctx,
+    ) -> XdmResult<&'a Expr> {
+        let v = self.eval(operand, st, ctx)?;
+        let (var, body) = match cases.iter().find(|c| v.check_type(&c.ty).is_ok()) {
+            Some(case) => (&case.var, &case.body),
+            None => (default_var, default),
+        };
+        if let Some(var) = var {
+            st.bind(var, v);
+        }
+        Ok(body)
+    }
+
     fn construct_direct(
         &self,
         d: &DirElem,
@@ -1654,48 +1809,43 @@ impl<'e> Evaluator<'e> {
                 match p {
                     AttrContent::Text(t) => value.push_str(t),
                     AttrContent::Enclosed(e) => {
-                        let v = self.eval(e, st, ctx)?;
-                        value.push_str(
-                            &v.atomized()
-                                .iter()
-                                .map(|a| a.lexical())
-                                .collect::<Vec<_>>()
-                                .join(" "),
-                        );
+                        value.push_str(&space_joined(&self.eval(e, st, ctx)?))
                     }
                 }
             }
             doc.set_attribute(elem, aq, value);
         }
-        // Boundary whitespace: drop all-whitespace text particles (XQuery
-        // default `declare boundary-space strip`).
+        let mut sink = Sink::new(doc, elem);
         for c in &d.content {
             match c {
+                // Boundary whitespace: drop all-whitespace text particles
+                // (XQuery default `declare boundary-space strip`).
                 DirContent::Text(t) => {
-                    if t.trim().is_empty() {
-                        continue;
+                    if !t.trim().is_empty() {
+                        sink.push_text(t);
                     }
-                    let id = doc.create_text(t.clone());
-                    doc.append_child(elem, id);
                 }
                 DirContent::Comment(t) => {
-                    let id = doc.create_comment(t.clone());
-                    doc.append_child(elem, id);
+                    let id = sink.doc.create_comment(t);
+                    sink.push_built(id)?;
                 }
                 DirContent::Pi(t, v) => {
-                    let id = doc.create_pi(t.clone(), v.clone());
-                    doc.append_child(elem, id);
+                    let id = sink.doc.create_pi(t.clone(), v);
+                    sink.push_built(id)?;
                 }
                 DirContent::Element(inner) => {
-                    let id = self.construct_direct(inner, doc, st, ctx)?;
-                    doc.append_child(elem, id);
+                    let id = self.construct_direct(inner, sink.doc, st, ctx)?;
+                    sink.push_built(id)?;
                 }
                 DirContent::Enclosed(e) => {
-                    let v = self.eval(e, st, ctx)?;
-                    attach_content(doc, elem, &v)?;
+                    self.push(e, st, ctx, &mut sink)?;
+                    // atomics are space-joined within one enclosed
+                    // expression only
+                    sink.after_atomic = false;
                 }
             }
         }
+        sink.flush_text();
         Ok(elem)
     }
 
@@ -1822,66 +1972,187 @@ impl<'e> Evaluator<'e> {
     }
 }
 
-/// Attach evaluated content to an element/document under construction:
-/// adjacent atomics are space-joined into text nodes; nodes are deep-copied
-/// (by value); attribute items become attributes; document nodes splice.
-pub fn attach_content(
-    doc: &mut Document,
+/// Do the clauses begin `for $a in X, $b in Y where l = r` — what
+/// [`Evaluator::try_flwor_hash_join`] takes on?
+fn hash_join_shape(clauses: &[FlworClause]) -> bool {
+    use FlworClause::{For, Where};
+    matches!(
+        clauses,
+        [
+            For { pos_var: None, .. },
+            For { pos_var: None, .. },
+            Where(Expr::GeneralComp(CompOp::Eq, ..)),
+            ..
+        ]
+    )
+}
+
+/// A declared function as a call reaches it: the declaration, and the
+/// evaluator — static context and main-module functions of the declaring
+/// module — its body runs on.
+struct Udf<'e> {
+    decl: Arc<FunctionDecl>,
+    body_ev: Evaluator<'e>,
+}
+
+impl Udf<'_> {
+    /// Can the declared return type be checked from a count of the items
+    /// and atomic values the body pushed (none, `item()` or `node()` with
+    /// any occurrence)? Anything richer needs the value.
+    fn return_type_counts(&self) -> bool {
+        use xdm::types::ItemKind;
+        self.decl
+            .ret
+            .as_ref()
+            .is_none_or(|t| matches!(t.kind, ItemKind::AnyItem | ItemKind::AnyNode))
+    }
+}
+
+fn return_type_error(f: &FunctionDecl, what: &str) -> XdmError {
+    XdmError::type_error(format!("return value of {}: {what}", f.name.lexical()))
+}
+
+/// The main-module functions a library module's bodies see: none.
+fn no_local_functions() -> Arc<LocalFunctions> {
+    static NONE: OnceLock<Arc<LocalFunctions>> = OnceLock::new();
+    NONE.get_or_init(Default::default).clone()
+}
+
+/// The atomized items' lexical forms, space-separated (attribute values,
+/// text node content).
+fn space_joined(v: &Sequence) -> String {
+    let mut out = String::new();
+    for (i, item) in v.iter().enumerate() {
+        if i > 0 {
+            out.push(' ');
+        }
+        out.push_str(&item.atomize().lexical());
+    }
+    out
+}
+
+/// The element (or document node) under construction that content is
+/// written into — by [`Evaluator::push`] as it is produced, or from an
+/// evaluated sequence by [`attach_content`](Self::attach_content). It
+/// lives for the whole of the node's content, so the content rules that
+/// span enclosed expressions hold: adjacent text merges into one node, an
+/// empty text node is dropped, an attribute may not follow a child
+/// (XQTY0024) nor repeat a name (XQDY0025).
+struct Sink<'d> {
+    doc: &'d mut Document,
     parent: xmldom::NodeId,
-    content: &Sequence,
-) -> XdmResult<()> {
-    let mut pending_text: Option<String> = None;
-    let mut seen_child = false;
-    for item in content.iter() {
-        match item {
-            Item::Atomic(a) => {
-                match &mut pending_text {
-                    Some(t) => {
-                        t.push(' ');
-                        t.push_str(&a.lexical());
-                    }
-                    None => pending_text = Some(a.lexical()),
-                }
-                continue;
-            }
-            Item::Node(n) => {
-                if let Some(t) = pending_text.take() {
-                    let id = doc.create_text(t);
-                    doc.append_child(parent, id);
-                    seen_child = true;
-                }
-                match n.kind() {
-                    NodeKind::Attribute => {
-                        if seen_child {
-                            return Err(XdmError::new(
-                                "XQTY0024",
-                                "attribute constructed after content",
-                            ));
-                        }
-                        let copy = doc.import_subtree(&n.doc, n.id);
-                        doc.set_attribute_node(parent, copy);
-                    }
-                    NodeKind::Document => {
-                        for c in n.doc.children(n.id) {
-                            let copy = doc.import_subtree(&n.doc, c);
-                            doc.append_child(parent, copy);
-                            seen_child = true;
-                        }
-                    }
-                    _ => {
-                        let copy = doc.import_subtree(&n.doc, n.id);
-                        doc.append_child(parent, copy);
-                        seen_child = true;
-                    }
-                }
-            }
+    /// Text not yet written as a node; the next text joins it.
+    text: String,
+    /// The last thing written was an atomic value of the enclosed
+    /// expression still running: another one is separated by a space.
+    after_atomic: bool,
+    seen_child: bool,
+    /// Items and atomic values written so far — what a function body in
+    /// content position is checked against its return type by.
+    items: usize,
+    atomics: usize,
+}
+
+impl<'d> Sink<'d> {
+    fn new(doc: &'d mut Document, parent: xmldom::NodeId) -> Self {
+        Sink {
+            doc,
+            parent,
+            text: String::new(),
+            after_atomic: false,
+            seen_child: false,
+            items: 0,
+            atomics: 0,
         }
     }
-    if let Some(t) = pending_text {
-        let id = doc.create_text(t);
-        doc.append_child(parent, id);
+
+    fn push_atomic(&mut self, a: &AtomicValue) {
+        if self.after_atomic {
+            self.text.push(' ');
+        }
+        self.text.push_str(&a.lexical());
+        self.after_atomic = true;
+        self.items += 1;
+        self.atomics += 1;
     }
-    Ok(())
+
+    fn push_text(&mut self, t: &str) {
+        self.text.push_str(t);
+        self.after_atomic = false;
+        self.items += 1;
+    }
+
+    /// Write the pending text, if any, as a text node: before a child is
+    /// linked in, and once the content is complete.
+    fn flush_text(&mut self) {
+        if !self.text.is_empty() {
+            let id = self.doc.create_text(&self.text);
+            self.doc.append_child(self.parent, id);
+            self.text.clear();
+            self.seen_child = true;
+        }
+    }
+
+    /// Link in a parentless node of `self.doc` — one a constructor just
+    /// built there, or the copy of an attached one.
+    fn push_built(&mut self, id: xmldom::NodeId) -> XdmResult<()> {
+        self.after_atomic = false;
+        self.items += 1;
+        if self.doc.kind(id) != NodeKind::Attribute {
+            self.flush_text();
+            self.doc.append_child(self.parent, id);
+            self.seen_child = true;
+            return Ok(());
+        }
+        if self.doc.kind(self.parent) == NodeKind::Document {
+            return Err(XdmError::type_error("attribute in document content"));
+        }
+        if self.seen_child || !self.text.is_empty() {
+            return Err(XdmError::new(
+                "XQTY0024",
+                "attribute constructed after content",
+            ));
+        }
+        let name = self.doc.name(id).expect("an attribute has a name");
+        if self.doc.attribute_by_name(self.parent, name).is_some() {
+            return Err(XdmError::new(
+                "XQDY0025",
+                format!("duplicate attribute `{}`", name.lexical()),
+            ));
+        }
+        self.doc.set_attribute_node(self.parent, id);
+        Ok(())
+    }
+
+    /// Attach evaluated content: atomics become text, nodes are copied (by
+    /// value) — attributes as attributes, a document node as its children.
+    fn attach_content(&mut self, content: &Sequence) -> XdmResult<()> {
+        for item in content.iter() {
+            match item {
+                Item::Atomic(a) => self.push_atomic(a),
+                Item::Node(n) if n.kind() == NodeKind::Document => {
+                    // one item, however many children it splices in
+                    let items = self.items;
+                    for c in n.doc.children(n.id) {
+                        self.copy_node(&n.doc, c)?;
+                    }
+                    self.after_atomic = false;
+                    self.items = items + 1;
+                }
+                Item::Node(n) => self.copy_node(&n.doc, n.id)?,
+            }
+        }
+        Ok(())
+    }
+
+    fn copy_node(&mut self, src: &Document, id: xmldom::NodeId) -> XdmResult<()> {
+        if src.kind(id) == NodeKind::Text {
+            self.push_text(src.value(id));
+            return Ok(());
+        }
+        let copy = self.doc.import_subtree(src, id);
+        self.push_built(copy)
+    }
 }
 
 fn comp_matches(op: CompOp, ord: std::cmp::Ordering) -> bool {
@@ -1898,21 +2169,75 @@ fn comp_matches(op: CompOp, ord: std::cmp::Ordering) -> bool {
 
 /// Existential general comparison (XQuery §3.5.2).
 pub fn general_compare(op: CompOp, a: &Sequence, b: &Sequence) -> XdmResult<bool> {
-    let left = a.atomized();
-    let right = b.atomized();
-    for x in &left {
-        for y in &right {
-            let ord = match x.general_cmp(y) {
-                Ok(o) => o,
-                // comparisons that fail on this pair just don't match
-                Err(_) => continue,
-            };
-            if comp_matches(op, ord) {
-                return Ok(true);
-            }
-        }
+    // a pair whose comparison fails just doesn't match
+    let pair =
+        |x: &AtomicValue, y: &AtomicValue| x.general_cmp(y).is_ok_and(|ord| comp_matches(op, ord));
+    // two singletons — a join predicate's usual operands — need no vectors
+    if let ([x], [y]) = (a.items(), b.items()) {
+        return Ok(pair(&x.atomize(), &y.atomize()));
     }
-    Ok(false)
+    let right = b.atomized();
+    Ok(a.iter().any(|x| {
+        let x = x.atomize();
+        right.iter().any(|y| pair(&x, y))
+    }))
+}
+
+/// `lhs/rhs` as one descendant scan: when `lhs` is
+/// `inner/descendant-or-self::node()` (a `//`) and `rhs` a `child::` step
+/// none of whose predicates can be positional, `inner/descendant::T[p…]`
+/// selects the same nodes — every node below `inner` is the child of some
+/// node at or below it, and such predicates see only the node they test —
+/// so the step can walk the subtree once ([`Evaluator::eval_path_rhs`] with
+/// `descendant`) instead of once per node of it. Returns `inner`. A predicate cannot be
+/// positional when its value is never a number and nothing in it reads the
+/// focus position: a comparison, an `and`/`or`, or a path ending in an
+/// axis step, with no call of `position()` or `last()` inside.
+pub fn descendant_scan<'a>(lhs: &'a Expr, rhs: &'a Expr) -> Option<&'a Expr> {
+    let Expr::PathStep(inner, dos) = lhs else {
+        return None;
+    };
+    let Expr::AxisStep {
+        axis: Axis::Child,
+        predicates,
+        ..
+    } = rhs
+    else {
+        return None;
+    };
+    let never_positional = |p: &Expr| {
+        let shape_ok = match p {
+            Expr::GeneralComp(..)
+            | Expr::ValueComp(..)
+            | Expr::NodeComp(..)
+            | Expr::And(..)
+            | Expr::Or(..)
+            | Expr::AxisStep { .. } => true,
+            Expr::PathStep(_, last) => matches!(last.as_ref(), Expr::AxisStep { .. }),
+            _ => false,
+        };
+        let mut reads_position = false;
+        p.walk(&mut |x| {
+            if let Expr::FunctionCall { name, .. } = x {
+                reads_position |= matches!(name.prefix.as_deref(), None | Some("fn"))
+                    && matches!(name.local.as_str(), "position" | "last");
+            }
+        });
+        shape_ok && !reads_position
+    };
+    (is_dos_step(dos) && predicates.iter().all(never_positional)).then_some(inner.as_ref())
+}
+
+/// Is `e` the `descendant-or-self::node()` step a `//` parses as?
+fn is_dos_step(e: &Expr) -> bool {
+    matches!(
+        e,
+        Expr::AxisStep {
+            axis: Axis::DescendantOrSelf,
+            test: NodeTest::AnyKind,
+            predicates,
+        } if predicates.is_empty()
+    )
 }
 
 fn normalize_uri(u: Option<&str>) -> Option<&str> {

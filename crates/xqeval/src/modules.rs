@@ -9,14 +9,42 @@ use std::sync::Arc;
 use xdm::{XdmError, XdmResult};
 use xqast::{FunctionDecl, LibraryModule};
 
+/// Declared functions by (local name, arity). A call looks its callee up
+/// with the name it has in hand — a borrowed `&str`, no key to build.
+#[derive(Clone, Default)]
+pub struct FunctionTable(HashMap<String, Vec<Arc<FunctionDecl>>>);
+
+impl FunctionTable {
+    /// Index a prolog's function declarations (a later declaration of the
+    /// same name and arity replaces an earlier one).
+    pub fn of(decls: &[FunctionDecl]) -> Self {
+        let mut table = FunctionTable::default();
+        for f in decls {
+            let same_name = table.0.entry(f.name.local.clone()).or_default();
+            same_name.retain(|g| g.arity() != f.arity());
+            same_name.push(Arc::new(f.clone()));
+        }
+        table
+    }
+
+    pub fn get(&self, local: &str, arity: usize) -> Option<&Arc<FunctionDecl>> {
+        self.0.get(local)?.iter().find(|f| f.arity() == arity)
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
 /// A compiled library module: its functions keyed by (local name, arity),
-/// plus the static context its bodies must be evaluated in.
+/// plus the static context its bodies must be evaluated in — shared, so
+/// that a call into the module takes a reference and copies nothing.
 #[derive(Clone)]
 pub struct CompiledModule {
     pub ns_uri: String,
     pub prefix: String,
-    pub functions: HashMap<(String, usize), Arc<FunctionDecl>>,
-    pub sctx: StaticContext,
+    pub functions: FunctionTable,
+    pub sctx: Arc<StaticContext>,
 }
 
 impl CompiledModule {
@@ -25,20 +53,16 @@ impl CompiledModule {
         // The module's own prefix maps to its namespace.
         sctx.namespaces
             .insert(lib.prefix.clone(), lib.ns_uri.clone());
-        let mut functions = HashMap::new();
-        for f in &lib.prolog.functions {
-            functions.insert((f.name.local.clone(), f.arity()), Arc::new(f.clone()));
-        }
         CompiledModule {
             ns_uri: lib.ns_uri.clone(),
             prefix: lib.prefix.clone(),
-            functions,
-            sctx,
+            functions: FunctionTable::of(&lib.prolog.functions),
+            sctx: Arc::new(sctx),
         }
     }
 
     pub fn function(&self, local: &str, arity: usize) -> Option<Arc<FunctionDecl>> {
-        self.functions.get(&(local.to_string(), arity)).cloned()
+        self.functions.get(local, arity).cloned()
     }
 }
 

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 use xdm::{XdmError, XdmResult};
-use xmldom::{Document, NodeHandle, NodeId, QName};
+use xmldom::{Document, NodeHandle, NodeId, NodeKind, QName};
 
 /// One XQUF update primitive. Node sources are stored as by-value fragments
 /// (fresh documents), matching XRPC call-by-value marshaling.
@@ -265,26 +265,38 @@ fn apply_one(doc: &mut Document, p: &UpdatePrimitive) -> XdmResult<()> {
         UpdatePrimitive::InsertFirst { target, content } => {
             let ids = import_content(doc, content);
             for (i, id) in ids.into_iter().enumerate() {
-                if doc.kind(id) == xmldom::NodeKind::Attribute {
+                if doc.kind(id) == NodeKind::Attribute {
                     doc.set_attribute_node(target.id, id);
                 } else {
                     doc.insert_child_at(target.id, i, id);
                 }
             }
         }
-        UpdatePrimitive::InsertBefore { target, content } => {
-            let ids = import_content(doc, content);
-            for id in ids {
-                doc.insert_before(target.id, id);
-            }
-        }
-        UpdatePrimitive::InsertAfter { target, content } => {
+        UpdatePrimitive::InsertBefore { target, content }
+        | UpdatePrimitive::InsertAfter { target, content } => {
+            let parent = doc.parent(target.id).ok_or_else(|| {
+                XdmError::new("XUDY0029", "insert before/after a node with no parent")
+            })?;
             let ids = import_content(doc, content);
             // keep relative order: insert after the previous inserted node
             let mut anchor = target.id;
             for id in ids {
-                doc.insert_after(anchor, id);
-                anchor = id;
+                // XQUF §2.4.1: attribute nodes in the content become
+                // attributes of the target's parent
+                if doc.kind(id) == NodeKind::Attribute {
+                    if doc.kind(parent) == NodeKind::Document {
+                        return Err(XdmError::new(
+                            "XUDY0030",
+                            "insert of an attribute beside a child of a document node",
+                        ));
+                    }
+                    doc.set_attribute_node(parent, id);
+                } else if matches!(p, UpdatePrimitive::InsertBefore { .. }) {
+                    doc.insert_before(target.id, id).map_err(misplaced)?;
+                } else {
+                    doc.insert_after(anchor, id).map_err(misplaced)?;
+                    anchor = id;
+                }
             }
         }
         UpdatePrimitive::Delete { target } => {
@@ -295,7 +307,14 @@ fn apply_one(doc: &mut Document, p: &UpdatePrimitive) -> XdmResult<()> {
             replacement,
         } => {
             let ids = import_content(doc, replacement);
-            doc.replace_node(target.id, &ids);
+            let attr = |id: NodeId| doc.kind(id) == NodeKind::Attribute;
+            if attr(target.id) && !ids.iter().all(|&id| attr(id)) {
+                return Err(XdmError::new(
+                    "XUTY0011",
+                    "an attribute can only be replaced by attributes",
+                ));
+            }
+            doc.replace_node(target.id, &ids).map_err(misplaced)?;
         }
         UpdatePrimitive::ReplaceValue { target, value } => {
             doc.replace_value(target.id, value);
@@ -308,8 +327,14 @@ fn apply_one(doc: &mut Document, p: &UpdatePrimitive) -> XdmResult<()> {
     Ok(())
 }
 
+/// An attribute where XQUF wants a child (`replace node` of a non-attribute
+/// by one).
+fn misplaced(_: xmldom::AttributeAsChild) -> XdmError {
+    XdmError::new("XUTY0010", "an attribute cannot take the place of a child")
+}
+
 fn attach(doc: &mut Document, parent: NodeId, child: NodeId) {
-    if doc.kind(child) == xmldom::NodeKind::Attribute {
+    if doc.kind(child) == NodeKind::Attribute {
         doc.set_attribute_node(parent, child);
     } else {
         doc.append_child(parent, child);

@@ -85,10 +85,11 @@ impl PeerStats {
 }
 
 /// The prepared artifact the function cache stores: the function
-/// definition plus the static context of its module.
+/// definition plus the static context of its module (the module's own,
+/// shared: a request takes a reference).
 pub struct PreparedFunction {
     pub decl: Arc<FunctionDecl>,
-    pub sctx: StaticContext,
+    pub sctx: Arc<StaticContext>,
 }
 
 /// Plan-cache key: (normalized query text, static-context fingerprint).
@@ -921,11 +922,7 @@ impl Peer {
             resolver,
             collector.clone(),
         );
-        let ev = Evaluator {
-            env: &env,
-            sctx: Arc::new(prepared.sctx.clone()),
-            local_functions: Arc::new(HashMap::new()),
-        };
+        let ev = Evaluator::new(&env, prepared.sctx.clone());
 
         // A read-only bulk request is evaluated set-at-a-time: the calls
         // become one `iter|pos|item` table per parameter and the body runs

@@ -729,4 +729,48 @@ mod tests {
             let _ = std::fs::remove_dir_all(d);
         }
     }
+
+    /// XQUF §2.4.1: an attribute inserted before/after a node becomes an
+    /// attribute of that node's parent. The log holds the update list, so
+    /// the restarted peer's redo takes the same `apply_one` and must land
+    /// where the live commit would have.
+    #[test]
+    fn an_attribute_inserted_beside_a_node_is_redone_onto_its_parent() {
+        let dir = scratch("attribute-beside");
+        let live = Peer::new_with_docs(URI, EngineKind::Tree, store());
+        live.attach_wal_with(&dir, forced()).unwrap();
+        let log = live.wal().unwrap();
+        let env = xqeval::Environment::new(live.docs.clone());
+        let (_, pul) = xqeval::evaluate_main(
+            r#"(insert node attribute x {"1"} before doc("log.xml")/log/e,
+                insert nodes (attribute y {"2"}, <f/>) after doc("log.xml")/log/e)"#,
+            &env,
+        )
+        .unwrap();
+        // decided, and the process gone before the apply
+        log.append(&WalRecord::Prepared {
+            qid: qid(1),
+            coordinator: "xrpc://origin.example.org".into(),
+            delta: wal::serialize_pul(&pul).unwrap(),
+        })
+        .unwrap();
+        log.append(&WalRecord::Decision {
+            qid: qid(1),
+            decision: Decision::Committed,
+        })
+        .unwrap();
+        drop((live, log));
+
+        let docs = store();
+        let restarted = Peer::new_with_docs(URI, EngineKind::Tree, docs.clone());
+        let report = restarted.attach_wal_with(&dir, forced()).unwrap();
+        assert_eq!(report.reapplied, 1, "{report:?}");
+        let doc = docs.get("log.xml").unwrap();
+        assert_eq!(
+            xmldom::serialize_document(&doc, &Default::default()),
+            r#"<log x="1" y="2"><e>0</e><f/></log>"#
+        );
+        drop(restarted);
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

@@ -127,7 +127,7 @@ impl XrpcWrapper {
         if module == crate::remote_docs::DOC_MODULE {
             // protocol-level document shipping is handled by the wrapper
             // framework itself, not by a generated query
-            return self.serve_doc_fetch(text);
+            return self.serve_doc_fetch(reqdoc);
         }
         let reqdoc = Arc::new(reqdoc);
         let treebuild = t0.elapsed();
@@ -162,12 +162,13 @@ impl XrpcWrapper {
         let envelope = result
             .singleton()
             .map_err(|_| XdmError::xrpc("generated query did not produce one envelope"))?;
-        let xml = match envelope {
-            xdm::Item::Node(n) => {
-                format!("<?xml version=\"1.0\" encoding=\"utf-8\"?>{}", n.to_xml())
-            }
-            _ => return Err(XdmError::xrpc("generated query produced a non-node")),
+        let xdm::Item::Node(n) = envelope else {
+            return Err(XdmError::xrpc("generated query produced a non-node"));
         };
+        // the declaration and the envelope go into the one buffer sent
+        let mut xml = String::with_capacity(64 + n.doc.subtree_wire_estimate(n.id));
+        xml.push_str("<?xml version=\"1.0\" encoding=\"utf-8\"?>");
+        xmldom::serialize_node_into(&n.doc, n.id, &Default::default(), &mut xml);
         let exec = t2.elapsed();
 
         let mut ph = self.phases.lock();
@@ -183,9 +184,9 @@ impl XrpcWrapper {
         Ok(xml)
     }
 
-    fn serve_doc_fetch(&self, text: &str) -> XdmResult<String> {
-        use xrpc_proto::{parse_message, XrpcMessage, XrpcResponse};
-        let req = match parse_message(text)? {
+    fn serve_doc_fetch(&self, reqdoc: xmldom::Document) -> XdmResult<String> {
+        use xrpc_proto::{decode_message, XrpcMessage, XrpcResponse};
+        let req = match decode_message(reqdoc)? {
             XrpcMessage::Request(r) => r,
             _ => return Err(XdmError::xrpc("expected a request")),
         };

@@ -375,6 +375,12 @@ pub enum XrpcMessage {
 /// Parse a SOAP XRPC message (request, response or fault).
 pub fn parse_message(xml: &str) -> XdmResult<XrpcMessage> {
     let doc = xmldom::parse(xml).map_err(|e| XdmError::xrpc(format!("bad SOAP XML: {e}")))?;
+    decode_message(doc)
+}
+
+/// [`parse_message`] for a message that is already a document (the wrapper
+/// parses a request once, to look at it, before it knows who decodes it).
+pub fn decode_message(doc: Document) -> XdmResult<XrpcMessage> {
     let envelope = doc
         .child_elements(doc.root())
         .find(|&e| has_name(&doc, e, NS_SOAP_ENV, "Envelope"))

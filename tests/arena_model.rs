@@ -710,9 +710,9 @@ fn mutate(rng: &mut StdRng, doc: &mut Document, model: &mut Model) -> Option<Str
             let child = draw(rng, free)?;
             let after = rng.gen_range(0..2usize);
             if after == 1 {
-                doc.insert_after(NodeId(anchor), NodeId(child));
+                doc.insert_after(NodeId(anchor), NodeId(child)).unwrap();
             } else {
-                doc.insert_before(NodeId(anchor), NodeId(child));
+                doc.insert_before(NodeId(anchor), NodeId(child)).unwrap();
             }
             model.insert_beside(anchor, child, after);
             Some(format!("insert {child} beside {anchor} (after={after})"))
@@ -730,7 +730,7 @@ fn mutate(rng: &mut StdRng, doc: &mut Document, model: &mut Model) -> Option<Str
                 })
                 .collect();
             let ids: Vec<NodeId> = fresh.iter().map(|&i| NodeId(i)).collect();
-            doc.replace_node(NodeId(target), &ids);
+            doc.replace_node(NodeId(target), &ids).unwrap();
             for &r in &fresh {
                 model.insert_beside(target, r, 0);
             }

@@ -4,8 +4,12 @@
 //! multiple of the bytes its messages put on the wire, in few large blocks;
 //! a path step keeps document order and drops duplicates whichever of its
 //! shortcuts runs; and a large request body reaches the handler intact
-//! however the socket delivers it. The counting allocator is this file's own;
-//! counters are per thread because tests run on parallel threads.
+//! however the socket delivers it. And the tree engine touches a node once
+//! (ISSUE 20): a `//T` scan allocates for what it selects, not for what it
+//! walks past; wrapping subtrees in k constructors copies them once, not k
+//! times; a function call allocates for its arguments and its result, not
+//! for its dispatch. The counting allocator is this file's own; counters are
+//! per thread because tests run on parallel threads.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -29,11 +33,14 @@ thread_local! {
     /// how many of the requests were [`LARGE`].
     static BYTES: Cell<usize> = const { Cell::new(0) };
     static LARGE_BLOCKS: Cell<usize> = const { Cell::new(0) };
+    /// How many requests this thread made, of any size.
+    static REQUESTS: Cell<usize> = const { Cell::new(0) };
 }
 
 fn account(size: usize) {
     // `try_with`: the allocator also runs while a thread is torn down
     let _ = BYTES.try_with(|b| b.set(b.get() + size));
+    let _ = REQUESTS.try_with(|n| n.set(n.get() + 1));
     if size >= LARGE {
         let _ = LARGE_BLOCKS.try_with(|n| n.set(n.get() + 1));
     }
@@ -66,6 +73,13 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     LARGE_BLOCKS.set(0);
     let out = f();
     (out, BYTES.get(), LARGE_BLOCKS.get())
+}
+
+/// Requests and bytes `f` asked the allocator for, on this thread.
+fn count<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    REQUESTS.set(0);
+    let (out, bytes, _) = measure(f);
+    (out, REQUESTS.get(), bytes)
 }
 
 // ---------------------------------------------------------------------
@@ -210,6 +224,109 @@ fn path_steps_keep_document_order_and_drop_duplicates() {
         assert_eq!(rel, expected, "loop-lifted engine: {path}");
         assert_eq!(oracle, expected, "join index off: {path}");
     }
+}
+
+// ---------------------------------------------------------------------
+// (c') the tree engine touches a node once — counts, not clocks
+// ---------------------------------------------------------------------
+
+fn env_with(uri: &str, xml: &str) -> xqeval::Environment {
+    let store = xqeval::InMemoryDocs::new();
+    store.insert(uri, xmldom::parse(xml).unwrap());
+    xqeval::Environment::new(Arc::new(store))
+}
+
+/// `count(doc//t)` over 50 matches among 2 000 and among 4 000 other nodes:
+/// the scan hands out a handle per match and nothing per node it passes.
+#[test]
+fn a_descendant_scan_allocates_for_its_matches_only() {
+    let doc = |others: usize| {
+        let mut xml = String::from("<r>");
+        for i in 0..50 {
+            xml.push_str("<g><t/>");
+            for _ in 0..others / 50 {
+                xml.push_str("<x k=\"1\"><y/>text</x>");
+            }
+            xml.push_str(&format!("<z>{i}</z></g>"));
+        }
+        xml + "</r>"
+    };
+    let requests = |others: usize| {
+        let env = env_with("d", &doc(others));
+        let q = "count(doc('d')//t)";
+        assert_eq!(
+            xqeval::evaluate_main(q, &env).unwrap().0.items()[0].string_value(),
+            "50"
+        );
+        let (out, requests, _) = count(|| xqeval::evaluate_main(q, &env).unwrap().0);
+        drop(out);
+        requests
+    };
+    let (few, many) = (requests(2_000), requests(4_000));
+    assert!(
+        many <= few,
+        "doubling the nodes a scan walks past took it from {few} to {many} allocations"
+    );
+}
+
+/// 200 subtrees wrapped one constructor deep and four deep, each level an
+/// enclosed expression of the one above (the shape of the wrapper's
+/// `xrpc:element` / `xrpc:sequence` / `xrpc:response` / `env:Body` nest):
+/// the subtrees are copied into the outermost element's document once, so
+/// depth costs four small elements, not three more copies.
+#[test]
+fn nested_constructors_copy_their_content_once() {
+    let mut xml = String::from("<r>");
+    for i in 0..200 {
+        xml.push_str(&format!(
+            "<item id=\"i{i}\"><name>item number {i}</name><note>some words of padding, {i}</note></item>"
+        ));
+    }
+    let env = env_with("d", &(xml + "</r>"));
+    let bytes = |q: &str| {
+        let (out, _, bytes) = count(|| xqeval::evaluate_main(q, &env).unwrap().0);
+        let n = out.items()[0].as_node().unwrap();
+        let notes = n
+            .doc
+            .descendants(n.id)
+            .filter(|&d| n.doc.value(d).starts_with("some words"));
+        assert_eq!(notes.count(), 200, "{q}");
+        bytes
+    };
+    let shallow = bytes("<w1>{doc('d')/r/item}</w1>");
+    let deep = bytes("<w1>{<w2>{<w3>{<w4>{doc('d')/r/item}</w4>}</w3>}</w2>}</w1>");
+    assert!(
+        deep < shallow + shallow / 10,
+        "one level deep {shallow} bytes, four levels deep {deep}"
+    );
+}
+
+/// What one call of a module function costs the allocator beyond its body,
+/// taken as the slope between a 1 000- and a 2 000-iteration loop. The body
+/// adds two integers. One request a call today — the vector of arguments;
+/// 20 before the callee's static context (three hash maps) stopped being
+/// copied and its lookup keys stopped being built.
+#[test]
+fn a_module_function_call_allocates_a_small_constant() {
+    const PER_CALL: usize = 2;
+    let env = env_with("d", "<r/>");
+    env.modules
+        .register_source(
+            "module namespace m = \"m\";
+             declare function m:inc($x as xs:integer) as xs:integer { $x + 1 };",
+        )
+        .unwrap();
+    let requests = |n: usize| {
+        let q = format!("import module namespace m = \"m\"; for $i in (1 to {n}) return m:inc($i)");
+        let (out, requests, _) = count(|| xqeval::evaluate_main(&q, &env).unwrap().0);
+        assert_eq!(out.len(), n);
+        requests
+    };
+    let per_call = (requests(2_000) - requests(1_000)) as f64 / 1_000.0;
+    assert!(
+        per_call <= PER_CALL as f64 + 0.1,
+        "{per_call} allocations a call, want at most {PER_CALL}"
+    );
 }
 
 // ---------------------------------------------------------------------
