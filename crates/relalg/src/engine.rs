@@ -116,8 +116,9 @@ pub fn eval_calls(
         }
     }
     let n = unbound.as_ref().map_or(ncalls, |(k, _)| *k);
+    let calls: Vec<u32> = (1..=n as u32).collect();
     let lenv = Lifted {
-        loop_iters: (1..=n as u32).collect(),
+        loop_iters: calls.clone(),
         vars: (decl.params.iter().map(|(name, _)| name.key().clone()))
             .zip(params)
             .collect(),
@@ -133,7 +134,7 @@ pub fn eval_calls(
     let results = engine.eval_lifted(&decl.body, &lenv, &mut st)?;
     match unbound {
         Some((_, e)) => Err(e),
-        None => Ok((results.into_sequences(n), st.pul)),
+        None => Ok((results.into_sequences(&calls), st.pul)),
     }
 }
 
@@ -295,7 +296,7 @@ pub struct Lifted {
 
 impl Lifted {
     /// The innermost lifted binding of `$name`.
-    fn lookup(&self, name: &Name) -> Option<&SeqTable> {
+    pub(crate) fn lookup(&self, name: &Name) -> Option<&SeqTable> {
         self.vars
             .iter()
             .rev()
@@ -391,10 +392,22 @@ impl<'e> RelEngine<'e> {
                     eng.eval_doc_lifted(name, &args[0], lenv, st)
                 })
             }
+            // `()`: no row in any iteration
+            Expr::Sequence(es) if es.is_empty() => return Ok(SeqTable::new()),
+            Expr::Range(lo, hi) if !e.contains_xrpc() => {
+                return self.profiled("rel:range", st, |eng, st| {
+                    eng.eval_range_lifted(e, lo, hi, lenv, st)
+                })
+            }
             _ => {}
         }
-        // Everything with no set-at-a-time operator inside runs on the tree
-        // engine, once per iteration (or once, if nothing in it varies).
+        // A scalar expression over the loop's variables is a map over their
+        // columns, unless a row turns out not to be scalar or raises.
+        if let Some(t) = self.eval_map(e, lenv, st) {
+            return Ok(t);
+        }
+        // Everything else with no set-at-a-time operator inside runs on the
+        // tree engine, once per iteration (or once, if nothing in it varies).
         if !self.lifts(e) {
             return self.fallback(e, lenv, st);
         }
@@ -460,10 +473,10 @@ impl<'e> RelEngine<'e> {
             Expr::GeneralComp(op, a, b) => {
                 let ta = self.eval_lifted(a, lenv, st)?;
                 let tb = self.eval_lifted(b, lenv, st)?;
+                let (mut ga, mut gb) = (ta.groups(), tb.groups());
                 let mut out = Vec::new();
                 for &i in &lenv.loop_iters {
-                    let r =
-                        xqeval::eval::general_compare(*op, &ta.sequence_at(i), &tb.sequence_at(i))?;
+                    let r = xqeval::eval::general_compare(*op, ga.at(i), gb.at(i))?;
                     out.push((i, Sequence::one(Item::boolean(r))));
                 }
                 Ok(SeqTable::from_sequences(out))
@@ -513,27 +526,18 @@ impl<'e> RelEngine<'e> {
         lenv: &Lifted,
         st: &mut EvalState,
     ) -> XdmResult<SeqTable> {
-        // Once the remaining pipeline is XRPC-free, hand the whole rest of
-        // the FLWOR to the tree engine per iteration — it has the join
+        // Once nothing in the remaining pipeline lifts, hand the whole rest
+        // of the FLWOR to the tree engine per iteration — it has the join
         // optimizations; staying lifted would only burn per-row overhead.
-        if !clauses.is_empty() {
-            let rest_has_xrpc = ret.contains_xrpc()
-                || clauses.iter().any(|c| match c {
-                    FlworClause::For { seq, .. } => seq.contains_xrpc(),
-                    FlworClause::Let { value, .. } => value.contains_xrpc(),
-                    FlworClause::Where(w) => w.contains_xrpc(),
-                    FlworClause::OrderBy(_) => false,
-                });
-            if !rest_has_xrpc {
-                return self.fallback(
-                    &Expr::Flwor {
-                        clauses: clauses.to_vec(),
-                        ret: Box::new(ret.clone()),
-                    },
-                    lenv,
-                    st,
-                );
-            }
+        if !clauses.is_empty() && !self.flwor_lifts(clauses, ret) {
+            return self.fallback(
+                &Expr::Flwor {
+                    clauses: clauses.to_vec(),
+                    ret: Box::new(ret.clone()),
+                },
+                lenv,
+                st,
+            );
         }
         match clauses.first() {
             None => self.eval_lifted(ret, lenv, st),
@@ -602,37 +606,44 @@ impl<'e> RelEngine<'e> {
             return Err(XdmError::syntax("execute at body must be a function call"));
         };
         let func = self.tree.resolve_function_ref(name, args.len())?;
-        let dest_t = self.eval_lifted_ref(dest, lenv, st)?;
+
+        // δ over destinations (first-occurrence order), and which of them
+        // each iteration goes to. A literal is one peer, and no column.
+        let mut peers: Vec<String> = Vec::new();
+        let mut peer_of_iter = Vec::new();
+        if let Expr::Literal(xdm::AtomicValue::String(peer)) = dest {
+            peers.extend((!lenv.loop_iters.is_empty()).then(|| peer.clone()));
+        } else {
+            let dest_t = self.eval_lifted_ref(dest, lenv, st)?;
+            let mut dest_of = dest_t.groups();
+            peer_of_iter.reserve(lenv.loop_iters.len());
+            for &i in &lenv.loop_iters {
+                let [d] = dest_of.at(i) else {
+                    return Err(XdmError::xrpc(
+                        "execute at destination must be a single string",
+                    ));
+                };
+                let d = item_str(d);
+                let known = peers.iter().position(|p| *p == d);
+                peer_of_iter.push(known.unwrap_or_else(|| {
+                    peers.push(d.into_owned());
+                    peers.len() - 1
+                }));
+            }
+        }
         let mut arg_tables = Vec::with_capacity(args.len());
         for a in args {
             arg_tables.push(self.eval_lifted_ref(a, lenv, st)?);
         }
-        let mut sole_args = sole_actuals(&mut arg_tables, &lenv.loop_iters);
-
-        // δ over destinations (first-occurrence order), and which of them
-        // each iteration goes to.
+        // one parameter vector per iteration, in loop order; nothing reads
+        // the argument tables afterwards
+        let mut actuals = actuals(arg_tables, &lenv.loop_iters);
         let dispatcher = self
             .tree
             .env
             .dispatcher
             .as_ref()
             .ok_or_else(|| XdmError::xrpc("no XRPC dispatcher configured on this peer"))?;
-        let mut peers: Vec<String> = Vec::new();
-        let mut peer_of_iter = Vec::with_capacity(lenv.loop_iters.len());
-        let mut dest_of = dest_t.groups();
-        for &i in &lenv.loop_iters {
-            let [d] = dest_of.at(i) else {
-                return Err(XdmError::xrpc(
-                    "execute at destination must be a single string",
-                ));
-            };
-            let d = item_str(d);
-            let known = peers.iter().position(|p| *p == d);
-            peer_of_iter.push(known.unwrap_or_else(|| {
-                peers.push(d.into_owned());
-                peers.len() - 1
-            }));
-        }
 
         // Build (map_p, calls_p) per peer. For read-only functions,
         // duplicate calls (same peer, value-identical atomic arguments)
@@ -646,47 +657,46 @@ impl<'e> RelEngine<'e> {
             n_calls: usize,
             /// per outer iteration: index into `calls`
             call_of_iter: Vec<usize>,
+            /// the calls so far by value, where duplicates may collapse
+            seen: std::collections::HashMap<String, usize>,
         }
         let dedup_ok = !func.updating && self.tree.env.rpc_optimize;
-        let mut work = Vec::new();
-        for (at, peer) in peers.into_iter().enumerate() {
-            self.tree.env.check_cancel()?;
-            let outer: Vec<u32> = (lenv.loop_iters.iter().zip(&peer_of_iter))
-                .filter(|(_, p)| **p == at)
-                .map(|(&i, _)| i)
-                .collect();
-            let mut calls: Vec<Vec<Sequence>> = Vec::with_capacity(outer.len());
-            let mut call_of_iter: Vec<usize> = Vec::with_capacity(outer.len());
-            let mut seen: std::collections::HashMap<String, usize> =
-                std::collections::HashMap::new();
-            let mut arg_of: Vec<_> = arg_tables.iter().map(|t| t.groups()).collect();
-            for &o in &outer {
-                let args: Vec<Sequence> = sole_args.take().unwrap_or_else(|| {
-                    (arg_of.iter_mut())
-                        .map(|g| Sequence::from_items(g.at(o).to_vec()))
-                        .collect()
-                });
-                let key = if dedup_ok {
-                    atomic_call_key(&args)
-                } else {
-                    None
-                };
-                let idx = match key {
-                    Some(k) => *seen.entry(k).or_insert(calls.len()),
-                    None => calls.len(),
-                };
-                if idx == calls.len() {
-                    calls.push(args);
-                }
-                call_of_iter.push(idx);
-            }
-            work.push(PeerWork {
+        let mut work: Vec<PeerWork> = (peers.into_iter())
+            .map(|peer| PeerWork {
                 peer,
-                map: IterMap::rank(outer),
-                n_calls: calls.len(),
-                calls,
-                call_of_iter,
-            });
+                map: IterMap::default(),
+                calls: Vec::new(),
+                n_calls: 0,
+                call_of_iter: Vec::new(),
+                seen: std::collections::HashMap::new(),
+            })
+            .collect();
+        if let [w] = work.as_mut_slice() {
+            let n = lenv.loop_iters.len();
+            w.calls.reserve(n);
+            w.call_of_iter.reserve(n);
+        }
+        self.tree.env.check_cancel()?;
+        for (k, &i) in lenv.loop_iters.iter().enumerate() {
+            let w = &mut work[peer_of_iter.get(k).copied().unwrap_or(0)];
+            let args = actuals.next().expect("a parameter vector per iteration");
+            let key = if dedup_ok {
+                atomic_call_key(&args)
+            } else {
+                None
+            };
+            let idx = match key {
+                Some(k) => *w.seen.entry(k).or_insert(w.calls.len()),
+                None => w.calls.len(),
+            };
+            if idx == w.calls.len() {
+                w.calls.push(args);
+            }
+            w.call_of_iter.push(idx);
+            w.map.outer.push(i);
+        }
+        for w in &mut work {
+            w.n_calls = w.calls.len();
         }
 
         {
@@ -782,15 +792,12 @@ impl<'e> RelEngine<'e> {
                 return Ok(arg_tables.pop().expect("one argument").into_owned());
             }
         }
-        let mut sole_args = sole_actuals(&mut arg_tables, &lenv.loop_iters);
-        let mut groups: Vec<_> = arg_tables.iter().map(|t| t.groups()).collect();
         let mut out = SeqTable::new();
-        for &i in &lenv.loop_iters {
-            let actuals: Vec<Sequence> = sole_args.take().unwrap_or_else(|| {
-                (groups.iter_mut())
-                    .map(|g| Sequence::from_items(g.at(i).to_vec()))
-                    .collect()
-            });
+        for (&i, actuals) in lenv
+            .loop_iters
+            .iter()
+            .zip(actuals(arg_tables, &lenv.loop_iters))
+        {
             // a function body sees its parameters, not the caller's variables
             let r = self.with_iter_vars(lenv, &[], i, st, |tree, st2| {
                 tree.apply_function(name, actuals, st2, &Ctx::none())
@@ -881,9 +888,9 @@ impl<'e> RelEngine<'e> {
     }
 
     /// Would evaluating `e` lifted do anything set-at-a-time — a remote
-    /// call to batch, or a join to probe — somewhere the lifted translation
-    /// reaches? If not, the per-iteration fallback does the same work with
-    /// less ceremony.
+    /// call to batch, a join to probe, a map to run over a loop's columns —
+    /// somewhere the lifted translation reaches? If not, the per-iteration
+    /// fallback does the same work with less ceremony.
     fn lifts(&self, e: &Expr) -> bool {
         e.contains_xrpc() || self.joins(e)
     }
@@ -896,8 +903,82 @@ impl<'e> RelEngine<'e> {
                 es.iter().any(|x| self.joins(x))
             }
             Expr::If { cond, then, els } => self.joins(cond) || self.joins(then) || self.joins(els),
+            Expr::Flwor { clauses, ret } => self.flwor_lifts(clauses, ret),
             _ => false,
         }
+    }
+
+    /// [`lifts`](Self::lifts) for a FLWOR: it has a remote call somewhere,
+    /// or what it returns for each tuple is a map over its variables. (An
+    /// `order by` needs the tree engine's tuple stream; with a remote call
+    /// beside it, the lifted pipeline says so.)
+    fn flwor_lifts(&self, clauses: &[FlworClause], ret: &Expr) -> bool {
+        let clause_has_xrpc = |c: &FlworClause| match c {
+            FlworClause::For { seq: e, .. }
+            | FlworClause::Let { value: e, .. }
+            | FlworClause::Where(e) => e.contains_xrpc(),
+            FlworClause::OrderBy(_) => false,
+        };
+        let ordered = clauses.iter().any(|c| matches!(c, FlworClause::OrderBy(_)));
+        ret.contains_xrpc() || clauses.iter().any(clause_has_xrpc) || (!ordered && self.is_map(ret))
+    }
+
+    /// Is `e` an operator tree the map operator runs (see `map.rs`)?
+    fn is_map(&self, e: &Expr) -> bool {
+        let builtin = |name: &Name, arity| self.is_builtin(name, arity);
+        crate::map::is_operator(e, &builtin) && crate::map::is_map(e, &builtin)
+    }
+
+    /// π/⊕: `e`, if it is a scalar expression over lifted variables, in
+    /// every iteration at once. `None` sends `e` down the ordinary road:
+    /// it is no such expression, or its rows are not scalars, or one of them
+    /// raises — the fallback then raises what the tree engine would.
+    fn eval_map(&self, e: &Expr, lenv: &Lifted, st: &mut EvalState) -> Option<SeqTable> {
+        if !self.is_map(e) || lenv.used_by(e).is_empty() {
+            return None;
+        }
+        let map = crate::map::Map::compile(e, lenv, st)?;
+        let mut guard = self.tree.env.profile_op("rel:map");
+        let table = map.eval(&lenv.loop_iters)?;
+        if let Some(g) = guard.as_mut() {
+            g.set_items(table.len() as u64);
+        }
+        Some(table)
+    }
+
+    /// `lo to hi`: the integers between the bounds, in every iteration. A
+    /// bound that is not one integer at most is the tree engine's to report.
+    fn eval_range_lifted(
+        &self,
+        e: &Expr,
+        lo: &Expr,
+        hi: &Expr,
+        lenv: &Lifted,
+        st: &mut EvalState,
+    ) -> XdmResult<SeqTable> {
+        let (los, his) = match (
+            self.eval_lifted_ref(lo, lenv, st),
+            self.eval_lifted_ref(hi, lenv, st),
+        ) {
+            (Ok(los), Ok(his)) => (los, his),
+            _ => return self.fallback(e, lenv, st),
+        };
+        let (mut lo_of, mut hi_of) = (los.groups(), his.groups());
+        let mut out = SeqTable::new();
+        for &i in &lenv.loop_iters {
+            let bound = |row: &[Item]| match row {
+                [] => Some(None),
+                [one] => xqeval::eval::range_bound(Some(one)).ok(),
+                _ => None,
+            };
+            let (Some(lo), Some(hi)) = (bound(lo_of.at(i)), bound(hi_of.at(i))) else {
+                return self.fallback(e, lenv, st);
+            };
+            if let (Some(lo), Some(hi)) = (lo, hi) {
+                out.push_sequence(i, (lo..=hi).map(Item::integer).collect());
+            }
+        }
+        Ok(out)
     }
 
     /// `fn:doc` over a column of URIs: each distinct URI is resolved once
@@ -1069,16 +1150,24 @@ impl<'e> RelEngine<'e> {
     }
 }
 
-/// The arguments of a lone iteration (a call outside any loop, or in a loop
-/// of one), taken out of its argument tables: a table it owns whole gives up
-/// its item column instead of a copy. `None` in a loop of several.
-fn sole_actuals(tables: &mut Vec<Cow<'_, SeqTable>>, iters: &[u32]) -> Option<Vec<Sequence>> {
-    let [i] = *iters else { return None };
-    let of = |t: Cow<'_, SeqTable>| match t {
-        Cow::Owned(t) => t.into_sequence_at(i),
-        Cow::Borrowed(t) => t.sequence_at(i),
-    };
-    Some(tables.drain(..).map(of).collect())
+/// The rows of argument tables as one vector of actual parameters per
+/// iteration of `iters`, each built once at its final size: a table the
+/// caller owns gives its items up, a lent one (a variable's) is copied from.
+fn actuals(tables: Vec<Cow<'_, SeqTable>>, iters: &[u32]) -> impl Iterator<Item = Vec<Sequence>> {
+    let mut columns: Vec<_> = (tables.into_iter())
+        .map(|t| match t {
+            Cow::Owned(t) => t.into_sequences(iters).into_iter(),
+            Cow::Borrowed(t) => t.sequences(iters).into_iter(),
+        })
+        .collect();
+    (0..iters.len()).map(move |_| {
+        let row = columns
+            .iter_mut()
+            .map(|c| c.next().expect("a row per iteration"));
+        let mut actuals = Vec::with_capacity(row.len());
+        actuals.extend(row);
+        actuals
+    })
 }
 
 /// `fn:string` of one item, borrowed when the item is a string already.
@@ -1096,19 +1185,15 @@ fn item_str(item: &Item) -> Cow<'_, str> {
 /// A value key for call deduplication: `Some` only when every parameter
 /// item is atomic (node arguments carry identity and are never collapsed).
 fn atomic_call_key(args: &[Sequence]) -> Option<String> {
-    let mut key = String::new();
+    let mut key = String::with_capacity(64);
     for s in args {
         key.push('|');
         for item in s.iter() {
-            match item {
-                xdm::Item::Atomic(a) => {
-                    key.push_str(a.atomic_type().xs_name());
-                    key.push(':');
-                    key.push_str(&a.lexical());
-                    key.push('\u{1}');
-                }
-                xdm::Item::Node(_) => return None,
-            }
+            let a = item.as_atomic()?;
+            key.push_str(a.atomic_type().xs_name());
+            key.push(':');
+            key.push_str(&item_str(item));
+            key.push('\u{1}');
         }
     }
     Some(key)

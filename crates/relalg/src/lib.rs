@@ -9,13 +9,16 @@
 //! requests are dispatched in parallel, and responses are mapped back and
 //! merge-unioned on `iter` to restore query order.
 //!
-//! Engineering choice (documented in DESIGN.md): sub-expressions that
-//! contain no `execute at` are evaluated per-iteration by the tree engine
-//! (`xqeval`) — the bulk behaviour the paper measures lives entirely in
-//! the XRPC path, which is fully loop-lifted here.
+//! Engineering choice (documented in DESIGN.md): of the sub-expressions
+//! that contain no `execute at`, scalar ones run a column at a time (the
+//! map operator, `map.rs`) and value joins as one probe per iteration; the
+//! rest are evaluated per-iteration by the tree engine (`xqeval`) — the
+//! bulk behaviour the paper measures lives in the XRPC path, which is fully
+//! loop-lifted here.
 
 pub mod cache;
 pub mod engine;
+mod map;
 pub mod table;
 
 pub use cache::{CacheStats, FunctionCache, PlanCache};

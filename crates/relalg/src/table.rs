@@ -88,12 +88,19 @@ impl SeqTable {
         t
     }
 
-    /// Split into the sequences of iterations `1..=n`, moving the items.
-    pub fn into_sequences(self, n: usize) -> Vec<Sequence> {
-        let mut out = Vec::with_capacity(n);
+    /// Split into the sequences of iterations `iters` (ascending), moving
+    /// the items; rows of other iterations are dropped.
+    pub fn into_sequences(self, iters: &[u32]) -> Vec<Sequence> {
+        if let [only] = *iters {
+            return vec![self.into_sequence_at(only)];
+        }
+        let mut out = Vec::with_capacity(iters.len());
         let mut items = self.item.into_iter();
         let mut groups = self.iter.chunk_by(|a, b| a == b).peekable();
-        for i in 1..=n as u32 {
+        for &i in iters {
+            while let Some(g) = groups.next_if(|g| g[0] < i) {
+                items.by_ref().take(g.len()).for_each(drop);
+            }
             out.push(match groups.next_if(|g| g[0] == i) {
                 Some([_]) => Sequence::one(items.next().expect("a row per iter entry")),
                 Some(g) => Sequence::from_items(items.by_ref().take(g.len()).collect()),
@@ -101,6 +108,17 @@ impl SeqTable {
             });
         }
         out
+    }
+
+    /// [`into_sequences`](Self::into_sequences) of a table that is only
+    /// lent: the items are copied.
+    pub fn sequences(&self, iters: &[u32]) -> Vec<Sequence> {
+        let mut groups = self.groups();
+        let of = |&i| match groups.at(i) {
+            [one] => Sequence::one(one.clone()),
+            items => Sequence::from_items(items.to_vec()),
+        };
+        iters.iter().map(of).collect()
     }
 
     /// [`sequence_at`](Self::sequence_at) of a table no longer needed: an
@@ -309,7 +327,7 @@ mod tests {
         let t = SeqTable::broadcast(&[1, 3], seq);
         assert_eq!(t.iter, vec![1, 1, 3, 3]);
         assert_eq!(t.pos, vec![1, 2, 1, 2]);
-        let parts = t.into_sequences(3);
+        let parts = t.into_sequences(&[1, 2, 3]);
         assert_eq!(
             parts.iter().map(Sequence::len).collect::<Vec<_>>(),
             [2, 0, 2]

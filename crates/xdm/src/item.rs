@@ -111,6 +111,18 @@ impl Item {
     }
 }
 
+/// Effective boolean value (XQuery §2.4.3) of the sequence `items` are.
+pub fn ebv(items: &[Item]) -> XdmResult<bool> {
+    match items {
+        [] => Ok(false),
+        [Item::Node(_), ..] => Ok(true),
+        [Item::Atomic(a)] => a.ebv(),
+        _ => Err(XdmError::invalid_arg(
+            "effective boolean value of a multi-item atomic sequence",
+        )),
+    }
+}
+
 /// A sequence of items. The XDM identifies an item with the singleton
 /// sequence containing it; this type keeps that flattening implicit — and
 /// holds the singleton in place, so the most common sequence of all costs
@@ -154,6 +166,13 @@ impl Sequence {
     pub fn items(&self) -> &[Item] {
         match &self.0 {
             Repr::One(item) => std::slice::from_ref(item),
+            Repr::Many(items) => items,
+        }
+    }
+
+    pub fn items_mut(&mut self) -> &mut [Item] {
+        match &mut self.0 {
+            Repr::One(item) => std::slice::from_mut(item),
             Repr::Many(items) => items,
         }
     }
@@ -225,14 +244,7 @@ impl Sequence {
 
     /// Effective boolean value (XQuery §2.4.3).
     pub fn ebv(&self) -> XdmResult<bool> {
-        match self.items() {
-            [] => Ok(false),
-            [Item::Node(_), ..] => Ok(true),
-            [Item::Atomic(a)] => a.ebv(),
-            _ => Err(XdmError::invalid_arg(
-                "effective boolean value of a multi-item atomic sequence",
-            )),
-        }
+        ebv(self.items())
     }
 
     /// Atomize every item (`fn:data`).

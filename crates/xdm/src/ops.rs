@@ -32,6 +32,10 @@ impl ArithOp {
 /// double first (XQuery §3.4).
 pub fn arith(op: ArithOp, a: &AtomicValue, b: &AtomicValue) -> XdmResult<AtomicValue> {
     use crate::types::AtomicType as T;
+    // the common pair needs no promotion, hence no copies
+    if let (AtomicValue::Integer(x), AtomicValue::Integer(y)) = (a, b) {
+        return int_arith(op, *x, *y);
+    }
     let a = match a {
         AtomicValue::UntypedAtomic(_) => a.cast_to(T::Double)?,
         _ => a.clone(),

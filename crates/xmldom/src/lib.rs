@@ -20,11 +20,13 @@ pub mod node;
 pub mod order;
 pub mod parser;
 pub mod qname;
+pub mod reader;
 pub mod serialize;
 
 pub use node::{AttributeAsChild, Document, NodeData, NodeId, NodeKind};
-pub use parser::{parse, parse_with_uri, ParseError};
+pub use parser::{parse, parse_with_uri, Builder, ParseError};
 pub use qname::QName;
+pub use reader::{Attr, Event, Name, Reader, StartTag};
 pub use serialize::{
     serialize_document, serialize_document_into, serialize_node, serialize_node_into, SerializeOpts,
 };

@@ -200,8 +200,8 @@ impl Document {
     }
 
     /// An empty document with room for `nodes` slots and `text` heap bytes
-    /// (the parser sizes both from its input length).
-    pub(crate) fn with_capacity(nodes: usize, text: usize) -> Self {
+    /// (whoever builds from text sizes both from the input length).
+    pub fn with_capacity(nodes: usize, text: usize) -> Self {
         let mut d = Document {
             nodes: Vec::with_capacity(nodes + 1),
             text: String::with_capacity(text),
@@ -280,24 +280,17 @@ impl Document {
         self.text.len()
     }
 
-    fn push_text(&mut self, s: &str) -> Span {
+    /// Append `s` to the heap.
+    #[inline]
+    pub(crate) fn push_text(&mut self, s: &str) -> Span {
         let start = self.text.len();
         self.text.push_str(s);
-        self.span_from(start)
-    }
-
-    /// The span from `start` to the current end of the heap.
-    pub(crate) fn span_from(&self, start: usize) -> Span {
         let end = u32::try_from(self.text.len()).expect("text heap exceeds 4 GiB");
         let start = start as u32; // start <= end, so it fits
         Span {
             start,
             len: end - start,
         }
-    }
-
-    pub(crate) fn text_mut(&mut self) -> &mut String {
-        &mut self.text
     }
 
     pub(crate) fn heap_str(&self, s: Span) -> &str {
@@ -328,9 +321,9 @@ impl Document {
     /// value or a name: relinking goes through `detach`, values through
     /// `replace_value`, names through `rename`, new nodes through `create`
     /// / `import_subtree`. (Namespace declarations change none of those;
-    /// the parser fills a document nobody has seen yet through `push_node`,
-    /// which skips it.)
-    fn invalidate_side(&mut self) {
+    /// the builder calls it once and then fills the document through
+    /// `push_node`, which skips it.)
+    pub(crate) fn invalidate_side(&mut self) {
         if self.side.get_mut().is_some() {
             self.side = OnceLock::new();
         }
@@ -342,11 +335,14 @@ impl Document {
         self.alloc(kind, name, value)
     }
 
+    #[inline]
     fn alloc(&mut self, kind: NodeKind, name: Option<Arc<QName>>, value: Span) -> NodeId {
         let id = u32::try_from(self.nodes.len())
             .ok()
             .filter(|&i| i != NONE)
             .expect("arena exceeds u32::MAX nodes");
+        // room first, so that the slot is written where it will stay
+        self.nodes.reserve(1);
         self.nodes.push(NodeData {
             name,
             value,
@@ -364,6 +360,7 @@ impl Document {
 
     /// Link a parentless `node` at the end of `parent`'s child chain, or
     /// of its attribute chain when `node` is an attribute.
+    #[inline]
     fn link_last(&mut self, parent: NodeId, node: NodeId) {
         let is_attr = self.kind(node) == NodeKind::Attribute;
         let p = &mut self.nodes[parent.index()];
@@ -418,13 +415,6 @@ impl Document {
         self.create(NodeKind::Element, Some(name), Span::default())
     }
 
-    /// Allocate a *detached* document node. The XRPC unmarshaler uses this to
-    /// give `xrpc:document` values a document root inside a shared arena
-    /// without deep-copying the subtree into a fresh [`Document`].
-    pub fn create_document_node(&mut self) -> NodeId {
-        self.create(NodeKind::Document, None, Span::default())
-    }
-
     pub fn create_text(&mut self, value: impl AsRef<str>) -> NodeId {
         let v = self.push_text(value.as_ref());
         self.create(NodeKind::Text, None, v)
@@ -451,9 +441,10 @@ impl Document {
         self.create(NodeKind::Attribute, Some(name), v)
     }
 
-    /// Parser fast path: a new node whose value already sits in the heap,
+    /// Builder fast path: a new node whose value already sits in the heap,
     /// linked as the last child (or, for an attribute, the last attribute)
-    /// of `parent`. No same-name check — the parser does its own.
+    /// of `parent`. No same-name check — the reader has made its own.
+    #[inline]
     pub(crate) fn push_node(
         &mut self,
         parent: NodeId,

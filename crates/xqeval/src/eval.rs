@@ -362,36 +362,32 @@ impl<'e> Evaluator<'e> {
             Expr::Arith(op, a, b) => {
                 let va = self.eval(a, st, ctx)?;
                 let vb = self.eval(b, st, ctx)?;
-                let (Some(ia), Some(ib)) = (va.zero_or_one()?, vb.zero_or_one()?) else {
-                    return Ok(Sequence::empty());
-                };
-                Ok(Sequence::one(Item::Atomic(ops::arith(
+                Ok(sequence_of(arith(
                     *op,
-                    &ia.atomize(),
-                    &ib.atomize(),
-                )?)))
+                    va.zero_or_one()?,
+                    vb.zero_or_one()?,
+                )?))
             }
             Expr::Neg(a) => {
                 let v = self.eval(a, st, ctx)?;
-                match v.zero_or_one()? {
-                    None => Ok(Sequence::empty()),
-                    Some(i) => Ok(Sequence::one(Item::Atomic(ops::negate(&i.atomize())?))),
-                }
+                Ok(sequence_of(negate(v.zero_or_one()?)?))
             }
             Expr::ValueComp(op, a, b) => {
                 let va = self.eval(a, st, ctx)?;
                 let vb = self.eval(b, st, ctx)?;
-                let (Some(ia), Some(ib)) = (va.zero_or_one()?, vb.zero_or_one()?) else {
-                    return Ok(Sequence::empty());
-                };
-                let ord = ia.atomize().value_cmp(&ib.atomize())?;
-                Ok(Sequence::one(Item::boolean(comp_matches(*op, ord))))
+                Ok(sequence_of(value_compare(
+                    *op,
+                    va.zero_or_one()?,
+                    vb.zero_or_one()?,
+                )?))
             }
             Expr::GeneralComp(op, a, b) => {
                 let va = self.eval(a, st, ctx)?;
                 let vb = self.eval(b, st, ctx)?;
                 Ok(Sequence::one(Item::boolean(general_compare(
-                    *op, &va, &vb,
+                    *op,
+                    va.items(),
+                    vb.items(),
                 )?)))
             }
             Expr::NodeComp(op, a, b) => {
@@ -569,11 +565,7 @@ impl<'e> Evaluator<'e> {
                 let target = AtomicType::from_xs_name(&ty.lexical()).ok_or_else(|| {
                     XdmError::type_error(format!("unknown cast target `{}`", ty.lexical()))
                 })?;
-                match v.zero_or_one()? {
-                    None if *allow_empty => Ok(Sequence::empty()),
-                    None => Err(XdmError::type_error("cast of empty sequence")),
-                    Some(i) => Ok(Sequence::one(Item::Atomic(i.atomize().cast_to(target)?))),
-                }
+                Ok(sequence_of(cast(v.zero_or_one()?, target, *allow_empty)?))
             }
             Expr::CastableAs {
                 expr,
@@ -1929,14 +1921,7 @@ impl<'e> Evaluator<'e> {
     // ------------------------------------------------------------------
 
     fn eval_integer_opt(&self, e: &Expr, st: &mut EvalState, ctx: &Ctx) -> XdmResult<Option<i64>> {
-        let v = self.eval(e, st, ctx)?;
-        match v.zero_or_one()? {
-            None => Ok(None),
-            Some(i) => match i.atomize().cast_to(AtomicType::Integer)? {
-                AtomicValue::Integer(n) => Ok(Some(n)),
-                _ => unreachable!(),
-            },
-        }
+        range_bound(self.eval(e, st, ctx)?.zero_or_one()?)
     }
 
     fn eval_nodes(
@@ -2167,16 +2152,70 @@ fn comp_matches(op: CompOp, ord: std::cmp::Ordering) -> bool {
     }
 }
 
+/// The sequence a row is: empty, or its one item.
+fn sequence_of(row: Option<Item>) -> Sequence {
+    row.map_or_else(Sequence::empty, Sequence::one)
+}
+
+// The scalar operators over operands that are empty or one item. The arms of
+// `Evaluator::eval` above call them once their operands' cardinality is
+// checked; the loop-lifted engine's map operator calls them row by row.
+
+/// `a op b`: empty if either operand is.
+pub fn arith(op: ops::ArithOp, a: Option<&Item>, b: Option<&Item>) -> XdmResult<Option<Item>> {
+    let (Some(a), Some(b)) = (a, b) else {
+        return Ok(None);
+    };
+    let r = ops::arith(op, &a.atomize(), &b.atomize())?;
+    Ok(Some(Item::Atomic(r)))
+}
+
+/// Unary minus.
+pub fn negate(a: Option<&Item>) -> XdmResult<Option<Item>> {
+    a.map(|i| ops::negate(&i.atomize()).map(Item::Atomic))
+        .transpose()
+}
+
+/// Value comparison (`eq`, `lt`, ...): empty if either operand is.
+pub fn value_compare(op: CompOp, a: Option<&Item>, b: Option<&Item>) -> XdmResult<Option<Item>> {
+    let (Some(a), Some(b)) = (a, b) else {
+        return Ok(None);
+    };
+    let ord = a.atomize().value_cmp(&b.atomize())?;
+    Ok(Some(Item::boolean(comp_matches(op, ord))))
+}
+
+/// `cast as`: of the empty sequence it is empty where `?` allows that.
+pub fn cast(a: Option<&Item>, target: AtomicType, allow_empty: bool) -> XdmResult<Option<Item>> {
+    match a {
+        None if allow_empty => Ok(None),
+        None => Err(XdmError::type_error("cast of empty sequence")),
+        Some(i) => Ok(Some(Item::Atomic(i.atomize().cast_to(target)?))),
+    }
+}
+
+/// A bound of `a to b`: the operand as an integer, if it is not empty.
+pub fn range_bound(a: Option<&Item>) -> XdmResult<Option<i64>> {
+    match a
+        .map(|i| i.atomize().cast_to(AtomicType::Integer))
+        .transpose()?
+    {
+        None => Ok(None),
+        Some(AtomicValue::Integer(n)) => Ok(Some(n)),
+        Some(_) => unreachable!("cast to xs:integer"),
+    }
+}
+
 /// Existential general comparison (XQuery §3.5.2).
-pub fn general_compare(op: CompOp, a: &Sequence, b: &Sequence) -> XdmResult<bool> {
+pub fn general_compare(op: CompOp, a: &[Item], b: &[Item]) -> XdmResult<bool> {
     // a pair whose comparison fails just doesn't match
     let pair =
         |x: &AtomicValue, y: &AtomicValue| x.general_cmp(y).is_ok_and(|ord| comp_matches(op, ord));
     // two singletons — a join predicate's usual operands — need no vectors
-    if let ([x], [y]) = (a.items(), b.items()) {
+    if let ([x], [y]) = (a, b) {
         return Ok(pair(&x.atomize(), &y.atomize()));
     }
-    let right = b.atomized();
+    let right: Vec<AtomicValue> = b.iter().map(Item::atomize).collect();
     Ok(a.iter().any(|x| {
         let x = x.atomize();
         right.iter().any(|y| pair(&x, y))

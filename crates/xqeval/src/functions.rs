@@ -84,7 +84,9 @@ pub fn call_builtin(
     st: &mut EvalState,
     ctx: &Ctx,
 ) -> XdmResult<Sequence> {
-    let _ = st;
+    if let Some(f) = ScalarFn::named(name, args.len()) {
+        return f.call(&args);
+    }
     match (name, args.len()) {
         ("doc", 1) => {
             let uri = one_string(&args[0], "fn:doc")?;
@@ -130,7 +132,6 @@ pub fn call_builtin(
         ("count", 1) => Ok(Sequence::one(Item::integer(args[0].len() as i64))),
         ("empty", 1) => Ok(Sequence::one(Item::boolean(args[0].is_empty()))),
         ("exists", 1) => Ok(Sequence::one(Item::boolean(!args[0].is_empty()))),
-        ("not", 1) => Ok(Sequence::one(Item::boolean(!args[0].ebv()?))),
         ("boolean", 1) => Ok(Sequence::one(Item::boolean(args[0].ebv()?))),
         ("true", 0) => Ok(Sequence::one(Item::boolean(true))),
         ("false", 0) => Ok(Sequence::one(Item::boolean(false))),
@@ -138,58 +139,16 @@ pub fn call_builtin(
             let n = ctx_item(ctx, "fn:string")?;
             Ok(Sequence::one(Item::string(n.string_value())))
         }
-        ("string", 1) => match args[0].zero_or_one()? {
-            None => Ok(Sequence::one(Item::string(""))),
-            Some(i) => Ok(Sequence::one(Item::string(i.string_value()))),
-        },
         ("string-length", 0) => {
             let i = ctx_item(ctx, "fn:string-length")?;
             Ok(Sequence::one(Item::integer(
                 i.string_value().chars().count() as i64,
             )))
         }
-        ("string-length", 1) => {
-            let s = opt_string(&args[0]);
-            Ok(Sequence::one(Item::integer(s.chars().count() as i64)))
-        }
-        ("concat", _) if args.len() >= 2 => {
-            let mut out = String::new();
-            for a in &args {
-                if let Some(i) = a.zero_or_one()? {
-                    out.push_str(&i.string_value());
-                }
-            }
-            Ok(Sequence::one(Item::string(out)))
-        }
         ("string-join", 2) => {
             let sep = one_string(&args[1], "fn:string-join")?;
             let parts: Vec<String> = args[0].iter().map(|i| i.string_value()).collect();
             Ok(Sequence::one(Item::string(parts.join(&sep))))
-        }
-        ("substring", 2) | ("substring", 3) => {
-            let s = opt_string(&args[0]);
-            let start = one_number(&args[1], "fn:substring")?;
-            let len = if args.len() == 3 {
-                Some(one_number(&args[2], "fn:substring")?)
-            } else {
-                None
-            };
-            Ok(Sequence::one(Item::string(substring(&s, start, len))))
-        }
-        ("contains", 2) => {
-            let a = opt_string(&args[0]);
-            let b = opt_string(&args[1]);
-            Ok(Sequence::one(Item::boolean(a.contains(&b))))
-        }
-        ("starts-with", 2) => {
-            let a = opt_string(&args[0]);
-            let b = opt_string(&args[1]);
-            Ok(Sequence::one(Item::boolean(a.starts_with(&b))))
-        }
-        ("ends-with", 2) => {
-            let a = opt_string(&args[0]);
-            let b = opt_string(&args[1]);
-            Ok(Sequence::one(Item::boolean(a.ends_with(&b))))
         }
         ("substring-before", 2) => {
             let a = opt_string(&args[0]);
@@ -206,12 +165,6 @@ pub fn call_builtin(
                 .unwrap_or_default();
             Ok(Sequence::one(Item::string(r)))
         }
-        ("upper-case", 1) => Ok(Sequence::one(Item::string(
-            opt_string(&args[0]).to_uppercase(),
-        ))),
-        ("lower-case", 1) => Ok(Sequence::one(Item::string(
-            opt_string(&args[0]).to_lowercase(),
-        ))),
         ("normalize-space", 0) => {
             let i = ctx_item(ctx, "fn:normalize-space")?;
             Ok(Sequence::one(Item::string(normalize_space(
@@ -238,7 +191,6 @@ pub fn call_builtin(
             let i = ctx_item(ctx, "fn:number")?;
             Ok(Sequence::one(to_number(Some(i))))
         }
-        ("number", 1) => Ok(Sequence::one(to_number(args[0].zero_or_one()?))),
         ("sum", 1) | ("sum", 2) => {
             if args[0].is_empty() {
                 if args.len() == 2 {
@@ -288,49 +240,6 @@ pub fn call_builtin(
             }
             Ok(Sequence::one(Item::Atomic(best)))
         }
-        ("abs", 1) => num_unary(&args[0], |v| match v {
-            AtomicValue::Integer(i) => Ok(AtomicValue::Integer(i.abs())),
-            AtomicValue::Decimal(d) => Ok(AtomicValue::Decimal(d.abs())),
-            AtomicValue::Double(d) => Ok(AtomicValue::Double(d.abs())),
-            AtomicValue::Float(f) => Ok(AtomicValue::Float(f.abs())),
-            other => Err(XdmError::type_error(format!(
-                "fn:abs on {}",
-                other.atomic_type()
-            ))),
-        }),
-        ("floor", 1) => num_unary(&args[0], |v| match v {
-            AtomicValue::Integer(i) => Ok(AtomicValue::Integer(i)),
-            AtomicValue::Decimal(d) => Ok(AtomicValue::Integer(d.floor())),
-            AtomicValue::Double(d) => Ok(AtomicValue::Double(d.floor())),
-            AtomicValue::Float(f) => Ok(AtomicValue::Float(f.floor())),
-            other => Err(XdmError::type_error(format!(
-                "fn:floor on {}",
-                other.atomic_type()
-            ))),
-        }),
-        ("ceiling", 1) => num_unary(&args[0], |v| match v {
-            AtomicValue::Integer(i) => Ok(AtomicValue::Integer(i)),
-            AtomicValue::Decimal(d) => Ok(AtomicValue::Integer(d.ceiling())),
-            AtomicValue::Double(d) => Ok(AtomicValue::Double(d.ceil())),
-            AtomicValue::Float(f) => Ok(AtomicValue::Float(f.ceil())),
-            other => Err(XdmError::type_error(format!(
-                "fn:ceiling on {}",
-                other.atomic_type()
-            ))),
-        }),
-        ("round", 1) => num_unary(&args[0], |v| match v {
-            AtomicValue::Integer(i) => Ok(AtomicValue::Integer(i)),
-            AtomicValue::Decimal(d) => Ok(AtomicValue::Integer(d.round())),
-            AtomicValue::Double(d) => Ok(AtomicValue::Double((d + 0.5).floor())),
-            AtomicValue::Float(f) => Ok(AtomicValue::Float((f + 0.5).floor())),
-            other => Err(XdmError::type_error(format!(
-                "fn:round on {}",
-                other.atomic_type()
-            ))),
-        }),
-        ("data", 1) => Ok(Sequence::from_items(
-            args[0].atomized().into_iter().map(Item::Atomic).collect(),
-        )),
         ("distinct-values", 1) => {
             let mut out: Vec<AtomicValue> = Vec::new();
             for v in args[0].atomized() {
@@ -569,6 +478,192 @@ fn one_number(s: &Sequence, who: &str) -> XdmResult<f64> {
     }
 }
 
+/// The built-ins whose value is a function of at most one item of each
+/// argument and of nothing else — no focus, no documents, no state. The tree
+/// engine calls them through [`ScalarFn::call`]; the loop-lifted engine's map
+/// operator resolves one once ([`ScalarFn::named`]) and applies it row by
+/// row ([`ScalarFn::apply`]), so both compute with the same code.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ScalarFn {
+    String,
+    StringLength,
+    Concat,
+    Substring,
+    Contains,
+    StartsWith,
+    EndsWith,
+    UpperCase,
+    LowerCase,
+    Number,
+    Abs,
+    Floor,
+    Ceiling,
+    Round,
+    Data,
+    Not,
+}
+
+impl ScalarFn {
+    pub fn named(name: &str, arity: usize) -> Option<ScalarFn> {
+        Some(match (name, arity) {
+            ("string", 1) => ScalarFn::String,
+            ("string-length", 1) => ScalarFn::StringLength,
+            ("concat", 2..) => ScalarFn::Concat,
+            ("substring", 2 | 3) => ScalarFn::Substring,
+            ("contains", 2) => ScalarFn::Contains,
+            ("starts-with", 2) => ScalarFn::StartsWith,
+            ("ends-with", 2) => ScalarFn::EndsWith,
+            ("upper-case", 1) => ScalarFn::UpperCase,
+            ("lower-case", 1) => ScalarFn::LowerCase,
+            ("number", 1) => ScalarFn::Number,
+            ("abs", 1) => ScalarFn::Abs,
+            ("floor", 1) => ScalarFn::Floor,
+            ("ceiling", 1) => ScalarFn::Ceiling,
+            ("round", 1) => ScalarFn::Round,
+            ("data", 1) => ScalarFn::Data,
+            ("not", 1) => ScalarFn::Not,
+            _ => return None,
+        })
+    }
+
+    /// Apply to argument sequences: what each function makes of an argument
+    /// of several items — a type error, its first item, all of them — is
+    /// decided here; what it computes, in [`apply`](Self::apply).
+    fn call(self, args: &[Sequence]) -> XdmResult<Sequence> {
+        let mut few = [None; 4];
+        let mut many = Vec::new();
+        let rows: &mut [Option<&Item>] = match few.get_mut(..args.len()) {
+            Some(rows) => rows,
+            None => {
+                many.resize(args.len(), None);
+                &mut many
+            }
+        };
+        for (k, (row, arg)) in rows.iter_mut().zip(args).enumerate() {
+            *row = match self {
+                ScalarFn::Data => {
+                    let atoms = arg.iter().map(|i| Item::Atomic(i.atomize()));
+                    return Ok(Sequence::from_items(atoms.collect()));
+                }
+                ScalarFn::Not => return Ok(Sequence::one(Item::boolean(!arg.ebv()?))),
+                // these read the string value of their argument's first item
+                ScalarFn::StringLength
+                | ScalarFn::Contains
+                | ScalarFn::StartsWith
+                | ScalarFn::EndsWith
+                | ScalarFn::UpperCase
+                | ScalarFn::LowerCase => arg.first(),
+                ScalarFn::Substring if k == 0 => arg.first(),
+                _ => arg.zero_or_one()?,
+            };
+        }
+        let value = self.apply(rows)?;
+        Ok(value.map_or_else(Sequence::empty, Sequence::one))
+    }
+
+    /// Apply to arguments that are empty (`None`) or one item each.
+    pub fn apply(self, args: &[Option<&Item>]) -> XdmResult<Option<Item>> {
+        let string = |k: usize| args[k].map(string_of).unwrap_or_default();
+        Ok(Some(match self {
+            ScalarFn::String => Item::string(string(0).into_owned()),
+            ScalarFn::StringLength => Item::integer(string(0).chars().count() as i64),
+            ScalarFn::Concat => {
+                // one block: what is a string already says how long it is,
+                // a number rarely prints longer than this
+                let len = |i: &&Item| match i {
+                    Item::Atomic(AtomicValue::String(s)) => s.len(),
+                    _ => 24,
+                };
+                let mut out = String::with_capacity(args.iter().flatten().map(len).sum());
+                for arg in args.iter().flatten() {
+                    out.push_str(&string_of(arg));
+                }
+                Item::string(out)
+            }
+            ScalarFn::Substring => {
+                let number = |k: usize| -> XdmResult<f64> {
+                    match args[k].map(|i| i.atomize().cast_to(AtomicType::Double)) {
+                        Some(Ok(AtomicValue::Double(d))) => Ok(d),
+                        _ => Err(XdmError::type_error("fn:substring: expected a number")),
+                    }
+                };
+                let len = (args.len() == 3).then(|| number(2)).transpose()?;
+                Item::string(substring(&string(0), number(1)?, len))
+            }
+            ScalarFn::Contains => Item::boolean(string(0).contains(&*string(1))),
+            ScalarFn::StartsWith => Item::boolean(string(0).starts_with(&*string(1))),
+            ScalarFn::EndsWith => Item::boolean(string(0).ends_with(&*string(1))),
+            ScalarFn::UpperCase => Item::string(string(0).to_uppercase()),
+            ScalarFn::LowerCase => Item::string(string(0).to_lowercase()),
+            ScalarFn::Number => to_number(args[0]),
+            ScalarFn::Abs => {
+                return num_unary(args[0], |v| match v {
+                    AtomicValue::Integer(i) => Ok(AtomicValue::Integer(i.abs())),
+                    AtomicValue::Decimal(d) => Ok(AtomicValue::Decimal(d.abs())),
+                    AtomicValue::Double(d) => Ok(AtomicValue::Double(d.abs())),
+                    AtomicValue::Float(f) => Ok(AtomicValue::Float(f.abs())),
+                    other => Err(XdmError::type_error(format!(
+                        "fn:abs on {}",
+                        other.atomic_type()
+                    ))),
+                })
+            }
+            ScalarFn::Floor => {
+                return num_unary(args[0], |v| match v {
+                    AtomicValue::Integer(i) => Ok(AtomicValue::Integer(i)),
+                    AtomicValue::Decimal(d) => Ok(AtomicValue::Integer(d.floor())),
+                    AtomicValue::Double(d) => Ok(AtomicValue::Double(d.floor())),
+                    AtomicValue::Float(f) => Ok(AtomicValue::Float(f.floor())),
+                    other => Err(XdmError::type_error(format!(
+                        "fn:floor on {}",
+                        other.atomic_type()
+                    ))),
+                })
+            }
+            ScalarFn::Ceiling => {
+                return num_unary(args[0], |v| match v {
+                    AtomicValue::Integer(i) => Ok(AtomicValue::Integer(i)),
+                    AtomicValue::Decimal(d) => Ok(AtomicValue::Integer(d.ceiling())),
+                    AtomicValue::Double(d) => Ok(AtomicValue::Double(d.ceil())),
+                    AtomicValue::Float(f) => Ok(AtomicValue::Float(f.ceil())),
+                    other => Err(XdmError::type_error(format!(
+                        "fn:ceiling on {}",
+                        other.atomic_type()
+                    ))),
+                })
+            }
+            ScalarFn::Round => {
+                return num_unary(args[0], |v| match v {
+                    AtomicValue::Integer(i) => Ok(AtomicValue::Integer(i)),
+                    AtomicValue::Decimal(d) => Ok(AtomicValue::Integer(d.round())),
+                    AtomicValue::Double(d) => Ok(AtomicValue::Double((d + 0.5).floor())),
+                    AtomicValue::Float(f) => Ok(AtomicValue::Float((f + 0.5).floor())),
+                    other => Err(XdmError::type_error(format!(
+                        "fn:round on {}",
+                        other.atomic_type()
+                    ))),
+                })
+            }
+            ScalarFn::Data => return Ok(args[0].map(|i| Item::Atomic(i.atomize()))),
+            ScalarFn::Not => {
+                let row = args[0].map_or(&[][..], std::slice::from_ref);
+                Item::boolean(!xdm::item::ebv(row)?)
+            }
+        }))
+    }
+}
+
+/// `fn:string` of one item, borrowed where the item is a string already.
+fn string_of(item: &Item) -> std::borrow::Cow<'_, str> {
+    use std::borrow::Cow;
+    match item {
+        Item::Atomic(
+            AtomicValue::String(s) | AtomicValue::UntypedAtomic(s) | AtomicValue::AnyUri(s),
+        ) => Cow::Borrowed(s),
+        other => Cow::Owned(other.string_value()),
+    }
+}
+
 fn to_number(item: Option<&Item>) -> Item {
     match item {
         None => Item::double(f64::NAN),
@@ -579,20 +674,20 @@ fn to_number(item: Option<&Item>) -> Item {
     }
 }
 
+/// `f` of a numeric argument: empty for the empty sequence, an untyped
+/// value as a double.
 fn num_unary(
-    s: &Sequence,
+    arg: Option<&Item>,
     f: impl Fn(AtomicValue) -> XdmResult<AtomicValue>,
-) -> XdmResult<Sequence> {
-    match s.zero_or_one()? {
-        None => Ok(Sequence::empty()),
-        Some(i) => {
-            let mut v = i.atomize();
-            if matches!(v, AtomicValue::UntypedAtomic(_)) {
-                v = v.cast_to(AtomicType::Double)?;
-            }
-            Ok(Sequence::one(Item::Atomic(f(v)?)))
-        }
+) -> XdmResult<Option<Item>> {
+    let Some(i) = arg else {
+        return Ok(None);
+    };
+    let mut v = i.atomize();
+    if matches!(v, AtomicValue::UntypedAtomic(_)) {
+        v = v.cast_to(AtomicType::Double)?;
     }
+    Ok(Some(Item::Atomic(f(v)?)))
 }
 
 fn substring(s: &str, start: f64, len: Option<f64>) -> String {

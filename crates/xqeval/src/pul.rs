@@ -264,11 +264,15 @@ fn apply_one(doc: &mut Document, p: &UpdatePrimitive) -> XdmResult<()> {
         }
         UpdatePrimitive::InsertFirst { target, content } => {
             let ids = import_content(doc, content);
-            for (i, id) in ids.into_iter().enumerate() {
+            // child positions count children only: an attribute in the
+            // content takes none
+            let mut at = 0;
+            for id in ids {
                 if doc.kind(id) == NodeKind::Attribute {
                     doc.set_attribute_node(target.id, id);
                 } else {
-                    doc.insert_child_at(target.id, i, id);
+                    doc.insert_child_at(target.id, at, id);
+                    at += 1;
                 }
             }
         }

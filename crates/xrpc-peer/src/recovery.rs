@@ -773,4 +773,47 @@ mod tests {
         drop(restarted);
         let _ = std::fs::remove_dir_all(dir);
     }
+
+    /// `as first into` with an attribute in the content: the attribute is no
+    /// child, so what follows it goes ahead of the old children all the same
+    /// — live, and when the logged update list is redone after a restart.
+    #[test]
+    fn content_inserted_as_first_is_redone_ahead_of_the_children() {
+        let dir = scratch("as-first");
+        let live = Peer::new_with_docs(URI, EngineKind::Tree, store());
+        live.attach_wal_with(&dir, forced()).unwrap();
+        let log = live.wal().unwrap();
+        let env = xqeval::Environment::new(live.docs.clone());
+        let (_, pul) = xqeval::evaluate_main(
+            r#"insert nodes (attribute k {"1"}, <x/>, <y/>) as first into doc("log.xml")/log"#,
+            &env,
+        )
+        .unwrap();
+        let want = r#"<log k="1"><x/><y/><e>0</e></log>"#;
+        let edits = xqeval::apply_updates(&pul).unwrap();
+        let live_doc = xmldom::serialize_document(&edits[0].new, &Default::default());
+        assert_eq!(live_doc, want);
+        // decided, and the process gone before the apply
+        log.append(&WalRecord::Prepared {
+            qid: qid(1),
+            coordinator: "xrpc://origin.example.org".into(),
+            delta: wal::serialize_pul(&pul).unwrap(),
+        })
+        .unwrap();
+        log.append(&WalRecord::Decision {
+            qid: qid(1),
+            decision: Decision::Committed,
+        })
+        .unwrap();
+        drop((live, log));
+
+        let docs = store();
+        let restarted = Peer::new_with_docs(URI, EngineKind::Tree, docs.clone());
+        let report = restarted.attach_wal_with(&dir, forced()).unwrap();
+        assert_eq!(report.reapplied, 1, "{report:?}");
+        let doc = docs.get("log.xml").unwrap();
+        assert_eq!(xmldom::serialize_document(&doc, &Default::default()), want);
+        drop(restarted);
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

@@ -59,10 +59,11 @@ impl DocResolver for RemoteDocResolver {
         let mut results =
             self.client
                 .dispatch(&host, &func, vec![vec![Sequence::one(Item::string(path))]])?;
-        let seq = results
+        let fetched = results
             .pop()
+            .and_then(|seq| seq.into_iter().next())
             .ok_or_else(|| XdmError::xrpc("empty doc-fetch response"))?;
-        match seq.singleton()? {
+        match fetched {
             Item::Node(n) => {
                 let doc = materialize_document(n, uri);
                 self.cache.lock().insert(uri.to_string(), doc.clone());
@@ -82,24 +83,22 @@ impl DocResolver for RemoteDocResolver {
 }
 
 /// Turn a fetched node into a standalone `Document` whose slot-0 root *is*
-/// the document root (the `fn:doc` contract). Decoded response nodes live as
-/// detached fragments inside the shared message arena, so a fragment root
-/// must be copied out into its own arena; a node that already heads its
-/// arena is shared as-is.
-fn materialize_document(n: &xmldom::NodeHandle, uri: &str) -> Arc<Document> {
+/// the document root (the `fn:doc` contract). A shipped document arrives as
+/// just that — `xrpc:document` is decoded into an arena of its own — and is
+/// stamped with its URI and shared as it is; any other node is a fragment of
+/// the message arena and is copied out under a document node.
+fn materialize_document(mut n: xmldom::NodeHandle, uri: &str) -> Arc<Document> {
     if n.id == n.doc.root() {
-        return n.doc.clone();
+        // nobody else holds what was just decoded for us; a document that is
+        // shared already keeps the URI it has
+        if let Some(doc) = Arc::get_mut(&mut n.doc) {
+            doc.uri = Some(uri.to_string());
+        }
+        return n.doc;
     }
     let mut fresh = Document::with_uri(uri);
     let root = fresh.root();
-    if n.kind() == xmldom::NodeKind::Document {
-        for c in n.doc.children(n.id) {
-            let imported = fresh.import_subtree(&n.doc, c);
-            fresh.append_child(root, imported);
-        }
-    } else {
-        let imported = fresh.import_subtree(&n.doc, n.id);
-        fresh.append_child(root, imported);
-    }
+    let imported = fresh.import_subtree(&n.doc, n.id);
+    fresh.append_child(root, imported);
     Arc::new(fresh)
 }

@@ -123,11 +123,11 @@ impl XrpcWrapper {
         let t0 = Instant::now();
         let reqdoc =
             xmldom::parse(text).map_err(|e| XdmError::xrpc(format!("bad request: {e}")))?;
-        let (module, method, arity, location) = request_attrs(&reqdoc)?;
+        let (req, module, method, arity, location) = request_attrs(&reqdoc)?;
         if module == crate::remote_docs::DOC_MODULE {
             // protocol-level document shipping is handled by the wrapper
             // framework itself, not by a generated query
-            return self.serve_doc_fetch(reqdoc);
+            return self.serve_doc_fetch(&reqdoc, req, module, method);
         }
         let reqdoc = Arc::new(reqdoc);
         let treebuild = t0.elapsed();
@@ -184,18 +184,25 @@ impl XrpcWrapper {
         Ok(xml)
     }
 
-    fn serve_doc_fetch(&self, reqdoc: xmldom::Document) -> XdmResult<String> {
-        use xrpc_proto::{decode_message, XrpcMessage, XrpcResponse};
-        let req = match decode_message(reqdoc)? {
-            XrpcMessage::Request(r) => r,
-            _ => return Err(XdmError::xrpc("expected a request")),
-        };
-        let mut resp = XrpcResponse::new(req.module, req.method);
-        for call in &req.calls {
-            let path = call
-                .first()
-                .and_then(|s| s.first())
-                .map(|i| i.string_value())
+    /// One document per `xrpc:call` of `req`, named by the call's parameter.
+    fn serve_doc_fetch(
+        &self,
+        reqdoc: &xmldom::Document,
+        req: xmldom::NodeId,
+        module: String,
+        method: String,
+    ) -> XdmResult<String> {
+        use xmldom::qname::NS_XRPC;
+        let mut resp = xrpc_proto::XrpcResponse::new(module, method);
+        for call in reqdoc.child_elements(req) {
+            if !reqdoc.name(call).is_some_and(|n| n.is(NS_XRPC, "call")) {
+                continue;
+            }
+            let path = reqdoc
+                .child_element(call, NS_XRPC, "sequence")
+                .map(|seq| xrpc_proto::n2s(reqdoc, seq))
+                .transpose()?
+                .and_then(|s| s.first().map(|i| i.string_value()))
                 .ok_or_else(|| XdmError::xrpc("doc fetch without a path"))?;
             let doc = self
                 .docs
@@ -228,9 +235,11 @@ impl DocResolver for RequestOverlay {
     }
 }
 
-/// Pull module/method/arity/location off the request element without any
+/// Find the request element and pull module/method/arity/location off it without any
 /// XRPC-specific machinery (plain DOM work, as a wrapper script would).
-fn request_attrs(doc: &xmldom::Document) -> XdmResult<(String, String, usize, Option<String>)> {
+fn request_attrs(
+    doc: &xmldom::Document,
+) -> XdmResult<(xmldom::NodeId, String, String, usize, Option<String>)> {
     use xmldom::qname::{NS_SOAP_ENV, NS_XRPC};
     let envelope = doc
         .child_elements(doc.root())
@@ -256,7 +265,7 @@ fn request_attrs(doc: &xmldom::Document) -> XdmResult<(String, String, usize, Op
         .parse()
         .map_err(|_| XdmError::xrpc("bad @arity"))?;
     let location = doc.attr_local(req, "location").map(|s| s.to_string());
-    Ok((module, method, arity, location))
+    Ok((req, module, method, arity, location))
 }
 
 /// Generate the Figure-3 query: the import, the pure-XQuery `n2s`/`s2n`

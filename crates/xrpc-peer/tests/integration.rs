@@ -514,33 +514,54 @@ fn fault_injection_mid_bulk_query() {
 
 #[test]
 fn parallel_dispatch_to_multiple_peers_overlaps_latency() {
-    // Figure 1's "dispatching all Bulk RPC requests in parallel": with a
-    // 20 ms one-way link and three destination peers, the three bulk
-    // requests must overlap (elapsed ≈ 1 round trip, not 3).
-    let net = Arc::new(SimNetwork::new(NetProfile::with_latency(
-        std::time::Duration::from_millis(20),
-    )));
+    // Figure 1's "dispatching all Bulk RPC requests in parallel": with
+    // three destination peers, the three bulk requests must be in flight
+    // together. Each peer holds its request until the other two have
+    // arrived as well — a rendezvous of three, so nothing here reads a
+    // clock: an originator that sent them one after another would leave the
+    // first waiting until the rendezvous gives up and answers with a fault.
+    let net = Arc::new(SimNetwork::new(NetProfile::instant()));
     let a = Peer::new("xrpc://a", EngineKind::Rel);
     a.register_module(TEST_MODULE).unwrap();
     a.set_transport(net.clone());
-    for name in ["xrpc://p1", "xrpc://p2", "xrpc://p3"] {
+    let names = ["xrpc://p1", "xrpc://p2", "xrpc://p3"];
+    let arrived = Arc::new((std::sync::Mutex::new(0usize), std::sync::Condvar::new()));
+    for name in names {
         let p = Peer::new(name, EngineKind::Tree);
         p.register_module(TEST_MODULE).unwrap();
-        net.register(name, p.soap_handler());
+        let (serve, arrived) = (p.soap_handler(), arrived.clone());
+        net.register(
+            name,
+            Arc::new(move |body: &[u8]| {
+                let (count, all_here) = &*arrived;
+                let mut n = count.lock().unwrap();
+                *n += 1;
+                all_here.notify_all();
+                let patience = std::time::Duration::from_secs(30);
+                let (n, waited) = all_here
+                    .wait_timeout_while(n, patience, |n| *n < names.len())
+                    .unwrap();
+                if waited.timed_out() {
+                    let alone = xdm::XdmError::xrpc("the other requests never came");
+                    return xrpc_proto::XrpcFault::from_error(&alone)
+                        .to_xml()
+                        .into_bytes();
+                }
+                drop(n);
+                serve(body)
+            }),
+        );
     }
     let q = r#"
         import module namespace t = "test";
         for $dst in ("xrpc://p1", "xrpc://p2", "xrpc://p3")
         return execute at {$dst} {t:echoVoid()}"#;
-    let t0 = std::time::Instant::now();
-    a.execute(q).unwrap();
-    let elapsed = t0.elapsed();
-    // sequential would be ≥ 3 × 40 ms = 120 ms; parallel ≈ 40 ms
-    assert!(
-        elapsed < std::time::Duration::from_millis(100),
-        "parallel dispatch expected, took {elapsed:?}"
+    a.execute(q).expect("three requests in flight at once");
+    assert_eq!(
+        *arrived.0.lock().unwrap(),
+        names.len(),
+        "one bulk request per peer"
     );
-    assert!(elapsed >= std::time::Duration::from_millis(40));
 }
 
 #[test]

@@ -4,12 +4,14 @@
 //! * [`marshal`] — the `s2n()` / `n2s()` functions that turn XDM sequences
 //!   into `<xrpc:sequence>` wire fragments and back, enforcing by-value
 //!   semantics (fresh fragments, empty upward axes at the receiver);
-//! * [`message`] — envelope construction/parsing for requests (with Bulk
-//!   RPC: several `<xrpc:call>`s per request), responses (with the
-//!   piggybacked participating-peer list of §2.3) and SOAP Faults;
+//! * [`message`] — the envelopes: requests (with Bulk RPC: several
+//!   `<xrpc:call>`s per request), responses (with the piggybacked
+//!   participating-peer list of §2.3) and SOAP Faults, and their writers;
+//! * [`decode`] — the way back: one pass over the bytes of a message;
 //! * [`validate`] — a structural validator standing in for XRPC.xsd.
 
 pub mod control;
+pub mod decode;
 pub mod marshal;
 pub mod message;
 pub mod validate;
@@ -19,7 +21,7 @@ pub use control::{
 };
 pub use marshal::n2s;
 pub use message::{
-    decode_message, parse_message, FaultCode, ProfileRequest, QueryId, TraceContext, XrpcFault,
-    XrpcMessage, XrpcRequest, XrpcResponse,
+    parse_message, FaultCode, ProfileRequest, QueryId, TraceContext, XrpcFault, XrpcMessage,
+    XrpcRequest, XrpcResponse,
 };
 pub use validate::validate_message;

@@ -17,7 +17,7 @@ use xdm::types::AtomicType;
 use xdm::{AtomicValue, Item, Sequence, XdmError, XdmResult};
 use xmldom::escape::{push_escaped_attr, push_escaped_text};
 use xmldom::qname::NS_XRPC;
-use xmldom::{serialize_node_into, Document, NodeHandle, NodeId, NodeKind, QName, SerializeOpts};
+use xmldom::{serialize_node_into, Document, NodeHandle, NodeId, NodeKind, SerializeOpts};
 
 /// Append the `<xrpc:sequence>` wire text of `seq` to `out`, serializing
 /// node parameters straight out of their *source* documents: the only copy
@@ -46,7 +46,13 @@ fn emit_item_text(out: &mut String, item: &Item) -> XdmResult<()> {
             push_escaped_attr(out, a.atomic_type().xs_name());
             // never self-closing, whatever the value
             out.push_str("\">");
-            push_escaped_text(out, &a.lexical());
+            match a {
+                // a string is its own lexical form: no copy to escape it from
+                AtomicValue::String(s) | AtomicValue::UntypedAtomic(s) | AtomicValue::AnyUri(s) => {
+                    push_escaped_text(out, s)
+                }
+                _ => push_escaped_text(out, &a.lexical()),
+            }
             out.push_str("</xrpc:atomic-value>");
         }
         Item::Node(n) => match n.kind() {
@@ -289,229 +295,6 @@ fn fresh_fragment(msg: &Document, src_id: NodeId) -> XdmResult<NodeHandle> {
     Ok(NodeHandle::new(std::sync::Arc::new(d), copy))
 }
 
-// ---------------------------------------------------------------------
-// Zero-copy decode: detach fragments in place instead of deep-copying
-// ---------------------------------------------------------------------
-
-/// Phase-1 result of decoding one value wrapper: atomics are complete,
-/// node values are *detached in place* inside the (still mutable) message
-/// arena and referenced by id until the arena is frozen behind an `Arc`.
-enum Pending {
-    Ready(Item),
-    Node(NodeId),
-}
-
-/// All items of one decoded `<xrpc:sequence>`, awaiting the arena freeze.
-pub struct PendingSequence(Vec<Pending>);
-
-impl PendingSequence {
-    /// Phase 2: turn ids into handles sharing the frozen message arena. A
-    /// pending value is as wide as an item, so the collect below rewrites
-    /// the vector in place (`pending_values_convert_in_place`).
-    pub fn finish(self, arc: &std::sync::Arc<Document>) -> Sequence {
-        let item = |p| match p {
-            Pending::Ready(item) => item,
-            Pending::Node(id) => Item::Node(NodeHandle::new(arc.clone(), id)),
-        };
-        Sequence::from_items(self.0.into_iter().map(item).collect())
-    }
-}
-
-/// `n2s()` without the per-item deep copy: each node value is detached from
-/// its wrapper in place (`parent := None`), so the whole message keeps ONE
-/// arena and decoding allocates nothing per item beyond the id list.
-///
-/// The call-by-value contract survives because detaching severs the upward
-/// and sideways links: ancestor/parent/sibling axes from the fragment root
-/// see nothing — exactly what the fresh-fragment copy guaranteed, minus the
-/// copy. The price is that the envelope arena stays alive as long as any
-/// decoded fragment does (documented in DESIGN.md).
-pub fn n2s_detach(msg: &mut Document, seq_el: NodeId) -> XdmResult<PendingSequence> {
-    decode_sequence_detach(msg, seq_el, &[])
-}
-
-/// All parameter sequences of one `<xrpc:call>`, decoded like
-/// [`n2s_detach`]. `<xrpc:nodeid>` references resolve to ids *inside*
-/// fragments detached earlier in the same call — same arena, so no
-/// cross-document bookkeeping at all.
-pub fn n2s_call_detach(msg: &mut Document, call: NodeId) -> XdmResult<Vec<PendingSequence>> {
-    let is_seq = |n: &QName| n.is(NS_XRPC, "sequence");
-    let seq_els: Vec<NodeId> = msg
-        .child_elements(call)
-        .filter(|&s| msg.node(s).name.as_deref().is_some_and(is_seq))
-        .collect();
-    let mut decoded: Vec<PendingSequence> = Vec::with_capacity(seq_els.len());
-    for seq_el in seq_els {
-        let seq = decode_sequence_detach(msg, seq_el, &decoded)?;
-        decoded.push(seq);
-    }
-    Ok(decoded)
-}
-
-/// One `<xrpc:sequence>`; `decoded` are the earlier parameters of the call.
-fn decode_sequence_detach(
-    msg: &mut Document,
-    seq_el: NodeId,
-    decoded: &[PendingSequence],
-) -> XdmResult<PendingSequence> {
-    let mut out = Vec::with_capacity(wrapper_count_hint(msg, seq_el));
-    // a cursor, not an iterator: decoding relinks nodes below `child`
-    let mut next = msg.first_child(seq_el);
-    while let Some(child) = next {
-        next = msg.next_sibling(child);
-        if msg.kind(child) != NodeKind::Element {
-            continue; // ignorable whitespace between values
-        }
-        let name = msg.node(child).name.as_deref();
-        out.push(if name.is_some_and(|n| n.is(NS_XRPC, "nodeid")) {
-            resolve_nodeid_detached(msg, child, decoded, &out)?
-        } else {
-            decode_value_detach(msg, child)?
-        });
-    }
-    Ok(PendingSequence(out))
-}
-
-/// How many value wrappers `seq_el` holds, without walking them: the parser
-/// numbers nodes in document order, so wrappers of one shape (a bulk
-/// payload's) sit a constant stride apart. A capacity hint only — of mixed
-/// shapes it may be off either way — and never beyond the arena's size.
-fn wrapper_count_hint(msg: &Document, seq_el: NodeId) -> usize {
-    let (Some(first), Some(last)) = (msg.first_child(seq_el), msg.last_child(seq_el)) else {
-        return 0;
-    };
-    let stride = msg
-        .next_sibling(first)
-        .map_or(1, |second| second.index().abs_diff(first.index()).max(1));
-    (last.index().abs_diff(first.index()) / stride + 1).min(msg.len())
-}
-
-/// Decode one wrapper, detaching node values in place.
-fn decode_value_detach(msg: &mut Document, child: NodeId) -> XdmResult<Pending> {
-    match wrapper_local(msg, child)? {
-        "atomic-value" => {
-            let ty_lex = msg
-                .attr_local(child, "type")
-                .ok_or_else(|| XdmError::xrpc("atomic-value without xsi:type"))?;
-            let ty = AtomicType::from_xs_name(ty_lex)
-                .ok_or_else(|| XdmError::xrpc(format!("unsupported xsi:type `{ty_lex}`")))?;
-            let lexical = msg.string_value(child);
-            Ok(Pending::Ready(Item::Atomic(AtomicValue::parse_as(
-                &lexical, ty,
-            )?)))
-        }
-        "element" => {
-            let inner = msg
-                .child_elements(child)
-                .next()
-                .ok_or_else(|| XdmError::xrpc("empty xrpc:element wrapper"))?;
-            msg.detach(inner);
-            Ok(Pending::Node(inner))
-        }
-        "document" => {
-            // Reparent the wrapper's children under a synthetic document
-            // node in the same arena (a relink per child, nothing copied).
-            let doc_node = msg.create_document_node();
-            while let Some(k) = msg.first_child(child) {
-                msg.append_child(doc_node, k);
-            }
-            Ok(Pending::Node(doc_node))
-        }
-        "text" => {
-            // The parser coalesces entity references, so the wrapper holds a
-            // single text child in the common case — detach it as-is.
-            // CDATA-split content falls back to a concatenated copy.
-            match msg.first_child(child) {
-                Some(t) if msg.kind(t) == NodeKind::Text && msg.next_sibling(t).is_none() => {
-                    msg.detach(t);
-                    Ok(Pending::Node(t))
-                }
-                _ => {
-                    let v = msg.string_value(child);
-                    Ok(Pending::Node(msg.create_text(v)))
-                }
-            }
-        }
-        "comment" => {
-            let v = msg.string_value(child);
-            Ok(Pending::Node(msg.create_comment(v)))
-        }
-        "pi" => {
-            let pi = msg
-                .children(child)
-                .find(|&c| msg.kind(c) == NodeKind::ProcessingInstruction)
-                .ok_or_else(|| XdmError::xrpc("xrpc:pi wrapper without a PI"))?;
-            msg.detach(pi);
-            Ok(Pending::Node(pi))
-        }
-        "attribute" => {
-            let attr = msg
-                .attributes(child)
-                .next()
-                .ok_or_else(|| XdmError::xrpc("xrpc:attribute wrapper without an attribute"))?;
-            msg.detach(attr);
-            Ok(Pending::Node(attr))
-        }
-        other => Err(XdmError::xrpc(format!(
-            "unknown value wrapper xrpc:{other}"
-        ))),
-    }
-}
-
-/// [`resolve_nodeid`] against detached in-arena fragments: the base item is
-/// a `Pending::Node` id and the child-index path walks the same arena.
-fn resolve_nodeid_detached(
-    msg: &Document,
-    el: NodeId,
-    decoded: &[PendingSequence],
-    current: &[Pending],
-) -> XdmResult<Pending> {
-    let param: usize = msg
-        .attr_local(el, "param")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| XdmError::xrpc("nodeid missing @param"))?;
-    let item: usize = msg
-        .attr_local(el, "item")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| XdmError::xrpc("nodeid missing @item"))?;
-    let path = msg.attr_local(el, "path").unwrap_or("");
-    // 1-based on the wire, and hostile: 0 is out of range, not an underflow
-    let out_of_range = || XdmError::xrpc("nodeid @param out of range");
-    let param = param.checked_sub(1).ok_or_else(out_of_range)?;
-    let base_seq: &[Pending] = if param == decoded.len() {
-        current
-    } else {
-        &decoded.get(param).ok_or_else(out_of_range)?.0
-    };
-    let base = match item.checked_sub(1).and_then(|i| base_seq.get(i)) {
-        Some(Pending::Node(id)) => *id,
-        _ => return Err(XdmError::xrpc("nodeid target is not a node")),
-    };
-    let mut cur = base;
-    if !path.is_empty() {
-        for comp in path.split('/') {
-            if let Some(k) = comp.strip_prefix('@') {
-                let k: usize = k
-                    .parse()
-                    .map_err(|_| XdmError::xrpc("bad nodeid path component"))?;
-                cur = msg
-                    .attributes(cur)
-                    .nth(k)
-                    .ok_or_else(|| XdmError::xrpc("nodeid attribute index out of range"))?;
-            } else {
-                let k: usize = comp
-                    .parse()
-                    .map_err(|_| XdmError::xrpc("bad nodeid path component"))?;
-                cur = msg
-                    .children(cur)
-                    .nth(k)
-                    .ok_or_else(|| XdmError::xrpc("nodeid child index out of range"))?;
-            }
-        }
-    }
-    Ok(Pending::Node(cur))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -673,23 +456,5 @@ mod tests {
         let back = roundtrip(&seq);
         let n = back.items()[0].as_node().unwrap();
         assert_eq!(n.type_annotation(), Some("my:temp"));
-    }
-
-    #[test]
-    fn pending_values_convert_in_place() {
-        let mut msg = parse(&format!(
-            "<xrpc:sequence xmlns:xrpc=\"{NS_XRPC}\">{}</xrpc:sequence>",
-            "<xrpc:element><c>x</c></xrpc:element>".repeat(100)
-        ))
-        .unwrap();
-        let seq_el = msg.first_child(msg.root()).unwrap();
-        // equal wrappers: the stride guess is exact, so the vector never grows
-        assert_eq!(wrapper_count_hint(&msg, seq_el), 100);
-        let pending = n2s_detach(&mut msg, seq_el).unwrap();
-        let (at, capacity) = (pending.0.as_ptr() as usize, pending.0.capacity());
-        assert_eq!(capacity, 100);
-        let seq = pending.finish(&Arc::new(msg));
-        assert_eq!(seq.len(), 100);
-        assert_eq!(seq.items().as_ptr() as usize, at, "finish reallocated");
     }
 }

@@ -2,11 +2,11 @@
 //! `queryID` isolation extension (§2.2), Bulk RPC multi-call requests
 //! (§3.2) and the participating-peers piggyback (§2.3).
 
+pub use crate::decode::parse_message;
 use crate::marshal::{s2n_call_text_into, s2n_text_into};
 use xdm::{Sequence, XdmError, XdmResult};
 use xmldom::escape::{push_escaped_attr, push_escaped_text};
 use xmldom::qname::{NS_SOAP_ENV, NS_XRPC, NS_XS, NS_XSI};
-use xmldom::{Document, NodeId};
 pub use xrpc_obs::TraceContext;
 pub use xrpc_obs::{HopProfile, OpNode, Phase, Phases, ProfileMode};
 
@@ -372,178 +372,6 @@ pub enum XrpcMessage {
     Fault(XrpcFault),
 }
 
-/// Parse a SOAP XRPC message (request, response or fault).
-pub fn parse_message(xml: &str) -> XdmResult<XrpcMessage> {
-    let doc = xmldom::parse(xml).map_err(|e| XdmError::xrpc(format!("bad SOAP XML: {e}")))?;
-    decode_message(doc)
-}
-
-/// [`parse_message`] for a message that is already a document (the wrapper
-/// parses a request once, to look at it, before it knows who decodes it).
-pub fn decode_message(doc: Document) -> XdmResult<XrpcMessage> {
-    let envelope = doc
-        .child_elements(doc.root())
-        .find(|&e| has_name(&doc, e, NS_SOAP_ENV, "Envelope"))
-        .ok_or_else(|| XdmError::xrpc("missing env:Envelope"))?;
-    let body = doc
-        .child_element(envelope, NS_SOAP_ENV, "Body")
-        .ok_or_else(|| XdmError::xrpc("missing env:Body"))?;
-    let trace = parse_trace_header(&doc, envelope);
-    let budget = parse_budget_header(&doc, envelope);
-
-    if let Some(req) = doc.child_element(body, NS_XRPC, "request") {
-        let profile = parse_profile_request_header(&doc, envelope);
-        return parse_request(doc, req, trace, budget, profile).map(XrpcMessage::Request);
-    }
-    if let Some(resp) = doc.child_element(body, NS_XRPC, "response") {
-        let hops = parse_profile_hops_header(&doc, envelope);
-        return parse_response(doc, resp, hops).map(XrpcMessage::Response);
-    }
-    if let Some(fault) = doc.child_element(body, NS_SOAP_ENV, "Fault") {
-        return parse_fault(&doc, fault).map(XrpcMessage::Fault);
-    }
-    Err(XdmError::xrpc(
-        "env:Body carries neither xrpc:request, xrpc:response nor env:Fault",
-    ))
-}
-
-/// Decoding takes the message document by value: node parameters are
-/// *detached in place* (no deep copy) and the whole arena is then frozen
-/// behind one `Arc` that every decoded fragment shares.
-fn parse_request(
-    mut doc: Document,
-    req: NodeId,
-    trace: Option<TraceContext>,
-    budget_millis: Option<u64>,
-    profile: Option<ProfileRequest>,
-) -> XdmResult<XrpcRequest> {
-    let module = req_attr(&doc, req, "module")?;
-    let method = req_attr(&doc, req, "method")?;
-    let arity: usize = req_attr(&doc, req, "arity")?
-        .parse()
-        .map_err(|_| XdmError::xrpc("bad arity attribute"))?;
-    let location = doc.attr_local(req, "location").map(|s| s.to_string());
-    let deferred = doc.attr_local(req, "updCall") == Some("deferred");
-    let seq = doc.attr_local(req, "seq").and_then(|s| s.parse().ok());
-    let mut out = XrpcRequest {
-        module,
-        method,
-        arity,
-        location,
-        query_id: None,
-        deferred,
-        seq,
-        call_by_fragment: false,
-        trace,
-        budget_millis,
-        profile,
-        calls: Vec::new(),
-    };
-    if let Some(q) = doc.child_element(req, NS_XRPC, "queryID") {
-        out.query_id = Some(QueryId {
-            host: req_attr(&doc, q, "host")?,
-            timestamp_millis: req_attr(&doc, q, "timestamp")?
-                .parse()
-                .map_err(|_| XdmError::xrpc("bad queryID timestamp"))?,
-            timeout_secs: req_attr(&doc, q, "timeout")?
-                .parse()
-                .map_err(|_| XdmError::xrpc("bad queryID timeout"))?,
-        });
-    }
-    // Phase 1: decode every call with in-place detach (arena stays mutable).
-    let mut pending: Vec<Vec<crate::marshal::PendingSequence>> = Vec::new();
-    let calls: Vec<NodeId> = doc
-        .child_elements(req)
-        .filter(|&c| has_name(&doc, c, NS_XRPC, "call"))
-        .collect();
-    for call in calls {
-        // call-level decoding resolves xrpc:nodeid references transparently
-        let params = crate::marshal::n2s_call_detach(&mut doc, call)?;
-        if params.len() != out.arity {
-            return Err(XdmError::xrpc(format!(
-                "call has {} parameters, request arity is {}",
-                params.len(),
-                out.arity
-            )));
-        }
-        pending.push(params);
-    }
-    // Phase 2: freeze the arena; all fragments share this one allocation.
-    let arc = std::sync::Arc::new(doc);
-    out.calls = pending
-        .into_iter()
-        .map(|call| call.into_iter().map(|ps| ps.finish(&arc)).collect())
-        .collect();
-    Ok(out)
-}
-
-fn parse_response(
-    mut doc: Document,
-    resp: NodeId,
-    profile_hops: Vec<HopProfile>,
-) -> XdmResult<XrpcResponse> {
-    let module = req_attr(&doc, resp, "module")?;
-    let method = req_attr(&doc, resp, "method")?;
-    let mut out = XrpcResponse::new(module, method);
-    out.profile_hops = profile_hops;
-    let mut pending: Vec<crate::marshal::PendingSequence> = Vec::new();
-    let children: Vec<NodeId> = doc.child_elements(resp).collect();
-    for child in children {
-        if has_name(&doc, child, NS_XRPC, "sequence") {
-            pending.push(crate::marshal::n2s_detach(&mut doc, child)?);
-        } else if has_name(&doc, child, NS_XRPC, "participatingPeers") {
-            for p in doc.child_elements(child) {
-                if let Some(uri) = doc.attr_local(p, "uri") {
-                    out.participating_peers.push(uri.to_string());
-                }
-            }
-        }
-    }
-    let arc = std::sync::Arc::new(doc);
-    out.results = pending.into_iter().map(|ps| ps.finish(&arc)).collect();
-    Ok(out)
-}
-
-fn parse_fault(doc: &Document, fault: NodeId) -> XdmResult<XrpcFault> {
-    let code = doc
-        .child_element(fault, NS_SOAP_ENV, "Code")
-        .and_then(|c| doc.child_element(c, NS_SOAP_ENV, "Value"))
-        .map(|v| doc.string_value(v))
-        .unwrap_or_default();
-    let reason = doc
-        .child_element(fault, NS_SOAP_ENV, "Reason")
-        .and_then(|r| doc.child_element(r, NS_SOAP_ENV, "Text"))
-        .map(|t| doc.string_value(t))
-        .unwrap_or_else(|| "unknown fault".to_string());
-    // pull a leading `[CODE] ` error-code prefix back out
-    let (error_code, reason) = match reason.strip_prefix('[') {
-        Some(rest) => match rest.split_once("] ") {
-            Some((c, r)) => (Some(c.to_string()), r.to_string()),
-            None => (None, reason),
-        },
-        None => (None, reason),
-    };
-    Ok(XrpcFault {
-        code: if code.contains("Receiver") {
-            FaultCode::Receiver
-        } else {
-            FaultCode::Sender
-        },
-        reason,
-        error_code,
-    })
-}
-
-fn req_attr(doc: &Document, el: NodeId, name: &str) -> XdmResult<String> {
-    doc.attr_local(el, name)
-        .map(|s| s.to_string())
-        .ok_or_else(|| XdmError::xrpc(format!("missing `{name}` attribute")))
-}
-
-fn has_name(doc: &Document, el: NodeId, uri: &str, local: &str) -> bool {
-    doc.node(el).name.as_ref().is_some_and(|n| n.is(uri, local))
-}
-
 /// XML declaration plus the open `env:Envelope` tag with all namespace
 /// declarations the paper's examples carry, the optional header (trace,
 /// budget, profile — in that order, inside a single `env:Header`), and the
@@ -660,140 +488,6 @@ fn write_op_text(out: &mut String, op: &OpNode) {
     }
 }
 
-/// Read the `<xrpc:trace/>` header back off a parsed envelope. A
-/// malformed header is ignored rather than failing the message —
-/// tracing must never turn a valid call into an error.
-fn parse_trace_header(doc: &Document, envelope: NodeId) -> Option<TraceContext> {
-    let header = doc.child_element(envelope, NS_SOAP_ENV, "Header")?;
-    let tr = doc.child_element(header, NS_XRPC, "trace")?;
-    let trace_id = u128::from_str_radix(doc.attr_local(tr, "traceId")?, 16).ok()?;
-    let span_id = u64::from_str_radix(doc.attr_local(tr, "spanId")?, 16).ok()?;
-    let parent_id = doc
-        .attr_local(tr, "parentId")
-        .and_then(|p| u64::from_str_radix(p, 16).ok());
-    Some(TraceContext {
-        trace_id,
-        span_id,
-        parent_id,
-    })
-}
-
-/// Read the `<xrpc:budget/>` header back off a parsed envelope. Like the
-/// trace header, a malformed budget is ignored rather than failing the
-/// message — a garbled budget degrades to "no deadline", never to an
-/// error the caller did not cause.
-fn parse_budget_header(doc: &Document, envelope: NodeId) -> Option<u64> {
-    let header = doc.child_element(envelope, NS_SOAP_ENV, "Header")?;
-    let b = doc.child_element(header, NS_XRPC, "budget")?;
-    doc.attr_local(b, "remainingMillis")?.parse().ok()
-}
-
-/// Read the request-side `<xrpc:profile mode=""/>` header. Lenient like
-/// the other observability headers: malformed or unknown-mode headers
-/// degrade to "no profiling", never to an error.
-fn parse_profile_request_header(doc: &Document, envelope: NodeId) -> Option<ProfileRequest> {
-    let header = doc.child_element(envelope, NS_SOAP_ENV, "Header")?;
-    let p = doc.child_element(header, NS_XRPC, "profile")?;
-    let mode = ProfileMode::parse(doc.attr_local(p, "mode")?);
-    if !mode.is_on() {
-        return None;
-    }
-    Some(ProfileRequest {
-        mode,
-        via: doc.attr_local(p, "via").unwrap_or_default().to_string(),
-        depth: doc
-            .attr_local(p, "depth")
-            .and_then(|d| d.parse().ok())
-            .unwrap_or(0),
-    })
-}
-
-/// Read the response-side `<xrpc:profile>` hop list. Lenient: a hop that
-/// fails to parse is skipped — a truncated profile must never fail the
-/// call whose results it annotates.
-fn parse_profile_hops_header(doc: &Document, envelope: NodeId) -> Vec<HopProfile> {
-    let mut hops = Vec::new();
-    let Some(header) = doc.child_element(envelope, NS_SOAP_ENV, "Header") else {
-        return hops;
-    };
-    let Some(p) = doc.child_element(header, NS_XRPC, "profile") else {
-        return hops;
-    };
-    for hop_el in doc.child_elements(p) {
-        if !has_name(doc, hop_el, NS_XRPC, "hop") {
-            continue;
-        }
-        let Some(hop) = parse_hop(doc, hop_el) else {
-            continue;
-        };
-        hops.push(hop);
-    }
-    hops
-}
-
-fn parse_hop(doc: &Document, el: NodeId) -> Option<HopProfile> {
-    let peer = doc.attr_local(el, "peer")?.to_string();
-    let via = doc.attr_local(el, "via").unwrap_or_default().to_string();
-    let depth = doc.attr_local(el, "depth")?.parse().ok()?;
-    let trace_id = u128::from_str_radix(doc.attr_local(el, "traceId")?, 16).ok()?;
-    let span_id = u64::from_str_radix(doc.attr_local(el, "spanId")?, 16).ok()?;
-    let total_micros = doc.attr_local(el, "totalMicros")?.parse().ok()?;
-    let mut phases = Phases::default();
-    let mut ops = Vec::new();
-    for child in doc.child_elements(el) {
-        if has_name(doc, child, NS_XRPC, "phases") {
-            let num = |name: &str| -> u64 {
-                doc.attr_local(child, name)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0)
-            };
-            for (phase, name) in Phase::ALL {
-                *phases.get_mut(phase) = num(name);
-            }
-            phases.cache = match doc.attr_local(child, "cache") {
-                Some("hit") => "hit",
-                Some("miss") => "miss",
-                _ => "off",
-            };
-        } else if has_name(doc, child, NS_XRPC, "op") {
-            if let Some(op) = parse_op(doc, child) {
-                ops.push(op);
-            }
-        }
-    }
-    Some(HopProfile {
-        peer,
-        via,
-        depth,
-        trace_id,
-        span_id,
-        total_micros,
-        phases,
-        ops,
-    })
-}
-
-fn parse_op(doc: &Document, el: NodeId) -> Option<OpNode> {
-    let num = |name: &str| -> Option<u64> { doc.attr_local(el, name)?.parse().ok() };
-    let mut node = OpNode {
-        name: doc.attr_local(el, "name")?.to_string(),
-        calls: num("calls")?,
-        timed_calls: num("timedCalls")?,
-        wall_micros: num("wallMicros")?,
-        items: num("items")?,
-        bytes: num("bytes")?,
-        children: Vec::new(),
-    };
-    for child in doc.child_elements(el) {
-        if has_name(doc, child, NS_XRPC, "op") {
-            if let Some(c) = parse_op(doc, child) {
-                node.children.push(c);
-            }
-        }
-    }
-    Some(node)
-}
-
 fn write_envelope_close(out: &mut String) {
     out.push_str("</env:Body></env:Envelope>");
 }
@@ -807,7 +501,7 @@ mod dom_oracle {
     use super::*;
     use crate::marshal::{attribute_binding, find_enclosing};
     use xdm::Item;
-    use xmldom::{NodeHandle, NodeKind, QName};
+    use xmldom::{Document, NodeHandle, NodeId, NodeKind, QName};
 
     fn xrpc(local: &str) -> QName {
         QName::ns("xrpc", NS_XRPC, local)
@@ -1148,7 +842,7 @@ mod dom_oracle {
 mod tests {
     use super::*;
     use xdm::Item;
-    use xmldom::NodeKind;
+    use xmldom::{Document, NodeId, NodeKind};
 
     fn film_request() -> XrpcRequest {
         let mut req = XrpcRequest::new("films", "filmsByActor", 1)
@@ -1425,8 +1119,18 @@ mod tests {
         }
     }
 
+    /// The paper's `n2s()` over the parsed message: every `xrpc:sequence`
+    /// of `text`, in document order, through the public copying decoder.
+    /// (Not for call-by-fragment: `n2s` alone cannot follow a reference.)
+    fn n2s_of_every_sequence(text: &str) -> Vec<Sequence> {
+        let doc = xmldom::parse(text).unwrap();
+        let is_sequence = |&n: &NodeId| doc.name(n).is_some_and(|q| q.is(NS_XRPC, "sequence"));
+        let sequences = doc.descendants(doc.root()).filter(is_sequence);
+        sequences.map(|s| crate::n2s(&doc, s).unwrap()).collect()
+    }
+
     /// Byte for byte what the oracle writes, and what comes back from the
-    /// parser is what went in.
+    /// parser is what went in — and what `n2s` makes of the parsed text.
     fn assert_request_equivalence(req: &XrpcRequest) {
         let text = req.to_xml().unwrap();
         let dom = dom_oracle::request_to_xml(req).unwrap();
@@ -1436,6 +1140,10 @@ mod tests {
                 assert_eq!(back.calls.len(), req.calls.len());
                 for (sent, got) in req.calls.iter().zip(&back.calls) {
                     assert_same_values(sent, got);
+                }
+                if !req.call_by_fragment {
+                    let decoded: Vec<Sequence> = back.calls.into_iter().flatten().collect();
+                    assert_same_values(&n2s_of_every_sequence(&text), &decoded);
                 }
             }
             other => panic!("expected request, got {other:?}"),
@@ -1447,7 +1155,10 @@ mod tests {
         let dom = dom_oracle::response_to_xml(resp).unwrap();
         assert_eq!(text, dom, "text writer diverged from DOM serialization");
         match parse_message(&text).unwrap() {
-            XrpcMessage::Response(back) => assert_same_values(&resp.results, &back.results),
+            XrpcMessage::Response(back) => {
+                assert_same_values(&resp.results, &back.results);
+                assert_same_values(&n2s_of_every_sequence(&text), &back.results);
+            }
             other => panic!("expected response, got {other:?}"),
         }
     }

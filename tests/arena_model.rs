@@ -16,6 +16,8 @@
 //! A failure prints the seed and the operations applied so far;
 //! `ARENA_SEED=n` reruns one seed.
 
+mod common;
+
 use rand::prelude::*;
 use std::sync::Arc;
 use xrpc_repro::xdm::{AtomicValue, Decimal, Item, Sequence};
@@ -458,6 +460,7 @@ fn request_roundtrip(seq: Sequence, seed: u64) -> Sequence {
     let mut req = XrpcRequest::new("m", "f", 1);
     req.push_call(vec![seq]);
     let xml = req.to_xml().unwrap();
+    common::assert_decodes_like_the_oracle(&xml, &format!("ARENA_SEED={seed}, request"));
     match parse_message(&xml).unwrap_or_else(|e| panic!("seed={seed}: {e}\n{xml}")) {
         XrpcMessage::Request(mut r) => r.calls.remove(0).remove(0),
         other => panic!("seed={seed}: not a request: {other:?}"),
@@ -468,6 +471,7 @@ fn response_roundtrip(seq: Sequence, seed: u64) -> Sequence {
     let mut resp = XrpcResponse::new("m", "f");
     resp.results.push(seq);
     let xml = resp.to_xml().unwrap();
+    common::assert_decodes_like_the_oracle(&xml, &format!("ARENA_SEED={seed}, response"));
     match parse_message(&xml).unwrap_or_else(|e| panic!("seed={seed}: {e}\n{xml}")) {
         XrpcMessage::Response(mut r) => r.results.remove(0),
         other => panic!("seed={seed}: not a response: {other:?}"),

@@ -12,6 +12,11 @@
 //! values of types that do not compare as strings; two documents in one
 //! request; a nested `buyer/@person` key; node parameters living in the
 //! message arena. A failure prints the seed; `BULK_SEED=n` reruns one seed.
+//!
+//! The same for the lifted engine's map operator: a scalar expression over a
+//! loop's variables, evaluated a column at a time, must give every iteration
+//! what the tree engine gives it alone — or raise what the tree engine
+//! raises first. Expressions and columns are generated from `MAP_SEED`.
 
 use rand::prelude::*;
 use std::collections::BTreeSet;
@@ -320,5 +325,221 @@ fn bulk_requests_equal_the_per_call_loop() {
             .join_index_probes
             .load(std::sync::atomic::Ordering::Relaxed);
         assert!(probes > 0, "BULK_SEED={seed}: no request probed an index");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The map operator against the tree engine, iteration by iteration
+// ---------------------------------------------------------------------
+
+const ROWS: u32 = 10;
+
+/// A column of [`ROWS`] rows for a lifted variable, in one of the shapes a
+/// map may meet: scalars of one type or of several, empty rows, a node, a
+/// row of two items (which no scalar operator takes), an untyped value that
+/// is no number, and the two rows that raise in arithmetic — a zero to divide
+/// by in row 7, the largest integer to add to in row 3.
+fn column(rng: &mut StdRng, doc: &Arc<xmldom::Document>) -> Vec<(u32, Sequence)> {
+    let r = doc.first_child(doc.root()).unwrap();
+    let scalar = |rng: &mut StdRng, kind: u32| -> Item {
+        match kind {
+            0 => Item::integer(rng.gen_range(-9..=9i64)),
+            1 => Item::double(rng.gen_range(-40..=40i64) as f64 / 8.0),
+            2 => Item::Atomic(AtomicValue::Decimal(xrpc_repro::xdm::Decimal::new(
+                rng.gen_range(-999..=999i64) as i128,
+                2,
+            ))),
+            3 => Item::string(["", "a", "person7", "Per Son", "12"][rng.gen_range(0..5usize)]),
+            4 => Item::Atomic(AtomicValue::UntypedAtomic(
+                ["3", "-2.5", "17"][rng.gen_range(0..3usize)].into(),
+            )),
+            _ => Item::boolean(rng.gen_bool(0.5)),
+        }
+    };
+    let shape = rng.gen_range(0..9u32);
+    let kind = rng.gen_range(0..6u32);
+    (1..=ROWS)
+        .map(|i| {
+            let kind = if shape == 1 {
+                rng.gen_range(0..6u32)
+            } else {
+                kind
+            };
+            let row = match (shape, i) {
+                (2, _) if rng.gen_bool(0.3) => Sequence::empty(),
+                (3, 5) => Sequence::one(Item::Node(NodeHandle::new(
+                    doc.clone(),
+                    doc.children(r).nth(rng.gen_range(0..3usize)).unwrap(),
+                ))),
+                (4, 6) => Sequence::from_items(vec![scalar(rng, kind), scalar(rng, kind)]),
+                (5, 4) => Sequence::one(Item::Atomic(AtomicValue::UntypedAtomic("abc".into()))),
+                (6, 7) => Sequence::one(Item::integer(0)),
+                (7, 3) => Sequence::one(Item::integer(i64::MAX)),
+                _ => Sequence::one(scalar(rng, kind)),
+            };
+            (i, row)
+        })
+        .collect()
+}
+
+/// A scalar expression over `$a`, `$b` (columns) and `$c` (bound outside the
+/// loop), `depth` operators deep.
+fn scalar_expression(rng: &mut StdRng, depth: u32) -> String {
+    if depth == 0 {
+        return match rng.gen_range(0..8u32) {
+            0..=2 => "$a".into(),
+            3 | 4 => "$b".into(),
+            5 => "$c".into(),
+            6 => rng.gen_range(-3..=12i64).to_string(),
+            _ => ["\"per\"", "\"\"", "\"7\"", "2.5", "1e1"][rng.gen_range(0..5usize)].into(),
+        };
+    }
+    let sub = |rng: &mut StdRng| {
+        let below = rng.gen_range(0..depth);
+        scalar_expression(rng, below)
+    };
+    let (x, y, z) = (sub(rng), sub(rng), sub(rng));
+    let pick = |rng: &mut StdRng, ops: &[&str]| ops[rng.gen_range(0..ops.len())].to_string();
+    match rng.gen_range(0..10u32) {
+        0 | 1 => {
+            let op = pick(rng, &["+", "-", "*", "div", "idiv", "mod"]);
+            format!("({x} {op} {y})")
+        }
+        2 => format!("(-{x})"),
+        3 => format!(
+            "({x} {} {y})",
+            pick(rng, &["eq", "ne", "lt", "le", "gt", "ge"])
+        ),
+        4 => format!(
+            "({x} {} {y})",
+            pick(rng, &["=", "!=", "<", "<=", ">", ">="])
+        ),
+        5 => format!("({x} {} {y})", pick(rng, &["and", "or"])),
+        6 => {
+            let ty = pick(
+                rng,
+                &[
+                    "xs:integer",
+                    "xs:double",
+                    "xs:decimal",
+                    "xs:string",
+                    "xs:boolean",
+                ],
+            );
+            format!("({x} cast as {ty}{})", pick(rng, &["", "?"]))
+        }
+        7 => {
+            let f = pick(
+                rng,
+                &[
+                    "string",
+                    "data",
+                    "number",
+                    "string-length",
+                    "upper-case",
+                    "lower-case",
+                    "abs",
+                    "floor",
+                    "ceiling",
+                    "round",
+                    "not",
+                ],
+            );
+            format!("{f}({x})")
+        }
+        8 => {
+            let f = pick(
+                rng,
+                &[
+                    "concat",
+                    "contains",
+                    "starts-with",
+                    "ends-with",
+                    "substring",
+                ],
+            );
+            format!("{f}({x}, {y})")
+        }
+        _ => match rng.gen_bool(0.5) {
+            true => format!("concat({x}, {y}, {z})"),
+            false => format!("substring({x}, {y}, {z})"),
+        },
+    }
+}
+
+#[test]
+fn a_map_over_columns_equals_the_tree_engine_iteration_by_iteration() {
+    use xrpc_repro::relalg::engine::Lifted;
+    use xrpc_repro::relalg::{RelEngine, SeqTable};
+    use xrpc_repro::xqeval::context::StaticContext;
+    use xrpc_repro::xqeval::eval::{Ctx, EvalState};
+    let seeds: Vec<u64> = match std::env::var("MAP_SEED").ok().and_then(|s| s.parse().ok()) {
+        Some(seed) => vec![seed],
+        None => (0..400).collect(),
+    };
+    let doc = Arc::new(xmldom::parse("<r><n>4</n><n>x y</n><n>-1.5</n></r>").unwrap());
+    let env = Environment::new(Arc::new(InMemoryDocs::new()));
+    let (mut mapped, mut raised) = (0, 0);
+    for seed in seeds {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (a, b) = (column(&mut rng, &doc), column(&mut rng, &doc));
+        let c = match rng.gen_range(0..4u32) {
+            0 => Sequence::empty(),
+            1 => Sequence::one(Item::string("son")),
+            _ => Sequence::one(Item::integer(rng.gen_range(0..4i64))),
+        };
+        for k in 0..4 {
+            let text = scalar_expression(&mut rng, 3);
+            let context = format!("MAP_SEED={seed}, expression {k}: {text}");
+            let module = xrpc_repro::xqast::parse_main_module(&text)
+                .unwrap_or_else(|e| panic!("{context}: {e}"));
+            let engine = RelEngine::new(&env, StaticContext::from_prolog(&module.prolog));
+            let name = |n: &str| xrpc_repro::xqast::Name::local(n);
+            // the tree engine, one iteration at a time, up to the first error
+            let mut alone: Result<Vec<Vec<String>>, String> = Ok(Vec::new());
+            for ((i, a), (_, b)) in a.iter().zip(&b) {
+                let mut st = EvalState::new();
+                st.bind(&name("c"), c.clone());
+                st.bind(&name("a"), a.clone());
+                st.bind(&name("b"), b.clone());
+                match engine.tree.eval(&module.body, &mut st, &Ctx::none()) {
+                    Ok(v) => alone.as_mut().unwrap().push(show(&v)),
+                    Err(e) => {
+                        alone = Err(e.code);
+                        break;
+                    }
+                }
+                let _ = i;
+            }
+            // the lifted engine, all iterations at once
+            let lenv = Lifted {
+                loop_iters: (1..=ROWS).collect(),
+                vars: vec![
+                    (name("a").key().clone(), SeqTable::from_sequences(a.clone())),
+                    (name("b").key().clone(), SeqTable::from_sequences(b.clone())),
+                ],
+            };
+            let mut st = EvalState::new();
+            st.bind(&name("c"), c.clone());
+            let lifted = engine
+                .eval_lifted(&module.body, &lenv, &mut st)
+                .map(|t| {
+                    (1..=ROWS)
+                        .map(|i| show(&t.sequence_at(i)))
+                        .collect::<Vec<_>>()
+                })
+                .map_err(|e| e.code);
+            assert_eq!(lifted, alone, "{context}");
+            match alone {
+                Ok(_) => mapped += 1,
+                Err(_) => raised += 1,
+            }
+        }
+    }
+    if std::env::var("MAP_SEED").is_err() {
+        assert!(
+            mapped > 100 && raised > 100,
+            "{mapped} evaluated, {raised} raised"
+        );
     }
 }

@@ -1,12 +1,22 @@
 //! Memory bounds of the XML decoder on hostile bytes (ROADMAP correctness
 //! (e)): what `xmldom::parse` takes from the allocator is bounded by a
 //! small multiple of the input it was handed, in a constant number of
-//! blocks plus a few per distinct name, whatever the bytes say. The counting allocator is this file's
-//! own; counters are per thread because tests run on parallel threads.
+//! blocks plus a few per distinct name, whatever the bytes say — and so is
+//! what `parse_message` takes, which on mutated messages of every shape
+//! answers a message or a typed error and never panics
+//! (`FUZZ_SEED=n` reruns one seed of that run). The counting allocator is
+//! this file's own; counters are per thread because tests run on parallel
+//! threads.
 
+mod common;
+
+use rand::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use xrpc_repro::xrpc_proto::{parse_message, XrpcRequest};
+use xrpc_repro::xrpc_proto::message::{HopProfile, OpNode, Phases, ProfileMode, ProfileRequest};
+use xrpc_repro::xrpc_proto::{
+    parse_message, QueryId, TraceContext, XrpcFault, XrpcRequest, XrpcResponse,
+};
 use xrpc_repro::{xdm, xmark, xmldom};
 
 struct Counting;
@@ -210,4 +220,356 @@ fn a_hostile_nodeid_is_an_error_never_a_panic() {
         }
     }
     assert_eq!((ok, refused), (3, 7 * 7 * 8 - 3));
+}
+
+// ---------------------------------------------------------------------
+// The envelope decoder under mutation
+// ---------------------------------------------------------------------
+
+fn node(doc: &std::sync::Arc<xmldom::Document>, id: xmldom::NodeId) -> xdm::Item {
+    xdm::Item::Node(xmldom::NodeHandle::new(doc.clone(), id))
+}
+
+/// Messages of the shapes the five benchmark workloads put on the wire, and
+/// between them every construct the decoder knows: the trace, budget,
+/// profile-request and profile-hops headers, `queryID`, `updCall`, `seq`,
+/// bulk calls, participating peers, a fault, every node kind as a value, a
+/// shipped document, call-by-fragment references and CDATA-split text.
+fn captured_messages() -> Vec<String> {
+    use xdm::{Item, Sequence};
+    let mut out = Vec::new();
+    // rpc_small: one call of no parameters, traced, with a budget
+    let mut echo = XrpcRequest::new("test", "echoVoid", 0).with_location("http://x/test.xq");
+    echo.push_call(vec![]);
+    echo.trace = Some(TraceContext {
+        trace_id: 0xabcdef,
+        span_id: 0x11,
+        parent_id: Some(0x22),
+    });
+    echo.budget_millis = Some(2500);
+    echo.profile = Some(ProfileRequest {
+        mode: ProfileMode::Sampled,
+        via: "xrpc://a\"<&>".into(),
+        depth: 1,
+    });
+    out.push(echo.to_xml().unwrap());
+    let mut void = XrpcResponse::new("test", "echoVoid");
+    void.results.push(Sequence::empty());
+    void.profile_hops = vec![HopProfile {
+        peer: "xrpc://b".into(),
+        via: "xrpc://a".into(),
+        depth: 1,
+        trace_id: 0xabcdef,
+        span_id: 0x33,
+        total_micros: 120,
+        phases: Phases::default(),
+        ops: vec![OpNode {
+            name: "xq:flwor".into(),
+            calls: 3,
+            timed_calls: 1,
+            wall_micros: 40,
+            items: 9,
+            bytes: 0,
+            children: vec![OpNode {
+                name: "xq:path-step".into(),
+                calls: 9,
+                timed_calls: 1,
+                wall_micros: 7,
+                items: 9,
+                bytes: 64,
+                children: Vec::new(),
+            }],
+        }],
+    }];
+    out.push(void.to_xml().unwrap());
+    // bulk_getperson: a Bulk RPC of two strings a call; persons come back
+    let mut bulk = XrpcRequest::new("functions", "getPerson", 2);
+    for i in 0..6 {
+        bulk.push_call(vec![
+            Sequence::one(Item::string("persons.xml")),
+            Sequence::one(Item::string(format!("person{i} <&> ]]>"))),
+        ]);
+    }
+    out.push(bulk.to_xml().unwrap());
+    let params = xmark::XmarkParams {
+        persons: 4,
+        closed_auctions: 3,
+        matches: 1,
+        padding_words: 3,
+        seed: 5,
+    };
+    let persons = std::sync::Arc::new(xmldom::parse(&xmark::persons_xml(&params)).unwrap());
+    let site = persons.first_child(persons.root()).unwrap();
+    let people: Vec<Item> = (persons.descendants(site))
+        .filter(|&n| persons.name(n).is_some_and(|q| q.local == "person"))
+        .map(|n| node(&persons, n))
+        .collect();
+    let mut found = XrpcResponse::new("functions", "getPerson");
+    found
+        .results
+        .extend(people.iter().cloned().map(Sequence::one));
+    found.results.push(Sequence::empty());
+    found.participating_peers = vec!["xrpc://b".into(), "xrpc://c\"<".into()];
+    out.push(found.to_xml().unwrap());
+    // payload_4m and q7_mix: node sequences as a parameter, every kind of
+    // node among them, a shipped document, references into a fragment
+    let kinds = std::sync::Arc::new(
+        xmldom::parse(
+            r#"<r xmlns="urn:d" xmlns:p="urn:p" a="v&quot;"><p:e p:k="1"><!--c--><?pi data?>t&lt;x</p:e><empty/></r>"#,
+        )
+        .unwrap(),
+    );
+    let r = kinds.first_child(kinds.root()).unwrap();
+    let pe = kinds.first_child(r).unwrap();
+    let mut every_kind = vec![
+        Item::Node(xmldom::NodeHandle::root(kinds.clone())),
+        node(&kinds, r),
+        node(&kinds, kinds.attributes(r).next().unwrap()),
+        node(&kinds, kinds.attributes(pe).next().unwrap()),
+        Item::integer(-7),
+        Item::double(2.5),
+        Item::boolean(true),
+    ];
+    every_kind.extend(kinds.children(pe).map(|c| node(&kinds, c)));
+    let mut shipped = XrpcRequest::new("tp", "consume", 2);
+    shipped.call_by_fragment = true;
+    shipped.seq = Some(41);
+    shipped.push_call(vec![
+        Sequence::from_items(every_kind.clone()),
+        Sequence::from_items(vec![node(&kinds, pe), node(&kinds, r)]),
+    ]);
+    out.push(shipped.to_xml().unwrap());
+    let mut produced = XrpcResponse::new("tp", "produce");
+    produced.results.push(Sequence::from_items(every_kind));
+    produced
+        .results
+        .push(Sequence::one(Item::Node(xmldom::NodeHandle::root(persons))));
+    out.push(produced.to_xml().unwrap());
+    // update_2pc: a deferred updating call inside a transaction, and a fault
+    let mut bump = XrpcRequest::new("u1", "bump", 1).with_query_id(QueryId::new(
+        "xrpc://a.example.org",
+        1_190_000_000_000,
+        30,
+    ));
+    bump.deferred = true;
+    bump.seq = Some(3);
+    bump.push_call(vec![Sequence::one(Item::string("log1.xml"))]);
+    out.push(bump.to_xml().unwrap());
+    let fault = XrpcFault::from_error(&xdm::XdmError::type_error("bad <things> & more"));
+    out.push(fault.to_xml());
+    // strings that look like markup, as atoms and as text nodes; fragments
+    // that carry the namespaces they inherited
+    let awkward = [
+        "]]>",
+        "a\rb",
+        "&<>\"&<>\"",
+        "é<ü&日本語>",
+        "<![CDATA[no]]>",
+        " ",
+        "&amp;",
+    ];
+    let mut texts = xmldom::Document::new();
+    let text_nodes: Vec<xmldom::NodeId> = awkward.iter().map(|s| texts.create_text(s)).collect();
+    let texts = std::sync::Arc::new(texts);
+    let declared = std::sync::Arc::new(
+        xmldom::parse(
+            r#"<r xmlns="urn:d" xmlns:p="urn:u"><p:a k="1" p:j="2">t</p:a><a><b/><c xmlns=""/></a></r>"#,
+        )
+        .unwrap(),
+    );
+    let dr = declared.first_child(declared.root()).unwrap();
+    let (pa, da) = (
+        declared.first_child(dr).unwrap(),
+        declared.last_child(dr).unwrap(),
+    );
+    let mut strings = XrpcResponse::new("m", "f");
+    strings.results.push(Sequence::from_items(
+        (awkward.iter().map(|s| Item::string(*s)))
+            .chain(text_nodes.iter().map(|&t| node(&texts, t)))
+            .collect(),
+    ));
+    strings.results.push(Sequence::from_items(vec![
+        node(&declared, pa),
+        node(&declared, da),
+        node(&declared, declared.last_child(da).unwrap()),
+        node(&declared, declared.attributes(pa).nth(1).unwrap()),
+    ]));
+    out.push(strings.to_xml().unwrap());
+    // what no writer of ours emits but a peer may send: text split by CDATA
+    // sections, white space and comments between values, nested wrappers
+    out.push(
+        out[2]
+            .replacen("persons.xml", "per<![CDATA[sons]]>.x<![CDATA[]]>ml", 1)
+            .replacen("<xrpc:sequence>", "<xrpc:sequence> <!-- ws --> ", 1)
+            .replacen(
+                "</xrpc:call>",
+                "<other xmlns=\"urn:o\"><xrpc:call/></other></xrpc:call>",
+                1,
+            ),
+    );
+    out
+}
+
+const SPLICES: [&str; 16] = [
+    "<xrpc:call>",
+    "</xrpc:call>",
+    "<xrpc:sequence>",
+    "</xrpc:sequence>",
+    "<xrpc:sequence/>",
+    r#"<xrpc:nodeid param="1" item="1" path="0"/>"#,
+    r#"<xrpc:atomic-value xsi:type="xs:integer">x</xrpc:atomic-value>"#,
+    "<xrpc:element>",
+    "<xrpc:document/>",
+    "<env:Body>",
+    "<![CDATA[",
+    "]]>",
+    "<!--",
+    "&amp;",
+    "&#x0;",
+    r#" xmlns:xrpc="urn:elsewhere""#,
+];
+
+/// One to three seeded edits of `message`: a bit flipped, a span deleted or
+/// duplicated somewhere else, a tag spliced in, the tail cut off.
+fn mutate(rng: &mut StdRng, message: &str) -> String {
+    let mut bytes = message.as_bytes().to_vec();
+    for _ in 0..rng.gen_range(1..=3) {
+        if bytes.is_empty() {
+            break;
+        }
+        let at = rng.gen_range(0..bytes.len());
+        let span = at..(at + rng.gen_range(1..48usize)).min(bytes.len());
+        match rng.gen_range(0..5) {
+            0 => bytes[at] ^= 1u8 << rng.gen_range(0..8u32),
+            1 => drop(bytes.drain(span)),
+            2 => {
+                let copy = bytes[span].to_vec();
+                let to = rng.gen_range(0..=bytes.len());
+                bytes.splice(to..to, copy);
+            }
+            3 => {
+                let tag = SPLICES[rng.gen_range(0..SPLICES.len())];
+                bytes.splice(at..at, tag.bytes());
+            }
+            _ => bytes.truncate(at),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// What decoding may take: eight times the input and a block for every
+/// eight bytes of it, beyond a constant (the reader's and the arena's own
+/// few, an error's strings).
+fn assert_decode_bounded(input: &str, context: &str) -> bool {
+    let (result, peak, blocks) = measure(|| parse_message(input));
+    assert!(
+        peak <= 8 * input.len() + 4096,
+        "{context}: {peak} bytes for {} of input",
+        input.len()
+    );
+    assert!(
+        blocks <= 64 + input.len() / 8,
+        "{context}: {blocks} blocks for {} bytes of input",
+        input.len()
+    );
+    if let Err(e) = &result {
+        assert!(!e.code.is_empty(), "{context}: an error without a code");
+    }
+    result.is_ok()
+}
+
+#[test]
+fn a_mutated_message_is_a_message_or_a_typed_error_in_bounded_memory() {
+    let seeds: Vec<u64> = match std::env::var("FUZZ_SEED").ok().and_then(|s| s.parse().ok()) {
+        Some(seed) => vec![seed],
+        None => (0..48).collect(),
+    };
+    let messages = captured_messages();
+    for (k, message) in messages.iter().enumerate() {
+        let context = format!("message {k} as captured");
+        assert!(assert_decode_bounded(message, &context), "{context}");
+        assert!(common::assert_decodes_like_the_oracle(message, &context));
+    }
+    let (mut accepted, mut refused) = (0, 0);
+    for seed in seeds {
+        let run = std::panic::catch_unwind(|| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut accepted = 0;
+            for (k, message) in messages.iter().enumerate() {
+                for m in 0..6 {
+                    let mutant = mutate(&mut rng, message);
+                    let context = format!("FUZZ_SEED={seed}, message {k}, mutant {m}");
+                    let ok = assert_decode_bounded(&mutant, &context);
+                    // what is accepted is what the long way round decodes;
+                    // what is refused is refused there too, for the same
+                    // reason
+                    let same = common::assert_decodes_like_the_oracle(&mutant, &context);
+                    assert_eq!(ok, same, "{context}");
+                    accepted += ok as usize;
+                }
+            }
+            accepted
+        });
+        match run {
+            Ok(n) => {
+                accepted += n;
+                refused += 6 * messages.len() - n;
+            }
+            Err(_) => panic!("rerun with FUZZ_SEED={seed}"),
+        }
+    }
+    // the run means something only if both happen
+    assert!(
+        accepted > 0 && refused > 0,
+        "{accepted} accepted, {refused} refused"
+    );
+}
+
+/// Depth is the one dimension the input buys cheaply: seven bytes a level.
+/// A value nested a hundred thousand deep is built without recursion and in
+/// the memory a parse of it takes; an operator tree that deep in a profile
+/// header is followed to a fixed depth and dropped below it.
+#[test]
+fn a_hundred_thousand_levels_neither_overflow_the_stack_nor_the_bound() {
+    let depth = 100_000;
+    let mut resp = XrpcResponse::new("m", "f");
+    resp.results.push(xdm::Sequence::empty());
+    let template = resp.to_xml().unwrap();
+    let deep = format!(
+        "<xrpc:sequence><xrpc:element>{}{}</xrpc:element></xrpc:sequence>",
+        "<nested>".repeat(depth),
+        "</nested>".repeat(depth)
+    );
+    let message = template.replacen("<xrpc:sequence/>", &deep, 1);
+    assert_ne!(message, template);
+    let (result, peak, _) = measure(|| parse_message(&message));
+    let xrpc_repro::xrpc_proto::XrpcMessage::Response(decoded) = result.unwrap() else {
+        panic!("a response");
+    };
+    assert!(
+        peak <= 8 * message.len(),
+        "{peak} bytes for {}",
+        message.len()
+    );
+    let value = decoded.results[0].items()[0].as_node().unwrap();
+    assert_eq!(value.doc.subtree_size(value.id), depth);
+    common::assert_decodes_like_the_oracle(&message, "a deep value");
+
+    let ops = format!(
+        "<env:Header><xrpc:profile><xrpc:hop peer=\"p\" depth=\"1\" traceId=\"1\" spanId=\"1\" totalMicros=\"1\">{}{}</xrpc:hop></xrpc:profile></env:Header><env:Body>",
+        r#"<xrpc:op name="o" calls="1" timedCalls="1" wallMicros="1" items="1" bytes="1">"#.repeat(depth),
+        "</xrpc:op>".repeat(depth)
+    );
+    let message = template.replacen("<env:Body>", &ops, 1);
+    let xrpc_repro::xrpc_proto::XrpcMessage::Response(decoded) = parse_message(&message).unwrap()
+    else {
+        panic!("a response");
+    };
+    let mut levels = 0;
+    let mut op = decoded.profile_hops[0].ops.first();
+    while let Some(o) = op {
+        levels += 1;
+        op = o.children.first();
+    }
+    assert!((1..1000).contains(&levels), "{levels} levels kept");
 }

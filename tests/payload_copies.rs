@@ -8,8 +8,13 @@
 //! (ISSUE 20): a `//T` scan allocates for what it selects, not for what it
 //! walks past; wrapping subtrees in k constructors copies them once, not k
 //! times; a function call allocates for its arguments and its result, not
-//! for its dispatch. The counting allocator is this file's own; counters are
-//! per thread because tests run on parallel threads.
+//! for its dispatch. And a call inside a Bulk RPC costs its bytes (ISSUE 22):
+//! a decoded call is its strings and one vector, a scalar argument is
+//! computed a column at a time, and the rows of the call table move into the
+//! request. The counting allocator is this file's own; counters are per
+//! thread because tests run on parallel threads.
+
+mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -326,6 +331,139 @@ fn a_module_function_call_allocates_a_small_constant() {
     assert!(
         per_call <= PER_CALL as f64 + 0.1,
         "{per_call} allocations a call, want at most {PER_CALL}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// (c'') a call inside a Bulk RPC costs its bytes — counts, not clocks
+// ---------------------------------------------------------------------
+
+const CALLS: usize = 1000;
+
+/// A thousand `getPerson("persons.xml", "personN")` in one request: each
+/// decodes to its two strings and the vector that holds the two parameters
+/// — no element list, no pending values, no vector behind a singleton (nine
+/// blocks a call when the message was a DOM first).
+#[test]
+fn a_decoded_call_is_its_values_and_one_vector() {
+    use xrpc_repro::xrpc_proto::{parse_message, XrpcMessage, XrpcRequest};
+    let mut req = XrpcRequest::new("functions", "getPerson", 2);
+    for i in 0..CALLS {
+        req.push_call(vec![
+            xdm::Sequence::one(xdm::Item::string("persons.xml")),
+            xdm::Sequence::one(xdm::Item::string(format!("person{i}"))),
+        ]);
+    }
+    let xml = req.to_xml().unwrap();
+    let (decoded, requests, _) = count(|| parse_message(&xml).unwrap());
+    let XrpcMessage::Request(decoded) = decoded else {
+        panic!("a request");
+    };
+    assert_eq!(decoded.calls.len(), CALLS);
+    assert_eq!(decoded.calls[7][1].items()[0].string_value(), "person7");
+    assert!(
+        requests <= 4 * CALLS + 64,
+        "{requests} allocations to decode {CALLS} calls"
+    );
+}
+
+const PERSONS_MODULE: &str = r#"
+    module namespace func = "functions";
+    declare function func:getPerson($doc as xs:string, $pid as xs:string) as node()?
+    { zero-or-one(doc($doc)//person[@id = $pid]) };
+"#;
+
+/// The argument of the benchmark's bulk call, for a thousand iterations on
+/// the loop-lifted engine: a map over the loop's column. A row costs the
+/// string `fn:string` makes and the one `fn:concat` makes; the tree engine,
+/// walking the expression once per iteration, took eight.
+#[test]
+fn a_scalar_expression_over_a_loop_is_a_map_over_its_column() {
+    let env = env_with("d", "<r/>");
+    let q =
+        format!(r#"for $i in (1 to {CALLS}) return concat("person", string(($i + 7) mod 2000))"#);
+    let run = || relalg::execute_rel(&q, &env).unwrap().0;
+    assert_eq!(run().items()[CALLS - 1].string_value(), "person1007");
+    let (out, requests, _) = count(run);
+    assert_eq!(out.len(), CALLS);
+    assert!(
+        requests <= 3 * CALLS + 128,
+        "{requests} allocations for {CALLS} rows"
+    );
+}
+
+/// The caller's side of the benchmark's `bulk_getperson` operation —
+/// argument evaluation, the call table, encoding the request and mapping the
+/// results back — against a canned response, the response's decode counted
+/// apart and taken off. Per call: the literal document name, the two strings
+/// of the computed id, the parameter vector, and what is left of de-duplication's
+/// key; seventeen when every argument was copied out of its table twice.
+#[test]
+fn the_rows_of_a_call_table_move_into_the_request() {
+    use xrpc_repro::xrpc_proto::{parse_message, XrpcMessage};
+    let a = Peer::new("xrpc://a", EngineKind::Rel);
+    let b = Peer::new("xrpc://b", EngineKind::Tree);
+    for p in [&a, &b] {
+        p.register_module(PERSONS_MODULE).unwrap();
+    }
+    let params = xmark::XmarkParams {
+        persons: 2000,
+        closed_auctions: 10,
+        matches: 1,
+        padding_words: 4,
+        seed: 1,
+    };
+    b.add_document("persons.xml", &xmark::persons_xml(&params))
+        .unwrap();
+    let q = format!(
+        r#"import module namespace func = "functions";
+           for $i in (1 to {CALLS})
+           return execute at {{"xrpc://b"}}
+                  {{func:getPerson("persons.xml", concat("person", string(($i + 7) mod 2000)))}}"#
+    );
+    struct Canned(Vec<u8>);
+    impl Transport for Canned {
+        fn roundtrip(&self, _dest: &str, _body: &[u8]) -> Result<Vec<u8>, NetError> {
+            Ok(self.0.clone())
+        }
+    }
+    struct Recording {
+        callee: Arc<Peer>,
+        response: std::sync::Mutex<Vec<u8>>,
+    }
+    impl Transport for Recording {
+        fn roundtrip(&self, _dest: &str, body: &[u8]) -> Result<Vec<u8>, NetError> {
+            let response = self.callee.handle_soap(body);
+            *self.response.lock().unwrap() = response.clone();
+            Ok(response)
+        }
+    }
+    // once for real, to have the response
+    let recording = Arc::new(Recording {
+        callee: b,
+        response: std::sync::Mutex::new(Vec::new()),
+    });
+    a.set_transport_raw(recording.clone());
+    assert_eq!(a.execute(&q).unwrap().len(), CALLS);
+    let response = recording.response.lock().unwrap().clone();
+    let text = std::str::from_utf8(&response).unwrap();
+
+    let (decoded, decode, _) = count(|| parse_message(text).unwrap());
+    let XrpcMessage::Response(decoded) = decoded else {
+        panic!("a response");
+    };
+    assert_eq!(decoded.results.len(), CALLS);
+    // what was decoded is a thousand persons and nothing of the message
+    common::assert_holds_values_only(&decoded.results, "the bulk response");
+
+    a.set_transport_raw(Arc::new(Canned(response.clone())));
+    assert_eq!(a.execute(&q).unwrap().len(), CALLS); // warm
+    let (out, requests, _) = count(|| a.execute(&q).unwrap());
+    assert_eq!(out.len(), CALLS);
+    let caller = requests.saturating_sub(decode);
+    assert!(
+        caller <= 7 * CALLS + 256,
+        "{caller} allocations at the caller for {CALLS} calls ({requests} with the decode, {decode} the decode)"
     );
 }
 

@@ -490,3 +490,25 @@ fn an_attribute_inserted_beside_a_node_lands_on_its_parent() {
         Err("XUTY0010".to_string())
     );
 }
+
+/// XQUF §3.1.3 (`upd:insertIntoAsFirst`): the content goes ahead of the
+/// target's children, in its own order. An attribute in it is no child and
+/// must not be counted as one — it used to push what came after it one
+/// place back, behind the first of the old children.
+#[test]
+fn content_inserted_as_first_lands_ahead_of_the_children() {
+    const INSERT: &str = r#"insert nodes (attribute k {"1"}, <x/>, <y/>) as first into doc("d")/a"#;
+    assert_eq!(
+        updated("<a><b/></a>", INSERT).unwrap(),
+        r#"<a k="1"><x/><y/><b/></a>"#
+    );
+    assert_eq!(
+        updated(
+            "<a><b/><c/></a>",
+            r#"insert nodes (<x/>, attribute k {"1"}, attribute j {"2"}, <y/>) as first into doc("d")/a"#
+        )
+        .unwrap(),
+        r#"<a k="1" j="2"><x/><y/><b/><c/></a>"#
+    );
+    assert_eq!(updated("<a/>", INSERT).unwrap(), r#"<a k="1"><x/><y/></a>"#);
+}
