@@ -820,12 +820,16 @@ fn alloc_probe() {
     let xml = xmark::payload_xml(bytes);
     let probe = |label: &str, f: &mut dyn FnMut()| {
         let a0 = alloc_snapshot();
+        let s0 = xmldom::serialize_counters();
         f();
         let d = alloc_snapshot().since(a0);
+        let s = xmldom::serialize_counters();
         println!(
-            "{label:<28} {:>12} allocs {:>10.1} MiB",
+            "{label:<28} {:>12} allocs {:>10.1} MiB {:>3} image_builds {:>8} nodes_walked",
             d.allocs,
-            d.bytes as f64 / (1024.0 * 1024.0)
+            d.bytes as f64 / (1024.0 * 1024.0),
+            s.image_builds - s0.image_builds,
+            s.nodes_walked - s0.nodes_walked
         );
     };
     probe("parse payload", &mut || {
@@ -903,10 +907,18 @@ fn throughput(quick: bool, check_cliff: bool) {
         c2.net.metrics.reset();
         let a0 = alloc_snapshot();
         let mut d_resp = Duration::ZERO;
-        for _ in 0..iters {
+        // the callee's store document earns its wire image in the first two
+        // trips; after them a response is slices of it
+        let cold = xmldom::serialize_counters();
+        let mut warm = cold;
+        for i in 0..iters {
+            if i == 2 {
+                warm = xmldom::serialize_counters();
+            }
             let (d, _) = time_query(&c2.a, &response_heavy_query());
             d_resp += d;
         }
+        let done = xmldom::serialize_counters();
         let resp_mib_alloc = mib_per_trip(alloc_snapshot().since(a0).bytes);
         let recv = c2.net.metrics.snapshot().bytes_received;
         let resp_lat = c2.a.obs.histogram("xrpc_call_latency_micros").snapshot();
@@ -933,6 +945,16 @@ fn throughput(quick: bool, check_cliff: bool) {
             // per round trip, like the request's: with the MiB shipped, how
             // many times over a stage rebuilds what it was handed
             ("response_mib_allocated", resp_mib_alloc),
+            // counts that repeat on any host: nodes the serializer walked
+            // once the cell was warm, images it built over the whole cell
+            (
+                "response_warm_nodes_walked",
+                (done.nodes_walked - warm.nodes_walked) as f64,
+            ),
+            (
+                "response_image_builds",
+                (done.image_builds - cold.image_builds) as f64,
+            ),
             ("samples", iters as f64),
             // originator-side latency histograms (the same ones /metrics
             // exposes), so the JSON artifact carries quantiles per PR
@@ -952,10 +974,36 @@ fn throughput(quick: bool, check_cliff: bool) {
         quick,
         &rows,
     );
+    if quick {
+        wire_image_guard(&rows);
+    }
     if check_cliff {
         check_cliff_guard(&rows);
     }
     println!();
+}
+
+/// CI guard on counts: the warm response-heavy 1 MiB and 4 MiB cells walk
+/// no node (the payload is slices of the store document's wire image) and
+/// the one store document behind them builds at most one image.
+fn wire_image_guard(rows: &[Vec<(&str, f64)>]) {
+    let field = |row: &[(&str, f64)], key: &str| row_field(row, key).unwrap_or(f64::INFINITY);
+    for row in rows.iter().filter(|r| field(r, "payload_kib") >= 1024.0) {
+        let kib = field(row, "payload_kib");
+        let walked = field(row, "response_warm_nodes_walked");
+        let builds = field(row, "response_image_builds");
+        if walked != 0.0 || builds > 1.0 {
+            eprintln!(
+                "E4 quick FAILED: the {kib} KiB response-heavy cell walked {walked} nodes warm (expected 0) and built {builds} images (expected at most 1)"
+            );
+            std::process::exit(11);
+        }
+    }
+    println!("E4 quick: warm response-heavy cells walk 0 nodes, at most 1 image a store document");
+}
+
+fn row_field(row: &[(&str, f64)], key: &str) -> Option<f64> {
+    row.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
 }
 
 /// CI cliff-regression guard: fail if 4 MiB request throughput is more
@@ -964,12 +1012,8 @@ fn throughput(quick: bool, check_cliff: bool) {
 fn check_cliff_guard(rows: &[Vec<(&str, f64)>]) {
     let req_at = |kib: f64| -> Option<f64> {
         rows.iter()
-            .find(|r| r.iter().any(|(k, v)| *k == "payload_kib" && *v == kib))
-            .and_then(|r| {
-                r.iter()
-                    .find(|(k, _)| *k == "request_mb_per_s")
-                    .map(|(_, v)| *v)
-            })
+            .find(|r| row_field(r, "payload_kib") == Some(kib))
+            .and_then(|r| row_field(r, "request_mb_per_s"))
     };
     let (Some(one_mib), Some(four_mib)) = (req_at(1024.0), req_at(4096.0)) else {
         eprintln!("cliff check: 1 MiB / 4 MiB rows missing from the sweep");

@@ -157,6 +157,74 @@ pub fn payload_xml(bytes: usize) -> String {
     out
 }
 
+/// A small document that has one of everything a serializer treats
+/// differently, for seeded differentials: every node kind, attribute values
+/// and text that need escaping, CDATA sections, empty elements, and default
+/// and prefixed namespaces declared at several depths, declared again with
+/// another URI, and (the default) undeclared.
+pub fn mixed_xml(seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut out = String::from("<!--prolog--><?pi prolog?>");
+    mixed_element(&mut rng, 4, &mut Vec::new(), &mut out);
+    out.push_str("<!--epilog-->");
+    out
+}
+
+/// One element; `bound` is the prefixes in scope.
+fn mixed_element(rng: &mut StdRng, depth: u32, bound: &mut Vec<&'static str>, out: &mut String) {
+    let in_scope = bound.len();
+    let mut decls = String::new();
+    for prefix in ["p", "q"] {
+        // the first element binds both, so a name can always use either
+        if in_scope == 0 || rng.gen_bool(0.15) {
+            let uri = rng.gen_range(0..3);
+            let _ = write!(decls, " xmlns:{prefix}=\"urn:{prefix}&amp;{uri}\"");
+            bound.push(prefix);
+        }
+    }
+    match rng.gen_range(0..8) {
+        0 => decls.push_str(" xmlns=\"urn:default\""),
+        1 => decls.push_str(" xmlns=\"urn:other\""),
+        2 => decls.push_str(" xmlns=\"\""),
+        _ => {}
+    }
+    let local = ["a", "b", "item", "x-y"][rng.gen_range(0..4usize)];
+    let name = match rng.gen_range(0..4) {
+        0 => format!("{}:{local}", bound[rng.gen_range(0..bound.len())]),
+        _ => local.to_string(),
+    };
+    let _ = write!(out, "<{name}{decls}");
+    for attr in ["k", "id", "p:k", "q:id"] {
+        if rng.gen_bool(0.25) {
+            let value =
+                ["", "v", "&quot;&lt;&amp;&gt;'", "a&#9;b&#10;c", "é✓"][rng.gen_range(0..5usize)];
+            let _ = write!(out, " {attr}=\"{value}\"");
+        }
+    }
+    let kids = if depth == 0 { 0 } else { rng.gen_range(0..5) };
+    if kids == 0 {
+        out.push_str("/>");
+    } else {
+        out.push('>');
+        // (no two runs of text side by side: a parser makes them one node)
+        let mut after_text = false;
+        for _ in 0..kids {
+            let kid = rng.gen_range(if after_text { 3..7 } else { 0..7 });
+            after_text = kid < 3;
+            match kid {
+                0 => out.push_str("t &lt;&amp;&gt; \"'"),
+                1 => out.push_str("<![CDATA[<raw> & ]]>"),
+                2 => out.push_str("plain é✓"),
+                3 => out.push_str("<!-- c < & -->"),
+                4 => out.push_str("<?target d < & ?>"),
+                _ => mixed_element(rng, depth - 1, bound, out),
+            }
+        }
+        let _ = write!(out, "</{name}>");
+    }
+    bound.truncate(in_scope);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,5 +329,17 @@ mod tests {
         xqast::parse_library_module(test_module()).unwrap();
         xqast::parse_library_module(functions_module()).unwrap();
         xmldom::parse(film_db()).unwrap();
+    }
+
+    #[test]
+    fn mixed_documents_parse_and_have_every_node_kind() {
+        let mut kinds = std::collections::HashSet::new();
+        for seed in 0..50 {
+            let xml = mixed_xml(seed);
+            let doc = xmldom::parse(&xml).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{xml}"));
+            kinds.extend(doc.all_ids().map(|id| doc.kind(id)));
+            assert_eq!(xml, mixed_xml(seed));
+        }
+        assert_eq!(kinds.len(), 6);
     }
 }

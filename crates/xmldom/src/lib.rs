@@ -28,7 +28,8 @@ pub use parser::{parse, parse_with_uri, Builder, ParseError};
 pub use qname::QName;
 pub use reader::{Attr, Event, Name, Reader, StartTag};
 pub use serialize::{
-    serialize_document, serialize_document_into, serialize_node, serialize_node_into, SerializeOpts,
+    serialize_counters, serialize_document, serialize_document_into, serialize_node,
+    serialize_node_into, SerializeCounters, SerializeOpts,
 };
 
 use std::sync::Arc;

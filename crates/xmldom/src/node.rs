@@ -10,8 +10,10 @@
 //! structural edit (append, insert before/after, detach) is O(1).
 
 use crate::qname::QName;
+use crate::serialize::WireImage;
 use std::any::Any;
 use std::borrow::Cow;
+use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, OnceLock};
 
 /// Index of a node inside a [`Document`] arena.
@@ -126,6 +128,15 @@ pub struct Document {
     /// [`Document::side_data`]): filled through `&self`, emptied by `clone`
     /// and by every mutator.
     side: OnceLock<Box<dyn Any + Send + Sync>>,
+    /// The compact serialization of exactly this document value and every
+    /// node's byte range in it (see [`WireImage`]): built through `&self`
+    /// by the serializer once the version has earned it, and like `side`
+    /// emptied by `clone` and by every mutator — a namespace declaration
+    /// included, which changes what a node serializes to.
+    pub(crate) image: OnceLock<WireImage>,
+    /// Bytes the serializer has walked out of this version so far, which is
+    /// what earns the image; nonzero whenever `image` is set.
+    pub(crate) walked: AtomicUsize,
 }
 
 /// Forward/backward walk over one sibling chain (children or attributes).
@@ -211,6 +222,8 @@ impl Document {
             ns_decls: Vec::new(),
             uri: None,
             side: OnceLock::new(),
+            image: OnceLock::new(),
+            walked: AtomicUsize::new(0),
         };
         d.alloc(NodeKind::Document, None, Span::default());
         d
@@ -320,13 +333,26 @@ impl Document {
     /// Called by every public method that adds a node or changes a link, a
     /// value or a name: relinking goes through `detach`, values through
     /// `replace_value`, names through `rename`, new nodes through `create`
-    /// / `import_subtree`. (Namespace declarations change none of those;
-    /// the builder calls it once and then fills the document through
-    /// `push_node`, which skips it.)
+    /// / `import_subtree`. (Namespace declarations change none of those —
+    /// they drop the wire image alone; the builder calls it once and then
+    /// fills the document through `push_node`, which skips it.)
     pub(crate) fn invalidate_side(&mut self) {
         if self.side.get_mut().is_some() {
             self.side = OnceLock::new();
         }
+        self.invalidate_image();
+    }
+
+    /// Forget the wire image and what the version had walked towards it.
+    fn invalidate_image(&mut self) {
+        if std::mem::take(self.walked.get_mut()) != 0 {
+            self.image = OnceLock::new();
+        }
+    }
+
+    /// Heap bytes the version's wire image holds (0 = none built).
+    pub fn wire_image_bytes(&self) -> usize {
+        self.image.get().map_or(0, WireImage::heap_bytes)
     }
 
     /// A new detached node, for the public constructors.
@@ -465,6 +491,8 @@ impl Document {
     }
 
     pub(crate) fn push_ns_decl(&mut self, node: NodeId, prefix: Span, uri: Span) {
+        // no link, value or name moves, but the start tag gains bytes
+        self.invalidate_image();
         // after any earlier declaration of the same node; the common case
         // (the newest element) is a plain push
         let at = self.ns_decls.partition_point(|d| d.node <= node);
@@ -664,6 +692,7 @@ impl Document {
     ///
     /// [`remove`]: Self::remove
     pub fn reclaim(&mut self) {
+        self.invalidate_side();
         // the roots still cut off, then everything below them
         let mut dead = std::mem::take(&mut self.discarded);
         dead.sort_unstable();
@@ -741,27 +770,31 @@ impl Document {
     /// namespace) an ancestor declares that neither `id` nor a nearer
     /// ancestor rebinds, nearest first. What a fragment cut out at `id` must
     /// declare on its own start tag to keep its names. Undeclarations
-    /// (`xmlns=""`) shadow but are not reported. O(depth), and free for a
-    /// document that declares nothing.
-    pub fn inherited_ns_decls(&self, id: NodeId) -> Vec<(&str, &str)> {
-        let mut out: Vec<(&str, &str)> = Vec::new();
-        if self.ns_decls.is_empty() {
-            return out;
-        }
-        let mut shadowed: Vec<&str> = self.ns_decls(id).map(|(p, _)| p).collect();
-        let mut cur = self.parent(id);
-        while let Some(anc) = cur {
-            for (p, u) in self.ns_decls(anc) {
-                if !shadowed.contains(&p) {
-                    shadowed.push(p);
-                    if !u.is_empty() {
-                        out.push((p, u));
-                    }
-                }
-            }
-            cur = self.parent(anc);
-        }
-        out
+    /// (`xmlns=""`) shadow but are not reported. Allocates nothing: a
+    /// candidate is checked against the declarations between it and `id`
+    /// where they lie: O(depth) per declaration an ancestor makes, and free
+    /// for a document that declares nothing.
+    pub fn inherited_ns_decls(&self, id: NodeId) -> impl Iterator<Item = (&str, &str)> + '_ {
+        let nearest = if self.ns_decls.is_empty() {
+            None
+        } else {
+            self.parent(id)
+        };
+        std::iter::successors(nearest, |&anc| self.parent(anc))
+            .flat_map(move |anc| {
+                self.ns_decls(anc)
+                    .enumerate()
+                    .filter(move |&(nth, (p, u))| {
+                        // not an undeclaration, not declared earlier on `anc`, and
+                        // not rebound anywhere from `id` up to `anc`
+                        !u.is_empty()
+                            && self.ns_decls(anc).take(nth).all(|(q, _)| q != p)
+                            && std::iter::successors(Some(id), |&n| self.parent(n))
+                                .take_while(|&n| n != anc)
+                                .all(|n| self.ns_decls(n).all(|(q, _)| q != p))
+                    })
+            })
+            .map(|(_, decl)| decl)
     }
 
     /// The lexical `xsi:type` of an element, if it carries one. The XRPC
@@ -848,10 +881,14 @@ impl Document {
             .sum()
     }
 
-    /// Rough serialized byte size of the subtree rooted at `id`: tag pairs
-    /// from the interned name lengths, attribute/text content from the
-    /// stored value lengths, plus a small slack for escaping.
+    /// Rough serialized byte size of the subtree rooted at `id`: read off
+    /// the version's wire image where it has one, else tag pairs from the
+    /// interned name lengths, attribute/text content from the stored value
+    /// lengths, plus a small slack for escaping.
     pub fn subtree_wire_estimate(&self, id: NodeId) -> usize {
+        if let Some(range) = self.image.get().and_then(|image| image.range(id)) {
+            return range.len();
+        }
         let one = |n: NodeId| {
             let d = &self.nodes[n.index()];
             let name = d.name.as_ref().map_or(0, |q| 2 * q.lexical_len() + 5);
@@ -942,6 +979,8 @@ impl Clone for Document {
             ns_decls: self.ns_decls.clone(),
             uri: self.uri.clone(),
             side: OnceLock::new(),
+            image: OnceLock::new(),
+            walked: AtomicUsize::new(0),
         };
         if self.dead_text * 2 <= self.text.len() {
             copy.text = self.text.clone();

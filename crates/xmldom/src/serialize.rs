@@ -5,9 +5,15 @@
 //! so deeply nested documents cannot overflow the thread stack, and every
 //! entry point has an `_into` variant that appends to a caller-supplied
 //! buffer so the hot message path can reuse one allocation across calls.
+//!
+//! A document version that keeps being serialized is serialized once: the
+//! walker's own output over the whole tree is kept with the version as its
+//! [`WireImage`], and from then on a node of that version is a slice of it.
 
 use crate::escape::{push_escaped_attr, push_escaped_text};
 use crate::node::{Document, NodeId, NodeKind};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Serialization options.
 #[derive(Clone, Debug, Default)]
@@ -19,6 +25,13 @@ pub struct SerializeOpts {
     pub indent: usize,
 }
 
+impl SerializeOpts {
+    /// The form messages are written in, and the only one an image holds.
+    fn is_wire_form(&self) -> bool {
+        self.indent == 0 && !self.xml_decl
+    }
+}
+
 /// Serialize a whole document.
 pub fn serialize_document(doc: &Document, opts: &SerializeOpts) -> String {
     let mut out = String::new();
@@ -28,6 +41,10 @@ pub fn serialize_document(doc: &Document, opts: &SerializeOpts) -> String {
 
 /// Serialize a whole document, appending to `out` (reusable buffer).
 pub fn serialize_document_into(doc: &Document, opts: &SerializeOpts, out: &mut String) {
+    if opts.is_wire_form() {
+        // what the document node's walk writes: its children, back to back
+        return serialize_node_into(doc, doc.root(), opts, out);
+    }
     if opts.xml_decl {
         out.push_str("<?xml version=\"1.0\" encoding=\"utf-8\"?>");
         if opts.indent > 0 {
@@ -38,20 +55,138 @@ pub fn serialize_document_into(doc: &Document, opts: &SerializeOpts, out: &mut S
         if i > 0 && opts.indent > 0 {
             out.push('\n');
         }
-        write_node(doc, c, opts, 0, out);
+        write_node(doc, c, opts, 0, out, None);
     }
 }
 
 /// Serialize one node (subtree).
 pub fn serialize_node(doc: &Document, id: NodeId, opts: &SerializeOpts) -> String {
     let mut out = String::new();
-    write_node(doc, id, opts, 0, &mut out);
+    serialize_node_into(doc, id, opts, &mut out);
     out
 }
 
-/// Serialize one node (subtree), appending to `out` (reusable buffer).
+/// Serialize one node (subtree), appending to `out` (reusable buffer): a
+/// slice of the version's wire image where it has earned one, the walk
+/// otherwise — the same bytes either way.
 pub fn serialize_node_into(doc: &Document, id: NodeId, opts: &SerializeOpts, out: &mut String) {
-    write_node(doc, id, opts, 0, out);
+    let wire_form = opts.is_wire_form();
+    if wire_form && earned_image(doc).is_some_and(|image| image.append(doc, id, out)) {
+        return;
+    }
+    let before = out.len();
+    write_node(doc, id, opts, 0, out, None);
+    // a parentless fragment of a shared arena is not under the document
+    // node: no image would hold it, so its walks earn none
+    if wire_form && (id == doc.root() || doc.parent(id).is_some()) {
+        doc.walked.fetch_add(out.len() - before, Relaxed);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The wire image of a document version
+// ---------------------------------------------------------------------
+
+/// A range start no image has: the slot is not under the document node.
+/// (An image that long is never kept.)
+const ABSENT: u32 = u32::MAX;
+
+/// The compact serialization of the tree under a document node, and for
+/// every slot reachable from it the byte range its subtree occupies there —
+/// [`write_node`]'s own output and the offsets it passed, so a slice is byte
+/// for byte what the walk would write. Document order is `start` order and
+/// ancestry is range containment. Owned by the [`Document`] value it
+/// describes and dropped with it or by its first change.
+#[derive(Debug, Default)]
+pub(crate) struct WireImage {
+    text: String,
+    ranges: Vec<(u32, u32)>,
+}
+
+static NODES_WALKED: AtomicU64 = AtomicU64::new(0);
+static IMAGE_BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// What the serializer has done in this process: nodes the walker visited
+/// (image builds included) and images built. Counts, for tests and metrics.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SerializeCounters {
+    pub nodes_walked: u64,
+    pub image_builds: u64,
+}
+
+pub fn serialize_counters() -> SerializeCounters {
+    SerializeCounters {
+        nodes_walked: NODES_WALKED.load(Relaxed),
+        image_builds: IMAGE_BUILDS.load(Relaxed),
+    }
+}
+
+/// What an image is priced at before it exists: the text heap and 8 bytes
+/// a slot (close to its size for a document that is mostly text).
+fn image_cost(doc: &Document) -> usize {
+    doc.text_heap_len() + 8 * doc.len()
+}
+
+/// The version's image, built now if its walks have already written more
+/// than the image costs to keep. Checked before a walk, never after: a
+/// version serialized once — a decoded message, a constructed result —
+/// never pays for one, and a version pays at most one whole serialization
+/// beyond the walks that earned it.
+fn earned_image(doc: &Document) -> Option<&WireImage> {
+    doc.image.get().or_else(|| {
+        let earned = doc.walked.load(Relaxed) > image_cost(doc);
+        earned.then(|| doc.image.get_or_init(|| WireImage::build(doc)))
+    })
+}
+
+impl WireImage {
+    fn build(doc: &Document) -> WireImage {
+        IMAGE_BUILDS.fetch_add(1, Relaxed);
+        let mut image = WireImage {
+            text: String::with_capacity(image_cost(doc)),
+            ranges: vec![(ABSENT, ABSENT); doc.len()],
+        };
+        let opts = SerializeOpts::default();
+        let ranges = Some(&mut image.ranges[..]);
+        write_node(doc, doc.root(), &opts, 0, &mut image.text, ranges);
+        if image.text.len() >= ABSENT as usize {
+            // offsets no longer fit: every node keeps the walker
+            return WireImage::default();
+        }
+        image.text.shrink_to_fit();
+        image
+    }
+
+    /// Heap bytes held: the serialized copy and 8 bytes a slot.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.text.capacity() + self.ranges.capacity() * std::mem::size_of::<(u32, u32)>()
+    }
+
+    /// Where `id`'s subtree lies in the image, if it is under the document node.
+    pub(crate) fn range(&self, id: NodeId) -> Option<Range<usize>> {
+        let &(start, end) = self.ranges.get(id.index())?;
+        (start != ABSENT).then_some(start as usize..end as usize)
+    }
+
+    /// Append `id` as [`write_node`] would write it as a fragment root;
+    /// `false` (nothing written) where only the walk can.
+    fn append(&self, doc: &Document, id: NodeId, out: &mut String) -> bool {
+        let Some(mut range) = self.range(id) else {
+            return false;
+        };
+        if doc.kind(id) == NodeKind::Element && doc.inherited_ns_decls(id).next().is_some() {
+            // cut out here its start tag declares more than it does in
+            // place: that tag is written anew, the rest is as it lies
+            let Some(first) = doc.first_child(id) else {
+                return false;
+            };
+            write_open_tag(doc, id, true, out, None);
+            out.push('>');
+            range.start = self.range(first).expect("child of an imaged node").start;
+        }
+        out.push_str(&self.text[range]);
+        true
+    }
 }
 
 /// Newline followed by `depth * indent` spaces (pretty mode).
@@ -69,17 +204,31 @@ fn indents_content(doc: &Document, id: NodeId, opts: &SerializeOpts) -> bool {
 /// Walk the subtree along the arena's own links: down to the first child,
 /// across to the next sibling, back up through the parent. No recursion and
 /// no work stack, so depth costs nothing and marshaling tens of thousands of
-/// small subtrees back-to-back allocates nothing but output.
-fn write_node(doc: &Document, root: NodeId, opts: &SerializeOpts, depth: usize, out: &mut String) {
+/// small subtrees back-to-back allocates nothing but output. With `ranges`
+/// (one entry per slot, `out` empty on entry) it also notes where in `out`
+/// every node it writes starts and ends — how a [`WireImage`] is made.
+fn write_node(
+    doc: &Document,
+    root: NodeId,
+    opts: &SerializeOpts,
+    depth: usize,
+    out: &mut String,
+    mut ranges: Option<&mut [(u32, u32)]>,
+) {
     let mut cur = root;
     let mut depth = depth;
+    let mut visited = 0;
     // pretty mode only: whether each open ancestor indents its content
     let mut indenting: Vec<bool> = Vec::new();
     loop {
+        visited += 1;
+        if let Some(r) = ranges.as_deref_mut() {
+            r[cur.index()].0 = offset(out);
+        }
         let descend = match doc.kind(cur) {
             NodeKind::Document => doc.first_child(cur),
             NodeKind::Element => {
-                write_open_tag(doc, cur, cur == root, out);
+                write_open_tag(doc, cur, cur == root, out, ranges.as_deref_mut());
                 let first = doc.first_child(cur);
                 out.push_str(if first.is_some() { ">" } else { "/>" });
                 first
@@ -105,7 +254,11 @@ fn write_node(doc: &Document, root: NodeId, opts: &SerializeOpts, depth: usize, 
         // `cur` is complete: on to its next sibling, closing every element
         // that it was the last child of
         loop {
+            if let Some(r) = ranges.as_deref_mut() {
+                r[cur.index()].1 = offset(out);
+            }
             if cur == root {
+                NODES_WALKED.fetch_add(visited, Relaxed);
                 return;
             }
             if let Some(next) = doc.next_sibling(cur) {
@@ -127,6 +280,12 @@ fn write_node(doc: &Document, root: NodeId, opts: &SerializeOpts, depth: usize, 
             }
         }
     }
+}
+
+/// Where the next byte of `out` goes, as an image offset (saturating: an
+/// image past 4 GiB is thrown away).
+fn offset(out: &str) -> u32 {
+    u32::try_from(out.len()).unwrap_or(ABSENT)
 }
 
 fn element_name(doc: &Document, id: NodeId) -> &crate::QName {
@@ -172,7 +331,13 @@ fn write_attribute(doc: &Document, id: NodeId, out: &mut String) {
 /// `<name`, namespace declarations and attributes — up to but excluding
 /// the closing `>` or `/>`. The element a fragment starts at also declares
 /// what it inherits, so it keeps the names its ancestors gave it.
-fn write_open_tag(doc: &Document, id: NodeId, fragment_root: bool, out: &mut String) {
+fn write_open_tag(
+    doc: &Document,
+    id: NodeId,
+    fragment_root: bool,
+    out: &mut String,
+    mut ranges: Option<&mut [(u32, u32)]>,
+) {
     out.push('<');
     element_name(doc, id).push_lexical(out);
     write_ns_decls(doc.ns_decls(id), out);
@@ -181,7 +346,11 @@ fn write_open_tag(doc: &Document, id: NodeId, fragment_root: bool, out: &mut Str
     }
     for a in doc.attributes(id) {
         out.push(' ');
+        let start = offset(out);
         write_attribute(doc, a, out);
+        if let Some(r) = ranges.as_deref_mut() {
+            r[a.index()] = (start, offset(out));
+        }
     }
 }
 
@@ -300,12 +469,12 @@ mod tests {
             .is("urn:d", "b"));
         // the document element inherits nothing, and neither does anything
         // in a document that declares nothing
-        assert!(d.inherited_ns_decls(r).is_empty());
+        assert!(d.inherited_ns_decls(r).next().is_none());
         let plain = parse("<a><b/></a>").unwrap();
         let b = plain
             .first_child(plain.first_child(plain.root()).unwrap())
             .unwrap();
-        assert!(plain.inherited_ns_decls(b).is_empty());
+        assert!(plain.inherited_ns_decls(b).next().is_none());
     }
 
     #[test]

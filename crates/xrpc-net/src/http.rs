@@ -7,10 +7,10 @@
 
 use crate::bufpool::BufferPool;
 use crate::metrics::NetMetrics;
-use crate::pool::ConnectionPool;
-use crate::reactor::ReactorHandle;
+use crate::pool::{ConnectionPool, PooledConn};
+use crate::reactor::{ReactorHandle, MAX_HEAD_BYTES};
 use crate::{NetError, NetErrorKind, Transport};
-use std::io::{BufRead, BufReader, IoSlice, Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -272,11 +272,11 @@ pub fn http_post_pooled(
     let (addr, path) = parse_url(url)?;
     let keep_alive = pool.is_some();
     if let Some(pool) = pool {
-        if let Some(stream) = pool.checkout(&addr) {
-            match exchange(stream, &addr, &path, body, config, keep_alive) {
-                Ok((status, resp, reusable, stream)) => {
+        if let Some(mut conn) = pool.checkout(&addr) {
+            match exchange(&mut conn, &addr, &path, body, config, keep_alive) {
+                Ok((status, resp, reusable)) => {
                     if reusable {
-                        pool.checkin(&addr, stream);
+                        pool.checkin(&addr, conn);
                     }
                     return Ok((status, resp, true));
                 }
@@ -286,65 +286,125 @@ pub fn http_post_pooled(
             }
         }
     }
-    let stream = TcpStream::connect(&addr)?;
-    let (status, resp, reusable, stream) =
-        exchange(stream, &addr, &path, body, config, keep_alive).map_err(|e| e.error)?;
+    let mut conn = PooledConn::new(TcpStream::connect(&addr)?)?;
+    let (status, resp, reusable) =
+        exchange(&mut conn, &addr, &path, body, config, keep_alive).map_err(|e| e.error)?;
     if reusable {
         if let Some(pool) = pool {
-            pool.checkin(&addr, stream);
+            pool.checkin(&addr, conn);
         }
     }
     Ok((status, resp, false))
 }
 
-/// One request/response exchange on an established connection. On
-/// success returns the stream back (pulled out of the `BufReader`) plus
-/// whether it is safe to pool: the response must be `Content-Length`
-/// framed, not `Connection: close`, and leave no unread bytes buffered.
+/// What a connection's head buffer starts a response at; it doubles up to
+/// the server's own head limit.
+const HEAD_BUF_BYTES: usize = 4096;
+
+/// Index just past the blank line that ends a message head, looking from
+/// `from` on.
+fn head_end(buf: &[u8], mut from: usize) -> Option<usize> {
+    while let Some(nl) = buf[from..].iter().position(|&b| b == b'\n') {
+        from += nl + 1;
+        match &buf[from..] {
+            [b'\n', ..] => return Some(from + 1),
+            [b'\r', b'\n', ..] => return Some(from + 2),
+            _ => {}
+        }
+    }
+    None
+}
+
+/// One request/response exchange on an established connection. The socket
+/// options were set when the connection was made (the read timeout is armed
+/// again only when `config` asks for another), and both heads go through
+/// the connection's own buffer. On success says whether the connection is
+/// safe to pool: the response must be `Content-Length` framed, not
+/// `Connection: close`, and have nothing behind its body.
 fn exchange(
-    mut stream: TcpStream,
+    conn: &mut PooledConn,
     addr: &str,
     path: &str,
     body: &[u8],
     config: &HttpConfig,
     keep_alive: bool,
-) -> Result<(u16, Vec<u8>, bool, TcpStream), ExchangeError> {
-    stream
-        .set_nodelay(true)
-        .map_err(|e| ExchangeError::before(e.into()))?;
-    stream
-        .set_read_timeout(Some(config.read_timeout))
-        .map_err(|e| ExchangeError::before(e.into()))?;
-    let head = format!(
+) -> Result<(u16, Vec<u8>, bool), ExchangeError> {
+    let PooledConn {
+        stream,
+        read_timeout,
+        head: buf,
+    } = conn;
+    if *read_timeout != Some(config.read_timeout) {
+        stream
+            .set_read_timeout(Some(config.read_timeout))
+            .map_err(|e| ExchangeError::before(e.into()))?;
+        *read_timeout = Some(config.read_timeout);
+    }
+    buf.clear();
+    write!(
+        buf,
         "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/soap+xml; charset=utf-8\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
         body.len(),
         if keep_alive { "keep-alive" } else { "close" }
-    );
-    write_all_vectored(&mut stream, head.as_bytes(), body)
-        .map_err(|e| ExchangeError::before(e.into()))?;
+    )
+    .expect("writing to a Vec cannot fail");
+    write_all_vectored(stream, buf, body).map_err(|e| ExchangeError::before(e.into()))?;
     stream
         .flush()
         .map_err(|e| ExchangeError::before(e.into()))?;
 
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    match reader.read_line(&mut status_line) {
-        Ok(0) => {
-            return Err(ExchangeError::before(NetError::with_kind(
-                NetErrorKind::ConnectionReset,
-                "connection closed before response",
-            )))
+    // the response head, and whatever of the body arrived with it
+    buf.clear();
+    buf.resize(HEAD_BUF_BYTES, 0);
+    let mut filled = 0;
+    let head_len = loop {
+        if filled == buf.len() {
+            if filled >= MAX_HEAD_BYTES {
+                return Err(ExchangeError::mid(NetError::with_kind(
+                    NetErrorKind::Corrupt,
+                    format!("response head exceeds {MAX_HEAD_BYTES} bytes"),
+                )));
+            }
+            buf.resize(2 * filled, 0);
         }
-        Ok(_) => {}
-        Err(e) => {
-            let before = status_line.is_empty();
-            let err = ExchangeError {
-                error: e.into(),
-                before_response: before,
-            };
-            return Err(err);
+        match stream.read(&mut buf[filled..]) {
+            Ok(0) if filled == 0 => {
+                return Err(ExchangeError::before(NetError::with_kind(
+                    NetErrorKind::ConnectionReset,
+                    "connection closed before response",
+                )))
+            }
+            Ok(0) => {
+                return Err(ExchangeError::mid(NetError::with_kind(
+                    NetErrorKind::ConnectionReset,
+                    "connection closed mid-headers",
+                )))
+            }
+            Ok(n) => {
+                // the terminator may straddle two reads
+                let from = filled.saturating_sub(3);
+                filled += n;
+                if let Some(end) = head_end(&buf[..filled], from) {
+                    break end;
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                return Err(ExchangeError {
+                    error: e.into(),
+                    before_response: filled == 0,
+                })
+            }
         }
-    }
+    };
+    let head = std::str::from_utf8(&buf[..head_len]).map_err(|_| {
+        ExchangeError::mid(NetError::with_kind(
+            NetErrorKind::Corrupt,
+            "response head is not UTF-8",
+        ))
+    })?;
+    let mut lines = head.lines();
+    let status_line = lines.next().unwrap_or_default();
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
@@ -354,22 +414,7 @@ fn exchange(
         })?;
     let mut content_length: Option<usize> = None;
     let mut conn_close = !status_line.starts_with("HTTP/1.1");
-    loop {
-        let mut h = String::new();
-        match reader.read_line(&mut h) {
-            Ok(0) => {
-                return Err(ExchangeError::mid(NetError::with_kind(
-                    NetErrorKind::ConnectionReset,
-                    "connection closed mid-headers",
-                )))
-            }
-            Ok(_) => {}
-            Err(e) => return Err(ExchangeError::mid(e.into())),
-        }
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
+    for h in lines {
         if let Some((k, v)) = h.split_once(':') {
             let k = k.trim();
             if k.eq_ignore_ascii_case("content-length") {
@@ -389,34 +434,37 @@ fn exchange(
             }
         }
     }
-    let resp_body = match content_length {
+    let arrived = &buf[head_len..filled];
+    let (resp_body, trailing) = match content_length {
         Some(n) => {
-            // straight into the pooled buffer's spare capacity: no zero
-            // fill first, and (past what the reader already holds) no
-            // bounce through the reader's own buffer
+            // the rest goes straight into the pooled buffer's spare
+            // capacity: no zero fill first, no bounce through `buf`
             let mut b = BufferPool::global().get(n);
-            let got = (reader.by_ref().take(n as u64).read_to_end(&mut b))
+            let with_head = arrived.len().min(n);
+            b.extend_from_slice(&arrived[..with_head]);
+            let rest = (n - with_head) as u64;
+            let got = ((&mut *stream).take(rest).read_to_end(&mut b))
                 .map_err(|e| ExchangeError::mid(e.into()))?;
-            if got < n {
+            if (got as u64) < rest {
                 return Err(ExchangeError::mid(NetError::with_kind(
                     NetErrorKind::ConnectionReset,
                     "connection closed mid-body",
                 )));
             }
-            b
+            (b, arrived.len() > n)
         }
         None => {
             // no framing: the body runs to EOF, so the connection is spent
             conn_close = true;
-            let mut b = Vec::new();
-            reader
+            let mut b = arrived.to_vec();
+            stream
                 .read_to_end(&mut b)
                 .map_err(|e| ExchangeError::mid(e.into()))?;
-            b
+            (b, false)
         }
     };
-    let reusable = keep_alive && !conn_close && reader.buffer().is_empty();
-    Ok((status, resp_body, reusable, reader.into_inner()))
+    let reusable = keep_alive && !conn_close && !trailing;
+    Ok((status, resp_body, reusable))
 }
 
 fn parse_url(url: &str) -> Result<(String, String), NetError> {
@@ -489,6 +537,7 @@ impl Transport for HttpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{BufRead, BufReader};
 
     fn echo_server() -> HttpServer {
         HttpServer::bind(
@@ -696,6 +745,60 @@ mod tests {
         assert_eq!(s.failures, 0);
         assert_eq!(s.pool_hits, 0, "the stale attempt must not count as a hit");
         assert_eq!(s.pool_misses, 2);
+        server.join().unwrap();
+    }
+
+    /// The client reads the head into the connection's buffer, takes what
+    /// arrived of the body from there and the rest off the socket: the
+    /// response is the same wherever the reads fall, a head past the first
+    /// buffer included, and bytes behind the body spend the connection.
+    #[test]
+    fn a_response_is_read_whole_however_it_arrives() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let pad = format!("X-Pad: {}\r\n", "p".repeat(2 * HEAD_BUF_BYTES));
+        let body = "b".repeat(3 * HEAD_BUF_BYTES);
+        let response = format!(
+            "HTTP/1.1 200 OK\r\n{pad}Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let steps = [1, 7, HEAD_BUF_BYTES, usize::MAX];
+        let server = std::thread::spawn({
+            let response = response.clone();
+            move || {
+                let (stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut stream = stream;
+                let mut read_request = move || {
+                    let mut line = String::new();
+                    while reader.read_line(&mut line).unwrap() > 2 {
+                        line.clear();
+                    }
+                };
+                for step in steps {
+                    read_request();
+                    for piece in response.as_bytes().chunks(step.min(response.len())) {
+                        stream.write_all(piece).unwrap();
+                    }
+                }
+                read_request();
+                let short = b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nokextra";
+                stream.write_all(short).unwrap();
+            }
+        });
+        let t = HttpTransport::new();
+        let url = format!("http://{addr}/x");
+        for _ in steps {
+            assert_eq!(t.roundtrip(&url, b"").unwrap(), body.as_bytes());
+        }
+        assert_eq!(t.pool.idle_count(&addr.to_string()), 1);
+        assert_eq!(t.roundtrip(&url, b"").unwrap(), b"ok");
+        assert_eq!(t.pool.idle_count(&addr.to_string()), 0, "trailing bytes");
+        let s = t.metrics.snapshot();
+        assert_eq!((s.pool_misses, s.pool_hits), (1, 4));
+        assert_eq!(head_end(b"a\r\n\r", 0), None);
+        assert_eq!(head_end(b"a\r\n\r\nb", 0), Some(5));
+        assert_eq!(head_end(b"a\n\nb", 1), Some(3));
         server.join().unwrap();
     }
 

@@ -28,7 +28,7 @@ pub use bufpool::{BufferPool, PoolStats};
 pub use cancel::{ambient_deadline, current_job, set_ambient_deadline, set_current_job, JobCancel};
 pub use http::{http_post, HttpConfig, HttpServer, HttpTransport};
 pub use metrics::NetMetrics;
-pub use pool::ConnectionPool;
+pub use pool::{ConnectionPool, PooledConn};
 pub use retry::{full_jitter, DestStats, ResilientTransport, RetryPolicy};
 pub use sim::{crash_points, CrashSwitch, NetProfile, SimFault, SimNetwork, SoapHandler};
 

@@ -9,7 +9,8 @@
 //! outlived the configured idle timeout at checkout/checkin time, so no
 //! background thread is needed.
 //!
-//! The pool stores bare [`TcpStream`]s; protocol-level reuse rules (only
+//! The pool stores [`PooledConn`]s — the socket with what would otherwise
+//! be set up again on every request; protocol-level reuse rules (only
 //! pool a connection whose response was fully framed and not marked
 //! `Connection: close`, retry once on a stale reused socket) live in
 //! [`crate::http`].
@@ -19,9 +20,30 @@ use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+/// A client connection and what lives as long as it does: the read timeout
+/// its socket is armed with (so a request re-arms it only to change it) and
+/// the buffer its message heads are written to and read into.
+pub struct PooledConn {
+    pub(crate) stream: TcpStream,
+    pub(crate) read_timeout: Option<Duration>,
+    pub(crate) head: Vec<u8>,
+}
+
+impl PooledConn {
+    /// Wrap a connection just made; Nagle goes off here, once.
+    pub fn new(stream: TcpStream) -> std::io::Result<Self> {
+        stream.set_nodelay(true)?;
+        Ok(PooledConn {
+            stream,
+            read_timeout: None,
+            head: Vec::new(),
+        })
+    }
+}
+
 /// An idle connection with the moment it was returned to the pool.
 struct IdleConn {
-    stream: TcpStream,
+    conn: PooledConn,
     since: Instant,
 }
 
@@ -46,7 +68,7 @@ impl ConnectionPool {
     /// Take the most recently returned live connection for `addr`, if
     /// any. Connections idle longer than the timeout are dropped here
     /// rather than handed out.
-    pub fn checkout(&self, addr: &str) -> Option<TcpStream> {
+    pub fn checkout(&self, addr: &str) -> Option<PooledConn> {
         let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
         let conns = idle.get_mut(addr)?;
         // entries are pushed in return order, so expiry reaps a prefix
@@ -59,13 +81,13 @@ impl ConnectionPool {
         if conns.is_empty() {
             idle.remove(addr);
         }
-        conn.map(|c| c.stream)
+        conn.map(|c| c.conn)
     }
 
     /// Return a connection for later reuse. Dropped instead if the
     /// per-host cap is already reached (oldest-in-pool is evicted first,
     /// keeping the freshest `max_idle_per_host` sockets).
-    pub fn checkin(&self, addr: &str, stream: TcpStream) {
+    pub fn checkin(&self, addr: &str, conn: PooledConn) {
         if self.max_idle_per_host == 0 {
             return;
         }
@@ -75,7 +97,7 @@ impl ConnectionPool {
             conns.remove(0);
         }
         conns.push(IdleConn {
-            stream,
+            conn,
             since: Instant::now(),
         });
     }
@@ -98,11 +120,11 @@ mod tests {
     use super::*;
     use std::net::TcpListener;
 
-    fn conn_pair(listener: &TcpListener) -> TcpStream {
+    fn conn_pair(listener: &TcpListener) -> PooledConn {
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
         let _server_side = listener.accept().unwrap();
-        client
+        PooledConn::new(client).unwrap()
     }
 
     #[test]
@@ -116,18 +138,18 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let pool = ConnectionPool::new(4, Duration::from_secs(60));
         let a = conn_pair(&listener);
-        let a_port = a.local_addr().unwrap().port();
+        let a_port = a.stream.local_addr().unwrap().port();
         let b = conn_pair(&listener);
-        let b_port = b.local_addr().unwrap().port();
+        let b_port = b.stream.local_addr().unwrap().port();
         assert_ne!(a_port, b_port);
         pool.checkin("peer", a);
         pool.checkin("peer", b);
         assert_eq!(pool.idle_count("peer"), 2);
         // most recently returned comes back first
         let got = pool.checkout("peer").unwrap();
-        assert_eq!(got.local_addr().unwrap().port(), b_port);
+        assert_eq!(got.stream.local_addr().unwrap().port(), b_port);
         let got = pool.checkout("peer").unwrap();
-        assert_eq!(got.local_addr().unwrap().port(), a_port);
+        assert_eq!(got.stream.local_addr().unwrap().port(), a_port);
         assert!(pool.checkout("peer").is_none());
     }
 
@@ -138,17 +160,27 @@ mod tests {
         let mut ports = Vec::new();
         for _ in 0..3 {
             let c = conn_pair(&listener);
-            ports.push(c.local_addr().unwrap().port());
+            ports.push(c.stream.local_addr().unwrap().port());
             pool.checkin("peer", c);
         }
         assert_eq!(pool.idle_count("peer"), 2);
         // oldest (first) was evicted; freshest two survive, LIFO order
         assert_eq!(
-            pool.checkout("peer").unwrap().local_addr().unwrap().port(),
+            pool.checkout("peer")
+                .unwrap()
+                .stream
+                .local_addr()
+                .unwrap()
+                .port(),
             ports[2]
         );
         assert_eq!(
-            pool.checkout("peer").unwrap().local_addr().unwrap().port(),
+            pool.checkout("peer")
+                .unwrap()
+                .stream
+                .local_addr()
+                .unwrap()
+                .port(),
             ports[1]
         );
     }

@@ -53,7 +53,7 @@ const TICK: Duration = Duration::from_millis(50);
 const PIPELINE_MAX: usize = 32;
 /// Header-section size cap: the reactor buffers the head, so it bounds
 /// its bytes as well as (through the read timeout) its time.
-const MAX_HEAD_BYTES: usize = 32 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 32 * 1024;
 /// Most one read takes while a request head is being collected.
 const READ_CHUNK: usize = 16 * 1024;
 /// Most one readiness round reads from one connection, for fairness across

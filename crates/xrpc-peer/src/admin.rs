@@ -151,10 +151,18 @@ pub fn render_metrics(peer: &Peer, server_metrics: Option<&NetMetrics>) -> Strin
         "xrpc_join_index_evictions_total",
         st.join_index_evictions.load(Ordering::Relaxed),
     );
-    let live: usize = (peer.docs.snapshot().values())
-        .map(|d| xqeval::index::index_count(d))
-        .sum();
+    let docs = peer.docs.snapshot();
+    let live: usize = docs.values().map(|d| xqeval::index::index_count(d)).sum();
     w.gauge("xrpc_join_indexes", live as u64);
+
+    // Wire images (see `xmldom::serialize`): what the store's current
+    // versions hold, and what the serializer has built and walked in this
+    // process — a warm store document is served without walking a node.
+    let image_bytes: usize = docs.values().map(|d| d.wire_image_bytes()).sum();
+    w.gauge("xrpc_doc_image_bytes", image_bytes as u64);
+    let ser = xmldom::serialize_counters();
+    w.counter("xrpc_doc_image_builds_total", ser.image_builds);
+    w.counter("xrpc_doc_nodes_walked_total", ser.nodes_walked);
 
     // Tracing ring overflow (spans evicted before export) and the
     // slow-query log's volume/drop counters.

@@ -85,18 +85,38 @@ fn metrics_and_healthz_scrape_end_to_end() {
     let (status, body) = http_get("127.0.0.1", server.port(), "/metrics");
     assert_eq!(status, 200, "metrics scrape failed: {body}");
     let families = validate_exposition(&body).expect("well-formed exposition");
-    for family in [
+    let documented = [
         // transport counters, labeled by side
         "xrpc_net_roundtrips_total",
         "xrpc_net_bytes_received_total",
+        "xrpc_net_bytes_sent_total",
+        "xrpc_net_failures_total",
+        "xrpc_net_retries_total",
+        "xrpc_net_timeouts_total",
+        "xrpc_net_fast_failures_total",
+        "xrpc_net_breaker_opens_total",
+        "xrpc_net_pool_hits_total",
+        "xrpc_net_pool_misses_total",
         // 2PC counters
         "xrpc_twopc_prepares_total",
         "xrpc_twopc_commits_total",
+        "xrpc_twopc_aborts_total",
+        "xrpc_twopc_redeliveries_total",
+        "xrpc_twopc_hazards_total",
+        "xrpc_twopc_recoveries_total",
+        "xrpc_twopc_inquiries_total",
+        "xrpc_twopc_reaborts_total",
+        "xrpc_twopc_cancels_total",
         // buffer pool
         "xrpc_bufpool_hits_total",
+        "xrpc_bufpool_misses_total",
+        "xrpc_bufpool_recycled_total",
+        "xrpc_bufpool_dropped_total",
         "xrpc_bufpool_occupancy",
         // readiness gauges
         "xrpc_wal_attached",
+        "xrpc_wal_open_transactions",
+        "xrpc_active_snapshots",
         "xrpc_in_doubt_transactions",
         // per-transaction maps that follow open work, not history
         "xrpc_store_applied_marks",
@@ -113,6 +133,9 @@ fn metrics_and_healthz_scrape_end_to_end() {
         "xrpc_wal_log_bytes",
         "xrpc_wal_poisoned",
         "xrpc_wal_rotations_total",
+        "xrpc_wal_copy_forward_records_total",
+        "xrpc_wal_torn_tail_recoveries_total",
+        "xrpc_wal_group_fsyncs_total",
         // latency/size histograms (summaries)
         "xrpc_message_bytes",
         "xrpc_server_handle_micros",
@@ -120,15 +143,29 @@ fn metrics_and_healthz_scrape_end_to_end() {
         "xrpc_twopc_prepare_micros",
         "xrpc_twopc_commit_micros",
         "xrpc_wal_append_micros",
+        "xrpc_wal_fsync_micros",
+        "xrpc_wal_group_batch",
         // plan/function cache effectiveness
         "xrpc_plan_cache_hits_total",
         "xrpc_plan_cache_misses_total",
+        "xrpc_plan_cache_evictions_total",
+        "xrpc_plan_cache_invalidations_total",
+        "xrpc_plan_cache_size",
+        "xrpc_plan_cache_enabled",
         "xrpc_function_cache_hits_total",
+        "xrpc_function_cache_misses_total",
+        "xrpc_function_cache_evictions_total",
+        "xrpc_function_cache_size",
         // value indexes behind the predicate join
         "xrpc_join_index_builds_total",
         "xrpc_join_index_probes_total",
         "xrpc_join_index_evictions_total",
         "xrpc_join_indexes",
+        // wire images: bytes the store's current versions hold; images
+        // built and nodes walked by the serializer, process-wide
+        "xrpc_doc_image_bytes",
+        "xrpc_doc_image_builds_total",
+        "xrpc_doc_nodes_walked_total",
         // cancellation outcomes
         "xrpc_cancellations_total",
         // span-ring overflow + slow-query log volume/drops
@@ -136,12 +173,21 @@ fn metrics_and_healthz_scrape_end_to_end() {
         "xrpc_slowlog_entries_total",
         "xrpc_slowlog_dropped_total",
         "xrpc_slowlog_threshold_millis",
-    ] {
+    ];
+    for family in documented {
         assert!(
             families.iter().any(|f| f == family),
             "family `{family}` missing from exposition:\n{body}"
         );
     }
+    // and nothing is exposed that the list above does not name
+    let undocumented: Vec<&String> = (families.iter())
+        .filter(|f| !documented.contains(&f.as_str()))
+        .collect();
+    assert!(
+        undocumented.is_empty(),
+        "exposed but not documented here: {undocumented:?}"
+    );
     assert!(
         body.matches("quantile=\"0.99\"").count() >= 5,
         "at least five histogram summaries with p99 expected:\n{body}"

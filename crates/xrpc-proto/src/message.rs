@@ -1547,6 +1547,37 @@ mod tests {
         Item::Node(xmldom::NodeHandle::new(d.clone(), id))
     }
 
+    /// Every node of a stored document whose version has its wire image —
+    /// so that what the text writer appends is a slice of that image — in a
+    /// response, in a request and in a call-by-fragment request, against
+    /// the DOM oracle (which copies nodes and never sees an image). Seeded
+    /// like the serializer's own differential: `IMAGE_SEED=n` reruns one.
+    #[test]
+    fn text_writer_equivalence_nodes_of_an_imaged_document() {
+        let one = std::env::var("IMAGE_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok());
+        for seed in one.map_or(0..40, |s| s..s + 1) {
+            let xml = xmark::mixed_xml(seed);
+            let d = std::sync::Arc::new(xmldom::parse(&xml).unwrap());
+            while d.wire_image_bytes() == 0 {
+                xmldom::serialize_document(&d, &Default::default());
+            }
+            let items: Vec<Item> = d.all_ids().map(|id| node(&d, id)).collect();
+            // shown with the failure: the test's output is captured until then
+            eprintln!("IMAGE_SEED={seed}\n{xml}");
+            let mut resp = XrpcResponse::new("m", "f");
+            resp.results.push(Sequence::from_items(items.clone()));
+            assert_response_equivalence(&resp);
+            let mut req = XrpcRequest::new("m", "f", 2);
+            // the second parameter is all references into the first
+            req.push_call(vec![Sequence::from_items(items); 2]);
+            assert_request_equivalence(&req);
+            req.call_by_fragment = true;
+            assert_request_equivalence(&req);
+        }
+    }
+
     #[test]
     fn text_writer_equivalence_call_by_fragment() {
         let d = std::sync::Arc::new(

@@ -629,6 +629,23 @@ fn check(doc: &Document, model: &Model, context: &dyn Fn() -> String) {
     // document order of the attached tree, by comparison and by rank
     let mut order = Vec::new();
     preorder(&model.roots[0], &mut order);
+    // once this value of the document has earned its wire image, a node of
+    // it is a slice of that image and still what the walk writes; the next
+    // mutation must drop the image, or the comparison above fails after it
+    // (a document that serializes to nothing walks no byte and earns none)
+    let whole = serialize_document(doc, &Default::default()).len();
+    let image_cost = doc.text_heap_len() + 8 * doc.len();
+    if let Some(walks) = image_cost.checked_div(whole) {
+        for _ in 0..=walks {
+            serialize_document(doc, &Default::default());
+        }
+        assert!(doc.wire_image_bytes() > 0, "no image\n{}", context());
+    }
+    for &id in &order {
+        let walked = serialize_node(&doc.clone(), NodeId(id), &Default::default());
+        let sliced = serialize_node(doc, NodeId(id), &Default::default());
+        assert_eq!(sliced, walked, "image of node {id}\n{}", context());
+    }
     let mut by_cmp: Vec<NodeId> = order.iter().rev().map(|&i| NodeId(i)).collect();
     by_cmp.sort_by(|&a, &b| xmldom::order::cmp_same_doc(doc, a, b));
     assert_eq!(

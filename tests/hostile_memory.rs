@@ -525,6 +525,70 @@ fn a_mutated_message_is_a_message_or_a_typed_error_in_bounded_memory() {
     );
 }
 
+/// A version's wire image is one serialized copy and 8 bytes a slot,
+/// measured at the allocator, whatever the document's shape: wide, deep (a
+/// hundred thousand levels build and slice without recursion, the innermost
+/// element under a declaration included), or mostly dead slots.
+#[test]
+fn a_wire_image_is_one_serialized_copy_and_eight_bytes_a_slot() {
+    let depth = 100_000;
+    let deep = format!(
+        "<r xmlns:p=\"urn:p\">{}<leaf/>x{}</r>",
+        "<d>".repeat(depth),
+        "</d>".repeat(depth)
+    );
+    let wide = xmark::payload_xml(1 << 18);
+    let mut edited = xmldom::parse(&xmark::payload_xml(1 << 14)).unwrap();
+    let payload = edited.first_child(edited.root()).unwrap();
+    for chunk in edited.children(payload).skip(1).collect::<Vec<_>>() {
+        edited.remove(chunk);
+    }
+    let documents = [
+        xmldom::parse(&deep).unwrap(),
+        xmldom::parse(&wide).unwrap(),
+        edited,
+    ];
+    for doc in &documents {
+        let opts = Default::default();
+        let whole = xmldom::serialize_document(doc, &opts);
+        let image_cost = doc.text_heap_len() + 8 * doc.len();
+        for _ in 0..image_cost / whole.len() {
+            xmldom::serialize_document(doc, &opts);
+        }
+        assert_eq!(doc.wire_image_bytes(), 0);
+        // the call that builds it: the image and the copy it hands out
+        let mut out = String::with_capacity(whole.len());
+        let ((), peak, _) = measure(|| xmldom::serialize_document_into(doc, &opts, &mut out));
+        assert_eq!(out, whole);
+        let bound = whole.len() + 8 * doc.len();
+        let held = doc.wire_image_bytes();
+        assert!(
+            held > 0 && held <= bound,
+            "{held} bytes held, bound {bound}"
+        );
+        assert!(
+            peak <= bound + image_cost,
+            "{peak} bytes to build, bound {bound}"
+        );
+    }
+    // a slice from the bottom of the chain: no recursion, and the binding
+    // the root declares a hundred thousand levels up
+    let deep = &documents[0];
+    let leaf = (deep.all_ids())
+        .find(|&id| deep.name(id).is_some_and(|n| n.local == "leaf"))
+        .unwrap();
+    let innermost = deep.parent(leaf).unwrap();
+    let opts = Default::default();
+    assert_eq!(
+        xmldom::serialize_node(deep, innermost, &opts),
+        "<d xmlns:p=\"urn:p\"><leaf/>x</d>"
+    );
+    assert_eq!(
+        xmldom::serialize_node(deep, leaf, &opts),
+        "<leaf xmlns:p=\"urn:p\"/>"
+    );
+}
+
 /// Depth is the one dimension the input buys cheaply: seven bytes a level.
 /// A value nested a hundred thousand deep is built without recursion and in
 /// the memory a parse of it takes; an operator tree that deep in a profile

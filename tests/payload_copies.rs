@@ -468,6 +468,61 @@ fn the_rows_of_a_call_table_move_into_the_request() {
 }
 
 // ---------------------------------------------------------------------
+// (c3) a stored node costs its bytes — counts, not clocks
+// ---------------------------------------------------------------------
+
+/// A thousand results out of a document whose root declares two prefixes:
+/// each is a fragment root that has to find out what it inherits, and none
+/// of them asks the allocator for anything but room in the output — not on
+/// the walk, not once the version has its wire image, not through `s2n`.
+#[test]
+fn a_namespaced_result_allocates_nothing_but_its_output() {
+    use xrpc_repro::xrpc_proto::marshal::s2n_text_into;
+    let mut xml = String::from(r#"<site xmlns:a="urn:a" xmlns:b="urn:b"><people>"#);
+    for i in 0..CALLS {
+        xml += &format!(r#"<a:p id="person{i}"><b:n>n{i}</b:n><e/></a:p>"#);
+    }
+    xml += "</people></site>";
+    let doc = Arc::new(xmldom::parse(&xml).unwrap());
+    let site = doc.first_child(doc.root()).unwrap();
+    let people = doc.first_child(site).unwrap();
+    let persons: Vec<xmldom::NodeId> = doc.children(people).collect();
+    let results = xdm::Sequence::from_items(
+        (persons.iter())
+            .map(|&id| xdm::Item::Node(xmldom::NodeHandle::new(doc.clone(), id)))
+            .collect(),
+    );
+    let mut out = String::with_capacity(4 * xml.len());
+    let mut shipped = |label: &str, image_blocks: usize| {
+        out.clear();
+        let ((), requests, _) = count(|| {
+            for &id in &persons {
+                xmldom::serialize_node_into(&doc, id, &Default::default(), &mut out);
+            }
+        });
+        let nodes = out.clone();
+        out.clear();
+        let (res, s2n_requests, _) = count(|| s2n_text_into(&mut out, &results));
+        res.unwrap();
+        assert!(
+            requests + s2n_requests <= image_blocks,
+            "{label}: {requests} allocations for {CALLS} nodes, {s2n_requests} for {CALLS} items"
+        );
+        nodes
+    };
+    // walking earns the version its image on the way: its blocks, once
+    let walked = shipped("walked", 4);
+    while doc.wire_image_bytes() == 0 {
+        xmldom::serialize_document(&doc, &Default::default());
+    }
+    let sliced = shipped("sliced", 0);
+    assert!(walked.starts_with(
+        r#"<a:p xmlns:a="urn:a" xmlns:b="urn:b" id="person0"><b:n>n0</b:n><e/></a:p><a:"#
+    ));
+    assert_eq!(walked, sliced);
+}
+
+// ---------------------------------------------------------------------
 // (d) a large body, however the socket delivers it
 // ---------------------------------------------------------------------
 
