@@ -8,7 +8,7 @@
 //! tables ablation-latency    — A1: bulk advantage across network profiles (alias: a1)
 //! tables ablation-isolation  — A2: isolation level overhead
 //! tables a3            — A3: marshaling cost by parameter shape, atomic vs element
-//! tables u1            — U1: durable update throughput, WAL group commit on/off
+//! tables u1            — U1: durable update throughput under forced fsyncs
 //! tables c1            — C1: plan-cache warm path (alias: compile-cache)
 //! tables s1            — S1: concurrent-client swarm against the reactor (alias: swarm)
 //! tables r1            — R1: deadline/cancellation latency + wasted-work reduction (alias: cancellation)
@@ -1100,11 +1100,10 @@ fn ablation_latency(quick: bool) {
 }
 
 /// U1: committed distributed updates per second against one durable
-/// participant under `FsyncPolicy::Always`, group commit off vs on,
-/// swept over concurrent updaters. Every transaction pays two forced WAL
-/// records at the participant (`Prepared`, `Decision`; the `Applied`
-/// marker rides the next force); without group commit the disk serializes
-/// them, with it concurrent updaters share each fsync. `--quick` fails
+/// participant under `FsyncPolicy::Always`, swept over concurrent
+/// updaters. Every transaction pays two forced WAL records at the
+/// participant (`Prepared`, `Decision`; the `Applied` marker rides the
+/// next force); concurrent updaters share each fsync. `--quick` fails
 /// (exit 8) when one updater pays more than its two forces a transaction
 /// or the updated document has grown with the number of commits.
 /// Slots `<log><e>n</e></log>` may occupy however often it was updated:
@@ -1112,18 +1111,13 @@ fn ablation_latency(quick: bool) {
 const U1_DOC_SLOT_BOUND: usize = 9;
 
 fn update_throughput(quick: bool) {
-    println!("== U1: durable update throughput (fsync=always): group commit off vs on ==");
+    println!("== U1: durable update throughput (fsync=always) ==");
     let counts: &[usize] = if quick {
         &[1, 8, 16]
     } else {
         &[1, 2, 4, 8, 16]
     };
     let mut rows = Vec::new();
-    // committed/s keyed by (group_commit, updaters) for the speedup lines
-    let mut per_s_by: std::collections::HashMap<(bool, usize), f64> =
-        std::collections::HashMap::new();
-    let mut wire_per_s_by: std::collections::HashMap<(bool, usize), f64> =
-        std::collections::HashMap::new();
 
     // --- commit path: the append sequence (Prepared ∆ and Decision
     // forced, Applied not) every committed update pays at the
@@ -1132,63 +1126,54 @@ fn update_throughput(quick: bool) {
     // XML codec competing for the same core ---
     println!("-- commit path (participant's forced WAL sequence per update) --");
     println!(
-        "{:<14} {:>9} {:>16} {:>12} {:>12} {:>12}",
-        "group commit", "updaters", "committed/s", "p50 ms", "p99 ms", "fsyncs/txn"
+        "{:>9} {:>16} {:>12} {:>12} {:>12}",
+        "updaters", "committed/s", "p50 ms", "p99 ms", "fsyncs/txn"
     );
     let per_thread = if quick { 250 } else { 600 };
-    for group in [false, true] {
-        for &n in counts {
-            let cp = CommitPath::open(group);
-            cp.commit_one("xrpc://warm.example.org", 0);
-            let t0 = std::time::Instant::now();
-            let mut lat: Vec<f64> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..n)
-                    .map(|t| {
-                        let cp = &cp;
-                        s.spawn(move || {
-                            let host = format!("xrpc://u{t}.example.org");
-                            let mut v = Vec::with_capacity(per_thread);
-                            for i in 0..per_thread {
-                                let t0 = std::time::Instant::now();
-                                cp.commit_one(&host, 1 + i as u64);
-                                v.push(ms(t0.elapsed()));
-                            }
-                            v
-                        })
+    for &n in counts {
+        let cp = CommitPath::open();
+        cp.commit_one("xrpc://warm.example.org", 0);
+        let t0 = std::time::Instant::now();
+        let mut lat: Vec<f64> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..n)
+                .map(|t| {
+                    let cp = &cp;
+                    s.spawn(move || {
+                        let host = format!("xrpc://u{t}.example.org");
+                        let mut v = Vec::with_capacity(per_thread);
+                        for i in 0..per_thread {
+                            let t0 = std::time::Instant::now();
+                            cp.commit_one(&host, 1 + i as u64);
+                            v.push(ms(t0.elapsed()));
+                        }
+                        v
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("updater thread"))
-                    .collect()
-            });
-            let elapsed = t0.elapsed();
-            let committed = (n * per_thread) as f64;
-            let per_s = committed / elapsed.as_secs_f64().max(1e-9);
-            lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let p50 = lat[lat.len() / 2];
-            let p99 = lat[((lat.len() as f64 * 0.99) as usize).min(lat.len() - 1)];
-            let fsyncs_per_txn = cp.wal.stats().fsyncs as f64 / committed;
-            per_s_by.insert((group, n), per_s);
-            println!(
-                "{:<14} {:>9} {:>16.0} {:>12.3} {:>12.3} {:>12.2}",
-                if group { "on" } else { "off" },
-                n,
-                per_s,
-                p50,
-                p99,
-                fsyncs_per_txn,
-            );
-            rows.push(vec![
-                ("end_to_end", 0.0),
-                ("group_commit", group as u64 as f64),
-                ("updaters", n as f64),
-                ("committed_per_s", per_s),
-                ("commit_p50_ms", p50),
-                ("commit_p99_ms", p99),
-                ("wal_fsyncs_per_txn", fsyncs_per_txn),
-            ]);
-        }
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("updater thread"))
+                .collect()
+        });
+        let elapsed = t0.elapsed();
+        let committed = (n * per_thread) as f64;
+        let per_s = committed / elapsed.as_secs_f64().max(1e-9);
+        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let p50 = lat[lat.len() / 2];
+        let p99 = lat[((lat.len() as f64 * 0.99) as usize).min(lat.len() - 1)];
+        let fsyncs_per_txn = cp.wal.stats().fsyncs as f64 / committed;
+        println!(
+            "{:>9} {:>16.0} {:>12.3} {:>12.3} {:>12.2}",
+            n, per_s, p50, p99, fsyncs_per_txn,
+        );
+        rows.push(vec![
+            ("end_to_end", 0.0),
+            ("updaters", n as f64),
+            ("committed_per_s", per_s),
+            ("commit_p50_ms", p50),
+            ("commit_p99_ms", p99),
+            ("wal_fsyncs_per_txn", fsyncs_per_txn),
+        ]);
     }
 
     // --- end to end: the same protocol through the wire — XML request
@@ -1196,119 +1181,92 @@ fn update_throughput(quick: bool) {
     // the host CPU ---
     println!("-- end to end (wire-level update transactions) --");
     println!(
-        "{:<14} {:>9} {:>16} {:>12} {:>12} {:>12} {:>12}",
-        "group commit", "updaters", "committed/s", "p50 ms", "p99 ms", "fsyncs/txn", "prep p50 us"
+        "{:>9} {:>16} {:>12} {:>12} {:>12} {:>12}",
+        "updaters", "committed/s", "p50 ms", "p99 ms", "fsyncs/txn", "prep p50 us"
     );
     let per_thread = if quick { 60 } else { 200 };
     let mut gate_failures: Vec<String> = Vec::new();
-    for group in [false, true] {
-        for &n in counts {
-            let c = update_cluster(n, group);
-            // queryID timestamps: unique per (driver host, txn) and
-            // recent enough to pass expiry checks at the participant
-            let base = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_millis() as u64;
-            // warm the module/translation/dispatch path outside the clock
-            c.drivers[0].commit_one(base).unwrap();
-            let t0 = std::time::Instant::now();
-            let mut lat: Vec<f64> = std::thread::scope(|s| {
-                let handles: Vec<_> = c
-                    .drivers
-                    .iter()
-                    .map(|d| {
-                        s.spawn(move || {
-                            let mut v = Vec::with_capacity(per_thread);
-                            for i in 0..per_thread {
-                                let t = std::time::Instant::now();
-                                d.commit_one(base + 1 + i as u64).expect("update commits");
-                                v.push(ms(t.elapsed()));
-                            }
-                            v
-                        })
+    for &n in counts {
+        let c = update_cluster(n);
+        // queryID timestamps: unique per (driver host, txn) and
+        // recent enough to pass expiry checks at the participant
+        let base = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .unwrap()
+            .as_millis() as u64;
+        // warm the module/translation/dispatch path outside the clock
+        c.drivers[0].commit_one(base).unwrap();
+        let t0 = std::time::Instant::now();
+        let mut lat: Vec<f64> = std::thread::scope(|s| {
+            let handles: Vec<_> = c
+                .drivers
+                .iter()
+                .map(|d| {
+                    s.spawn(move || {
+                        let mut v = Vec::with_capacity(per_thread);
+                        for i in 0..per_thread {
+                            let t = std::time::Instant::now();
+                            d.commit_one(base + 1 + i as u64).expect("update commits");
+                            v.push(ms(t.elapsed()));
+                        }
+                        v
                     })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("updater thread"))
-                    .collect()
-            });
-            let elapsed = t0.elapsed();
-            let committed = (n * per_thread) as f64;
-            // cross-check against the participant's own 2PC accounting:
-            // every driver transaction must have actually committed
-            assert_eq!(
-                c.b.twopc_metrics.snapshot().commits,
-                n as u64 * per_thread as u64 + 1,
-                "participant disagrees about committed count"
-            );
-            let per_s = committed / elapsed.as_secs_f64().max(1e-9);
-            lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let p50 = lat[lat.len() / 2];
-            let p99 = lat[((lat.len() as f64 * 0.99) as usize).min(lat.len() - 1)];
-            wire_per_s_by.insert((group, n), per_s);
-            let fsyncs_per_txn = c.b.wal().unwrap().stats().fsyncs as f64 / committed;
-            let doc_slots = c.b.docs.get("log.xml").expect("log document").len();
-            if n == 1 && fsyncs_per_txn > 2.05 {
-                gate_failures.push(format!(
-                    "{fsyncs_per_txn:.2} fsyncs/txn at one updater (group commit {group}): \
-                     a commit owes two forces, Prepared and Decision"
-                ));
-            }
-            if doc_slots > U1_DOC_SLOT_BOUND {
-                gate_failures.push(format!(
-                    "log.xml holds {doc_slots} slots after {committed} commits \
-                     (bound {U1_DOC_SLOT_BOUND}): the document grows with its history"
-                ));
-            }
-            let prep = c.b.obs.histogram("xrpc_twopc_prepare_micros").snapshot();
-            let commit_us = c.b.obs.histogram("xrpc_twopc_commit_micros").snapshot();
-            println!(
-                "{:<14} {:>9} {:>16.0} {:>12.3} {:>12.3} {:>12.2} {:>12}",
-                if group { "on" } else { "off" },
-                n,
-                per_s,
-                p50,
-                p99,
-                fsyncs_per_txn,
-                prep.p50
-            );
-            rows.push(vec![
-                ("end_to_end", 1.0),
-                ("group_commit", group as u64 as f64),
-                ("updaters", n as f64),
-                ("committed_per_s", per_s),
-                ("commit_p50_ms", p50),
-                ("commit_p99_ms", p99),
-                ("wal_fsyncs_per_txn", fsyncs_per_txn),
-                ("participant_prepare_p50_micros", prep.p50 as f64),
-                ("participant_commit_p50_micros", commit_us.p50 as f64),
-                ("log_doc_slots", doc_slots as f64),
-            ]);
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("updater thread"))
+                .collect()
+        });
+        let elapsed = t0.elapsed();
+        let committed = (n * per_thread) as f64;
+        // cross-check against the participant's own 2PC accounting:
+        // every driver transaction must have actually committed
+        assert_eq!(
+            c.b.twopc_metrics.snapshot().commits,
+            n as u64 * per_thread as u64 + 1,
+            "participant disagrees about committed count"
+        );
+        let per_s = committed / elapsed.as_secs_f64().max(1e-9);
+        lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let p50 = lat[lat.len() / 2];
+        let p99 = lat[((lat.len() as f64 * 0.99) as usize).min(lat.len() - 1)];
+        let fsyncs_per_txn = c.b.wal().unwrap().stats().fsyncs as f64 / committed;
+        let doc_slots = c.b.docs.get("log.xml").expect("log document").len();
+        if n == 1 && fsyncs_per_txn > 2.05 {
+            gate_failures.push(format!(
+                "{fsyncs_per_txn:.2} fsyncs/txn at one updater: \
+                 a commit owes two forces, Prepared and Decision"
+            ));
         }
-    }
-    for &n in counts.iter().filter(|&&n| n >= 8) {
-        if let (Some(off), Some(on)) = (per_s_by.get(&(false, n)), per_s_by.get(&(true, n))) {
-            println!(
-                "commit-path group-commit speedup at {n} updaters: {:.2}x (target ≥ 2x)",
-                on / off
-            );
+        if doc_slots > U1_DOC_SLOT_BOUND {
+            gate_failures.push(format!(
+                "log.xml holds {doc_slots} slots after {committed} commits \
+                 (bound {U1_DOC_SLOT_BOUND}): the document grows with its history"
+            ));
         }
-        if let (Some(off), Some(on)) = (
-            wire_per_s_by.get(&(false, n)),
-            wire_per_s_by.get(&(true, n)),
-        ) {
-            println!(
-                "end-to-end group-commit speedup at {n} updaters: {:.2}x",
-                on / off
-            );
-        }
+        let prep = c.b.obs.histogram("xrpc_twopc_prepare_micros").snapshot();
+        let commit_us = c.b.obs.histogram("xrpc_twopc_commit_micros").snapshot();
+        println!(
+            "{:>9} {:>16.0} {:>12.3} {:>12.3} {:>12.2} {:>12}",
+            n, per_s, p50, p99, fsyncs_per_txn, prep.p50
+        );
+        rows.push(vec![
+            ("end_to_end", 1.0),
+            ("updaters", n as f64),
+            ("committed_per_s", per_s),
+            ("commit_p50_ms", p50),
+            ("commit_p99_ms", p99),
+            ("wal_fsyncs_per_txn", fsyncs_per_txn),
+            ("participant_prepare_p50_micros", prep.p50 as f64),
+            ("participant_commit_p50_micros", commit_us.p50 as f64),
+            ("log_doc_slots", doc_slots as f64),
+        ]);
     }
     write_json(
         "BENCH_U1.json",
         "U1",
-        "durable update throughput (fsync=always), group commit off vs on",
+        "durable update throughput (fsync=always)",
         quick,
         &rows,
     );

@@ -345,8 +345,8 @@ impl UpdateDriver {
 
 /// `updaters` wire-level drivers hammering one durable participant `b`
 /// whose WAL runs real forced fsyncs ([`FsyncPolicy::Always`]) — the
-/// workload where group commit either coalesces concurrent forces into
-/// one fsync or serializes on the disk.
+/// workload where group commit coalesces concurrent forces into shared
+/// fsyncs.
 pub struct UpdateCluster {
     pub net: Arc<SimNetwork>,
     pub drivers: Vec<UpdateDriver>,
@@ -360,34 +360,27 @@ impl Drop for UpdateCluster {
     }
 }
 
-pub fn update_cluster(updaters: usize, group_commit: bool) -> UpdateCluster {
-    update_cluster_fsync(updaters, group_commit, FsyncPolicy::Always)
+pub fn update_cluster(updaters: usize) -> UpdateCluster {
+    update_cluster_fsync(updaters, FsyncPolicy::Always)
 }
 
 /// Like [`update_cluster`] with an explicit fsync policy —
 /// `FsyncPolicy::Never` measures the CPU ceiling of the commit path,
 /// the headroom any durability scheme is chasing.
-pub fn update_cluster_fsync(
-    updaters: usize,
-    group_commit: bool,
-    fsync: FsyncPolicy,
-) -> UpdateCluster {
+pub fn update_cluster_fsync(updaters: usize, fsync: FsyncPolicy) -> UpdateCluster {
     let net = Arc::new(SimNetwork::new(NetProfile::instant()));
     let b = Peer::new(B_URI, EngineKind::Tree);
     b.register_module(U1_MODULE).unwrap();
     b.add_document("log.xml", "<log><e>0</e></log>").unwrap();
     b.set_transport(net.clone());
     net.register(B_URI, b.soap_handler());
-    let wal_path = std::env::temp_dir().join(format!(
-        "xrpc-u1-{}-g{group_commit}-n{updaters}.wal",
-        std::process::id()
-    ));
+    let wal_path =
+        std::env::temp_dir().join(format!("xrpc-u1-{}-n{updaters}.wal", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_path);
     b.attach_wal_with(
         &wal_path,
         WalConfig {
             fsync,
-            group_commit,
             ..WalConfig::default()
         },
     )
@@ -421,17 +414,13 @@ impl Drop for CommitPath {
 }
 
 impl CommitPath {
-    pub fn open(group_commit: bool) -> CommitPath {
-        let path = std::env::temp_dir().join(format!(
-            "xrpc-u1-commit-{}-g{group_commit}.wal",
-            std::process::id()
-        ));
+    pub fn open() -> CommitPath {
+        let path = std::env::temp_dir().join(format!("xrpc-u1-commit-{}.wal", std::process::id()));
         let _ = std::fs::remove_dir_all(&path);
         let (wal, _) = xrpc_peer::Wal::open_with(
             &path,
             WalConfig {
                 fsync: FsyncPolicy::Always,
-                group_commit,
                 ..WalConfig::default()
             },
         )

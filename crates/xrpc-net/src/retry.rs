@@ -122,6 +122,19 @@ impl DestStats {
     }
 }
 
+/// How many destinations are kept apart: each is a `dest="…"` label on
+/// `/metrics`, and a query can compute any number of `execute at {$uri}`.
+const MAX_DESTS: usize = 256;
+
+/// The entry destinations share once [`MAX_DESTS`] are held and none can go.
+const OTHER_DEST: &str = "other";
+
+struct DestEntry {
+    stats: Arc<DestStats>,
+    breaker: CircuitBreaker,
+    used: Instant,
+}
+
 /// A [`Transport`] decorator adding retry/backoff/deadline and a
 /// per-destination circuit breaker to any inner transport.
 ///
@@ -132,8 +145,8 @@ pub struct ResilientTransport {
     inner: Arc<dyn Transport>,
     policy: RetryPolicy,
     breaker_cfg: BreakerConfig,
-    breakers: Mutex<HashMap<String, CircuitBreaker>>,
-    dests: Mutex<HashMap<String, Arc<DestStats>>>,
+    /// At most [`MAX_DESTS`] destinations and [`OTHER_DEST`].
+    dests: Mutex<HashMap<String, DestEntry>>,
     /// Retry/fast-fail/timeout accounting for this decorator (the inner
     /// transport keeps its own per-wire-attempt counters).
     pub metrics: Arc<NetMetrics>,
@@ -155,7 +168,6 @@ impl ResilientTransport {
             inner,
             policy,
             breaker_cfg,
-            breakers: Mutex::new(HashMap::new()),
             dests: Mutex::new(HashMap::new()),
             metrics: Arc::new(NetMetrics::new()),
         })
@@ -167,73 +179,59 @@ impl ResilientTransport {
 
     /// The per-destination breakdown, destination-sorted.
     pub fn dest_stats(&self) -> Vec<(String, Arc<DestStats>)> {
-        let mut out: Vec<_> = self
-            .dests
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        self.sorted(|e| e.stats.clone())
     }
 
     /// Every breaker's current state, destination-sorted (for `/healthz`).
     pub fn breaker_states(&self) -> Vec<(String, BreakerState)> {
-        let mut out: Vec<_> = self
-            .breakers
-            .lock()
-            .iter()
-            .map(|(k, b)| (k.clone(), b.state()))
+        self.sorted(|e| e.breaker.state())
+    }
+
+    fn sorted<T>(&self, of: impl Fn(&DestEntry) -> T) -> Vec<(String, T)> {
+        let mut out: Vec<_> = (self.dests.lock().iter())
+            .map(|(k, e)| (k.clone(), of(e)))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
 
-    fn dest(&self, dest: &str) -> Arc<DestStats> {
-        self.dests
-            .lock()
-            .entry(dest.to_string())
-            .or_default()
-            .clone()
+    /// Run `f` on `dest`'s entry, made on first use. At the cap the
+    /// least-recently-used destination whose breaker is closed makes room
+    /// (an open breaker is state worth keeping; a closed one's stats are
+    /// history); when none can go, `dest` shares the `other` entry.
+    fn with_dest<R>(&self, mut dest: &str, f: impl FnOnce(&mut DestEntry) -> R) -> R {
+        let mut dests = self.dests.lock();
+        if !dests.contains_key(dest) {
+            if dests.len() >= MAX_DESTS {
+                let idle = (dests.iter())
+                    .filter(|(k, e)| e.breaker.state() == BreakerState::Closed && *k != OTHER_DEST)
+                    .min_by_key(|(_, e)| e.used)
+                    .map(|(k, _)| k.clone());
+                match idle {
+                    Some(k) => drop(dests.remove(&k)),
+                    None => dest = OTHER_DEST,
+                }
+            }
+            dests.entry(dest.to_string()).or_insert_with(|| DestEntry {
+                stats: Arc::default(),
+                breaker: CircuitBreaker::new(self.breaker_cfg),
+                used: Instant::now(),
+            });
+        }
+        let entry = dests.get_mut(dest).expect("made above");
+        entry.used = Instant::now();
+        f(entry)
     }
 
     /// The stats handle for one destination (created on first use), for
     /// the XRPC client to report batch sizes via [`DestStats::note_calls`].
     pub fn dest_stats_for(&self, dest: &str) -> Arc<DestStats> {
-        self.dest(dest)
+        self.with_dest(dest, |e| e.stats.clone())
     }
 
     /// Observable breaker state for `dest` (Closed if never used).
     pub fn breaker_state(&self, dest: &str) -> BreakerState {
-        self.breakers
-            .lock()
-            .get(dest)
-            .map(|b| b.state())
-            .unwrap_or(BreakerState::Closed)
-    }
-
-    fn breaker_allow(&self, dest: &str, now: Instant) -> bool {
-        self.breakers
-            .lock()
-            .entry(dest.to_string())
-            .or_insert_with(|| CircuitBreaker::new(self.breaker_cfg))
-            .allow(now)
-    }
-
-    fn breaker_on_success(&self, dest: &str) {
-        if let Some(b) = self.breakers.lock().get_mut(dest) {
-            b.on_success();
-        }
-    }
-
-    fn breaker_on_failure(&self, dest: &str, now: Instant) {
-        let mut breakers = self.breakers.lock();
-        let b = breakers
-            .entry(dest.to_string())
-            .or_insert_with(|| CircuitBreaker::new(self.breaker_cfg));
-        if b.on_failure(now) {
-            self.metrics.record_breaker_open();
-        }
+        (self.dests.lock().get(dest)).map_or(BreakerState::Closed, |e| e.breaker.state())
     }
 }
 
@@ -252,11 +250,11 @@ impl Transport for ResilientTransport {
         let deadline = start + self.policy.call_deadline;
         // the per-destination jitter salt
         let salt = xrpc_obs::fnv1a64(dest.as_bytes());
-        let stats = self.dest(dest);
+        let stats = self.dest_stats_for(dest);
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            if !self.breaker_allow(dest, Instant::now()) {
+            if !self.with_dest(dest, |e| e.breaker.allow(Instant::now())) {
                 self.metrics.record_fast_failure();
                 stats.fast_failures.fetch_add(1, Ordering::Relaxed);
                 return Err(NetError::with_kind(
@@ -266,14 +264,16 @@ impl Transport for ResilientTransport {
             }
             let err = match self.inner.roundtrip_hinted(dest, body, hint) {
                 Ok(resp) => {
-                    self.breaker_on_success(dest);
+                    self.with_dest(dest, |e| e.breaker.on_success());
                     self.metrics.record(body.len(), resp.len());
                     stats.latency.record_micros(start.elapsed());
                     return Ok(resp);
                 }
                 Err(e) => e,
             };
-            self.breaker_on_failure(dest, Instant::now());
+            if self.with_dest(dest, |e| e.breaker.on_failure(Instant::now())) {
+                self.metrics.record_breaker_open();
+            }
             self.metrics.record_failure();
             stats.failures.fetch_add(1, Ordering::Relaxed);
             if err.kind == NetErrorKind::Timeout {
@@ -645,5 +645,41 @@ mod tests {
                 .unwrap(),
             b"zz"
         );
+    }
+
+    #[test]
+    fn ten_thousand_destinations_leave_a_bounded_table() {
+        let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+        let t = ResilientTransport::with_policy(
+            net.clone(),
+            RetryPolicy::no_retry(),
+            BreakerConfig {
+                failure_threshold: 1,
+                cooldown: Duration::from_secs(60),
+            },
+        );
+        // nobody listens anywhere: every breaker opens and none may go, so
+        // past the cap the rest share one entry
+        for i in 0..10_000 {
+            let _ = t.roundtrip_hinted(&format!("xrpc://down-{i}"), b"q", CallHint::ReadOnly);
+        }
+        assert_eq!(t.dest_stats().len(), MAX_DESTS + 1);
+        assert_eq!(t.breaker_state("xrpc://down-0"), BreakerState::Open);
+        assert_eq!(t.breaker_state(OTHER_DEST), BreakerState::Open);
+        let other = t.dest_stats_for("xrpc://down-9999");
+        assert!(other.failures.load(Ordering::Relaxed) >= 1, "shared");
+
+        // healthy destinations come and go: the least recently used leaves
+        let t = ResilientTransport::new(net.clone());
+        for i in 0..10_000 {
+            let dest = format!("xrpc://up-{i}");
+            net.register(&dest, Arc::new(|_: &[u8]| b"ok".to_vec()));
+            t.roundtrip_hinted(&dest, b"q", CallHint::ReadOnly).unwrap();
+        }
+        let held = t.dest_stats();
+        assert_eq!(held.len(), MAX_DESTS);
+        assert!(held.iter().any(|(d, _)| d == "xrpc://up-9999"));
+        assert!(!held.iter().any(|(d, _)| d == "xrpc://up-0"));
+        assert_eq!(t.breaker_states().len(), MAX_DESTS);
     }
 }

@@ -207,7 +207,7 @@ pub fn render_metrics(peer: &Peer, server_metrics: Option<&NetMetrics>) -> Strin
     w.gauge("xrpc_store_applied_marks", peer.docs.applied_marks() as u64);
     w.gauge(
         "xrpc_coord_committed_entries",
-        peer.coord_committed.lock().len() as u64,
+        peer.coord.committed_entries() as u64,
     );
 
     // WAL durability surface: segment/byte gauges and the rotation,

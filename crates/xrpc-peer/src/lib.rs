@@ -10,7 +10,9 @@
 //!   pinned snapshots with relative timeouts and expired-ID rejection
 //!   (§2.2);
 //! * [`twopc`]: the WS-AtomicTransaction-style Prepare/Commit/Abort
-//!   protocol for atomic distributed updates (§2.3);
+//!   protocol for atomic distributed updates (§2.3), and [`txn`]: the one
+//!   state machine a transaction's life at a peer is — both roles, live
+//!   and replayed;
 //! * [`wrapper::XrpcWrapper`]: the §4 wrapper that lets a plain XQuery
 //!   engine service Bulk XRPC by *generating an XQuery query* per request
 //!   (Figure 3), with per-phase timings for Table 3.
@@ -21,8 +23,10 @@ pub mod modweb;
 pub mod peer;
 pub mod recovery;
 pub mod remote_docs;
+mod serve;
 pub mod store;
 pub mod twopc;
+pub mod txn;
 pub mod wal;
 pub mod wrapper;
 
@@ -34,11 +38,8 @@ pub use peer::{
 };
 pub use recovery::{RecoveryReport, SweeperConfig, SweeperHandle};
 pub use remote_docs::RemoteDocResolver;
-pub use store::{Decision, SnapshotManager};
-pub use twopc::{
-    run_two_phase_commit, run_two_phase_commit_with, CommitOutcome, TwoPcConfig, TwoPcMetrics,
-    TwoPcSnapshot,
-};
+pub use store::{Decision, SnapshotManager, TxnState};
+pub use twopc::{run_two_phase_commit, CommitOutcome, TwoPcConfig, TwoPcMetrics, TwoPcSnapshot};
 pub use wal::{FsyncPolicy, SequencedRecord, Wal, WalConfig, WalRecord, WalStats};
 pub use wrapper::{WrapperPhases, XrpcWrapper};
 

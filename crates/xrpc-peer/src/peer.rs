@@ -1,35 +1,26 @@
 //! The peer: one XQuery database node speaking XRPC on both sides.
 
 use crate::client::XrpcClient;
-use crate::store::{Decision, QuerySnapshot, SnapshotManager};
-use crate::twopc::{
-    self, CommitOutcome, TwoPcConfig, TwoPcMetrics, METHOD_ABORT, METHOD_CANCEL, METHOD_COMMIT,
-    METHOD_INQUIRE, METHOD_PREPARE, WSAT_MODULE,
-};
-use crate::wal::{self, Wal, WalRecord};
+use crate::store::{QuerySnapshot, SnapshotManager};
+use crate::twopc::{self, CommitOutcome, TwoPcConfig, TwoPcMetrics};
+use crate::txn::{CoordTable, Input, TxKey, Via};
+use crate::wal::Wal;
 use parking_lot::{Mutex, RwLock};
 use relalg::{FunctionCache, PlanCache};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xdm::{Item, Sequence, XdmError, XdmResult};
+use xdm::{Sequence, XdmError, XdmResult};
 use xqast::FunctionDecl;
 use xqeval::context::{CancelToken, DocResolver, Environment, StaticContext};
-use xqeval::eval::{Ctx, EvalState, Evaluator};
-use xqeval::modules::CompiledModule;
-use xqeval::pul::{apply_updates, PendingUpdateList};
 use xqeval::{CompiledMain, InMemoryDocs, ModuleRegistry};
-use xrpc_net::{
-    crash_points, BreakerConfig, CrashSwitch, ResilientTransport, RetryPolicy, Transport,
-};
+use xrpc_net::{BreakerConfig, CrashSwitch, ResilientTransport, RetryPolicy, Transport};
 use xrpc_obs::{
     trace_id_from, Observability, Phase, ProfileCollector, ProfileMode, QueryProfile, SlowLog,
     SlowLogConfig, SlowLogEntry, TraceContext,
 };
-use xrpc_proto::{
-    parse_message, QueryId, TxOutcome, XrpcFault, XrpcMessage, XrpcRequest, XrpcResponse,
-};
+use xrpc_proto::QueryId;
 
 /// Which engine executes queries and incoming requests at this peer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -70,7 +61,7 @@ pub struct PeerStats {
 
 impl PeerStats {
     /// Keep what an evaluation environment counted before it goes away.
-    fn absorb(&self, env: &Environment) {
+    pub(crate) fn absorb(&self, env: &Environment) {
         let s = env.stats();
         for (total, n) in [
             (&self.join_index_builds, s.join_index_builds),
@@ -155,14 +146,6 @@ pub struct ExecOutcome {
     pub profile: Option<QueryProfile>,
 }
 
-/// `(qid.host, qid.timestamp_millis)` — how coordination maps key a
-/// transaction without cloning the whole `QueryId`.
-pub(crate) type TxKey = (String, u64);
-
-/// A recovered commit decision still owed to its participants: the
-/// queryID to redeliver under and the full participant list.
-pub(crate) type RedeliverEntry = (QueryId, Vec<String>);
-
 /// One XRPC peer.
 pub struct Peer {
     /// This peer's `xrpc://host[:port]` URI (settable after construction,
@@ -171,7 +154,7 @@ pub struct Peer {
     pub engine: EngineKind,
     pub docs: Arc<InMemoryDocs>,
     pub modules: Arc<ModuleRegistry>,
-    module_sources: RwLock<HashMap<String, String>>,
+    pub(crate) module_sources: RwLock<HashMap<String, String>>,
     pub snapshots: SnapshotManager,
     transport: RwLock<Option<Arc<dyn Transport>>>,
     /// The resilience decorator installed by [`set_transport`]/
@@ -214,27 +197,9 @@ pub struct Peer {
     pub twopc_metrics: TwoPcMetrics,
     /// Coordinator tuning for queries originated here.
     pub(crate) twopc_config: RwLock<TwoPcConfig>,
-    /// queryIDs this peer is *currently* coordinating — `Inquire` answers
-    /// `InDoubt` for these (no decision has been durably taken yet).
-    pub(crate) coordinating: Mutex<HashSet<TxKey>>,
-    /// In-memory mirror of durably-logged commit decisions that someone
-    /// may still ask about (fed by the commit point and by WAL replay,
-    /// dropped once every participant has acknowledged) — what `Inquire`
-    /// answers `Committed` from. Anything in neither map is presumed
-    /// aborted.
-    pub(crate) coord_committed: Mutex<HashMap<TxKey, Vec<String>>>,
-    /// Commit decisions recovered from the log that still lack a
-    /// `CoordinatorEnd`: participants that must be re-told to commit.
-    pub(crate) coord_redeliver: Mutex<HashMap<TxKey, RedeliverEntry>>,
-    /// Coordinator addresses recorded in recovered `Prepared` records,
-    /// consulted by the in-doubt resolver (falls back to `qid.host`).
-    pub(crate) recovered_coordinators: Mutex<HashMap<TxKey, String>>,
-    /// Transactions this peer was coordinating when it crashed —
-    /// recovered `CoordinatorBegin` records with no durable commit
-    /// decision. Presumed abort already makes them aborted; the re-abort
-    /// sweep proactively re-tells the participants so their prepared ∆s
-    /// (and locks) release without waiting for an inquiry.
-    pub(crate) coord_reabort: Mutex<HashMap<TxKey, RedeliverEntry>>,
+    /// The transactions this peer coordinates or still answers for —
+    /// what `Inquire` is answered from (see `txn::CoordTable`).
+    pub coord: CoordTable,
     /// Timestamp generator for locally-originated queryIDs: strictly
     /// monotonic past the wall clock, because two queries starting in the
     /// same millisecond would alias to one `(host, millis)` transaction
@@ -258,27 +223,6 @@ pub struct Peer {
     /// bounded in-memory ring served on `GET /slowlog` (see
     /// `xrpc_obs::slowlog`). Recording never blocks the request path.
     pub slowlog: Arc<SlowLog>,
-}
-
-/// Removes a call-handler's cancel token from [`Peer::active_evals`] when
-/// the evaluation finishes — by any path, including the handler's many
-/// `?` early returns.
-struct EvalRegistration<'a> {
-    peer: &'a Peer,
-    key: TxKey,
-    token: Arc<CancelToken>,
-}
-
-impl Drop for EvalRegistration<'_> {
-    fn drop(&mut self) {
-        let mut map = self.peer.active_evals.lock();
-        if let Some(v) = map.get_mut(&self.key) {
-            v.retain(|t| !Arc::ptr_eq(t, &self.token));
-            if v.is_empty() {
-                map.remove(&self.key);
-            }
-        }
-    }
 }
 
 impl Peer {
@@ -320,11 +264,7 @@ impl Peer {
             crash_switch: RwLock::new(None),
             twopc_metrics: TwoPcMetrics::new(),
             twopc_config: RwLock::new(TwoPcConfig::default()),
-            coordinating: Mutex::new(HashSet::new()),
-            coord_committed: Mutex::new(HashMap::new()),
-            coord_redeliver: Mutex::new(HashMap::new()),
-            recovered_coordinators: Mutex::new(HashMap::new()),
-            coord_reabort: Mutex::new(HashMap::new()),
+            coord: CoordTable::default(),
             last_qid_ts: AtomicU64::new(0),
             active_evals: Mutex::new(HashMap::new()),
             cancellations_deadline: AtomicU64::new(0),
@@ -364,28 +304,6 @@ impl Peer {
     /// Tune the 2PC coordinator for queries originated at this peer.
     pub fn set_twopc_config(&self, config: TwoPcConfig) {
         *self.twopc_config.write() = config;
-    }
-
-    /// Simulate a crash *mid-request* at `point` if the switch is armed
-    /// for it: the error propagates up, and the attached `SimNetwork`
-    /// suppresses the response so the caller sees an ambiguous timeout.
-    fn crash_mid(&self, point: &str) -> XdmResult<()> {
-        if let Some(sw) = self.crash_switch.read().as_ref() {
-            if sw.hit(point) {
-                return Err(XdmError::xrpc(format!("simulated crash at {point}")));
-            }
-        }
-        Ok(())
-    }
-
-    /// Simulate a crash *after* the current request completes: the
-    /// response is still delivered, then the peer is down. Returns
-    /// whether the switch fired (so the caller can tag its span).
-    fn crash_after(&self, point: &str) -> bool {
-        if let Some(sw) = self.crash_switch.read().as_ref() {
-            return sw.hit_after(point);
-        }
-        false
     }
 
     /// Enable/disable the distributed-optimizer behaviours (loop-invariant
@@ -496,614 +414,6 @@ impl Peer {
     /// performance observation).
     pub fn set_plan_cache_enabled(&self, on: bool) {
         self.plan_cache.set_enabled(on);
-    }
-
-    /// A SOAP handler closure for transports (SimNetwork / HttpServer).
-    pub fn soap_handler(self: &Arc<Self>) -> xrpc_net::SoapHandler {
-        let peer = self.clone();
-        Arc::new(move |body: &[u8]| peer.handle_soap(body))
-    }
-
-    /// Handle one incoming SOAP message; always answers with a SOAP
-    /// message (response or fault) — §2.1's error contract.
-    pub fn handle_soap(&self, body: &[u8]) -> Vec<u8> {
-        let text = match std::str::from_utf8(body) {
-            Ok(t) => t,
-            Err(_) => {
-                return XrpcFault::from_error(&XdmError::xrpc("request is not UTF-8"))
-                    .to_xml()
-                    .into_bytes()
-            }
-        };
-        match self.handle_message(text) {
-            // serialize into a recycled transport buffer, pre-reserved from
-            // the response's estimated wire size (the server returns the
-            // buffer to the pool once it hits the socket)
-            Ok(resp) => {
-                let mut out = xrpc_net::BufferPool::global().get_string(resp.estimated_wire_size());
-                match resp.write_xml(&mut out) {
-                    Ok(()) => out.into_bytes(),
-                    Err(e) => XrpcFault::from_error(&e).to_xml().into_bytes(),
-                }
-            }
-            Err(e) => XrpcFault::from_error(&e).to_xml().into_bytes(),
-        }
-    }
-
-    fn handle_message(&self, text: &str) -> XdmResult<XrpcResponse> {
-        let parse_started = Instant::now();
-        let req = match parse_message(text)? {
-            XrpcMessage::Request(r) => r,
-            _ => return Err(XdmError::xrpc("expected an xrpc:request")),
-        };
-        let parse_micros = parse_started.elapsed().as_micros() as u64;
-        // Continue the caller's trace (the context parsed from the
-        // envelope header) — or start a fresh root for an untraced
-        // request. The span's context and this peer's tracer stay
-        // ambient for everything the request triggers: nested client
-        // dispatches, 2PC control handling, the engines.
-        let _tracer = xrpc_obs::set_current_tracer(Some(self.obs.tracer.clone()));
-        let mut span = match req.trace {
-            Some(parent) => self.obs.tracer.child_span("server:handle", parent),
-            None => self.obs.tracer.span_here("server:handle"),
-        };
-        span.tag("module", &req.module);
-        span.tag("method", &req.method);
-        self.obs
-            .histogram("xrpc_message_bytes")
-            .record(text.len() as u64);
-        let out = if req.module == WSAT_MODULE {
-            self.handle_control(&req)
-        } else if req.module == crate::remote_docs::DOC_MODULE {
-            self.handle_doc_fetch(&req)
-        } else {
-            // identifies a redelivered (transport-retried) request
-            // byte-for-byte; only deferred updating calls consult it, so
-            // spare the read-only hot path the full-message scan
-            let request_hash = if req.deferred {
-                xrpc_obs::fnv1a64(text.as_bytes())
-            } else {
-                0
-            };
-            self.handle_call_request(req, request_hash, parse_micros)
-        };
-        if let Err(e) = &out {
-            span.tag("error", e.to_string());
-        }
-        self.obs
-            .histogram("xrpc_server_handle_micros")
-            .record_micros(span.elapsed());
-        out
-    }
-
-    /// WS-AtomicTransaction participant side (§2.3).
-    fn handle_control(&self, req: &XrpcRequest) -> XdmResult<XrpcResponse> {
-        self.stats.control_messages.fetch_add(1, Ordering::Relaxed);
-        let qid = req
-            .query_id
-            .as_ref()
-            .ok_or_else(|| XdmError::xrpc("coordination message without queryID"))?;
-        // Every branch below is idempotent: the coordinator's decision
-        // redelivery (and transport-level retries) may deliver any control
-        // message more than once, and a participant must converge on the
-        // same outcome rather than error on the replay.
-        match req.method.as_str() {
-            METHOD_PREPARE => {
-                let mut span = self.obs.tracer.span_here("2pc:prepare");
-                let snap = self.snapshots.get(qid)?;
-                let mut prepared = snap.prepared.lock();
-                if !*prepared {
-                    // "It logs the union of the pending update lists to
-                    // stable storage, ensuring q can commit later" —
-                    // compatibility is the only thing that can refuse here.
-                    snap.pul.lock().check_compatibility()?;
-                    // A crash here is the presumed-abort case: nothing was
-                    // logged, the ack is never sent, the coordinator
-                    // aborts, and restart recovery finds no record.
-                    if let Err(e) = self.crash_mid(crash_points::BEFORE_PREPARE_LOG) {
-                        span.tag("crash_point", crash_points::BEFORE_PREPARE_LOG);
-                        return Err(e);
-                    }
-                    // Force ∆_q + who to ask after a restart *before* the
-                    // ack makes the promise.
-                    if let Some(w) = self.wal() {
-                        let delta = wal::serialize_pul(&snap.pul.lock())?;
-                        let mut ws = self.obs.tracer.span_here("wal:force");
-                        ws.tag("record", "prepared");
-                        let lsn = w.append(&WalRecord::Prepared {
-                            qid: qid.clone(),
-                            coordinator: qid.host.clone(),
-                            delta,
-                        })?;
-                        // the LSN this ∆ was logged under is the mark the
-                        // apply will be guarded by (idempotent re-apply)
-                        *snap.prepared_lsn.lock() = Some(lsn);
-                    }
-                    *prepared = true;
-                    *snap.prepared_at.lock() = Some(Instant::now());
-                }
-                // re-Prepare of a prepared query: still prepared, answer OK
-                drop(prepared);
-                self.twopc_metrics.prepares.fetch_add(1, Ordering::Relaxed);
-                // The ∆ is durable and the ack will be delivered — then
-                // the peer dies holding prepared state (the in-doubt case
-                // recovery must resolve by inquiry).
-                if self.crash_after(crash_points::AFTER_PREPARE_ACK) {
-                    span.tag("crash_point", crash_points::AFTER_PREPARE_ACK);
-                }
-                self.obs
-                    .histogram("xrpc_twopc_prepare_micros")
-                    .record_micros(span.elapsed());
-            }
-            METHOD_COMMIT => {
-                let mut span = self.obs.tracer.span_here("2pc:commit");
-                match self.snapshots.get(qid) {
-                    Ok(snap) => {
-                        if !*snap.prepared.lock() {
-                            return Err(XdmError::xrpc("Commit before Prepare"));
-                        }
-                        // applyUpdates(∆_q) exactly once, even under concurrent
-                        // redelivery: the `decided` slot is claimed before the
-                        // apply and never released.
-                        let mut decided = snap.decided.lock();
-                        match *decided {
-                            Some(Decision::Committed) => {}
-                            Some(Decision::Aborted) => {
-                                return Err(XdmError::xrpc("Commit after Abort"))
-                            }
-                            None => {
-                                // Force the decision before acting on it, so a
-                                // crash in the gap re-applies instead of
-                                // forgetting a committed ∆.
-                                if let Some(w) = self.wal() {
-                                    let mut ws = self.obs.tracer.span_here("wal:force");
-                                    ws.tag("record", "decision-committed");
-                                    w.append(&WalRecord::Decision {
-                                        qid: qid.clone(),
-                                        decision: Decision::Committed,
-                                    })?;
-                                }
-                                if let Err(e) = self.crash_mid(crash_points::AFTER_DECISION_LOG) {
-                                    span.tag("crash_point", crash_points::AFTER_DECISION_LOG);
-                                    return Err(e);
-                                }
-                                let pul = snap.pul.lock().clone();
-                                let mark = *snap.prepared_lsn.lock();
-                                self.apply_pul_marked(&pul, qid, mark)?;
-                                *decided = Some(Decision::Committed);
-                                // A crash in this gap — or any time before
-                                // the unforced marker below reaches the
-                                // disk — leaves a committed decision with no
-                                // Applied marker: restart replay re-drives
-                                // the apply, which the applied-LSN mark turns
-                                // into a no-op.
-                                if let Err(e) =
-                                    self.crash_mid(crash_points::AFTER_APPLY_BEFORE_MARKER)
-                                {
-                                    span.tag(
-                                        "crash_point",
-                                        crash_points::AFTER_APPLY_BEFORE_MARKER,
-                                    );
-                                    return Err(e);
-                                }
-                                if let Some(w) = self.wal() {
-                                    self.log_applied(&w, qid, mark.unwrap_or(0))?;
-                                }
-                                self.twopc_metrics.commits.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        drop(decided);
-                        self.snapshots.finish_with(qid, Decision::Committed);
-                    }
-                    Err(e) => match self.snapshots.completed_decision(qid) {
-                        // redelivered Commit after the snapshot was released:
-                        // ∆_q is already applied, acknowledge again
-                        Some(Decision::Committed) => {}
-                        Some(Decision::Aborted) => {
-                            return Err(XdmError::xrpc("Commit after Abort"))
-                        }
-                        None => return Err(e),
-                    },
-                }
-                self.obs
-                    .histogram("xrpc_twopc_commit_micros")
-                    .record_micros(span.elapsed());
-            }
-            METHOD_ABORT => {
-                let _span = self.obs.tracer.span_here("2pc:abort");
-                // releases the snapshot; also used as end-of-query for
-                // read-only repeatable queries. An Abort for an unknown or
-                // already-finished query is acknowledged (presumed abort).
-                if let Ok(snap) = self.snapshots.get(qid) {
-                    // quiesce the prepared record (abort decisions need no
-                    // durability of their own — absence of a commit record
-                    // *is* the abort record — but the append retires the
-                    // Prepared entry so the log can checkpoint)
-                    if *snap.prepared.lock() && snap.decided.lock().is_none() {
-                        if let Some(w) = self.wal() {
-                            w.append(&WalRecord::Decision {
-                                qid: qid.clone(),
-                                decision: Decision::Aborted,
-                            })?;
-                        }
-                    }
-                    self.snapshots.finish_with(qid, Decision::Aborted);
-                    self.twopc_metrics.aborts.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            METHOD_INQUIRE => {
-                // Coordinator side: a restarted participant holding a
-                // prepared ∆ asks what was decided.
-                let mut span = self.obs.tracer.span_here("2pc:inquire");
-                self.twopc_metrics.inquiries.fetch_add(1, Ordering::Relaxed);
-                let outcome = self.coordinator_outcome(qid);
-                span.tag("outcome", format!("{outcome:?}"));
-                return Ok(outcome.into_response());
-            }
-            METHOD_CANCEL => {
-                // Best-effort stand-down from the originator: its budget
-                // ran out (or its client vanished), so stop any in-flight
-                // evaluations for this transaction and release the
-                // snapshot — *unless* this participant has already
-                // promised via Prepare, in which case the ∆ is durable
-                // and only the decision protocol (Commit/Abort/Inquire)
-                // may settle it. Idempotent: unknown qids just ack.
-                let mut span = self.obs.tracer.span_here("2pc:cancel");
-                self.twopc_metrics.cancels.fetch_add(1, Ordering::Relaxed);
-                let tx_key = (qid.host.clone(), qid.timestamp_millis);
-                let tokens: Vec<Arc<CancelToken>> = self
-                    .active_evals
-                    .lock()
-                    .get(&tx_key)
-                    .cloned()
-                    .unwrap_or_default();
-                span.tag("evals_cancelled", tokens.len().to_string());
-                for t in &tokens {
-                    t.cancel();
-                }
-                if let Ok(snap) = self.snapshots.get(qid) {
-                    if *snap.prepared.lock() {
-                        // point of no return: the promise stands
-                        span.tag("outcome", "prepared-ignored");
-                    } else {
-                        self.snapshots.finish_with(qid, Decision::Aborted);
-                        span.tag("outcome", "released");
-                    }
-                }
-            }
-            other => return Err(XdmError::xrpc(format!("unknown control method `{other}`"))),
-        }
-        let mut resp = XrpcResponse::new(WSAT_MODULE, req.method.clone());
-        resp.results.push(Sequence::empty());
-        Ok(resp)
-    }
-
-    /// What this peer, as coordinator, durably knows about `qid` — the
-    /// presumed-abort answer to an `Inquire`.
-    pub(crate) fn coordinator_outcome(&self, qid: &QueryId) -> TxOutcome {
-        let key = (qid.host.clone(), qid.timestamp_millis);
-        // the forced commit record is the decision, even if delivery (and
-        // the coordinating entry's removal) is still in flight
-        if self.coord_committed.lock().contains_key(&key) {
-            return TxOutcome::Committed;
-        }
-        if self.coordinating.lock().contains(&key) {
-            return TxOutcome::InDoubt;
-        }
-        // no commit record, not in flight: presumed abort
-        TxOutcome::Aborted
-    }
-
-    /// Serve `fn:doc` data-shipping fetches (reserved module, see
-    /// `remote_docs`). Respects the queryID snapshot when present.
-    fn handle_doc_fetch(&self, req: &XrpcRequest) -> XdmResult<XrpcResponse> {
-        self.stats.requests_handled.fetch_add(1, Ordering::Relaxed);
-        let resolver: Arc<dyn DocResolver> = match &req.query_id {
-            Some(qid) => self
-                .snapshots
-                .get_or_pin(qid, || self.docs.snapshot())?
-                .resolver(),
-            None => self.docs.clone(),
-        };
-        let mut resp = XrpcResponse::new(req.module.clone(), req.method.clone());
-        for call in &req.calls {
-            let path = call
-                .first()
-                .and_then(|s| s.first())
-                .map(|i| i.string_value())
-                .ok_or_else(|| XdmError::xrpc("doc fetch without a path"))?;
-            let doc = resolver.resolve(&path)?;
-            resp.results
-                .push(Sequence::one(Item::Node(xmldom::NodeHandle::root(doc))));
-        }
-        resp.participating_peers = vec![self.name()];
-        Ok(resp)
-    }
-
-    /// Handle an XRPC function-call request (possibly Bulk).
-    fn handle_call_request(
-        &self,
-        mut req: XrpcRequest,
-        request_hash: u64,
-        parse_micros: u64,
-    ) -> XdmResult<XrpcResponse> {
-        let handle_started = Instant::now();
-        // Continue the caller's profile when the request header asks for
-        // one: this hop collects its own operator tree/phases and returns
-        // them (plus any hops *it* gathered downstream) in the response.
-        let collector = req
-            .profile
-            .as_ref()
-            .filter(|p| p.mode.is_on())
-            .map(|p| ProfileCollector::new(p.mode, &self.name(), &p.via, p.depth));
-        if let Some(col) = &collector {
-            col.add_phase(Phase::Parse, parse_micros);
-        }
-        self.stats.requests_handled.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .calls_handled
-            .fetch_add(req.calls.len() as u64, Ordering::Relaxed);
-        self.obs
-            .histogram("xrpc_bulk_batch_calls")
-            .record(req.calls.len() as u64);
-
-        // The caller's remaining budget, already decremented for network
-        // time at every hop. A budget exhausted on arrival is rejected
-        // here, before preparing the function or pinning a snapshot — the
-        // originator has already timed out, so any work would be wasted.
-        let deadline = match req.budget_millis {
-            Some(0) => {
-                return Err(XdmError::xrpc_deadline(
-                    "query budget exhausted on arrival (xrpc:timeout)",
-                ))
-            }
-            Some(ms) => Some(Instant::now() + Duration::from_millis(ms)),
-            None => None,
-        };
-        let cancel = budget_token(deadline);
-        // Make the token reachable by a `Cancel` control message for the
-        // same transaction; the guard deregisters on every exit path.
-        let _eval_reg = req.query_id.as_ref().map(|qid| {
-            let key = (qid.host.clone(), qid.timestamp_millis);
-            self.active_evals
-                .lock()
-                .entry(key.clone())
-                .or_default()
-                .push(cancel.clone());
-            EvalRegistration {
-                peer: self,
-                key,
-                token: cancel.clone(),
-            }
-        });
-
-        let key = (req.module.clone(), req.method.clone(), req.arity);
-        let prepared = self
-            .function_cache
-            .get_or_prepare(key, || self.prepare_function(&req))?;
-
-        // Isolation: pin (or reuse) a snapshot when a queryID is present.
-        let (resolver, snap): (Arc<dyn DocResolver>, Option<Arc<QuerySnapshot>>) =
-            match &req.query_id {
-                Some(qid) => {
-                    let s = self.snapshots.get_or_pin(qid, || self.docs.snapshot())?;
-                    (s.resolver(), Some(s))
-                }
-                None => (self.docs.clone(), None),
-            };
-
-        // At-most-once ∆ merge for deferred updates (rule R'Fu): when the
-        // response to an updating call is lost, the resilient transport
-        // redelivers the identical request; merging its ∆ again would
-        // double-insert or trip XQUF compatibility at Prepare. An updating
-        // function's results are empty by XQUF, so the lost response can be
-        // resynthesized without re-evaluating — but only if the original
-        // execution *succeeded*: the hash is recorded after the merge (see
-        // below), so a request that faulted re-evaluates on redelivery
-        // instead of being masked as success. The replayed response carries
-        // the original's participating-peer set so the originator's 2PC
-        // participant list stays complete even when nested calls were made.
-        let track_merge = req.deferred && prepared.decl.updating;
-        if track_merge {
-            if let Some(s) = &snap {
-                if let Some(peers) = s.merged_requests.lock().get(&request_hash) {
-                    let mut resp = XrpcResponse::new(req.module, req.method);
-                    resp.results = vec![Sequence::empty(); req.calls.len()];
-                    resp.participating_peers = peers.clone();
-                    return Ok(resp);
-                }
-            }
-        }
-
-        let (nested_client, env) = self.eval_session(
-            cancel,
-            req.query_id.clone(),
-            req.deferred,
-            resolver,
-            collector.clone(),
-        );
-        let ev = Evaluator::new(&env, prepared.sctx.clone());
-
-        // A read-only bulk request is evaluated set-at-a-time: the calls
-        // become one `iter|pos|item` table per parameter and the body runs
-        // once over it (`relalg::eval_calls`), so a selection in the body
-        // is one join over the request, not one selection per call — in one
-        // piece, on the worker that took the request. Updating requests
-        // stay a sequential loop — ∆s must compose in call order (XQUF
-        // merge rules) — and so does a single call, which has nothing to
-        // share.
-        let eval_started = Instant::now();
-        let calls = std::mem::take(&mut req.calls);
-        let ncalls = calls.len();
-        let outcome = if !prepared.decl.updating && ncalls > 1 {
-            relalg::eval_calls(&ev, &prepared.decl, calls)
-        } else {
-            let mut results = Vec::with_capacity(ncalls);
-            let mut pul = PendingUpdateList::new();
-            calls
-                .into_iter()
-                .try_for_each(|args| {
-                    let mut st = EvalState::new();
-                    bind_params(&prepared.decl, args, &mut st)?;
-                    let r = ev.eval(&prepared.decl.body, &mut st, &Ctx::none())?;
-                    // an updating function's result is empty by XQUF; a
-                    // non-updating one must not update, but `fn:put` is
-                    // tolerated, so its ∆ is kept either way
-                    results.push(if prepared.decl.updating {
-                        Sequence::empty()
-                    } else {
-                        r
-                    });
-                    pul.merge(st.pul);
-                    Ok(())
-                })
-                .map(|()| (results, pul))
-        };
-        self.stats.absorb(&env);
-        if let Some(col) = &collector {
-            col.add_phase(Phase::Execute, eval_started.elapsed().as_micros() as u64);
-        }
-        // Evaluation is side-effect-free up to the PUL, which is only
-        // applied below: a failing call fails the request as a whole.
-        let (results, mut pul_total) = outcome.inspect_err(|e: &XdmError| {
-            if e.code == "XRPC0004" || e.code == "XRPC0005" {
-                self.note_cancellation(&e.code, deadline);
-            }
-        })?;
-
-        if !pul_total.is_empty() {
-            if req.deferred {
-                // rule R'Fu: defer ∆ until 2PC commit
-                let snap = snap.as_ref().ok_or_else(|| {
-                    XdmError::xrpc("deferred updates require a queryID (isolation)")
-                })?;
-                // the PUL lives until 2PC commit: copy content fragments
-                // out of the request's message arena so holding a ∆ does
-                // not pin the whole (possibly multi-MiB) envelope
-                pul_total.compact_sources();
-                snap.pul.lock().merge(pul_total);
-            } else {
-                // rule RFu: apply immediately after the request
-                self.apply_pul(&pul_total)?;
-            }
-        }
-
-        // Piggyback the peers this handling (transitively) involved.
-        let mut peers: Vec<String> = nested_client
-            .map(|c| c.participants_snapshot())
-            .unwrap_or_default();
-        peers.push(self.name());
-        peers.sort();
-        peers.dedup();
-
-        // Everything merged successfully — only now record the request as
-        // seen, so redelivery of a *failed* execution re-evaluates rather
-        // than replaying a synthesized success.
-        if track_merge {
-            if let Some(s) = &snap {
-                s.merged_requests.lock().insert(request_hash, peers.clone());
-            }
-        }
-
-        let mut resp = XrpcResponse::new(req.module, req.method);
-        resp.results = results;
-        resp.participating_peers = peers;
-        if let Some(col) = &collector {
-            // This hop's profile (own hop first, then everything gathered
-            // from peers *we* called) rides home in the response header.
-            // The span ids tie the hop to the PR 5 trace.
-            let (trace_id, span_id) = xrpc_obs::current_context()
-                .map(|c| (c.trace_id, c.span_id))
-                .unwrap_or((0, 0));
-            let total_micros = parse_micros + handle_started.elapsed().as_micros() as u64;
-            resp.profile_hops = col.finish_hops(trace_id, span_id, total_micros);
-        }
-        Ok(resp)
-    }
-
-    fn prepare_function(&self, req: &XrpcRequest) -> XdmResult<PreparedFunction> {
-        self.stats
-            .functions_prepared
-            .fetch_add(1, Ordering::Relaxed);
-        let module = if self.function_cache.is_enabled() {
-            self.modules
-                .get_or_load(&req.module, req.location.as_deref())?
-        } else {
-            // No function cache: re-translate the module on every request,
-            // the paper's "No Function Cache" column.
-            match self.module_sources.read().get(&req.module) {
-                Some(src) => {
-                    let lib = xqast::parse_library_module(src)?;
-                    Arc::new(CompiledModule::from_library(&lib))
-                }
-                None => self
-                    .modules
-                    .get_or_load(&req.module, req.location.as_deref())?,
-            }
-        };
-        let decl = module.function(&req.method, req.arity).ok_or_else(|| {
-            XdmError::unknown_function(format!(
-                "module `{}` has no function {}#{}",
-                req.module, req.method, req.arity
-            ))
-        })?;
-        Ok(PreparedFunction {
-            decl,
-            sctx: module.sctx.clone(),
-        })
-    }
-
-    pub(crate) fn apply_pul(&self, pul: &PendingUpdateList) -> XdmResult<()> {
-        for edit in apply_updates(pul)? {
-            if let Some(uri) = &edit.uri {
-                self.docs.replace(uri, edit.new.clone())?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The key a transaction's applied-LSN mark is stored under in the
-    /// document store.
-    pub(crate) fn mark_key(qid: &QueryId) -> String {
-        format!("{}@{}", qid.host, qid.timestamp_millis)
-    }
-
-    /// `applyUpdates(∆_q)` guarded by the store's applied-LSN mark: a ∆
-    /// whose log sequence number is at-or-below the mark has already
-    /// reached the documents (the crash or redelivery fell between the
-    /// apply and the `Applied` marker), so replay skips it instead of
-    /// double-applying. Returns whether the ∆ was actually applied.
-    pub(crate) fn apply_pul_marked(
-        &self,
-        pul: &PendingUpdateList,
-        qid: &QueryId,
-        lsn: Option<u64>,
-    ) -> XdmResult<bool> {
-        let Some(lsn) = lsn else {
-            // no WAL / no logged LSN: the pre-durability behavior
-            self.apply_pul(pul)?;
-            return Ok(true);
-        };
-        let key = Self::mark_key(qid);
-        if self.docs.applied_mark(&key).is_some_and(|m| m >= lsn) {
-            return Ok(false);
-        }
-        self.apply_pul(pul)?;
-        self.docs.set_applied_mark(&key, lsn);
-        Ok(true)
-    }
-
-    /// Close a committed transaction in the log once its ∆ is in the store.
-    /// Unforced: no promise depends on the marker (without it replay
-    /// re-drives the apply, and the applied-LSN mark stops it). Marks the
-    /// log can no longer ask about go with it.
-    pub(crate) fn log_applied(&self, wal: &Wal, qid: &QueryId, mark: u64) -> XdmResult<()> {
-        wal.append_nosync(&WalRecord::Applied {
-            qid: qid.clone(),
-            mark,
-        })?;
-        self.docs.prune_applied_marks(wal.replay_floor());
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1341,12 +651,15 @@ impl Peer {
         } else {
             timeout
         };
-        let qid = match isolation {
-            IsolationLevel::Repeatable => {
-                Some(QueryId::new(self.name(), self.next_qid_ts(), wire_timeout))
-            }
+        // A repeatable query is pinned here as it is everywhere it goes:
+        // one snapshot per query per peer. What the query reads locally, what
+        // a call back into this peer reads, and where either leaves its ∆
+        // are the same place.
+        let own = match isolation {
+            IsolationLevel::Repeatable => Some(self.pin_own(wire_timeout)),
             IsolationLevel::None => None,
         };
+        let qid = own.as_ref().map(|snap| snap.qid.clone());
 
         // The query budget: a deadline derived from xrpc:timeout.
         let deadline = (timeout > 0).then(|| Instant::now() + Duration::from_secs(timeout as u64));
@@ -1377,6 +690,8 @@ impl Peer {
                 IsolationLevel::None => "none",
             },
         );
+        // releases the snapshot on every way out, inside the root span
+        let _own = qid.as_ref().map(|qid| OwnSnapshot(self, qid));
 
         // The originator's profile collector (depth 0, nobody called us).
         // Phase accounting for the slow-query log is NOT gated on this:
@@ -1394,12 +709,9 @@ impl Peer {
             }
         }
 
-        // Local repeatable read: evaluate against a pinned local snapshot.
-        let resolver: Arc<dyn DocResolver> = match isolation {
-            IsolationLevel::Repeatable => Arc::new(FrozenDocs {
-                docs: self.docs.snapshot(),
-            }),
-            IsolationLevel::None => self.docs.clone(),
+        let resolver: Arc<dyn DocResolver> = match &own {
+            Some(snap) => snap.resolver(),
+            None => self.docs.clone(),
         };
         let (client, mut env) = self.eval_session(
             cancel.clone(),
@@ -1457,17 +769,25 @@ impl Peer {
             .unwrap_or((0, 0));
 
         let mut commit = None;
-        match (isolation, &client, &qid) {
-            (IsolationLevel::Repeatable, Some(client), Some(qid)) => {
-                let participants = client.participants_snapshot();
+        match &own {
+            Some(own) => {
+                let qid = &own.qid;
+                // the query's own ∆ joins what calls back here deferred
+                let has_delta = {
+                    let mut pul = own.pul.lock();
+                    pul.merge(local_pul);
+                    !pul.is_empty()
+                };
                 // Own name may have flowed back through nested piggybacks.
-                let own = self.name();
-                let participants: Vec<String> =
-                    participants.into_iter().filter(|p| p != &own).collect();
-                if !participants.is_empty() {
+                let me = self.name();
+                let participants: Vec<String> = (client.iter())
+                    .flat_map(|c| c.participants_snapshot())
+                    .filter(|p| p != &me)
+                    .collect();
+                if let (Some(client), false) = (&client, participants.is_empty()) {
                     // Point of no return: a budget that runs out *before*
                     // Prepare aborts the query cleanly (participants are
-                    // told to stand down). Once `coordinate` starts, the
+                    // told to stand down). Once the protocol starts, the
                     // token is no longer consulted — the decision protocol
                     // always runs to completion, deadline or not, so a
                     // forced promise can never be left in doubt.
@@ -1481,13 +801,8 @@ impl Peer {
                     // add up instead of double-counting.
                     let wal_before = collector.as_ref().map(|c| c.phases().wal_micros);
                     let twopc_started = Instant::now();
-                    let outcome = self.coordinate(
-                        qid,
-                        client,
-                        &participants,
-                        &local_pul,
-                        collector.as_deref(),
-                    );
+                    let outcome =
+                        twopc::run_two_phase_commit(self, client, qid, &participants, has_delta);
                     if let (Some(col), Some(before)) = (&collector, wal_before) {
                         let wal_during = col.phases().wal_micros.saturating_sub(before);
                         col.add_phase(
@@ -1495,17 +810,21 @@ impl Peer {
                             (twopc_started.elapsed().as_micros() as u64).saturating_sub(wal_during),
                         );
                     }
-                    commit = Some(outcome?);
-                } else {
-                    // no remote participants: apply the local ∆ directly
-                    self.apply_pul(&local_pul)?;
+                    let outcome = outcome?;
+                    if let CommitOutcome::Aborted { reason } = &outcome {
+                        return Err(XdmError::xrpc(format!(
+                            "distributed transaction aborted: {reason}"
+                        )));
+                    }
+                    commit = Some(outcome);
+                } else if has_delta {
+                    // no remote participant: nobody to promise anything to
+                    self.txn_edge(qid, Input::CommitSingleSite, Via::Call)?;
                 }
             }
-            _ => {
-                // isolation "none": remote updates were already applied per
-                // request (rule RFu); apply the local ∆ now
-                self.apply_pul(&local_pul)?;
-            }
+            // isolation "none": remote updates were already applied per
+            // request (rule RFu); apply the local ∆ now
+            None => self.apply_pul(&local_pul)?,
         }
 
         let total_micros = started.elapsed().as_micros() as u64;
@@ -1559,6 +878,19 @@ impl Peer {
         })
     }
 
+    /// Mint a queryID and pin this peer's state under it. A later query of
+    /// this peer's may have started and finished in between, which marks
+    /// every older timestamp of ours expired: nothing has happened under
+    /// this one yet, so take a newer.
+    fn pin_own(&self, timeout_secs: u32) -> Arc<QuerySnapshot> {
+        loop {
+            let qid = QueryId::new(self.name(), self.next_qid_ts(), timeout_secs);
+            if let Ok(snap) = self.snapshots.get_or_pin(&qid, || self.docs.snapshot()) {
+                return snap;
+            }
+        }
+    }
+
     /// What one evaluation at this peer runs in, a top-level query and a
     /// served call alike: the client its nested `execute at` calls leave
     /// through and the environment wired to it. The evaluator checks
@@ -1566,7 +898,7 @@ impl Peer {
     /// (each nested `execute at` sees strictly less of it). `resolver` is
     /// what `fn:doc` sees locally — remote URIs are fetched through the same
     /// client as the calls.
-    fn eval_session(
+    pub(crate) fn eval_session(
         &self,
         cancel: Arc<CancelToken>,
         query_id: Option<QueryId>,
@@ -1601,7 +933,7 @@ impl Peer {
     /// a per-kind counter, plus (when the query had a deadline) the
     /// latency from the deadline passing to the abort actually landing —
     /// the number the r1 bench gates on.
-    fn note_cancellation(&self, code: &str, deadline: Option<Instant>) {
+    pub(crate) fn note_cancellation(&self, code: &str, deadline: Option<Instant>) {
         if code == "XRPC0004" {
             self.cancellations_deadline.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -1616,161 +948,20 @@ impl Peer {
             }
         }
     }
-
-    /// Drive 2PC as the originator/coordinator of `qid`, durably when a
-    /// WAL is attached, and settle the query's *local* ∆ consistently
-    /// with the global outcome.
-    ///
-    /// The local ∆ rides the same durability discipline as any remote
-    /// participant's: it is logged as a `Prepared` record (with this peer
-    /// as its own coordinator) before the commit point, so a coordinator
-    /// crash can neither lose a committed local ∆ nor apply an aborted
-    /// one — restart recovery resolves the record against the local
-    /// commit-decision map exactly like a remote inquiry.
-    fn coordinate(
-        &self,
-        qid: &QueryId,
-        client: &XrpcClient,
-        participants: &[String],
-        local_pul: &PendingUpdateList,
-        profile: Option<&ProfileCollector>,
-    ) -> XdmResult<CommitOutcome> {
-        let wal = self.wal();
-        let self_logged = match (&wal, local_pul.is_empty()) {
-            (Some(w), false) => {
-                let wal_started = Instant::now();
-                let lsn = w.append(&WalRecord::Prepared {
-                    qid: qid.clone(),
-                    coordinator: self.name(),
-                    delta: wal::serialize_pul(local_pul)?,
-                })?;
-                if let Some(col) = profile {
-                    col.add_phase(Phase::Wal, wal_started.elapsed().as_micros() as u64);
-                }
-                Some(lsn)
-            }
-            _ => None,
-        };
-        // Advisory begin record, unforced: recovery uses it only to drive
-        // the re-abort sweep (proactively re-telling participants of a
-        // crashed coordination to abort). Losing it costs an optimization,
-        // never correctness — presumed abort covers the gap.
-        if let Some(w) = &wal {
-            let _ = w.append_nosync(&WalRecord::CoordinatorBegin {
-                qid: qid.clone(),
-                participants: participants.to_vec(),
-            });
-        }
-        let key = (qid.host.clone(), qid.timestamp_millis);
-        self.coordinating.lock().insert(key.clone());
-        let switch = self.crash_switch.read().clone();
-        let on_commit_logged = |q: &QueryId, parts: &[String]| {
-            self.coord_committed
-                .lock()
-                .insert((q.host.clone(), q.timestamp_millis), parts.to_vec());
-        };
-        let ctx = twopc::CoordCtx {
-            wal: wal.as_deref(),
-            metrics: Some(&self.twopc_metrics),
-            switch: switch.as_deref(),
-            on_commit_logged: Some(&on_commit_logged),
-            obs: Some(&self.obs),
-        };
-        let config = *self.twopc_config.read();
-        let outcome = twopc::run_two_phase_commit_ctx(client, qid, participants, &config, ctx);
-        self.coordinating.lock().remove(&key);
-
-        let outcome = match outcome {
-            Ok(o) => o,
-            Err(e) => {
-                // A *simulated* coordinator crash must not do post-mortem
-                // work — the restarted peer recovers from the log instead.
-                let dead = switch.as_ref().is_some_and(|s| s.is_down());
-                if !dead {
-                    if self.coord_committed.lock().contains_key(&key) {
-                        // Heuristic hazard: the decision is durably *commit*,
-                        // only some delivery failed. Settle the local ∆ with
-                        // the decision before surfacing the hazard, or the
-                        // originator itself would be the mixed outcome.
-                        self.settle_local_commit(
-                            qid,
-                            local_pul,
-                            self_logged,
-                            wal.as_deref(),
-                            profile,
-                        )?;
-                    } else if let Some(w) = &wal {
-                        // presumed abort: retire the advisory begin record
-                        // so the log can checkpoint (best-effort — absence
-                        // of a commit record already *is* the decision)
-                        let _ = w.append_nosync(&WalRecord::CoordinatorEnd { qid: qid.clone() });
-                    }
-                }
-                return Err(e);
-            }
-        };
-
-        if let CommitOutcome::Aborted { reason } = &outcome {
-            if let Some(w) = &wal {
-                if self_logged.is_some() {
-                    // quiesce the local prepared record (absence of a commit
-                    // record is the abort record; this just lets the log
-                    // checkpoint)
-                    w.append(&WalRecord::Decision {
-                        qid: qid.clone(),
-                        decision: Decision::Aborted,
-                    })?;
-                }
-                let _ = w.append_nosync(&WalRecord::CoordinatorEnd { qid: qid.clone() });
-            }
-            return Err(XdmError::xrpc(format!(
-                "distributed transaction aborted: {reason}"
-            )));
-        }
-        self.settle_local_commit(qid, local_pul, self_logged, wal.as_deref(), profile)?;
-        // every participant has acknowledged (`CoordinatorEnd` is logged)
-        // and the local ∆ is settled: nobody is left to ask about this one
-        self.coord_committed.lock().remove(&key);
-        Ok(outcome)
-    }
-
-    /// Apply the originator's local ∆ for a committed transaction, under
-    /// the participant logging discipline when the ∆ was logged.
-    fn settle_local_commit(
-        &self,
-        qid: &QueryId,
-        local_pul: &PendingUpdateList,
-        self_logged: Option<u64>,
-        wal: Option<&Wal>,
-        profile: Option<&ProfileCollector>,
-    ) -> XdmResult<()> {
-        if let (Some(lsn), Some(w)) = (self_logged, wal) {
-            let wal_started = Instant::now();
-            w.append(&WalRecord::Decision {
-                qid: qid.clone(),
-                decision: Decision::Committed,
-            })?;
-            if let Some(col) = profile {
-                col.add_phase(Phase::Wal, wal_started.elapsed().as_micros() as u64);
-            }
-            self.apply_pul_marked(local_pul, qid, Some(lsn))?;
-            return self.log_applied(w, qid, lsn);
-        }
-        self.apply_pul(local_pul)
-    }
 }
 
-/// A frozen map of documents (the originator's own repeatable-read view).
-struct FrozenDocs {
-    docs: crate::store::DocMap,
-}
+/// The originator's hold on its own snapshot. Dropping it stands the query
+/// down here — `Cancel`, which releases a snapshot that promised nothing
+/// and leaves a prepared one (a coordinator that died mid-protocol) to the
+/// decision protocol; a settled one is already gone.
+struct OwnSnapshot<'a>(&'a Peer, &'a QueryId);
 
-impl DocResolver for FrozenDocs {
-    fn resolve(&self, uri: &str) -> XdmResult<Arc<xmldom::Document>> {
-        self.docs
-            .get(uri)
-            .cloned()
-            .ok_or_else(|| XdmError::doc_error(format!("document not found: `{uri}`")))
+impl Drop for OwnSnapshot<'_> {
+    fn drop(&mut self) {
+        let OwnSnapshot(peer, qid) = *self;
+        if peer.snapshots.get(qid).is_ok() {
+            let _ = peer.txn_edge(qid, Input::Cancel, Via::Call);
+        }
     }
 }
 
@@ -1778,7 +969,7 @@ impl DocResolver for FrozenDocs {
 /// the evaluation runs inside a reactor worker the job's kill flag is
 /// bridged in, so a client disconnect (or the sweep tick) cancels the token
 /// too.
-fn budget_token(deadline: Option<Instant>) -> Arc<CancelToken> {
+pub(crate) fn budget_token(deadline: Option<Instant>) -> Arc<CancelToken> {
     match xrpc_net::current_job() {
         Some(job) => {
             job.set_deadline(deadline);
@@ -1786,15 +977,4 @@ fn budget_token(deadline: Option<Instant>) -> Arc<CancelToken> {
         }
         None => CancelToken::new(deadline),
     }
-}
-
-/// Bind actual parameters with the XQuery function-conversion rules:
-/// untyped atomics cast to the declared atomic type, otherwise the value
-/// must match the declared sequence type.
-fn bind_params(decl: &FunctionDecl, args: Vec<Sequence>, st: &mut EvalState) -> XdmResult<()> {
-    let values = xqeval::eval::convert_arguments(decl, args)?;
-    for ((pname, _), value) in decl.params.iter().zip(values) {
-        st.bind(pname, value);
-    }
-    Ok(())
 }

@@ -3,18 +3,20 @@
 //! A peer that crashes holding coordination state recovers in two steps:
 //!
 //! 1. **Replay** ([`Peer::attach_wal`]): fold the surviving WAL records
-//!    into per-transaction state. Prepared-but-undecided transactions
-//!    re-enter prepared snapshots (their ∆_q deserialized against the
-//!    durable store); decided-but-unapplied committed ∆s are re-applied
-//!    immediately; coordinator commit records without a matching end are
-//!    queued for decision redelivery.
+//!    through the tables the live path runs (`txn`), effects off, then
+//!    run what each transaction's edge in progress still owes.
+//!    Prepared-but-undecided transactions re-enter prepared snapshots
+//!    (their ∆_q deserialized against the durable store); a decided but
+//!    unapplied commit is finished on the spot; a coordinator commit
+//!    without its end still owes its participants a delivery.
 //! 2. **Resolution** ([`Peer::resolve_in_doubt`]): every in-doubt
-//!    transaction sends a WS-AT `Inquire` to its recorded coordinator.
-//!    `Committed` applies the held ∆; `Aborted` — or, per presumed abort,
-//!    a coordinator with *no record* of the transaction — releases it;
-//!    `InDoubt` (or an unreachable coordinator) leaves it prepared for a
-//!    later round. Recovered commit decisions are redelivered to their
-//!    participants, then retired with a `CoordinatorEnd`.
+//!    transaction sends a WS-AT `Inquire` to its recorded coordinator and
+//!    takes the answer as its machine's next input — `Committed` applies
+//!    the held ∆; `Aborted` (or, per presumed abort, a coordinator with
+//!    *no record* of the transaction) releases it; `InDoubt` (or an
+//!    unreachable coordinator) leaves it prepared for a later round.
+//!    Decisions the coordinator table still owes are (re)delivered, then
+//!    retired with a `CoordinatorEnd`.
 //!
 //! A background sweeper ([`Peer::start_recovery_sweeper`]) re-runs
 //! resolution for prepared transactions older than a configured age, so
@@ -22,15 +24,17 @@
 //! back long after the participant did.
 
 use crate::client::XrpcClient;
-use crate::peer::{Peer, RedeliverEntry, TxKey};
-use crate::store::{Decision, QuerySnapshot};
-use crate::twopc::{self, METHOD_INQUIRE};
-use crate::wal::{self, FsyncPolicy, SerializedPrimitive, Wal, WalConfig, WalRecord};
+use crate::peer::Peer;
+use crate::store::TxnState;
+use crate::twopc::{self, METHOD_ABORT, METHOD_COMMIT, METHOD_INQUIRE};
+use crate::txn::{self, CoordInput, Input, Phase, Rec, Via};
+use crate::wal::{self, FsyncPolicy, SequencedRecord, Wal, WalConfig, WalRecord};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+use std::time::Instant;
 use xdm::XdmResult;
 use xrpc_obs::{trace_id_from, TraceContext};
 use xrpc_proto::{QueryId, TxOutcome};
@@ -61,21 +65,6 @@ pub struct RecoveryReport {
     /// Coordinations that died undecided whose participants were
     /// proactively re-told to abort (and the begin record retired).
     pub reaborted: usize,
-}
-
-impl RecoveryReport {
-    /// Fold a resolution pass into this (replay) report.
-    pub fn absorb(&mut self, other: RecoveryReport) {
-        self.tail_damaged |= other.tail_damaged;
-        self.restored_prepared += other.restored_prepared;
-        self.reapplied += other.reapplied;
-        self.resolved_committed += other.resolved_committed;
-        self.resolved_aborted += other.resolved_aborted;
-        self.still_in_doubt = other.still_in_doubt;
-        self.redelivered += other.redelivered;
-        self.lsn_skips += other.lsn_skips;
-        self.reaborted += other.reaborted;
-    }
 }
 
 /// Background re-inquiry cadence.
@@ -124,23 +113,6 @@ impl Drop for SweeperHandle {
     }
 }
 
-/// Per-transaction fold of the replayed records.
-#[derive(Default)]
-struct TxReplay {
-    qid: Option<QueryId>,
-    prepared: Option<(String, Vec<SerializedPrimitive>)>,
-    /// LSN of the `Prepared` record — the mark its apply is guarded by.
-    prepared_lsn: Option<u64>,
-    decision: Option<Decision>,
-    applied: bool,
-    /// Highest mark carried by a replayed `Applied` record; re-seeds the
-    /// document store's applied-LSN table.
-    applied_mark: u64,
-    coordinator_begin: Option<Vec<String>>,
-    coordinator_commit: Option<Vec<String>>,
-    coordinator_end: bool,
-}
-
 impl Peer {
     /// Open (creating if absent) the WAL at `path`, replay it, and
     /// re-enter the durable coordination state it records. Subsequent
@@ -179,118 +151,83 @@ impl Peer {
         }
         *self.wal.write() = Some(log.clone());
 
-        let mut order: Vec<(String, u64)> = Vec::new();
-        let mut txs: HashMap<(String, u64), TxReplay> = HashMap::new();
+        // Coordinator role: the logged records are the inputs that wrote
+        // them; whatever they leave in flight died with the old process.
+        self.coord
+            .replay(replay.records.iter().map(|sr| &sr.record));
+
+        // Participant role, a transaction at a time in log order.
+        let mut order = Vec::new();
+        let mut txs: HashMap<txn::TxKey, Vec<&SequencedRecord>> = HashMap::new();
         for sr in &replay.records {
-            let q = sr.record.qid();
-            let key = (q.host.clone(), q.timestamp_millis);
-            let tx = txs.entry(key.clone()).or_insert_with(|| {
-                order.push(key.clone());
-                TxReplay::default()
-            });
-            tx.qid.get_or_insert_with(|| q.clone());
-            match &sr.record {
-                WalRecord::Prepared {
-                    coordinator, delta, ..
-                } => {
-                    tx.prepared = Some((coordinator.clone(), delta.clone()));
-                    tx.prepared_lsn = Some(sr.lsn).filter(|l| *l > 0);
-                }
-                WalRecord::Decision { decision, .. } => tx.decision = Some(*decision),
-                WalRecord::Applied { mark, .. } => {
-                    tx.applied = true;
-                    tx.applied_mark = tx.applied_mark.max(*mark);
-                }
-                WalRecord::CoordinatorBegin { participants, .. } => {
-                    tx.coordinator_begin = Some(participants.clone())
-                }
-                WalRecord::CoordinatorCommit { participants, .. } => {
-                    tx.coordinator_commit = Some(participants.clone())
-                }
-                WalRecord::CoordinatorEnd { .. } => tx.coordinator_end = true,
+            if matches!(
+                Rec::of(&sr.record),
+                Rec::Prepared | Rec::Decision(_) | Rec::Applied
+            ) {
+                let key = txn::tx_key(sr.record.qid());
+                txs.entry(key.clone())
+                    .or_insert_with(|| {
+                        order.push(key);
+                        Vec::new()
+                    })
+                    .push(sr);
             }
         }
-
         let mut report = RecoveryReport {
             tail_damaged: replay.tail_damaged,
             ..Default::default()
         };
         for key in order {
-            let tx = txs.remove(&key).expect("folded above");
-            let qid = tx.qid.expect("every record carries a qid");
-
+            let records = &txs[&key];
+            let qid = records[0].record.qid();
             // Re-seed the store's applied-LSN mark from the replayed
-            // marker before any re-apply decision consults it.
-            if tx.applied_mark > 0 {
-                self.docs
-                    .set_applied_mark(&Self::mark_key(&qid), tx.applied_mark);
+            // marker before any re-apply consults it.
+            let applied_mark = records.iter().filter_map(|sr| match sr.record {
+                WalRecord::Applied { mark, .. } => Some(mark),
+                _ => None,
+            });
+            if let Some(mark) = applied_mark.max().filter(|m| *m > 0) {
+                self.docs.set_applied_mark(&Self::mark_key(qid), mark);
             }
-
-            // Coordinator role: a logged commit decision is the truth
-            // `Inquire` answers from; one without an end record still owes
-            // its participants a delivery.
-            if let Some(parts) = tx.coordinator_commit {
-                self.coord_committed
-                    .lock()
-                    .insert(key.clone(), parts.clone());
-                if !tx.coordinator_end {
-                    self.coord_redeliver
-                        .lock()
-                        .insert(key.clone(), (qid.clone(), parts));
+            let prepared = records.iter().rev().find_map(|sr| match &sr.record {
+                WalRecord::Prepared {
+                    coordinator, delta, ..
+                } => Some((sr.lsn, coordinator, delta)),
+                _ => None,
+            });
+            let (at, owes_apply) = txn::fold(records.iter().map(|sr| Rec::of(&sr.record)));
+            let (lsn, coordinator, delta) = match (at, prepared) {
+                // promised, and in doubt or not finished: re-enter prepared
+                // state, and remember who to ask
+                (Phase::Prepared, Some(p)) => p,
+                (Phase::Decided(_), Some(p)) if owes_apply => p,
+                // fully settled; remember the decision so a redelivered
+                // control message answers idempotently
+                (Phase::Decided(d), _) => {
+                    self.snapshots.finish_with(qid, d);
+                    continue;
                 }
-            } else if let Some(parts) = tx.coordinator_begin {
-                // A coordination that began but never reached a durable
-                // decision: presumed abort. Queue its participants for
-                // the proactive re-abort sweep so their prepared ∆s
-                // release without waiting for their own inquiries.
-                if !tx.coordinator_end {
-                    self.coord_reabort
-                        .lock()
-                        .insert(key.clone(), (qid.clone(), parts));
-                }
+                _ => continue,
+            };
+            let pul = wal::deserialize_pul(&self.docs, delta)?;
+            let state = TxnState::Prepared {
+                lsn: Some(lsn).filter(|l| *l > 0),
+                at: Instant::now(),
+                coordinator: coordinator.clone(),
+            };
+            self.snapshots.pin(qid, self.docs.snapshot(), pul, state);
+            if !owes_apply {
+                report.restored_prepared += 1;
+                continue;
             }
-
-            // Participant role.
-            if let Some((coordinator, delta)) = tx.prepared {
-                match tx.decision {
-                    Some(Decision::Committed) if !tx.applied => {
-                        // decided but killed before applyUpdates: finish
-                        // the job now, directly from the log. The mark
-                        // makes this idempotent — if the crash fell after
-                        // the apply but before the marker, skip.
-                        let pul = wal::deserialize_pul(&self.docs, &delta)?;
-                        if !self.apply_pul_marked(&pul, &qid, tx.prepared_lsn)? {
-                            report.lsn_skips += 1;
-                        }
-                        self.log_applied(&log, &qid, tx.prepared_lsn.unwrap_or(0))?;
-                        self.snapshots.finish_with(&qid, Decision::Committed);
-                        report.reapplied += 1;
-                        self.twopc_metrics
-                            .recoveries
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    Some(d) => {
-                        // fully settled; remember the decision so a
-                        // redelivered control message answers idempotently
-                        self.snapshots.finish_with(&qid, d);
-                    }
-                    None => {
-                        // the in-doubt case: re-enter prepared state and
-                        // remember who to ask
-                        let pul = wal::deserialize_pul(&self.docs, &delta)?;
-                        self.snapshots.restore_prepared(
-                            &qid,
-                            self.docs.snapshot(),
-                            pul,
-                            tx.prepared_lsn,
-                        );
-                        self.recovered_coordinators
-                            .lock()
-                            .insert(key.clone(), coordinator);
-                        report.restored_prepared += 1;
-                    }
-                }
-            }
+            // decided but killed before applyUpdates: finish the job now —
+            // the rest of the commit edge, which the mark makes idempotent
+            // (a crash after the apply but before the marker skips it)
+            report.lsn_skips += self.txn_edge(qid, Input::Commit, Via::Replay)?.skipped as usize;
+            report.reapplied += 1;
+            self.twopc_metrics
+                .recoveries
+                .fetch_add(1, Ordering::Relaxed);
         }
         Ok(report)
     }
@@ -319,32 +256,21 @@ impl Peer {
         client.obs = Some(self.obs.clone());
         let _tracer = xrpc_obs::set_current_tracer(Some(self.obs.tracer.clone()));
 
-        // Participant role: ask each recorded coordinator what it decided.
+        // Participant role: ask each recorded coordinator what it decided;
+        // the answer is the machine's next input.
         for snap in self.snapshots.prepared_undecided(min_age) {
             let qid = snap.qid.clone();
+            let TxnState::Prepared { coordinator, .. } = snap.state.lock().clone() else {
+                continue;
+            };
             // Recovery work re-enters the crashed transaction's trace: the
             // id is a pure function of the queryID, so spans emitted here
             // join the spans recorded before the crash.
-            let mut span = self.obs.tracer.span(
-                "recovery:inquire",
-                TraceContext {
-                    trace_id: trace_id_from(&qid.host, qid.timestamp_millis),
-                    span_id: self.obs.tracer.next_span_id(),
-                    parent_id: None,
-                },
-            );
-            let key = (qid.host.clone(), qid.timestamp_millis);
-            let coordinator = self
-                .recovered_coordinators
-                .lock()
-                .get(&key)
-                .cloned()
-                .unwrap_or_else(|| qid.host.clone());
+            let mut span = self.recovery_span("recovery:inquire", &qid);
             span.tag("coordinator", &coordinator);
             let outcome = if coordinator == self.name() {
-                // self-coordinated ∆ (an originator's local update):
-                // answer the inquiry from our own decision map
-                Some(self.coordinator_outcome(&qid))
+                // the originator's own ∆: the coordinator table is here
+                Some(self.coord.outcome(&qid))
             } else {
                 client
                     .send_control_with_reply(&coordinator, METHOD_INQUIRE, &qid)
@@ -358,160 +284,72 @@ impl Peer {
                     None => "unreachable".into(),
                 },
             );
-            match outcome {
-                Some(TxOutcome::Committed) => {
-                    if !self.commit_recovered(&snap)? {
-                        report.lsn_skips += 1;
-                    }
-                    report.resolved_committed += 1;
-                    self.twopc_metrics
-                        .recoveries
-                        .fetch_add(1, Ordering::Relaxed);
+            let input = match outcome {
+                Some(TxOutcome::Committed) => Input::Commit,
+                Some(TxOutcome::Aborted) => Input::Abort,
+                Some(TxOutcome::InDoubt) | None => {
+                    report.still_in_doubt += 1;
+                    continue;
                 }
-                Some(TxOutcome::Aborted) => {
-                    if let Some(w) = self.wal() {
-                        w.append(&WalRecord::Decision {
-                            qid: qid.clone(),
-                            decision: Decision::Aborted,
-                        })?;
-                    }
-                    self.snapshots.finish_with(&qid, Decision::Aborted);
-                    report.resolved_aborted += 1;
-                    self.twopc_metrics
-                        .recoveries
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                Some(TxOutcome::InDoubt) | None => report.still_in_doubt += 1,
+            };
+            let done = self.txn_edge(&qid, input, Via::Call)?;
+            if input == Input::Commit {
+                report.resolved_committed += 1;
+                report.lsn_skips += done.skipped as usize;
+            } else {
+                report.resolved_aborted += 1;
             }
+            self.twopc_metrics
+                .recoveries
+                .fetch_add(1, Ordering::Relaxed);
         }
 
-        // Coordinator role: redeliver recovered commit decisions.
-        let pending: Vec<(TxKey, RedeliverEntry)> = self
-            .coord_redeliver
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        let config = *self.twopc_config.read();
-        for (key, (qid, parts)) in pending {
-            let mut span = self.obs.tracer.span(
-                "recovery:redeliver",
-                TraceContext {
-                    trace_id: trace_id_from(&qid.host, qid.timestamp_millis),
-                    span_id: self.obs.tracer.next_span_id(),
-                    parent_id: None,
-                },
-            );
-            let own = self.name();
+        // Coordinator role: deliver what the table still owes — commit
+        // decisions some participant may not have heard, and coordinations
+        // that died undecided, which presumed abort already settles but
+        // whose participants hold their prepared ∆s (and locks) until told.
+        let m = &self.twopc_metrics;
+        for (qid, participants, commit) in self.coord.owed() {
+            let (name, method) = match commit {
+                true => ("recovery:redeliver", METHOD_COMMIT),
+                false => ("recovery:reabort", METHOD_ABORT),
+            };
+            let mut span = self.recovery_span(name, &qid);
             let mut all_acked = true;
-            for p in parts.iter().filter(|p| **p != own) {
-                if twopc::deliver_decision(
-                    &client,
-                    p,
-                    twopc::METHOD_COMMIT,
-                    &qid,
-                    &config,
-                    Some(&self.twopc_metrics),
-                )
-                .is_err()
-                {
+            for p in &participants {
+                if twopc::deliver_decision(self, &client, p, method, &qid).is_err() {
                     all_acked = false;
-                    self.twopc_metrics.hazards.fetch_add(1, Ordering::Relaxed);
+                    if commit {
+                        m.hazards.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
             span.tag("delivered", if all_acked { "all" } else { "partial" });
             if all_acked {
-                if let Some(w) = self.wal() {
-                    w.append(&WalRecord::CoordinatorEnd { qid: qid.clone() })?;
+                // the entry stays as `delivered` after a commit: a local ∆
+                // of the same transaction may still be waiting to ask
+                self.coord_edge(&qid, CoordInput::Acked)?;
+                if commit {
+                    report.redelivered += 1;
+                    m.recoveries.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    report.reaborted += 1;
+                    m.reaborts.fetch_add(1, Ordering::Relaxed);
                 }
-                // `coord_committed` keeps the entry: a local ∆ of the same
-                // transaction may still be waiting to ask about it
-                self.coord_redeliver.lock().remove(&key);
-                report.redelivered += 1;
-                self.twopc_metrics
-                    .recoveries
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-        }
-
-        // Coordinator role: the re-abort sweep. Coordinations that died
-        // before a durable decision are aborted by presumption already —
-        // proactively re-tell the participants so their prepared ∆s (and
-        // locks) release now instead of at their next inquiry.
-        let pending: Vec<(TxKey, RedeliverEntry)> = self
-            .coord_reabort
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        for (key, (qid, parts)) in pending {
-            let mut span = self.obs.tracer.span(
-                "recovery:reabort",
-                TraceContext {
-                    trace_id: trace_id_from(&qid.host, qid.timestamp_millis),
-                    span_id: self.obs.tracer.next_span_id(),
-                    parent_id: None,
-                },
-            );
-            let own = self.name();
-            let mut all_acked = true;
-            for p in parts.iter().filter(|p| **p != own) {
-                if twopc::deliver_decision(
-                    &client,
-                    p,
-                    twopc::METHOD_ABORT,
-                    &qid,
-                    &config,
-                    Some(&self.twopc_metrics),
-                )
-                .is_err()
-                {
-                    all_acked = false;
-                }
-            }
-            span.tag("delivered", if all_acked { "all" } else { "partial" });
-            if all_acked {
-                if let Some(w) = self.wal() {
-                    // unforced: the begin record it retires was advisory,
-                    // and absence of a commit record is already the
-                    // durable abort decision
-                    let _ = w.append_nosync(&WalRecord::CoordinatorEnd { qid: qid.clone() });
-                }
-                self.coord_reabort.lock().remove(&key);
-                report.reaborted += 1;
-                self.twopc_metrics.reaborts.fetch_add(1, Ordering::Relaxed);
             }
         }
         Ok(report)
     }
 
-    /// Commit a recovered prepared snapshot: the decision/apply/applied
-    /// discipline of the live `Commit` handler, driven by an inquiry
-    /// answer instead of a decision message. Returns whether the ∆ was
-    /// actually applied (`false` = the applied-LSN mark skipped it).
-    fn commit_recovered(&self, snap: &Arc<QuerySnapshot>) -> XdmResult<bool> {
-        let qid = &snap.qid;
-        let mut applied = true;
-        let mut decided = snap.decided.lock();
-        if decided.is_none() {
-            if let Some(w) = self.wal() {
-                w.append(&WalRecord::Decision {
-                    qid: qid.clone(),
-                    decision: Decision::Committed,
-                })?;
-            }
-            let pul = snap.pul.lock().clone();
-            let mark = *snap.prepared_lsn.lock();
-            applied = self.apply_pul_marked(&pul, qid, mark)?;
-            *decided = Some(Decision::Committed);
-            if let Some(w) = self.wal() {
-                self.log_applied(&w, qid, mark.unwrap_or(0))?;
-            }
-            self.twopc_metrics.commits.fetch_add(1, Ordering::Relaxed);
-        }
-        drop(decided);
-        self.snapshots.finish_with(qid, Decision::Committed);
-        Ok(applied)
+    fn recovery_span(&self, name: &str, qid: &QueryId) -> xrpc_obs::SpanGuard {
+        self.obs.tracer.span(
+            name,
+            TraceContext {
+                trace_id: trace_id_from(&qid.host, qid.timestamp_millis),
+                span_id: self.obs.tracer.next_span_id(),
+                parent_id: None,
+            },
+        )
     }
 
     /// Start the background sweeper: every `interval` it re-resolves
@@ -558,7 +396,8 @@ mod tests {
 
     use super::*;
     use crate::peer::EngineKind;
-    use crate::wal::{NodePath, PathStep};
+    use crate::store::Decision;
+    use crate::wal::{NodePath, PathStep, SerializedPrimitive};
     use std::path::{Path, PathBuf};
     use xqeval::InMemoryDocs;
 

@@ -31,6 +31,24 @@ pub enum Decision {
 /// How many finished-query decisions a peer remembers for redelivery.
 const COMPLETED_CAP: usize = 4096;
 
+/// Where a query stands in 2PC at this peer — one participant's life (see
+/// `txn`, whose table is the only thing that moves it).
+#[derive(Debug, Clone, PartialEq)]
+pub enum TxnState {
+    /// Pinned; ∆_q may still grow.
+    Open,
+    /// ∆_q is promised: logged (under `lsn`, the mark its apply is guarded
+    /// by — `None` without a WAL) and held until `coordinator` decides or
+    /// answers an inquiry. `at` is what the recovery sweeper ages by.
+    Prepared {
+        lsn: Option<u64>,
+        at: Instant,
+        coordinator: String,
+    },
+    /// Settled; the snapshot is about to be released.
+    Decided(Decision),
+}
+
 /// Per-query isolated state at one peer.
 pub struct QuerySnapshot {
     /// The query this snapshot isolates. `qid.host` doubles as the
@@ -40,19 +58,10 @@ pub struct QuerySnapshot {
     pub deadline: Instant,
     /// Deferred pending update lists (rule R'Fu): ∆_q = ∪ ∆_q(i).
     pub pul: Mutex<PendingUpdateList>,
-    /// 2PC state: set by Prepare after the PUL was logged to the WAL.
-    pub prepared: Mutex<bool>,
-    /// LSN of the WAL `Prepared` record holding this snapshot's ∆_q. The
-    /// applied-LSN mark the store keeps per transaction is compared
-    /// against it, which makes applying the ∆ idempotent across
-    /// redelivery and replay.
-    pub prepared_lsn: Mutex<Option<u64>>,
-    /// When `prepared` was set — the recovery sweeper only re-inquires
-    /// about prepared transactions older than its configured age.
-    pub prepared_at: Mutex<Option<Instant>>,
-    /// Set exactly once when the decision is first applied; guards against
-    /// double-applying ∆_q when a Commit is redelivered concurrently.
-    pub decided: Mutex<Option<Decision>>,
+    /// 2PC state. Held across a whole edge (log, apply, marker), so a
+    /// concurrently redelivered Commit waits and then finds the decision
+    /// instead of applying ∆_q a second time.
+    pub state: Mutex<TxnState>,
     /// Deferred-update requests whose ∆ was already merged into
     /// [`pul`](Self::pul), keyed by request hash and mapped to the
     /// participating-peer set of the original response — the at-most-once
@@ -145,53 +154,41 @@ impl SnapshotManager {
                 )));
             }
         }
-        let mut active = self.active.lock();
-        if let Some(s) = active.get(&key) {
+        if let Some(s) = self.active.lock().get(&key) {
             return Ok(s.clone());
         }
-        let deadline = Instant::now() + Duration::from_secs(qid.timeout_secs as u64);
-        let snapshot = Arc::new(QuerySnapshot {
-            qid: qid.clone(),
-            docs: current(),
-            deadline,
-            pul: Mutex::new(PendingUpdateList::new()),
-            prepared: Mutex::new(false),
-            prepared_lsn: Mutex::new(None),
-            prepared_at: Mutex::new(None),
-            decided: Mutex::new(None),
-            merged_requests: Mutex::new(HashMap::new()),
-        });
-        active.insert(key, snapshot.clone());
-        let mut next = self.next_expiry.lock();
-        *next = Some(next.map_or(deadline, |t| t.min(deadline)));
-        Ok(snapshot)
+        Ok(self.pin(qid, current(), PendingUpdateList::new(), TxnState::Open))
     }
 
-    /// Re-enter prepared state for `qid` from a recovered WAL record: pin
-    /// a snapshot over `docs` carrying the deserialized ∆_q with
-    /// `prepared` already set. Used only by restart recovery — it bypasses
-    /// the expired-queryID check (the log is authoritative: this peer
-    /// promised to hold the ∆ until a decision arrives) and gives the
-    /// snapshot a fresh deadline window for the inquiry to resolve in.
-    pub fn restore_prepared(
+    /// Pin a snapshot over `docs` holding `pul` in `state`. Besides
+    /// [`get_or_pin`](Self::get_or_pin), restart recovery calls this to
+    /// re-enter `Prepared` from a WAL record: no expired-queryID check (the
+    /// log is authoritative — this peer promised to hold the ∆ until a
+    /// decision arrives) and a fresh deadline window for the inquiry to
+    /// resolve in.
+    pub fn pin(
         &self,
         qid: &QueryId,
         docs: DocMap,
         pul: PendingUpdateList,
-        prepared_lsn: Option<u64>,
+        state: TxnState,
     ) -> Arc<QuerySnapshot> {
+        let deadline = Instant::now() + Duration::from_secs(qid.timeout_secs as u64);
         let snapshot = Arc::new(QuerySnapshot {
             qid: qid.clone(),
             docs,
-            deadline: Instant::now() + Duration::from_secs(qid.timeout_secs as u64),
+            deadline,
             pul: Mutex::new(pul),
-            prepared: Mutex::new(true),
-            prepared_lsn: Mutex::new(prepared_lsn),
-            prepared_at: Mutex::new(Some(Instant::now())),
-            decided: Mutex::new(None),
+            state: Mutex::new(state),
             merged_requests: Mutex::new(HashMap::new()),
         });
-        self.active.lock().insert(Self::key(qid), snapshot.clone());
+        // two first requests of one query may race here: the first pin wins
+        let snapshot = (self.active.lock())
+            .entry(Self::key(qid))
+            .or_insert(snapshot)
+            .clone();
+        let mut next = self.next_expiry.lock();
+        *next = Some(next.map_or(deadline, |t| t.min(deadline)));
         snapshot
     }
 
@@ -202,9 +199,7 @@ impl SnapshotManager {
             .lock()
             .values()
             .filter(|s| {
-                *s.prepared.lock()
-                    && s.decided.lock().is_none()
-                    && s.prepared_at.lock().is_some_and(|t| t.elapsed() >= min_age)
+                matches!(&*s.state.lock(), TxnState::Prepared { at, .. } if at.elapsed() >= min_age)
             })
             .cloned()
             .collect()
@@ -212,23 +207,16 @@ impl SnapshotManager {
 
     /// Fetch an existing snapshot (2PC Prepare/Commit path — never pins).
     pub fn get(&self, qid: &QueryId) -> XdmResult<Arc<QuerySnapshot>> {
-        self.active
-            .lock()
-            .get(&Self::key(qid))
-            .cloned()
-            .ok_or_else(|| {
-                XdmError::xrpc_expired(format!(
-                    "no isolated state for queryID {}@{}",
-                    qid.host, qid.timestamp_millis
-                ))
-            })
+        let held = self.active.lock().get(&Self::key(qid)).cloned();
+        held.ok_or_else(|| Self::no_state(qid))
     }
 
-    /// Drop a query's state (after Commit/Abort), remembering it as seen.
-    /// Records an Aborted decision — use [`finish_with`](Self::finish_with)
-    /// on the commit path.
-    pub fn finish(&self, qid: &QueryId) {
-        self.finish_with(qid, Decision::Aborted);
+    /// The answer to a message for a query this peer holds nothing of.
+    pub(crate) fn no_state(qid: &QueryId) -> XdmError {
+        XdmError::xrpc_expired(format!(
+            "no isolated state for queryID {}@{}",
+            qid.host, qid.timestamp_millis
+        ))
     }
 
     /// Drop a query's state, recording `decision` for idempotent replies
@@ -271,7 +259,7 @@ impl SnapshotManager {
         for (k, s) in active.iter() {
             if s.deadline > now {
                 next = Some(next.map_or(s.deadline, |t| t.min(s.deadline)));
-            } else if !(*s.prepared.lock() && s.decided.lock().is_none()) {
+            } else if !matches!(&*s.state.lock(), TxnState::Prepared { .. }) {
                 dead.push(k.clone());
             }
         }
@@ -342,7 +330,7 @@ mod tests {
         let mgr = SnapshotManager::new();
         let q = qid(100, 30);
         mgr.get_or_pin(&q, || docs_v("x")).unwrap();
-        mgr.finish(&q);
+        mgr.finish_with(&q, Decision::Aborted);
         let err = mgr.get_or_pin(&q, || docs_v("y")).map(|_| ()).unwrap_err();
         assert_eq!(err.code, "XRPC0002");
         // an *older* query from the same host is also rejected
@@ -395,11 +383,6 @@ mod tests {
         assert_eq!(mgr.completed_decision(&q), None);
         mgr.finish_with(&q, Decision::Committed);
         assert_eq!(mgr.completed_decision(&q), Some(Decision::Committed));
-        // plain finish records an abort
-        let q2 = qid(200, 30);
-        mgr.get_or_pin(&q2, || docs_v("y")).unwrap();
-        mgr.finish(&q2);
-        assert_eq!(mgr.completed_decision(&q2), Some(Decision::Aborted));
     }
 
     #[test]

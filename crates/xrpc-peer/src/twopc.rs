@@ -11,11 +11,12 @@
 //! HTTP SOAP server that runs XRPC".
 
 use crate::client::XrpcClient;
-use crate::wal::{Wal, WalRecord};
+use crate::peer::Peer;
+use crate::txn::{CoordInput, Input, Via};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use xdm::{XdmError, XdmResult};
-use xrpc_net::{crash_points, CrashSwitch};
+use xrpc_net::crash_points;
 use xrpc_proto::QueryId;
 
 // The control vocabulary lives in xrpc-proto (shared with recovery and
@@ -92,27 +93,6 @@ pub struct TwoPcSnapshot {
     pub cancels: u64,
 }
 
-/// Hook invoked with the queryID and participant list right after the
-/// commit record is forced (the commit point), before any delivery.
-pub type CommitLoggedHook<'a> = &'a (dyn Fn(&QueryId, &[String]) + Sync);
-
-/// The coordinator's durable surroundings: its WAL (None = volatile
-/// coordinator, the pre-recovery behavior), metrics, an optional crash
-/// switch for the chaos harness, and a hook the peer uses to remember
-/// logged commit decisions for answering `Inquire`.
-#[derive(Default, Clone, Copy)]
-pub struct CoordCtx<'a> {
-    pub wal: Option<&'a Wal>,
-    pub metrics: Option<&'a TwoPcMetrics>,
-    pub switch: Option<&'a CrashSwitch>,
-    /// The in-memory mirror `Inquire` answers from.
-    pub on_commit_logged: Option<CommitLoggedHook<'a>>,
-    /// The coordinating peer's tracer + histograms: phase spans nest
-    /// under the thread's ambient context (the originator's `execute`
-    /// root), and per-phase durations land in its histograms.
-    pub obs: Option<&'a xrpc_obs::Observability>,
-}
-
 /// Coordinator tuning: per-phase deadline and decision-redelivery bounds.
 #[derive(Debug, Clone, Copy)]
 pub struct TwoPcConfig {
@@ -153,17 +133,7 @@ pub enum CommitOutcome {
     Aborted { reason: String },
 }
 
-/// Drive 2PC over `participants` for query `qid` with default
-/// [`TwoPcConfig`].
-pub fn run_two_phase_commit(
-    client: &XrpcClient,
-    qid: &QueryId,
-    participants: &[String],
-) -> XdmResult<CommitOutcome> {
-    run_two_phase_commit_with(client, qid, participants, &TwoPcConfig::default())
-}
-
-/// Drive 2PC over `participants` for query `qid`.
+/// Drive 2PC as `peer`, the originator of `qid`, over `participants`.
 ///
 /// Phase 1 sends `Prepare` to every participant *concurrently* (the first
 /// from the calling thread, the others from scoped threads); any
@@ -174,31 +144,49 @@ pub fn run_two_phase_commit(
 /// Commit cannot be delivered within the attempt budget does the
 /// coordinator surface a heuristic-hazard error (that participant still
 /// holds its prepared ∆_q).
-pub fn run_two_phase_commit_with(
+///
+/// The originator is a participant of its own query: its ∆ — what the
+/// query updated here and what calls back into this peer merged — is
+/// promised before the commit point and settled after the decision like
+/// anyone's, by function call instead of message. `own` says it holds one
+/// (the caller knows from the snapshot it pinned; should that snapshot
+/// have expired meanwhile, the own Prepare fails and everyone aborts).
+///
+/// The commit point is the coordinator table's `Commit` edge, *forced*
+/// after unanimous prepare and **before** any `Commit` delivery (a crash
+/// before it recovers as abort, one after it by redelivering `Commit`; a
+/// *simulated* crash returns at once, doing no post-mortem work). Aborts
+/// are never logged: absence of a commit record *is* the abort record.
+/// Once every participant has acknowledged, the `Acked` edge's
+/// `CoordinatorEnd` retires the entry so the log can checkpoint.
+pub fn run_two_phase_commit(
+    peer: &Peer,
     client: &XrpcClient,
     qid: &QueryId,
     participants: &[String],
-    config: &TwoPcConfig,
+    own: bool,
 ) -> XdmResult<CommitOutcome> {
-    run_two_phase_commit_ctx(client, qid, participants, config, CoordCtx::default())
-}
+    let (obs, metrics) = (&peer.obs, &peer.twopc_metrics);
+    let config = *peer.twopc_config.read();
+    let own_edge = |input| -> XdmResult<()> {
+        if own {
+            let done = peer.txn_edge(qid, input, Via::Call)?;
+            if let Some(col) = &client.profile {
+                col.add_phase(xrpc_obs::Phase::Wal, done.wal.as_micros() as u64);
+            }
+        }
+        Ok(())
+    };
+    if let Err(e) = own_edge(Input::Prepare) {
+        // nobody else has promised anything yet
+        client.send_cancel(participants, qid);
+        return Ok(CommitOutcome::Aborted {
+            reason: e.to_string(),
+        });
+    }
+    // advisory: losing it costs the re-abort sweep, never correctness
+    let _ = peer.coord_edge(qid, CoordInput::Begin(participants));
 
-/// Drive 2PC with a durable coordinator: like
-/// [`run_two_phase_commit_with`], but when `ctx.wal` is present the commit
-/// decision is *forced* to the log after unanimous prepare and **before**
-/// any `Commit` delivery — that append is the commit point under presumed
-/// abort (a crash before it recovers as abort; a crash after it recovers
-/// by redelivering `Commit`). Abort decisions are never logged: absence of
-/// a commit record *is* the abort record. After every participant has
-/// acknowledged the commit, a `CoordinatorEnd` record retires the entry so
-/// the log can checkpoint.
-pub fn run_two_phase_commit_ctx(
-    client: &XrpcClient,
-    qid: &QueryId,
-    participants: &[String],
-    config: &TwoPcConfig,
-    ctx: CoordCtx<'_>,
-) -> XdmResult<CommitOutcome> {
     // Phase 1: Prepare — participants log their ∆_q and enter prepared
     // state (or refuse). All prepares run concurrently; the phase cost is
     // the slowest participant, not the sum (and one slow peer cannot
@@ -206,7 +194,7 @@ pub fn run_two_phase_commit_ctx(
     // participant itself, so the common single-participant transaction
     // spawns nothing.
     let phase_start = Instant::now();
-    let prepare_span = ctx.obs.map(|o| o.tracer.span_here("2pc:prepare-phase"));
+    let prepare_span = obs.tracer.span_here("2pc:prepare-phase");
     // the phase span's context is ambient on *this* thread only; hand it
     // to the scoped prepare threads so their control sends stay in-trace
     let prepare_ctx = xrpc_obs::current_context();
@@ -235,10 +223,7 @@ pub fn run_two_phase_commit_ctx(
         });
         inline.into_iter().chain(joined).collect()
     });
-    if let (Some(o), Some(s)) = (ctx.obs, prepare_span.as_ref()) {
-        o.histogram("xrpc_twopc_prepare_phase_micros")
-            .record_micros(s.elapsed());
-    }
+    (obs.histogram("xrpc_twopc_prepare_phase_micros")).record_micros(prepare_span.elapsed());
     drop(prepare_span);
     let mut failure: Option<XdmError> = prepare_results.into_iter().find_map(Result::err);
     if failure.is_none() && phase_start.elapsed() > config.prepare_deadline {
@@ -252,19 +237,14 @@ pub fn run_two_phase_commit_ctx(
     // all (not just the ones that acknowledged Prepare): a participant
     // whose Prepare *response* was lost is prepared even though the
     // coordinator never heard back, and must be released.
-    let mut decision_span = ctx.obs.map(|o| o.tracer.span_here("2pc:decision-phase"));
-    if let Some(s) = decision_span.as_mut() {
-        s.tag(
-            "decision",
-            if failure.is_some() { "abort" } else { "commit" },
-        );
-    }
+    let mut decision_span = obs.tracer.span_here("2pc:decision-phase");
+    decision_span.tag(
+        "decision",
+        if failure.is_some() { "abort" } else { "commit" },
+    );
     let decision_start = Instant::now();
-    let record_decision_phase = |o: Option<&xrpc_obs::Observability>| {
-        if let Some(o) = o {
-            o.histogram("xrpc_twopc_decision_phase_micros")
-                .record_micros(decision_start.elapsed());
-        }
+    let record_decision_phase = || {
+        (obs.histogram("xrpc_twopc_decision_phase_micros")).record_micros(decision_start.elapsed());
     };
     match failure {
         Some(err) => {
@@ -273,13 +253,13 @@ pub fn run_two_phase_commit_ctx(
                 // participant's snapshot times out on its own (presumed
                 // abort) — but no longer *silent*: each abandoned delivery
                 // is a hazard in the metrics.
-                if deliver_decision(client, p, METHOD_ABORT, qid, config, ctx.metrics).is_err() {
-                    if let Some(m) = ctx.metrics {
-                        m.hazards.fetch_add(1, Ordering::Relaxed);
-                    }
+                if deliver_decision(peer, client, p, METHOD_ABORT, qid).is_err() {
+                    metrics.hazards.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            record_decision_phase(ctx.obs);
+            own_edge(Input::Abort)?;
+            let _ = peer.coord_edge(qid, CoordInput::Abort);
+            record_decision_phase();
             Ok(CommitOutcome::Aborted {
                 reason: err.to_string(),
             })
@@ -289,39 +269,14 @@ pub fn run_two_phase_commit_ctx(
             // Commit delivery. Under presumed abort this append is the
             // commit point — everything before it recovers as abort,
             // everything after it recovers by redelivery.
-            if let Some(sw) = ctx.switch {
-                if sw.hit(crash_points::COORD_BEFORE_COMMIT_LOG) {
-                    if let Some(s) = decision_span.as_mut() {
-                        s.tag("crash_point", crash_points::COORD_BEFORE_COMMIT_LOG);
-                    }
-                    return Err(XdmError::xrpc(
-                        "simulated crash at coordinator:before-commit-log",
-                    ));
-                }
+            peer.crash_at(crash_points::COORD_BEFORE_COMMIT_LOG, &mut decision_span)?;
+            if let Err(e) = peer.coord_edge(qid, CoordInput::Commit(participants)) {
+                // undecided, and not dead: the presumed abort
+                let _ = own_edge(Input::Abort);
+                let _ = peer.coord_edge(qid, CoordInput::Abort);
+                return Err(e);
             }
-            if let Some(wal) = ctx.wal {
-                let mut ws = ctx.obs.map(|o| o.tracer.span_here("wal:force"));
-                if let Some(s) = ws.as_mut() {
-                    s.tag("record", "coordinator-commit");
-                }
-                wal.append(&WalRecord::CoordinatorCommit {
-                    qid: qid.clone(),
-                    participants: participants.to_vec(),
-                })?;
-            }
-            if let Some(f) = ctx.on_commit_logged {
-                f(qid, participants);
-            }
-            if let Some(sw) = ctx.switch {
-                if sw.hit(crash_points::COORD_AFTER_COMMIT_LOG) {
-                    if let Some(s) = decision_span.as_mut() {
-                        s.tag("crash_point", crash_points::COORD_AFTER_COMMIT_LOG);
-                    }
-                    return Err(XdmError::xrpc(
-                        "simulated crash at coordinator:after-commit-log-before-delivery",
-                    ));
-                }
-            }
+            peer.crash_at(crash_points::COORD_AFTER_COMMIT_LOG, &mut decision_span)?;
             // Attempt delivery to *every* participant even when one
             // exhausts its redelivery budget — short-circuiting would leave
             // the rest holding prepared state without ever hearing the
@@ -331,27 +286,32 @@ pub fn run_two_phase_commit_ctx(
             // their prepared logs).
             let mut hazards: Vec<String> = Vec::new();
             for p in participants {
-                if let Err(e) = deliver_decision(client, p, METHOD_COMMIT, qid, config, ctx.metrics)
-                {
-                    if let Some(m) = ctx.metrics {
-                        m.hazards.fetch_add(1, Ordering::Relaxed);
-                    }
+                if let Err(e) = deliver_decision(peer, client, p, METHOD_COMMIT, qid) {
+                    metrics.hazards.fetch_add(1, Ordering::Relaxed);
                     hazards.push(format!("`{p}`: {e}"));
                 }
             }
+            // the decision is durably commit, whatever delivery came to:
+            // the originator's own ∆ follows it
+            let acked = match hazards.is_empty() {
+                true => peer.coord_edge(qid, CoordInput::Acked),
+                false => Ok(()),
+            };
+            own_edge(Input::Commit)?;
+            acked?;
             if !hazards.is_empty() {
-                // No CoordinatorEnd: the commit record stays open in the
-                // log, so restart recovery (or the sweeper) redelivers.
+                // No CoordinatorEnd: the entry stays on the books, its
+                // participants may inquire, the recovery sweep redelivers.
                 return Err(XdmError::xrpc(format!(
                     "2PC commit undeliverable after unanimous prepare and {} delivery attempts at: {}",
                     config.decision_max_attempts,
                     hazards.join("; ")
                 )));
             }
-            if let Some(wal) = ctx.wal {
-                wal.append(&WalRecord::CoordinatorEnd { qid: qid.clone() })?;
-            }
-            record_decision_phase(ctx.obs);
+            // every participant has acknowledged and the local ∆ is
+            // settled: nobody is left to ask
+            let _ = peer.coord_edge(qid, CoordInput::Forget);
+            record_decision_phase();
             Ok(CommitOutcome::Committed {
                 participants: participants.len(),
             })
@@ -367,20 +327,18 @@ pub fn run_two_phase_commit_ctx(
 /// handling is idempotent at the participant, so redelivery after an
 /// ambiguous failure is always safe.
 pub(crate) fn deliver_decision(
+    peer: &Peer,
     client: &XrpcClient,
     dest: &str,
     method: &str,
     qid: &QueryId,
-    config: &TwoPcConfig,
-    metrics: Option<&TwoPcMetrics>,
 ) -> XdmResult<()> {
+    let (config, metrics) = (*peer.twopc_config.read(), &peer.twopc_metrics);
     let mut attempt = 0u32;
     loop {
         attempt += 1;
         if attempt > 1 {
-            if let Some(m) = metrics {
-                m.redeliveries.fetch_add(1, Ordering::Relaxed);
-            }
+            metrics.redeliveries.fetch_add(1, Ordering::Relaxed);
         }
         match client.send_control(dest, method, qid) {
             Ok(()) => return Ok(()),
@@ -409,6 +367,26 @@ mod tests {
 
     fn qid() -> QueryId {
         QueryId::new("p0", 42, 30)
+    }
+
+    /// A volatile coordinator: no log, nothing armed, nothing of its own.
+    fn run_with(
+        client: &XrpcClient,
+        qid: &QueryId,
+        participants: &[String],
+        config: &TwoPcConfig,
+    ) -> XdmResult<CommitOutcome> {
+        let peer = Peer::new("p0", crate::EngineKind::Tree);
+        peer.set_twopc_config(*config);
+        run_two_phase_commit(&peer, client, qid, participants, false)
+    }
+
+    fn run(
+        client: &XrpcClient,
+        qid: &QueryId,
+        participants: &[String],
+    ) -> XdmResult<CommitOutcome> {
+        run_with(client, qid, participants, &TwoPcConfig::default())
     }
 
     /// A scripted participant: counts Prepare/Commit/Abort, optionally
@@ -451,7 +429,7 @@ mod tests {
         let a = participant(&net, "xrpc://a", false);
         let b = participant(&net, "xrpc://b", false);
         let client = XrpcClient::new(net);
-        let out = run_two_phase_commit(
+        let out = run(
             &client,
             &qid(),
             &["xrpc://a".to_string(), "xrpc://b".to_string()],
@@ -472,7 +450,7 @@ mod tests {
         let b = participant(&net, "xrpc://b", true); // refuses
         let c = participant(&net, "xrpc://c", false);
         let client = XrpcClient::new(net);
-        let out = run_two_phase_commit(
+        let out = run(
             &client,
             &qid(),
             &[
@@ -506,7 +484,7 @@ mod tests {
             decision_backoff: Duration::from_millis(1),
             ..TwoPcConfig::default()
         };
-        let out = run_two_phase_commit_with(
+        let out = run_with(
             &client,
             &qid(),
             &["xrpc://a".to_string(), "xrpc://gone".to_string()],
@@ -521,7 +499,7 @@ mod tests {
     fn empty_participant_set_commits_trivially() {
         let net = Arc::new(SimNetwork::new(NetProfile::instant()));
         let client = XrpcClient::new(net);
-        let out = run_two_phase_commit(&client, &qid(), &[]).unwrap();
+        let out = run(&client, &qid(), &[]).unwrap();
         assert_eq!(out, CommitOutcome::Committed { participants: 0 });
     }
 
@@ -553,7 +531,7 @@ mod tests {
         let me = std::thread::current().id();
 
         // the common case: one participant, every message from this thread
-        let out = run_two_phase_commit(&client, &qid(), &["xrpc://a".to_string()]).unwrap();
+        let out = run(&client, &qid(), &["xrpc://a".to_string()]).unwrap();
         assert_eq!(out, CommitOutcome::Committed { participants: 1 });
         let sends = std::mem::take(&mut *recording.sends.lock());
         assert_eq!(sends.len(), 2, "Prepare and Commit");
@@ -561,7 +539,7 @@ mod tests {
 
         // two: the same code keeps the first here and spawns for the other
         let both = ["xrpc://a".to_string(), "xrpc://b".to_string()];
-        run_two_phase_commit(&client, &qid(), &both).unwrap();
+        run(&client, &qid(), &both).unwrap();
         let sends = recording.sends.lock();
         let prepare_thread = |dest: &str| {
             let first = sends.iter().find(|(d, _)| d == dest).expect("a Prepare");
@@ -613,7 +591,7 @@ mod tests {
         }
         let client = XrpcClient::new(net);
         let participants: Vec<String> = names.iter().map(|n| n.to_string()).collect();
-        let out = run_two_phase_commit(&client, &qid(), &participants).unwrap();
+        let out = run(&client, &qid(), &participants).unwrap();
         assert_eq!(out, CommitOutcome::Committed { participants: 3 });
     }
 
@@ -641,7 +619,7 @@ mod tests {
         };
         let client = XrpcClient::new(net);
         let all = ["xrpc://a", "xrpc://b", "xrpc://c"].map(String::from);
-        let out = run_two_phase_commit(&client, &qid(), &all).unwrap();
+        let out = run(&client, &qid(), &all).unwrap();
         match out {
             CommitOutcome::Aborted { reason } => assert!(reason.contains("panicked"), "{reason}"),
             other => panic!("{other:?}"),
@@ -675,7 +653,7 @@ mod tests {
             decision_backoff: Duration::from_millis(1),
             ..TwoPcConfig::default()
         };
-        let out = run_two_phase_commit_with(
+        let out = run_with(
             &client,
             &qid(),
             &["xrpc://a".to_string(), "xrpc://b".to_string()],
@@ -709,7 +687,7 @@ mod tests {
             decision_backoff: Duration::from_millis(1),
             ..TwoPcConfig::default()
         };
-        let err = run_two_phase_commit_with(
+        let err = run_with(
             &client,
             &qid(),
             &["xrpc://a".to_string(), "xrpc://b".to_string()],
@@ -746,7 +724,7 @@ mod tests {
             decision_backoff: Duration::from_millis(1),
             ..TwoPcConfig::default()
         };
-        let err = run_two_phase_commit_with(
+        let err = run_with(
             &client,
             &qid(),
             &["xrpc://a".to_string(), "xrpc://b".to_string()],

@@ -86,9 +86,9 @@ pub enum FsyncPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalConfig {
     pub fsync: FsyncPolicy,
-    /// Coalesce concurrent forced appends into one fsync. Off = every
-    /// append pays its own fsync (the pre-overhaul behaviour, kept for
-    /// the BENCH_U1 before/after comparison).
+    /// Inert: forced appends always coalesce into shared fsyncs. The
+    /// field stays because `benchmark/` names it in struct literals, and
+    /// goes when the benchmark's owner drops it.
     pub group_commit: bool,
     /// Rotate the active segment once it exceeds this many bytes (and at
     /// least one transaction is still open — otherwise quiesce truncation
@@ -521,8 +521,12 @@ fn unesc(s: &str) -> XdmResult<String> {
             let hex = s
                 .get(i + 1..i + 3)
                 .ok_or_else(|| XdmError::xrpc("bad escape in WAL record"))?;
+            // `esc` only ever escapes ASCII separators; a byte past 0x7F
+            // here would come back as a Latin-1 code point it never wrote
             let v = u8::from_str_radix(hex, 16)
-                .map_err(|_| XdmError::xrpc("bad escape in WAL record"))?;
+                .ok()
+                .filter(u8::is_ascii)
+                .ok_or_else(|| XdmError::xrpc("bad escape in WAL record"))?;
             out.push(v as char);
             i += 3;
         } else {
@@ -565,16 +569,17 @@ fn path_from_string(s: &str) -> XdmResult<NodePath> {
     let uri = unesc(parts.next().unwrap_or(""))?;
     let mut steps = Vec::new();
     for p in parts {
-        if p.is_empty() {
-            return Err(XdmError::xrpc("empty path step in WAL record"));
-        }
-        let (kind, idx) = p.split_at(1);
-        let i: u32 = idx
+        let mut kind_idx = p.chars();
+        let kind = kind_idx
+            .next()
+            .ok_or_else(|| XdmError::xrpc("empty path step in WAL record"))?;
+        let i: u32 = kind_idx
+            .as_str()
             .parse()
             .map_err(|_| XdmError::xrpc("bad path step in WAL record"))?;
         steps.push(match kind {
-            "c" => PathStep::Child(i),
-            "a" => PathStep::Attr(i),
+            'c' => PathStep::Child(i),
+            'a' => PathStep::Attr(i),
             _ => return Err(XdmError::xrpc("bad path step kind in WAL record")),
         });
     }
@@ -997,10 +1002,10 @@ pub struct Wal {
     /// so the publish → wake → accumulate gap overlaps with real I/O
     /// instead of leaving the disk idle.
     sync_inflight: AtomicU64,
-    /// Parking lot for group-commit followers, and the serialization
-    /// lock for solo-mode forces. Guards no data — `durable_lsn` is the
-    /// predicate — so waiters use a bounded `wait_timeout` and a missed
-    /// notify costs at most one timeout, never a hang.
+    /// Parking lot for group-commit followers. Guards no data —
+    /// `durable_lsn` is the predicate — so waiters use a bounded
+    /// `wait_timeout` and a missed notify costs at most one timeout, never
+    /// a hang.
     sync: Mutex<()>,
     sync_cond: Condvar,
     /// Highest LSN written to the active segment (advanced under `inner`).
@@ -1036,7 +1041,7 @@ struct WalInner {
     file: File,
     /// Clone of the active segment's handle; the group-commit leader
     /// fsyncs through it *outside* the `inner` lock so appenders keep
-    /// staging (and solo/`Never` writers keep writing) during the sync.
+    /// staging during the sync.
     sync_handle: Arc<File>,
     /// Active segment sequence number (file name `{seq:016x}.seg`).
     seg_seq: u64,
@@ -1060,8 +1065,8 @@ struct WalInner {
     /// one `write_all` immediately before its fsync, so the file is
     /// write-quiescent while the flush runs — concurrent appends during
     /// an fdatasync keep re-dirtying the inode and stretch the flush
-    /// with the batch size. Only used when staging applies (group commit
-    /// under `FsyncPolicy::Always`); empty otherwise.
+    /// with the batch size. Only used under `FsyncPolicy::Always`; empty
+    /// otherwise.
     staged: Vec<u8>,
     /// Every record up to this LSN has been hidden by a quiesce checkpoint
     /// whose zeros (or truncation) the next flush of the active segment
@@ -1282,7 +1287,7 @@ impl Wal {
             segs = vec![1];
             (1, f)
         };
-        if config.group_commit && config.fsync == FsyncPolicy::Always {
+        if config.fsync == FsyncPolicy::Always {
             // staging mode: preallocate so group drains overwrite in place
             let physical = file.metadata().map_err(io)?.len();
             let target = prealloc_len(&config);
@@ -1514,8 +1519,7 @@ impl Wal {
     /// lock first closes the race with a follower that has re-checked
     /// the predicate but not yet begun waiting: after the bounce, every
     /// such follower is inside `wait_timeout` and receives the notify.
-    /// Must not be called while holding `sync` (the solo-mode serial
-    /// path instead relies on the followers' wait timeout).
+    /// Must not be called while holding `sync`.
     fn wake_waiters(&self) {
         drop(self.sync.lock());
         self.sync_cond.notify_all();
@@ -1647,36 +1651,13 @@ impl Wal {
         Ok(())
     }
 
-    /// Wait until `lsn` is durable, fsyncing as needed. Under group
-    /// commit, whoever arrives while nobody is syncing becomes the batch
-    /// leader; everyone else rides the leader's fsync.
+    /// Wait until `lsn` is durable, fsyncing as needed: whoever arrives
+    /// while a leader slot is free becomes a batch leader; everyone else
+    /// rides a leader's fsync.
     fn force(&self, lsn: u64) -> XdmResult<()> {
         if self.config.fsync == FsyncPolicy::Never {
             return Ok(());
         }
-        if !self.config.group_commit {
-            // solo mode: every append pays its own fsync, serialized on
-            // the log like a classic force-log-at-commit implementation.
-            // Without the serialization, concurrent fdatasync calls on
-            // the same inode coalesce inside the filesystem journal —
-            // which is group commit by another name, done below the
-            // syscall boundary where it can't be observed or tuned.
-            let (handle, target, checkpointed) = self.drain_and_capture()?;
-            let _serial = self.sync.lock();
-            self.crash_hit(crash_points::WAL_GROUP_FSYNC)?;
-            let t0 = std::time::Instant::now();
-            if let Err(e) = handle.sync_data() {
-                return Err(self.io_poison("fsync", e));
-            }
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            self.observe_fsync(t0, 1);
-            self.durable_lsn
-                .fetch_max(target.max(lsn), Ordering::AcqRel);
-            self.replay_floor
-                .fetch_max(checkpointed + 1, Ordering::AcqRel);
-            return Ok(());
-        }
-
         loop {
             if self.durable_lsn.load(Ordering::Acquire) >= lsn {
                 return Ok(());
@@ -1753,10 +1734,10 @@ impl Wal {
 
     /// Does this log stage appends in memory until a batch leader drains
     /// them? Only worthwhile when there are real fsyncs to protect from
-    /// concurrent writes; solo mode and `FsyncPolicy::Never` write
-    /// through so the file always holds everything appended.
+    /// concurrent writes; `FsyncPolicy::Never` writes through so the file
+    /// always holds everything appended.
     fn staging(&self) -> bool {
-        self.config.group_commit && self.config.fsync == FsyncPolicy::Always
+        self.config.fsync == FsyncPolicy::Always
     }
 
     /// Drain any staged frames into the active segment with a single

@@ -288,3 +288,31 @@ fn poisoned_wal_degrades_healthz_to_503() {
 
     let _ = std::fs::remove_dir_all(&wal_path);
 }
+
+/// A query can compute any number of `execute at {$uri}` targets, and every
+/// destination the resilience layer keeps apart is a label value on six
+/// families: the table is bounded, so the label set is.
+#[test]
+fn ten_thousand_destinations_leave_a_bounded_label_set() {
+    let a = Peer::new("xrpc://a", EngineKind::Tree);
+    a.set_transport(Arc::new(xrpc_net::SimNetwork::new(
+        xrpc_net::NetProfile::instant(),
+    )));
+    let rt = a.resilient_transport().unwrap();
+    for i in 0..10_000 {
+        let _ = xrpc_net::Transport::roundtrip(&*rt, &format!("xrpc://nowhere-{i}"), b"q");
+    }
+    let body = xrpc_peer::render_metrics(&a, None);
+    validate_exposition(&body).expect("valid exposition");
+    let labels: std::collections::BTreeSet<&str> = body
+        .split("dest=\"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+        .collect();
+    assert!(
+        (2..=257).contains(&labels.len()),
+        "{} dest= label values",
+        labels.len()
+    );
+    assert!(rt.dest_stats().len() <= 257);
+}

@@ -638,3 +638,130 @@ fn data_shipping_doc_fetch_and_cache() {
     assert_eq!(counts, ["3", "3"]);
     assert_eq!(net.metrics.snapshot().roundtrips, 1, "doc cached per query");
 }
+
+// ---------------------------------------------------------------------
+// a → b → a: the originator is a participant of its own query
+// ---------------------------------------------------------------------
+
+const CALLBACK_MODULE: &str = r#"
+    module namespace cb = "callback";
+    declare function cb:get() { string(doc("state.xml")/*) };
+    declare function cb:relayGet()
+    { execute at {"xrpc://a.example.org"} {cb:get()} };
+    declare updating function cb:set($x as xs:string)
+    { replace value of node doc("state.xml")/v with $x };
+    declare updating function cb:both($x as xs:string)
+    { (replace value of node doc("state.xml")/v with $x,
+       execute at {"xrpc://a.example.org"} {cb:set($x)}) };
+    declare updating function cb:bounce($x as xs:string)
+    { execute at {"xrpc://a.example.org"} {cb:set($x)} };
+    declare updating function cb:rename($n as xs:string)
+    { rename node doc("state.xml")/v as $n };
+    declare updating function cb:bounceRename($n as xs:string)
+    { execute at {"xrpc://a.example.org"} {cb:rename($n)} };
+"#;
+
+/// [`sim_pair`] where A owns a `state.xml` too and both know the call-back
+/// module.
+fn callback_pair() -> (Arc<SimNetwork>, Arc<Peer>, Arc<Peer>) {
+    let (net, a, b) = sim_pair(EngineKind::Tree);
+    a.add_document("state.xml", "<v>initial</v>").unwrap();
+    for p in [&a, &b] {
+        p.register_module(CALLBACK_MODULE).unwrap();
+    }
+    (net, a, b)
+}
+
+fn state(p: &Peer) -> String {
+    let doc = p.docs.get("state.xml").unwrap();
+    xmldom::serialize_document(&doc, &Default::default())
+}
+
+fn control_messages(p: &Peer) -> u64 {
+    p.stats
+        .control_messages
+        .load(std::sync::atomic::Ordering::Relaxed)
+}
+
+#[test]
+fn an_update_called_back_into_the_originator_commits_with_the_query() {
+    // b's function updates b *and* calls an updating function back at a:
+    // a's ∆ was merged where nobody prepared or committed it, so the query
+    // answered Committed and a kept its old value
+    for (function, b_after) in [("both", "<v>new</v>"), ("bounce", "<v>initial</v>")] {
+        let (_net, a, b) = callback_pair();
+        let out = a
+            .execute_detailed(&format!(
+                r#"declare option xrpc:isolation "repeatable";
+                   import module namespace cb = "callback";
+                   execute at {{"xrpc://b.example.org"}} {{cb:{function}("new")}}"#
+            ))
+            .unwrap();
+        assert!(
+            matches!(
+                out.commit,
+                Some(xrpc_peer::twopc::CommitOutcome::Committed { participants: 1 })
+            ),
+            "{function}: {:?}",
+            out.commit
+        );
+        assert_eq!(state(&a), "<v>new</v>", "{function}: a's called-back ∆");
+        assert_eq!(state(&b), b_after, "{function}");
+        assert_eq!(a.snapshots.active_count(), 0, "{function}");
+        assert_eq!(b.snapshots.active_count(), 0, "{function}");
+        // the originator's own Prepare and Commit are function calls
+        assert_eq!(control_messages(&a), 0, "{function}");
+        assert_eq!(control_messages(&b), 2, "{function}");
+    }
+}
+
+#[test]
+fn a_query_and_its_call_back_conflicting_on_one_node_abort_everywhere() {
+    let (_net, a, b) = callback_pair();
+    let err = a
+        .execute(
+            r#"declare option xrpc:isolation "repeatable";
+               import module namespace cb = "callback";
+               (rename node doc("state.xml")/v as "mine",
+                execute at {"xrpc://b.example.org"} {cb:set("new")},
+                execute at {"xrpc://b.example.org"} {cb:bounceRename("theirs")})"#,
+        )
+        .unwrap_err();
+    assert!(err.message.contains("aborted"), "{err}");
+    assert!(err.message.contains("XUDY"), "{err}");
+    assert_eq!(state(&a), "<v>initial</v>");
+    assert_eq!(state(&b), "<v>initial</v>");
+    assert_eq!(a.snapshots.active_count(), 0);
+    assert_eq!(b.snapshots.active_count(), 0);
+}
+
+#[test]
+fn a_call_back_reads_the_state_the_query_started_on() {
+    let (net, a, b) = callback_pair();
+    // between a's own read and the call back, a concurrent non-isolated
+    // update replaces a's document (it rides in on b's handler)
+    let (a2, serve_b) = (a.clone(), b.soap_handler());
+    net.register(
+        "xrpc://b.example.org",
+        Arc::new(move |body: &[u8]| {
+            a2.add_document("state.xml", "<v>moved-on</v>").unwrap();
+            serve_b(body)
+        }),
+    );
+    let seen = a
+        .execute(
+            r#"declare option xrpc:isolation "repeatable";
+               import module namespace cb = "callback";
+               (cb:get(), execute at {"xrpc://b.example.org"} {cb:relayGet()})"#,
+        )
+        .unwrap();
+    assert_eq!(
+        serialize(&seen),
+        "initial|initial",
+        "one state, both places"
+    );
+    assert_eq!(state(&a), "<v>moved-on</v>");
+    assert_eq!(a.snapshots.active_count(), 0, "nothing left pinned at a");
+    assert_eq!(b.snapshots.active_count(), 0);
+    assert_eq!(control_messages(&a), 0);
+}

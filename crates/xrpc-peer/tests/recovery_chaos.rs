@@ -356,6 +356,54 @@ fn coordinator_crash_after_commit_log_redelivers_on_restart() {
     assert_eq!(cl.a.peer.wal().unwrap().open_transactions(), 0);
 }
 
+/// The originator is a participant of its own query: its local ∆ is
+/// promised in its own log before the commit point, so a coordinator that
+/// dies right after that point owes three commits — two by redelivery, one
+/// to itself by asking its own table — and pays each exactly once.
+#[test]
+fn coordinator_crash_after_commit_log_settles_its_own_delta_exactly_once() {
+    let mut cl = cluster("coord-own-delta");
+    cl.a.peer.add_document("log.xml", "<log/>").unwrap();
+    cl.a.switch.arm(crash_points::COORD_AFTER_COMMIT_LOG);
+
+    let err =
+        cl.a.peer
+            .execute(
+                r#"declare option xrpc:isolation "repeatable";
+               import module namespace t = "test";
+               (insert node <e>x</e> into doc("log.xml")/log,
+                execute at {"xrpc://b.example.org"} {t:addEntry("x")},
+                execute at {"xrpc://c.example.org"} {t:addEntry("x")})"#,
+            )
+            .unwrap_err();
+    assert!(err.message.contains("simulated crash"), "{err}");
+    for n in [&cl.a, &cl.b, &cl.c] {
+        assert_eq!(log_count(&n.peer), 0, "decided, nobody told");
+    }
+
+    let report = restart(&cl.net, &mut cl.a, A_URI);
+    assert_eq!(report.restored_prepared, 1, "its own promise: {report:?}");
+    let resolved = cl.a.peer.resolve_in_doubt().unwrap();
+    assert_eq!(resolved.resolved_committed, 1, "{resolved:?}");
+    assert_eq!(resolved.redelivered, 1, "{resolved:?}");
+    assert_eq!(
+        cl.a.peer.twopc_metrics.snapshot().inquiries,
+        0,
+        "the originator asks itself by function call"
+    );
+    let again = cl.a.peer.resolve_in_doubt().unwrap();
+    assert_eq!(
+        (again.resolved_committed, again.redelivered, again.lsn_skips),
+        (0, 0, 0),
+        "{again:?}"
+    );
+    for n in [&cl.a, &cl.b, &cl.c] {
+        assert_eq!(log_count(&n.peer), 1, "exactly once");
+        assert_eq!(n.peer.snapshots.active_count(), 0);
+        assert_eq!(n.peer.wal().unwrap().open_transactions(), 0);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Trace-based post-mortem: the exported spans alone reconstruct the
 // timeline of a crashed-and-recovered transaction

@@ -6,7 +6,8 @@
 //! * isolation "repeatable" — rule R'Fu: callees defer their ∆s; the
 //!   originator drives WS-AtomicTransaction-style 2PC (Prepare/Commit) at
 //!   the end, so the distributed commit is atomic. An incompatible update
-//!   pair demonstrates the abort path.
+//!   pair demonstrates the abort path, and a call *back* into the
+//!   originator shows that it is a participant of its own query.
 //!
 //! ```sh
 //! cargo run --example distributed_update
@@ -25,6 +26,11 @@ const ACCOUNTS_MODULE: &str = r#"
       with string($v) };
     declare updating function acc:rename($id as xs:string, $n as xs:string)
     { rename node doc("accounts.xml")//account[@id = $id] as $n };
+    declare updating function acc:settle($here as xs:string, $there as xs:string,
+                                         $v as xs:double)
+    { (replace value of node doc("accounts.xml")//account[@id = $here]/balance
+       with string($v),
+       execute at {"xrpc://bank1"} {acc:setBalance($there, $v)}) };
 "#;
 
 fn balance(peer: &Peer, id: &str) -> String {
@@ -118,4 +124,23 @@ fn main() {
         balance(&bank2, "bob")
     );
     assert_eq!(balance(&bank2, "bob"), "42");
+
+    // The call-back case: bank1 originates, bank2's function updates bank2
+    // *and* calls an updating function back at bank1. The originator is a
+    // participant of its own query — one snapshot per query per peer — so
+    // the called-back ∆ is prepared and committed with the rest.
+    let settle = r#"
+        declare option xrpc:isolation "repeatable";
+        import module namespace acc = "accounts";
+        execute at {"xrpc://bank2"} {acc:settle("bob", "alice", 7)}"#;
+    let out = bank1.execute_detailed(settle).expect("settle");
+    println!(
+        "\ncall back into the originator: {:?}; alice={} at bank1, bob={} at bank2",
+        out.commit.expect("2PC ran"),
+        balance(&bank1, "alice"),
+        balance(&bank2, "bob")
+    );
+    assert_eq!(balance(&bank1, "alice"), "7", "the originator's own ∆");
+    assert_eq!(balance(&bank2, "bob"), "7");
+    println!("call-back case committed on both peers");
 }

@@ -637,3 +637,308 @@ fn a_hundred_thousand_levels_neither_overflow_the_stack_nor_the_bound() {
     }
     assert!((1..1000).contains(&levels), "{levels} levels kept");
 }
+
+// ---------------------------------------------------------------------
+// The WAL decoder: what a peer reads from its own disk at startup
+// ---------------------------------------------------------------------
+
+use xrpc_repro::xrpc_peer::wal::{
+    crc32, NodePath, PathStep, SerializedFragment, SerializedPrimitive,
+};
+use xrpc_repro::xrpc_peer::{Decision, FsyncPolicy, Wal, WalConfig, WalRecord};
+
+const WAL_MAGIC: &[u8] = b"XRPCWAL2";
+
+fn wal_config() -> WalConfig {
+    WalConfig {
+        fsync: FsyncPolicy::Never,
+        ..WalConfig::default()
+    }
+}
+
+fn wal_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("xrpc-wal-fuzz-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Every primitive kind, attribute fragments, and text holding each
+/// separator the record encoding escapes — as one transaction's ∆.
+fn every_primitive() -> Vec<SerializedPrimitive> {
+    let nasty = "50% | a/b\tc\nd\r\u{1f}é日本";
+    let target = || NodePath {
+        doc_uri: format!("dir/{nasty}.xml"),
+        steps: vec![
+            PathStep::Child(0),
+            PathStep::Attr(3),
+            PathStep::Child(70_000),
+        ],
+    };
+    let content = || {
+        vec![
+            SerializedFragment::Xml(format!("<e a=\"1\">{nasty}</e>")),
+            SerializedFragment::Attribute {
+                prefix: Some("p".into()),
+                ns_uri: Some("urn:x/y|z".into()),
+                local: "k".into(),
+                value: nasty.into(),
+            },
+            SerializedFragment::Attribute {
+                prefix: None,
+                ns_uri: None,
+                local: "plain".into(),
+                value: String::new(),
+            },
+        ]
+    };
+    use SerializedPrimitive::*;
+    vec![
+        InsertInto {
+            target: target(),
+            content: content(),
+        },
+        InsertFirst {
+            target: target(),
+            content: content(),
+        },
+        InsertLast {
+            target: target(),
+            content: vec![],
+        },
+        InsertBefore {
+            target: target(),
+            content: content(),
+        },
+        InsertAfter {
+            target: target(),
+            content: content(),
+        },
+        Delete { target: target() },
+        ReplaceNode {
+            target: target(),
+            replacement: content(),
+        },
+        ReplaceValue {
+            target: target(),
+            value: nasty.into(),
+        },
+        Rename {
+            target: target(),
+            prefix: Some("p".into()),
+            ns_uri: Some("urn:p".into()),
+            local: "n".into(),
+        },
+        Put {
+            node: SerializedFragment::Xml("<put/>".into()),
+            uri: format!("out/{nasty}.xml"),
+        },
+    ]
+}
+
+/// A real segment: both roles' records of several transactions, written by
+/// the log itself (one transaction stays open, so nothing is checkpointed
+/// away).
+fn real_segment() -> Vec<u8> {
+    let dir = wal_dir("source");
+    let (log, _) = Wal::open_with(&dir, wal_config()).unwrap();
+    let qid = |n: u64| QueryId::new("xrpc://origin.example.org:8080", 9_000 + n, 30);
+    let parts = vec!["xrpc://b|c".to_string(), "xrpc://d".to_string()];
+    let prepared = |n| WalRecord::Prepared {
+        qid: qid(n),
+        coordinator: "xrpc://origin.example.org:8080".into(),
+        delta: every_primitive(),
+    };
+    let records = [
+        prepared(0),
+        prepared(1),
+        WalRecord::Decision {
+            qid: qid(1),
+            decision: Decision::Committed,
+        },
+        WalRecord::Applied {
+            qid: qid(1),
+            mark: 2,
+        },
+        prepared(2),
+        WalRecord::Decision {
+            qid: qid(2),
+            decision: Decision::Aborted,
+        },
+        WalRecord::CoordinatorBegin {
+            qid: qid(3),
+            participants: parts.clone(),
+        },
+        WalRecord::CoordinatorCommit {
+            qid: qid(3),
+            participants: parts,
+        },
+        WalRecord::CoordinatorEnd { qid: qid(3) },
+    ];
+    for r in &records {
+        log.append(r).unwrap();
+    }
+    drop(log);
+    let (_, replay) = Wal::open_with(&dir, wal_config()).unwrap();
+    assert_eq!(replay.records.len(), records.len());
+    assert!(!replay.tail_damaged);
+    let seg = std::fs::read(dir.join(format!("{:016x}.seg", 1))).unwrap();
+    let _ = std::fs::remove_dir_all(dir);
+    seg
+}
+
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+    f.extend_from_slice(&crc32(payload).to_le_bytes());
+    f.extend_from_slice(payload);
+    f
+}
+
+/// The payloads of a segment's frames.
+fn payloads(seg: &[u8]) -> Vec<Vec<u8>> {
+    let (mut out, mut pos) = (Vec::new(), WAL_MAGIC.len());
+    while let Some(h) = seg.get(pos..pos + 8) {
+        let len = u32::from_le_bytes(h[..4].try_into().unwrap()) as usize;
+        if len == 0 {
+            break;
+        }
+        out.push(seg[pos + 8..pos + 8 + len].to_vec());
+        pos += 8 + len;
+    }
+    out
+}
+
+const WAL_SPLICES: &[&str] = &[
+    "prim=Delete|log.xml/é1\n",
+    "%FF",
+    "%8",
+    "%",
+    "\nlsn=18446744073709551616\n",
+    "prim=Put|A:\t\t\t\t|\n",
+    "prim=Rename|d/c0|\t\n",
+    "|",
+    "/c",
+    "\u{1f}X:",
+    "coord-commit\n",
+    "outcome=maybe\n",
+];
+
+/// One to three payloads edited and re-stamped (so the damage reaches
+/// `decode_record` instead of stopping at the CRC), then possibly a tail
+/// torn off or padded with zeros.
+fn mutate_segment(rng: &mut StdRng, frames: &[Vec<u8>]) -> Vec<u8> {
+    let mut frames = frames.to_vec();
+    for _ in 0..rng.gen_range(1..=3) {
+        let k = rng.gen_range(0..frames.len());
+        let p = &mut frames[k];
+        let at = rng.gen_range(0..p.len());
+        let span = at..(at + rng.gen_range(1..32usize)).min(p.len());
+        match rng.gen_range(0..4) {
+            0 => p[at] ^= 1u8 << rng.gen_range(0..8u32),
+            1 => drop(p.drain(span)),
+            2 => {
+                let copy = p[span].to_vec();
+                let to = rng.gen_range(0..=p.len());
+                p.splice(to..to, copy);
+            }
+            _ => {
+                let s = WAL_SPLICES[rng.gen_range(0..WAL_SPLICES.len())];
+                p.splice(at..at, s.bytes());
+            }
+        }
+    }
+    let mut seg = WAL_MAGIC.to_vec();
+    for p in frames.iter().filter(|p| !p.is_empty()) {
+        seg.extend(frame(p));
+    }
+    match rng.gen_range(0..4) {
+        0 => seg.truncate(rng.gen_range(0..=seg.len())),
+        1 => seg.resize(seg.len() + rng.gen_range(1..9000usize), 0),
+        2 => {
+            let at = rng.gen_range(WAL_MAGIC.len()..seg.len());
+            let to = (at + rng.gen_range(1..64usize)).min(seg.len());
+            seg[at..to].fill(0);
+        }
+        _ => {}
+    }
+    seg
+}
+
+/// Open a log whose only segment is `seg`. A log or a typed error, in at
+/// most k = 6 times the segment (the bytes as read, the decoded records,
+/// the open-transaction copies of them, each with its strings; 3.9 is the
+/// most a run has measured) beyond a constant. Returns whether it opened and whether the tail was dropped.
+fn assert_open_bounded(seg: &[u8], context: &str) -> Option<bool> {
+    let dir = wal_dir(&format!("{:?}", std::thread::current().id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(format!("{:016x}.seg", 1)), seg).unwrap();
+    let (result, peak, _) = measure(|| Wal::open_with(&dir, wal_config()));
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        peak <= 6 * seg.len() + 4096,
+        "{context}: {peak} bytes for a segment of {}",
+        seg.len()
+    );
+    match result {
+        Ok((_, replay)) => Some(replay.tail_damaged),
+        Err(e) => {
+            assert!(!e.code.is_empty(), "{context}: an error without a code");
+            None
+        }
+    }
+}
+
+#[test]
+fn a_mutated_wal_segment_opens_or_is_a_typed_error_in_bounded_memory() {
+    let seeds: Vec<u64> = match std::env::var("WAL_SEED").ok().and_then(|s| s.parse().ok()) {
+        Some(seed) => vec![seed],
+        None => (0..24).collect(),
+    };
+    let seg = real_segment();
+    let frames = payloads(&seg);
+    assert_eq!(frames.len(), 9);
+    assert_eq!(assert_open_bounded(&seg, "as written"), Some(false));
+
+    // fixed rows: frames with a good CRC that once panicked the opener or
+    // decoded to something nobody wrote — now an undecodable tail
+    let header = "prepared\nqid.host=h\nqid.ts=1\nqid.timeout=30\n";
+    for bad in [
+        "coordinator=h\nprim=Delete|log.xml/é1\nlsn=2\n",
+        "coordinator=%FF\nlsn=2\n",
+        "coordinator=h\nprim=Delete|log.xml/\nlsn=2\n",
+    ] {
+        let mut seg = WAL_MAGIC.to_vec();
+        seg.extend(frame(&frames[0]));
+        seg.extend(frame(format!("{header}{bad}").as_bytes()));
+        assert_eq!(assert_open_bounded(&seg, bad), Some(true), "{bad}");
+    }
+
+    let (mut clean, mut dropped, mut refused) = (0, 0, 0);
+    for seed in seeds {
+        let run = std::panic::catch_unwind(|| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..24)
+                .map(|m| {
+                    let mutant = mutate_segment(&mut rng, &frames);
+                    assert_open_bounded(&mutant, &format!("WAL_SEED={seed}, mutant {m}"))
+                })
+                .collect::<Vec<_>>()
+        });
+        match run {
+            Ok(outcomes) => {
+                for o in outcomes {
+                    match o {
+                        Some(false) => clean += 1,
+                        Some(true) => dropped += 1,
+                        None => refused += 1,
+                    }
+                }
+            }
+            Err(_) => panic!("rerun with WAL_SEED={seed}"),
+        }
+    }
+    // the run means something only if mutants both survive and do not
+    assert!(
+        clean > 0 && dropped > 0,
+        "{clean} clean, {dropped} with a dropped tail, {refused} refused"
+    );
+}
