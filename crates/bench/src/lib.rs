@@ -287,9 +287,9 @@ const QID_TS_SENTINEL: u64 = 4_100_000_000_000;
 
 /// A wire-level updater: one synthetic coordinator replaying the exact
 /// message sequence of a committed single-participant transaction —
-/// updating call, `Prepare`, `Commit` — from message templates
-/// serialized once at construction, with only the queryID timestamp
-/// substituted per transaction.
+/// updating call, `CommitOnePhase` (the participant holds the only ∆) —
+/// from message templates serialized once at construction, with only the
+/// queryID timestamp substituted per transaction.
 ///
 /// The point: the *participant* (message parsing, evaluation, 2PC
 /// handling, WAL group commit, apply) is the system under test, so the
@@ -299,23 +299,30 @@ const QID_TS_SENTINEL: u64 = 4_100_000_000_000;
 /// machines.
 pub struct UpdateDriver {
     net: Arc<SimNetwork>,
-    templates: [String; 3],
+    templates: [String; 2],
 }
 
 impl UpdateDriver {
     pub fn new(net: Arc<SimNetwork>, host: &str) -> UpdateDriver {
-        let tpl = |module: &str, method: &str| {
+        let tpl = |module: &str, method: &str, deferred: bool| {
             let mut req = xrpc_proto::XrpcRequest::new(module, method, 0)
                 .with_query_id(xrpc_proto::QueryId::new(host, QID_TS_SENTINEL, 3_000));
+            // rule R'Fu, as an isolated query's client marks the call: the
+            // ∆ waits in the snapshot for the commit to log and apply it
+            req.deferred = deferred;
+            req.seq = deferred.then_some(0);
             req.push_call(vec![]);
             req.to_xml().unwrap()
         };
         UpdateDriver {
             net,
             templates: [
-                tpl("u1", "bump"),
-                tpl(xrpc_proto::WSAT_MODULE, xrpc_proto::METHOD_PREPARE),
-                tpl(xrpc_proto::WSAT_MODULE, xrpc_proto::METHOD_COMMIT),
+                tpl("u1", "bump", true),
+                tpl(
+                    xrpc_proto::WSAT_MODULE,
+                    xrpc_proto::METHOD_COMMIT_ONE_PHASE,
+                    false,
+                ),
             ],
         }
     }
@@ -326,7 +333,7 @@ impl UpdateDriver {
     pub fn commit_one(&self, ts: u64) -> Result<(), String> {
         let ts = ts.to_string();
         let sentinel = QID_TS_SENTINEL.to_string();
-        for (tpl, label) in self.templates.iter().zip(["call", "prepare", "commit"]) {
+        for (tpl, label) in self.templates.iter().zip(["call", "commit"]) {
             let body = tpl.replace(&sentinel, &ts);
             let resp = self
                 .net
@@ -397,8 +404,8 @@ pub fn update_cluster_fsync(updaters: usize, fsync: FsyncPolicy) -> UpdateCluste
 }
 
 /// The participant's durable-commit path at the WAL API: per committed
-/// update, the exact append sequence the 2PC participant performs —
-/// `Prepared` (carrying the serialized ∆) and `Decision` forced, the
+/// update, the exact append sequence a one-phase participant performs —
+/// `Prepared` (carrying the serialized ∆) unforced, `Decision` forced, the
 /// `Applied` marker not — against a real log with real fsyncs. This is
 /// the layer group commit operates on; [`UpdateCluster`] measures the
 /// same protocol end to end with the engine and XML codec in the loop.
@@ -428,8 +435,10 @@ impl CommitPath {
         CommitPath { wal, path }
     }
 
-    /// One committed update transaction: the ∆ mirrors what `u:bump()`
-    /// produces (a `replace value of node` on a three-deep text node).
+    /// One committed update transaction, as a one-phase commit logs it —
+    /// `Prepared` unforced, `Decision` forced (one flush for both), then
+    /// `Applied` unforced: the ∆ mirrors what `u:bump()` produces (a
+    /// `replace value of node` on a three-deep text node).
     pub fn commit_one(&self, host: &str, seq: u64) {
         use xrpc_peer::wal::{NodePath, PathStep, SerializedPrimitive};
         let qid = xrpc_proto::QueryId::new(host, QID_TS_SENTINEL + seq, 3_000);
@@ -442,7 +451,7 @@ impl CommitPath {
         }];
         let mark = self
             .wal
-            .append(&xrpc_peer::WalRecord::Prepared {
+            .append_nosync(&xrpc_peer::WalRecord::Prepared {
                 qid: qid.clone(),
                 coordinator: A_URI.into(),
                 delta,

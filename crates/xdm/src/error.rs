@@ -105,6 +105,13 @@ impl XdmError {
     pub fn xrpc_cancelled(message: impl Into<String>) -> Self {
         Self::new("XRPC0005", message)
     }
+
+    /// XRPC outcome unknown: a one-phase commit's participant could not be
+    /// reached to the end of the retry budget and may have committed.
+    /// Never to be read as an abort.
+    pub fn xrpc_outcome_unknown(message: impl Into<String>) -> Self {
+        Self::new("XRPC0006", message)
+    }
 }
 
 impl fmt::Display for XdmError {
@@ -134,5 +141,6 @@ mod tests {
         assert_eq!(XdmError::xrpc_durability("x").code, "XRPC0003");
         assert_eq!(XdmError::xrpc_deadline("x").code, "XRPC0004");
         assert_eq!(XdmError::xrpc_cancelled("x").code, "XRPC0005");
+        assert_eq!(XdmError::xrpc_outcome_unknown("x").code, "XRPC0006");
     }
 }

@@ -126,6 +126,14 @@ pub mod crash_points {
     /// the `Applied` marker: the log still says "committed, unapplied" —
     /// only the applied-LSN mark stops recovery from applying ∆_q twice.
     pub const AFTER_APPLY_BEFORE_MARKER: &str = "participant:after-apply-before-marker";
+    /// Participant dies with a one-phase commit done — logged, applied,
+    /// closed — but before its acknowledgement leaves: the coordinator
+    /// cannot tell a commit from a message that never arrived.
+    pub const AFTER_ONE_PHASE_COMMIT: &str = "participant:after-one-phase-commit-before-ack";
+    /// Coordinator dies while its `CommitOnePhase` is in flight, before it
+    /// has learned or recorded the answer: the restart's re-abort sweep
+    /// tells the participant to abort, which it acknowledges if committed.
+    pub const COORD_ONE_PHASE_IN_FLIGHT: &str = "coordinator:one-phase-in-flight";
     /// Appender dies inside group commit, after its record is written but
     /// before the batch leader's fsync: the record may or may not survive
     /// — exactly the torn-tail ambiguity replay must absorb.

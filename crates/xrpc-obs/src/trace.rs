@@ -19,6 +19,7 @@
 //! captures the context and re-installs it inside the spawned thread.
 
 use crate::hash::fnv1a64;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -59,20 +60,23 @@ pub struct FinishedSpan {
     pub trace_id: u128,
     pub span_id: u64,
     pub parent_id: Option<u64>,
-    pub name: String,
-    pub peer: String,
+    pub name: Cow<'static, str>,
+    /// The recording peer, shared by every span of its tracer.
+    pub peer: Arc<str>,
     /// Wall-clock start, microseconds since the Unix epoch.
     pub start_micros: u64,
     pub duration_micros: u64,
-    pub tags: Vec<(String, String)>,
+    /// Keys are the code's own names, and so are many values: a span
+    /// allocates only for what it learned at run time.
+    pub tags: Vec<(&'static str, Cow<'static, str>)>,
 }
 
 impl FinishedSpan {
     pub fn tag(&self, key: &str) -> Option<&str> {
         self.tags
             .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.as_ref())
     }
 
     /// One JSON object (no trailing newline). Ids are hex strings so
@@ -129,7 +133,7 @@ fn json_escape(s: &str, out: &mut String) {
 /// with one `fetch_add` and only ever contend on that slot's own
 /// mutex (against a concurrent exporter), never on each other.
 pub struct Tracer {
-    peer: String,
+    peer: Arc<str>,
     head: AtomicUsize,
     slots: Box<[Mutex<Option<FinishedSpan>>]>,
     next_span_id: AtomicU64,
@@ -146,7 +150,7 @@ impl Tracer {
             .collect::<Vec<_>>()
             .into_boxed_slice();
         Tracer {
-            peer: peer.to_string(),
+            peer: peer.into(),
             head: AtomicUsize::new(0),
             slots,
             // seed per-tracer so span ids from different peers don't
@@ -167,13 +171,21 @@ impl Tracer {
     }
 
     /// Start a span continuing `parent` (same trace, parented to it).
-    pub fn child_span(self: &Arc<Self>, name: &str, parent: TraceContext) -> SpanGuard {
+    pub fn child_span(
+        self: &Arc<Self>,
+        name: impl Into<Cow<'static, str>>,
+        parent: TraceContext,
+    ) -> SpanGuard {
         self.span(name, parent.child(self.next_span_id()))
     }
 
     /// Start a span with an explicit context. The context becomes the
     /// ambient one for this thread until the guard drops.
-    pub fn span(self: &Arc<Self>, name: &str, ctx: TraceContext) -> SpanGuard {
+    pub fn span(
+        self: &Arc<Self>,
+        name: impl Into<Cow<'static, str>>,
+        ctx: TraceContext,
+    ) -> SpanGuard {
         let start_micros = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_micros().min(u64::MAX as u128) as u64)
@@ -181,7 +193,7 @@ impl Tracer {
         SpanGuard {
             tracer: self.clone(),
             ctx,
-            name: name.to_string(),
+            name: name.into(),
             started: Instant::now(),
             start_micros,
             tags: Vec::new(),
@@ -191,7 +203,7 @@ impl Tracer {
 
     /// Start a span under the thread's ambient context when there is
     /// one, or as a brand-new root trace otherwise.
-    pub fn span_here(self: &Arc<Self>, name: &str) -> SpanGuard {
+    pub fn span_here(self: &Arc<Self>, name: impl Into<Cow<'static, str>>) -> SpanGuard {
         let ctx = match current_context() {
             Some(p) => p.child(self.next_span_id()),
             None => TraceContext {
@@ -268,10 +280,10 @@ impl Tracer {
 pub struct SpanGuard {
     tracer: Arc<Tracer>,
     ctx: TraceContext,
-    name: String,
+    name: Cow<'static, str>,
     started: Instant,
     start_micros: u64,
-    tags: Vec<(String, String)>,
+    tags: Vec<(&'static str, Cow<'static, str>)>,
     ambient: Option<ContextGuard>,
 }
 
@@ -280,8 +292,8 @@ impl SpanGuard {
         self.ctx
     }
 
-    pub fn tag(&mut self, key: &str, value: impl Into<String>) {
-        self.tags.push((key.to_string(), value.into()));
+    pub fn tag(&mut self, key: &'static str, value: impl Into<Cow<'static, str>>) {
+        self.tags.push((key, value.into()));
     }
 
     /// Elapsed time so far (the histogram-facing reading).
@@ -368,7 +380,7 @@ impl Drop for TracerGuard {
 /// Open a span on the thread's ambient tracer under the ambient
 /// context, or do nothing (`None`) when no tracer is installed — the
 /// zero-cost path for code running outside any instrumented peer.
-pub fn ambient_span(name: &str) -> Option<SpanGuard> {
+pub fn ambient_span(name: &'static str) -> Option<SpanGuard> {
     current_tracer().map(|t| t.span_here(name))
 }
 

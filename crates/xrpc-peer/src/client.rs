@@ -92,18 +92,20 @@ impl XrpcClient {
     /// prepared query, redelivered Commit/Abort of a decided one are all
     /// answered OK), so the transport may retry them freely.
     pub fn send_control(&self, dest: &str, method: &str, qid: &QueryId) -> XdmResult<()> {
-        self.send_control_with_reply(dest, method, qid).map(|_| ())
+        self.control(dest, method, qid)?.map(|_| ())
     }
 
-    /// Like [`send_control`](Self::send_control) but returning the peer's
-    /// response body — `Inquire` answers ride in it (see
-    /// `xrpc_proto::control::TxOutcome`).
-    pub fn send_control_with_reply(
+    /// One control round trip with its two ways to fail kept apart: the
+    /// outer error is the transport's — the message may or may not have
+    /// been handled — and the inner one the participant's answer, a fault.
+    /// The reply is the peer's response body: `Prepare` votes and `Inquire`
+    /// answers ride in it (see `xrpc_proto::control`).
+    pub fn control(
         &self,
         dest: &str,
         method: &str,
         qid: &QueryId,
-    ) -> XdmResult<xrpc_proto::XrpcResponse> {
+    ) -> XdmResult<XdmResult<xrpc_proto::XrpcResponse>> {
         let mut req =
             XrpcRequest::new(crate::twopc::WSAT_MODULE, method, 0).with_query_id(qid.clone());
         req.push_call(vec![]);
@@ -111,8 +113,8 @@ impl XrpcClient {
         // delivery when a tracer is attached, else the bare ambient
         // context (so the participant's server span still links up).
         let mut span = self.obs.as_ref().map(|o| {
-            let mut s = o.tracer.span_here(&format!("control:{method}"));
-            s.tag("dest", dest);
+            let mut s = o.tracer.span_here(format!("control:{method}"));
+            s.tag("dest", dest.to_owned());
             s
         });
         req.trace = span
@@ -132,8 +134,8 @@ impl XrpcClient {
         match parse_message(
             std::str::from_utf8(&resp).map_err(|_| XdmError::xrpc("non-UTF8 response"))?,
         )? {
-            XrpcMessage::Response(r) => Ok(r),
-            XrpcMessage::Fault(f) => Err(f.to_error()),
+            XrpcMessage::Response(r) => Ok(Ok(r)),
+            XrpcMessage::Fault(f) => Ok(Err(f.to_error())),
             XrpcMessage::Request(_) => Err(XdmError::xrpc("unexpected request as reply")),
         }
     }
@@ -195,8 +197,8 @@ impl XrpcClient {
         // tracer the ambient context (if any) is forwarded untouched.
         let mut span = self.obs.as_ref().map(|o| {
             let mut s = o.tracer.span_here("client:call");
-            s.tag("dest", dest);
-            s.tag("method", &req.method);
+            s.tag("dest", dest.to_owned());
+            s.tag("method", req.method.clone());
             s
         });
         req.trace = span

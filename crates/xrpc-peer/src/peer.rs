@@ -243,6 +243,10 @@ impl Peer {
     ) -> Arc<Self> {
         let name = name.into();
         let obs = Observability::new(&name);
+        // on /metrics before the first edge, whichever edges a peer runs
+        for family in ["xrpc_twopc_prepare_micros", "xrpc_twopc_commit_micros"] {
+            obs.histogram(family);
+        }
         Arc::new(Peer {
             name: RwLock::new(name),
             engine,

@@ -267,15 +267,13 @@ impl Peer {
             // id is a pure function of the queryID, so spans emitted here
             // join the spans recorded before the crash.
             let mut span = self.recovery_span("recovery:inquire", &qid);
-            span.tag("coordinator", &coordinator);
+            span.tag("coordinator", coordinator.clone());
             let outcome = if coordinator == self.name() {
                 // the originator's own ∆: the coordinator table is here
                 Some(self.coord.outcome(&qid))
             } else {
-                client
-                    .send_control_with_reply(&coordinator, METHOD_INQUIRE, &qid)
-                    .ok()
-                    .and_then(|resp| TxOutcome::from_response(&resp))
+                let reply = client.control(&coordinator, METHOD_INQUIRE, &qid);
+                (reply.ok().and_then(Result::ok)).and_then(|resp| TxOutcome::from_response(&resp))
             };
             span.tag(
                 "outcome",
@@ -341,7 +339,7 @@ impl Peer {
         Ok(report)
     }
 
-    fn recovery_span(&self, name: &str, qid: &QueryId) -> xrpc_obs::SpanGuard {
+    fn recovery_span(&self, name: &'static str, qid: &QueryId) -> xrpc_obs::SpanGuard {
         self.obs.tracer.span(
             name,
             TraceContext {
@@ -474,7 +472,8 @@ mod tests {
             unreachable!()
         };
         let pul = wal::deserialize_pul(&peer.docs, &delta).unwrap();
-        assert!(peer.apply_pul_marked(&pul, &qid(n), Some(lsn)).unwrap());
+        let edits = || xqeval::pul::apply_updates(&pul);
+        assert!(peer.apply_pul_marked(edits, &qid(n), Some(lsn)).unwrap());
         lsn
     }
 
@@ -567,6 +566,39 @@ mod tests {
         for d in [dir, zeros_lost, zeros_kept] {
             let _ = std::fs::remove_dir_all(d);
         }
+    }
+
+    /// A one-phase commit cut after its `Prepared` reached the disk (in
+    /// another transaction's flush) and before its decision did: the
+    /// restarted participant is prepared, and the coordinator's retry of
+    /// `CommitOnePhase` is the commit it was waiting for — once.
+    #[test]
+    fn a_one_phase_retry_commits_the_prepared_a_restart_found() {
+        let dir = scratch("one-phase-retry");
+        let docs = store();
+        let live = Peer::new_with_docs(URI, EngineKind::Tree, docs.clone());
+        live.attach_wal_with(&dir, forced()).unwrap();
+        let log = live.wal().unwrap();
+        log.append(&prepared(1, "1")).unwrap();
+        drop((live, log));
+
+        let restarted = Peer::new_with_docs(URI, EngineKind::Tree, docs.clone());
+        let report = restarted.attach_wal_with(&dir, forced()).unwrap();
+        assert_eq!(report.restored_prepared, 1, "{report:?}");
+        let mut retry =
+            xrpc_proto::XrpcRequest::new(twopc::WSAT_MODULE, twopc::METHOD_COMMIT_ONE_PHASE, 0)
+                .with_query_id(qid(1));
+        retry.push_call(vec![]);
+        let retry = retry.to_xml().unwrap();
+        for _ in 0..2 {
+            let reply = String::from_utf8(restarted.handle_soap(retry.as_bytes())).unwrap();
+            assert!(!reply.contains("Fault"), "{reply}");
+        }
+        assert_eq!(counter(&docs), "1", "applied once");
+        assert_eq!(restarted.twopc_metrics.snapshot().commits, 1);
+        assert_eq!(restarted.wal().unwrap().open_transactions(), 0);
+        drop(restarted);
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     /// XQUF §2.4.1: an attribute inserted before/after a node becomes an

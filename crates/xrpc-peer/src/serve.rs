@@ -90,8 +90,8 @@ impl Peer {
             Some(parent) => self.obs.tracer.child_span("server:handle", parent),
             None => self.obs.tracer.span_here("server:handle"),
         };
-        span.tag("module", &req.module);
-        span.tag("method", &req.method);
+        span.tag("module", req.module.clone());
+        span.tag("method", req.method.clone());
         self.obs
             .histogram("xrpc_message_bytes")
             .record(text.len() as u64);

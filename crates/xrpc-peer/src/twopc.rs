@@ -17,12 +17,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 use xdm::{XdmError, XdmResult};
 use xrpc_net::crash_points;
-use xrpc_proto::QueryId;
+use xrpc_proto::{QueryId, Vote};
 
 // The control vocabulary lives in xrpc-proto (shared with recovery and
 // external tooling); re-exported here for the existing call sites.
 pub use xrpc_proto::control::{
-    METHOD_ABORT, METHOD_CANCEL, METHOD_COMMIT, METHOD_INQUIRE, METHOD_PREPARE, WSAT_MODULE,
+    METHOD_ABORT, METHOD_CANCEL, METHOD_COMMIT, METHOD_COMMIT_ONE_PHASE, METHOD_INQUIRE,
+    METHOD_PREPARE, WSAT_MODULE,
 };
 
 /// 2PC observability: one block per peer, covering both its participant
@@ -43,7 +44,8 @@ pub struct TwoPcMetrics {
     /// (coordinator side — the redelivery loop working).
     pub redeliveries: AtomicU64,
     /// Decision deliveries abandoned after the attempt budget
-    /// (coordinator side): commit hazards *and* undeliverable aborts.
+    /// (coordinator side): commit hazards, undeliverable aborts and
+    /// one-phase commits whose outcome is unknown.
     pub hazards: AtomicU64,
     /// Transactions whose outcome was settled by restart recovery
     /// (WAL replay + inquiry / redelivery), not the live protocol.
@@ -138,12 +140,16 @@ pub enum CommitOutcome {
 /// Phase 1 sends `Prepare` to every participant *concurrently* (the first
 /// from the calling thread, the others from scoped threads); any
 /// failure (or overrunning the phase deadline) flips the decision to
-/// abort. Phase 2 delivers the decision — `Commit` only when every
-/// participant prepared, `Abort` otherwise — to **all** participants,
-/// retrying each delivery with bounded exponential backoff. Only when a
-/// Commit cannot be delivered within the attempt budget does the
-/// coordinator surface a heuristic-hazard error (that participant still
-/// holds its prepared ∆_q).
+/// abort. A participant whose ∆ is empty votes read-only: it promised
+/// nothing and hears nothing more. Phase 2 delivers the decision —
+/// `Commit` only when every participant prepared, `Abort` otherwise — to
+/// **every other** participant, retrying each delivery with bounded
+/// exponential backoff. Only when a Commit cannot be delivered within the
+/// attempt budget does the coordinator surface a heuristic-hazard error
+/// (that participant still holds its prepared ∆_q).
+///
+/// With one remote participant and no ∆ of its own the coordinator has
+/// nobody to reach agreement with: `commit_one_phase`.
 ///
 /// The originator is a participant of its own query: its ∆ — what the
 /// query updated here and what calls back into this peer merged — is
@@ -166,6 +172,9 @@ pub fn run_two_phase_commit(
     participants: &[String],
     own: bool,
 ) -> XdmResult<CommitOutcome> {
+    if let ([_], false) = (participants, own) {
+        return commit_one_phase(peer, client, qid, participants);
+    }
     let (obs, metrics) = (&peer.obs, &peer.twopc_metrics);
     let config = *peer.twopc_config.read();
     let own_edge = |input| -> XdmResult<()> {
@@ -201,11 +210,12 @@ pub fn run_two_phase_commit(
     // a transport that panics is a participant that failed to prepare,
     // whichever thread its send ran on: the decision still reaches everyone
     let prepare = |p: &str| {
-        let send = || client.send_control(p, METHOD_PREPARE, qid);
+        let send = || -> XdmResult<_> { client.control(p, METHOD_PREPARE, qid)? };
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(send))
             .unwrap_or_else(|_| Err(XdmError::xrpc("prepare panicked")))
+            .map(|reply| Vote::from_response(&reply))
     };
-    let prepare_results: Vec<XdmResult<()>> = std::thread::scope(|scope| {
+    let votes: Vec<XdmResult<Vote>> = std::thread::scope(|scope| {
         let mut rest = participants.iter();
         let first = rest.next();
         let handles: Vec<_> = rest
@@ -225,7 +235,21 @@ pub fn run_two_phase_commit(
     });
     (obs.histogram("xrpc_twopc_prepare_phase_micros")).record_micros(prepare_span.elapsed());
     drop(prepare_span);
-    let mut failure: Option<XdmError> = prepare_results.into_iter().find_map(Result::err);
+    // Phase 2 tells everyone but the read-only voters — the ones whose
+    // Prepare failed too: a participant whose Prepare *response* was lost
+    // is prepared even though the coordinator never heard back, and must
+    // be released.
+    let (mut failure, mut told) = (None, Vec::new());
+    for (p, vote) in participants.iter().zip(votes) {
+        match vote {
+            Ok(Vote::ReadOnly) => continue,
+            Ok(Vote::Prepared) => {}
+            Err(e) => {
+                failure.get_or_insert(e);
+            }
+        }
+        told.push(p.clone());
+    }
     if failure.is_none() && phase_start.elapsed() > config.prepare_deadline {
         failure = Some(XdmError::xrpc(format!(
             "2PC prepare phase exceeded its {:?} deadline",
@@ -233,10 +257,6 @@ pub fn run_two_phase_commit(
         )));
     }
 
-    // Phase 2: deliver the decision to every participant. Abort goes to
-    // all (not just the ones that acknowledged Prepare): a participant
-    // whose Prepare *response* was lost is prepared even though the
-    // coordinator never heard back, and must be released.
     let mut decision_span = obs.tracer.span_here("2pc:decision-phase");
     decision_span.tag(
         "decision",
@@ -248,7 +268,7 @@ pub fn run_two_phase_commit(
     };
     match failure {
         Some(err) => {
-            for p in participants {
+            for p in &told {
                 // Abort deliveries are best effort — an unreachable
                 // participant's snapshot times out on its own (presumed
                 // abort) — but no longer *silent*: each abandoned delivery
@@ -258,10 +278,18 @@ pub fn run_two_phase_commit(
                 }
             }
             own_edge(Input::Abort)?;
-            let _ = peer.coord_edge(qid, CoordInput::Abort);
+            let _ = peer.coord_edge(qid, CoordInput::End);
             record_decision_phase();
             Ok(CommitOutcome::Aborted {
                 reason: err.to_string(),
+            })
+        }
+        // nobody wrote anything: no commit point, nothing to tell
+        None if told.is_empty() && !own => {
+            let _ = peer.coord_edge(qid, CoordInput::End);
+            record_decision_phase();
+            Ok(CommitOutcome::Committed {
+                participants: participants.len(),
             })
         }
         None => {
@@ -270,10 +298,10 @@ pub fn run_two_phase_commit(
             // commit point — everything before it recovers as abort,
             // everything after it recovers by redelivery.
             peer.crash_at(crash_points::COORD_BEFORE_COMMIT_LOG, &mut decision_span)?;
-            if let Err(e) = peer.coord_edge(qid, CoordInput::Commit(participants)) {
+            if let Err(e) = peer.coord_edge(qid, CoordInput::Commit(&told)) {
                 // undecided, and not dead: the presumed abort
                 let _ = own_edge(Input::Abort);
-                let _ = peer.coord_edge(qid, CoordInput::Abort);
+                let _ = peer.coord_edge(qid, CoordInput::End);
                 return Err(e);
             }
             peer.crash_at(crash_points::COORD_AFTER_COMMIT_LOG, &mut decision_span)?;
@@ -285,7 +313,7 @@ pub fn run_two_phase_commit(
             // heuristic-hazard error afterward (those participants keep
             // their prepared logs).
             let mut hazards: Vec<String> = Vec::new();
-            for p in participants {
+            for p in &told {
                 if let Err(e) = deliver_decision(peer, client, p, METHOD_COMMIT, qid) {
                     metrics.hazards.fetch_add(1, Ordering::Relaxed);
                     hazards.push(format!("`{p}`: {e}"));
@@ -319,13 +347,52 @@ pub fn run_two_phase_commit(
     }
 }
 
-/// Deliver one decision message with bounded retry and *full-jitter*
-/// backoff (each wait is uniform in `[0, cap)` where the cap doubles per
-/// attempt — see `xrpc_net::full_jitter`): after a coordinator recovers
-/// and redelivers to many participants at once, deterministic backoff
-/// would re-synchronize the whole cohort into retry waves. Control
-/// handling is idempotent at the participant, so redelivery after an
-/// ambiguous failure is always safe.
+/// The one participant holding a ∆ — the originator holds none — decides
+/// alone: one `CommitOnePhase`, which it logs, applies and acknowledges in
+/// one edge, so the coordinator has no commit point to force. While the
+/// message is in flight the table holds `Coordinating`: a participant that
+/// restarted mid-edge and inquires hears `InDoubt`, since a retry may still
+/// come. A refusal — raised before the participant logged anything — is
+/// the abort; a fault raised past that point, or an answer that never
+/// comes, is not: the participant may have committed.
+fn commit_one_phase(
+    peer: &Peer,
+    client: &XrpcClient,
+    qid: &QueryId,
+    participants: &[String],
+) -> XdmResult<CommitOutcome> {
+    let participant = &participants[0];
+    let _ = peer.coord_edge(qid, CoordInput::Begin(participants));
+    let mut span = peer.obs.tracer.span_here("2pc:decision-phase");
+    span.tag("decision", "one-phase");
+    let answer = deliver(
+        peer,
+        client,
+        participant,
+        METHOD_COMMIT_ONE_PHASE,
+        qid,
+        true,
+    );
+    peer.crash_at(crash_points::COORD_ONE_PHASE_IN_FLIGHT, &mut span)?;
+    let _ = peer.coord_edge(qid, CoordInput::End);
+    (peer.obs.histogram("xrpc_twopc_decision_phase_micros")).record_micros(span.elapsed());
+    let error = match answer {
+        Ok(None) => return Ok(CommitOutcome::Committed { participants: 1 }),
+        Ok(Some(refusal)) => {
+            let reason = refusal.to_string();
+            return Ok(CommitOutcome::Aborted { reason });
+        }
+        Err(error) => error,
+    };
+    peer.twopc_metrics.hazards.fetch_add(1, Ordering::Relaxed);
+    Err(XdmError::xrpc_outcome_unknown(format!(
+        "one-phase commit at `{participant}`: no answer within {} attempts, it may have committed: {error}",
+        peer.twopc_config.read().decision_max_attempts
+    )))
+}
+
+/// Deliver one decision message with bounded retry (see [`deliver`]); a
+/// fault is retried like a lost message.
 pub(crate) fn deliver_decision(
     peer: &Peer,
     client: &XrpcClient,
@@ -333,6 +400,29 @@ pub(crate) fn deliver_decision(
     method: &str,
     qid: &QueryId,
 ) -> XdmResult<()> {
+    deliver(peer, client, dest, method, qid, false).map(drop)
+}
+
+/// Deliver one control message with bounded retry and *full-jitter*
+/// backoff (each wait is uniform in `[0, cap)` where the cap doubles per
+/// attempt — see `xrpc_net::full_jitter`): after a coordinator recovers
+/// and redelivers to many participants at once, deterministic backoff
+/// would re-synchronize the whole cohort into retry waves. Control
+/// handling is idempotent at the participant, so redelivery after an
+/// ambiguous failure is always safe. With `refusals_end`, a fault is the
+/// participant's answer, returned as `Ok(Some(refusal))` — unless it is
+/// outcome-unknown (XRPC0006: a one-phase commit that failed past its
+/// guard, retried like a lost message), or "no such query" after an
+/// attempt whose fate is unknown (a commit it may have finished and
+/// forgotten since: an error, like an exhausted budget).
+fn deliver(
+    peer: &Peer,
+    client: &XrpcClient,
+    dest: &str,
+    method: &str,
+    qid: &QueryId,
+    refusals_end: bool,
+) -> XdmResult<Option<XdmError>> {
     let (config, metrics) = (*peer.twopc_config.read(), &peer.twopc_metrics);
     let mut attempt = 0u32;
     loop {
@@ -340,19 +430,22 @@ pub(crate) fn deliver_decision(
         if attempt > 1 {
             metrics.redeliveries.fetch_add(1, Ordering::Relaxed);
         }
-        match client.send_control(dest, method, qid) {
-            Ok(()) => return Ok(()),
-            Err(e) if attempt >= config.decision_max_attempts.max(1) => return Err(e),
-            Err(_) => {
-                let cap = config
-                    .decision_backoff
-                    .saturating_mul(1u32 << (attempt - 1).min(16));
-                let seed = xrpc_obs::fnv1a64(dest.as_bytes())
-                    .wrapping_add(qid.timestamp_millis)
-                    .wrapping_add(attempt as u64);
-                std::thread::sleep(xrpc_net::full_jitter(cap, seed));
-            }
+        let error = match client.control(dest, method, qid) {
+            Ok(Ok(_)) => return Ok(None),
+            Ok(Err(e)) if refusals_end && attempt > 1 && e.code == "XRPC0002" => return Err(e),
+            Ok(Err(e)) if refusals_end && e.code != "XRPC0006" => return Ok(Some(e)),
+            Ok(Err(e)) | Err(e) => e,
+        };
+        if attempt >= config.decision_max_attempts.max(1) {
+            return Err(error);
         }
+        let cap = config
+            .decision_backoff
+            .saturating_mul(1u32 << (attempt - 1).min(16));
+        let seed = xrpc_obs::fnv1a64(dest.as_bytes())
+            .wrapping_add(qid.timestamp_millis)
+            .wrapping_add(attempt as u64);
+        std::thread::sleep(xrpc_net::full_jitter(cap, seed));
     }
 }
 
@@ -389,11 +482,10 @@ mod tests {
         run_with(client, qid, participants, &TwoPcConfig::default())
     }
 
-    /// A scripted participant: counts Prepare/Commit/Abort, optionally
-    /// refusing to prepare.
-    fn participant(net: &SimNetwork, name: &str, refuse_prepare: bool) -> Arc<[AtomicU32; 3]> {
-        let counters: Arc<[AtomicU32; 3]> =
-            Arc::new([AtomicU32::new(0), AtomicU32::new(0), AtomicU32::new(0)]);
+    /// A scripted participant: counts Prepare/Commit/Abort/CommitOnePhase,
+    /// optionally refusing the message that asks it to promise.
+    fn participant(net: &SimNetwork, name: &str, refuse_prepare: bool) -> Arc<[AtomicU32; 4]> {
+        let counters: Arc<[AtomicU32; 4]> = Arc::new(Default::default());
         let c = counters.clone();
         net.register(
             name,
@@ -407,10 +499,11 @@ mod tests {
                     METHOD_PREPARE => 0,
                     METHOD_COMMIT => 1,
                     METHOD_ABORT => 2,
+                    METHOD_COMMIT_ONE_PHASE => 3,
                     other => panic!("unexpected control method {other}"),
                 };
                 c[idx].fetch_add(1, Ordering::SeqCst);
-                if idx == 0 && refuse_prepare {
+                if matches!(idx, 0 | 3) && refuse_prepare {
                     return XrpcFault::from_error(&XdmError::xrpc("conflicting transaction"))
                         .to_xml()
                         .into_bytes();
@@ -423,24 +516,146 @@ mod tests {
         counters
     }
 
+    /// What each scripted participant was sent, in counter order
+    /// (Prepare, Commit, Abort, CommitOnePhase).
+    fn sent(c: &[AtomicU32; 4]) -> [u32; 4] {
+        std::array::from_fn(|i| c[i].load(Ordering::SeqCst))
+    }
+
     #[test]
     fn all_prepare_then_all_commit() {
+        // two parties or three: one Prepare and one Commit each, never a
+        // one-phase commit
+        for n in [2, 3] {
+            let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+            let all: Vec<String> = (0..n).map(|i| format!("xrpc://p{i}")).collect();
+            let counters: Vec<_> = all.iter().map(|p| participant(&net, p, false)).collect();
+            let out = run(&XrpcClient::new(net), &qid(), &all).unwrap();
+            assert_eq!(out, CommitOutcome::Committed { participants: n });
+            for c in &counters {
+                assert_eq!(sent(c), [1, 1, 0, 0], "{n} parties");
+            }
+        }
+    }
+
+    #[test]
+    fn a_lone_participant_commits_in_one_phase() {
         let net = Arc::new(SimNetwork::new(NetProfile::instant()));
         let a = participant(&net, "xrpc://a", false);
-        let b = participant(&net, "xrpc://b", false);
+        let out = run(&XrpcClient::new(net), &qid(), &["xrpc://a".to_string()]).unwrap();
+        assert_eq!(out, CommitOutcome::Committed { participants: 1 });
+        assert_eq!(sent(&a), [0, 0, 0, 1], "one CommitOnePhase, nothing else");
+    }
+
+    #[test]
+    fn a_one_phase_refusal_aborts_with_one_delivery() {
+        let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+        let a = participant(&net, "xrpc://a", true);
         let client = XrpcClient::new(net);
-        let out = run(
-            &client,
-            &qid(),
-            &["xrpc://a".to_string(), "xrpc://b".to_string()],
-        )
-        .unwrap();
-        assert_eq!(out, CommitOutcome::Committed { participants: 2 });
-        for c in [&a, &b] {
-            assert_eq!(c[0].load(Ordering::SeqCst), 1, "one prepare");
-            assert_eq!(c[1].load(Ordering::SeqCst), 1, "one commit");
-            assert_eq!(c[2].load(Ordering::SeqCst), 0, "no abort");
+        match run(&client, &qid(), &["xrpc://a".to_string()]).unwrap() {
+            CommitOutcome::Aborted { reason } => assert!(reason.contains("conflicting")),
+            other => panic!("{other:?}"),
         }
+        assert_eq!(sent(&a), [0, 0, 0, 1], "the refusal is final: no retry");
+    }
+
+    #[test]
+    fn a_lost_one_phase_answer_is_redelivered_until_committed() {
+        let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+        let a = participant(&net, "xrpc://a", false);
+        net.inject_fault("xrpc://a", xrpc_net::SimFault::DropResponse);
+        let cfg = TwoPcConfig {
+            decision_max_attempts: 3,
+            decision_backoff: Duration::from_millis(1),
+            ..TwoPcConfig::default()
+        };
+        let client = XrpcClient::new(net);
+        let out = run_with(&client, &qid(), &["xrpc://a".to_string()], &cfg).unwrap();
+        assert_eq!(out, CommitOutcome::Committed { participants: 1 });
+        assert_eq!(sent(&a), [0, 0, 0, 2], "handled, answer lost, redelivered");
+    }
+
+    #[test]
+    fn an_unanswered_one_phase_commit_is_outcome_unknown_never_aborted() {
+        let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+        let a = participant(&net, "xrpc://a", false);
+        for _ in 0..2 {
+            net.inject_fault("xrpc://a", xrpc_net::SimFault::DropResponse);
+        }
+        let cfg = TwoPcConfig {
+            decision_max_attempts: 2,
+            decision_backoff: Duration::from_millis(1),
+            ..TwoPcConfig::default()
+        };
+        let client = XrpcClient::new(net);
+        let err = run_with(&client, &qid(), &["xrpc://a".to_string()], &cfg).unwrap_err();
+        assert_eq!(err.code, "XRPC0006", "{err}");
+        // both reached a, which committed on the first: unknown is the truth
+        assert_eq!(sent(&a), [0, 0, 0, 2]);
+        // nobody at all: the same
+        let err = run_with(&client, &qid(), &["xrpc://gone".to_string()], &cfg).unwrap_err();
+        assert_eq!(err.code, "XRPC0006", "{err}");
+    }
+
+    #[test]
+    fn a_fault_past_the_guard_is_retried_never_an_abort() {
+        // the participant faults XRPC0006 — it failed after logging — on
+        // the first `fail` deliveries and acknowledges after that
+        let committed = Ok(CommitOutcome::Committed { participants: 1 });
+        let unknown = Err("XRPC0006".to_string());
+        for (fail, want, deliveries) in [(1, committed, 2), (3, unknown, 3)] {
+            let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+            let handled = Arc::new(AtomicU32::new(0));
+            let h = handled.clone();
+            net.register(
+                "xrpc://a",
+                Arc::new(move |_: &[u8]| {
+                    if h.fetch_add(1, Ordering::SeqCst) < fail {
+                        let e = XdmError::xrpc_outcome_unknown("failed past its guard");
+                        return XrpcFault::from_error(&e).to_xml().into_bytes();
+                    }
+                    let mut resp = XrpcResponse::new(WSAT_MODULE, METHOD_COMMIT_ONE_PHASE);
+                    resp.results.push(Sequence::empty());
+                    resp.to_xml().unwrap().into_bytes()
+                }),
+            );
+            let cfg = TwoPcConfig {
+                decision_max_attempts: 3,
+                decision_backoff: Duration::from_millis(1),
+                ..TwoPcConfig::default()
+            };
+            let client = XrpcClient::new(net);
+            let out = run_with(&client, &qid(), &["xrpc://a".to_string()], &cfg);
+            assert_eq!(out.map_err(|e| e.code), want, "fail={fail}");
+            assert_eq!(handled.load(Ordering::SeqCst), deliveries, "fail={fail}");
+        }
+    }
+
+    #[test]
+    fn no_such_query_after_a_lost_attempt_is_outcome_unknown() {
+        // the first answer is lost; by the retry the participant has
+        // forgotten the query (as after a restart whose checkpoint hid a
+        // finished commit): that refusal cannot mean "aborted"
+        let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+        let handled = Arc::new(AtomicU32::new(0));
+        let h = handled.clone();
+        net.register(
+            "xrpc://a",
+            Arc::new(move |_: &[u8]| {
+                h.fetch_add(1, Ordering::SeqCst);
+                let forgot = crate::store::SnapshotManager::no_state(&qid());
+                XrpcFault::from_error(&forgot).to_xml().into_bytes()
+            }),
+        );
+        net.inject_fault("xrpc://a", xrpc_net::SimFault::DropResponse);
+        let cfg = TwoPcConfig {
+            decision_backoff: Duration::from_millis(1),
+            ..TwoPcConfig::default()
+        };
+        let client = XrpcClient::new(net);
+        let err = run_with(&client, &qid(), &["xrpc://a".to_string()], &cfg).unwrap_err();
+        assert_eq!(err.code, "XRPC0006", "{err}");
+        assert_eq!(handled.load(Ordering::SeqCst), 2);
     }
 
     #[test]
@@ -534,7 +749,7 @@ mod tests {
         let out = run(&client, &qid(), &["xrpc://a".to_string()]).unwrap();
         assert_eq!(out, CommitOutcome::Committed { participants: 1 });
         let sends = std::mem::take(&mut *recording.sends.lock());
-        assert_eq!(sends.len(), 2, "Prepare and Commit");
+        assert_eq!(sends.len(), 1, "CommitOnePhase");
         assert!(sends.iter().all(|(_, thread)| *thread == me), "{sends:?}");
 
         // two: the same code keeps the first here and spawns for the other

@@ -23,10 +23,10 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 use xdm::{Sequence, XdmError, XdmResult};
-use xqeval::pul::{apply_updates, PendingUpdateList};
+use xqeval::pul::{apply_updates, DocEdit, PendingUpdateList};
 use xqeval::DocResolver;
 use xrpc_net::crash_points;
-use xrpc_proto::{QueryId, TxOutcome, XrpcRequest, XrpcResponse};
+use xrpc_proto::{QueryId, TxOutcome, Vote, XrpcRequest, XrpcResponse};
 
 /// `(qid.host, qid.timestamp_millis)` — how coordination state keys a
 /// transaction without cloning the whole `QueryId`.
@@ -91,46 +91,58 @@ pub enum Phase {
     Decided(Decision),
 }
 
-/// The four control messages (or the function calls that stand in for them
+/// The five control messages (or the function calls that stand in for them
 /// at the originator and in recovery), and the commit of a query that
 /// touched no other peer: nobody to promise anything to, so no record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Input {
     Prepare,
     Commit,
+    /// The only ∆ of the transaction is here: decide alone.
+    CommitOnePhase,
     CommitSingleSite,
     Abort,
     Cancel,
 }
 
 impl Input {
-    pub const ALL: [Input; 5] = [
+    pub const ALL: [Input; 6] = [
         Input::Prepare,
         Input::Commit,
+        Input::CommitOnePhase,
         Input::CommitSingleSite,
         Input::Abort,
         Input::Cancel,
     ];
 
-    /// The control method that carries it, and the span its edge opens.
-    fn names(self) -> (&'static str, &'static str) {
+    /// The control method that carries it — one input each; a single-site
+    /// commit is a function call only — and the span its edge opens.
+    fn names(self) -> (Option<&'static str>, &'static str) {
         match self {
-            Input::Prepare => (twopc::METHOD_PREPARE, "2pc:prepare"),
-            Input::Commit | Input::CommitSingleSite => (twopc::METHOD_COMMIT, "2pc:commit"),
-            Input::Abort => (twopc::METHOD_ABORT, "2pc:abort"),
-            Input::Cancel => (twopc::METHOD_CANCEL, "2pc:cancel"),
+            Input::Prepare => (Some(twopc::METHOD_PREPARE), "2pc:prepare"),
+            Input::Commit => (Some(twopc::METHOD_COMMIT), "2pc:commit"),
+            Input::CommitOnePhase => (Some(twopc::METHOD_COMMIT_ONE_PHASE), "2pc:commit-one-phase"),
+            Input::CommitSingleSite => (None, "2pc:commit"),
+            Input::Abort => (Some(twopc::METHOD_ABORT), "2pc:abort"),
+            Input::Cancel => (Some(twopc::METHOD_CANCEL), "2pc:cancel"),
         }
+    }
+
+    /// The input a control method off the wire is.
+    fn of_method(method: &str) -> Option<Input> {
+        (Input::ALL.into_iter()).find(|i| i.names().0 == Some(method))
     }
 }
 
 /// Where an input takes a participant and what happens on the way, in this
-/// order: `log` is written (and waited for, if forced), ∆_q is applied, and
-/// a logged ∆ is closed by an unforced `Applied`. An edge back to the phase
-/// it left does nothing: the idempotent answer to a redelivered message.
+/// order: `log` is written (each record waited for, if forced), ∆_q is
+/// applied, and a logged ∆ is closed by an unforced `Applied`. An edge back
+/// to the phase it left does nothing: the idempotent answer to a
+/// redelivered message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Edge {
     pub next: Phase,
-    pub log: Option<(Rec, bool)>,
+    pub log: &'static [(Rec, bool)],
     pub apply: bool,
 }
 
@@ -145,38 +157,55 @@ pub enum Refusal {
     NotSingleSite,
 }
 
-/// The participant's transition table.
-pub fn step(at: Phase, input: Input) -> Result<Edge, Refusal> {
+/// The participant's transition table. `empty`: ∆_q holds no update, which
+/// matters only where a ∆ would be promised — and there nothing is.
+pub fn step(at: Phase, input: Input, empty: bool) -> Result<Edge, Refusal> {
     use {Decision::*, Input::*, Phase::*};
     let edge = |next, log, apply| Ok(Edge { next, log, apply });
-    let forced = |record| Some((record, true));
     match (at, input) {
+        // nothing to promise: the read-only vote, and a one-phase commit
+        // with nothing to write — settled on the spot, no record
+        (Open, Prepare | CommitOnePhase) if empty => edge(Decided(Committed), &[], false),
         // ∆_q and who to ask are forced *before* the ack makes the promise
-        (Open, Prepare) => edge(Prepared, forced(Rec::Prepared), false),
-        (Open, CommitSingleSite) => edge(Decided(Committed), None, true),
+        (Open, Prepare) => edge(Prepared, &[(Rec::Prepared, true)], false),
+        // the one participant decides alone: one flush carries `Prepared`
+        // and the forced decision, and the log reads as 2PC's would
+        (Open, CommitOnePhase) => edge(
+            Decided(Committed),
+            &[(Rec::Prepared, false), (Rec::Decision(Committed), true)],
+            true,
+        ),
+        (Open, CommitSingleSite) => edge(Decided(Committed), &[], true),
         (Open, Commit) => Err(Refusal::CommitBeforePrepare),
         // the end of a read-only query, a stand-down, an abort that beat
         // the Prepare: nothing was promised, nothing to retire
-        (Open, Abort | Cancel) => edge(Decided(Aborted), None, false),
+        (Open, Abort | Cancel) => edge(Decided(Aborted), &[], false),
         // the decision is forced before it is acted on, so a crash in the
-        // gap re-applies instead of forgetting a committed ∆
-        (Prepared, Commit) => edge(Decided(Committed), forced(Rec::Decision(Committed)), true),
-        // absence of a commit record *is* the abort record, but the append
-        // retires the `Prepared` entry so the log can checkpoint
-        (Prepared, Abort) => edge(Decided(Aborted), forced(Rec::Decision(Aborted)), false),
+        // gap re-applies instead of forgetting a committed ∆; a one-phase
+        // retry reaching a restart whose `Prepared` got out is this commit
+        (Prepared, Commit | CommitOnePhase) => edge(
+            Decided(Committed),
+            &[(Rec::Decision(Committed), true)],
+            true,
+        ),
+        // presumed abort: no promise rests on it, the append only retires
+        // the `Prepared` entry so the log can checkpoint
+        (Prepared, Abort) => edge(Decided(Aborted), &[(Rec::Decision(Aborted), false)], false),
         (Prepared | Decided(_), CommitSingleSite) => Err(Refusal::NotSingleSite),
-        (Decided(_), Prepare) => Err(Refusal::Finished),
-        (Decided(Aborted), Commit) => Err(Refusal::CommitAfterAbort),
+        (Decided(Aborted), Prepare) => Err(Refusal::Finished),
+        (Decided(Aborted), Commit | CommitOnePhase) => Err(Refusal::CommitAfterAbort),
         // still prepared (past the promise only the decision protocol may
-        // settle it); already applied, or already dropped: acknowledged
-        (Prepared, Prepare | Cancel) | (Decided(_), Commit | Abort | Cancel) => {
-            edge(at, None, false)
-        }
+        // settle it); already applied — or voted read-only, which a
+        // redelivered Prepare hears again — or already dropped: acknowledged
+        (Prepared, Prepare | Cancel)
+        | (Decided(Committed), Prepare | Commit | CommitOnePhase)
+        | (Decided(_), Abort | Cancel) => edge(at, &[], false),
     }
 }
 
 /// Replay: feed one participant's logged records to the table the live
-/// driver runs — a record is the input that writes it (one the table could
+/// driver runs — a record is the input whose one-record edge writes it (the
+/// records of a longer edge are each such an edge's; one the table could
 /// not have written from where the log stands is skipped). Answers where
 /// the log leaves it, and whether the last edge's apply is still owed.
 pub fn fold(records: impl IntoIterator<Item = Rec>) -> (Phase, bool) {
@@ -186,8 +215,9 @@ pub fn fold(records: impl IntoIterator<Item = Rec>) -> (Phase, bool) {
             owes_apply = false;
             continue;
         }
-        let wrote = |e: &Edge| e.log.is_some_and(|(r, _)| r == record);
-        if let Some(edge) = (Input::ALL.iter()).find_map(|i| step(at, *i).ok().filter(wrote)) {
+        let wrote = |e: &Edge| matches!(e.log, [(r, _)] if *r == record);
+        let edge = (Input::ALL.iter()).find_map(|i| step(at, *i, false).ok().filter(wrote));
+        if let Some(edge) = edge {
             (at, owes_apply) = (edge.next, edge.apply);
         }
     }
@@ -213,6 +243,8 @@ pub(crate) struct Done {
     pub skipped: bool,
     /// Time spent in the log.
     pub wal: Duration,
+    /// A `Prepare` found nothing to promise: the vote is read-only.
+    pub read_only: bool,
 }
 
 impl Peer {
@@ -231,22 +263,25 @@ impl Peer {
         }
         // No snapshot: a finished query answers from its remembered
         // decision; an unknown one is presumed aborted, which acknowledges
-        // an Abort or a Cancel and refuses the rest.
+        // an Abort or a Cancel — and a Commit: a `Prepared` is never
+        // forgotten, so such a query was committed and forgotten. The rest
+        // are refused.
         let snap = self.snapshots.get(qid).ok();
         let mut state = snap.as_ref().map(|s| s.state.lock());
         let (at, mut lsn) = match state.as_deref() {
             Some(TxnState::Open) => (Phase::Open, None),
             Some(TxnState::Prepared { lsn, .. }) => (Phase::Prepared, *lsn),
             Some(TxnState::Decided(d)) => (Phase::Decided(*d), None),
-            None => match self.snapshots.completed_decision(qid) {
-                Some(d) => (Phase::Decided(d), None),
-                None if matches!(input, Input::Abort | Input::Cancel) => {
-                    (Phase::Decided(Decision::Aborted), None)
-                }
-                None => return Err(SnapshotManager::no_state(qid)),
+            None => match (self.snapshots.completed_decision(qid), input) {
+                (Some(d), _) => (Phase::Decided(d), None),
+                (None, Input::Abort | Input::Cancel) => (Phase::Decided(Decision::Aborted), None),
+                (None, Input::Commit) => (Phase::Decided(Decision::Committed), None),
+                (None, _) => return Err(SnapshotManager::no_state(qid)),
             },
         };
-        let edge = step(at, input).map_err(|refusal| match refusal {
+        let promises = at == Phase::Open && matches!(input, Input::Prepare | Input::CommitOnePhase);
+        let empty = promises && snap.as_ref().is_some_and(|s| s.pul.lock().is_empty());
+        let mut edge = step(at, input, empty).map_err(|refusal| match refusal {
             Refusal::CommitBeforePrepare => XdmError::xrpc("Commit before Prepare"),
             Refusal::CommitAfterAbort => XdmError::xrpc("Commit after Abort"),
             Refusal::Finished => SnapshotManager::no_state(qid),
@@ -259,52 +294,89 @@ impl Peer {
                 Phase::Decided(_) => {}
             }
         }
-        let mut done = Done::default();
+        let mut done = Done {
+            read_only: input == Input::Prepare && edge.next == Phase::Decided(Decision::Committed),
+            ..Done::default()
+        };
+        // From its first append on, a one-phase commit may be decided: a
+        // fault tells the coordinator the outcome is unknown — it retries —
+        // never that the participant refused. Only the log (which poisons
+        // itself) and the chaos harness's crash points fail there: the peer
+        // is down for writes, and its restart replays what the log holds.
+        let unknown = |e: XdmError| match input {
+            Input::CommitOnePhase => XdmError::xrpc_outcome_unknown(format!(
+                "one-phase commit failed past its guard: {e}"
+            )),
+            _ => e,
+        };
+        let mut refused = None;
         if let (Some(snap), Some(state), true) = (&snap, state.as_mut(), edge.next != at) {
             let mut crash = |point| match via {
                 Via::Wire => self.crash_at(point, &mut span),
                 _ => Ok(()),
             };
             let wal = self.wal();
-            if input == Input::Prepare {
+            // a one-phase commit's ∆, applied to new document versions
+            // before anything is logged
+            let mut ready = None;
+            if promises && !empty {
                 // "it logs the union of the pending update lists to stable
                 // storage, ensuring q can commit later" — compatibility is
-                // the only thing that can refuse here
-                snap.pul.lock().check_compatibility()?;
+                // the only thing that can refuse a Prepare here. The one
+                // participant of a one-phase commit decides alone, so its
+                // guard is the apply itself (which also catches the XQUF
+                // errors the compatibility check cannot see), and its
+                // refusal is the abort.
+                let guard = match input {
+                    Input::CommitOnePhase => {
+                        apply_updates(&snap.pul.lock()).map(|e| ready = Some(e))
+                    }
+                    _ => snap.pul.lock().check_compatibility(),
+                };
+                match guard {
+                    Err(e) if input == Input::CommitOnePhase => {
+                        edge = step(at, Input::Abort, false).expect("Open can abort");
+                        refused = Some(e);
+                    }
+                    res => res?,
+                }
                 // nothing logged, no ack: the presumed-abort case
                 crash(crash_points::BEFORE_PREPARE_LOG)?;
             }
-            if let (Some(w), Some((record, forced)), true) = (&wal, edge.log, via != Via::Replay) {
-                let qid = qid.clone();
-                let record = match record {
-                    Rec::Prepared => WalRecord::Prepared {
-                        coordinator: qid.host.clone(),
-                        delta: wal::serialize_pul(&snap.pul.lock())?,
-                        qid,
-                    },
-                    Rec::Decision(decision) => WalRecord::Decision { qid, decision },
-                    _ => unreachable!("not a record an edge names"),
-                };
-                let t0 = Instant::now();
-                let n = log(w, &record, forced)?;
-                done.wal = t0.elapsed();
-                if input == Input::Prepare {
-                    // the LSN ∆_q is logged under is the mark its apply
-                    // will be guarded by
-                    lsn = Some(n);
+            if let (Some(w), true) = (&wal, via != Via::Replay) {
+                for &(record, forced) in edge.log {
+                    let qid = qid.clone();
+                    let record = match record {
+                        Rec::Prepared => WalRecord::Prepared {
+                            coordinator: qid.host.clone(),
+                            delta: wal::serialize_pul(&snap.pul.lock())?,
+                            qid,
+                        },
+                        Rec::Decision(decision) => WalRecord::Decision { qid, decision },
+                        _ => unreachable!("not a record an edge names"),
+                    };
+                    let t0 = Instant::now();
+                    let n = log(w, &record, forced).map_err(unknown)?;
+                    done.wal += t0.elapsed();
+                    if let WalRecord::Prepared { .. } = record {
+                        // the LSN ∆_q is logged under is the mark its apply
+                        // will be guarded by
+                        lsn = Some(n);
+                    }
                 }
             }
             if edge.apply {
-                if edge.log.is_some() {
-                    crash(crash_points::AFTER_DECISION_LOG)?;
+                if !edge.log.is_empty() {
+                    crash(crash_points::AFTER_DECISION_LOG).map_err(unknown)?;
                 }
-                let pul = snap.pul.lock().clone();
-                done.skipped = !self.apply_pul_marked(&pul, qid, lsn)?;
+                let edits = || ready.map_or_else(|| apply_updates(&snap.pul.lock()), Ok);
+                done.skipped = !self.apply_pul_marked(edits, qid, lsn).map_err(unknown)?;
                 // the marker is not forced: without it replay re-drives
                 // the apply and the applied-LSN mark turns that into a no-op
-                if let (Some(w), Some(_)) = (&wal, edge.log) {
-                    crash(crash_points::AFTER_APPLY_BEFORE_MARKER)?;
-                    self.log_applied(w, qid, lsn.unwrap_or(0))?;
+                if let (Some(w), false) = (&wal, edge.log.is_empty()) {
+                    crash(crash_points::AFTER_APPLY_BEFORE_MARKER).map_err(unknown)?;
+                    self.log_applied(w, qid, lsn.unwrap_or(0))
+                        .map_err(unknown)?;
                 }
             }
             **state = match edge.next {
@@ -322,11 +394,20 @@ impl Peer {
             _ if edge.next == at => {}
             (Phase::Decided(d), _) => {
                 self.snapshots.finish_with(qid, d);
-                match input {
-                    Input::Commit => m.commits.fetch_add(1, Ordering::Relaxed),
-                    Input::Abort => m.aborts.fetch_add(1, Ordering::Relaxed),
-                    _ => 0,
-                };
+                match (d, input) {
+                    (Decision::Committed, Input::Commit | Input::CommitOnePhase) => {
+                        m.commits.fetch_add(1, Ordering::Relaxed);
+                    }
+                    (Decision::Aborted, Input::Abort | Input::CommitOnePhase) => {
+                        m.aborts.fetch_add(1, Ordering::Relaxed);
+                    }
+                    _ => {}
+                }
+                // committed, and the ack never leaves: "response lost"
+                if (d, input, via) == (Decision::Committed, Input::CommitOnePhase, Via::Wire) {
+                    (self.crash_at(crash_points::AFTER_ONE_PHASE_COMMIT, &mut span))
+                        .map_err(unknown)?;
+                }
             }
             // the ack will be delivered — then the peer dies holding
             // prepared state: the in-doubt case recovery resolves by inquiry
@@ -338,9 +419,12 @@ impl Peer {
             }
             _ => {}
         }
+        if let Some(e) = refused {
+            return Err(e);
+        }
         let micros = match input {
             Input::Prepare => "xrpc_twopc_prepare_micros",
-            Input::Commit => "xrpc_twopc_commit_micros",
+            Input::Commit | Input::CommitOnePhase => "xrpc_twopc_commit_micros",
             _ => return Ok(done),
         };
         self.obs.histogram(micros).record_micros(span.elapsed());
@@ -348,7 +432,7 @@ impl Peer {
     }
 
     /// WS-AtomicTransaction over the XRPC channel (§2.3): a participant's
-    /// four messages are inputs to its machine; `Inquire` is a restarted
+    /// five messages are inputs to its machine; `Inquire` is a restarted
     /// participant asking this peer, the coordinator, what was decided.
     pub(crate) fn handle_control(&self, req: &XrpcRequest) -> XdmResult<XrpcResponse> {
         self.stats.control_messages.fetch_add(1, Ordering::Relaxed);
@@ -362,12 +446,19 @@ impl Peer {
             span.tag("outcome", format!("{outcome:?}"));
             return Ok(outcome.into_response());
         }
-        let input = (Input::ALL.into_iter())
-            .find(|i| i.names().0 == req.method)
+        let input = Input::of_method(&req.method)
             .ok_or_else(|| XdmError::xrpc(format!("unknown control method `{}`", req.method)))?;
-        self.txn_edge(qid, input, Via::Wire)?;
+        let done = self.txn_edge(qid, input, Via::Wire)?;
         match input {
-            Input::Prepare => m.prepares.fetch_add(1, Ordering::Relaxed),
+            Input::Prepare => {
+                m.prepares.fetch_add(1, Ordering::Relaxed);
+                let vote = if done.read_only {
+                    Vote::ReadOnly
+                } else {
+                    Vote::Prepared
+                };
+                return Ok(vote.into_response());
+            }
             Input::Cancel => m.cancels.fetch_add(1, Ordering::Relaxed),
             _ => 0,
         };
@@ -378,9 +469,14 @@ impl Peer {
 
     /// `applyUpdates(∆)` into the store.
     pub(crate) fn apply_pul(&self, pul: &PendingUpdateList) -> XdmResult<()> {
-        for edit in apply_updates(pul)? {
+        self.install(apply_updates(pul)?)
+    }
+
+    /// Put the new document versions `apply_updates` made into the store.
+    fn install(&self, edits: Vec<DocEdit>) -> XdmResult<()> {
+        for edit in edits {
             if let Some(uri) = &edit.uri {
-                self.docs.replace(uri, edit.new.clone())?;
+                self.docs.replace(uri, edit.new)?;
             }
         }
         Ok(())
@@ -396,23 +492,24 @@ impl Peer {
     /// whose log sequence number is at-or-below the mark has already
     /// reached the documents (the crash or redelivery fell between the
     /// apply and the `Applied` marker), so it is skipped instead of applied
-    /// twice. Returns whether the ∆ was actually applied.
+    /// twice. `edits` makes the new document versions. Returns whether the
+    /// ∆ was actually applied.
     pub(crate) fn apply_pul_marked(
         &self,
-        pul: &PendingUpdateList,
+        edits: impl FnOnce() -> XdmResult<Vec<DocEdit>>,
         qid: &QueryId,
         lsn: Option<u64>,
     ) -> XdmResult<bool> {
         let Some(lsn) = lsn else {
             // never logged: nothing could replay it
-            self.apply_pul(pul)?;
+            self.install(edits()?)?;
             return Ok(true);
         };
         let key = Self::mark_key(qid);
         if self.docs.applied_mark(&key).is_some_and(|m| m >= lsn) {
             return Ok(false);
         }
-        self.apply_pul(pul)?;
+        self.install(edits()?)?;
         self.docs.set_applied_mark(&key, lsn);
         Ok(true)
     }
@@ -429,7 +526,11 @@ impl Peer {
     /// Die here, mid-request, if the chaos harness armed `point`: the error
     /// propagates up, and the attached `SimNetwork` suppresses the response
     /// so the caller sees an ambiguous timeout.
-    pub(crate) fn crash_at(&self, point: &str, span: &mut xrpc_obs::SpanGuard) -> XdmResult<()> {
+    pub(crate) fn crash_at(
+        &self,
+        point: &'static str,
+        span: &mut xrpc_obs::SpanGuard,
+    ) -> XdmResult<()> {
         if !(self.crash_switch.read().as_ref()).is_some_and(|sw| sw.hit(point)) {
             return Ok(());
         }
@@ -452,7 +553,8 @@ impl Peer {
 /// means presumed abort: never begun, aborted, or committed and forgotten.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoordState {
-    /// Prepare or decision in flight: `Inquire` answers `InDoubt`.
+    /// Prepare or decision in flight — or a one-phase commit, which the
+    /// coordinator may still retry: `Inquire` answers `InDoubt`.
     Coordinating,
     /// The commit record is forced: `Inquire` answers `Committed`. Until
     /// `delivered`, some participant may not have heard.
@@ -465,12 +567,14 @@ pub enum CoordState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoordInput<'a> {
     Begin(&'a [String]),
-    /// The commit point: every participant prepared.
+    /// The commit point: every participant prepared (the writers among
+    /// them, who are told).
     Commit(&'a [String]),
     /// Every participant acknowledged the decision.
     Acked,
-    /// Decided abort, or gave up undecided.
-    Abort,
+    /// No commit record will follow: decided abort, gave up undecided,
+    /// every vote read-only, or a one-phase commit's participant answered.
+    End,
     /// The originator's own ∆ is settled too: nobody is left to ask.
     Forget,
     /// The process restarted: whatever was in flight died with it.
@@ -501,12 +605,14 @@ pub fn coord_step(at: Option<CoordState>, input: CoordInput<'_>) -> Result<Coord
             Some(Committed { delivered: false }),
             Some((Rec::CoordinatorCommit, true)),
         ),
-        (Some(Coordinating), Abort) => edge(None, Some((Rec::CoordinatorEnd, false))),
+        (Some(Coordinating), End) => edge(None, Some((Rec::CoordinatorEnd, false))),
         (Some(Coordinating), Restart) => edge(Some(ReAbort), None),
-        // bounds how long a restarted coordinator keeps redelivering
+        // bounds how long a restarted coordinator keeps redelivering; not
+        // forced: if it is lost, participants that finished long ago
+        // acknowledge the redelivered Commit of a query they forgot
         (Some(Committed { delivered: false }), Acked) => edge(
             Some(Committed { delivered: true }),
-            Some((Rec::CoordinatorEnd, true)),
+            Some((Rec::CoordinatorEnd, false)),
         ),
         (Some(Committed { delivered: true }), Forget) => edge(None, None),
         (Some(ReAbort), Acked) => edge(None, Some((Rec::CoordinatorEnd, false))),
@@ -514,7 +620,7 @@ pub fn coord_step(at: Option<CoordState>, input: CoordInput<'_>) -> Result<Coord
         // survives a second restart; nothing to end
         (Some(Committed { delivered: true }), Acked)
         | (Some(Committed { .. } | ReAbort), Restart)
-        | (None, Acked | Abort | Forget | Restart) => edge(at, None),
+        | (None, Acked | End | Forget | Restart) => edge(at, None),
         _ => Err(NotFromHere),
     }
 }
@@ -588,7 +694,7 @@ impl CoordTable {
                     CoordInput::Commit(participants)
                 }
                 WalRecord::CoordinatorEnd { qid } => match self.state(qid) {
-                    Some(CoordState::Coordinating) => CoordInput::Abort,
+                    Some(CoordState::Coordinating) => CoordInput::End,
                     _ => CoordInput::Acked,
                 },
                 _ => continue,
@@ -666,54 +772,88 @@ mod tests {
         use Input::*;
         use Phase::{Decided, Open, Prepared};
         use Row::*;
+        let committed = To(Decided(Committed));
+        let not_single = || Refused(Refusal::NotSingleSite);
         let want = [
             (Open, Prepare, To(Prepared)),
             (Open, Commit, Refused(Refusal::CommitBeforePrepare)),
+            (Open, CommitOnePhase, committed),
             (Open, CommitSingleSite, To(Decided(Committed))),
             (Open, Abort, To(Decided(Aborted))),
             (Open, Cancel, To(Decided(Aborted))),
             (Prepared, Prepare, Again),
             (Prepared, Commit, To(Decided(Committed))),
-            (Prepared, CommitSingleSite, Refused(Refusal::NotSingleSite)),
+            (Prepared, CommitOnePhase, To(Decided(Committed))),
+            (Prepared, CommitSingleSite, not_single()),
             (Prepared, Abort, To(Decided(Aborted))),
             (Prepared, Cancel, Again),
-            (Decided(Committed), Prepare, Refused(Refusal::Finished)),
+            (Decided(Committed), Prepare, Again),
             (Decided(Committed), Commit, Again),
-            (
-                Decided(Committed),
-                CommitSingleSite,
-                Refused(Refusal::NotSingleSite),
-            ),
+            (Decided(Committed), CommitOnePhase, Again),
+            (Decided(Committed), CommitSingleSite, not_single()),
             (Decided(Committed), Abort, Again),
             (Decided(Committed), Cancel, Again),
             (Decided(Aborted), Prepare, Refused(Refusal::Finished)),
             (Decided(Aborted), Commit, Refused(Refusal::CommitAfterAbort)),
             (
                 Decided(Aborted),
-                CommitSingleSite,
-                Refused(Refusal::NotSingleSite),
+                CommitOnePhase,
+                Refused(Refusal::CommitAfterAbort),
             ),
+            (Decided(Aborted), CommitSingleSite, not_single()),
             (Decided(Aborted), Abort, Again),
             (Decided(Aborted), Cancel, Again),
         ];
+        let row = |at, input, empty| match step(at, input, empty) {
+            Ok(edge) if edge.next == at => {
+                assert_eq!((edge.log, edge.apply), (&[][..], false), "{at:?} {input:?}");
+                Again
+            }
+            Ok(edge) => To(edge.next),
+            Err(r) => Refused(r),
+        };
         let mut have = Vec::new();
         for at in PHASES {
             for input in Input::ALL {
-                have.push((
-                    at,
-                    input,
-                    match step(at, input) {
-                        Ok(edge) if edge.next == at => {
-                            assert_eq!((edge.log, edge.apply), (None, false), "{at:?} {input:?}");
-                            Again
-                        }
-                        Ok(edge) => To(edge.next),
-                        Err(r) => Refused(r),
-                    },
-                ));
+                have.push((at, input, row(at, input, false)));
             }
         }
         assert_eq!(have, want);
+
+        // an empty ∆ changes two rows: it settles where a ∆ would be
+        // promised, and writes nothing
+        for at in PHASES {
+            for input in Input::ALL {
+                let (full, empty) = (step(at, input, false), step(at, input, true));
+                if at == Open && matches!(input, Prepare | CommitOnePhase) {
+                    let settled = Edge {
+                        next: Decided(Committed),
+                        log: &[],
+                        apply: false,
+                    };
+                    assert_eq!(empty, Ok(settled), "{input:?}");
+                } else {
+                    assert_eq!(empty, full, "{at:?} {input:?}");
+                }
+            }
+        }
+    }
+
+    /// The wire's vocabulary: every control method is exactly one thing —
+    /// an input to the participant's table, or `Inquire`, a lookup in the
+    /// coordinator's — and every input but the single-site commit has one.
+    #[test]
+    fn each_control_method_is_exactly_one_input() {
+        for method in xrpc_proto::control::METHODS {
+            let inputs = Input::ALL.iter().filter(|i| i.names().0 == Some(method));
+            let meanings = inputs.count() + usize::from(method == METHOD_INQUIRE);
+            assert_eq!(meanings, 1, "{method}");
+        }
+        for input in Input::ALL {
+            let on_wire = input.names().0.map(|m| Input::of_method(m) == Some(input));
+            assert_eq!(on_wire.is_none(), input == Input::CommitSingleSite);
+            assert_ne!(on_wire, Some(false), "{input:?}");
+        }
     }
 
     const COORD_STATES: [Option<CoordState>; 5] = [
@@ -728,7 +868,7 @@ mod tests {
         CoordInput::Begin(&[]),
         CoordInput::Commit(&[]),
         CoordInput::Acked,
-        CoordInput::Abort,
+        CoordInput::End,
         CoordInput::Forget,
         CoordInput::Restart,
     ];
@@ -739,7 +879,7 @@ mod tests {
         use Row::*;
         let undelivered = Some(Committed { delivered: false });
         let delivered = Some(Committed { delivered: true });
-        // Begin, Commit, Acked, Abort, Forget, Restart
+        // Begin, Commit, Acked, End, Forget, Restart
         let refused = || Refused(NotFromHere);
         let want = [
             [
@@ -797,12 +937,14 @@ mod tests {
         };
         for at in PHASES {
             for input in Input::ALL {
-                let Ok(edge) = step(at, input) else { continue };
-                if let Some((record, forced)) = edge.log {
+                let Ok(edge) = step(at, input, false) else {
+                    continue;
+                };
+                for &(record, forced) in edge.log {
                     emit((record, "participant", forced));
-                    if edge.apply {
-                        emit((Rec::Applied, "participant", false));
-                    }
+                }
+                if edge.apply && !edge.log.is_empty() {
+                    emit((Rec::Applied, "participant", false));
                 }
             }
         }
@@ -819,13 +961,13 @@ mod tests {
         }
         let want = [
             (Rec::Prepared, "participant", true),
+            (Rec::Prepared, "participant", false),
             (Rec::Decision(Committed), "participant", true),
             (Rec::Applied, "participant", false),
-            (Rec::Decision(Aborted), "participant", true),
+            (Rec::Decision(Aborted), "participant", false),
             (Rec::CoordinatorBegin, "coordinator", false),
             (Rec::CoordinatorCommit, "coordinator", true),
             (Rec::CoordinatorEnd, "coordinator", false),
-            (Rec::CoordinatorEnd, "coordinator", true),
         ];
         assert_eq!(emitted, want);
 
@@ -871,23 +1013,38 @@ mod tests {
     }
 
     /// Replay is the same function: run the live driver's bookkeeping over
-    /// every input sequence, and every time it has written a record,
-    /// folding what the log holds so far gives where that edge leads and
-    /// whether its apply (and the unwritten `Applied`) is still owed.
+    /// every input sequence, and every time it has written an edge's last
+    /// record, folding what the log holds so far gives where that edge leads
+    /// and whether its apply (and the unwritten `Applied`) is still owed.
+    /// Cut inside a longer edge, the log folds to where the same input,
+    /// redelivered, writes the rest of the edge and ends where it would
+    /// have: a one-phase commit whose `Prepared` got out is a prepared
+    /// participant the coordinator's retry commits.
     #[test]
     fn folding_a_log_prefix_is_where_the_live_driver_stood_when_it_wrote_it() {
         fn walk(at: Phase, written: &mut Vec<Rec>, depth: usize, checked: &mut usize) {
             for input in Input::ALL {
-                let Ok(edge) = step(at, input) else { continue };
+                let Ok(edge) = step(at, input, false) else {
+                    continue;
+                };
                 if edge.next == at || depth == 0 {
                     continue;
                 }
                 let before = written.len();
-                if let Some((record, _)) = edge.log {
+                for (i, &(record, _)) in edge.log.iter().enumerate() {
                     written.push(record);
                     let folded = fold(written.iter().copied());
-                    assert_eq!(folded, (edge.next, edge.apply), "after {written:?}");
                     *checked += 1;
+                    if i + 1 < edge.log.len() {
+                        let retry = step(folded.0, input, false).map(|e| (e, folded.1));
+                        let rest = Edge {
+                            log: &edge.log[i + 1..],
+                            ..edge
+                        };
+                        assert_eq!(retry, Ok((rest, false)), "after {written:?}");
+                        continue;
+                    }
+                    assert_eq!(folded, (edge.next, edge.apply), "after {written:?}");
                     if edge.apply {
                         written.push(Rec::Applied);
                         let folded = fold(written.iter().copied());
@@ -901,8 +1058,10 @@ mod tests {
         }
         let mut checked = 0;
         walk(Phase::Open, &mut Vec::new(), 6, &mut checked);
-        // Prepared; + Decision{Committed}; + Applied; Prepared + Decision{Aborted}
-        assert_eq!(checked, 4, "prefixes checked");
+        // Prepared; + Decision{Committed}; + Applied — by Commit and by a
+        // one-phase retry; Prepared + Decision{Aborted}; the one-phase
+        // edge's Prepared; + Decision{Committed}; + Applied
+        assert_eq!(checked, 9, "prefixes checked");
         // what no driver writes is skipped, not guessed at
         let stray = [Rec::Applied, Rec::Decision(Committed), Rec::Prepared];
         assert_eq!(fold(stray), (Phase::Prepared, false));
@@ -921,7 +1080,7 @@ mod tests {
             CoordInput::Begin(&parts),
             CoordInput::Commit(&parts),
             CoordInput::Acked,
-            CoordInput::Abort,
+            CoordInput::End,
             CoordInput::Forget,
             CoordInput::Restart,
         ];

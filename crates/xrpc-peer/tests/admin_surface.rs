@@ -196,7 +196,10 @@ fn metrics_and_healthz_scrape_end_to_end() {
         body.contains("xrpc_net_roundtrips_total{side=\"server\"}"),
         "server-side transport counters labeled"
     );
-    assert!(body.contains("xrpc_twopc_prepares_total 1"));
+    // the lone writer commits in one phase: no Prepare ran, and its
+    // histogram family is on the page all the same (checked above)
+    assert!(body.contains("xrpc_twopc_commits_total 1"));
+    assert!(body.contains("xrpc_twopc_prepares_total 0"));
 
     // ---- client-side /metrics ----
     let (status, body) = http_get("127.0.0.1", a_server.port(), "/metrics");

@@ -21,6 +21,8 @@ const TEST_MODULE: &str = r#"
     { replace value of node doc("state.xml")/v with $x };
     declare updating function t:renameRoot($n as xs:string)
     { rename node doc("state.xml")/v as $n };
+    declare updating function t:attrBesideRoot()
+    { insert node attribute a {"1"} before doc("state.xml")/v };
     declare function t:double($x as xs:integer) { $x * 2 };
     declare function t:toInt($x as xs:string) { $x cast as xs:integer };
 "#;
@@ -200,12 +202,12 @@ fn update_repeatable_defers_until_2pc_commit_rule_rfu_prime() {
     // after execute() returns the transaction has committed
     let v = b.docs.get("state.xml").unwrap();
     assert_eq!(v.string_value(v.root()), "committed");
-    // Prepare + Commit both hit B
+    // B holds the only ∆: one CommitOnePhase, no Prepare + Commit
     assert_eq!(
         b.stats
             .control_messages
             .load(std::sync::atomic::Ordering::Relaxed),
-        2
+        1
     );
     assert!(matches!(
         out.commit,
@@ -688,7 +690,11 @@ fn an_update_called_back_into_the_originator_commits_with_the_query() {
     // b's function updates b *and* calls an updating function back at a:
     // a's ∆ was merged where nobody prepared or committed it, so the query
     // answered Committed and a kept its old value
-    for (function, b_after) in [("both", "<v>new</v>"), ("bounce", "<v>initial</v>")] {
+    // b's control messages: Prepare + Commit for a writer; a Prepare that
+    // votes read-only when b's own ∆ is empty
+    for (function, b_after, b_control) in
+        [("both", "<v>new</v>", 2), ("bounce", "<v>initial</v>", 1)]
+    {
         let (_net, a, b) = callback_pair();
         let out = a
             .execute_detailed(&format!(
@@ -711,7 +717,7 @@ fn an_update_called_back_into_the_originator_commits_with_the_query() {
         assert_eq!(b.snapshots.active_count(), 0, "{function}");
         // the originator's own Prepare and Commit are function calls
         assert_eq!(control_messages(&a), 0, "{function}");
-        assert_eq!(control_messages(&b), 2, "{function}");
+        assert_eq!(control_messages(&b), b_control, "{function}");
     }
 }
 
@@ -764,4 +770,210 @@ fn a_call_back_reads_the_state_the_query_started_on() {
     assert_eq!(a.snapshots.active_count(), 0, "nothing left pinned at a");
     assert_eq!(b.snapshots.active_count(), 0);
     assert_eq!(control_messages(&a), 0);
+}
+
+// ---------------------------------------------------------------------
+// What a commit costs: one writer, readers, aborts (presumed abort)
+// ---------------------------------------------------------------------
+
+/// A peer on `net` whose WAL forces every promise (so `fsyncs` counts
+/// them), with the test module and `state.xml`; returns it and its log.
+fn durable(net: &Arc<SimNetwork>, uri: &str, test: &str) -> (Arc<Peer>, Arc<xrpc_peer::Wal>) {
+    let p = Peer::new(uri, EngineKind::Tree);
+    p.register_module(TEST_MODULE).unwrap();
+    p.add_document("state.xml", "<v>initial</v>").unwrap();
+    p.set_transport(net.clone());
+    net.register(uri, p.soap_handler());
+    let host = uri.trim_start_matches("xrpc://");
+    let dir = std::env::temp_dir().join(format!(
+        "xrpc-integration-{}-{test}-{host}.wal",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    p.attach_wal(&dir, xrpc_peer::FsyncPolicy::Always).unwrap();
+    let log = p.wal().unwrap();
+    (p, log)
+}
+
+fn fsyncs(log: &xrpc_peer::Wal) -> u64 {
+    log.stats().fsyncs
+}
+
+#[test]
+fn an_isolated_read_only_query_forces_nothing() {
+    let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+    let (a, a_log) = durable(&net, "xrpc://a.example.org", "read-only");
+    let (b, b_log) = durable(&net, "xrpc://b.example.org", "read-only");
+    let out = a
+        .execute_detailed(
+            r#"declare option xrpc:isolation "repeatable";
+               import module namespace t = "test";
+               execute at {"xrpc://b.example.org"} {t:get()}"#,
+        )
+        .unwrap();
+    assert_eq!(serialize(&out.result), "initial");
+    assert!(matches!(
+        out.commit,
+        Some(xrpc_peer::CommitOutcome::Committed { participants: 1 })
+    ));
+    // one CommitOnePhase of an empty ∆: no record, no flush, anywhere
+    assert_eq!(control_messages(&b), 1);
+    assert_eq!((fsyncs(&a_log), fsyncs(&b_log)), (0, 0));
+    assert_eq!(b.snapshots.active_count(), 0);
+    for log in [a_log, b_log] {
+        let _ = std::fs::remove_dir_all(log.path());
+    }
+}
+
+#[test]
+fn a_reader_votes_read_only_and_hears_no_decision() {
+    let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+    let a = Peer::new("xrpc://a.example.org", EngineKind::Tree);
+    a.register_module(TEST_MODULE).unwrap();
+    a.set_transport(net.clone());
+    let (writer, w_log) = durable(&net, "xrpc://w.example.org", "reader");
+    let (reader, r_log) = durable(&net, "xrpc://r.example.org", "reader");
+    let untouched = r_log.stats().log_bytes;
+    let out = a
+        .execute_detailed(
+            r#"declare option xrpc:isolation "repeatable";
+               import module namespace t = "test";
+               (execute at {"xrpc://w.example.org"} {t:set("written")},
+                execute at {"xrpc://r.example.org"} {t:get()})"#,
+        )
+        .unwrap();
+    assert_eq!(serialize(&out.result), "initial");
+    assert!(matches!(
+        out.commit,
+        Some(xrpc_peer::CommitOutcome::Committed { participants: 2 })
+    ));
+    // Prepare ×2, Commit ×1: the reader's vote leaves it out of phase 2
+    let (w, r) = (
+        writer.twopc_metrics.snapshot(),
+        reader.twopc_metrics.snapshot(),
+    );
+    assert_eq!((w.prepares, r.prepares), (1, 1));
+    assert_eq!((w.commits, r.commits), (1, 0));
+    assert_eq!(
+        (control_messages(&writer), control_messages(&reader)),
+        (2, 1)
+    );
+    assert_eq!(state(&writer), "<v>written</v>");
+    // the writer's two promises, and nothing at all in the reader's log
+    assert_eq!(fsyncs(&w_log), 2);
+    assert_eq!(fsyncs(&r_log), 0);
+    assert_eq!(r_log.stats().log_bytes, untouched);
+    assert_eq!(reader.snapshots.active_count(), 0);
+    for log in [w_log, r_log] {
+        let _ = std::fs::remove_dir_all(log.path());
+    }
+}
+
+#[test]
+fn a_delta_that_cannot_apply_aborts_a_one_phase_commit_before_the_log() {
+    // XUDY0030 — an attribute beside the document element — passes the
+    // compatibility check and fails only in the apply, which the one-phase
+    // guard runs before anything is logged: a true abort, nothing promised
+    let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+    let a = Peer::new("xrpc://a.example.org", EngineKind::Tree);
+    a.register_module(TEST_MODULE).unwrap();
+    a.set_transport(net.clone());
+    let (b, log) = durable(&net, "xrpc://b.example.org", "cannot-apply");
+    let untouched = log.stats().log_bytes;
+    let err = a
+        .execute(
+            r#"declare option xrpc:isolation "repeatable";
+               import module namespace t = "test";
+               execute at {"xrpc://b.example.org"} {t:attrBesideRoot()}"#,
+        )
+        .unwrap_err();
+    assert!(err.message.contains("transaction aborted"), "{err}");
+    assert!(err.message.contains("XUDY0030"), "{err}");
+    assert_eq!(state(&b), "<v>initial</v>");
+    assert_eq!((control_messages(&b), fsyncs(&log)), (1, 0));
+    assert_eq!(log.stats().log_bytes, untouched, "no record at all");
+    assert_eq!(log.open_transactions(), 0);
+    let m = b.twopc_metrics.snapshot();
+    assert_eq!((m.commits, m.aborts), (0, 1));
+    assert_eq!(a.twopc_metrics.snapshot().hazards, 0);
+    assert_eq!(b.snapshots.active_count(), 0, "released");
+    let _ = std::fs::remove_dir_all(log.path());
+}
+
+/// A control message `method` for `qid`, as the coordinator sends it.
+fn control(method: &str, qid: &xrpc_proto::QueryId) -> Vec<u8> {
+    let mut req = xrpc_proto::XrpcRequest::new(xrpc_peer::twopc::WSAT_MODULE, method, 0)
+        .with_query_id(qid.clone());
+    req.push_call(vec![]);
+    req.to_xml().unwrap().into_bytes()
+}
+
+#[test]
+fn presumed_abort_forces_no_abort_and_acknowledges_a_forgotten_commit() {
+    let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+    let (b, log) = durable(&net, "xrpc://b.example.org", "presumed-abort");
+    let answer = |method: &str, qid: &xrpc_proto::QueryId| {
+        String::from_utf8(b.handle_soap(&control(method, qid))).unwrap()
+    };
+
+    // two promises cost their two forces, the aborts that undo them none
+    // (the first abort is appended while the other promise keeps the log
+    // open; the last one empties it)
+    let qids = [3333, 3334].map(|ts| xrpc_proto::QueryId::new("origin", ts, 30));
+    for qid in &qids {
+        let mut set = xrpc_proto::XrpcRequest::new("test", "set", 1).with_query_id(qid.clone());
+        set.deferred = true;
+        set.push_call(vec![Sequence::one(Item::string("doomed"))]);
+        b.handle_soap(set.to_xml().unwrap().as_bytes());
+        assert!(answer("Prepare", qid).contains("response"));
+    }
+    assert_eq!(fsyncs(&log), 2);
+    for qid in &qids {
+        assert!(answer("Abort", qid).contains("response"));
+    }
+    assert_eq!(fsyncs(&log), 2, "Decision{{Aborted}} is not forced");
+    assert_eq!(log.open_transactions(), 0);
+    assert_eq!(state(&b), "<v>initial</v>");
+
+    // a Commit for a query b has no record of was committed and forgotten:
+    // acknowledged; a one-phase commit or a Prepare of one is refused
+    let unknown = xrpc_proto::QueryId::new("origin", 4444, 30);
+    assert!(answer("Commit", &unknown).contains("response"));
+    for method in ["CommitOnePhase", "Prepare"] {
+        let reply = answer(method, &unknown);
+        assert!(reply.contains("XRPC0002"), "{method}: {reply}");
+    }
+    let _ = std::fs::remove_dir_all(log.path());
+}
+
+#[test]
+fn an_inquiry_while_a_one_phase_commit_is_in_flight_hears_in_doubt() {
+    // b asks the coordinator about the transaction the moment the
+    // CommitOnePhase reaches it — as a participant restarted mid-edge would
+    let (net, a, b) = sim_pair(EngineKind::Tree);
+    let heard = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let (coordinator, serve_b, h) = (a.clone(), b.soap_handler(), heard.clone());
+    net.register(
+        "xrpc://b.example.org",
+        Arc::new(move |body: &[u8]| {
+            let text = std::str::from_utf8(body).unwrap();
+            if let Ok(xrpc_proto::XrpcMessage::Request(req)) = xrpc_proto::parse_message(text) {
+                if req.method == "CommitOnePhase" {
+                    let ask = control("Inquire", req.query_id.as_ref().unwrap());
+                    let reply = String::from_utf8(coordinator.handle_soap(&ask)).unwrap();
+                    h.lock().unwrap().push(reply.contains("in-doubt"));
+                }
+            }
+            serve_b(body)
+        }),
+    );
+    a.execute(
+        r#"declare option xrpc:isolation "repeatable";
+           import module namespace t = "test";
+           execute at {"xrpc://b.example.org"} {t:set("once")}"#,
+    )
+    .unwrap();
+    assert_eq!(*heard.lock().unwrap(), [true], "InDoubt while in flight");
+    assert_eq!(state(&b), "<v>once</v>");
+    assert_eq!(a.coord.committed_entries(), 0, "and nothing left after it");
 }

@@ -40,6 +40,11 @@ const UPDATE_BOTH: &str = r#"declare option xrpc:isolation "repeatable";
     (execute at {"xrpc://b.example.org"} {t:addEntry("x")},
      execute at {"xrpc://c.example.org"} {t:addEntry("x")})"#;
 
+/// One writer, the coordinator holding no ∆: a one-phase commit at b.
+const UPDATE_B: &str = r#"declare option xrpc:isolation "repeatable";
+    import module namespace t = "test";
+    execute at {"xrpc://b.example.org"} {t:addEntry("x")}"#;
+
 /// Unique WAL paths per cluster so parallel tests never share a log.
 static RUN_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -401,6 +406,94 @@ fn coordinator_crash_after_commit_log_settles_its_own_delta_exactly_once() {
         assert_eq!(log_count(&n.peer), 1, "exactly once");
         assert_eq!(n.peer.snapshots.active_count(), 0);
         assert_eq!(n.peer.wal().unwrap().open_transactions(), 0);
+    }
+}
+
+// ---------------------------------------------------------------------
+// One-phase commit: b holds the only ∆ and decides alone, in one edge
+// ---------------------------------------------------------------------
+
+/// Arm `point` at b, run the one-writer update, restart b from its log and
+/// let everyone resolve: the ∆ lands exactly `applied` times and nothing is
+/// left in doubt or open. b died without answering, so the coordinator
+/// could only report the outcome unknown — never an abort.
+fn one_phase_crash(point: &str, applied: usize) -> xrpc_peer::RecoveryReport {
+    let mut cl = cluster("one-phase");
+    cl.b.switch.arm(point);
+    let err = cl.a.peer.execute(UPDATE_B).unwrap_err();
+    assert_eq!(err.code, "XRPC0006", "{point}: {err}");
+    assert!(cl.b.switch.is_down(), "{point} fired");
+    let report = restart(&cl.net, &mut cl.b, B_URI);
+    for n in [&cl.a, &cl.b] {
+        n.peer.resolve_in_doubt().unwrap();
+    }
+    assert_eq!(log_count(&cl.b.peer), applied, "{point}: {report:?}");
+    assert_eq!(log_count(&cl.c.peer), 0);
+    assert_eq!(cl.b.peer.snapshots.active_count(), 0, "{point}");
+    assert_eq!(cl.b.peer.wal().unwrap().open_transactions(), 0, "{point}");
+    assert_eq!(cl.a.peer.coord.committed_entries(), 0);
+    report
+}
+
+#[test]
+fn one_phase_crash_before_the_log_leaves_nothing() {
+    // nothing durable, no answer: the coordinator cannot tell this from a
+    // lost acknowledgement, so it says "unknown", never "aborted"
+    let report = one_phase_crash(crash_points::BEFORE_PREPARE_LOG, 0);
+    assert_eq!(report, xrpc_peer::RecoveryReport::default());
+}
+
+#[test]
+fn one_phase_crash_after_the_forced_decision_reapplies_once() {
+    let report = one_phase_crash(crash_points::AFTER_DECISION_LOG, 1);
+    assert_eq!((report.reapplied, report.lsn_skips), (1, 0), "{report:?}");
+}
+
+#[test]
+fn one_phase_crash_between_apply_and_marker_is_stopped_by_the_mark() {
+    let report = one_phase_crash(crash_points::AFTER_APPLY_BEFORE_MARKER, 1);
+    assert_eq!((report.reapplied, report.lsn_skips), (1, 1), "{report:?}");
+}
+
+#[test]
+fn one_phase_commit_whose_answer_is_lost_is_unknown_and_committed() {
+    let report = one_phase_crash(crash_points::AFTER_ONE_PHASE_COMMIT, 1);
+    assert_eq!(report.reapplied, 0, "closed before the crash: {report:?}");
+}
+
+/// The coordinator dies with its `CommitOnePhase` in flight: the restart
+/// finds the begin record and nothing after it, and the re-abort sweep
+/// tells b to abort — which a b that committed acknowledges, and a b that
+/// never heard the commit takes, releasing its ∆.
+#[test]
+fn coordinator_crash_with_one_phase_in_flight_is_settled_by_the_reabort_sweep() {
+    for reached in [true, false] {
+        let mut cl = cluster("one-phase-coord");
+        cl.a.switch.arm(crash_points::COORD_ONE_PHASE_IN_FLIGHT);
+        if !reached {
+            // the call goes through; every attempt of the commit (two
+            // deliveries of two transport tries each) is lost on the way out
+            let lost = [xrpc_net::SimFault::DropRequest; 4];
+            let call = [xrpc_net::SimFault::LatencySpike(Duration::ZERO)];
+            cl.net
+                .inject_fault_script(B_URI, call.into_iter().chain(lost));
+        }
+        let err = cl.a.peer.execute(UPDATE_B).unwrap_err();
+        assert!(err.message.contains("simulated crash"), "{err}");
+        assert_eq!(log_count(&cl.b.peer), usize::from(reached));
+
+        restart(&cl.net, &mut cl.a, A_URI);
+        let resolved = cl.a.peer.resolve_in_doubt().unwrap();
+        assert_eq!(resolved.reaborted, 1, "reached={reached}: {resolved:?}");
+        let b = cl.b.peer.twopc_metrics.snapshot();
+        assert_eq!(
+            (b.commits, b.aborts),
+            (u64::from(reached), u64::from(!reached)),
+            "reached={reached}"
+        );
+        assert_eq!(log_count(&cl.b.peer), usize::from(reached), "untouched");
+        assert_eq!(cl.b.peer.snapshots.active_count(), 0);
+        assert_eq!(cl.a.peer.wal().unwrap().open_transactions(), 0);
     }
 }
 
@@ -787,27 +880,29 @@ fn group_commit_crash_before_fsync_recovers_consistently() {
 /// process, and the restarted peer — rebinding the *same* port via the
 /// reactor's `SO_REUSEADDR` listener — finishes the transaction from
 /// the log exactly once, then serves fresh traffic on the same address.
-#[test]
-fn http_reactor_crash_restart_recovers_exactly_once() {
+fn http_wal_path() -> std::path::PathBuf {
     let run = RUN_ID.fetch_add(1, Ordering::Relaxed);
     let wal_path = std::env::temp_dir().join(format!(
         "xrpc-recovery-http-{}-{run}.wal",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&wal_path);
+    wal_path
+}
 
-    // participant b over real HTTP
+/// Participant b over real HTTP, logging to `wal_path`.
+fn http_participant(wal_path: &std::path::Path) -> (Arc<Peer>, Arc<CrashSwitch>, HttpServer) {
     let b = Peer::new("placeholder-b", EngineKind::Tree);
     b.register_module(CHAOS_MODULE).unwrap();
     b.add_document("log.xml", "<log/>").unwrap();
-    b.attach_wal_with(&wal_path, chaos_wal_config()).unwrap();
+    b.attach_wal_with(wal_path, chaos_wal_config()).unwrap();
     let b_switch = CrashSwitch::new();
     b.set_crash_switch(b_switch.clone());
     b.set_twopc_config(fast_twopc());
     // a down crash switch means the process is dead: refuse everything,
     // including the coordinator's decision redelivery — otherwise the
     // retry would legitimately finish the transaction with no restart
-    let mut server = HttpServer::bind("127.0.0.1:0", {
+    let server = HttpServer::bind("127.0.0.1:0", {
         let h = b.soap_handler();
         let sw = b_switch.clone();
         Arc::new(move |_path: &str, body: &[u8]| {
@@ -818,10 +913,13 @@ fn http_reactor_crash_restart_recovers_exactly_once() {
         })
     })
     .unwrap();
-    let port = server.port();
     b.set_name(server.url());
+    (b, b_switch, server)
+}
 
-    // coordinator a over the real HTTP client stack
+/// Coordinator a over the real HTTP client stack, and the one-writer
+/// update it sends b.
+fn http_coordinator(b_url: &str) -> (Arc<Peer>, String) {
     let a = Peer::new("xrpc://http-chaos-coordinator", EngineKind::Tree);
     a.register_module(CHAOS_MODULE).unwrap();
     a.set_twopc_config(fast_twopc());
@@ -830,24 +928,34 @@ fn http_reactor_crash_restart_recovers_exactly_once() {
         fast_policy(),
         BreakerConfig::default(),
     ));
-
     let update = format!(
         r#"declare option xrpc:isolation "repeatable";
            import module namespace t = "test";
-           execute at {{"{}"}} {{t:addEntry("over-http")}}"#,
-        server.url()
+           execute at {{"{b_url}"}} {{t:addEntry("over-http")}}"#
     );
+    (a, update)
+}
+
+#[test]
+fn http_reactor_crash_restart_recovers_exactly_once() {
+    let wal_path = http_wal_path();
+    let (b, b_switch, mut server) = http_participant(&wal_path);
+    let port = server.port();
+    let (a, update) = http_coordinator(&server.url());
 
     // one clean distributed update over the reactor before any fault
     a.execute(&update).unwrap();
     assert_eq!(log_count(&b), 1);
 
-    // b dies after forcing Decision(Commit), before applying ∆_q; over
-    // HTTP the armed crash surfaces as a SOAP fault on the Commit
-    // delivery (unlike SimNetwork, which suppresses the response), so
-    // only assert on durable state, not on the coordinator's error text
+    // b holds the only ∆ and commits in one phase: it dies after forcing
+    // Decision(Commit), before applying ∆_q. Over HTTP the armed crash
+    // surfaces as a SOAP fault on the CommitOnePhase (unlike SimNetwork,
+    // which suppresses the response) — raised past the guard, so an
+    // outcome-unknown one: the coordinator retries into the dead peer and
+    // reports the outcome unknown, never an abort
     b_switch.arm(crash_points::AFTER_DECISION_LOG);
-    let _ = a.execute(&update);
+    let err = a.execute(&update).unwrap_err();
+    assert_eq!(err.code, "XRPC0006", "{err}");
     assert_eq!(log_count(&b), 1, "decided but not yet applied");
 
     // the process dies: the listener goes with it
@@ -885,6 +993,45 @@ fn http_reactor_crash_restart_recovers_exactly_once() {
     let _ = std::fs::remove_dir_all(&wal_path);
 }
 
+/// Every participant crash point of the one-phase edge, over HTTP, where
+/// the crash answers with the SOAP fault its handler returned: only a
+/// fault raised before anything is logged reads as an abort; from the
+/// forced decision on, the coordinator hears outcome-unknown, retries into
+/// the dead peer and reports the outcome unknown. Restarted from its log,
+/// b agrees with what the client was told: ∆ applied exactly when the
+/// commit was logged, nothing left open.
+#[test]
+fn http_one_phase_faults_after_the_decision_are_never_aborts() {
+    for (point, logged) in [
+        (crash_points::BEFORE_PREPARE_LOG, false),
+        (crash_points::AFTER_DECISION_LOG, true),
+        (crash_points::AFTER_APPLY_BEFORE_MARKER, true),
+        (crash_points::AFTER_ONE_PHASE_COMMIT, true),
+    ] {
+        let wal_path = http_wal_path();
+        let (b, b_switch, mut server) = http_participant(&wal_path);
+        let (a, update) = http_coordinator(&server.url());
+        b_switch.arm(point);
+        let err = a.execute(&update).unwrap_err();
+        if logged {
+            assert_eq!(err.code, "XRPC0006", "{point}: {err}");
+        } else {
+            assert!(
+                err.message.contains("transaction aborted"),
+                "{point}: {err}"
+            );
+        }
+        server.shutdown_graceful(Duration::from_secs(5));
+        drop(server);
+
+        let b2 = Peer::new_with_docs("placeholder-b", EngineKind::Tree, b.docs.clone());
+        b2.attach_wal_with(&wal_path, chaos_wal_config()).unwrap();
+        assert_eq!(log_count(&b2), usize::from(logged), "{point}");
+        assert_eq!(b2.wal().unwrap().open_transactions(), 0, "{point}");
+        let _ = std::fs::remove_dir_all(&wal_path);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Property-style invariant checker: seeded fault schedules, every prefix
 // replayed, failures shrunk to the shortest failing schedule.
@@ -900,7 +1047,9 @@ enum Target {
 type Op = (Target, &'static str);
 
 /// The full fault universe: every instrumented crash point on the peer
-/// that can reach it in a `b + c` update coordinated by `a`.
+/// that can reach it in a `b + c` update coordinated by `a` (2PC) or a
+/// `b`-only one (one-phase commit). A point the round's protocol never
+/// passes stays armed and harmless.
 const UNIVERSE: &[Op] = &[
     (Target::B, crash_points::BEFORE_PREPARE_LOG),
     (Target::B, crash_points::AFTER_PREPARE_ACK),
@@ -913,6 +1062,8 @@ const UNIVERSE: &[Op] = &[
     (Target::B, crash_points::AFTER_APPLY_BEFORE_MARKER),
     (Target::C, crash_points::AFTER_APPLY_BEFORE_MARKER),
     (Target::B, crash_points::WAL_MID_ROTATION),
+    (Target::B, crash_points::AFTER_ONE_PHASE_COMMIT),
+    (Target::A, crash_points::COORD_ONE_PHASE_IN_FLIGHT),
 ];
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -931,9 +1082,10 @@ fn gen_schedule(rng: &mut u64) -> Vec<Op> {
 }
 
 /// Run one schedule against a fresh cluster: arm every fault, fire the
-/// distributed update, then drive restart + recovery rounds until the
-/// cluster quiesces. Returns a violation description, or None.
-fn run_schedule(schedule: &[Op]) -> Option<String> {
+/// distributed update (at b and c, or — `one_phase` — at b alone), then
+/// drive restart + recovery rounds until the cluster quiesces. Returns a
+/// violation description, or None.
+fn run_schedule(schedule: &[Op], one_phase: bool) -> Option<String> {
     let mut cl = cluster("prop");
     for (t, point) in schedule {
         let sw = match t {
@@ -943,7 +1095,9 @@ fn run_schedule(schedule: &[Op]) -> Option<String> {
         };
         sw.arm(point);
     }
-    let outcome = cl.a.peer.execute(UPDATE_BOTH);
+    let outcome =
+        cl.a.peer
+            .execute(if one_phase { UPDATE_B } else { UPDATE_BOTH });
 
     // Recovery rounds: restart whoever is down, then let everyone
     // resolve. Armed points can fire *again* during recovery (a schedule
@@ -983,14 +1137,19 @@ fn run_schedule(schedule: &[Op]) -> Option<String> {
 
     let nb = log_count(&cl.b.peer);
     let nc = log_count(&cl.c.peer);
-    if nb != nc {
+    if nb != nc && !(one_phase && nc == 0) {
         return Some(format!("mixed outcome: b={nb} entries, c={nc} entries"));
     }
     if nb > 1 {
-        return Some(format!("double-applied ∆: {nb} entries at both peers"));
+        return Some(format!("double-applied ∆: {nb} entries at b"));
     }
     if outcome.is_ok() && nb != 1 {
         return Some(format!("reported commit but {nb} entries applied"));
+    }
+    if let Err(e) = &outcome {
+        if e.message.contains("transaction aborted") && nb != 0 {
+            return Some(format!("reported abort but {nb} entries applied: {e}"));
+        }
     }
     if !cl
         .b
@@ -1012,13 +1171,13 @@ fn run_schedule(schedule: &[Op]) -> Option<String> {
 
 /// Shrink a failing schedule by greedy element removal until no single
 /// removal still fails.
-fn shrink(mut schedule: Vec<Op>) -> Vec<Op> {
+fn shrink(mut schedule: Vec<Op>, one_phase: bool) -> Vec<Op> {
     loop {
         let mut reduced = false;
         for i in 0..schedule.len() {
             let mut candidate = schedule.clone();
             candidate.remove(i);
-            if run_schedule(&candidate).is_some() {
+            if run_schedule(&candidate, one_phase).is_some() {
                 schedule = candidate;
                 reduced = true;
                 break;
@@ -1040,13 +1199,15 @@ fn prefix_replay_invariant_checker() {
     for round in 0..5 {
         let schedule = gen_schedule(&mut rng);
         // replay every prefix: an invariant must hold not only for the
-        // full schedule but at every point along the way
-        for cut in 0..=schedule.len() {
+        // full schedule but at every point along the way — under both
+        // protocols
+        for (cut, one_phase) in (0..=schedule.len()).flat_map(|c| [(c, false), (c, true)]) {
             let prefix = &schedule[..cut];
-            if let Some(violation) = run_schedule(prefix) {
-                let minimal = shrink(prefix.to_vec());
+            if let Some(violation) = run_schedule(prefix, one_phase) {
+                let minimal = shrink(prefix.to_vec(), one_phase);
                 panic!(
-                    "invariant violated (seed={seed}, round={round}): {violation}\n\
+                    "invariant violated (seed={seed}, round={round}, one_phase={one_phase}): \
+                     {violation}\n\
                      failing prefix: {prefix:?}\n\
                      shrunk to shortest failing schedule: {minimal:?}"
                 );

@@ -172,11 +172,13 @@ fn nested_execute_chain_shares_one_trace() {
     assert_eq!(o_eval.parent_id, Some(root.span_id));
 
     // the 2PC epilogue joined the same trace: both participants ran
-    // prepare and commit under the originator's trace id
+    // prepare under the originator's trace id, and b — the writer; a's ∆
+    // is empty, it voted read-only and heard nothing more — commit
     for spans in [&a_spans, &b_spans] {
         assert_eq!(span_named(spans, "2pc:prepare").trace_id, trace);
-        assert_eq!(span_named(spans, "2pc:commit").trace_id, trace);
     }
+    assert_eq!(span_named(&b_spans, "2pc:commit").trace_id, trace);
+    assert!(a_spans.iter().all(|s| s.name != "2pc:commit"));
     assert_eq!(span_named(&o_spans, "2pc:prepare-phase").trace_id, trace);
     assert_eq!(span_named(&o_spans, "2pc:decision-phase").trace_id, trace);
 }

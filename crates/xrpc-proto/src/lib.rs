@@ -17,7 +17,8 @@ pub mod message;
 pub mod validate;
 
 pub use control::{
-    TxOutcome, METHOD_ABORT, METHOD_COMMIT, METHOD_INQUIRE, METHOD_PREPARE, WSAT_MODULE,
+    TxOutcome, Vote, METHOD_ABORT, METHOD_COMMIT, METHOD_COMMIT_ONE_PHASE, METHOD_INQUIRE,
+    METHOD_PREPARE, WSAT_MODULE,
 };
 pub use marshal::n2s;
 pub use message::{

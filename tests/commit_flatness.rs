@@ -1,7 +1,7 @@
 //! What a committed update costs must not depend on how many were committed
 //! before it. Checked on counts, not clocks: after thousands of isolated
 //! `execute at {B} {u:bump(..)}` transactions (rule R'Fu: ∆ deferred,
-//! `Prepare` logs it, `Commit` applies it) the document's arena, its text
+//! `CommitOnePhase` logs and applies it) the document's arena, its text
 //! heap and every per-transaction map at both peers are the size they were
 //! after the first few — and the counter shows every one of them.
 //!
@@ -130,9 +130,10 @@ fn five_thousand_commits_leave_the_document_and_the_maps_as_they_were() {
     );
     assert_bookkeeping_is_bounded(&c);
     assert_eq!(c.b.twopc_metrics.snapshot().commits, COMMITS);
-    // two forces a transaction (`Prepared`, `Decision`), none for the
+    // one force a transaction: B holds its only ∆ and commits in one
+    // phase, `Prepared` riding the forced `Decision`'s flush; none for the
     // `Applied` marker or the checkpoint it triggers
-    assert_eq!(c.b.wal().unwrap().stats().fsyncs, 2 * COMMITS);
+    assert_eq!(c.b.wal().unwrap().stats().fsyncs, COMMITS);
 }
 
 fn seeds() -> Vec<u64> {
