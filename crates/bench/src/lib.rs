@@ -286,10 +286,11 @@ declare updating function u:bump()
 const QID_TS_SENTINEL: u64 = 4_100_000_000_000;
 
 /// A wire-level updater: one synthetic coordinator replaying the exact
-/// message sequence of a committed single-participant transaction —
-/// updating call, `CommitOnePhase` (the participant holds the only ∆) —
-/// from message templates serialized once at construction, with only the
-/// queryID timestamp substituted per transaction.
+/// message of a committed single-participant transaction — the updating
+/// call, marked to commit on its reply (the participant holds the only ∆
+/// and decides alone before it answers) — from a template serialized once
+/// at construction, with only the queryID timestamp substituted per
+/// transaction.
 ///
 /// The point: the *participant* (message parsing, evaluation, 2PC
 /// handling, WAL group commit, apply) is the system under test, so the
@@ -299,54 +300,30 @@ const QID_TS_SENTINEL: u64 = 4_100_000_000_000;
 /// machines.
 pub struct UpdateDriver {
     net: Arc<SimNetwork>,
-    templates: [String; 2],
+    template: String,
 }
 
 impl UpdateDriver {
     pub fn new(net: Arc<SimNetwork>, host: &str) -> UpdateDriver {
-        let tpl = |module: &str, method: &str, deferred: bool| {
-            let mut req = xrpc_proto::XrpcRequest::new(module, method, 0)
-                .with_query_id(xrpc_proto::QueryId::new(host, QID_TS_SENTINEL, 3_000));
-            // rule R'Fu, as an isolated query's client marks the call: the
-            // ∆ waits in the snapshot for the commit to log and apply it
-            req.deferred = deferred;
-            req.seq = deferred.then_some(0);
-            req.push_call(vec![]);
-            req.to_xml().unwrap()
-        };
-        UpdateDriver {
-            net,
-            templates: [
-                tpl("u1", "bump", true),
-                tpl(
-                    xrpc_proto::WSAT_MODULE,
-                    xrpc_proto::METHOD_COMMIT_ONE_PHASE,
-                    false,
-                ),
-            ],
-        }
+        let mut req = xrpc_proto::XrpcRequest::new("u1", "bump", 0)
+            .with_query_id(xrpc_proto::QueryId::new(host, QID_TS_SENTINEL, 3_000));
+        req.upd_call = xrpc_proto::UpdCall::Commit;
+        req.seq = Some(0);
+        req.push_call(vec![]);
+        let template = req.to_xml().unwrap();
+        UpdateDriver { net, template }
     }
 
     /// Run one full transaction under queryID timestamp `ts` (must be
-    /// unique per driver and recent enough to pass expiry). Errors on
-    /// any transport failure or SOAP fault.
+    /// unique per driver and recent enough to pass expiry). Errors on a
+    /// transport failure, a SOAP fault, or an answer that did not commit.
     pub fn commit_one(&self, ts: u64) -> Result<(), String> {
-        let ts = ts.to_string();
-        let sentinel = QID_TS_SENTINEL.to_string();
-        for (tpl, label) in self.templates.iter().zip(["call", "commit"]) {
-            let body = tpl.replace(&sentinel, &ts);
-            let resp = self
-                .net
-                .roundtrip(B_URI, body.as_bytes())
-                .map_err(|e| format!("{label}: {e}"))?;
-            if resp.windows(5).any(|w| w == b"Fault") {
-                return Err(format!(
-                    "{label} faulted: {}",
-                    String::from_utf8_lossy(&resp)
-                ));
-            }
+        let body = (self.template).replace(&QID_TS_SENTINEL.to_string(), &ts.to_string());
+        let resp = (self.net.roundtrip(B_URI, body.as_bytes())).map_err(|e| e.to_string())?;
+        match xrpc_proto::parse_message(&String::from_utf8_lossy(&resp)) {
+            Ok(xrpc_proto::XrpcMessage::Response(r)) if r.committed => Ok(()),
+            _ => Err(format!("not committed: {}", String::from_utf8_lossy(&resp))),
         }
-        Ok(())
     }
 }
 

@@ -1105,21 +1105,13 @@ impl<'e> RelEngine<'e> {
     fn is_invariant(&self, e: &Expr) -> bool {
         let mut invariant = true;
         e.walk(&mut |x| match x {
-            Expr::ExecuteAt { .. }
-            | Expr::DirectElem(_)
-            | Expr::CompElem { .. }
-            | Expr::CompAttr { .. }
-            | Expr::CompText(_)
-            | Expr::CompComment(_)
-            | Expr::CompPi { .. }
-            | Expr::CompDoc(_) => invariant = false,
             // fn:put is the one updating built-in
             Expr::FunctionCall { name, args }
                 if !self.is_builtin(name, args.len()) || name.local == "put" =>
             {
                 invariant = false
             }
-            _ if x.is_updating_expr() => invariant = false,
+            _ if x.is_constructor() || xqeval::effects::is_effect(x) => invariant = false,
             _ => {}
         });
         invariant

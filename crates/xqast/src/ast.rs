@@ -429,6 +429,20 @@ impl Expr {
         )
     }
 
+    /// Is this a node constructor — a new node identity each time it runs?
+    pub fn is_constructor(&self) -> bool {
+        matches!(
+            self,
+            Expr::DirectElem(_)
+                | Expr::CompElem { .. }
+                | Expr::CompAttr { .. }
+                | Expr::CompText(_)
+                | Expr::CompComment(_)
+                | Expr::CompPi { .. }
+                | Expr::CompDoc(_)
+        )
+    }
+
     /// A short name for the kind of expression, for plan and profile
     /// output (`rel:fallback{flwor}`).
     pub fn kind_name(&self) -> &'static str {
@@ -472,10 +486,15 @@ impl Expr {
     /// Pre-order walk over all sub-expressions.
     pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
-        let go = |e: &Expr, f: &mut dyn FnMut(&Expr)| e.walk_dyn(f);
+        self.for_each_child(&mut |e| e.walk(f));
+    }
+
+    /// Visit the operands of this expression (the enclosed expressions of
+    /// nested direct constructors included), not their operands.
+    pub fn for_each_child(&self, f: &mut dyn FnMut(&Expr)) {
         match self {
             Expr::Literal(_) | Expr::VarRef(_) | Expr::ContextItem => {}
-            Expr::Sequence(es) => es.iter().for_each(|e| go(e, f)),
+            Expr::Sequence(es) => es.iter().for_each(&mut *f),
             Expr::Range(a, b)
             | Expr::Arith(_, a, b)
             | Expr::ValueComp(_, a, b)
@@ -487,33 +506,33 @@ impl Expr {
             | Expr::Intersect(a, b)
             | Expr::Except(a, b)
             | Expr::PathStep(a, b) => {
-                go(a, f);
-                go(b, f);
+                f(a);
+                f(b);
             }
-            Expr::Neg(a) | Expr::CompText(a) | Expr::CompComment(a) | Expr::CompDoc(a) => go(a, f),
+            Expr::Neg(a) | Expr::CompText(a) | Expr::CompComment(a) | Expr::CompDoc(a) => f(a),
             Expr::If { cond, then, els } => {
-                go(cond, f);
-                go(then, f);
-                go(els, f);
+                f(cond);
+                f(then);
+                f(els);
             }
             Expr::Flwor { clauses, ret } => {
                 for c in clauses {
                     match c {
-                        FlworClause::For { seq, .. } => go(seq, f),
-                        FlworClause::Let { value, .. } => go(value, f),
-                        FlworClause::Where(e) => go(e, f),
-                        FlworClause::OrderBy(specs) => specs.iter().for_each(|s| go(&s.key, f)),
+                        FlworClause::For { seq, .. } => f(seq),
+                        FlworClause::Let { value, .. } => f(value),
+                        FlworClause::Where(e) => f(e),
+                        FlworClause::OrderBy(specs) => specs.iter().for_each(|s| f(&s.key)),
                     }
                 }
-                go(ret, f);
+                f(ret);
             }
             Expr::Quantified {
                 bindings,
                 satisfies,
                 ..
             } => {
-                bindings.iter().for_each(|(_, e)| go(e, f));
-                go(satisfies, f);
+                bindings.iter().for_each(|(_, e)| f(e));
+                f(satisfies);
             }
             Expr::Typeswitch {
                 operand,
@@ -521,62 +540,58 @@ impl Expr {
                 default,
                 ..
             } => {
-                go(operand, f);
-                cases.iter().for_each(|c| go(&c.body, f));
-                go(default, f);
+                f(operand);
+                cases.iter().for_each(|c| f(&c.body));
+                f(default);
             }
             Expr::Root(r) => {
                 if let Some(r) = r {
-                    go(r, f);
+                    f(r);
                 }
             }
-            Expr::AxisStep { predicates, .. } => predicates.iter().for_each(|p| go(p, f)),
+            Expr::AxisStep { predicates, .. } => predicates.iter().for_each(&mut *f),
             Expr::Filter(base, preds) => {
-                go(base, f);
-                preds.iter().for_each(|p| go(p, f));
+                f(base);
+                preds.iter().for_each(&mut *f);
             }
-            Expr::FunctionCall { args, .. } => args.iter().for_each(|a| go(a, f)),
+            Expr::FunctionCall { args, .. } => args.iter().for_each(&mut *f),
             Expr::ExecuteAt { dest, call } => {
-                go(dest, f);
-                go(call, f);
+                f(dest);
+                f(call);
             }
             Expr::DirectElem(d) => walk_direlem(d, f),
             Expr::CompElem { name, content } | Expr::CompAttr { name, content } => {
                 if let CompName::Computed(e) = name {
-                    go(e, f);
+                    f(e);
                 }
                 if let Some(c) = content {
-                    go(c, f);
+                    f(c);
                 }
             }
             Expr::CompPi { target, content } => {
                 if let CompName::Computed(e) = target {
-                    go(e, f);
+                    f(e);
                 }
                 if let Some(c) = content {
-                    go(c, f);
+                    f(c);
                 }
             }
-            Expr::InstanceOf(a, _) | Expr::TreatAs(a, _) => go(a, f),
-            Expr::CastAs { expr, .. } | Expr::CastableAs { expr, .. } => go(expr, f),
+            Expr::InstanceOf(a, _) | Expr::TreatAs(a, _) => f(a),
+            Expr::CastAs { expr, .. } | Expr::CastableAs { expr, .. } => f(expr),
             Expr::Insert { source, target, .. } => {
-                go(source, f);
-                go(target, f);
+                f(source);
+                f(target);
             }
-            Expr::Delete { target } => go(target, f),
+            Expr::Delete { target } => f(target),
             Expr::ReplaceNode { target, with } | Expr::ReplaceValue { target, with } => {
-                go(target, f);
-                go(with, f);
+                f(target);
+                f(with);
             }
             Expr::Rename { target, name } => {
-                go(target, f);
-                go(name, f);
+                f(target);
+                f(name);
             }
         }
-    }
-
-    fn walk_dyn(&self, f: &mut dyn FnMut(&Expr)) {
-        self.walk(&mut |e| f(e));
     }
 }
 
@@ -584,13 +599,13 @@ fn walk_direlem(d: &DirElem, f: &mut dyn FnMut(&Expr)) {
     for (_, parts) in &d.attrs {
         for p in parts {
             if let AttrContent::Enclosed(e) = p {
-                e.walk_dyn(f);
+                f(e);
             }
         }
     }
     for c in &d.content {
         match c {
-            DirContent::Enclosed(e) => e.walk_dyn(f),
+            DirContent::Enclosed(e) => f(e),
             DirContent::Element(inner) => {
                 // The nested element itself counts as an expression boundary
                 // for walking purposes.

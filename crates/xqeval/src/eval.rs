@@ -1,6 +1,7 @@
 //! The tree-walking evaluator core.
 
 use crate::context::{Environment, FunctionRef, StaticContext};
+use crate::effects::{self, Effects};
 use crate::functions;
 use crate::index;
 use crate::pul::{PendingUpdateList, UpdatePrimitive};
@@ -145,14 +146,16 @@ pub type LocalFunctions = crate::modules::FunctionTable;
 
 /// The compile-once artifact of a main module: the parsed AST plus the
 /// static analysis the evaluator would otherwise redo on every run (the
-/// derived static context and the local-function index). This is what the
-/// peer's keyed plan cache stores behind an `Arc` — executing a prepared
-/// query touches no per-run allocation beyond the evaluation itself.
+/// derived static context, the local-function index and the effect
+/// summary). This is what the peer's keyed plan cache stores behind an
+/// `Arc` — executing a prepared query touches no per-run allocation beyond
+/// the evaluation itself.
 #[derive(Clone)]
 pub struct CompiledMain {
     pub module: Arc<MainModule>,
     pub sctx: Arc<StaticContext>,
     pub local_functions: Arc<LocalFunctions>,
+    pub effects: Effects,
 }
 
 impl CompiledMain {
@@ -165,9 +168,11 @@ impl CompiledMain {
     /// Compile with an explicit static context (the peer injects its
     /// default base URI / collation into the prolog-derived context).
     pub fn compile_with(module: Arc<MainModule>, sctx: StaticContext) -> Self {
+        let local_functions = local_functions_of(&module);
         CompiledMain {
             sctx: Arc::new(sctx),
-            local_functions: Arc::new(local_functions_of(&module)),
+            effects: Effects::of(&module, &local_functions),
+            local_functions: Arc::new(local_functions),
             module,
         }
     }
@@ -462,7 +467,7 @@ impl<'e> Evaluator<'e> {
                 }
             }
             Expr::Flwor { clauses, ret } => {
-                self.profiled("xq:flwor", |ev| ev.eval_flwor(clauses, ret, st, ctx))
+                self.profiled("xq:flwor", |ev| ev.eval_flwor(e, clauses, ret, st, ctx))
             }
             Expr::Quantified {
                 quantifier,
@@ -661,6 +666,7 @@ impl<'e> Evaluator<'e> {
 
     fn eval_flwor(
         &self,
+        flwor: &Expr,
         clauses: &[FlworClause],
         ret: &Expr,
         st: &mut EvalState,
@@ -668,8 +674,10 @@ impl<'e> Evaluator<'e> {
     ) -> XdmResult<Sequence> {
         // Hash-join fast path: `for $a in X, $b in Y where keyA($a) = keyB($b)`
         // becomes a build+probe join instead of a nested loop — the same
-        // join detection the paper observes in Saxon (§4).
-        if self.env.join_index {
+        // join detection the paper observes in Saxon (§4). Side-effecting
+        // bodies (updates, RPC) must not be partially run and then re-run
+        // by the naive fallback: they skip it.
+        if self.env.join_index && hash_join_shape(clauses) && !effects::has_effects(flwor) {
             if let Some(result) = self.try_flwor_hash_join(clauses, ret, st, ctx)? {
                 return Ok(result);
             }
@@ -780,54 +788,10 @@ impl<'e> Evaluator<'e> {
         if rest.iter().any(|c| matches!(c, FlworClause::OrderBy(_))) {
             return Ok(None);
         }
-        // Side-effecting bodies (updates, RPC) must not be partially run
-        // and then re-run by the naive fallback: skip the fast path.
-        let mut effectful = false;
-        for c in clauses {
-            match c {
-                FlworClause::For { seq, .. } => seq.walk(&mut |x| {
-                    if x.is_updating_expr() || matches!(x, Expr::ExecuteAt { .. }) {
-                        effectful = true;
-                    }
-                }),
-                FlworClause::Let { value, .. } => value.walk(&mut |x| {
-                    if x.is_updating_expr() || matches!(x, Expr::ExecuteAt { .. }) {
-                        effectful = true;
-                    }
-                }),
-                FlworClause::Where(w) => w.walk(&mut |x| {
-                    if x.is_updating_expr() || matches!(x, Expr::ExecuteAt { .. }) {
-                        effectful = true;
-                    }
-                }),
-                FlworClause::OrderBy(_) => {}
-            }
-        }
-        ret.walk(&mut |x| {
-            if x.is_updating_expr() || matches!(x, Expr::ExecuteAt { .. }) {
-                effectful = true;
-            }
-        });
-        if effectful {
-            return Ok(None);
-        }
         // Node constructors in Y would get fresh identities per naive
         // iteration; evaluating Y once changes `is` semantics — skip.
         let mut y_constructs = false;
-        y_seq.walk(&mut |x| {
-            if matches!(
-                x,
-                Expr::DirectElem(_)
-                    | Expr::CompElem { .. }
-                    | Expr::CompAttr { .. }
-                    | Expr::CompText(_)
-                    | Expr::CompComment(_)
-                    | Expr::CompPi { .. }
-                    | Expr::CompDoc(_)
-            ) {
-                y_constructs = true;
-            }
-        });
+        y_seq.walk(&mut |x| y_constructs |= x.is_constructor());
         if y_constructs {
             return Ok(None);
         }

@@ -16,6 +16,7 @@
 //!   `getPerson` experiment (§4, Table 3).
 
 pub mod context;
+pub mod effects;
 pub mod eval;
 pub mod functions;
 pub mod index;
@@ -25,6 +26,7 @@ pub mod pul;
 pub use context::{
     CancelToken, DocResolver, Environment, FunctionRef, InMemoryDocs, RpcDispatcher, StaticContext,
 };
+pub use effects::Effects;
 pub use eval::{
     evaluate_compiled, evaluate_main, evaluate_main_with_vars, evaluate_parsed, CompiledMain,
     Evaluator,

@@ -3,6 +3,8 @@
 //! parses responses, converts faults into local run-time errors, and
 //! collects the piggybacked participating-peer lists for 2PC.
 
+use crate::peer::Peer;
+use crate::txn::CoordInput;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -11,15 +13,19 @@ use xqeval::context::{FunctionRef, RpcDispatcher};
 use xqeval::CancelToken;
 use xrpc_net::{CallHint, ResilientTransport, Transport};
 use xrpc_obs::Observability;
-use xrpc_proto::{parse_message, QueryId, XrpcMessage, XrpcRequest};
+use xrpc_proto::{parse_message, QueryId, UpdCall, XrpcMessage, XrpcRequest, XrpcResponse};
 
-/// One query's view of the network: the transport, the queryID (when the
-/// query runs under repeatable-read isolation) and the deferred-update
-/// flag (rule R'Fu).
+/// One query's view of the network: the transport and the queryID (when
+/// the query runs under repeatable-read isolation: the callee defers what
+/// its updating functions leave, rule R'Fu).
 pub struct XrpcClient {
     pub transport: Arc<dyn Transport>,
     pub query_id: Option<QueryId>,
-    pub deferred_updates: bool,
+    /// The peer coordinating the query while its one call, its tail, is
+    /// still to be sent `updCall="commit"` (see `twopc::settle_reply`).
+    pub(crate) coordinator: Mutex<Option<Arc<Peer>>>,
+    /// That call's callee committed the transaction before it answered.
+    pub(crate) committed: std::sync::atomic::AtomicBool,
     /// The sending peer's observability state: with it attached, every
     /// dispatch opens a client span (child of the thread's ambient
     /// context) whose context is injected into the envelope header, and
@@ -60,7 +66,8 @@ impl XrpcClient {
         XrpcClient {
             transport,
             query_id: None,
-            deferred_updates: false,
+            coordinator: Mutex::new(None),
+            committed: Default::default(),
             obs: None,
             participants: Mutex::new(HashSet::new()),
             requests_sent: std::sync::atomic::AtomicU64::new(0),
@@ -73,11 +80,6 @@ impl XrpcClient {
 
     pub fn with_query_id(mut self, qid: QueryId) -> Self {
         self.query_id = Some(qid);
-        self
-    }
-
-    pub fn with_deferred_updates(mut self, deferred: bool) -> Self {
-        self.deferred_updates = deferred;
         self
     }
 
@@ -181,17 +183,26 @@ impl XrpcClient {
         req.budget_millis = self.cancel.as_ref().and_then(|t| t.remaining_millis());
         req.location = func.location_hint.clone();
         req.query_id = self.query_id.clone();
-        req.deferred = self.deferred_updates && func.updating;
+        // the query's one call, sent as nobody else has heard of the query,
+        // commits on its reply (a document fetch is no call)
+        let coordinator = (func.module_ns != crate::remote_docs::DOC_MODULE
+            && self.participants.lock().is_empty())
+        .then(|| self.coordinator.lock().take())
+        .flatten();
+        req.upd_call = match (&coordinator, func.updating && req.query_id.is_some()) {
+            (Some(_), _) => UpdCall::Commit,
+            (None, true) => UpdCall::Deferred,
+            (None, false) => UpdCall::Immediate,
+        };
         for c in calls {
             req.push_call(c);
         }
         let seq_no = self.requests_sent.fetch_add(1, Relaxed);
-        if req.deferred {
-            // uniquely stamp each deferred dispatch so the peer can tell a
-            // transport redelivery (identical bytes, same seq) from two
-            // genuinely identical dispatches (different seq)
-            req.seq = Some(seq_no);
-        }
+        // every call of an isolated query is stamped: the callee defers an
+        // updating function's ∆ whatever the marker says, and tells a
+        // transport redelivery (identical bytes, same seq) from two
+        // genuinely identical dispatches (different seq)
+        req.seq = req.query_id.is_some().then_some(seq_no);
         // One client span per dispatch; its context rides in the envelope
         // header so the callee's server span joins the same trace. With no
         // tracer the ambient context (if any) is forwarded untouched.
@@ -226,90 +237,109 @@ impl XrpcClient {
         // resend after any retryable failure; deferred updates (rule R'Fu)
         // are redelivery-safe because the peer merges each request's ∆
         // into the snapshot PUL at most once (request-hash dedupe);
-        // immediate updates (rule RFu) may only be resent when the request
-        // provably never reached the peer.
-        let hint = if !func.updating {
-            CallHint::ReadOnly
-        } else if req.deferred {
-            CallHint::DeferredUpdate
-        } else {
-            CallHint::Update
+        // immediate updates (rule RFu) and a call that commits on its reply
+        // may only be resent when the request provably never reached the
+        // peer.
+        let hint = match (req.upd_call, func.updating) {
+            (UpdCall::Commit, _) | (UpdCall::Immediate, true) => CallHint::Update,
+            (UpdCall::Deferred, _) => CallHint::DeferredUpdate,
+            (UpdCall::Immediate, false) => CallHint::ReadOnly,
         };
+        if let (Some(peer), Some(qid)) = (&coordinator, &self.query_id) {
+            // a callee that restarts mid-commit and asks hears `InDoubt`
+            let _ = peer.coord_edge(qid, CoordInput::Begin(&[dest.to_string()]));
+        }
         if let Some(o) = &self.obs {
             o.histogram("xrpc_message_bytes").record(xml.len() as u64);
         }
         let started = std::time::Instant::now();
         // Cap the retry layer's cumulative backoff to the query budget for
         // the duration of this round-trip (no-op without a deadline).
-        let _budget_guard = self
+        let budget_guard = self
             .cancel
             .as_ref()
             .and_then(|t| t.deadline())
             .map(|d| xrpc_net::set_ambient_deadline(Some(d)));
-        let resp_bytes = self
-            .transport
-            .roundtrip_hinted(dest, xml.as_bytes(), hint)
-            .map_err(|e| {
-                // the typed failure kind lands on the span, so a trace
-                // shows *how* a hop died, not just that it did
-                if let Some(s) = span.as_mut() {
-                    s.tag("net_error", format!("{:?}", e.kind));
-                }
-                XdmError::xrpc(format!("XRPC to `{dest}` failed: {e}"))
-            })?;
-        if let Some(o) = &self.obs {
-            let elapsed = started.elapsed();
-            o.histogram("xrpc_call_latency_micros")
-                .record_micros(elapsed);
-            o.histogram_vec("xrpc_call_latency_by_dest_micros", "dest")
-                .with_label(dest)
-                .record_micros(elapsed);
-        }
-        if let Some(col) = &self.profile {
-            // "network" is the whole round-trip as this hop saw it (the
-            // callee's own time included — each hop's phases account for
-            // *its* wall clock); bytes land on the operator whose
-            // dispatch this is (the enclosing execute-at guard).
-            col.add_phase(
-                xrpc_obs::Phase::Network,
-                started.elapsed().as_micros() as u64,
-            );
-            col.add_bytes_to_current((xml.len() + resp_bytes.len()) as u64);
-        }
-        xrpc_net::BufferPool::global().put_string(xml);
-        let resp_text = std::str::from_utf8(&resp_bytes)
-            .map_err(|_| XdmError::xrpc("non-UTF8 XRPC response"))?;
-        let msg = parse_message(resp_text)?;
-        // the response's byte buffer is spent once parsed: recycle it
-        xrpc_net::BufferPool::global().put(resp_bytes);
-        match msg {
-            XrpcMessage::Response(mut r) => {
-                if let Some(col) = &self.profile {
-                    if !r.profile_hops.is_empty() {
-                        col.absorb_hops(std::mem::take(&mut r.profile_hops));
-                    }
-                }
-                let mut parts = self.participants.lock();
-                parts.insert(dest.to_string());
-                for p in &r.participating_peers {
-                    parts.insert(p.clone());
-                }
-                if r.results.len() != ncalls {
-                    return Err(XdmError::xrpc(format!(
-                        "response carries {} results for {} calls",
-                        r.results.len(),
-                        ncalls
-                    )));
-                }
-                Ok(r.results)
+        let sent = self.transport.roundtrip_hinted(dest, xml.as_bytes(), hint);
+        // past the call, settling it is the decision protocol's: no budget
+        drop(budget_guard);
+        let answer = sent.map_err(|e| {
+            // the typed failure kind lands on the span, so a trace
+            // shows *how* a hop died, not just that it did
+            if let Some(s) = span.as_mut() {
+                s.tag("net_error", format!("{:?}", e.kind));
             }
-            // "any error will cause a run-time error at the site that
-            // originated the query" (§2.1)
-            XrpcMessage::Fault(f) => Err(f.to_error()),
-            XrpcMessage::Request(_) => Err(XdmError::xrpc("peer answered with a request")),
+            let error = XdmError::xrpc(format!("XRPC to `{dest}` failed: {e}"));
+            (error, !e.kind.send_side())
+        });
+        let answer = answer.and_then(|resp_bytes| {
+            let elapsed = started.elapsed();
+            if let Some(o) = &self.obs {
+                o.histogram("xrpc_call_latency_micros")
+                    .record_micros(elapsed);
+                o.histogram_vec("xrpc_call_latency_by_dest_micros", "dest")
+                    .with_label(dest)
+                    .record_micros(elapsed);
+            }
+            if let Some(col) = &self.profile {
+                // "network" is the whole round-trip as this hop saw it (the
+                // callee's own time included — each hop's phases account for
+                // *its* wall clock); bytes land on the operator whose
+                // dispatch this is (the enclosing execute-at guard).
+                col.add_phase(xrpc_obs::Phase::Network, elapsed.as_micros() as u64);
+                col.add_bytes_to_current((xml.len() + resp_bytes.len()) as u64);
+            }
+            let msg = std::str::from_utf8(&resp_bytes)
+                .map_err(|_| XdmError::xrpc("non-UTF8 XRPC response"))
+                .and_then(parse_message);
+            // the response's byte buffer is spent once parsed: recycle it
+            xrpc_net::BufferPool::global().put(resp_bytes);
+            match msg {
+                Ok(XrpcMessage::Response(r)) => Ok(r),
+                // "any error will cause a run-time error at the site that
+                // originated the query" (§2.1); past the callee's guard
+                // (XRPC0006) it may have committed all the same
+                Ok(XrpcMessage::Fault(f)) => {
+                    Err((f.to_error(), f.error_code.as_deref() == Some("XRPC0006")))
+                }
+                Ok(XrpcMessage::Request(_)) => {
+                    Err((XdmError::xrpc("peer answered with a request"), false))
+                }
+                Err(e) => Err((e, true)),
+            }
+        });
+        xrpc_net::BufferPool::global().put_string(xml);
+        let mut r = match coordinator {
+            Some(peer) => crate::twopc::settle_reply(&peer, self, dest, answer, func, ncalls)?,
+            None => answer.map_err(|(e, _)| e)?,
+        };
+        if let Some(col) = &self.profile {
+            if !r.profile_hops.is_empty() {
+                col.absorb_hops(std::mem::take(&mut r.profile_hops));
+            }
         }
+        if r.committed {
+            self.committed.store(true, Relaxed);
+        } else {
+            let mut parts = self.participants.lock();
+            parts.insert(dest.to_string());
+            parts.extend(r.participating_peers.iter().cloned());
+        }
+        if r.results.len() != ncalls {
+            return Err(XdmError::xrpc(format!(
+                "response carries {} results for {} calls",
+                r.results.len(),
+                ncalls
+            )));
+        }
+        Ok(r.results)
     }
 }
+
+/// How a call's round trip ended: the reply, or why none came and whether
+/// the call may have been handled all the same (the reply was lost or
+/// garbled, or the callee failed past a point it cannot undo).
+pub(crate) type Answer = Result<XrpcResponse, (XdmError, bool)>;
 
 impl RpcDispatcher for XrpcClient {
     /// One dispatch is one message, whatever its size: the callee

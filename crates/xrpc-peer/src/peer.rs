@@ -9,7 +9,7 @@ use parking_lot::{Mutex, RwLock};
 use relalg::{FunctionCache, PlanCache};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use xdm::{Sequence, XdmError, XdmResult};
 use xqast::FunctionDecl;
@@ -110,6 +110,9 @@ pub struct QueryPlan {
     /// charged only on the miss that actually paid them.
     pub parse_micros: u64,
     pub compile_micros: u64,
+    /// Isolated, and its one call may commit on its reply
+    /// (`xqeval::Effects::commit_on_reply`).
+    pub commit_on_reply: bool,
 }
 
 /// A handle to a cached plan, returned by [`Peer::prepare`]. Executing it
@@ -148,6 +151,8 @@ pub struct ExecOutcome {
 
 /// One XRPC peer.
 pub struct Peer {
+    /// The `Arc` this peer lives in, for the clients of queries it coordinates.
+    me: Weak<Peer>,
     /// This peer's `xrpc://host[:port]` URI (settable after construction,
     /// e.g. once an ephemeral HTTP port is known).
     name: RwLock<String>,
@@ -247,7 +252,8 @@ impl Peer {
         for family in ["xrpc_twopc_prepare_micros", "xrpc_twopc_commit_micros"] {
             obs.histogram(family);
         }
-        Arc::new(Peer {
+        Arc::new_cyclic(|me| Peer {
+            me: me.clone(),
             name: RwLock::new(name),
             engine,
             docs,
@@ -512,6 +518,8 @@ impl Peer {
         }
         let compiled = CompiledMain::compile_with(Arc::new(module), sctx);
         Ok(QueryPlan {
+            commit_on_reply: isolation == IsolationLevel::Repeatable
+                && compiled.effects.commit_on_reply(),
             compiled,
             isolation,
             timeout_secs: timeout,
@@ -602,7 +610,7 @@ impl Peer {
     pub fn explain(&self, query: &str) -> XdmResult<String> {
         let (plan, cache) = self.plan_for_disposed(query)?;
         Ok(format!(
-            "{{\"engine\":\"{}\",\"cache\":\"{cache}\",\"isolation\":\"{}\",\"timeoutSecs\":{},\"profile\":\"{}\",\"queryHash\":\"{:016x}\",\"parseMicros\":{},\"compileMicros\":{}}}",
+            "{{\"engine\":\"{}\",\"cache\":\"{cache}\",\"isolation\":\"{}\",\"commitOnReply\":{},\"timeoutSecs\":{},\"profile\":\"{}\",\"queryHash\":\"{:016x}\",\"parseMicros\":{},\"compileMicros\":{}}}",
             match self.engine {
                 EngineKind::Tree => "tree",
                 EngineKind::Rel => "rel",
@@ -611,6 +619,7 @@ impl Peer {
                 IsolationLevel::Repeatable => "repeatable",
                 IsolationLevel::None => "none",
             },
+            plan.commit_on_reply,
             plan.timeout_secs,
             plan.profile.as_str(),
             plan.text_hash,
@@ -720,7 +729,7 @@ impl Peer {
         let (client, mut env) = self.eval_session(
             cancel.clone(),
             qid.clone(),
-            isolation == IsolationLevel::Repeatable,
+            plan.commit_on_reply,
             resolver,
             collector.clone(),
         );
@@ -788,7 +797,13 @@ impl Peer {
                     .flat_map(|c| c.participants_snapshot())
                     .filter(|p| p != &me)
                     .collect();
-                if let (Some(client), false) = (&client, participants.is_empty()) {
+                if client
+                    .as_ref()
+                    .is_some_and(|c| c.committed.load(Ordering::Relaxed))
+                {
+                    // the callee decided alone before it answered
+                    commit = Some(CommitOutcome::Committed { participants: 1 });
+                } else if let (Some(client), false) = (&client, participants.is_empty()) {
                     // Point of no return: a budget that runs out *before*
                     // Prepare aborts the query cleanly (participants are
                     // told to stand down). Once the protocol starts, the
@@ -816,9 +831,7 @@ impl Peer {
                     }
                     let outcome = outcome?;
                     if let CommitOutcome::Aborted { reason } = &outcome {
-                        return Err(XdmError::xrpc(format!(
-                            "distributed transaction aborted: {reason}"
-                        )));
+                        return Err(twopc::aborted(reason));
                     }
                     commit = Some(outcome);
                 } else if has_delta {
@@ -901,19 +914,20 @@ impl Peer {
     /// `cancel` cooperatively and every outgoing hop decrements its budget
     /// (each nested `execute at` sees strictly less of it). `resolver` is
     /// what `fn:doc` sees locally — remote URIs are fetched through the same
-    /// client as the calls.
+    /// client as the calls. With `commit_on_reply` this peer coordinates
+    /// the query's one call (see `twopc::settle_reply`).
     pub(crate) fn eval_session(
         &self,
         cancel: Arc<CancelToken>,
         query_id: Option<QueryId>,
-        deferred_updates: bool,
+        commit_on_reply: bool,
         resolver: Arc<dyn DocResolver>,
         profile: Option<Arc<ProfileCollector>>,
     ) -> (Option<Arc<XrpcClient>>, Environment) {
         let client = self.transport().map(|t| {
             let mut c = XrpcClient::new(t);
             c.query_id = query_id;
-            c.deferred_updates = deferred_updates;
+            c.coordinator = Mutex::new(self.me.upgrade().filter(|_| commit_on_reply));
             c.obs = Some(self.obs.clone());
             c.net_feedback = self.resilient_transport();
             c.cancel = Some(cancel.clone());

@@ -6,7 +6,7 @@
 use crate::peer::{budget_token, Peer, PreparedFunction};
 use crate::store::QuerySnapshot;
 use crate::twopc::WSAT_MODULE;
-use crate::txn::TxKey;
+use crate::txn::{Input, TxKey, Via};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,7 +17,7 @@ use xqeval::eval::{Ctx, EvalState, Evaluator};
 use xqeval::modules::CompiledModule;
 use xqeval::pul::PendingUpdateList;
 use xrpc_obs::{Phase, ProfileCollector};
-use xrpc_proto::{parse_message, XrpcFault, XrpcMessage, XrpcRequest, XrpcResponse};
+use xrpc_proto::{parse_message, UpdCall, XrpcFault, XrpcMessage, XrpcRequest, XrpcResponse};
 
 /// Removes a call-handler's cancel token from [`Peer::active_evals`] when
 /// the evaluation finishes — by any path, including the handler's many
@@ -100,15 +100,7 @@ impl Peer {
         } else if req.module == crate::remote_docs::DOC_MODULE {
             self.handle_doc_fetch(&req)
         } else {
-            // identifies a redelivered (transport-retried) request
-            // byte-for-byte; only deferred updating calls consult it, so
-            // spare the read-only hot path the full-message scan
-            let request_hash = if req.deferred {
-                xrpc_obs::fnv1a64(text.as_bytes())
-            } else {
-                0
-            };
-            self.handle_call_request(req, request_hash, parse_micros)
+            self.handle_call_request(req, text, parse_micros)
         };
         if let Err(e) = &out {
             span.tag("error", e.to_string());
@@ -149,7 +141,7 @@ impl Peer {
     fn handle_call_request(
         &self,
         mut req: XrpcRequest,
-        request_hash: u64,
+        text: &str,
         parse_micros: u64,
     ) -> XdmResult<XrpcResponse> {
         let handle_started = Instant::now();
@@ -206,6 +198,19 @@ impl Peer {
         let prepared = self
             .function_cache
             .get_or_prepare(key, || self.prepare_function(&req))?;
+        let updating = prepared.decl.updating;
+
+        // A call sent to commit on its reply, redelivered after this peer
+        // settled the query, is answered from the decision it remembers —
+        // never evaluated again (an updating function's results are empty)
+        let commit = (req.query_id.as_ref()).filter(|_| req.upd_call == UpdCall::Commit);
+        let settled = commit.filter(|q| updating && self.snapshots.completed_decision(q).is_some());
+        if let Some(qid) = settled {
+            self.commit_alone(qid)?;
+            let mut resp = XrpcResponse::new(req.module, req.method);
+            (resp.results, resp.committed) = (vec![Sequence::empty(); req.calls.len()], true);
+            return Ok(resp);
+        }
 
         // Isolation: pin (or reuse) a snapshot when a queryID is present.
         let (resolver, snap): (Arc<dyn DocResolver>, Option<Arc<QuerySnapshot>>) =
@@ -219,31 +224,31 @@ impl Peer {
 
         // At-most-once ∆ merge for deferred updates (rule R'Fu): when the
         // response to an updating call is lost, the resilient transport
-        // redelivers the identical request; merging its ∆ again would
-        // double-insert or trip XQUF compatibility at Prepare. An updating
-        // function's results are empty by XQUF, so the lost response can be
-        // resynthesized without re-evaluating — but only if the original
-        // execution *succeeded*: the hash is recorded after the merge (see
-        // below), so a request that faulted re-evaluates on redelivery
-        // instead of being masked as success. The replayed response carries
-        // the original's participating-peer set so the originator's 2PC
-        // participant list stays complete even when nested calls were made.
-        let track_merge = req.deferred && prepared.decl.updating;
-        if track_merge {
-            if let Some(s) = &snap {
-                if let Some(peers) = s.merged_requests.lock().get(&request_hash) {
-                    let mut resp = XrpcResponse::new(req.module, req.method);
-                    resp.results = vec![Sequence::empty(); req.calls.len()];
-                    resp.participating_peers = peers.clone();
-                    return Ok(resp);
-                }
-            }
+        // redelivers the identical request (byte for byte: the hash
+        // identifies it); merging its ∆ again would double-insert or trip
+        // XQUF compatibility at Prepare. An updating function's results are
+        // empty by XQUF, so the lost response can be resynthesized without
+        // re-evaluating — but only if the original execution *succeeded*:
+        // the hash is recorded after the merge (see below), so a request
+        // that faulted re-evaluates on redelivery instead of being masked as
+        // success. The replayed response carries the original's
+        // participating-peer set so the originator's 2PC participant list
+        // stays complete even when nested calls were made.
+        let merge = snap.as_ref().filter(|_| updating);
+        let request_hash = merge.map_or(0, |_| xrpc_obs::fnv1a64(text.as_bytes()));
+        if let Some(peers) =
+            merge.and_then(|s| s.merged_requests.lock().get(&request_hash).cloned())
+        {
+            let mut resp = XrpcResponse::new(req.module, req.method);
+            resp.results = vec![Sequence::empty(); req.calls.len()];
+            resp.participating_peers = peers;
+            return Ok(resp);
         }
 
         let (nested_client, env) = self.eval_session(
             cancel,
             req.query_id.clone(),
-            req.deferred,
+            false,
             resolver,
             collector.clone(),
         );
@@ -260,7 +265,7 @@ impl Peer {
         let eval_started = Instant::now();
         let calls = std::mem::take(&mut req.calls);
         let ncalls = calls.len();
-        let outcome = if !prepared.decl.updating && ncalls > 1 {
+        let outcome = if !updating && ncalls > 1 {
             relalg::eval_calls(&ev, &prepared.decl, calls)
         } else {
             let mut results = Vec::with_capacity(ncalls);
@@ -274,11 +279,7 @@ impl Peer {
                     // an updating function's result is empty by XQUF; a
                     // non-updating one must not update, but `fn:put` is
                     // tolerated, so its ∆ is kept either way
-                    results.push(if prepared.decl.updating {
-                        Sequence::empty()
-                    } else {
-                        r
-                    });
+                    results.push(if updating { Sequence::empty() } else { r });
                     pul.merge(st.pul);
                     Ok(())
                 })
@@ -296,27 +297,26 @@ impl Peer {
             }
         })?;
 
-        if !pul_total.is_empty() {
-            if req.deferred {
-                // rule R'Fu: defer ∆ until 2PC commit
-                let snap = snap.as_ref().ok_or_else(|| {
-                    XdmError::xrpc("deferred updates require a queryID (isolation)")
-                })?;
-                // the PUL lives until 2PC commit: copy content fragments
-                // out of the request's message arena so holding a ∆ does
-                // not pin the whole (possibly multi-MiB) envelope
+        match (&snap, pul_total.is_empty()) {
+            (_, true) => {}
+            // rule R'Fu: a request that carries a queryID defers ∆ until
+            // 2PC commit, whatever its marker says — the caller may not know
+            // the function updates. The PUL lives until then: copy content
+            // fragments out of the request's message arena so holding a ∆
+            // does not pin the whole (possibly multi-MiB) envelope.
+            (Some(snap), false) => {
                 pul_total.compact_sources();
                 snap.pul.lock().merge(pul_total);
-            } else {
-                // rule RFu: apply immediately after the request
-                self.apply_pul(&pul_total)?;
             }
+            // rule RFu: apply immediately after the request
+            (None, false) => self.apply_pul(&pul_total)?,
         }
 
         // Piggyback the peers this handling (transitively) involved.
         let mut peers: Vec<String> = nested_client
             .map(|c| c.participants_snapshot())
             .unwrap_or_default();
+        let committed = commit.filter(|_| peers.is_empty());
         peers.push(self.name());
         peers.sort();
         peers.dedup();
@@ -324,15 +324,19 @@ impl Peer {
         // Everything merged successfully — only now record the request as
         // seen, so redelivery of a *failed* execution re-evaluates rather
         // than replaying a synthesized success.
-        if track_merge {
-            if let Some(s) = &snap {
-                s.merged_requests.lock().insert(request_hash, peers.clone());
-            }
+        if let Some(s) = merge {
+            s.merged_requests.lock().insert(request_hash, peers.clone());
+        }
+        // Commit on reply: with nobody below it this peer holds the
+        // transaction's only ∆ and decides alone, before it answers
+        if let Some(qid) = committed {
+            self.commit_alone(qid)?;
         }
 
         let mut resp = XrpcResponse::new(req.module, req.method);
         resp.results = results;
         resp.participating_peers = peers;
+        resp.committed = committed.is_some();
         if let Some(col) = &collector {
             // This hop's profile (own hop first, then everything gathered
             // from peers *we* called) rides home in the response header.
@@ -344,6 +348,15 @@ impl Peer {
             resp.profile_hops = col.finish_hops(trace_id, span_id, total_micros);
         }
         Ok(resp)
+    }
+
+    /// The one-phase edge a call marked `updCall="commit"` runs before its
+    /// answer: a refusal is the transaction's abort, and says so.
+    fn commit_alone(&self, qid: &xrpc_proto::QueryId) -> XdmResult<()> {
+        match self.txn_edge(qid, Input::CommitOnePhase, Via::Wire) {
+            Err(e) if e.code != "XRPC0006" => Err(crate::twopc::aborted(e)),
+            done => done.map(drop),
+        }
     }
 
     fn prepare_function(&self, req: &XrpcRequest) -> XdmResult<PreparedFunction> {

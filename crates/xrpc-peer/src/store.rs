@@ -224,11 +224,7 @@ impl SnapshotManager {
     pub fn finish_with(&self, qid: &QueryId, decision: Decision) {
         let key = Self::key(qid);
         self.active.lock().remove(&key);
-        {
-            let mut expired = self.expired.lock();
-            let e = expired.entry(qid.host.clone()).or_insert(0);
-            *e = (*e).max(qid.timestamp_millis);
-        }
+        Self::expire(&mut self.expired.lock(), &qid.host, qid.timestamp_millis);
         let mut completed = self.completed.lock();
         let (map, order) = &mut *completed;
         if map.insert(key.clone(), decision).is_none() {
@@ -270,9 +266,16 @@ impl SnapshotManager {
         let mut expired = self.expired.lock();
         for k in dead {
             active.remove(&k);
-            let e = expired.entry(k.0.clone()).or_insert(0);
-            *e = (*e).max(k.1);
+            Self::expire(&mut expired, &k.0, k.1);
         }
+    }
+
+    /// Mark `host`'s queries up to `ts` expired — never past this peer's
+    /// clock: one queryID stamped ahead of it (skew, a replayed request)
+    /// must not refuse its host's queries until the clock catches up.
+    fn expire(expired: &mut HashMap<String, u64>, host: &str, ts: u64) {
+        let latest = expired.entry(host.to_string()).or_insert(0);
+        *latest = (*latest).max(ts.min(crate::now_millis()));
     }
 
     pub fn active_count(&self) -> usize {
@@ -341,6 +344,19 @@ mod tests {
         assert_eq!(err2.code, "XRPC0002");
         // but a newer one is fine
         assert!(mgr.get_or_pin(&qid(200, 30), || docs_v("w")).is_ok());
+    }
+
+    #[test]
+    fn a_query_stamped_ahead_of_the_clock_does_not_expire_its_host() {
+        let mgr = SnapshotManager::new();
+        let ahead = qid(crate::now_millis() + 3_600_000, 30);
+        mgr.get_or_pin(&ahead, || docs_v("x")).unwrap();
+        mgr.finish_with(&ahead, Decision::Committed);
+        // the host's queries stamped from now on still pin; older ones do not
+        let now = qid(crate::now_millis() + 1, 30);
+        assert!(mgr.get_or_pin(&now, || docs_v("y")).is_ok());
+        let older = mgr.get_or_pin(&qid(1, 30), || docs_v("z"));
+        assert_eq!(older.map(|_| ()).unwrap_err().code, "XRPC0002");
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! implement support for these web service interfaces ... over the same
 //! HTTP SOAP server that runs XRPC".
 
-use crate::client::XrpcClient;
+use crate::client::{Answer, XrpcClient};
 use crate::peer::Peer;
 use crate::txn::{CoordInput, Input, Via};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-use xdm::{XdmError, XdmResult};
+use xdm::{Sequence, XdmError, XdmResult};
 use xrpc_net::crash_points;
-use xrpc_proto::{QueryId, Vote};
+use xrpc_proto::{QueryId, Vote, XrpcResponse};
 
 // The control vocabulary lives in xrpc-proto (shared with recovery and
 // external tooling); re-exported here for the existing call sites.
@@ -173,7 +173,7 @@ pub fn run_two_phase_commit(
     own: bool,
 ) -> XdmResult<CommitOutcome> {
     if let ([_], false) = (participants, own) {
-        return commit_one_phase(peer, client, qid, participants);
+        return commit_one_phase(peer, client, qid, participants, 0);
     }
     let (obs, metrics) = (&peer.obs, &peer.twopc_metrics);
     let config = *peer.twopc_config.read();
@@ -347,6 +347,11 @@ pub fn run_two_phase_commit(
     }
 }
 
+/// The error a transaction that aborted fails its query with.
+pub(crate) fn aborted(reason: impl std::fmt::Display) -> XdmError {
+    XdmError::xrpc(format!("distributed transaction aborted: {reason}"))
+}
+
 /// The one participant holding a ∆ — the originator holds none — decides
 /// alone: one `CommitOnePhase`, which it logs, applies and acknowledges in
 /// one edge, so the coordinator has no commit point to force. While the
@@ -354,12 +359,14 @@ pub fn run_two_phase_commit(
 /// restarted mid-edge and inquires hears `InDoubt`, since a retry may still
 /// come. A refusal — raised before the participant logged anything — is
 /// the abort; a fault raised past that point, or an answer that never
-/// comes, is not: the participant may have committed.
+/// comes, is not: the participant may have committed. `made` attempts came
+/// before (a call sent to commit on its reply is one).
 fn commit_one_phase(
     peer: &Peer,
     client: &XrpcClient,
     qid: &QueryId,
     participants: &[String],
+    made: u32,
 ) -> XdmResult<CommitOutcome> {
     let participant = &participants[0];
     let _ = peer.coord_edge(qid, CoordInput::Begin(participants));
@@ -371,7 +378,7 @@ fn commit_one_phase(
         participant,
         METHOD_COMMIT_ONE_PHASE,
         qid,
-        true,
+        Some(made),
     );
     peer.crash_at(crash_points::COORD_ONE_PHASE_IN_FLIGHT, &mut span)?;
     let _ = peer.coord_edge(qid, CoordInput::End);
@@ -391,6 +398,47 @@ fn commit_one_phase(
     )))
 }
 
+/// Commit on reply (R*'s last agent): the query's one call is its tail, so
+/// it went out `updCall="commit"`, and the callee committed in one phase
+/// before it answered — or, having participants of its own, answered
+/// without, and the ordinary protocol follows. The table has held
+/// `Coordinating` since before the call left; its `answer` ends that. A
+/// call that may have been handled but did not come back is a one-phase
+/// commit whose first delivery was the call: `CommitOnePhase` retries
+/// follow, and should they commit, the empty results of an updating `func`
+/// stand in for the lost ones (a read-only call's are gone: the query
+/// fails, though nothing is undone).
+pub(crate) fn settle_reply(
+    peer: &Peer,
+    client: &XrpcClient,
+    dest: &str,
+    answer: Answer,
+    func: &xqeval::FunctionRef,
+    calls: usize,
+) -> XdmResult<XrpcResponse> {
+    let qid = (client.query_id.as_ref()).ok_or_else(|| XdmError::xrpc("no queryID to commit"))?;
+    match answer {
+        Err((lost, true)) => match commit_one_phase(peer, client, qid, &[dest.into()], 1)? {
+            CommitOutcome::Aborted { reason } => Err(aborted(reason)),
+            _ if func.updating => Ok(XrpcResponse {
+                results: vec![Sequence::empty(); calls],
+                committed: true,
+                ..XrpcResponse::new(&func.module_ns, &func.local_name)
+            }),
+            _ => Err(XdmError::xrpc(format!(
+                "`{dest}` committed, but the call's results were lost: {lost}"
+            ))),
+        },
+        answer => {
+            let mut span = peer.obs.tracer.span_here("2pc:decision-phase");
+            span.tag("decision", "commit-on-reply");
+            peer.crash_at(crash_points::COORD_ONE_PHASE_IN_FLIGHT, &mut span)?;
+            let _ = peer.coord_edge(qid, CoordInput::End);
+            answer.map_err(|(e, _)| e)
+        }
+    }
+}
+
 /// Deliver one decision message with bounded retry (see [`deliver`]); a
 /// fault is retried like a lost message.
 pub(crate) fn deliver_decision(
@@ -400,7 +448,7 @@ pub(crate) fn deliver_decision(
     method: &str,
     qid: &QueryId,
 ) -> XdmResult<()> {
-    deliver(peer, client, dest, method, qid, false).map(drop)
+    deliver(peer, client, dest, method, qid, None).map(drop)
 }
 
 /// Deliver one control message with bounded retry and *full-jitter*
@@ -409,31 +457,32 @@ pub(crate) fn deliver_decision(
 /// and redelivers to many participants at once, deterministic backoff
 /// would re-synchronize the whole cohort into retry waves. Control
 /// handling is idempotent at the participant, so redelivery after an
-/// ambiguous failure is always safe. With `refusals_end`, a fault is the
-/// participant's answer, returned as `Ok(Some(refusal))` — unless it is
-/// outcome-unknown (XRPC0006: a one-phase commit that failed past its
-/// guard, retried like a lost message), or "no such query" after an
-/// attempt whose fate is unknown (a commit it may have finished and
-/// forgotten since: an error, like an exhausted budget).
+/// ambiguous failure is always safe. For a one-phase commit, `made`
+/// attempts in, a fault is the participant's answer, `Ok(Some(refusal))` —
+/// unless it is outcome-unknown (XRPC0006: failed past its guard, retried
+/// like a lost message), or "no such query" after an attempt whose fate is
+/// unknown (a commit it may have finished and forgotten since: an error,
+/// like an exhausted budget).
 fn deliver(
     peer: &Peer,
     client: &XrpcClient,
     dest: &str,
     method: &str,
     qid: &QueryId,
-    refusals_end: bool,
+    one_phase: Option<u32>,
 ) -> XdmResult<Option<XdmError>> {
     let (config, metrics) = (*peer.twopc_config.read(), &peer.twopc_metrics);
-    let mut attempt = 0u32;
+    let mut attempt = one_phase.unwrap_or(0);
     loop {
         attempt += 1;
         if attempt > 1 {
             metrics.redeliveries.fetch_add(1, Ordering::Relaxed);
         }
+        let ends = one_phase.is_some();
         let error = match client.control(dest, method, qid) {
             Ok(Ok(_)) => return Ok(None),
-            Ok(Err(e)) if refusals_end && attempt > 1 && e.code == "XRPC0002" => return Err(e),
-            Ok(Err(e)) if refusals_end && e.code != "XRPC0006" => return Ok(Some(e)),
+            Ok(Err(e)) if ends && attempt > 1 && e.code == "XRPC0002" => return Err(e),
+            Ok(Err(e)) if ends && e.code != "XRPC0006" => return Ok(Some(e)),
             Ok(Err(e)) | Err(e) => e,
         };
         if attempt >= config.decision_max_attempts.max(1) {
@@ -454,7 +503,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
-    use xdm::Sequence;
+    use xqeval::{FunctionRef, RpcDispatcher};
     use xrpc_net::{NetProfile, SimNetwork};
     use xrpc_proto::{parse_message, XrpcFault, XrpcMessage, XrpcResponse};
 
@@ -517,9 +566,168 @@ mod tests {
     }
 
     /// What each scripted participant was sent, in counter order
-    /// (Prepare, Commit, Abort, CommitOnePhase).
-    fn sent(c: &[AtomicU32; 4]) -> [u32; 4] {
+    /// (Prepare, Commit, Abort, CommitOnePhase — and the call, at a callee).
+    fn sent<const N: usize>(c: &[AtomicU32; N]) -> [u32; N] {
         std::array::from_fn(|i| c[i].load(Ordering::SeqCst))
+    }
+
+    /// A scripted callee at `xrpc://a` of a query's one call, answering
+    /// everything with `answer`; counts like [`participant`], the call last.
+    fn callee(
+        net: &SimNetwork,
+        answer: impl Fn(&xrpc_proto::XrpcRequest) -> Vec<u8> + Send + Sync + 'static,
+    ) -> Arc<[AtomicU32; 5]> {
+        let counters: Arc<[AtomicU32; 5]> = Arc::new(Default::default());
+        let c = counters.clone();
+        net.register(
+            "xrpc://a",
+            Arc::new(move |body: &[u8]| {
+                let XrpcMessage::Request(req) =
+                    parse_message(std::str::from_utf8(body).unwrap()).unwrap()
+                else {
+                    panic!("a request")
+                };
+                let idx = [
+                    METHOD_PREPARE,
+                    METHOD_COMMIT,
+                    METHOD_ABORT,
+                    METHOD_COMMIT_ONE_PHASE,
+                ]
+                .iter()
+                .position(|m| *m == req.method);
+                c[idx.unwrap_or(4)].fetch_add(1, Ordering::SeqCst);
+                answer(&req)
+            }),
+        );
+        counters
+    }
+
+    /// A reply to `req` with one empty result, `committed` if asked to be.
+    fn reply(req: &xrpc_proto::XrpcRequest, committed: bool, peers: &[&str]) -> Vec<u8> {
+        let mut resp = XrpcResponse::new(&req.module, &req.method);
+        resp.results.push(Sequence::empty());
+        resp.committed = committed && req.upd_call == xrpc_proto::UpdCall::Commit;
+        resp.participating_peers = peers.iter().map(|p| p.to_string()).collect();
+        resp.to_xml().unwrap().into_bytes()
+    }
+
+    fn fault(e: XdmError) -> Vec<u8> {
+        XrpcFault::from_error(&e).to_xml().into_bytes()
+    }
+
+    /// The originator of a query whose one call commits on its reply, and
+    /// the client that call leaves through.
+    fn coordinated(net: Arc<SimNetwork>) -> (Arc<Peer>, XrpcClient) {
+        let peer = Peer::new("p0", crate::EngineKind::Tree);
+        peer.set_twopc_config(TwoPcConfig {
+            decision_max_attempts: 3,
+            decision_backoff: Duration::from_millis(1),
+            ..TwoPcConfig::default()
+        });
+        let client = XrpcClient::new(net).with_query_id(qid());
+        *client.coordinator.lock() = Some(peer.clone());
+        (peer, client)
+    }
+
+    fn set() -> FunctionRef {
+        FunctionRef {
+            module_ns: "test".into(),
+            location_hint: None,
+            local_name: "set".into(),
+            arity: 0,
+            updating: true,
+        }
+    }
+
+    #[test]
+    fn a_call_whose_reply_is_lost_commits_with_one_commit_one_phase() {
+        let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+        let a = callee(&net, |req| reply(req, true, &["xrpc://a"]));
+        net.inject_fault("xrpc://a", xrpc_net::SimFault::DropResponse);
+        let (peer, client) = coordinated(net);
+        let results = client.dispatch("xrpc://a", &set(), vec![vec![]]).unwrap();
+        assert!(
+            matches!(&results[..], [r] if r.is_empty()),
+            "an updating call's results"
+        );
+        assert!(client.committed.load(Ordering::SeqCst));
+        assert_eq!(
+            sent(&a),
+            [0, 0, 0, 1, 1],
+            "the call, then one CommitOnePhase"
+        );
+        assert!(
+            client.participants_snapshot().is_empty(),
+            "nobody left to ask"
+        );
+        assert_eq!(peer.coord.outcome(&qid()), xrpc_proto::TxOutcome::Aborted);
+    }
+
+    #[test]
+    fn a_call_whose_reply_is_lost_at_a_callee_that_forgot_is_outcome_unknown() {
+        let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+        let a = callee(&net, |req| match req.method.as_str() {
+            METHOD_COMMIT_ONE_PHASE => fault(crate::store::SnapshotManager::no_state(&qid())),
+            _ => reply(req, true, &[]),
+        });
+        net.inject_fault("xrpc://a", xrpc_net::SimFault::DropResponse);
+        let (peer, client) = coordinated(net);
+        let err = client
+            .dispatch("xrpc://a", &set(), vec![vec![]])
+            .unwrap_err();
+        assert_eq!(err.code, "XRPC0006", "{err}");
+        assert!(!client.committed.load(Ordering::SeqCst));
+        assert_eq!(
+            sent(&a),
+            [0, 0, 0, 1, 1],
+            "forgotten after a lost attempt: unknown"
+        );
+        assert_eq!(peer.twopc_metrics.snapshot().hazards, 1);
+    }
+
+    #[test]
+    fn a_refused_call_aborts_with_no_further_message() {
+        // refused at the guard, or — its reply lost — at the retry
+        for lost in [false, true] {
+            let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+            let a = callee(&net, |req| match req.method.as_str() {
+                METHOD_COMMIT_ONE_PHASE => fault(XdmError::xrpc("Commit after Abort")),
+                _ => fault(aborted(XdmError::xrpc("conflicting transaction"))),
+            });
+            if lost {
+                net.inject_fault("xrpc://a", xrpc_net::SimFault::DropResponse);
+            }
+            let (peer, client) = coordinated(net);
+            let err = client
+                .dispatch("xrpc://a", &set(), vec![vec![]])
+                .unwrap_err();
+            assert!(err.message.contains("transaction aborted"), "{err}");
+            assert_eq!(sent(&a), [0, 0, 0, u32::from(lost), 1], "lost={lost}");
+            assert_eq!(peer.twopc_metrics.snapshot().hazards, 0);
+            assert_eq!(peer.coord.outcome(&qid()), xrpc_proto::TxOutcome::Aborted);
+        }
+    }
+
+    #[test]
+    fn a_callee_with_participants_of_its_own_answers_for_the_ordinary_protocol() {
+        let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+        let a = callee(&net, |req| {
+            reply(req, false, &["xrpc://a", "xrpc://nested"])
+        });
+        let nested = participant(&net, "xrpc://nested", false);
+        let (peer, client) = coordinated(net);
+        client.dispatch("xrpc://a", &set(), vec![vec![]]).unwrap();
+        assert!(!client.committed.load(Ordering::SeqCst));
+        let all = client.participants_snapshot();
+        assert_eq!(all, ["xrpc://a", "xrpc://nested"]);
+        let out = run_two_phase_commit(&peer, &client, &qid(), &all, false).unwrap();
+        assert_eq!(out, CommitOutcome::Committed { participants: 2 });
+        assert_eq!(
+            sent(&a),
+            [1, 1, 0, 0, 1],
+            "the call, then Prepare and Commit"
+        );
+        assert_eq!(sent(&nested), [1, 1, 0, 0]);
     }
 
     #[test]

@@ -229,7 +229,7 @@ fn redelivered_deferred_update_is_merged_at_most_once() {
     let cl = cluster(fast_policy(1), BreakerConfig::default());
     let qid = xrpc_proto::QueryId::new("origin", 4242, 30);
     let mut req = xrpc_proto::XrpcRequest::new("test", "addEntry", 1).with_query_id(qid.clone());
-    req.deferred = true;
+    req.upd_call = xrpc_proto::UpdCall::Deferred;
     req.seq = Some(7);
     req.push_call(vec![xdm::Sequence::one(xdm::Item::string("dup"))]);
     let xml = req.to_xml().unwrap();
@@ -281,7 +281,7 @@ fn failed_deferred_update_redelivery_is_not_masked_as_success() {
     let cl = cluster(fast_policy(1), BreakerConfig::default());
     let qid = xrpc_proto::QueryId::new("origin", 5555, 30);
     let mut req = xrpc_proto::XrpcRequest::new("test", "addEntry", 1).with_query_id(qid.clone());
-    req.deferred = true;
+    req.upd_call = xrpc_proto::UpdCall::Deferred;
     req.seq = Some(1);
     req.push_call(vec![xdm::Sequence::one(xdm::Item::string("x"))]);
     let xml = req.to_xml().unwrap();
@@ -310,7 +310,7 @@ fn replayed_deferred_update_carries_original_participants() {
     cl.b.set_transport_raw(cl.net.clone());
     let qid = xrpc_proto::QueryId::new("origin", 6666, 30);
     let mut req = xrpc_proto::XrpcRequest::new("test", "addCascade", 1).with_query_id(qid.clone());
-    req.deferred = true;
+    req.upd_call = xrpc_proto::UpdCall::Deferred;
     req.seq = Some(1);
     req.push_call(vec![xdm::Sequence::one(xdm::Item::string("deep"))]);
     let xml = req.to_xml().unwrap();

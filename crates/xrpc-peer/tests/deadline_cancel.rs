@@ -227,7 +227,7 @@ fn control(method: &str, qid: &xrpc_proto::QueryId) -> Vec<u8> {
 
 fn deferred_set(qid: &xrpc_proto::QueryId, value: &str) -> Vec<u8> {
     let mut req = xrpc_proto::XrpcRequest::new("test", "set", 1).with_query_id(qid.clone());
-    req.deferred = true;
+    req.upd_call = xrpc_proto::UpdCall::Deferred;
     req.push_call(vec![xdm::Sequence::one(xdm::Item::string(value))]);
     req.to_xml().unwrap().into_bytes()
 }

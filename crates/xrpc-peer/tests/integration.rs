@@ -202,19 +202,53 @@ fn update_repeatable_defers_until_2pc_commit_rule_rfu_prime() {
     // after execute() returns the transaction has committed
     let v = b.docs.get("state.xml").unwrap();
     assert_eq!(v.string_value(v.root()), "committed");
-    // B holds the only ∆: one CommitOnePhase, no Prepare + Commit
+    // B holds the only ∆ and the call is the query's tail: B commits before
+    // it answers, and no control message follows
     assert_eq!(
         b.stats
             .control_messages
             .load(std::sync::atomic::Ordering::Relaxed),
-        1
+        0
     );
+    assert_eq!(b.twopc_metrics.snapshot().commits, 1);
     assert!(matches!(
         out.commit,
         Some(xrpc_peer::twopc::CommitOutcome::Committed { participants: 1 })
     ));
     // snapshot state was released
     assert_eq!(b.snapshots.active_count(), 0);
+}
+
+/// The callee decides whether its function updates, not the caller: A has
+/// no copy of `t:set`'s module, so it cannot mark the call deferred. Under
+/// isolation the ∆ waits in B's snapshot all the same (rule R'Fu) — never
+/// applied by a query that fails after the call, committed with one that
+/// succeeds, whether the call is the query's tail or not.
+#[test]
+fn an_isolated_update_waits_for_the_commit_when_the_originator_lacks_the_module() {
+    let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+    let a = Peer::new("xrpc://a.example.org", EngineKind::Tree);
+    a.set_transport(net.clone());
+    let b = Peer::new("xrpc://b.example.org", EngineKind::Tree);
+    b.register_module(TEST_MODULE).unwrap();
+    b.add_document("state.xml", "<v>initial</v>").unwrap();
+    net.register("xrpc://b.example.org", b.soap_handler());
+    let isolated = |body: &str| {
+        a.execute(&format!(
+            r#"declare option xrpc:isolation "repeatable";
+               import module namespace t = "test";
+               {body}"#
+        ))
+    };
+    let err = isolated(r#"(execute at {"xrpc://b.example.org"} {t:set("leaked")}, error())"#)
+        .unwrap_err();
+    assert_eq!(err.code, "FOER0000", "{err}");
+    assert_eq!(state(&b), "<v>initial</v>", "the ∆ escaped the transaction");
+    isolated(r#"(execute at {"xrpc://b.example.org"} {t:set("then")}, "done")"#).unwrap();
+    assert_eq!(state(&b), "<v>then</v>");
+    isolated(r#"execute at {"xrpc://b.example.org"} {t:set("tail")}"#).unwrap();
+    assert_eq!(state(&b), "<v>tail</v>");
+    assert_eq!(b.twopc_metrics.snapshot().commits, 2);
 }
 
 #[test]
@@ -816,8 +850,9 @@ fn an_isolated_read_only_query_forces_nothing() {
         out.commit,
         Some(xrpc_peer::CommitOutcome::Committed { participants: 1 })
     ));
-    // one CommitOnePhase of an empty ∆: no record, no flush, anywhere
-    assert_eq!(control_messages(&b), 1);
+    // the call commits an empty ∆ on its reply: no control message, no
+    // record, no flush, anywhere — and the reply released b's snapshot
+    assert_eq!(control_messages(&b), 0);
     assert_eq!((fsyncs(&a_log), fsyncs(&b_log)), (0, 0));
     assert_eq!(b.snapshots.active_count(), 0);
     for log in [a_log, b_log] {
@@ -890,7 +925,7 @@ fn a_delta_that_cannot_apply_aborts_a_one_phase_commit_before_the_log() {
     assert!(err.message.contains("transaction aborted"), "{err}");
     assert!(err.message.contains("XUDY0030"), "{err}");
     assert_eq!(state(&b), "<v>initial</v>");
-    assert_eq!((control_messages(&b), fsyncs(&log)), (1, 0));
+    assert_eq!((control_messages(&b), fsyncs(&log)), (0, 0));
     assert_eq!(log.stats().log_bytes, untouched, "no record at all");
     assert_eq!(log.open_transactions(), 0);
     let m = b.twopc_metrics.snapshot();
@@ -922,7 +957,7 @@ fn presumed_abort_forces_no_abort_and_acknowledges_a_forgotten_commit() {
     let qids = [3333, 3334].map(|ts| xrpc_proto::QueryId::new("origin", ts, 30));
     for qid in &qids {
         let mut set = xrpc_proto::XrpcRequest::new("test", "set", 1).with_query_id(qid.clone());
-        set.deferred = true;
+        set.upd_call = xrpc_proto::UpdCall::Deferred;
         set.push_call(vec![Sequence::one(Item::string("doomed"))]);
         b.handle_soap(set.to_xml().unwrap().as_bytes());
         assert!(answer("Prepare", qid).contains("response"));
@@ -948,8 +983,9 @@ fn presumed_abort_forces_no_abort_and_acknowledges_a_forgotten_commit() {
 
 #[test]
 fn an_inquiry_while_a_one_phase_commit_is_in_flight_hears_in_doubt() {
-    // b asks the coordinator about the transaction the moment the
-    // CommitOnePhase reaches it — as a participant restarted mid-edge would
+    // b asks the coordinator about the transaction the moment the call
+    // that commits on its reply reaches it — as a participant restarted
+    // mid-edge would
     let (net, a, b) = sim_pair(EngineKind::Tree);
     let heard = Arc::new(std::sync::Mutex::new(Vec::new()));
     let (coordinator, serve_b, h) = (a.clone(), b.soap_handler(), heard.clone());
@@ -958,7 +994,7 @@ fn an_inquiry_while_a_one_phase_commit_is_in_flight_hears_in_doubt() {
         Arc::new(move |body: &[u8]| {
             let text = std::str::from_utf8(body).unwrap();
             if let Ok(xrpc_proto::XrpcMessage::Request(req)) = xrpc_proto::parse_message(text) {
-                if req.method == "CommitOnePhase" {
+                if req.upd_call == xrpc_proto::UpdCall::Commit {
                     let ask = control("Inquire", req.query_id.as_ref().unwrap());
                     let reply = String::from_utf8(coordinator.handle_soap(&ask)).unwrap();
                     h.lock().unwrap().push(reply.contains("in-doubt"));
@@ -975,5 +1011,7 @@ fn an_inquiry_while_a_one_phase_commit_is_in_flight_hears_in_doubt() {
     .unwrap();
     assert_eq!(*heard.lock().unwrap(), [true], "InDoubt while in flight");
     assert_eq!(state(&b), "<v>once</v>");
+    let inquiries_only = (control_messages(&a), control_messages(&b));
+    assert_eq!(inquiries_only, (1, 0), "the Inquire, and nothing else");
     assert_eq!(a.coord.committed_entries(), 0, "and nothing left after it");
 }

@@ -333,6 +333,36 @@ fn prepared_query_drives_remote_execute_at() {
     assert_eq!(local.plan_cache.misses.load(Relaxed), 1, "one compile");
 }
 
+/// `explain` says whether the query's one call commits the transaction on
+/// its reply. The effect summary behind it is compiled with the plan, so a
+/// cache hit reads it without walking the query again.
+#[test]
+fn explain_says_whether_the_call_commits_on_its_reply() {
+    let p = peer_with_data(EngineKind::Tree);
+    let call = r#"execute at {"xrpc://b.example.org"} {t:set("x")}"#;
+    let isolated = r#"declare option xrpc:isolation "repeatable";
+                      declare namespace t = "test";"#;
+    for (query, commits) in [
+        (format!("{isolated} {call}"), true),
+        (format!("{isolated} let $x := 1 return {call}"), true),
+        (format!(r#"{isolated} ({call}, "done")"#), false),
+        (format!("{isolated} for $i in (1, 2) return {call}"), false),
+        (format!(r#"declare namespace t = "test"; {call}"#), false),
+    ] {
+        let want = format!("\"commitOnReply\":{commits}");
+        let miss = p.explain(&query).unwrap();
+        assert!(
+            miss.contains(&want) && miss.contains("\"cache\":\"miss\""),
+            "{miss}"
+        );
+        let hit = p.explain(&query).unwrap();
+        assert!(
+            hit.contains(&want) && hit.contains("\"cache\":\"hit\""),
+            "{hit}"
+        );
+    }
+}
+
 /// The slow-query log names a query by the FNV-1a of its normalized text;
 /// the value is the one every earlier build logged.
 #[test]

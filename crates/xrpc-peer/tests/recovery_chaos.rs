@@ -40,10 +40,18 @@ const UPDATE_BOTH: &str = r#"declare option xrpc:isolation "repeatable";
     (execute at {"xrpc://b.example.org"} {t:addEntry("x")},
      execute at {"xrpc://c.example.org"} {t:addEntry("x")})"#;
 
-/// One writer, the coordinator holding no ∆: a one-phase commit at b.
+/// One writer, the coordinator holding no ∆, and the call the query's
+/// tail: b commits in one phase before it answers the call.
 const UPDATE_B: &str = r#"declare option xrpc:isolation "repeatable";
     import module namespace t = "test";
     execute at {"xrpc://b.example.org"} {t:addEntry("x")}"#;
+
+/// One writer whose call is not the query's tail (a value follows it): the
+/// effect summary refuses commit on reply, and a `CommitOnePhase` follows
+/// the call.
+const UPDATE_B_THEN_DONE: &str = r#"declare option xrpc:isolation "repeatable";
+    import module namespace t = "test";
+    (execute at {"xrpc://b.example.org"} {t:addEntry("x")}, "done")"#;
 
 /// Unique WAL paths per cluster so parallel tests never share a log.
 static RUN_ID: AtomicU64 = AtomicU64::new(0);
@@ -461,37 +469,41 @@ fn one_phase_commit_whose_answer_is_lost_is_unknown_and_committed() {
     assert_eq!(report.reapplied, 0, "closed before the crash: {report:?}");
 }
 
-/// The coordinator dies with its `CommitOnePhase` in flight: the restart
-/// finds the begin record and nothing after it, and the re-abort sweep
-/// tells b to abort — which a b that committed acknowledges, and a b that
-/// never heard the commit takes, releasing its ∆.
+/// The coordinator dies with its one-phase commit in flight — the call
+/// that commits on its reply, or the `CommitOnePhase` after a call that was
+/// not the query's tail: the restart finds the begin record and nothing
+/// after it, and the re-abort sweep tells b to abort — which a b that
+/// committed acknowledges, a b that holds the ∆ takes, and a b that never
+/// heard of the query acknowledges too.
 #[test]
 fn coordinator_crash_with_one_phase_in_flight_is_settled_by_the_reabort_sweep() {
-    for reached in [true, false] {
+    use xrpc_net::SimFault::{DropRequest as Lost, LatencySpike};
+    // the call goes through; every attempt of the commit after it (two
+    // deliveries of two transport tries each) is lost on the way out
+    let commit_lost = [LatencySpike(Duration::ZERO), Lost, Lost, Lost, Lost];
+    // (query, faults on b's link, b committed, b took the abort)
+    let cases: [(&str, &[_], bool, bool); 4] = [
+        (UPDATE_B, &[], true, false),
+        (UPDATE_B, &[Lost], false, false),
+        (UPDATE_B_THEN_DONE, &[], true, false),
+        (UPDATE_B_THEN_DONE, &commit_lost, false, true),
+    ];
+    for (query, faults, committed, took_abort) in cases {
+        let case = format!("{query} after {faults:?}");
         let mut cl = cluster("one-phase-coord");
         cl.a.switch.arm(crash_points::COORD_ONE_PHASE_IN_FLIGHT);
-        if !reached {
-            // the call goes through; every attempt of the commit (two
-            // deliveries of two transport tries each) is lost on the way out
-            let lost = [xrpc_net::SimFault::DropRequest; 4];
-            let call = [xrpc_net::SimFault::LatencySpike(Duration::ZERO)];
-            cl.net
-                .inject_fault_script(B_URI, call.into_iter().chain(lost));
-        }
-        let err = cl.a.peer.execute(UPDATE_B).unwrap_err();
-        assert!(err.message.contains("simulated crash"), "{err}");
-        assert_eq!(log_count(&cl.b.peer), usize::from(reached));
+        cl.net.inject_fault_script(B_URI, faults.iter().copied());
+        let err = cl.a.peer.execute(query).unwrap_err();
+        assert!(err.message.contains("simulated crash"), "{case}: {err}");
+        assert_eq!(log_count(&cl.b.peer), usize::from(committed), "{case}");
 
         restart(&cl.net, &mut cl.a, A_URI);
         let resolved = cl.a.peer.resolve_in_doubt().unwrap();
-        assert_eq!(resolved.reaborted, 1, "reached={reached}: {resolved:?}");
+        assert_eq!(resolved.reaborted, 1, "{case}: {resolved:?}");
         let b = cl.b.peer.twopc_metrics.snapshot();
-        assert_eq!(
-            (b.commits, b.aborts),
-            (u64::from(reached), u64::from(!reached)),
-            "reached={reached}"
-        );
-        assert_eq!(log_count(&cl.b.peer), usize::from(reached), "untouched");
+        let want = (u64::from(committed), u64::from(took_abort));
+        assert_eq!((b.commits, b.aborts), want, "{case}");
+        assert_eq!(log_count(&cl.b.peer), usize::from(committed), "untouched");
         assert_eq!(cl.b.peer.snapshots.active_count(), 0);
         assert_eq!(cl.a.peer.wal().unwrap().open_transactions(), 0);
     }
@@ -1046,11 +1058,16 @@ enum Target {
 
 type Op = (Target, &'static str);
 
+/// Not a crash point: the next reply from b is lost on the way back — for
+/// [`UPDATE_B`] the reply of the call that committed.
+const DROP_REPLY: &str = "net:drop-next-reply";
+
 /// The full fault universe: every instrumented crash point on the peer
 /// that can reach it in a `b + c` update coordinated by `a` (2PC) or a
-/// `b`-only one (one-phase commit). A point the round's protocol never
-/// passes stays armed and harmless.
+/// `b`-only one (one-phase commit), and a lost reply. A point the round's
+/// protocol never passes stays armed and harmless.
 const UNIVERSE: &[Op] = &[
+    (Target::B, DROP_REPLY),
     (Target::B, crash_points::BEFORE_PREPARE_LOG),
     (Target::B, crash_points::AFTER_PREPARE_ACK),
     (Target::B, crash_points::AFTER_DECISION_LOG),
@@ -1081,13 +1098,20 @@ fn gen_schedule(rng: &mut u64) -> Vec<Op> {
         .collect()
 }
 
+/// The updates every schedule runs under: 2PC at b and c, and a lone
+/// writer at b committing on its call's reply or with a `CommitOnePhase`.
+const SHAPES: [&str; 3] = [UPDATE_BOTH, UPDATE_B, UPDATE_B_THEN_DONE];
+
 /// Run one schedule against a fresh cluster: arm every fault, fire the
-/// distributed update (at b and c, or — `one_phase` — at b alone), then
-/// drive restart + recovery rounds until the cluster quiesces. Returns a
-/// violation description, or None.
-fn run_schedule(schedule: &[Op], one_phase: bool) -> Option<String> {
+/// distributed update `shape`, then drive restart + recovery rounds until
+/// the cluster quiesces. Returns a violation description, or None.
+fn run_schedule(schedule: &[Op], shape: &str) -> Option<String> {
     let mut cl = cluster("prop");
     for (t, point) in schedule {
+        if *point == DROP_REPLY {
+            cl.net.inject_fault(B_URI, xrpc_net::SimFault::DropResponse);
+            continue;
+        }
         let sw = match t {
             Target::A => &cl.a.switch,
             Target::B => &cl.b.switch,
@@ -1095,9 +1119,7 @@ fn run_schedule(schedule: &[Op], one_phase: bool) -> Option<String> {
         };
         sw.arm(point);
     }
-    let outcome =
-        cl.a.peer
-            .execute(if one_phase { UPDATE_B } else { UPDATE_BOTH });
+    let outcome = cl.a.peer.execute(shape);
 
     // Recovery rounds: restart whoever is down, then let everyone
     // resolve. Armed points can fire *again* during recovery (a schedule
@@ -1137,7 +1159,7 @@ fn run_schedule(schedule: &[Op], one_phase: bool) -> Option<String> {
 
     let nb = log_count(&cl.b.peer);
     let nc = log_count(&cl.c.peer);
-    if nb != nc && !(one_phase && nc == 0) {
+    if nb != nc && !(shape != UPDATE_BOTH && nc == 0) {
         return Some(format!("mixed outcome: b={nb} entries, c={nc} entries"));
     }
     if nb > 1 {
@@ -1171,13 +1193,13 @@ fn run_schedule(schedule: &[Op], one_phase: bool) -> Option<String> {
 
 /// Shrink a failing schedule by greedy element removal until no single
 /// removal still fails.
-fn shrink(mut schedule: Vec<Op>, one_phase: bool) -> Vec<Op> {
+fn shrink(mut schedule: Vec<Op>, shape: &str) -> Vec<Op> {
     loop {
         let mut reduced = false;
         for i in 0..schedule.len() {
             let mut candidate = schedule.clone();
             candidate.remove(i);
-            if run_schedule(&candidate, one_phase).is_some() {
+            if run_schedule(&candidate, shape).is_some() {
                 schedule = candidate;
                 reduced = true;
                 break;
@@ -1199,14 +1221,14 @@ fn prefix_replay_invariant_checker() {
     for round in 0..5 {
         let schedule = gen_schedule(&mut rng);
         // replay every prefix: an invariant must hold not only for the
-        // full schedule but at every point along the way — under both
-        // protocols
-        for (cut, one_phase) in (0..=schedule.len()).flat_map(|c| [(c, false), (c, true)]) {
+        // full schedule but at every point along the way — under every
+        // protocol
+        for (cut, shape) in (0..=schedule.len()).flat_map(|c| SHAPES.map(|s| (c, s))) {
             let prefix = &schedule[..cut];
-            if let Some(violation) = run_schedule(prefix, one_phase) {
-                let minimal = shrink(prefix.to_vec(), one_phase);
+            if let Some(violation) = run_schedule(prefix, shape) {
+                let minimal = shrink(prefix.to_vec(), shape);
                 panic!(
-                    "invariant violated (seed={seed}, round={round}, one_phase={one_phase}): \
+                    "invariant violated (seed={seed}, round={round}, shape={shape}): \
                      {violation}\n\
                      failing prefix: {prefix:?}\n\
                      shrunk to shortest failing schedule: {minimal:?}"

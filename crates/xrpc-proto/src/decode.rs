@@ -18,7 +18,7 @@
 
 use crate::message::{
     FaultCode, HopProfile, OpNode, Phase, Phases, ProfileMode, ProfileRequest, QueryId,
-    TraceContext, XrpcFault, XrpcMessage, XrpcRequest, XrpcResponse,
+    TraceContext, UpdCall, XrpcFault, XrpcMessage, XrpcRequest, XrpcResponse,
 };
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -584,16 +584,15 @@ fn request_of(tag: &StartTag) -> XdmResult<XrpcRequest> {
         .map_err(|_| XdmError::xrpc("bad arity attribute"))?;
     let mut req = XrpcRequest::new(module, method, arity);
     req.location = tag.attr_local("location").map(str::to_string);
-    req.deferred = tag.attr_local("updCall") == Some("deferred");
+    req.upd_call = UpdCall::of_attr(tag.attr_local("updCall"));
     req.seq = tag.attr_local("seq").and_then(|s| s.parse().ok());
     Ok(req)
 }
 
 fn response_of(tag: &StartTag) -> XdmResult<XrpcResponse> {
-    Ok(XrpcResponse::new(
-        req_attr(tag, "module")?,
-        req_attr(tag, "method")?,
-    ))
+    let mut resp = XrpcResponse::new(req_attr(tag, "module")?, req_attr(tag, "method")?);
+    resp.committed = tag.attr_local("updCall") == Some("committed");
+    Ok(resp)
 }
 
 fn query_id(tag: &StartTag) -> XdmResult<QueryId> {

@@ -22,7 +22,7 @@ pub use control::{
 };
 pub use marshal::n2s;
 pub use message::{
-    parse_message, FaultCode, ProfileRequest, QueryId, TraceContext, XrpcFault, XrpcMessage,
-    XrpcRequest, XrpcResponse,
+    parse_message, FaultCode, ProfileRequest, QueryId, TraceContext, UpdCall, XrpcFault,
+    XrpcMessage, XrpcRequest, XrpcResponse,
 };
 pub use validate::validate_message;

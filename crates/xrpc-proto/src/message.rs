@@ -68,6 +68,35 @@ pub struct ProfileRequest {
     pub depth: u32,
 }
 
+/// The `updCall` attribute of a request: how the callee settles an updating
+/// function's ∆ — deferred, with a queryID, whatever the marker says.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum UpdCall {
+    /// No attribute: applied right after the request (rule RFu).
+    Immediate,
+    /// `deferred`: held in the query's snapshot until 2PC (rule R'Fu).
+    Deferred,
+    /// `commit`: deferred, and committed in one phase before the answer
+    /// unless the callee has participants of its own (commit on reply).
+    Commit,
+}
+
+impl UpdCall {
+    const ATTRS: [(UpdCall, &'static str); 2] =
+        [(UpdCall::Deferred, "deferred"), (UpdCall::Commit, "commit")];
+
+    /// The attribute value on the wire (`None`: no attribute).
+    pub fn attr(self) -> Option<&'static str> {
+        Self::ATTRS.iter().find(|a| a.0 == self).map(|a| a.1)
+    }
+
+    /// The marker an attribute value names; an unknown one is none.
+    pub fn of_attr(value: Option<&str>) -> UpdCall {
+        let known = Self::ATTRS.iter().find(|a| Some(a.1) == value);
+        known.map_or(UpdCall::Immediate, |a| a.0)
+    }
+}
+
 /// An XRPC request: one function, `calls.len()` applications of it —
 /// `calls.len() > 1` *is* Bulk RPC.
 #[derive(Clone, Debug)]
@@ -77,10 +106,9 @@ pub struct XrpcRequest {
     pub arity: usize,
     pub location: Option<String>,
     pub query_id: Option<QueryId>,
-    /// Marks a call to an XQUF updating function whose pending update list
-    /// must be deferred until 2PC commit (rule R'Fu) rather than applied
-    /// immediately (rule RFu).
-    pub deferred: bool,
+    /// The `updCall` marker: how an updating call's pending update list is
+    /// settled (see [`UpdCall`]).
+    pub upd_call: UpdCall,
     /// Client-assigned per-query sequence number. Distinguishes two
     /// legitimately identical dispatches from a transport-level redelivery
     /// of one dispatch (same seq, byte-identical message) — the peer's
@@ -118,7 +146,7 @@ impl XrpcRequest {
             arity,
             location: None,
             query_id: None,
-            deferred: false,
+            upd_call: UpdCall::Immediate,
             seq: None,
             call_by_fragment: false,
             trace: None,
@@ -188,8 +216,8 @@ impl XrpcRequest {
             push_escaped_attr(out, loc);
             out.push('"');
         }
-        if self.deferred {
-            out.push_str(" updCall=\"deferred\"");
+        if let Some(marker) = self.upd_call.attr() {
+            out.push_str(&format!(" updCall=\"{marker}\""));
         }
         if let Some(seq) = self.seq {
             out.push_str(" seq=\"");
@@ -240,6 +268,9 @@ pub struct XrpcResponse {
     pub method: String,
     pub results: Vec<Sequence>,
     pub participating_peers: Vec<String>,
+    /// `updCall="committed"`: the callee committed the transaction before it
+    /// answered (see [`UpdCall::Commit`]).
+    pub committed: bool,
     /// Hop profiles piggybacked in the response envelope header
     /// (`<env:Header><xrpc:profile>`): the responding peer's own hop
     /// first, then every downstream hop it harvested — so a nested
@@ -255,6 +286,7 @@ impl XrpcResponse {
             method: method.into(),
             results: Vec::new(),
             participating_peers: Vec::new(),
+            committed: false,
             profile_hops: Vec::new(),
         }
     }
@@ -286,6 +318,9 @@ impl XrpcResponse {
         out.push_str("\" method=\"");
         push_escaped_attr(out, &self.method);
         out.push('"');
+        if self.committed {
+            out.push_str(" updCall=\"committed\"");
+        }
         if self.participating_peers.is_empty() && self.results.is_empty() {
             out.push_str("/>");
         } else {
@@ -533,8 +568,8 @@ mod dom_oracle {
         if let Some(loc) = &req.location {
             doc.set_attribute(req_el, QName::local("location"), loc);
         }
-        if req.deferred {
-            doc.set_attribute(req_el, QName::local("updCall"), "deferred");
+        if let Some(marker) = req.upd_call.attr() {
+            doc.set_attribute(req_el, QName::local("updCall"), marker);
         }
         if let Some(seq) = req.seq {
             doc.set_attribute(req_el, QName::local("seq"), seq.to_string());
@@ -578,6 +613,9 @@ mod dom_oracle {
         let resp_el = doc.create_element(xrpc("response"));
         doc.set_attribute(resp_el, QName::local("module"), &resp.module);
         doc.set_attribute(resp_el, QName::local("method"), &resp.method);
+        if resp.committed {
+            doc.set_attribute(resp_el, QName::local("updCall"), "committed");
+        }
         doc.append_child(body, resp_el);
 
         if !resp.participating_peers.is_empty() {
@@ -874,7 +912,7 @@ mod tests {
                 assert_eq!(r.calls.len(), 1);
                 assert_eq!(r.calls[0][0].items()[0].string_value(), "Sean Connery");
                 assert!(r.query_id.is_none());
-                assert!(!r.deferred);
+                assert_eq!(r.upd_call, UpdCall::Immediate);
             }
             other => panic!("{other:?}"),
         }
@@ -916,12 +954,30 @@ mod tests {
 
     #[test]
     fn deferred_update_flag_roundtrip() {
-        let mut req = film_request();
-        req.deferred = true;
-        let xml = req.to_xml().unwrap();
-        match parse_message(&xml).unwrap() {
-            XrpcMessage::Request(r) => assert!(r.deferred),
-            other => panic!("{other:?}"),
+        for (marker, attr) in [
+            (UpdCall::Deferred, r#"updCall="deferred""#),
+            (UpdCall::Commit, r#"updCall="commit""#),
+        ] {
+            let mut req = film_request();
+            req.upd_call = marker;
+            let xml = req.to_xml().unwrap();
+            assert!(xml.contains(attr), "{xml}");
+            match parse_message(&xml).unwrap() {
+                XrpcMessage::Request(r) => assert_eq!(r.upd_call, marker),
+                other => panic!("{other:?}"),
+            }
+        }
+        // a response says whether the callee committed before answering
+        let mut resp = XrpcResponse::new("films", "filmsByActor");
+        resp.results.push(Sequence::empty());
+        for committed in [false, true] {
+            resp.committed = committed;
+            let xml = resp.to_xml().unwrap();
+            assert_eq!(xml.contains(r#"updCall="committed""#), committed);
+            match parse_message(&xml).unwrap() {
+                XrpcMessage::Response(r) => assert_eq!(r.committed, committed),
+                other => panic!("{other:?}"),
+            }
         }
     }
 
@@ -1137,6 +1193,7 @@ mod tests {
         assert_eq!(text, dom, "text writer diverged from DOM serialization");
         match parse_message(&text).unwrap() {
             XrpcMessage::Request(back) => {
+                assert_eq!((back.upd_call, back.seq), (req.upd_call, req.seq));
                 assert_eq!(back.calls.len(), req.calls.len());
                 for (sent, got) in req.calls.iter().zip(&back.calls) {
                     assert_same_values(sent, got);
@@ -1156,6 +1213,7 @@ mod tests {
         assert_eq!(text, dom, "text writer diverged from DOM serialization");
         match parse_message(&text).unwrap() {
             XrpcMessage::Response(back) => {
+                assert_eq!(back.committed, resp.committed);
                 assert_same_values(&resp.results, &back.results);
                 assert_same_values(&n2s_of_every_sequence(&text), &back.results);
             }
@@ -1173,10 +1231,12 @@ mod tests {
             1190000000000,
             30,
         )));
-        let mut req = film_request();
-        req.deferred = true;
-        req.seq = Some(99);
-        assert_request_equivalence(&req);
+        for marker in [UpdCall::Deferred, UpdCall::Commit] {
+            let mut req = film_request();
+            req.upd_call = marker;
+            req.seq = Some(99);
+            assert_request_equivalence(&req);
+        }
         let mut bulk = XrpcRequest::new("m", "f", 1);
         for s in adversarial_strings() {
             bulk.push_call(vec![Sequence::one(Item::string(s))]);
@@ -1190,6 +1250,13 @@ mod tests {
             Sequence::from_items(vec![Item::string("]]>"), Item::integer(0)]),
         ]);
         assert_request_equivalence(&multi);
+        // a committed answer: the marker alone, and beside results and peers
+        let mut committed = XrpcResponse::new("m", "f");
+        committed.committed = true;
+        assert_response_equivalence(&committed);
+        committed.results.push(Sequence::empty());
+        committed.participating_peers.push("xrpc://y".into());
+        assert_response_equivalence(&committed);
     }
 
     #[test]

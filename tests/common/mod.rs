@@ -16,7 +16,7 @@ use xrpc_repro::xrpc_proto::message::{
     FaultCode, ProfileMode, ProfileRequest, QueryId, TraceContext,
 };
 use xrpc_repro::xrpc_proto::{
-    n2s, parse_message, XrpcFault, XrpcMessage, XrpcRequest, XrpcResponse,
+    n2s, parse_message, UpdCall, XrpcFault, XrpcMessage, XrpcRequest, XrpcResponse,
 };
 
 fn named(doc: &Document, el: NodeId, ns: &str, local: &str) -> bool {
@@ -59,7 +59,7 @@ pub fn oracle_decode(text: &str) -> XdmResult<XrpcMessage> {
                 .map_err(|_| XdmError::xrpc("bad arity attribute"))?,
         );
         req.location = doc.attr_local(message, "location").map(str::to_string);
-        req.deferred = doc.attr_local(message, "updCall") == Some("deferred");
+        req.upd_call = UpdCall::of_attr(doc.attr_local(message, "updCall"));
         req.seq = doc.attr_local(message, "seq").and_then(|s| s.parse().ok());
         req.trace = header_child("trace").and_then(|t| {
             Some(TraceContext {
@@ -112,6 +112,7 @@ pub fn oracle_decode(text: &str) -> XdmResult<XrpcMessage> {
             attr(&doc, message, "module")?,
             attr(&doc, message, "method")?,
         );
+        resp.committed = doc.attr_local(message, "updCall") == Some("committed");
         for child in doc.child_elements(message) {
             if named(&doc, child, NS_XRPC, "sequence") {
                 resp.results.push(oracle_sequence(&doc, child, &[])?);
@@ -255,7 +256,7 @@ pub fn assert_decodes_like_the_oracle(text: &str, context: &str) -> bool {
             let head = |r: &XrpcRequest| {
                 let (module, method, location) =
                     (r.module.clone(), r.method.clone(), r.location.clone());
-                let ids = (r.query_id.clone(), r.deferred, r.seq, r.arity);
+                let ids = (r.query_id.clone(), r.upd_call, r.seq, r.arity);
                 let header = (r.trace, r.budget_millis, r.profile.clone());
                 format!("{module} {method} {location:?} {ids:?} {header:?}")
             };
@@ -268,6 +269,7 @@ pub fn assert_decodes_like_the_oracle(text: &str, context: &str) -> bool {
         }
         (Ok(XrpcMessage::Response(a)), Ok(XrpcMessage::Response(b))) => {
             assert_eq!((&a.module, &a.method), (&b.module, &b.method), "{context}");
+            assert_eq!(a.committed, b.committed, "{context}");
             assert_eq!(a.participating_peers, b.participating_peers, "{context}");
             assert_same_sequences(&a.results, &b.results, context);
             true

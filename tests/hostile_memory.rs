@@ -351,7 +351,7 @@ fn captured_messages() -> Vec<String> {
         1_190_000_000_000,
         30,
     ));
-    bump.deferred = true;
+    bump.upd_call = xrpc_repro::xrpc_proto::UpdCall::Commit;
     bump.seq = Some(3);
     bump.push_call(vec![Sequence::one(Item::string("log1.xml"))]);
     out.push(bump.to_xml().unwrap());
