@@ -13,7 +13,7 @@
 //! tables s1            — S1: concurrent-client swarm against the reactor (alias: swarm)
 //! tables r1            — R1: deadline/cancellation latency + wasted-work reduction (alias: cancellation)
 //! tables p1            — P1: query-profiler overhead, off vs sampled vs full (alias: profile-overhead)
-//! tables all           — everything above except r1
+//! tables all           — everything above
 //! ```
 //!
 //! Numbers are wall-clock milliseconds on this machine; compare *shapes*
@@ -87,6 +87,7 @@ fn main() {
             update_throughput(quick);
             compile_cache(quick);
             swarm(quick);
+            cancellation(quick);
             profile_overhead(quick);
         }
         other => {

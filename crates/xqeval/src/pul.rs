@@ -12,42 +12,44 @@ use xdm::{XdmError, XdmResult};
 use xmldom::{Document, NodeHandle, NodeId, NodeKind, QName};
 
 /// One XQUF update primitive. Node sources are stored as by-value fragments
-/// (fresh documents), matching XRPC call-by-value marshaling.
+/// (fresh documents), matching XRPC call-by-value marshaling. `T` is how a
+/// target is addressed: a node of a document version while the update is
+/// pending, something durable (a path) while it waits in a log.
 #[derive(Clone, Debug)]
-pub enum UpdatePrimitive {
+pub enum UpdatePrimitive<T = NodeHandle> {
     InsertInto {
-        target: NodeHandle,
+        target: T,
         content: Vec<NodeHandle>,
     },
     InsertFirst {
-        target: NodeHandle,
+        target: T,
         content: Vec<NodeHandle>,
     },
     InsertLast {
-        target: NodeHandle,
+        target: T,
         content: Vec<NodeHandle>,
     },
     InsertBefore {
-        target: NodeHandle,
+        target: T,
         content: Vec<NodeHandle>,
     },
     InsertAfter {
-        target: NodeHandle,
+        target: T,
         content: Vec<NodeHandle>,
     },
     Delete {
-        target: NodeHandle,
+        target: T,
     },
     ReplaceNode {
-        target: NodeHandle,
+        target: T,
         replacement: Vec<NodeHandle>,
     },
     ReplaceValue {
-        target: NodeHandle,
+        target: T,
         value: String,
     },
     Rename {
-        target: NodeHandle,
+        target: T,
         name: QName,
     },
     /// `fn:put($node, $uri)`
@@ -57,8 +59,8 @@ pub enum UpdatePrimitive {
     },
 }
 
-impl UpdatePrimitive {
-    pub fn target(&self) -> Option<&NodeHandle> {
+impl<T> UpdatePrimitive<T> {
+    pub fn target(&self) -> Option<&T> {
         match self {
             UpdatePrimitive::InsertInto { target, .. }
             | UpdatePrimitive::InsertFirst { target, .. }
@@ -71,6 +73,56 @@ impl UpdatePrimitive {
             | UpdatePrimitive::Rename { target, .. } => Some(target),
             UpdatePrimitive::Put { .. } => None,
         }
+    }
+
+    /// The same primitive with its target re-addressed by `f`.
+    pub fn try_map_target<U, E>(
+        &self,
+        f: impl FnOnce(&T) -> Result<U, E>,
+    ) -> Result<UpdatePrimitive<U>, E> {
+        use UpdatePrimitive::*;
+        Ok(match self {
+            InsertInto { target, content } => InsertInto {
+                target: f(target)?,
+                content: content.clone(),
+            },
+            InsertFirst { target, content } => InsertFirst {
+                target: f(target)?,
+                content: content.clone(),
+            },
+            InsertLast { target, content } => InsertLast {
+                target: f(target)?,
+                content: content.clone(),
+            },
+            InsertBefore { target, content } => InsertBefore {
+                target: f(target)?,
+                content: content.clone(),
+            },
+            InsertAfter { target, content } => InsertAfter {
+                target: f(target)?,
+                content: content.clone(),
+            },
+            Delete { target } => Delete { target: f(target)? },
+            ReplaceNode {
+                target,
+                replacement,
+            } => ReplaceNode {
+                target: f(target)?,
+                replacement: replacement.clone(),
+            },
+            ReplaceValue { target, value } => ReplaceValue {
+                target: f(target)?,
+                value: value.clone(),
+            },
+            Rename { target, name } => Rename {
+                target: f(target)?,
+                name: name.clone(),
+            },
+            Put { node, uri } => Put {
+                node: node.clone(),
+                uri: uri.clone(),
+            },
+        })
     }
 }
 

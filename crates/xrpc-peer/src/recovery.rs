@@ -404,7 +404,6 @@ mod tests {
     fn forced() -> WalConfig {
         WalConfig {
             fsync: FsyncPolicy::Always,
-            group_commit: true,
             ..WalConfig::default()
         }
     }

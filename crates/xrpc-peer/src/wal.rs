@@ -1,27 +1,31 @@
 //! Write-ahead coordination log: the durable half of WS-AT 2PC (§2.3).
 //!
-//! The paper hand-waves "it logs the union of the pending update lists to
-//! stable storage, ensuring q can commit later" — this module is that
-//! stable storage. One append-only file per peer holds length-prefixed,
-//! CRC-checked records for both 2PC roles:
+//! The paper has each participant "log the union of the pending update
+//! lists to stable storage, ensuring q can commit later" — this module is
+//! that stable storage, for both 2PC roles:
 //!
-//! * **participant**: a [`WalRecord::Prepared`] (serialized ∆_q with the
-//!   queryId and coordinator address) is forced *before* the `Prepare`
-//!   ack leaves, and a [`WalRecord::Decision`] is forced on receiving
-//!   the outcome before it is applied. The [`WalRecord::Applied`] marker
-//!   that closes the transaction is not forced: losing it only means
-//!   replay re-drives an apply that the store's applied-LSN mark turns
-//!   into a no-op;
+//! * **participant**: a [`WalRecord::Prepared`] (∆_q with the queryID and
+//!   coordinator) is forced *before* the `Prepare` ack leaves, and a
+//!   [`WalRecord::Decision`] is forced before the outcome is applied. The
+//!   [`WalRecord::Applied`] marker that closes the transaction is not
+//!   forced: losing it only means replay re-drives an apply that the
+//!   store's applied-LSN mark turns into a no-op;
 //! * **coordinator**: a [`WalRecord::CoordinatorCommit`] is forced after
 //!   unanimous prepare and before any `Commit` delivery — the classic
-//!   presumed-abort commit point (aborts are never logged: no record at
-//!   the coordinator *means* abort).
+//!   presumed-abort commit point (no record at the coordinator *means*
+//!   abort).
 //!
 //! On disk the log is a *directory* of numbered segments. Each segment
-//! starts with an 8-byte magic and holds frames of
-//! `[payload_len: u32 LE][crc32(payload): u32 LE][payload]`; every record
-//! carries a monotonic **LSN**. Three mechanisms keep the log fast and
-//! bounded under update-heavy traffic:
+//! starts with the magic `XRPCWAL3` and holds frames of
+//! `[payload_len: u32 LE][crc32(payload): u32 LE][payload]`. A payload is
+//! one element of the XRPC vocabulary, `<xrpc:prepared>`, `<xrpc:decision>`,
+//! `<xrpc:applied>` or `<xrpc:coord-{begin,commit,end}>`, with the record's
+//! monotonic **LSN** and queryID as attributes. A ∆'s primitives are child
+//! elements (`<xrpc:insert-into doc target>` …) whose content is an
+//! `<xrpc:sequence>` written by `s2n` and read back by `n2s`, as on the
+//! wire. A segment of the previous format (`XRPCWAL2`) opens only if it
+//! holds no frame, and is rewritten; one with records is refused.
+//! Three mechanisms keep the log fast and bounded:
 //!
 //! * **group commit** — under [`FsyncPolicy::Always`] concurrent appends
 //!   coalesce into one fsync via a leader/follower protocol: whoever
@@ -30,24 +34,18 @@
 //! * **segment rotation with copy-forward** — when the active segment
 //!   outgrows `rotate_bytes`, the records of still-open transactions are
 //!   copied (with their original LSNs) into a fresh segment and the old
-//!   generation is reclaimed, so one long-lived prepared transaction no
-//!   longer pins the whole log. Replay walks segments in order and
-//!   deduplicates by LSN, which makes a crash *between* copy-forward and
-//!   reclaim (both generations on disk) harmless;
+//!   generation is reclaimed. Replay walks segments in order and
+//!   deduplicates by LSN, so a crash between copy-forward and reclaim is
+//!   harmless;
 //! * **quiesce truncation** — whenever an append leaves no transaction
 //!   open, the active segment is truncated to its magic and older
-//!   segments deleted: log length tracks in-flight transactions, not
-//!   query history. The checkpoint issues no flush of its own — it hides
-//!   only records of closed transactions, whose replay settles nothing
-//!   twice — and becomes durable with the next forced append
-//!   ([`Wal::replay_floor`] says how far that has got).
+//!   segments deleted. The checkpoint issues no flush of its own and
+//!   becomes durable with the next forced append ([`Wal::replay_floor`]).
 //!
 //! Replay truncates a torn or CRC-damaged tail of the *last* segment back
-//! to the final intact frame (a crash mid-append loses at most the record
-//! being written); damage in any earlier segment is a hard error, since
-//! nothing after it can be trusted. A log that fails an append or fsync
-//! is **poisoned**: every later append fails fast with a typed XRPC0003
-//! durability error instead of half-logging transactions.
+//! to the final intact frame; damage in any earlier segment is a hard
+//! error. A log that fails an append or fsync is **poisoned**: every later
+//! append fails fast with a typed XRPC0003 durability error.
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, HashSet};
@@ -56,17 +54,24 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use xdm::{XdmError, XdmResult};
-use xmldom::{Document, NodeHandle, NodeKind, QName};
+use xdm::{Item, XdmError, XdmResult};
+use xmldom::escape::{push_escaped_attr, push_escaped_text};
+use xmldom::qname::NS_XRPC;
+use xmldom::{Document, NodeHandle, NodeId, NodeKind, QName};
 use xqeval::pul::{PendingUpdateList, UpdatePrimitive};
 use xqeval::InMemoryDocs;
 use xrpc_net::{crash_points, CrashSwitch};
-use xrpc_proto::QueryId;
+use xrpc_proto::marshal::s2n_text_into;
+use xrpc_proto::{n2s, QueryId};
 
 use crate::store::Decision;
 
 /// Segment magic: identifies (and versions) the segmented log format.
-const MAGIC: &[u8; 8] = b"XRPCWAL2";
+const MAGIC: &[u8; 8] = b"XRPCWAL3";
+
+/// The magic of the format before records were `xrpc:` elements. A segment
+/// that has it opens only if it holds no frame.
+const OLD_MAGIC: &[u8; 8] = b"XRPCWAL2";
 
 /// When to `fsync` after an append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,8 +111,9 @@ impl Default for WalConfig {
     }
 }
 
-/// One durable coordination event.
-#[derive(Debug, Clone, PartialEq)]
+/// One durable coordination event. Two records are equal when they log
+/// the same bytes: content nodes compare by value.
+#[derive(Debug, Clone)]
 pub enum WalRecord {
     /// Participant side: ∆_q was logged and this peer promised to commit
     /// on request. `coordinator` is where to send `Inquire` after a
@@ -142,6 +148,12 @@ pub enum WalRecord {
     },
     /// Coordinator side: every participant acknowledged the decision.
     CoordinatorEnd { qid: QueryId },
+}
+
+impl PartialEq for WalRecord {
+    fn eq(&self, other: &Self) -> bool {
+        encode_record(self, 0) == encode_record(other, 0)
+    }
 }
 
 impl WalRecord {
@@ -182,65 +194,10 @@ pub enum PathStep {
     Attr(u32),
 }
 
-/// A content fragment serialized by value: either generic XML (elements,
-/// text, comments, PIs — re-parsed inside a wrapper element) or an
-/// attribute node (not well-formed XML on its own, so stored as fields).
-#[derive(Debug, Clone, PartialEq)]
-pub enum SerializedFragment {
-    Xml(String),
-    Attribute {
-        prefix: Option<String>,
-        ns_uri: Option<String>,
-        local: String,
-        value: String,
-    },
-}
-
-/// One [`UpdatePrimitive`] in durable form.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SerializedPrimitive {
-    InsertInto {
-        target: NodePath,
-        content: Vec<SerializedFragment>,
-    },
-    InsertFirst {
-        target: NodePath,
-        content: Vec<SerializedFragment>,
-    },
-    InsertLast {
-        target: NodePath,
-        content: Vec<SerializedFragment>,
-    },
-    InsertBefore {
-        target: NodePath,
-        content: Vec<SerializedFragment>,
-    },
-    InsertAfter {
-        target: NodePath,
-        content: Vec<SerializedFragment>,
-    },
-    Delete {
-        target: NodePath,
-    },
-    ReplaceNode {
-        target: NodePath,
-        replacement: Vec<SerializedFragment>,
-    },
-    ReplaceValue {
-        target: NodePath,
-        value: String,
-    },
-    Rename {
-        target: NodePath,
-        prefix: Option<String>,
-        ns_uri: Option<String>,
-        local: String,
-    },
-    Put {
-        node: SerializedFragment,
-        uri: String,
-    },
-}
+/// One [`UpdatePrimitive`] in durable form: its target addressed by
+/// [`NodePath`], its content the by-value nodes `n2s` hands back when a
+/// record is read.
+pub type SerializedPrimitive = UpdatePrimitive<NodePath>;
 
 // ---------------------------------------------------------------------
 // PUL <-> durable form
@@ -296,129 +253,13 @@ fn resolve_path(docs: &InMemoryDocs, path: &NodePath) -> XdmResult<NodeHandle> {
     Ok(NodeHandle::new(doc, id))
 }
 
-fn serialize_fragment(h: &NodeHandle) -> SerializedFragment {
-    if h.kind() == NodeKind::Attribute {
-        let name = h.name().cloned().unwrap_or_else(|| QName::local("attr"));
-        SerializedFragment::Attribute {
-            prefix: name.prefix,
-            ns_uri: name.ns_uri,
-            local: name.local,
-            value: h.value().to_string(),
-        }
-    } else {
-        SerializedFragment::Xml(h.to_xml())
-    }
-}
-
-fn parse_fragment(f: &SerializedFragment) -> XdmResult<NodeHandle> {
-    match f {
-        SerializedFragment::Attribute {
-            prefix,
-            ns_uri,
-            local,
-            value,
-        } => {
-            let name = match (prefix, ns_uri) {
-                (Some(p), Some(u)) => QName::ns(p.clone(), u.clone(), local.clone()),
-                _ => QName::local(local.clone()),
-            };
-            let mut d = Document::new();
-            let id = d.create_attribute(name, value.clone());
-            Ok(NodeHandle::new(Arc::new(d), id))
-        }
-        SerializedFragment::Xml(xml) => {
-            // wrap so text/comment/PI fragments (not well-formed documents
-            // on their own) re-parse too
-            let wrapped = format!("<w>{xml}</w>");
-            let d = Arc::new(xmldom::parse(&wrapped).map_err(|e| {
-                XdmError::xrpc(format!("recovered content fragment failed to parse: {e}"))
-            })?);
-            let w = d.first_child(d.root()).unwrap();
-            let kids: Vec<_> = d.children(w).collect();
-            match kids[..] {
-                [only] => Ok(NodeHandle::new(d, only)),
-                _ => Err(XdmError::xrpc(format!(
-                    "recovered content fragment has {} roots, expected 1",
-                    kids.len()
-                ))),
-            }
-        }
-    }
-}
-
-fn serialize_fragments(hs: &[NodeHandle]) -> Vec<SerializedFragment> {
-    hs.iter().map(serialize_fragment).collect()
-}
-
-fn parse_fragments(fs: &[SerializedFragment]) -> XdmResult<Vec<NodeHandle>> {
-    fs.iter().map(parse_fragment).collect()
-}
-
 /// Serialize a PUL into its durable form. Fails when a target lives in a
-/// URI-less document (nothing durable to re-resolve against).
+/// URI-less document (nothing durable to re-resolve against). Content
+/// nodes are shared, not copied: the record's writer marshals them.
 pub fn serialize_pul(pul: &PendingUpdateList) -> XdmResult<Vec<SerializedPrimitive>> {
     pul.primitives
         .iter()
-        .map(|p| {
-            Ok(match p {
-                UpdatePrimitive::InsertInto { target, content } => {
-                    SerializedPrimitive::InsertInto {
-                        target: node_path(target)?,
-                        content: serialize_fragments(content),
-                    }
-                }
-                UpdatePrimitive::InsertFirst { target, content } => {
-                    SerializedPrimitive::InsertFirst {
-                        target: node_path(target)?,
-                        content: serialize_fragments(content),
-                    }
-                }
-                UpdatePrimitive::InsertLast { target, content } => {
-                    SerializedPrimitive::InsertLast {
-                        target: node_path(target)?,
-                        content: serialize_fragments(content),
-                    }
-                }
-                UpdatePrimitive::InsertBefore { target, content } => {
-                    SerializedPrimitive::InsertBefore {
-                        target: node_path(target)?,
-                        content: serialize_fragments(content),
-                    }
-                }
-                UpdatePrimitive::InsertAfter { target, content } => {
-                    SerializedPrimitive::InsertAfter {
-                        target: node_path(target)?,
-                        content: serialize_fragments(content),
-                    }
-                }
-                UpdatePrimitive::Delete { target } => SerializedPrimitive::Delete {
-                    target: node_path(target)?,
-                },
-                UpdatePrimitive::ReplaceNode {
-                    target,
-                    replacement,
-                } => SerializedPrimitive::ReplaceNode {
-                    target: node_path(target)?,
-                    replacement: serialize_fragments(replacement),
-                },
-                UpdatePrimitive::ReplaceValue { target, value } => {
-                    SerializedPrimitive::ReplaceValue {
-                        target: node_path(target)?,
-                        value: value.clone(),
-                    }
-                }
-                UpdatePrimitive::Rename { target, name } => SerializedPrimitive::Rename {
-                    target: node_path(target)?,
-                    prefix: name.prefix.clone(),
-                    ns_uri: name.ns_uri.clone(),
-                    local: name.local.clone(),
-                },
-                UpdatePrimitive::Put { node, uri } => SerializedPrimitive::Put {
-                    node: serialize_fragment(node),
-                    uri: uri.clone(),
-                },
-            })
-        })
+        .map(|p| p.try_map_target(node_path))
         .collect()
 }
 
@@ -430,476 +271,318 @@ pub fn deserialize_pul(
     docs: &InMemoryDocs,
     prims: &[SerializedPrimitive],
 ) -> XdmResult<PendingUpdateList> {
-    let mut pul = PendingUpdateList::new();
-    for p in prims {
-        pul.push(match p {
-            SerializedPrimitive::InsertInto { target, content } => UpdatePrimitive::InsertInto {
-                target: resolve_path(docs, target)?,
-                content: parse_fragments(content)?,
-            },
-            SerializedPrimitive::InsertFirst { target, content } => UpdatePrimitive::InsertFirst {
-                target: resolve_path(docs, target)?,
-                content: parse_fragments(content)?,
-            },
-            SerializedPrimitive::InsertLast { target, content } => UpdatePrimitive::InsertLast {
-                target: resolve_path(docs, target)?,
-                content: parse_fragments(content)?,
-            },
-            SerializedPrimitive::InsertBefore { target, content } => {
-                UpdatePrimitive::InsertBefore {
-                    target: resolve_path(docs, target)?,
-                    content: parse_fragments(content)?,
-                }
-            }
-            SerializedPrimitive::InsertAfter { target, content } => UpdatePrimitive::InsertAfter {
-                target: resolve_path(docs, target)?,
-                content: parse_fragments(content)?,
-            },
-            SerializedPrimitive::Delete { target } => UpdatePrimitive::Delete {
-                target: resolve_path(docs, target)?,
-            },
-            SerializedPrimitive::ReplaceNode {
-                target,
-                replacement,
-            } => UpdatePrimitive::ReplaceNode {
-                target: resolve_path(docs, target)?,
-                replacement: parse_fragments(replacement)?,
-            },
-            SerializedPrimitive::ReplaceValue { target, value } => UpdatePrimitive::ReplaceValue {
-                target: resolve_path(docs, target)?,
-                value: value.clone(),
-            },
-            SerializedPrimitive::Rename {
-                target,
-                prefix,
-                ns_uri,
-                local,
-            } => UpdatePrimitive::Rename {
-                target: resolve_path(docs, target)?,
-                name: match (prefix, ns_uri) {
-                    (Some(p), Some(u)) => QName::ns(p.clone(), u.clone(), local.clone()),
-                    _ => QName::local(local.clone()),
-                },
-            },
-            SerializedPrimitive::Put { node, uri } => UpdatePrimitive::Put {
-                node: parse_fragment(node)?,
-                uri: uri.clone(),
-            },
-        });
-    }
-    Ok(pul)
+    let primitives = prims
+        .iter()
+        .map(|p| p.try_map_target(|path| resolve_path(docs, path)))
+        .collect::<XdmResult<_>>()?;
+    Ok(PendingUpdateList { primitives })
 }
 
 // ---------------------------------------------------------------------
-// Record payload encoding (line-oriented, values percent-escaped)
+// Record payload: one `xrpc:` element
 // ---------------------------------------------------------------------
 
-fn esc(s: &str, out: &mut String) {
-    // besides line structure (%, newlines), escape every separator any
-    // encoder below uses (tab, pipe, slash, unit separator) so free-text
-    // fields can never be confused with framing
-    for c in s.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            '\n' => out.push_str("%0A"),
-            '\r' => out.push_str("%0D"),
-            '\t' => out.push_str("%09"),
-            '|' => out.push_str("%7C"),
-            '/' => out.push_str("%2F"),
-            '\u{1f}' => out.push_str("%1F"),
-            c => out.push(c),
-        }
+fn push_attr(out: &mut String, name: &str, value: &str) {
+    out.push(' ');
+    out.push_str(name);
+    out.push_str("=\"");
+    push_escaped_attr(out, value);
+    out.push('"');
+}
+
+/// `<xrpc:{name}`, what `attrs` writes, then what `body` writes and the
+/// end tag — or, when `body` writes nothing, an empty-element tag.
+fn push_element(
+    out: &mut String,
+    name: &str,
+    attrs: impl FnOnce(&mut String),
+    body: impl FnOnce(&mut String),
+) {
+    out.push_str("<xrpc:");
+    out.push_str(name);
+    attrs(out);
+    out.push('>');
+    let open = out.len();
+    body(out);
+    if out.len() == open {
+        out.pop();
+        out.push_str("/>");
+    } else {
+        out.push_str("</xrpc:");
+        out.push_str(name);
+        out.push('>');
     }
 }
 
-fn unesc(s: &str) -> XdmResult<String> {
-    let mut out = String::with_capacity(s.len());
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = s
-                .get(i + 1..i + 3)
-                .ok_or_else(|| XdmError::xrpc("bad escape in WAL record"))?;
-            // `esc` only ever escapes ASCII separators; a byte past 0x7F
-            // here would come back as a Latin-1 code point it never wrote
-            let v = u8::from_str_radix(hex, 16)
-                .ok()
-                .filter(u8::is_ascii)
-                .ok_or_else(|| XdmError::xrpc("bad escape in WAL record"))?;
-            out.push(v as char);
-            i += 3;
-        } else {
-            // payload is checked UTF-8; walk to the next char boundary
-            let ch = s[i..].chars().next().unwrap();
-            out.push(ch);
-            i += ch.len_utf8();
-        }
+/// `doc="…" target="c0/a1"`: the document's URI and the path's steps.
+fn push_target(out: &mut String, target: &NodePath) {
+    use std::fmt::Write;
+    push_attr(out, "doc", &target.doc_uri);
+    out.push_str(" target=\"");
+    for (i, step) in target.steps.iter().enumerate() {
+        let sep = if i == 0 { "" } else { "/" };
+        let _ = match step {
+            PathStep::Child(n) => write!(out, "{sep}c{n}"),
+            PathStep::Attr(n) => write!(out, "{sep}a{n}"),
+        };
     }
-    Ok(out)
+    out.push('"');
 }
 
-fn push_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(key);
-    out.push('=');
-    esc(value, out);
-    out.push('\n');
-}
-
-fn encode_qid(out: &mut String, qid: &QueryId) {
-    push_field(out, "qid.host", &qid.host);
-    push_field(out, "qid.ts", &qid.timestamp_millis.to_string());
-    push_field(out, "qid.timeout", &qid.timeout_secs.to_string());
-}
-
-fn path_to_string(p: &NodePath) -> String {
-    let mut s = String::new();
-    esc(&p.doc_uri, &mut s);
-    for step in &p.steps {
-        match step {
-            PathStep::Child(i) => s.push_str(&format!("/c{i}")),
-            PathStep::Attr(i) => s.push_str(&format!("/a{i}")),
-        }
-    }
-    s
-}
-
-fn path_from_string(s: &str) -> XdmResult<NodePath> {
-    let mut parts = s.split('/');
-    let uri = unesc(parts.next().unwrap_or(""))?;
-    let mut steps = Vec::new();
-    for p in parts {
-        let mut kind_idx = p.chars();
-        let kind = kind_idx
-            .next()
-            .ok_or_else(|| XdmError::xrpc("empty path step in WAL record"))?;
-        let i: u32 = kind_idx
-            .as_str()
-            .parse()
-            .map_err(|_| XdmError::xrpc("bad path step in WAL record"))?;
-        steps.push(match kind {
-            'c' => PathStep::Child(i),
-            'a' => PathStep::Attr(i),
-            _ => return Err(XdmError::xrpc("bad path step kind in WAL record")),
-        });
-    }
-    Ok(NodePath {
-        doc_uri: uri,
-        steps,
-    })
-}
-
-fn frag_to_string(f: &SerializedFragment) -> String {
-    let mut s = String::new();
-    match f {
-        SerializedFragment::Xml(xml) => {
-            s.push_str("X:");
-            esc(xml, &mut s);
-        }
-        SerializedFragment::Attribute {
-            prefix,
-            ns_uri,
-            local,
-            value,
-        } => {
-            s.push_str("A:");
-            esc(prefix.as_deref().unwrap_or(""), &mut s);
-            s.push('\t');
-            esc(ns_uri.as_deref().unwrap_or(""), &mut s);
-            s.push('\t');
-            esc(local, &mut s);
-            s.push('\t');
-            esc(value, &mut s);
-        }
-    }
-    s
-}
-
-fn frag_from_string(s: &str) -> XdmResult<SerializedFragment> {
-    if let Some(xml) = s.strip_prefix("X:") {
-        return Ok(SerializedFragment::Xml(unesc(xml)?));
-    }
-    let body = s
-        .strip_prefix("A:")
-        .ok_or_else(|| XdmError::xrpc("bad fragment kind in WAL record"))?;
-    let fields: Vec<&str> = body.split('\t').collect();
-    if fields.len() != 4 {
-        return Err(XdmError::xrpc("bad attribute fragment in WAL record"));
-    }
-    let opt = |s: String| if s.is_empty() { None } else { Some(s) };
-    Ok(SerializedFragment::Attribute {
-        prefix: opt(unesc(fields[0])?),
-        ns_uri: opt(unesc(fields[1])?),
-        local: unesc(fields[2])?,
-        value: unesc(fields[3])?,
-    })
-}
-
-/// `prim=<op>|<target-or-frag>|<field>|...` — fields are pre-escaped by
-/// their own encoders, `|` never appears unescaped inside them because
-/// path/fragment encoders escape `%` and the separators they use.
-fn prim_to_string(p: &SerializedPrimitive) -> String {
-    fn frags(fs: &[SerializedFragment]) -> String {
-        fs.iter()
-            .map(frag_to_string)
-            .collect::<Vec<_>>()
-            .join("\u{1f}")
-    }
-    match p {
-        SerializedPrimitive::InsertInto { target, content } => {
-            format!("InsertInto|{}|{}", path_to_string(target), frags(content))
-        }
-        SerializedPrimitive::InsertFirst { target, content } => {
-            format!("InsertFirst|{}|{}", path_to_string(target), frags(content))
-        }
-        SerializedPrimitive::InsertLast { target, content } => {
-            format!("InsertLast|{}|{}", path_to_string(target), frags(content))
-        }
-        SerializedPrimitive::InsertBefore { target, content } => {
-            format!("InsertBefore|{}|{}", path_to_string(target), frags(content))
-        }
-        SerializedPrimitive::InsertAfter { target, content } => {
-            format!("InsertAfter|{}|{}", path_to_string(target), frags(content))
-        }
-        SerializedPrimitive::Delete { target } => {
-            format!("Delete|{}", path_to_string(target))
-        }
-        SerializedPrimitive::ReplaceNode {
-            target,
-            replacement,
-        } => format!(
-            "ReplaceNode|{}|{}",
-            path_to_string(target),
-            frags(replacement)
-        ),
-        SerializedPrimitive::ReplaceValue { target, value } => {
-            let mut v = String::new();
-            esc(value, &mut v);
-            format!("ReplaceValue|{}|{v}", path_to_string(target))
-        }
-        SerializedPrimitive::Rename {
-            target,
-            prefix,
-            ns_uri,
-            local,
-        } => {
-            let mut f = String::new();
-            esc(prefix.as_deref().unwrap_or(""), &mut f);
-            f.push('\t');
-            esc(ns_uri.as_deref().unwrap_or(""), &mut f);
-            f.push('\t');
-            esc(local, &mut f);
-            format!("Rename|{}|{f}", path_to_string(target))
-        }
-        SerializedPrimitive::Put { node, uri } => {
-            let mut u = String::new();
-            esc(uri, &mut u);
-            format!("Put|{}|{u}", frag_to_string(node))
-        }
-    }
-}
-
-fn prim_from_string(s: &str) -> XdmResult<SerializedPrimitive> {
-    let mut parts = s.splitn(3, '|');
-    let op = parts.next().unwrap_or("");
-    let f1 = parts.next().unwrap_or("");
-    let f2 = parts.next().unwrap_or("");
-    let frags = |s: &str| -> XdmResult<Vec<SerializedFragment>> {
-        if s.is_empty() {
-            return Ok(Vec::new());
-        }
-        s.split('\u{1f}').map(frag_from_string).collect()
+fn push_primitive(out: &mut String, p: &SerializedPrimitive) {
+    use SerializedPrimitive as S;
+    let (name, content) = match p {
+        S::InsertInto { content, .. } => ("insert-into", &content[..]),
+        S::InsertFirst { content, .. } => ("insert-first", &content[..]),
+        S::InsertLast { content, .. } => ("insert-last", &content[..]),
+        S::InsertBefore { content, .. } => ("insert-before", &content[..]),
+        S::InsertAfter { content, .. } => ("insert-after", &content[..]),
+        S::ReplaceNode { replacement, .. } => ("replace-node", &replacement[..]),
+        S::Put { node, .. } => ("put", std::slice::from_ref(node)),
+        S::Delete { .. } => ("delete", &[][..]),
+        S::ReplaceValue { .. } => ("replace-value", &[][..]),
+        S::Rename { .. } => ("rename", &[][..]),
     };
-    Ok(match op {
-        "InsertInto" => SerializedPrimitive::InsertInto {
-            target: path_from_string(f1)?,
-            content: frags(f2)?,
-        },
-        "InsertFirst" => SerializedPrimitive::InsertFirst {
-            target: path_from_string(f1)?,
-            content: frags(f2)?,
-        },
-        "InsertLast" => SerializedPrimitive::InsertLast {
-            target: path_from_string(f1)?,
-            content: frags(f2)?,
-        },
-        "InsertBefore" => SerializedPrimitive::InsertBefore {
-            target: path_from_string(f1)?,
-            content: frags(f2)?,
-        },
-        "InsertAfter" => SerializedPrimitive::InsertAfter {
-            target: path_from_string(f1)?,
-            content: frags(f2)?,
-        },
-        "Delete" => SerializedPrimitive::Delete {
-            target: path_from_string(f1)?,
-        },
-        "ReplaceNode" => SerializedPrimitive::ReplaceNode {
-            target: path_from_string(f1)?,
-            replacement: frags(f2)?,
-        },
-        "ReplaceValue" => SerializedPrimitive::ReplaceValue {
-            target: path_from_string(f1)?,
-            value: unesc(f2)?,
-        },
-        "Rename" => {
-            let fields: Vec<&str> = f2.split('\t').collect();
-            if fields.len() != 3 {
-                return Err(XdmError::xrpc("bad Rename fields in WAL record"));
-            }
-            let opt = |s: String| if s.is_empty() { None } else { Some(s) };
-            SerializedPrimitive::Rename {
-                target: path_from_string(f1)?,
-                prefix: opt(unesc(fields[0])?),
-                ns_uri: opt(unesc(fields[1])?),
-                local: unesc(fields[2])?,
-            }
+    let attrs = |out: &mut String| {
+        if let Some(target) = p.target() {
+            push_target(out, target);
         }
-        "Put" => SerializedPrimitive::Put {
-            node: frag_from_string(f1)?,
-            uri: unesc(f2)?,
-        },
-        other => {
-            return Err(XdmError::xrpc(format!(
-                "unknown update primitive `{other}` in WAL record"
-            )))
+        match p {
+            S::Rename { name, .. } => {
+                for (attr, value) in [("prefix", &name.prefix), ("ns", &name.ns_uri)] {
+                    if let Some(value) = value {
+                        push_attr(out, attr, value);
+                    }
+                }
+                push_attr(out, "local", &name.local);
+            }
+            S::Put { uri, .. } => push_attr(out, "uri", uri),
+            _ => {}
         }
-    })
+    };
+    push_element(out, name, attrs, |out| match p {
+        S::ReplaceValue { value, .. } => push_escaped_text(out, value),
+        S::Delete { .. } | S::Rename { .. } => {}
+        _ => {
+            let seq = content.iter().cloned().map(Item::Node).collect();
+            s2n_text_into(out, &seq).expect("a sequence of nodes always marshals");
+        }
+    });
 }
 
+/// A record's payload: `<xrpc:{kind} xmlns:xrpc="…" lsn host ts timeout …>`
+/// holding the ∆'s primitives or the participants as `<xrpc:peer uri/>`.
 fn encode_record(rec: &WalRecord, lsn: u64) -> String {
-    let mut out = String::new();
-    match rec {
-        WalRecord::Prepared {
-            qid,
-            coordinator,
-            delta,
-        } => {
-            out.push_str("prepared\n");
-            encode_qid(&mut out, qid);
-            push_field(&mut out, "coordinator", coordinator);
-            for p in delta {
-                push_field(&mut out, "prim", &prim_to_string(p));
+    let name = match rec {
+        WalRecord::Prepared { .. } => "prepared",
+        WalRecord::Decision { .. } => "decision",
+        WalRecord::Applied { .. } => "applied",
+        WalRecord::CoordinatorBegin { .. } => "coord-begin",
+        WalRecord::CoordinatorCommit { .. } => "coord-commit",
+        WalRecord::CoordinatorEnd { .. } => "coord-end",
+    };
+    let attrs = |out: &mut String| {
+        let qid = rec.qid();
+        push_attr(out, "xmlns:xrpc", NS_XRPC);
+        push_attr(out, "lsn", &lsn.to_string());
+        push_attr(out, "host", &qid.host);
+        push_attr(out, "ts", &qid.timestamp_millis.to_string());
+        push_attr(out, "timeout", &qid.timeout_secs.to_string());
+        match rec {
+            // a participant's coordinator is the queryID's origin host:
+            // named only when it is someone else
+            WalRecord::Prepared { coordinator, .. } if *coordinator != qid.host => {
+                push_attr(out, "coordinator", coordinator)
             }
-        }
-        WalRecord::Decision { qid, decision } => {
-            out.push_str("decision\n");
-            encode_qid(&mut out, qid);
-            push_field(
-                &mut out,
+            WalRecord::Decision { decision, .. } => push_attr(
+                out,
                 "outcome",
                 match decision {
                     Decision::Committed => "committed",
                     Decision::Aborted => "aborted",
                 },
-            );
+            ),
+            WalRecord::Applied { mark, .. } => push_attr(out, "mark", &mark.to_string()),
+            _ => {}
         }
-        WalRecord::Applied { qid, mark } => {
-            out.push_str("applied\n");
-            encode_qid(&mut out, qid);
-            push_field(&mut out, "mark", &mark.to_string());
-        }
-        WalRecord::CoordinatorBegin { qid, participants } => {
-            out.push_str("coord-begin\n");
-            encode_qid(&mut out, qid);
-            for p in participants {
-                push_field(&mut out, "participant", p);
+    };
+    let mut out = String::with_capacity(256);
+    push_element(&mut out, name, attrs, |out| match rec {
+        WalRecord::Prepared { delta, .. } => {
+            for p in delta {
+                push_primitive(out, p);
             }
         }
-        WalRecord::CoordinatorCommit { qid, participants } => {
-            out.push_str("coord-commit\n");
-            encode_qid(&mut out, qid);
+        WalRecord::CoordinatorBegin { participants, .. }
+        | WalRecord::CoordinatorCommit { participants, .. } => {
             for p in participants {
-                push_field(&mut out, "participant", p);
+                push_element(out, "peer", |out| push_attr(out, "uri", p), |_| {});
             }
         }
-        WalRecord::CoordinatorEnd { qid } => {
-            out.push_str("coord-end\n");
-            encode_qid(&mut out, qid);
-        }
-    }
-    push_field(&mut out, "lsn", &lsn.to_string());
+        _ => {}
+    });
     out
 }
 
-fn decode_record(payload: &[u8]) -> XdmResult<SequencedRecord> {
-    let text =
-        std::str::from_utf8(payload).map_err(|_| XdmError::xrpc("WAL record is not UTF-8"))?;
-    let mut lines = text.lines();
-    let kind = lines.next().unwrap_or("");
-    let mut host = String::new();
-    let mut ts: u64 = 0;
-    let mut timeout: u32 = 0;
-    let mut coordinator = String::new();
-    let mut outcome = String::new();
-    let mut prims = Vec::new();
-    let mut participants = Vec::new();
-    let mut lsn: Option<u64> = None;
-    let mut mark: u64 = 0;
-    for line in lines {
-        let Some((key, raw)) = line.split_once('=') else {
-            continue;
-        };
-        match key {
-            "qid.host" => host = unesc(raw)?,
-            "qid.ts" => {
-                ts = raw
-                    .parse()
-                    .map_err(|_| XdmError::xrpc("bad qid.ts in WAL record"))?
-            }
-            "qid.timeout" => {
-                timeout = raw
-                    .parse()
-                    .map_err(|_| XdmError::xrpc("bad qid.timeout in WAL record"))?
-            }
-            "coordinator" => coordinator = unesc(raw)?,
-            "outcome" => outcome = raw.to_string(),
-            // the line layer escaped the whole prim string (its own field
-            // escapes survive as %25-doubled sequences); peel one layer
-            // before splitting on the `|` separators
-            "prim" => prims.push(prim_from_string(&unesc(raw)?)?),
-            "participant" => participants.push(unesc(raw)?),
-            "lsn" => {
-                lsn = Some(
-                    raw.parse()
-                        .map_err(|_| XdmError::xrpc("bad lsn in WAL record"))?,
-                )
-            }
-            "mark" => {
-                mark = raw
-                    .parse()
-                    .map_err(|_| XdmError::xrpc("bad mark in WAL record"))?
-            }
-            _ => {} // forward compatibility: ignore unknown fields
-        }
+fn bad_record(what: impl std::fmt::Display) -> XdmError {
+    XdmError::xrpc(format!("WAL record: {what}"))
+}
+
+/// The local name of `el`, which must be an `xrpc:` element.
+fn xrpc_local(doc: &Document, el: NodeId) -> XdmResult<&str> {
+    match doc.name(el) {
+        Some(name) if name.ns_uri.as_deref() == Some(NS_XRPC) => Ok(&name.local),
+        _ => Err(bad_record("an element outside the xrpc namespace")),
     }
-    let qid = QueryId::new(host, ts, timeout);
-    let record = match kind {
+}
+
+fn attr<'d>(doc: &'d Document, el: NodeId, name: &str) -> XdmResult<&'d str> {
+    doc.attr_local(el, name)
+        .ok_or_else(|| bad_record(format!("no `{name}`")))
+}
+
+fn number<T: std::str::FromStr>(doc: &Document, el: NodeId, name: &str) -> XdmResult<T> {
+    attr(doc, el, name)?
+        .parse()
+        .map_err(|_| bad_record(format!("bad `{name}`")))
+}
+
+fn decode_target(doc: &Document, el: NodeId) -> XdmResult<NodePath> {
+    let step = |s: &str| {
+        let (make, index): (fn(u32) -> PathStep, _) = match s.as_bytes().first() {
+            Some(b'c') => (PathStep::Child, &s[1..]),
+            Some(b'a') => (PathStep::Attr, &s[1..]),
+            _ => return None,
+        };
+        index.parse().ok().map(make)
+    };
+    let steps = attr(doc, el, "target")?;
+    Ok(NodePath {
+        doc_uri: attr(doc, el, "doc")?.to_string(),
+        steps: steps
+            .split('/')
+            .filter(|_| !steps.is_empty())
+            .map(|s| step(s).ok_or_else(|| bad_record(format!("bad target step `{s}`"))))
+            .collect::<XdmResult<_>>()?,
+    })
+}
+
+/// The nodes of the `<xrpc:sequence>` inside `el`, read back by `n2s`;
+/// none when `el` has no child element.
+fn decode_content(doc: &Document, el: NodeId) -> XdmResult<Vec<NodeHandle>> {
+    let Some(seq) = doc.child_elements(el).next() else {
+        return Ok(Vec::new());
+    };
+    if xrpc_local(doc, seq)? != "sequence" {
+        return Err(bad_record("content that is not an xrpc:sequence"));
+    }
+    n2s(doc, seq)?
+        .into_iter()
+        .map(|item| match item {
+            Item::Node(n) => Ok(n),
+            Item::Atomic(_) => Err(bad_record("an atomic value as content")),
+        })
+        .collect()
+}
+
+fn decode_primitive(doc: &Document, el: NodeId) -> XdmResult<SerializedPrimitive> {
+    use SerializedPrimitive as S;
+    let name = xrpc_local(doc, el)?;
+    let mut content = decode_content(doc, el)?;
+    if name == "put" {
+        let node = (content.len() == 1)
+            .then(|| content.remove(0))
+            .ok_or_else(|| bad_record("put without exactly one node"))?;
+        let uri = attr(doc, el, "uri")?.to_string();
+        return Ok(S::Put { node, uri });
+    }
+    let target = decode_target(doc, el)?;
+    Ok(match name {
+        "insert-into" => S::InsertInto { target, content },
+        "insert-first" => S::InsertFirst { target, content },
+        "insert-last" => S::InsertLast { target, content },
+        "insert-before" => S::InsertBefore { target, content },
+        "insert-after" => S::InsertAfter { target, content },
+        "delete" => S::Delete { target },
+        "replace-node" => S::ReplaceNode {
+            target,
+            replacement: content,
+        },
+        "replace-value" => S::ReplaceValue {
+            target,
+            value: doc.string_value(el),
+        },
+        "rename" => S::Rename {
+            target,
+            name: QName {
+                prefix: doc.attr_local(el, "prefix").map(str::to_string),
+                ns_uri: doc.attr_local(el, "ns").map(str::to_string),
+                local: attr(doc, el, "local")?.to_string(),
+            },
+        },
+        other => return Err(bad_record(format!("unknown primitive xrpc:{other}"))),
+    })
+}
+
+fn decode_record(payload: &[u8]) -> XdmResult<SequencedRecord> {
+    let text = std::str::from_utf8(payload).map_err(|_| bad_record("not UTF-8"))?;
+    let doc = xmldom::parse(text).map_err(bad_record)?;
+    let el = doc
+        .child_elements(doc.root())
+        .next()
+        .ok_or_else(|| bad_record("no element"))?;
+    let qid = QueryId::new(
+        attr(&doc, el, "host")?,
+        number(&doc, el, "ts")?,
+        number(&doc, el, "timeout")?,
+    );
+    let participants = || {
+        doc.child_elements(el)
+            .map(|p| match xrpc_local(&doc, p)? {
+                "peer" => Ok(attr(&doc, p, "uri")?.to_string()),
+                other => Err(bad_record(format!("xrpc:{other} among the participants"))),
+            })
+            .collect::<XdmResult<Vec<_>>>()
+    };
+    let record = match xrpc_local(&doc, el)? {
         "prepared" => WalRecord::Prepared {
+            coordinator: doc
+                .attr_local(el, "coordinator")
+                .unwrap_or(&qid.host)
+                .to_string(),
+            delta: doc
+                .child_elements(el)
+                .map(|p| decode_primitive(&doc, p))
+                .collect::<XdmResult<_>>()?,
             qid,
-            coordinator,
-            delta: prims,
         },
         "decision" => WalRecord::Decision {
             qid,
-            decision: match outcome.as_str() {
+            decision: match attr(&doc, el, "outcome")? {
                 "committed" => Decision::Committed,
                 "aborted" => Decision::Aborted,
-                other => {
-                    return Err(XdmError::xrpc(format!(
-                        "unknown decision outcome `{other}` in WAL record"
-                    )))
-                }
+                other => return Err(bad_record(format!("unknown outcome `{other}`"))),
             },
         },
-        "applied" => WalRecord::Applied { qid, mark },
-        "coord-begin" => WalRecord::CoordinatorBegin { qid, participants },
-        "coord-commit" => WalRecord::CoordinatorCommit { qid, participants },
+        "applied" => WalRecord::Applied {
+            qid,
+            mark: number(&doc, el, "mark")?,
+        },
+        "coord-begin" => WalRecord::CoordinatorBegin {
+            qid,
+            participants: participants()?,
+        },
+        "coord-commit" => WalRecord::CoordinatorCommit {
+            qid,
+            participants: participants()?,
+        },
         "coord-end" => WalRecord::CoordinatorEnd { qid },
-        other => return Err(XdmError::xrpc(format!("unknown WAL record kind `{other}`"))),
+        other => return Err(bad_record(format!("unknown kind xrpc:{other}"))),
     };
-    let lsn = lsn.ok_or_else(|| XdmError::xrpc("WAL record without an lsn"))?;
-    Ok(SequencedRecord { lsn, record })
+    Ok(SequencedRecord {
+        lsn: number(&doc, el, "lsn")?,
+        record,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1214,10 +897,22 @@ impl Wal {
         // logical end of the last segment: where appends resume (the
         // physical file may extend further with preallocated zeros)
         let mut active_end = MAGIC.len() as u64;
+        // old-format segments checkpointed empty, rewritten once all pass
+        let mut retired = Vec::new();
         for (i, &seq) in segs.iter().enumerate() {
             let seg_path = path.join(seg_name(seq));
             let buf = std::fs::read(&seg_path).map_err(io)?;
             let last = i + 1 == segs.len();
+            if let Some(rest) = buf.strip_prefix(OLD_MAGIC) {
+                if rest.iter().any(|&b| b != 0) {
+                    return Err(XdmError::xrpc(format!(
+                        "WAL segment {} holds records in the old XRPCWAL2 format",
+                        seg_path.display()
+                    )));
+                }
+                retired.push(seg_path);
+                continue;
+            }
             let intact_magic = buf.len() >= MAGIC.len() && &buf[..MAGIC.len()] == MAGIC;
             if !intact_magic {
                 if last {
@@ -1255,6 +950,9 @@ impl Wal {
                 torn_recoveries += 1;
             }
             records.extend(frames.into_iter().filter(|sr| seen.insert(sr.lsn)));
+        }
+        for seg_path in retired {
+            std::fs::write(&seg_path, MAGIC).map_err(io)?;
         }
         records.sort_by_key(|r| r.lsn);
 
@@ -1900,6 +1598,12 @@ mod tests {
         QueryId::new("xrpc://origin", ts, 30)
     }
 
+    fn fragment(xml: &str) -> NodeHandle {
+        let d = Arc::new(xmldom::parse(xml).unwrap());
+        let id = d.first_child(d.root()).unwrap();
+        NodeHandle::new(d, id)
+    }
+
     fn sample_prepared(ts: u64) -> WalRecord {
         WalRecord::Prepared {
             qid: qid(ts),
@@ -1910,7 +1614,7 @@ mod tests {
                         doc_uri: "log.xml".into(),
                         steps: vec![PathStep::Child(0)],
                     },
-                    content: vec![SerializedFragment::Xml("<e>hi%|there\n</e>".into())],
+                    content: vec![fragment("<e>hi%|there\n</e>")],
                 },
                 SerializedPrimitive::ReplaceValue {
                     target: NodePath {
@@ -2070,8 +1774,8 @@ mod tests {
         let p = tmp("rotate");
         let cfg = WalConfig {
             fsync: FsyncPolicy::Never,
-            group_commit: true,
             rotate_bytes: 1, // rotate on every non-quiescing append
+            ..WalConfig::default()
         };
         let (w, _) = Wal::open_with(&p, cfg).unwrap();
         for ts in 1..=3 {
@@ -2115,8 +1819,8 @@ mod tests {
         let p = tmp("mid-rotation");
         let cfg = WalConfig {
             fsync: FsyncPolicy::Never,
-            group_commit: true,
             rotate_bytes: 1,
+            ..WalConfig::default()
         };
         let (w, _) = Wal::open_with(&p, cfg).unwrap();
         let sw = CrashSwitch::new();
@@ -2163,9 +1867,46 @@ mod tests {
     fn a_record_without_an_lsn_does_not_decode() {
         let text = encode_record(&sample_prepared(1), 7);
         assert_eq!(decode_record(text.as_bytes()).unwrap().lsn, 7);
-        let stripped = text.replace("lsn=7\n", "");
+        let stripped = text.replace(" lsn=\"7\"", "");
         let err = decode_record(stripped.as_bytes()).unwrap_err();
-        assert!(err.message.contains("without an lsn"), "{err}");
+        assert!(err.message.contains("no `lsn`"), "{err}");
+    }
+
+    #[test]
+    fn an_old_format_log_checkpointed_empty_opens_and_is_rewritten() {
+        let p = tmp("old-empty");
+        std::fs::create_dir_all(&p).unwrap();
+        let seg = p.join(seg_name(1));
+        std::fs::write(&seg, OLD_MAGIC).unwrap();
+        let (w, replay) = Wal::open(&p, FsyncPolicy::Never).unwrap();
+        assert!(replay.records.is_empty());
+        assert!(!replay.tail_damaged);
+        assert_eq!(std::fs::read(&seg).unwrap(), MAGIC);
+        w.append(&sample_prepared(1)).unwrap();
+        drop(w);
+        let (_, replay) = Wal::open(&p, FsyncPolicy::Never).unwrap();
+        assert_eq!(plain(&replay), vec![sample_prepared(1)]);
+        cleanup(&p);
+    }
+
+    #[test]
+    fn an_old_format_log_with_a_frame_is_a_typed_refusal_and_is_left_alone() {
+        let p = tmp("old-frame");
+        std::fs::create_dir_all(&p).unwrap();
+        let seg = p.join(seg_name(1));
+        let mut bytes = OLD_MAGIC.to_vec();
+        bytes.extend(frame_bytes(
+            "prepared\nqid.host=h\nqid.ts=1\nqid.timeout=30\nlsn=1\n",
+        ));
+        std::fs::write(&seg, &bytes).unwrap();
+        let Err(err) = Wal::open(&p, FsyncPolicy::Always) else {
+            panic!("an old log with records must not open");
+        };
+        assert!(!err.code.is_empty(), "{err}");
+        assert!(err.message.contains("XRPCWAL2"), "{err}");
+        assert_eq!(seg_files(&p), vec![seg.clone()], "nothing added");
+        assert_eq!(std::fs::read(&seg).unwrap(), bytes, "untouched");
+        cleanup(&p);
     }
 
     #[test]
@@ -2187,8 +1928,7 @@ mod tests {
         let p = tmp("group");
         let cfg = WalConfig {
             fsync: FsyncPolicy::Always,
-            group_commit: true,
-            rotate_bytes: 1 << 20,
+            ..WalConfig::default()
         };
         let (w, _) = Wal::open_with(&p, cfg).unwrap();
         let threads = 8;

@@ -94,8 +94,8 @@ fn chaos_fsync() -> FsyncPolicy {
 fn chaos_wal_config() -> WalConfig {
     WalConfig {
         fsync: chaos_fsync(),
-        group_commit: true,
         rotate_bytes: 2048,
+        ..WalConfig::default()
     }
 }
 

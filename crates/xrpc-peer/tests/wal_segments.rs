@@ -98,13 +98,13 @@ fn rotated_replay_equals_unrotated_replay() {
 
         let tiny_cfg = WalConfig {
             fsync: FsyncPolicy::Never,
-            group_commit: true,
             rotate_bytes: 256,
+            ..WalConfig::default()
         };
         let big_cfg = WalConfig {
             fsync: FsyncPolicy::Never,
-            group_commit: true,
             rotate_bytes: 1 << 30,
+            ..WalConfig::default()
         };
         let (tiny, _) = Wal::open_with(&tiny_path, tiny_cfg).unwrap();
         let (big, _) = Wal::open_with(&big_path, big_cfg).unwrap();

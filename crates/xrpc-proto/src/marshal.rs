@@ -13,6 +13,7 @@
 //! the SOAP message would let a query navigate to the envelope, which §2.2
 //! explicitly warns against.)
 
+use std::sync::Arc;
 use xdm::types::AtomicType;
 use xdm::{AtomicValue, Item, Sequence, XdmError, XdmResult};
 use xmldom::escape::{push_escaped_attr, push_escaped_text};
@@ -196,16 +197,27 @@ fn relative_path(doc: &Document, anc: NodeId, node: NodeId) -> Option<String> {
 }
 
 /// Decode an `<xrpc:sequence>` element back into an XDM sequence. This is
-/// `n2s()`: every node comes back as the root of a fresh fragment.
+/// `n2s()`: every node comes back copied, as a parentless root of one fresh
+/// arena the sequence's nodes share (a document node: of its own document).
 pub fn n2s(msg: &Document, seq_el: NodeId) -> XdmResult<Sequence> {
-    let mut out = Sequence::empty();
-    for child in msg.children(seq_el) {
-        if msg.kind(child) != NodeKind::Element {
-            continue; // ignorable whitespace between values
-        }
-        out.push(decode_value(msg, child)?);
-    }
-    Ok(out)
+    let mut arena = Document::new();
+    let values = (msg.child_elements(seq_el))
+        .map(|child| decode_value(msg, child, &mut arena))
+        .collect::<XdmResult<Vec<_>>>()?;
+    let arena = Arc::new(arena);
+    Ok(values
+        .into_iter()
+        .map(|v| match v {
+            Value::Item(item) => item,
+            Value::InArena(id) => Item::Node(NodeHandle::new(arena.clone(), id)),
+        })
+        .collect())
+}
+
+/// A decoded value: an item, or a node of the arena not yet shared.
+enum Value {
+    Item(Item),
+    InArena(NodeId),
 }
 
 /// The local name of a value wrapper, which must be an `xrpc:` element.
@@ -224,75 +236,57 @@ fn wrapper_local(msg: &Document, child: NodeId) -> XdmResult<&str> {
     Ok(&name.local)
 }
 
-/// Decode one value wrapper element into an item.
-fn decode_value(msg: &Document, child: NodeId) -> XdmResult<Item> {
-    {
-        match wrapper_local(msg, child)? {
-            "atomic-value" => {
-                let ty_lex = msg
-                    .attr_local(child, "type")
-                    .ok_or_else(|| XdmError::xrpc("atomic-value without xsi:type"))?;
-                let ty = AtomicType::from_xs_name(ty_lex)
-                    .ok_or_else(|| XdmError::xrpc(format!("unsupported xsi:type `{ty_lex}`")))?;
-                let lexical = msg.string_value(child);
-                Ok(Item::Atomic(AtomicValue::parse_as(&lexical, ty)?))
-            }
-            "element" => {
-                let inner = msg
-                    .child_elements(child)
-                    .next()
-                    .ok_or_else(|| XdmError::xrpc("empty xrpc:element wrapper"))?;
-                Ok(Item::Node(fresh_fragment(msg, inner)?))
-            }
-            "document" => {
-                let mut d = Document::new();
-                let root = d.root();
-                for c in msg.children(child) {
-                    let copy = d.import_subtree(msg, c);
-                    d.append_child(root, copy);
-                }
-                Ok(Item::Node(NodeHandle::root(std::sync::Arc::new(d))))
-            }
-            "text" => {
-                let mut d = Document::new();
-                let t = d.create_text(msg.string_value(child));
-                Ok(Item::Node(NodeHandle::new(std::sync::Arc::new(d), t)))
-            }
-            "comment" => {
-                let mut d = Document::new();
-                let t = d.create_comment(msg.string_value(child));
-                Ok(Item::Node(NodeHandle::new(std::sync::Arc::new(d), t)))
-            }
-            "pi" => {
-                // the wrapper carries the PI node itself
-                let pi = msg
-                    .children(child)
-                    .find(|&c| msg.kind(c) == NodeKind::ProcessingInstruction)
-                    .ok_or_else(|| XdmError::xrpc("xrpc:pi wrapper without a PI"))?;
-                Ok(Item::Node(fresh_fragment(msg, pi)?))
-            }
-            "attribute" => {
-                let attr = msg
-                    .attributes(child)
-                    .next()
-                    .ok_or_else(|| XdmError::xrpc("xrpc:attribute wrapper without an attribute"))?;
-                let mut d = Document::new();
-                let copy = d.import_subtree(msg, attr);
-                Ok(Item::Node(NodeHandle::new(std::sync::Arc::new(d), copy)))
-            }
-            other => Err(XdmError::xrpc(format!(
-                "unknown value wrapper xrpc:{other}"
-            ))),
+/// Decode one value wrapper element, copying a node value into `arena`.
+fn decode_value(msg: &Document, child: NodeId, arena: &mut Document) -> XdmResult<Value> {
+    Ok(match wrapper_local(msg, child)? {
+        "atomic-value" => {
+            let ty_lex = msg
+                .attr_local(child, "type")
+                .ok_or_else(|| XdmError::xrpc("atomic-value without xsi:type"))?;
+            let ty = AtomicType::from_xs_name(ty_lex)
+                .ok_or_else(|| XdmError::xrpc(format!("unsupported xsi:type `{ty_lex}`")))?;
+            let lexical = msg.string_value(child);
+            Value::Item(Item::Atomic(AtomicValue::parse_as(&lexical, ty)?))
         }
-    }
-}
-
-/// Copy `src_id` out of the message into a fresh detached document — the
-/// by-value guarantee.
-fn fresh_fragment(msg: &Document, src_id: NodeId) -> XdmResult<NodeHandle> {
-    let mut d = Document::new();
-    let copy = d.import_subtree(msg, src_id);
-    Ok(NodeHandle::new(std::sync::Arc::new(d), copy))
+        "element" => {
+            let inner = msg
+                .child_elements(child)
+                .next()
+                .ok_or_else(|| XdmError::xrpc("empty xrpc:element wrapper"))?;
+            Value::InArena(arena.import_subtree(msg, inner))
+        }
+        "document" => {
+            let mut d = Document::new();
+            let root = d.root();
+            for c in msg.children(child) {
+                let copy = d.import_subtree(msg, c);
+                d.append_child(root, copy);
+            }
+            Value::Item(Item::Node(NodeHandle::root(Arc::new(d))))
+        }
+        "text" => Value::InArena(arena.create_text(msg.string_value(child))),
+        "comment" => Value::InArena(arena.create_comment(msg.string_value(child))),
+        "pi" => {
+            // the wrapper carries the PI node itself
+            let pi = msg
+                .children(child)
+                .find(|&c| msg.kind(c) == NodeKind::ProcessingInstruction)
+                .ok_or_else(|| XdmError::xrpc("xrpc:pi wrapper without a PI"))?;
+            Value::InArena(arena.import_subtree(msg, pi))
+        }
+        "attribute" => {
+            let attr = msg
+                .attributes(child)
+                .next()
+                .ok_or_else(|| XdmError::xrpc("xrpc:attribute wrapper without an attribute"))?;
+            Value::InArena(arena.import_subtree(msg, attr))
+        }
+        other => {
+            return Err(XdmError::xrpc(format!(
+                "unknown value wrapper xrpc:{other}"
+            )))
+        }
+    })
 }
 
 #[cfg(test)]

@@ -64,7 +64,6 @@ fn cluster(tag: &str) -> Cluster {
     let _ = std::fs::remove_dir_all(&wal_dir);
     let config = WalConfig {
         fsync: FsyncPolicy::Always,
-        group_commit: true,
         ..WalConfig::default()
     };
     b.attach_wal_with(&wal_dir, config).unwrap();

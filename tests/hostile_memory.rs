@@ -642,12 +642,12 @@ fn a_hundred_thousand_levels_neither_overflow_the_stack_nor_the_bound() {
 // The WAL decoder: what a peer reads from its own disk at startup
 // ---------------------------------------------------------------------
 
-use xrpc_repro::xrpc_peer::wal::{
-    crc32, NodePath, PathStep, SerializedFragment, SerializedPrimitive,
-};
+use std::sync::Arc;
+use xrpc_repro::xmldom::{Document, NodeHandle, QName};
+use xrpc_repro::xrpc_peer::wal::{crc32, NodePath, PathStep, SerializedPrimitive};
 use xrpc_repro::xrpc_peer::{Decision, FsyncPolicy, Wal, WalConfig, WalRecord};
 
-const WAL_MAGIC: &[u8] = b"XRPCWAL2";
+const WAL_MAGIC: &[u8] = b"XRPCWAL3";
 
 fn wal_config() -> WalConfig {
     WalConfig {
@@ -662,12 +662,22 @@ fn wal_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Every primitive kind, attribute fragments, and text holding each
-/// separator the record encoding escapes — as one transaction's ∆.
+/// Text holding what XML escapes, what XML normalizes (`\r\n`, tabs in
+/// attributes) and a control character XML 1.0 does not allow.
+const NASTY: &str = "50% | a/b\tc\nd\r\u{1f}é日本 <&\"]]>\r\n";
+
+/// One node of a fresh document `build` makes.
+fn fresh(build: impl FnOnce(&mut Document) -> xmldom::NodeId) -> NodeHandle {
+    let mut d = Document::new();
+    let id = build(&mut d);
+    NodeHandle::new(Arc::new(d), id)
+}
+
+/// Every primitive kind and every kind of content node, holding [`NASTY`]
+/// wherever a string goes — as one transaction's ∆.
 fn every_primitive() -> Vec<SerializedPrimitive> {
-    let nasty = "50% | a/b\tc\nd\r\u{1f}é日本";
     let target = || NodePath {
-        doc_uri: format!("dir/{nasty}.xml"),
+        doc_uri: format!("dir/{NASTY}.xml"),
         steps: vec![
             PathStep::Child(0),
             PathStep::Attr(3),
@@ -676,63 +686,90 @@ fn every_primitive() -> Vec<SerializedPrimitive> {
     };
     let content = || {
         vec![
-            SerializedFragment::Xml(format!("<e a=\"1\">{nasty}</e>")),
-            SerializedFragment::Attribute {
-                prefix: Some("p".into()),
-                ns_uri: Some("urn:x/y|z".into()),
-                local: "k".into(),
-                value: nasty.into(),
-            },
-            SerializedFragment::Attribute {
-                prefix: None,
-                ns_uri: None,
-                local: "plain".into(),
-                value: String::new(),
-            },
+            fresh(|d| {
+                let e = d.create_element(QName::local("e"));
+                d.set_attribute(e, QName::local("a"), NASTY);
+                let t = d.create_text(NASTY);
+                d.append_child(e, t);
+                e
+            }),
+            fresh(|d| d.create_attribute(QName::ns("p", "urn:x/y|z", "k"), NASTY)),
+            fresh(|d| d.create_attribute(QName::local("plain"), "")),
+            fresh(|d| d.create_text(NASTY)),
+            fresh(|d| d.create_comment("c")),
         ]
     };
-    use SerializedPrimitive::*;
+    use SerializedPrimitive as S;
     vec![
-        InsertInto {
+        S::InsertInto {
             target: target(),
             content: content(),
         },
-        InsertFirst {
+        S::InsertFirst {
             target: target(),
             content: content(),
         },
-        InsertLast {
+        S::InsertLast {
             target: target(),
             content: vec![],
         },
-        InsertBefore {
+        S::InsertBefore {
             target: target(),
             content: content(),
         },
-        InsertAfter {
+        S::InsertAfter {
             target: target(),
             content: content(),
         },
-        Delete { target: target() },
-        ReplaceNode {
+        S::Delete { target: target() },
+        S::ReplaceNode {
             target: target(),
             replacement: content(),
         },
-        ReplaceValue {
+        S::ReplaceValue {
             target: target(),
-            value: nasty.into(),
+            value: NASTY.into(),
         },
-        Rename {
+        S::Rename {
             target: target(),
-            prefix: Some("p".into()),
-            ns_uri: Some("urn:p".into()),
-            local: "n".into(),
+            name: QName::ns("p", "urn:p", "n"),
         },
-        Put {
-            node: SerializedFragment::Xml("<put/>".into()),
-            uri: format!("out/{nasty}.xml"),
+        S::Put {
+            node: fresh(|d| d.create_element(QName::local("put"))),
+            uri: format!("out/{NASTY}.xml"),
         },
     ]
+}
+
+/// Every string of a decoded [`every_primitive`] ∆ is [`NASTY`] byte for
+/// byte: `\r`, `\r\n` and U+001F included. `\r` goes out as a character
+/// reference; U+001F goes out raw, and the reader takes it back as it is
+/// (it checks characters against no XML `Char` production).
+fn assert_nasty_survives(delta: &[SerializedPrimitive]) {
+    use SerializedPrimitive as S;
+    for p in delta {
+        if let Some(t) = p.target() {
+            assert_eq!(t.doc_uri, format!("dir/{NASTY}.xml"));
+        }
+        match p {
+            S::InsertInto { content, .. }
+            | S::ReplaceNode {
+                replacement: content,
+                ..
+            } => {
+                let [e, attr, _, text, _] = &content[..] else {
+                    panic!("{content:?}")
+                };
+                assert_eq!(e.string_value(), NASTY);
+                assert_eq!(e.doc.attr_local(e.id, "a"), Some(NASTY));
+                assert_eq!(attr.value(), NASTY);
+                assert_eq!(text.value(), NASTY);
+            }
+            S::ReplaceValue { value, .. } => assert_eq!(value, NASTY),
+            S::Put { uri, .. } => assert_eq!(uri, &format!("out/{NASTY}.xml")),
+            _ => {}
+        }
+    }
 }
 
 /// A real segment: both roles' records of several transactions, written by
@@ -779,8 +816,14 @@ fn real_segment() -> Vec<u8> {
     }
     drop(log);
     let (_, replay) = Wal::open_with(&dir, wal_config()).unwrap();
-    assert_eq!(replay.records.len(), records.len());
     assert!(!replay.tail_damaged);
+    let decoded: Vec<WalRecord> = replay.records.into_iter().map(|sr| sr.record).collect();
+    assert_eq!(decoded, records);
+    for r in &decoded {
+        if let WalRecord::Prepared { delta, .. } = r {
+            assert_nasty_survives(delta);
+        }
+    }
     let seg = std::fs::read(dir.join(format!("{:016x}.seg", 1))).unwrap();
     let _ = std::fs::remove_dir_all(dir);
     seg
@@ -807,41 +850,87 @@ fn payloads(seg: &[u8]) -> Vec<Vec<u8>> {
     out
 }
 
+/// Spliced in where markup ends: some leave a record that decodes (to
+/// something nobody wrote), most do not.
 const WAL_SPLICES: &[&str] = &[
-    "prim=Delete|log.xml/é1\n",
-    "%FF",
-    "%8",
-    "%",
-    "\nlsn=18446744073709551616\n",
-    "prim=Put|A:\t\t\t\t|\n",
-    "prim=Rename|d/c0|\t\n",
-    "|",
-    "/c",
-    "\u{1f}X:",
-    "coord-commit\n",
-    "outcome=maybe\n",
+    "<xrpc:delete doc=\"log.xml\" target=\"c0\">",
+    "<xrpc:delete doc=\"log.xml\" target=\"c\"/>",
+    "<xrpc:delete doc=\"log.xml\" target=\"c0/a1\"/>",
+    "<xrpc:peer uri=\"xrpc://e\"/>",
+    "<xrpc:sequence><xrpc:attribute/></xrpc:sequence>",
+    "<q:delete/>",
+    "<xrpc:checkpoint/>",
+    "</xrpc:sequence>",
+    "<!-- c -->",
+    "\r\n",
+    "&#x1F;",
+    "&#xD800;",
+    "&amp",
+    "]]>",
 ];
+
+/// Where the markup before byte `i` of `p` ends.
+fn markup_end_before(p: &[u8], i: usize) -> usize {
+    p[..i].iter().rposition(|&b| b == b'>').map_or(0, |j| j + 1)
+}
+
+/// The bytes of one element of `p`, start tag to end tag, found by counting
+/// tags (a `>` inside an attribute value can fool the count: then the span
+/// is as broken as any).
+fn some_element(rng: &mut StdRng, p: &[u8]) -> std::ops::Range<usize> {
+    let starts: Vec<usize> = (0..p.len().saturating_sub(1))
+        .filter(|&i| p[i] == b'<' && p[i + 1].is_ascii_alphabetic())
+        .collect();
+    if starts.is_empty() {
+        return 0..p.len();
+    }
+    let start = starts[rng.gen_range(0..starts.len())];
+    let (mut depth, mut at) = (0, start);
+    while let Some(k) = p[at..].iter().position(|&b| b == b'<') {
+        let tag = at + k;
+        at = tag
+            + p[tag..]
+                .iter()
+                .position(|&b| b == b'>')
+                .map_or(p.len() - tag, |e| e + 1);
+        match p.get(tag + 1) {
+            Some(b'/') => depth -= 1,
+            Some(b'!' | b'?') => {}
+            _ if p[at - 2] == b'/' => {}
+            _ => depth += 1,
+        }
+        if depth <= 0 {
+            break;
+        }
+    }
+    start..at
+}
 
 /// One to three payloads edited and re-stamped (so the damage reaches
 /// `decode_record` instead of stopping at the CRC), then possibly a tail
-/// torn off or padded with zeros.
+/// torn off or padded with zeros. A bit flips anywhere; whole elements are
+/// cut and copied, and splices land where markup ends — so that as a rule
+/// some edits leave a record that decodes, to something nobody wrote.
 fn mutate_segment(rng: &mut StdRng, frames: &[Vec<u8>]) -> Vec<u8> {
     let mut frames = frames.to_vec();
     for _ in 0..rng.gen_range(1..=3) {
         let k = rng.gen_range(0..frames.len());
         let p = &mut frames[k];
+        if p.is_empty() {
+            continue;
+        }
         let at = rng.gen_range(0..p.len());
-        let span = at..(at + rng.gen_range(1..32usize)).min(p.len());
         match rng.gen_range(0..4) {
             0 => p[at] ^= 1u8 << rng.gen_range(0..8u32),
-            1 => drop(p.drain(span)),
+            1 => drop(p.drain(some_element(rng, p))),
             2 => {
-                let copy = p[span].to_vec();
-                let to = rng.gen_range(0..=p.len());
+                let copy = p[some_element(rng, p)].to_vec();
+                let to = markup_end_before(p, at);
                 p.splice(to..to, copy);
             }
             _ => {
                 let s = WAL_SPLICES[rng.gen_range(0..WAL_SPLICES.len())];
+                let at = markup_end_before(p, at);
                 p.splice(at..at, s.bytes());
             }
         }
@@ -900,16 +989,28 @@ fn a_mutated_wal_segment_opens_or_is_a_typed_error_in_bounded_memory() {
 
     // fixed rows: frames with a good CRC that once panicked the opener or
     // decoded to something nobody wrote — now an undecodable tail
-    let header = "prepared\nqid.host=h\nqid.ts=1\nqid.timeout=30\n";
+    let head = |kind: &str, attrs: &str| {
+        format!(
+            "<xrpc:{kind} xmlns:xrpc=\"http://monetdb.cwi.nl/XQuery\" host=\"h\" ts=\"1\" timeout=\"30\" {attrs}"
+        )
+    };
+    let prepared = |body: &str| format!("{}>{body}</xrpc:prepared>", head("prepared", "lsn=\"2\""));
     for bad in [
-        "coordinator=h\nprim=Delete|log.xml/é1\nlsn=2\n",
-        "coordinator=%FF\nlsn=2\n",
-        "coordinator=h\nprim=Delete|log.xml/\nlsn=2\n",
+        prepared("<xrpc:delete doc=\"log.xml\" target=\"é1\"/>"),
+        format!("{}/>", head("prepared", "lsn=\"2\" coordinator=\"&#x110000;\"")),
+        prepared("<xrpc:delete doc=\"log.xml\" target=\"c0/\"/>"),
+        prepared("<xrpc:delete doc=\"log.xml\" target=\"c\"/>"),
+        prepared("<xrpc:delete doc=\"log.xml\" target=\"c0\">"),
+        format!("{}/>", head("applied", "lsn=\"18446744073709551616\" mark=\"1\"")),
+        prepared("<xrpc:insert-into doc=\"d\" target=\"\"><xrpc:sequence><xrpc:attribute/></xrpc:sequence></xrpc:insert-into>"),
+        prepared("<q:delete doc=\"log.xml\" target=\"c0\"/>"),
+        format!("{}/>", head("checkpoint", "lsn=\"2\"")),
+        format!("{}/>", head("decision", "lsn=\"2\" outcome=\"maybe\"")),
     ] {
         let mut seg = WAL_MAGIC.to_vec();
         seg.extend(frame(&frames[0]));
-        seg.extend(frame(format!("{header}{bad}").as_bytes()));
-        assert_eq!(assert_open_bounded(&seg, bad), Some(true), "{bad}");
+        seg.extend(frame(bad.as_bytes()));
+        assert_eq!(assert_open_bounded(&seg, &bad), Some(true), "{bad}");
     }
 
     let (mut clean, mut dropped, mut refused) = (0, 0, 0);
