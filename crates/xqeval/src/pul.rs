@@ -81,47 +81,18 @@ impl<T> UpdatePrimitive<T> {
         f: impl FnOnce(&T) -> Result<U, E>,
     ) -> Result<UpdatePrimitive<U>, E> {
         use UpdatePrimitive::*;
-        Ok(match self {
-            InsertInto { target, content } => InsertInto {
-                target: f(target)?,
-                content: content.clone(),
-            },
-            InsertFirst { target, content } => InsertFirst {
-                target: f(target)?,
-                content: content.clone(),
-            },
-            InsertLast { target, content } => InsertLast {
-                target: f(target)?,
-                content: content.clone(),
-            },
-            InsertBefore { target, content } => InsertBefore {
-                target: f(target)?,
-                content: content.clone(),
-            },
-            InsertAfter { target, content } => InsertAfter {
-                target: f(target)?,
-                content: content.clone(),
-            },
-            Delete { target } => Delete { target: f(target)? },
-            ReplaceNode {
-                target,
-                replacement,
-            } => ReplaceNode {
-                target: f(target)?,
-                replacement: replacement.clone(),
-            },
-            ReplaceValue { target, value } => ReplaceValue {
-                target: f(target)?,
-                value: value.clone(),
-            },
-            Rename { target, name } => Rename {
-                target: f(target)?,
-                name: name.clone(),
-            },
-            Put { node, uri } => Put {
-                node: node.clone(),
-                uri: uri.clone(),
-            },
+        // every variant but `Put` is a target and at most one other field
+        macro_rules! remap {
+            ($($v:ident $(. $field:ident)?),*) => {
+                match self {
+                    $($v { target $(, $field)? } => $v { target: f(target)? $(, $field: $field.clone())? },)*
+                    Put { node, uri } => Put { node: node.clone(), uri: uri.clone() },
+                }
+            };
+        }
+        Ok(remap! {
+            InsertInto.content, InsertFirst.content, InsertLast.content, InsertBefore.content,
+            InsertAfter.content, Delete, ReplaceNode.replacement, ReplaceValue.value, Rename.name
         })
     }
 }

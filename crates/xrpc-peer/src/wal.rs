@@ -589,32 +589,28 @@ fn decode_record(payload: &[u8]) -> XdmResult<SequencedRecord> {
 // CRC32 (IEEE 802.3, reflected) — hand-rolled, no external crates
 // ---------------------------------------------------------------------
 
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *e = c;
+const CRC_TABLE: [u32; 256] = {
+    let mut t = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            // shift one bit out, folding the polynomial in when it was set
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            k += 1;
         }
-        t
-    })
-}
+        t[i] = c;
+        i += 1;
+    }
+    t
+};
 
 /// CRC-32 of `data` (the common zlib/PNG polynomial).
 pub fn crc32(data: &[u8]) -> u32 {
-    let table = crc32_table();
     let mut c = 0xFFFF_FFFFu32;
     for &b in data {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -800,6 +796,18 @@ fn zero_fill(file: &mut File, from: u64, to: u64) -> std::io::Result<()> {
     Ok(())
 }
 
+/// A fresh segment at `path` holding only its magic.
+fn create_segment(path: &Path) -> std::io::Result<File> {
+    let mut f = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(path)?;
+    f.write_all(MAGIC)?;
+    Ok(f)
+}
+
 fn frame_bytes(payload: &str) -> Vec<u8> {
     let payload = payload.as_bytes();
     let mut frame = Vec::with_capacity(8 + payload.len());
@@ -867,7 +875,6 @@ impl Wal {
         let io = |e: std::io::Error| XdmError::xrpc(format!("WAL {}: {e}", path.display()));
 
         let mut tail_damaged = false;
-        let mut torn_recoveries = 0u64;
         if std::fs::metadata(&path).is_ok_and(|m| !m.is_dir()) {
             return Err(XdmError::xrpc(format!(
                 "{} is not a WAL directory",
@@ -880,13 +887,10 @@ impl Wal {
         // ---- enumerate segments ----
         let mut segs: Vec<u64> = Vec::new();
         for entry in std::fs::read_dir(&path).map_err(io)? {
-            let entry = entry.map_err(io)?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(stem) = name.strip_suffix(".seg") {
-                if let Ok(seq) = u64::from_str_radix(stem, 16) {
-                    segs.push(seq);
-                }
+            let name = entry.map_err(io)?.file_name();
+            let stem = name.to_str().and_then(|n| n.strip_suffix(".seg"));
+            if let Some(seq) = stem.and_then(|s| u64::from_str_radix(s, 16).ok()) {
+                segs.push(seq);
             }
         }
         segs.sort_unstable();
@@ -919,9 +923,7 @@ impl Wal {
                     // crash between segment creation and its magic write:
                     // an empty shell, recoverable
                     std::fs::write(&seg_path, MAGIC).map_err(io)?;
-                    active_end = MAGIC.len() as u64;
                     tail_damaged = true;
-                    torn_recoveries += 1;
                     continue;
                 }
                 return Err(XdmError::xrpc(format!(
@@ -947,7 +949,6 @@ impl Wal {
                     .set_len(end as u64)
                     .map_err(io)?;
                 tail_damaged = true;
-                torn_recoveries += 1;
             }
             records.extend(frames.into_iter().filter(|sr| seen.insert(sr.lsn)));
         }
@@ -972,18 +973,8 @@ impl Wal {
             f.seek(SeekFrom::Start(active_end)).map_err(io)?;
             (active, f)
         } else {
-            // fresh log: segment 1 holds only its magic
-            let seg_path = path.join(seg_name(1));
-            let mut f = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&seg_path)
-                .map_err(io)?;
-            f.write_all(MAGIC).map_err(io)?;
             segs = vec![1];
-            (1, f)
+            (1, create_segment(&path.join(seg_name(1))).map_err(io)?)
         };
         if config.fsync == FsyncPolicy::Always {
             // staging mode: preallocate so group drains overwrite in place
@@ -1035,7 +1026,8 @@ impl Wal {
             observers: Mutex::new(Observers::default()),
             rotations: AtomicU64::new(0),
             copy_forward_records: AtomicU64::new(0),
-            torn_tail_recoveries: AtomicU64::new(torn_recoveries),
+            // only the last segment's tail is ever recovered
+            torn_tail_recoveries: AtomicU64::new(tail_damaged as u64),
             fsyncs: AtomicU64::new(0),
         });
         Ok((
@@ -1281,13 +1273,7 @@ impl Wal {
         let new_seq = inner.seg_seq + 1;
         let seg_path = self.path.join(seg_name(new_seq));
         let res: std::io::Result<(File, u64, u64)> = (|| {
-            let mut f = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&seg_path)?;
-            f.write_all(MAGIC)?;
+            let mut f = create_segment(&seg_path)?;
             let mut bytes = MAGIC.len() as u64;
             let mut fwd: Vec<&SequencedRecord> = inner.live.values().flatten().collect();
             fwd.sort_by_key(|sr| sr.lsn);
@@ -1446,24 +1432,8 @@ impl Wal {
     /// checkpoints up to the last one durable.
     fn drain_and_capture(&self) -> XdmResult<(Arc<File>, u64, u64)> {
         let mut inner = self.inner.lock();
-        if !inner.staged.is_empty() {
-            let mut batch = std::mem::take(&mut inner.staged);
-            // `seg_bytes` counts staged frames the moment they are staged,
-            // so the logical end of the file is what lies before them
-            let start = inner.seg_bytes - batch.len() as u64;
-            // pad to the next page boundary: the flush then writes whole
-            // preallocated pages, and the zeros double as the end-of-log
-            // sentinel. Padding is not part of the logical log — the next
-            // drain seeks back to `start + batch` and overwrites it.
-            let end = start + batch.len() as u64;
-            batch.resize(batch.len() + ((PAGE - end % PAGE) % PAGE) as usize, 0);
-            if let Err(e) = inner
-                .file
-                .seek(SeekFrom::Start(start))
-                .and_then(|_| inner.file.write_all(&batch))
-            {
-                return Err(self.io_poison("append", e));
-            }
+        if let Err(e) = inner.write_staged() {
+            return Err(self.io_poison("append", e));
         }
         Ok((
             inner.sync_handle.clone(),
@@ -1506,15 +1476,26 @@ impl Drop for Wal {
         // keeps a clean process exit equivalent to write-through — the
         // restart sweep can then re-abort eagerly instead of waiting for
         // participant inquiries.
-        let mut inner = self.inner.lock();
-        if !inner.staged.is_empty() {
-            let staged = std::mem::take(&mut inner.staged);
-            let start = inner.seg_bytes - staged.len() as u64;
-            let _ = inner
-                .file
-                .seek(SeekFrom::Start(start))
-                .and_then(|_| inner.file.write_all(&staged));
+        let _ = self.inner.lock().write_staged();
+    }
+}
+
+impl WalInner {
+    /// Write the staged frames at the logical end of the active segment
+    /// (`seg_bytes` counts them the moment they are staged), padded to the
+    /// next page boundary: a flush then writes whole preallocated pages,
+    /// and the zeros double as the end-of-log sentinel. Padding is not part
+    /// of the logical log — the next drain overwrites it.
+    fn write_staged(&mut self) -> std::io::Result<()> {
+        if self.staged.is_empty() {
+            return Ok(());
         }
+        let mut batch = std::mem::take(&mut self.staged);
+        let start = self.seg_bytes - batch.len() as u64;
+        let pad = (PAGE - self.seg_bytes % PAGE) % PAGE;
+        batch.resize(batch.len() + pad as usize, 0);
+        self.file.seek(SeekFrom::Start(start))?;
+        self.file.write_all(&batch)
     }
 }
 
@@ -1544,11 +1525,8 @@ fn apply_live(live: &mut HashMap<OpenKey, Vec<SequencedRecord>>, lsn: u64, rec: 
         WalRecord::Applied { qid, .. } => {
             live.remove(&key(qid, Role::Participant));
         }
-        WalRecord::CoordinatorBegin { qid, .. } => {
-            live.insert(key(qid, Role::Coordinator), vec![kept()]);
-        }
-        WalRecord::CoordinatorCommit { qid, .. } => {
-            // the commit point supersedes the begin record
+        // the commit point supersedes the begin record
+        WalRecord::CoordinatorBegin { qid, .. } | WalRecord::CoordinatorCommit { qid, .. } => {
             live.insert(key(qid, Role::Coordinator), vec![kept()]);
         }
         WalRecord::CoordinatorEnd { qid } => {
@@ -1870,6 +1848,45 @@ mod tests {
         let stripped = text.replace(" lsn=\"7\"", "");
         let err = decode_record(stripped.as_bytes()).unwrap_err();
         assert!(err.message.contains("no `lsn`"), "{err}");
+    }
+
+    /// Content the record's own `xrpc` prefix could clash with: an
+    /// attribute that binds `xrpc` to another namespace comes back from a
+    /// reopen whole, instead of making its forced record undecodable.
+    #[test]
+    fn an_attribute_that_takes_the_xrpc_prefix_survives_a_reopen() {
+        let p = tmp("xrpc-prefix");
+        let mut d = xmldom::Document::new();
+        let attr = d.create_attribute(QName::ns("xrpc", "urn:mine", "k"), "1");
+        let rec = WalRecord::Prepared {
+            qid: qid(1),
+            coordinator: "xrpc://origin".into(),
+            delta: vec![SerializedPrimitive::InsertInto {
+                target: NodePath {
+                    doc_uri: "log.xml".into(),
+                    steps: vec![PathStep::Child(0)],
+                },
+                content: vec![NodeHandle::new(Arc::new(d), attr)],
+            }],
+        };
+        {
+            let (w, _) = Wal::open(&p, FsyncPolicy::Always).unwrap();
+            w.append(&rec).unwrap();
+        }
+        let (_, replay) = Wal::open(&p, FsyncPolicy::Always).unwrap();
+        assert!(!replay.tail_damaged);
+        assert_eq!(plain(&replay), vec![rec]);
+        let WalRecord::Prepared { delta, .. } = &replay.records[0].record else {
+            panic!()
+        };
+        let SerializedPrimitive::InsertInto { content, .. } = &delta[0] else {
+            panic!()
+        };
+        let name = content[0].name().unwrap();
+        assert!(name.is("urn:mine", "k"));
+        assert_eq!(name.prefix.as_deref(), Some("xrpc"));
+        assert_eq!(content[0].value(), "1");
+        cleanup(&p);
     }
 
     #[test]

@@ -89,9 +89,18 @@ fn emit_item_text(out: &mut String, item: &Item) -> XdmResult<()> {
                 out.push_str("</xrpc:pi>");
             }
             NodeKind::Attribute => {
-                out.push_str("<xrpc:attribute");
-                // a prefixed attribute brings its binding along, on the wrapper
-                if let Some((p, u)) = attribute_binding(n) {
+                // a prefixed attribute brings its binding along, on the
+                // wrapper; one that binds `xrpc` elsewhere leaves the wrapper
+                // another prefix
+                let binding = attribute_binding(n);
+                if matches!(binding, Some(("xrpc", u)) if u != NS_XRPC) {
+                    out.push_str("<x:attribute xmlns:x=\"");
+                    out.push_str(NS_XRPC);
+                    out.push('"');
+                } else {
+                    out.push_str("<xrpc:attribute");
+                }
+                if let Some((p, u)) = binding {
                     out.push_str(" xmlns:");
                     out.push_str(p);
                     out.push_str("=\"");

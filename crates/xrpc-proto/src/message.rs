@@ -806,7 +806,15 @@ mod dom_oracle {
                     NodeKind::ProcessingInstruction => "pi",
                     NodeKind::Attribute => "attribute",
                 };
-                let el = doc.create_element(xrpc(wrapper_local));
+                // an attribute that binds `xrpc` elsewhere: the wrapper is `x:`
+                let binding = attribute_binding(n).filter(|_| n.kind() == NodeKind::Attribute);
+                let el = if matches!(binding, Some(("xrpc", u)) if u != NS_XRPC) {
+                    let el = doc.create_element(QName::ns("x", NS_XRPC, wrapper_local));
+                    doc.add_ns_decl(el, "x", NS_XRPC);
+                    el
+                } else {
+                    doc.create_element(xrpc(wrapper_local))
+                };
                 doc.append_child(seq_el, el);
                 match n.kind() {
                     NodeKind::Element => {
@@ -833,7 +841,7 @@ mod dom_oracle {
                     NodeKind::Attribute => {
                         // `<xrpc:attribute x="y"/>` — the attribute itself
                         // is carried on the wrapper element.
-                        if let Some((p, u)) = attribute_binding(n) {
+                        if let Some((p, u)) = binding {
                             doc.add_ns_decl(el, p, u);
                         }
                         let copy = doc.import_subtree(&n.doc, n.id);
@@ -1701,7 +1709,7 @@ mod tests {
     fn fragments_travel_with_the_namespaces_they_inherit() {
         let d = std::sync::Arc::new(
             xmldom::parse(
-                r#"<r xmlns="urn:d" xmlns:p="urn:u"><p:a k="1" p:j="2">t</p:a><a><b/><c xmlns=""/></a></r>"#,
+                r#"<r xmlns="urn:d" xmlns:p="urn:u"><p:a k="1" p:j="2">t</p:a><a xmlns:xrpc="urn:x" xrpc:k="3"><b/><c xmlns=""/></a></r>"#,
             )
             .unwrap(),
         );
@@ -1714,6 +1722,7 @@ mod tests {
             node(&d, d.last_child(a).unwrap()),
             node(&d, d.attributes(pa).nth(1).unwrap()),
             node(&d, r),
+            node(&d, d.attributes(a).next().unwrap()),
         ];
         let mut req = XrpcRequest::new("m", "f", 1);
         req.push_call(vec![Sequence::from_items(items.clone())]);
@@ -1742,6 +1751,12 @@ mod tests {
         assert!(name(2).is("urn:d", "b"));
         assert_eq!(name(3).ns_uri.as_deref().unwrap_or(""), "");
         assert!(name(4).is("urn:u", "j"));
+        // the attribute's `xrpc` binding stays off its wrapper's name
+        assert!(xml.contains(&format!(
+            r#"<x:attribute xmlns:x="{NS_XRPC}" xmlns:xrpc="urn:x" xrpc:k="3"/>"#
+        )));
+        assert!(name(6).is("urn:x", "k"));
+        assert_eq!(name(6).prefix.as_deref(), Some("xrpc"));
     }
 
     #[test]

@@ -694,6 +694,7 @@ fn every_primitive() -> Vec<SerializedPrimitive> {
                 e
             }),
             fresh(|d| d.create_attribute(QName::ns("p", "urn:x/y|z", "k"), NASTY)),
+            fresh(|d| d.create_attribute(QName::ns("xrpc", "urn:other", "k"), NASTY)),
             fresh(|d| d.create_attribute(QName::local("plain"), "")),
             fresh(|d| d.create_text(NASTY)),
             fresh(|d| d.create_comment("c")),
@@ -757,12 +758,16 @@ fn assert_nasty_survives(delta: &[SerializedPrimitive]) {
                 replacement: content,
                 ..
             } => {
-                let [e, attr, _, text, _] = &content[..] else {
+                let [e, attr, xrpc_attr, _, text, _] = &content[..] else {
                     panic!("{content:?}")
                 };
                 assert_eq!(e.string_value(), NASTY);
                 assert_eq!(e.doc.attr_local(e.id, "a"), Some(NASTY));
                 assert_eq!(attr.value(), NASTY);
+                assert_eq!(xrpc_attr.value(), NASTY);
+                let name = xrpc_attr.name().unwrap();
+                assert!(name.is("urn:other", "k"));
+                assert_eq!(name.prefix.as_deref(), Some("xrpc"));
                 assert_eq!(text.value(), NASTY);
             }
             S::ReplaceValue { value, .. } => assert_eq!(value, NASTY),
@@ -908,9 +913,11 @@ fn some_element(rng: &mut StdRng, p: &[u8]) -> std::ops::Range<usize> {
 
 /// One to three payloads edited and re-stamped (so the damage reaches
 /// `decode_record` instead of stopping at the CRC), then possibly a tail
-/// torn off or padded with zeros. A bit flips anywhere; whole elements are
-/// cut and copied, and splices land where markup ends — so that as a rule
-/// some edits leave a record that decodes, to something nobody wrote.
+/// torn off or padded with zeros. A bit flips anywhere, and a random span
+/// of up to 31 bytes is cut or copied anywhere (ending inside a name, an
+/// entity, a value or a character); whole elements are cut and copied too,
+/// and splices land where markup ends — so that as a rule some edits leave
+/// a record that decodes, to something nobody wrote.
 fn mutate_segment(rng: &mut StdRng, frames: &[Vec<u8>]) -> Vec<u8> {
     let mut frames = frames.to_vec();
     for _ in 0..rng.gen_range(1..=3) {
@@ -920,10 +927,17 @@ fn mutate_segment(rng: &mut StdRng, frames: &[Vec<u8>]) -> Vec<u8> {
             continue;
         }
         let at = rng.gen_range(0..p.len());
-        match rng.gen_range(0..4) {
+        let span = at..(at + rng.gen_range(1..32usize)).min(p.len());
+        match rng.gen_range(0..6) {
             0 => p[at] ^= 1u8 << rng.gen_range(0..8u32),
-            1 => drop(p.drain(some_element(rng, p))),
+            1 => drop(p.drain(span)),
             2 => {
+                let copy = p[span].to_vec();
+                let to = rng.gen_range(0..=p.len());
+                p.splice(to..to, copy);
+            }
+            3 => drop(p.drain(some_element(rng, p))),
+            4 => {
                 let copy = p[some_element(rng, p)].to_vec();
                 let to = markup_end_before(p, at);
                 p.splice(to..to, copy);
@@ -1017,7 +1031,7 @@ fn a_mutated_wal_segment_opens_or_is_a_typed_error_in_bounded_memory() {
     for seed in seeds {
         let run = std::panic::catch_unwind(|| {
             let mut rng = StdRng::seed_from_u64(seed);
-            (0..24)
+            (0..64)
                 .map(|m| {
                     let mutant = mutate_segment(&mut rng, &frames);
                     assert_open_bounded(&mutant, &format!("WAL_SEED={seed}, mutant {m}"))
