@@ -1,8 +1,5 @@
 //! Shared experiment setups: the clusters, workloads and timing helpers
-//! used by both the `tables` binary (which regenerates every table in the
-//! paper) and the Criterion benches.
-
-pub mod swarm;
+//! of the `tables` binary, which regenerates every table of the paper.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -243,25 +240,6 @@ count(execute at {{"{B_URI}"}} {{tp:produce()}})"#
 /// Pretty MB/s.
 pub fn mb_per_sec(bytes: u64, elapsed: Duration) -> f64 {
     bytes as f64 / (1024.0 * 1024.0) / elapsed.as_secs_f64().max(1e-9)
-}
-
-// ---------------------------------------------------------------------
-// Experiment C1: prepared queries — the plan-cache warm path
-// ---------------------------------------------------------------------
-
-/// A compile-dominant query: a long chain of `let` clauses (the shape a
-/// query generator or wrapper emits) touching no documents at all, so
-/// the cache-off/cache-on gap measures parse + static analysis, not data
-/// access. `tag` is baked into the first binding so sweeps can mint
-/// arbitrarily many textually *distinct* queries of the same cost.
-pub fn compile_heavy_query(clauses: usize, tag: u64) -> String {
-    let mut q = String::with_capacity(clauses * 24 + 32);
-    q.push_str(&format!("let $v0 := {tag}\n"));
-    for i in 1..clauses {
-        q.push_str(&format!("let $v{i} := $v{} + {i}\n", i - 1));
-    }
-    q.push_str(&format!("return $v{} mod 1000000", clauses.max(1) - 1));
-    q
 }
 
 // ---------------------------------------------------------------------
@@ -565,16 +543,6 @@ mod tests {
                 assert!(blocked >= Duration::ZERO);
             }
         }
-    }
-
-    #[test]
-    fn compile_heavy_query_parses_and_is_distinct_per_tag() {
-        let q0 = compile_heavy_query(50, 0);
-        let q1 = compile_heavy_query(50, 1);
-        assert_ne!(q0, q1);
-        let p = Peer::new("xrpc://c1.example.org", EngineKind::Tree);
-        let r = p.execute(&q0).unwrap();
-        assert_eq!(r.len(), 1);
     }
 
     #[test]

@@ -64,18 +64,6 @@ pub struct CacheStats {
     pub enabled: bool,
 }
 
-impl CacheStats {
-    /// Hits over lookups, in [0, 1]; 1.0 when there were no lookups.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 impl<K: Eq + Hash + Clone, P> PlanCache<K, P> {
     pub fn new(enabled: bool) -> Self {
         Self::with_capacity(enabled, DEFAULT_CAPACITY)
@@ -184,14 +172,6 @@ impl<K: Eq + Hash + Clone, P> PlanCache<K, P> {
     /// Drop all entries without counting an invalidation (harness reset).
     pub fn clear(&self) {
         self.plans.lock().clear();
-    }
-
-    /// Reset the counters (benchmark cells measure from zero).
-    pub fn reset_counters(&self) {
-        self.hits.store(0, Relaxed);
-        self.misses.store(0, Relaxed);
-        self.evictions.store(0, Relaxed);
-        self.invalidations.store(0, Relaxed);
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -327,7 +307,7 @@ mod tests {
     #[test]
     fn hit_rate_snapshot() {
         let c: PlanCache<u32, u32> = PlanCache::new(true);
-        assert_eq!(c.stats().hit_rate(), 1.0);
+        assert_eq!((c.stats().hits, c.stats().misses), (0, 0));
         c.get_or_prepare::<Infallible>(1, || Ok(1)).unwrap();
         for _ in 0..9 {
             c.get_or_prepare::<Infallible>(1, || Ok(1)).unwrap();
@@ -335,6 +315,5 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.hits, 9);
         assert_eq!(s.misses, 1);
-        assert!((s.hit_rate() - 0.9).abs() < 1e-9);
     }
 }

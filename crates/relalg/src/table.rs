@@ -257,10 +257,6 @@ impl IterMap {
         IterMap { outer }
     }
 
-    pub fn inner_count(&self) -> usize {
-        self.outer.len()
-    }
-
     pub fn to_outer(&self, inner: u32) -> u32 {
         self.outer[(inner - 1) as usize]
     }

@@ -194,16 +194,6 @@ impl Decimal {
     pub fn to_f64(self) -> f64 {
         self.mantissa() as f64 / 10f64.powi(self.scale as i32)
     }
-
-    /// Exact conversion to i64 if integral and in range.
-    pub fn to_i64_exact(self) -> Option<i64> {
-        let n = self.normalized();
-        if n.scale == 0 && n.mantissa() >= i64::MIN as i128 && n.mantissa() <= i64::MAX as i128 {
-            Some(n.mantissa() as i64)
-        } else {
-            None
-        }
-    }
 }
 
 impl std::ops::Neg for Decimal {
@@ -320,12 +310,5 @@ mod tests {
         assert_eq!(d("-2.4").floor(), -3);
         assert_eq!(d("2.4").ceiling(), 3);
         assert_eq!(d("-2.4").ceiling(), -2);
-    }
-
-    #[test]
-    fn exact_i64() {
-        assert_eq!(d("42").to_i64_exact(), Some(42));
-        assert_eq!(d("42.0").to_i64_exact(), Some(42));
-        assert_eq!(d("42.5").to_i64_exact(), None);
     }
 }

@@ -48,11 +48,6 @@ impl XdmError {
         Self::new("FORG0001", message)
     }
 
-    /// FOCA0002 and friends collapse to this for invalid lexical forms.
-    pub fn invalid_lexical(message: impl Into<String>) -> Self {
-        Self::new("FOCA0002", message)
-    }
-
     /// FOAR0001: division by zero.
     pub fn div_by_zero() -> Self {
         Self::new("FOAR0001", "division by zero")

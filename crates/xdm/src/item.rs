@@ -30,10 +30,6 @@ impl Item {
         Item::Atomic(AtomicValue::Double(d))
     }
 
-    pub fn is_node(&self) -> bool {
-        matches!(self, Item::Node(_))
-    }
-
     pub fn as_node(&self) -> Option<&NodeHandle> {
         match self {
             Item::Node(n) => Some(n),

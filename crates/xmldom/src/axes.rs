@@ -27,17 +27,6 @@ pub enum Axis {
 }
 
 impl Axis {
-    pub fn is_reverse(self) -> bool {
-        matches!(
-            self,
-            Axis::Parent
-                | Axis::Ancestor
-                | Axis::AncestorOrSelf
-                | Axis::PrecedingSibling
-                | Axis::Preceding
-        )
-    }
-
     /// The principal node kind of this axis (attribute axis selects
     /// attributes; everything else selects elements for name tests).
     pub fn principal_kind(self) -> NodeKind {

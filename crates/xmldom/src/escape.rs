@@ -5,8 +5,6 @@
 //! `char`. Multi-byte UTF-8 sequences never contain bytes < 0x80, so the
 //! byte scan cannot split a code point.
 
-use std::borrow::Cow;
-
 /// True for bytes that must be escaped inside character data.
 #[inline]
 fn text_special(b: u8) -> bool {
@@ -66,38 +64,6 @@ fn push_escaped(
     out.push_str(&s[start..]);
 }
 
-/// Escape character data (text node content) without copying when clean.
-pub fn escape_text_cow(s: &str) -> Cow<'_, str> {
-    if s.bytes().any(text_special) {
-        let mut out = String::with_capacity(s.len() + 8);
-        push_escaped(&mut out, s, text_special, text_entity);
-        Cow::Owned(out)
-    } else {
-        Cow::Borrowed(s)
-    }
-}
-
-/// Escape an attribute value without copying when clean.
-pub fn escape_attr_cow(s: &str) -> Cow<'_, str> {
-    if s.bytes().any(attr_special) {
-        let mut out = String::with_capacity(s.len() + 8);
-        push_escaped(&mut out, s, attr_special, attr_entity);
-        Cow::Owned(out)
-    } else {
-        Cow::Borrowed(s)
-    }
-}
-
-/// Escape character data (text node content).
-pub fn escape_text(s: &str) -> String {
-    escape_text_cow(s).into_owned()
-}
-
-/// Escape an attribute value (double-quoted).
-pub fn escape_attr(s: &str) -> String {
-    escape_attr_cow(s).into_owned()
-}
-
 /// Append escaped text without an intermediate allocation.
 pub fn push_escaped_text(out: &mut String, s: &str) {
     push_escaped(out, s, text_special, text_entity);
@@ -112,44 +78,54 @@ pub fn push_escaped_attr(out: &mut String, s: &str) {
 mod tests {
     use super::*;
 
+    fn text(s: &str) -> String {
+        let mut out = String::new();
+        push_escaped_text(&mut out, s);
+        out
+    }
+
+    fn attr(s: &str) -> String {
+        let mut out = String::new();
+        push_escaped_attr(&mut out, s);
+        out
+    }
+
     #[test]
     fn text_escaping() {
-        assert_eq!(escape_text("a<b>&c"), "a&lt;b&gt;&amp;c");
+        assert_eq!(text("a<b>&c"), "a&lt;b&gt;&amp;c");
     }
 
     #[test]
     fn attr_escaping() {
-        assert_eq!(escape_attr("\"x\" <&>"), "&quot;x&quot; &lt;&amp;>");
-        assert_eq!(escape_attr("a\nb"), "a&#10;b");
+        assert_eq!(attr("\"x\" <&>"), "&quot;x&quot; &lt;&amp;>");
+        assert_eq!(attr("a\nb"), "a&#10;b");
     }
 
     #[test]
-    fn clean_strings_borrow() {
-        assert!(matches!(escape_text_cow("plain text"), Cow::Borrowed(_)));
-        assert!(matches!(escape_attr_cow("plain"), Cow::Borrowed(_)));
-        assert!(matches!(escape_text_cow("a<b"), Cow::Owned(_)));
+    fn clean_strings_append_verbatim() {
+        let mut out = String::from("<p>");
+        push_escaped_text(&mut out, "plain text");
+        push_escaped_attr(&mut out, "plain");
+        assert_eq!(out, "<p>plain textplain");
     }
 
     #[test]
     fn carriage_return_and_controls() {
-        assert_eq!(escape_text("a\rb"), "a&#13;b");
-        assert_eq!(escape_attr("a\t\r\nb"), "a&#9;&#13;&#10;b");
+        assert_eq!(text("a\rb"), "a&#13;b");
+        assert_eq!(attr("a\t\r\nb"), "a&#9;&#13;&#10;b");
     }
 
     #[test]
     fn multibyte_utf8_around_specials() {
-        assert_eq!(escape_text("é<ü&日本語>"), "é&lt;ü&amp;日本語&gt;");
-        assert_eq!(
-            escape_attr("\u{1F600}\"\u{1F600}"),
-            "\u{1F600}&quot;\u{1F600}"
-        );
+        assert_eq!(text("é<ü&日本語>"), "é&lt;ü&amp;日本語&gt;");
+        assert_eq!(attr("\u{1F600}\"\u{1F600}"), "\u{1F600}&quot;\u{1F600}");
     }
 
     #[test]
     fn specials_at_boundaries() {
-        assert_eq!(escape_text("<a>"), "&lt;a&gt;");
-        assert_eq!(escape_text("&"), "&amp;");
-        assert_eq!(escape_text(""), "");
-        assert_eq!(escape_attr("\""), "&quot;");
+        assert_eq!(text("<a>"), "&lt;a&gt;");
+        assert_eq!(text("&"), "&amp;");
+        assert_eq!(text(""), "");
+        assert_eq!(attr("\""), "&quot;");
     }
 }

@@ -343,21 +343,11 @@ impl Environment {
         self
     }
 
-    pub fn with_dispatcher(mut self, d: Arc<dyn RpcDispatcher>) -> Self {
-        self.dispatcher = Some(d);
-        self
-    }
-
     pub fn stats(&self) -> EvalStats {
         EvalStats {
             functions_called: self.functions_called.load(Ordering::Relaxed),
             ..self.stats.lock().clone()
         }
-    }
-
-    pub fn reset_stats(&self) {
-        *self.stats.lock() = EvalStats::default();
-        self.functions_called.store(0, Ordering::Relaxed);
     }
 }
 

@@ -6,8 +6,8 @@
 //! signature does not carry:
 //!
 //! * a **cancel flag** the reactor can flip when the job's connection dies
-//!   or its deadline passes ([`JobCancel`]), bridged into the evaluator's
-//!   `CancelToken` so cooperative checkpoints observe it; and
+//!   ([`JobCancel`]), bridged into the evaluator's `CancelToken` so
+//!   cooperative checkpoints observe it; and
 //! * an **ambient deadline** the retry layer can consult so backoff sleeps
 //!   never outlive the caller's remaining budget.
 //!
@@ -19,28 +19,24 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Shared cancellation state for one in-flight reactor job.
 ///
 /// Created by the worker at dequeue, registered with the reactor's active
-/// table so the sweep tick (and `close_conn`) can cancel it, and exposed to
-/// the handler via [`current_job`]. The handler publishes the query's
-/// deadline back through [`set_deadline`](JobCancel::set_deadline) so the
-/// reactor can cancel over-deadline jobs even when the evaluator is stuck
-/// between checkpoints.
+/// table so `close_conn` can cancel it, and exposed to the handler via
+/// [`current_job`]. The query's deadline is not published here: the
+/// evaluator's `CancelToken` enforces it at every checkpoint.
 #[derive(Debug)]
 pub struct JobCancel {
     flag: Arc<AtomicBool>,
-    deadline: Mutex<Option<Instant>>,
 }
 
 impl JobCancel {
     pub fn new() -> Arc<Self> {
         Arc::new(JobCancel {
             flag: Arc::new(AtomicBool::new(false)),
-            deadline: Mutex::new(None),
         })
     }
 
@@ -56,21 +52,6 @@ impl JobCancel {
     /// The raw flag, for bridging into an evaluator-side token.
     pub fn flag(&self) -> Arc<AtomicBool> {
         Arc::clone(&self.flag)
-    }
-
-    /// Publish the job's wall-clock deadline (set once the handler has
-    /// parsed the request budget).
-    pub fn set_deadline(&self, deadline: Option<Instant>) {
-        *self.deadline.lock().unwrap() = deadline;
-    }
-
-    pub fn deadline(&self) -> Option<Instant> {
-        *self.deadline.lock().unwrap()
-    }
-
-    /// True when a published deadline has passed.
-    pub fn expired(&self) -> bool {
-        self.deadline().is_some_and(|d| Instant::now() >= d)
     }
 }
 
@@ -130,21 +111,14 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn job_cancel_flag_and_deadline() {
+    fn job_cancel_flag_is_shared_with_the_bridge() {
         let job = JobCancel::new();
         assert!(!job.is_cancelled());
-        assert!(!job.expired());
-        assert_eq!(job.deadline(), None);
 
         let bridge = job.flag();
         job.cancel();
         assert!(job.is_cancelled());
         assert!(bridge.load(Ordering::Relaxed));
-
-        job.set_deadline(Some(Instant::now() - Duration::from_millis(1)));
-        assert!(job.expired());
-        job.set_deadline(Some(Instant::now() + Duration::from_secs(60)));
-        assert!(!job.expired());
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub struct NetMetrics {
     /// side only, and the chaos suite's snapshot-equality "no traffic"
     /// assertions predate it.
     pub jobs_orphaned: AtomicU64,
-    /// Reactor: in-flight jobs cancelled by the deadline/disconnect sweep
+    /// Reactor: in-flight jobs cancelled because their connection closed
     /// while a worker was still evaluating them. Like
     /// [`jobs_orphaned`](Self::jobs_orphaned), outside the snapshot.
     pub jobs_cancelled: AtomicU64,
@@ -121,15 +121,6 @@ impl NetMetrics {
 
     pub fn record_job_cancelled(&self) {
         self.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counters of the process-wide message [`crate::BufferPool`]:
-    /// recycled-buffer hit rate and current free-list occupancy. Shared
-    /// across transports (the pool is global), so they are exposed here
-    /// rather than inside [`MetricsSnapshot`], whose equality the chaos
-    /// suite uses to assert "no traffic happened".
-    pub fn buffer_pool(&self) -> crate::bufpool::PoolStats {
-        crate::bufpool::BufferPool::global().stats()
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {

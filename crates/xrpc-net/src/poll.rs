@@ -38,18 +38,8 @@ extern "C" {
     fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
     fn setsockopt(fd: c_int, level: c_int, optname: c_int, optval: *const u8, optlen: u32)
         -> c_int;
-    fn getsockopt(
-        fd: c_int,
-        level: c_int,
-        optname: c_int,
-        optval: *mut u8,
-        optlen: *mut u32,
-    ) -> c_int;
     fn bind(fd: c_int, addr: *const SockAddrIn, addrlen: u32) -> c_int;
     fn listen(fd: c_int, backlog: c_int) -> c_int;
-    fn connect(fd: c_int, addr: *const SockAddrIn, addrlen: u32) -> c_int;
-    fn getrlimit(resource: c_int, rlim: *mut RLimit) -> c_int;
-    fn setrlimit(resource: c_int, rlim: *const RLimit) -> c_int;
 }
 
 const EPOLL_CLOEXEC: c_int = 0o2000000;
@@ -69,19 +59,8 @@ const EFD_NONBLOCK: c_int = 0o4000;
 const AF_INET: c_int = 2;
 const SOCK_STREAM: c_int = 1;
 const SOCK_CLOEXEC: c_int = 0o2000000;
-const SOCK_NONBLOCK: c_int = 0o4000;
 const SOL_SOCKET: c_int = 1;
 const SO_REUSEADDR: c_int = 2;
-const SO_ERROR: c_int = 4;
-const EINPROGRESS: c_int = 115;
-const RLIMIT_NOFILE: c_int = 7;
-
-/// `struct rlimit` on 64-bit Linux.
-#[repr(C)]
-struct RLimit {
-    cur: u64,
-    max: u64,
-}
 
 fn cvt(ret: c_int) -> io::Result<c_int> {
     if ret < 0 {
@@ -272,81 +251,6 @@ pub fn listen_reuseaddr(addr: &SocketAddr) -> io::Result<TcpListener> {
     }
 }
 
-/// Start a non-blocking IPv4 connect: the socket is created
-/// `SOCK_NONBLOCK`, `connect` returns immediately (`EINPROGRESS` is
-/// success), and the caller learns the outcome by polling the fd for
-/// writability and then checking [`take_socket_error`]. This is what
-/// lets the swarm benchmark ramp thousands of client connections from
-/// one thread instead of serializing blocking connects.
-pub fn connect_nonblocking(addr: &SocketAddr) -> io::Result<std::net::TcpStream> {
-    let SocketAddr::V4(v4) = addr else {
-        return Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "non-blocking connect is IPv4-only",
-        ));
-    };
-    let fd = cvt(unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0) })?;
-    let sa = SockAddrIn {
-        sin_family: AF_INET as u16,
-        sin_port: v4.port().to_be(),
-        sin_addr: u32::from_ne_bytes(v4.ip().octets()),
-        sin_zero: [0; 8],
-    };
-    let r = unsafe { connect(fd, &sa, std::mem::size_of::<SockAddrIn>() as u32) };
-    if r < 0 {
-        let err = io::Error::last_os_error();
-        if err.raw_os_error() != Some(EINPROGRESS) {
-            unsafe { close(fd) };
-            return Err(err);
-        }
-    }
-    Ok(unsafe { std::net::TcpStream::from_raw_fd(fd) })
-}
-
-/// Read-and-clear the socket's pending error (`SO_ERROR`) — the
-/// completion status of a non-blocking connect once the fd polls
-/// writable. `Ok(())` means the connection is established.
-pub fn take_socket_error(fd: RawFd) -> io::Result<()> {
-    let mut err: c_int = 0;
-    let mut len = std::mem::size_of::<c_int>() as u32;
-    cvt(unsafe {
-        getsockopt(
-            fd,
-            SOL_SOCKET,
-            SO_ERROR,
-            &mut err as *mut c_int as *mut u8,
-            &mut len,
-        )
-    })?;
-    if err == 0 {
-        Ok(())
-    } else {
-        Err(io::Error::from_raw_os_error(err))
-    }
-}
-
-/// Raise the soft `RLIMIT_NOFILE` to the hard cap and return the
-/// resulting soft limit. A 10k-connection swarm needs ~2 fds per client
-/// (one at the driver, one at the server); default soft limits (1024 on
-/// stock CI runners) would cap the whole experiment, so the benchmark
-/// raises the limit first and clamps its client count to what it got.
-pub fn raise_nofile_limit() -> u64 {
-    let mut r = RLimit { cur: 0, max: 0 };
-    if unsafe { getrlimit(RLIMIT_NOFILE, &mut r) } != 0 {
-        return 1024;
-    }
-    if r.cur < r.max {
-        let want = RLimit {
-            cur: r.max,
-            max: r.max,
-        };
-        if unsafe { setrlimit(RLIMIT_NOFILE, &want) } == 0 {
-            return r.max;
-        }
-    }
-    r.cur
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,37 +320,6 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(10)))
             .unwrap();
         assert!(events.is_empty());
-    }
-
-    #[test]
-    fn nonblocking_connect_completes_via_writability() {
-        let listener = listen_reuseaddr(&"127.0.0.1:0".parse().unwrap()).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stream = connect_nonblocking(&addr).unwrap();
-        let poller = Poller::new().unwrap();
-        poller.add(stream.as_raw_fd(), 5, false, true).unwrap();
-        let mut events = Vec::new();
-        poller
-            .wait(&mut events, Some(Duration::from_secs(5)))
-            .unwrap();
-        assert!(events.iter().any(|e| e.token == 5 && e.writable));
-        take_socket_error(stream.as_raw_fd()).expect("connect succeeded");
-        let (mut srv, _) = listener.accept().unwrap();
-        let mut s = &stream;
-        s.write_all(b"hi").unwrap();
-        let mut buf = [0u8; 2];
-        srv.read_exact(&mut buf).unwrap();
-        assert_eq!(&buf, b"hi");
-    }
-
-    #[test]
-    fn nofile_limit_is_raised_to_a_usable_floor() {
-        let limit = raise_nofile_limit();
-        // both locally and on CI runners the hard cap is comfortably
-        // above the soft default; the swarm clamps against this value
-        assert!(limit >= 1024, "got {limit}");
-        // idempotent: a second call reports the same (already-raised) cap
-        assert_eq!(raise_nofile_limit(), limit);
     }
 
     #[test]

@@ -98,10 +98,10 @@ struct Done {
 ///   consults it at dequeue so a job whose client vanished while queued is
 ///   dropped *before* evaluation (`jobs_orphaned`).
 /// * `active` holds the [`JobCancel`] of every job currently inside a
-///   handler, so the reactor's sweep tick can cancel over-deadline jobs
-///   and `close_conn` can cancel a job the moment its connection dies —
-///   cooperative checkpoints in the evaluator observe the flag and free
-///   the worker (`jobs_cancelled`).
+///   handler, so `close_conn` can cancel a job the moment its connection
+///   dies — cooperative checkpoints in the evaluator observe the flag and
+///   free the worker (`jobs_cancelled`). A job's deadline is the
+///   evaluator's own: its checkpoints read it from the `CancelToken`.
 struct JobTable {
     live: Mutex<Vec<u64>>,
     active: Mutex<Vec<(usize, u64, Arc<JobCancel>)>>,
@@ -149,16 +149,6 @@ impl JobTable {
         }
         for (i, g, job) in self.active.lock().unwrap().iter() {
             if *i == idx && *g == gen && !job.is_cancelled() {
-                job.cancel();
-                metrics.record_job_cancelled();
-            }
-        }
-    }
-
-    /// Cancel every active job whose published deadline has passed.
-    fn sweep_expired(&self, metrics: &NetMetrics) {
-        for (_, _, job) in self.active.lock().unwrap().iter() {
-            if !job.is_cancelled() && job.expired() {
                 job.cancel();
                 metrics.record_job_cancelled();
             }
@@ -432,8 +422,8 @@ fn worker_loop(
         }
 
         // Expose a cancel handle for this job: the handler bridges it
-        // into the evaluator's CancelToken (and publishes the request
-        // deadline back), the reactor's sweep/close paths flip it.
+        // into the evaluator's CancelToken, the reactor's close path
+        // flips it.
         let cancel = JobCancel::new();
         jobs.register(job.idx, job.gen, cancel.clone());
         // re-check after registering: a close racing between the orphan
@@ -1020,9 +1010,6 @@ impl Reactor {
     }
 
     fn sweep_timeouts(&mut self) {
-        // cancel in-flight jobs whose published query deadline passed —
-        // the backstop for budgets the handler itself fails to observe
-        self.jobs.sweep_expired(&self.metrics);
         let now = Instant::now();
         let timeout = self.config.read_timeout;
         for idx in 0..self.conns.len() {

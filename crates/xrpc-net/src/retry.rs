@@ -44,14 +44,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Never retry (the decorator still applies the breaker and metrics).
-    pub fn no_retry() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::conservative()
-        }
-    }
-
     /// Backoff before retry number `retry` (1-based): *full jitter* — a
     /// deterministic fraction in `[0, 1)` of the capped exponential
     /// target, derived from `jitter_seed` and `salt` (callers pass a
@@ -283,7 +275,7 @@ impl Transport for ResilientTransport {
                 return Err(err);
             }
             // Cancellation is never retryable: if the job this call serves
-            // was cancelled (client gone, deadline sweep), surface the
+            // was cancelled (client gone), surface the
             // original failure instead of burning backoff sleeps.
             if crate::cancel::current_job().is_some_and(|j| j.is_cancelled()) {
                 return Err(err);
@@ -455,7 +447,7 @@ mod tests {
         let net = net_with_peer();
         let t = ResilientTransport::with_policy(
             net.clone(),
-            RetryPolicy::no_retry(),
+            fast_policy(1),
             BreakerConfig {
                 failure_threshold: 3,
                 cooldown: Duration::from_millis(30),
@@ -628,7 +620,7 @@ mod tests {
         net.register("xrpc://z", Arc::new(|_: &[u8]| b"zz".to_vec()));
         let t = ResilientTransport::with_policy(
             net.clone(),
-            RetryPolicy::no_retry(),
+            fast_policy(1),
             BreakerConfig {
                 failure_threshold: 1,
                 cooldown: Duration::from_secs(10),
@@ -652,7 +644,7 @@ mod tests {
         let net = Arc::new(SimNetwork::new(NetProfile::instant()));
         let t = ResilientTransport::with_policy(
             net.clone(),
-            RetryPolicy::no_retry(),
+            fast_policy(1),
             BreakerConfig {
                 failure_threshold: 1,
                 cooldown: Duration::from_secs(60),

@@ -47,14 +47,6 @@ impl NetProfile {
         }
     }
 
-    /// A WAN-ish profile for the ablation sweeps.
-    pub fn wan() -> Self {
-        NetProfile {
-            one_way_latency: Duration::from_millis(25),
-            bandwidth_bytes_per_sec: Some(12_500_000), // 100 Mb/s
-        }
-    }
-
     pub fn with_latency(latency: Duration) -> Self {
         NetProfile {
             one_way_latency: latency,
@@ -239,7 +231,7 @@ struct PeerEntry {
 #[derive(Default)]
 pub struct SimNetwork {
     peers: RwLock<HashMap<String, Arc<PeerEntry>>>,
-    profile: RwLock<NetProfile>,
+    profile: NetProfile,
     pub metrics: Arc<NetMetrics>,
 }
 
@@ -247,7 +239,7 @@ impl SimNetwork {
     pub fn new(profile: NetProfile) -> Self {
         SimNetwork {
             peers: RwLock::new(HashMap::new()),
-            profile: RwLock::new(profile),
+            profile,
             metrics: Arc::new(NetMetrics::new()),
         }
     }
@@ -266,12 +258,8 @@ impl SimNetwork {
         );
     }
 
-    pub fn set_profile(&self, profile: NetProfile) {
-        *self.profile.write() = profile;
-    }
-
     pub fn profile(&self) -> NetProfile {
-        *self.profile.read()
+        self.profile
     }
 
     /// Schedule one fault on the link to `dest` (FIFO with previously
@@ -334,10 +322,6 @@ impl SimNetwork {
             .map(|p| p.faults.lock().len())
             .unwrap_or(0)
     }
-
-    pub fn peer_names(&self) -> Vec<String> {
-        self.peers.read().keys().cloned().collect()
-    }
 }
 
 impl Default for NetProfile {
@@ -370,7 +354,7 @@ impl Transport for SimNetwork {
             }
         }
         let fault = peer.faults.lock().pop_front();
-        let profile = *self.profile.read();
+        let profile = self.profile;
         match fault {
             Some(SimFault::Refuse) => {
                 self.metrics.record_failure();
@@ -656,7 +640,7 @@ mod tests {
 
     #[test]
     fn profiles_sane() {
-        assert!(NetProfile::lan().one_way_latency < NetProfile::wan().one_way_latency);
+        assert!(NetProfile::instant().one_way_latency < NetProfile::lan().one_way_latency);
         assert!(NetProfile::instant().transfer_cost(1 << 30).is_zero());
     }
 }

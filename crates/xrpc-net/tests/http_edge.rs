@@ -1,7 +1,8 @@
 //! HTTP edge cases against a live loopback server: keep-alive reuse,
 //! malformed requests, truncated bodies, timeout mapping, body-size
-//! enforcement, slow-loris timeouts, request pipelining and admission
-//! shedding — at the protocol level (raw sockets, no client helper).
+//! enforcement, slow-loris timeouts, request pipelining, admission
+//! shedding and hundreds of concurrent keep-alive connections — at the
+//! protocol level (raw sockets, no client helper).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -19,7 +20,7 @@ fn echo_server() -> HttpServer {
 }
 
 /// Read one HTTP response off `reader`: (status, body).
-fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, Vec<u8>) {
+fn read_response(reader: &mut impl BufRead) -> (u16, Vec<u8>) {
     let mut status_line = String::new();
     reader.read_line(&mut status_line).unwrap();
     let status: u16 = status_line
@@ -74,6 +75,39 @@ fn keep_alive_reuses_one_connection_for_sequential_requests() {
         3,
         "all three requests served over one connection"
     );
+}
+
+/// Many keep-alive clients with one request in flight each, against a
+/// default-config server: every request is served and nothing is shed.
+/// All requests are written before any response is read, so the reactor
+/// holds every connection and every request at once. 256 connections
+/// cost ≈ 520 fds (one per end, plus the server's own), which fits a
+/// stock 1024 soft `RLIMIT_NOFILE`.
+#[test]
+fn many_keep_alive_connections_in_flight_at_once_are_never_shed() {
+    const CLIENTS: usize = 256;
+    let server = echo_server();
+    let conns: Vec<TcpStream> = (0..CLIENTS)
+        .map(|i| {
+            let mut s = TcpStream::connect(server.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+            let body = format!("client-{i}");
+            let req = format!(
+                "POST /xrpc HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{body}",
+                body.len()
+            );
+            s.write_all(req.as_bytes()).unwrap();
+            s
+        })
+        .collect();
+    for (i, s) in conns.iter().enumerate() {
+        let (status, body) = read_response(&mut BufReader::new(s));
+        assert_eq!(status, 200, "client {i}");
+        assert_eq!(body, format!("client-{i}").as_bytes());
+    }
+    let m = server.metrics.snapshot();
+    assert_eq!(m.sheds, 0, "default admission shed under {CLIENTS} clients");
+    assert_eq!(m.roundtrips, CLIENTS as u64);
 }
 
 #[test]

@@ -45,17 +45,6 @@ pub fn bucket_high(i: usize) -> u64 {
     (1u64 << m) + sub * width + (width - 1)
 }
 
-/// Lower edge of bucket `i`.
-pub fn bucket_low(i: usize) -> u64 {
-    if i < SUB_BUCKETS {
-        return i as u64;
-    }
-    let hi = (i / SUB_BUCKETS) as u32;
-    let sub = (i % SUB_BUCKETS) as u64;
-    let m = hi + SUB_BITS - 1;
-    (1u64 << m) + sub * (1u64 << (m - SUB_BITS))
-}
-
 /// Point-in-time view of a histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HistSnapshot {
@@ -223,6 +212,18 @@ impl HistogramVec {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// Lower edge of bucket `i`, computed independently of `bucket_high`
+    /// so the tiling test below checks the two against each other.
+    fn bucket_low(i: usize) -> u64 {
+        if i < SUB_BUCKETS {
+            return i as u64;
+        }
+        let hi = (i / SUB_BUCKETS) as u32;
+        let sub = (i % SUB_BUCKETS) as u64;
+        let m = hi + SUB_BITS - 1;
+        (1u64 << m) + sub * (1u64 << (m - SUB_BITS))
+    }
 
     #[test]
     fn small_values_are_exact_buckets() {

@@ -465,7 +465,6 @@ impl ProfileCollector {
             prev,
             start: if timed { Some(Instant::now()) } else { None },
             items: 0,
-            bytes: 0,
         }
     }
 
@@ -534,17 +533,12 @@ pub struct OpGuard {
     prev: Option<(u64, usize)>,
     start: Option<Instant>,
     items: u64,
-    bytes: u64,
 }
 
 impl OpGuard {
     /// Record how many items/rows this invocation produced.
     pub fn set_items(&mut self, n: u64) {
         self.items = n;
-    }
-
-    pub fn add_bytes(&mut self, n: u64) {
-        self.bytes += n;
     }
 }
 
@@ -559,12 +553,13 @@ impl Drop for OpGuard {
             n.wall_micros += e;
         }
         n.items += self.items;
-        n.bytes += self.bytes;
         drop(a);
         CURRENT_OP.with(|c| c.set(self.prev));
     }
 }
 
+/// The body of a JSON string literal holding `s`: every JSON this
+/// workspace writes by hand (profiles, slowlog, traces, `/healthz`).
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -19,6 +19,7 @@
 //! captures the context and re-installs it inside the spawned thread.
 
 use crate::hash::fnv1a64;
+use crate::profile::json_escape;
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -93,9 +94,9 @@ impl FinishedSpan {
             None => out.push_str("null"),
         }
         out.push_str(",\"name\":\"");
-        json_escape(&self.name, &mut out);
+        out.push_str(&json_escape(&self.name));
         out.push_str("\",\"peer\":\"");
-        json_escape(&self.peer, &mut out);
+        out.push_str(&json_escape(&self.peer));
         out.push_str(&format!(
             "\",\"start_micros\":{},\"duration_micros\":{},\"tags\":{{",
             self.start_micros, self.duration_micros
@@ -105,27 +106,13 @@ impl FinishedSpan {
                 out.push(',');
             }
             out.push('"');
-            json_escape(k, &mut out);
+            out.push_str(&json_escape(k));
             out.push_str("\":\"");
-            json_escape(v, &mut out);
+            out.push_str(&json_escape(v));
             out.push('"');
         }
         out.push_str("}}");
         out
-    }
-}
-
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }
 
@@ -245,14 +232,6 @@ impl Tracer {
         out
     }
 
-    /// Spans belonging to one trace, oldest first.
-    pub fn spans_for(&self, trace_id: u128) -> Vec<FinishedSpan> {
-        self.finished()
-            .into_iter()
-            .filter(|s| s.trace_id == trace_id)
-            .collect()
-    }
-
     /// JSON-lines export of the whole ring (one object per line). When
     /// the ring has overwritten spans, the first line is a warning
     /// record so consumers know the trace is truncated rather than
@@ -265,7 +244,7 @@ impl Tracer {
                 "{{\"warning\":\"spans_dropped\",\"dropped\":{},\"peer\":\"",
                 dropped
             ));
-            json_escape(&self.peer, &mut out);
+            out.push_str(&json_escape(&self.peer));
             out.push_str("\"}\n");
         }
         for s in self.finished() {
@@ -388,6 +367,14 @@ pub fn ambient_span(name: &'static str) -> Option<SpanGuard> {
 mod tests {
     use super::*;
 
+    /// Spans belonging to one trace, oldest first.
+    fn spans_for(t: &Tracer, trace_id: u128) -> Vec<FinishedSpan> {
+        t.finished()
+            .into_iter()
+            .filter(|s| s.trace_id == trace_id)
+            .collect()
+    }
+
     #[test]
     fn trace_id_is_deterministic() {
         let a = trace_id_from("xrpc://origin:41000", 1234);
@@ -418,7 +405,7 @@ mod tests {
             assert_eq!(current_context().unwrap().span_id, root_ctx.span_id);
         }
         assert!(current_context().is_none());
-        let spans = t.spans_for(7);
+        let spans = spans_for(&t, 7);
         assert_eq!(spans.len(), 2);
         assert!(spans.iter().any(|s| s.name == "root"));
         assert!(spans.iter().any(|s| s.name == "child"));
@@ -523,7 +510,7 @@ mod tests {
             }
         }
         assert!(ambient_span("noop").is_none(), "guard restored");
-        assert_eq!(t.spans_for(5).len(), 2);
+        assert_eq!(spans_for(&t, 5).len(), 2);
     }
 
     #[test]
@@ -549,6 +536,6 @@ mod tests {
         .join()
         .unwrap();
         drop(root);
-        assert_eq!(t.spans_for(99).len(), 2);
+        assert_eq!(spans_for(&t, 99).len(), 2);
     }
 }

@@ -25,6 +25,7 @@ use std::time::Duration;
 use xrpc_net::http::Handler;
 use xrpc_net::metrics::MetricsSnapshot;
 use xrpc_net::{BreakerState, BufferPool, HttpServer, NetError, NetMetrics};
+use xrpc_obs::profile::json_escape;
 use xrpc_obs::PromWriter;
 
 /// Shared slot for the HTTP server's own [`NetMetrics`]: the server is
@@ -305,19 +306,6 @@ pub fn render_healthz(peer: &Peer) -> (u16, String) {
     }
     json.push_str("}}");
     (if degraded { 503 } else { 200 }, json)
-}
-
-fn json_escape(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Build the peer's HTTP handler with the admin routes in front:

@@ -985,14 +985,10 @@ impl Drop for OwnSnapshot<'_> {
 
 /// The budget of one evaluation: a deadline carried by a shared token. When
 /// the evaluation runs inside a reactor worker the job's kill flag is
-/// bridged in, so a client disconnect (or the sweep tick) cancels the token
-/// too.
+/// bridged in, so a client disconnect cancels the token too.
 pub(crate) fn budget_token(deadline: Option<Instant>) -> Arc<CancelToken> {
     match xrpc_net::current_job() {
-        Some(job) => {
-            job.set_deadline(deadline);
-            CancelToken::with_external(deadline, job.flag())
-        }
+        Some(job) => CancelToken::with_external(deadline, job.flag()),
         None => CancelToken::new(deadline),
     }
 }

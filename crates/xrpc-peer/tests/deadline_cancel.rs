@@ -126,6 +126,38 @@ fn rel_engine_spinning_query_hits_deadline() {
     assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
 }
 
+/// A budget that dies mid-evaluation of a request served by the reactor
+/// is the evaluator's deadline, XRPC0004, like the same budget anywhere
+/// else: the reactor cancels a job only when its connection dies
+/// (XRPC0005), never for its deadline. Each iteration of the spin is one
+/// long checkpoint-free block (a general comparison of two ranges), so
+/// the deadline passes inside a block, where a reactor that also watched
+/// deadlines would see it before the evaluator does.
+#[test]
+fn budget_dying_mid_evaluation_over_http_is_a_deadline_fault() {
+    let b = Peer::new("xrpc://b", EngineKind::Tree);
+    b.register_module(
+        r#"module namespace s = "spin";
+           declare function s:spin()
+           { count(for $k in (1 to 1000) where (1 to 400) > (1000 to 1399) return $k) };"#,
+    )
+    .unwrap();
+    let server = xrpc_net::HttpServer::bind("127.0.0.1:0", {
+        let h = b.soap_handler();
+        Arc::new(move |_path: &str, body: &[u8]| (200, h(body)))
+    })
+    .unwrap();
+    let mut req = xrpc_proto::XrpcRequest::new("spin", "spin", 0);
+    req.budget_millis = Some(100);
+    req.push_call(vec![]);
+    let t0 = Instant::now();
+    let body = xrpc_net::http_post(&server.url(), req.to_xml().unwrap().as_bytes()).unwrap();
+    let body = String::from_utf8(body).unwrap();
+    assert!(body.contains("XRPC0004"), "{body}");
+    assert!(!body.contains("XRPC0005"), "{body}");
+    assert!(t0.elapsed() < Duration::from_secs(5), "{:?}", t0.elapsed());
+}
+
 // ---------------------------------------------------------------------
 // Budget propagation across hops
 // ---------------------------------------------------------------------

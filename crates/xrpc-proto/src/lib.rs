@@ -7,14 +7,12 @@
 //! * [`message`] — the envelopes: requests (with Bulk RPC: several
 //!   `<xrpc:call>`s per request), responses (with the piggybacked
 //!   participating-peer list of §2.3) and SOAP Faults, and their writers;
-//! * [`decode`] — the way back: one pass over the bytes of a message;
-//! * [`validate`] — a structural validator standing in for XRPC.xsd.
+//! * [`decode`] — the way back: one pass over the bytes of a message.
 
 pub mod control;
 pub mod decode;
 pub mod marshal;
 pub mod message;
-pub mod validate;
 
 pub use control::{
     TxOutcome, Vote, METHOD_ABORT, METHOD_COMMIT, METHOD_COMMIT_ONE_PHASE, METHOD_INQUIRE,
@@ -25,4 +23,3 @@ pub use message::{
     parse_message, FaultCode, ProfileRequest, QueryId, TraceContext, UpdCall, XrpcFault,
     XrpcMessage, XrpcRequest, XrpcResponse,
 };
-pub use validate::validate_message;

@@ -1107,6 +1107,66 @@ mod tests {
             r#"<env:Envelope xmlns:env="http://www.w3.org/2003/05/soap-envelope"><env:Body/></env:Envelope>"#
         )
         .is_err());
+        let envelope = |request: &str| {
+            format!(
+                r#"<env:Envelope xmlns:xrpc="http://monetdb.cwi.nl/XQuery"
+ xmlns:env="http://www.w3.org/2003/05/soap-envelope"><env:Body>{request}</env:Body></env:Envelope>"#
+            )
+        };
+        for (case, request) in [
+            (
+                "missing arity",
+                r#"<xrpc:request module="m" method="f"><xrpc:call/></xrpc:request>"#,
+            ),
+            (
+                "foreign element inside a sequence",
+                r#"<xrpc:request module="m" method="f" arity="1">
+<xrpc:call><xrpc:sequence><evil/></xrpc:sequence></xrpc:call></xrpc:request>"#,
+            ),
+        ] {
+            assert!(parse_message(&envelope(request)).is_err(), "{case}");
+        }
+    }
+
+    /// Hand-written messages, not this crate's writer's: the verbatim §2.1
+    /// request (reformatted, with its `location` hint) and an envelope
+    /// with an empty `env:Header`.
+    #[test]
+    fn hand_written_requests_parse() {
+        let paper = r#"<?xml version="1.0" encoding="utf-8"?>
+<env:Envelope xmlns:xrpc="http://monetdb.cwi.nl/XQuery"
+ xmlns:env="http://www.w3.org/2003/05/soap-envelope"
+ xmlns:xs="http://www.w3.org/2001/XMLSchema"
+ xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"
+ xsi:schemaLocation="http://monetdb.cwi.nl/XQuery
+ http://monetdb.cwi.nl/XQuery/XRPC.xsd">
+<env:Body>
+<xrpc:request module="films" method="filmsByActor" arity="1"
+ location="http://x.example.org/film.xq">
+<xrpc:call>
+<xrpc:sequence>
+<xrpc:atomic-value xsi:type="xs:string">Sean Connery</xrpc:atomic-value>
+</xrpc:sequence>
+</xrpc:call>
+</xrpc:request>
+</env:Body>
+</env:Envelope>"#;
+        match parse_message(paper).unwrap() {
+            XrpcMessage::Request(r) => {
+                assert_eq!(r.module, "films");
+                assert_eq!(r.calls[0][0].items()[0].string_value(), "Sean Connery");
+            }
+            other => panic!("{other:?}"),
+        }
+        let with_header = r#"<env:Envelope xmlns:xrpc="http://monetdb.cwi.nl/XQuery"
+ xmlns:env="http://www.w3.org/2003/05/soap-envelope">
+<env:Header/>
+<env:Body><xrpc:request module="m" method="f" arity="0"><xrpc:call/></xrpc:request></env:Body>
+</env:Envelope>"#;
+        match parse_message(with_header).unwrap() {
+            XrpcMessage::Request(r) => assert_eq!(r.calls.len(), 1),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -48,7 +48,6 @@ fn descendant_parameter_becomes_nodeid_reference() {
     assert!(xml.contains("xrpc:nodeid"), "{xml}");
     // the <name> subtree is NOT serialized a second time
     assert_eq!(xml.matches("The Rock").count(), 1);
-    assert_eq!(xrpc_proto::validate_message(&xml).unwrap(), "request");
 }
 
 #[test]
