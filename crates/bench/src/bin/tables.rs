@@ -5,7 +5,7 @@
 //! tables table3        — Table 3: wrapper (Saxon-role) phase latencies
 //! tables table4        — Table 4: the four Q7 strategies
 //! tables throughput    — §3.3 text: request/response payload MB/s (alias: e4)
-//! tables alloc-probe   — E4's per-stage allocation breakdown at one payload size
+//! tables alloc-probe   — E4's per-stage allocation breakdown for a 4 MiB payload
 //! tables ablation-latency    — A1: bulk advantage across network profiles (alias: a1)
 //! tables ablation-isolation  — A2: isolation level overhead
 //! tables a3            — A3: marshaling cost by parameter shape, atomic vs element
@@ -29,9 +29,9 @@
 //! `u1` that a lone writer costs one message and ≤ 1.05 fsyncs (exit 8),
 //! `table4` that the four strategies agree and push-down allocates at most
 //! `TABLE4_PUSHDOWN_BYTES_BOUND` times data shipping (exit 9), `table2`
-//! that a bulk call allocates at most `TABLE2_ALLOCS_PER_CALL_BOUND` times
-//! (exit 10), and `e4` that warm response-heavy cells walk no node (exit
-//! 11). `e4 --check-cliff` is the one timed gate: 4 MiB request
+//! that the bulk cell allocates at most `TABLE2_ALLOCS_PER_CALL_BOUND`
+//! times per call and its plan has no `rel:fallback` (exit 10), and `e4`
+//! that warm response-heavy cells walk no node (exit 11). `e4 --check-cliff` is the one timed gate: 4 MiB request
 //! throughput within 3× of 1 MiB (exit 3).
 //!
 //! Every JSON artifact shares one envelope (`schema_version` 2): the
