@@ -1107,6 +1107,10 @@ mod tests {
             r#"<env:Envelope xmlns:env="http://www.w3.org/2003/05/soap-envelope"><env:Body/></env:Envelope>"#
         )
         .is_err());
+    }
+
+    #[test]
+    fn structural_errors_rejected() {
         let envelope = |request: &str| {
             format!(
                 r#"<env:Envelope xmlns:xrpc="http://monetdb.cwi.nl/XQuery"
@@ -1128,11 +1132,10 @@ mod tests {
         }
     }
 
-    /// Hand-written messages, not this crate's writer's: the verbatim §2.1
-    /// request (reformatted, with its `location` hint) and an envelope
-    /// with an empty `env:Header`.
+    /// The verbatim §2.1 request (reformatted, with its `location` hint),
+    /// hand-written rather than produced by this crate's writer.
     #[test]
-    fn hand_written_requests_parse() {
+    fn paper_request_example_parses() {
         let paper = r#"<?xml version="1.0" encoding="utf-8"?>
 <env:Envelope xmlns:xrpc="http://monetdb.cwi.nl/XQuery"
  xmlns:env="http://www.w3.org/2003/05/soap-envelope"
@@ -1158,6 +1161,10 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn empty_header_allowed() {
         let with_header = r#"<env:Envelope xmlns:xrpc="http://monetdb.cwi.nl/XQuery"
  xmlns:env="http://www.w3.org/2003/05/soap-envelope">
 <env:Header/>
