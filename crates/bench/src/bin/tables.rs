@@ -195,7 +195,8 @@ fn cancellation(quick: bool) {
 
     // the inner range is kept small: sequence materialization is a
     // checkpoint-free block, so its size bounds the best possible
-    // cancellation latency
+    // cancellation latency; releasing the outer range once the deadline
+    // fires costs more, and is most of what R1 measures (EXPERIMENTS.md R1)
     const SPIN_1S: &str = r#"declare option xrpc:timeout "1";
         count(for $i in (1 to 1000000)
               for $j in (1 to 50000)

@@ -44,8 +44,9 @@ pub struct HttpConfig {
     /// Evaluation worker threads. `0` picks
     /// `max(4, available_parallelism)`.
     pub reactor_workers: usize,
-    /// Dispatch-channel capacity between the reactor and the workers. A
-    /// full queue sheds new connections (and ready requests) with `503`.
+    /// How many ready requests may wait for a busy worker pool (a request
+    /// that finds an idle worker goes straight to it). A full queue sheds
+    /// new connections (and ready requests) with `503`.
     pub dispatch_queue: usize,
     /// When the EWMA of dispatch-queue wait exceeds this, new connections
     /// are shed — the latency-based admission signal.

@@ -1,8 +1,9 @@
 //! The event-driven server core: one reactor thread multiplexing every
 //! connection over epoll ([`crate::poll`]), a small fixed worker pool
-//! evaluating requests, and a bounded dispatch channel between them —
-//! thousands of keep-alive connections without a thread (or a 32 MiB
-//! stack) per connection.
+//! evaluating requests, and a LIFO hand-off between them (a ready request
+//! goes to the worker that went idle last; [`Dispatch`]) — thousands of
+//! keep-alive connections without a thread (or a 32 MiB stack) per
+//! connection.
 //!
 //! Per connection the reactor runs three small state machines:
 //!
@@ -40,8 +41,7 @@ use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 const TOKEN_LISTENER: u64 = u64::MAX;
@@ -88,6 +88,101 @@ struct Done {
     body: Vec<u8>,
     keep_alive: bool,
     finished: Instant,
+}
+
+/// The hand-off between the reactor and the workers, both ways. A ready
+/// job goes to the worker that went idle last, so a closed loop stays on
+/// one hot thread: each thread has its own malloc arena, and a pool that
+/// rotates requests over its workers keeps a large request's high-water
+/// mark resident in every arena. A job that finds no idle worker waits in
+/// a FIFO of at most `cap` jobs.
+struct Dispatch {
+    state: Mutex<DispatchState>,
+    /// Worker `w` sleeps on `wake[w]` until a job lands in `slots[w]`.
+    wake: Vec<Condvar>,
+    cap: usize,
+}
+
+struct DispatchState {
+    queue: VecDeque<Job>,
+    /// Idle workers, the one that went idle last on top.
+    idle: Vec<usize>,
+    slots: Vec<Option<Job>>,
+    /// Completions for the reactor to write back.
+    done: Vec<Done>,
+    closed: bool,
+}
+
+impl Dispatch {
+    fn new(workers: usize, cap: usize) -> Self {
+        Dispatch {
+            state: Mutex::new(DispatchState {
+                queue: VecDeque::new(),
+                // every worker starts idle, worker 0 on top: a thread that
+                // is slow to start cannot land above one that has served
+                idle: (0..workers).rev().collect(),
+                slots: (0..workers).map(|_| None).collect(),
+                done: Vec::new(),
+                closed: false,
+            }),
+            wake: (0..workers).map(|_| Condvar::new()).collect(),
+            cap,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, DispatchState> {
+        self.state.lock().expect("hand-off lock poisoned")
+    }
+
+    /// Hand `job` to the last idle worker, else queue it; a full queue
+    /// gives it back.
+    fn send(&self, job: Job) -> Result<(), Job> {
+        let mut s = self.lock();
+        match s.idle.pop() {
+            Some(w) => {
+                s.slots[w] = Some(job);
+                drop(s);
+                self.wake[w].notify_one();
+            }
+            None if s.queue.len() < self.cap => s.queue.push_back(job),
+            None => return Err(job),
+        }
+        Ok(())
+    }
+
+    /// Worker `w` finished `done`: take the oldest queued job, or else
+    /// join the idle stack, in the critical section that publishes `done`.
+    /// On one CPU the reactor runs as soon as it is woken; were the worker
+    /// not on top of the stack by then, the connection's next request
+    /// would go to another worker.
+    fn finish(&self, w: usize, done: Done) -> Option<Job> {
+        let mut s = self.lock();
+        s.done.push(done);
+        let job = s.queue.pop_front();
+        if job.is_none() {
+            s.idle.push(w);
+        }
+        job
+    }
+
+    /// An idle worker's wait for its slot; `None` once closed.
+    fn wait(&self, w: usize) -> Option<Job> {
+        let mut s = self.lock();
+        loop {
+            if let Some(job) = s.slots[w].take() {
+                return Some(job);
+            }
+            if s.closed {
+                return None;
+            }
+            s = self.wake[w].wait(s).expect("hand-off lock poisoned");
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.wake.iter().for_each(Condvar::notify_one);
+    }
 }
 
 /// Shared liveness/cancellation table between the reactor and the worker
@@ -241,6 +336,7 @@ pub(crate) struct ReactorHandle {
     waker: Arc<Waker>,
     reactor: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
+    dispatch: Arc<Dispatch>,
     metrics: Arc<NetMetrics>,
 }
 
@@ -262,9 +358,10 @@ impl ReactorHandle {
         if let Some(t) = self.reactor.take() {
             let _ = t.join();
         }
-        // the reactor dropped the dispatch sender on exit, so workers
-        // unblock from `recv`; join the ones that are done, detach any
-        // straggler stuck in a long handler
+        // the reactor is gone (returned or panicked), so nothing will send
+        // again: closing the hand-off returns every idle worker; join the
+        // ones that are done, detach any straggler stuck in a long handler
+        self.dispatch.close();
         for w in std::mem::take(&mut self.workers) {
             if drained || w.is_finished() {
                 let _ = w.join();
@@ -292,10 +389,6 @@ pub(crate) fn bind(
 
     let shutdown = Arc::new(AtomicBool::new(false));
     let force_stop = Arc::new(AtomicBool::new(false));
-    let queue_cap = config.dispatch_queue.max(1);
-    let (tx, rx) = std::sync::mpsc::sync_channel::<Job>(queue_cap);
-    let rx = Arc::new(Mutex::new(rx));
-    let done: Arc<Mutex<Vec<Done>>> = Arc::new(Mutex::new(Vec::new()));
     let queue_wait_ewma = Arc::new(AtomicU64::new(0));
     let jobs = Arc::new(JobTable::new());
 
@@ -307,10 +400,10 @@ pub(crate) fn bind(
             .unwrap_or(1)
             .max(4)
     };
+    let dispatch = Arc::new(Dispatch::new(n_workers, config.dispatch_queue.max(1)));
     let mut workers = Vec::with_capacity(n_workers);
     for i in 0..n_workers {
-        let rx = rx.clone();
-        let done = done.clone();
+        let dispatch = dispatch.clone();
         let waker = waker.clone();
         let handler = handler.clone();
         let metrics = metrics.clone();
@@ -322,7 +415,7 @@ pub(crate) fn bind(
                 // request handlers may evaluate deep queries: give them
                 // room (see xqeval recursion cap)
                 .stack_size(32 * 1024 * 1024)
-                .spawn(move || worker_loop(&rx, &done, &waker, &handler, &metrics, &ewma, &jobs))
+                .spawn(move || worker_loop(i, &dispatch, &waker, &handler, &metrics, &ewma, &jobs))
                 .map_err(|e| io::Error::other(e.to_string()))?,
         );
     }
@@ -331,6 +424,7 @@ pub(crate) fn bind(
         let shutdown = shutdown.clone();
         let force_stop = force_stop.clone();
         let waker = waker.clone();
+        let dispatch = dispatch.clone();
         let metrics = metrics.clone();
         let ewma = queue_wait_ewma.clone();
         std::thread::Builder::new()
@@ -342,8 +436,7 @@ pub(crate) fn bind(
                     waker,
                     conns: Vec::new(),
                     free: Vec::new(),
-                    tx,
-                    done,
+                    dispatch,
                     metrics,
                     config,
                     shutdown,
@@ -366,29 +459,24 @@ pub(crate) fn bind(
         waker,
         reactor: Some(reactor),
         workers,
+        dispatch,
         metrics,
     })
 }
 
 fn worker_loop(
-    rx: &Mutex<Receiver<Job>>,
-    done: &Mutex<Vec<Done>>,
+    w: usize,
+    dispatch: &Dispatch,
     waker: &Waker,
     handler: &Arc<Handler>,
     metrics: &NetMetrics,
     queue_wait_ewma: &AtomicU64,
     jobs: &JobTable,
 ) {
+    let mut next = None;
     loop {
-        // the guard is held across the blocking recv — only one idle
-        // worker waits at a time, which is exactly what we want: a
-        // single job wakes a single worker
-        let job = match rx.lock() {
-            Ok(g) => match g.recv() {
-                Ok(j) => j,
-                Err(_) => return, // reactor gone: shut down
-            },
-            Err(_) => return,
+        let Some(job) = next.take().or_else(|| dispatch.wait(w)) else {
+            return; // reactor gone: shut down
         };
         let wait = job.enqueued.elapsed();
         metrics.reactor_dispatch_micros.record_micros(wait);
@@ -403,52 +491,37 @@ fn worker_loop(
         // any evaluation work. A stub Done still crosses back so the
         // reactor's `queued` accounting stays balanced; the generation
         // mismatch there discards it.
-        if !jobs.is_live(job.idx, job.gen) {
+        let (status, body, keep_alive) = if !jobs.is_live(job.idx, job.gen) {
             metrics.record_job_orphaned();
-            BufferPool::global().put(job.body);
-            match done.lock() {
-                Ok(mut d) => d.push(Done {
-                    idx: job.idx,
-                    gen: job.gen,
-                    status: 0,
-                    body: Vec::new(),
-                    keep_alive: false,
-                    finished: Instant::now(),
-                }),
-                Err(_) => return,
+            (0, Vec::new(), false)
+        } else {
+            // Expose a cancel handle for this job: the handler bridges it
+            // into the evaluator's CancelToken, the reactor's close path
+            // flips it.
+            let cancel = JobCancel::new();
+            jobs.register(job.idx, job.gen, cancel.clone());
+            // re-check after registering: a close racing between the orphan
+            // check and `register` would otherwise cancel nothing
+            if !jobs.is_live(job.idx, job.gen) {
+                cancel.cancel();
             }
-            waker.wake();
-            continue;
-        }
-
-        // Expose a cancel handle for this job: the handler bridges it
-        // into the evaluator's CancelToken, the reactor's close path
-        // flips it.
-        let cancel = JobCancel::new();
-        jobs.register(job.idx, job.gen, cancel.clone());
-        // re-check after registering: a close racing between the orphan
-        // check and `register` would otherwise cancel nothing
-        if !jobs.is_live(job.idx, job.gen) {
-            cancel.cancel();
-        }
-        let guard = crate::cancel::set_current_job(cancel);
-        let (status, resp) = handler(&job.path, &job.body);
-        drop(guard);
-        jobs.deregister(job.idx, job.gen);
-
-        metrics.record(job.body.len(), resp.len());
+            let guard = crate::cancel::set_current_job(cancel);
+            let (status, resp) = handler(&job.path, &job.body);
+            drop(guard);
+            jobs.deregister(job.idx, job.gen);
+            metrics.record(job.body.len(), resp.len());
+            (status, resp, job.keep_alive)
+        };
         BufferPool::global().put(job.body);
-        match done.lock() {
-            Ok(mut d) => d.push(Done {
-                idx: job.idx,
-                gen: job.gen,
-                status,
-                body: resp,
-                keep_alive: job.keep_alive,
-                finished: Instant::now(),
-            }),
-            Err(_) => return,
-        }
+        let done = Done {
+            idx: job.idx,
+            gen: job.gen,
+            status,
+            body,
+            keep_alive,
+            finished: Instant::now(),
+        };
+        next = dispatch.finish(w, done);
         waker.wake();
     }
 }
@@ -459,15 +532,14 @@ struct Reactor {
     waker: Arc<Waker>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    tx: SyncSender<Job>,
-    done: Arc<Mutex<Vec<Done>>>,
+    dispatch: Arc<Dispatch>,
     metrics: Arc<NetMetrics>,
     config: HttpConfig,
     shutdown: Arc<AtomicBool>,
     force_stop: Arc<AtomicBool>,
     queue_wait_ewma: Arc<AtomicU64>,
-    /// Jobs enqueued to the dispatch channel and not yet picked up —
-    /// the reactor-side view of channel occupancy.
+    /// Jobs dispatched and not yet completed (decremented in
+    /// `drain_done`): queued, handed to a worker, or in a handler.
     queued: usize,
     /// Last time the reactor fed a zero-wait decay sample into the EWMA
     /// (rate-limited to one per [`TICK`]).
@@ -530,8 +602,9 @@ impl Reactor {
                 self.close_idle_for_shutdown();
             }
         }
-        // reactor exit: release every remaining connection and let the
-        // dispatch channel disconnect so workers unblock
+        // reactor exit: release every remaining connection (their queued
+        // jobs become orphans); the handle closes the hand-off once this
+        // thread has been joined
         for idx in 0..self.conns.len() {
             if self.conns[idx].is_some() {
                 self.close_conn(idx);
@@ -847,17 +920,17 @@ impl Reactor {
             enqueued: Instant::now(),
         };
         // count the job before publishing it: a worker may pick it up
-        // (and decrement) the instant try_send returns, and a /metrics
+        // (and decrement) the instant `send` returns, and a /metrics
         // scrape observing itself must not see the gauge at -1
         self.metrics
             .accept_queue_depth
             .fetch_add(1, Ordering::Relaxed);
-        match self.tx.try_send(job) {
+        match self.dispatch.send(job) {
             Ok(()) => {
                 conn.in_flight = true;
                 self.queued += 1;
             }
-            Err(TrySendError::Full(job)) => {
+            Err(job) => {
                 // over-admission on a live connection: shed the request
                 self.metrics
                     .accept_queue_depth
@@ -866,12 +939,6 @@ impl Reactor {
                 self.metrics.record_shed();
                 self.metrics.record_failure();
                 self.shed_existing(idx);
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                self.metrics
-                    .accept_queue_depth
-                    .fetch_sub(1, Ordering::Relaxed);
-                self.close_conn(idx);
             }
         }
     }
@@ -897,10 +964,7 @@ impl Reactor {
     // ---- completions ---------------------------------------------------
 
     fn drain_done(&mut self, drained_at: Instant) {
-        let batch: Vec<Done> = match self.done.lock() {
-            Ok(mut d) => std::mem::take(&mut *d),
-            Err(_) => return,
-        };
+        let batch = std::mem::take(&mut self.dispatch.lock().done);
         for d in batch {
             self.queued = self.queued.saturating_sub(1);
             self.metrics

@@ -1,12 +1,13 @@
-//! HTTP edge cases against a live loopback server: keep-alive reuse,
-//! malformed requests, truncated bodies, timeout mapping, body-size
-//! enforcement, slow-loris timeouts, request pipelining, admission
-//! shedding and hundreds of concurrent keep-alive connections — at the
-//! protocol level (raw sockets, no client helper).
+//! HTTP edge cases against a live loopback server: keep-alive reuse, the
+//! worker hand-off, malformed requests, truncated bodies, timeout mapping,
+//! body-size enforcement, slow-loris timeouts, request pipelining,
+//! admission shedding and hundreds of concurrent keep-alive connections —
+//! at the protocol level (raw sockets, no client helper).
 
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 use xrpc_net::http::{http_post_with, HttpServer};
 use xrpc_net::{HttpConfig, NetErrorKind};
@@ -47,12 +48,25 @@ fn read_response(reader: &mut impl BufRead) -> (u16, Vec<u8>) {
     (status, body)
 }
 
+/// Sequential requests on one keep-alive connection share the socket, and
+/// one worker serves them all: the worker that went idle last takes the
+/// next request, so a closed loop does not rotate over the pool.
 #[test]
 fn keep_alive_reuses_one_connection_for_sequential_requests() {
-    let server = echo_server();
+    const REQUESTS: usize = 24;
+    let served_by = Arc::new(Mutex::new(HashSet::new()));
+    let seen = served_by.clone();
+    let server = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(move |_path: &str, body: &[u8]| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+            (200, body.to_vec())
+        }),
+    )
+    .unwrap();
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
-    for i in 0..3 {
+    for i in 0..REQUESTS {
         let body = format!("request-{i}");
         let head = format!(
             "POST /xrpc HTTP/1.1\r\nHost: {}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
@@ -72,9 +86,53 @@ fn keep_alive_reuses_one_connection_for_sequential_requests() {
     }
     assert_eq!(
         server.metrics.snapshot().roundtrips,
-        3,
-        "all three requests served over one connection"
+        REQUESTS as u64,
+        "every request served over one connection"
     );
+    assert_eq!(
+        served_by.lock().unwrap().len(),
+        1,
+        "a closed loop stays on the worker that went idle last"
+    );
+}
+
+/// As many concurrent requests as workers, each held in its handler until
+/// all of them have arrived: the idle stack hands each job to a distinct
+/// worker and loses no wake-up, or the barrier never opens.
+#[test]
+fn concurrent_requests_each_get_their_own_worker() {
+    const WORKERS: usize = 4;
+    let barrier = Arc::new(Barrier::new(WORKERS));
+    let server = HttpServer::bind_with(
+        "127.0.0.1:0",
+        Arc::new(move |_: &str, b: &[u8]| {
+            barrier.wait();
+            (200, b.to_vec())
+        }),
+        HttpConfig {
+            reactor_workers: WORKERS,
+            ..HttpConfig::default()
+        },
+    )
+    .unwrap();
+    let conns: Vec<TcpStream> = (0..WORKERS)
+        .map(|i| {
+            let mut s = TcpStream::connect(server.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let body = format!("w{i}");
+            let req = format!(
+                "POST /xrpc HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            s.write_all(req.as_bytes()).unwrap();
+            s
+        })
+        .collect();
+    for (i, s) in conns.iter().enumerate() {
+        let (status, body) = read_response(&mut BufReader::new(s));
+        assert_eq!(status, 200, "request {i}");
+        assert_eq!(body, format!("w{i}").as_bytes());
+    }
 }
 
 /// Many keep-alive clients with one request in flight each, against a
