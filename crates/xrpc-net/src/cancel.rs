@@ -5,74 +5,44 @@
 //! runtime deep inside those closures needs two things the function
 //! signature does not carry:
 //!
-//! * a **cancel flag** the reactor can flip when the job's connection dies
-//!   ([`JobCancel`]), bridged into the evaluator's `CancelToken` so
-//!   cooperative checkpoints observe it; and
+//! * the **kill flag** of the job's connection, which the reactor sets when
+//!   the connection closes ([`current_job`]), bridged into the evaluator's
+//!   `CancelToken` so cooperative checkpoints observe it; and
 //! * an **ambient deadline** the retry layer can consult so backoff sleeps
 //!   never outlive the caller's remaining budget.
 //!
 //! Both travel through thread-locals scoped by RAII guards: the worker
-//! installs the job's [`JobCancel`] around the handler call, and the peer
-//! client installs the query deadline around each transport round-trip.
-//! Guards restore the previous value on drop, so nested scopes (a handler
-//! that itself issues outbound calls) compose.
+//! installs the job's flag around the handler call, and the peer client
+//! installs the query deadline around each transport round-trip. Guards
+//! restore the previous value on drop, so nested scopes (a handler that
+//! itself issues outbound calls) compose.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Shared cancellation state for one in-flight reactor job.
-///
-/// Created by the worker at dequeue, registered with the reactor's active
-/// table so `close_conn` can cancel it, and exposed to the handler via
-/// [`current_job`]. The query's deadline is not published here: the
-/// evaluator's `CancelToken` enforces it at every checkpoint.
-#[derive(Debug)]
-pub struct JobCancel {
-    flag: Arc<AtomicBool>,
-}
-
-impl JobCancel {
-    pub fn new() -> Arc<Self> {
-        Arc::new(JobCancel {
-            flag: Arc::new(AtomicBool::new(false)),
-        })
-    }
-
-    /// Flip the cancel flag. Idempotent; safe from any thread.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
-    }
-
-    /// The raw flag, for bridging into an evaluator-side token.
-    pub fn flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.flag)
-    }
-}
-
 thread_local! {
-    static CURRENT_JOB: RefCell<Option<Arc<JobCancel>>> = const { RefCell::new(None) };
+    static CURRENT_JOB: RefCell<Option<Arc<AtomicBool>>> = const { RefCell::new(None) };
     static AMBIENT_DEADLINE: RefCell<Option<Instant>> = const { RefCell::new(None) };
 }
 
-/// Install `job` as the thread's current job for the guard's lifetime.
-pub fn set_current_job(job: Arc<JobCancel>) -> CurrentJobGuard {
-    let prev = CURRENT_JOB.with(|c| c.replace(Some(job)));
+/// Install `kill` as the thread's current job flag for the guard's
+/// lifetime. The query's deadline is not published here: the evaluator's
+/// `CancelToken` enforces it at every checkpoint.
+pub fn set_current_job(kill: Arc<AtomicBool>) -> CurrentJobGuard {
+    let prev = CURRENT_JOB.with(|c| c.replace(Some(kill)));
     CurrentJobGuard { prev }
 }
 
-/// The job installed by the innermost [`set_current_job`] guard, if any.
-pub fn current_job() -> Option<Arc<JobCancel>> {
+/// The kill flag installed by the innermost [`set_current_job`] guard, if
+/// any: set once the job's connection has closed.
+pub fn current_job() -> Option<Arc<AtomicBool>> {
     CURRENT_JOB.with(|c| c.borrow().clone())
 }
 
 pub struct CurrentJobGuard {
-    prev: Option<Arc<JobCancel>>,
+    prev: Option<Arc<AtomicBool>>,
 }
 
 impl Drop for CurrentJobGuard {
@@ -111,24 +81,13 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn job_cancel_flag_is_shared_with_the_bridge() {
-        let job = JobCancel::new();
-        assert!(!job.is_cancelled());
-
-        let bridge = job.flag();
-        job.cancel();
-        assert!(job.is_cancelled());
-        assert!(bridge.load(Ordering::Relaxed));
-    }
-
-    #[test]
     fn current_job_guard_scopes_and_restores() {
         assert!(current_job().is_none());
-        let outer = JobCancel::new();
+        let outer = Arc::new(AtomicBool::new(false));
         {
             let _g = set_current_job(Arc::clone(&outer));
             assert!(Arc::ptr_eq(&current_job().unwrap(), &outer));
-            let inner = JobCancel::new();
+            let inner = Arc::new(AtomicBool::new(false));
             {
                 let _g2 = set_current_job(Arc::clone(&inner));
                 assert!(Arc::ptr_eq(&current_job().unwrap(), &inner));

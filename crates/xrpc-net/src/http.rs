@@ -303,8 +303,8 @@ pub fn http_post_pooled(
 const HEAD_BUF_BYTES: usize = 4096;
 
 /// Index just past the blank line that ends a message head, looking from
-/// `from` on.
-fn head_end(buf: &[u8], mut from: usize) -> Option<usize> {
+/// `from` on. The server's parser shares it.
+pub(crate) fn head_end(buf: &[u8], mut from: usize) -> Option<usize> {
     while let Some(nl) = buf[from..].iter().position(|&b| b == b'\n') {
         from += nl + 1;
         match &buf[from..] {

@@ -25,7 +25,7 @@ pub mod sim;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use bufpool::{BufferPool, PoolStats};
-pub use cancel::{ambient_deadline, current_job, set_ambient_deadline, set_current_job, JobCancel};
+pub use cancel::{ambient_deadline, current_job, set_ambient_deadline, set_current_job};
 pub use http::{http_post, HttpConfig, HttpServer, HttpTransport};
 pub use metrics::NetMetrics;
 pub use pool::{ConnectionPool, PooledConn};

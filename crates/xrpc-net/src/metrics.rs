@@ -36,14 +36,14 @@ pub struct NetMetrics {
     /// Gauge: requests sitting in the reactor's dispatch queue, parsed
     /// but not yet picked up by an evaluation worker.
     pub accept_queue_depth: AtomicU64,
-    /// Reactor: queued jobs discarded at dequeue because their connection
-    /// slab slot was already reclaimed (client gone before evaluation
+    /// Reactor: queued jobs dropped at dequeue because their connection's
+    /// kill flag was already set (the connection closed before evaluation
     /// started). Not part of [`MetricsSnapshot`] — recorded on the server
     /// side only, and the chaos suite's snapshot-equality "no traffic"
     /// assertions predate it.
     pub jobs_orphaned: AtomicU64,
-    /// Reactor: in-flight jobs cancelled because their connection closed
-    /// while a worker was still evaluating them. Like
+    /// Reactor: jobs whose connection closed while a worker was evaluating
+    /// them, counted when the handler returns with the kill flag set. Like
     /// [`jobs_orphaned`](Self::jobs_orphaned), outside the snapshot.
     pub jobs_cancelled: AtomicU64,
     /// Reactor: time a parsed request waited in the dispatch queue

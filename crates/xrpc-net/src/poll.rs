@@ -72,7 +72,9 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
 
 /// One readiness notification, with the token the fd was registered
 /// under. `hangup` covers peer close (`EPOLLHUP`/`EPOLLRDHUP`) —
-/// reads still drain whatever is buffered before EOF.
+/// reads still drain whatever is buffered before EOF. `error` says the
+/// connection is dead, reset (`EPOLLERR`) or shut both ways
+/// (`EPOLLHUP`); epoll reports it whatever the interest.
 #[derive(Clone, Copy, Debug)]
 pub struct Event {
     pub token: u64,
@@ -104,8 +106,9 @@ impl Poller {
         writable: bool,
     ) -> io::Result<()> {
         let mut ev = EpollEvent {
-            events: EPOLLRDHUP
-                | if readable { EPOLLIN } else { 0 }
+            // EPOLLRDHUP only with EPOLLIN: level-triggered, a half-closed
+            // peer would be reported every round while reading is off
+            events: if readable { EPOLLIN | EPOLLRDHUP } else { 0 }
                 | if writable { EPOLLOUT } else { 0 },
             data: token,
         };
@@ -155,7 +158,7 @@ impl Poller {
                 readable: bits & EPOLLIN != 0,
                 writable: bits & EPOLLOUT != 0,
                 hangup: bits & (EPOLLHUP | EPOLLRDHUP) != 0,
-                error: bits & EPOLLERR != 0,
+                error: bits & (EPOLLERR | EPOLLHUP) != 0,
             });
         }
         Ok(n as usize)

@@ -5,20 +5,32 @@
 //! keep-alive connections without a thread (or a 32 MiB stack) per
 //! connection.
 //!
-//! Per connection the reactor runs three small state machines:
+//! A connection holds at most one request. The reactor reads and parses
+//! only while nothing is in flight and no response is queued; it hands a
+//! complete request to the workers and writes the response with vectored
+//! writes (the body goes back to the global [`BufferPool`] once written).
+//! Only then does it parse what is already buffered — a pipelined
+//! successor — or wait for readiness. Pipelined requests are so answered
+//! one at a time, in order, and a connection never holds more than one
+//! capped head and one capped body: what a pipelining client sends ahead
+//! waits in the socket. A protocol error (400/413) has nothing ahead of it
+//! and is answered at once; the connection then closes, as it does at end
+//! of stream while a request is being read.
 //!
-//! * **read**: non-blocking reads feed an incremental HTTP parser that
-//!   tolerates partial headers/bodies and recognizes pipelined requests
-//!   (parsed requests queue per connection; responses go out in request
-//!   order because at most one request per connection is in flight at
-//!   the workers).
-//! * **write**: responses queue as (head, body) pairs flushed with
-//!   vectored writes on `EPOLLOUT`; bodies are recycled into the global
-//!   [`BufferPool`] once written.
-//! * **shed/drain**: an admission-refused connection gets `503`, a
-//!   write-side FIN, and a deadline-bounded read drain: closing a
-//!   socket with unread request bytes makes the kernel send RST, which
-//!   can discard the in-flight 503 before the client reads it.
+//! A read-side event while a request is out — a FIN, or a successor's
+//! bytes — switches read interest off until the response is written, so a
+//! half-closed client is answered without the level-triggered poll
+//! reporting it every round. A reset surfaces as `EPOLLERR`/`EPOLLHUP`,
+//! which epoll reports whatever the interest, and closes the connection.
+//! Closing sets the connection's kill flag, which every job it dispatches
+//! shares: a queued job is dropped at dequeue (`jobs_orphaned`), a running
+//! one sees the flag at its evaluator's checkpoints and is counted when
+//! its handler returns (`jobs_cancelled`).
+//!
+//! An admission-refused connection gets `503`, a write-side FIN, and a
+//! deadline-bounded read drain: closing a socket with unread request bytes
+//! makes the kernel send RST, which can discard the in-flight 503 before
+//! the client reads it.
 //!
 //! Admission control is backpressure-aware rather than a hard cap: new
 //! connections (and ready requests) are shed with `503` when the
@@ -32,10 +44,9 @@
 //! [`NetMetrics`].
 
 use crate::bufpool::BufferPool;
-use crate::cancel::JobCancel;
-use crate::http::{response_head, Handler, HttpConfig};
+use crate::http::{head_end, response_head, Handler, HttpConfig};
 use crate::metrics::NetMetrics;
-use crate::poll::{listen_reuseaddr, Poller, Waker};
+use crate::poll::{listen_reuseaddr, Event, Poller, Waker};
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -48,9 +59,6 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 const TOKEN_WAKER: u64 = u64::MAX - 1;
 /// Reactor tick: upper bound on how stale a timeout sweep can be.
 const TICK: Duration = Duration::from_millis(50);
-/// Parsed-but-undispatched requests buffered per connection before the
-/// reactor stops reading from it (pipelining bound).
-const PIPELINE_MAX: usize = 32;
 /// Header-section size cap: the reactor buffers the head, so it bounds
 /// its bytes as well as (through the read timeout) its time.
 pub(crate) const MAX_HEAD_BYTES: usize = 32 * 1024;
@@ -63,17 +71,11 @@ const ROUND_BYTES: usize = 1 << 20;
 /// closed regardless, so a trickling client cannot hold the slot.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
-/// A fully parsed request waiting for a worker.
-struct OwnedReq {
-    path: String,
-    body: Vec<u8>,
-    keep_alive: bool,
-}
-
 /// Work item crossing to the worker pool.
 struct Job {
     idx: usize,
-    gen: u64,
+    /// The connection's kill flag, set once it closes.
+    kill: Arc<AtomicBool>,
     path: String,
     body: Vec<u8>,
     keep_alive: bool,
@@ -83,13 +85,14 @@ struct Job {
 /// A finished response crossing back to the reactor.
 struct Done {
     idx: usize,
-    gen: u64,
+    /// The job's kill flag, which names its connection: a slot taken over
+    /// by a later connection holds another flag.
+    kill: Arc<AtomicBool>,
     status: u16,
     body: Vec<u8>,
     keep_alive: bool,
     finished: Instant,
 }
-
 /// The hand-off between the reactor and the workers, both ways. A ready
 /// job goes to the worker that went idle last, so a closed loop stays on
 /// one hot thread: each thread has its own malloc arena, and a pool that
@@ -185,84 +188,11 @@ impl Dispatch {
     }
 }
 
-/// Shared liveness/cancellation table between the reactor and the worker
-/// pool.
-///
-/// * `live` mirrors the connection slab: `live[idx]` is the generation of
-///   the connection currently occupying slot `idx` (0 = empty). A worker
-///   consults it at dequeue so a job whose client vanished while queued is
-///   dropped *before* evaluation (`jobs_orphaned`).
-/// * `active` holds the [`JobCancel`] of every job currently inside a
-///   handler, so `close_conn` can cancel a job the moment its connection
-///   dies — cooperative checkpoints in the evaluator observe the flag and
-///   free the worker (`jobs_cancelled`). A job's deadline is the
-///   evaluator's own: its checkpoints read it from the `CancelToken`.
-struct JobTable {
-    live: Mutex<Vec<u64>>,
-    active: Mutex<Vec<(usize, u64, Arc<JobCancel>)>>,
-}
-
-impl JobTable {
-    fn new() -> Self {
-        JobTable {
-            live: Mutex::new(Vec::new()),
-            active: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn set_live(&self, idx: usize, gen: u64) {
-        let mut live = self.live.lock().unwrap();
-        if live.len() <= idx {
-            live.resize(idx + 1, 0);
-        }
-        live[idx] = gen;
-    }
-
-    fn is_live(&self, idx: usize, gen: u64) -> bool {
-        self.live.lock().unwrap().get(idx).copied() == Some(gen)
-    }
-
-    fn register(&self, idx: usize, gen: u64, job: Arc<JobCancel>) {
-        self.active.lock().unwrap().push((idx, gen, job));
-    }
-
-    fn deregister(&self, idx: usize, gen: u64) {
-        self.active
-            .lock()
-            .unwrap()
-            .retain(|(i, g, _)| !(*i == idx && *g == gen));
-    }
-
-    /// Connection gone: clear the slot and cancel any job still
-    /// evaluating on its behalf.
-    fn conn_closed(&self, idx: usize, gen: u64, metrics: &NetMetrics) {
-        {
-            let mut live = self.live.lock().unwrap();
-            if live.get(idx).copied() == Some(gen) {
-                live[idx] = 0;
-            }
-        }
-        for (i, g, job) in self.active.lock().unwrap().iter() {
-            if *i == idx && *g == gen && !job.is_cancelled() {
-                job.cancel();
-                metrics.record_job_cancelled();
-            }
-        }
-    }
-}
-
-/// One queued response: header + body flushed as a vectored pair.
+/// A response being written: header + body flushed as a vectored pair.
 struct WBuf {
     head: Vec<u8>,
     body: Vec<u8>,
     off: usize,
-}
-
-/// Incremental parse progress for the current request head.
-#[derive(Default)]
-struct ParseCursor {
-    /// Bytes of `rbuf` already scanned for the header terminator.
-    scanned: usize,
 }
 
 /// A parsed request head and as much of its body as has arrived.
@@ -277,24 +207,24 @@ struct ReqHead {
 
 enum ParseStep {
     NeedMore,
-    Request(OwnedReq),
+    Request(ReqHead),
     Bad(String),
     TooLarge(usize),
 }
 
 struct Conn {
     stream: TcpStream,
-    gen: u64,
     rbuf: Vec<u8>,
-    cursor: ParseCursor,
+    /// Bytes of `rbuf` already scanned for the end of the head.
+    scanned: usize,
     head: Option<ReqHead>,
-    pending: VecDeque<OwnedReq>,
+    /// Set when the connection closes. Every job it dispatches shares it,
+    /// and the handler bridges it into the evaluator's `CancelToken`.
+    kill: Arc<AtomicBool>,
+    /// A request is out at the workers.
     in_flight: bool,
-    wbuf: VecDeque<WBuf>,
-    /// Client half-closed its write side (EOF seen); finish in-flight
-    /// work, then close.
-    read_closed: bool,
-    /// Close once the write queue drains (error responses, shutdown,
+    wbuf: Option<WBuf>,
+    /// Close once the response is written (error responses, shutdown,
     /// `Connection: close`).
     close_after_flush: bool,
     /// Shed path: after flush, FIN the write side and discard reads
@@ -308,24 +238,46 @@ struct Conn {
     interest: (bool, bool),
     last_activity: Instant,
     /// Last time a flush moved response bytes into the socket. A
-    /// connection with a non-empty `wbuf` that makes no write progress
+    /// connection with a response queued that makes no write progress
     /// for `read_timeout` (client stopped reading: write-side
     /// slow-loris) is closed by the sweep instead of leaking.
     last_write_progress: Instant,
-    /// Deferred 400/413: emitted only after every request pipelined
-    /// ahead of the protocol error has been answered, so responses stay
-    /// in request order.
-    pending_error: Option<(u16, Vec<u8>)>,
 }
 
 impl Conn {
+    fn new(stream: TcpStream) -> Self {
+        let now = Instant::now();
+        Conn {
+            stream,
+            rbuf: Vec::new(),
+            scanned: 0,
+            head: None,
+            kill: Arc::default(),
+            in_flight: false,
+            wbuf: None,
+            close_after_flush: false,
+            shed: false,
+            draining_until: None,
+            admitted: true,
+            interest: (true, false),
+            last_activity: now,
+            last_write_progress: now,
+        }
+    }
+
+    /// A request is out or its response is being written: nothing more
+    /// is read or parsed until both are done.
+    fn busy(&self) -> bool {
+        self.in_flight || self.wbuf.is_some()
+    }
+
     /// Forget whatever partial request has been read.
     fn reset_read(&mut self) {
         self.rbuf.clear();
         if let Some(head) = self.head.take() {
             BufferPool::global().put(head.body);
         }
-        self.cursor = ParseCursor::default();
+        self.scanned = 0;
     }
 }
 
@@ -390,7 +342,6 @@ pub(crate) fn bind(
     let shutdown = Arc::new(AtomicBool::new(false));
     let force_stop = Arc::new(AtomicBool::new(false));
     let queue_wait_ewma = Arc::new(AtomicU64::new(0));
-    let jobs = Arc::new(JobTable::new());
 
     let n_workers = if config.reactor_workers > 0 {
         config.reactor_workers
@@ -408,14 +359,13 @@ pub(crate) fn bind(
         let handler = handler.clone();
         let metrics = metrics.clone();
         let ewma = queue_wait_ewma.clone();
-        let jobs = jobs.clone();
         workers.push(
             std::thread::Builder::new()
                 .name(format!("xrpc-worker-{local}-{i}"))
                 // request handlers may evaluate deep queries: give them
                 // room (see xqeval recursion cap)
                 .stack_size(32 * 1024 * 1024)
-                .spawn(move || worker_loop(i, &dispatch, &waker, &handler, &metrics, &ewma, &jobs))
+                .spawn(move || worker_loop(i, &dispatch, &waker, &handler, &metrics, &ewma))
                 .map_err(|e| io::Error::other(e.to_string()))?,
         );
     }
@@ -444,8 +394,6 @@ pub(crate) fn bind(
                     queue_wait_ewma: ewma,
                     queued: 0,
                     last_ewma_decay: Instant::now(),
-                    gen_counter: 0,
-                    jobs,
                 }
                 .run()
             })
@@ -471,7 +419,6 @@ fn worker_loop(
     handler: &Arc<Handler>,
     metrics: &NetMetrics,
     queue_wait_ewma: &AtomicU64,
-    jobs: &JobTable,
 ) {
     let mut next = None;
     loop {
@@ -486,36 +433,29 @@ fn worker_loop(
             wait.as_micros().min(u64::MAX as u128) as u64,
         );
 
-        // Orphan check: the connection slot was reclaimed while this job
-        // sat in the dispatch queue (client gone) — drop it before doing
-        // any evaluation work. A stub Done still crosses back so the
-        // reactor's `queued` accounting stays balanced; the generation
-        // mismatch there discards it.
-        let (status, body, keep_alive) = if !jobs.is_live(job.idx, job.gen) {
+        // The connection closed while this job sat in the dispatch queue
+        // (client gone): drop it before doing any evaluation work. A stub
+        // Done still crosses back so the reactor's `queued` accounting
+        // stays balanced; the reactor discards it.
+        let (status, body, keep_alive) = if job.kill.load(Ordering::Relaxed) {
             metrics.record_job_orphaned();
             (0, Vec::new(), false)
         } else {
-            // Expose a cancel handle for this job: the handler bridges it
-            // into the evaluator's CancelToken, the reactor's close path
-            // flips it.
-            let cancel = JobCancel::new();
-            jobs.register(job.idx, job.gen, cancel.clone());
-            // re-check after registering: a close racing between the orphan
-            // check and `register` would otherwise cancel nothing
-            if !jobs.is_live(job.idx, job.gen) {
-                cancel.cancel();
-            }
-            let guard = crate::cancel::set_current_job(cancel);
+            // the handler bridges the flag into the evaluator's
+            // CancelToken; the reactor's close path sets it
+            let guard = crate::cancel::set_current_job(job.kill.clone());
             let (status, resp) = handler(&job.path, &job.body);
             drop(guard);
-            jobs.deregister(job.idx, job.gen);
+            if job.kill.load(Ordering::Relaxed) {
+                metrics.record_job_cancelled();
+            }
             metrics.record(job.body.len(), resp.len());
             (status, resp, job.keep_alive)
         };
         BufferPool::global().put(job.body);
         let done = Done {
             idx: job.idx,
-            gen: job.gen,
+            kill: job.kill,
             status,
             body,
             keep_alive,
@@ -544,8 +484,6 @@ struct Reactor {
     /// Last time the reactor fed a zero-wait decay sample into the EWMA
     /// (rate-limited to one per [`TICK`]).
     last_ewma_decay: Instant,
-    gen_counter: u64,
-    jobs: Arc<JobTable>,
 }
 
 impl Reactor {
@@ -575,12 +513,7 @@ impl Reactor {
                 match ev.token {
                     TOKEN_LISTENER => self.accept_ready(),
                     TOKEN_WAKER => self.waker.drain(),
-                    token => self.conn_ready(
-                        token as usize,
-                        ev.readable,
-                        ev.writable,
-                        ev.hangup || ev.error,
-                    ),
+                    _ => self.conn_ready(ev),
                 }
             }
             // completions can arrive with or without the waker token
@@ -656,35 +589,21 @@ impl Reactor {
 
     fn admit(&mut self, stream: TcpStream) {
         let idx = self.alloc_slot();
-        let gen = self.next_gen();
-        let fd = stream.as_raw_fd();
         let conn = Conn {
-            stream,
-            gen,
             rbuf: BufferPool::global().get(0),
-            cursor: ParseCursor::default(),
-            head: None,
-            pending: VecDeque::new(),
-            in_flight: false,
-            wbuf: VecDeque::new(),
-            read_closed: false,
-            close_after_flush: false,
-            shed: false,
-            draining_until: None,
-            admitted: true,
-            interest: (true, false),
-            last_activity: Instant::now(),
-            last_write_progress: Instant::now(),
-            pending_error: None,
+            ..Conn::new(stream)
         };
-        if self.poller.add(fd, idx as u64, true, false).is_err() {
+        if self
+            .poller
+            .add(conn.stream.as_raw_fd(), idx as u64, true, false)
+            .is_err()
+        {
             self.free.push(idx);
             return;
         }
         self.metrics
             .active_connections
             .fetch_add(1, Ordering::SeqCst);
-        self.jobs.set_live(idx, gen);
         self.conns[idx] = Some(conn);
     }
 
@@ -695,225 +614,125 @@ impl Reactor {
         self.metrics.record_failure();
         self.metrics.record_shed();
         let idx = self.alloc_slot();
-        let gen = self.next_gen();
-        let fd = stream.as_raw_fd();
         let body = b"connection limit reached".to_vec();
         let head = response_head(503, body.len(), false).into_bytes();
         let mut conn = Conn {
-            stream,
-            gen,
-            rbuf: Vec::new(),
-            cursor: ParseCursor::default(),
-            head: None,
-            pending: VecDeque::new(),
-            in_flight: false,
-            wbuf: VecDeque::from([WBuf { head, body, off: 0 }]),
-            read_closed: false,
+            wbuf: Some(WBuf { head, body, off: 0 }),
             close_after_flush: true,
             shed: true,
-            draining_until: None,
             admitted: false,
             interest: (false, true),
-            last_activity: Instant::now(),
-            last_write_progress: Instant::now(),
-            pending_error: None,
+            ..Conn::new(stream)
         };
         let _ = flush_wbuf(&mut conn);
-        if conn.wbuf.is_empty() {
+        if conn.wbuf.is_none() {
             // fast path: the 503 fit in the socket buffer; FIN and drain
             let _ = conn.stream.shutdown(std::net::Shutdown::Write);
             conn.draining_until = Some(Instant::now() + DRAIN_DEADLINE);
             conn.interest = (true, false);
         }
         let (r, w) = conn.interest;
-        if self.poller.add(fd, idx as u64, r, w).is_err() {
+        if self
+            .poller
+            .add(conn.stream.as_raw_fd(), idx as u64, r, w)
+            .is_err()
+        {
             self.free.push(idx);
             return;
         }
         self.conns[idx] = Some(conn);
     }
 
-    fn next_gen(&mut self) -> u64 {
-        // monotonic, so a recycled slot never accepts a stale completion
-        self.gen_counter += 1;
-        self.gen_counter
-    }
-
     // ---- readiness ----------------------------------------------------
 
-    fn conn_ready(&mut self, idx: usize, readable: bool, writable: bool, hangup: bool) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else {
+    fn conn_ready(&mut self, ev: Event) {
+        let idx = ev.token as usize;
+        let Some(Some(_)) = self.conns.get(idx) else {
             return;
         };
-        if writable && !flush_ok(conn) {
+        if ev.error {
+            // reset, or shut both ways: nothing more can be answered
             self.close_conn(idx);
             return;
         }
-        if readable || hangup {
+        if ev.writable {
+            self.write(idx);
+        }
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
+        };
+        if ev.readable || ev.hangup {
             if conn.draining_until.is_some() {
                 // shed drain: discard until EOF
                 let mut sink = [0u8; 8192];
                 loop {
                     match conn.stream.read(&mut sink) {
-                        Ok(0) => {
-                            self.close_conn(idx);
-                            return;
-                        }
+                        Ok(0) => return self.close_conn(idx),
                         Ok(_) => {}
                         Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
                         Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            self.close_conn(idx);
-                            return;
-                        }
+                        Err(_) => return self.close_conn(idx),
                     }
                 }
-            } else if !self.read_and_parse(idx) {
-                return; // connection closed inside
+            } else if conn.busy() {
+                // a FIN or a pipelined successor: it stays in the socket
+                // until the response is out, and level-triggered epoll
+                // would report it every round meanwhile
+                let want = (false, conn.interest.1);
+                rearm(&self.poller, idx, conn, want);
+            } else {
+                self.next_request(idx, true);
             }
         }
         self.after_progress(idx);
     }
 
-    /// Pull bytes, run the incremental parser, queue complete requests.
-    /// Returns false when the connection was closed.
-    fn read_and_parse(&mut self, idx: usize) -> bool {
-        let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else {
-            return false;
-        };
-        if conn.close_after_flush || conn.read_closed || conn.pending_error.is_some() {
-            return true;
-        }
-        // `dry`: the last read left the socket empty (sparing the read that
-        // would only say so)
-        let (mut eof, mut dry) = (false, false);
+    /// Parse the next request out of what is buffered, reading more from
+    /// the socket while `read`, and dispatch it once it is complete. A
+    /// protocol error is answered at once, and end of stream closes: no
+    /// request is ahead of either.
+    fn next_request(&mut self, idx: usize, mut read: bool) {
         let mut budget = ROUND_BYTES;
-        'round: loop {
-            // parse every complete request sitting in the buffers
-            let conn = self.conns[idx].as_mut().unwrap();
-            while conn.pending.len() < PIPELINE_MAX {
-                match parse_step(conn, self.config.max_body_bytes) {
-                    ParseStep::NeedMore => break,
-                    ParseStep::Request(req) => {
-                        conn.pending.push_back(req);
-                    }
-                    ParseStep::Bad(msg) => {
-                        self.metrics.record_failure();
-                        self.queue_error_response(idx, 400, msg.as_bytes());
-                        break 'round;
-                    }
-                    ParseStep::TooLarge(n) => {
-                        self.metrics.record_failure();
-                        let msg = format!(
-                            "request body of {n} bytes exceeds limit of {} bytes",
-                            self.config.max_body_bytes
-                        );
-                        self.queue_error_response(idx, 413, msg.as_bytes());
-                        break 'round;
-                    }
-                }
+        loop {
+            let conn = open(&mut self.conns, idx);
+            let error = match parse_step(conn, self.config.max_body_bytes) {
+                ParseStep::Request(req) => return self.send_job(idx, req),
+                ParseStep::NeedMore => None,
+                ParseStep::Bad(msg) => Some((400, msg)),
+                ParseStep::TooLarge(n) => Some((
+                    413,
+                    format!(
+                        "request body of {n} bytes exceeds limit of {} bytes",
+                        self.config.max_body_bytes
+                    ),
+                )),
+            };
+            if let Some((status, msg)) = error {
+                self.metrics.record_failure();
+                return self.respond_and_close(idx, status, msg.into_bytes());
             }
-            if eof || dry || budget == 0 || conn.pending.len() >= PIPELINE_MAX {
-                break;
+            if !read || budget == 0 {
+                return;
             }
             match read_into(&mut conn.rbuf, &mut conn.head, &conn.stream, budget) {
-                Ok((0, _)) => eof = true,
-                Ok((n, ran_dry)) => {
+                Ok((0, _)) => return self.close_conn(idx),
+                Ok((n, dry)) => {
                     budget -= n;
-                    dry = ran_dry;
+                    read = !dry;
                     conn.last_activity = Instant::now();
                 }
                 // (`read_to_end` retries an interrupted read itself)
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => {
-                    self.close_conn(idx);
-                    return false;
-                }
+                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(_) => return self.close_conn(idx),
             }
-        }
-        let conn = self.conns[idx].as_mut().unwrap();
-        if eof {
-            conn.read_closed = true;
-            if conn.rbuf.is_empty()
-                && conn.pending.is_empty()
-                && !conn.in_flight
-                && conn.wbuf.is_empty()
-                && conn.pending_error.is_none()
-            {
-                // clean client close between requests
-                self.close_conn(idx);
-                return false;
-            }
-            // half-close mid-body (truncated request): no response
-            // possible for the partial request — drop it, but finish
-            // whatever was already complete/in flight
-            if conn.head.is_some() || !conn.rbuf.is_empty() {
-                conn.reset_read();
-                if conn.pending.is_empty()
-                    && !conn.in_flight
-                    && conn.wbuf.is_empty()
-                    && conn.pending_error.is_none()
-                {
-                    self.close_conn(idx);
-                    return false;
-                }
-            }
-        }
-        self.maybe_dispatch(idx);
-        true
-    }
-
-    /// Protocol error (400/413): parsing stops and the connection will
-    /// close, but valid requests already pipelined ahead of the error
-    /// are still dispatched and answered first — the error response goes
-    /// out last, keeping responses in request order per HTTP/1.1
-    /// pipelining semantics.
-    fn queue_error_response(&mut self, idx: usize, status: u16, msg: &[u8]) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else {
-            return;
-        };
-        conn.reset_read();
-        conn.pending_error = Some((status, msg.to_vec()));
-        self.flush_pending_error(idx);
-    }
-
-    /// Emit the deferred protocol-error response once every request
-    /// admitted before it has been answered, then close after flush.
-    fn flush_pending_error(&mut self, idx: usize) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else {
-            return;
-        };
-        if conn.pending_error.is_none() || conn.in_flight || !conn.pending.is_empty() {
-            return;
-        }
-        let (status, msg) = conn.pending_error.take().unwrap();
-        conn.close_after_flush = true;
-        let head = response_head(status, msg.len(), false).into_bytes();
-        conn.wbuf.push_back(WBuf {
-            head,
-            body: msg,
-            off: 0,
-        });
-        if !flush_ok(conn) {
-            self.close_conn(idx);
         }
     }
 
-    /// Hand the next pending request to the workers (one in flight per
-    /// connection keeps pipelined responses in request order).
-    fn maybe_dispatch(&mut self, idx: usize) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else {
-            return;
-        };
-        if conn.in_flight || conn.close_after_flush {
-            return;
-        }
-        let Some(req) = conn.pending.pop_front() else {
-            return;
-        };
+    fn send_job(&mut self, idx: usize, req: ReqHead) {
+        let conn = open(&mut self.conns, idx);
         let job = Job {
             idx,
-            gen: conn.gen,
+            kill: conn.kill.clone(),
             path: req.path,
             body: req.body,
             keep_alive: req.keep_alive,
@@ -938,26 +757,32 @@ impl Reactor {
                 BufferPool::global().put(job.body);
                 self.metrics.record_shed();
                 self.metrics.record_failure();
-                self.shed_existing(idx);
+                conn.shed = true;
+                self.respond_and_close(idx, 503, b"service overloaded, request shed".to_vec());
             }
         }
     }
 
-    /// Turn an admitted connection into the shed path: 503, FIN, drain.
-    fn shed_existing(&mut self, idx: usize) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else {
-            return;
-        };
-        conn.pending.clear();
+    /// Answer `status` and close once it is written: a protocol error, or
+    /// a shed request (which FINs and drains first).
+    fn respond_and_close(&mut self, idx: usize, status: u16, body: Vec<u8>) {
+        let conn = open(&mut self.conns, idx);
         conn.reset_read();
-        conn.pending_error = None;
         conn.close_after_flush = true;
-        conn.shed = true;
-        let body = b"service overloaded, request shed".to_vec();
-        let head = response_head(503, body.len(), false).into_bytes();
-        conn.wbuf.push_back(WBuf { head, body, off: 0 });
-        if !flush_ok(conn) {
-            self.close_conn(idx);
+        let head = response_head(status, body.len(), false).into_bytes();
+        conn.wbuf = Some(WBuf { head, body, off: 0 });
+        self.write(idx);
+    }
+
+    /// Write what the socket takes of the response; once it is all out, a
+    /// successor already buffered is served without waiting for readiness.
+    fn write(&mut self, idx: usize) {
+        let conn = open(&mut self.conns, idx);
+        if flush_wbuf(conn).is_err() {
+            return self.close_conn(idx);
+        }
+        if !conn.busy() && !conn.close_after_flush {
+            self.next_request(idx, false);
         }
     }
 
@@ -970,91 +795,58 @@ impl Reactor {
             self.metrics
                 .reactor_wakeup_micros
                 .record_micros(drained_at.saturating_duration_since(d.finished));
-            let Some(conn) = self.conns.get_mut(d.idx).and_then(|c| c.as_mut()) else {
+            let conn = self.conns.get_mut(d.idx).and_then(|c| c.as_mut());
+            let Some(conn) = conn.filter(|c| Arc::ptr_eq(&c.kill, &d.kill)) else {
                 BufferPool::global().put(d.body);
                 continue;
             };
-            if conn.gen != d.gen {
-                BufferPool::global().put(d.body);
-                continue;
-            }
             conn.in_flight = false;
             conn.last_activity = Instant::now();
-            let keep_alive =
-                d.keep_alive && !conn.close_after_flush && !self.shutdown.load(Ordering::SeqCst);
-            if !keep_alive {
-                conn.close_after_flush = true;
-            }
+            let keep_alive = d.keep_alive && !self.shutdown.load(Ordering::SeqCst);
+            conn.close_after_flush = !keep_alive;
             let head = response_head(d.status, d.body.len(), keep_alive).into_bytes();
-            conn.wbuf.push_back(WBuf {
+            conn.wbuf = Some(WBuf {
                 head,
                 body: d.body,
                 off: 0,
             });
-            if !flush_ok(conn) {
-                self.close_conn(d.idx);
-                continue;
-            }
-            self.maybe_dispatch(d.idx);
+            self.write(d.idx);
             self.after_progress(d.idx);
         }
     }
 
     // ---- lifecycle ----------------------------------------------------
 
-    /// Recompute the connection's state after any progress: emit a
-    /// deferred protocol error once it's next in line, transition
-    /// fully-flushed closing connections, re-arm epoll interest.
+    /// Close a connection whose last response is out, or re-arm its epoll
+    /// interest: reading while idle or draining, writing while a response
+    /// is queued.
     fn after_progress(&mut self, idx: usize) {
-        self.flush_pending_error(idx);
         let Some(conn) = self.conns.get_mut(idx).and_then(|c| c.as_mut()) else {
             return;
         };
-        if conn.wbuf.is_empty() && conn.close_after_flush && conn.draining_until.is_none() {
-            if conn.shed {
-                // response delivered; FIN, then drain until the client
-                // closes so it reliably reads the 503 (not ECONNRESET)
-                let _ = conn.stream.shutdown(std::net::Shutdown::Write);
-                conn.draining_until = Some(Instant::now() + DRAIN_DEADLINE);
-            } else {
-                self.close_conn(idx);
-                return;
+        if conn.wbuf.is_none() && conn.close_after_flush && conn.draining_until.is_none() {
+            if !conn.shed {
+                return self.close_conn(idx);
             }
+            // response delivered; FIN, then drain until the client
+            // closes so it reliably reads the 503 (not ECONNRESET)
+            let _ = conn.stream.shutdown(std::net::Shutdown::Write);
+            conn.draining_until = Some(Instant::now() + DRAIN_DEADLINE);
         }
-        let conn = self.conns[idx].as_mut().unwrap();
-        if conn.read_closed && conn.wbuf.is_empty() && conn.pending.is_empty() && !conn.in_flight {
-            self.close_conn(idx);
-            return;
-        }
-        let conn = self.conns[idx].as_mut().unwrap();
-        let want_read = if conn.draining_until.is_some() {
-            true
-        } else {
-            !conn.read_closed
-                && !conn.close_after_flush
-                && conn.pending_error.is_none()
-                && conn.pending.len() < PIPELINE_MAX
-        };
-        let want_write = !conn.wbuf.is_empty();
-        if conn.interest != (want_read, want_write) {
-            let fd = conn.stream.as_raw_fd();
-            if self
-                .poller
-                .modify(fd, idx as u64, want_read, want_write)
-                .is_ok()
-            {
-                conn.interest = (want_read, want_write);
-            }
-        }
+        // while busy, reading stays as it is: on, or switched off by a
+        // read-side event in `conn_ready`
+        let want_read = conn.draining_until.is_some()
+            || (!conn.close_after_flush && (!conn.busy() || conn.interest.0));
+        let want = (want_read, conn.wbuf.is_some());
+        rearm(&self.poller, idx, conn, want);
     }
 
     fn close_conn(&mut self, idx: usize) {
         if let Some(mut conn) = self.conns.get_mut(idx).and_then(|c| c.take()) {
+            // cancels the connection's job: a queued one is dropped at
+            // dequeue, a running one sees it at its next checkpoint
+            conn.kill.store(true, Ordering::Relaxed);
             conn.reset_read();
-            // cancel any in-flight evaluation for this connection right
-            // away (fast time-to-cancel on client death), and mark the
-            // slot dead so queued jobs are orphaned at dequeue
-            self.jobs.conn_closed(idx, conn.gen, &self.metrics);
             let _ = self.poller.delete(conn.stream.as_raw_fd());
             if conn.admitted {
                 self.metrics
@@ -1062,11 +854,8 @@ impl Reactor {
                     .fetch_sub(1, Ordering::SeqCst);
             }
             BufferPool::global().put(conn.rbuf);
-            for wb in conn.wbuf {
+            if let Some(wb) = conn.wbuf {
                 BufferPool::global().put(wb.body);
-            }
-            for req in conn.pending {
-                BufferPool::global().put(req.body);
             }
             self.free.push(idx);
             // stream drops → close(2)
@@ -1091,7 +880,7 @@ impl Reactor {
             // timeout (non-idle, not draining) — it held a slab slot and
             // an active_connections count forever, blocking admission
             // capacity and graceful-shutdown drain detection
-            if !conn.wbuf.is_empty()
+            if conn.wbuf.is_some()
                 && now.saturating_duration_since(conn.last_write_progress) >= timeout
             {
                 self.close_conn(idx);
@@ -1099,8 +888,7 @@ impl Reactor {
             }
             // slow-loris (partial request) and idle keep-alive both get
             // the read timeout, then a clean close without a response
-            let idle = !conn.in_flight && conn.pending.is_empty() && conn.wbuf.is_empty();
-            if idle && now.saturating_duration_since(conn.last_activity) >= timeout {
+            if !conn.busy() && now.saturating_duration_since(conn.last_activity) >= timeout {
                 self.close_conn(idx);
             }
         }
@@ -1111,9 +899,7 @@ impl Reactor {
             let Some(conn) = self.conns[idx].as_ref() else {
                 continue;
             };
-            let idle = !conn.in_flight
-                && conn.pending.is_empty()
-                && conn.wbuf.is_empty()
+            let idle = !conn.busy()
                 && conn.head.is_none()
                 && conn.rbuf.is_empty()
                 && conn.draining_until.is_none();
@@ -1121,6 +907,23 @@ impl Reactor {
                 self.close_conn(idx);
             }
         }
+    }
+}
+
+/// The open connection in slot `idx`: the caller has just seen it there.
+fn open(conns: &mut [Option<Conn>], idx: usize) -> &mut Conn {
+    conns[idx].as_mut().expect("the connection is open")
+}
+
+/// Register `want` (read, write) as the connection's epoll interest,
+/// unless it already is.
+fn rearm(poller: &Poller, idx: usize, conn: &mut Conn, want: (bool, bool)) {
+    if conn.interest != want
+        && poller
+            .modify(conn.stream.as_raw_fd(), idx as u64, want.0, want.1)
+            .is_ok()
+    {
+        conn.interest = want;
     }
 }
 
@@ -1140,29 +943,26 @@ fn ewma_record(ewma: &AtomicU64, sample_micros: u64) {
     });
 }
 
-/// Flush as much of the write queue as the socket accepts. `Ok(())`
+/// Write as much of the queued response as the socket accepts. `Ok(())`
 /// means "made progress or would block"; an error means the connection
 /// is dead.
 fn flush_wbuf(conn: &mut Conn) -> io::Result<()> {
-    while let Some(front) = conn.wbuf.front_mut() {
-        let total = front.head.len() + front.body.len();
-        let n = if front.off < front.head.len() {
-            conn.stream.write_vectored(&[
-                IoSlice::new(&front.head[front.off..]),
-                IoSlice::new(&front.body),
-            ])
-        } else {
+    while let Some(wb) = conn.wbuf.as_mut() {
+        let n = if wb.off < wb.head.len() {
             conn.stream
-                .write(&front.body[front.off - front.head.len()..])
+                .write_vectored(&[IoSlice::new(&wb.head[wb.off..]), IoSlice::new(&wb.body)])
+        } else {
+            conn.stream.write(&wb.body[wb.off - wb.head.len()..])
         };
         match n {
             Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "write zero")),
             Ok(n) => {
-                front.off += n;
+                wb.off += n;
                 conn.last_write_progress = Instant::now();
-                if front.off >= total {
-                    let wb = conn.wbuf.pop_front().unwrap();
-                    BufferPool::global().put(wb.body);
+                if wb.off >= wb.head.len() + wb.body.len() {
+                    if let Some(wb) = conn.wbuf.take() {
+                        BufferPool::global().put(wb.body);
+                    }
                 }
             }
             Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
@@ -1170,14 +970,8 @@ fn flush_wbuf(conn: &mut Conn) -> io::Result<()> {
             Err(e) => return Err(e),
         }
     }
-    let _ = conn.stream.flush();
     Ok(())
 }
-
-fn flush_ok(conn: &mut Conn) -> bool {
-    flush_wbuf(conn).is_ok()
-}
-
 /// One read for a connection, appended to what its parser is filling: the
 /// pooled buffer of the body in progress — never past that body's end, so a
 /// pipelined successor stays in the socket — or else `rbuf`. The source is
@@ -1214,21 +1008,20 @@ fn parse_step(conn: &mut Conn, max_body_bytes: usize) -> ParseStep {
         if conn.rbuf.is_empty() {
             return ParseStep::NeedMore;
         }
-        let start = conn.cursor.scanned.saturating_sub(3);
-        let Some(pos) = find_header_end(&conn.rbuf, start) else {
-            conn.cursor.scanned = conn.rbuf.len();
+        // the blank line may straddle two reads
+        let Some(head_len) = head_end(&conn.rbuf, conn.scanned.saturating_sub(3)) else {
+            conn.scanned = conn.rbuf.len();
             if conn.rbuf.len() > MAX_HEAD_BYTES {
                 return ParseStep::Bad("request headers too large".to_string());
             }
             return ParseStep::NeedMore;
         };
-        let head_len = pos + 4;
         // the cap holds however the reads were chunked: a terminator
         // found past it is as oversized as one never found
         if head_len > MAX_HEAD_BYTES {
             return ParseStep::Bad("request headers too large".to_string());
         }
-        match parse_head(&conn.rbuf[..pos]) {
+        match parse_head(&conn.rbuf[..head_len]) {
             Ok(mut h) => {
                 // refused on the header alone, before any buffer is taken
                 if h.content_length > max_body_bytes {
@@ -1237,7 +1030,7 @@ fn parse_step(conn: &mut Conn, max_body_bytes: usize) -> ParseStep {
                 h.body = BufferPool::global().get(h.content_length);
                 conn.rbuf.drain(..head_len);
                 conn.head = Some(h);
-                conn.cursor = ParseCursor::default();
+                conn.scanned = 0;
             }
             Err(msg) => return ParseStep::Bad(msg),
         }
@@ -1251,23 +1044,11 @@ fn parse_step(conn: &mut Conn, max_body_bytes: usize) -> ParseStep {
     if head.body.len() < head.content_length {
         return ParseStep::NeedMore;
     }
-    let head = conn.head.take().unwrap();
-    ParseStep::Request(OwnedReq {
-        path: head.path,
-        body: head.body,
-        keep_alive: head.keep_alive,
-    })
+    ParseStep::Request(conn.head.take().unwrap())
 }
 
-fn find_header_end(buf: &[u8], from: usize) -> Option<usize> {
-    if buf.len() < 4 {
-        return None;
-    }
-    (from..=buf.len() - 4).find(|&i| &buf[i..i + 4] == b"\r\n\r\n")
-}
-
-/// Parse request line + headers from the header section (no trailing
-/// blank line): POST/GET only, `HTTP/` version required, `Content-Length`
+/// Parse request line + headers from the header section, blank line
+/// included: POST/GET only, `HTTP/` version required, `Content-Length`
 /// must be a number, `Connection` overrides the HTTP/1.1 keep-alive
 /// default.
 fn parse_head(head: &[u8]) -> Result<ReqHead, String> {
@@ -1328,23 +1109,8 @@ mod tests {
         let l = TcpListener::bind("127.0.0.1:0").unwrap();
         let stream = TcpStream::connect(l.local_addr().unwrap()).unwrap();
         Conn {
-            stream,
-            gen: 0,
             rbuf: buf.to_vec(),
-            cursor: ParseCursor::default(),
-            head: None,
-            pending: VecDeque::new(),
-            in_flight: false,
-            wbuf: VecDeque::new(),
-            read_closed: false,
-            close_after_flush: false,
-            shed: false,
-            draining_until: None,
-            admitted: true,
-            interest: (true, false),
-            last_activity: Instant::now(),
-            last_write_progress: Instant::now(),
-            pending_error: None,
+            ..Conn::new(stream)
         }
     }
 

@@ -277,7 +277,7 @@ impl Transport for ResilientTransport {
             // Cancellation is never retryable: if the job this call serves
             // was cancelled (client gone), surface the
             // original failure instead of burning backoff sleeps.
-            if crate::cancel::current_job().is_some_and(|j| j.is_cancelled()) {
+            if crate::cancel::current_job().is_some_and(|j| j.load(Ordering::Relaxed)) {
                 return Err(err);
             }
             let backoff = self.policy.backoff_before_retry(attempt, salt);
@@ -312,6 +312,7 @@ impl Transport for ResilientTransport {
 mod tests {
     use super::*;
     use crate::sim::{NetProfile, SimFault, SimNetwork};
+    use std::sync::atomic::AtomicBool;
 
     fn fast_policy(max_attempts: u32) -> RetryPolicy {
         RetryPolicy {
@@ -556,9 +557,7 @@ mod tests {
         let t =
             ResilientTransport::with_policy(net.clone(), fast_policy(5), BreakerConfig::default());
         net.inject_fault("xrpc://y", SimFault::Refuse);
-        let job = crate::cancel::JobCancel::new();
-        job.cancel();
-        let _g = crate::cancel::set_current_job(job);
+        let _g = crate::cancel::set_current_job(Arc::new(AtomicBool::new(true)));
         let e = t
             .roundtrip_hinted("xrpc://y", b"q", CallHint::ReadOnly)
             .unwrap_err();
@@ -574,7 +573,7 @@ mod tests {
         net.inject_fault("xrpc://y", SimFault::Refuse);
         let _g =
             crate::cancel::set_ambient_deadline(Some(Instant::now() + Duration::from_secs(30)));
-        let _g2 = crate::cancel::set_current_job(crate::cancel::JobCancel::new());
+        let _g2 = crate::cancel::set_current_job(Arc::default());
         let r = t
             .roundtrip_hinted("xrpc://y", b"q", CallHint::ReadOnly)
             .unwrap();

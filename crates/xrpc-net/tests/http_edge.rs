@@ -1,13 +1,15 @@
 //! HTTP edge cases against a live loopback server: keep-alive reuse, the
 //! worker hand-off, malformed requests, truncated bodies, timeout mapping,
-//! body-size enforcement, slow-loris timeouts, request pipelining,
-//! admission shedding and hundreds of concurrent keep-alive connections —
-//! at the protocol level (raw sockets, no client helper).
+//! body-size enforcement, slow-loris timeouts, request pipelining (served
+//! one request at a time per connection), cancellation of a stopped
+//! server's jobs, admission shedding and hundreds of concurrent keep-alive
+//! connections — at the protocol level (raw sockets, no client helper).
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use xrpc_net::http::{http_post_with, HttpServer};
 use xrpc_net::{HttpConfig, NetErrorKind};
@@ -343,6 +345,141 @@ fn pipelined_requests_answered_in_order() {
     assert_eq!(r1, b"path=/first;alpha", "first answer first");
     assert_eq!(r2, b"path=/second;bravo", "second answer second");
     assert_eq!(server.metrics.snapshot().roundtrips, 2);
+}
+
+/// A client that pipelines sixteen 4 MiB requests while the first one is
+/// held in its handler: the server reads one request and leaves the rest
+/// in the socket, so what the client manages to write is one request plus
+/// the two kernel socket buffers, not all 64 MiB. Once the handler is
+/// released every request is answered, in order.
+#[test]
+fn a_pipelining_client_is_read_one_request_at_a_time() {
+    const REQUESTS: usize = 16;
+    const BODY: usize = 4 << 20;
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let held = gate.clone();
+    let server = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(move |path: &str, _: &[u8]| {
+            let (open, opened) = &*held;
+            let mut open = open.lock().unwrap();
+            while !*open {
+                open = opened.wait(open).unwrap();
+            }
+            (200, path.as_bytes().to_vec())
+        }),
+    )
+    .unwrap();
+    let body = vec![b'x'; BODY];
+    let heads: Vec<String> = (0..REQUESTS)
+        .map(|i| format!("POST /{i} HTTP/1.1\r\nHost: x\r\nContent-Length: {BODY}\r\n\r\n"))
+        .collect();
+    let segments: Vec<&[u8]> = heads
+        .iter()
+        .flat_map(|h| [h.as_bytes(), &body[..]])
+        .collect();
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_nonblocking(true).unwrap();
+    // for two seconds, write whatever the server takes
+    let (mut seg, mut off, mut sent) = (0, 0, 0);
+    let until = Instant::now() + Duration::from_secs(2);
+    while seg < segments.len() && Instant::now() < until {
+        match stream.write(&segments[seg][off..]) {
+            Ok(n) => {
+                sent += n;
+                off += n;
+                if off == segments[seg].len() {
+                    (seg, off) = (seg + 1, 0);
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(1))
+            }
+            Err(e) => panic!("pipelined write failed: {e}"),
+        }
+    }
+    assert!(
+        sent < 40 << 20,
+        "the server took {} of {} MiB pipelined behind a held request",
+        sent >> 20,
+        (REQUESTS * BODY) >> 20
+    );
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
+    stream.set_nonblocking(false).unwrap();
+    for (k, segment) in segments.iter().enumerate().skip(seg) {
+        let from = if k == seg { off } else { 0 };
+        stream.write_all(&segment[from..]).unwrap();
+    }
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(&stream);
+    for i in 0..REQUESTS {
+        let (status, answer) = read_response(&mut reader);
+        assert_eq!(status, 200, "request {i}");
+        assert_eq!(answer, format!("/{i}").as_bytes(), "answers in order");
+    }
+}
+
+/// A server stopped while one job runs and another waits behind it on its
+/// only worker cancels both: the running handler sees its connection's
+/// kill flag, and the queued job is dropped before it starts. The two
+/// counters add up to both jobs.
+#[test]
+fn a_stopped_server_cancels_its_running_and_queued_jobs() {
+    let (entered_tx, entered) = mpsc::channel();
+    let (saw_tx, saw) = mpsc::channel();
+    let mut server = HttpServer::bind_with(
+        "127.0.0.1:0",
+        Arc::new(move |_: &str, _: &[u8]| {
+            let kill = xrpc_net::current_job().expect("a handler runs as a reactor job");
+            entered_tx.send(()).unwrap();
+            let started = Instant::now();
+            while !kill.load(Ordering::Relaxed) && started.elapsed() < Duration::from_secs(10) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let _ = saw_tx.send(kill.load(Ordering::Relaxed));
+            (200, Vec::new())
+        }),
+        HttpConfig {
+            reactor_workers: 1,
+            ..HttpConfig::default()
+        },
+    )
+    .unwrap();
+    let request = b"POST /xrpc HTTP/1.1\r\nHost: x\r\nContent-Length: 1\r\n\r\nx";
+    let mut a = TcpStream::connect(server.addr()).unwrap();
+    a.write_all(request).unwrap();
+    entered
+        .recv_timeout(Duration::from_secs(5))
+        .expect("request A reached its handler");
+    let mut b = TcpStream::connect(server.addr()).unwrap();
+    b.write_all(request).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.metrics.accept_queue_depth.load(Ordering::Relaxed) == 0 {
+        assert!(Instant::now() < deadline, "request B never queued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        !server.shutdown_graceful(Duration::from_millis(100)),
+        "two requests out: the server cannot drain"
+    );
+    assert_eq!(
+        saw.recv_timeout(Duration::from_secs(1)),
+        Ok(true),
+        "the running handler sees its kill flag"
+    );
+    let m = &server.metrics;
+    let ended =
+        || m.jobs_cancelled.load(Ordering::Relaxed) + m.jobs_orphaned.load(Ordering::Relaxed);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while ended() < 2 {
+        assert!(Instant::now() < deadline, "jobs ended: {}", ended());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(ended(), 2, "each job is cancelled or orphaned, once");
+    drop((a, b));
 }
 
 /// Over-admission: with `max_connections: 1` and the slot held, the

@@ -18,7 +18,7 @@
 //!   per-hop phase breakdowns, and cross-peer assembly into one
 //!   [`QueryProfile`] (JSON / folded-stack flamegraph);
 //! * [`slowlog`] — the always-on slow-query log: bounded, rotating
-//!   JSON-lines behind a never-blocking channel, served at
+//!   JSON-lines appended without ever blocking the request path, served at
 //!   `GET /slowlog`.
 //!
 //! [`Observability`] bundles a tracer with a registry of named
@@ -37,7 +37,7 @@ pub use profile::{
     HopProfile, OpGuard, OpNode, Phase, Phases, ProfileCollector, ProfileMode, QueryProfile,
 };
 pub use prom::PromWriter;
-pub use slowlog::{SlowLog, SlowLogConfig, SlowLogEntry};
+pub use slowlog::{SlowLog, SlowLogEntry};
 pub use trace::{
     ambient_span, current_context, current_tracer, set_current_context, set_current_tracer,
     trace_id_from, ContextGuard, FinishedSpan, SpanGuard, TraceContext, Tracer, TracerGuard,

@@ -1,42 +1,22 @@
-//! Always-on slow-query log: queries whose total latency exceeds a
-//! configurable threshold are appended as JSON-lines to a bounded,
+//! Always-on slow-query log: queries whose total latency reaches a
+//! threshold (250 ms unless set) are appended as JSON-lines to a bounded,
 //! rotating in-memory store, surfaced via `GET /slowlog`.
 //!
-//! The request path never blocks on the log: entries go through a
-//! best-effort bounded channel (`try_send`); when the writer falls behind,
-//! entries are dropped and counted (`dropped_total`). Retention is
-//! size-capped segments with rotate-and-drop-oldest, so a flood of slow
-//! queries can never grow the store without bound.
+//! The request path never blocks on the log: an entry is appended only
+//! when the store's lock is free at once (`try_lock`), and is dropped and
+//! counted (`dropped_total`) otherwise. Retention is size-capped segments
+//! with rotate-and-drop-oldest, so a flood of slow queries can never grow
+//! the store without bound.
 
 use crate::profile::{json_escape, Phases};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 
-/// Tuning knobs for the slow-query log.
-#[derive(Clone, Debug)]
-pub struct SlowLogConfig {
-    /// Queries at or above this total latency are logged.
-    pub threshold_millis: u64,
-    /// Rotate the active segment once it exceeds this many bytes.
-    pub segment_bytes: usize,
-    /// Retained segments (including the active one); oldest is dropped.
-    pub max_segments: usize,
-    /// Bounded channel depth between the request path and the writer.
-    pub queue_depth: usize,
-}
-
-impl Default for SlowLogConfig {
-    fn default() -> Self {
-        SlowLogConfig {
-            threshold_millis: 250,
-            segment_bytes: 64 * 1024,
-            max_segments: 8,
-            queue_depth: 256,
-        }
-    }
-}
+/// Rotate the active segment once it holds this many bytes.
+const SEGMENT_BYTES: usize = 64 * 1024;
+/// Retained segments, the active one included; the oldest is dropped.
+const MAX_SEGMENTS: usize = 8;
 
 /// One slow-query record. Query text is stored only as an FNV-1a hash —
 /// the log must not leak query contents into an admin surface.
@@ -86,8 +66,6 @@ struct Segment {
 struct Store {
     /// Sealed segments, oldest first, plus the active segment at the back.
     segments: VecDeque<Segment>,
-    segment_bytes: usize,
-    max_segments: usize,
 }
 
 impl Store {
@@ -95,9 +73,9 @@ impl Store {
         let active = self.segments.back_mut().expect("active segment");
         active.bytes += line.len() + 1;
         active.lines.push(line);
-        if active.bytes >= self.segment_bytes {
+        if active.bytes >= SEGMENT_BYTES {
             self.segments.push_back(Segment::default());
-            while self.segments.len() > self.max_segments {
+            while self.segments.len() > MAX_SEGMENTS {
                 self.segments.pop_front();
             }
         }
@@ -115,37 +93,21 @@ impl Store {
     }
 }
 
-/// The slow-query log handle held by the peer. Cloning is cheap; the
-/// writer thread exits when the last sender is dropped.
+/// The slow-query log held by the peer.
 pub struct SlowLog {
-    tx: SyncSender<String>,
-    store: Arc<Mutex<Store>>,
+    store: Mutex<Store>,
     threshold_millis: AtomicU64,
     logged: AtomicU64,
     dropped: AtomicU64,
 }
 
 impl SlowLog {
-    pub fn new(config: SlowLogConfig) -> Arc<SlowLog> {
-        let (tx, rx) = sync_channel::<String>(config.queue_depth.max(1));
-        let store = Arc::new(Mutex::new(Store {
-            segments: VecDeque::from([Segment::default()]),
-            segment_bytes: config.segment_bytes.max(1),
-            max_segments: config.max_segments.max(1),
-        }));
-        let writer_store = store.clone();
-        std::thread::Builder::new()
-            .name("xrpc-slowlog".into())
-            .spawn(move || {
-                while let Ok(line) = rx.recv() {
-                    writer_store.lock().unwrap().append(line);
-                }
-            })
-            .expect("spawn slowlog writer");
+    pub fn new() -> Arc<SlowLog> {
         Arc::new(SlowLog {
-            tx,
-            store,
-            threshold_millis: AtomicU64::new(config.threshold_millis),
+            store: Mutex::new(Store {
+                segments: VecDeque::from([Segment::default()]),
+            }),
+            threshold_millis: AtomicU64::new(250),
             logged: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         })
@@ -164,14 +126,17 @@ impl SlowLog {
         total_micros / 1000 >= self.threshold_millis()
     }
 
-    /// Best-effort, never-blocking record. Serializes on the caller (cheap
-    /// string formatting, no locks) and hands the line to the writer.
+    /// Best-effort, never-blocking record: the line is formatted on the
+    /// caller and appended only if the store is free; a busy store (a
+    /// concurrent record or render) drops it.
     pub fn record(&self, entry: &SlowLogEntry) {
-        match self.tx.try_send(entry.to_json()) {
-            Ok(()) => {
+        let line = entry.to_json();
+        match self.store.try_lock() {
+            Ok(mut store) => {
+                store.append(line);
                 self.logged.fetch_add(1, Ordering::Relaxed);
             }
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
+            Err(_) => {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -212,26 +177,11 @@ mod tests {
         }
     }
 
-    /// The writer thread is asynchronous: wait until the line of the entry
-    /// with hash `last` is in the store. The channel is FIFO and the writer
-    /// appends in order, so everything recorded before it has landed too.
-    fn drain(log: &SlowLog, last: u64) -> String {
-        let needle = format!("\"queryHash\":\"{last:016x}\"");
-        for _ in 0..5000 {
-            let r = log.render();
-            if r.contains(&needle) {
-                return r;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        panic!("the slowlog writer never wrote entry {last:#x}");
-    }
-
     #[test]
     fn records_and_renders_json_lines() {
-        let log = SlowLog::new(SlowLogConfig::default());
+        let log = SlowLog::new();
         log.record(&entry(0xdead, 300_000));
-        let r = drain(&log, 0xdead);
+        let r = log.render();
         assert_eq!(r.lines().count(), 1);
         assert!(r.contains("\"queryHash\":\"000000000000dead\""));
         assert!(r.contains("\"totalMicros\":300000"));
@@ -244,10 +194,10 @@ mod tests {
 
     #[test]
     fn threshold_gates() {
-        let log = SlowLog::new(SlowLogConfig {
-            threshold_millis: 100,
-            ..SlowLogConfig::default()
-        });
+        let log = SlowLog::new();
+        assert!(!log.is_slow(249_000));
+        assert!(log.is_slow(250_000));
+        log.set_threshold_millis(100);
         assert!(!log.is_slow(99_000));
         assert!(log.is_slow(100_000));
         log.set_threshold_millis(1);
@@ -256,48 +206,40 @@ mod tests {
 
     #[test]
     fn rotation_drops_oldest() {
-        let log = SlowLog::new(SlowLogConfig {
-            threshold_millis: 0,
-            segment_bytes: 512,
-            max_segments: 2,
-            queue_depth: 1024,
-        });
-        for i in 0..200 {
+        // each entry is ~250 bytes: 4000 of them are twice what the
+        // 8 × 64 KiB segments retain
+        let log = SlowLog::new();
+        for i in 0..4000 {
             log.record(&entry(i, 1_000));
         }
-        // All 200 fit in the queue, but retention is 2 segments of ~512
-        // bytes — far fewer than 200 entries (each ~250 bytes) survive.
-        assert_eq!((log.entries_logged(), log.entries_dropped()), (200, 0));
-        let r = drain(&log, 199);
-        let n = r.lines().count();
-        assert!(n >= 2, "retained at least one sealed segment: {n}");
-        assert!(n <= 10, "rotation bounded the store: {n} lines");
+        assert_eq!((log.entries_logged(), log.entries_dropped()), (4000, 0));
+        let r = log.render();
+        let (n, bytes) = (r.lines().count(), r.len());
+        assert!(
+            bytes <= MAX_SEGMENTS * (SEGMENT_BYTES + 512),
+            "rotation bounded the store: {n} lines, {bytes} bytes"
+        );
+        assert!(
+            bytes >= (MAX_SEGMENTS - 1) * SEGMENT_BYTES,
+            "the sealed segments are kept: {n} lines, {bytes} bytes"
+        );
         // The newest entries are the survivors.
-        assert!(r.contains(&format!("\"queryHash\":\"{:016x}\"", 199)));
+        assert!(r.contains(&format!("\"queryHash\":\"{:016x}\"", 3999)));
         assert!(!r.contains(&format!("\"queryHash\":\"{:016x}\"", 0u64)));
     }
 
     #[test]
-    fn never_blocks_when_queue_full() {
-        // Stall the writer by holding the store lock, then flood a
-        // depth-1 queue: record() must return immediately every time,
+    fn never_blocks_when_the_store_is_busy() {
+        // Hold the store's lock: record() must return at once every time,
         // counting drops instead of blocking the request path.
-        let log = SlowLog::new(SlowLogConfig {
-            queue_depth: 1,
-            ..SlowLogConfig::default()
-        });
+        let log = SlowLog::new();
         {
-            let _stall = log.store.lock().unwrap();
+            let _busy = log.store.lock().unwrap();
             for i in 0..10 {
                 log.record(&entry(i, 500_000));
             }
         }
-        assert_eq!(log.entries_logged() + log.entries_dropped(), 10);
-        // Writer could take at most one in-flight line plus one queued.
-        assert!(
-            log.entries_dropped() >= 7,
-            "dropped {}",
-            log.entries_dropped()
-        );
+        assert_eq!((log.entries_logged(), log.entries_dropped()), (0, 10));
+        assert!(log.render().is_empty());
     }
 }

@@ -18,7 +18,7 @@ use xqeval::{CompiledMain, InMemoryDocs, ModuleRegistry};
 use xrpc_net::{BreakerConfig, CrashSwitch, ResilientTransport, RetryPolicy, Transport};
 use xrpc_obs::{
     trace_id_from, Observability, Phase, ProfileCollector, ProfileMode, QueryProfile, SlowLog,
-    SlowLogConfig, SlowLogEntry, TraceContext,
+    SlowLogEntry, TraceContext,
 };
 use xrpc_proto::QueryId;
 
@@ -279,7 +279,7 @@ impl Peer {
             active_evals: Mutex::new(HashMap::new()),
             cancellations_deadline: AtomicU64::new(0),
             cancellations_cancelled: AtomicU64::new(0),
-            slowlog: SlowLog::new(SlowLogConfig::default()),
+            slowlog: SlowLog::new(),
         })
     }
 
@@ -988,7 +988,7 @@ impl Drop for OwnSnapshot<'_> {
 /// bridged in, so a client disconnect cancels the token too.
 pub(crate) fn budget_token(deadline: Option<Instant>) -> Arc<CancelToken> {
     match xrpc_net::current_job() {
-        Some(job) => CancelToken::with_external(deadline, job.flag()),
+        Some(kill) => CancelToken::with_external(deadline, kill),
         None => CancelToken::new(deadline),
     }
 }
