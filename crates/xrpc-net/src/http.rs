@@ -25,7 +25,9 @@ pub struct HttpConfig {
     /// wait). Maps to [`NetErrorKind::Timeout`] when exceeded.
     pub read_timeout: Duration,
     /// Maximum request body the server accepts; a larger `Content-Length`
-    /// is rejected with `413` *before* allocating the buffer.
+    /// is rejected with `413` *before* allocating the buffer. The client
+    /// reserves at most this much for a response body before its bytes
+    /// arrive (a larger response still reads whole, growing as it comes).
     pub max_body_bytes: usize,
     /// How many idle keep-alive connections [`HttpTransport`] keeps per
     /// destination. `0` disables pooling (every request opens a fresh
@@ -439,8 +441,10 @@ fn exchange(
     let (resp_body, trailing) = match content_length {
         Some(n) => {
             // the rest goes straight into the pooled buffer's spare
-            // capacity: no zero fill first, no bounce through `buf`
-            let mut b = BufferPool::global().get(n);
+            // capacity: no zero fill first, no bounce through `buf`. The
+            // header is the peer's word, so reserve at most the body cap
+            // up front and let the buffer grow as bytes actually arrive
+            let mut b = BufferPool::global().get(n.min(config.max_body_bytes));
             let with_head = arrived.len().min(n);
             b.extend_from_slice(&arrived[..with_head]);
             let rest = (n - with_head) as u64;
@@ -854,6 +858,41 @@ mod tests {
         assert_eq!(e.kind, NetErrorKind::Corrupt);
         assert!(e.message.contains("Content-Length"), "{}", e.message);
         server.join().unwrap();
+    }
+
+    /// A response's `Content-Length` is the peer's claim, not a size to
+    /// allocate: an absurd one followed by a short body and a close is a
+    /// connection reset, not a capacity-overflow panic or an abort.
+    #[test]
+    fn a_huge_content_length_with_a_short_body_is_a_connection_reset() {
+        for claimed in ["18446744073709551615", "1099511627776"] {
+            let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let server = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut line = String::new();
+                loop {
+                    line.clear();
+                    reader.read_line(&mut line).unwrap();
+                    if line.trim_end().is_empty() {
+                        break;
+                    }
+                }
+                let head = format!("HTTP/1.1 200 OK\r\nContent-Length: {claimed}\r\n\r\n");
+                stream.write_all(head.as_bytes()).unwrap();
+                stream.write_all(b"fifteen bytes!!").unwrap();
+            });
+            let url = format!("http://{addr}/huge");
+            let e = http_post(&url, b"").unwrap_err();
+            assert_eq!(
+                e.kind,
+                NetErrorKind::ConnectionReset,
+                "{claimed}: {}",
+                e.message
+            );
+            server.join().unwrap();
+        }
     }
 
     #[test]

@@ -130,9 +130,9 @@ pub mod crash_points {
     /// before the batch leader's fsync: the record may or may not survive
     /// — exactly the torn-tail ambiguity replay must absorb.
     pub const WAL_GROUP_FSYNC: &str = "wal:group-commit-before-fsync";
-    /// Peer dies mid-rotation: the copy-forward segment is on disk but
-    /// the previous generation has not been reclaimed — replay sees both
-    /// and must deduplicate by LSN.
+    /// Peer dies mid-compaction: the forced `log.next` is on disk but not
+    /// yet renamed over `log` — the reopen removes it and replays the old
+    /// log whole.
     pub const WAL_MID_ROTATION: &str = "wal:mid-rotation-before-reclaim";
 }
 

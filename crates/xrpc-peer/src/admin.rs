@@ -211,11 +211,10 @@ pub fn render_metrics(peer: &Peer, server_metrics: Option<&NetMetrics>) -> Strin
         peer.coord.committed_entries() as u64,
     );
 
-    // WAL durability surface: segment/byte gauges and the rotation,
+    // WAL durability surface: byte gauge and the compaction,
     // group-commit and recovery counters (see `wal::WalStats`).
     if let Some(l) = peer.wal() {
         let s = l.stats();
-        w.gauge("xrpc_wal_segments", s.segments);
         w.gauge("xrpc_wal_log_bytes", s.log_bytes);
         w.gauge("xrpc_wal_poisoned", if s.poisoned { 1 } else { 0 });
         w.counter("xrpc_wal_rotations_total", s.rotations);

@@ -290,7 +290,7 @@ impl Peer {
 
     /// Arm deterministic crash injection (chaos harness only). Forwarded
     /// to the attached WAL so its internal crash points (group-commit
-    /// fsync, mid-rotation) share the same switch.
+    /// fsync, mid-compaction) share the same switch.
     pub fn set_crash_switch(&self, sw: Arc<CrashSwitch>) {
         if let Some(w) = self.wal() {
             w.set_crash_switch(sw.clone());

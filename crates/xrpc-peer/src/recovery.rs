@@ -134,7 +134,7 @@ impl Peer {
     }
 
     /// [`attach_wal`](Self::attach_wal) with full control over group
-    /// commit and segment rotation.
+    /// commit and the size that triggers a compaction.
     pub fn attach_wal_with(
         self: &Arc<Self>,
         path: impl AsRef<Path>,
@@ -415,7 +415,7 @@ mod tests {
         dir
     }
 
-    /// What the disk holds right now: the segment files as they are, without
+    /// What the disk holds right now: the log file as it is, without
     /// whatever the live log still keeps in memory.
     fn crash_image(of: &Path, name: &str) -> PathBuf {
         let image = scratch(name);

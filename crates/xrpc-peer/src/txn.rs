@@ -599,7 +599,7 @@ pub fn coord_step(at: Option<CoordState>, input: CoordInput<'_>) -> Result<Coord
     match (at, input) {
         // unforced: it only feeds the re-abort sweep
         (None, Begin(_)) => edge(Some(Coordinating), Some((Rec::CoordinatorBegin, false))),
-        // the commit point — forced before any Commit leaves (a rotation
+        // the commit point — forced before any Commit leaves (a compaction
         // may have dropped the begin record it supersedes)
         (None | Some(Coordinating), Commit(_)) => edge(
             Some(Committed { delivered: false }),

@@ -15,40 +15,40 @@
 //!   presumed-abort commit point (no record at the coordinator *means*
 //!   abort).
 //!
-//! On disk the log is a *directory* of numbered segments. Each segment
-//! starts with the magic `XRPCWAL3` and holds frames of
+//! On disk the log is one file, `log`, inside the WAL directory. It starts
+//! with the magic `XRPCWAL3` and holds frames of
 //! `[payload_len: u32 LE][crc32(payload): u32 LE][payload]`. A payload is
 //! one element of the XRPC vocabulary, `<xrpc:prepared>`, `<xrpc:decision>`,
 //! `<xrpc:applied>` or `<xrpc:coord-{begin,commit,end}>`, with the record's
 //! monotonic **LSN** and queryID as attributes. A ∆'s primitives are child
 //! elements (`<xrpc:insert-into doc target>` …) whose content is an
 //! `<xrpc:sequence>` written by `s2n` and read back by `n2s`, as on the
-//! wire. A segment of the previous format (`XRPCWAL2`) opens only if it
-//! holds no frame, and is rewritten; one with records is refused.
-//! Three mechanisms keep the log fast and bounded:
+//! wire. Three mechanisms keep the log fast and bounded:
 //!
 //! * **group commit** — under [`FsyncPolicy::Always`] concurrent appends
 //!   coalesce into one fsync via a leader/follower protocol: whoever
 //!   finds no leader syncing becomes the leader, syncs everything written
 //!   so far, and wakes the followers whose records rode along;
-//! * **segment rotation with copy-forward** — when the active segment
-//!   outgrows `rotate_bytes`, the records of still-open transactions are
-//!   copied (with their original LSNs) into a fresh segment and the old
-//!   generation is reclaimed. Replay walks segments in order and
-//!   deduplicates by LSN, so a crash between copy-forward and reclaim is
-//!   harmless;
+//! * **compaction** — when the log outgrows `rotate_bytes`, the records
+//!   of still-open transactions (with their original LSNs) are written to
+//!   `log.next`, which is forced and then renamed over `log`. A new log is
+//!   created the same way, so a `log` only ever appears whole: a crash
+//!   before the rename leaves the old log intact and a `log.next` that the
+//!   next open removes;
 //! * **quiesce truncation** — whenever an append leaves no transaction
-//!   open, the active segment is truncated to its magic and older
-//!   segments deleted. The checkpoint issues no flush of its own and
-//!   becomes durable with the next forced append ([`Wal::replay_floor`]).
+//!   open, the log is truncated to its magic. The checkpoint issues no
+//!   flush of its own and becomes durable with the next forced append
+//!   ([`Wal::replay_floor`]).
 //!
-//! Replay truncates a torn or CRC-damaged tail of the *last* segment back
-//! to the final intact frame; damage in any earlier segment is a hard
-//! error. A log that fails an append or fsync is **poisoned**: every later
-//! append fails fast with a typed XRPC0003 durability error.
+//! Replay truncates a torn or CRC-damaged tail back to the final intact
+//! frame. A `log` without the magic is damage, not a crash: it is refused
+//! and left as it is. So is a directory of the older segmented layout
+//! (`*.seg` files) unless every segment was checkpointed empty. A log that
+//! fails an append or fsync is **poisoned**: every later append fails fast
+//! with a typed XRPC0003 durability error.
 
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -66,12 +66,13 @@ use xrpc_proto::{n2s, QueryId};
 
 use crate::store::Decision;
 
-/// Segment magic: identifies (and versions) the segmented log format.
+/// Log magic: identifies (and versions) the log format.
 const MAGIC: &[u8; 8] = b"XRPCWAL3";
 
-/// The magic of the format before records were `xrpc:` elements. A segment
-/// that has it opens only if it holds no frame.
-const OLD_MAGIC: &[u8; 8] = b"XRPCWAL2";
+/// The log's file name inside the WAL directory, and where a compaction
+/// writes the next log before renaming it over the first.
+const LOG: &str = "log";
+const LOG_NEXT: &str = "log.next";
 
 /// When to `fsync` after an append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -87,7 +88,7 @@ pub enum FsyncPolicy {
 }
 
 /// Tunables for one log. `Default` is the production shape: forced
-/// appends with group commit, ~1 MiB segments.
+/// appends with group commit, compaction past ~1 MiB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalConfig {
     pub fsync: FsyncPolicy,
@@ -95,9 +96,9 @@ pub struct WalConfig {
     /// field stays because `benchmark/` names it in struct literals, and
     /// goes when the benchmark's owner drops it.
     pub group_commit: bool,
-    /// Rotate the active segment once it exceeds this many bytes (and at
-    /// least one transaction is still open — otherwise quiesce truncation
-    /// already reset it).
+    /// Compact the log once it exceeds this many bytes (and at least one
+    /// transaction is still open — otherwise quiesce truncation already
+    /// reset it).
     pub rotate_bytes: u64,
 }
 
@@ -170,8 +171,7 @@ impl WalRecord {
 }
 
 /// A record as it exists in the log: the payload plus its log sequence
-/// number. LSNs are monotonic per log and survive copy-forward rotation
-/// unchanged, which is what lets replay deduplicate across generations.
+/// number. LSNs are monotonic per log and survive compaction unchanged.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SequencedRecord {
     pub lsn: u64,
@@ -623,9 +623,8 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// observed about the tail.
 pub struct Replay {
     pub records: Vec<SequencedRecord>,
-    /// True when replay stopped early at a torn or corrupt tail of the
-    /// last segment (which was truncated away before the log re-opened
-    /// for appends).
+    /// True when replay stopped early at a torn or corrupt tail (which was
+    /// truncated away before the log re-opened for appends).
     pub tail_damaged: bool,
 }
 
@@ -633,16 +632,13 @@ pub struct Replay {
 /// [`Wal::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// Segments currently on disk (1 except briefly around rotation, or
-    /// after a mid-rotation crash until the next rotation/quiesce).
-    pub segments: u64,
-    /// Total bytes across all segments.
+    /// Logical size of the log: magic plus every framed record.
     pub log_bytes: u64,
-    /// Rotations performed since open.
+    /// Compactions performed since open.
     pub rotations: u64,
-    /// Live records copied forward across all rotations.
+    /// Live records copied forward across all compactions.
     pub copy_forward_records: u64,
-    /// Torn/corrupt segment tails truncated at open.
+    /// Torn/corrupt log tails truncated at open.
     pub torn_tail_recoveries: u64,
     /// Physical fsyncs issued (each may cover a whole group-commit batch).
     pub fsyncs: u64,
@@ -663,7 +659,7 @@ struct Observers {
     batch: Option<Arc<xrpc_obs::Histogram>>,
 }
 
-/// An open write-ahead log (a directory of segments).
+/// An open write-ahead log (a directory holding the file `log`).
 pub struct Wal {
     path: PathBuf,
     config: WalConfig,
@@ -687,7 +683,7 @@ pub struct Wal {
     /// a hang.
     sync: Mutex<()>,
     sync_cond: Condvar,
-    /// Highest LSN written to the active segment (advanced under `inner`).
+    /// Highest LSN written to the log (advanced under `inner`).
     written_lsn: AtomicU64,
     /// See [`Wal::replay_floor`].
     replay_floor: AtomicU64,
@@ -716,31 +712,23 @@ enum Role {
 }
 
 struct WalInner {
-    /// Active segment, positioned at its end.
+    /// The log, positioned at its end.
     file: File,
-    /// Clone of the active segment's handle; the group-commit leader
-    /// fsyncs through it *outside* the `inner` lock so appenders keep
-    /// staging during the sync.
+    /// Clone of the log's handle; the group-commit leader fsyncs through
+    /// it *outside* the `inner` lock so appenders keep staging during the
+    /// sync.
     sync_handle: Arc<File>,
-    /// Active segment sequence number (file name `{seq:016x}.seg`).
-    seg_seq: u64,
-    /// Every segment on disk, ascending; last = active. More than one
-    /// only until the next rotation or quiesce reclaims the older
-    /// generation (e.g. after a mid-rotation crash).
-    segs: Vec<u64>,
-    /// Logical size of the active segment: magic + every framed record,
-    /// including ones still staged. The physical file may extend further
-    /// with preallocated zeros (see [`prealloc_len`]).
-    seg_bytes: u64,
-    /// Total size of the non-active segments.
-    older_bytes: u64,
+    /// Logical size of the log: magic + every framed record, including
+    /// ones still staged. The physical file may extend further with
+    /// preallocated zeros (see [`prealloc_len`]).
+    log_bytes: u64,
     next_lsn: u64,
     /// Records of transactions that still demand action after a crash,
-    /// per obligation — exactly what copy-forward must preserve across a
-    /// rotation. Empty map after an append = quiesced → truncate.
+    /// per obligation — exactly what a compaction must preserve. Empty
+    /// map after an append = quiesced → truncate.
     live: HashMap<OpenKey, Vec<SequencedRecord>>,
     /// Group-commit staging buffer: framed records appended but not yet
-    /// written to the active segment. The batch leader drains it with
+    /// written to the log. The batch leader drains it with
     /// one `write_all` immediately before its fsync, so the file is
     /// write-quiescent while the flush runs — concurrent appends during
     /// an fdatasync keep re-dirtying the inode and stretch the flush
@@ -748,13 +736,9 @@ struct WalInner {
     /// otherwise.
     staged: Vec<u8>,
     /// Every record up to this LSN has been hidden by a quiesce checkpoint
-    /// whose zeros (or truncation) the next flush of the active segment
-    /// makes durable.
+    /// whose zeros (or truncation) the next flush of the log makes
+    /// durable.
     checkpointed_lsn: u64,
-}
-
-fn seg_name(seq: u64) -> String {
-    format!("{seq:016x}.seg")
 }
 
 /// Filesystem page size assumed for drain padding and preallocation.
@@ -766,19 +750,21 @@ const PAGE: u64 = 4096;
 /// waits for leader wakeup before starting more I/O.
 const MAX_INFLIGHT_SYNCS: u64 = 2;
 
-/// Preallocated length of an active segment under staging. fdatasync of
-/// a growing file must journal the extent/size change, which makes its
-/// latency scale with the batch size — exactly the tail group commit is
-/// supposed to amortize away. Zero-filling the segment up front turns
-/// every drain into an in-place overwrite with a flat flush cost. Slack
-/// beyond `rotate_bytes` absorbs the overshoot of the append that trips
-/// rotation; the cap keeps absurd `rotate_bytes` settings from writing
+/// Preallocated length of the log under staging (none without it: writes
+/// go through as they come). fdatasync of a growing
+/// file must journal the extent/size change, which makes its latency
+/// scale with the batch size — exactly the tail group commit is supposed
+/// to amortize away. Zero-filling the log up front turns every drain into
+/// an in-place overwrite with a flat flush cost. Slack beyond
+/// `rotate_bytes` absorbs the overshoot of the append that trips
+/// compaction; the cap keeps absurd `rotate_bytes` settings from writing
 /// gigabytes of zeros.
 fn prealloc_len(config: &WalConfig) -> u64 {
-    config
-        .rotate_bytes
-        .saturating_add(64 * 1024)
-        .min(4 * 1024 * 1024)
+    match config.fsync {
+        FsyncPolicy::Always => config.rotate_bytes.saturating_add(64 * 1024),
+        FsyncPolicy::Never => 0,
+    }
+    .min(4 * 1024 * 1024)
 }
 
 fn zero_fill(file: &mut File, from: u64, to: u64) -> std::io::Result<()> {
@@ -796,16 +782,61 @@ fn zero_fill(file: &mut File, from: u64, to: u64) -> std::io::Result<()> {
     Ok(())
 }
 
-/// A fresh segment at `path` holding only its magic.
-fn create_segment(path: &Path) -> std::io::Result<File> {
+/// Write the magic and `frames` to `log.next` in `dir`, zero-filled to
+/// `prealloc` bytes, and force it under either policy. Returns it
+/// positioned at its logical end, and that end.
+fn write_next(dir: &Path, frames: &[u8], prealloc: u64) -> std::io::Result<(File, u64)> {
     let mut f = OpenOptions::new()
         .read(true)
         .write(true)
         .create(true)
         .truncate(true)
-        .open(path)?;
+        .open(dir.join(LOG_NEXT))?;
     f.write_all(MAGIC)?;
-    Ok(f)
+    f.write_all(frames)?;
+    let end = (MAGIC.len() + frames.len()) as u64;
+    if end < prealloc {
+        zero_fill(&mut f, end, prealloc)?;
+        f.seek(SeekFrom::Start(end))?;
+    }
+    f.sync_data()?;
+    Ok((f, end))
+}
+
+/// Rename `log.next` over `log`, then fsync the directory, best effort:
+/// POSIX makes a new entry durable only with its directory.
+fn install_next(dir: &Path) -> std::io::Result<()> {
+    std::fs::rename(dir.join(LOG_NEXT), dir.join(LOG))?;
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
+    Ok(())
+}
+
+/// The older layout kept numbered `*.seg` files in the directory. They
+/// are removed when none holds a non-zero byte past its magic (every one
+/// was checkpointed empty, whatever its format); otherwise the directory
+/// is refused as it is.
+fn retire_segments(dir: &Path) -> XdmResult<()> {
+    let io = |e: std::io::Error| XdmError::xrpc(format!("WAL {}: {e}", dir.display()));
+    let mut empty = Vec::new();
+    for entry in std::fs::read_dir(dir).map_err(io)? {
+        let seg = entry.map_err(io)?.path();
+        if seg.extension().is_some_and(|e| e == "seg") {
+            let buf = std::fs::read(&seg).map_err(io)?;
+            if buf.iter().skip(MAGIC.len()).any(|&b| b != 0) {
+                return Err(XdmError::xrpc(format!(
+                    "WAL {} holds records in the older segmented layout",
+                    seg.display()
+                )));
+            }
+            empty.push(seg);
+        }
+    }
+    empty
+        .into_iter()
+        .try_for_each(std::fs::remove_file)
+        .map_err(io)
 }
 
 fn frame_bytes(payload: &str) -> Vec<u8> {
@@ -831,7 +862,7 @@ fn scan_frames(buf: &[u8], start: usize) -> (Vec<SequencedRecord>, usize, bool) 
         let crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
         if len == 0 && crc == 0 {
             // an all-zero header is the logical end of a preallocated or
-            // page-padded segment, not damage: a real frame never has
+            // page-padded log, not damage: a real frame never has
             // len 0, and a torn frame's bytes were never acked durable
             return (records, pos, false);
         }
@@ -865,136 +896,66 @@ impl Wal {
     }
 
     /// Open (creating if absent) the log directory at `path`, replaying
-    /// every intact record segment by segment, deduplicated by LSN. A
-    /// torn or CRC-damaged tail of the *last* segment ends the replay —
-    /// that segment is truncated back to its last intact frame so appends
-    /// resume cleanly; damage in an earlier segment is a hard error, and so
-    /// is a `path` that exists as anything but a directory.
+    /// every intact record of its `log`. A torn or CRC-damaged tail ends
+    /// the replay and is truncated away so appends resume cleanly. A `log`
+    /// without the magic, an older layout with records, and a `path` that
+    /// is not a directory are typed errors that leave the log as it is.
     pub fn open_with(path: impl AsRef<Path>, config: WalConfig) -> XdmResult<(Arc<Wal>, Replay)> {
         let path = path.as_ref().to_path_buf();
         let io = |e: std::io::Error| XdmError::xrpc(format!("WAL {}: {e}", path.display()));
 
-        let mut tail_damaged = false;
         if std::fs::metadata(&path).is_ok_and(|m| !m.is_dir()) {
             return Err(XdmError::xrpc(format!(
                 "{} is not a WAL directory",
                 path.display()
             )));
         }
-
         std::fs::create_dir_all(&path).map_err(io)?;
+        retire_segments(&path)?;
+        // a compaction that died before its rename; should the removal
+        // fail, the next compaction truncates it anyway
+        let _ = std::fs::remove_file(path.join(LOG_NEXT));
 
-        // ---- enumerate segments ----
-        let mut segs: Vec<u64> = Vec::new();
-        for entry in std::fs::read_dir(&path).map_err(io)? {
-            let name = entry.map_err(io)?.file_name();
-            let stem = name.to_str().and_then(|n| n.strip_suffix(".seg"));
-            if let Some(seq) = stem.and_then(|s| u64::from_str_radix(s, 16).ok()) {
-                segs.push(seq);
+        let log_path = path.join(LOG);
+        let prealloc = prealloc_len(&config);
+        let (file, records, end, tail_damaged) = match std::fs::read(&log_path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                let (file, end) = write_next(&path, &[], prealloc).map_err(io)?;
+                install_next(&path).map_err(io)?;
+                (file, Vec::new(), end, false)
             }
-        }
-        segs.sort_unstable();
-
-        // ---- replay, deduplicating by LSN across generations ----
-        let mut records: Vec<SequencedRecord> = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
-        // logical end of the last segment: where appends resume (the
-        // physical file may extend further with preallocated zeros)
-        let mut active_end = MAGIC.len() as u64;
-        // old-format segments checkpointed empty, rewritten once all pass
-        let mut retired = Vec::new();
-        for (i, &seq) in segs.iter().enumerate() {
-            let seg_path = path.join(seg_name(seq));
-            let buf = std::fs::read(&seg_path).map_err(io)?;
-            let last = i + 1 == segs.len();
-            if let Some(rest) = buf.strip_prefix(OLD_MAGIC) {
-                if rest.iter().any(|&b| b != 0) {
+            Err(e) => return Err(io(e)),
+            Ok(buf) => {
+                if !buf.starts_with(MAGIC) {
                     return Err(XdmError::xrpc(format!(
-                        "WAL segment {} holds records in the old XRPCWAL2 format",
-                        seg_path.display()
+                        "WAL {} does not start with its magic: damaged, left as it is",
+                        log_path.display()
                     )));
                 }
-                retired.push(seg_path);
-                continue;
-            }
-            let intact_magic = buf.len() >= MAGIC.len() && &buf[..MAGIC.len()] == MAGIC;
-            if !intact_magic {
-                if last {
-                    // crash between segment creation and its magic write:
-                    // an empty shell, recoverable
-                    std::fs::write(&seg_path, MAGIC).map_err(io)?;
-                    tail_damaged = true;
-                    continue;
-                }
-                return Err(XdmError::xrpc(format!(
-                    "WAL segment {} is damaged (bad magic) before the final segment",
-                    seg_path.display()
-                )));
-            }
-            let (frames, end, damaged) = scan_frames(&buf, MAGIC.len());
-            if last {
-                active_end = end as u64;
-            }
-            if damaged {
-                if !last {
-                    return Err(XdmError::xrpc(format!(
-                        "WAL segment {} is corrupt before the final segment",
-                        seg_path.display()
-                    )));
-                }
-                OpenOptions::new()
+                let (records, end, damaged) = scan_frames(&buf, MAGIC.len());
+                let mut f = OpenOptions::new()
+                    .read(true)
                     .write(true)
-                    .open(&seg_path)
-                    .map_err(io)?
-                    .set_len(end as u64)
+                    .open(&log_path)
                     .map_err(io)?;
-                tail_damaged = true;
+                if damaged {
+                    f.set_len(end as u64).map_err(io)?;
+                }
+                let physical = f.metadata().map_err(io)?.len();
+                if physical < prealloc {
+                    zero_fill(&mut f, physical, prealloc).map_err(io)?;
+                    f.sync_data().map_err(io)?;
+                }
+                f.seek(SeekFrom::Start(end as u64)).map_err(io)?;
+                (f, records, end as u64, damaged)
             }
-            records.extend(frames.into_iter().filter(|sr| seen.insert(sr.lsn)));
-        }
-        for seg_path in retired {
-            std::fs::write(&seg_path, MAGIC).map_err(io)?;
-        }
-        records.sort_by_key(|r| r.lsn);
+        };
 
         let next_lsn = records.iter().map(|r| r.lsn).max().unwrap_or(0) + 1;
         let mut live: HashMap<OpenKey, Vec<SequencedRecord>> = HashMap::new();
         for sr in &records {
             apply_live(&mut live, sr.lsn, &sr.record);
         }
-
-        // ---- set up the active segment ----
-        let (seg_seq, mut file) = if let Some(&active) = segs.last() {
-            let mut f = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .open(path.join(seg_name(active)))
-                .map_err(io)?;
-            f.seek(SeekFrom::Start(active_end)).map_err(io)?;
-            (active, f)
-        } else {
-            segs = vec![1];
-            (1, create_segment(&path.join(seg_name(1))).map_err(io)?)
-        };
-        if config.fsync == FsyncPolicy::Always {
-            // staging mode: preallocate so group drains overwrite in place
-            let physical = file.metadata().map_err(io)?.len();
-            let target = prealloc_len(&config);
-            if physical < target {
-                zero_fill(&mut file, physical, target).map_err(io)?;
-                file.sync_data().map_err(io)?;
-                file.seek(SeekFrom::Start(active_end)).map_err(io)?;
-            }
-        }
-        let seg_bytes = active_end;
-        let older_bytes = segs[..segs.len() - 1]
-            .iter()
-            .map(|&s| {
-                std::fs::metadata(path.join(seg_name(s)))
-                    .map(|m| m.len())
-                    .unwrap_or(0)
-            })
-            .sum();
         let sync_handle = Arc::new(file.try_clone().map_err(io)?);
 
         let written = next_lsn - 1;
@@ -1005,10 +966,7 @@ impl Wal {
             inner: Mutex::new(WalInner {
                 file,
                 sync_handle,
-                seg_seq,
-                segs,
-                seg_bytes,
-                older_bytes,
+                log_bytes: end,
                 next_lsn,
                 live,
                 staged: Vec::new(),
@@ -1026,7 +984,6 @@ impl Wal {
             observers: Mutex::new(Observers::default()),
             rotations: AtomicU64::new(0),
             copy_forward_records: AtomicU64::new(0),
-            // only the last segment's tail is ever recovered
             torn_tail_recoveries: AtomicU64::new(tail_damaged as u64),
             fsyncs: AtomicU64::new(0),
         });
@@ -1124,8 +1081,7 @@ impl Wal {
     pub fn stats(&self) -> WalStats {
         let inner = self.inner.lock();
         WalStats {
-            segments: inner.segs.len() as u64,
-            log_bytes: inner.seg_bytes + inner.older_bytes,
+            log_bytes: inner.log_bytes,
             rotations: self.rotations.load(Ordering::Relaxed),
             copy_forward_records: self.copy_forward_records.load(Ordering::Relaxed),
             torn_tail_recoveries: self.torn_tail_recoveries.load(Ordering::Relaxed),
@@ -1176,11 +1132,11 @@ impl Wal {
         } else if let Err(e) = inner.file.write_all(&frame) {
             return Err(self.io_poison("append", e));
         }
-        inner.seg_bytes += frame.len() as u64;
+        inner.log_bytes += frame.len() as u64;
         self.written_lsn.store(lsn, Ordering::Release);
 
-        if inner.seg_bytes > self.config.rotate_bytes {
-            self.rotate_locked(&mut inner)?;
+        if inner.log_bytes > self.config.rotate_bytes {
+            self.compact_locked(&mut inner)?;
         }
         drop(inner);
 
@@ -1215,42 +1171,27 @@ impl Wal {
         self.sync_cond.notify_all();
     }
 
-    /// Quiesce checkpoint: reclaim every older segment and truncate the
-    /// active one to its magic. Caller holds `inner`, so no flush happens
-    /// here: every record this hides belongs to a closed transaction —
-    /// should a crash bring some of them back, replaying them settles
-    /// nothing twice (an abort releases nothing, a commit is stopped by the
-    /// store's applied-LSN mark) — and the zeros reach the disk with the
-    /// next forced append's flush of the same file.
+    /// Quiesce checkpoint: truncate the log to its magic. Caller holds
+    /// `inner`, so no flush happens here: every record this hides belongs
+    /// to a closed transaction — should a crash bring some of them back,
+    /// replaying them settles nothing twice (an abort releases nothing, a
+    /// commit is stopped by the store's applied-LSN mark) — and the zeros
+    /// reach the disk with the next forced append's flush of the same file.
     fn quiesce_locked(&self, inner: &mut WalInner) -> XdmResult<()> {
         // anything still staged belongs to a closed transaction now
         inner.staged.clear();
-        let active = inner.seg_seq;
-        inner.segs.retain(|&s| s != active);
-        let older = std::mem::replace(&mut inner.segs, vec![active]);
-        for &seq in &older {
-            let _ = std::fs::remove_file(self.path.join(seg_name(seq)));
-        }
-        if !older.is_empty() {
-            // only after a crash mid-rotation; make their removal durable
-            // now, since nothing later would
-            if let Ok(dir) = File::open(&self.path) {
-                let _ = dir.sync_all();
-            }
-        }
-        inner.older_bytes = 0;
         let res = if self.staging() {
             // keep the preallocation: zero the used prefix instead of
             // truncating, so later drains stay in-place overwrites (the
             // zeros also stop any stale frame from resurrecting on replay)
-            zero_fill(&mut inner.file, MAGIC.len() as u64, inner.seg_bytes)
+            zero_fill(&mut inner.file, MAGIC.len() as u64, inner.log_bytes)
         } else {
             inner.file.set_len(MAGIC.len() as u64)
         };
         if let Err(e) = res.and_then(|_| inner.file.seek(SeekFrom::Start(MAGIC.len() as u64))) {
             return Err(self.io_poison("truncate", e));
         }
-        inner.seg_bytes = MAGIC.len() as u64;
+        inner.log_bytes = MAGIC.len() as u64;
         inner.checkpointed_lsn = inner.next_lsn - 1;
         if self.config.fsync == FsyncPolicy::Never {
             // no flush will ever follow: the operating system has it
@@ -1260,74 +1201,45 @@ impl Wal {
         Ok(())
     }
 
-    /// Rotate: copy every live record (with its original LSN) into a new
-    /// segment, sync it, reclaim the old generation, and swap the active
-    /// handle. Caller holds `inner`. After a successful rotation every
-    /// LSN written so far is durable-or-closed, so the group-commit
-    /// horizon advances without an extra fsync.
-    fn rotate_locked(&self, inner: &mut WalInner) -> XdmResult<()> {
-        // staged frames are subsumed by the copy-forward below: live
-        // records are rewritten from memory into the new segment, closed
-        // ones owe nothing
-        inner.staged.clear();
-        let new_seq = inner.seg_seq + 1;
-        let seg_path = self.path.join(seg_name(new_seq));
-        let res: std::io::Result<(File, u64, u64)> = (|| {
-            let mut f = create_segment(&seg_path)?;
-            let mut bytes = MAGIC.len() as u64;
-            let mut fwd: Vec<&SequencedRecord> = inner.live.values().flatten().collect();
-            fwd.sort_by_key(|sr| sr.lsn);
-            let copied = fwd.len() as u64;
-            for sr in fwd {
-                let frame = frame_bytes(&encode_record(&sr.record, sr.lsn));
-                f.write_all(&frame)?;
-                bytes += frame.len() as u64;
-            }
-            if self.staging() {
-                let target = prealloc_len(&self.config);
-                if bytes < target {
-                    zero_fill(&mut f, bytes, target)?;
-                    f.seek(SeekFrom::Start(bytes))?;
-                }
-            }
-            if self.config.fsync == FsyncPolicy::Always {
-                f.sync_data()?;
-            }
-            Ok((f, bytes, copied))
-        })();
-        let (file, bytes, copied) = match res {
-            Ok(v) => v,
-            Err(e) => return Err(self.io_poison("rotation", e)),
-        };
+    /// Compact: write every live record (with its original LSN) to a
+    /// forced `log.next`, rename it over `log`, and swap the handle.
+    /// Caller holds `inner`. After a successful compaction every LSN
+    /// written so far is durable-or-closed, so the group-commit horizon
+    /// advances without an extra fsync.
+    fn compact_locked(&self, inner: &mut WalInner) -> XdmResult<()> {
+        let mut fwd: Vec<&SequencedRecord> = inner.live.values().flatten().collect();
+        fwd.sort_by_key(|sr| sr.lsn);
+        let copied = fwd.len() as u64;
+        let frames: Vec<u8> = fwd
+            .into_iter()
+            .flat_map(|sr| frame_bytes(&encode_record(&sr.record, sr.lsn)))
+            .collect();
+        let poison = |e| self.io_poison("compaction", e);
+        let (file, bytes) =
+            write_next(&self.path, &frames, prealloc_len(&self.config)).map_err(poison)?;
 
-        // the copy-forward generation is durable, the old one not yet
-        // reclaimed: dying here leaves both on disk — replay dedups by LSN
+        // `log.next` is durable, the rename not done: dying here leaves
+        // the old log whole (staged frames included: a leader still
+        // drains them into it), and the next open removes `log.next`
         self.crash_hit(crash_points::WAL_MID_ROTATION)?;
 
-        for &seq in &inner.segs {
-            let _ = std::fs::remove_file(self.path.join(seg_name(seq)));
-        }
-        if let Ok(dir) = File::open(&self.path) {
-            let _ = dir.sync_all();
-        }
-        let sync_handle = match file.try_clone() {
-            Ok(f) => Arc::new(f),
-            Err(e) => return Err(self.io_poison("rotation", e)),
-        };
+        let sync_handle = install_next(&self.path)
+            .and_then(|()| file.try_clone())
+            .map_err(poison)?;
+        // staged frames are subsumed by the copy above: live records were
+        // rewritten from memory, closed ones owe nothing
+        inner.staged.clear();
         inner.file = file;
-        inner.sync_handle = sync_handle;
-        inner.seg_seq = new_seq;
-        inner.segs = vec![new_seq];
-        inner.seg_bytes = bytes;
-        inner.older_bytes = 0;
+        inner.sync_handle = Arc::new(sync_handle);
+        inner.log_bytes = bytes;
         self.rotations.fetch_add(1, Ordering::Relaxed);
         self.copy_forward_records
             .fetch_add(copied, Ordering::Relaxed);
 
-        // every live record ≤ written_lsn now sits in the synced new
-        // segment; every other record ≤ written_lsn is closed — either
-        // way there is nothing left to force, and nothing older than the
-        // oldest live record left to replay
+        // every live record ≤ written_lsn now sits in the forced new log;
+        // every other record ≤ written_lsn is closed — either way there is
+        // nothing left to force, and nothing older than the oldest live
+        // record left to replay
         self.advance_durable(self.written_lsn.load(Ordering::Acquire));
         if let Some(oldest) = inner.live.values().flatten().map(|sr| sr.lsn).min() {
             self.replay_floor.fetch_max(oldest, Ordering::AcqRel);
@@ -1424,8 +1336,8 @@ impl Wal {
         self.config.fsync == FsyncPolicy::Always
     }
 
-    /// Drain any staged frames into the active segment with a single
-    /// write, then snapshot (active-segment handle, written horizon,
+    /// Drain any staged frames into the log with a single write, then
+    /// snapshot (log handle, written horizon,
     /// checkpointed horizon) consistently: every record ≤ the written
     /// horizon is in the file this handle refers to (appended, drained, or
     /// copied forward) or closed, and a flush through the handle makes the
@@ -1453,7 +1365,7 @@ impl Wal {
     }
 
     /// Every record with an LSN below this is gone from the disk for good —
-    /// closed, then hidden by a checkpoint or left behind by a rotation
+    /// closed, then hidden by a checkpoint or left behind by a compaction
     /// that a flush has since made durable — so no replay can bring it
     /// back. An applied-LSN mark below it guards a `Prepared` record that
     /// no longer exists.
@@ -1481,8 +1393,8 @@ impl Drop for Wal {
 }
 
 impl WalInner {
-    /// Write the staged frames at the logical end of the active segment
-    /// (`seg_bytes` counts them the moment they are staged), padded to the
+    /// Write the staged frames at the logical end of the log
+    /// (`log_bytes` counts them the moment they are staged), padded to the
     /// next page boundary: a flush then writes whole preallocated pages,
     /// and the zeros double as the end-of-log sentinel. Padding is not part
     /// of the logical log — the next drain overwrites it.
@@ -1491,8 +1403,8 @@ impl WalInner {
             return Ok(());
         }
         let mut batch = std::mem::take(&mut self.staged);
-        let start = self.seg_bytes - batch.len() as u64;
-        let pad = (PAGE - self.seg_bytes % PAGE) % PAGE;
+        let start = self.log_bytes - batch.len() as u64;
+        let pad = (PAGE - self.log_bytes % PAGE) % PAGE;
         batch.resize(batch.len() + pad as usize, 0);
         self.file.seek(SeekFrom::Start(start))?;
         self.file.write_all(&batch)
@@ -1500,7 +1412,7 @@ impl WalInner {
 }
 
 /// Track the records of transactions with undischarged durable state —
-/// exactly the set a rotation must copy forward.
+/// exactly the set a compaction must copy forward.
 fn apply_live(live: &mut HashMap<OpenKey, Vec<SequencedRecord>>, lsn: u64, rec: &WalRecord) {
     let key = |q: &QueryId, r: Role| (q.host.clone(), q.timestamp_millis, r);
     let kept = || SequencedRecord {
@@ -1553,19 +1465,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(p);
     }
 
-    /// Segment files of log directory `p`, ascending.
-    fn seg_files(p: &Path) -> Vec<PathBuf> {
-        let mut v: Vec<PathBuf> = std::fs::read_dir(p)
+    /// The names in log directory `p`, ascending.
+    fn entries(p: &Path) -> Vec<String> {
+        let mut v: Vec<String> = std::fs::read_dir(p)
             .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|f| f.extension().is_some_and(|e| e == "seg"))
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
         v.sort();
         v
-    }
-
-    fn active_seg(p: &Path) -> PathBuf {
-        seg_files(p).pop().expect("log has at least one segment")
     }
 
     fn plain(replay: &Replay) -> Vec<WalRecord> {
@@ -1650,12 +1557,12 @@ mod tests {
         // chain ends at the logical end — under group commit the file
         // extends further with preallocated zeros, so physical length
         // is not where the tear belongs.
-        let seg = active_seg(&p);
-        let buf = std::fs::read(&seg).unwrap();
+        let log = p.join(LOG);
+        let buf = std::fs::read(&log).unwrap();
         let (_, end, _) = scan_frames(&buf, MAGIC.len());
         std::fs::OpenOptions::new()
             .write(true)
-            .open(&seg)
+            .open(&log)
             .unwrap()
             .set_len(end as u64 - 3)
             .unwrap();
@@ -1682,11 +1589,11 @@ mod tests {
         }
         // flip one bit inside the *last* record's payload (the frame
         // chain ends at the logical end, before any preallocated zeros)
-        let seg = active_seg(&p);
-        let mut bytes = std::fs::read(&seg).unwrap();
+        let log = p.join(LOG);
+        let mut bytes = std::fs::read(&log).unwrap();
         let (_, end, _) = scan_frames(&bytes, MAGIC.len());
         bytes[end - 5] ^= 0x10;
-        std::fs::write(&seg, &bytes).unwrap();
+        std::fs::write(&log, &bytes).unwrap();
         let (_, replay) = Wal::open(&p, FsyncPolicy::Never).unwrap();
         assert!(replay.tail_damaged, "bit flip must be reported");
         assert_eq!(
@@ -1708,7 +1615,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(w.open_transactions(), 1, "committed but not yet applied");
-        let before = std::fs::metadata(active_seg(&p)).unwrap().len();
+        let before = std::fs::metadata(p.join(LOG)).unwrap().len();
         assert!(before > MAGIC.len() as u64);
         w.append(&WalRecord::Applied {
             qid: qid(1),
@@ -1717,7 +1624,7 @@ mod tests {
         .unwrap();
         assert_eq!(w.open_transactions(), 0);
         assert_eq!(
-            std::fs::metadata(active_seg(&p)).unwrap().len(),
+            std::fs::metadata(p.join(LOG)).unwrap().len(),
             MAGIC.len() as u64,
             "quiesced log is truncated to just the magic"
         );
@@ -1749,10 +1656,10 @@ mod tests {
 
     #[test]
     fn rotation_copies_live_records_forward() {
-        let p = tmp("rotate");
+        let p = tmp("compact");
         let cfg = WalConfig {
             fsync: FsyncPolicy::Never,
-            rotate_bytes: 1, // rotate on every non-quiescing append
+            rotate_bytes: 1, // compact on every non-quiescing append
             ..WalConfig::default()
         };
         let (w, _) = Wal::open_with(&p, cfg).unwrap();
@@ -1761,11 +1668,11 @@ mod tests {
         }
         let s = w.stats();
         assert_eq!(s.rotations, 3);
-        assert_eq!(s.segments, 1, "old generations are reclaimed");
+        assert_eq!(entries(&p), [LOG], "each compaction renames over the log");
         assert_eq!(
             s.copy_forward_records,
             1 + 2 + 3,
-            "each rotation copies every live record forward"
+            "each compaction copies every live record forward"
         );
         drop(w);
         let (w, replay) = Wal::open_with(&p, cfg).unwrap();
@@ -1779,7 +1686,7 @@ mod tests {
             vec![1, 2, 3],
             "copy-forward preserves original LSNs"
         );
-        // closing every transaction quiesces the rotated log too
+        // closing every transaction quiesces the compacted log too
         for ts in 1..=3 {
             w.append(&WalRecord::Decision {
                 qid: qid(ts),
@@ -1791,10 +1698,12 @@ mod tests {
         cleanup(&p);
     }
 
+    /// A crash mid-compaction leaves `log.next`; the reopen removes it and
+    /// replays the old log whole, each record once.
     #[test]
     fn mid_rotation_crash_replays_without_duplicates() {
         use xrpc_net::{crash_points, CrashSwitch};
-        let p = tmp("mid-rotation");
+        let p = tmp("mid-compaction");
         let cfg = WalConfig {
             fsync: FsyncPolicy::Never,
             rotate_bytes: 1,
@@ -1807,22 +1716,40 @@ mod tests {
         let err = w.append(&sample_prepared(1)).unwrap_err();
         assert!(err.message.contains("simulated crash"), "{err}");
         drop(w);
-        // both generations are on disk: the old segment with the record
-        // and the copy-forward segment with the same LSN
-        assert_eq!(seg_files(&p).len(), 2);
+        // the forced `log.next` was never renamed over the log
+        assert_eq!(entries(&p), [LOG, LOG_NEXT]);
         let (w, replay) = Wal::open_with(&p, cfg).unwrap();
-        assert_eq!(
-            plain(&replay),
-            vec![sample_prepared(1)],
-            "replay deduplicates by LSN across generations"
-        );
-        // the next quiesce reclaims the stale generation
+        assert_eq!(entries(&p), [LOG], "the reopen removes log.next");
+        assert_eq!(plain(&replay), vec![sample_prepared(1)]);
+        assert_eq!(replay.records[0].lsn, 1);
         w.append(&WalRecord::Decision {
             qid: qid(1),
             decision: Decision::Aborted,
         })
         .unwrap();
-        assert_eq!(seg_files(&p).len(), 1);
+        assert_eq!(w.open_transactions(), 0);
+        cleanup(&p);
+    }
+
+    /// A log is only ever created whole, by a rename, so a `log` without
+    /// its magic is damage: the open refuses it and writes nothing.
+    #[test]
+    fn a_damaged_magic_is_a_typed_refusal_and_the_log_is_left_alone() {
+        let p = tmp("bad-magic");
+        {
+            let (w, _) = Wal::open(&p, FsyncPolicy::Always).unwrap();
+            w.append(&sample_prepared(1)).unwrap();
+        }
+        let log = p.join(LOG);
+        let mut bytes = std::fs::read(&log).unwrap();
+        bytes[3] ^= 0x01;
+        std::fs::write(&log, &bytes).unwrap();
+        let Err(err) = Wal::open(&p, FsyncPolicy::Always) else {
+            panic!("a log with a damaged magic must not open");
+        };
+        assert_eq!(err.code, "XRPC0001");
+        assert!(err.message.contains("magic"), "{err}");
+        assert_eq!(std::fs::read(&log).unwrap(), bytes, "untouched");
         cleanup(&p);
     }
 
@@ -1889,41 +1816,55 @@ mod tests {
         cleanup(&p);
     }
 
-    #[test]
-    fn an_old_format_log_checkpointed_empty_opens_and_is_rewritten() {
-        let p = tmp("old-empty");
-        std::fs::create_dir_all(&p).unwrap();
-        let seg = p.join(seg_name(1));
-        std::fs::write(&seg, OLD_MAGIC).unwrap();
-        let (w, replay) = Wal::open(&p, FsyncPolicy::Never).unwrap();
-        assert!(replay.records.is_empty());
-        assert!(!replay.tail_damaged);
-        assert_eq!(std::fs::read(&seg).unwrap(), MAGIC);
-        w.append(&sample_prepared(1)).unwrap();
-        drop(w);
-        let (_, replay) = Wal::open(&p, FsyncPolicy::Never).unwrap();
-        assert_eq!(plain(&replay), vec![sample_prepared(1)]);
-        cleanup(&p);
+    /// The older layout: one numbered segment, in the format before
+    /// records were `xrpc:` elements or in the current one.
+    fn old_layout(p: &Path, magic: &[u8], frame: bool) -> Vec<u8> {
+        std::fs::create_dir_all(p).unwrap();
+        let mut bytes = magic.to_vec();
+        if frame {
+            bytes.extend(frame_bytes(&encode_record(&sample_prepared(1), 1)));
+        }
+        // a checkpointed segment keeps its preallocated zeros
+        bytes.resize(bytes.len() + 100, 0);
+        std::fs::write(p.join("0000000000000001.seg"), &bytes).unwrap();
+        bytes
     }
 
+    /// An older layout checkpointed empty, in either format, opens: its
+    /// segment is removed and a new `log` takes its place.
+    #[test]
+    fn an_old_format_log_checkpointed_empty_opens_and_is_rewritten() {
+        for magic in [b"XRPCWAL2", MAGIC] {
+            let p = tmp("old-empty");
+            old_layout(&p, magic, false);
+            let (w, replay) = Wal::open(&p, FsyncPolicy::Never).unwrap();
+            assert!(replay.records.is_empty());
+            assert!(!replay.tail_damaged);
+            assert_eq!(entries(&p), [LOG], "the segment is removed");
+            w.append(&sample_prepared(1)).unwrap();
+            drop(w);
+            let (_, replay) = Wal::open(&p, FsyncPolicy::Never).unwrap();
+            assert_eq!(plain(&replay), vec![sample_prepared(1)]);
+            cleanup(&p);
+        }
+    }
+
+    /// An older layout holding a frame, in either format, is refused.
     #[test]
     fn an_old_format_log_with_a_frame_is_a_typed_refusal_and_is_left_alone() {
-        let p = tmp("old-frame");
-        std::fs::create_dir_all(&p).unwrap();
-        let seg = p.join(seg_name(1));
-        let mut bytes = OLD_MAGIC.to_vec();
-        bytes.extend(frame_bytes(
-            "prepared\nqid.host=h\nqid.ts=1\nqid.timeout=30\nlsn=1\n",
-        ));
-        std::fs::write(&seg, &bytes).unwrap();
-        let Err(err) = Wal::open(&p, FsyncPolicy::Always) else {
-            panic!("an old log with records must not open");
-        };
-        assert!(!err.code.is_empty(), "{err}");
-        assert!(err.message.contains("XRPCWAL2"), "{err}");
-        assert_eq!(seg_files(&p), vec![seg.clone()], "nothing added");
-        assert_eq!(std::fs::read(&seg).unwrap(), bytes, "untouched");
-        cleanup(&p);
+        for magic in [b"XRPCWAL2", MAGIC] {
+            let p = tmp("old-frame");
+            let bytes = old_layout(&p, magic, true);
+            let Err(err) = Wal::open(&p, FsyncPolicy::Always) else {
+                panic!("an older layout with records must not open");
+            };
+            assert_eq!(err.code, "XRPC0001");
+            assert!(err.message.contains("older segmented layout"), "{err}");
+            assert_eq!(entries(&p), ["0000000000000001.seg"], "nothing added");
+            let seg = p.join("0000000000000001.seg");
+            assert_eq!(std::fs::read(seg).unwrap(), bytes, "untouched");
+            cleanup(&p);
+        }
     }
 
     #[test]

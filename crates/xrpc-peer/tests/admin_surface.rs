@@ -129,7 +129,6 @@ fn metrics_and_healthz_scrape_end_to_end() {
         "xrpc_reactor_dispatch_micros",
         "xrpc_reactor_wakeup_micros",
         // WAL durability surface
-        "xrpc_wal_segments",
         "xrpc_wal_log_bytes",
         "xrpc_wal_poisoned",
         "xrpc_wal_rotations_total",

@@ -88,9 +88,9 @@ fn chaos_fsync() -> FsyncPolicy {
     }
 }
 
-/// Chaos WAL tuning: a deliberately tiny rotation threshold so segment
-/// rotation and copy-forward run constantly under the fault schedules,
-/// not only in the directed rotation tests.
+/// Chaos WAL tuning: a deliberately tiny compaction threshold so
+/// compaction and copy-forward run constantly under the fault schedules,
+/// not only in the directed compaction tests.
 fn chaos_wal_config() -> WalConfig {
     WalConfig {
         fsync: chaos_fsync(),
@@ -625,22 +625,16 @@ fn torn_wal_tail_is_detected_and_recovery_uses_last_intact_record() {
     cl.b.switch.arm(crash_points::AFTER_PREPARE_ACK);
     assert!(cl.a.peer.execute(UPDATE_BOTH).is_err());
 
-    // Simulate a torn write: garbage bytes at the tail of the *active*
-    // (highest-numbered) segment of b's log, after the intact Prepared
-    // record.
+    // Simulate a torn write: garbage bytes at the tail of b's log, after
+    // the intact Prepared record.
     {
         use std::io::{Seek, SeekFrom, Write};
-        let tail_seg = std::fs::read_dir(&cl.b.wal_path)
-            .unwrap()
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "seg"))
-            .max()
-            .expect("segmented WAL has at least one segment");
+        let log = cl.b.wal_path.join("log");
         // a torn write lands at the write head — the end of the frame
         // chain — not at the physical end of the file, which under
         // group commit extends further with preallocated zeros
-        let buf = std::fs::read(&tail_seg).unwrap();
-        let mut pos = 8; // past the segment magic
+        let buf = std::fs::read(&log).unwrap();
+        let mut pos = 8; // past the log's magic
         while let Some(h) = buf.get(pos..pos + 8) {
             let len = u32::from_le_bytes(h[0..4].try_into().unwrap()) as usize;
             let crc = u32::from_le_bytes(h[4..8].try_into().unwrap());
@@ -649,10 +643,7 @@ fn torn_wal_tail_is_detected_and_recovery_uses_last_intact_record() {
             }
             pos += 8 + len;
         }
-        let mut f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(tail_seg)
-            .unwrap();
+        let mut f = std::fs::OpenOptions::new().write(true).open(log).unwrap();
         f.seek(SeekFrom::Start(pos as u64)).unwrap();
         f.write_all(&[0x13, 0x37, 0xde, 0xad, 0xbe]).unwrap();
     }
@@ -668,7 +659,7 @@ fn torn_wal_tail_is_detected_and_recovery_uses_last_intact_record() {
 }
 
 // ---------------------------------------------------------------------
-// LSN-idempotent apply, segment rotation, group commit and the re-abort
+// LSN-idempotent apply, compaction, group commit and the re-abort
 // sweep, each at its dedicated crash point
 // ---------------------------------------------------------------------
 
@@ -746,8 +737,8 @@ fn reabort_sweep_releases_participants_after_coordinator_crash() {
 }
 
 /// A long-lived prepared transaction must not let the log grow without
-/// bound: rotation copies the still-open transaction's records forward
-/// and reclaims everything else, keeping bytes bounded while dozens of
+/// bound: compaction copies the still-open transaction's records forward
+/// and drops everything else, keeping bytes bounded while dozens of
 /// later transactions come and go.
 #[test]
 fn rotation_bounds_log_growth_with_long_lived_prepared_txn() {
@@ -778,7 +769,6 @@ fn rotation_bounds_log_growth_with_long_lived_prepared_txn() {
         stats.log_bytes < 8192,
         "log stays bounded near the rotate threshold: {stats:?}"
     );
-    assert_eq!(stats.segments, 1, "old generations are reclaimed");
 
     // The copied-forward Prepared record still recovers, with its ∆
     // intact, after all that churn.
@@ -791,19 +781,18 @@ fn rotation_bounds_log_growth_with_long_lived_prepared_txn() {
     assert_eq!(log_count(&cl.c.peer), 30, "c's pinned ∆ never lands either");
 }
 
-/// Crash in the middle of a rotation: the copy-forward segment is
-/// durable but the previous generation was never reclaimed, so replay
-/// sees every surviving record *twice* (once per generation) and must
-/// deduplicate by LSN.
+/// Crash in the middle of a compaction: `log.next` is forced but was
+/// never renamed over `log`, so the restart removes it and replays the
+/// old log whole — every surviving record exactly once.
 #[test]
-fn crash_mid_rotation_replays_both_generations_exactly_once() {
-    let mut cl = cluster("mid-rotation");
-    // Pin an open transaction at b so rotation always copies forward.
+fn crash_mid_compaction_replays_the_old_log_exactly_once() {
+    let mut cl = cluster("mid-compaction");
+    // Pin an open transaction at b so a compaction always copies forward.
     cl.a.switch.arm(crash_points::COORD_BEFORE_COMMIT_LOG);
     assert!(cl.a.peer.execute(UPDATE_BOTH).is_err());
     restart(&cl.net, &mut cl.a, A_URI);
 
-    // Pump updates until b dies at the armed mid-rotation point.
+    // Pump updates until b dies at the armed mid-compaction point.
     cl.b.switch.arm(crash_points::WAL_MID_ROTATION);
     let mut crashed = false;
     for _ in 0..60 {
@@ -814,19 +803,21 @@ fn crash_mid_rotation_replays_both_generations_exactly_once() {
     }
     assert!(
         crashed,
-        "2 KiB threshold must trigger rotation within 60 txns"
+        "2 KiB threshold must trigger a compaction within 60 txns"
     );
     assert!(cl.b.switch.is_down());
+    assert!(cl.b.wal_path.join("log.next").exists());
 
     let before = log_count(&cl.b.peer);
     let report = restart(&cl.net, &mut cl.b, B_URI);
     assert!(
         report.restored_prepared >= 1,
-        "the pinned txn survives the torn rotation: {report:?}"
+        "the pinned txn survives the torn compaction: {report:?}"
     );
+    assert!(!cl.b.wal_path.join("log.next").exists());
     assert!(
         log_count(&cl.b.peer) <= before + 1,
-        "replay across duplicate generations applies nothing twice \
+        "replay of the old log applies nothing twice \
          (before={before}, after={})",
         log_count(&cl.b.peer)
     );

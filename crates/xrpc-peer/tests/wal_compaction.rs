@@ -1,15 +1,16 @@
-//! Property test for WAL segment rotation: the same append sequence
-//! driven into a log that rotates constantly (tiny `rotate_bytes`, many
-//! copy-forward generations) and a log that never rotates must replay to
+//! Property test for WAL compaction: the same append sequence driven
+//! into a log that compacts constantly (tiny `rotate_bytes`, many
+//! copy-forward generations) and a log that never compacts must replay to
 //! the *same durable truth* on reopen — identical open transactions,
-//! identical surviving records, identical LSNs. Rotation is allowed to
+//! identical surviving records, identical LSNs. Compaction is allowed to
 //! forget records of closed transactions (that is its job); it must
 //! never lose, duplicate or renumber a record of a still-open one.
 //!
 //! Schedules are seeded interleavings of participant transaction
 //! lifecycles (`Prepared` → `Decision` → `Applied`), with one
-//! transaction pinned open for the whole run so every rotation exercises
-//! copy-forward.
+//! transaction pinned open for the whole run so every compaction
+//! exercises copy-forward. Each seed runs under both fsync policies:
+//! `Always` takes the preallocated, staged path of a compaction.
 
 use std::collections::HashMap;
 use xrpc_peer::{Decision, FsyncPolicy, SequencedRecord, Wal, WalConfig, WalRecord};
@@ -87,9 +88,15 @@ fn replay_of(path: &std::path::Path, config: WalConfig) -> Vec<SequencedRecord> 
 }
 
 #[test]
-fn rotated_replay_equals_unrotated_replay() {
-    for seed in [1u64, 2, 3, 4, 5, 6, 7, 8] {
-        let base = std::env::temp_dir().join(format!("xrpc-walprop-{}-{seed}", std::process::id()));
+fn compacted_replay_equals_uncompacted_replay() {
+    let runs = [FsyncPolicy::Never, FsyncPolicy::Always]
+        .into_iter()
+        .flat_map(|fsync| (1u64..=8).map(move |seed| (fsync, seed)));
+    for (fsync, seed) in runs {
+        let base = std::env::temp_dir().join(format!(
+            "xrpc-walprop-{}-{fsync:?}-{seed}",
+            std::process::id()
+        ));
         let tiny_path = base.with_extension("tiny.wal");
         let big_path = base.with_extension("big.wal");
         for p in [&tiny_path, &big_path] {
@@ -97,12 +104,12 @@ fn rotated_replay_equals_unrotated_replay() {
         }
 
         let tiny_cfg = WalConfig {
-            fsync: FsyncPolicy::Never,
+            fsync,
             rotate_bytes: 256,
             ..WalConfig::default()
         };
         let big_cfg = WalConfig {
-            fsync: FsyncPolicy::Never,
+            fsync,
             rotate_bytes: 1 << 30,
             ..WalConfig::default()
         };
@@ -123,7 +130,7 @@ fn rotated_replay_equals_unrotated_replay() {
             };
             let lsn_t = tiny.append(&op).unwrap();
             let lsn_b = big.append(&op).unwrap();
-            assert_eq!(lsn_t, lsn_b, "LSN allocation must not depend on rotation");
+            assert_eq!(lsn_t, lsn_b, "LSN allocation must not depend on compaction");
             if let WalRecord::Prepared { qid, .. } = &op {
                 prepared_lsn.insert(qid.timestamp_millis, lsn_t);
             }
@@ -132,11 +139,11 @@ fn rotated_replay_equals_unrotated_replay() {
         let stats = tiny.stats();
         assert!(
             stats.rotations >= 3,
-            "seed {seed}: 256-byte threshold must rotate ≥3 times: {stats:?}"
+            "{fsync:?} seed {seed}: 256-byte threshold must compact ≥3 times: {stats:?}"
         );
         assert!(
             stats.copy_forward_records >= stats.rotations,
-            "seed {seed}: the pinned txn is copied forward every time: {stats:?}"
+            "{fsync:?} seed {seed}: the pinned txn is copied forward every time: {stats:?}"
         );
         assert_eq!(tiny.open_transactions(), 1);
         assert_eq!(big.open_transactions(), 1);
@@ -147,21 +154,21 @@ fn rotated_replay_equals_unrotated_replay() {
         let tiny_replay = replay_of(&tiny_path, tiny_cfg);
         let big_replay = replay_of(&big_path, big_cfg);
 
-        // every record the rotated log kept exists in the unrotated log,
-        // bit-identical and under the same LSN (subset: rotation may
-        // drop closed-transaction records, never alter surviving ones)
+        // every record the compacted log kept exists in the uncompacted
+        // log, bit-identical and under the same LSN (subset: compaction
+        // may drop closed-transaction records, never alter surviving ones)
         let by_lsn: HashMap<u64, &WalRecord> =
             big_replay.iter().map(|sr| (sr.lsn, &sr.record)).collect();
         for sr in &tiny_replay {
             match by_lsn.get(&sr.lsn) {
                 Some(rec) => assert_eq!(
                     *rec, &sr.record,
-                    "seed {seed}: lsn {} diverged across rotation",
+                    "{fsync:?} seed {seed}: lsn {} diverged across compaction",
                     sr.lsn
                 ),
                 None => panic!(
-                    "seed {seed}: rotated log invented lsn {} missing from \
-                     the unrotated log: {:?}",
+                    "{fsync:?} seed {seed}: compacted log invented lsn {} \
+                     missing from the uncompacted log: {:?}",
                     sr.lsn, sr.record
                 ),
             }
@@ -180,13 +187,17 @@ fn rotated_replay_equals_unrotated_replay() {
         let b0 = pinned(&big_replay);
         assert_eq!(
             t0, b0,
-            "seed {seed}: open-transaction records must be identical"
+            "{fsync:?} seed {seed}: open-transaction records must be identical"
         );
-        assert_eq!(t0.len(), 1, "seed {seed}: exactly the one Prepared record");
+        assert_eq!(
+            t0.len(),
+            1,
+            "{fsync:?} seed {seed}: exactly the one Prepared record"
+        );
         assert_eq!(
             t0[0].lsn,
             prepared_lsn[&qid(0).timestamp_millis],
-            "seed {seed}: copy-forward must not renumber LSNs"
+            "{fsync:?} seed {seed}: copy-forward must not renumber LSNs"
         );
 
         // and the live fold agrees: one open transaction either way
@@ -198,6 +209,12 @@ fn rotated_replay_equals_unrotated_replay() {
         drop(b);
 
         for p in [&tiny_path, &big_path] {
+            // every compaction renamed its `log.next` over the log
+            let names: Vec<_> = std::fs::read_dir(p)
+                .unwrap()
+                .map(|e| e.unwrap().file_name())
+                .collect();
+            assert_eq!(names, ["log"], "{fsync:?} seed {seed}");
             let _ = std::fs::remove_dir_all(p);
         }
     }

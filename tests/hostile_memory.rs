@@ -777,10 +777,10 @@ fn assert_nasty_survives(delta: &[SerializedPrimitive]) {
     }
 }
 
-/// A real segment: both roles' records of several transactions, written by
+/// A real log: both roles' records of several transactions, written by
 /// the log itself (one transaction stays open, so nothing is checkpointed
 /// away).
-fn real_segment() -> Vec<u8> {
+fn real_log() -> Vec<u8> {
     let dir = wal_dir("source");
     let (log, _) = Wal::open_with(&dir, wal_config()).unwrap();
     let qid = |n: u64| QueryId::new("xrpc://origin.example.org:8080", 9_000 + n, 30);
@@ -829,9 +829,9 @@ fn real_segment() -> Vec<u8> {
             assert_nasty_survives(delta);
         }
     }
-    let seg = std::fs::read(dir.join(format!("{:016x}.seg", 1))).unwrap();
+    let log = std::fs::read(dir.join("log")).unwrap();
     let _ = std::fs::remove_dir_all(dir);
-    seg
+    log
 }
 
 fn frame(payload: &[u8]) -> Vec<u8> {
@@ -841,15 +841,15 @@ fn frame(payload: &[u8]) -> Vec<u8> {
     f
 }
 
-/// The payloads of a segment's frames.
-fn payloads(seg: &[u8]) -> Vec<Vec<u8>> {
+/// The payloads of a log's frames.
+fn payloads(log: &[u8]) -> Vec<Vec<u8>> {
     let (mut out, mut pos) = (Vec::new(), WAL_MAGIC.len());
-    while let Some(h) = seg.get(pos..pos + 8) {
+    while let Some(h) = log.get(pos..pos + 8) {
         let len = u32::from_le_bytes(h[..4].try_into().unwrap()) as usize;
         if len == 0 {
             break;
         }
-        out.push(seg[pos + 8..pos + 8 + len].to_vec());
+        out.push(log[pos + 8..pos + 8 + len].to_vec());
         pos += 8 + len;
     }
     out
@@ -913,12 +913,12 @@ fn some_element(rng: &mut StdRng, p: &[u8]) -> std::ops::Range<usize> {
 
 /// One to three payloads edited and re-stamped (so the damage reaches
 /// `decode_record` instead of stopping at the CRC), then possibly a tail
-/// torn off or padded with zeros. A bit flips anywhere, and a random span
+/// torn off or padded with zeros, or the magic damaged. A bit flips anywhere, and a random span
 /// of up to 31 bytes is cut or copied anywhere (ending inside a name, an
 /// entity, a value or a character); whole elements are cut and copied too,
 /// and splices land where markup ends — so that as a rule some edits leave
 /// a record that decodes, to something nobody wrote.
-fn mutate_segment(rng: &mut StdRng, frames: &[Vec<u8>]) -> Vec<u8> {
+fn mutate_log(rng: &mut StdRng, frames: &[Vec<u8>]) -> Vec<u8> {
     let mut frames = frames.to_vec();
     for _ in 0..rng.gen_range(1..=3) {
         let k = rng.gen_range(0..frames.len());
@@ -949,57 +949,79 @@ fn mutate_segment(rng: &mut StdRng, frames: &[Vec<u8>]) -> Vec<u8> {
             }
         }
     }
-    let mut seg = WAL_MAGIC.to_vec();
+    let mut log = WAL_MAGIC.to_vec();
     for p in frames.iter().filter(|p| !p.is_empty()) {
-        seg.extend(frame(p));
+        log.extend(frame(p));
     }
-    match rng.gen_range(0..4) {
-        0 => seg.truncate(rng.gen_range(0..=seg.len())),
-        1 => seg.resize(seg.len() + rng.gen_range(1..9000usize), 0),
+    match rng.gen_range(0..5) {
+        0 => log.truncate(rng.gen_range(0..=log.len())),
+        1 => log.resize(log.len() + rng.gen_range(1..9000usize), 0),
         2 => {
-            let at = rng.gen_range(WAL_MAGIC.len()..seg.len());
-            let to = (at + rng.gen_range(1..64usize)).min(seg.len());
-            seg[at..to].fill(0);
+            let at = rng.gen_range(WAL_MAGIC.len()..log.len());
+            let to = (at + rng.gen_range(1..64usize)).min(log.len());
+            log[at..to].fill(0);
+        }
+        3 => {
+            // a bit flipped in, or another byte over, one byte of the magic
+            let at = rng.gen_range(0..WAL_MAGIC.len());
+            log[at] = if rng.gen_bool(0.5) {
+                log[at] ^ 1u8 << rng.gen_range(0..8u32)
+            } else {
+                log[at].wrapping_add(rng.gen_range(1..=255u8))
+            };
         }
         _ => {}
     }
-    seg
+    log
 }
 
-/// Open a log whose only segment is `seg`. A log or a typed error, in at
-/// most k = 6 times the segment (the bytes as read, the decoded records,
-/// the open-transaction copies of them, each with its strings; 3.9 is the
-/// most a run has measured) beyond a constant. Returns whether it opened and whether the tail was dropped.
-fn assert_open_bounded(seg: &[u8], context: &str) -> Option<bool> {
+/// Open a WAL directory whose `log` is `log`. A log or a typed error, in at
+/// most k = 6 times the log (the bytes as read, the decoded records, the
+/// open-transaction copies of them, each with its strings; 3.9 is the most
+/// a run has measured) beyond a constant. A log without its magic is
+/// refused, and a refused log is left byte for byte as it was. Returns
+/// whether it opened and whether the tail was dropped.
+fn assert_open_bounded(log: &[u8], context: &str) -> Option<bool> {
     let dir = wal_dir(&format!("{:?}", std::thread::current().id()));
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join(format!("{:016x}.seg", 1)), seg).unwrap();
+    std::fs::write(dir.join("log"), log).unwrap();
     let (result, peak, _) = measure(|| Wal::open_with(&dir, wal_config()));
+    let after = std::fs::read(dir.join("log")).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     assert!(
-        peak <= 6 * seg.len() + 4096,
-        "{context}: {peak} bytes for a segment of {}",
-        seg.len()
+        peak <= 6 * log.len() + 4096,
+        "{context}: {peak} bytes for a log of {}",
+        log.len()
     );
     match result {
-        Ok((_, replay)) => Some(replay.tail_damaged),
+        Ok((_, replay)) => {
+            assert!(
+                log.starts_with(WAL_MAGIC),
+                "{context}: a log without its magic opened"
+            );
+            Some(replay.tail_damaged)
+        }
         Err(e) => {
             assert!(!e.code.is_empty(), "{context}: an error without a code");
+            assert!(after == log, "{context}: a refused log was rewritten");
             None
         }
     }
 }
 
 #[test]
-fn a_mutated_wal_segment_opens_or_is_a_typed_error_in_bounded_memory() {
+fn a_mutated_wal_log_opens_or_is_a_typed_error_in_bounded_memory() {
     let seeds: Vec<u64> = match std::env::var("WAL_SEED").ok().and_then(|s| s.parse().ok()) {
         Some(seed) => vec![seed],
         None => (0..24).collect(),
     };
-    let seg = real_segment();
-    let frames = payloads(&seg);
+    let log = real_log();
+    let frames = payloads(&log);
     assert_eq!(frames.len(), 9);
-    assert_eq!(assert_open_bounded(&seg, "as written"), Some(false));
+    assert_eq!(assert_open_bounded(&log, "as written"), Some(false));
+    let mut flipped = log.clone();
+    flipped[3] ^= 0x01;
+    assert_eq!(assert_open_bounded(&flipped, "a flipped magic"), None);
 
     // fixed rows: frames with a good CRC that once panicked the opener or
     // decoded to something nobody wrote — now an undecodable tail
@@ -1021,10 +1043,10 @@ fn a_mutated_wal_segment_opens_or_is_a_typed_error_in_bounded_memory() {
         format!("{}/>", head("checkpoint", "lsn=\"2\"")),
         format!("{}/>", head("decision", "lsn=\"2\" outcome=\"maybe\"")),
     ] {
-        let mut seg = WAL_MAGIC.to_vec();
-        seg.extend(frame(&frames[0]));
-        seg.extend(frame(bad.as_bytes()));
-        assert_eq!(assert_open_bounded(&seg, &bad), Some(true), "{bad}");
+        let mut log = WAL_MAGIC.to_vec();
+        log.extend(frame(&frames[0]));
+        log.extend(frame(bad.as_bytes()));
+        assert_eq!(assert_open_bounded(&log, &bad), Some(true), "{bad}");
     }
 
     let (mut clean, mut dropped, mut refused) = (0, 0, 0);
@@ -1033,7 +1055,7 @@ fn a_mutated_wal_segment_opens_or_is_a_typed_error_in_bounded_memory() {
             let mut rng = StdRng::seed_from_u64(seed);
             (0..64)
                 .map(|m| {
-                    let mutant = mutate_segment(&mut rng, &frames);
+                    let mutant = mutate_log(&mut rng, &frames);
                     assert_open_bounded(&mutant, &format!("WAL_SEED={seed}, mutant {m}"))
                 })
                 .collect::<Vec<_>>()
@@ -1051,9 +1073,10 @@ fn a_mutated_wal_segment_opens_or_is_a_typed_error_in_bounded_memory() {
             Err(_) => panic!("rerun with WAL_SEED={seed}"),
         }
     }
-    // the run means something only if mutants both survive and do not
+    // the run means something only if mutants survive, lose their tail
+    // and are refused
     assert!(
-        clean > 0 && dropped > 0,
+        clean > 0 && dropped > 0 && refused > 0,
         "{clean} clean, {dropped} with a dropped tail, {refused} refused"
     );
 }
