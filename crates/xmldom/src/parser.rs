@@ -215,6 +215,17 @@ mod tests {
     }
 
     #[test]
+    fn white_space_from_references_survives_a_round_trip() {
+        let d = parse("<a b='&#9;x&#10;y&#13;'>&#13;z&#13;&#10;\t</a>").unwrap();
+        let again = parse(&crate::serialize_document(&d, &Default::default())).unwrap();
+        for d in [&d, &again] {
+            let a = root_elem(d);
+            assert_eq!(d.attr_local(a, "b"), Some("\tx\ny\r"));
+            assert_eq!(d.string_value(a), "\rz\r\n\t");
+        }
+    }
+
+    #[test]
     fn cdata() {
         let d = parse("<a><![CDATA[<not><parsed>&amp;]]></a>").unwrap();
         assert_eq!(d.string_value(root_elem(&d)), "<not><parsed>&amp;");

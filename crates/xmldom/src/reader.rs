@@ -16,9 +16,12 @@
 //! [`crate::parse`], the SOAP message decoder — sees only well-formed input.
 //!
 //! Names, comments and PIs are borrowed from the input. Text and attribute
-//! values are too, unless they hold a reference: those are decoded into one
-//! scratch buffer that the next event reuses. The open-element stack is
-//! explicit, so element depth is not bounded by the thread stack.
+//! values are too, unless they hold a reference or a byte XML normalizes (a
+//! carriage return; in an attribute value also a tab or line feed): those
+//! are decoded into one scratch buffer that the next event reuses. A text
+//! run or attribute value is scanned once, a word at a time, for where it
+//! stops and whether it needs that. The open-element stack is explicit, so
+//! element depth is not bounded by the thread stack.
 
 use crate::qname::NS_XML;
 
@@ -59,7 +62,8 @@ pub enum Event<'r, 'a> {
     Start(StartTag<'r, 'a>),
     End,
     /// Character data up to the next markup with its references decoded, or
-    /// the content of one CDATA section. Never empty.
+    /// the content of one CDATA section; line ends normalized to `\n` in
+    /// both. Never empty.
     Text(&'r str),
     Comment(&'a str),
     Pi {
@@ -337,6 +341,79 @@ static NAME_CHAR: [bool; 256] = {
     table
 };
 
+/// One in each byte lane of a word; [`HIGH`] is the lanes' top bits.
+const LANES: u64 = u64::from_le_bytes([1; 8]);
+const HIGH: u64 = LANES << 7;
+
+/// The top bit of each lane of `word` that holds `b`. Exact up to the
+/// lowest lane it sets: a borrow only runs upward from a lane that is set,
+/// so only lanes above it can read wrong.
+#[inline(always)]
+const fn equal(word: u64, b: u8) -> u64 {
+    let x = word ^ (LANES * b as u64);
+    x.wrapping_sub(LANES) & !x & HIGH
+}
+
+/// One pass over `bytes[from..]`, a word at a time: the offset of the first
+/// byte `stop` marks (`bytes.len()` if none) and whether a byte before it is
+/// one `slow` marks. Both mark lanes as [`equal`] does; a word past the end
+/// is padded with spaces, which neither may mark. The marked bytes are
+/// ASCII, so the offset is a UTF-8 boundary.
+#[inline(always)]
+fn scan(
+    bytes: &[u8],
+    from: usize,
+    stop: impl Fn(u64) -> u64,
+    slow: impl Fn(u64) -> u64,
+) -> (usize, bool) {
+    let mut at = from;
+    let mut seen = false;
+    while at < bytes.len() {
+        let word = match bytes.get(at..at + 8) {
+            Some(w) => u64::from_le_bytes(w.try_into().expect("eight bytes")),
+            None => {
+                let mut w = [b' '; 8];
+                w[..bytes.len() - at].copy_from_slice(&bytes[at..]);
+                u64::from_le_bytes(w)
+            }
+        };
+        let (s, f) = (stop(word), slow(word));
+        if s != 0 {
+            let (first, before) = (s.trailing_zeros() as usize / 8, (s & s.wrapping_neg()) - 1);
+            return (at + first, seen || f & before != 0);
+        }
+        seen |= f != 0;
+        at += 8;
+    }
+    (bytes.len(), seen)
+}
+
+/// Where character data starting at `from` stops (its `<`), and whether it
+/// holds a reference or a carriage return.
+#[inline]
+fn text_run(bytes: &[u8], from: usize) -> (usize, bool) {
+    let slow = |w| equal(w, b'&') | equal(w, b'\r');
+    scan(bytes, from, |w| equal(w, b'<'), slow)
+}
+
+/// Where an attribute value starting at `from` stops (its closing `quote`),
+/// and whether it holds a reference, a `<`, or white space other than a
+/// space.
+#[inline]
+fn attr_run(bytes: &[u8], from: usize, quote: u8) -> (usize, bool) {
+    let ws = |w| equal(w, b'\t') | equal(w, b'\n') | equal(w, b'\r');
+    let slow = |w| equal(w, b'&') | equal(w, b'<') | ws(w);
+    scan(bytes, from, |w| equal(w, quote), slow)
+}
+
+/// What [`Reader::normalize`] decodes, and so which bytes it stops at.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Run {
+    Text,
+    Attr,
+    Cdata,
+}
+
 /// The prefix an `xmlns` / `xmlns:p` attribute declares (`""` = default).
 fn declared_prefix(attr_name: &str) -> Option<&str> {
     if attr_name == "xmlns" {
@@ -432,7 +509,7 @@ impl<'a> Reader<'a> {
     /// The string value of the element whose start tag was last reported —
     /// its character data concatenated, markup inside it checked and ignored
     /// — read through its end tag. Borrowed from the input when that is one
-    /// run of text without references.
+    /// run of text without references or carriage returns.
     pub fn string_value(&mut self) -> Result<std::borrow::Cow<'a, str>, ParseError> {
         use std::borrow::Cow;
         let outside = self.open.len().saturating_sub(1);
@@ -578,34 +655,47 @@ impl<'a> Reader<'a> {
     #[inline]
     fn content(&mut self) -> Result<Raw, Fail> {
         loop {
-            if self.peek().is_none() {
-                let open = self.open.last().expect("an element is open");
-                return self.err(format!("unterminated element <{}>", open.raw_name));
-            } else if self.peek() != Some(b'<') {
-                let rest = &self.input[self.pos..];
-                let end = self.pos + rest.find('<').unwrap_or(rest.len());
-                self.text = self.decode(end)?;
-                return Ok(Raw::Text);
-            } else if self.starts_with("</") {
-                self.end()?;
-                return Ok(Raw::End);
-            } else if self.starts_with("<!--") {
-                return self.comment();
-            } else if self.starts_with("<![CDATA[") {
-                self.pos += "<![CDATA[".len();
-                match self.find("]]>") {
-                    // an empty section is no text at all
-                    Some(end) if end == self.pos => self.pos += 3,
-                    Some(end) => {
-                        self.text = self.verbatim(end, 3);
-                        return Ok(Raw::Text);
-                    }
-                    None => return self.err("unterminated CDATA section"),
+            match self.peek() {
+                Some(b'<') => {}
+                Some(_) => {
+                    let (end, slow) = text_run(self.bytes, self.pos);
+                    self.text = if slow {
+                        self.normalize(end, Run::Text)?
+                    } else {
+                        self.verbatim(end, 0)
+                    };
+                    return Ok(Raw::Text);
                 }
-            } else if self.starts_with("<?") {
-                return self.pi();
-            } else {
-                return self.start();
+                None => {
+                    let open = self.open.last().expect("an element is open");
+                    return self.err(format!("unterminated element <{}>", open.raw_name));
+                }
+            }
+            match self.bytes.get(self.pos + 1) {
+                Some(b'/') => {
+                    self.end()?;
+                    return Ok(Raw::End);
+                }
+                Some(b'?') => return self.pi(),
+                Some(b'!') if self.starts_with("<!--") => return self.comment(),
+                Some(b'!') if self.starts_with("<![CDATA[") => {
+                    self.pos += "<![CDATA[".len();
+                    match self.find("]]>") {
+                        // an empty section is no text at all
+                        Some(end) if end == self.pos => self.pos += 3,
+                        Some(end) => {
+                            self.text = if self.bytes[self.pos..end].contains(&b'\r') {
+                                self.normalize(end, Run::Cdata)?
+                            } else {
+                                self.verbatim(end, 0)
+                            };
+                            self.pos = end + 3;
+                            return Ok(Raw::Text);
+                        }
+                        None => return self.err("unterminated CDATA section"),
+                    }
+                }
+                _ => return self.start(),
             }
         }
     }
@@ -697,7 +787,7 @@ impl<'a> Reader<'a> {
         // the usual case is one compare against the name we are waiting for
         let end = self.pos + raw_name.len();
         let matches = self.bytes[self.pos..].starts_with(raw_name.as_bytes())
-            && !self.bytes.get(end).is_some_and(|&b| is_name_char(b));
+            && !self.bytes.get(end).is_some_and(|&b| NAME_CHAR[b as usize]);
         if !matches {
             let close = self.parse_name()?;
             return self.err(format!(
@@ -706,8 +796,12 @@ impl<'a> Reader<'a> {
             ));
         }
         self.pos = end;
-        self.skip_ws();
-        self.expect(">")?;
+        if self.peek() == Some(b'>') {
+            self.pos += 1;
+        } else {
+            self.skip_ws();
+            self.expect(">")?;
+        }
         self.close();
         Ok(())
     }
@@ -799,49 +893,62 @@ impl<'a> Reader<'a> {
         Ok(Raw::Start)
     }
 
-    /// `input[pos..end]` with entity and character references decoded: the
-    /// input itself when there is none, else a copy in the scratch buffer.
-    #[inline]
-    fn decode(&mut self, end: usize) -> Result<Val, Fail> {
-        if self.input.as_bytes()[self.pos..end].contains(&b'&') {
-            return self.decode_references(end);
-        }
-        Ok(self.verbatim(end, 0))
-    }
-
-    /// Clean stretches are copied in one append each; the delimiters are
-    /// ASCII so no UTF-8 sequence is ever split.
-    fn decode_references(&mut self, end: usize) -> Result<Val, Fail> {
-        let input = self.input;
-        let start = self.scratch.len();
+    /// `input[pos..end]` decoded into the scratch buffer: line ends become
+    /// `\n` (XML 1.0 §2.11) and, in an attribute value, every tab, carriage
+    /// return and line feed a space (§3.3.3); references are expanded,
+    /// except in a CDATA section. A reference yields its own character,
+    /// normalized or not. Clean stretches are copied in one append each; the
+    /// delimiters are ASCII so no UTF-8 sequence is ever split.
+    fn normalize(&mut self, end: usize, run: Run) -> Result<Val, Fail> {
+        let (input, start) = (self.input, self.scratch.len());
+        let white = if run == Run::Attr { ' ' } else { '\n' };
         while self.pos < end {
-            let run = &input[self.pos..end];
-            let clean = run.find('&').unwrap_or(run.len());
-            self.scratch.push_str(&run[..clean]);
+            let rest = &self.bytes[self.pos..end];
+            let special = |b: &u8| match b {
+                b'&' => run != Run::Cdata,
+                b'\r' => true,
+                b'\t' | b'\n' => run == Run::Attr,
+                _ => false,
+            };
+            let clean = rest.iter().position(special).unwrap_or(rest.len());
+            self.scratch.push_str(&input[self.pos..self.pos + clean]);
             self.pos += clean;
-            if self.pos < end {
-                let c = self.entity()?;
-                self.scratch.push(c);
-            }
+            let c = match rest.get(clean) {
+                None => break,
+                Some(b'&') => self.entity()?,
+                Some(b'\r') if rest.get(clean + 1) == Some(&b'\n') => {
+                    self.pos += 1;
+                    continue;
+                }
+                Some(_) => {
+                    self.pos += 1;
+                    white
+                }
+            };
+            self.scratch.push(c);
         }
         Ok(Val::new(start, self.scratch.len() - start, SCRATCH))
     }
 
     fn attr_value(&mut self) -> Result<Val, Fail> {
         let quote = match self.peek() {
-            Some(q @ (b'"' | b'\'')) => q as char,
+            Some(q @ (b'"' | b'\'')) => q,
             _ => return self.err("expected quoted attribute value"),
         };
         self.pos += 1;
-        let Some(end) = self.input[self.pos..].find(quote).map(|i| self.pos + i) else {
-            self.pos = self.bytes.len();
+        let (end, slow) = attr_run(self.bytes, self.pos, quote);
+        if end == self.bytes.len() {
+            self.pos = end;
             return self.err("unterminated attribute value");
-        };
-        if let Some(lt) = self.input[self.pos..end].find('<') {
+        }
+        let value = if !slow {
+            self.verbatim(end, 0)
+        } else if let Some(lt) = self.bytes[self.pos..end].iter().position(|&b| b == b'<') {
             self.pos += lt;
             return self.err("`<` not allowed in attribute value");
-        }
-        let value = self.decode(end)?;
+        } else {
+            self.normalize(end, Run::Attr)?
+        };
         self.pos = end + 1;
         Ok(value)
     }
@@ -857,6 +964,12 @@ impl<'a> Reader<'a> {
             u32::from_str_radix(digits, radix)
                 .ok()
                 .and_then(char::from_u32)
+                // XML 1.0's `Char`: no C0 control but tab, line feed and
+                // carriage return, and no U+FFFE or U+FFFF (`from_u32`
+                // already refuses surrogates)
+                .filter(|&c| {
+                    matches!(c as u32, 0x9 | 0xA | 0xD | 0x20..=0xD7FF | 0xE000..=0xFFFD | 0x10000..)
+                })
                 .ok_or_else(|| {
                     Box::new(ParseError {
                         offset: self.pos,
@@ -1048,6 +1161,170 @@ mod tests {
             assert!(matches!(r.next().unwrap(), Event::Start(_)));
             assert!(matches!(r.next().unwrap(), Event::Start(_)));
             assert!(r.skip_element().is_err(), "{bad}");
+        }
+    }
+
+    /// The passes the scanner replaced, a byte at a time: where a run from
+    /// `from` stops and whether a byte before that is one of `slow`.
+    fn reference(bytes: &[u8], from: usize, stop: u8, slow: &[u8]) -> (usize, bool) {
+        let rest = &bytes[from..];
+        let end = from + rest.iter().position(|&b| b == stop).unwrap_or(rest.len());
+        (end, bytes[from..end].iter().any(|b| slow.contains(b)))
+    }
+
+    /// Random runs of ASCII, multi-byte UTF-8 and every byte the scanner
+    /// marks, each with its stop at every offset and at none, scanned from
+    /// every offset of the first two words. Seeds `0..64`; `SCAN_SEED=n`
+    /// reruns one.
+    #[test]
+    fn scanner_matches_the_byte_at_a_time_reference() {
+        const PIECES: [&str; 15] = [
+            "a", "Z", "0", " ", "é", "日", "😀", "<", "&", "\"", "'", "\r", "\t", "\n", "xyz",
+        ];
+        let one = std::env::var("SCAN_SEED").ok().and_then(|s| s.parse().ok());
+        for seed in one.map_or(0..64, |s: u64| s..s + 1) {
+            let mut state = seed;
+            let mut next = || {
+                // splitmix64
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as usize
+            };
+            let len = 16 + next() % 40;
+            let mut body = Vec::new();
+            while body.len() < len {
+                body.extend_from_slice(PIECES[next() % PIECES.len()].as_bytes());
+            }
+            type Scanner = fn(&[u8], usize) -> (usize, bool);
+            let scanners: [(u8, &[u8], Scanner); 3] = [
+                (b'<', b"&\r", text_run),
+                (b'"', b"&<\t\n\r", |b, from| attr_run(b, from, b'"')),
+                (b'\'', b"&<\t\n\r", |b, from| attr_run(b, from, b'\'')),
+            ];
+            for (stop, slow, scanner) in scanners {
+                for at in 0..=body.len() {
+                    let mut run = body.clone();
+                    for b in run[..at].iter_mut().filter(|b| **b == stop) {
+                        *b = b'x';
+                    }
+                    if let Some(b) = run.get_mut(at) {
+                        *b = stop;
+                    }
+                    for from in 0..=at.min(15) {
+                        assert_eq!(
+                            scanner(&run, from),
+                            reference(&run, from, stop, slow),
+                            "SCAN_SEED={seed}: from {from} in {:?}",
+                            String::from_utf8_lossy(&run)
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_marked_byte_anywhere_in_a_run_reads_as_before() {
+        let run = "abcdefghijklmnopqrstuvwx"; // three words
+        for i in 0..=run.len() {
+            let (a, b) = run.split_at(i);
+            let text = |mid: &str| format!("<r>{a}{mid}{b}</r>");
+            let text_of = |mid: &str| events(&text(mid)).map(|e| e[1].clone());
+            assert_eq!(text_of("&amp;").unwrap(), format!("text {a}&{b}"));
+            assert_eq!(text_of("\r").unwrap(), format!("text {a}\n{b}"));
+            assert_eq!(text_of("\r\n").unwrap(), format!("text {a}\n{b}"));
+            let e = events(&text("&")).unwrap_err();
+            assert_eq!(
+                (e.offset, &*e.message),
+                (4 + i, "unterminated entity reference")
+            );
+            // the text stops at the `<`, which starts the next step
+            let xml = text("<");
+            let mut r = Reader::new(&xml).unwrap();
+            assert!(matches!(r.next().unwrap(), Event::Start(_)));
+            if i > 0 {
+                assert!(matches!(r.next().unwrap(), Event::Text(t) if t == a));
+            }
+            assert_eq!(r.remaining(), xml.len() - 3 - i);
+
+            for q in ['"', '\''] {
+                let attr = |mid: &str| format!("<r k={q}{a}{mid}{b}{q}/>");
+                let value_of = |mid: &str| events(&attr(mid)).map(|e| e[0].clone());
+                assert_eq!(value_of("&amp;").unwrap(), format!("<{{}}r {{}}k={a}&{b}"));
+                for ws in ["\r", "\r\n", "\t", "\n"] {
+                    assert_eq!(value_of(ws).unwrap(), format!("<{{}}r {{}}k={a} {b}"));
+                }
+                let e = events(&attr("&")).unwrap_err();
+                assert_eq!(
+                    (e.offset, &*e.message),
+                    (7 + i, "unterminated entity reference")
+                );
+                let e = events(&attr("<")).unwrap_err();
+                assert_eq!(
+                    (e.offset, &*e.message),
+                    (6 + i, "`<` not allowed in attribute value")
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_unterminated_value_or_element_is_reported_as_before() {
+        for (xml, offset, message) in [
+            ("<r k='abcdefghij", 16, "unterminated attribute value"),
+            ("<r k='ab<cdefghij", 17, "unterminated attribute value"),
+            ("<r>abcdefghij", 13, "unterminated element <r>"),
+            ("<r>ab&amp;cdefghij", 18, "unterminated element <r>"),
+        ] {
+            let e = events(xml).unwrap_err();
+            assert_eq!((e.offset, &*e.message), (offset, message), "{xml}");
+        }
+    }
+
+    #[test]
+    fn line_ends_and_attribute_white_space_are_normalized() {
+        let got = events("<a b='x\r\ny\tz'>x\r\ny\rz<![CDATA[&\r\n]]></a>").unwrap();
+        assert_eq!(got[..3], ["<{}a {}b=x y z", "text x\ny\nz", "text &\n"]);
+        // a reference yields its own character
+        let got = events("<a b='&#9;&#10;&#13;&#13;&#10;'>&#13;&#10;\n</a>").unwrap();
+        assert_eq!(got[..2], ["<{}a {}b=\t\n\r\r\n", "text \r\n\n"]);
+    }
+
+    /// XML 1.0's `Char`: one row per class refused and per edge kept.
+    #[test]
+    fn a_character_reference_must_name_an_xml_char() {
+        for bad in [
+            "&#0;",       // NUL
+            "&#x1;",      // a C0 control
+            "&#x1F;",     // the last one
+            "&#xFFFE;",   // a non-character
+            "&#xFFFF;",   // the other
+            "&#xD800;",   // a surrogate
+            "&#x110000;", // past Unicode
+        ] {
+            for xml in [format!("<a>{bad}</a>"), format!("<a b='{bad}'/>")] {
+                let e = events(&xml).unwrap_err();
+                let at = xml.find('&').unwrap() + 1;
+                assert_eq!(
+                    (e.offset, e.message),
+                    (at, format!("bad character reference `{bad}`"))
+                );
+            }
+        }
+        for (good, c) in [
+            ("&#9;", '\t'),
+            ("&#10;", '\n'),
+            ("&#13;", '\r'),
+            ("&#x20;", ' '),
+            ("&#xD7FF;", '\u{D7FF}'),
+            ("&#xE000;", '\u{E000}'),
+            ("&#xFFFD;", '\u{FFFD}'),
+            ("&#x10000;", '\u{10000}'),
+            ("&#x10FFFF;", '\u{10FFFF}'),
+        ] {
+            let got = events(&format!("<a b='{good}'>{good}</a>")).unwrap();
+            assert_eq!(got[..2], [format!("<{{}}a {{}}b={c}"), format!("text {c}")]);
         }
     }
 }
