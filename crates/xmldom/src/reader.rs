@@ -916,6 +916,7 @@ impl<'a> Reader<'a> {
             let c = match rest.get(clean) {
                 None => break,
                 Some(b'&') => self.entity()?,
+                // `\r\n` is one line end: drop the `\r`, read the `\n` next
                 Some(b'\r') if rest.get(clean + 1) == Some(&b'\n') => {
                     self.pos += 1;
                     continue;
