@@ -831,7 +831,7 @@ fn throughput(quick: bool, check_cliff: bool) {
         }
         let da = alloc_snapshot().since(a0);
         let sent = c.net.metrics.snapshot().bytes_sent;
-        let req_lat = c.a.obs.histogram("xrpc_call_latency_micros").snapshot();
+        let req_lat = c.a.hists.call_latency_micros.snapshot();
         // response-heavy
         let c2 = throughput_cluster(bytes);
         c2.net.metrics.reset();
@@ -851,7 +851,7 @@ fn throughput(quick: bool, check_cliff: bool) {
         let done = xmldom::serialize_counters();
         let resp_mib_alloc = mib_per_trip(alloc_snapshot().since(a0).bytes);
         let recv = c2.net.metrics.snapshot().bytes_received;
-        let resp_lat = c2.a.obs.histogram("xrpc_call_latency_micros").snapshot();
+        let resp_lat = c2.a.hists.call_latency_micros.snapshot();
         warn_samples(&format!("E4 request {kb} KiB"), req_lat.count);
         warn_samples(&format!("E4 response {kb} KiB"), resp_lat.count);
         let req = mb_per_sec(sent, d_req);
@@ -980,7 +980,7 @@ fn ablation_latency(quick: bool) {
         let (single, single_lat) = {
             let c = echo_cluster(profile, false, true);
             let (d, _) = time_query(&c.a, &echo_query(100));
-            (d, c.a.obs.histogram("xrpc_call_latency_micros").snapshot())
+            (d, c.a.hists.call_latency_micros.snapshot())
         };
         let (bulk, bulk_lat) = {
             let c = echo_cluster(profile, true, true);
@@ -989,10 +989,7 @@ fn ablation_latency(quick: bool) {
                 let (d, _) = time_query(&c.a, &echo_query(100));
                 total += d;
             }
-            (
-                total / bulk_runs,
-                c.a.obs.histogram("xrpc_call_latency_micros").snapshot(),
-            )
+            (total / bulk_runs, c.a.hists.call_latency_micros.snapshot())
         };
         warn_samples(&format!("A1 one-at-a-time {lat_ms} ms"), single_lat.count);
         warn_samples(&format!("A1 bulk {lat_ms} ms"), bulk_lat.count);
@@ -1178,7 +1175,7 @@ fn update_throughput(quick: bool) {
                  (bound {U1_DOC_SLOT_BOUND}): the document grows with its history"
             ));
         }
-        let commit_us = c.b.obs.histogram("xrpc_twopc_commit_micros").snapshot();
+        let commit_us = c.b.hists.twopc_commit_micros.snapshot();
         println!(
             "{:>9} {:>16.0} {:>12.3} {:>12.3} {:>12.2} {:>14}",
             n, per_s, p50, p99, fsyncs_per_txn, commit_us.p50

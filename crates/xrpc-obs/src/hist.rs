@@ -2,13 +2,16 @@
 //! is split into [`SUB_BUCKETS`] linear sub-buckets, so any recorded
 //! value lands in a bucket whose width is at most `1/16` of its lower
 //! bound (≤ 6.25 % relative error) while the whole table is a fixed
-//! 1024 × `AtomicU64` ≈ 8 KiB regardless of range. Recording is one
-//! relaxed `fetch_add`; snapshots and merges never block recorders.
+//! 1024 × `AtomicU64` ≈ 8 KiB regardless of range, allocated by the first
+//! sample (a histogram nothing records into costs its five counters).
+//! Recording is relaxed `fetch_add`s; snapshots and merges never block
+//! recorders.
 //!
 //! Units are the caller's business: the same type records microseconds
 //! (latencies), bytes (message sizes) and plain counts (batch sizes).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// Linear sub-buckets per power-of-two magnitude.
@@ -71,7 +74,7 @@ impl HistSnapshot {
 /// The histogram itself. `min`/`max` are tracked exactly (not at
 /// bucket granularity) via `fetch_min`/`fetch_max`.
 pub struct Histogram {
-    buckets: Box<[AtomicU64; BUCKETS]>,
+    buckets: OnceLock<Box<[AtomicU64; BUCKETS]>>,
     count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
@@ -87,7 +90,7 @@ impl Default for Histogram {
 impl Histogram {
     pub fn new() -> Self {
         Histogram {
-            buckets: Box::new([const { AtomicU64::new(0) }; BUCKETS]),
+            buckets: OnceLock::new(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -95,9 +98,14 @@ impl Histogram {
         }
     }
 
+    fn buckets(&self) -> &[AtomicU64; BUCKETS] {
+        self.buckets
+            .get_or_init(|| Box::new([const { AtomicU64::new(0) }; BUCKETS]))
+    }
+
     #[inline]
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.buckets()[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
@@ -117,10 +125,13 @@ impl Histogram {
     /// Fold another histogram's buckets into this one. Snapshot-equal
     /// to having recorded both value streams into a single histogram.
     pub fn merge(&self, other: &Histogram) {
-        for i in 0..BUCKETS {
-            let n = other.buckets[i].load(Ordering::Relaxed);
+        let Some(theirs) = other.buckets.get() else {
+            return;
+        };
+        for (mine, theirs) in self.buckets().iter().zip(theirs.iter()) {
+            let n = theirs.load(Ordering::Relaxed);
             if n > 0 {
-                self.buckets[i].fetch_add(n, Ordering::Relaxed);
+                mine.fetch_add(n, Ordering::Relaxed);
             }
         }
         self.count
@@ -138,13 +149,13 @@ impl Histogram {
     /// at least a `q` fraction of recorded samples are ≤ the result.
     pub fn quantile(&self, q: f64) -> u64 {
         let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
+        let Some(buckets) = self.buckets.get().filter(|_| count > 0) else {
             return 0;
-        }
+        };
         let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut seen = 0u64;
-        for i in 0..BUCKETS {
-            seen += self.buckets[i].load(Ordering::Relaxed);
+        for (i, n) in buckets.iter().enumerate() {
+            seen += n.load(Ordering::Relaxed);
             if seen >= rank {
                 // never report past the true maximum
                 return bucket_high(i).min(self.max.load(Ordering::Relaxed));
@@ -167,44 +178,6 @@ impl Histogram {
             p90: self.quantile(0.90),
             p99: self.quantile(0.99),
         }
-    }
-}
-
-/// A histogram family keyed by one label value (e.g. destination),
-/// exposed as `name{dest="..."}` in the Prometheus output.
-pub struct HistogramVec {
-    label: String,
-    children: std::sync::Mutex<std::collections::BTreeMap<String, std::sync::Arc<Histogram>>>,
-}
-
-impl HistogramVec {
-    pub fn new(label: &str) -> Self {
-        HistogramVec {
-            label: label.to_string(),
-            children: std::sync::Mutex::new(std::collections::BTreeMap::new()),
-        }
-    }
-
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Get-or-create the child histogram for one label value.
-    pub fn with_label(&self, value: &str) -> std::sync::Arc<Histogram> {
-        let mut c = self.children.lock().unwrap();
-        c.entry(value.to_string())
-            .or_insert_with(|| std::sync::Arc::new(Histogram::new()))
-            .clone()
-    }
-
-    /// All children, label-sorted.
-    pub fn children(&self) -> Vec<(String, std::sync::Arc<Histogram>)> {
-        self.children
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
     }
 }
 
@@ -366,23 +339,21 @@ mod tests {
     }
 
     #[test]
+    fn an_unrecorded_histogram_merges_as_empty() {
+        let (a, empty) = (Histogram::new(), Histogram::new());
+        a.record(7);
+        let before = a.snapshot();
+        a.merge(&empty);
+        assert_eq!(a.snapshot(), before);
+        empty.merge(&a);
+        assert_eq!(empty.snapshot(), before);
+        assert_eq!(Histogram::new().quantile(0.5), 0);
+    }
+
+    #[test]
     fn empty_snapshot_is_zeroed() {
         let s = Histogram::new().snapshot();
         assert_eq!(s, HistSnapshot::default());
         assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn vec_children_sorted_and_reused() {
-        let v = HistogramVec::new("dest");
-        v.with_label("b").record(2);
-        v.with_label("a").record(1);
-        v.with_label("b").record(4);
-        let kids = v.children();
-        assert_eq!(
-            kids.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
-            vec!["a", "b"]
-        );
-        assert_eq!(kids[1].1.count(), 2);
     }
 }

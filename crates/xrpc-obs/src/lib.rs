@@ -21,8 +21,10 @@
 //!   JSON-lines appended without ever blocking the request path, served at
 //!   `GET /slowlog`.
 //!
-//! [`Observability`] bundles a tracer with a registry of named
-//! histograms so one `Arc` can be handed to every layer of a peer.
+//! Histograms are plain fields of whatever records them (a peer's
+//! families, a WAL's, a transport's per-destination stats), each read by
+//! name from one table on `/metrics`: recording takes no lock and
+//! allocates nothing past a histogram's first sample.
 
 mod hash;
 pub mod hist;
@@ -32,9 +34,10 @@ pub mod slowlog;
 pub mod trace;
 
 pub use hash::{fnv1a64, fnv1a64_continue};
-pub use hist::{HistSnapshot, Histogram, HistogramVec};
+pub use hist::{HistSnapshot, Histogram};
 pub use profile::{
-    HopProfile, OpGuard, OpNode, Phase, Phases, ProfileCollector, ProfileMode, QueryProfile,
+    time_phase, HopProfile, OpGuard, OpNode, Phase, Phases, ProfileCollector, ProfileMode,
+    QueryProfile,
 };
 pub use prom::PromWriter;
 pub use slowlog::{SlowLog, SlowLogEntry};
@@ -42,63 +45,3 @@ pub use trace::{
     ambient_span, current_context, current_tracer, set_current_context, set_current_tracer,
     trace_id_from, ContextGuard, FinishedSpan, SpanGuard, TraceContext, Tracer, TracerGuard,
 };
-
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
-
-/// One peer's observability state: a tracer plus named histograms.
-///
-/// Histograms are created on first use and live for the peer's
-/// lifetime; the `BTreeMap` keeps `/metrics` output stably ordered.
-pub struct Observability {
-    pub tracer: Arc<Tracer>,
-    hists: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    vecs: Mutex<BTreeMap<String, Arc<HistogramVec>>>,
-}
-
-impl Observability {
-    pub fn new(peer: &str) -> Arc<Self> {
-        Arc::new(Observability {
-            tracer: Arc::new(Tracer::new(peer, 4096)),
-            hists: Mutex::new(BTreeMap::new()),
-            vecs: Mutex::new(BTreeMap::new()),
-        })
-    }
-
-    /// Get-or-create the histogram named `name`.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut h = self.hists.lock().unwrap();
-        h.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::new()))
-            .clone()
-    }
-
-    /// Get-or-create a labeled histogram family (`name{label="..."}`)
-    /// keyed by `label`.
-    pub fn histogram_vec(&self, name: &str, label: &str) -> Arc<HistogramVec> {
-        let mut v = self.vecs.lock().unwrap();
-        v.entry(name.to_string())
-            .or_insert_with(|| Arc::new(HistogramVec::new(label)))
-            .clone()
-    }
-
-    /// Every plain histogram, name-sorted (for exposition).
-    pub fn histograms(&self) -> Vec<(String, Arc<Histogram>)> {
-        self.hists
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-
-    /// Every labeled family, name-sorted (for exposition).
-    pub fn histogram_vecs(&self) -> Vec<(String, Arc<HistogramVec>)> {
-        self.vecs
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
-    }
-}

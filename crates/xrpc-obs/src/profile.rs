@@ -74,6 +74,16 @@ impl ProfileMode {
 /// Phase breakdown of one hop, mirroring the paper's §5 cost decomposition
 /// (parse / compile / marshal / network / execute / serialize) plus the
 /// update-path extras (2PC coordination, WAL fsync).
+///
+/// Every phase is charged inside the hop's `total_micros`, and a phase
+/// that contains others is charged only its own time ([`time_phase`]):
+/// execute is the evaluation less the marshal and network of the calls it
+/// made, 2PC the coordination less its log appends. So the phases of a
+/// hop that calls one destination at a time add up to its wall clock.
+/// Calls to several destinations dispatched in parallel overlap: their
+/// network phases are each a whole round trip, so they can sum past the
+/// hop's wall time (and the execute phase they are taken from saturates
+/// at zero).
 #[derive(Clone, Debug, Default)]
 pub struct Phases {
     pub parse_micros: u64,
@@ -158,6 +168,30 @@ impl Phase {
         (Phase::TwoPc, "twopcMicros"),
         (Phase::Wal, "walMicros"),
     ];
+}
+
+/// Run `f` as `phase` of `col`'s hop: charge its wall time less what the
+/// `nested` phases were charged while it ran, and return the result with
+/// the micros charged (the whole wall time without a collector).
+pub fn time_phase<T>(
+    col: Option<&ProfileCollector>,
+    phase: Phase,
+    nested: &[Phase],
+    f: impl FnOnce() -> T,
+) -> (T, u64) {
+    let nested_sum = |c: &ProfileCollector| {
+        let p = c.phases.lock().unwrap();
+        nested.iter().map(|&n| p.get(n)).sum::<u64>()
+    };
+    let before = col.map(nested_sum);
+    let started = Instant::now();
+    let out = f();
+    let mut micros = started.elapsed().as_micros() as u64;
+    if let (Some(c), Some(before)) = (col, before) {
+        micros = micros.saturating_sub(nested_sum(c).saturating_sub(before));
+        c.add_phase(phase, micros);
+    }
+    (out, micros)
 }
 
 /// One node of the aggregated operator tree.

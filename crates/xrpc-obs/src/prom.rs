@@ -4,7 +4,7 @@
 //! samples plus `_sum` and `_count` — because the log-linear buckets
 //! already give calibrated quantiles and a summary keeps the output
 //! compact. `# TYPE` headers are emitted once per family, so labeled
-//! series from a [`HistogramVec`](crate::HistogramVec) group cleanly.
+//! series (one per destination) group cleanly.
 
 use crate::hist::HistSnapshot;
 use std::collections::HashSet;

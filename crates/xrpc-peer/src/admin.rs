@@ -10,8 +10,12 @@
 //! [`ResilientTransport`](xrpc_net::ResilientTransport), server side
 //! from the HTTP listener, distinguished by a `side` label), 2PC
 //! counters, the global buffer pool, per-destination retry/latency
-//! stats and circuit-breaker states — plus the peer's latency/size
-//! histograms as summary families with p50/p90/p99.
+//! stats and circuit-breaker states — plus the histograms as summary
+//! families with p50/p90/p99: the peer's standing families (the fields
+//! of [`PeerHistograms`](crate::PeerHistograms), every one on the first
+//! scrape), the attached WAL's own, and per-destination latency from the
+//! resilient transport's bounded table (256 destinations and `other`), so
+//! the `dest` label set is bounded by construction.
 //!
 //! `/healthz` reports WAL attachment, in-doubt transaction count and
 //! breaker states; status degrades (HTTP 503) when transactions are
@@ -169,7 +173,7 @@ pub fn render_metrics(peer: &Peer, server_metrics: Option<&NetMetrics>) -> Strin
     // slow-query log's volume/drop counters.
     w.counter(
         "xrpc_trace_spans_dropped_total",
-        peer.obs.tracer.spans_dropped(),
+        peer.tracer.spans_dropped(),
     );
     w.counter("xrpc_slowlog_entries_total", peer.slowlog.entries_logged());
     w.counter("xrpc_slowlog_dropped_total", peer.slowlog.entries_dropped());
@@ -227,15 +231,13 @@ pub fn render_metrics(peer: &Peer, server_metrics: Option<&NetMetrics>) -> Strin
             s.torn_tail_recoveries,
         );
         w.counter("xrpc_wal_group_fsyncs_total", s.fsyncs);
+        for (name, h) in l.histograms() {
+            w.summary(name, &h.snapshot());
+        }
     }
 
-    for (name, h) in peer.obs.histograms() {
-        w.summary(&name, &h.snapshot());
-    }
-    for (name, vec) in peer.obs.histogram_vecs() {
-        for (value, h) in vec.children() {
-            w.summary_labeled(&name, vec.label(), &value, &h.snapshot());
-        }
+    for (name, h) in peer.hists.families() {
+        w.summary(name, &h.snapshot());
     }
 
     if let Some(rt) = peer.resilient_transport() {

@@ -12,7 +12,6 @@ use xdm::{Sequence, XdmError, XdmResult};
 use xqeval::context::{FunctionRef, RpcDispatcher};
 use xqeval::CancelToken;
 use xrpc_net::{CallHint, ResilientTransport, Transport};
-use xrpc_obs::Observability;
 use xrpc_proto::{parse_message, QueryId, UpdCall, XrpcMessage, XrpcRequest, XrpcResponse};
 
 /// One query's view of the network: the transport and the queryID (when
@@ -26,13 +25,13 @@ pub struct XrpcClient {
     pub(crate) coordinator: Mutex<Option<Arc<Peer>>>,
     /// That call's callee committed the transaction before it answered.
     pub(crate) committed: std::sync::atomic::AtomicBool,
-    /// The sending peer's observability state: with it attached, every
-    /// dispatch opens a client span (child of the thread's ambient
-    /// context) whose context is injected into the envelope header, and
-    /// call latency / message size land in the peer's histograms.
-    /// Without it the client still *propagates* an ambient context on
-    /// the wire — it just records nothing locally.
-    pub obs: Option<Arc<Observability>>,
+    /// The sending peer: with it attached, every dispatch opens a client
+    /// span in its tracer (child of the thread's ambient context) whose
+    /// context is injected into the envelope header, and call latency /
+    /// message size land in its histograms. Without it the client still
+    /// *propagates* an ambient context on the wire — it just records
+    /// nothing locally.
+    pub(crate) sender: Option<Arc<Peer>>,
     /// Every peer that participated in this query (directly or nested) —
     /// the originator registers these with the 2PC coordinator (§2.3).
     pub participants: Mutex<HashSet<String>>,
@@ -68,7 +67,7 @@ impl XrpcClient {
             query_id: None,
             coordinator: Mutex::new(None),
             committed: Default::default(),
-            obs: None,
+            sender: None,
             participants: Mutex::new(HashSet::new()),
             requests_sent: std::sync::atomic::AtomicU64::new(0),
             calls_sent: std::sync::atomic::AtomicU64::new(0),
@@ -114,8 +113,8 @@ impl XrpcClient {
         // Control messages continue the coordinator's trace: a span per
         // delivery when a tracer is attached, else the bare ambient
         // context (so the participant's server span still links up).
-        let mut span = self.obs.as_ref().map(|o| {
-            let mut s = o.tracer.span_here(format!("control:{method}"));
+        let mut span = self.sender.as_ref().map(|p| {
+            let mut s = p.tracer.span_here(format!("control:{method}"));
             s.tag("dest", dest.to_owned());
             s
         });
@@ -206,8 +205,8 @@ impl XrpcClient {
         // One client span per dispatch; its context rides in the envelope
         // header so the callee's server span joins the same trace. With no
         // tracer the ambient context (if any) is forwarded untouched.
-        let mut span = self.obs.as_ref().map(|o| {
-            let mut s = o.tracer.span_here("client:call");
+        let mut span = self.sender.as_ref().map(|p| {
+            let mut s = p.tracer.span_here("client:call");
             s.tag("dest", dest.to_owned());
             s.tag("method", req.method.clone());
             s
@@ -249,8 +248,8 @@ impl XrpcClient {
             // a callee that restarts mid-commit and asks hears `InDoubt`
             let _ = peer.coord_edge(qid, CoordInput::Begin(&[dest.to_string()]));
         }
-        if let Some(o) = &self.obs {
-            o.histogram("xrpc_message_bytes").record(xml.len() as u64);
+        if let Some(p) = &self.sender {
+            p.hists.message_bytes.record(xml.len() as u64);
         }
         let started = std::time::Instant::now();
         // Cap the retry layer's cumulative backoff to the query budget for
@@ -274,12 +273,8 @@ impl XrpcClient {
         });
         let answer = answer.and_then(|resp_bytes| {
             let elapsed = started.elapsed();
-            if let Some(o) = &self.obs {
-                o.histogram("xrpc_call_latency_micros")
-                    .record_micros(elapsed);
-                o.histogram_vec("xrpc_call_latency_by_dest_micros", "dest")
-                    .with_label(dest)
-                    .record_micros(elapsed);
+            if let Some(p) = &self.sender {
+                p.hists.call_latency_micros.record_micros(elapsed);
             }
             if let Some(col) = &self.profile {
                 // "network" is the whole round-trip as this hop saw it (the

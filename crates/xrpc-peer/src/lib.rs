@@ -34,7 +34,8 @@ pub use admin::{admin_handler, bind_admin, render_healthz, render_metrics, Serve
 pub use client::XrpcClient;
 pub use modweb::ModuleWeb;
 pub use peer::{
-    EngineKind, ExecOutcome, IsolationLevel, Peer, PeerStats, PreparedQuery, QueryPlan,
+    EngineKind, ExecOutcome, IsolationLevel, Peer, PeerHistograms, PeerStats, PreparedQuery,
+    QueryPlan,
 };
 pub use recovery::{RecoveryReport, SweeperConfig, SweeperHandle};
 pub use remote_docs::RemoteDocResolver;

@@ -17,8 +17,8 @@ use xqeval::context::{CancelToken, DocResolver, Environment, StaticContext};
 use xqeval::{CompiledMain, InMemoryDocs, ModuleRegistry};
 use xrpc_net::{BreakerConfig, CrashSwitch, ResilientTransport, RetryPolicy, Transport};
 use xrpc_obs::{
-    trace_id_from, Observability, Phase, ProfileCollector, ProfileMode, QueryProfile, SlowLog,
-    SlowLogEntry, TraceContext,
+    time_phase, trace_id_from, Histogram, Phase, ProfileCollector, ProfileMode, QueryProfile,
+    SlowLog, SlowLogEntry, TraceContext, Tracer,
 };
 use xrpc_proto::QueryId;
 
@@ -72,6 +72,56 @@ impl PeerStats {
                 total.fetch_add(n, Ordering::Relaxed);
             }
         }
+    }
+}
+
+/// The peer's histogram families, each a field its writer records into
+/// with relaxed atomic adds: no lock, and no allocation past a family's
+/// first sample. Its `families` table is the one place a family is named,
+/// and `/metrics` renders it whole, so every family is on the first
+/// scrape. The WAL's families are the log's own (`Wal::histograms`);
+/// per-destination latency is the resilient transport's bounded table.
+#[derive(Default)]
+pub struct PeerHistograms {
+    /// Bytes of every request this peer sends and every one it receives.
+    pub message_bytes: Histogram,
+    /// Round trip of each call this peer dispatches, retries included.
+    pub call_latency_micros: Histogram,
+    /// A served request, envelope decode to response.
+    pub server_handle_micros: Histogram,
+    /// Calls per served request (the Bulk RPC batch size).
+    pub bulk_batch_calls: Histogram,
+    /// From a query's deadline passing to its abort landing.
+    pub time_to_cancel_micros: Histogram,
+    /// Participant side: a `Prepare` edge, and a `Commit` or one-phase
+    /// commit edge.
+    pub twopc_prepare_micros: Histogram,
+    pub twopc_commit_micros: Histogram,
+    /// Coordinator side: the prepare fan-out, and the decision phase.
+    pub twopc_prepare_phase_micros: Histogram,
+    pub twopc_decision_phase_micros: Histogram,
+}
+
+impl PeerHistograms {
+    /// Every family with its exposition name, name-sorted.
+    pub(crate) fn families(&self) -> [(&'static str, &Histogram); 9] {
+        [
+            ("xrpc_bulk_batch_calls", &self.bulk_batch_calls),
+            ("xrpc_call_latency_micros", &self.call_latency_micros),
+            ("xrpc_message_bytes", &self.message_bytes),
+            ("xrpc_server_handle_micros", &self.server_handle_micros),
+            ("xrpc_time_to_cancel_micros", &self.time_to_cancel_micros),
+            ("xrpc_twopc_commit_micros", &self.twopc_commit_micros),
+            (
+                "xrpc_twopc_decision_phase_micros",
+                &self.twopc_decision_phase_micros,
+            ),
+            (
+                "xrpc_twopc_prepare_phase_micros",
+                &self.twopc_prepare_phase_micros,
+            ),
+            ("xrpc_twopc_prepare_micros", &self.twopc_prepare_micros),
+        ]
     }
 }
 
@@ -170,9 +220,10 @@ pub struct Peer {
     /// [`set_transport`]: Self::set_transport
     /// [`set_transport_with`]: Self::set_transport_with
     resilient: RwLock<Option<Arc<ResilientTransport>>>,
-    /// Tracer + named latency/size histograms for this peer; threaded
-    /// through the client stub, the request handlers, 2PC and the WAL.
-    pub obs: Arc<Observability>,
+    /// This peer's spans: the client stub, the request handlers and 2PC
+    /// open them, the admin surface exports them.
+    pub tracer: Arc<Tracer>,
+    pub hists: PeerHistograms,
     pub function_cache: FunctionCache<PreparedFunction>,
     /// Compiled plans for top-level queries, keyed by (normalized text,
     /// ambient-static-context fingerprint) — repeated query shapes skip
@@ -247,11 +298,7 @@ impl Peer {
         docs: Arc<InMemoryDocs>,
     ) -> Arc<Self> {
         let name = name.into();
-        let obs = Observability::new(&name);
-        // on /metrics before the first edge, whichever edges a peer runs
-        for family in ["xrpc_twopc_prepare_micros", "xrpc_twopc_commit_micros"] {
-            obs.histogram(family);
-        }
+        let tracer = Arc::new(Tracer::new(&name, 4096));
         Arc::new_cyclic(|me| Peer {
             me: me.clone(),
             name: RwLock::new(name),
@@ -262,7 +309,8 @@ impl Peer {
             snapshots: SnapshotManager::new(),
             transport: RwLock::new(None),
             resilient: RwLock::new(None),
-            obs,
+            tracer,
+            hists: PeerHistograms::default(),
             function_cache: FunctionCache::new(true),
             plan_cache: PlanCache::new(true),
             base_uri: RwLock::new(None),
@@ -685,17 +733,17 @@ impl Peer {
         let root_ctx = match &qid {
             Some(q) => TraceContext {
                 trace_id: trace_id_from(&q.host, q.timestamp_millis),
-                span_id: self.obs.tracer.next_span_id(),
+                span_id: self.tracer.next_span_id(),
                 parent_id: None,
             },
             None => TraceContext {
                 trace_id: trace_id_from(&self.name(), crate::now_millis()),
-                span_id: self.obs.tracer.next_span_id(),
+                span_id: self.tracer.next_span_id(),
                 parent_id: None,
             },
         };
-        let _tracer = xrpc_obs::set_current_tracer(Some(self.obs.tracer.clone()));
-        let mut root = self.obs.tracer.span("execute", root_ctx);
+        let _tracer = xrpc_obs::set_current_tracer(Some(self.tracer.clone()));
+        let mut root = self.tracer.span("execute", root_ctx);
         root.tag(
             "isolation",
             match isolation {
@@ -714,6 +762,12 @@ impl Peer {
         let collector = mode
             .is_on()
             .then(|| ProfileCollector::new(mode, &self.name(), "", 0));
+        // A miss compiled the plan just before this call: that time is the
+        // hop's too, so its parse and compile phases lie inside its total.
+        let compiled_micros = match cache {
+            "miss" => plan.parse_micros + plan.compile_micros,
+            _ => 0,
+        };
         if let Some(col) = &collector {
             col.set_cache(cache);
             if cache == "miss" {
@@ -735,16 +789,21 @@ impl Peer {
         );
         env.rpc_optimize = self.rpc_optimize.load(Ordering::SeqCst);
 
-        let exec_started = Instant::now();
-        let engine_out = match self.engine {
-            EngineKind::Tree => xqeval::eval::evaluate_compiled(&plan.compiled, &env, external),
-            EngineKind::Rel => relalg::engine::execute_rel_compiled(&plan.compiled, &env, external),
-        };
-        let execute_micros = exec_started.elapsed().as_micros() as u64;
+        // the calls the evaluation makes charge their own marshal and
+        // network phases: execute is what is left
+        let calls = [Phase::Marshal, Phase::Network];
+        let (engine_out, execute_micros) = time_phase(
+            collector.as_deref(),
+            Phase::Execute,
+            &calls,
+            || match self.engine {
+                EngineKind::Tree => xqeval::eval::evaluate_compiled(&plan.compiled, &env, external),
+                EngineKind::Rel => {
+                    relalg::engine::execute_rel_compiled(&plan.compiled, &env, external)
+                }
+            },
+        );
         self.stats.absorb(&env);
-        if let Some(col) = &collector {
-            col.add_phase(Phase::Execute, execute_micros);
-        }
         let (result, local_pul) = match engine_out {
             Ok(out) => out,
             Err(e) => {
@@ -816,19 +875,11 @@ impl Peer {
                         return Err(e);
                     }
                     // WAL appends inside the coordination are charged to
-                    // their own phase; subtract them here so twopc + wal
-                    // add up instead of double-counting.
-                    let wal_before = collector.as_ref().map(|c| c.phases().wal_micros);
-                    let twopc_started = Instant::now();
-                    let outcome =
-                        twopc::run_two_phase_commit(self, client, qid, &participants, has_delta);
-                    if let (Some(col), Some(before)) = (&collector, wal_before) {
-                        let wal_during = col.phases().wal_micros.saturating_sub(before);
-                        col.add_phase(
-                            Phase::TwoPc,
-                            (twopc_started.elapsed().as_micros() as u64).saturating_sub(wal_during),
-                        );
-                    }
+                    // their own phase: twopc is what is left
+                    let (outcome, _) =
+                        time_phase(collector.as_deref(), Phase::TwoPc, &[Phase::Wal], || {
+                            twopc::run_two_phase_commit(self, client, qid, &participants, has_delta)
+                        });
                     let outcome = outcome?;
                     if let CommitOutcome::Aborted { reason } = &outcome {
                         return Err(twopc::aborted(reason));
@@ -844,7 +895,7 @@ impl Peer {
             None => self.apply_pul(&local_pul)?,
         }
 
-        let total_micros = started.elapsed().as_micros() as u64;
+        let total_micros = compiled_micros + started.elapsed().as_micros() as u64;
         let profile = collector.as_ref().map(|col| QueryProfile {
             trace_id: root_ctx.trace_id,
             hops: col.finish_hops(root_ctx.trace_id, root_ctx.span_id, total_micros),
@@ -928,7 +979,7 @@ impl Peer {
             let mut c = XrpcClient::new(t);
             c.query_id = query_id;
             c.coordinator = Mutex::new(self.me.upgrade().filter(|_| commit_on_reply));
-            c.obs = Some(self.obs.clone());
+            c.sender = self.me.upgrade();
             c.net_feedback = self.resilient_transport();
             c.cancel = Some(cancel.clone());
             c.profile = profile.clone();
@@ -960,9 +1011,7 @@ impl Peer {
         if let Some(d) = deadline {
             let now = Instant::now();
             if now > d {
-                self.obs
-                    .histogram("xrpc_time_to_cancel_micros")
-                    .record_micros(now - d);
+                self.hists.time_to_cancel_micros.record_micros(now - d);
             }
         }
     }

@@ -141,11 +141,6 @@ impl Peer {
         config: WalConfig,
     ) -> XdmResult<RecoveryReport> {
         let (log, replay) = Wal::open_with(path, config)?;
-        log.set_observers(
-            self.obs.histogram("xrpc_wal_append_micros"),
-            self.obs.histogram("xrpc_wal_fsync_micros"),
-            self.obs.histogram("xrpc_wal_group_batch"),
-        );
         if let Some(sw) = self.crash_switch.read().as_ref() {
             log.set_crash_switch(sw.clone());
         }
@@ -253,8 +248,8 @@ impl Peer {
             return Ok(report);
         };
         let mut client = XrpcClient::new(transport);
-        client.obs = Some(self.obs.clone());
-        let _tracer = xrpc_obs::set_current_tracer(Some(self.obs.tracer.clone()));
+        client.sender = Some(self.clone());
+        let _tracer = xrpc_obs::set_current_tracer(Some(self.tracer.clone()));
 
         // Participant role: ask each recorded coordinator what it decided;
         // the answer is the machine's next input.
@@ -340,11 +335,11 @@ impl Peer {
     }
 
     fn recovery_span(&self, name: &'static str, qid: &QueryId) -> xrpc_obs::SpanGuard {
-        self.obs.tracer.span(
+        self.tracer.span(
             name,
             TraceContext {
                 trace_id: trace_id_from(&qid.host, qid.timestamp_millis),
-                span_id: self.obs.tracer.next_span_id(),
+                span_id: self.tracer.next_span_id(),
                 parent_id: None,
             },
         )

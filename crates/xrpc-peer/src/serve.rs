@@ -16,7 +16,7 @@ use xqeval::context::{CancelToken, DocResolver};
 use xqeval::eval::{Ctx, EvalState, Evaluator};
 use xqeval::modules::CompiledModule;
 use xqeval::pul::PendingUpdateList;
-use xrpc_obs::{Phase, ProfileCollector};
+use xrpc_obs::{time_phase, Phase, ProfileCollector};
 use xrpc_proto::{parse_message, UpdCall, XrpcFault, XrpcMessage, XrpcRequest, XrpcResponse};
 
 /// Removes a call-handler's cancel token from [`Peer::active_evals`] when
@@ -85,16 +85,14 @@ impl Peer {
         // request. The span's context and this peer's tracer stay
         // ambient for everything the request triggers: nested client
         // dispatches, 2PC control handling, the engines.
-        let _tracer = xrpc_obs::set_current_tracer(Some(self.obs.tracer.clone()));
+        let _tracer = xrpc_obs::set_current_tracer(Some(self.tracer.clone()));
         let mut span = match req.trace {
-            Some(parent) => self.obs.tracer.child_span("server:handle", parent),
-            None => self.obs.tracer.span_here("server:handle"),
+            Some(parent) => self.tracer.child_span("server:handle", parent),
+            None => self.tracer.span_here("server:handle"),
         };
         span.tag("module", req.module.clone());
         span.tag("method", req.method.clone());
-        self.obs
-            .histogram("xrpc_message_bytes")
-            .record(text.len() as u64);
+        self.hists.message_bytes.record(text.len() as u64);
         let out = if req.module == WSAT_MODULE {
             self.handle_control(&req)
         } else if req.module == crate::remote_docs::DOC_MODULE {
@@ -105,8 +103,8 @@ impl Peer {
         if let Err(e) = &out {
             span.tag("error", e.to_string());
         }
-        self.obs
-            .histogram("xrpc_server_handle_micros")
+        self.hists
+            .server_handle_micros
             .record_micros(span.elapsed());
         out
     }
@@ -160,9 +158,7 @@ impl Peer {
         self.stats
             .calls_handled
             .fetch_add(req.calls.len() as u64, Ordering::Relaxed);
-        self.obs
-            .histogram("xrpc_bulk_batch_calls")
-            .record(req.calls.len() as u64);
+        self.hists.bulk_batch_calls.record(req.calls.len() as u64);
 
         // The caller's remaining budget, already decremented for network
         // time at every hop. A budget exhausted on arrival is rejected
@@ -262,33 +258,33 @@ impl Peer {
         // stay a sequential loop — ∆s must compose in call order (XQUF
         // merge rules) — and so does a single call, which has nothing to
         // share.
-        let eval_started = Instant::now();
         let calls = std::mem::take(&mut req.calls);
         let ncalls = calls.len();
-        let outcome = if !updating && ncalls > 1 {
-            relalg::eval_calls(&ev, &prepared.decl, calls)
-        } else {
-            let mut results = Vec::with_capacity(ncalls);
-            let mut pul = PendingUpdateList::new();
-            calls
-                .into_iter()
-                .try_for_each(|args| {
-                    let mut st = EvalState::new();
-                    bind_params(&prepared.decl, args, &mut st)?;
-                    let r = ev.eval(&prepared.decl.body, &mut st, &Ctx::none())?;
-                    // an updating function's result is empty by XQUF; a
-                    // non-updating one must not update, but `fn:put` is
-                    // tolerated, so its ∆ is kept either way
-                    results.push(if updating { Sequence::empty() } else { r });
-                    pul.merge(st.pul);
-                    Ok(())
-                })
-                .map(|()| (results, pul))
-        };
+        // the nested calls charge their own marshal and network phases
+        let nested = [Phase::Marshal, Phase::Network];
+        let (outcome, _) = time_phase(collector.as_deref(), Phase::Execute, &nested, || {
+            if !updating && ncalls > 1 {
+                relalg::eval_calls(&ev, &prepared.decl, calls)
+            } else {
+                let mut results = Vec::with_capacity(ncalls);
+                let mut pul = PendingUpdateList::new();
+                calls
+                    .into_iter()
+                    .try_for_each(|args| {
+                        let mut st = EvalState::new();
+                        bind_params(&prepared.decl, args, &mut st)?;
+                        let r = ev.eval(&prepared.decl.body, &mut st, &Ctx::none())?;
+                        // an updating function's result is empty by XQUF; a
+                        // non-updating one must not update, but `fn:put` is
+                        // tolerated, so its ∆ is kept either way
+                        results.push(if updating { Sequence::empty() } else { r });
+                        pul.merge(st.pul);
+                        Ok(())
+                    })
+                    .map(|()| (results, pul))
+            }
+        });
         self.stats.absorb(&env);
-        if let Some(col) = &collector {
-            col.add_phase(Phase::Execute, eval_started.elapsed().as_micros() as u64);
-        }
         // Evaluation is side-effect-free up to the PUL, which is only
         // applied below: a failing call fails the request as a whole.
         let (results, mut pul_total) = outcome.inspect_err(|e: &XdmError| {

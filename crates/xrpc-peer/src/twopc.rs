@@ -175,7 +175,7 @@ pub fn run_two_phase_commit(
     if let ([_], false) = (participants, own) {
         return commit_one_phase(peer, client, qid, participants, 0);
     }
-    let (obs, metrics) = (&peer.obs, &peer.twopc_metrics);
+    let (tracer, hists, metrics) = (&peer.tracer, &peer.hists, &peer.twopc_metrics);
     let config = *peer.twopc_config.read();
     let own_edge = |input| -> XdmResult<()> {
         if own {
@@ -203,7 +203,7 @@ pub fn run_two_phase_commit(
     // participant itself, so the common single-participant transaction
     // spawns nothing.
     let phase_start = Instant::now();
-    let prepare_span = obs.tracer.span_here("2pc:prepare-phase");
+    let prepare_span = tracer.span_here("2pc:prepare-phase");
     // the phase span's context is ambient on *this* thread only; hand it
     // to the scoped prepare threads so their control sends stay in-trace
     let prepare_ctx = xrpc_obs::current_context();
@@ -233,7 +233,9 @@ pub fn run_two_phase_commit(
         });
         inline.into_iter().chain(joined).collect()
     });
-    (obs.histogram("xrpc_twopc_prepare_phase_micros")).record_micros(prepare_span.elapsed());
+    hists
+        .twopc_prepare_phase_micros
+        .record_micros(prepare_span.elapsed());
     drop(prepare_span);
     // Phase 2 tells everyone but the read-only voters — the ones whose
     // Prepare failed too: a participant whose Prepare *response* was lost
@@ -257,14 +259,16 @@ pub fn run_two_phase_commit(
         )));
     }
 
-    let mut decision_span = obs.tracer.span_here("2pc:decision-phase");
+    let mut decision_span = tracer.span_here("2pc:decision-phase");
     decision_span.tag(
         "decision",
         if failure.is_some() { "abort" } else { "commit" },
     );
     let decision_start = Instant::now();
     let record_decision_phase = || {
-        (obs.histogram("xrpc_twopc_decision_phase_micros")).record_micros(decision_start.elapsed());
+        hists
+            .twopc_decision_phase_micros
+            .record_micros(decision_start.elapsed());
     };
     match failure {
         Some(err) => {
@@ -370,7 +374,7 @@ fn commit_one_phase(
 ) -> XdmResult<CommitOutcome> {
     let participant = &participants[0];
     let _ = peer.coord_edge(qid, CoordInput::Begin(participants));
-    let mut span = peer.obs.tracer.span_here("2pc:decision-phase");
+    let mut span = peer.tracer.span_here("2pc:decision-phase");
     span.tag("decision", "one-phase");
     let answer = deliver(
         peer,
@@ -382,7 +386,9 @@ fn commit_one_phase(
     );
     peer.crash_at(crash_points::COORD_ONE_PHASE_IN_FLIGHT, &mut span)?;
     let _ = peer.coord_edge(qid, CoordInput::End);
-    (peer.obs.histogram("xrpc_twopc_decision_phase_micros")).record_micros(span.elapsed());
+    peer.hists
+        .twopc_decision_phase_micros
+        .record_micros(span.elapsed());
     let error = match answer {
         Ok(None) => return Ok(CommitOutcome::Committed { participants: 1 }),
         Ok(Some(refusal)) => {
@@ -430,7 +436,7 @@ pub(crate) fn settle_reply(
             ))),
         },
         answer => {
-            let mut span = peer.obs.tracer.span_here("2pc:decision-phase");
+            let mut span = peer.tracer.span_here("2pc:decision-phase");
             span.tag("decision", "commit-on-reply");
             peer.crash_at(crash_points::COORD_ONE_PHASE_IN_FLIGHT, &mut span)?;
             let _ = peer.coord_edge(qid, CoordInput::End);

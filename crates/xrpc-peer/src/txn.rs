@@ -254,7 +254,7 @@ impl Peer {
     /// edge is idempotent: redelivery and transport retries may deliver any
     /// control message twice, and a participant converges all the same.
     pub(crate) fn txn_edge(&self, qid: &QueryId, input: Input, via: Via) -> XdmResult<Done> {
-        let mut span = self.obs.tracer.span_here(input.names().1);
+        let mut span = self.tracer.span_here(input.names().1);
         if input == Input::Cancel {
             // a stand-down also stops what is still evaluating for the query
             let tokens = (self.active_evals.lock().get(&tx_key(qid)).cloned()).unwrap_or_default();
@@ -422,12 +422,12 @@ impl Peer {
         if let Some(e) = refused {
             return Err(e);
         }
-        let micros = match input {
-            Input::Prepare => "xrpc_twopc_prepare_micros",
-            Input::Commit | Input::CommitOnePhase => "xrpc_twopc_commit_micros",
+        let hist = match input {
+            Input::Prepare => &self.hists.twopc_prepare_micros,
+            Input::Commit | Input::CommitOnePhase => &self.hists.twopc_commit_micros,
             _ => return Ok(done),
         };
-        self.obs.histogram(micros).record_micros(span.elapsed());
+        hist.record_micros(span.elapsed());
         Ok(done)
     }
 
@@ -440,7 +440,7 @@ impl Peer {
             .ok_or_else(|| XdmError::xrpc("coordination message without queryID"))?;
         let m = &self.twopc_metrics;
         if req.method == METHOD_INQUIRE {
-            let mut span = self.obs.tracer.span_here("2pc:inquire");
+            let mut span = self.tracer.span_here("2pc:inquire");
             m.inquiries.fetch_add(1, Ordering::Relaxed);
             let outcome = self.coord.outcome(qid);
             span.tag("outcome", format!("{outcome:?}"));

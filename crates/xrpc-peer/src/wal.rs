@@ -61,6 +61,7 @@ use xmldom::{Document, NodeHandle, NodeId, NodeKind, QName};
 use xqeval::pul::{PendingUpdateList, UpdatePrimitive};
 use xqeval::InMemoryDocs;
 use xrpc_net::{crash_points, CrashSwitch};
+use xrpc_obs::Histogram;
 use xrpc_proto::marshal::s2n_text_into;
 use xrpc_proto::{n2s, QueryId};
 
@@ -647,18 +648,6 @@ pub struct WalStats {
     pub poisoned: bool,
 }
 
-/// Append-latency/fsync/batch observers, installed by `Peer::attach_wal`;
-/// absent for standalone logs.
-#[derive(Default)]
-struct Observers {
-    /// Whole-append latency (encode + write + force wait), µs.
-    append: Option<Arc<xrpc_obs::Histogram>>,
-    /// Physical fsync latency, µs.
-    fsync: Option<Arc<xrpc_obs::Histogram>>,
-    /// Records made durable per physical fsync (group-commit batch size).
-    batch: Option<Arc<xrpc_obs::Histogram>>,
-}
-
 /// An open write-ahead log (a directory holding the file `log`).
 pub struct Wal {
     path: PathBuf,
@@ -691,7 +680,12 @@ pub struct Wal {
     poison_reason: Mutex<Option<String>>,
     /// Crash-point switch for deterministic fault injection (chaos tests).
     crash: Mutex<Option<Arc<CrashSwitch>>>,
-    observers: Mutex<Observers>,
+    /// Whole-append latency (encode + write + force wait), µs.
+    append_micros: Histogram,
+    /// Physical fsync latency, µs.
+    fsync_micros: Histogram,
+    /// Records made durable per physical fsync (group-commit batch size).
+    group_batch: Histogram,
     rotations: AtomicU64,
     copy_forward_records: AtomicU64,
     torn_tail_recoveries: AtomicU64,
@@ -981,7 +975,9 @@ impl Wal {
             poisoned: AtomicBool::new(false),
             poison_reason: Mutex::new(None),
             crash: Mutex::new(None),
-            observers: Mutex::new(Observers::default()),
+            append_micros: Histogram::new(),
+            fsync_micros: Histogram::new(),
+            group_batch: Histogram::new(),
             rotations: AtomicU64::new(0),
             copy_forward_records: AtomicU64::new(0),
             torn_tail_recoveries: AtomicU64::new(tail_damaged as u64),
@@ -1004,19 +1000,14 @@ impl Wal {
         self.config
     }
 
-    /// Record append latency, fsync latency and group-commit batch size
-    /// into the given histograms (any may be shared with `xrpc-obs`).
-    pub fn set_observers(
-        &self,
-        append: Arc<xrpc_obs::Histogram>,
-        fsync: Arc<xrpc_obs::Histogram>,
-        batch: Arc<xrpc_obs::Histogram>,
-    ) {
-        *self.observers.lock() = Observers {
-            append: Some(append),
-            fsync: Some(fsync),
-            batch: Some(batch),
-        };
+    /// The log's histogram families with their exposition names: append
+    /// latency, fsync latency and group-commit batch size.
+    pub(crate) fn histograms(&self) -> [(&'static str, &Histogram); 3] {
+        [
+            ("xrpc_wal_append_micros", &self.append_micros),
+            ("xrpc_wal_fsync_micros", &self.fsync_micros),
+            ("xrpc_wal_group_batch", &self.group_batch),
+        ]
     }
 
     /// Consult this switch at the WAL-internal crash points
@@ -1122,7 +1113,7 @@ impl Wal {
             self.written_lsn.store(lsn, Ordering::Release);
             drop(inner);
             self.advance_durable(lsn);
-            self.observe_append(started);
+            self.append_micros.record_micros(started.elapsed());
             return Ok(lsn);
         }
 
@@ -1143,14 +1134,8 @@ impl Wal {
         if force {
             self.force(lsn)?;
         }
-        self.observe_append(started);
+        self.append_micros.record_micros(started.elapsed());
         Ok(lsn)
-    }
-
-    fn observe_append(&self, started: std::time::Instant) {
-        if let Some(h) = self.observers.lock().append.as_ref() {
-            h.record_micros(started.elapsed());
-        }
     }
 
     /// Raise the durable horizon (no fsync needed: used when the bytes at
@@ -1316,7 +1301,9 @@ impl Wal {
                     self.sync_inflight.fetch_sub(1, Ordering::AcqRel);
                     self.wake_waiters();
                     self.fsyncs.fetch_add(1, Ordering::Relaxed);
-                    self.observe_fsync(t0, target.saturating_sub(durable_before));
+                    self.fsync_micros.record_micros(t0.elapsed());
+                    self.group_batch
+                        .record(target.saturating_sub(durable_before));
                 }
                 Err(e) => {
                     self.sync_inflight.fetch_sub(1, Ordering::AcqRel);
@@ -1352,16 +1339,6 @@ impl Wal {
             self.written_lsn.load(Ordering::Acquire),
             inner.checkpointed_lsn,
         ))
-    }
-
-    fn observe_fsync(&self, t0: std::time::Instant, batch: u64) {
-        let obs = self.observers.lock();
-        if let Some(h) = obs.fsync.as_ref() {
-            h.record_micros(t0.elapsed());
-        }
-        if let Some(h) = obs.batch.as_ref() {
-            h.record(batch);
-        }
     }
 
     /// Every record with an LSN below this is gone from the disk for good —

@@ -135,12 +135,18 @@ fn metrics_and_healthz_scrape_end_to_end() {
         "xrpc_wal_copy_forward_records_total",
         "xrpc_wal_torn_tail_recoveries_total",
         "xrpc_wal_group_fsyncs_total",
-        // latency/size histograms (summaries)
+        // latency/size histograms (summaries): every peer family is on the
+        // first scrape, whichever code paths ran — this peer made no call,
+        // cancelled nothing and coordinated no 2PC
         "xrpc_message_bytes",
+        "xrpc_call_latency_micros",
         "xrpc_server_handle_micros",
         "xrpc_bulk_batch_calls",
+        "xrpc_time_to_cancel_micros",
         "xrpc_twopc_prepare_micros",
         "xrpc_twopc_commit_micros",
+        "xrpc_twopc_prepare_phase_micros",
+        "xrpc_twopc_decision_phase_micros",
         "xrpc_wal_append_micros",
         "xrpc_wal_fsync_micros",
         "xrpc_wal_group_batch",
@@ -207,7 +213,6 @@ fn metrics_and_healthz_scrape_end_to_end() {
     assert!(body.contains("xrpc_net_roundtrips_total{side=\"client\"}"));
     for family in [
         "xrpc_call_latency_micros",
-        "xrpc_call_latency_by_dest_micros",
         "xrpc_dest_latency_micros",
         "xrpc_breaker_state",
     ] {
@@ -317,4 +322,40 @@ fn ten_thousand_destinations_leave_a_bounded_label_set() {
         labels.len()
     );
     assert!(rt.dest_stats().len() <= 257);
+}
+
+/// The same bound through the client: a query computes 300 answering
+/// destinations with `execute at {$uri}`, and every latency it records per
+/// destination lands in the resilient transport's bounded table.
+#[test]
+fn three_hundred_computed_destinations_leave_a_bounded_label_set() {
+    let net = Arc::new(xrpc_net::SimNetwork::new(xrpc_net::NetProfile::instant()));
+    let b = Peer::new("xrpc://b", EngineKind::Tree);
+    b.register_module(MODULE).unwrap();
+    for i in 0..300 {
+        net.register(format!("xrpc://d{i}"), b.soap_handler());
+    }
+    let a = Peer::new("xrpc://a", EngineKind::Tree);
+    a.register_module(MODULE).unwrap();
+    a.set_transport(net);
+    let out = a
+        .execute(
+            r#"import module namespace t = "test";
+               count(for $i in 0 to 299
+                     return execute at {concat("xrpc://d", $i)} {t:ping()})"#,
+        )
+        .unwrap();
+    assert_eq!(out.items()[0].string_value(), "300");
+    let body = xrpc_peer::render_metrics(&a, None);
+    validate_exposition(&body).expect("valid exposition");
+    let labels: std::collections::BTreeSet<&str> = body
+        .split("dest=\"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').next())
+        .collect();
+    assert!(
+        (2..=257).contains(&labels.len()),
+        "{} dest= label values",
+        labels.len()
+    );
 }

@@ -31,7 +31,11 @@ struct Cluster {
 }
 
 fn cluster() -> Cluster {
-    let net = Arc::new(SimNetwork::new(NetProfile::instant()));
+    cluster_on(NetProfile::instant())
+}
+
+fn cluster_on(profile: NetProfile) -> Cluster {
+    let net = Arc::new(SimNetwork::new(profile));
     let o = Peer::new(O_URI, EngineKind::Tree);
     let a = Peer::new(A_URI, EngineKind::Tree);
     let b = Peer::new(B_URI, EngineKind::Tree);
@@ -110,24 +114,7 @@ fn nested_execute_chain_assembles_one_profile() {
     assert!(b_path.calls >= 1);
     assert_eq!(b_path.items, 3, "//item produced three items");
 
-    // Phase accounting: each remote hop's phases add up to its measured
-    // latency (10% + scheduling slack — these are microsecond sums).
-    for h in [a_hop, b_hop] {
-        let sum = h.phases.total_micros();
-        let slack = h.total_micros / 10 + 1_000;
-        assert!(
-            sum <= h.total_micros + slack,
-            "phases overshoot hop total at {}: {sum} vs {}",
-            h.peer,
-            h.total_micros
-        );
-        assert!(
-            sum + slack >= h.total_micros,
-            "phases undershoot hop total at {}: {sum} vs {}",
-            h.peer,
-            h.total_micros
-        );
-    }
+    assert_phases_add_up(&prof);
     assert_eq!(o_hop.phases.cache, "hit", "second run hits the plan cache");
     assert!(o_hop.phases.network_micros > 0, "{o_hop:#?}");
 
@@ -154,6 +141,50 @@ fn nested_execute_chain_assembles_one_profile() {
     // response header, they are not server-side state.
     assert_eq!(cl.a.slowlog.entries_logged(), 0);
     assert_eq!(cl.b.slowlog.entries_logged(), 0);
+}
+
+/// Each hop's phases add up to its measured latency (10% + scheduling
+/// slack — these are microsecond sums), the originator's included.
+fn assert_phases_add_up(prof: &QueryProfile) {
+    for h in &prof.hops {
+        let sum = h.phases.total_micros();
+        let slack = h.total_micros / 10 + 1_000;
+        assert!(
+            sum <= h.total_micros + slack,
+            "phases overshoot hop total at {}: {sum} vs {}: {:#?}",
+            h.peer,
+            h.total_micros,
+            h.phases
+        );
+        assert!(
+            sum + slack >= h.total_micros,
+            "phases undershoot hop total at {}: {sum} vs {}: {:#?}",
+            h.peer,
+            h.total_micros,
+            h.phases
+        );
+    }
+}
+
+/// The same chain over a network with 5 ms each way: every hop that calls
+/// spends most of its time waiting on the wire, and that wait is charged
+/// once, to network — not again to the execute phase around it.
+#[test]
+fn phases_add_up_on_every_hop_of_a_slow_chain() {
+    let cl = cluster_on(NetProfile::with_latency(Duration::from_millis(5)));
+    cl.o.execute(CHAIN_QUERY).unwrap();
+    let prof = (cl.o.execute_detailed(CHAIN_QUERY).unwrap().profile).expect("a profile");
+    assert_eq!(prof.hops.len(), 3, "one hop per peer: {prof:#?}");
+    assert_phases_add_up(&prof);
+    // a waits 10 ms on its call to b; the originator 20 ms on its call to a
+    assert!(
+        hop(&prof, A_URI).phases.network_micros >= 10_000,
+        "{prof:#?}"
+    );
+    assert!(
+        hop(&prof, O_URI).phases.network_micros >= 20_000,
+        "{prof:#?}"
+    );
 }
 
 /// Without the option no profile is collected, and an unknown profile

@@ -529,7 +529,7 @@ fn exported_spans_reconstruct_crashed_transaction_timeline() {
 
     // the pre-crash coordinator's tracer dies with the peer object on
     // restart: keep a handle, as an external span collector would
-    let a_pre = cl.a.peer.obs.tracer.clone();
+    let a_pre = cl.a.peer.tracer.clone();
     let err = cl.a.peer.execute(UPDATE_BOTH).unwrap_err();
     assert!(err.message.contains("simulated crash"), "{err}");
 
@@ -557,9 +557,9 @@ fn exported_spans_reconstruct_crashed_transaction_timeline() {
     let hex = format!("{:032x}", root.trace_id);
     let exported = [
         a_pre.export_json(),
-        cl.a.peer.obs.tracer.export_json(),
-        cl.b.peer.obs.tracer.export_json(),
-        cl.c.peer.obs.tracer.export_json(),
+        cl.a.peer.tracer.export_json(),
+        cl.b.peer.tracer.export_json(),
+        cl.c.peer.tracer.export_json(),
     ]
     .concat();
     let trace_lines: Vec<&str> = exported.lines().filter(|l| l.contains(&hex)).collect();

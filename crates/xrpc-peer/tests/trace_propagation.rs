@@ -102,16 +102,16 @@ fn nested_execute_chain_shares_one_trace() {
     )
     .unwrap();
 
-    let o_spans = cl.o.obs.tracer.finished();
+    let o_spans = cl.o.tracer.finished();
     let root = span_named(&o_spans, "execute");
     let trace = root.trace_id;
     assert!(root.parent_id.is_none(), "execute is the trace root");
 
     // every span every peer recorded for this call belongs to one trace
     for (who, tracer) in [
-        ("originator", &cl.o.obs.tracer),
-        ("a", &cl.a.obs.tracer),
-        ("b", &cl.b.obs.tracer),
+        ("originator", &cl.o.tracer),
+        ("a", &cl.a.tracer),
+        ("b", &cl.b.tracer),
     ] {
         let spans = tracer.finished();
         assert!(!spans.is_empty(), "{who} recorded no spans");
@@ -136,7 +136,7 @@ fn nested_execute_chain_shares_one_trace() {
         "client:call must descend from the execute root"
     );
 
-    let a_spans = cl.a.obs.tracer.finished();
+    let a_spans = cl.a.tracer.finished();
     let a_handle = a_spans
         .iter()
         .find(|s| s.name == "server:handle" && s.tag("method") == Some("addCascade"))
@@ -158,7 +158,7 @@ fn nested_execute_chain_shares_one_trace() {
         "nested client:call must descend from a's server span"
     );
 
-    let b_spans = cl.b.obs.tracer.finished();
+    let b_spans = cl.b.tracer.finished();
     let b_handle = b_spans
         .iter()
         .find(|s| s.name == "server:handle" && s.tag("method") == Some("addEntry"))
@@ -198,7 +198,7 @@ fn dropped_request_tags_typed_net_error() {
         .unwrap_err();
     assert!(err.message.contains("failed"), "{err}");
 
-    let spans = cl.o.obs.tracer.finished();
+    let spans = cl.o.tracer.finished();
     let call = spans
         .iter()
         .find(|s| s.name == "client:call")
@@ -212,8 +212,9 @@ fn dropped_request_tags_typed_net_error() {
 }
 
 /// Latency histograms fill as a side effect of the instrumented call
-/// path — the client side records call latency (total and per-dest) and
-/// message bytes; the server side records handling time and batch size.
+/// path — the client side records call latency (in total, and per
+/// destination in the resilient transport's table) and message bytes;
+/// the server side records handling time and batch size.
 #[test]
 fn call_path_fills_latency_histograms() {
     let cl = cluster(2);
@@ -224,22 +225,19 @@ fn call_path_fills_latency_histograms() {
         )
         .unwrap();
     }
-    let lat = cl.o.obs.histogram("xrpc_call_latency_micros").snapshot();
+    let lat = cl.o.hists.call_latency_micros.snapshot();
     assert_eq!(lat.count, 5);
     assert!(lat.p99 >= lat.p50);
-    let by_dest =
-        cl.o.obs
-            .histogram_vec("xrpc_call_latency_by_dest_micros", "dest")
-            .with_label(A_URI)
-            .snapshot();
-    assert_eq!(by_dest.count, 5);
+    let dests = cl.o.resilient_transport().unwrap().dest_stats();
+    let (_, to_a) = (dests.iter().find(|(d, _)| d == A_URI)).expect("a's entry");
+    assert_eq!(to_a.latency.snapshot().count, 5);
     assert!(
-        cl.o.obs.histogram("xrpc_message_bytes").snapshot().count >= 5,
+        cl.o.hists.message_bytes.snapshot().count >= 5,
         "outgoing message sizes recorded"
     );
-    let handle = cl.a.obs.histogram("xrpc_server_handle_micros").snapshot();
+    let handle = cl.a.hists.server_handle_micros.snapshot();
     assert_eq!(handle.count, 5);
-    let batch = cl.a.obs.histogram("xrpc_bulk_batch_calls").snapshot();
+    let batch = cl.a.hists.bulk_batch_calls.snapshot();
     assert_eq!(batch.count, 5);
     assert_eq!(batch.max, 1, "each request carried a single call");
 }
