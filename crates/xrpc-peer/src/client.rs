@@ -12,7 +12,12 @@ use xdm::{Sequence, XdmError, XdmResult};
 use xqeval::context::{FunctionRef, RpcDispatcher};
 use xqeval::CancelToken;
 use xrpc_net::{CallHint, ResilientTransport, Transport};
+use xrpc_obs::Phase;
 use xrpc_proto::{parse_message, QueryId, UpdCall, XrpcMessage, XrpcRequest, XrpcResponse};
+
+/// The phases a dispatch charges to its hop's profile; the evaluation that
+/// makes the calls is charged its own time less these (`time_phase`).
+pub(crate) const CALL_PHASES: [Phase; 2] = [Phase::Marshal, Phase::Network];
 
 /// One query's view of the network: the transport and the queryID (when
 /// the query runs under repeatable-read isolation: the callee defers what
@@ -229,7 +234,7 @@ impl XrpcClient {
         let mut xml = xrpc_net::BufferPool::global().get_string(req.estimated_wire_size());
         req.write_xml(&mut xml)?;
         if let (Some(col), Some(m)) = (&self.profile, marshal_started) {
-            col.add_phase(xrpc_obs::Phase::Marshal, m.elapsed().as_micros() as u64);
+            col.add_phase(Phase::Marshal, m.elapsed().as_micros() as u64);
         }
         self.calls_sent.fetch_add(ncalls as u64, Relaxed);
         // Retry semantics (see xrpc-net): read-only calls are safe to
@@ -281,7 +286,7 @@ impl XrpcClient {
                 // callee's own time included — each hop's phases account for
                 // *its* wall clock); bytes land on the operator whose
                 // dispatch this is (the enclosing execute-at guard).
-                col.add_phase(xrpc_obs::Phase::Network, elapsed.as_micros() as u64);
+                col.add_phase(Phase::Network, elapsed.as_micros() as u64);
                 col.add_bytes_to_current((xml.len() + resp_bytes.len()) as u64);
             }
             let msg = std::str::from_utf8(&resp_bytes)

@@ -789,13 +789,11 @@ impl Peer {
         );
         env.rpc_optimize = self.rpc_optimize.load(Ordering::SeqCst);
 
-        // the calls the evaluation makes charge their own marshal and
-        // network phases: execute is what is left
-        let calls = [Phase::Marshal, Phase::Network];
+        let nested = &crate::client::CALL_PHASES;
         let (engine_out, execute_micros) = time_phase(
             collector.as_deref(),
             Phase::Execute,
-            &calls,
+            nested,
             || match self.engine {
                 EngineKind::Tree => xqeval::eval::evaluate_compiled(&plan.compiled, &env, external),
                 EngineKind::Rel => {

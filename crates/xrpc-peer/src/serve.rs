@@ -260,9 +260,8 @@ impl Peer {
         // share.
         let calls = std::mem::take(&mut req.calls);
         let ncalls = calls.len();
-        // the nested calls charge their own marshal and network phases
-        let nested = [Phase::Marshal, Phase::Network];
-        let (outcome, _) = time_phase(collector.as_deref(), Phase::Execute, &nested, || {
+        let nested = &crate::client::CALL_PHASES;
+        let (outcome, _) = time_phase(collector.as_deref(), Phase::Execute, nested, || {
             if !updating && ncalls > 1 {
                 relalg::eval_calls(&ev, &prepared.decl, calls)
             } else {
