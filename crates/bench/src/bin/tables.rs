@@ -27,8 +27,9 @@
 //! thread leaks (exit 6), `p1` that profiling "off" allocates exactly what
 //! no option does and one slow query is logged exactly once (exit 7),
 //! `u1` that a lone writer costs one message and ≤ 1.05 fsyncs (exit 8),
-//! `table4` that the four strategies agree and push-down allocates at most
-//! `TABLE4_PUSHDOWN_BYTES_BOUND` times data shipping (exit 9), `table2`
+//! `table4` that the four strategies agree, push-down allocates at most
+//! `TABLE4_PUSHDOWN_BYTES_BOUND` times data shipping and data shipping's
+//! join at A makes at most `TABLE4_SHIPPING_PATH_STEPS` path steps (exit 9), `table2`
 //! that the bulk cell allocates at most `TABLE2_ALLOCS_PER_CALL_BOUND`
 //! times per call and its plan has no `rel:fallback` (exit 10), and `e4`
 //! that warm response-heavy cells walk no node (exit 11). `e4 --check-cliff` is the one timed gate: 4 MiB request
@@ -649,10 +650,16 @@ fn table3() {
 /// constructors. The bound is the measured ratio plus 15 %.
 const TABLE4_PUSHDOWN_BYTES_BOUND: f64 = 2.09;
 
+/// `xq:path-step` calls data shipping's Q7 may make at A (`table4 --quick`):
+/// the two `for` sequences and one `$ca/annotation` per result. The join
+/// reads its keys from the arena; 608 when each row's key was a path step.
+const TABLE4_SHIPPING_PATH_STEPS: u64 = 8;
+
 /// Table 4: execution time of Q7 under the four distribution strategies.
 /// `--quick` runs small inputs on an instant network and gates on counts:
-/// one result set from all four, and push-down's allocated bytes within
-/// [`TABLE4_PUSHDOWN_BYTES_BOUND`] of data shipping's.
+/// one result set from all four, push-down's allocated bytes within
+/// [`TABLE4_PUSHDOWN_BYTES_BOUND`] of data shipping's, and data shipping's
+/// path steps at A within [`TABLE4_SHIPPING_PATH_STEPS`].
 fn table4(quick: bool) {
     println!("== Table 4: Q7 strategies (msec): total / peer-A / peer-B(incl. network) ==");
     let params = xmark::XmarkParams {
@@ -728,6 +735,12 @@ fn table4(quick: bool) {
                 "push-down allocates {ratio:.2}x the bytes of data shipping ({pushdown} B, {shipping} B), bound {TABLE4_PUSHDOWN_BYTES_BOUND}"
             ));
         }
+        let steps = data_shipping_path_steps(&strategy_cluster(&params, profile));
+        if steps > TABLE4_SHIPPING_PATH_STEPS {
+            failures.push(format!(
+                "data shipping makes {steps} path steps at A, bound {TABLE4_SHIPPING_PATH_STEPS}"
+            ));
+        }
         for failure in &failures {
             eprintln!("Table 4 quick FAILED: {failure}");
         }
@@ -735,7 +748,7 @@ fn table4(quick: bool) {
             std::process::exit(9);
         }
         println!(
-            "Table 4 quick: one result set from all four; push-down allocates {pushdown} B, data shipping {shipping} B: {ratio:.2}x (bound {TABLE4_PUSHDOWN_BYTES_BOUND}x)"
+            "Table 4 quick: one result set from all four; push-down allocates {pushdown} B, data shipping {shipping} B: {ratio:.2}x (bound {TABLE4_PUSHDOWN_BYTES_BOUND}x); data shipping makes {steps} path steps at A (bound {TABLE4_SHIPPING_PATH_STEPS})"
         );
     }
 }

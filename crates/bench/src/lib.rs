@@ -188,6 +188,21 @@ pub fn strategy_cluster(params: &xmark::XmarkParams, profile: NetProfile) -> Str
     }
 }
 
+/// `xq:path-step` calls in peer A's hop of data shipping's Q7, from an
+/// `explain_analyze`: a count, not a time. The FLWOR join reads its keys
+/// from the arena, so what is left are the two `for` sequences and the
+/// `$ca/annotation` of each result.
+pub fn data_shipping_path_steps(c: &StrategyCluster) -> u64 {
+    let q = distq::Strategy::DataShipping.query(B_URI, A_URI);
+    let (_, profile) = c.a.explain_analyze(&q).expect("data shipping runs");
+    let hop = profile
+        .hops
+        .iter()
+        .find(|h| h.peer == A_URI)
+        .expect("A's hop");
+    xrpc_obs::OpNode::calls_of(&hop.ops, "xq:path-step")
+}
+
 // ---------------------------------------------------------------------
 // Experiment 4 (§3.3 text): throughput with scaled payloads
 // ---------------------------------------------------------------------
@@ -543,6 +558,22 @@ mod tests {
                 assert!(blocked >= Duration::ZERO);
             }
         }
+    }
+
+    #[test]
+    fn data_shipping_joins_without_path_steps_per_row() {
+        // the `tables table4 --quick` sizes: 120 persons, 480 auctions
+        let params = xmark::XmarkParams {
+            persons: 120,
+            closed_auctions: 480,
+            matches: 6,
+            padding_words: 20,
+            seed: 42,
+        };
+        let c = strategy_cluster(&params, NetProfile::instant());
+        // 608 while each row's key ran through the interpreter
+        let steps = data_shipping_path_steps(&c);
+        assert!(steps <= 8, "{steps} path steps at A");
     }
 
     #[test]

@@ -5,6 +5,8 @@ use crate::effects::{self, Effects};
 use crate::functions;
 use crate::index;
 use crate::pul::{PendingUpdateList, UpdatePrimitive};
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, OnceLock};
 use xdm::atomic::AtomicValue;
@@ -675,8 +677,8 @@ impl<'e> Evaluator<'e> {
         // Hash-join fast path: `for $a in X, $b in Y where keyA($a) = keyB($b)`
         // becomes a build+probe join instead of a nested loop — the same
         // join detection the paper observes in Saxon (§4). Side-effecting
-        // bodies (updates, RPC) must not be partially run and then re-run
-        // by the naive fallback: they skip it.
+        // bodies (updates, RPC) skip it: it evaluates Y once, not once per
+        // X item.
         if self.env.join_index && hash_join_shape(clauses) && !effects::has_effects(flwor) {
             if let Some(result) = self.try_flwor_hash_join(clauses, ret, st, ctx)? {
                 return Ok(result);
@@ -761,9 +763,12 @@ impl<'e> Evaluator<'e> {
     /// Recognize `for $a in X, $b in Y where l($a) = r($b) …` and execute
     /// it as a hash join (build on Y, probe per $a). Only string and
     /// untyped keys are joined this way (the general-comparison coercion
-    /// for them is plain string equality, see `index::string_key`);
-    /// anything else falls back to the nested-loop stream. Result order is
-    /// identical to the naive evaluation: X order, then Y order per match.
+    /// for them is plain string equality, see `index::string_key`). At the
+    /// first other key, or one that fails, the tuples left run as the
+    /// nested loop, over the X and Y items already evaluated (Y does not
+    /// depend on $a): results and errors are the nested loop's, in its
+    /// order (X order, then Y order per match). `None` when the clauses are
+    /// not such a join.
     fn try_flwor_hash_join(
         &self,
         clauses: &[FlworClause],
@@ -821,59 +826,108 @@ impl<'e> Evaluator<'e> {
             return Ok(None);
         };
 
+        let (a, b) = (self.join_key(a_var, a_key), self.join_key(b_var, b_key));
         let x_items = self.eval(x_seq, st, ctx)?.into_items();
+        if x_items.is_empty() {
+            // the nested loop evaluates neither Y nor a key
+            return Ok(Some(Sequence::empty()));
+        }
         let y_items = self.eval(y_seq, st, ctx)?.into_items();
-        // Build side: key strings per Y item; bail out on non-string keys.
-        let mut table: std::collections::HashMap<String, Vec<usize>> =
-            std::collections::HashMap::new();
+        let mut out = Sequence::empty();
+        let mut emit = |ev: &Evaluator, st2: &mut EvalState| {
+            out.extend(ev.eval(ret, st2, ctx)?);
+            Ok(())
+        };
+        let mut op = self.env.profile_op("xq:hash-join");
+        let (mut table, mut keys, mut hits) = (HashMap::new(), Vec::new(), Vec::new());
+        // until a key that is not a string or fails; from there on, the
+        // nested loop
+        let mut joining = true;
         for (yi, y) in y_items.iter().enumerate() {
-            let depth = st.vars.len();
-            st.bind(b_var, Sequence::one(y.clone()));
-            let keys = self.eval(b_key, st, ctx);
-            st.vars.truncate(depth);
-            for k in keys?.atomized() {
-                match index::string_key(&k) {
-                    Some(s) => table.entry(s.to_string()).or_default().push(yi),
-                    None => return Ok(None),
-                }
+            joining = joining && self.join_keys(&b, y, st, ctx, &mut keys);
+            for k in keys.drain(..) {
+                table.entry(k).or_insert_with(Vec::new).push(yi);
             }
         }
-
-        let mut out = Sequence::empty();
-        for x in x_items {
-            let depth = st.vars.len();
-            st.bind(a_var, Sequence::one(x));
-            let probe_keys = self.eval(a_key, st, ctx)?;
-            let mut hits: Vec<usize> = Vec::new();
-            let mut abort = false;
-            for k in probe_keys.atomized() {
-                match index::string_key(&k) {
-                    Some(s) => {
-                        if let Some(v) = table.get(s) {
-                            hits.extend_from_slice(v);
-                        }
-                    }
-                    None => abort = true,
+        let mut joined = 0;
+        for x in &x_items {
+            joining = joining && self.join_keys(&a, x, st, ctx, &mut keys);
+            hits.clear();
+            if joining {
+                for k in keys.drain(..) {
+                    hits.extend(table.get(&k).into_iter().flatten());
                 }
+                hits.sort_unstable();
+                hits.dedup();
+                joined += hits.len() as u64;
+            } else {
+                hits.extend(0..y_items.len());
             }
-            if abort {
-                st.vars.truncate(depth);
-                return Ok(None);
-            }
-            hits.sort_unstable();
-            hits.dedup();
-            for yi in hits {
-                let d2 = st.vars.len();
-                st.bind(b_var, Sequence::one(y_items[yi].clone()));
-                self.stream(rest, st, ctx, &mut |ev, st2| {
-                    out.extend(ev.eval(ret, st2, ctx)?);
-                    Ok(())
-                })?;
-                st.vars.truncate(d2);
+            // a pair the table matched is equal as strings, which is what
+            // `=` means for string keys; the nested loop tests by the `where`
+            let tail = if joining { rest } else { &clauses[2..] };
+            let depth = st.vars.len();
+            st.bind(a.var, Sequence::one(x.clone()));
+            for &yi in &hits {
+                self.env.check_cancel()?;
+                st.bind(b.var, Sequence::one(y_items[yi].clone()));
+                self.stream(tail, st, ctx, &mut emit)?;
+                st.vars.truncate(depth + 1);
             }
             st.vars.truncate(depth);
+        }
+        if let Some(op) = &mut op {
+            op.set_items(joined);
         }
         Ok(Some(out))
+    }
+
+    /// One side's key of the hash join, compiled to a key path when it is
+    /// `$var` followed by plain name steps (`$ca/buyer/@person`).
+    fn join_key<'a>(&'a self, var: &'a Name, expr: &'a Expr) -> JoinKey<'a> {
+        let mut steps = Vec::new();
+        let compiled = self.key_steps(expr, Some(var), &mut |step| {
+            steps.push(step);
+            Some(())
+        });
+        JoinKey {
+            var,
+            expr,
+            steps: compiled.map(|()| steps),
+        }
+    }
+
+    /// Push `item`'s join keys onto `out`: read from the arena when the key
+    /// compiled and the item is a node with untyped key nodes, by the
+    /// interpreted key expression otherwise. `false` on a key that is not a
+    /// string, or that fails: the join gives up, and the nested loop raises
+    /// the error where it meets it, after the tuples before it.
+    fn join_keys<'i>(
+        &self,
+        key: &JoinKey,
+        item: &'i Item,
+        st: &mut EvalState,
+        ctx: &Ctx,
+        out: &mut Vec<Cow<'i, str>>,
+    ) -> bool {
+        if let (Some(steps), Item::Node(n)) = (&key.steps, item) {
+            if index::key_values(&n.doc, n.id, steps, out) {
+                return true;
+            }
+            out.clear();
+        }
+        let depth = st.vars.len();
+        st.bind(key.var, Sequence::one(item.clone()));
+        let keys = self.eval(key.expr, st, ctx);
+        st.vars.truncate(depth);
+        let Ok(keys) = keys else { return false };
+        for k in keys.atomized() {
+            let Some(s) = index::string_key(&k) else {
+                return false;
+            };
+            out.push(Cow::Owned(s.to_owned()));
+        }
+        true
     }
 
     /// Drive the tuple stream of for/let/where clauses, invoking `sink`
@@ -1069,7 +1123,7 @@ impl<'e> Evaluator<'e> {
             return None;
         }
         let mut path = index::KeyPath::new(self.name_ref(elem, false)?);
-        self.key_steps(key, &mut path)?;
+        self.key_steps(key, None, &mut |step| path.push(step))?;
         Some(JoinPath {
             base,
             value,
@@ -1095,31 +1149,38 @@ impl<'e> Evaluator<'e> {
     }
 
     /// Compile a simple key path — child / attribute steps with plain name
-    /// tests, `.` and `/` (`@id`, `./buyer/@person`, `name`) — onto `out`.
-    fn key_steps<'a>(&'a self, e: &'a Expr, out: &mut index::KeyPath<'a>) -> Option<()> {
+    /// tests, `.` and `/` (`@id`, `./buyer/@person`, `name`) — step by step
+    /// into `push`. With `var`, the path starts at `$var` instead of the
+    /// context item (`$ca/buyer/@person`, the FLWOR hash join's keys).
+    fn key_steps<'a>(
+        &'a self,
+        e: &'a Expr,
+        var: Option<&Name>,
+        push: &mut dyn FnMut(index::KeyStep<'a>) -> Option<()>,
+    ) -> Option<()> {
         match e {
+            Expr::VarRef(n) => (var == Some(n)).then_some(()),
+            Expr::PathStep(a, b) => {
+                self.key_steps(a, var, push)?;
+                self.key_steps(b, None, push)
+            }
+            _ if var.is_some() => None,
             Expr::AxisStep {
                 axis: Axis::Child,
                 test: NodeTest::Name(n),
                 predicates,
-            } if predicates.is_empty() => out.push(index::KeyStep::Child(self.name_ref(n, false)?)),
+            } if predicates.is_empty() => push(index::KeyStep::Child(self.name_ref(n, false)?)),
             Expr::AxisStep {
                 axis: Axis::Attribute,
                 test: NodeTest::Name(n),
                 predicates,
-            } if predicates.is_empty() => {
-                out.push(index::KeyStep::Attribute(self.name_ref(n, true)?))
-            }
+            } if predicates.is_empty() => push(index::KeyStep::Attribute(self.name_ref(n, true)?)),
             Expr::AxisStep {
                 axis: Axis::SelfAxis,
                 test: NodeTest::AnyKind,
                 predicates,
             } if predicates.is_empty() => Some(()),
             Expr::ContextItem => Some(()),
-            Expr::PathStep(a, b) => {
-                self.key_steps(a, out)?;
-                self.key_steps(b, out)
-            }
             _ => None,
         }
     }
@@ -1645,8 +1706,8 @@ impl<'e> Evaluator<'e> {
                 st.vars.truncate(base);
                 r
             }
-            // not a FLWOR the hash join may take: it can give up after
-            // producing results, so its value is attached whole (below)
+            // not a FLWOR the hash join may take: the join builds its
+            // result as a value, which is attached whole (below)
             Expr::Flwor { clauses, ret } if !(self.env.join_index && hash_join_shape(clauses)) => {
                 self.profiled_push("xq:flwor", sink, |ev, sink| {
                     ev.flwor_tuples(clauses, st, ctx, &mut |ev, st2| {
@@ -1934,6 +1995,14 @@ fn hash_join_shape(clauses: &[FlworClause]) -> bool {
             ..
         ]
     )
+}
+
+/// One side's key of the FLWOR hash join: `expr` over `$var`, and its key
+/// path when it compiled to one.
+struct JoinKey<'a> {
+    var: &'a Name,
+    expr: &'a Expr,
+    steps: Option<Vec<index::KeyStep<'a>>>,
 }
 
 /// A declared function as a call reaches it: the declaration, and the

@@ -142,6 +142,7 @@ impl ValueIndex {
     fn build(doc: &Document, key: &KeyPath) -> ValueIndex {
         let mut ix = ValueIndex::default();
         let steps: Vec<KeyStep> = key.steps().collect();
+        let mut keys = Vec::new();
         let detached = doc.all_ids().skip(1).filter(|&id| doc.parent(id).is_none());
         for root in std::iter::once(doc.root()).chain(detached) {
             for id in std::iter::once(root).chain(doc.descendants(root)) {
@@ -152,52 +153,50 @@ impl ValueIndex {
                 }
                 let at = ix.elems.len() as u32;
                 ix.elems.push(id);
-                ix.add_keys(doc, id, &steps, at);
+                ix.typed_keys |= !key_values(doc, id, &steps, &mut keys);
+                for value in keys.drain(..) {
+                    match ix.postings.get_mut(value.as_ref()) {
+                        // two key nodes of one element may carry the same value
+                        Some(posted) if posted.last() == Some(&at) => {}
+                        Some(posted) => posted.push(at),
+                        None => {
+                            ix.postings.insert(value.into(), vec![at]);
+                        }
+                    }
+                }
             }
         }
         ix
     }
+}
 
-    /// Post element number `at` under the value of every key node that
-    /// `steps` reaches from `node`.
-    fn add_keys(&mut self, doc: &Document, node: NodeId, steps: &[KeyStep], at: u32) {
-        let Some((step, rest)) = steps.split_first() else {
-            if doc.kind(node) == NodeKind::Element && doc.type_annotation(node).is_some() {
-                self.typed_keys = true;
-            }
-            let value = doc.string_value_cow(node);
-            match self.postings.get_mut(value.as_ref()) {
-                // two key nodes of one element may carry the same value
-                Some(posted) => {
-                    if posted.last() != Some(&at) {
-                        posted.push(at);
-                    }
-                }
-                None => {
-                    self.postings.insert(value.as_ref().into(), vec![at]);
-                }
-            }
-            return;
-        };
-        match step {
-            KeyStep::Child(name) => {
-                for c in doc.children(node) {
-                    if doc.kind(c) == NodeKind::Element
-                        && doc.name(c).is_some_and(|q| name.matches(q))
-                    {
-                        self.add_keys(doc, c, rest, at);
-                    }
-                }
-            }
-            KeyStep::Attribute(name) => {
-                for a in doc.attributes(node) {
-                    if doc.name(a).is_some_and(|q| name.matches(q)) {
-                        self.add_keys(doc, a, rest, at);
-                    }
-                }
-            }
+/// Push the string value of every key node `steps` reaches from `node`
+/// onto `out`, borrowed from the text heap where it is one run. `false`,
+/// and the walk stops, at a key node with a type annotation: its typed
+/// value is what a comparison sees, and string equality does not stand for
+/// that. The value index and the FLWOR hash join read their keys here.
+pub fn key_values<'d>(
+    doc: &'d Document,
+    node: NodeId,
+    steps: &[KeyStep],
+    out: &mut Vec<Cow<'d, str>>,
+) -> bool {
+    let Some((step, rest)) = steps.split_first() else {
+        if doc.type_annotation(node).is_some() {
+            return false;
         }
-    }
+        out.push(doc.string_value_cow(node));
+        return true;
+    };
+    let (mut nodes, name) = match step {
+        KeyStep::Child(name) => (doc.children(node), name),
+        KeyStep::Attribute(name) => (doc.attributes(node), name),
+    };
+    nodes.all(|c| {
+        let named = matches!(doc.kind(c), NodeKind::Element | NodeKind::Attribute)
+            && doc.name(c).is_some_and(|q| name.matches(q));
+        !named || key_values(doc, c, rest, out)
+    })
 }
 
 /// The indexes of one document version (what its side slot holds), most

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use xdm::{Item, Sequence, XdmResult};
 use xqeval::context::{FunctionRef, RpcDispatcher};
 use xqeval::{evaluate_main, Environment, InMemoryDocs};
+use xrpc_obs::OpNode;
 
 fn env_with(docs: &[(&str, &str)]) -> Environment {
     let store = InMemoryDocs::new();
@@ -760,6 +761,21 @@ fn flwor_hash_join_matches_naive_nested_loop() {
     assert_eq!(fast, naive);
     // order: X-major (persons), then auction document order
     assert_eq!(fast, "<r>Anny</r><r>Bobx</r><r>Bobz</r>");
+}
+
+#[test]
+fn a_join_that_gives_up_evaluates_y_once() {
+    let mut env = env_with(&[("n.xml", "<l><v>1</v><v>2</v><v>4</v></l>")]);
+    let profile = xrpc_obs::ProfileCollector::new(xrpc_obs::ProfileMode::Full, "t", "", 0);
+    env.profile = Some(profile.clone());
+    // the X keys are numbers: the join gives up at the first X item, and
+    // the nested loop compares numerically over the Y items it already has
+    let q = r#"for $a in (1, 2, 3), $b in doc("n.xml")//v where $a = $b return string($b)"#;
+    assert_eq!(eval_str(&env, q), "1 2");
+    let ops = profile.snapshot_ops();
+    // Y is the only path: evaluated once, not once more per X item
+    assert_eq!(OpNode::calls_of(&ops, "xq:path-step"), 1, "{ops:#?}");
+    assert_eq!(OpNode::calls_of(&ops, "xq:hash-join"), 1, "{ops:#?}");
 }
 
 #[test]

@@ -218,6 +218,13 @@ impl OpNode {
             .unwrap_or(0)
     }
 
+    /// Calls of the operator `name` in these trees, at any depth.
+    pub fn calls_of(ops: &[OpNode], name: &str) -> u64 {
+        (ops.iter())
+            .map(|op| (op.name == name) as u64 * op.calls + Self::calls_of(&op.children, name))
+            .sum()
+    }
+
     fn to_json(&self, out: &mut String) {
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"calls\":{},\"timedCalls\":{},\"wallMicros\":{},\"estWallMicros\":{},\"items\":{},\"bytes\":{},\"children\":[",
