@@ -27,10 +27,11 @@
 //! thread leaks (exit 6), `p1` that profiling "off" allocates exactly what
 //! no option does and one slow query is logged exactly once (exit 7),
 //! `u1` that a lone writer costs one message and ≤ 1.05 fsyncs (exit 8),
-//! `table4` that the four strategies agree, push-down allocates at most
-//! `TABLE4_PUSHDOWN_BYTES_BOUND` times data shipping and data shipping's
-//! join at A makes at most `TABLE4_SHIPPING_PATH_STEPS` path steps (exit 9), `table2`
-//! that the bulk cell allocates at most `TABLE2_ALLOCS_PER_CALL_BOUND`
+//! `table4` that the four strategies agree, push-down sends one call to B,
+//! allocates at most `TABLE4_PUSHDOWN_BYTES_BOUND` times data shipping and
+//! data shipping's join at A makes at most `TABLE4_SHIPPING_PATH_STEPS`
+//! path steps (exit 9), `table2` that the bulk cell puts its 1000 calls on
+//! the wire in one request, allocates at most `TABLE2_ALLOCS_PER_CALL_BOUND`
 //! times per call and its plan has no `rel:fallback` (exit 10), and `e4`
 //! that warm response-heavy cells walk no node (exit 11). `e4 --check-cliff` is the one timed gate: 4 MiB request
 //! throughput within 3× of 1 MiB (exit 3).
@@ -40,6 +41,7 @@
 //! building git commit and the host's logical CPU count, so artifacts
 //! from different PRs and machines are comparable without guesswork.
 
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 use xrpc_bench::*;
 use xrpc_net::NetProfile;
@@ -514,9 +516,11 @@ const TABLE2_ALLOCS_PER_CALL_BOUND: f64 = 0.157;
 
 /// Table 2: XRPC performance (msec), loop-lifted vs one-at-a-time,
 /// function cache vs no function cache, $x ∈ {1, 1000}. `--quick` then
-/// gates on what repeats exactly on any host (exit 10): the bulk cell's
-/// allocations per call stay within [`TABLE2_ALLOCS_PER_CALL_BOUND`], and no
-/// operator of its plan is a per-iteration fallback to the tree engine.
+/// gates on what repeats exactly on any host (exit 10): the bulk cell puts
+/// 1000 calls on the wire in one request (the optimizer, off here, would
+/// send one), its allocations per call stay within
+/// [`TABLE2_ALLOCS_PER_CALL_BOUND`], and no operator of its plan is a
+/// per-iteration fallback to the tree engine.
 fn table2(quick: bool) {
     println!("== Table 2: XRPC performance (msec): loop-lifted vs one-at-a-time; function cache vs none ==");
     println!(
@@ -566,9 +570,17 @@ fn table2(quick: bool) {
         let q = echo_query(x);
         // plan and function caches, pooled buffers: count the steady state
         time_query(&c.a, &q);
+        // what B handled: requests, and the calls in them
+        let handled = || {
+            let s = &c.b.stats;
+            [&s.requests_handled, &s.calls_handled].map(|n| n.load(Ordering::Relaxed))
+        };
+        let [requests, calls] = handled();
         let before = alloc_snapshot();
         let (_, res) = time_query(&c.a, &q);
         let per_call = alloc_snapshot().since(before).allocs as f64 / x as f64;
+        let [requests_after, calls_after] = handled();
+        let sent = (requests_after - requests, calls_after - calls);
         let (_, profile) = c.a.explain_analyze(&q).expect("explain analyze");
         let plan = format!("{:?}", profile.hops);
         let fallbacks: Vec<&str> = (plan.match_indices("rel:fallback"))
@@ -577,6 +589,12 @@ fn table2(quick: bool) {
         let mut failures = Vec::new();
         if !res.is_empty() {
             failures.push(format!("{} items from {x} calls of echoVoid", res.len()));
+        }
+        if sent != (1, x as u64) {
+            failures.push(format!(
+                "the bulk cell put {} calls on the wire in {} requests, not {x} in 1",
+                sent.1, sent.0
+            ));
         }
         if per_call > TABLE2_ALLOCS_PER_CALL_BOUND {
             failures.push(format!(
@@ -595,7 +613,7 @@ fn table2(quick: bool) {
             std::process::exit(10);
         }
         println!(
-            "Table 2 quick: the x={x} bulk cell allocates {per_call:.3} times a call (bound {TABLE2_ALLOCS_PER_CALL_BOUND}); no `rel:fallback` in its plan"
+            "Table 2 quick: the x={x} bulk cell puts {x} calls on the wire in 1 request and allocates {per_call:.3} times a call (bound {TABLE2_ALLOCS_PER_CALL_BOUND}); no `rel:fallback` in its plan"
         );
     }
 }
@@ -657,7 +675,9 @@ const TABLE4_SHIPPING_PATH_STEPS: u64 = 8;
 
 /// Table 4: execution time of Q7 under the four distribution strategies.
 /// `--quick` runs small inputs on an instant network and gates on counts:
-/// one result set from all four, push-down's allocated bytes within
+/// one result set from all four, one call to B from push-down (the
+/// optimizer's join rule; one per person without it), push-down's
+/// allocated bytes within
 /// [`TABLE4_PUSHDOWN_BYTES_BOUND`] of data shipping's, and data shipping's
 /// path steps at A within [`TABLE4_SHIPPING_PATH_STEPS`].
 fn table4(quick: bool) {
@@ -680,21 +700,24 @@ fn table4(quick: bool) {
     );
     let mut result_sets: Vec<Vec<String>> = Vec::new();
     let mut allocated: Vec<u64> = Vec::new();
+    let mut sent: Vec<(u64, u64)> = Vec::new();
     for s in distq::Strategy::ALL {
         let c = strategy_cluster(&params, profile);
-        // peer A acts as the distributed optimizer's target: invariant
-        // hoisting + duplicate-call collapsing on (see EXPERIMENTS.md)
+        // peer A runs the distributed optimizer: duplicate-call collapsing
+        // and the join rule, which sends push-down's call once
         c.a.set_rpc_optimize(true);
         let q = s.query(B_URI, A_URI);
         if quick {
             // plans compiled, value indexes built: count the steady state
             time_query(&c.a, &q);
             c.timing.take_blocked();
+            c.timing.take_sent();
         }
         let before = alloc_snapshot();
         let (total, res) = time_query(&c.a, &q);
         allocated.push(alloc_snapshot().since(before).bytes);
         let blocked = c.timing.take_blocked();
+        sent.push(c.timing.take_sent());
         // the strategies may order the join differently: compare as sets
         let mut set: Vec<String> = (res.iter())
             .filter_map(|i| i.as_node().map(|n| n.to_xml()))
@@ -730,6 +753,12 @@ fn table4(quick: bool) {
                 params.matches
             ));
         }
+        if sent[1] != (1, 1) {
+            failures.push(format!(
+                "push-down sends {} calls to B in {} requests, not 1 in 1",
+                sent[1].1, sent[1].0
+            ));
+        }
         if ratio > TABLE4_PUSHDOWN_BYTES_BOUND {
             failures.push(format!(
                 "push-down allocates {ratio:.2}x the bytes of data shipping ({pushdown} B, {shipping} B), bound {TABLE4_PUSHDOWN_BYTES_BOUND}"
@@ -748,7 +777,7 @@ fn table4(quick: bool) {
             std::process::exit(9);
         }
         println!(
-            "Table 4 quick: one result set from all four; push-down allocates {pushdown} B, data shipping {shipping} B: {ratio:.2}x (bound {TABLE4_PUSHDOWN_BYTES_BOUND}x); data shipping makes {steps} path steps at A (bound {TABLE4_SHIPPING_PATH_STEPS})"
+            "Table 4 quick: one result set from all four; push-down sends 1 call to B; push-down allocates {pushdown} B, data shipping {shipping} B: {ratio:.2}x (bound {TABLE4_PUSHDOWN_BYTES_BOUND}x); data shipping makes {steps} path steps at A (bound {TABLE4_SHIPPING_PATH_STEPS})"
         );
     }
 }

@@ -12,10 +12,13 @@ pub const B_URI: &str = "xrpc://b.example.org";
 
 /// A transport decorator that accumulates the time the caller spends
 /// blocked in round trips — how we split "MonetDB time" from "Saxon time
-/// (includes network)" exactly the way Table 4 does.
+/// (includes network)" exactly the way Table 4 does — and counts the
+/// requests it carries and the `xrpc:call`s in them.
 pub struct TimingTransport {
     inner: Arc<dyn Transport>,
     blocked: parking_lot::Mutex<Duration>,
+    /// (requests, calls) sent
+    sent: parking_lot::Mutex<(u64, u64)>,
 }
 
 impl TimingTransport {
@@ -23,16 +26,28 @@ impl TimingTransport {
         Arc::new(TimingTransport {
             inner,
             blocked: parking_lot::Mutex::new(Duration::ZERO),
+            sent: parking_lot::Mutex::new((0, 0)),
         })
     }
 
     pub fn take_blocked(&self) -> Duration {
         std::mem::take(&mut *self.blocked.lock())
     }
+
+    /// The requests sent since the last take, and the calls in them.
+    pub fn take_sent(&self) -> (u64, u64) {
+        std::mem::take(&mut *self.sent.lock())
+    }
 }
 
 impl Transport for TimingTransport {
     fn roundtrip(&self, dest: &str, body: &[u8]) -> Result<Vec<u8>, NetError> {
+        let calls = body.windows(10).filter(|w| w == b"<xrpc:call").count();
+        {
+            let mut sent = self.sent.lock();
+            sent.0 += 1;
+            sent.1 += calls as u64;
+        }
         let t0 = Instant::now();
         let r = self.inner.roundtrip(dest, body);
         *self.blocked.lock() += t0.elapsed();

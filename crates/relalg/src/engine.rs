@@ -9,7 +9,7 @@ use std::sync::Arc;
 use xdm::{Item, Sequence, XdmError, XdmResult};
 use xqast::{Expr, FlworClause, FunctionDecl, MainModule, Name};
 use xqeval::context::{Environment, StaticContext};
-use xqeval::eval::{Ctx, EvalState, Evaluator, JoinPath};
+use xqeval::eval::{Ctx, EvalState, Evaluator, HashJoin, JoinPath};
 use xqeval::pul::PendingUpdateList;
 
 /// Parse + execute a main module on the loop-lifted engine.
@@ -67,18 +67,7 @@ fn execute_rel_with(
         loop_iters: vec![1],
         vars: Vec::new(),
     };
-    // Loop-invariant XRPC hoisting: an `execute at` inside a for-loop
-    // whose destination and arguments do not depend on the loop variables
-    // is evaluated once, outside the loop — exactly what Pathfinder's
-    // loop-lifting does with loop-invariant subexpressions (§3.1). Only
-    // read-only calls are hoisted (an updating call's per-iteration ∆s
-    // are observable).
-    let table = if env.rpc_optimize {
-        let body = hoist_invariant_xrpc(&module.body, &engine, &mut 0);
-        engine.eval_lifted(&body, &lenv, &mut st)?
-    } else {
-        engine.eval_lifted(&module.body, &lenv, &mut st)?
-    };
+    let table = engine.eval_lifted(&module.body, &lenv, &mut st)?;
     Ok((table.into_sequence_at(1), st.pul))
 }
 
@@ -135,154 +124,6 @@ pub fn eval_calls(
     match unbound {
         Some((_, e)) => Err(e),
         None => Ok((results.into_sequences(&calls), st.pul)),
-    }
-}
-
-/// Recursively hoist loop-invariant `execute at` calls out of FLWORs into
-/// fresh `let` bindings at the head of the clause list.
-fn hoist_invariant_xrpc(e: &Expr, engine: &RelEngine, counter: &mut usize) -> Expr {
-    match e {
-        Expr::Flwor { clauses, ret } => {
-            let mut new_clauses: Vec<FlworClause> = clauses
-                .iter()
-                .map(|c| match c {
-                    FlworClause::For { var, pos_var, seq } => FlworClause::For {
-                        var: var.clone(),
-                        pos_var: pos_var.clone(),
-                        seq: hoist_invariant_xrpc(seq, engine, counter),
-                    },
-                    FlworClause::Let { var, value } => FlworClause::Let {
-                        var: var.clone(),
-                        value: hoist_invariant_xrpc(value, engine, counter),
-                    },
-                    other => other.clone(),
-                })
-                .collect();
-            let new_ret = hoist_invariant_xrpc(ret, engine, counter);
-            // variables bound by this FLWOR
-            let mut bound: std::collections::HashSet<String> = std::collections::HashSet::new();
-            for c in &new_clauses {
-                match c {
-                    FlworClause::For { var, pos_var, .. } => {
-                        bound.insert(var.lexical());
-                        if let Some(p) = pos_var {
-                            bound.insert(p.lexical());
-                        }
-                    }
-                    FlworClause::Let { var, .. } => {
-                        bound.insert(var.lexical());
-                    }
-                    _ => {}
-                }
-            }
-            let mut hoisted: Vec<(String, Expr)> = Vec::new();
-            for c in new_clauses.iter_mut() {
-                match c {
-                    FlworClause::For { seq, .. } => {
-                        *seq = extract_invariant(seq, &bound, engine, counter, &mut hoisted)
-                    }
-                    FlworClause::Let { value, .. } => {
-                        *value = extract_invariant(value, &bound, engine, counter, &mut hoisted)
-                    }
-                    FlworClause::Where(w) => {
-                        *w = extract_invariant(w, &bound, engine, counter, &mut hoisted)
-                    }
-                    FlworClause::OrderBy(_) => {}
-                }
-            }
-            let new_ret = extract_invariant(&new_ret, &bound, engine, counter, &mut hoisted);
-            let mut all: Vec<FlworClause> = hoisted
-                .into_iter()
-                .map(|(name, value)| FlworClause::Let {
-                    var: xqast::Name::local(name),
-                    value,
-                })
-                .collect();
-            all.extend(new_clauses);
-            Expr::Flwor {
-                clauses: all,
-                ret: Box::new(new_ret),
-            }
-        }
-        Expr::Sequence(es) => Expr::Sequence(
-            es.iter()
-                .map(|x| hoist_invariant_xrpc(x, engine, counter))
-                .collect(),
-        ),
-        Expr::If { cond, then, els } => Expr::If {
-            cond: Box::new(hoist_invariant_xrpc(cond, engine, counter)),
-            then: Box::new(hoist_invariant_xrpc(then, engine, counter)),
-            els: Box::new(hoist_invariant_xrpc(els, engine, counter)),
-        },
-        other => other.clone(),
-    }
-}
-
-/// Replace loop-invariant read-only `execute at` subexpressions of `e`
-/// with fresh variable references, appending the bindings to `hoisted`.
-fn extract_invariant(
-    e: &Expr,
-    bound: &std::collections::HashSet<String>,
-    engine: &RelEngine,
-    counter: &mut usize,
-    hoisted: &mut Vec<(String, Expr)>,
-) -> Expr {
-    if let Expr::ExecuteAt { dest, call } = e {
-        let uses_bound = {
-            let mut used = false;
-            e.walk(&mut |x| {
-                if let Expr::VarRef(n) = x {
-                    if bound.contains(&n.lexical()) {
-                        used = true;
-                    }
-                }
-            });
-            used
-        };
-        let read_only = match call.as_ref() {
-            Expr::FunctionCall { name, args } => engine
-                .tree
-                .resolve_function_ref(name, args.len())
-                .map(|f| !f.updating)
-                .unwrap_or(false),
-            _ => false,
-        };
-        if !uses_bound && read_only {
-            let name = format!("hoisted-xrpc-{}", *counter);
-            *counter += 1;
-            hoisted.push((
-                name.clone(),
-                Expr::ExecuteAt {
-                    dest: dest.clone(),
-                    call: call.clone(),
-                },
-            ));
-            return Expr::VarRef(xqast::Name::local(name));
-        }
-    }
-    match e {
-        Expr::Sequence(es) => Expr::Sequence(
-            es.iter()
-                .map(|x| extract_invariant(x, bound, engine, counter, hoisted))
-                .collect(),
-        ),
-        Expr::If { cond, then, els } => Expr::If {
-            cond: Box::new(extract_invariant(cond, bound, engine, counter, hoisted)),
-            then: Box::new(extract_invariant(then, bound, engine, counter, hoisted)),
-            els: Box::new(extract_invariant(els, bound, engine, counter, hoisted)),
-        },
-        Expr::PathStep(a, b) => Expr::PathStep(
-            Box::new(extract_invariant(a, bound, engine, counter, hoisted)),
-            b.clone(),
-        ),
-        Expr::FunctionCall { name, args } => Expr::FunctionCall {
-            name: name.clone(),
-            args: args
-                .iter()
-                .map(|a| extract_invariant(a, bound, engine, counter, hoisted))
-                .collect(),
-        },
-        other => other.clone(),
     }
 }
 
@@ -645,10 +486,10 @@ impl<'e> RelEngine<'e> {
             .as_ref()
             .ok_or_else(|| XdmError::xrpc("no XRPC dispatcher configured on this peer"))?;
 
-        // Build (map_p, calls_p) per peer. For read-only functions,
-        // duplicate calls (same peer, value-identical atomic arguments)
-        // collapse onto one wire call whose result is fanned back out —
-        // the set-oriented dual of the loop-invariant hoist.
+        // Build (map_p, calls_p) per peer. With the optimizer on, calls of
+        // a function known read-only that are equal by value (same peer,
+        // atomic arguments) collapse onto one wire call whose result is
+        // fanned back out to each of their iterations.
         struct PeerWork {
             peer: String,
             map: IterMap,
@@ -660,7 +501,7 @@ impl<'e> RelEngine<'e> {
             /// the calls so far by value, where duplicates may collapse
             seen: std::collections::HashMap<String, usize>,
         }
-        let dedup_ok = !func.updating && self.tree.env.rpc_optimize;
+        let dedup_ok = self.tree.env.rpc_optimize && self.tree.known_read_only(&func);
         let mut work: Vec<PeerWork> = (peers.into_iter())
             .map(|peer| PeerWork {
                 peer,
@@ -911,7 +752,9 @@ impl<'e> RelEngine<'e> {
     /// [`lifts`](Self::lifts) for a FLWOR: it has a remote call somewhere,
     /// or what it returns for each tuple is a map over its variables. (An
     /// `order by` needs the tree engine's tuple stream; with a remote call
-    /// beside it, the lifted pipeline says so.)
+    /// beside it, the lifted pipeline says so.) Not a FLWOR that the
+    /// optimizer's join rule gives the tree engine's hash join whole
+    /// ([`Evaluator::takes_join_calls`]).
     fn flwor_lifts(&self, clauses: &[FlworClause], ret: &Expr) -> bool {
         let clause_has_xrpc = |c: &FlworClause| match c {
             FlworClause::For { seq: e, .. }
@@ -920,7 +763,11 @@ impl<'e> RelEngine<'e> {
             FlworClause::OrderBy(_) => false,
         };
         let ordered = clauses.iter().any(|c| matches!(c, FlworClause::OrderBy(_)));
-        ret.contains_xrpc() || clauses.iter().any(clause_has_xrpc) || (!ordered && self.is_map(ret))
+        let lifts = ret.contains_xrpc()
+            || clauses.iter().any(clause_has_xrpc)
+            || (!ordered && self.is_map(ret));
+        let joined = || HashJoin::of(clauses, ret).is_some_and(|j| self.tree.takes_join_calls(&j));
+        lifts && !(self.tree.env.rpc_optimize && joined())
     }
 
     /// Is `e` an operator tree the map operator runs (see `map.rs`)?

@@ -22,6 +22,13 @@ const TEST_MODULE: &str = r#"
     declare function t:double($n as xs:integer) { $n * 2 };
 "#;
 
+/// Registered at the remote peers only: the caller cannot know that
+/// `u:touch` updates.
+const TOUCH_MODULE: &str = r#"
+    module namespace u = "touch";
+    declare updating function u:touch($n) { delete node doc("filmDB.xml")//nothing };
+"#;
+
 fn film_db(peer: &str) -> String {
     // different peers carry different films so multi-destination order is
     // observable
@@ -54,6 +61,7 @@ impl RecordingDispatcher {
             let env = Environment::new(Arc::new(docs));
             env.modules.register_source(FILM_MODULE).unwrap();
             env.modules.register_source(TEST_MODULE).unwrap();
+            env.modules.register_source(TOUCH_MODULE).unwrap();
             remotes.insert(format!("xrpc://{p}"), env);
         }
         RecordingDispatcher {
@@ -380,6 +388,124 @@ fn rpc_optimize_off_by_default_keeps_figure2_traffic() {
     execute_rel(q, &env).unwrap();
     // Figure 2 literally: all 10 calls on the wire (in one bulk request)
     assert_eq!(*disp.log.lock(), vec![("xrpc://y".to_string(), 10)]);
+}
+
+/// An answer, or its error code.
+type Answer = Result<String, String>;
+
+/// `q` with the optimizer off and on: the answers, and the (peer, bulk
+/// size) of each dispatch the optimized run made.
+fn off_and_on(q: &str) -> (Answer, Answer, Vec<(String, usize)>) {
+    let run = |optimize: bool| {
+        let disp = Arc::new(RecordingDispatcher::new(&["y"]));
+        let mut env = local_env(disp.clone());
+        env.rpc_optimize = optimize;
+        let r = execute_rel(q, &env).map(|(r, _)| serialize(&r));
+        let log = disp.log.lock().clone();
+        (r.map_err(|e| e.code), log)
+    };
+    let ((off, _), (on, log)) = (run(false), run(true));
+    (off, on, log)
+}
+
+#[test]
+fn rpc_optimize_sends_no_call_evaluation_does_not_reach() {
+    for (q, want) in [
+        (
+            r#"import module namespace t = "test";
+            for $x in () return execute at {"xrpc://nope"} {t:echoVoid()}"#,
+            "",
+        ),
+        (
+            r#"import module namespace t = "test";
+            for $x in (1, 2, 3) where $x > 5
+            return execute at {"xrpc://nope"} {t:double(7)}"#,
+            "",
+        ),
+        (
+            r#"import module namespace t = "test";
+            for $x in (1, 2, 3)
+            return if ($x > 5) then count(execute at {"xrpc://nope"} {t:double(7)}) else 0"#,
+            "0|0|0",
+        ),
+        // no name the optimizer binds can capture one of the query's
+        (
+            r#"import module namespace f = "films";
+            for $i in (1 to 2) let $hoisted-xrpc-0 := 5
+            return count(execute at {"xrpc://y"} {f:filmsByActor("Sean Connery")})"#,
+            "2|2",
+        ),
+    ] {
+        let (off, on, log) = off_and_on(q);
+        assert_eq!(off.as_deref(), Ok(want), "{q}");
+        assert_eq!(on, off, "{q}");
+        assert!(log.iter().all(|(peer, _)| peer != "xrpc://nope"), "{q}");
+    }
+}
+
+#[test]
+fn rpc_optimize_never_collapses_a_call_it_cannot_know_is_read_only() {
+    // `u:touch` updates at the callee; the caller has no module `touch`
+    let (off, on, log) = off_and_on(
+        r#"import module namespace u = "touch";
+        for $i in (1 to 4) return execute at {"xrpc://y"} {u:touch(1)}"#,
+    );
+    assert_eq!((on, off), (Ok(String::new()), Ok(String::new())));
+    assert_eq!(log, vec![("xrpc://y".to_string(), 4)]);
+}
+
+#[test]
+fn rpc_optimize_joins_a_remote_build_side_once() {
+    // push-down's shape: a closed read-only call as the join's Y
+    let q = |x: &str| {
+        format!(
+            r#"import module namespace f = "films";
+            for $n in {x}, $m in execute at {{"xrpc://y"}} {{f:filmsByActor("Sean Connery")}}
+            where $n = string($m) return string($m)"#
+        )
+    };
+    let (off, on, log) = off_and_on(&q(r#"("Goldfinger", "Dr. No", "The Rock")"#));
+    assert_eq!(off.as_deref(), Ok("Goldfinger|The Rock"));
+    assert_eq!(on, off);
+    assert_eq!(
+        log,
+        vec![("xrpc://y".to_string(), 1)],
+        "one call, not one per $n"
+    );
+    // an empty X: Y is never evaluated
+    let (off, on, log) = off_and_on(&q("()"));
+    assert_eq!((on, off), (Ok(String::new()), Ok(String::new())));
+    assert_eq!(log, vec![]);
+    // a node argument, which collapsing leaves alone: the join sends it once
+    let (off, on, log) = off_and_on(
+        r#"import module namespace f = "films";
+        let $q := <name>Goldfinger</name>
+        for $n in ("Goldfinger", "Dr. No", "Goldfinger"), $m in execute at {"xrpc://y"} {f:echo($q)}
+        where $n = string($m) return string($m)"#,
+    );
+    assert_eq!(off.as_deref(), Ok("Goldfinger|Goldfinger"));
+    assert_eq!(on, off);
+    assert_eq!(log, vec![("xrpc://y".to_string(), 1)]);
+    // a function the caller does not know: one call per $n, as without
+    let (_, on, log) = off_and_on(
+        r#"import module namespace u = "touch";
+        for $n in ("a", "b", "c"), $m in execute at {"xrpc://y"} {u:touch(1)}
+        where $n = string($m) return $m"#,
+    );
+    assert_eq!(on, Ok(String::new()));
+    assert_eq!(log, vec![("xrpc://y".to_string(), 3)]);
+    // a call inside a function body is not one the rule can see: Y stays
+    // where it was, one request per $n
+    let (off, on, log) = off_and_on(
+        r#"import module namespace f = "films";
+        declare function local:y() { execute at {"xrpc://y"} {f:filmsByActor("Sean Connery")} };
+        for $n in ("The Rock", "b", "c"), $m in local:y() where $n = string($m) return string($m)"#,
+    );
+    assert_eq!(
+        (on, off.as_deref()),
+        (Ok("The Rock".to_string()), Ok("The Rock"))
+    );
+    assert_eq!(log, vec![("xrpc://y".to_string(), 1); 3]);
 }
 
 // ---------------------------------------------------------------------

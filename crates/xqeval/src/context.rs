@@ -286,9 +286,14 @@ pub struct Environment {
     /// `index.rs`). Always on in service; tests turn it off to get the
     /// plain scan as their oracle.
     pub join_index: bool,
-    /// Opt-in distributed-optimizer behaviours in the loop-lifted engine:
-    /// loop-invariant `execute at` hoisting and duplicate-call collapsing.
-    /// Off by default so the wire traffic matches Figure 2 literally.
+    /// The distributed optimizer: calls of a function known read-only
+    /// (`Evaluator::known_read_only`) that are equal by value go out once
+    /// per Bulk RPC, and a hash join whose Y makes such calls evaluates Y
+    /// once (`Evaluator::takes_join_calls`). Neither sends a call that
+    /// evaluation does not reach. Off by default, so the wire carries
+    /// Figure 2's traffic: Table 2's loop of `echoVoid()` must put every
+    /// call on the wire, while Table 4's push-down, a closed read-only call
+    /// in a loop of the same shape, should send it once.
     pub rpc_optimize: bool,
     pub stats: Mutex<EvalStats>,
     /// [`EvalStats::functions_called`] as it is counted — once per call, so

@@ -125,6 +125,82 @@ impl<'a> JoinPath<'a> {
     }
 }
 
+/// A FLWOR `for $a in X, $b in Y where ka = kb … return R` that the hash
+/// join takes: Y mentions no `$a` and constructs no node, one key mentions
+/// only `$a` and the other only `$b`, and no `order by` follows. Whether
+/// its effects let Y be evaluated once is the evaluator's to say.
+pub struct HashJoin<'a> {
+    a_var: &'a Name,
+    x_seq: &'a Expr,
+    b_var: &'a Name,
+    y_seq: &'a Expr,
+    a_key: &'a Expr,
+    b_key: &'a Expr,
+    /// The `where` and the clauses after it: the nested loop's tail.
+    tail: &'a [FlworClause],
+    ret: &'a Expr,
+}
+
+impl<'a> HashJoin<'a> {
+    pub fn of(clauses: &'a [FlworClause], ret: &'a Expr) -> Option<Self> {
+        let [FlworClause::For {
+            var: a_var,
+            pos_var: None,
+            seq: x_seq,
+        }, FlworClause::For {
+            var: b_var,
+            pos_var: None,
+            seq: y_seq,
+        }, tail @ ..] = clauses
+        else {
+            return None;
+        };
+        let [FlworClause::Where(Expr::GeneralComp(CompOp::Eq, l, r)), rest @ ..] = tail else {
+            return None;
+        };
+        // a trailing order-by needs the tuple materialization; a node
+        // constructed in Y once would have one identity, not one per X item
+        let mut y_constructs = false;
+        y_seq.walk(&mut |x| y_constructs |= x.is_constructor());
+        if y_constructs || rest.iter().any(|c| matches!(c, FlworClause::OrderBy(_))) {
+            return None;
+        }
+        let (a_name, b_name) = (a_var.lexical(), b_var.lexical());
+        if free_var_names(y_seq).contains(&a_name) {
+            return None;
+        }
+        let side = |e: &Expr| {
+            let free = free_var_names(e);
+            (free.contains(&a_name), free.contains(&b_name))
+        };
+        let (a_key, b_key) = match (side(l), side(r)) {
+            ((true, false), (false, true)) => (&**l, &**r),
+            ((false, true), (true, false)) => (&**r, &**l),
+            _ => return None,
+        };
+        Some(HashJoin {
+            a_var,
+            x_seq,
+            b_var,
+            y_seq,
+            a_key,
+            b_key,
+            tail,
+            ret,
+        })
+    }
+
+    /// Does nothing outside Y have an effect (see [`effects::is_effect`])?
+    fn effects_in_y_only(&self) -> bool {
+        let clauses = self.tail.iter().filter_map(|c| match c {
+            FlworClause::For { seq: e, .. } | FlworClause::Let { value: e, .. } => Some(e),
+            FlworClause::Where(e) => Some(e),
+            FlworClause::OrderBy(_) => None,
+        });
+        !([self.x_seq, self.ret].into_iter().chain(clauses)).any(effects::has_effects)
+    }
+}
+
 /// Evaluate a main-module query text against an environment. Returns the
 /// result sequence and the pending update list (empty for read-only
 /// queries); the caller decides when to `apply_updates` — that split is
@@ -676,12 +752,17 @@ impl<'e> Evaluator<'e> {
     ) -> XdmResult<Sequence> {
         // Hash-join fast path: `for $a in X, $b in Y where keyA($a) = keyB($b)`
         // becomes a build+probe join instead of a nested loop — the same
-        // join detection the paper observes in Saxon (§4). Side-effecting
-        // bodies (updates, RPC) skip it: it evaluates Y once, not once per
-        // X item.
-        if self.env.join_index && hash_join_shape(clauses) && !effects::has_effects(flwor) {
-            if let Some(result) = self.try_flwor_hash_join(clauses, ret, st, ctx)? {
-                return Ok(result);
+        // join detection the paper observes in Saxon (§4). It evaluates Y
+        // once, not once per X item, so a FLWOR with effects (updates, RPC)
+        // takes it only by the optimizer's join rule.
+        if let Some(join) = self
+            .env
+            .join_index
+            .then(|| HashJoin::of(clauses, ret))
+            .flatten()
+        {
+            if !effects::has_effects(flwor) || self.takes_join_calls(&join) {
+                return self.flwor_hash_join(&join, st, ctx);
             }
         }
         let mut out = Sequence::empty();
@@ -690,6 +771,30 @@ impl<'e> Evaluator<'e> {
             Ok(())
         })?;
         Ok(out)
+    }
+
+    /// The optimizer's join rule ([`Environment::rpc_optimize`]): does the
+    /// hash join take `join` though Y calls peers? Yes when the FLWOR's
+    /// only effects are `execute at`s written in Y, each of a function
+    /// [known read-only](Self::known_read_only). Y and its calls are then
+    /// evaluated once, and not at all when X is empty, where the nested
+    /// loop would evaluate them once per X item. (A call elsewhere stays
+    /// where the loop-lifted engine sends it as one Bulk RPC.)
+    pub fn takes_join_calls(&self, join: &HashJoin) -> bool {
+        let calls = self.env.rpc_optimize && effects::has_effects(join.y_seq);
+        if !(calls && self.env.join_index && join.effects_in_y_only()) {
+            return false;
+        }
+        let mut read_only = true;
+        join.y_seq.walk(&mut |x| match x {
+            Expr::ExecuteAt { call, .. } => {
+                read_only &= matches!(&**call, Expr::FunctionCall { name, args }
+                    if (self.resolve_function_ref(name, args.len()))
+                        .is_ok_and(|f| self.known_read_only(&f)));
+            }
+            _ => read_only &= !effects::is_effect(x),
+        });
+        read_only
     }
 
     /// Run `each` once per tuple of the FLWOR's clauses, in result order
@@ -760,82 +865,32 @@ impl<'e> Evaluator<'e> {
         Ok(())
     }
 
-    /// Recognize `for $a in X, $b in Y where l($a) = r($b) …` and execute
-    /// it as a hash join (build on Y, probe per $a). Only string and
-    /// untyped keys are joined this way (the general-comparison coercion
-    /// for them is plain string equality, see `index::string_key`). At the
-    /// first other key, or one that fails, the tuples left run as the
-    /// nested loop, over the X and Y items already evaluated (Y does not
-    /// depend on $a): results and errors are the nested loop's, in its
-    /// order (X order, then Y order per match). `None` when the clauses are
-    /// not such a join.
-    fn try_flwor_hash_join(
+    /// Execute `join` as a hash join (build on Y, probe per $a). Only
+    /// string and untyped keys are joined this way (the general-comparison
+    /// coercion for them is plain string equality, see `index::string_key`).
+    /// At the first other key, or one that fails, the tuples left run as
+    /// the nested loop, over the X and Y items already evaluated (Y does
+    /// not depend on $a): results and errors are the nested loop's, in its
+    /// order (X order, then Y order per match).
+    fn flwor_hash_join(
         &self,
-        clauses: &[FlworClause],
-        ret: &Expr,
+        join: &HashJoin,
         st: &mut EvalState,
         ctx: &Ctx,
-    ) -> XdmResult<Option<Sequence>> {
-        // (the shape `hash_join_shape` tells `push` about)
-        let [FlworClause::For {
-            var: a_var,
-            pos_var: None,
-            seq: x_seq,
-        }, FlworClause::For {
-            var: b_var,
-            pos_var: None,
-            seq: y_seq,
-        }, FlworClause::Where(Expr::GeneralComp(CompOp::Eq, l, r)), rest @ ..] = clauses
-        else {
-            return Ok(None);
-        };
-        // No trailing order-by (it would need the tuple materialization).
-        if rest.iter().any(|c| matches!(c, FlworClause::OrderBy(_))) {
-            return Ok(None);
-        }
-        // Node constructors in Y would get fresh identities per naive
-        // iteration; evaluating Y once changes `is` semantics — skip.
-        let mut y_constructs = false;
-        y_seq.walk(&mut |x| y_constructs |= x.is_constructor());
-        if y_constructs {
-            return Ok(None);
-        }
-        let a_name = a_var.lexical();
-        let b_name = b_var.lexical();
-        // Y must not depend on $a; l on $a-side only; r on $b-side only
-        // (or swapped).
-        let y_free = free_var_names(y_seq);
-        if y_free.contains(&a_name) {
-            return Ok(None);
-        }
-        let l_free = free_var_names(l);
-        let r_free = free_var_names(r);
-        let (a_key, b_key) = if l_free.contains(&a_name)
-            && !l_free.contains(&b_name)
-            && r_free.contains(&b_name)
-            && !r_free.contains(&a_name)
-        {
-            (l, r)
-        } else if r_free.contains(&a_name)
-            && !r_free.contains(&b_name)
-            && l_free.contains(&b_name)
-            && !l_free.contains(&a_name)
-        {
-            (r, l)
-        } else {
-            return Ok(None);
-        };
-
-        let (a, b) = (self.join_key(a_var, a_key), self.join_key(b_var, b_key));
-        let x_items = self.eval(x_seq, st, ctx)?.into_items();
+    ) -> XdmResult<Sequence> {
+        let (a, b) = (
+            self.join_key(join.a_var, join.a_key),
+            self.join_key(join.b_var, join.b_key),
+        );
+        let x_items = self.eval(join.x_seq, st, ctx)?.into_items();
         if x_items.is_empty() {
             // the nested loop evaluates neither Y nor a key
-            return Ok(Some(Sequence::empty()));
+            return Ok(Sequence::empty());
         }
-        let y_items = self.eval(y_seq, st, ctx)?.into_items();
+        let y_items = self.eval(join.y_seq, st, ctx)?.into_items();
         let mut out = Sequence::empty();
         let mut emit = |ev: &Evaluator, st2: &mut EvalState| {
-            out.extend(ev.eval(ret, st2, ctx)?);
+            out.extend(ev.eval(join.ret, st2, ctx)?);
             Ok(())
         };
         let mut op = self.env.profile_op("xq:hash-join");
@@ -865,7 +920,7 @@ impl<'e> Evaluator<'e> {
             }
             // a pair the table matched is equal as strings, which is what
             // `=` means for string keys; the nested loop tests by the `where`
-            let tail = if joining { rest } else { &clauses[2..] };
+            let tail = if joining { &join.tail[1..] } else { join.tail };
             let depth = st.vars.len();
             st.bind(a.var, Sequence::one(x.clone()));
             for &yi in &hits {
@@ -879,7 +934,7 @@ impl<'e> Evaluator<'e> {
         if let Some(op) = &mut op {
             op.set_items(joined);
         }
-        Ok(Some(out))
+        Ok(out)
     }
 
     /// One side's key of the hash join, compiled to a key path when it is
@@ -1549,6 +1604,16 @@ impl<'e> Evaluator<'e> {
         Ok(results.pop().unwrap())
     }
 
+    /// Does this peer know `func` to be read-only: its module is registered
+    /// here and declares it without `updating`? What the optimizer may
+    /// collapse or join. [`FunctionRef::updating`] is what goes on the wire,
+    /// and it says "not updating" for a function this peer does not know.
+    pub fn known_read_only(&self, func: &FunctionRef) -> bool {
+        (self.env.modules.get(&func.module_ns))
+            .and_then(|m| m.function(&func.local_name, func.arity))
+            .is_some_and(|f| !f.updating)
+    }
+
     /// Build the [`FunctionRef`] an `execute at` needs to put on the wire.
     pub fn resolve_function_ref(&self, name: &Name, arity: usize) -> XdmResult<FunctionRef> {
         let prefix = name.prefix.as_deref().ok_or_else(|| {
@@ -1708,7 +1773,9 @@ impl<'e> Evaluator<'e> {
             }
             // not a FLWOR the hash join may take: the join builds its
             // result as a value, which is attached whole (below)
-            Expr::Flwor { clauses, ret } if !(self.env.join_index && hash_join_shape(clauses)) => {
+            Expr::Flwor { clauses, ret }
+                if !self.env.join_index || HashJoin::of(clauses, ret).is_none() =>
+            {
                 self.profiled_push("xq:flwor", sink, |ev, sink| {
                     ev.flwor_tuples(clauses, st, ctx, &mut |ev, st2| {
                         ev.push(ret, st2, ctx, sink)
@@ -1980,21 +2047,6 @@ impl<'e> Evaluator<'e> {
             _ => Err(XdmError::type_error(format!("{who} must be a single node"))),
         }
     }
-}
-
-/// Do the clauses begin `for $a in X, $b in Y where l = r` — what
-/// [`Evaluator::try_flwor_hash_join`] takes on?
-fn hash_join_shape(clauses: &[FlworClause]) -> bool {
-    use FlworClause::{For, Where};
-    matches!(
-        clauses,
-        [
-            For { pos_var: None, .. },
-            For { pos_var: None, .. },
-            Where(Expr::GeneralComp(CompOp::Eq, ..)),
-            ..
-        ]
-    )
 }
 
 /// One side's key of the FLWOR hash join: `expr` over `$var`, and its key

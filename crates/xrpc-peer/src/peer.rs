@@ -239,8 +239,7 @@ pub struct Peer {
     pub stats: PeerStats,
     /// Default `xrpc:timeout` seconds when a query does not declare one.
     pub default_timeout_secs: u32,
-    /// Opt into the distributed-optimizer behaviours (invariant hoisting,
-    /// duplicate bulk-call collapsing) for queries run at this peer.
+    /// Opt into the distributed optimizer for queries run at this peer.
     rpc_optimize: std::sync::atomic::AtomicBool,
     /// The write-ahead coordination log, when durability is enabled (see
     /// `recovery::attach_wal`). Peers without one keep the pre-durability
@@ -364,8 +363,9 @@ impl Peer {
         *self.twopc_config.write() = config;
     }
 
-    /// Enable/disable the distributed-optimizer behaviours (loop-invariant
-    /// `execute at` hoisting + duplicate-call collapsing).
+    /// Enable/disable the distributed optimizer for queries run at this
+    /// peer ([`Environment::rpc_optimize`](xqeval::Environment::rpc_optimize):
+    /// duplicate-call collapsing and the join rule).
     pub fn set_rpc_optimize(&self, on: bool) {
         self.rpc_optimize.store(on, Ordering::SeqCst);
     }

@@ -237,6 +237,9 @@ impl DocResolver for RequestOverlay {
 
 /// Find the request element and pull module/method/arity/location off it without any
 /// XRPC-specific machinery (plain DOM work, as a wrapper script would).
+/// The generated query takes these as names, never as code: `method` must
+/// be an NCName and every call must carry `arity` parameters (which bounds
+/// it by the body); anything else is refused (XRPC0001, `env:Sender`).
 fn request_attrs(
     doc: &xmldom::Document,
 ) -> XdmResult<(xmldom::NodeId, String, String, usize, Option<String>)> {
@@ -265,7 +268,28 @@ fn request_attrs(
         .parse()
         .map_err(|_| XdmError::xrpc("bad @arity"))?;
     let location = doc.attr_local(req, "location").map(|s| s.to_string());
+    let mut chars = method.chars();
+    let name_char = |c: char| c.is_alphanumeric() || matches!(c, '_' | '-' | '.');
+    if !(chars.next().is_some_and(|c| c.is_alphabetic() || c == '_') && chars.all(name_char))
+        || method.ends_with(['-', '.'])
+    {
+        return Err(XdmError::xrpc("@method is not an NCName"));
+    }
+    let is = |id, local| doc.name(id).is_some_and(|n| n.is(NS_XRPC, local));
+    let calls: Vec<usize> = (doc.child_elements(req).filter(|&c| is(c, "call")))
+        .map(|c| doc.child_elements(c).filter(|&p| is(p, "sequence")).count())
+        .collect();
+    if calls.iter().any(|&n| n != arity) || (calls.is_empty() && arity != 0) {
+        return Err(XdmError::xrpc(
+            "@arity is not the number of parameters of every call",
+        ));
+    }
     Ok((req, module, method, arity, location))
+}
+
+/// `s` as an XQuery string literal.
+fn literal(s: &str) -> String {
+    format!("\"{}\"", s.replace('&', "&amp;").replace('"', "\"\""))
 }
 
 /// Generate the Figure-3 query: the import, the pure-XQuery `n2s`/`s2n`
@@ -277,13 +301,11 @@ pub fn generate_query(
     location: Option<&str>,
     req_uri: &str,
 ) -> String {
-    let mut q = String::new();
-    match location {
-        Some(loc) => q.push_str(&format!(
-            "import module namespace func = \"{module}\" at \"{loc}\";\n"
-        )),
-        None => q.push_str(&format!("import module namespace func = \"{module}\";\n")),
+    let mut q = format!("import module namespace func = {}", literal(module));
+    if let Some(loc) = location {
+        q.push_str(&format!(" at {}", literal(loc)));
     }
+    q.push_str(";\n");
     q.push_str(
         r#"declare namespace env = "http://www.w3.org/2003/05/soap-envelope";
 declare namespace xrpc = "http://monetdb.cwi.nl/XQuery";
@@ -346,8 +368,10 @@ declare function local:s2n($items as item()*) as node() {
          xmlns:xs=\"http://www.w3.org/2001/XMLSchema\"\n \
          xmlns:xsi=\"http://www.w3.org/2001/XMLSchema-instance\">\n<env:Body>\n",
     );
+    // the response names what the stored request names
+    let req = format!("doc(\"{req_uri}\")/*/env:Body/xrpc:request");
     q.push_str(&format!(
-        "<xrpc:response module=\"{module}\" method=\"{method}\">{{\n"
+        "<xrpc:response>{{\n  {req}/@module, {req}/@method,\n"
     ));
     q.push_str(&format!("  for $call in doc(\"{req_uri}\")//xrpc:call\n"));
     let mut params = Vec::new();
@@ -500,7 +524,9 @@ mod tests {
         assert!(q.contains("let $param1 := local:n2s($call/xrpc:sequence[1])"));
         assert!(q.contains("let $param2 := local:n2s($call/xrpc:sequence[2])"));
         assert!(q.contains("local:s2n(func:getPerson($param1, $param2))"));
-        assert!(q.contains("<xrpc:response module=\"functions\" method=\"getPerson\">"));
+        assert!(q.contains(
+            "<xrpc:response>{\n  doc(\"/tmp/request0.xml\")/*/env:Body/xrpc:request/@module,"
+        ));
         // and it parses
         xqast::parse_main_module(&q).unwrap();
     }

@@ -40,8 +40,8 @@ fn main() {
         a.add_document("persons.xml", &xmark::persons_xml(&params))
             .unwrap();
         a.register_module(MODULE_B).unwrap();
-        // run A's queries through the distributed-optimizer behaviours
-        // (loop-invariant hoisting + duplicate-call collapsing)
+        // run A's queries through the distributed optimizer (duplicate-call
+        // collapsing and the join rule, which sends push-down's call once)
         a.set_rpc_optimize(true);
         a.set_transport(net.clone());
         net.register(A_URI, a.soap_handler());

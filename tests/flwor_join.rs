@@ -14,16 +14,29 @@
 //! documents or decoded from a request message (one arena for all),
 //! atomic items in X or Y, and a return clause that can fail before a key
 //! does. A failure prints the seed; `JOIN_SEED=n` reruns one seed.
+//!
+//! The same documents and keys then drive the distributed optimizer
+//! (`Environment::rpc_optimize`) against plain evaluation on the
+//! loop-lifted engine: `execute at` under empty and non-empty `for`s,
+//! under `where`s that keep no, some or all tuples, in `if` branches, in
+//! nested FLWORs, and in X, Y and the return of join shapes, calling a
+//! function the caller knows to be read-only or one it does not know, at a
+//! peer that answers or one that does not exist. Results and error codes
+//! must be equal, and the optimized run's calls a sub-multiset of the
+//! plain run's. `OPT_SEED=n` reruns one seed.
 
 use rand::prelude::*;
-use std::sync::Arc;
-use xrpc_repro::xdm::{Item, Sequence};
-use xrpc_repro::xqeval::{evaluate_main_with_vars, Environment, InMemoryDocs};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+use xrpc_repro::xdm::{Item, Sequence, XdmError, XdmResult};
+use xrpc_repro::xqeval::context::{FunctionRef, RpcDispatcher};
+use xrpc_repro::xqeval::eval::{Ctx, EvalState};
+use xrpc_repro::xqeval::{evaluate_main_with_vars, Environment, Evaluator, InMemoryDocs};
 use xrpc_repro::xrpc_proto::{parse_message, XrpcMessage, XrpcRequest};
 
-/// The seeds a test runs: `JOIN_SEED` alone, or `0..n`.
-fn seeds(n: u64) -> Vec<u64> {
-    match std::env::var("JOIN_SEED").ok().and_then(|s| s.parse().ok()) {
+/// The seeds a test runs: those in `var` alone, or `0..n`.
+fn seeds(var: &str, n: u64) -> Vec<u64> {
+    match std::env::var(var).ok().and_then(|s| s.parse().ok()) {
         Some(seed) => vec![seed],
         None => (0..n).collect(),
     }
@@ -150,31 +163,38 @@ fn query(rng: &mut StdRng) -> String {
     )
 }
 
+/// An item as a string: a node by its `n`.
+fn show(item: &Item) -> String {
+    match item {
+        Item::Node(n) => format!("<{}>", n.doc.attr_local(n.id, "n").unwrap_or("?")),
+        Item::Atomic(a) => a.lexical(),
+    }
+}
+
 /// The result as strings (nodes by their `n`), or the error code.
 fn run(env: &Environment, query: &str, msg: &Sequence) -> Result<Vec<String>, String> {
     match evaluate_main_with_vars(query, env, vec![("msg".into(), msg.clone())]) {
-        Ok((seq, _)) => Ok(seq
-            .iter()
-            .map(|i| match i {
-                Item::Node(n) => format!("<{}>", n.doc.attr_local(n.id, "n").unwrap_or("?")),
-                Item::Atomic(a) => a.lexical(),
-            })
-            .collect()),
+        Ok((seq, _)) => Ok(seq.iter().map(show).collect()),
         Err(e) => Err(e.code),
     }
+}
+
+/// A store of the generated documents `x.xml`, `y1.xml` and `y2.xml`.
+fn store(rng: &mut StdRng) -> Arc<InMemoryDocs> {
+    let store = InMemoryDocs::new();
+    for (uri, tag, n) in [("x.xml", "x", 12), ("y1.xml", "y", 16), ("y2.xml", "z", 10)] {
+        let xml = document(rng, tag, n);
+        store.insert(uri, xrpc_repro::xmldom::parse_with_uri(&xml, uri).unwrap());
+    }
+    Arc::new(store)
 }
 
 #[test]
 fn flwor_join_matches_nested_loop() {
     let (mut empty, mut joined, mut failed) = (0, 0, 0);
-    for seed in seeds(12) {
+    for seed in seeds("JOIN_SEED", 12) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let store = InMemoryDocs::new();
-        for (uri, tag, n) in [("x.xml", "x", 12), ("y1.xml", "y", 16), ("y2.xml", "z", 10)] {
-            let xml = document(&mut rng, tag, n);
-            store.insert(uri, xrpc_repro::xmldom::parse_with_uri(&xml, uri).unwrap());
-        }
-        let store = Arc::new(store);
+        let store = store(&mut rng);
         let msg = message_items(&store);
         let on = Environment::new(store.clone());
         let mut off = Environment::new(store.clone());
@@ -195,5 +215,234 @@ fn flwor_join_matches_nested_loop() {
     assert!(
         joined > 0 && empty > 0 && failed > 0,
         "{joined} {empty} {failed}"
+    );
+}
+
+/// The optimizer differential's functions. `r` is registered at the caller
+/// too, so its functions are known read-only there; `u` is not.
+const REMOTE_MODULES: [&str; 2] = [
+    r#"module namespace r = "urn:r";
+    declare function r:val($v) { $v };
+    declare function r:elems($uri as xs:string) { doc($uri)//e };
+    declare function r:boom() { error() };"#,
+    r#"module namespace u = "urn:u";
+    declare function u:val($v) { $v };
+    declare function u:elems($uri as xs:string) { doc($uri)//e };"#,
+];
+
+/// The peer `xrpc://b`, in process over the same store, logging every call
+/// it is sent — and every call sent to a peer that does not exist — as
+/// "peer function(arguments)".
+struct Callee {
+    env: Environment,
+    log: Mutex<Vec<String>>,
+}
+
+impl RpcDispatcher for Callee {
+    fn dispatch(
+        &self,
+        dest: &str,
+        func: &FunctionRef,
+        calls: Vec<Vec<Sequence>>,
+    ) -> XdmResult<Vec<Sequence>> {
+        self.log.lock().unwrap().extend(calls.iter().map(|args| {
+            let args: Vec<Vec<String>> =
+                args.iter().map(|a| a.iter().map(show).collect()).collect();
+            format!("{dest} {}{args:?}", func.local_name)
+        }));
+        if dest != "xrpc://b" {
+            return Err(XdmError::xrpc(format!("unknown peer {dest}")));
+        }
+        let module = self.env.modules.get_or_load(&func.module_ns, None)?;
+        let f = (module.function(&func.local_name, func.arity))
+            .ok_or_else(|| XdmError::unknown_function(func.local_name.clone()))?;
+        let ev = Evaluator::new(&self.env, module.sctx.clone());
+        (calls.into_iter())
+            .map(|args| {
+                let mut st = EvalState::new();
+                for ((name, _), value) in f.params.iter().zip(args) {
+                    st.bind(name, value);
+                }
+                ev.eval(&f.body, &mut st, &Ctx::none())
+            })
+            .collect()
+    }
+}
+
+/// One of `vars`, if there are any.
+fn pick<'v>(rng: &mut StdRng, vars: &'v [String]) -> Option<&'v String> {
+    (!vars.is_empty()).then(|| &vars[rng.gen_range(0..vars.len())])
+}
+
+/// An `execute at` whose argument may use the integer variables `ints`.
+fn remote_call(rng: &mut StdRng, ints: &[String]) -> String {
+    let dest = if rng.gen_bool(0.8) {
+        "xrpc://b"
+    } else {
+        "xrpc://nope"
+    };
+    let arg = match pick(rng, ints) {
+        Some(v) if rng.gen_bool(0.5) => format!("${v} mod 2"),
+        _ => rng.gen_range(0..3u8).to_string(),
+    };
+    let call = match rng.gen_range(0..10u8) {
+        0 => "r:boom()".to_string(),
+        1 | 2 => format!("u:val({arg})"),
+        _ => format!("r:val({arg})"),
+    };
+    format!(r#"execute at {{"{dest}"}} {{{call}}}"#)
+}
+
+/// A join over `x.xml` and `y1.xml` with remote calls in X, in Y or in
+/// its return.
+fn join_with_calls(rng: &mut StdRng, ints: &[String]) -> String {
+    let (x, y) = (format!("x{}", ints.len()), format!("y{}", ints.len()));
+    let remote = |rng: &mut StdRng, uri: &str| {
+        let dest = if rng.gen_bool(0.85) {
+            "xrpc://b"
+        } else {
+            "xrpc://nope"
+        };
+        let prefix = if rng.gen_bool(0.8) { "r" } else { "u" };
+        format!(r#"execute at {{"{dest}"}} {{{prefix}:elems("{uri}")}}"#)
+    };
+    let xs = match rng.gen_range(0..6u8) {
+        0 => "()".to_string(),
+        1 => remote(rng, "x.xml"),
+        2 => r#"doc("x.xml")//e[3]"#.to_string(),
+        _ => r#"doc("x.xml")//e"#.to_string(),
+    };
+    let ys = match rng.gen_range(0..5u8) {
+        0 => r#"doc("y1.xml")//e"#.to_string(),
+        1 => format!(r#"({}, doc("y2.xml")//e)"#, remote(rng, "y1.xml")),
+        _ => remote(rng, "y1.xml"),
+    };
+    let (kx, ky) = (key(rng, &x), key(rng, &y));
+    let ret = match rng.gen_range(0..4u8) {
+        0 => format!("count({})", remote_call(rng, ints)),
+        _ => format!("(${x}, ${y})"),
+    };
+    format!("(for ${x} in {xs}, ${y} in {ys} where {kx} = {ky} return {ret})")
+}
+
+/// An expression with remote calls in the places the optimizer must not
+/// move them out of; `ints` are the integer variables in scope.
+fn expr_with_calls(rng: &mut StdRng, depth: u8, ints: &mut Vec<String>) -> String {
+    let v = format!("i{}", ints.len());
+    match rng.gen_range(0..if depth == 0 { 2 } else { 7u8 }) {
+        0 => remote_call(rng, ints),
+        1 => format!("count({})", remote_call(rng, ints)),
+        2 | 3 => {
+            let seq = ["()", "(1, 2, 3)", "(1 to 4)"][rng.gen_range(0..3usize)];
+            let cond = ["", "> 5", "mod 2 = 0", "> 0"][rng.gen_range(0..4usize)];
+            let cond = match cond {
+                "" => String::new(),
+                c => format!(" where ${v} {c}"),
+            };
+            ints.push(v.clone());
+            let body = expr_with_calls(rng, depth - 1, ints);
+            ints.pop();
+            format!("(for ${v} in {seq}{cond} return {body})")
+        }
+        4 => {
+            let cond = match pick(rng, ints) {
+                Some(i) => format!("${i} mod 2 = 1"),
+                None => ["1 = 1", "1 = 2"][rng.gen_range(0..2usize)].to_string(),
+            };
+            let then = expr_with_calls(rng, depth - 1, ints);
+            let els = expr_with_calls(rng, depth - 1, ints);
+            format!("(if ({cond}) then {then} else {els})")
+        }
+        5 => {
+            let value = expr_with_calls(rng, depth - 1, ints);
+            ints.push(v.clone());
+            let body = expr_with_calls(rng, depth - 1, ints);
+            ints.pop();
+            format!("(let ${v} := count({value}) return {body})")
+        }
+        _ => join_with_calls(rng, ints),
+    }
+}
+
+/// `query` on the loop-lifted engine: its result or error code, and the
+/// calls it sent, sorted.
+fn run_lifted(
+    env: &Environment,
+    callee: &Callee,
+    query: &str,
+) -> (Result<Vec<String>, String>, Vec<String>) {
+    callee.log.lock().unwrap().clear();
+    let r = xrpc_repro::relalg::execute_rel(query, env);
+    let mut calls = std::mem::take(&mut *callee.log.lock().unwrap());
+    calls.sort();
+    let r = r
+        .map(|(seq, _)| seq.iter().map(show).collect())
+        .map_err(|e| e.code);
+    (r, calls)
+}
+
+/// Is every call of `some` also one of `all`, as often at least?
+fn sub_multiset(some: &[String], all: &[String]) -> bool {
+    let mut left: HashMap<&str, usize> = HashMap::new();
+    for c in all {
+        *left.entry(c).or_default() += 1;
+    }
+    some.iter().all(|c| match left.get_mut(c.as_str()) {
+        Some(n) if *n > 0 => {
+            *n -= 1;
+            true
+        }
+        _ => false,
+    })
+}
+
+#[test]
+fn optimizer_on_matches_off_and_sends_no_more_calls() {
+    let (mut fewer, mut same, mut failed) = (0, 0, 0);
+    for seed in seeds("OPT_SEED", 12) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let store = store(&mut rng);
+        let callee = |optimize: bool| {
+            let remote = Environment::new(store.clone());
+            for m in REMOTE_MODULES {
+                remote.modules.register_source(m).unwrap();
+            }
+            let callee = Arc::new(Callee {
+                env: remote,
+                log: Mutex::new(Vec::new()),
+            });
+            let mut env = Environment::new(store.clone());
+            env.modules.register_source(REMOTE_MODULES[0]).unwrap();
+            env.dispatcher = Some(callee.clone());
+            env.rpc_optimize = optimize;
+            (env, callee)
+        };
+        let ((off, off_callee), (on, on_callee)) = (callee(false), callee(true));
+        for _ in 0..40 {
+            let body = expr_with_calls(&mut rng, 3, &mut Vec::new());
+            let q = format!(
+                "import module namespace r = \"urn:r\"; import module namespace u = \"urn:u\";\n\
+                 declare namespace p = \"urn:p\"; declare namespace q = \"urn:p\";\n{body}"
+            );
+            let (want, all) = run_lifted(&off, &off_callee, &q);
+            let (got, some) = run_lifted(&on, &on_callee, &q);
+            assert_eq!(got, want, "OPT_SEED={seed}: {q}");
+            assert!(
+                sub_multiset(&some, &all),
+                "OPT_SEED={seed}: {q}\noptimized: {some:?}\nplain: {all:?}"
+            );
+            failed += want.is_err() as usize;
+            if some.len() < all.len() {
+                fewer += 1;
+            } else {
+                same += 1;
+            }
+        }
+    }
+    // the grid reaches answers and errors, and queries the optimizer
+    // sends fewer calls for
+    assert!(
+        fewer > 0 && same > 0 && failed > 0,
+        "{fewer} {same} {failed}"
     );
 }

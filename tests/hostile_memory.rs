@@ -1082,3 +1082,105 @@ fn a_mutated_wal_log_opens_or_is_a_typed_error_in_bounded_memory() {
         "{clean} clean, {dropped} with a dropped tail, {refused} refused"
     );
 }
+
+// ---------------------------------------------------------------------
+// A wrapped peer reads a request's module, method, arity and location as
+// names: no byte of them runs as XQuery, and an arity is bounded by the
+// parameters the request carries.
+// ---------------------------------------------------------------------
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use xrpc_repro::xrpc_net::{NetError, Transport};
+use xrpc_repro::xrpc_peer::XrpcWrapper;
+use xrpc_repro::xrpc_proto::XrpcMessage;
+
+/// The documents a wrapped peer fetches as `xrpc://canary/…`: each fetch
+/// is counted, none is answered.
+struct Canary(AtomicUsize);
+
+impl Transport for Canary {
+    fn roundtrip(&self, _: &str, _: &[u8]) -> Result<Vec<u8>, NetError> {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        Err(NetError::new("canary"))
+    }
+}
+
+#[test]
+fn a_wrapped_peer_takes_request_names_never_code() {
+    let w = XrpcWrapper::new();
+    (w.modules)
+        .register_source(
+            r#"module namespace func = "functions";
+            declare function func:add($a as xs:integer, $b as xs:integer) { $a + $b };"#,
+        )
+        .unwrap();
+    w.docs
+        .insert("secret.xml", xmldom::parse("<s>hunter2</s>").unwrap());
+    let canary = Arc::new(Canary(AtomicUsize::new(0)));
+    w.enable_remote_docs(canary.clone());
+    let mut request = XrpcRequest::new("functions", "add", 2);
+    request.push_call(vec![
+        xdm::Sequence::one(xdm::Item::integer(40)),
+        xdm::Sequence::one(xdm::Item::integer(2)),
+    ]);
+    let valid = request.to_xml().unwrap();
+    let answer = |xml: &str| String::from_utf8(w.handle(xml.as_bytes())).unwrap();
+    let honest = answer(&valid);
+    assert!(honest.contains(r#"<xrpc:atomic-value xsi:type="xs:integer">42<"#));
+    // `attr="{from}"` becomes `attr="{value}"`, the value escaped as XML
+    let escape = |value: &str| value.replace('&', "&amp;").replace('"', "&quot;");
+    let with = |attr: &str, from: &str, value: &str| {
+        let old = format!(r#"{attr}="{from}""#);
+        assert!(valid.contains(&old), "{old}");
+        valid.replacen(&old, &format!(r#"{attr}="{}""#, escape(value)), 1)
+    };
+    let located = |location: &str| {
+        valid.replacen(
+            r#"arity="2""#,
+            &format!(r#"arity="2" location="{}""#, escape(location)),
+            1,
+        )
+    };
+    let refused = |xml: &str| match parse_message(&answer(xml)) {
+        Ok(XrpcMessage::Fault(f)) => f.error_code.as_deref() == Some("XRPC0001"),
+        _ => false,
+    };
+    // The probe that read `secret.xml` into a fault's text: its location
+    // is now a string, a hint the registered module does not need, so the
+    // request gets the honest answer.
+    for read in [r#"doc("secret.xml")"#, r#"doc("xrpc://canary/s.xml")"#] {
+        let probe = format!(
+            r#"x"; declare variable $local:x := string({read}) cast as xs:integer; import module namespace g = "functions"#
+        );
+        assert_eq!(answer(&located(&probe)), honest, "{probe}");
+    }
+    for mark in ["\"", "{", "}", ";", "(:"] {
+        let code = format!(r#"{mark} doc("xrpc://canary/{mark}.xml") {mark}"#);
+        assert!(
+            refused(&with("method", "add", &format!("add{code}"))),
+            "method {mark}"
+        );
+        assert!(
+            refused(&with("module", "functions", &format!("functions{code}"))),
+            "module {mark}"
+        );
+        assert_eq!(
+            answer(&located(&format!("x{code}"))),
+            honest,
+            "location {mark}"
+        );
+    }
+    // an arity the calls do not carry, however large: refused before the
+    // query it would generate is built
+    for arity in ["1", "3", "4000000000"] {
+        let xml = with("arity", "2", arity);
+        let (is_refused, peak, _) = measure(|| refused(&xml));
+        assert!(is_refused, "arity {arity}");
+        assert!(
+            peak <= 16 * xml.len(),
+            "arity {arity}: {peak} bytes for {}",
+            xml.len()
+        );
+    }
+    assert_eq!(canary.0.load(Ordering::SeqCst), 0, "canary reads");
+}
