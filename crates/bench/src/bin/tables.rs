@@ -711,7 +711,7 @@ fn table4(quick: bool) {
             // plans compiled, value indexes built: count the steady state
             time_query(&c.a, &q);
             c.timing.take_blocked();
-            c.timing.take_sent();
+            c.timing.count_sent();
         }
         let before = alloc_snapshot();
         let (total, res) = time_query(&c.a, &q);

@@ -12,13 +12,14 @@ pub const B_URI: &str = "xrpc://b.example.org";
 
 /// A transport decorator that accumulates the time the caller spends
 /// blocked in round trips — how we split "MonetDB time" from "Saxon time
-/// (includes network)" exactly the way Table 4 does — and counts the
-/// requests it carries and the `xrpc:call`s in them.
+/// (includes network)" exactly the way Table 4 does — and, once asked to
+/// ([`count_sent`](Self::count_sent)), counts the requests it carries and
+/// the `xrpc:call`s in them.
 pub struct TimingTransport {
     inner: Arc<dyn Transport>,
     blocked: parking_lot::Mutex<Duration>,
-    /// (requests, calls) sent
-    sent: parking_lot::Mutex<(u64, u64)>,
+    /// (requests, calls) sent, while counting
+    sent: parking_lot::Mutex<Option<(u64, u64)>>,
 }
 
 impl TimingTransport {
@@ -26,7 +27,7 @@ impl TimingTransport {
         Arc::new(TimingTransport {
             inner,
             blocked: parking_lot::Mutex::new(Duration::ZERO),
-            sent: parking_lot::Mutex::new((0, 0)),
+            sent: parking_lot::Mutex::new(None),
         })
     }
 
@@ -34,19 +35,28 @@ impl TimingTransport {
         std::mem::take(&mut *self.blocked.lock())
     }
 
-    /// The requests sent since the last take, and the calls in them.
+    /// Count from now on. Counting scans every request body before its
+    /// round trip, so it adds to the times reported: a gate's run only.
+    pub fn count_sent(&self) {
+        *self.sent.lock() = Some((0, 0));
+    }
+
+    /// The requests sent since counting began or the last take, and the
+    /// calls in them.
     pub fn take_sent(&self) -> (u64, u64) {
-        std::mem::take(&mut *self.sent.lock())
+        self.sent
+            .lock()
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 }
 
 impl Transport for TimingTransport {
     fn roundtrip(&self, dest: &str, body: &[u8]) -> Result<Vec<u8>, NetError> {
-        let calls = body.windows(10).filter(|w| w == b"<xrpc:call").count();
-        {
-            let mut sent = self.sent.lock();
-            sent.0 += 1;
-            sent.1 += calls as u64;
+        if let Some((requests, calls)) = self.sent.lock().as_mut() {
+            *requests += 1;
+            *calls += body.windows(10).filter(|w| w == b"<xrpc:call").count() as u64;
         }
         let t0 = Instant::now();
         let r = self.inner.roundtrip(dest, body);

@@ -370,7 +370,14 @@ impl<'e> RelEngine<'e> {
         // Once nothing in the remaining pipeline lifts, hand the whole rest
         // of the FLWOR to the tree engine per iteration — it has the join
         // optimizations; staying lifted would only burn per-row overhead.
-        if !clauses.is_empty() && !self.flwor_lifts(clauses, ret) {
+        // So does a FLWOR the join rule takes in a loop of one iteration;
+        // in more, one Bulk RPC carries Y's calls of them all (collapsed),
+        // not one request per iteration.
+        let joined = || {
+            lenv.loop_iters.len() == 1
+                && HashJoin::of(clauses, ret).is_some_and(|j| self.tree.takes_join_calls(&j))
+        };
+        if !clauses.is_empty() && (!self.flwor_lifts(clauses, ret) || joined()) {
             return self.fallback(
                 &Expr::Flwor {
                     clauses: clauses.to_vec(),
@@ -446,7 +453,7 @@ impl<'e> RelEngine<'e> {
         let Expr::FunctionCall { name, args } = call else {
             return Err(XdmError::syntax("execute at body must be a function call"));
         };
-        let func = self.tree.resolve_function_ref(name, args.len())?;
+        let (func, known_read_only) = self.tree.resolve_function_ref(name, args.len())?;
 
         // δ over destinations (first-occurrence order), and which of them
         // each iteration goes to. A literal is one peer, and no column.
@@ -501,7 +508,7 @@ impl<'e> RelEngine<'e> {
             /// the calls so far by value, where duplicates may collapse
             seen: std::collections::HashMap<String, usize>,
         }
-        let dedup_ok = self.tree.env.rpc_optimize && self.tree.known_read_only(&func);
+        let dedup_ok = self.tree.env.rpc_optimize && known_read_only;
         let mut work: Vec<PeerWork> = (peers.into_iter())
             .map(|peer| PeerWork {
                 peer,
@@ -691,20 +698,9 @@ impl<'e> RelEngine<'e> {
         Ok(out)
     }
 
-    /// Does a call of `name` with `arity` arguments reach the built-in
-    /// function library (rather than a declared function)?
-    fn is_builtin(&self, name: &Name, arity: usize) -> bool {
-        match name.prefix.as_deref() {
-            Some("fn") => true,
-            // an unprefixed main-module function of that name shadows it
-            None => self.tree.local_functions.get(&name.local, arity).is_none(),
-            Some(_) => false,
-        }
-    }
-
     /// Is `fn:doc` with one argument what this call names?
     fn is_fn_doc(&self, name: &Name, args: &[Expr]) -> bool {
-        args.len() == 1 && name.local == "doc" && self.is_builtin(name, 1)
+        args.len() == 1 && name.local == "doc" && self.tree.is_builtin(name, 1)
     }
 
     /// The argument lengths `fn:zero-or-one` / `fn:exactly-one` /
@@ -716,7 +712,7 @@ impl<'e> RelEngine<'e> {
             "one-or-more" => 1..=usize::MAX,
             _ => return None,
         };
-        (args.len() == 1 && self.is_builtin(name, 1)).then_some(allowed)
+        (args.len() == 1 && self.tree.is_builtin(name, 1)).then_some(allowed)
     }
 
     /// `e` as the predicate join, when it is one with no XRPC inside (a
@@ -752,9 +748,7 @@ impl<'e> RelEngine<'e> {
     /// [`lifts`](Self::lifts) for a FLWOR: it has a remote call somewhere,
     /// or what it returns for each tuple is a map over its variables. (An
     /// `order by` needs the tree engine's tuple stream; with a remote call
-    /// beside it, the lifted pipeline says so.) Not a FLWOR that the
-    /// optimizer's join rule gives the tree engine's hash join whole
-    /// ([`Evaluator::takes_join_calls`]).
+    /// beside it, the lifted pipeline says so.)
     fn flwor_lifts(&self, clauses: &[FlworClause], ret: &Expr) -> bool {
         let clause_has_xrpc = |c: &FlworClause| match c {
             FlworClause::For { seq: e, .. }
@@ -763,16 +757,12 @@ impl<'e> RelEngine<'e> {
             FlworClause::OrderBy(_) => false,
         };
         let ordered = clauses.iter().any(|c| matches!(c, FlworClause::OrderBy(_)));
-        let lifts = ret.contains_xrpc()
-            || clauses.iter().any(clause_has_xrpc)
-            || (!ordered && self.is_map(ret));
-        let joined = || HashJoin::of(clauses, ret).is_some_and(|j| self.tree.takes_join_calls(&j));
-        lifts && !(self.tree.env.rpc_optimize && joined())
+        ret.contains_xrpc() || clauses.iter().any(clause_has_xrpc) || (!ordered && self.is_map(ret))
     }
 
     /// Is `e` an operator tree the map operator runs (see `map.rs`)?
     fn is_map(&self, e: &Expr) -> bool {
-        let builtin = |name: &Name, arity| self.is_builtin(name, arity);
+        let builtin = |name: &Name, arity| self.tree.is_builtin(name, arity);
         crate::map::is_operator(e, &builtin) && crate::map::is_map(e, &builtin)
     }
 
@@ -954,7 +944,7 @@ impl<'e> RelEngine<'e> {
         e.walk(&mut |x| match x {
             // fn:put is the one updating built-in
             Expr::FunctionCall { name, args }
-                if !self.is_builtin(name, args.len()) || name.local == "put" =>
+                if !self.tree.is_builtin(name, args.len()) || name.local == "put" =>
             {
                 invariant = false
             }

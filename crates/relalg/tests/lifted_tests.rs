@@ -394,7 +394,8 @@ fn rpc_optimize_off_by_default_keeps_figure2_traffic() {
 type Answer = Result<String, String>;
 
 /// `q` with the optimizer off and on: the answers, and the (peer, bulk
-/// size) of each dispatch the optimized run made.
+/// size) of each dispatch the optimized run made — no more dispatches
+/// than the plain run's.
 fn off_and_on(q: &str) -> (Answer, Answer, Vec<(String, usize)>) {
     let run = |optimize: bool| {
         let disp = Arc::new(RecordingDispatcher::new(&["y"]));
@@ -404,7 +405,8 @@ fn off_and_on(q: &str) -> (Answer, Answer, Vec<(String, usize)>) {
         let log = disp.log.lock().clone();
         (r.map_err(|e| e.code), log)
     };
-    let ((off, _), (on, log)) = (run(false), run(true));
+    let ((off, plain), (on, log)) = (run(false), run(true));
+    assert!(log.len() <= plain.len(), "{q}\n{log:?}\n{plain:?}");
     (off, on, log)
 }
 
@@ -506,6 +508,51 @@ fn rpc_optimize_joins_a_remote_build_side_once() {
         (Ok("The Rock".to_string()), Ok("The Rock"))
     );
     assert_eq!(log, vec![("xrpc://y".to_string(), 1); 3]);
+}
+
+#[test]
+fn rpc_optimize_joins_no_y_that_hides_a_call_or_repeats_one() {
+    // a declared function may hide an `execute at` (here of an updating
+    // function the caller does not know): `u:touch` goes out once per $n,
+    // beside the one collapsed call of `f:filmsByActor`
+    let (off, on, log) = off_and_on(
+        r#"import module namespace f = "films";
+        import module namespace u = "touch";
+        declare function local:t() { execute at {"xrpc://y"} {u:touch(1)} };
+        for $n in ("The Rock", "b", "c"),
+            $m in (execute at {"xrpc://y"} {f:filmsByActor("Sean Connery")}, local:t())
+        where $n = string($m) return string($m)"#,
+    );
+    assert_eq!(
+        (on, off.as_deref()),
+        (Ok("The Rock".to_string()), Ok("The Rock"))
+    );
+    assert_eq!(log, vec![("xrpc://y".to_string(), 1); 4]);
+    // a call under a `for` of Y: evaluating Y once would send it in one
+    // request per $k; lifted, both go in one, collapsed across $n
+    let (off, on, log) = off_and_on(
+        r#"import module namespace f = "films";
+        for $n in ("1", "2", "3"),
+            $m in (for $k in (1, 2) return execute at {"xrpc://y"} {f:echo($k)})
+        where $n = string($m) return string($m)"#,
+    );
+    assert_eq!((on, off.as_deref()), (Ok("1|2".to_string()), Ok("1|2")));
+    assert_eq!(log, vec![("xrpc://y".to_string(), 2)]);
+}
+
+#[test]
+fn rpc_optimize_keeps_a_join_in_a_loop_in_one_request() {
+    // the join rule takes a loop of one iteration; in more, the join stays
+    // lifted and collapse sends its closed call once for all of them
+    let (off, on, log) = off_and_on(
+        r#"import module namespace f = "films";
+        for $i in (1 to 3)
+        return count(for $n in ("Goldfinger", "Dr. No"),
+                         $m in execute at {"xrpc://y"} {f:filmsByActor("Sean Connery")}
+                     where $n = string($m) return $m)"#,
+    );
+    assert_eq!((on, off.as_deref()), (Ok("1|1|1".to_string()), Ok("1|1|1")));
+    assert_eq!(log, vec![("xrpc://y".to_string(), 1)]);
 }
 
 // ---------------------------------------------------------------------

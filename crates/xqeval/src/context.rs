@@ -287,9 +287,9 @@ pub struct Environment {
     /// plain scan as their oracle.
     pub join_index: bool,
     /// The distributed optimizer: calls of a function known read-only
-    /// (`Evaluator::known_read_only`) that are equal by value go out once
-    /// per Bulk RPC, and a hash join whose Y makes such calls evaluates Y
-    /// once (`Evaluator::takes_join_calls`). Neither sends a call that
+    /// (`Evaluator::resolve_function_ref`) that are equal by value go out
+    /// once per Bulk RPC, and a hash join whose Y makes such calls
+    /// evaluates Y once (`Evaluator::takes_join_calls`). Neither sends a call that
     /// evaluation does not reach. Off by default, so the wire carries
     /// Figure 2's traffic: Table 2's loop of `echoVoid()` must put every
     /// call on the wire, while Table 4's push-down, a closed read-only call

@@ -64,14 +64,7 @@ impl Effects {
             }
             _ => self.local_delta |= is_effect(e),
         }
-        let again = repeated
-            || matches!(
-                e,
-                Expr::Quantified { .. } | Expr::PathStep(..) | Expr::Filter(..)
-            )
-            || matches!(e, Expr::AxisStep { predicates, .. } if !predicates.is_empty())
-            || matches!(e, Expr::Flwor { clauses, .. }
-                if clauses.iter().any(|c| matches!(c, FlworClause::For { .. })));
+        let again = repeated || repeats_operands(e);
         e.for_each_child(&mut |c| self.scan(c, again, functions));
     }
 }
@@ -80,6 +73,17 @@ impl Effects {
 /// computes: a call to a peer, or an XQUF update?
 pub fn is_effect(x: &Expr) -> bool {
     matches!(x, Expr::ExecuteAt { .. }) || x.is_updating_expr()
+}
+
+/// May evaluating `e` once evaluate an operand of it more than once: is it
+/// a quantifier, a path step, a predicate or a FLWOR with a `for`?
+pub fn repeats_operands(e: &Expr) -> bool {
+    matches!(
+        e,
+        Expr::Quantified { .. } | Expr::PathStep(..) | Expr::Filter(..)
+    ) || matches!(e, Expr::AxisStep { predicates, .. } if !predicates.is_empty())
+        || matches!(e, Expr::Flwor { clauses, .. }
+            if clauses.iter().any(|c| matches!(c, FlworClause::For { .. })))
 }
 
 /// Does evaluating `e` do anything [`is_effect`]: twice, if run twice?

@@ -755,12 +755,8 @@ impl<'e> Evaluator<'e> {
         // join detection the paper observes in Saxon (§4). It evaluates Y
         // once, not once per X item, so a FLWOR with effects (updates, RPC)
         // takes it only by the optimizer's join rule.
-        if let Some(join) = self
-            .env
-            .join_index
-            .then(|| HashJoin::of(clauses, ret))
-            .flatten()
-        {
+        let join = (self.env.join_index).then(|| HashJoin::of(clauses, ret));
+        if let Some(join) = join.flatten() {
             if !effects::has_effects(flwor) || self.takes_join_calls(&join) {
                 return self.flwor_hash_join(&join, st, ctx);
             }
@@ -775,26 +771,55 @@ impl<'e> Evaluator<'e> {
 
     /// The optimizer's join rule ([`Environment::rpc_optimize`]): does the
     /// hash join take `join` though Y calls peers? Yes when the FLWOR's
-    /// only effects are `execute at`s written in Y, each of a function
-    /// [known read-only](Self::known_read_only). Y and its calls are then
-    /// evaluated once, and not at all when X is empty, where the nested
-    /// loop would evaluate them once per X item. (A call elsewhere stays
-    /// where the loop-lifted engine sends it as one Bulk RPC.)
+    /// only effects are `execute at`s written in Y, and Y and the keys may
+    /// be evaluated once where the nested loop would evaluate them per X
+    /// item or per pair (`joins_once`). Y and its calls are then evaluated
+    /// once, and not at all when X is empty.
     pub fn takes_join_calls(&self, join: &HashJoin) -> bool {
-        let calls = self.env.rpc_optimize && effects::has_effects(join.y_seq);
-        if !(calls && self.env.join_index && join.effects_in_y_only()) {
-            return false;
-        }
-        let mut read_only = true;
-        join.y_seq.walk(&mut |x| match x {
-            Expr::ExecuteAt { call, .. } => {
-                read_only &= matches!(&**call, Expr::FunctionCall { name, args }
-                    if (self.resolve_function_ref(name, args.len()))
-                        .is_ok_and(|f| self.known_read_only(&f)));
+        self.env.rpc_optimize
+            && self.env.join_index
+            && effects::has_effects(join.y_seq)
+            && join.effects_in_y_only()
+            && [join.y_seq, join.a_key, join.b_key]
+                .into_iter()
+                .all(|e| self.joins_once(e, false))
+    }
+
+    /// May the join rule evaluate `e` once? Yes when each `execute at` in
+    /// it calls a function [known read-only](Self::resolve_function_ref)
+    /// and is not `repeated` — under a `for`, a quantifier, a path step or
+    /// a predicate of `e`, where one evaluation would send it in more than
+    /// one request — and nothing else in it updates or calls a function
+    /// but a built-in other than `fn:put`: a declared function's body may
+    /// hide an update or an `execute at` of its own.
+    fn joins_once(&self, e: &Expr, repeated: bool) -> bool {
+        let mut ok = match e {
+            Expr::ExecuteAt { dest, call } => {
+                let mut ok = !repeated && self.joins_once(dest, repeated);
+                ok &= matches!(&**call, Expr::FunctionCall { name, args }
+                    if self.resolve_function_ref(name, args.len()).is_ok_and(|(_, known)| known));
+                call.for_each_child(&mut |a| ok &= self.joins_once(a, repeated));
+                return ok;
             }
-            _ => read_only &= !effects::is_effect(x),
-        });
-        read_only
+            Expr::FunctionCall { name, args } => {
+                self.is_builtin(name, args.len()) && name.local != "put"
+            }
+            _ => !e.is_updating_expr(),
+        };
+        let again = repeated || effects::repeats_operands(e);
+        e.for_each_child(&mut |c| ok &= self.joins_once(c, again));
+        ok
+    }
+
+    /// Does a call of `name` with `arity` arguments reach the built-in
+    /// `fn` library (rather than a declared function)?
+    pub fn is_builtin(&self, name: &Name, arity: usize) -> bool {
+        match name.prefix.as_deref() {
+            Some("fn") => true,
+            // an unprefixed main-module function of that name shadows it
+            None => self.local_functions.get(&name.local, arity).is_none(),
+            Some(_) => false,
+        }
     }
 
     /// Run `each` once per tuple of the FLWOR's clauses, in result order
@@ -1582,7 +1607,7 @@ impl<'e> Evaluator<'e> {
         };
         // Resolve the function's module from the caller's imports — the
         // request carries module URI + at-hint (paper §2.1).
-        let func = self.resolve_function_ref(name, args.len())?;
+        let (func, _) = self.resolve_function_ref(name, args.len())?;
         let actuals = self.eval_arguments(args, st, ctx)?;
         let dispatcher = self
             .env
@@ -1604,18 +1629,17 @@ impl<'e> Evaluator<'e> {
         Ok(results.pop().unwrap())
     }
 
-    /// Does this peer know `func` to be read-only: its module is registered
-    /// here and declares it without `updating`? What the optimizer may
-    /// collapse or join. [`FunctionRef::updating`] is what goes on the wire,
-    /// and it says "not updating" for a function this peer does not know.
-    pub fn known_read_only(&self, func: &FunctionRef) -> bool {
-        (self.env.modules.get(&func.module_ns))
-            .and_then(|m| m.function(&func.local_name, func.arity))
-            .is_some_and(|f| !f.updating)
-    }
-
-    /// Build the [`FunctionRef`] an `execute at` needs to put on the wire.
-    pub fn resolve_function_ref(&self, name: &Name, arity: usize) -> XdmResult<FunctionRef> {
+    /// Build the [`FunctionRef`] an `execute at` needs to put on the wire,
+    /// and say whether this peer knows the function to be read-only: its
+    /// module is registered here and declares it without `updating`. Only
+    /// such a call may the optimizer collapse or join;
+    /// [`FunctionRef::updating`] says "not updating" also of a function this
+    /// peer does not know.
+    pub fn resolve_function_ref(
+        &self,
+        name: &Name,
+        arity: usize,
+    ) -> XdmResult<(FunctionRef, bool)> {
         let prefix = name.prefix.as_deref().ok_or_else(|| {
             XdmError::syntax("execute at requires a module-qualified function (prefix:name)")
         })?;
@@ -1631,20 +1655,17 @@ impl<'e> Evaluator<'e> {
             },
         };
         // If the module is locally known, learn whether the function updates.
-        let updating = self
-            .env
-            .modules
-            .get(&ns)
+        let updating = (self.env.modules.get(&ns))
             .and_then(|m| m.function(&name.local, arity))
-            .map(|f| f.updating)
-            .unwrap_or(false);
-        Ok(FunctionRef {
+            .map(|f| f.updating);
+        let func = FunctionRef {
             module_ns: ns,
             location_hint: hint,
             local_name: name.local.clone(),
             arity,
-            updating,
-        })
+            updating: updating.unwrap_or(false),
+        };
+        Ok((func, updating == Some(false)))
     }
 
     // ------------------------------------------------------------------

@@ -21,12 +21,15 @@
 //! under `where`s that keep no, some or all tuples, in `if` branches, in
 //! nested FLWORs, and in X, Y and the return of join shapes, calling a
 //! function the caller knows to be read-only or one it does not know, at a
-//! peer that answers or one that does not exist. Results and error codes
-//! must be equal, and the optimized run's calls a sub-multiset of the
-//! plain run's. `OPT_SEED=n` reruns one seed.
+//! peer that answers or one that does not exist, written in the query or
+//! hidden in a declared function. Results and error codes must be equal;
+//! the optimized run's calls must be a sub-multiset of the plain run's,
+//! with the same calls of the functions the caller does not know, in no
+//! more requests. `OPT_SEED=n` reruns one seed.
 
 use rand::prelude::*;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use xrpc_repro::xdm::{Item, Sequence, XdmError, XdmResult};
 use xrpc_repro::xqeval::context::{FunctionRef, RpcDispatcher};
@@ -230,12 +233,20 @@ const REMOTE_MODULES: [&str; 2] = [
     declare function u:elems($uri as xs:string) { doc($uri)//e };"#,
 ];
 
+/// The main-module functions of the differential's queries: each hides an
+/// `execute at` from whatever looks at the call alone.
+const HIDDEN_CALLS: &str = r#"
+    declare function local:val($v) { execute at {"xrpc://b"} {u:val($v)} };
+    declare function local:ys() { execute at {"xrpc://b"} {u:elems("y1.xml")} };
+    declare function local:known($v) { execute at {"xrpc://b"} {r:val($v)} };"#;
+
 /// The peer `xrpc://b`, in process over the same store, logging every call
 /// it is sent — and every call sent to a peer that does not exist — as
-/// "peer function(arguments)".
+/// "peer module:function(arguments)", and counting the requests.
 struct Callee {
     env: Environment,
     log: Mutex<Vec<String>>,
+    requests: AtomicUsize,
 }
 
 impl RpcDispatcher for Callee {
@@ -245,10 +256,11 @@ impl RpcDispatcher for Callee {
         func: &FunctionRef,
         calls: Vec<Vec<Sequence>>,
     ) -> XdmResult<Vec<Sequence>> {
+        self.requests.fetch_add(1, Ordering::Relaxed);
         self.log.lock().unwrap().extend(calls.iter().map(|args| {
             let args: Vec<Vec<String>> =
                 args.iter().map(|a| a.iter().map(show).collect()).collect();
-            format!("{dest} {}{args:?}", func.local_name)
+            format!("{dest} {}:{}{args:?}", func.module_ns, func.local_name)
         }));
         if dest != "xrpc://b" {
             return Err(XdmError::xrpc(format!("unknown peer {dest}")));
@@ -285,9 +297,11 @@ fn remote_call(rng: &mut StdRng, ints: &[String]) -> String {
         Some(v) if rng.gen_bool(0.5) => format!("${v} mod 2"),
         _ => rng.gen_range(0..3u8).to_string(),
     };
-    let call = match rng.gen_range(0..10u8) {
-        0 => "r:boom()".to_string(),
-        1 | 2 => format!("u:val({arg})"),
+    let call = match rng.gen_range(0..12u8) {
+        0 => return format!("local:val({arg})"),
+        1 => return format!("local:known({arg})"),
+        2 => "r:boom()".to_string(),
+        3 | 4 => format!("u:val({arg})"),
         _ => format!("r:val({arg})"),
     };
     format!(r#"execute at {{"{dest}"}} {{{call}}}"#)
@@ -312,9 +326,11 @@ fn join_with_calls(rng: &mut StdRng, ints: &[String]) -> String {
         2 => r#"doc("x.xml")//e[3]"#.to_string(),
         _ => r#"doc("x.xml")//e"#.to_string(),
     };
-    let ys = match rng.gen_range(0..5u8) {
+    let ys = match rng.gen_range(0..8u8) {
         0 => r#"doc("y1.xml")//e"#.to_string(),
         1 => format!(r#"({}, doc("y2.xml")//e)"#, remote(rng, "y1.xml")),
+        2 => format!("({}, local:ys())", remote(rng, "y2.xml")),
+        3 => format!("(for $k in (1, 2) return {})", remote(rng, "y2.xml")),
         _ => remote(rng, "y1.xml"),
     };
     let (kx, ky) = (key(rng, &x), key(rng, &y));
@@ -364,21 +380,31 @@ fn expr_with_calls(rng: &mut StdRng, depth: u8, ints: &mut Vec<String>) -> Strin
     }
 }
 
-/// `query` on the loop-lifted engine: its result or error code, and the
-/// calls it sent, sorted.
-fn run_lifted(
-    env: &Environment,
-    callee: &Callee,
-    query: &str,
-) -> (Result<Vec<String>, String>, Vec<String>) {
+/// What one run of a query did: its result or error code, the calls it
+/// sent, sorted, and the requests they went in.
+struct Run {
+    answer: Result<Vec<String>, String>,
+    calls: Vec<String>,
+    requests: usize,
+}
+
+/// `query` on the loop-lifted engine.
+fn run_lifted(env: &Environment, callee: &Callee, query: &str) -> Run {
     callee.log.lock().unwrap().clear();
+    callee.requests.store(0, Ordering::Relaxed);
     let r = xrpc_repro::relalg::execute_rel(query, env);
     let mut calls = std::mem::take(&mut *callee.log.lock().unwrap());
     calls.sort();
-    let r = r
-        .map(|(seq, _)| seq.iter().map(show).collect())
-        .map_err(|e| e.code);
-    (r, calls)
+    Run {
+        answer: (r.map(|(seq, _)| seq.iter().map(show).collect())).map_err(|e| e.code),
+        calls,
+        requests: callee.requests.load(Ordering::Relaxed),
+    }
+}
+
+/// The calls of the functions the caller does not know (module `urn:u`).
+fn unknown(calls: &[String]) -> Vec<&String> {
+    calls.iter().filter(|c| c.contains(" urn:u:")).collect()
 }
 
 /// Is every call of `some` also one of `all`, as often at least?
@@ -410,6 +436,7 @@ fn optimizer_on_matches_off_and_sends_no_more_calls() {
             let callee = Arc::new(Callee {
                 env: remote,
                 log: Mutex::new(Vec::new()),
+                requests: AtomicUsize::new(0),
             });
             let mut env = Environment::new(store.clone());
             env.modules.register_source(REMOTE_MODULES[0]).unwrap();
@@ -422,16 +449,23 @@ fn optimizer_on_matches_off_and_sends_no_more_calls() {
             let body = expr_with_calls(&mut rng, 3, &mut Vec::new());
             let q = format!(
                 "import module namespace r = \"urn:r\"; import module namespace u = \"urn:u\";\n\
-                 declare namespace p = \"urn:p\"; declare namespace q = \"urn:p\";\n{body}"
+                 declare namespace p = \"urn:p\"; declare namespace q = \"urn:p\";{HIDDEN_CALLS}\n{body}"
             );
-            let (want, all) = run_lifted(&off, &off_callee, &q);
-            let (got, some) = run_lifted(&on, &on_callee, &q);
-            assert_eq!(got, want, "OPT_SEED={seed}: {q}");
+            let plain = run_lifted(&off, &off_callee, &q);
+            let optimized = run_lifted(&on, &on_callee, &q);
+            assert_eq!(optimized.answer, plain.answer, "OPT_SEED={seed}: {q}");
+            let (some, all) = (&optimized.calls, &plain.calls);
             assert!(
-                sub_multiset(&some, &all),
+                sub_multiset(some, all) && unknown(some) == unknown(all),
                 "OPT_SEED={seed}: {q}\noptimized: {some:?}\nplain: {all:?}"
             );
-            failed += want.is_err() as usize;
+            assert!(
+                optimized.requests <= plain.requests,
+                "OPT_SEED={seed}: {q}\n{} requests optimized, {} plain",
+                optimized.requests,
+                plain.requests
+            );
+            failed += plain.answer.is_err() as usize;
             if some.len() < all.len() {
                 fewer += 1;
             } else {
