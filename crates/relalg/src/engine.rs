@@ -5,10 +5,12 @@
 use crate::table::{IterMap, SeqTable};
 use std::borrow::Cow;
 use std::ops::RangeInclusive;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use xdm::{Item, Sequence, XdmError, XdmResult};
 use xqast::{Expr, FlworClause, FunctionDecl, MainModule, Name};
 use xqeval::context::{Environment, StaticContext};
+use xqeval::eval::{check_arguments, check_result, convert_arguments, in_frame};
 use xqeval::eval::{Ctx, EvalState, Evaluator, HashJoin, JoinPath};
 use xqeval::pul::PendingUpdateList;
 
@@ -78,54 +80,27 @@ fn execute_rel_with(
 /// selections; whatever the lifted translation has no operator for still
 /// runs per call on `tree`. Returns one result per call, in call order.
 ///
-/// Errors: a call whose arguments do not convert fails the request, but
-/// only after the calls before it have been evaluated (one of them failing
-/// takes precedence, as it would in a loop over the calls). Among several
-/// calls that fail *during* evaluation the lifted plan reports the first
-/// one it meets, operator by operator — not necessarily the lowest-numbered.
+/// Errors: a call whose arguments do not convert, or whose result is not
+/// of the declared return type, fails the request, but only after the
+/// calls before it have been evaluated (one of them failing takes
+/// precedence, as it would in a loop over the calls). Among several calls
+/// that fail *during* evaluation the lifted plan reports the first one it
+/// meets, operator by operator — not necessarily the lowest-numbered.
 pub fn eval_calls(
     tree: &Evaluator,
     decl: &FunctionDecl,
     calls: Vec<Vec<Sequence>>,
 ) -> XdmResult<(Vec<Sequence>, PendingUpdateList)> {
-    let mut params: Vec<SeqTable> = decl.params.iter().map(|_| SeqTable::new()).collect();
-    let mut unbound = None;
-    let ncalls = calls.len();
-    for (k, args) in calls.into_iter().enumerate() {
-        match xqeval::eval::convert_arguments(decl, args) {
-            Ok(values) => {
-                for (table, value) in params.iter_mut().zip(values) {
-                    table.push_sequence(k as u32 + 1, value);
-                }
-            }
-            Err(e) => {
-                unbound = Some((k, e));
-                break;
-            }
-        }
-    }
-    let n = unbound.as_ref().map_or(ncalls, |(k, _)| *k);
-    let calls: Vec<u32> = (1..=n as u32).collect();
-    let lenv = Lifted {
-        loop_iters: calls.clone(),
-        vars: (decl.params.iter().map(|(name, _)| name.key().clone()))
-            .zip(params)
-            .collect(),
-    };
-    let engine = RelEngine {
-        tree: Evaluator {
-            env: tree.env,
-            sctx: tree.sctx.clone(),
-            local_functions: tree.local_functions.clone(),
-        },
-    };
+    let engine = RelEngine { tree: tree.clone() };
     let mut st = EvalState::new();
-    let results = engine.eval_lifted(&decl.body, &lenv, &mut st)?;
-    match unbound {
-        Some((_, e)) => Err(e),
-        None => Ok((results.into_sequences(&calls), st.pul)),
-    }
+    let results = engine.eval_calls(decl, calls, convert_arguments, &mut st)?;
+    Ok((results, st.pul))
 }
+
+/// How a table of calls binds a function's parameters: by XRPC's
+/// conversion ([`convert_arguments`]), or as a call in a query does
+/// ([`check_arguments`]).
+type Convert = fn(&FunctionDecl, Vec<Sequence>) -> XdmResult<Vec<Sequence>>;
 
 /// Loop-lifted evaluation environment: the current loop relation and the
 /// lifted variable representations bound inside it.
@@ -235,7 +210,7 @@ impl<'e> RelEngine<'e> {
             }
             // `()`: no row in any iteration
             Expr::Sequence(es) if es.is_empty() => return Ok(SeqTable::new()),
-            Expr::Range(lo, hi) if !e.contains_xrpc() => {
+            Expr::Range(lo, hi) if self.tree.summary([e]).sites == 0 => {
                 return self.profiled("rel:range", st, |eng, st| {
                     eng.eval_range_lifted(e, lo, hi, lenv, st)
                 })
@@ -328,8 +303,7 @@ impl<'e> RelEngine<'e> {
             // loop-lifted, then construct per iteration.
             Expr::DirectElem(d) => {
                 let mut bindings: Vec<(Arc<str>, SeqTable)> = Vec::new();
-                let mut counter = 0usize;
-                let new_elem = self.lift_direlem(d, lenv, st, &mut bindings, &mut counter)?;
+                let new_elem = self.lift_direlem(d, lenv, st, &mut bindings)?;
                 let mut inner = lenv.clone();
                 inner.vars.extend(bindings);
                 self.fallback(&Expr::DirectElem(new_elem), &inner, st)
@@ -337,9 +311,9 @@ impl<'e> RelEngine<'e> {
             Expr::CompElem {
                 name,
                 content: Some(c),
-            } if c.contains_xrpc() => {
+            } if self.tree.summary([&**c]).sites > 0 => {
                 let t = self.eval_lifted(c, lenv, st)?;
-                let var = Name::local("xrpc-enc-comp");
+                let var = Name::local("#enc");
                 let mut inner = lenv.clone();
                 inner.vars.push((var.key().clone(), t));
                 self.fallback(
@@ -375,7 +349,8 @@ impl<'e> RelEngine<'e> {
         // not one request per iteration.
         let joined = || {
             lenv.loop_iters.len() == 1
-                && HashJoin::of(clauses, ret).is_some_and(|j| self.tree.takes_join_calls(&j))
+                && (HashJoin::of(clauses, ret).and_then(|j| self.tree.takes_join(&j)))
+                    .is_some_and(|sites| sites > 0)
         };
         if !clauses.is_empty() && (!self.flwor_lifts(clauses, ret) || joined()) {
             return self.fallback(
@@ -601,7 +576,53 @@ impl<'e> RelEngine<'e> {
         Ok(SeqTable::merge_union(mapped))
     }
 
-    /// A function call whose arguments (or body) involve XRPC.
+    /// [`eval_calls`] on this engine's evaluator, the parameters bound by
+    /// `convert`, in `st`: as a function body ([`in_frame`]), and not at
+    /// all for no calls.
+    fn eval_calls(
+        &self,
+        decl: &FunctionDecl,
+        calls: Vec<Vec<Sequence>>,
+        convert: Convert,
+        st: &mut EvalState,
+    ) -> XdmResult<Vec<Sequence>> {
+        let mut params: Vec<SeqTable> = decl.params.iter().map(|_| SeqTable::new()).collect();
+        let (mut n, mut unbound) = (0, None);
+        for args in calls {
+            match convert(decl, args) {
+                Ok(values) => {
+                    n += 1;
+                    params
+                        .iter_mut()
+                        .zip(values)
+                        .for_each(|(t, v)| t.push_sequence(n, v));
+                }
+                Err(e) => {
+                    unbound = Some(e);
+                    break;
+                }
+            }
+        }
+        let calls: Vec<u32> = (1..=n).collect();
+        let names = decl.params.iter().map(|(name, _)| name.key().clone());
+        let vars = names.zip(params).collect();
+        let lenv = Lifted {
+            loop_iters: calls.clone(),
+            vars,
+        };
+        let results = match n {
+            0 => Vec::new(),
+            _ => in_frame(&self.tree, st, |st| self.eval_lifted(&decl.body, &lenv, st))?
+                .into_sequences(&calls),
+        };
+        results.iter().try_for_each(|r| check_result(decl, r))?;
+        unbound.map_or(Ok(results), Err)
+    }
+
+    /// A function call whose arguments (or body) involve XRPC: the
+    /// arguments lifted, then the function applied per iteration — or, a
+    /// declared function whose body calls a peer, once over the loop's
+    /// rows, each `execute at` in it one Bulk RPC.
     fn eval_call_lifted(
         &self,
         name: &Name,
@@ -609,24 +630,9 @@ impl<'e> RelEngine<'e> {
         lenv: &Lifted,
         st: &mut EvalState,
     ) -> XdmResult<SeqTable> {
-        // Inline a local user function whose body contains XRPC.
-        if let Some(f) = self
-            .tree
-            .local_functions
-            .get(&name.local, args.len())
-            .cloned()
-        {
-            if f.body.contains_xrpc() {
-                let mut inner = lenv.clone();
-                for ((pname, _), a) in f.params.iter().zip(args.iter()) {
-                    let t = self.eval_lifted(a, lenv, st)?;
-                    inner.vars.push((pname.key().clone(), t));
-                }
-                return self.eval_lifted(&f.body, &inner, st);
-            }
+        if lenv.loop_iters.is_empty() {
+            return Ok(SeqTable::new());
         }
-        // Otherwise lift the arguments, then apply the function per
-        // iteration.
         let mut arg_tables = Vec::with_capacity(args.len());
         for a in args {
             arg_tables.push(self.eval_lifted_ref(a, lenv, st)?);
@@ -640,12 +646,19 @@ impl<'e> RelEngine<'e> {
                 return Ok(arg_tables.pop().expect("one argument").into_owned());
             }
         }
+        let rows = actuals(arg_tables, &lenv.loop_iters);
+        let udf = self.tree.callee(name, args.len())?;
+        if let Some(udf) = udf.filter(|f| f.body_ev.summary([&f.decl.body]).sites > 0) {
+            let n = lenv.loop_iters.len() as u64;
+            self.tree.env.functions_called.fetch_add(n, Relaxed);
+            let body = RelEngine { tree: udf.body_ev };
+            let results = body.eval_calls(&udf.decl, rows.collect(), check_arguments, st)?;
+            return Ok(SeqTable::from_sequences(
+                lenv.loop_iters.iter().copied().zip(results),
+            ));
+        }
         let mut out = SeqTable::new();
-        for (&i, actuals) in lenv
-            .loop_iters
-            .iter()
-            .zip(actuals(arg_tables, &lenv.loop_iters))
-        {
+        for (&i, actuals) in lenv.loop_iters.iter().zip(rows) {
             // a function body sees its parameters, not the caller's variables
             let r = self.with_iter_vars(lenv, &[], i, st, |tree, st2| {
                 tree.apply_function(name, actuals, st2, &Ctx::none())
@@ -655,42 +668,36 @@ impl<'e> RelEngine<'e> {
         Ok(out)
     }
 
-    /// Replace XRPC-bearing enclosed expressions of a direct constructor
-    /// with synthetic variables bound to their loop-lifted values.
+    /// Replace the enclosed expressions of a direct constructor that call a
+    /// peer with synthetic variables, bound in `bindings` to their
+    /// loop-lifted values. Their names (`#encN`) are none a query can write.
     fn lift_direlem(
         &self,
         d: &xqast::DirElem,
         lenv: &Lifted,
         st: &mut EvalState,
         bindings: &mut Vec<(Arc<str>, SeqTable)>,
-        counter: &mut usize,
     ) -> XdmResult<xqast::DirElem> {
         use xqast::{AttrContent, DirContent};
+        let lift = |e: &mut Expr, st: &mut EvalState, bindings: &mut Vec<_>| {
+            if self.tree.summary([&*e]).sites > 0 {
+                let var = Name::local(format!("#enc{}", bindings.len()));
+                bindings.push((var.key().clone(), self.eval_lifted(e, lenv, st)?));
+                *e = Expr::VarRef(var);
+            }
+            Ok::<_, XdmError>(())
+        };
         let mut out = d.clone();
-        for (_, parts) in out.attrs.iter_mut() {
-            for p in parts.iter_mut() {
-                if let AttrContent::Enclosed(e) = p {
-                    if e.contains_xrpc() {
-                        let t = self.eval_lifted(e, lenv, st)?;
-                        let var = Name::local(format!("xrpc-enc-{}", *counter));
-                        *counter += 1;
-                        bindings.push((var.key().clone(), t));
-                        *p = AttrContent::Enclosed(Expr::VarRef(var));
-                    }
-                }
+        for p in out.attrs.iter_mut().flat_map(|(_, parts)| parts) {
+            if let AttrContent::Enclosed(e) = p {
+                lift(e, st, bindings)?;
             }
         }
         for c in out.content.iter_mut() {
             match c {
-                DirContent::Enclosed(e) if e.contains_xrpc() => {
-                    let t = self.eval_lifted(e, lenv, st)?;
-                    let var = Name::local(format!("xrpc-enc-{}", *counter));
-                    *counter += 1;
-                    bindings.push((var.key().clone(), t));
-                    *c = DirContent::Enclosed(Expr::VarRef(var));
-                }
+                DirContent::Enclosed(e) => lift(e, st, bindings)?,
                 DirContent::Element(inner) => {
-                    *inner = self.lift_direlem(inner, lenv, st, bindings, counter)?;
+                    *inner = self.lift_direlem(inner, lenv, st, bindings)?;
                 }
                 _ => {}
             }
@@ -715,11 +722,11 @@ impl<'e> RelEngine<'e> {
         (args.len() == 1 && self.tree.is_builtin(name, 1)).then_some(allowed)
     }
 
-    /// `e` as the predicate join, when it is one with no XRPC inside (a
+    /// `e` as the predicate join, when it is one that calls no peer (a
     /// remote call in the base or the value keeps the XRPC translation).
     fn join_of<'a>(&'a self, e: &'a Expr) -> Option<JoinPath<'a>> {
         match e {
-            Expr::PathStep(a, b) if !e.contains_xrpc() => self.tree.join_path(a, b),
+            Expr::PathStep(a, b) if self.tree.summary([e]).sites == 0 => self.tree.join_path(a, b),
             _ => None,
         }
     }
@@ -729,10 +736,10 @@ impl<'e> RelEngine<'e> {
     /// somewhere the lifted translation reaches? If not, the per-iteration
     /// fallback does the same work with less ceremony.
     fn lifts(&self, e: &Expr) -> bool {
-        e.contains_xrpc() || self.joins(e)
+        self.tree.summary([e]).sites > 0 || self.joins(e)
     }
 
-    /// [`lifts`](Self::lifts) for an XRPC-free `e`.
+    /// [`lifts`](Self::lifts) for an `e` that calls no peer.
     fn joins(&self, e: &Expr) -> bool {
         match e {
             Expr::PathStep(a, b) => self.tree.join_path(a, b).is_some() || self.joins(a),
@@ -750,14 +757,10 @@ impl<'e> RelEngine<'e> {
     /// `order by` needs the tree engine's tuple stream; with a remote call
     /// beside it, the lifted pipeline says so.)
     fn flwor_lifts(&self, clauses: &[FlworClause], ret: &Expr) -> bool {
-        let clause_has_xrpc = |c: &FlworClause| match c {
-            FlworClause::For { seq: e, .. }
-            | FlworClause::Let { value: e, .. }
-            | FlworClause::Where(e) => e.contains_xrpc(),
-            FlworClause::OrderBy(_) => false,
-        };
+        let exprs = clauses.iter().filter_map(FlworClause::expr);
+        let calls = self.tree.summary(exprs.chain([ret])).sites > 0;
         let ordered = clauses.iter().any(|c| matches!(c, FlworClause::OrderBy(_)));
-        ret.contains_xrpc() || clauses.iter().any(clause_has_xrpc) || (!ordered && self.is_map(ret))
+        calls || (!ordered && self.is_map(ret))
     }
 
     /// Is `e` an operator tree the map operator runs (see `map.rs`)?
@@ -919,7 +922,7 @@ impl<'e> RelEngine<'e> {
         st: &mut EvalState,
     ) -> XdmResult<SeqTable> {
         let used = lenv.used_by(e);
-        if used.is_empty() && !lenv.loop_iters.is_empty() && self.is_invariant(e) {
+        if used.is_empty() && !lenv.loop_iters.is_empty() && self.tree.summary([e]).is_invariant() {
             self.tree.env.check_cancel()?;
             let once = self.tree.eval(e, st, &Ctx::none())?;
             return Ok(SeqTable::broadcast(&lenv.loop_iters, once));
@@ -932,26 +935,6 @@ impl<'e> RelEngine<'e> {
             out.push((i, r));
         }
         Ok(SeqTable::from_sequences(out))
-    }
-
-    /// May `e`, which mentions no lifted variable, be evaluated once for
-    /// all iterations? Yes unless an evaluation is observable: it constructs
-    /// a node (a new identity each time), updates, calls a remote peer, or
-    /// calls a function whose body might do any of those. (The focus is no
-    /// concern: the fallback always evaluates without one.)
-    fn is_invariant(&self, e: &Expr) -> bool {
-        let mut invariant = true;
-        e.walk(&mut |x| match x {
-            // fn:put is the one updating built-in
-            Expr::FunctionCall { name, args }
-                if !self.tree.is_builtin(name, args.len()) || name.local == "put" =>
-            {
-                invariant = false
-            }
-            _ if x.is_constructor() || xqeval::effects::is_effect(x) => invariant = false,
-            _ => {}
-        });
-        invariant
     }
 
     /// Run `f` with the lifted variables at positions `used` (see

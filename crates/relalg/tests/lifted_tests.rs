@@ -496,8 +496,7 @@ fn rpc_optimize_joins_a_remote_build_side_once() {
     );
     assert_eq!(on, Ok(String::new()));
     assert_eq!(log, vec![("xrpc://y".to_string(), 3)]);
-    // a call inside a function body is not one the rule can see: Y stays
-    // where it was, one request per $n
+    // a call inside a function body is one the rule sees: Y once, one call
     let (off, on, log) = off_and_on(
         r#"import module namespace f = "films";
         declare function local:y() { execute at {"xrpc://y"} {f:filmsByActor("Sean Connery")} };
@@ -507,14 +506,14 @@ fn rpc_optimize_joins_a_remote_build_side_once() {
         (on, off.as_deref()),
         (Ok("The Rock".to_string()), Ok("The Rock"))
     );
-    assert_eq!(log, vec![("xrpc://y".to_string(), 1); 3]);
+    assert_eq!(log, vec![("xrpc://y".to_string(), 1)]);
 }
 
 #[test]
 fn rpc_optimize_joins_no_y_that_hides_a_call_or_repeats_one() {
     // a declared function may hide an `execute at` (here of an updating
     // function the caller does not know): `u:touch` goes out once per $n,
-    // beside the one collapsed call of `f:filmsByActor`
+    // in one Bulk RPC beside the one collapsed call of `f:filmsByActor`
     let (off, on, log) = off_and_on(
         r#"import module namespace f = "films";
         import module namespace u = "touch";
@@ -527,7 +526,10 @@ fn rpc_optimize_joins_no_y_that_hides_a_call_or_repeats_one() {
         (on, off.as_deref()),
         (Ok("The Rock".to_string()), Ok("The Rock"))
     );
-    assert_eq!(log, vec![("xrpc://y".to_string(), 1); 4]);
+    assert_eq!(
+        log,
+        vec![("xrpc://y".to_string(), 1), ("xrpc://y".to_string(), 3)]
+    );
     // a call under a `for` of Y: evaluating Y once would send it in one
     // request per $k; lifted, both go in one, collapsed across $n
     let (off, on, log) = off_and_on(
@@ -676,4 +678,156 @@ fn constructors_are_evaluated_per_iteration() {
         return count($all | $all)"#;
     let (res, _) = execute_rel(q, &env).unwrap();
     assert_eq!(serialize(&res), "5");
+}
+
+// ---------------------------------------------------------------------
+// Calls of declared functions: lifted, the body runs once over the
+// loop's rows, and answers as the tree engine's call does.
+// ---------------------------------------------------------------------
+
+/// `q` on the tree engine and on the lifted one, each with a dispatcher
+/// of its own: the answer, and the (peer, bulk size) of each dispatch.
+fn on_both(q: &str) -> [(Answer, Vec<(String, usize)>); 2] {
+    let run = |lifted: bool| {
+        let disp = Arc::new(RecordingDispatcher::new(&["y"]));
+        let env = local_env(disp.clone());
+        let r = if lifted {
+            execute_rel(q, &env)
+        } else {
+            evaluate_main(q, &env)
+        };
+        let log = disp.log.lock().clone();
+        (r.map(|(r, _)| serialize(&r)).map_err(|e| e.code), log)
+    };
+    [run(false), run(true)]
+}
+
+const T: &str = r#"import module namespace t = "test";"#;
+
+#[test]
+fn a_call_in_a_declared_function_goes_out_in_one_bulk_rpc() {
+    let [(tree, tree_log), (lifted, lifted_log)] = on_both(&format!(
+        r#"{T} declare function local:d($n) {{ execute at {{"xrpc://y"}} {{t:double($n)}} }};
+        for $i in (1 to 3) return local:d($i)"#
+    ));
+    assert_eq!(
+        (tree.as_deref(), lifted.as_deref()),
+        (Ok("2|4|6"), Ok("2|4|6"))
+    );
+    assert_eq!(tree_log, vec![("xrpc://y".to_string(), 1); 3]);
+    assert_eq!(lifted_log, vec![("xrpc://y".to_string(), 3)]);
+    // a Y that calls a peer in a declared function: the hash join leaves
+    // it to the nested loop, one call per $n
+    let [(tree, tree_log), (lifted, lifted_log)] = on_both(
+        r#"import module namespace f = "films";
+        declare function local:y() { execute at {"xrpc://y"} {f:filmsByActor("Sean Connery")} };
+        for $n in ("The Rock", "b", "c"), $m in local:y() where $n = string($m) return string($m)"#,
+    );
+    assert_eq!(
+        (tree, lifted),
+        (Ok("The Rock".into()), Ok("The Rock".into()))
+    );
+    assert_eq!(tree_log.len(), 3);
+    assert_eq!(lifted_log, vec![("xrpc://y".to_string(), 3)]);
+}
+
+#[test]
+fn an_inlined_call_answers_as_the_tree_engines_call_does() {
+    const G: &str = r#"execute at {"xrpc://y"} {t:double(1)}"#;
+    let rows = [
+        // a node built in Y is one node per X item
+        (
+            r#"declare function local:mk() { <b v="1"/> };
+            count((for $a in ("1", "1"), $b in local:mk() where $a = string($b/@v) return $b) | ())"#
+                .to_string(),
+            Ok("2"),
+        ),
+        // the parameter's and the declared return type
+        (
+            format!("declare function local:g($x as xs:string) {{ ($x, {G}) }}; local:g({G})"),
+            Err("XPTY0004"),
+        ),
+        (
+            format!("declare function local:g($x) as xs:string {{ ($x, {G}) }}; local:g({G})"),
+            Err("XPTY0004"),
+        ),
+        // a body sees its parameters and the prolog, not its caller's
+        // variables
+        (
+            r#"declare function local:g($x) { ($x, $i) };
+            for $i in (1, 2) return local:g(execute at {"xrpc://y"} {t:double($i)})"#
+                .to_string(),
+            Err("XPST0008"),
+        ),
+        (
+            r#"declare variable $v := 10; declare function local:g($x) { $x + $v };
+            for $i in (1, 2) return local:g(execute at {"xrpc://y"} {t:double($i)})"#
+                .to_string(),
+            Ok("12|14"),
+        ),
+        // no row: the body is not evaluated, nor the callee looked up
+        (
+            format!("declare function local:g($x) {{ ({G}, error()) }}; for $i in () return (local:g($i), local:nope($i))"),
+            Ok(""),
+        ),
+        // recursion counts down, one Bulk RPC a level; unbounded, it
+        // stops at the limit
+        (
+            r#"declare function local:f($n) {
+                if ($n = 0) then () else (execute at {"xrpc://y"} {t:double($n)}, local:f($n - 1)) };
+            for $k in (1, 2) return local:f(2 * $k)"#
+                .to_string(),
+            Ok("4|2|8|6|4|2"),
+        ),
+        (
+            r#"declare function local:f($n) { (execute at {"xrpc://y"} {t:double($n)}, local:f($n + 1)) };
+            for $k in (1, 2) return local:f($k)"#
+                .to_string(),
+            Err("XQDY0054"),
+        ),
+    ];
+    // debug-build frames are large; so is the recursion limit's depth
+    let run = std::thread::Builder::new().stack_size(64 << 20).spawn(move || {
+        for (q, want) in rows {
+            let q = format!("{T} {q}");
+            let [(tree, _), (lifted, _)] = on_both(&q);
+            let want = want.map(str::to_string).map_err(str::to_string);
+            assert_eq!((&tree, &lifted), (&want, &want), "{q}");
+        }
+        let [(_, tree_log), (_, lifted_log)] = on_both(&format!(
+            r#"{T} declare function local:f($n) {{
+                if ($n = 0) then () else (execute at {{"xrpc://y"}} {{t:double($n)}}, local:f($n - 1)) }};
+            for $k in (1, 2) return local:f(2 * $k)"#
+        ));
+        let sizes = |log: Vec<(String, usize)>| log.into_iter().map(|(_, n)| n).collect::<Vec<_>>();
+        assert_eq!(sizes(tree_log), vec![1; 6]);
+        assert_eq!(sizes(lifted_log), vec![2, 2, 1, 1]);
+    });
+    run.unwrap().join().unwrap();
+}
+
+#[test]
+fn a_constructor_binds_no_name_a_query_can_write() {
+    for (q, want) in [
+        (
+            r#"let $xrpc-enc-0 := 5 return <a>{execute at {"xrpc://y"} {t:double(1)}}{$xrpc-enc-0}</a>"#,
+            "<a>25</a>",
+        ),
+        (
+            r#"for $xrpc-enc-0 in (5, 6) return <a>{execute at {"xrpc://y"} {t:double(1)}}{$xrpc-enc-0}</a>"#,
+            "<a>25</a>|<a>26</a>",
+        ),
+        (
+            r#"let $xrpc-enc-comp := "n" return element {$xrpc-enc-comp} {execute at {"xrpc://y"} {t:double(1)}}"#,
+            "<n>2</n>",
+        ),
+    ] {
+        let q = format!("{T} {q}");
+        let [(tree, _), (lifted, _)] = on_both(&q);
+        assert_eq!(
+            (tree.as_deref(), lifted.as_deref()),
+            (Ok(want), Ok(want)),
+            "{q}"
+        );
+    }
 }

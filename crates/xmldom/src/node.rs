@@ -64,7 +64,7 @@ impl Span {
 }
 
 /// One arena slot: 48 bytes, no heap block of its own besides the shared,
-/// interned name. Links are slot indexes ([`NONE`] = absent). Per kind:
+/// interned name. Links are slot indexes (`NONE` = absent). Per kind:
 /// * `Document`: child links
 /// * `Element`: `name`, child links, attribute chain
 /// * `Attribute`: `name`, `value`; `prev`/`next` chain it to its siblings

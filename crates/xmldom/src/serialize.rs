@@ -8,7 +8,7 @@
 //!
 //! A document version that keeps being serialized is serialized once: the
 //! walker's own output over the whole tree is kept with the version as its
-//! [`WireImage`], and from then on a node of that version is a slice of it.
+//! `WireImage`, and from then on a node of that version is a slice of it.
 
 use crate::escape::{push_escaped_attr, push_escaped_text};
 use crate::node::{Document, NodeId, NodeKind};

@@ -130,6 +130,18 @@ pub enum FlworClause {
     OrderBy(Vec<OrderSpec>),
 }
 
+impl FlworClause {
+    /// The expression a `for`, `let` or `where` evaluates per tuple; none
+    /// for an `order by`.
+    pub fn expr(&self) -> Option<&Expr> {
+        match self {
+            FlworClause::For { seq: e, .. } | FlworClause::Let { value: e, .. } => Some(e),
+            FlworClause::Where(e) => Some(e),
+            FlworClause::OrderBy(_) => None,
+        }
+    }
+}
+
 #[derive(Clone, Debug, PartialEq)]
 pub struct OrderSpec {
     pub key: Expr,
@@ -406,17 +418,6 @@ pub enum Module {
 }
 
 impl Expr {
-    /// Does this expression (transitively) contain an `execute at`?
-    pub fn contains_xrpc(&self) -> bool {
-        let mut found = false;
-        self.walk(&mut |e| {
-            if matches!(e, Expr::ExecuteAt { .. }) {
-                found = true;
-            }
-        });
-        found
-    }
-
     /// Is this an XQUF updating expression at the top level?
     pub fn is_updating_expr(&self) -> bool {
         matches!(
@@ -619,22 +620,6 @@ fn walk_direlem(d: &DirElem, f: &mut dyn FnMut(&Expr)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn contains_xrpc_detects_nested() {
-        let e = Expr::Sequence(vec![
-            Expr::Literal(AtomicValue::Integer(1)),
-            Expr::ExecuteAt {
-                dest: Box::new(Expr::Literal(AtomicValue::String("xrpc://y".into()))),
-                call: Box::new(Expr::FunctionCall {
-                    name: Name::prefixed("f", "g"),
-                    args: vec![],
-                }),
-            },
-        ]);
-        assert!(e.contains_xrpc());
-        assert!(!Expr::ContextItem.contains_xrpc());
-    }
 
     #[test]
     fn walk_visits_flwor_parts() {

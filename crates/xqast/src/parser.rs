@@ -1976,6 +1976,13 @@ fn attr_static_text(parts: &[AttrContent]) -> Option<String> {
 mod tests {
     use super::*;
 
+    /// Does `e` hold an `execute at` anywhere?
+    fn has_execute_at(e: &Expr) -> bool {
+        let mut found = false;
+        e.walk(&mut |x| found |= matches!(x, Expr::ExecuteAt { .. }));
+        found
+    }
+
     fn parse_expr(q: &str) -> Expr {
         parse_main_module(q)
             .unwrap_or_else(|e| panic!("parse `{q}`: {e}"))
@@ -2152,7 +2159,7 @@ mod tests {
     #[test]
     fn execute_at_with_computed_dest() {
         let e = parse_expr(r#"for $dst in ("a", "b") return execute at {$dst} {f:g()}"#);
-        assert!(e.contains_xrpc());
+        assert!(has_execute_at(&e));
     }
 
     #[test]
@@ -2360,7 +2367,7 @@ mod tests {
               {f:filmsByActor("Sean Connery")}
             } </films>"#;
         let m = parse_main_module(q).unwrap();
-        assert!(m.body.contains_xrpc());
+        assert!(has_execute_at(&m.body));
     }
 
     #[test]
@@ -2372,7 +2379,7 @@ mod tests {
               for $dst in ("xrpc://y.example.org", "xrpc://z.example.org")
               return execute at {$dst} {f:filmsByActor($actor)}
             } </films>"#;
-        assert!(parse_main_module(q).unwrap().body.contains_xrpc());
+        assert!(has_execute_at(&parse_main_module(q).unwrap().body));
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl CancelToken {
     }
 
     /// The cooperative checkpoint: cheap atomic loads on every call, a
-    /// wall-clock read every [`CLOCK_STRIDE`] calls. `Err(XRPC0005)` when
+    /// wall-clock read every `CLOCK_STRIDE` calls. `Err(XRPC0005)` when
     /// cancelled, `Err(XRPC0004)` when the deadline passed.
     pub fn check(&self) -> XdmResult<()> {
         if self.is_cancelled() {
@@ -289,7 +289,7 @@ pub struct Environment {
     /// The distributed optimizer: calls of a function known read-only
     /// (`Evaluator::resolve_function_ref`) that are equal by value go out
     /// once per Bulk RPC, and a hash join whose Y makes such calls
-    /// evaluates Y once (`Evaluator::takes_join_calls`). Neither sends a call that
+    /// evaluates Y once (`Evaluator::takes_join`). Neither sends a call that
     /// evaluation does not reach. Off by default, so the wire carries
     /// Figure 2's traffic: Table 2's loop of `echoVoid()` must put every
     /// call on the wire, while Table 4's push-down, a closed read-only call
@@ -421,6 +421,15 @@ impl StaticContext {
 
     pub fn resolve_prefix(&self, prefix: &str) -> Option<&str> {
         self.namespaces.get(prefix).map(|s| s.as_str())
+    }
+
+    /// The namespace URI of the module a function prefix names, by the
+    /// imports and then the namespaces, and the import's first at-hint.
+    pub fn module_of(&self, prefix: &str) -> Option<(&str, Option<&str>)> {
+        match self.imports.get(prefix) {
+            Some((ns, hints)) => Some((ns, hints.first().map(String::as_str))),
+            None => Some((self.resolve_prefix(prefix)?, None)),
+        }
     }
 
     /// Resolve a (possibly relative) document URI against the in-scope

@@ -1,7 +1,7 @@
 //! The tree-walking evaluator core.
 
 use crate::context::{Environment, FunctionRef, StaticContext};
-use crate::effects::{self, Effects};
+use crate::effects::{self, Effects, Summary};
 use crate::functions;
 use crate::index;
 use crate::pul::{PendingUpdateList, UpdatePrimitive};
@@ -49,20 +49,21 @@ impl Ctx {
 
 /// Mutable evaluation state threaded through the recursion: the variable
 /// stack, the accumulating pending update list and the call depth.
+#[derive(Default)]
 pub struct EvalState {
     /// Innermost binding last, keyed by [`Name::key`].
     pub vars: Bindings,
     pub pul: PendingUpdateList,
     pub depth: usize,
+    /// Where the bindings of the function body being evaluated start: it
+    /// sees those and the first `globals` (external and prolog variables).
+    pub frame: usize,
+    pub globals: usize,
 }
 
 impl EvalState {
     pub fn new() -> Self {
-        EvalState {
-            vars: Vec::new(),
-            pul: PendingUpdateList::new(),
-            depth: 0,
-        }
+        Self::default()
     }
 
     pub fn bind(&mut self, name: &Name, value: Sequence) {
@@ -70,22 +71,21 @@ impl EvalState {
     }
 
     pub fn lookup(&self, name: &Name) -> Option<&Sequence> {
-        self.vars
-            .iter()
-            .rev()
-            .find(|(n, _)| name.is_lexical(n))
+        let hit = |(n, _): &&(Arc<str>, Sequence)| name.is_lexical(n);
+        (self.vars[self.frame..].iter().rev().find(hit))
+            .or_else(|| {
+                self.vars[..self.globals.min(self.frame)]
+                    .iter()
+                    .rev()
+                    .find(hit)
+            })
             .map(|(_, v)| v)
-    }
-}
-
-impl Default for EvalState {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
 /// The evaluator: an environment plus the static context of the module
 /// whose expressions it is currently evaluating.
+#[derive(Clone)]
 pub struct Evaluator<'e> {
     pub env: &'e Environment,
     pub sctx: Arc<StaticContext>,
@@ -126,9 +126,10 @@ impl<'a> JoinPath<'a> {
 }
 
 /// A FLWOR `for $a in X, $b in Y where ka = kb … return R` that the hash
-/// join takes: Y mentions no `$a` and constructs no node, one key mentions
-/// only `$a` and the other only `$b`, and no `order by` follows. Whether
-/// its effects let Y be evaluated once is the evaluator's to say.
+/// join takes: Y mentions no `$a`, one key mentions only `$a` and the other
+/// only `$b`, and no `order by` follows. Whether what evaluating Y does
+/// lets it be evaluated once is the evaluator's to say
+/// ([`Evaluator::takes_join`]).
 pub struct HashJoin<'a> {
     a_var: &'a Name,
     x_seq: &'a Expr,
@@ -158,11 +159,8 @@ impl<'a> HashJoin<'a> {
         let [FlworClause::Where(Expr::GeneralComp(CompOp::Eq, l, r)), rest @ ..] = tail else {
             return None;
         };
-        // a trailing order-by needs the tuple materialization; a node
-        // constructed in Y once would have one identity, not one per X item
-        let mut y_constructs = false;
-        y_seq.walk(&mut |x| y_constructs |= x.is_constructor());
-        if y_constructs || rest.iter().any(|c| matches!(c, FlworClause::OrderBy(_))) {
+        // a trailing order-by needs the tuple materialization
+        if rest.iter().any(|c| matches!(c, FlworClause::OrderBy(_))) {
             return None;
         }
         let (a_name, b_name) = (a_var.lexical(), b_var.lexical());
@@ -190,14 +188,10 @@ impl<'a> HashJoin<'a> {
         })
     }
 
-    /// Does nothing outside Y have an effect (see [`effects::is_effect`])?
-    fn effects_in_y_only(&self) -> bool {
-        let clauses = self.tail.iter().filter_map(|c| match c {
-            FlworClause::For { seq: e, .. } | FlworClause::Let { value: e, .. } => Some(e),
-            FlworClause::Where(e) => Some(e),
-            FlworClause::OrderBy(_) => None,
-        });
-        !([self.x_seq, self.ret].into_iter().chain(clauses)).any(effects::has_effects)
+    /// The FLWOR's expressions but Y.
+    fn not_y(&self) -> impl Iterator<Item = &'a Expr> {
+        let clauses = self.tail.iter().filter_map(FlworClause::expr);
+        [self.x_seq, self.ret].into_iter().chain(clauses)
     }
 }
 
@@ -319,6 +313,7 @@ fn evaluate_with(
 /// conversion rules; an unbound external without a default errors.
 pub fn eval_prolog_vars(ev: &Evaluator, module: &MainModule, st: &mut EvalState) -> XdmResult<()> {
     for decl in &module.prolog.variables {
+        st.globals = st.vars.len();
         if decl.external {
             if let Some(bound) = st.lookup(&decl.name) {
                 let coerced = coerce_to_declared(bound.clone(), decl.ty.as_ref())?;
@@ -337,6 +332,7 @@ pub fn eval_prolog_vars(ev: &Evaluator, module: &MainModule, st: &mut EvalState)
         };
         st.bind(&decl.name, v);
     }
+    st.globals = st.vars.len();
     Ok(())
 }
 
@@ -505,36 +501,21 @@ impl<'e> Evaluator<'e> {
                 let vb = self.eval(b, st, ctx)?.ebv()?;
                 Ok(Sequence::one(Item::boolean(vb)))
             }
-            Expr::Union(a, b) => {
-                let mut nodes = self.eval_nodes(a, st, ctx, "union")?;
-                nodes.extend(self.eval_nodes(b, st, ctx, "union")?);
+            Expr::Union(a, b) | Expr::Intersect(a, b) | Expr::Except(a, b) => {
+                let (op, keep) = match e {
+                    Expr::Union(..) => ("union operands", None),
+                    Expr::Intersect(..) => ("intersect operands", Some(true)),
+                    _ => ("except operands", Some(false)),
+                };
+                let mut nodes = self.eval_nodes(a, st, ctx, op)?;
+                let right = self.eval_nodes(b, st, ctx, op)?;
+                match keep {
+                    None => nodes.extend(right),
+                    Some(keep) => nodes.retain(|x| right.iter().any(|y| y.same_node(x)) == keep),
+                }
                 sort_dedup(&mut nodes);
                 Ok(Sequence::from_items(
                     nodes.into_iter().map(Item::Node).collect(),
-                ))
-            }
-            Expr::Intersect(a, b) => {
-                let na = self.eval_nodes(a, st, ctx, "intersect")?;
-                let nb = self.eval_nodes(b, st, ctx, "intersect")?;
-                let mut out: Vec<NodeHandle> = na
-                    .into_iter()
-                    .filter(|x| nb.iter().any(|y| y.same_node(x)))
-                    .collect();
-                sort_dedup(&mut out);
-                Ok(Sequence::from_items(
-                    out.into_iter().map(Item::Node).collect(),
-                ))
-            }
-            Expr::Except(a, b) => {
-                let na = self.eval_nodes(a, st, ctx, "except")?;
-                let nb = self.eval_nodes(b, st, ctx, "except")?;
-                let mut out: Vec<NodeHandle> = na
-                    .into_iter()
-                    .filter(|x| !nb.iter().any(|y| y.same_node(x)))
-                    .collect();
-                sort_dedup(&mut out);
-                Ok(Sequence::from_items(
-                    out.into_iter().map(Item::Node).collect(),
                 ))
             }
             Expr::If { cond, then, els } => {
@@ -545,7 +526,7 @@ impl<'e> Evaluator<'e> {
                 }
             }
             Expr::Flwor { clauses, ret } => {
-                self.profiled("xq:flwor", |ev| ev.eval_flwor(e, clauses, ret, st, ctx))
+                self.profiled("xq:flwor", |ev| ev.eval_flwor(clauses, ret, st, ctx))
             }
             Expr::Quantified {
                 quantifier,
@@ -672,15 +653,7 @@ impl<'e> Evaluator<'e> {
                 target,
                 pos,
             } => {
-                let content: Vec<NodeHandle> = self
-                    .eval(source, st, ctx)?
-                    .into_items()
-                    .into_iter()
-                    .map(|i| match i {
-                        Item::Node(n) => Ok(n),
-                        _ => Err(XdmError::type_error("insert source must be nodes")),
-                    })
-                    .collect::<XdmResult<_>>()?;
+                let content = self.eval_nodes(source, st, ctx, "insert source")?;
                 let t = self.eval_single_node(target, st, ctx, "insert target")?;
                 st.pul.push(match pos {
                     InsertPos::Into => UpdatePrimitive::InsertInto { target: t, content },
@@ -692,26 +665,14 @@ impl<'e> Evaluator<'e> {
                 Ok(Sequence::empty())
             }
             Expr::Delete { target } => {
-                let v = self.eval(target, st, ctx)?;
-                for i in v.items() {
-                    match i {
-                        Item::Node(n) => st.pul.push(UpdatePrimitive::Delete { target: n.clone() }),
-                        _ => return Err(XdmError::type_error("delete target must be nodes")),
-                    }
+                for n in self.eval_nodes(target, st, ctx, "delete target")? {
+                    st.pul.push(UpdatePrimitive::Delete { target: n });
                 }
                 Ok(Sequence::empty())
             }
             Expr::ReplaceNode { target, with } => {
                 let t = self.eval_single_node(target, st, ctx, "replace target")?;
-                let replacement: Vec<NodeHandle> = self
-                    .eval(with, st, ctx)?
-                    .into_items()
-                    .into_iter()
-                    .map(|i| match i {
-                        Item::Node(n) => Ok(n),
-                        _ => Err(XdmError::type_error("replacement must be nodes")),
-                    })
-                    .collect::<XdmResult<_>>()?;
+                let replacement = self.eval_nodes(with, st, ctx, "replacement")?;
                 st.pul.push(UpdatePrimitive::ReplaceNode {
                     target: t,
                     replacement,
@@ -744,7 +705,6 @@ impl<'e> Evaluator<'e> {
 
     fn eval_flwor(
         &self,
-        flwor: &Expr,
         clauses: &[FlworClause],
         ret: &Expr,
         st: &mut EvalState,
@@ -752,14 +712,10 @@ impl<'e> Evaluator<'e> {
     ) -> XdmResult<Sequence> {
         // Hash-join fast path: `for $a in X, $b in Y where keyA($a) = keyB($b)`
         // becomes a build+probe join instead of a nested loop — the same
-        // join detection the paper observes in Saxon (§4). It evaluates Y
-        // once, not once per X item, so a FLWOR with effects (updates, RPC)
-        // takes it only by the optimizer's join rule.
+        // join detection the paper observes in Saxon (§4).
         let join = (self.env.join_index).then(|| HashJoin::of(clauses, ret));
-        if let Some(join) = join.flatten() {
-            if !effects::has_effects(flwor) || self.takes_join_calls(&join) {
-                return self.flwor_hash_join(&join, st, ctx);
-            }
+        if let Some(join) = join.flatten().filter(|j| self.takes_join(j).is_some()) {
+            return self.flwor_hash_join(&join, st, ctx);
         }
         let mut out = Sequence::empty();
         self.flwor_tuples(clauses, st, ctx, &mut |ev, st2| {
@@ -769,46 +725,22 @@ impl<'e> Evaluator<'e> {
         Ok(out)
     }
 
-    /// The optimizer's join rule ([`Environment::rpc_optimize`]): does the
-    /// hash join take `join` though Y calls peers? Yes when the FLWOR's
-    /// only effects are `execute at`s written in Y, and Y and the keys may
-    /// be evaluated once where the nested loop would evaluate them per X
-    /// item or per pair (`joins_once`). Y and its calls are then evaluated
-    /// once, and not at all when X is empty.
-    pub fn takes_join_calls(&self, join: &HashJoin) -> bool {
-        self.env.rpc_optimize
-            && self.env.join_index
-            && effects::has_effects(join.y_seq)
-            && join.effects_in_y_only()
-            && [join.y_seq, join.a_key, join.b_key]
-                .into_iter()
-                .all(|e| self.joins_once(e, false))
+    /// Does the hash join take `join`, and with how many calls in Y? It
+    /// evaluates Y once, and not at all for an empty X: Y may construct no
+    /// node, and nothing in the FLWOR have an effect ([`Summary`]) but the
+    /// calls in Y that the optimizer's join rule takes
+    /// ([`Environment::rpc_optimize`]): known read-only, each run once.
+    pub fn takes_join(&self, join: &HashJoin) -> Option<usize> {
+        let (y, rest) = (self.summary([join.y_seq]), self.summary(join.not_y()));
+        let rule = self.env.rpc_optimize && !y.delta && !y.unknown && !y.repeated;
+        let takes = !y.constructs && rest.is_quiet() && (y.sites == 0 || rule);
+        (takes && self.env.join_index).then_some(y.sites)
     }
 
-    /// May the join rule evaluate `e` once? Yes when each `execute at` in
-    /// it calls a function [known read-only](Self::resolve_function_ref)
-    /// and is not `repeated` — under a `for`, a quantifier, a path step or
-    /// a predicate of `e`, where one evaluation would send it in more than
-    /// one request — and nothing else in it updates or calls a function
-    /// but a built-in other than `fn:put`: a declared function's body may
-    /// hide an update or an `execute at` of its own.
-    fn joins_once(&self, e: &Expr, repeated: bool) -> bool {
-        let mut ok = match e {
-            Expr::ExecuteAt { dest, call } => {
-                let mut ok = !repeated && self.joins_once(dest, repeated);
-                ok &= matches!(&**call, Expr::FunctionCall { name, args }
-                    if self.resolve_function_ref(name, args.len()).is_ok_and(|(_, known)| known));
-                call.for_each_child(&mut |a| ok &= self.joins_once(a, repeated));
-                return ok;
-            }
-            Expr::FunctionCall { name, args } => {
-                self.is_builtin(name, args.len()) && name.local != "put"
-            }
-            _ => !e.is_updating_expr(),
-        };
-        let again = repeated || effects::repeats_operands(e);
-        e.for_each_child(&mut |c| ok &= self.joins_once(c, again));
-        ok
+    /// What evaluating each of `es` once may do besides compute its value.
+    pub fn summary<'x>(&self, es: impl IntoIterator<Item = &'x Expr>) -> Summary {
+        let modules = Some(&*self.env.modules);
+        effects::summary(es, &self.sctx, &self.local_functions, modules)
     }
 
     /// Does a call of `name` with `arity` arguments reach the built-in
@@ -1482,14 +1414,10 @@ impl<'e> Evaluator<'e> {
     /// The declared function a call of `name` with `arity` arguments
     /// reaches — a main-module function or one of an imported module — or
     /// `None` for the built-in library.
-    fn callee(&self, name: &Name, arity: usize) -> XdmResult<Option<Udf<'e>>> {
+    pub fn callee(&self, name: &Name, arity: usize) -> XdmResult<Option<Udf<'e>>> {
         let local = |decl: &Arc<FunctionDecl>| Udf {
             decl: decl.clone(),
-            body_ev: Evaluator {
-                env: self.env,
-                sctx: self.sctx.clone(),
-                local_functions: self.local_functions.clone(),
-            },
+            body_ev: self.clone(),
         };
         match name.prefix.as_deref() {
             // a user-declared main-module function shadows the built-in
@@ -1505,17 +1433,10 @@ impl<'e> Evaluator<'e> {
             Some(prefix) => {
                 // module function via imports (or an already-loaded module
                 // whose namespace this prefix maps to)
-                let (ns, hint) = match self.sctx.imports.get(prefix) {
-                    Some((ns, hints)) => (ns.as_str(), hints.first().map(|h| h.as_str())),
-                    None => match self.sctx.resolve_prefix(prefix) {
-                        Some(ns) => (ns, None),
-                        None => {
-                            return Err(XdmError::undefined(format!(
-                                "undeclared prefix `{prefix}`"
-                            )))
-                        }
-                    },
-                };
+                let (ns, hint) = self
+                    .sctx
+                    .module_of(prefix)
+                    .ok_or_else(|| XdmError::undefined(format!("undeclared prefix `{prefix}`")))?;
                 let module = self.env.modules.get_or_load(ns, hint)?;
                 let decl = module.function(&name.local, arity).ok_or_else(|| {
                     XdmError::unknown_function(format!(
@@ -1531,9 +1452,9 @@ impl<'e> Evaluator<'e> {
         }
     }
 
-    /// Run `body` as the body of `udf` called with `actuals`: under the
-    /// recursion limit and the cancellation checkpoint, with the parameters
-    /// type-checked and bound, on the evaluator of the callee's module.
+    /// Run `body` as the body of `udf` called with `actuals`, with the
+    /// parameters type-checked and bound, on the evaluator of the callee's
+    /// module (see [`in_frame`]).
     fn in_udf_frame<T>(
         &self,
         udf: &Udf,
@@ -1541,35 +1462,13 @@ impl<'e> Evaluator<'e> {
         st: &mut EvalState,
         body: impl FnOnce(&Evaluator, &mut EvalState) -> XdmResult<T>,
     ) -> XdmResult<T> {
-        if st.depth >= self.env.max_depth {
-            return Err(XdmError::new(
-                "XQDY0054",
-                "function recursion limit exceeded",
-            ));
-        }
-        // Cooperative checkpoint: recursive UDFs are the one loop shape the
-        // FLWOR/path checkpoints cannot see, so check the budget per call.
-        self.env.check_cancel()?;
-        let f = &udf.decl;
-        let base = st.vars.len();
-        for ((pname, pty), value) in f.params.iter().zip(actuals) {
-            if let Some(t) = pty {
-                value.check_type(t).map_err(|e| {
-                    XdmError::type_error(format!(
-                        "parameter ${} of {}: {}",
-                        pname.lexical(),
-                        f.name.lexical(),
-                        e.message
-                    ))
-                })?;
+        in_frame(&udf.body_ev, st, |st| {
+            let values = check_arguments(&udf.decl, actuals)?;
+            for ((pname, _), value) in udf.decl.params.iter().zip(values) {
+                st.bind(pname, value);
             }
-            st.bind(pname, value);
-        }
-        st.depth += 1;
-        let result = body(&udf.body_ev, st);
-        st.depth -= 1;
-        st.vars.truncate(base);
-        result
+            body(&udf.body_ev, st)
+        })
     }
 
     fn invoke_udf(
@@ -1582,11 +1481,7 @@ impl<'e> Evaluator<'e> {
         let result = self.in_udf_frame(udf, actuals, st, |sub, st| {
             sub.eval(&f.body, st, &Ctx::none())
         })?;
-        if let Some(rt) = &f.ret {
-            result
-                .check_type(rt)
-                .map_err(|e| return_type_error(f, &e.message))?;
-        }
+        check_result(f, &result)?;
         Ok(result)
     }
 
@@ -1643,24 +1538,16 @@ impl<'e> Evaluator<'e> {
         let prefix = name.prefix.as_deref().ok_or_else(|| {
             XdmError::syntax("execute at requires a module-qualified function (prefix:name)")
         })?;
-        let (ns, hint) = match self.sctx.imports.get(prefix) {
-            Some((ns, hints)) => (ns.clone(), hints.first().cloned()),
-            None => match self.sctx.resolve_prefix(prefix) {
-                Some(ns) => (ns.to_string(), None),
-                None => {
-                    return Err(XdmError::undefined(format!(
-                        "undeclared prefix `{prefix}` in execute at"
-                    )))
-                }
-            },
-        };
+        let (ns, hint) = self.sctx.module_of(prefix).ok_or_else(|| {
+            XdmError::undefined(format!("undeclared prefix `{prefix}` in execute at"))
+        })?;
         // If the module is locally known, learn whether the function updates.
-        let updating = (self.env.modules.get(&ns))
+        let updating = (self.env.modules.get(ns))
             .and_then(|m| m.function(&name.local, arity))
             .map(|f| f.updating);
         let func = FunctionRef {
-            module_ns: ns,
-            location_hint: hint,
+            module_ns: ns.to_string(),
+            location_hint: hint.map(str::to_string),
             local_name: name.local.clone(),
             arity,
             updating: updating.unwrap_or(false),
@@ -2049,9 +1936,7 @@ impl<'e> Evaluator<'e> {
             .into_iter()
             .map(|i| match i {
                 Item::Node(n) => Ok(n),
-                _ => Err(XdmError::type_error(format!(
-                    "{who} operands must be nodes"
-                ))),
+                _ => Err(XdmError::type_error(format!("{who} must be nodes"))),
             })
             .collect()
     }
@@ -2081,9 +1966,9 @@ struct JoinKey<'a> {
 /// A declared function as a call reaches it: the declaration, and the
 /// evaluator — static context and main-module functions of the declaring
 /// module — its body runs on.
-struct Udf<'e> {
-    decl: Arc<FunctionDecl>,
-    body_ev: Evaluator<'e>,
+pub struct Udf<'e> {
+    pub decl: Arc<FunctionDecl>,
+    pub body_ev: Evaluator<'e>,
 }
 
 impl Udf<'_> {
@@ -2101,6 +1986,56 @@ impl Udf<'_> {
 
 fn return_type_error(f: &FunctionDecl, what: &str) -> XdmError {
     XdmError::type_error(format!("return value of {}: {what}", f.name.lexical()))
+}
+
+/// `result` checked against `f`'s declared return type.
+pub fn check_result(f: &FunctionDecl, result: &Sequence) -> XdmResult<()> {
+    let Some(rt) = &f.ret else { return Ok(()) };
+    result
+        .check_type(rt)
+        .map_err(|e| return_type_error(f, &e.message))
+}
+
+/// The values a call of a declared function written in a query binds its
+/// parameters to: the actual arguments, each of its declared type.
+pub fn check_arguments(f: &FunctionDecl, args: Vec<Sequence>) -> XdmResult<Vec<Sequence>> {
+    for ((pname, pty), value) in f.params.iter().zip(&args) {
+        if let Some(Err(e)) = pty.as_ref().map(|t| value.check_type(t)) {
+            let (p, name, why) = (pname.lexical(), f.name.lexical(), e.message);
+            return Err(XdmError::type_error(format!(
+                "parameter ${p} of {name}: {why}"
+            )));
+        }
+    }
+    Ok(args)
+}
+
+/// Run `body` as a function body: under the recursion limit and the
+/// cancellation checkpoint, one call deeper, in a frame of its own — it
+/// sees the bindings it makes and the external and prolog variables, not
+/// its caller's.
+pub fn in_frame<T>(
+    ev: &Evaluator,
+    st: &mut EvalState,
+    body: impl FnOnce(&mut EvalState) -> XdmResult<T>,
+) -> XdmResult<T> {
+    if st.depth >= ev.env.max_depth {
+        return Err(XdmError::new(
+            "XQDY0054",
+            "function recursion limit exceeded",
+        ));
+    }
+    // Cooperative checkpoint: recursive UDFs are the one loop shape the
+    // FLWOR/path checkpoints cannot see, so check the budget per call.
+    ev.env.check_cancel()?;
+    let (base, caller) = (st.vars.len(), st.frame);
+    st.frame = base;
+    st.depth += 1;
+    let result = body(st);
+    st.depth -= 1;
+    st.frame = caller;
+    st.vars.truncate(base);
+    result
 }
 
 /// The main-module functions a library module's bodies see: none.

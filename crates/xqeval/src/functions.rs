@@ -9,73 +9,6 @@ use xdm::types::AtomicType;
 use xdm::{Item, Sequence, XdmError, XdmResult};
 use xmldom::{NodeHandle, NodeKind};
 
-/// True if `local` names a built-in we implement (used for call resolution).
-pub fn is_builtin(local: &str) -> bool {
-    BUILTINS.contains(&local)
-}
-
-const BUILTINS: &[&str] = &[
-    "doc",
-    "put",
-    "root",
-    "position",
-    "last",
-    "count",
-    "empty",
-    "exists",
-    "not",
-    "boolean",
-    "true",
-    "false",
-    "string",
-    "string-length",
-    "concat",
-    "string-join",
-    "substring",
-    "contains",
-    "starts-with",
-    "ends-with",
-    "upper-case",
-    "lower-case",
-    "normalize-space",
-    "substring-before",
-    "substring-after",
-    "translate",
-    "number",
-    "sum",
-    "avg",
-    "min",
-    "max",
-    "abs",
-    "floor",
-    "ceiling",
-    "round",
-    "data",
-    "distinct-values",
-    "index-of",
-    "insert-before",
-    "remove",
-    "reverse",
-    "subsequence",
-    "zero-or-one",
-    "one-or-more",
-    "exactly-one",
-    "deep-equal",
-    "name",
-    "local-name",
-    "namespace-uri",
-    "error",
-    "trace",
-    "doc-available",
-    "string-to-codepoints",
-    "codepoints-to-string",
-    "exists",
-    "node-name",
-    "nilled",
-    "base-uri",
-    "document-uri",
-];
-
 /// Evaluate a built-in function call.
 pub fn call_builtin(
     ev: &Evaluator,
@@ -480,7 +413,7 @@ fn one_number(s: &Sequence, who: &str) -> XdmResult<f64> {
 
 /// The built-ins whose value is a function of at most one item of each
 /// argument and of nothing else — no focus, no documents, no state. The tree
-/// engine calls them through [`ScalarFn::call`]; the loop-lifted engine's map
+/// engine calls them through `ScalarFn::call`; the loop-lifted engine's map
 /// operator resolves one once ([`ScalarFn::named`]) and applies it row by
 /// row ([`ScalarFn::apply`]), so both compute with the same code.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -814,3 +814,29 @@ fn flwor_hash_join_with_extra_clauses_and_numeric_fallback() {
         "a-1 a-2 b-3"
     );
 }
+
+#[test]
+fn a_function_body_sees_its_parameters_and_the_prolog_not_its_caller() {
+    let env = env_with(&[]);
+    let q = "declare function local:g($x) { ($x, $i) }; for $i in (1, 2) return local:g($i)";
+    assert_eq!(evaluate_main(q, &env).unwrap_err().code, "XPST0008");
+    assert_eq!(
+        eval_str(
+            &env,
+            "declare variable $v := 10; declare function local:g($v2) { $v2 + $v };
+             for $i in (1, 2) return local:g($i)"
+        ),
+        "11 12"
+    );
+}
+
+#[test]
+fn a_node_a_function_builds_in_y_is_one_node_per_x_item() {
+    let q = r#"declare function local:mk() { <b v="1"/> };
+        count((for $a in ("1", "1"), $b in local:mk() where $a = string($b/@v) return $b) | ())"#;
+    for join_index in [true, false] {
+        let mut env = env_with(&[]);
+        env.join_index = join_index;
+        assert_eq!(eval_str(&env, q), "2", "join_index = {join_index}");
+    }
+}

@@ -45,7 +45,7 @@ pub enum NetErrorKind {
     /// No response within the deadline. The request may or may not have
     /// been executed (response-side, ambiguous).
     Timeout,
-    /// The connection dropped mid-exchange. Ambiguous like [`Timeout`].
+    /// The connection dropped mid-exchange. Ambiguous like [`Timeout`](Self::Timeout).
     ConnectionReset,
     /// The response arrived but failed framing/integrity checks. The
     /// request *was* executed (response-side, ambiguous).

@@ -1,7 +1,7 @@
 //! The event-driven server core: one reactor thread multiplexing every
 //! connection over epoll ([`crate::poll`]), a small fixed worker pool
 //! evaluating requests, and a LIFO hand-off between them (a ready request
-//! goes to the worker that went idle last; [`Dispatch`]) — thousands of
+//! goes to the worker that went idle last; `Dispatch`) — thousands of
 //! keep-alive connections without a thread (or a 32 MiB stack) per
 //! connection.
 //!

@@ -23,7 +23,7 @@ const SUB_BITS: u32 = 4; // log2(SUB_BUCKETS)
 pub const BUCKETS: usize = 1024;
 
 /// Map a value to its bucket index. Values below 16 are exact; above,
-/// the top [`SUB_BITS`] bits after the leading one select the
+/// the top `SUB_BITS` bits after the leading one select the
 /// sub-bucket within the value's magnitude.
 #[inline]
 pub fn bucket_index(v: u64) -> usize {

@@ -138,7 +138,7 @@ pub struct PreparedFunction {
 /// prolog is in the text); the fingerprint covers the *ambient* static
 /// context the peer compiles it in — module registry generation, peer
 /// default base URI / collation, engine kind (see
-/// [`Peer::plan_fingerprint`]).
+/// `Peer::plan_fingerprint`).
 pub type PlanKey = (String, u64);
 
 /// The compile-once artifact the plan cache stores: the parsed module plus

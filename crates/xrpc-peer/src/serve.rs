@@ -273,6 +273,7 @@ impl Peer {
                         let mut st = EvalState::new();
                         bind_params(&prepared.decl, args, &mut st)?;
                         let r = ev.eval(&prepared.decl.body, &mut st, &Ctx::none())?;
+                        xqeval::eval::check_result(&prepared.decl, &r)?;
                         // an updating function's result is empty by XQUF; a
                         // non-updating one must not update, but `fn:put` is
                         // tolerated, so its ∆ is kept either way

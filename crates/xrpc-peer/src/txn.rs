@@ -3,8 +3,8 @@
 //! Commit applies it, "no record" means abort. Two pure transition tables
 //! and the two drivers that perform their edges:
 //!
-//! * the **participant** ([`step`], [`Peer::txn_edge`]): the one driver
-//!   every caller goes through — the control-message handlers, the
+//! * the **participant** ([`step`], `Peer::txn_edge`), which every
+//!   caller goes through — the control-message handlers, the
 //!   originator (a participant of its own query), inquiry resolution, and
 //!   restart, which [`fold`]s the logged records through the same table
 //!   and then runs what the last edge still owes;

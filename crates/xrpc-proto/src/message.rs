@@ -12,7 +12,7 @@ pub use xrpc_obs::{HopProfile, OpNode, Phase, Phases, ProfileMode};
 
 /// Cheap size estimate of one serialized `<xrpc:sequence>`: wrapper tags
 /// plus per-item content sized from stored string lengths (node subtrees
-/// via [`Document::subtree_wire_estimate`]). Used to pre-reserve the
+/// via [`xmldom::Document::subtree_wire_estimate`]). Used to pre-reserve the
 /// output buffer so serializing a multi-MiB message does not grow it
 /// through a dozen reallocations.
 fn estimate_sequence_size(seq: &Sequence) -> usize {

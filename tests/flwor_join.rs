@@ -13,7 +13,12 @@
 //! look numeric (`"01"` vs `"1"`), typed key nodes, Y items from two
 //! documents or decoded from a request message (one arena for all),
 //! atomic items in X or Y, and a return clause that can fail before a key
-//! does. A failure prints the seed; `JOIN_SEED=n` reruns one seed.
+//! does. X, Y or a key is now and then behind a declared function, which
+//! may construct a node or call a peer; the query's answer counts its
+//! distinct nodes, so a node built once where the nested loop builds one
+//! per X item shows. The calls sent must be the same multiset, and the
+//! loop-lifted engine must give the nested loop's answer (or an error where
+//! it errs). A failure prints the seed; `JOIN_SEED=n` reruns one seed.
 //!
 //! The same documents and keys then drive the distributed optimizer
 //! (`Environment::rpc_optimize`) against plain evaluation on the
@@ -117,9 +122,14 @@ fn message_items(store: &Arc<InMemoryDocs>) -> Sequence {
     }
 }
 
-/// One side's key over `$v`: compiled paths of one to three steps, and a
-/// few shapes the compiler leaves to the interpreter.
+/// One side's key over `$v`: compiled paths of one to three steps, a few
+/// shapes the compiler leaves to the interpreter, and a declared function.
 fn key(rng: &mut StdRng, v: &str) -> String {
+    match rng.gen_range(0..12u8) {
+        0 => return format!("local:key(${v})"),
+        1 => return format!("local:remote-key(${v})"),
+        _ => {}
+    }
     const PATHS: [&str; 14] = [
         "@k", "k", "@p:k", "p:k", "q:k", "r/@k", "r/k", "./r/@p:k", "r/s/@k", "r/s/k", "r/s/q:k",
         "k/text()", "r//k", "",
@@ -130,20 +140,37 @@ fn key(rng: &mut StdRng, v: &str) -> String {
     }
 }
 
+/// The join queries' functions: X, Y or a key behind a declared function,
+/// which may construct a node or call the peer `xrpc://b`.
+const JOIN_FUNCTIONS: &str = r#"
+    declare function local:xs() { doc("x.xml")//e };
+    declare function local:remote-xs() { execute at {"xrpc://b"} {r:elems("x.xml")} };
+    declare function local:ys() { doc("y1.xml")//e };
+    declare function local:new() { <e n="new" k="1"><k>1</k></e> };
+    declare function local:remote-ys() { execute at {"xrpc://b"} {r:elems("y1.xml")} };
+    declare function local:key($v) { $v/@k };
+    declare function local:remote-key($v) { execute at {"xrpc://b"} {r:val(string($v/@k))} };"#;
+
 /// One generated join query; `$msg` is bound to the message's items.
 fn query(rng: &mut StdRng) -> String {
-    let x = match rng.gen_range(0..12u8) {
+    let x = match rng.gen_range(0..14u8) {
         0 => "()",
         1 => r#"(doc("x.xml")//e, "01")"#,
         2 => r#"(doc("x.xml")//e, 1)"#,
         3 => r#"("1", doc("x.xml")//e)"#,
+        4 => "local:xs()",
+        5 => "local:remote-xs()",
         _ => r#"doc("x.xml")//e"#,
     };
-    let y = match rng.gen_range(0..12u8) {
+    let y = match rng.gen_range(0..16u8) {
         0 | 1 => r#"(doc("y1.xml")//e, doc("y2.xml")//e)"#,
         2..=4 => "$msg",
         5 => r#"(doc("y1.xml")//e, "1")"#,
         6 => r#"(doc("y1.xml")//e, 1)"#,
+        7 => "local:ys()",
+        8 | 9 => "local:new()",
+        10 => r#"(local:new(), doc("y1.xml")//e)"#,
+        11 => "local:remote-ys()",
         _ => r#"doc("y1.xml")//e"#,
     };
     let (kx, ky) = (key(rng, "x"), key(rng, "y"));
@@ -160,9 +187,11 @@ fn query(rng: &mut StdRng) -> String {
         "($x, $y)"
     };
     format!(
-        "declare namespace p = \"urn:p\"; declare namespace q = \"urn:p\";\n\
-         declare variable $msg external;\n\
-         for $x in {x}, $y in {y} where {cond} return {ret}"
+        "import module namespace r = \"urn:r\";\n\
+         declare namespace p = \"urn:p\"; declare namespace q = \"urn:p\";\n\
+         declare variable $msg external;{JOIN_FUNCTIONS}\n\
+         let $r := (for $x in {x}, $y in {y} where {cond} return {ret})\n\
+         return ($r, count($r[. instance of node()] | ()))"
     )
 }
 
@@ -171,14 +200,6 @@ fn show(item: &Item) -> String {
     match item {
         Item::Node(n) => format!("<{}>", n.doc.attr_local(n.id, "n").unwrap_or("?")),
         Item::Atomic(a) => a.lexical(),
-    }
-}
-
-/// The result as strings (nodes by their `n`), or the error code.
-fn run(env: &Environment, query: &str, msg: &Sequence) -> Result<Vec<String>, String> {
-    match evaluate_main_with_vars(query, env, vec![("msg".into(), msg.clone())]) {
-        Ok((seq, _)) => Ok(seq.iter().map(show).collect()),
-        Err(e) => Err(e.code),
     }
 }
 
@@ -194,30 +215,39 @@ fn store(rng: &mut StdRng) -> Arc<InMemoryDocs> {
 
 #[test]
 fn flwor_join_matches_nested_loop() {
-    let (mut empty, mut joined, mut failed) = (0, 0, 0);
+    let (mut empty, mut joined, mut failed, mut called) = (0, 0, 0, 0);
     for seed in seeds("JOIN_SEED", 12) {
         let mut rng = StdRng::seed_from_u64(seed);
         let store = store(&mut rng);
         let msg = message_items(&store);
-        let on = Environment::new(store.clone());
-        let mut off = Environment::new(store.clone());
+        let (on, on_callee) = with_callee(&store);
+        let (mut off, off_callee) = with_callee(&store);
         off.join_index = false;
         for _ in 0..40 {
             let q = query(&mut rng);
-            let want = run(&off, &q, &msg);
-            let got = run(&on, &q, &msg);
-            assert_eq!(got, want, "JOIN_SEED={seed}: {q}");
-            match want {
-                Ok(r) if r.is_empty() => empty += 1,
+            let want = run(&off, &off_callee, &q, &msg, false);
+            let got = run(&on, &on_callee, &q, &msg, false);
+            assert_eq!(got.answer, want.answer, "JOIN_SEED={seed}: {q}");
+            assert_eq!(got.calls, want.calls, "JOIN_SEED={seed}: {q}");
+            // set at a time, the lifted plan may meet another of the errors
+            // first: all `where`s, say, before any `return`
+            let lifted = run(&on, &on_callee, &q, &msg, true);
+            if !(lifted.answer.is_err() && want.answer.is_err()) {
+                assert_eq!(lifted.answer, want.answer, "JOIN_SEED={seed}, lifted: {q}");
+            }
+            called += !want.calls.is_empty() as usize;
+            match want.answer {
+                // the count of distinct nodes alone
+                Ok(r) if r.len() == 1 => empty += 1,
                 Ok(_) => joined += 1,
                 Err(_) => failed += 1,
             }
         }
     }
-    // the grid reaches matches, empty answers and errors
+    // the grid reaches matches, empty answers, errors and calls
     assert!(
-        joined > 0 && empty > 0 && failed > 0,
-        "{joined} {empty} {failed}"
+        joined > 0 && empty > 0 && failed > 0 && called > 0,
+        "{joined} {empty} {failed} {called}"
     );
 }
 
@@ -388,11 +418,37 @@ struct Run {
     requests: usize,
 }
 
-/// `query` on the loop-lifted engine.
-fn run_lifted(env: &Environment, callee: &Callee, query: &str) -> Run {
+/// An environment over `store` whose peer `xrpc://b` is a [`Callee`] of
+/// its own. Module `r` is registered here too: its functions are known
+/// read-only.
+fn with_callee(store: &Arc<InMemoryDocs>) -> (Environment, Arc<Callee>) {
+    let remote = Environment::new(store.clone());
+    for m in REMOTE_MODULES {
+        remote.modules.register_source(m).unwrap();
+    }
+    let callee = Arc::new(Callee {
+        env: remote,
+        log: Mutex::new(Vec::new()),
+        requests: AtomicUsize::new(0),
+    });
+    let mut env = Environment::new(store.clone());
+    env.modules.register_source(REMOTE_MODULES[0]).unwrap();
+    env.dispatcher = Some(callee.clone());
+    (env, callee)
+}
+
+/// `query` on the tree engine, or on the loop-lifted one, with `$msg`
+/// bound to `msg`.
+fn run(env: &Environment, callee: &Callee, query: &str, msg: &Sequence, lifted: bool) -> Run {
     callee.log.lock().unwrap().clear();
     callee.requests.store(0, Ordering::Relaxed);
-    let r = xrpc_repro::relalg::execute_rel(query, env);
+    let external = vec![("msg".to_string(), msg.clone())];
+    let r = if lifted {
+        xrpc_repro::xqast::parse_main_module(query)
+            .and_then(|m| xrpc_repro::relalg::engine::execute_rel_parsed(&m, env, external))
+    } else {
+        evaluate_main_with_vars(query, env, external)
+    };
     let mut calls = std::mem::take(&mut *callee.log.lock().unwrap());
     calls.sort();
     Run {
@@ -429,18 +485,7 @@ fn optimizer_on_matches_off_and_sends_no_more_calls() {
         let mut rng = StdRng::seed_from_u64(seed);
         let store = store(&mut rng);
         let callee = |optimize: bool| {
-            let remote = Environment::new(store.clone());
-            for m in REMOTE_MODULES {
-                remote.modules.register_source(m).unwrap();
-            }
-            let callee = Arc::new(Callee {
-                env: remote,
-                log: Mutex::new(Vec::new()),
-                requests: AtomicUsize::new(0),
-            });
-            let mut env = Environment::new(store.clone());
-            env.modules.register_source(REMOTE_MODULES[0]).unwrap();
-            env.dispatcher = Some(callee.clone());
+            let (mut env, callee) = with_callee(&store);
             env.rpc_optimize = optimize;
             (env, callee)
         };
@@ -451,8 +496,8 @@ fn optimizer_on_matches_off_and_sends_no_more_calls() {
                 "import module namespace r = \"urn:r\"; import module namespace u = \"urn:u\";\n\
                  declare namespace p = \"urn:p\"; declare namespace q = \"urn:p\";{HIDDEN_CALLS}\n{body}"
             );
-            let plain = run_lifted(&off, &off_callee, &q);
-            let optimized = run_lifted(&on, &on_callee, &q);
+            let plain = run(&off, &off_callee, &q, &Sequence::empty(), true);
+            let optimized = run(&on, &on_callee, &q, &Sequence::empty(), true);
             assert_eq!(optimized.answer, plain.answer, "OPT_SEED={seed}: {q}");
             let (some, all) = (&optimized.calls, &plain.calls);
             assert!(
