@@ -10,7 +10,7 @@ use std::sync::Arc;
 use xdm::{Item, Sequence, XdmError, XdmResult};
 use xqast::{Expr, FlworClause, FunctionDecl, MainModule, Name};
 use xqeval::context::{Environment, StaticContext};
-use xqeval::eval::{check_arguments, check_result, convert_arguments, in_frame};
+use xqeval::eval::{convert_arguments, convert_result, in_frame};
 use xqeval::eval::{Ctx, EvalState, Evaluator, HashJoin, JoinPath};
 use xqeval::pul::PendingUpdateList;
 
@@ -74,18 +74,19 @@ fn execute_rel_with(
 }
 
 /// Evaluate `decl` once for a whole table of calls — how a peer serves a
-/// read-only Bulk RPC request. Each parameter becomes one `iter|pos|item`
-/// table over calls `1..=n` and the body runs through the lifted evaluator,
-/// so a selection in the body is one join over all calls instead of `n`
-/// selections; whatever the lifted translation has no operator for still
-/// runs per call on `tree`. Returns one result per call, in call order.
+/// request, of one call or many, updating or not. Each parameter becomes
+/// one `iter|pos|item` table over calls `1..=n` and the body runs through
+/// the lifted evaluator, so a selection in the body is one join over all
+/// calls instead of `n` selections; whatever the lifted translation has no
+/// operator for still runs per call on `tree`. Returns one result per call,
+/// in call order, and the calls' ∆, in call order.
 ///
-/// Errors: a call whose arguments do not convert, or whose result is not
-/// of the declared return type, fails the request, but only after the
-/// calls before it have been evaluated (one of them failing takes
-/// precedence, as it would in a loop over the calls). Among several calls
-/// that fail *during* evaluation the lifted plan reports the first one it
-/// meets, operator by operator — not necessarily the lowest-numbered.
+/// Errors: a call whose arguments or result do not convert to the declared
+/// types ([`convert_arguments`], [`convert_result`]) fails the request, but
+/// only after the calls before it have been evaluated (one of them failing
+/// takes precedence, as it would in a loop over the calls). Among several
+/// calls that fail *during* evaluation the lifted plan reports the first one
+/// it meets, operator by operator — not necessarily the lowest-numbered.
 pub fn eval_calls(
     tree: &Evaluator,
     decl: &FunctionDecl,
@@ -93,14 +94,9 @@ pub fn eval_calls(
 ) -> XdmResult<(Vec<Sequence>, PendingUpdateList)> {
     let engine = RelEngine { tree: tree.clone() };
     let mut st = EvalState::new();
-    let results = engine.eval_calls(decl, calls, convert_arguments, &mut st)?;
+    let results = engine.eval_calls(decl, calls, &mut st)?;
     Ok((results, st.pul))
 }
-
-/// How a table of calls binds a function's parameters: by XRPC's
-/// conversion ([`convert_arguments`]), or as a call in a query does
-/// ([`check_arguments`]).
-type Convert = fn(&FunctionDecl, Vec<Sequence>) -> XdmResult<Vec<Sequence>>;
 
 /// Loop-lifted evaluation environment: the current loop relation and the
 /// lifted variable representations bound inside it.
@@ -576,20 +572,18 @@ impl<'e> RelEngine<'e> {
         Ok(SeqTable::merge_union(mapped))
     }
 
-    /// [`eval_calls`] on this engine's evaluator, the parameters bound by
-    /// `convert`, in `st`: as a function body ([`in_frame`]), and not at
-    /// all for no calls.
+    /// [`eval_calls`] on this engine's evaluator, in `st`: as a function
+    /// body ([`in_frame`]), and not at all for no calls.
     fn eval_calls(
         &self,
         decl: &FunctionDecl,
         calls: Vec<Vec<Sequence>>,
-        convert: Convert,
         st: &mut EvalState,
     ) -> XdmResult<Vec<Sequence>> {
         let mut params: Vec<SeqTable> = decl.params.iter().map(|_| SeqTable::new()).collect();
         let (mut n, mut unbound) = (0, None);
         for args in calls {
-            match convert(decl, args) {
+            match convert_arguments(decl, args) {
                 Ok(values) => {
                     n += 1;
                     params
@@ -603,19 +597,19 @@ impl<'e> RelEngine<'e> {
                 }
             }
         }
-        let calls: Vec<u32> = (1..=n).collect();
         let names = decl.params.iter().map(|(name, _)| name.key().clone());
-        let vars = names.zip(params).collect();
         let lenv = Lifted {
-            loop_iters: calls.clone(),
-            vars,
+            loop_iters: (1..=n).collect(),
+            vars: names.zip(params).collect(),
         };
         let results = match n {
             0 => Vec::new(),
             _ => in_frame(&self.tree, st, |st| self.eval_lifted(&decl.body, &lenv, st))?
-                .into_sequences(&calls),
+                .into_sequences(&lenv.loop_iters),
         };
-        results.iter().try_for_each(|r| check_result(decl, r))?;
+        let results = (results.into_iter())
+            .map(|r| convert_result(decl, r))
+            .collect::<XdmResult<_>>()?;
         unbound.map_or(Ok(results), Err)
     }
 
@@ -652,7 +646,7 @@ impl<'e> RelEngine<'e> {
             let n = lenv.loop_iters.len() as u64;
             self.tree.env.functions_called.fetch_add(n, Relaxed);
             let body = RelEngine { tree: udf.body_ev };
-            let results = body.eval_calls(&udf.decl, rows.collect(), check_arguments, st)?;
+            let results = body.eval_calls(&udf.decl, rows.collect(), st)?;
             return Ok(SeqTable::from_sequences(
                 lenv.loop_iters.iter().copied().zip(results),
             ));
@@ -734,9 +728,13 @@ impl<'e> RelEngine<'e> {
     /// Would evaluating `e` lifted do anything set-at-a-time — a remote
     /// call to batch, a join to probe, a map to run over a loop's columns —
     /// somewhere the lifted translation reaches? If not, the per-iteration
-    /// fallback does the same work with less ceremony.
+    /// fallback does the same work with less ceremony. Nor is what may
+    /// leave a ∆ here lifted: operator by operator, its updates would join
+    /// the PUL out of iteration (call) order; per iteration they join it in
+    /// order, as on the tree engine.
     fn lifts(&self, e: &Expr) -> bool {
-        self.tree.summary([e]).sites > 0 || self.joins(e)
+        let effects = self.tree.summary([e]);
+        !effects.delta && (effects.sites > 0 || self.joins(e))
     }
 
     /// [`lifts`](Self::lifts) for an `e` that calls no peer.

@@ -343,6 +343,40 @@ fn updates_collect_in_pul_through_rel_engine() {
     assert_eq!(pul.len(), 2);
 }
 
+/// A loop whose body updates here and calls a peer leaves its ∆ in
+/// iteration order, as the tree engine does, where XQUF leaves the order
+/// open (several inserts into one target).
+#[test]
+fn a_loop_leaves_its_delta_in_iteration_order() {
+    let q = r#"import module namespace t = "test";
+        declare updating function local:u($n) {
+          (execute at {"xrpc://y"} {t:echoVoid()},
+           insert node <e n="{$n}"/> into doc("d.xml")/r,
+           insert node <f n="{$n}"/> into doc("d.xml")/r) };
+        for $i in (1, 2, 3) return local:u($i)"#;
+    let inserted = |lifted: bool| {
+        let docs = InMemoryDocs::new();
+        docs.insert("d.xml", xmldom::parse("<r/>").unwrap());
+        let mut env = Environment::new(Arc::new(docs));
+        env.modules.register_source(TEST_MODULE).unwrap();
+        env.dispatcher = Some(Arc::new(RecordingDispatcher::new(&["y"])));
+        let run = if lifted { execute_rel } else { evaluate_main };
+        let (_, pul) = run(q, &env).unwrap();
+        (pul.primitives.iter())
+            .map(|p| match p {
+                xqeval::pul::UpdatePrimitive::InsertInto { content, .. } => content[0].to_xml(),
+                other => panic!("{other:?}"),
+            })
+            .collect::<Vec<_>>()
+            .join("")
+    };
+    let want = r#"<e n="1"/><f n="1"/><e n="2"/><f n="2"/><e n="3"/><f n="3"/>"#;
+    assert_eq!(
+        (inserted(false), inserted(true)),
+        (want.into(), want.into())
+    );
+}
+
 #[test]
 fn rpc_optimize_hoists_invariant_call() {
     // with the optimizer flag on, a loop-invariant call goes out ONCE
@@ -750,6 +784,26 @@ fn an_inlined_call_answers_as_the_tree_engines_call_does() {
         (
             format!("declare function local:g($x) as xs:string {{ ($x, {G}) }}; local:g({G})"),
             Err("XPTY0004"),
+        ),
+        // function conversion: numeric promotion of a parameter and of a
+        // return value; an untyped node cast to the parameter's type, with
+        // the cast's own code when it fails
+        (
+            format!("declare function local:d($x as xs:double) {{ ($x instance of xs:double, {G}) }}; local:d(1)"),
+            Ok("true|2"),
+        ),
+        (
+            format!("declare function local:r() as xs:double+ {{ (1, {G}) }};
+            for $i in (1, 2) let $r := local:r() return $r instance of xs:double+"),
+            Ok("true|true"),
+        ),
+        (
+            format!("declare function local:i($x as xs:integer) {{ ($x + 1, {G}) }}; local:i(<n>5</n>)"),
+            Ok("6|2"),
+        ),
+        (
+            format!("declare function local:i($x as xs:integer) {{ ($x + 1, {G}) }}; local:i(<n>five</n>)"),
+            Err("FORG0001"),
         ),
         // a body sees its parameters and the prolog, not its caller's
         // variables

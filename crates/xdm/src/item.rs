@@ -78,10 +78,9 @@ impl Item {
             (Item::Atomic(a), ItemKind::Atomic(t)) => {
                 let at = a.atomic_type();
                 at == *t
-                    // derived numeric acceptance: integer is a decimal
+                    // derived type: an integer is a decimal (promotion is
+                    // function conversion's, not matching's)
                     || (*t == AtomicType::Decimal && at == AtomicType::Integer)
-                    // strings accept anyURI (promotion)
-                    || (*t == AtomicType::String && at == AtomicType::AnyUri)
             }
             (Item::Node(_), ItemKind::AnyNode) => true,
             (Item::Node(n), ItemKind::Element(name)) => {

@@ -11,7 +11,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, OnceLock};
 use xdm::atomic::AtomicValue;
 use xdm::ops;
-use xdm::types::AtomicType;
+use xdm::types::{AtomicType, ItemKind, SeqType};
 use xdm::{Item, Sequence, XdmError, XdmResult};
 use xmldom::order::{cmp_handles, sort_dedup};
 use xmldom::{axes, Document, NodeHandle, NodeKind, QName};
@@ -309,8 +309,9 @@ fn evaluate_with(
 /// Evaluate the prolog's variable declarations into `st`. External
 /// variables (`declare variable $x external`) take the caller-supplied
 /// binding already pushed into `st` — the parameter channel of a
-/// prepared query — coerced to the declared type by the function
-/// conversion rules; an unbound external without a default errors.
+/// prepared query — coerced to the declared type by the host channel's
+/// cast rule (`coerce_to_declared`), not by XQuery's function conversion;
+/// an unbound external without a default errors.
 pub fn eval_prolog_vars(ev: &Evaluator, module: &MainModule, st: &mut EvalState) -> XdmResult<()> {
     for decl in &module.prolog.variables {
         st.globals = st.vars.len();
@@ -336,18 +337,15 @@ pub fn eval_prolog_vars(ev: &Evaluator, module: &MainModule, st: &mut EvalState)
     Ok(())
 }
 
-/// Function-conversion-style coercion for externally bound values and
-/// for the parameters of an XRPC call: accept as-is when the declared type
-/// matches, else atomize + cast for atomic target types.
-pub fn coerce_to_declared(
-    value: Sequence,
-    ty: Option<&xdm::types::SeqType>,
-) -> XdmResult<Sequence> {
+/// The host channel's cast rule for an external variable's binding: kept
+/// as-is when it matches the declared type, else every item atomized and
+/// cast to an atomic declared type.
+fn coerce_to_declared(value: Sequence, ty: Option<&SeqType>) -> XdmResult<Sequence> {
     let Some(t) = ty else { return Ok(value) };
     if value.check_type(t).is_ok() {
         return Ok(value);
     }
-    if let xdm::types::ItemKind::Atomic(at) = &t.kind {
+    if let ItemKind::Atomic(at) = &t.kind {
         let items: XdmResult<Vec<Item>> = value
             .iter()
             .map(|i| i.atomize().cast_to(*at).map(Item::Atomic))
@@ -360,23 +358,61 @@ pub fn coerce_to_declared(
     unreachable!()
 }
 
-/// The values a call binds `decl`'s parameters to: the actual arguments
-/// under the function conversion rules (what an XRPC callee does with the
-/// parameters of each `xrpc:call`).
-pub fn convert_arguments(decl: &FunctionDecl, args: Vec<Sequence>) -> XdmResult<Vec<Sequence>> {
-    if args.len() != decl.params.len() {
-        return Err(XdmError::type_error(format!(
-            "function {} expects {} arguments, got {}",
-            decl.name.lexical(),
-            decl.params.len(),
-            args.len()
-        )));
+/// XQuery 1.0 §3.1.5's function conversion rules: `value` as a value of
+/// `ty`. For an atomic expected type it is atomized, each `xs:untypedAtomic`
+/// cast to that type (a failed cast keeps its own code) and each numeric or
+/// `xs:anyURI` value promoted to it; then it must match `ty` (XPTY0004).
+pub fn convert(value: Sequence, ty: &SeqType) -> XdmResult<Sequence> {
+    use AtomicType as T;
+    let ItemKind::Atomic(want) = ty.kind else {
+        return value.check_type(ty).map(|()| value);
+    };
+    if value.check_type(ty).is_ok() {
+        return Ok(value);
     }
-    decl.params
-        .iter()
-        .zip(args)
-        .map(|((_, ty), value)| coerce_to_declared(value, ty.as_ref()))
+    let converted = value.iter().map(|item| {
+        let a = item.atomize();
+        match (a.atomic_type(), want) {
+            (T::UntypedAtomic, _)
+            | (T::Integer | T::Decimal, T::Float | T::Double)
+            | (T::Float, T::Double)
+            | (T::AnyUri, T::String) => a.cast_to(want).map(Item::Atomic),
+            _ => Ok(Item::Atomic(a)),
+        }
+    });
+    let s = converted.collect::<XdmResult<Sequence>>()?;
+    s.check_type(ty).map(|()| s)
+}
+
+/// The values a call binds `decl`'s parameters to: the actual arguments
+/// under the function conversion rules ([`convert`]), whether the call is
+/// written in a query or served to a peer.
+pub fn convert_arguments(decl: &FunctionDecl, args: Vec<Sequence>) -> XdmResult<Vec<Sequence>> {
+    let name = || decl.name.lexical();
+    if args.len() != decl.params.len() {
+        let (want, got) = (decl.params.len(), args.len());
+        let why = format!("function {} expects {want} arguments, got {got}", name());
+        return Err(XdmError::type_error(why));
+    }
+    (decl.params.iter().zip(args))
+        .map(|((p, ty), value)| match ty {
+            None => Ok(value),
+            Some(t) => convert(value, t).map_err(|e| XdmError {
+                message: format!("parameter ${} of {}: {}", p.lexical(), name(), e.message),
+                ..e
+            }),
+        })
         .collect()
+}
+
+/// `result` of a call of `f` under the function conversion rules for its
+/// declared return type (XQuery 1.0 §4.15).
+pub fn convert_result(f: &FunctionDecl, result: Sequence) -> XdmResult<Sequence> {
+    let Some(rt) = &f.ret else { return Ok(result) };
+    convert(result, rt).map_err(|e| XdmError {
+        message: format!("return value of {}: {}", f.name.lexical(), e.message),
+        ..e
+    })
 }
 
 impl<'e> Evaluator<'e> {
@@ -1453,8 +1489,8 @@ impl<'e> Evaluator<'e> {
     }
 
     /// Run `body` as the body of `udf` called with `actuals`, with the
-    /// parameters type-checked and bound, on the evaluator of the callee's
-    /// module (see [`in_frame`]).
+    /// parameters converted ([`convert_arguments`]) and bound, on the
+    /// evaluator of the callee's module (see [`in_frame`]).
     fn in_udf_frame<T>(
         &self,
         udf: &Udf,
@@ -1463,7 +1499,7 @@ impl<'e> Evaluator<'e> {
         body: impl FnOnce(&Evaluator, &mut EvalState) -> XdmResult<T>,
     ) -> XdmResult<T> {
         in_frame(&udf.body_ev, st, |st| {
-            let values = check_arguments(&udf.decl, actuals)?;
+            let values = convert_arguments(&udf.decl, actuals)?;
             for ((pname, _), value) in udf.decl.params.iter().zip(values) {
                 st.bind(pname, value);
             }
@@ -1481,8 +1517,7 @@ impl<'e> Evaluator<'e> {
         let result = self.in_udf_frame(udf, actuals, st, |sub, st| {
             sub.eval(&f.body, st, &Ctx::none())
         })?;
-        check_result(f, &result)?;
-        Ok(result)
+        convert_result(f, result)
     }
 
     // ------------------------------------------------------------------
@@ -1733,7 +1768,7 @@ impl<'e> Evaluator<'e> {
                 &format!("cardinality {items} does not match {rt}"),
             ));
         }
-        if atomics > 0 && rt.kind == xdm::types::ItemKind::AnyNode {
+        if atomics > 0 && rt.kind == ItemKind::AnyNode {
             return Err(return_type_error(f, &format!("item does not match {rt}")));
         }
         Ok(())
@@ -1976,7 +2011,6 @@ impl Udf<'_> {
     /// and atomic values the body pushed (none, `item()` or `node()` with
     /// any occurrence)? Anything richer needs the value.
     fn return_type_counts(&self) -> bool {
-        use xdm::types::ItemKind;
         self.decl
             .ret
             .as_ref()
@@ -1986,28 +2020,6 @@ impl Udf<'_> {
 
 fn return_type_error(f: &FunctionDecl, what: &str) -> XdmError {
     XdmError::type_error(format!("return value of {}: {what}", f.name.lexical()))
-}
-
-/// `result` checked against `f`'s declared return type.
-pub fn check_result(f: &FunctionDecl, result: &Sequence) -> XdmResult<()> {
-    let Some(rt) = &f.ret else { return Ok(()) };
-    result
-        .check_type(rt)
-        .map_err(|e| return_type_error(f, &e.message))
-}
-
-/// The values a call of a declared function written in a query binds its
-/// parameters to: the actual arguments, each of its declared type.
-pub fn check_arguments(f: &FunctionDecl, args: Vec<Sequence>) -> XdmResult<Vec<Sequence>> {
-    for ((pname, pty), value) in f.params.iter().zip(&args) {
-        if let Some(Err(e)) = pty.as_ref().map(|t| value.check_type(t)) {
-            let (p, name, why) = (pname.lexical(), f.name.lexical(), e.message);
-            return Err(XdmError::type_error(format!(
-                "parameter ${p} of {name}: {why}"
-            )));
-        }
-    }
-    Ok(args)
 }
 
 /// Run `body` as a function body: under the recursion limit and the

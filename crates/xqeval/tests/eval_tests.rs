@@ -283,6 +283,78 @@ fn casts_and_instance() {
     assert_eq!(eval_str(&env, "3.5 instance of xs:decimal"), "true");
     assert_eq!(eval_str(&env, "(1, 2) instance of xs:integer+"), "true");
     assert_eq!(eval_str(&env, "() instance of xs:integer?"), "true");
+    // a value of a derived type matches its base type; nothing matches by
+    // promotion
+    for (q, want) in [
+        // the numeric lattice: an integer is a decimal, not a double
+        ("1 instance of xs:integer", "true"),
+        ("1 instance of xs:decimal", "true"),
+        ("1.0 instance of xs:integer", "false"),
+        ("1e0 instance of xs:double", "true"),
+        ("1 instance of xs:double", "false"),
+        // the string family, made by `cast as`
+        ("'a' instance of xs:string", "true"),
+        ("('p' cast as xs:QName) instance of xs:QName", "true"),
+        (
+            "('http://x' cast as xs:anyURI) instance of xs:anyURI",
+            "true",
+        ),
+        ("('a' cast as xs:anyURI) instance of xs:string", "false"),
+        (
+            "typeswitch ('a' cast as xs:anyURI) case xs:string return 's' default return 'o'",
+            "o",
+        ),
+    ] {
+        assert_eq!(eval_str(&env, q), want, "{q}");
+    }
+    let treat = evaluate_main("'a' treat as xs:integer", &env);
+    assert_eq!(treat.unwrap_err().code, "XPTY0004");
+}
+
+/// XQuery 1.0 §3.1.5's function conversion, for a parameter and for a
+/// declared return type alike.
+#[test]
+fn a_call_converts_its_arguments_and_result() {
+    let env = env_with(&[]);
+    for (q, want) in [
+        // numeric promotion of a parameter and of a return value
+        (
+            "declare function local:d($x as xs:double) { $x instance of xs:double }; local:d(1)",
+            Ok("true"),
+        ),
+        (
+            "declare function local:d($x as xs:double) { $x + 1 }; local:d(1)",
+            Ok("2"),
+        ),
+        (
+            "declare function local:r() as xs:double { 1 }; local:r() instance of xs:double",
+            Ok("true"),
+        ),
+        // an untyped node is cast to the parameter's type, and a cast that
+        // fails keeps its own code
+        (
+            "declare function local:i($x as xs:integer) { $x + 1 }; local:i(<n>5</n>)",
+            Ok("6"),
+        ),
+        (
+            "declare function local:i($x as xs:integer) { $x + 1 }; local:i(<n>five</n>)",
+            Err("FORG0001"),
+        ),
+        // a URI is promoted to the string a parameter asks for
+        (
+            "declare function local:s($x as xs:string) { $x instance of xs:string }; \
+             local:s('a' cast as xs:anyURI)",
+            Ok("true"),
+        ),
+        // a value of another type is not cast
+        (
+            "declare function local:s($x as xs:string) { $x }; local:s(2)",
+            Err("XPTY0004"),
+        ),
+    ] {
+        let got = evaluate_main(q, &env).map(|(r, _)| serialize(&r));
+        assert_eq!(got.as_deref().map_err(|e| &*e.code), want, "{q}");
+    }
 }
 
 #[test]

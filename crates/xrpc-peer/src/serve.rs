@@ -1,7 +1,7 @@
 //! RPC serving: one incoming SOAP message in, one SOAP message out —
 //! envelope decode, dispatch (control / document fetch / function call),
-//! the call loop or the set-at-a-time evaluation of a Bulk request, and the
-//! ∆ a deferred updating call leaves on the query's snapshot.
+//! the set-at-a-time evaluation of a request's calls, and the ∆ a deferred
+//! updating call leaves on the query's snapshot.
 
 use crate::peer::{budget_token, Peer, PreparedFunction};
 use crate::store::QuerySnapshot;
@@ -11,11 +11,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xdm::{Item, Sequence, XdmError, XdmResult};
-use xqast::FunctionDecl;
 use xqeval::context::{CancelToken, DocResolver};
-use xqeval::eval::{Ctx, EvalState, Evaluator};
+use xqeval::eval::Evaluator;
 use xqeval::modules::CompiledModule;
-use xqeval::pul::PendingUpdateList;
 use xrpc_obs::{time_phase, Phase, ProfileCollector};
 use xrpc_proto::{parse_message, UpdCall, XrpcFault, XrpcMessage, XrpcRequest, XrpcResponse};
 
@@ -250,48 +248,30 @@ impl Peer {
         );
         let ev = Evaluator::new(&env, prepared.sctx.clone());
 
-        // A read-only bulk request is evaluated set-at-a-time: the calls
-        // become one `iter|pos|item` table per parameter and the body runs
-        // once over it (`relalg::eval_calls`), so a selection in the body
-        // is one join over the request, not one selection per call — in one
-        // piece, on the worker that took the request. Updating requests
-        // stay a sequential loop — ∆s must compose in call order (XQUF
-        // merge rules) — and so does a single call, which has nothing to
-        // share.
+        // A request is evaluated set-at-a-time: the calls become one
+        // `iter|pos|item` table per parameter and the body runs once over it
+        // (`relalg::eval_calls`), so a selection in the body is one join over
+        // the request, not one selection per call — in one piece, on the
+        // worker that took the request. An updating body that calls no peer
+        // leaves its ∆ in call order, as a loop over the calls would.
         let calls = std::mem::take(&mut req.calls);
-        let ncalls = calls.len();
         let nested = &crate::client::CALL_PHASES;
         let (outcome, _) = time_phase(collector.as_deref(), Phase::Execute, nested, || {
-            if !updating && ncalls > 1 {
-                relalg::eval_calls(&ev, &prepared.decl, calls)
-            } else {
-                let mut results = Vec::with_capacity(ncalls);
-                let mut pul = PendingUpdateList::new();
-                calls
-                    .into_iter()
-                    .try_for_each(|args| {
-                        let mut st = EvalState::new();
-                        bind_params(&prepared.decl, args, &mut st)?;
-                        let r = ev.eval(&prepared.decl.body, &mut st, &Ctx::none())?;
-                        xqeval::eval::check_result(&prepared.decl, &r)?;
-                        // an updating function's result is empty by XQUF; a
-                        // non-updating one must not update, but `fn:put` is
-                        // tolerated, so its ∆ is kept either way
-                        results.push(if updating { Sequence::empty() } else { r });
-                        pul.merge(st.pul);
-                        Ok(())
-                    })
-                    .map(|()| (results, pul))
-            }
+            relalg::eval_calls(&ev, &prepared.decl, calls)
         });
         self.stats.absorb(&env);
         // Evaluation is side-effect-free up to the PUL, which is only
         // applied below: a failing call fails the request as a whole.
-        let (results, mut pul_total) = outcome.inspect_err(|e: &XdmError| {
+        let (mut results, mut pul_total) = outcome.inspect_err(|e: &XdmError| {
             if e.code == "XRPC0004" || e.code == "XRPC0005" {
                 self.note_cancellation(&e.code, deadline);
             }
         })?;
+        // an updating function's result is empty by XQUF; a non-updating one
+        // must not update, but `fn:put` is tolerated, so its ∆ is kept
+        if updating {
+            results.fill(Sequence::empty());
+        }
 
         match (&snap, pul_total.is_empty()) {
             (_, true) => {}
@@ -386,15 +366,4 @@ impl Peer {
             sctx: module.sctx.clone(),
         })
     }
-}
-
-/// Bind actual parameters with the XQuery function-conversion rules:
-/// untyped atomics cast to the declared atomic type, otherwise the value
-/// must match the declared sequence type.
-fn bind_params(decl: &FunctionDecl, args: Vec<Sequence>, st: &mut EvalState) -> XdmResult<()> {
-    let values = xqeval::eval::convert_arguments(decl, args)?;
-    for ((pname, _), value) in decl.params.iter().zip(values) {
-        st.bind(pname, value);
-    }
-    Ok(())
 }

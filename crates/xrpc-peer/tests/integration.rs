@@ -484,8 +484,7 @@ fn wrapper_peer_services_bulk_from_rel_peer() {
     assert_eq!(wrapper.phases().requests, 1);
 }
 
-/// Updating bulk requests stay one sequential loop: their ∆s must
-/// compose in call order.
+/// An updating bulk request's ∆s compose in call order.
 #[test]
 fn updating_bulk_stays_sequential_under_a_warm_controller() {
     use std::sync::atomic::Ordering::Relaxed;

@@ -109,7 +109,12 @@ fn nested_execute_chain_assembles_one_profile() {
     assert_eq!(o_exec.timed_calls, 1, "full mode times every call");
     assert!(o_exec.wall_micros > 0, "remote round-trip took time");
     assert!(o_exec.bytes > 0, "wire bytes attributed to the dispatch");
-    assert!(find_op(&a_hop.ops, "xq:execute-at").is_some(), "{a_hop:#?}");
+    // a callee evaluates a request on the lifted engine: a remote call is
+    // `rel:execute-at`, the rest the tree engine's operators in a fallback
+    assert!(
+        find_op(&a_hop.ops, "rel:execute-at").is_some(),
+        "{a_hop:#?}"
+    );
     let b_path = find_op(&b_hop.ops, "xq:path-step").expect("leaf path step at b");
     assert!(b_path.calls >= 1);
     assert_eq!(b_path.items, 3, "//item produced three items");
