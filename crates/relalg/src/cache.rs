@@ -117,13 +117,8 @@ impl<K: Eq + Hash + Clone, P> PlanCache<K, P> {
             self.misses.fetch_add(1, Relaxed);
             return Ok(Arc::new(prepare()?));
         }
-        {
-            let mut plans = self.plans.lock();
-            if let Some(e) = plans.get_mut(&key) {
-                e.touched = self.tick.fetch_add(1, Relaxed) + 1;
-                self.hits.fetch_add(1, Relaxed);
-                return Ok(e.plan.clone());
-            }
+        if let Some(plan) = self.get(&key) {
+            return Ok(plan);
         }
         self.misses.fetch_add(1, Relaxed);
         // Build outside the lock: preparation may be slow (a parse), and
@@ -140,6 +135,19 @@ impl<K: Eq + Hash + Clone, P> PlanCache<K, P> {
         );
         self.evict_to_capacity(&mut plans);
         Ok(plan)
+    }
+
+    /// The prepared plan if the cache holds it, counted as a hit; `None`
+    /// builds nothing and counts nothing.
+    pub fn get(&self, key: &K) -> Option<Arc<P>> {
+        if !self.is_enabled() {
+            return None;
+        }
+        let mut plans = self.plans.lock();
+        let e = plans.get_mut(key)?;
+        e.touched = self.tick.fetch_add(1, Relaxed) + 1;
+        self.hits.fetch_add(1, Relaxed);
+        Some(e.plan.clone())
     }
 
     /// Peek without counting or inserting (tests/diagnostics).

@@ -293,6 +293,32 @@ fn let_bound_rpc_result_used_in_predicate() {
     assert_eq!(log[0].1, 3);
 }
 
+/// The constructor functions on the lifted engine: once, and once per
+/// iteration of a loop.
+#[test]
+fn constructor_functions_cast_their_argument() {
+    let env = local_env(Arc::new(RecordingDispatcher::new(&["y"])));
+    for (q, want) in [
+        ("xs:integer('5')", Ok("5")),
+        ("xs:string(1)", Ok("1")),
+        ("count(xs:integer(()))", Ok("0")),
+        ("for $s in ('1', '2') return xs:integer($s) + 1", Ok("2|3")),
+        (
+            "for $i in (1, 2) return xs:string($i) instance of xs:string",
+            Ok("true|true"),
+        ),
+        ("xs:integer('x')", Err("FORG0001")),
+        (
+            "for $s in ('1', 'x') return xs:integer($s)",
+            Err("FORG0001"),
+        ),
+        ("xs:frobnicate(1)", Err("XPST0017")),
+    ] {
+        let got = execute_rel(q, &env).map(|(r, _)| serialize(&r));
+        assert_eq!(got.as_deref().map_err(|e| &*e.code), want, "{q}");
+    }
+}
+
 #[test]
 fn rel_and_tree_engines_agree_on_xrpc_free_queries() {
     let disp = Arc::new(RecordingDispatcher::new(&["y"]));

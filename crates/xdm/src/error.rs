@@ -107,6 +107,14 @@ impl XdmError {
     pub fn xrpc_outcome_unknown(message: impl Into<String>) -> Self {
         Self::new("XRPC0006", message)
     }
+
+    /// XRPC deferred: a request answered on the server's reactor thread
+    /// tried to send a message, which that thread never waits on. The
+    /// request goes to a worker thread instead, so the code never reaches
+    /// a caller; never retried.
+    pub fn xrpc_deferred(message: impl Into<String>) -> Self {
+        Self::new("XRPC0007", message)
+    }
 }
 
 impl fmt::Display for XdmError {
@@ -137,5 +145,6 @@ mod tests {
         assert_eq!(XdmError::xrpc_deadline("x").code, "XRPC0004");
         assert_eq!(XdmError::xrpc_cancelled("x").code, "XRPC0005");
         assert_eq!(XdmError::xrpc_outcome_unknown("x").code, "XRPC0006");
+        assert_eq!(XdmError::xrpc_deferred("x").code, "XRPC0007");
     }
 }

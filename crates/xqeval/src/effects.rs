@@ -121,6 +121,7 @@ impl Walk<'_> {
             (None | Some("local"), Some(decl)) => self.body(decl, scope),
             (None | Some("fn"), _) => return out.delta |= name.local == "put",
             (Some("xrpc"), _) => return,
+            (Some(_), _) if crate::eval::is_constructor(scope.0, name) => return,
             (Some(_), _) => match self.library(scope, name, arity) {
                 Some((decl, module)) => self.body(&decl, Scope(&module.sctx, None)),
                 None => Summary::ANYTHING,
@@ -322,6 +323,11 @@ mod tests {
         assert_eq!(summary("t:get()"), Summary::ANYTHING);
         let s = summary(r#"concat("a", xrpc:host("xrpc://b/x"))"#);
         assert!(s.is_quiet() && !s.constructs);
+        // a constructor function is a cast, not a library call
+        assert_eq!(
+            summary("xs:integer('5') + xs:double(1)"),
+            Summary::default()
+        );
     }
 
     /// The summary of a query's body, with `lib` registered.

@@ -1442,6 +1442,7 @@ impl<'e> Evaluator<'e> {
             Some(udf) => self.invoke_udf(&udf, actuals, st),
             None => match name.prefix.as_deref() {
                 Some("xrpc") => functions::call_xrpc_builtin(&name.local, actuals),
+                Some(_) if is_constructor(&self.sctx, name) => construct(name, actuals),
                 _ => functions::call_builtin(self, &name.local, actuals, st, ctx),
             },
         }
@@ -1449,7 +1450,7 @@ impl<'e> Evaluator<'e> {
 
     /// The declared function a call of `name` with `arity` arguments
     /// reaches — a main-module function or one of an imported module — or
-    /// `None` for the built-in library.
+    /// `None` for the built-in library and the constructor functions.
     pub fn callee(&self, name: &Name, arity: usize) -> XdmResult<Option<Udf<'e>>> {
         let local = |decl: &Arc<FunctionDecl>| Udf {
             decl: decl.clone(),
@@ -1459,6 +1460,15 @@ impl<'e> Evaluator<'e> {
             // a user-declared main-module function shadows the built-in
             None => Ok(self.local_functions.get(&name.local, arity).map(local)),
             Some("fn" | "xrpc") => Ok(None),
+            Some(_) if is_constructor(&self.sctx, name) => {
+                match (arity, AtomicType::from_xs_name(&name.local)) {
+                    (1, Some(_)) => Ok(None),
+                    _ => Err(XdmError::unknown_function(format!(
+                        "no constructor function {}#{arity}",
+                        name.lexical()
+                    ))),
+                }
+            }
             Some("local") => match self.local_functions.get(&name.local, arity) {
                 Some(decl) => Ok(Some(local(decl))),
                 None => Err(XdmError::unknown_function(format!(
@@ -2236,6 +2246,20 @@ pub fn value_compare(op: CompOp, a: Option<&Item>, b: Option<&Item>) -> XdmResul
     };
     let ord = a.atomize().value_cmp(&b.atomize())?;
     Ok(Some(Item::boolean(comp_matches(op, ord))))
+}
+
+/// Does `name` name a constructor function: is its prefix bound to the XML
+/// Schema namespace (XQuery 1.0 §3.12.5)?
+pub fn is_constructor(sctx: &StaticContext, name: &Name) -> bool {
+    let prefix = name.prefix.as_deref();
+    prefix.and_then(|p| sctx.resolve_prefix(p)) == Some(xmldom::qname::NS_XS)
+}
+
+/// The constructor function `xs:T($a)`, which is `$a cast as xs:T?`; the
+/// caller has checked its type and arity (`Evaluator::callee`).
+fn construct(name: &Name, actuals: Vec<Sequence>) -> XdmResult<Sequence> {
+    let target = AtomicType::from_xs_name(&name.local).expect("a known type");
+    Ok(sequence_of(cast(actuals[0].zero_or_one()?, target, true)?))
 }
 
 /// `cast as`: of the empty sequence it is empty where `?` allows that.

@@ -357,6 +357,29 @@ fn a_call_converts_its_arguments_and_result() {
     }
 }
 
+/// A constructor function is a cast to its type, the empty sequence
+/// allowed (XQuery 1.0 §3.12.5); a name the cast matrix does not know is no
+/// function at all.
+#[test]
+fn constructor_functions_cast_their_argument() {
+    let env = env_with(&[]);
+    for (q, want) in [
+        ("xs:integer('5')", Ok("5")),
+        ("xs:integer('5') + 1", Ok("6")),
+        ("xs:string(1)", Ok("1")),
+        ("xs:string(1) instance of xs:string", Ok("true")),
+        ("xs:double(<n>2.5</n>)", Ok("2.5")),
+        ("count(xs:integer(()))", Ok("0")),
+        ("xs:integer('x')", Err("FORG0001")),
+        ("xs:integer((1, 2))", Err("XPTY0004")),
+        ("xs:frobnicate(1)", Err("XPST0017")),
+        ("xs:integer(1, 2)", Err("XPST0017")),
+    ] {
+        let got = evaluate_main(q, &env).map(|(r, _)| serialize(&r));
+        assert_eq!(got.as_deref().map_err(|e| &*e.code), want, "{q}");
+    }
+}
+
 #[test]
 fn user_functions_in_prolog() {
     let env = env_with(&[]);

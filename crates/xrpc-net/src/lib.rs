@@ -25,7 +25,10 @@ pub mod sim;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use bufpool::{BufferPool, PoolStats};
-pub use cancel::{ambient_deadline, current_job, set_ambient_deadline, set_current_job};
+pub use cancel::{
+    ambient_deadline, current_job, defer, deferred, offer_next, on_reactor, set_ambient_deadline,
+    set_current_job, INLINE_BUDGET, INLINE_BYTES,
+};
 pub use http::{http_post, HttpConfig, HttpServer, HttpTransport};
 pub use metrics::NetMetrics;
 pub use pool::{ConnectionPool, PooledConn};

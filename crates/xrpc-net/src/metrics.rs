@@ -46,6 +46,12 @@ pub struct NetMetrics {
     /// them, counted when the handler returns with the kill flag set. Like
     /// [`jobs_orphaned`](Self::jobs_orphaned), outside the snapshot.
     pub jobs_cancelled: AtomicU64,
+    /// Reactor: requests its own thread answered, the handler having
+    /// offered them (`cancel::offer_next`). Each is also one
+    /// [`roundtrips`](Self::roundtrips); a request the handler deferred
+    /// counts only where a worker answers it. Outside the snapshot, like
+    /// [`jobs_orphaned`](Self::jobs_orphaned).
+    pub served_inline: AtomicU64,
     /// Reactor: time a parsed request waited in the dispatch queue
     /// before a worker picked it up (the admission-control signal).
     pub reactor_dispatch_micros: Histogram,
@@ -121,6 +127,10 @@ impl NetMetrics {
 
     pub fn record_job_cancelled(&self) {
         self.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub fn record_served_inline(&self) {
+        self.served_inline.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn snapshot(&self) -> MetricsSnapshot {

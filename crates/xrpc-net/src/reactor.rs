@@ -17,6 +17,15 @@
 //! and is answered at once; the connection then closes, as it does at end
 //! of stream while a request is being read.
 //!
+//! One request skips the hand-off: when the handler's last call on the
+//! connection offered the next one (`cancel::offer_next`) and its body is at
+//! most [`INLINE_BYTES`], the reactor calls the handler itself and writes
+//! the answer at once — two thread switches a call instead of four. The
+//! handler may give the request back (`cancel::defer`); it then goes to the
+//! workers unchanged. An inline call that panics is answered `500` and its
+//! connection closed; the reactor goes on. A handler that never offers is
+//! never called on the reactor.
+//!
 //! A read-side event while a request is out — a FIN, or a successor's
 //! bytes — switches read interest off until the response is written, so a
 //! half-closed client is answered without the level-triggered poll
@@ -44,6 +53,7 @@
 //! [`NetMetrics`].
 
 use crate::bufpool::BufferPool;
+use crate::cancel::INLINE_BYTES;
 use crate::http::{head_end, response_head, Handler, HttpConfig};
 use crate::metrics::NetMetrics;
 use crate::poll::{listen_reuseaddr, Event, Poller, Waker};
@@ -51,6 +61,7 @@ use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -70,6 +81,9 @@ const ROUND_BYTES: usize = 1 << 20;
 /// How long a shed connection's read drain may run before the socket is
 /// closed regardless, so a trickling client cannot hold the slot.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
+/// Stack of every thread that runs the handler, the reactor's included:
+/// request handlers may evaluate deep queries (see xqeval's recursion cap).
+const HANDLER_STACK: usize = 32 * 1024 * 1024;
 
 /// Work item crossing to the worker pool.
 struct Job {
@@ -91,6 +105,8 @@ struct Done {
     status: u16,
     body: Vec<u8>,
     keep_alive: bool,
+    /// The handler offered the connection's next request to the reactor.
+    offer: bool,
     finished: Instant,
 }
 /// The hand-off between the reactor and the workers, both ways. A ready
@@ -223,6 +239,9 @@ struct Conn {
     kill: Arc<AtomicBool>,
     /// A request is out at the workers.
     in_flight: bool,
+    /// The handler's last call here offered the next request to the
+    /// reactor (`cancel::offer_next`).
+    offer: bool,
     wbuf: Option<WBuf>,
     /// Close once the response is written (error responses, shutdown,
     /// `Connection: close`).
@@ -254,6 +273,7 @@ impl Conn {
             head: None,
             kill: Arc::default(),
             in_flight: false,
+            offer: false,
             wbuf: None,
             close_after_flush: false,
             shed: false,
@@ -362,9 +382,7 @@ pub(crate) fn bind(
         workers.push(
             std::thread::Builder::new()
                 .name(format!("xrpc-worker-{local}-{i}"))
-                // request handlers may evaluate deep queries: give them
-                // room (see xqeval recursion cap)
-                .stack_size(32 * 1024 * 1024)
+                .stack_size(HANDLER_STACK)
                 .spawn(move || worker_loop(i, &dispatch, &waker, &handler, &metrics, &ewma))
                 .map_err(|e| io::Error::other(e.to_string()))?,
         );
@@ -379,6 +397,7 @@ pub(crate) fn bind(
         let ewma = queue_wait_ewma.clone();
         std::thread::Builder::new()
             .name(format!("xrpc-reactor-{local}"))
+            .stack_size(HANDLER_STACK)
             .spawn(move || {
                 Reactor {
                     poller,
@@ -386,6 +405,7 @@ pub(crate) fn bind(
                     waker,
                     conns: Vec::new(),
                     free: Vec::new(),
+                    handler,
                     dispatch,
                     metrics,
                     config,
@@ -437,20 +457,22 @@ fn worker_loop(
         // (client gone): drop it before doing any evaluation work. A stub
         // Done still crosses back so the reactor's `queued` accounting
         // stays balanced; the reactor discards it.
-        let (status, body, keep_alive) = if job.kill.load(Ordering::Relaxed) {
+        let (status, body, keep_alive, offer) = if job.kill.load(Ordering::Relaxed) {
             metrics.record_job_orphaned();
-            (0, Vec::new(), false)
+            (0, Vec::new(), false, false)
         } else {
             // the handler bridges the flag into the evaluator's
             // CancelToken; the reactor's close path sets it
             let guard = crate::cancel::set_current_job(job.kill.clone());
+            crate::cancel::begin_handler(false);
             let (status, resp) = handler(&job.path, &job.body);
+            let (offer, _) = crate::cancel::end_handler();
             drop(guard);
             if job.kill.load(Ordering::Relaxed) {
                 metrics.record_job_cancelled();
             }
             metrics.record(job.body.len(), resp.len());
-            (status, resp, job.keep_alive)
+            (status, resp, job.keep_alive, offer)
         };
         BufferPool::global().put(job.body);
         let done = Done {
@@ -459,6 +481,7 @@ fn worker_loop(
             status,
             body,
             keep_alive,
+            offer,
             finished: Instant::now(),
         };
         next = dispatch.finish(w, done);
@@ -472,6 +495,8 @@ struct Reactor {
     waker: Arc<Waker>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
+    /// Called here only for a request the handler offered (`send_job`).
+    handler: Arc<Handler>,
     dispatch: Arc<Dispatch>,
     metrics: Arc<NetMetrics>,
     config: HttpConfig,
@@ -696,7 +721,14 @@ impl Reactor {
         loop {
             let conn = open(&mut self.conns, idx);
             let error = match parse_step(conn, self.config.max_body_bytes) {
-                ParseStep::Request(req) => return self.send_job(idx, req),
+                ParseStep::Request(req) => {
+                    if self.send_job(idx, req) {
+                        // answered here and written: a buffered successor
+                        // is next
+                        continue;
+                    }
+                    return;
+                }
                 ParseStep::NeedMore => None,
                 ParseStep::Bad(msg) => Some((400, msg)),
                 ParseStep::TooLarge(n) => Some((
@@ -728,8 +760,42 @@ impl Reactor {
         }
     }
 
-    fn send_job(&mut self, idx: usize, req: ReqHead) {
+    /// Answer `req` on this thread when the connection's handler offered it
+    /// and it is small, else — and when the handler defers it — hand it to
+    /// the workers. Returns whether it was answered here and written whole,
+    /// so that the connection's next request may be parsed at once.
+    fn send_job(&mut self, idx: usize, req: ReqHead) -> bool {
         let conn = open(&mut self.conns, idx);
+        if conn.offer && req.body.len() <= INLINE_BYTES {
+            let guard = crate::cancel::set_current_job(conn.kill.clone());
+            crate::cancel::begin_handler(true);
+            let handler = &self.handler;
+            let out = catch_unwind(AssertUnwindSafe(|| handler(&req.path, &req.body)));
+            let (offer, deferred) = crate::cancel::end_handler();
+            drop(guard);
+            conn.offer = offer;
+            match out {
+                Ok((status, body)) if !deferred => {
+                    self.metrics.record(req.body.len(), body.len());
+                    self.metrics.record_served_inline();
+                    BufferPool::global().put(req.body);
+                    let keep_alive = req.keep_alive && !self.shutdown.load(Ordering::SeqCst);
+                    queue_response(conn, status, body, keep_alive);
+                    if flush_wbuf(conn).is_err() {
+                        self.close_conn(idx);
+                        return false;
+                    }
+                    return !conn.busy() && !conn.close_after_flush;
+                }
+                Ok((_, body)) => BufferPool::global().put(body),
+                Err(_) => {
+                    BufferPool::global().put(req.body);
+                    self.metrics.record_failure();
+                    self.respond_and_close(idx, 500, b"request handler panicked".to_vec());
+                    return false;
+                }
+            }
+        }
         let job = Job {
             idx,
             kill: conn.kill.clone(),
@@ -761,6 +827,7 @@ impl Reactor {
                 self.respond_and_close(idx, 503, b"service overloaded, request shed".to_vec());
             }
         }
+        false
     }
 
     /// Answer `status` and close once it is written: a protocol error, or
@@ -801,15 +868,9 @@ impl Reactor {
                 continue;
             };
             conn.in_flight = false;
-            conn.last_activity = Instant::now();
+            conn.offer = d.offer;
             let keep_alive = d.keep_alive && !self.shutdown.load(Ordering::SeqCst);
-            conn.close_after_flush = !keep_alive;
-            let head = response_head(d.status, d.body.len(), keep_alive).into_bytes();
-            conn.wbuf = Some(WBuf {
-                head,
-                body: d.body,
-                off: 0,
-            });
+            queue_response(conn, d.status, d.body, keep_alive);
             self.write(d.idx);
             self.after_progress(d.idx);
         }
@@ -913,6 +974,15 @@ impl Reactor {
 /// The open connection in slot `idx`: the caller has just seen it there.
 fn open(conns: &mut [Option<Conn>], idx: usize) -> &mut Conn {
     conns[idx].as_mut().expect("the connection is open")
+}
+
+/// Queue a handler's answer as the connection's response; the connection
+/// closes once it is written unless `keep_alive`.
+fn queue_response(conn: &mut Conn, status: u16, body: Vec<u8>, keep_alive: bool) {
+    conn.last_activity = Instant::now();
+    conn.close_after_flush = !keep_alive;
+    let head = response_head(status, body.len(), keep_alive).into_bytes();
+    conn.wbuf = Some(WBuf { head, body, off: 0 });
 }
 
 /// Register `want` (read, write) as the connection's epoll interest,

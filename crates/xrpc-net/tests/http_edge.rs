@@ -2,8 +2,9 @@
 //! worker hand-off, malformed requests, truncated bodies, timeout mapping,
 //! body-size enforcement, slow-loris timeouts, request pipelining (served
 //! one request at a time per connection), cancellation of a stopped
-//! server's jobs, admission shedding and hundreds of concurrent keep-alive
-//! connections — at the protocol level (raw sockets, no client helper).
+//! server's jobs, admission shedding, hundreds of concurrent keep-alive
+//! connections and the requests the reactor answers on its own thread — at
+//! the protocol level (raw sockets, no client helper).
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -757,4 +758,235 @@ fn reactor_dispatch_queue_saturation_sheds_with_503() {
         statuses.contains(&200),
         "admitted requests still complete: {statuses:?}"
     );
+}
+
+/// Write `body` as one keep-alive POST on `stream` and read the answer.
+fn post(stream: &mut TcpStream, reader: &mut impl BufRead, body: &[u8]) -> (u16, Vec<u8>) {
+    let head = format!(
+        "POST /xrpc HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(body).unwrap();
+    read_response(reader)
+}
+
+/// A keep-alive connection to `server` and a reader over it.
+fn connect(server: &HttpServer) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    (stream, reader)
+}
+
+/// Was this handler call made on the reactor thread?
+fn on_reactor_thread() -> bool {
+    let name = std::thread::current().name().map(str::to_owned);
+    let reactor = name
+        .as_ref()
+        .is_some_and(|n| n.starts_with("xrpc-reactor-"));
+    assert_eq!(reactor, xrpc_net::on_reactor(), "{name:?}");
+    reactor
+}
+
+/// A handler that never offers is never called on the reactor thread: the
+/// handshake is off until the handler asks for it.
+#[test]
+fn a_handler_that_never_offers_never_runs_on_the_reactor() {
+    const REQUESTS: usize = 1000;
+    let inline = Arc::new(Mutex::new(0usize));
+    let seen = inline.clone();
+    let server = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(move |_: &str, body: &[u8]| {
+            *seen.lock().unwrap() += usize::from(on_reactor_thread());
+            (200, body.to_vec())
+        }),
+    )
+    .unwrap();
+    let (mut stream, mut reader) = connect(&server);
+    for i in 0..REQUESTS {
+        let body = format!("request-{i}");
+        assert_eq!(
+            post(&mut stream, &mut reader, body.as_bytes()).1,
+            body.as_bytes()
+        );
+    }
+    assert_eq!(*inline.lock().unwrap(), 0);
+    assert_eq!(server.metrics.served_inline.load(Ordering::Relaxed), 0);
+    assert_eq!(server.metrics.snapshot().roundtrips, REQUESTS as u64);
+}
+
+/// A handler that offers every time: the first request runs on a worker,
+/// every later one on the reactor, and `served_inline` counts those.
+#[test]
+fn an_offering_handler_is_answered_on_the_reactor_from_its_second_request() {
+    const REQUESTS: usize = 50;
+    let threads = Arc::new(Mutex::new(Vec::new()));
+    let seen = threads.clone();
+    let server = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(move |_: &str, body: &[u8]| {
+            seen.lock().unwrap().push(on_reactor_thread());
+            xrpc_net::offer_next(true);
+            (200, body.to_vec())
+        }),
+    )
+    .unwrap();
+    let (mut stream, mut reader) = connect(&server);
+    for i in 0..REQUESTS {
+        let body = format!("request-{i}");
+        let (status, resp) = post(&mut stream, &mut reader, body.as_bytes());
+        assert_eq!((status, resp), (200, body.into_bytes()));
+    }
+    let threads = threads.lock().unwrap();
+    assert!(!threads[0], "the first request runs on a worker");
+    assert!(threads[1..].iter().all(|&r| r), "the rest on the reactor");
+    let m = &server.metrics;
+    assert_eq!(m.served_inline.load(Ordering::Relaxed), REQUESTS as u64 - 1);
+    assert_eq!(
+        m.snapshot().roundtrips,
+        REQUESTS as u64,
+        "each counted once"
+    );
+}
+
+/// A request the handler defers on the reactor is answered once, by a
+/// worker, with the worker's answer, and counted once.
+#[test]
+fn a_deferred_request_is_answered_once_by_a_worker() {
+    const REQUESTS: usize = 20;
+    let calls = Arc::new(Mutex::new((0usize, 0usize)));
+    let seen = calls.clone();
+    let server = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(move |_: &str, body: &[u8]| {
+            xrpc_net::offer_next(true);
+            let mut calls = seen.lock().unwrap();
+            if on_reactor_thread() {
+                calls.0 += 1;
+                xrpc_net::defer();
+                return (500, b"the reactor's answer".to_vec());
+            }
+            calls.1 += 1;
+            (200, body.to_vec())
+        }),
+    )
+    .unwrap();
+    let (mut stream, mut reader) = connect(&server);
+    for i in 0..REQUESTS {
+        let body = format!("request-{i}");
+        let (status, resp) = post(&mut stream, &mut reader, body.as_bytes());
+        assert_eq!((status, resp), (200, body.into_bytes()), "request {i}");
+    }
+    assert_eq!(*calls.lock().unwrap(), (REQUESTS - 1, REQUESTS));
+    let m = &server.metrics;
+    assert_eq!(m.served_inline.load(Ordering::Relaxed), 0);
+    assert_eq!(m.snapshot().roundtrips, REQUESTS as u64);
+    assert_eq!(m.snapshot().failures, 0);
+}
+
+/// A body over `INLINE_BYTES` goes to a worker however the handler offers;
+/// a small one after it is answered on the reactor again.
+#[test]
+fn a_body_over_inline_bytes_is_never_run_inline() {
+    let big_inline = Arc::new(Mutex::new(Vec::new()));
+    let seen = big_inline.clone();
+    let server = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(move |_: &str, body: &[u8]| {
+            let reactor = on_reactor_thread();
+            if body.len() > xrpc_net::INLINE_BYTES {
+                seen.lock().unwrap().push(reactor);
+            }
+            xrpc_net::offer_next(true);
+            (200, body.len().to_string().into_bytes())
+        }),
+    )
+    .unwrap();
+    let (mut stream, mut reader) = connect(&server);
+    let small = vec![b's'; 16];
+    let big = vec![b'b'; xrpc_net::INLINE_BYTES + 1];
+    for body in [&small, &big, &big, &small, &big, &small] {
+        let (status, resp) = post(&mut stream, &mut reader, body);
+        assert_eq!((status, resp), (200, body.len().to_string().into_bytes()));
+    }
+    assert_eq!(*big_inline.lock().unwrap(), [false; 3]);
+    // the third small one follows a big one answered by a worker
+    assert_eq!(server.metrics.served_inline.load(Ordering::Relaxed), 2);
+}
+
+/// A handler that panics on the reactor: that request is answered 500 and
+/// its connection closed; the reactor goes on serving other connections.
+#[test]
+fn a_handler_that_panics_inline_gets_500_and_the_reactor_survives() {
+    let server = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(move |_: &str, body: &[u8]| {
+            if on_reactor_thread() && body == b"panic" {
+                panic!("a handler bug, on the reactor");
+            }
+            xrpc_net::offer_next(true);
+            (200, body.to_vec())
+        }),
+    )
+    .unwrap();
+    let (mut stream, mut reader) = connect(&server);
+    assert_eq!(post(&mut stream, &mut reader, b"first").0, 200);
+    let (status, _) = post(&mut stream, &mut reader, b"panic");
+    assert_eq!(status, 500);
+    let mut rest = Vec::new();
+    assert_eq!(
+        reader.read_to_end(&mut rest).unwrap(),
+        0,
+        "closed after the 500"
+    );
+    let (mut stream, mut reader) = connect(&server);
+    for body in [&b"again"[..], b"and inline"] {
+        assert_eq!(post(&mut stream, &mut reader, body), (200, body.to_vec()));
+    }
+    let m = &server.metrics;
+    assert_eq!(m.served_inline.load(Ordering::Relaxed), 1);
+    assert_eq!(m.snapshot().failures, 1);
+}
+
+/// The reactor calls a handler with the stack a worker gives it (a deep
+/// query's evaluation), not a spawned thread's default 2 MiB.
+#[test]
+fn the_reactor_runs_a_handler_on_a_workers_stack() {
+    /// Recurse through `depth` frames of 64 KiB each; the sum of every
+    /// frame's first byte keeps the frames from being optimized away.
+    #[inline(never)]
+    fn deep(depth: usize) -> u64 {
+        let frame = std::hint::black_box([depth as u8; 64 * 1024]);
+        if depth == 0 {
+            return u64::from(frame[0]);
+        }
+        u64::from(frame[0]) + deep(depth - 1)
+    }
+    let server = HttpServer::bind(
+        "127.0.0.1:0",
+        Arc::new(move |_: &str, _: &[u8]| {
+            xrpc_net::offer_next(true);
+            // at least 4 MiB of stack (more unoptimized, where a frame
+            // holds copies): twice a default thread's, and an eighth of
+            // a worker's
+            let sum = if on_reactor_thread() { deep(64) } else { 0 };
+            (200, sum.to_string().into_bytes())
+        }),
+    )
+    .unwrap();
+    let (mut stream, mut reader) = connect(&server);
+    assert_eq!(
+        post(&mut stream, &mut reader, b"worker"),
+        (200, b"0".to_vec())
+    );
+    let want = (0..=64u64).sum::<u64>().to_string();
+    assert_eq!(
+        post(&mut stream, &mut reader, b"reactor"),
+        (200, want.into_bytes())
+    );
+    assert_eq!(server.metrics.served_inline.load(Ordering::Relaxed), 1);
 }

@@ -319,6 +319,12 @@ pub fn admin_handler(peer: &Arc<Peer>) -> (Arc<Handler>, ServerMetricsSlot) {
     let s = slot.clone();
     let soap = peer.soap_handler();
     let handler: Arc<Handler> = Arc::new(move |path, body| match path {
+        // a SOAP call may offer the connection's next request to the
+        // reactor; an admin route takes the peer's locks, so never there
+        "/metrics" | "/healthz" | "/slowlog" if xrpc_net::on_reactor() => {
+            xrpc_net::defer();
+            (503, Vec::new())
+        }
         "/metrics" => {
             let doc = render_metrics(&p, s.get().map(|m| m.as_ref()));
             (200, doc.into_bytes())

@@ -112,6 +112,7 @@ impl XrpcClient {
         method: &str,
         qid: &QueryId,
     ) -> XdmResult<XdmResult<xrpc_proto::XrpcResponse>> {
+        refuse_on_reactor(dest)?;
         let mut req =
             XrpcRequest::new(crate::twopc::WSAT_MODULE, method, 0).with_query_id(qid.clone());
         req.push_call(vec![]);
@@ -175,6 +176,7 @@ impl XrpcClient {
         calls: Vec<Vec<Sequence>>,
     ) -> XdmResult<Vec<Sequence>> {
         use std::sync::atomic::Ordering::Relaxed;
+        refuse_on_reactor(dest)?;
         let ncalls = calls.len();
         // Deadline propagation: fail locally (XRPC0004/XRPC0005) before
         // spending any wire time on a dead budget, then stamp whatever is
@@ -334,6 +336,19 @@ impl XrpcClient {
         }
         Ok(r.results)
     }
+}
+
+/// No message leaves the reactor thread: it would wait on the network there,
+/// or on itself. The request it is answering goes to a worker instead
+/// ([`xrpc_net::defer`]), which sends it.
+fn refuse_on_reactor(dest: &str) -> XdmResult<()> {
+    if !xrpc_net::on_reactor() {
+        return Ok(());
+    }
+    xrpc_net::defer();
+    Err(XdmError::xrpc_deferred(format!(
+        "no message to `{dest}` from the reactor thread"
+    )))
 }
 
 /// How a call's round trip ended: the reply, or why none came and whether

@@ -8,7 +8,7 @@ use crate::wal::Wal;
 use parking_lot::{Mutex, RwLock};
 use relalg::{FunctionCache, PlanCache};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 use xdm::{Sequence, XdmError, XdmResult};
@@ -131,6 +131,14 @@ impl PeerHistograms {
 pub struct PreparedFunction {
     pub decl: Arc<FunctionDecl>,
     pub sctx: Arc<StaticContext>,
+    /// A call computes nothing but its value: no `execute at` and no ∆,
+    /// the bodies of the functions it calls included
+    /// (`xqeval::effects::Summary::is_quiet`). Only such a call is answered
+    /// on the reactor thread.
+    pub quiet: bool,
+    /// Its last call could have been answered on the reactor: quick, small
+    /// and sending nothing. Only then does the reactor try the next one.
+    pub fits_inline: AtomicBool,
 }
 
 /// Plan-cache key: (normalized query text, static-context fingerprint).

@@ -2,18 +2,29 @@
 //! envelope decode, dispatch (control / document fetch / function call),
 //! the set-at-a-time evaluation of a request's calls, and the ∆ a deferred
 //! updating call leaves on the query's snapshot.
+//!
+//! Served over HTTP, a small quiet call is answered on the reactor thread
+//! that read it (`xrpc_net::cancel`): a call of a function the cache holds
+//! whose body computes nothing but its value and whose last call was quick
+//! and small, not sent to commit on its reply. Only after such a call does
+//! the handler offer the connection's next request to the reactor, and on
+//! the reactor it gives a request back to the workers
+//! ([`xrpc_net::defer`]) when it is anything else, runs past
+//! [`xrpc_net::INLINE_BUDGET`], would answer more than
+//! [`xrpc_net::INLINE_BYTES`] or tries to send a message.
 
 use crate::peer::{budget_token, Peer, PreparedFunction};
 use crate::store::QuerySnapshot;
 use crate::twopc::WSAT_MODULE;
 use crate::txn::{Input, TxKey, Via};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xdm::{Item, Sequence, XdmError, XdmResult};
 use xqeval::context::{CancelToken, DocResolver};
 use xqeval::eval::Evaluator;
 use xqeval::modules::CompiledModule;
+use xrpc_net::{INLINE_BUDGET, INLINE_BYTES};
 use xrpc_obs::{time_phase, Phase, ProfileCollector};
 use xrpc_proto::{parse_message, UpdCall, XrpcFault, XrpcMessage, XrpcRequest, XrpcResponse};
 
@@ -50,13 +61,22 @@ impl Peer {
     pub fn handle_soap(&self, body: &[u8]) -> Vec<u8> {
         let text = match std::str::from_utf8(body) {
             Ok(t) => t,
+            Err(_) if xrpc_net::on_reactor() => {
+                xrpc_net::defer();
+                return Vec::new();
+            }
             Err(_) => {
                 return XrpcFault::from_error(&XdmError::xrpc("request is not UTF-8"))
                     .to_xml()
                     .into_bytes()
             }
         };
-        match self.handle_message(text) {
+        let out = self.handle_message(text);
+        if xrpc_net::deferred() {
+            // the reactor drops this answer: a worker gives the real one
+            return Vec::new();
+        }
+        match out {
             // serialize into a recycled transport buffer, pre-reserved from
             // the response's estimated wire size (the server returns the
             // buffer to the pool once it hits the socket)
@@ -73,11 +93,26 @@ impl Peer {
 
     fn handle_message(&self, text: &str) -> XdmResult<XrpcResponse> {
         let parse_started = Instant::now();
-        let req = match parse_message(text)? {
-            XrpcMessage::Request(r) => r,
-            _ => return Err(XdmError::xrpc("expected an xrpc:request")),
+        let req = match parse_message(text) {
+            Ok(XrpcMessage::Request(r)) => r,
+            // on the reactor thread only a call goes on (see below)
+            _ if xrpc_net::on_reactor() => return Err(defer_to_worker()),
+            Ok(_) => return Err(XdmError::xrpc("expected an xrpc:request")),
+            Err(e) => return Err(e),
         };
         let parse_micros = parse_started.elapsed().as_micros() as u64;
+        let call = req.module != WSAT_MODULE && req.module != crate::remote_docs::DOC_MODULE;
+        // On the reactor thread only a call it may answer goes on. Running a
+        // request again on a worker is safe only because such a call
+        // computes nothing but a value: it has no `execute at` and no ∆, and
+        // its pinned snapshot is reused by queryID.
+        let inline = match xrpc_net::on_reactor() {
+            true => {
+                let prepared = call.then(|| self.inline_function(&req)).flatten();
+                Some(prepared.ok_or_else(defer_to_worker)?)
+            }
+            false => None,
+        };
         // Continue the caller's trace (the context parsed from the
         // envelope header) — or start a fresh root for an untraced
         // request. The span's context and this peer's tracer stay
@@ -90,14 +125,42 @@ impl Peer {
         };
         span.tag("module", req.module.clone());
         span.tag("method", req.method.clone());
-        self.hists.message_bytes.record(text.len() as u64);
+        // Counted once, where the request is answered: on a worker before it
+        // is handled, on the reactor once it is not deferred. (On a worker,
+        // a histogram's first sample allocates its buckets before the
+        // request's own memory, not on top of it, where they would keep a
+        // multi-MiB request's heap from shrinking.)
+        let calls = req.calls.len() as u64;
+        let count = || {
+            self.hists.message_bytes.record(text.len() as u64);
+            if call {
+                self.stats.requests_handled.fetch_add(1, Ordering::Relaxed);
+                self.stats.calls_handled.fetch_add(calls, Ordering::Relaxed);
+                self.hists.bulk_batch_calls.record(calls);
+            }
+        };
+        let on_reactor = inline.is_some();
+        if !on_reactor {
+            count();
+        }
         let out = if req.module == WSAT_MODULE {
             self.handle_control(&req)
-        } else if req.module == crate::remote_docs::DOC_MODULE {
+        } else if !call {
             self.handle_doc_fetch(&req)
         } else {
-            self.handle_call_request(req, text, parse_micros)
+            self.handle_call_request(req, text, parse_micros, inline)
         };
+        if xrpc_net::deferred() {
+            span.tag("deferred", "worker");
+            return out;
+        }
+        if on_reactor {
+            count();
+        }
+        if !call || out.is_err() {
+            // whatever a peer this one called in-process offered
+            xrpc_net::offer_next(false);
+        }
         if let Err(e) = &out {
             span.tag("error", e.to_string());
         }
@@ -133,12 +196,26 @@ impl Peer {
         Ok(resp)
     }
 
-    /// Handle an XRPC function-call request (possibly Bulk).
+    /// The prepared function of a call the reactor may answer itself: of a
+    /// quiet function the cache already holds (a miss may load a module
+    /// over HTTP) whose last call fit the reactor, not committing on its
+    /// reply.
+    fn inline_function(&self, req: &XrpcRequest) -> Option<Arc<PreparedFunction>> {
+        if req.upd_call == UpdCall::Commit {
+            return None;
+        }
+        let key = (req.module.clone(), req.method.clone(), req.arity);
+        (self.function_cache.get(&key)).filter(|p| p.quiet && p.fits_inline.load(Ordering::Relaxed))
+    }
+
+    /// Handle an XRPC function-call request (possibly Bulk); `inline` is
+    /// its prepared function when it runs on the reactor thread.
     fn handle_call_request(
         &self,
         mut req: XrpcRequest,
         text: &str,
         parse_micros: u64,
+        inline: Option<Arc<PreparedFunction>>,
     ) -> XdmResult<XrpcResponse> {
         let handle_started = Instant::now();
         // Continue the caller's profile when the request header asks for
@@ -152,11 +229,6 @@ impl Peer {
         if let Some(col) = &collector {
             col.add_phase(Phase::Parse, parse_micros);
         }
-        self.stats.requests_handled.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .calls_handled
-            .fetch_add(req.calls.len() as u64, Ordering::Relaxed);
-        self.hists.bulk_batch_calls.record(req.calls.len() as u64);
 
         // The caller's remaining budget, already decremented for network
         // time at every hop. A budget exhausted on arrival is rejected
@@ -171,7 +243,9 @@ impl Peer {
             Some(ms) => Some(Instant::now() + Duration::from_millis(ms)),
             None => None,
         };
-        let cancel = budget_token(deadline);
+        // on the reactor the evaluation also stops at the inline budget
+        let inline_end = inline.as_ref().map(|_| Instant::now() + INLINE_BUDGET);
+        let cancel = budget_token(deadline.into_iter().chain(inline_end).min());
         // Make the token reachable by a `Cancel` control message for the
         // same transaction; the guard deregisters on every exit path.
         let _eval_reg = req.query_id.as_ref().map(|qid| {
@@ -188,10 +262,14 @@ impl Peer {
             }
         });
 
-        let key = (req.module.clone(), req.method.clone(), req.arity);
-        let prepared = self
-            .function_cache
-            .get_or_prepare(key, || self.prepare_function(&req))?;
+        let prepared = match inline {
+            Some(prepared) => prepared,
+            None => {
+                let key = (req.module.clone(), req.method.clone(), req.arity);
+                self.function_cache
+                    .get_or_prepare(key, || self.prepare_function(&req))?
+            }
+        };
         let updating = prepared.decl.updating;
 
         // A call sent to commit on its reply, redelivered after this peer
@@ -256,9 +334,21 @@ impl Peer {
         // leaves its ∆ in call order, as a loop over the calls would.
         let calls = std::mem::take(&mut req.calls);
         let nested = &crate::client::CALL_PHASES;
-        let (outcome, _) = time_phase(collector.as_deref(), Phase::Execute, nested, || {
-            relalg::eval_calls(&ev, &prepared.decl, calls)
-        });
+        let (outcome, execute_micros) =
+            time_phase(collector.as_deref(), Phase::Execute, nested, || {
+                relalg::eval_calls(&ev, &prepared.decl, calls)
+            });
+        if let Some(end) = inline_end {
+            // only the inline budget ran out, not the request's own; or it
+            // tried to send a message (see `XrpcClient`)
+            let budget = deadline.is_none_or(|d| end < d);
+            if budget && outcome.as_ref().is_err_and(|e| e.code == "XRPC0004")
+                || xrpc_net::deferred()
+            {
+                prepared.fits_inline.store(false, Ordering::Relaxed);
+                return Err(defer_to_worker());
+            }
+        }
         self.stats.absorb(&env);
         // Evaluation is side-effect-free up to the PUL, which is only
         // applied below: a failing call fails the request as a whole.
@@ -289,7 +379,7 @@ impl Peer {
         }
 
         // Piggyback the peers this handling (transitively) involved.
-        let mut peers: Vec<String> = nested_client
+        let mut peers: Vec<String> = (nested_client.as_ref())
             .map(|c| c.participants_snapshot())
             .unwrap_or_default();
         let committed = commit.filter(|_| peers.is_empty());
@@ -313,6 +403,24 @@ impl Peer {
         resp.results = results;
         resp.participating_peers = peers;
         resp.committed = committed.is_some();
+        // A call fits the reactor when it is quiet, quick, small and sends
+        // nothing. The reactor answers only a small one; it tries a
+        // function's next call, and is offered the connection's next
+        // request, after a call that fit (and that did not commit: it was
+        // not cached, or not sent `updCall="commit"`). The size is estimated
+        // only where it matters: it walks the results.
+        let quick = execute_micros < INLINE_BUDGET.as_micros() as u64;
+        let small = (quick || inline_end.is_some()) && resp.estimated_wire_size() <= INLINE_BYTES;
+        let sent =
+            (nested_client.as_ref()).is_some_and(|c| c.requests_sent.load(Ordering::Relaxed) > 0);
+        let fits = prepared.quiet && quick && small && !sent;
+        prepared.fits_inline.store(fits, Ordering::Relaxed);
+        if inline_end.is_some() && !small {
+            return Err(defer_to_worker());
+        }
+        xrpc_net::offer_next(
+            fits && self.function_cache.is_enabled() && req.upd_call != UpdCall::Commit,
+        );
         if let Some(col) = &collector {
             // This hop's profile (own hop first, then everything gathered
             // from peers *we* called) rides home in the response header.
@@ -361,9 +469,26 @@ impl Peer {
                 req.module, req.method, req.arity
             ))
         })?;
+        // what a call does besides compute its value, seen through the
+        // bodies of the functions it calls in the modules registered here
+        let body = xqeval::effects::summary(
+            [&decl.body],
+            &module.sctx,
+            &Default::default(),
+            Some(&self.modules),
+        );
         Ok(PreparedFunction {
+            quiet: !decl.updating && body.is_quiet(),
+            fits_inline: AtomicBool::new(false),
             decl,
             sctx: module.sctx.clone(),
         })
     }
+}
+
+/// Give the request being answered on the reactor back to the workers (see
+/// `handle_message`): the error is dropped with the rest of the answer.
+fn defer_to_worker() -> XdmError {
+    xrpc_net::defer();
+    XdmError::xrpc_deferred("answered on a worker thread")
 }
