@@ -36,8 +36,8 @@ pub mod trace;
 pub use hash::{fnv1a64, fnv1a64_continue};
 pub use hist::{HistSnapshot, Histogram};
 pub use profile::{
-    time_phase, HopProfile, OpGuard, OpNode, Phase, Phases, ProfileCollector, ProfileMode,
-    QueryProfile,
+    HopProfile, OpGuard, OpNode, Phase, PhaseClock, PhaseGuard, Phases, ProfileCollector,
+    ProfileMode, QueryProfile,
 };
 pub use prom::PromWriter;
 pub use slowlog::{SlowLog, SlowLogEntry};

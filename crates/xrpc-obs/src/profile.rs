@@ -2,7 +2,7 @@
 //! breakdowns, and cross-peer profile assembly.
 //!
 //! A [`ProfileCollector`] is threaded through both engines when the query
-//! enables `xrpc:profile` (or is force-profiled by the slow-query log).
+//! enables `xrpc:profile` (or is force-profiled by `explain_analyze`).
 //! Operators open an [`OpGuard`] on entry; the guard aggregates wall time,
 //! call counts, item counts and bytes into an arena tree keyed by
 //! (parent, operator name) — one node per operator *position*, not per
@@ -13,16 +13,19 @@
 //! `CancelToken::check`). The estimated total is scaled back up as
 //! `wall * calls / timed_calls`. Stride 1 (`"full"`) times every call.
 //!
-//! Each hop (peer) finishes its collector into a [`HopProfile`] — operator
-//! tree plus a [`Phases`] breakdown — which travels back to the caller in
-//! the `<xrpc:profile>` SOAP response header. The originator assembles all
-//! hops into one [`QueryProfile`], renderable as JSON or as a folded-stack
-//! flamegraph file.
+//! A hop's wall time is split into [`Phases`] by its [`PhaseClock`]; the
+//! originator keeps one for every query, profiled or not, since the
+//! slow-query log reads it too. Each hop (peer) finishes its collector
+//! into a [`HopProfile`] — operator tree plus its clock's phases — which
+//! travels back to the caller in the `<xrpc:profile>` SOAP response
+//! header. The originator assembles all hops into one [`QueryProfile`],
+//! renderable as JSON or as a folded-stack flamegraph file.
 
 use std::cell::Cell;
+use std::ops::Index;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// How much profiling the query asked for.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -71,131 +74,207 @@ impl ProfileMode {
     }
 }
 
-/// Phase breakdown of one hop, mirroring the paper's §5 cost decomposition
-/// (parse / compile / marshal / network / execute / serialize) plus the
-/// update-path extras (2PC coordination, WAL fsync).
+/// One of the accounted phases of a hop, mirroring the paper's §5 cost
+/// decomposition (parse / compile / execute with its marshal and network)
+/// plus the update path's 2PC coordination and WAL force.
 ///
-/// Every phase is charged inside the hop's `total_micros`, and a phase
-/// that contains others is charged only its own time ([`time_phase`]):
-/// execute is the evaluation less the marshal and network of the calls it
-/// made, 2PC the coordination less its log appends. So the phases of a
-/// hop that calls one destination at a time add up to its wall clock.
-/// Calls to several destinations dispatched in parallel overlap: their
-/// network phases are each a whole round trip, so they can sum past the
-/// hop's wall time (and the execute phase they are taken from saturates
-/// at zero).
-#[derive(Clone, Debug, Default)]
-pub struct Phases {
-    pub parse_micros: u64,
-    pub compile_micros: u64,
-    pub marshal_micros: u64,
-    pub network_micros: u64,
-    pub execute_micros: u64,
-    pub serialize_micros: u64,
-    pub twopc_micros: u64,
-    pub wal_micros: u64,
-    /// Plan-cache disposition for this hop: "hit", "miss", or "off".
-    pub cache: &'static str,
-}
-
-impl Phases {
-    pub fn get(&self, phase: Phase) -> u64 {
-        match phase {
-            Phase::Parse => self.parse_micros,
-            Phase::Compile => self.compile_micros,
-            Phase::Marshal => self.marshal_micros,
-            Phase::Network => self.network_micros,
-            Phase::Execute => self.execute_micros,
-            Phase::Serialize => self.serialize_micros,
-            Phase::TwoPc => self.twopc_micros,
-            Phase::Wal => self.wal_micros,
-        }
-    }
-
-    pub fn get_mut(&mut self, phase: Phase) -> &mut u64 {
-        match phase {
-            Phase::Parse => &mut self.parse_micros,
-            Phase::Compile => &mut self.compile_micros,
-            Phase::Marshal => &mut self.marshal_micros,
-            Phase::Network => &mut self.network_micros,
-            Phase::Execute => &mut self.execute_micros,
-            Phase::Serialize => &mut self.serialize_micros,
-            Phase::TwoPc => &mut self.twopc_micros,
-            Phase::Wal => &mut self.wal_micros,
-        }
-    }
-
-    pub fn total_micros(&self) -> u64 {
-        Phase::ALL.iter().map(|&(p, _)| self.get(p)).sum()
-    }
-
-    /// The members of the `"phases"` JSON object the profile and the
-    /// slow-query log both render, one `"<wire name>":<micros>` per phase.
-    pub(crate) fn write_json_members(&self, out: &mut String) {
-        for (i, &(phase, name)) in Phase::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{}", self.get(phase)));
-        }
-    }
-}
-
-/// One of the accounted phases; used with [`ProfileCollector::add_phase`].
-#[derive(Clone, Copy, Debug)]
+/// The declaration order is the nesting order: at every instant a hop's
+/// [`PhaseClock`] charges the open phase declared last. So marshal and
+/// network nest inside execute, the WAL inside 2PC, and while one thread
+/// marshals a call and another waits on a round trip, the marshal wins.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     Parse,
     Compile,
-    Marshal,
-    Network,
     Execute,
-    Serialize,
+    Network,
+    Marshal,
     TwoPc,
     Wal,
 }
 
 impl Phase {
     /// Every phase with its name on the wire (`<xrpc:phases>` attributes,
-    /// profile and slow-log JSON keys), in wire order. The codecs and
-    /// renderers loop over this table; nothing else spells the names.
-    pub const ALL: [(Phase, &'static str); 8] = [
+    /// profile and slow-log JSON keys), in declaration order. The codecs
+    /// and renderers loop over this table; nothing else spells the names.
+    pub const ALL: [(Phase, &'static str); 7] = [
         (Phase::Parse, "parseMicros"),
         (Phase::Compile, "compileMicros"),
-        (Phase::Marshal, "marshalMicros"),
-        (Phase::Network, "networkMicros"),
         (Phase::Execute, "executeMicros"),
-        (Phase::Serialize, "serializeMicros"),
+        (Phase::Network, "networkMicros"),
+        (Phase::Marshal, "marshalMicros"),
         (Phase::TwoPc, "twopcMicros"),
         (Phase::Wal, "walMicros"),
     ];
 }
 
-/// Run `f` as `phase` of `col`'s hop: charge its wall time less what the
-/// `nested` phases were charged while it ran, and return the result with
-/// the micros charged (the whole wall time without a collector).
-pub fn time_phase<T>(
-    col: Option<&ProfileCollector>,
-    phase: Phase,
-    nested: &[Phase],
-    f: impl FnOnce() -> T,
-) -> (T, u64) {
-    let nested_sum = |c: &ProfileCollector| {
-        let p = c.phases.lock().unwrap();
-        nested.iter().map(|&n| p.get(n)).sum::<u64>()
-    };
-    let before = col.map(nested_sum);
-    let started = Instant::now();
-    let out = f();
-    let mut micros = started.elapsed().as_micros() as u64;
-    if let (Some(c), Some(before)) = (col, before) {
-        micros = micros.saturating_sub(nested_sum(c).saturating_sub(before));
-        c.add_phase(phase, micros);
+const PHASES: usize = Phase::ALL.len();
+
+/// Micros per [`Phase`] of one hop, plus its plan-cache disposition. What
+/// the hop's span holds beyond their sum is its unattributed remainder.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Phases {
+    /// Indexed by `Phase as usize` (`phases[phase]` reads one).
+    pub micros: [u64; PHASES],
+    /// Plan-cache disposition for this hop: "hit", "miss", or "off".
+    pub cache: &'static str,
+}
+
+impl Phases {
+    /// The attributed micros: every phase summed.
+    pub fn total_micros(&self) -> u64 {
+        self.micros.iter().sum()
     }
-    (out, micros)
+
+    /// The members of the `"phases"` JSON object the profile and the
+    /// slow-query log both render, one `"<wire name>":<micros>` per phase.
+    pub(crate) fn write_json_members(&self, out: &mut String) {
+        write_list(out, &Phase::ALL, |&(phase, name), out| {
+            out.push_str(&format!("\"{name}\":{}", self[phase]))
+        });
+    }
+}
+
+impl Index<Phase> for Phases {
+    type Output = u64;
+    fn index(&self, phase: Phase) -> &u64 {
+        &self.micros[phase as usize]
+    }
+}
+
+/// One hop's phase clock, shared by `Arc` with every thread that works
+/// for the hop. It counts the open intervals of each phase and keeps the
+/// instant of its last event. At each event the time since the last one
+/// goes to the innermost open phase ([`Phase`]'s order), or to the hop's
+/// remainder when none is open. So overlapping intervals count once, and
+/// the phases plus the remainder are the hop's span exactly, in fixed
+/// memory.
+pub struct PhaseClock(Mutex<ClockState>);
+
+struct ClockState {
+    start: Instant,
+    /// Everything before this instant is charged.
+    last: Instant,
+    open: [u32; PHASES],
+    nanos: [u64; PHASES],
+    cache: &'static str,
+    /// The hop is over: its span and charges are final.
+    done: bool,
+}
+
+impl ClockState {
+    /// Charge the time since the last event and move the clock to `to`
+    /// (an instant read on another thread just before the last event
+    /// counts as that event's).
+    fn advance(&mut self, to: Instant) {
+        let to = to.max(self.last);
+        if let Some(p) = self.open.iter().rposition(|&n| n > 0) {
+            self.nanos[p] += (to - self.last).as_nanos() as u64;
+        }
+        self.last = to;
+    }
+
+    /// One event: advance to `at`, then open (`1`) or close (`-1`) an
+    /// interval of `phase`.
+    fn step(&mut self, phase: Phase, at: Instant, by: i32) {
+        if !self.done {
+            self.advance(at);
+            self.open[phase as usize] = self.open[phase as usize].wrapping_add_signed(by);
+        }
+    }
+
+    /// The interval of `took` that ends at `at`.
+    fn record(&mut self, phase: Phase, took: Duration, at: Instant) {
+        self.step(phase, at.checked_sub(took).unwrap_or(at), 1);
+        self.step(phase, at, -1);
+    }
+
+    fn finish(&mut self, at: Instant) -> (u64, Phases) {
+        if !self.done {
+            self.advance(at);
+            self.done = true;
+        }
+        let mut sum = 0;
+        let micros = self.nanos.map(|n| {
+            let before = sum / 1_000;
+            sum += n;
+            sum / 1_000 - before
+        });
+        let phases = Phases {
+            micros,
+            cache: self.cache,
+        };
+        ((self.last - self.start).as_micros() as u64, phases)
+    }
+}
+
+impl PhaseClock {
+    /// A clock whose hop starts now.
+    pub fn new() -> Arc<PhaseClock> {
+        let start = Instant::now();
+        Arc::new(PhaseClock(Mutex::new(ClockState {
+            start,
+            last: start,
+            open: [0; PHASES],
+            nanos: [0; PHASES],
+            cache: "off",
+            done: false,
+        })))
+    }
+
+    fn state(&self) -> MutexGuard<'_, ClockState> {
+        self.0.lock().unwrap()
+    }
+
+    /// Open an interval of `phase`; it closes when the guard drops.
+    pub fn enter(&self, phase: Phase) -> PhaseGuard<'_> {
+        self.state().step(phase, Instant::now(), 1);
+        PhaseGuard { clock: self, phase }
+    }
+
+    /// A phase measured elsewhere, the interval of `took` that ends now:
+    /// charged by the one rule, from the last event on at the earliest.
+    pub fn record(&self, phase: Phase, took: Duration) {
+        self.state().record(phase, took, Instant::now());
+    }
+
+    /// A phase that ran for `took` before the clock started (a plan
+    /// compiled or a request parsed just before): the start moves back
+    /// to hold it.
+    pub fn prepend(&self, phase: Phase, took: Duration) {
+        let mut s = self.state();
+        s.start = s.start.checked_sub(took).unwrap_or(s.start);
+        s.nanos[phase as usize] += took.as_nanos() as u64;
+    }
+
+    pub fn set_cache(&self, disposition: &'static str) {
+        self.state().cache = disposition;
+    }
+
+    /// End the hop now: its span in micros and its phases. Each phase is
+    /// the floored micros of its running sum, in `Phase` order, less those
+    /// of the phases before it: within a micro of its own nanoseconds, and
+    /// all of them summed never past the span. Later events are ignored,
+    /// and a second call returns the same.
+    pub fn finish(&self) -> (u64, Phases) {
+        self.state().finish(Instant::now())
+    }
+}
+
+/// An open interval of one phase on a [`PhaseClock`].
+pub struct PhaseGuard<'c> {
+    clock: &'c PhaseClock,
+    phase: Phase,
+}
+
+impl Drop for PhaseGuard<'_> {
+    fn drop(&mut self) {
+        self.clock.state().step(self.phase, Instant::now(), -1);
+    }
 }
 
 /// One node of the aggregated operator tree.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct OpNode {
     pub name: String,
     pub calls: u64,
@@ -236,12 +315,7 @@ impl OpNode {
             self.items,
             self.bytes
         ));
-        for (i, c) in self.children.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            c.to_json(out);
-        }
+        write_list(out, &self.children, OpNode::to_json);
         out.push_str("]}");
     }
 }
@@ -249,13 +323,14 @@ impl OpNode {
 /// The finished profile of one hop: which peer ran it, who called it
 /// (`via`, empty at the originator), its depth in the call chain, the PR 5
 /// trace correlation ids, and the operator tree plus phase breakdown.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct HopProfile {
     pub peer: String,
     pub via: String,
     pub depth: u32,
     pub trace_id: u128,
     pub span_id: u64,
+    /// The span of the hop's [`PhaseClock`]; its phases never sum past it.
     pub total_micros: u64,
     pub phases: Phases,
     pub ops: Vec<OpNode>,
@@ -264,25 +339,19 @@ pub struct HopProfile {
 impl HopProfile {
     pub fn to_json(&self, out: &mut String) {
         out.push_str(&format!(
-            "{{\"peer\":\"{}\",\"via\":\"{}\",\"depth\":{},\"traceId\":\"{:032x}\",\"spanId\":\"{:016x}\",\"totalMicros\":{},\"phases\":{{",
+            "{{\"peer\":\"{}\",\"via\":\"{}\",\"depth\":{},\"traceId\":\"{:032x}\",\"spanId\":\"{:016x}\",\"totalMicros\":{},\"unattributedMicros\":{},\"phases\":{{",
             json_escape(&self.peer),
             json_escape(&self.via),
             self.depth,
             self.trace_id,
             self.span_id,
             self.total_micros,
+            self.total_micros.saturating_sub(self.phases.total_micros()),
         ));
         self.phases.write_json_members(out);
-        out.push_str(&format!(
-            ",\"cache\":\"{}\"}},\"ops\":[",
-            json_escape(self.phases.cache)
-        ));
-        for (i, op) in self.ops.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            op.to_json(out);
-        }
+        // the disposition is one of three fixed words: nothing to escape
+        out.push_str(&format!(",\"cache\":\"{}\"}},\"ops\":[", self.phases.cache));
+        write_list(out, &self.ops, OpNode::to_json);
         out.push_str("]}");
     }
 }
@@ -303,12 +372,7 @@ impl QueryProfile {
             "{{\"traceId\":\"{:032x}\",\"hops\":[",
             self.trace_id
         ));
-        for (i, h) in self.hops.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            h.to_json(&mut out);
-        }
+        write_list(&mut out, &self.hops, HopProfile::to_json);
         out.push_str("]}");
         out
     }
@@ -381,6 +445,16 @@ fn frame(name: &str) -> String {
             }
         })
         .collect()
+}
+
+/// Write `items` comma-separated, each by `write`.
+fn write_list<T>(out: &mut String, items: &[T], write: impl Fn(&T, &mut String)) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write(item, out);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -459,12 +533,10 @@ pub struct ProfileCollector {
     stride: u32,
     ctr: AtomicU32,
     arena: Mutex<Arena>,
-    phases: Mutex<Phases>,
+    /// This hop's phase clock, which the client's calls charge too.
+    pub clock: Arc<PhaseClock>,
     /// Hop profiles harvested from downstream peers' responses.
     child_hops: Mutex<Vec<HopProfile>>,
-    /// Bytes sent/received on the wire by this hop (summed into the
-    /// network accounting of the hop, not per-operator).
-    pub wire_bytes: AtomicU64,
 }
 
 impl ProfileCollector {
@@ -478,12 +550,8 @@ impl ProfileCollector {
             stride: mode.stride().max(1),
             ctr: AtomicU32::new(0),
             arena: Mutex::new(Arena::default()),
-            phases: Mutex::new(Phases {
-                cache: "off",
-                ..Phases::default()
-            }),
+            clock: PhaseClock::new(),
             child_hops: Mutex::new(Vec::new()),
-            wire_bytes: AtomicU64::new(0),
         })
     }
 
@@ -510,10 +578,8 @@ impl ProfileCollector {
     }
 
     /// Attribute wire bytes to the operator currently open on this thread
-    /// (the `execute at` whose dispatch produced them), and to the hop's
-    /// own byte total either way.
+    /// (the `execute at` whose dispatch produced them).
     pub fn add_bytes_to_current(&self, n: u64) {
-        self.wire_bytes.fetch_add(n, Ordering::Relaxed);
         let current = CURRENT_OP.with(|c| c.get());
         if let Some((_, idx)) = current.filter(|(id, _)| *id == self.id) {
             let mut a = self.arena.lock().unwrap();
@@ -521,18 +587,6 @@ impl ProfileCollector {
                 node.bytes += n;
             }
         }
-    }
-
-    pub fn add_phase(&self, phase: Phase, micros: u64) {
-        *self.phases.lock().unwrap().get_mut(phase) += micros;
-    }
-
-    pub fn set_cache(&self, disposition: &'static str) {
-        self.phases.lock().unwrap().cache = disposition;
-    }
-
-    pub fn phases(&self) -> Phases {
-        self.phases.lock().unwrap().clone()
     }
 
     /// Absorb hop profiles harvested from a downstream peer's response.
@@ -546,10 +600,11 @@ impl ProfileCollector {
         a.roots.iter().map(|&r| a.snapshot(r)).collect()
     }
 
-    /// Finish this hop: its own profile first, then every absorbed
-    /// downstream hop. The resulting list is what goes into the
+    /// Finish this hop, its clock included: its own profile first, then
+    /// every absorbed downstream hop. The resulting list is what goes into the
     /// `<xrpc:profile>` response header (or the originator's assembly).
-    pub fn finish_hops(&self, trace_id: u128, span_id: u64, total_micros: u64) -> Vec<HopProfile> {
+    pub fn finish_hops(&self, trace_id: u128, span_id: u64) -> Vec<HopProfile> {
+        let (total_micros, phases) = self.clock.finish();
         let own = HopProfile {
             peer: self.peer.clone(),
             via: self.via.clone(),
@@ -557,7 +612,7 @@ impl ProfileCollector {
             trace_id,
             span_id,
             total_micros,
-            phases: self.phases(),
+            phases,
             ops: self.snapshot_ops(),
         };
         let mut hops = vec![own];
@@ -735,6 +790,10 @@ mod tests {
 
     #[test]
     fn json_renders_and_escapes() {
+        let phases = Phases {
+            micros: [1, 2, 3, 4, 5, 6, 7],
+            cache: "hit",
+        };
         let prof = QueryProfile {
             trace_id: 0xabc,
             hops: vec![HopProfile {
@@ -743,28 +802,148 @@ mod tests {
                 depth: 0,
                 trace_id: 0xabc,
                 span_id: 7,
-                total_micros: 10,
-                phases: Phases {
-                    parse_micros: 1,
-                    compile_micros: 2,
-                    marshal_micros: 3,
-                    network_micros: 4,
-                    execute_micros: 5,
-                    serialize_micros: 6,
-                    twopc_micros: 7,
-                    wal_micros: 8,
-                    cache: "hit",
-                },
+                total_micros: 30,
+                phases,
                 ops: Vec::new(),
             }],
         };
-        assert_eq!(prof.hops[0].phases.total_micros(), 36);
+        assert_eq!(prof.hops[0].phases.total_micros(), 28);
         let j = prof.to_json();
         assert!(j.contains("\\\"x\\\""));
-        // every phase once, under its wire name, in wire order
+        // every phase once, under its wire name, in nesting order; the
+        // remainder beside the total
         assert!(j.contains(
-            "\"totalMicros\":10,\"phases\":{\"parseMicros\":1,\"compileMicros\":2,\"marshalMicros\":3,\"networkMicros\":4,\"executeMicros\":5,\"serializeMicros\":6,\"twopcMicros\":7,\"walMicros\":8,\"cache\":\"hit\"},\"ops\":[]}"
+            "\"totalMicros\":30,\"unattributedMicros\":2,\"phases\":{\"parseMicros\":1,\"compileMicros\":2,\"executeMicros\":3,\"networkMicros\":4,\"marshalMicros\":5,\"twopcMicros\":6,\"walMicros\":7,\"cache\":\"hit\"},\"ops\":[]}"
         ));
         assert!(j.starts_with('{') && j.ends_with('}'));
+    }
+
+    impl PhaseClock {
+        fn open_at(&self, phase: Phase, at: Instant) {
+            self.state().step(phase, at, 1);
+        }
+
+        fn close_at(&self, phase: Phase, at: Instant) {
+            self.state().step(phase, at, -1);
+        }
+
+        fn record_at(&self, phase: Phase, took: Duration, at: Instant) {
+            self.state().record(phase, took, at);
+        }
+
+        fn finish_at(&self, at: Instant) -> (u64, Phases) {
+            self.state().finish(at)
+        }
+    }
+
+    /// A clock, and the instant `k` µs after its start.
+    fn clock_at() -> (Arc<PhaseClock>, impl Fn(u64) -> Instant) {
+        let clock = PhaseClock::new();
+        let t0 = clock.state().start;
+        (clock, move |k| t0 + Duration::from_micros(k))
+    }
+
+    /// The phases a clock charged, in `Phase::ALL` order, and its span.
+    fn charges(clock: &PhaseClock, end: Instant) -> ([u64; PHASES], u64) {
+        let (total, phases) = clock.finish_at(end);
+        (phases.micros, total)
+    }
+
+    #[test]
+    fn an_inner_phase_is_charged_its_own_time_and_the_outer_the_rest() {
+        let (clock, t) = clock_at();
+        clock.open_at(Phase::Execute, t(10));
+        clock.open_at(Phase::Network, t(30));
+        clock.close_at(Phase::Network, t(80));
+        clock.close_at(Phase::Execute, t(100));
+        clock.open_at(Phase::TwoPc, t(100));
+        clock.open_at(Phase::Wal, t(120));
+        clock.close_at(Phase::Wal, t(150));
+        clock.close_at(Phase::TwoPc, t(190));
+        // parse compile execute network marshal twopc wal
+        assert_eq!(
+            charges(&clock, t(200)),
+            ([0, 0, 40, 50, 0, 60, 30], 200),
+            "the first 10 µs and the last 10 are the remainder"
+        );
+    }
+
+    #[test]
+    fn overlapping_round_trips_on_two_threads_count_once() {
+        let (clock, t) = clock_at();
+        clock.open_at(Phase::Execute, t(0));
+        // each step on a thread of its own, in the order of its instant
+        let on_thread = |f: &(dyn Fn() + Sync)| std::thread::scope(|s| s.spawn(f).join().unwrap());
+        on_thread(&|| clock.open_at(Phase::Network, t(10)));
+        on_thread(&|| clock.open_at(Phase::Network, t(20)));
+        on_thread(&|| clock.close_at(Phase::Network, t(60)));
+        on_thread(&|| clock.close_at(Phase::Network, t(70)));
+        clock.close_at(Phase::Execute, t(80));
+        assert_eq!(charges(&clock, t(80)), ([0, 0, 20, 60, 0, 0, 0], 80));
+    }
+
+    #[test]
+    fn marshal_beside_a_round_trip_takes_the_overlap() {
+        let (clock, t) = clock_at();
+        clock.open_at(Phase::Execute, t(0));
+        clock.open_at(Phase::Network, t(5)); // thread 1 waits on a reply
+        clock.open_at(Phase::Marshal, t(15)); // thread 2 marshals its call
+        clock.close_at(Phase::Marshal, t(25));
+        clock.close_at(Phase::Network, t(45));
+        clock.close_at(Phase::Execute, t(50));
+        assert_eq!(charges(&clock, t(50)), ([0, 0, 10, 30, 10, 0, 0], 50));
+    }
+
+    #[test]
+    fn a_gap_goes_to_the_remainder_and_phases_never_pass_the_span() {
+        let (clock, t) = clock_at();
+        clock.open_at(Phase::Execute, t(0));
+        clock.close_at(Phase::Execute, t(40));
+        clock.open_at(Phase::Execute, t(3_040)); // a 3 ms deschedule
+        clock.close_at(Phase::Execute, t(3_100));
+        let (total, phases) = clock.finish_at(t(3_100) + Duration::from_nanos(999));
+        assert_eq!((total, phases[Phase::Execute]), (3_100, 100));
+        assert_eq!(
+            total - phases.total_micros(),
+            3_000,
+            "the unattributed remainder"
+        );
+        // charged in nanoseconds, the running sum floored: 1.9 µs each,
+        // rounded, would sum to 14 µs past a span of 13, and floored to 7
+        let (clock, t) = clock_at();
+        let at = |k: u64| t(0) + Duration::from_nanos(1_900 * k);
+        for (k, (phase, _)) in Phase::ALL.into_iter().enumerate() {
+            clock.open_at(phase, at(k as u64));
+            clock.close_at(phase, at(k as u64 + 1));
+        }
+        let (total, phases) = clock.finish_at(at(PHASES as u64));
+        assert_eq!((total, phases.micros), (13, [1, 2, 2, 2, 2, 2, 2]));
+        // once finished, a clock stands still
+        clock.open_at(Phase::Execute, t(100));
+        assert_eq!(clock.finish_at(t(200)), (total, phases));
+    }
+
+    #[test]
+    fn a_duration_recorded_after_the_fact() {
+        // a WAL force timed inside a 2PC step, recorded once it returned
+        let (clock, t) = clock_at();
+        clock.open_at(Phase::TwoPc, t(0));
+        clock.record_at(Phase::Wal, Duration::from_micros(30), t(100));
+        clock.close_at(Phase::TwoPc, t(120));
+        assert_eq!(charges(&clock, t(120)), ([0, 0, 0, 0, 0, 90, 30], 120));
+        // one that began before the last event is charged from it on
+        let (clock, t) = clock_at();
+        clock.open_at(Phase::Execute, t(0));
+        clock.close_at(Phase::Execute, t(100));
+        clock.record_at(Phase::Wal, Duration::from_micros(30), t(110));
+        assert_eq!(charges(&clock, t(110)), ([0, 0, 100, 0, 0, 0, 10], 110));
+        // a plan compiled, or a request parsed, before the clock started:
+        // the hop's start moves back to hold it
+        let (clock, t) = clock_at();
+        clock.prepend(Phase::Parse, Duration::from_micros(50));
+        clock.prepend(Phase::Compile, Duration::from_micros(20));
+        clock.open_at(Phase::Execute, t(0));
+        clock.close_at(Phase::Execute, t(10));
+        assert_eq!(charges(&clock, t(10)), ([50, 20, 10, 0, 0, 0, 0], 80));
     }
 }

@@ -29,8 +29,6 @@ pub struct SlowLogEntry {
     pub query_hash: u64,
     pub trace_id: u128,
     pub total_micros: u64,
-    /// Plan-cache disposition: "hit", "miss", or "off".
-    pub cache: &'static str,
     /// Which engine ran it ("tree" or "rel").
     pub engine: &'static str,
     pub phases: Phases,
@@ -41,13 +39,14 @@ pub struct SlowLogEntry {
 impl SlowLogEntry {
     pub fn to_json(&self) -> String {
         let mut out = format!(
-            "{{\"tsMillis\":{},\"peer\":\"{}\",\"queryHash\":\"{:016x}\",\"traceId\":\"{:032x}\",\"totalMicros\":{},\"cache\":\"{}\",\"engine\":\"{}\",\"hops\":{},\"phases\":{{",
+            "{{\"tsMillis\":{},\"peer\":\"{}\",\"queryHash\":\"{:016x}\",\"traceId\":\"{:032x}\",\"totalMicros\":{},\"unattributedMicros\":{},\"cache\":\"{}\",\"engine\":\"{}\",\"hops\":{},\"phases\":{{",
             self.ts_millis,
             json_escape(&self.peer),
             self.query_hash,
             self.trace_id,
             self.total_micros,
-            json_escape(self.cache),
+            self.total_micros.saturating_sub(self.phases.total_micros()),
+            json_escape(self.phases.cache),
             json_escape(self.engine),
             self.hops,
         );
@@ -159,20 +158,22 @@ impl SlowLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::Phase;
 
     fn entry(hash: u64, micros: u64) -> SlowLogEntry {
+        let mut phases = Phases {
+            cache: "hit",
+            ..Phases::default()
+        };
+        phases.micros[Phase::Execute as usize] = micros - 1_000;
         SlowLogEntry {
             ts_millis: 1,
             peer: "http://p/".into(),
             query_hash: hash,
             trace_id: 42,
             total_micros: micros,
-            cache: "hit",
             engine: "tree",
-            phases: Phases {
-                execute_micros: micros,
-                ..Phases::default()
-            },
+            phases,
             hops: 1,
         }
     }
@@ -184,9 +185,9 @@ mod tests {
         let r = log.render();
         assert_eq!(r.lines().count(), 1);
         assert!(r.contains("\"queryHash\":\"000000000000dead\""));
-        assert!(r.contains("\"totalMicros\":300000"));
+        assert!(r.contains("\"totalMicros\":300000,\"unattributedMicros\":1000,"));
         assert!(r.ends_with(
-            "\"hops\":1,\"phases\":{\"parseMicros\":0,\"compileMicros\":0,\"marshalMicros\":0,\"networkMicros\":0,\"executeMicros\":300000,\"serializeMicros\":0,\"twopcMicros\":0,\"walMicros\":0}}\n"
+            "\"hops\":1,\"phases\":{\"parseMicros\":0,\"compileMicros\":0,\"executeMicros\":299000,\"networkMicros\":0,\"marshalMicros\":0,\"twopcMicros\":0,\"walMicros\":0}}\n"
         ));
         assert_eq!(log.entries_logged(), 1);
         assert_eq!(log.entries_dropped(), 0);

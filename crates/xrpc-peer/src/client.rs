@@ -12,12 +12,8 @@ use xdm::{Sequence, XdmError, XdmResult};
 use xqeval::context::{FunctionRef, RpcDispatcher};
 use xqeval::CancelToken;
 use xrpc_net::{CallHint, ResilientTransport, Transport};
-use xrpc_obs::Phase;
+use xrpc_obs::{Phase, PhaseClock};
 use xrpc_proto::{parse_message, QueryId, UpdCall, XrpcMessage, XrpcRequest, XrpcResponse};
-
-/// The phases a dispatch charges to its hop's profile; the evaluation that
-/// makes the calls is charged its own time less these (`time_phase`).
-pub(crate) const CALL_PHASES: [Phase; 2] = [Phase::Marshal, Phase::Network];
 
 /// One query's view of the network: the transport and the queryID (when
 /// the query runs under repeatable-read isolation: the callee defers what
@@ -59,10 +55,14 @@ pub struct XrpcClient {
     pub cancel: Option<Arc<CancelToken>>,
     /// The query's profile collector, when it runs with `xrpc:profile`
     /// on. Every dispatch then stamps a `<xrpc:profile>` request header
-    /// (mode + this peer as `via` + depth+1), charges marshal/network
-    /// time and wire bytes to the collector, and absorbs the hop
-    /// profiles the response header carries back.
+    /// (mode + this peer as `via` + depth+1), charges wire bytes to the
+    /// collector, and absorbs the hop profiles the response header
+    /// carries back.
     pub profile: Option<Arc<xrpc_obs::ProfileCollector>>,
+    /// The hop's phase clock (the originator's always, a served hop's when
+    /// it is profiled): every dispatch enters marshal and network on it,
+    /// from whichever thread sends.
+    pub clock: Option<Arc<PhaseClock>>,
 }
 
 impl XrpcClient {
@@ -79,6 +79,7 @@ impl XrpcClient {
             net_feedback: None,
             cancel: None,
             profile: None,
+            clock: None,
         }
     }
 
@@ -232,12 +233,10 @@ impl XrpcClient {
             });
         }
         // serialize into a recycled buffer sized from the cheap estimate
-        let marshal_started = self.profile.as_ref().map(|_| std::time::Instant::now());
+        let marshal = self.clock.as_ref().map(|c| c.enter(Phase::Marshal));
         let mut xml = xrpc_net::BufferPool::global().get_string(req.estimated_wire_size());
         req.write_xml(&mut xml)?;
-        if let (Some(col), Some(m)) = (&self.profile, marshal_started) {
-            col.add_phase(Phase::Marshal, m.elapsed().as_micros() as u64);
-        }
+        drop(marshal);
         self.calls_sent.fetch_add(ncalls as u64, Relaxed);
         // Retry semantics (see xrpc-net): read-only calls are safe to
         // resend after any retryable failure; deferred updates (rule R'Fu)
@@ -266,7 +265,12 @@ impl XrpcClient {
             .as_ref()
             .and_then(|t| t.deadline())
             .map(|d| xrpc_net::set_ambient_deadline(Some(d)));
+        // "network" is the whole round trip as this hop saw it, the
+        // callee's own time included: each hop's phases account for *its*
+        // wall clock
+        let network = self.clock.as_ref().map(|c| c.enter(Phase::Network));
         let sent = self.transport.roundtrip_hinted(dest, xml.as_bytes(), hint);
+        drop(network);
         // past the call, settling it is the decision protocol's: no budget
         drop(budget_guard);
         let answer = sent.map_err(|e| {
@@ -284,11 +288,8 @@ impl XrpcClient {
                 p.hists.call_latency_micros.record_micros(elapsed);
             }
             if let Some(col) = &self.profile {
-                // "network" is the whole round-trip as this hop saw it (the
-                // callee's own time included — each hop's phases account for
-                // *its* wall clock); bytes land on the operator whose
-                // dispatch this is (the enclosing execute-at guard).
-                col.add_phase(Phase::Network, elapsed.as_micros() as u64);
+                // bytes land on the operator whose dispatch this is (the
+                // enclosing execute-at guard)
                 col.add_bytes_to_current((xml.len() + resp_bytes.len()) as u64);
             }
             let msg = std::str::from_utf8(&resp_bytes)
@@ -316,9 +317,7 @@ impl XrpcClient {
             None => answer.map_err(|(e, _)| e)?,
         };
         if let Some(col) = &self.profile {
-            if !r.profile_hops.is_empty() {
-                col.absorb_hops(std::mem::take(&mut r.profile_hops));
-            }
+            col.absorb_hops(std::mem::take(&mut r.profile_hops));
         }
         if r.committed {
             self.committed.store(true, Relaxed);

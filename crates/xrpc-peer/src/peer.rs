@@ -17,7 +17,7 @@ use xqeval::context::{CancelToken, DocResolver, Environment, StaticContext};
 use xqeval::{CompiledMain, InMemoryDocs, ModuleRegistry};
 use xrpc_net::{BreakerConfig, CrashSwitch, ResilientTransport, RetryPolicy, Transport};
 use xrpc_obs::{
-    time_phase, trace_id_from, Histogram, Phase, ProfileCollector, ProfileMode, QueryProfile,
+    trace_id_from, Histogram, Phase, PhaseClock, ProfileCollector, ProfileMode, QueryProfile,
     SlowLog, SlowLogEntry, TraceContext, Tracer,
 };
 use xrpc_proto::QueryId;
@@ -707,7 +707,18 @@ impl Peer {
         cache: &'static str,
         force_profile: Option<ProfileMode>,
     ) -> XdmResult<ExecOutcome> {
-        let started = Instant::now();
+        // The originator's profile collector (depth 0, nobody called us),
+        // and its phase clock, which runs whether or not the query is
+        // profiled: the slow-query log reads it too.
+        let mode = force_profile.unwrap_or(plan.profile);
+        let collector = (mode.is_on()).then(|| ProfileCollector::new(mode, &self.name(), "", 0));
+        let clock = (collector.as_ref()).map_or_else(PhaseClock::new, |c| c.clock.clone());
+        clock.set_cache(cache);
+        if cache == "miss" {
+            // compiled just before this call: the hop's too
+            clock.prepend(Phase::Parse, Duration::from_micros(plan.parse_micros));
+            clock.prepend(Phase::Compile, Duration::from_micros(plan.compile_micros));
+        }
         let isolation = plan.isolation;
         let timeout = plan.timeout_secs;
         // `xrpc:timeout "0"` = no *execution* deadline, but the queryId's
@@ -762,28 +773,6 @@ impl Peer {
         // releases the snapshot on every way out, inside the root span
         let _own = qid.as_ref().map(|qid| OwnSnapshot(self, qid));
 
-        // The originator's profile collector (depth 0, nobody called us).
-        // Phase accounting for the slow-query log is NOT gated on this:
-        // the log's phase totals come from a handful of `Instant` reads
-        // this function takes anyway, so profiling-off stays free.
-        let mode = force_profile.unwrap_or(plan.profile);
-        let collector = mode
-            .is_on()
-            .then(|| ProfileCollector::new(mode, &self.name(), "", 0));
-        // A miss compiled the plan just before this call: that time is the
-        // hop's too, so its parse and compile phases lie inside its total.
-        let compiled_micros = match cache {
-            "miss" => plan.parse_micros + plan.compile_micros,
-            _ => 0,
-        };
-        if let Some(col) = &collector {
-            col.set_cache(cache);
-            if cache == "miss" {
-                col.add_phase(Phase::Parse, plan.parse_micros);
-                col.add_phase(Phase::Compile, plan.compile_micros);
-            }
-        }
-
         let resolver: Arc<dyn DocResolver> = match &own {
             Some(snap) => snap.resolver(),
             None => self.docs.clone(),
@@ -794,21 +783,16 @@ impl Peer {
             plan.commit_on_reply,
             resolver,
             collector.clone(),
+            Some(clock.clone()),
         );
         env.rpc_optimize = self.rpc_optimize.load(Ordering::SeqCst);
 
-        let nested = &crate::client::CALL_PHASES;
-        let (engine_out, execute_micros) = time_phase(
-            collector.as_deref(),
-            Phase::Execute,
-            nested,
-            || match self.engine {
-                EngineKind::Tree => xqeval::eval::evaluate_compiled(&plan.compiled, &env, external),
-                EngineKind::Rel => {
-                    relalg::engine::execute_rel_compiled(&plan.compiled, &env, external)
-                }
-            },
-        );
+        let execute = clock.enter(Phase::Execute);
+        let engine_out = match self.engine {
+            EngineKind::Tree => xqeval::eval::evaluate_compiled(&plan.compiled, &env, external),
+            EngineKind::Rel => relalg::engine::execute_rel_compiled(&plan.compiled, &env, external),
+        };
+        drop(execute);
         self.stats.absorb(&env);
         let (result, local_pul) = match engine_out {
             Ok(out) => out,
@@ -880,13 +864,10 @@ impl Peer {
                         client.send_cancel(&participants, qid);
                         return Err(e);
                     }
-                    // WAL appends inside the coordination are charged to
-                    // their own phase: twopc is what is left
-                    let (outcome, _) =
-                        time_phase(collector.as_deref(), Phase::TwoPc, &[Phase::Wal], || {
-                            twopc::run_two_phase_commit(self, client, qid, &participants, has_delta)
-                        });
-                    let outcome = outcome?;
+                    let twopc = clock.enter(Phase::TwoPc);
+                    let outcome =
+                        twopc::run_two_phase_commit(self, client, qid, &participants, has_delta)?;
+                    drop(twopc);
                     if let CommitOutcome::Aborted { reason } = &outcome {
                         return Err(twopc::aborted(reason));
                     }
@@ -901,38 +882,22 @@ impl Peer {
             None => self.apply_pul(&local_pul)?,
         }
 
-        let total_micros = compiled_micros + started.elapsed().as_micros() as u64;
+        let (total_micros, phases) = clock.finish();
         let profile = collector.as_ref().map(|col| QueryProfile {
             trace_id: root_ctx.trace_id,
-            hops: col.finish_hops(root_ctx.trace_id, root_ctx.span_id, total_micros),
+            hops: col.finish_hops(root_ctx.trace_id, root_ctx.span_id),
         });
 
         // Always-on slow-query log: threshold checked on every execution,
-        // phase totals assembled from measurements this function already
-        // took (no per-operator data unless the query was profiled).
+        // phases from the clock (no per-operator data unless the query was
+        // profiled).
         if self.slowlog.is_slow(total_micros) {
-            let phases = match &collector {
-                Some(col) => col.phases(),
-                None => {
-                    let mut p = xrpc_obs::Phases {
-                        cache,
-                        execute_micros,
-                        ..Default::default()
-                    };
-                    if cache == "miss" {
-                        p.parse_micros = plan.parse_micros;
-                        p.compile_micros = plan.compile_micros;
-                    }
-                    p
-                }
-            };
             self.slowlog.record(&SlowLogEntry {
                 ts_millis: crate::now_millis(),
                 peer: self.name(),
                 query_hash: plan.text_hash,
                 trace_id: root_ctx.trace_id,
                 total_micros,
-                cache,
                 engine: match self.engine {
                     EngineKind::Tree => "tree",
                     EngineKind::Rel => "rel",
@@ -980,6 +945,7 @@ impl Peer {
         commit_on_reply: bool,
         resolver: Arc<dyn DocResolver>,
         profile: Option<Arc<ProfileCollector>>,
+        clock: Option<Arc<PhaseClock>>,
     ) -> (Option<Arc<XrpcClient>>, Environment) {
         let client = self.transport().map(|t| {
             let mut c = XrpcClient::new(t);
@@ -989,6 +955,7 @@ impl Peer {
             c.net_feedback = self.resilient_transport();
             c.cancel = Some(cancel.clone());
             c.profile = profile.clone();
+            c.clock = clock;
             Arc::new(c)
         });
         let resolver: Arc<dyn DocResolver> = match &client {

@@ -25,7 +25,7 @@ use xqeval::context::{CancelToken, DocResolver};
 use xqeval::eval::Evaluator;
 use xqeval::modules::CompiledModule;
 use xrpc_net::{INLINE_BUDGET, INLINE_BYTES};
-use xrpc_obs::{time_phase, Phase, ProfileCollector};
+use xrpc_obs::{Phase, ProfileCollector};
 use xrpc_proto::{parse_message, UpdCall, XrpcFault, XrpcMessage, XrpcRequest, XrpcResponse};
 
 /// Removes a call-handler's cancel token from [`Peer::active_evals`] when
@@ -100,7 +100,7 @@ impl Peer {
             Ok(_) => return Err(XdmError::xrpc("expected an xrpc:request")),
             Err(e) => return Err(e),
         };
-        let parse_micros = parse_started.elapsed().as_micros() as u64;
+        let parsed = parse_started.elapsed();
         let call = req.module != WSAT_MODULE && req.module != crate::remote_docs::DOC_MODULE;
         // On the reactor thread only a call it may answer goes on. Running a
         // request again on a worker is safe only because such a call
@@ -148,7 +148,7 @@ impl Peer {
         } else if !call {
             self.handle_doc_fetch(&req)
         } else {
-            self.handle_call_request(req, text, parse_micros, inline)
+            self.handle_call_request(req, text, parsed, inline)
         };
         if xrpc_net::deferred() {
             span.tag("deferred", "worker");
@@ -214,10 +214,9 @@ impl Peer {
         &self,
         mut req: XrpcRequest,
         text: &str,
-        parse_micros: u64,
+        parsed: Duration,
         inline: Option<Arc<PreparedFunction>>,
     ) -> XdmResult<XrpcResponse> {
-        let handle_started = Instant::now();
         // Continue the caller's profile when the request header asks for
         // one: this hop collects its own operator tree/phases and returns
         // them (plus any hops *it* gathered downstream) in the response.
@@ -225,10 +224,9 @@ impl Peer {
             .profile
             .as_ref()
             .filter(|p| p.mode.is_on())
-            .map(|p| ProfileCollector::new(p.mode, &self.name(), &p.via, p.depth));
-        if let Some(col) = &collector {
-            col.add_phase(Phase::Parse, parse_micros);
-        }
+            .map(|p| ProfileCollector::new(p.mode, &self.name(), &p.via, p.depth))
+            .inspect(|c| c.clock.prepend(Phase::Parse, parsed));
+        let clock = collector.as_ref().map(|c| c.clock.clone());
 
         // The caller's remaining budget, already decremented for network
         // time at every hop. A budget exhausted on arrival is rejected
@@ -323,6 +321,7 @@ impl Peer {
             false,
             resolver,
             collector.clone(),
+            clock.clone(),
         );
         let ev = Evaluator::new(&env, prepared.sctx.clone());
 
@@ -333,11 +332,11 @@ impl Peer {
         // worker that took the request. An updating body that calls no peer
         // leaves its ∆ in call order, as a loop over the calls would.
         let calls = std::mem::take(&mut req.calls);
-        let nested = &crate::client::CALL_PHASES;
-        let (outcome, execute_micros) =
-            time_phase(collector.as_deref(), Phase::Execute, nested, || {
-                relalg::eval_calls(&ev, &prepared.decl, calls)
-            });
+        let execute = clock.as_ref().map(|c| c.enter(Phase::Execute));
+        let started = Instant::now();
+        let outcome = relalg::eval_calls(&ev, &prepared.decl, calls);
+        let took = started.elapsed();
+        drop(execute);
         if let Some(end) = inline_end {
             // only the inline budget ran out, not the request's own; or it
             // tried to send a message (see `XrpcClient`)
@@ -409,7 +408,7 @@ impl Peer {
         // request, after a call that fit (and that did not commit: it was
         // not cached, or not sent `updCall="commit"`). The size is estimated
         // only where it matters: it walks the results.
-        let quick = execute_micros < INLINE_BUDGET.as_micros() as u64;
+        let quick = took < INLINE_BUDGET;
         let small = (quick || inline_end.is_some()) && resp.estimated_wire_size() <= INLINE_BYTES;
         let sent =
             (nested_client.as_ref()).is_some_and(|c| c.requests_sent.load(Ordering::Relaxed) > 0);
@@ -428,8 +427,7 @@ impl Peer {
             let (trace_id, span_id) = xrpc_obs::current_context()
                 .map(|c| (c.trace_id, c.span_id))
                 .unwrap_or((0, 0));
-            let total_micros = parse_micros + handle_started.elapsed().as_micros() as u64;
-            resp.profile_hops = col.finish_hops(trace_id, span_id, total_micros);
+            resp.profile_hops = col.finish_hops(trace_id, span_id);
         }
         Ok(resp)
     }

@@ -180,8 +180,8 @@ pub fn run_two_phase_commit(
     let own_edge = |input| -> XdmResult<()> {
         if own {
             let done = peer.txn_edge(qid, input, Via::Call)?;
-            if let Some(col) = &client.profile {
-                col.add_phase(xrpc_obs::Phase::Wal, done.wal.as_micros() as u64);
+            if let Some(clock) = &client.clock {
+                clock.record(xrpc_obs::Phase::Wal, done.wal);
             }
         }
         Ok(())

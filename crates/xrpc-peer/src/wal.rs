@@ -1968,4 +1968,27 @@ mod tests {
         pul.push(UpdatePrimitive::Delete { target });
         assert!(serialize_pul(&pul).is_err());
     }
+
+    /// DESIGN.md's "Observability" catalogue names every histogram family
+    /// the peer and its log expose: a family added to either table without
+    /// a word there fails here.
+    #[test]
+    fn the_observability_catalogue_names_every_histogram_family() {
+        let design = include_str!("../../../DESIGN.md");
+        let section = design
+            .split_once("\n## Observability\n")
+            .and_then(|(_, rest)| rest.split("\n## ").next())
+            .expect("DESIGN.md has an Observability section");
+        let p = tmp("catalogue");
+        let (wal, _) = Wal::open(&p, FsyncPolicy::Never).unwrap();
+        let peer = crate::peer::PeerHistograms::default();
+        let families = peer.families().map(|(name, _)| name);
+        for name in families
+            .into_iter()
+            .chain(wal.histograms().map(|(name, _)| name))
+        {
+            assert!(section.contains(name), "`{name}` is not in the catalogue");
+        }
+        cleanup(&p);
+    }
 }

@@ -642,14 +642,11 @@ fn parse_hop(doc: &Document, el: NodeId) -> Option<HopProfile> {
     let mut ops = Vec::new();
     for child in doc.child_elements(el) {
         if has_name(doc, child, "phases") {
-            let num = |name: &str| -> u64 {
-                doc.attr_local(child, name)
+            phases.micros = Phase::ALL.map(|(_, name)| {
+                (doc.attr_local(child, name))
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(0)
-            };
-            for (phase, name) in Phase::ALL {
-                *phases.get_mut(phase) = num(name);
-            }
+            });
             phases.cache = match doc.attr_local(child, "cache") {
                 Some("hit") => "hit",
                 Some("miss") => "miss",

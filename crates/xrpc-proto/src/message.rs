@@ -488,7 +488,7 @@ fn write_hop_text(out: &mut String, h: &HopProfile) {
     out.push_str(&h.total_micros.to_string());
     out.push_str("\"><xrpc:phases");
     for (phase, name) in Phase::ALL {
-        out.push_str(&format!(" {name}=\"{}\"", h.phases.get(phase)));
+        out.push_str(&format!(" {name}=\"{}\"", h.phases[phase]));
     }
     out.push_str(" cache=\"");
     push_escaped_attr(out, h.phases.cache);
@@ -750,7 +750,7 @@ mod dom_oracle {
         doc.append_child(parent, hop);
         let ph = doc.create_element(xrpc("phases"));
         for (phase, name) in Phase::ALL {
-            doc.set_attribute(ph, QName::local(name), h.phases.get(phase).to_string());
+            doc.set_attribute(ph, QName::local(name), h.phases[phase].to_string());
         }
         doc.set_attribute(ph, QName::local("cache"), h.phases.cache);
         doc.append_child(hop, ph);
@@ -1490,6 +1490,17 @@ mod tests {
         }
     }
 
+    fn phases(cache: &'static str, micros: &[(Phase, u64)]) -> Phases {
+        let mut p = Phases {
+            cache,
+            ..Phases::default()
+        };
+        for &(phase, m) in micros {
+            p.micros[phase as usize] = m;
+        }
+        p
+    }
+
     fn sample_hops() -> Vec<HopProfile> {
         vec![
             HopProfile {
@@ -1499,17 +1510,16 @@ mod tests {
                 trace_id: 0xabc,
                 span_id: 0x11,
                 total_micros: 1500,
-                phases: Phases {
-                    parse_micros: 10,
-                    compile_micros: 20,
-                    marshal_micros: 5,
-                    network_micros: 300,
-                    execute_micros: 1100,
-                    serialize_micros: 40,
-                    twopc_micros: 0,
-                    wal_micros: 0,
-                    cache: "hit",
-                },
+                phases: phases(
+                    "hit",
+                    &[
+                        (Phase::Parse, 10),
+                        (Phase::Compile, 20),
+                        (Phase::Execute, 1100),
+                        (Phase::Network, 300),
+                        (Phase::Marshal, 5),
+                    ],
+                ),
                 ops: vec![OpNode {
                     name: "xq:flwor".into(),
                     calls: 12,
@@ -1535,11 +1545,7 @@ mod tests {
                 trace_id: 0xabc,
                 span_id: 0x22,
                 total_micros: 400,
-                phases: Phases {
-                    cache: "miss",
-                    execute_micros: 390,
-                    ..Phases::default()
-                },
+                phases: phases("miss", &[(Phase::Execute, 390)]),
                 ops: Vec::new(),
             },
         ]
@@ -1555,7 +1561,7 @@ mod tests {
         assert!(xml.contains("<env:Header><xrpc:profile><xrpc:hop peer="));
         // the phase table writes what the hand-written list wrote
         assert!(xml.contains(
-            r#"<xrpc:phases parseMicros="10" compileMicros="20" marshalMicros="5" networkMicros="300" executeMicros="1100" serializeMicros="40" twopcMicros="0" walMicros="0" cache="hit"/>"#
+            r#"<xrpc:phases parseMicros="10" compileMicros="20" executeMicros="1100" networkMicros="300" marshalMicros="5" twopcMicros="0" walMicros="0" cache="hit"/>"#
         ));
         match parse_message(&xml).unwrap() {
             XrpcMessage::Response(r) => {
@@ -1568,7 +1574,7 @@ mod tests {
                 assert_eq!(h.span_id, 0x11);
                 assert_eq!(h.total_micros, 1500);
                 assert_eq!(h.phases.cache, "hit");
-                assert_eq!(h.phases.network_micros, 300);
+                assert_eq!(h.phases[Phase::Network], 300);
                 assert_eq!(h.ops.len(), 1);
                 assert_eq!(h.ops[0].name, "xq:flwor");
                 assert_eq!(h.ops[0].calls, 12);
@@ -1597,6 +1603,23 @@ mod tests {
                 assert_eq!(r.profile_hops.len(), 1, "bad hop dropped");
                 assert_eq!(r.profile_hops[0].depth, 1);
             }
+            other => panic!("expected response, got {other:?}"),
+        }
+    }
+
+    /// A peer from before the phase clock still sends `serializeMicros`:
+    /// its hop decodes, and the attribute is ignored.
+    #[test]
+    fn an_older_hops_serialize_phase_is_ignored() {
+        let mut resp = XrpcResponse::new("m", "f");
+        resp.profile_hops = sample_hops();
+        let older = resp.to_xml().unwrap().replace(
+            r#" twopcMicros="0""#,
+            r#" serializeMicros="40" twopcMicros="0""#,
+        );
+        assert!(older.contains(r#"serializeMicros="40""#));
+        match parse_message(&older).unwrap() {
+            XrpcMessage::Response(r) => assert_eq!(r.profile_hops, resp.profile_hops),
             other => panic!("expected response, got {other:?}"),
         }
     }
